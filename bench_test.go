@@ -216,7 +216,7 @@ func BenchmarkFigure5_Payment(b *testing.B) {
 	r := tpcc.NewRand(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := db.PaymentWithRetry(tpcc.GenPayment(r, db.Scale, uint32(i%2+1)), 10); err != nil {
+		if err := db.PaymentCtx(context.Background(), tpcc.GenPayment(r, db.Scale, uint32(i%2+1))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -231,7 +231,7 @@ func BenchmarkFigure5_NewOrder(b *testing.B) {
 	r := tpcc.NewRand(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := db.NewOrderWithRetry(tpcc.GenNewOrder(r, db.Scale, uint32(i%2+1)), 10)
+		err := db.NewOrderCtx(context.Background(), tpcc.GenNewOrder(r, db.Scale, uint32(i%2+1)))
 		if err != nil && err != tpcc.ErrUserAbort {
 			b.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func BenchmarkFigure5_PaymentParallel(b *testing.B) {
 		sli := sli
 		b.Run(fmt.Sprintf("sli=%v", sli), func(b *testing.B) {
 			benchFig5Parallel(b, sli, func(db *tpcc.DB, r *tpcc.Rand, home uint32) error {
-				return db.PaymentWithRetry(tpcc.GenPayment(r, db.Scale, home), 100)
+				return db.PaymentCtx(context.Background(), tpcc.GenPayment(r, db.Scale, home))
 			})
 		})
 	}
@@ -292,7 +292,7 @@ func BenchmarkFigure5_NewOrderParallel(b *testing.B) {
 		sli := sli
 		b.Run(fmt.Sprintf("sli=%v", sli), func(b *testing.B) {
 			benchFig5Parallel(b, sli, func(db *tpcc.DB, r *tpcc.Rand, home uint32) error {
-				return db.NewOrderWithRetry(tpcc.GenNewOrder(r, db.Scale, home), 100)
+				return db.NewOrderCtx(context.Background(), tpcc.GenNewOrder(r, db.Scale, home))
 			})
 		})
 	}
@@ -349,10 +349,10 @@ func benchDoraParallel(b *testing.B, dora bool, run func(db *tpcc.DB, r *tpcc.Ra
 // transaction type. CI captures it as BENCH_dora.json.
 func BenchmarkDoraParallel(b *testing.B) {
 	payment := func(db *tpcc.DB, r *tpcc.Rand, home uint32) error {
-		return db.PaymentWithRetry(tpcc.GenPayment(r, db.Scale, home), 100)
+		return db.PaymentCtx(context.Background(), tpcc.GenPayment(r, db.Scale, home))
 	}
 	newOrder := func(db *tpcc.DB, r *tpcc.Rand, home uint32) error {
-		return db.NewOrderWithRetry(tpcc.GenNewOrder(r, db.Scale, home), 100)
+		return db.NewOrderCtx(context.Background(), tpcc.GenNewOrder(r, db.Scale, home))
 	}
 	doraPayment := func(db *tpcc.DB, r *tpcc.Rand, home uint32) error {
 		return db.DoraPayment(context.Background(), tpcc.GenPayment(r, db.Scale, home))

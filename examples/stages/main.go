@@ -94,7 +94,7 @@ func main() {
 		runStage(stage)
 	}
 	fmt.Println("\nNote: on a single-CPU host the absolute rates barely differ — that")
-	fmt.Println("is precisely why DESIGN.md reproduces the paper's figures on the")
+	fmt.Println("is precisely why the paper's figures are reproduced on the")
 	fmt.Println("contention simulator (cmd/shorebench). The counters above still show")
 	fmt.Println("each stage eliminating its bottleneck's contention.")
 }

@@ -218,8 +218,8 @@ func Figure7() Figure {
 
 // Ablation quantifies each optimization's contribution to the final
 // system: the finished Shore-MT with exactly one optimization reverted,
-// at 1 and 32 threads. Not a paper figure — the ablation study DESIGN.md
-// adds on top of the cumulative Figure 7 ladder.
+// at 1 and 32 threads. Not a paper figure — an ablation study on top of
+// the cumulative Figure 7 ladder.
 func Ablation() Figure {
 	fig := Figure{
 		ID:     "ablation",

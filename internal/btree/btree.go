@@ -46,25 +46,24 @@ type OptEnv interface {
 	ReleaseOpt(buffer.OptRef)
 }
 
-// OLCStats counts optimistic-descent outcomes. One instance is typically
-// shared by every tree an engine opens, so the counters are engine-wide.
+// OLCStats counts descent outcomes per access policy (see Access). One
+// instance is typically shared by every tree an engine opens, so the
+// counters are engine-wide.
 type OLCStats struct {
-	OptDescents  atomic.Uint64 // descents whose inner levels completed optimistically
-	Restarts     atomic.Uint64 // descents restarted from the root after failed validation
-	Fallbacks    atomic.Uint64 // descents that exhausted retries and went fully latched
-	OptLeafReads atomic.Uint64 // SearchOpt probes completed without any pin or latch
+	OptDescents  atomic.Uint64 // Optimistic descents to a latched leaf whose inner levels stayed speculative
+	Restarts     atomic.Uint64 // operations restarted from the root (failed validation, unreadable node, root grew), any policy
+	Fallbacks    atomic.Uint64 // Optimistic operations that exhausted their restarts and ran Latched
+	OptLeafReads atomic.Uint64 // Optimistic leaf reads (Search, one per Scan leaf) completed without any pin or latch
 
-	// Latched-descent and partition-owner (PLP) counters. LatchedDescents
-	// counts classic pinned descents — the latch traffic PLP exists to
-	// avoid; the Owner* counters count operations served on the
-	// partition-owner path (pin-free validated reads, single-leaf EX write
-	// fence, no latch coupling).
-	LatchedDescents atomic.Uint64 // classic SH-coupled descents (fallbacks included)
-	OwnerDescents   atomic.Uint64 // owner-path write descents completed without inner latches
-	OwnerReads      atomic.Uint64 // owner-path point reads completed with no pin and no latch
-	OwnerWrites     atomic.Uint64 // owner-path mutations (insert/update/delete)
-	OwnerScans      atomic.Uint64 // owner-path range scans completed on validated leaf images
-	OwnerFallbacks  atomic.Uint64 // owner-path operations that fell back to the latched path
+	// LatchedDescents counts classic pinned descents — the latch traffic
+	// OLC and PLP exist to avoid; the Owner* counters are the Optimistic
+	// ones for the partition-owner policy.
+	LatchedDescents atomic.Uint64 // pinned SH descents (fallbacks included)
+	OwnerDescents   atomic.Uint64 // Owner descents to a latched leaf completed without inner latches
+	OwnerReads      atomic.Uint64 // Owner leaf reads (Search, one per Scan leaf) completed with no pin and no latch
+	OwnerWrites     atomic.Uint64 // Owner mutation descents (insert/update/delete); moves with OwnerDescents
+	OwnerScans      atomic.Uint64 // Owner range scans
+	OwnerFallbacks  atomic.Uint64 // Owner operations that exhausted their restarts and ran Latched
 }
 
 // OLCSnapshot is a point-in-time copy of OLCStats.
@@ -99,41 +98,92 @@ func (s *OLCStats) Snapshot() OLCSnapshot {
 	}
 }
 
-// maxOptRestarts bounds how often a descent restarts from the root after
-// a failed validation before falling back to the latched descent.
+// maxOptRestarts bounds how often an operation restarts from the root
+// after a failed validation before it falls back to the Latched policy.
 const maxOptRestarts = 3
+
+// maxOptHops bounds one speculative walk's node visits (descent plus
+// sideways moves); exceeding it restarts rather than chasing a cycle on
+// torn images.
+const maxOptHops = 64
+
+// Access is the latch policy of one tree operation. Every operation runs
+// the same descent; the policy decides how nodes are read on the way
+// down and which counters record the outcome.
+//
+//	            inner nodes      leaf, Search/Scan   leaf, mutations   counters
+//	Latched     pinned SH        pinned SH           pinned EX         LatchedDescents
+//	Optimistic  validated copy*  validated copy      pinned EX         OptDescents, OptLeafReads, Fallbacks
+//	Owner       validated copy*  validated copy      pinned EX         OwnerDescents+OwnerWrites, OwnerReads, OwnerScans, OwnerFallbacks
+//
+// A validated copy is a speculative read of an unpinned, unlatched page
+// image (OptEnv) that counts only if the frame's latch version did not
+// move meanwhile; it writes no shared memory. (*) On the way to a latched
+// leaf a node that is not resident is read under a pinned SH latch,
+// which loads it; reads that end in a validated copy never pin, so a
+// cold or write-latched node restarts them. Any failed validation
+// restarts the operation from the root (Restarts); after maxOptRestarts
+// of them it falls back to Latched, which always succeeds.
+//
+// Optimistic is for trees shared between threads (optimistic latch
+// coupling). Owner is the same mechanism counted separately for PLP
+// segment trees driven by their partition's goroutine, the segment's
+// only writer: its validations cannot fail while that discipline holds,
+// and the single-leaf EX latch a mutation still takes is a write fence
+// for the page cleaner and for other threads' validated copies, not for
+// tree consistency. A tree without an OptEnv runs every policy as
+// Latched.
+type Access uint8
+
+const (
+	Latched Access = iota
+	Optimistic
+	Owner
+)
+
+// descent records a descent that ended in a latched leaf.
+func (s *OLCStats) descent(a Access) {
+	switch a {
+	case Latched:
+		s.LatchedDescents.Add(1)
+	case Optimistic:
+		s.OptDescents.Add(1)
+	case Owner:
+		s.OwnerDescents.Add(1)
+		s.OwnerWrites.Add(1)
+	}
+}
+
+// leafRead records a leaf read completed on a validated copy.
+func (s *OLCStats) leafRead(a Access) {
+	if a == Owner {
+		s.OwnerReads.Add(1)
+	} else {
+		s.OptLeafReads.Add(1)
+	}
+}
+
+// fallback records an operation giving up on speculation.
+func (s *OLCStats) fallback(a Access) {
+	if a == Owner {
+		s.OwnerFallbacks.Add(1)
+	} else {
+		s.Fallbacks.Add(1)
+	}
+}
 
 // Tree is a B-link tree rooted at a fixed page.
 type Tree struct {
 	env   Env
-	opt   OptEnv // nil: every descent is latched
+	opt   OptEnv // nil: every policy runs as Latched
 	stats *OLCStats
 	store uint32
 	root  page.ID
 }
 
-// EnableOLC switches the tree to optimistic descents through opt,
-// recording outcomes in stats (allocated internally when nil). It must be
-// called before the tree is shared across goroutines.
-func (t *Tree) EnableOLC(opt OptEnv, stats *OLCStats) {
-	if stats == nil {
-		stats = new(OLCStats)
-	}
-	t.opt, t.stats = opt, stats
-}
-
-// SetStats points the tree's counters at stats without enabling
-// optimistic descents (EnableOLC does both). Useful for trees that stay
-// on the latched path but should still feed engine-wide counters.
-func (t *Tree) SetStats(stats *OLCStats) {
-	if stats != nil {
-		t.stats = stats
-	}
-}
-
-// Create allocates and initializes an empty tree for store, returning the
-// tree and its root page id.
-func Create(env Env, txID uint64, store uint32) (*Tree, error) {
+// Create allocates and initializes an empty tree for store. opt and
+// stats are as for Open.
+func Create(env Env, opt OptEnv, stats *OLCStats, txID uint64, store uint32) (*Tree, error) {
 	rootPid, err := env.AllocPage(store)
 	if err != nil {
 		return nil, err
@@ -150,12 +200,14 @@ func Create(env Env, txID uint64, store uint32) (*Tree, error) {
 	if err := env.Log(txID, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: 0, Data: hdr.encode()}, nil); err != nil {
 		return nil, err
 	}
-	return &Tree{env: env, store: store, root: rootPid}, nil
+	return Open(env, opt, stats, store, rootPid), nil
 }
 
-// Open attaches to an existing tree.
-func Open(env Env, store uint32, root page.ID) *Tree {
-	return &Tree{env: env, store: store, root: root}
+// Open attaches to an existing tree. opt serves the Optimistic and Owner
+// policies (nil: everything runs Latched); stats must not be nil and is
+// typically shared by every tree an engine opens.
+func Open(env Env, opt OptEnv, stats *OLCStats, store uint32, root page.ID) *Tree {
+	return &Tree{env: env, opt: opt, stats: stats, store: store, root: root}
 }
 
 // Root returns the root page id (stable for the life of the tree).
@@ -199,361 +251,285 @@ func (t *Tree) moveRight(f *buffer.Frame, hdr nodeHeader, key []byte, mode sync2
 	return f, hdr, nil
 }
 
-// descendToLeaf walks from the root to the leaf responsible for key; the
-// leaf is returned latched in leafMode. The returned path holds the page
-// id of the parent at each level above the leaf (for split propagation).
-//
-// With an OptEnv the inner levels descend optimistically: separator keys
-// and child pointers are copied out of unlatched pages and validated
-// against the frame's latch version; a failed validation restarts from
-// the root (bounded), then the latched descent takes over. The leaf is
-// always latched for real.
-func (t *Tree) descendToLeaf(key []byte, leafMode sync2.LatchMode) (*buffer.Frame, nodeHeader, []page.ID, error) {
-	if t.opt != nil {
-		for attempt := 0; attempt < maxOptRestarts; attempt++ {
-			f, hdr, path, ok, err := t.descendOpt(key, leafMode)
-			if err != nil {
-				return nil, nodeHeader{}, nil, err
-			}
-			if ok {
-				t.stats.OptDescents.Add(1)
-				return f, hdr, path, nil
-			}
-			t.stats.Restarts.Add(1)
-		}
-		t.stats.Fallbacks.Add(1)
-	}
-	return t.descendLatched(key, leafMode)
-}
-
-// descendOpt is one optimistic descent attempt. ok=false (with nil error)
-// means a validation failed or the tree shifted under us: restart.
-// Returned errors were observed on validated (consistent) reads or the
-// latched leaf, so they are real.
-func (t *Tree) descendOpt(key []byte, leafMode sync2.LatchMode) (*buffer.Frame, nodeHeader, []page.ID, bool, error) {
-	var path []page.ID
-	pid := t.root
-	for {
-		var next page.ID
-		var level uint8
-		var leaf, sideways bool
-		if ref, got := t.opt.FixOpt(pid); got {
-			// Speculative read: everything extracted from the page before
-			// Validate is potentially torn and must be plain values or byte
-			// comparisons over bounds-checked accessors — never retained
-			// aliases. Only after Validate do the results mean anything.
-			var err error
-			next, level, leaf, sideways, err = nodeStep(ref.Page(), key)
-			valid := t.opt.Validate(ref)
-			t.opt.ReleaseOpt(ref)
-			if !valid {
-				return nil, nodeHeader{}, nil, false, nil
-			}
-			if err != nil {
-				// Validated, so the error is real corruption, not tearing.
-				return nil, nodeHeader{}, nil, false, err
-			}
-		} else {
-			// Not resident (or in flux): read this one node under a pinned
-			// SH latch — forcing a load if needed — then continue
-			// optimistically below it.
-			f, err := t.env.Fix(pid, sync2.LatchSH)
-			if err != nil {
-				return nil, nodeHeader{}, nil, false, err
-			}
-			next, level, leaf, sideways, err = nodeStep(f.Page(), key)
-			t.env.Unfix(f, sync2.LatchSH)
-			if err != nil {
-				return nil, nodeHeader{}, nil, false, err
-			}
-		}
-		if leaf {
-			return t.latchLeaf(pid, key, leafMode, path)
-		}
-		if !sideways {
-			path = append(path, pid)
-			if level == 1 {
-				// The child of a level-1 branch is a leaf, permanently
-				// (only the root ever changes level, and the root is
-				// nobody's child): latch it directly, skipping a wasted
-				// optimistic peek.
-				return t.latchLeaf(next, key, leafMode, path)
-			}
-		}
-		pid = next
-	}
-}
-
-// latchLeaf finishes a descent: pin+latch the leaf in leafMode, verify it
-// still is a leaf (the root may have grown a level — then restart), and
-// move right per Lehman-Yao.
-func (t *Tree) latchLeaf(pid page.ID, key []byte, leafMode sync2.LatchMode, path []page.ID) (*buffer.Frame, nodeHeader, []page.ID, bool, error) {
-	f, err := t.env.Fix(pid, leafMode)
-	if err != nil {
-		return nil, nodeHeader{}, nil, false, err
-	}
-	lh, err := readHeader(f.Page())
-	if err != nil {
-		t.env.Unfix(f, leafMode)
-		return nil, nodeHeader{}, nil, false, err
-	}
-	if !lh.isLeaf() {
-		t.env.Unfix(f, leafMode)
-		return nil, nodeHeader{}, nil, false, nil
-	}
-	f, lh, err = t.moveRight(f, lh, key, leafMode)
-	if err != nil {
-		return nil, nodeHeader{}, nil, false, err
-	}
-	return f, lh, path, true, nil
-}
-
-// nodeStep computes one descent step from a node image: leaf reports
-// arrival, sideways a Lehman-Yao move-right, otherwise next is the child
-// covering key (with level telling the caller what next is). All
-// extracted data is by-value, so a speculative caller may discard it
-// after a failed validation; on such reads an error usually just means
-// the image was torn.
-func nodeStep(p *page.Page, key []byte) (next page.ID, level uint8, leaf, sideways bool, err error) {
-	h, err := peekHeader(p)
-	if err != nil {
-		return 0, 0, false, false, err
-	}
-	switch {
-	case h.isLeaf():
-		return 0, h.level, true, false, nil
-	case needsMoveRight(h, key):
-		if h.right == 0 {
-			return 0, 0, false, false, fmt.Errorf("%w: high key without right sibling", ErrCorruptNode)
-		}
-		return h.right, h.level, false, true, nil
-	default:
-		next, err = branchChildFor(p, h, key)
-		if err != nil {
-			return 0, 0, false, false, err
-		}
-		return next, h.level, false, false, nil
-	}
-}
-
-// descendLatched is the classic pinned descent: SH latches level by
-// level, releasing each node before fixing the next (B-link move-right
-// repairs any split that slips in between).
-func (t *Tree) descendLatched(key []byte, leafMode sync2.LatchMode) (*buffer.Frame, nodeHeader, []page.ID, error) {
-	if t.stats != nil {
-		t.stats.LatchedDescents.Add(1)
-	}
-	var path []page.ID
-	pid := t.root
-	for {
-		mode := sync2.LatchSH
-		f, err := t.env.Fix(pid, mode)
-		if err != nil {
-			return nil, nodeHeader{}, nil, err
-		}
-		hdr, err := readHeader(f.Page())
-		if err != nil {
-			t.env.Unfix(f, mode)
-			return nil, nodeHeader{}, nil, err
-		}
-		f, hdr, err = t.moveRight(f, hdr, key, mode)
-		if err != nil {
-			return nil, nodeHeader{}, nil, err
-		}
-		if hdr.isLeaf() {
-			leafPid := f.Page().PID()
-			if leafMode == sync2.LatchEX {
-				// Re-take in EX; the node may split in between, so re-verify
-				// with move-right afterwards.
-				t.env.Unfix(f, mode)
-				f, err = t.env.Fix(leafPid, sync2.LatchEX)
-				if err != nil {
-					return nil, nodeHeader{}, nil, err
-				}
-				hdr, err = readHeader(f.Page())
-				if err != nil {
-					t.env.Unfix(f, sync2.LatchEX)
-					return nil, nodeHeader{}, nil, err
-				}
-				f, hdr, err = t.moveRight(f, hdr, key, sync2.LatchEX)
-				if err != nil {
-					return nil, nodeHeader{}, nil, err
-				}
-			}
-			return f, hdr, path, nil
-		}
-		child, err := branchChildFor(f.Page(), hdr, key)
-		if err != nil {
-			t.env.Unfix(f, mode)
-			return nil, nodeHeader{}, nil, err
-		}
-		path = append(path, f.Page().PID())
-		t.env.Unfix(f, mode)
-		pid = child
-	}
-}
-
-// Search returns the value stored for key.
-func (t *Tree) Search(key []byte) ([]byte, bool, error) {
-	if err := checkKV(key, nil); err != nil {
-		return nil, false, err
-	}
-	f, _, _, err := t.descendToLeaf(key, sync2.LatchSH)
-	if err != nil {
-		return nil, false, err
-	}
-	defer t.env.Unfix(f, sync2.LatchSH)
-	slot, exact, err := searchEntries(f.Page(), key)
-	if err != nil {
-		return nil, false, err
-	}
-	if !exact {
-		return nil, false, nil
-	}
-	rec, err := f.Page().Record(slot)
-	if err != nil {
-		return nil, false, err
-	}
-	_, v, err := decodeLeafEntry(rec)
-	if err != nil {
-		return nil, false, err
-	}
-	return append([]byte(nil), v...), true, nil
-}
-
-// SearchOpt is Search extended to the leaf level of the optimistic
-// protocol: the entire probe — inner descent, Lehman-Yao leaf
-// move-right, and the entry read itself — runs on speculative page
-// images with no pin and no latch, validated after the value is copied
-// out. A concurrent writer on the leaf fails the validation (it holds
-// the frame EX, bumping the latch version), so a successful probe read
-// either a pre-writer or post-writer image, never a torn one. Bounded
-// restarts, then fall back to the classic latched Search. Without an
-// OptEnv it IS Search.
-func (t *Tree) SearchOpt(key []byte) ([]byte, bool, error) {
+// attempt is the one restart-then-fall-back loop: it runs try under a
+// until it reports ok, speculating while a allows it and maxOptRestarts
+// are not used up, then with speculation off. It returns the policy the
+// successful try ran under. Errors from try were observed on validated or
+// latched reads, so they are real and end the loop.
+func (t *Tree) attempt(a Access, try func(speculate bool) (ok bool, err error)) (Access, error) {
 	if t.opt == nil {
-		return t.Search(key)
+		a = Latched
 	}
-	if err := checkKV(key, nil); err != nil {
-		return nil, false, err
-	}
-	for attempt := 0; attempt < maxOptRestarts; attempt++ {
-		val, found, ok, err := t.searchOptOnce(key)
+	for restarts := 0; ; restarts++ {
+		if a != Latched && restarts == maxOptRestarts {
+			t.stats.fallback(a)
+			a = Latched
+		}
+		ok, err := try(a != Latched)
 		if err != nil {
-			return nil, false, err
+			return a, err
 		}
 		if ok {
-			t.stats.OptLeafReads.Add(1)
-			return val, found, nil
+			return a, nil
 		}
 		t.stats.Restarts.Add(1)
 	}
-	t.stats.Fallbacks.Add(1)
-	return t.Search(key)
 }
 
-// maxOptHops bounds one SearchOpt attempt's node visits (descent plus
-// sideways moves); exceeding it restarts rather than chasing a cycle on
-// speculative images.
-const maxOptHops = 64
+// descend walks from the root to the leaf responsible for key and returns
+// it latched in mode, with the page id of the parent at each level above
+// it (for split propagation).
+func (t *Tree) descend(a Access, key []byte, mode sync2.LatchMode) (f *buffer.Frame, hdr nodeHeader, path []page.ID, err error) {
+	a, err = t.attempt(a, func(speculate bool) (bool, error) {
+		path = path[:0]
+		pid, ok, err := t.walk(key, speculate, true, &path)
+		if !ok || err != nil {
+			return false, err
+		}
+		f, hdr, ok, err = t.latchLeaf(pid, key, mode)
+		return ok, err
+	})
+	if err != nil {
+		return nil, nodeHeader{}, nil, err
+	}
+	t.stats.descent(a)
+	return f, hdr, path, nil
+}
 
-// searchOptOnce is one pin-free probe attempt. ok=false (with nil error)
-// means a validation failed or a node was not cleanly readable: restart.
-func (t *Tree) searchOptOnce(key []byte) (val []byte, found, ok bool, err error) {
+// walk is the root-to-leaf loop. It follows key down to leaf level
+// without touching the leaf's latch and returns where the leaf-level
+// search starts: the leaf itself, or the covering child of a level-1
+// branch (which is a leaf, permanently — only the root ever changes
+// level, and the root is nobody's child). Ancestors are appended to
+// *path when path is not nil. ok=false (with nil error) means restart.
+func (t *Tree) walk(key []byte, speculate, pin bool, path *[]page.ID) (page.ID, bool, error) {
 	pid := t.root
+	for hop := 0; !speculate || hop < maxOptHops; hop++ {
+		s, ok, err := t.readStep(pid, key, speculate, pin)
+		if !ok || err != nil {
+			return 0, false, err
+		}
+		if s.leaf {
+			return pid, true, nil
+		}
+		if !s.sideways {
+			if path != nil {
+				*path = append(*path, pid)
+			}
+			if s.level == 1 {
+				return s.next, true, nil
+			}
+		}
+		pid = s.next
+	}
+	return 0, false, nil
+}
+
+// readStep reads node pid the way the policy allows and computes the
+// descent step for key from it: as a validated copy when speculate is
+// set; under a pinned SH latch, released before returning (B-link
+// move-right repairs any split that slips in before the next node is
+// fixed), when speculation is off or the page cannot be referenced
+// optimistically (absent, in flux, write-latched) and pin is set.
+// ok=false means the node could not be read that way: restart.
+func (t *Tree) readStep(pid page.ID, key []byte, speculate, pin bool) (s step, ok bool, err error) {
+	if speculate {
+		if ref, got := t.opt.FixOpt(pid); got {
+			// Everything extracted before Validate is potentially torn:
+			// nodeStep returns plain values, never aliases, and its error
+			// means something only once the image is known consistent.
+			s, err = nodeStep(ref.Page(), key)
+			valid := t.opt.Validate(ref)
+			t.opt.ReleaseOpt(ref)
+			if !valid {
+				return step{}, false, nil
+			}
+			return s, true, err
+		}
+		if !pin {
+			return step{}, false, nil
+		}
+	}
+	f, err := t.env.Fix(pid, sync2.LatchSH)
+	if err != nil {
+		return step{}, false, err
+	}
+	s, err = nodeStep(f.Page(), key)
+	t.env.Unfix(f, sync2.LatchSH)
+	return s, true, err
+}
+
+// latchLeaf is how every descent that ends in a latched leaf ends: fix
+// pid in mode, re-read the header under the latch, restart (ok=false) if
+// the page is not a leaf — the root grew a level since the walk looked at
+// it — and move right per Lehman-Yao.
+func (t *Tree) latchLeaf(pid page.ID, key []byte, mode sync2.LatchMode) (*buffer.Frame, nodeHeader, bool, error) {
+	f, err := t.env.Fix(pid, mode)
+	if err != nil {
+		return nil, nodeHeader{}, false, err
+	}
+	hdr, err := readHeader(f.Page())
+	if err != nil {
+		t.env.Unfix(f, mode)
+		return nil, nodeHeader{}, false, err
+	}
+	if !hdr.isLeaf() {
+		t.env.Unfix(f, mode)
+		return nil, nodeHeader{}, false, nil
+	}
+	f, hdr, err = t.moveRight(f, hdr, key, mode)
+	if err != nil {
+		return nil, nodeHeader{}, false, err
+	}
+	return f, hdr, true, nil
+}
+
+// step is one descent step computed from a node image: leaf reports
+// arrival, sideways a Lehman-Yao move-right to next, otherwise next is
+// the child covering the key (with level, the node's own, telling the
+// caller what next is).
+type step struct {
+	next           page.ID
+	level          uint8
+	leaf, sideways bool
+}
+
+// nodeStep computes the descent step for key from a node image. All
+// extracted data is by-value, so a speculative caller may discard it
+// after a failed validation; on such reads an error usually just means
+// the image was torn.
+func nodeStep(p *page.Page, key []byte) (step, error) {
+	h, err := peekHeader(p)
+	if err != nil {
+		return step{}, err
+	}
+	switch {
+	case h.isLeaf():
+		return step{level: h.level, leaf: true}, nil
+	case needsMoveRight(h, key):
+		if h.right == 0 {
+			return step{}, fmt.Errorf("%w: high key without right sibling", ErrCorruptNode)
+		}
+		return step{next: h.right, level: h.level, sideways: true}, nil
+	default:
+		next, err := branchChildFor(p, h, key)
+		return step{next: next, level: h.level}, err
+	}
+}
+
+// viewLeaf runs read over an image of the leaf responsible for key: a
+// validated copy under the speculative policies (nothing pinned, nothing
+// latched), the SH-latched page under Latched. read may run more than
+// once and on a torn image, so it must only copy values out through the
+// bounds-checked accessors and reset what it collects on entry; its
+// results, error included, count only when viewLeaf returns. h.highKey
+// aliases the page.
+func (t *Tree) viewLeaf(a Access, key []byte, read func(p *page.Page, h nodeHeader) error) error {
+	a, err := t.attempt(a, func(speculate bool) (bool, error) {
+		if speculate {
+			return t.viewLeafOpt(key, read)
+		}
+		f, hdr, _, err := t.descend(Latched, key, sync2.LatchSH)
+		if err != nil {
+			return false, err
+		}
+		defer t.env.Unfix(f, sync2.LatchSH)
+		return true, read(f.Page(), hdr)
+	})
+	if err == nil && a != Latched {
+		t.stats.leafRead(a)
+	}
+	return err
+}
+
+// viewLeafOpt is one pin-free attempt of viewLeaf: locate the leaf,
+// move right past concurrent splits, run read, and only then validate.
+// A concurrent writer on the leaf fails the validation (it holds the
+// frame EX, bumping the latch version), so a successful read saw a
+// pre-writer or post-writer image, never a torn one.
+func (t *Tree) viewLeafOpt(key []byte, read func(p *page.Page, h nodeHeader) error) (bool, error) {
+	pid, ok, err := t.walk(key, true, false, nil)
+	if !ok || err != nil {
+		return false, err
+	}
 	for hop := 0; hop < maxOptHops; hop++ {
 		ref, got := t.opt.FixOpt(pid)
 		if !got {
-			// Not resident or in flux; let the fallback path load it.
-			return nil, false, false, nil
+			return false, nil
 		}
-		p := ref.Page()
-		h, herr := peekHeader(p)
-		if herr != nil {
-			valid := t.opt.Validate(ref)
-			t.opt.ReleaseOpt(ref)
-			if !valid {
-				return nil, false, false, nil
-			}
-			return nil, false, false, herr
-		}
-		if !h.isLeaf() {
-			next, _, _, _, serr := nodeStep(p, key)
-			valid := t.opt.Validate(ref)
-			t.opt.ReleaseOpt(ref)
-			if !valid {
-				return nil, false, false, nil
-			}
-			if serr != nil {
-				return nil, false, false, serr
-			}
-			pid = next
-			continue
-		}
-		// Leaf: move right past a concurrent split's high key, then read
-		// the entry. Everything is copied before Validate decides whether
-		// any of it was real.
-		if needsMoveRight(h, key) {
-			right := h.right
-			valid := t.opt.Validate(ref)
-			t.opt.ReleaseOpt(ref)
-			if !valid {
-				return nil, false, false, nil
-			}
-			if right == 0 {
-				return nil, false, false, fmt.Errorf("%w: high key without right sibling", ErrCorruptNode)
-			}
-			pid = right
-			continue
-		}
-		var v []byte
-		exact := false
-		slot, ex, serr := searchEntries(p, key)
-		if serr == nil && ex {
-			if rec, rerr := p.Record(slot); rerr == nil {
-				if _, vv, derr := decodeLeafEntry(rec); derr == nil {
-					v = append([]byte(nil), vv...)
-					exact = true
-				} else {
-					serr = derr
-				}
-			} else {
-				serr = rerr
-			}
+		h, err := peekHeader(ref.Page())
+		right, arrived := h.right, false
+		if err == nil && h.isLeaf() && !needsMoveRight(h, key) {
+			arrived = true
+			err = read(ref.Page(), h)
 		}
 		valid := t.opt.Validate(ref)
 		t.opt.ReleaseOpt(ref)
-		if !valid {
-			return nil, false, false, nil
+		switch {
+		case !valid:
+			return false, nil
+		case err != nil:
+			return false, err
+		case !h.isLeaf():
+			return false, nil // the root grew a level under the walk
+		case arrived:
+			return true, nil
+		case right == 0:
+			return false, fmt.Errorf("%w: high key without right sibling", ErrCorruptNode)
 		}
-		if serr != nil {
-			return nil, false, false, serr
-		}
-		return v, exact, true, nil
+		pid = right
 	}
-	return nil, false, false, nil
+	return false, nil
+}
+
+// Search returns a copy of the value stored for key.
+func (t *Tree) Search(a Access, key []byte) (val []byte, found bool, err error) {
+	if err := checkKV(key, nil); err != nil {
+		return nil, false, err
+	}
+	err = t.viewLeaf(a, key, func(p *page.Page, _ nodeHeader) error {
+		val, found = nil, false
+		slot, exact, err := searchEntries(p, key)
+		if err != nil || !exact {
+			return err
+		}
+		rec, err := p.Record(slot)
+		if err != nil {
+			return err
+		}
+		_, v, err := decodeLeafEntry(rec)
+		if err != nil {
+			return err
+		}
+		val, found = append([]byte(nil), v...), true
+		return nil
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return val, found, nil
 }
 
 // Insert adds key→value; ErrDuplicateKey if present. The operation is
 // logged with a logical undo (delete key), so aborting the transaction
 // removes the key even if splits moved it.
-func (t *Tree) Insert(txID uint64, key, value []byte) error {
-	return t.insert(txID, key, value, true, false)
+func (t *Tree) Insert(a Access, txID uint64, key, value []byte) error {
+	return t.insert(a, txID, key, value, true)
 }
 
 // InsertNoUndo adds key→value with redo-only logging. Recovery's logical
 // undo path uses it (a CLR-covered action must not generate further undo).
-func (t *Tree) InsertNoUndo(txID uint64, key, value []byte) error {
-	return t.insert(txID, key, value, false, false)
+func (t *Tree) InsertNoUndo(a Access, txID uint64, key, value []byte) error {
+	return t.insert(a, txID, key, value, false)
 }
 
-func (t *Tree) insert(txID uint64, key, value []byte, withUndo, owner bool) error {
+func (t *Tree) insert(a Access, txID uint64, key, value []byte, withUndo bool) error {
 	if err := checkKV(key, value); err != nil {
 		return err
 	}
 	entry := encodeLeafEntry(key, value)
 	for {
-		f, hdr, path, err := t.descendForWrite(owner, key)
+		f, hdr, path, err := t.descend(a, key, sync2.LatchEX)
 		if err != nil {
 			return err
 		}
@@ -585,22 +561,22 @@ func (t *Tree) insert(txID uint64, key, value []byte, withUndo, owner bool) erro
 
 // Update replaces the value for key. Logged with logical undo restoring
 // the old value.
-func (t *Tree) Update(txID uint64, key, value []byte) error {
-	return t.update(txID, key, value, true, false)
+func (t *Tree) Update(a Access, txID uint64, key, value []byte) error {
+	return t.update(a, txID, key, value, true)
 }
 
 // UpdateNoUndo is Update with redo-only logging (for recovery undo).
-func (t *Tree) UpdateNoUndo(txID uint64, key, value []byte) error {
-	return t.update(txID, key, value, false, false)
+func (t *Tree) UpdateNoUndo(a Access, txID uint64, key, value []byte) error {
+	return t.update(a, txID, key, value, false)
 }
 
-func (t *Tree) update(txID uint64, key, value []byte, withUndo, owner bool) error {
+func (t *Tree) update(a Access, txID uint64, key, value []byte, withUndo bool) error {
 	if err := checkKV(key, value); err != nil {
 		return err
 	}
 	entry := encodeLeafEntry(key, value)
 	for {
-		f, hdr, path, err := t.descendForWrite(owner, key)
+		f, hdr, path, err := t.descend(a, key, sync2.LatchEX)
 		if err != nil {
 			return err
 		}
@@ -644,20 +620,20 @@ func (t *Tree) update(txID uint64, key, value []byte, withUndo, owner bool) erro
 // Delete removes key, returning its old value. Logged with logical undo
 // re-inserting the key. Underflowed leaves are left in place (lazy
 // deletion; no merges), which keeps sibling pointers stable.
-func (t *Tree) Delete(txID uint64, key []byte) ([]byte, error) {
-	return t.delete(txID, key, true, false)
+func (t *Tree) Delete(a Access, txID uint64, key []byte) ([]byte, error) {
+	return t.delete(a, txID, key, true)
 }
 
 // DeleteNoUndo is Delete with redo-only logging (for recovery undo).
-func (t *Tree) DeleteNoUndo(txID uint64, key []byte) ([]byte, error) {
-	return t.delete(txID, key, false, false)
+func (t *Tree) DeleteNoUndo(a Access, txID uint64, key []byte) ([]byte, error) {
+	return t.delete(a, txID, key, false)
 }
 
-func (t *Tree) delete(txID uint64, key []byte, withUndo, owner bool) ([]byte, error) {
+func (t *Tree) delete(a Access, txID uint64, key []byte, withUndo bool) ([]byte, error) {
 	if err := checkKV(key, nil); err != nil {
 		return nil, err
 	}
-	f, _, _, err := t.descendForWrite(owner, key)
+	f, _, _, err := t.descend(a, key, sync2.LatchEX)
 	if err != nil {
 		return nil, err
 	}
@@ -695,65 +671,59 @@ func (t *Tree) delete(txID uint64, key []byte, withUndo, owner bool) ([]byte, er
 
 // Scan calls fn for each key in [from, to) in ascending order until fn
 // returns false. nil from starts at the smallest key; nil to means no
-// upper bound. fn must not re-enter the tree.
-func (t *Tree) Scan(from, to []byte, fn func(key, value []byte) bool) error {
-	start := from
-	if start == nil {
-		start = []byte{0}
+// upper bound. The range is read one leaf at a time through viewLeaf —
+// the entries in range are copied out of the leaf image and emitted
+// after it is let go, so fn receives copies it may retain and may
+// re-enter the tree. Splits between leaf reads are benign: the next
+// leaf is found by descending to the previous one's high key, below
+// which everything has been emitted and at or above which nothing has.
+func (t *Tree) Scan(a Access, from, to []byte, fn func(key, value []byte) bool) error {
+	if a == Owner && t.opt != nil {
+		t.stats.OwnerScans.Add(1)
 	}
-	f, _, _, err := t.descendToLeaf(start, sync2.LatchSH)
-	if err != nil {
-		return err
+	lo := from
+	if lo == nil {
+		lo = []byte{0}
 	}
+	var pairs [][2][]byte
 	for {
-		p := f.Page()
-		slot := 1
-		if from != nil {
-			s, _, err := searchEntries(p, from)
+		var next []byte // the leaf's high key; nil once the scan is complete
+		err := t.viewLeaf(a, lo, func(p *page.Page, h nodeHeader) error {
+			pairs, next = pairs[:0], nil
+			slot, _, err := searchEntries(p, lo)
 			if err != nil {
-				t.env.Unfix(f, sync2.LatchSH)
 				return err
 			}
-			slot = s
-			from = nil // only applies to the first leaf
-		}
-		n := numEntries(p)
-		for ; slot <= n; slot++ {
-			rec, err := p.Record(slot)
-			if err != nil {
-				t.env.Unfix(f, sync2.LatchSH)
-				return err
+			for n := numEntries(p); slot <= n; slot++ {
+				rec, err := p.Record(slot)
+				if err != nil {
+					return err
+				}
+				k, v, err := decodeLeafEntry(append([]byte(nil), rec...))
+				if err != nil {
+					return err
+				}
+				if to != nil && bytes.Compare(k, to) >= 0 {
+					return nil
+				}
+				pairs = append(pairs, [2][]byte{k, v})
 			}
-			k, v, err := decodeLeafEntry(rec)
-			if err != nil {
-				t.env.Unfix(f, sync2.LatchSH)
-				return err
+			if to == nil || bytes.Compare(h.highKey, to) < 0 {
+				next = append(next, h.highKey...)
 			}
-			if to != nil && bytes.Compare(k, to) >= 0 {
-				t.env.Unfix(f, sync2.LatchSH)
-				return nil
-			}
-			if !fn(k, v) {
-				t.env.Unfix(f, sync2.LatchSH)
-				return nil
-			}
-		}
-		hdr, err := readHeader(p)
+			return nil
+		})
 		if err != nil {
-			t.env.Unfix(f, sync2.LatchSH)
 			return err
 		}
-		right := hdr.right
-		if right == 0 {
-			t.env.Unfix(f, sync2.LatchSH)
+		for _, kv := range pairs {
+			if !fn(kv[0], kv[1]) {
+				return nil
+			}
+		}
+		if next == nil {
 			return nil
 		}
-		rf, err := t.env.Fix(right, sync2.LatchSH)
-		if err != nil {
-			t.env.Unfix(f, sync2.LatchSH)
-			return err
-		}
-		t.env.Unfix(f, sync2.LatchSH)
-		f = rf
+		lo = next
 	}
 }

@@ -60,29 +60,106 @@ func (e *fakeEnv) Log(txID uint64, f *buffer.Frame, op pageop.Op, undo []byte) e
 	return nil
 }
 
+// newTestTree builds an empty tree over the fake env's real buffer pool,
+// which also serves as its OptEnv, with counters of its own.
 func newTestTree(tb testing.TB, frames int) (*Tree, *fakeEnv) {
 	tb.Helper()
 	env := newFakeEnv(tb, frames)
 	store := env.sm.CreateStore(space.KindBTree)
-	tr, err := Create(env, 1, store)
+	tr, err := Create(env, env.pool, new(OLCStats), 1, store)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return tr, env
 }
 
+// policies is the table every policy-parameterised test runs over.
+var policies = []struct {
+	name string
+	a    Access
+}{{"latched", Latched}, {"optimistic", Optimistic}, {"owner", Owner}}
+
+// TestPolicies runs one insert / search / scan / update / delete / split
+// script, and the concurrent stresses, under each access policy, then
+// checks that the policy's own counters recorded the work and nobody
+// else's moved.
+func TestPolicies(t *testing.T) {
+	script := []struct {
+		name string
+		run  func(*testing.T, Access) *Tree
+	}{
+		{"InsertSearchSmall", testInsertSearchSmall},
+		{"SplitsManyKeysSequential", testSplitsManyKeysSequential},
+		{"SplitsRandomOrder", testSplitsRandomOrder},
+		{"ScanOrderedAndBounded", testScanOrderedAndBounded},
+		{"UpdateValues", testUpdateValues},
+		{"DeleteAndReinsert", testDeleteAndReinsert},
+		{"ConcurrentInsertDisjointRanges", testConcurrentInsertDisjointRanges},
+		{"ConcurrentReadersAndWriters", testConcurrentReadersAndWriters},
+		{"EvictionChurn", testEvictionChurn},
+	}
+	for _, p := range policies {
+		p := p
+		t.Run(p.name, func(t *testing.T) {
+			for _, step := range script {
+				step := step
+				t.Run(step.name, func(t *testing.T) {
+					tr := step.run(t, p.a)
+					if t.Failed() {
+						return
+					}
+					if _, err := tr.Verify(); err != nil {
+						t.Fatalf("Verify: %v", err)
+					}
+					checkPolicyCounters(t, p.a, tr.stats.Snapshot())
+				})
+			}
+		})
+	}
+}
+
+// checkPolicyCounters asserts that work done under a landed on a's
+// counters only: the other speculative policy's stay at zero, Latched
+// never speculates (its only restart is a descent that found the root
+// leaf grown into a branch under its feet), and a speculative policy
+// reaches the latched descent only through a counted fallback.
+func checkPolicyCounters(t *testing.T, a Access, s OLCSnapshot) {
+	t.Helper()
+	opt := s.OptDescents + s.OptLeafReads + s.Fallbacks
+	owner := s.OwnerDescents + s.OwnerWrites + s.OwnerReads + s.OwnerScans + s.OwnerFallbacks
+	switch a {
+	case Latched:
+		if s.LatchedDescents == 0 || opt+owner != 0 {
+			t.Errorf("latched: counters %+v", s)
+		}
+	case Optimistic:
+		if s.OptDescents == 0 || s.OptLeafReads == 0 || owner != 0 {
+			t.Errorf("optimistic: counters %+v", s)
+		}
+	case Owner:
+		if s.OwnerDescents == 0 || s.OwnerReads == 0 || s.OwnerWrites != s.OwnerDescents || opt != 0 {
+			t.Errorf("owner: counters %+v", s)
+		}
+	}
+	// A viewLeaf fallback is one latched descent; a descend fallback is
+	// one too. The root-leaf restart of a Latched descent adds none.
+	if a != Latched && s.LatchedDescents != s.Fallbacks+s.OwnerFallbacks {
+		t.Errorf("%d latched descents, but %d fallbacks", s.LatchedDescents, s.Fallbacks+s.OwnerFallbacks)
+	}
+}
+
 func key(i int) []byte { return []byte(fmt.Sprintf("key%08d", i)) }
 func val(i int) []byte { return []byte(fmt.Sprintf("value-%d", i)) }
 
-func TestInsertSearchSmall(t *testing.T) {
+func testInsertSearchSmall(t *testing.T, a Access) *Tree {
 	tr, _ := newTestTree(t, 64)
 	for i := 0; i < 50; i++ {
-		if err := tr.Insert(1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 50; i++ {
-		v, ok, err := tr.Search(key(i))
+		v, ok, err := tr.Search(a, key(i))
 		if err != nil || !ok {
 			t.Fatalf("Search(%s) = %v, %v", key(i), ok, err)
 		}
@@ -90,50 +167,59 @@ func TestInsertSearchSmall(t *testing.T) {
 			t.Fatalf("Search(%s) = %q, want %q", key(i), v, val(i))
 		}
 	}
-	if _, ok, err := tr.Search([]byte("missing")); err != nil || ok {
+	if _, ok, err := tr.Search(a, []byte("missing")); err != nil || ok {
 		t.Fatalf("missing key found: %v %v", ok, err)
 	}
+	return tr
 }
 
 func TestDuplicateKeyRejected(t *testing.T) {
 	tr, _ := newTestTree(t, 64)
-	if err := tr.Insert(1, key(1), val(1)); err != nil {
+	const a = Latched
+	if err := tr.Insert(a, 1, key(1), val(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Insert(1, key(1), val(2)); !errors.Is(err, ErrDuplicateKey) {
+	if err := tr.Insert(a, 1, key(1), val(2)); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("duplicate insert = %v", err)
 	}
 }
 
 func TestKeyValueLimits(t *testing.T) {
 	tr, _ := newTestTree(t, 64)
-	if err := tr.Insert(1, nil, val(1)); !errors.Is(err, ErrKeyTooLarge) {
+	const a = Latched
+	if err := tr.Insert(a, 1, nil, val(1)); !errors.Is(err, ErrKeyTooLarge) {
 		t.Errorf("empty key = %v", err)
 	}
-	if err := tr.Insert(1, make([]byte, MaxKeySize+1), val(1)); !errors.Is(err, ErrKeyTooLarge) {
+	if err := tr.Insert(a, 1, make([]byte, MaxKeySize+1), val(1)); !errors.Is(err, ErrKeyTooLarge) {
 		t.Errorf("big key = %v", err)
 	}
-	if err := tr.Insert(1, key(1), make([]byte, MaxValueSize+1)); !errors.Is(err, ErrValueTooLarge) {
+	if err := tr.Insert(a, 1, key(1), make([]byte, MaxValueSize+1)); !errors.Is(err, ErrValueTooLarge) {
 		t.Errorf("big value = %v", err)
 	}
 	// Max-size boundary accepted.
-	if err := tr.Insert(1, bytes.Repeat([]byte("k"), MaxKeySize), make([]byte, MaxValueSize)); err != nil {
+	if err := tr.Insert(a, 1, bytes.Repeat([]byte("k"), MaxKeySize), make([]byte, MaxValueSize)); err != nil {
 		t.Errorf("boundary KV = %v", err)
 	}
 }
 
-func TestSplitsManyKeysSequential(t *testing.T) {
+func testSplitsManyKeysSequential(t *testing.T, a Access) *Tree {
 	tr, _ := newTestTree(t, 256)
 	const n = 5000
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
 	for i := 0; i < n; i++ {
-		v, ok, err := tr.Search(key(i))
+		v, ok, err := tr.Search(a, key(i))
 		if err != nil || !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("Search(%d) = %q,%v,%v", i, v, ok, err)
+		}
+	}
+	// Misses below, above and between the keys of a multi-level tree.
+	for _, miss := range []string{"key", "zzz", "key00000007x"} {
+		if _, ok, err := tr.Search(a, []byte(miss)); err != nil || ok {
+			t.Fatalf("Search(%q) = %v, %v; want miss", miss, ok, err)
 		}
 	}
 	// The tree must have grown beyond one level: root is a branch.
@@ -149,37 +235,39 @@ func TestSplitsManyKeysSequential(t *testing.T) {
 	if hdr.isLeaf() || hdr.level == 0 {
 		t.Fatal("root still a leaf after 5000 inserts")
 	}
+	return tr
 }
 
-func TestSplitsRandomOrder(t *testing.T) {
+func testSplitsRandomOrder(t *testing.T, a Access) *Tree {
 	tr, _ := newTestTree(t, 256)
 	rng := rand.New(rand.NewSource(42))
 	perm := rng.Perm(3000)
 	for _, i := range perm {
-		if err := tr.Insert(1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
 	for i := 0; i < 3000; i++ {
-		v, ok, err := tr.Search(key(i))
+		v, ok, err := tr.Search(a, key(i))
 		if err != nil || !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("Search(%d) = %q,%v,%v", i, v, ok, err)
 		}
 	}
+	return tr
 }
 
-func TestScanOrderedAndBounded(t *testing.T) {
+func testScanOrderedAndBounded(t *testing.T, a Access) *Tree {
 	tr, _ := newTestTree(t, 256)
 	rng := rand.New(rand.NewSource(7))
 	for _, i := range rng.Perm(2000) {
-		if err := tr.Insert(1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Full scan: ordered, complete.
 	var prev []byte
 	count := 0
-	err := tr.Scan(nil, nil, func(k, v []byte) bool {
+	err := tr.Scan(a, nil, nil, func(k, v []byte) bool {
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Errorf("scan out of order: %q then %q", prev, k)
 		}
@@ -195,7 +283,7 @@ func TestScanOrderedAndBounded(t *testing.T) {
 	}
 	// Bounded scan [key100, key200).
 	count = 0
-	err = tr.Scan(key(100), key(200), func(k, v []byte) bool {
+	err = tr.Scan(a, key(100), key(200), func(k, v []byte) bool {
 		count++
 		return true
 	})
@@ -207,52 +295,54 @@ func TestScanOrderedAndBounded(t *testing.T) {
 	}
 	// Early termination.
 	count = 0
-	if err := tr.Scan(nil, nil, func(k, v []byte) bool { count++; return count < 5 }); err != nil {
+	if err := tr.Scan(a, nil, nil, func(k, v []byte) bool { count++; return count < 5 }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 5 {
 		t.Fatalf("early-stop scan visited %d", count)
 	}
+	return tr
 }
 
-func TestUpdateValues(t *testing.T) {
+func testUpdateValues(t *testing.T, a Access) *Tree {
 	tr, _ := newTestTree(t, 64)
-	if err := tr.Insert(1, key(1), val(1)); err != nil {
+	if err := tr.Insert(a, 1, key(1), val(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Update(1, key(1), []byte("new-value")); err != nil {
+	if err := tr.Update(a, 1, key(1), []byte("new-value")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, _ := tr.Search(key(1))
+	v, ok, _ := tr.Search(a, key(1))
 	if !ok || string(v) != "new-value" {
 		t.Fatalf("after update: %q, %v", v, ok)
 	}
-	if err := tr.Update(1, key(2), val(2)); !errors.Is(err, ErrKeyNotFound) {
+	if err := tr.Update(a, 1, key(2), val(2)); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("update missing = %v", err)
 	}
 	// Grow the value beyond the original size repeatedly.
 	for size := 10; size <= 1000; size *= 10 {
 		nv := bytes.Repeat([]byte("x"), size)
-		if err := tr.Update(1, key(1), nv); err != nil {
+		if err := tr.Update(a, 1, key(1), nv); err != nil {
 			t.Fatalf("grow to %d: %v", size, err)
 		}
-		v, _, _ := tr.Search(key(1))
+		v, _, _ := tr.Search(a, key(1))
 		if !bytes.Equal(v, nv) {
 			t.Fatalf("grow to %d lost data", size)
 		}
 	}
+	return tr
 }
 
-func TestDeleteAndReinsert(t *testing.T) {
+func testDeleteAndReinsert(t *testing.T, a Access) *Tree {
 	tr, _ := newTestTree(t, 256)
 	for i := 0; i < 500; i++ {
-		if err := tr.Insert(1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Delete the even keys.
 	for i := 0; i < 500; i += 2 {
-		old, err := tr.Delete(1, key(i))
+		old, err := tr.Delete(a, 1, key(i))
 		if err != nil {
 			t.Fatalf("delete %d: %v", i, err)
 		}
@@ -260,11 +350,11 @@ func TestDeleteAndReinsert(t *testing.T) {
 			t.Fatalf("delete %d returned %q", i, old)
 		}
 	}
-	if _, err := tr.Delete(1, key(0)); !errors.Is(err, ErrKeyNotFound) {
+	if _, err := tr.Delete(a, 1, key(0)); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("double delete = %v", err)
 	}
 	for i := 0; i < 500; i++ {
-		_, ok, err := tr.Search(key(i))
+		_, ok, err := tr.Search(a, key(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,19 +364,20 @@ func TestDeleteAndReinsert(t *testing.T) {
 	}
 	// Re-insert the deleted keys.
 	for i := 0; i < 500; i += 2 {
-		if err := tr.Insert(1, key(i), val(i+1000)); err != nil {
+		if err := tr.Insert(a, 1, key(i), val(i+1000)); err != nil {
 			t.Fatalf("reinsert %d: %v", i, err)
 		}
 	}
 	for i := 0; i < 500; i += 2 {
-		v, ok, _ := tr.Search(key(i))
+		v, ok, _ := tr.Search(a, key(i))
 		if !ok || !bytes.Equal(v, val(i+1000)) {
 			t.Fatalf("reinserted %d = %q,%v", i, v, ok)
 		}
 	}
+	return tr
 }
 
-func TestConcurrentInsertDisjointRanges(t *testing.T) {
+func testConcurrentInsertDisjointRanges(t *testing.T, a Access) *Tree {
 	tr, _ := newTestTree(t, 512)
 	const g, n = 8, 400
 	var wg sync.WaitGroup
@@ -295,7 +386,7 @@ func TestConcurrentInsertDisjointRanges(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				if err := tr.Insert(1, key(w*n+i), val(w*n+i)); err != nil {
+				if err := tr.Insert(a, 1, key(w*n+i), val(w*n+i)); err != nil {
 					t.Errorf("insert %d: %v", w*n+i, err)
 					return
 				}
@@ -305,7 +396,7 @@ func TestConcurrentInsertDisjointRanges(t *testing.T) {
 	wg.Wait()
 	count := 0
 	var prev []byte
-	if err := tr.Scan(nil, nil, func(k, v []byte) bool {
+	if err := tr.Scan(a, nil, nil, func(k, v []byte) bool {
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Errorf("out of order after concurrent inserts")
 			return false
@@ -319,24 +410,31 @@ func TestConcurrentInsertDisjointRanges(t *testing.T) {
 	if count != g*n {
 		t.Fatalf("scan found %d keys, want %d", count, g*n)
 	}
+	return tr
 }
 
-func TestConcurrentReadersAndWriters(t *testing.T) {
+// testConcurrentReadersAndWriters races point probes against inserts that
+// split leaves and inner nodes: every present key must be found with its
+// exact value (values are immutable once inserted, so a torn read would
+// surface as a mismatch), during the churn and after it.
+func testConcurrentReadersAndWriters(t *testing.T, a Access) *Tree {
 	tr, _ := newTestTree(t, 512)
-	// Preload.
-	for i := 0; i < 1000; i++ {
-		if err := tr.Insert(1, key(i), val(i)); err != nil {
+	const warm, extra = 1000, 1500
+	for i := 0; i < warm; i++ {
+		if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Writers extend the key space (forcing splits).
+	// The writer extends the key space (forcing splits), then stops the
+	// readers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 1000; i < 2500; i++ {
-			if err := tr.Insert(1, key(i), val(i)); err != nil {
+		defer close(stop)
+		for i := warm; i < warm+extra; i++ {
+			if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -354,8 +452,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					return
 				default:
 				}
-				i := rng.Intn(1000)
-				v, ok, err := tr.Search(key(i))
+				i := rng.Intn(warm)
+				v, ok, err := tr.Search(a, key(i))
 				if err != nil || !ok || !bytes.Equal(v, val(i)) {
 					t.Errorf("reader: Search(%d) = %q,%v,%v", i, v, ok, err)
 					return
@@ -363,39 +461,31 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			}
 		}(r)
 	}
-	// Stop readers once the writer finishes.
-	go func() {
-		wg.Wait()
-	}()
-	// Wait for writer only, then release readers.
-	for i := 0; i < 1; i++ {
-	}
-	// Let the writer finish by polling for the last key.
-	for {
-		_, ok, err := tr.Search(key(2499))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			break
-		}
-	}
-	close(stop)
 	wg.Wait()
+	for i := 0; i < warm+extra; i++ {
+		v, ok, err := tr.Search(a, key(i))
+		if err != nil || !ok || !bytes.Equal(v, val(i)) {
+			t.Fatalf("after inserts Search(%d) = %q,%v,%v", i, v, ok, err)
+		}
+	}
+	return tr
 }
 
 // TestQuickTreeMatchesMap property-tests the tree against a map reference
 // under random operation sequences.
 func TestQuickTreeMatchesMap(t *testing.T) {
+	run := 0
 	f := func(ops []uint16) bool {
 		tr, _ := newTestTree(t, 256)
+		a := policies[run%len(policies)].a // rotate the policy across sequences
+		run++
 		ref := map[string]string{}
 		for _, op := range ops {
 			k := string(key(int(op % 200)))
 			v := string(val(int(op)))
 			switch op % 3 {
 			case 0:
-				err := tr.Insert(1, []byte(k), []byte(v))
+				err := tr.Insert(a, 1, []byte(k), []byte(v))
 				if _, dup := ref[k]; dup {
 					if !errors.Is(err, ErrDuplicateKey) {
 						return false
@@ -406,7 +496,7 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 					ref[k] = v
 				}
 			case 1:
-				_, err := tr.Delete(1, []byte(k))
+				_, err := tr.Delete(a, 1, []byte(k))
 				if _, present := ref[k]; present {
 					if err != nil {
 						return false
@@ -416,7 +506,7 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 					return false
 				}
 			case 2:
-				err := tr.Update(1, []byte(k), []byte(v))
+				err := tr.Update(a, 1, []byte(k), []byte(v))
 				if _, present := ref[k]; present {
 					if err != nil {
 						return false
@@ -428,7 +518,7 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 			}
 		}
 		for k, v := range ref {
-			got, ok, err := tr.Search([]byte(k))
+			got, ok, err := tr.Search(a, []byte(k))
 			if err != nil || !ok || string(got) != v {
 				return false
 			}

@@ -8,85 +8,82 @@ import (
 	"testing"
 
 	"repro/internal/buffer"
+	"repro/internal/page"
 	"repro/internal/space"
 )
 
-// newOLCTree builds a tree with optimistic descents enabled over the
-// fake env's real buffer pool.
-func newOLCTree(tb testing.TB, frames int) (*Tree, *fakeEnv, *OLCStats) {
-	tb.Helper()
-	tr, env := newTestTree(tb, frames)
-	stats := new(OLCStats)
-	tr.EnableOLC(env.pool, stats)
-	return tr, env, stats
-}
-
-func TestOLCInsertSearchScan(t *testing.T) {
-	tr, _, stats := newOLCTree(t, 256)
-	const n = 2000 // forces a multi-level tree: inner nodes descend optimistically
-	for i := 0; i < n; i++ {
-		if err := tr.Insert(1, key(i), val(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		v, ok, err := tr.Search(key(i))
-		if err != nil || !ok {
-			t.Fatalf("Search(%s) = %v, %v", key(i), ok, err)
-		}
-		if !bytes.Equal(v, val(i)) {
-			t.Fatalf("Search(%s) = %q, want %q", key(i), v, val(i))
-		}
-	}
-	var got int
-	err := tr.Scan(nil, nil, func(k, v []byte) bool { got++; return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != n {
-		t.Fatalf("Scan saw %d keys, want %d", got, n)
-	}
-	if count, err := tr.Verify(); err != nil || count != n {
-		t.Fatalf("Verify = %d, %v; want %d", count, err, n)
-	}
-	s := stats.Snapshot()
-	if s.OptDescents == 0 {
-		t.Fatal("no optimistic descents recorded")
-	}
-	t.Logf("olc: %d optimistic, %d restarts, %d fallbacks", s.OptDescents, s.Restarts, s.Fallbacks)
-}
-
-// TestOLCEvictionChurn probes through a pool far smaller than the tree,
-// so optimistic references constantly race frame recycling: every
-// validation failure must restart or fall back, never return stale data.
-func TestOLCEvictionChurn(t *testing.T) {
-	tr, _, stats := newOLCTree(t, 32) // tree below will span hundreds of pages
+// testEvictionChurn probes through a pool far smaller than the tree, so
+// optimistic references constantly race frame recycling and leaves are
+// often not resident: every failed validation or absent page must restart
+// or fall back, never return stale data.
+func testEvictionChurn(t *testing.T, a Access) *Tree {
+	tr, _ := newTestTree(t, 32)
 	const n = 3000
+	// 200-byte values: the tree spans a few hundred pages.
+	wide := func(i int) []byte { return append(bytes.Repeat([]byte{'.'}, 200), val(i)...) }
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, 1, key(i), wide(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r := rand.New(rand.NewSource(7))
 	for probe := 0; probe < 5000; probe++ {
 		i := r.Intn(n)
-		v, ok, err := tr.Search(key(i))
+		v, ok, err := tr.Search(a, key(i))
 		if err != nil || !ok {
 			t.Fatalf("Search(%s) = %v, %v", key(i), ok, err)
 		}
-		if !bytes.Equal(v, val(i)) {
-			t.Fatalf("Search(%s) = %q, want %q", key(i), v, val(i))
+		if !bytes.Equal(v, wide(i)) {
+			t.Fatalf("Search(%s) = %q, want %q", key(i), v, wide(i))
 		}
 	}
-	s := stats.Snapshot()
-	t.Logf("olc under churn: %d optimistic, %d restarts, %d fallbacks", s.OptDescents, s.Restarts, s.Fallbacks)
+	s := tr.stats.Snapshot()
+	if a != Latched && s.Fallbacks+s.OwnerFallbacks == 0 {
+		t.Error("no probe met a cold page: the pool is not smaller than the tree")
+	}
+	t.Logf("under churn: %+v", s)
+	return tr
+}
+
+// TestPoliciesWithoutOptEnv: a tree with no optimistic environment runs
+// every policy as Latched.
+func TestPoliciesWithoutOptEnv(t *testing.T) {
+	env := newFakeEnv(t, 128)
+	stats := new(OLCStats)
+	tr, err := Create(env, nil, stats, 1, env.sm.CreateStore(space.KindBTree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range policies {
+		for i := 0; i < 200; i++ {
+			k := seqKey(int(p.a), i)
+			if err := tr.Insert(p.a, 1, k, val(i)); err != nil {
+				t.Fatal(err)
+			}
+			if v, ok, err := tr.Search(p.a, k); err != nil || !ok || !bytes.Equal(v, val(i)) {
+				t.Fatalf("%s: Search(%s) = %q, %v, %v", p.name, k, v, ok, err)
+			}
+		}
+		n := 0
+		if err := tr.Scan(p.a, seqKey(int(p.a), 0), seqKey(int(p.a), 200), func(k, v []byte) bool { n++; return true }); err != nil || n != 200 {
+			t.Fatalf("%s: Scan saw %d, %v", p.name, n, err)
+		}
+	}
+	checkPolicyCounters(t, Latched, stats.Snapshot())
 }
 
 // TestOLCConcurrentSplitProbe hammers inserts (splitting constantly)
 // against optimistic searches and scans; run with -race this exercises
 // the degraded pinned path, without it the true speculative path.
 func TestOLCConcurrentSplitProbe(t *testing.T) {
-	tr, _, stats := newOLCTree(t, 512)
+	for _, p := range policies {
+		p := p
+		t.Run(p.name, func(t *testing.T) { concurrentSplitProbe(t, p.a) })
+	}
+}
+
+func concurrentSplitProbe(t *testing.T, a Access) {
+	tr, _ := newTestTree(t, 512)
 	const (
 		writers = 4
 		readers = 4
@@ -94,7 +91,7 @@ func TestOLCConcurrentSplitProbe(t *testing.T) {
 	)
 	// Seed enough keys that readers have something to find immediately.
 	for i := 0; i < 100; i++ {
-		if err := tr.Insert(1, seqKey(99, i), val(i)); err != nil {
+		if err := tr.Insert(a, 1, seqKey(99, i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,7 +102,7 @@ func TestOLCConcurrentSplitProbe(t *testing.T) {
 		go func(w int) {
 			defer writeWG.Done()
 			for i := 0; i < perW; i++ {
-				if err := tr.Insert(1, seqKey(w, i), val(i)); err != nil {
+				if err := tr.Insert(a, 1, seqKey(w, i), val(i)); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -124,13 +121,13 @@ func TestOLCConcurrentSplitProbe(t *testing.T) {
 				default:
 				}
 				i := rng.Intn(100)
-				v, ok, err := tr.Search(seqKey(99, i))
+				v, ok, err := tr.Search(a, seqKey(99, i))
 				if err != nil || !ok || !bytes.Equal(v, val(i)) {
 					t.Errorf("reader %d: Search(%s) = %q, %v, %v", r, seqKey(99, i), v, ok, err)
 					return
 				}
 				if rng.Intn(64) == 0 {
-					if err := tr.Scan(seqKey(99, 0), seqKey(99, 100), func(k, v []byte) bool { return true }); err != nil {
+					if err := tr.Scan(a, seqKey(99, 0), seqKey(99, 100), func(k, v []byte) bool { return true }); err != nil {
 						t.Errorf("reader %d: Scan: %v", r, err)
 						return
 					}
@@ -145,7 +142,7 @@ func TestOLCConcurrentSplitProbe(t *testing.T) {
 	// Every inserted key must be findable and the structure sound.
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perW; i++ {
-			if _, ok, err := tr.Search(seqKey(w, i)); err != nil || !ok {
+			if _, ok, err := tr.Search(a, seqKey(w, i)); err != nil || !ok {
 				t.Fatalf("lost key %s: %v %v", seqKey(w, i), ok, err)
 			}
 		}
@@ -154,18 +151,38 @@ func TestOLCConcurrentSplitProbe(t *testing.T) {
 	if count, err := tr.Verify(); err != nil || count != want {
 		t.Fatalf("Verify = %d, %v; want %d", count, err, want)
 	}
-	s := stats.Snapshot()
-	t.Logf("olc concurrent: %d optimistic, %d restarts, %d fallbacks", s.OptDescents, s.Restarts, s.Fallbacks)
+	s := tr.stats.Snapshot()
+	checkPolicyCounters(t, a, s)
+	t.Logf("concurrent: %+v", s)
 }
 
 func seqKey(w, i int) []byte { return []byte(fmt.Sprintf("w%02d-%08d", w, i)) }
 
-// flakyOpt wraps an OptEnv and fails the first failN validations,
-// deterministically driving the restart and fallback paths.
+// flakyOpt wraps an OptEnv, failing the first failN validations and,
+// while cold is set, refusing every optimistic reference the way a
+// non-resident page does — deterministically driving the restart and
+// fallback paths.
 type flakyOpt struct {
 	OptEnv
 	mu    sync.Mutex
 	failN int
+	cold  bool
+}
+
+func (f *flakyOpt) set(failN int, cold bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.failN, f.cold = failN, cold
+}
+
+func (f *flakyOpt) FixOpt(pid page.ID) (buffer.OptRef, bool) {
+	f.mu.Lock()
+	cold := f.cold
+	f.mu.Unlock()
+	if cold {
+		return buffer.OptRef{}, false
+	}
+	return f.OptEnv.FixOpt(pid)
 }
 
 func (f *flakyOpt) Validate(r buffer.OptRef) bool {
@@ -178,55 +195,143 @@ func (f *flakyOpt) Validate(r buffer.OptRef) bool {
 	return f.OptEnv.Validate(r)
 }
 
+// TestOLCRestartAndFallback injects validation failures and non-resident
+// pages under each policy and checks that descents (mutations), point
+// probes and scans restart, fall back and still answer correctly, with
+// the restart loop's counters telling exactly what happened.
 func TestOLCRestartAndFallback(t *testing.T) {
-	tr, env := newTestTree(t, 256)
+	for _, p := range policies {
+		p := p
+		t.Run(p.name, func(t *testing.T) { restartAndFallback(t, p.a) })
+	}
+}
+
+func restartAndFallback(t *testing.T, a Access) {
+	env := newFakeEnv(t, 256)
+	flaky := &flakyOpt{OptEnv: env.pool}
+	stats := new(OLCStats)
+	tr, err := Create(env, flaky, stats, 1, env.sm.CreateStore(space.KindBTree))
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stats := new(OLCStats)
-	flaky := &flakyOpt{OptEnv: env.pool, failN: 1 << 30} // every validation fails
-	tr.EnableOLC(flaky, stats)
 
-	// With validation always failing, every descent must exhaust its
-	// restarts, fall back to the latched path, and still answer correctly.
-	for i := 0; i < 50; i++ {
-		v, ok, err := tr.Search(key(i))
-		if err != nil || !ok || !bytes.Equal(v, val(i)) {
-			t.Fatalf("Search(%s) under permanent validation failure = %q, %v, %v", key(i), v, ok, err)
+	// The three kinds of operation, each checking its own answer.
+	next := n
+	ops := []struct {
+		name string
+		// viaLeafView: the operation reads through viewLeaf (never pins
+		// while speculating) rather than ending in a latched leaf.
+		viaLeafView bool
+		run         func()
+	}{
+		{"descent", false, func() {
+			next++
+			if err := tr.Insert(a, 1, key(next), val(next)); err != nil {
+				t.Fatalf("Insert: %v", err)
+			}
+			if err := tr.Update(a, 1, key(next), val(7)); err != nil {
+				t.Fatalf("Update: %v", err)
+			}
+			if old, err := tr.Delete(a, 1, key(next)); err != nil || !bytes.Equal(old, val(7)) {
+				t.Fatalf("Delete = %q, %v", old, err)
+			}
+		}},
+		{"probe", true, func() {
+			for i := 0; i < 3; i++ {
+				if v, ok, err := tr.Search(a, key(i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
+					t.Fatalf("Search(%s) = %q, %v, %v", key(i), v, ok, err)
+				}
+			}
+		}},
+		{"scan", true, func() {
+			// Three single-leaf scans.
+			for i := 0; i < 3; i++ {
+				got := 0
+				err := tr.Scan(a, key(10*i), key(10*i+5), func(k, v []byte) bool {
+					if !bytes.Equal(k, key(10*i+got)) || !bytes.Equal(v, val(10*i+got)) {
+						t.Errorf("scan %d: pair %d = %q, %q", i, got, k, v)
+					}
+					got++
+					return true
+				})
+				if err != nil || got != 5 {
+					t.Fatalf("Scan = %d pairs, %v", got, err)
+				}
+			}
+		}},
+	}
+	// fallbacks and successes read the policy's own counters.
+	fallbacks := func(s OLCSnapshot) uint64 {
+		if a == Owner {
+			return s.OwnerFallbacks
 		}
+		return s.Fallbacks
 	}
-	s := stats.Snapshot()
-	if s.Fallbacks != 50 {
-		t.Fatalf("Fallbacks = %d, want 50", s.Fallbacks)
-	}
-	if s.Restarts != 50*maxOptRestarts {
-		t.Fatalf("Restarts = %d, want %d", s.Restarts, 50*maxOptRestarts)
-	}
-	if s.OptDescents != 0 {
-		t.Fatalf("OptDescents = %d, want 0", s.OptDescents)
+	speculated := func(s OLCSnapshot) uint64 {
+		if a == Owner {
+			return s.OwnerDescents + s.OwnerReads
+		}
+		return s.OptDescents + s.OptLeafReads
 	}
 
-	// A single transient failure restarts once and then completes
-	// optimistically.
-	flaky.mu.Lock()
-	flaky.failN = 1
-	flaky.mu.Unlock()
-	if _, ok, err := tr.Search(key(60)); err != nil || !ok {
-		t.Fatalf("Search after transient failure: %v, %v", ok, err)
+	for _, op := range ops {
+		// Each op.run is three restartable units (three descents, three
+		// probes, three leaf views).
+		const units = 3
+		want := stats.Snapshot()
+		step := func(what string, restarts, fell, spec uint64) {
+			t.Helper()
+			op.run()
+			got := stats.Snapshot()
+			want.Restarts += restarts
+			want.LatchedDescents += fell
+			if a == Latched {
+				want.LatchedDescents += units
+			}
+			if got.Restarts != want.Restarts || got.LatchedDescents != want.LatchedDescents ||
+				fallbacks(got) != fallbacks(want)+fell || speculated(got) != speculated(want)+spec {
+				t.Fatalf("%s, %s: counters %+v, want %d restarts, %d fallbacks, %d speculative successes on top of %+v",
+					op.name, what, got, restarts, fell, spec, want)
+			}
+			want = got
+		}
+		if a == Latched {
+			// Latched never consults the OptEnv, however broken it is.
+			flaky.set(1<<30, true)
+			step("broken OptEnv", 0, 0, 0)
+			flaky.set(0, false)
+			continue
+		}
+		// Undisturbed: everything completes speculatively.
+		step("undisturbed", 0, 0, units)
+		// Validation always fails: every unit exhausts its restarts, falls
+		// back to Latched, and still answers correctly.
+		flaky.set(1<<30, false)
+		step("permanent validation failure", units*maxOptRestarts, units, 0)
+		// One transient failure: one restart, then speculative success.
+		flaky.set(1, false)
+		step("transient validation failure", 1, 0, units)
+		// Nothing is resident: a descent to a latched leaf reads each node
+		// under a pinned SH latch and completes under its policy with no
+		// restart; a leaf view may not pin, so it restarts and falls back.
+		flaky.set(0, true)
+		if op.viaLeafView {
+			step("non-resident pages", units*maxOptRestarts, units, 0)
+		} else {
+			step("non-resident pages", 0, 0, units)
+		}
+		flaky.set(0, false)
 	}
-	s2 := stats.Snapshot()
-	if s2.Restarts != s.Restarts+1 {
-		t.Fatalf("transient failure: Restarts = %d, want %d", s2.Restarts, s.Restarts+1)
+	if count, err := tr.Verify(); err != nil || count != n {
+		t.Fatalf("Verify = %d, %v; want %d", count, err, n)
 	}
-	if s2.OptDescents != 1 {
-		t.Fatalf("transient failure: OptDescents = %d, want 1", s2.OptDescents)
-	}
-	if s2.Fallbacks != s.Fallbacks {
-		t.Fatalf("transient failure: Fallbacks = %d, want %d", s2.Fallbacks, s.Fallbacks)
-	}
+	checkPolicyCounters(t, a, stats.Snapshot())
 }
 
 // BenchmarkIndexProbeParallel measures point probes through the real
@@ -242,19 +347,14 @@ func BenchmarkIndexProbeParallel(b *testing.B) {
 			name = "olc"
 		}
 		b.Run(name, func(b *testing.B) {
-			env := newFakeEnv(b, 4096)
-			store := env.sm.CreateStore(space.KindBTree)
-			tr, err := Create(env, 1, store)
-			if err != nil {
-				b.Fatal(err)
-			}
-			stats := new(OLCStats)
+			tr, _ := newTestTree(b, 4096)
+			a := Latched
 			if olc {
-				tr.EnableOLC(env.pool, stats)
+				a = Optimistic
 			}
 			const n = 20000
 			for i := 0; i < n; i++ {
-				if err := tr.Insert(1, key(i), val(i)); err != nil {
+				if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -263,7 +363,7 @@ func BenchmarkIndexProbeParallel(b *testing.B) {
 				rng := rand.New(rand.NewSource(rand.Int63()))
 				for pb.Next() {
 					i := rng.Intn(n)
-					_, ok, err := tr.Search(key(i))
+					_, ok, err := tr.Search(a, key(i))
 					if err != nil || !ok {
 						b.Fatalf("Search(%s) = %v, %v", key(i), ok, err)
 					}
@@ -271,8 +371,8 @@ func BenchmarkIndexProbeParallel(b *testing.B) {
 			})
 			b.StopTimer()
 			if olc {
-				s := stats.Snapshot()
-				b.ReportMetric(float64(s.OptDescents), "optDescents")
+				s := tr.stats.Snapshot()
+				b.ReportMetric(float64(s.OptLeafReads), "optLeafReads")
 				b.ReportMetric(float64(s.Restarts), "restarts")
 				b.ReportMetric(float64(s.Fallbacks), "fallbacks")
 			}

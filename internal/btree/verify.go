@@ -136,12 +136,12 @@ func (t *Tree) verifyNode(pid page.ID, low, high []byte, wantLevel int) (int, er
 	return total, nil
 }
 
-// CountViaScan returns the number of keys reachable through the leaf
-// chain; comparing it with Verify's count catches unreachable or
-// double-linked leaves.
+// CountViaScan returns the number of keys a full Scan reaches; comparing
+// it with Verify's count catches leaves that descents cannot reach or
+// reach twice.
 func (t *Tree) CountViaScan() (int, error) {
 	n := 0
-	err := t.Scan(nil, nil, func(k, v []byte) bool {
+	err := t.Scan(Latched, nil, nil, func(k, v []byte) bool {
 		n++
 		return true
 	})

@@ -957,7 +957,7 @@ type EngineStats struct {
 	Space    space.Stats
 	Tx       tx.Stats
 	Pipeline wal.DaemonStats   // zero unless CommitPipeline is enabled
-	Btree    btree.OLCSnapshot // zero unless OLC is enabled
+	Btree    btree.OLCSnapshot // which latch policy index descents ran under
 	Dora     dora.Stats        // zero unless DORA is enabled
 	Recovery RecoveryStats     // zero unless Open ran restart recovery
 	Mvcc     mvcc.Stats        // zero unless Snapshot is enabled

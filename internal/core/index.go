@@ -39,14 +39,11 @@ func (v btreeEnv) Log(txID uint64, f *buffer.Frame, op pageop.Op, undo []byte) e
 	return v.e.logPhysical(txID, t, f, op, undo, undo == nil)
 }
 
-// newTree wraps btree.Open, enabling optimistic descents per Config.OLC.
-// The buffer pool itself is the OptEnv; stats aggregate engine-wide.
+// newTree wraps btree.Open. The buffer pool itself is the OptEnv; stats
+// aggregate engine-wide. Which latch policy an operation runs under is
+// decided per call (Index.access), not per tree.
 func (e *Engine) newTree(store uint32, root page.ID) *btree.Tree {
-	tr := btree.Open(btreeEnv{e}, store, root)
-	if e.cfg.OLC {
-		tr.EnableOLC(e.pool, &e.olc)
-	}
-	return tr
+	return btree.Open(btreeEnv{e}, e.pool, &e.olc, store, root)
 }
 
 // Index is a B-tree index handle: a single tree, or — under PLP — a
@@ -58,6 +55,25 @@ type Index struct {
 	// (nil for an unpartitioned index). Segment identity is fixed at
 	// creation; only partition ownership of routing keys moves.
 	segs []*btree.Tree
+	// shared is the latch policy of callers that are not the segment's
+	// owner: Optimistic under Config.OLC and always for a forest,
+	// otherwise Latched.
+	shared btree.Access
+}
+
+// newIndex builds the handle for store over its tree (segs nil) or its
+// forest.
+func (e *Engine) newIndex(store uint32, tree *btree.Tree, segs []*btree.Tree) *Index {
+	return &Index{tree: tree, store: store, segs: segs, shared: e.sharedAccess(segs != nil)}
+}
+
+// sharedAccess is the latch policy for index callers that do not own the
+// tree they operate on.
+func (e *Engine) sharedAccess(forest bool) btree.Access {
+	if e.cfg.OLC || forest {
+		return btree.Optimistic
+	}
+	return btree.Latched
 }
 
 // Store returns the index's store id.
@@ -76,28 +92,38 @@ func plpRouteKey(key []byte) uint32 {
 	return binary.BigEndian.Uint32(key[:4])
 }
 
-// segFor returns the tree responsible for key: the routing-key segment
-// of a forest (out-of-range keys clamp), the single tree otherwise.
-func (ix *Index) segFor(key []byte) *btree.Tree {
-	if ix.segs == nil {
-		return ix.tree
-	}
+// plpSegment returns the 0-based segment, of n, holding key: its routing
+// key, clamped into range.
+func plpSegment(key []byte, n int) int {
 	rk := plpRouteKey(key)
 	if rk < 1 {
 		rk = 1
 	}
-	if int(rk) > len(ix.segs) {
-		rk = uint32(len(ix.segs))
+	if int(rk) > n {
+		rk = uint32(n)
 	}
-	return ix.segs[rk-1]
+	return int(rk) - 1
 }
 
-// ownerPath reports whether t's index operations should use the
-// latch-free owner entry points: PLP forest + DORA sub-transaction (the
-// partition's thread-local lock table already serialized conflicting
-// key accesses, and the owner goroutine is the segment's only writer).
-func (ix *Index) ownerPath(t *tx.Tx) bool {
-	return ix.segs != nil && t != nil && t.NoLock()
+// segFor returns the tree responsible for key: its segment of a forest,
+// the single tree otherwise.
+func (ix *Index) segFor(key []byte) *btree.Tree {
+	if ix.segs == nil {
+		return ix.tree
+	}
+	return ix.segs[plpSegment(key, len(ix.segs))]
+}
+
+// access picks the B-tree latch policy for one operation of t on ix:
+// Owner for a DORA sub-transaction on a PLP forest (the partition's
+// thread-local lock table already serialized conflicting key accesses,
+// and the owner goroutine is the segment's only writer), otherwise the
+// index's shared policy.
+func (ix *Index) access(t *tx.Tx) btree.Access {
+	if ix.segs != nil && t != nil && t.NoLock() {
+		return btree.Owner
+	}
+	return ix.shared
 }
 
 // Verify checks the index's structural invariants (entry ordering, high
@@ -117,7 +143,7 @@ func (ix *Index) Verify() (int, error) {
 		}
 		want := uint32(i + 1)
 		var perr error
-		if err := tr.Scan(nil, nil, func(k, _ []byte) bool {
+		if err := tr.Scan(btree.Latched, nil, nil, func(k, _ []byte) bool {
 			if plpRouteKey(k) != want {
 				perr = fmt.Errorf("segment %d holds foreign key % x (route key %d)", i+1, k, plpRouteKey(k))
 				return false
@@ -146,17 +172,14 @@ func (e *Engine) CreateIndex(t *tx.Tx) (*Index, error) {
 		return nil, err
 	}
 	store := e.sm.CreateStore(space.KindBTree)
-	tr, err := btree.Create(btreeEnv{e}, t.ID(), store)
+	tr, err := btree.Create(btreeEnv{e}, e.pool, &e.olc, t.ID(), store)
 	if err != nil {
 		return nil, err
 	}
 	if err := e.sm.SetRoot(store, tr.Root()); err != nil {
 		return nil, err
 	}
-	if e.cfg.OLC {
-		tr.EnableOLC(e.pool, &e.olc)
-	}
-	return &Index{tree: tr, store: store}, nil
+	return e.newIndex(store, tr, nil), nil
 }
 
 // OpenIndex attaches to an existing index by store id — as a forest
@@ -174,7 +197,7 @@ func (e *Engine) OpenIndex(store uint32) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{tree: e.newTree(store, root), store: store}, nil
+	return e.newIndex(store, e.newTree(store, root), nil), nil
 }
 
 // keyLockName maps an index key to its lock name (key-value locking).
@@ -250,10 +273,7 @@ func (e *Engine) IndexInsertCtx(ctx context.Context, t *tx.Tx, ix *Index, key, v
 		return err
 	}
 	e.probeLockTable(t, ix.store, key)
-	if ix.ownerPath(t) {
-		return ix.segFor(key).InsertOwner(t.ID(), key, value)
-	}
-	return ix.segFor(key).Insert(t.ID(), key, value)
+	return ix.segFor(key).Insert(ix.access(t), t.ID(), key, value)
 }
 
 // IndexLookup probes the index under an S key lock.
@@ -273,10 +293,7 @@ func (e *Engine) IndexLookupCtx(ctx context.Context, t *tx.Tx, ix *Index, key []
 		return nil, false, err
 	}
 	e.probeLockTable(t, ix.store, key)
-	if ix.ownerPath(t) {
-		return ix.segFor(key).SearchOwner(key)
-	}
-	return ix.segFor(key).Search(key)
+	return ix.segFor(key).Search(ix.access(t), key)
 }
 
 // IndexLookupForUpdateCtx probes the index under an X key lock — SELECT
@@ -297,10 +314,7 @@ func (e *Engine) IndexLookupForUpdateCtx(ctx context.Context, t *tx.Tx, ix *Inde
 		return nil, false, err
 	}
 	e.probeLockTable(t, ix.store, key)
-	if ix.ownerPath(t) {
-		return ix.segFor(key).SearchOwner(key)
-	}
-	return ix.segFor(key).Search(key)
+	return ix.segFor(key).Search(ix.access(t), key)
 }
 
 // IndexUpdate replaces the value for key under an X key lock.
@@ -320,10 +334,7 @@ func (e *Engine) IndexUpdateCtx(ctx context.Context, t *tx.Tx, ix *Index, key, v
 		return err
 	}
 	e.probeLockTable(t, ix.store, key)
-	if ix.ownerPath(t) {
-		return ix.segFor(key).UpdateOwner(t.ID(), key, value)
-	}
-	return ix.segFor(key).Update(t.ID(), key, value)
+	return ix.segFor(key).Update(ix.access(t), t.ID(), key, value)
 }
 
 // IndexDelete removes key under an X key lock, returning the old value.
@@ -343,15 +354,11 @@ func (e *Engine) IndexDeleteCtx(ctx context.Context, t *tx.Tx, ix *Index, key []
 		return nil, err
 	}
 	e.probeLockTable(t, ix.store, key)
-	if ix.ownerPath(t) {
-		return ix.segFor(key).DeleteOwner(t.ID(), key)
-	}
-	return ix.segFor(key).Delete(t.ID(), key)
+	return ix.segFor(key).Delete(ix.access(t), t.ID(), key)
 }
 
 // IndexScan iterates keys in [from, to) under a store-level S lock,
-// calling fn with copies of each pair. fn must not re-enter the engine on
-// the same index's pages with EX intent.
+// calling fn with copies of each pair.
 func (e *Engine) IndexScan(t *tx.Tx, ix *Index, from, to []byte, fn func(key, value []byte) bool) error {
 	return e.IndexScanCtx(context.Background(), t, ix, from, to, fn)
 }
@@ -370,20 +377,17 @@ func (e *Engine) IndexScanCtx(ctx context.Context, t *tx.Tx, ix *Index, from, to
 	if err := e.acquire(ctx, t, lock.StoreName(ix.store), lock.S); err != nil {
 		return err
 	}
-	if ix.segs != nil {
-		return ix.scanForest(ix.ownerPath(t), from, to, fn)
-	}
-	return ix.tree.Scan(from, to, func(k, v []byte) bool {
-		return fn(append([]byte(nil), k...), append([]byte(nil), v...))
-	})
+	return ix.scan(ix.access(t), from, to, fn)
 }
 
-// scanForest stitches a cross-segment range scan in key order: routing
-// keys are the keys' leading four bytes, so ascending segments yield
-// globally ascending keys, and only the edge segments need the caller's
-// bounds. With owner=true each segment is read through the latch-free
-// ScanOwner path (which already emits private copies).
-func (ix *Index) scanForest(owner bool, from, to []byte, fn func(key, value []byte) bool) error {
+// scan runs a range scan of the index under latch policy a. A forest is
+// stitched in key order: routing keys are the keys' leading four bytes,
+// so ascending segments yield globally ascending keys, and only the edge
+// segments need the caller's bounds.
+func (ix *Index) scan(a btree.Access, from, to []byte, fn func(key, value []byte) bool) error {
+	if ix.segs == nil {
+		return ix.tree.Scan(a, from, to, fn)
+	}
 	loRK, hiRK := 1, len(ix.segs)
 	if from != nil {
 		if rk := int(plpRouteKey(from)); rk > loRK {
@@ -407,25 +411,10 @@ func (ix *Index) scanForest(owner bool, from, to []byte, fn func(key, value []by
 		if rk < hiRK {
 			segTo = nil
 		}
-		tr := ix.segs[rk-1]
-		var err error
-		if owner {
-			err = tr.ScanOwner(segFrom, segTo, func(k, v []byte) bool {
-				if !fn(k, v) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-		} else {
-			err = tr.Scan(segFrom, segTo, func(k, v []byte) bool {
-				if !fn(append([]byte(nil), k...), append([]byte(nil), v...)) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-		}
+		err := ix.segs[rk-1].Scan(a, segFrom, segTo, func(k, v []byte) bool {
+			stopped = !fn(k, v)
+			return !stopped
+		})
 		if err != nil {
 			return err
 		}
@@ -433,27 +422,20 @@ func (ix *Index) scanForest(owner bool, from, to []byte, fn func(key, value []by
 	return nil
 }
 
-// openTreeByStore returns the tree holding key in store during
-// rollback: the key's routing-key segment when the store is a
-// registered PLP forest (segment roots come from the partition map —
-// the directory's single root slot is meaningless for a forest),
-// otherwise the store's tree.
-func (e *Engine) openTreeByStore(store uint32, key []byte) (*btree.Tree, error) {
+// openTreeByStore returns the tree holding key in store during rollback,
+// and the latch policy to run the undo under: the key's segment when the
+// store is a registered PLP forest (segment roots come from the
+// partition map — the directory's single root slot is meaningless for a
+// forest), otherwise the store's tree.
+func (e *Engine) openTreeByStore(store uint32, key []byte) (*btree.Tree, btree.Access, error) {
 	if m := e.plpMap.Load(); m != nil {
 		if roots := m.Roots(store); roots != nil {
-			rk := plpRouteKey(key)
-			if rk < 1 {
-				rk = 1
-			}
-			if int(rk) > len(roots) {
-				rk = uint32(len(roots))
-			}
-			return e.newTree(store, page.ID(roots[rk-1])), nil
+			return e.newTree(store, page.ID(roots[plpSegment(key, len(roots))])), e.sharedAccess(true), nil
 		}
 	}
 	root, err := e.sm.Root(store)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return e.newTree(store, root), nil
+	return e.newTree(store, root), e.sharedAccess(false), nil
 }

@@ -1,0 +1,120 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+)
+
+// TestEmptyIndexConcurrentInsert is the regression for the root-leaf
+// race (ROADMAP defect 0(b)): writers racing the first root split of a
+// freshly created index. A latched descent used to see the root as a
+// leaf, queue for its EX latch behind the splitter, and insert a leaf
+// entry into what had meanwhile become a branch. Each trial creates an
+// empty index, lets the goroutines insert disjoint, interleaved keys
+// with values large enough that the root splits within a few inserts,
+// and then checks structure and key count.
+func TestEmptyIndexConcurrentInsert(t *testing.T) {
+	trials := 1000
+	if testing.Short() {
+		trials = 100
+	}
+	const (
+		writers = 3
+		perW    = 12
+	)
+	e, _, _ := newEngine(t, StageFinal)
+	ctx := context.Background()
+	value := make([]byte, 900) // eight entries fill the root leaf
+	for trial := 0; trial < trials; trial++ {
+		setup, err := e.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := e.CreateIndex(setup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Commit(setup); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		errs := make(chan error, writers)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				tx, err := e.Begin()
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i := 0; i < perW; i++ {
+					key := []byte(fmt.Sprintf("key%04d", i*writers+w))
+					if err := e.IndexInsertCtx(ctx, tx, ix, key, value); err != nil {
+						_ = e.Abort(tx)
+						errs <- fmt.Errorf("writer %d insert %s: %w", w, key, err)
+						return
+					}
+				}
+				if err := e.Commit(tx); err != nil {
+					errs <- fmt.Errorf("writer %d commit: %w", w, err)
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Errorf("trial %d: %v", trial, err)
+		}
+		if n, err := ix.Verify(); err != nil || n != writers*perW {
+			t.Fatalf("trial %d: Verify = %d keys, %v; want %d", trial, n, err, writers*perW)
+		}
+		if t.Failed() {
+			return
+		}
+	}
+}
+
+// TestLatchedDescentsCounted: without OLC or PLP every index operation
+// is a latched descent, and the engine-wide counter says so.
+func TestLatchedDescentsCounted(t *testing.T) {
+	e, _, _ := newEngine(t, StageFinal)
+	tx, err := e.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := e.CreateIndex(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 50
+	for i := 0; i < n; i++ {
+		if err := e.IndexInsert(tx, ix, []byte(fmt.Sprintf("key%04d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	afterInserts := e.Stats().Btree
+	if afterInserts.LatchedDescents < n {
+		t.Fatalf("LatchedDescents = %d after %d inserts", afterInserts.LatchedDescents, n)
+	}
+	for i := 0; i < n; i++ {
+		if _, ok, err := e.IndexLookup(tx, ix, []byte(fmt.Sprintf("key%04d", i))); err != nil || !ok {
+			t.Fatalf("lookup %d: %v, %v", i, ok, err)
+		}
+	}
+	if err := e.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	s := e.Stats().Btree
+	if s.LatchedDescents < afterInserts.LatchedDescents+n {
+		t.Fatalf("LatchedDescents = %d after %d lookups on top of %d", s.LatchedDescents, n, afterInserts.LatchedDescents)
+	}
+	if s.OptDescents+s.OptLeafReads+s.OwnerDescents+s.OwnerReads != 0 {
+		t.Fatalf("speculative counters moved without OLC or PLP: %+v", s)
+	}
+}

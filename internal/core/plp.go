@@ -225,11 +225,10 @@ func (e *Engine) CreatePartitionedIndex(t *tx.Tx) (*Index, error) {
 	roots := make([]uint64, keys)
 	segs := make([]*btree.Tree, keys)
 	for i := 0; i < keys; i++ {
-		tr, err := btree.Create(btreeEnv{e}, t.ID(), store)
+		tr, err := btree.Create(btreeEnv{e}, e.pool, &e.olc, t.ID(), store)
 		if err != nil {
 			return nil, err
 		}
-		tr.EnableOLC(e.pool, &e.olc)
 		roots[i] = uint64(tr.Root())
 		segs[i] = tr
 	}
@@ -250,18 +249,16 @@ func (e *Engine) CreatePartitionedIndex(t *tx.Tx) (*Index, error) {
 	}
 	e.plpRID = rid
 	e.plpMap.Store(next)
-	return &Index{tree: segs[0], store: store, segs: segs}, nil
+	return e.newIndex(store, segs[0], segs), nil
 }
 
 // plpForest builds an Index handle over store's registered segments.
 func (e *Engine) plpForest(store uint32, roots []uint64) *Index {
 	segs := make([]*btree.Tree, len(roots))
 	for i, r := range roots {
-		tr := btree.Open(btreeEnv{e}, store, page.ID(r))
-		tr.EnableOLC(e.pool, &e.olc)
-		segs[i] = tr
+		segs[i] = e.newTree(store, page.ID(r))
 	}
-	return &Index{tree: segs[0], store: store, segs: segs}
+	return e.newIndex(store, segs[0], segs)
 }
 
 // rebalanceLoop is the skew re-balancer daemon: every tick it compares

@@ -123,7 +123,7 @@ func (e *Engine) undoLogical(t interface {
 	if err != nil {
 		return err
 	}
-	tr, err := e.openTreeByStore(l.Store, l.Key)
+	tr, a, err := e.openTreeByStore(l.Store, l.Key)
 	if err != nil {
 		return err
 	}
@@ -132,15 +132,15 @@ func (e *Engine) undoLogical(t interface {
 	// (key absent on delete-undo, present on insert-undo) are successes.
 	switch l.Kind {
 	case pageop.LogicalBTreeDelete:
-		if _, err := tr.DeleteNoUndo(t.ID(), l.Key); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
+		if _, err := tr.DeleteNoUndo(a, t.ID(), l.Key); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
 			return fmt.Errorf("core: logical undo delete %q: %w", l.Key, err)
 		}
 	case pageop.LogicalBTreeInsert:
-		if err := tr.InsertNoUndo(t.ID(), l.Key, l.Value); err != nil && !errors.Is(err, btree.ErrDuplicateKey) {
+		if err := tr.InsertNoUndo(a, t.ID(), l.Key, l.Value); err != nil && !errors.Is(err, btree.ErrDuplicateKey) {
 			return fmt.Errorf("core: logical undo insert %q: %w", l.Key, err)
 		}
 	case pageop.LogicalBTreeUpdate:
-		if err := tr.UpdateNoUndo(t.ID(), l.Key, l.Value); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
+		if err := tr.UpdateNoUndo(a, t.ID(), l.Key, l.Value); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
 			return fmt.Errorf("core: logical undo update %q: %w", l.Key, err)
 		}
 	default:

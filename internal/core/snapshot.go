@@ -220,12 +220,12 @@ func (e *Engine) heapScanSnapshot(t *tx.Tx, store uint32, fn func(rid page.RID, 
 	return nil
 }
 
-// indexLookupSnapshot probes the index as of t's snapshot: a pin-free
-// optimistic leaf read (falling back to the latched descent), then chain
-// resolution.
+// indexLookupSnapshot probes the index as of t's snapshot: the leaf read
+// the index's shared latch policy gives (pin-free under Optimistic), then
+// chain resolution.
 func (e *Engine) indexLookupSnapshot(t *tx.Tx, ix *Index, key []byte) ([]byte, bool, error) {
 	e.mvcc.CountRead()
-	cur, found, err := ix.segFor(key).SearchOpt(key)
+	cur, found, err := ix.segFor(key).Search(ix.access(t), key)
 	if err != nil {
 		return nil, false, err
 	}
@@ -294,21 +294,9 @@ func (e *Engine) indexScanSnapshot(t *tx.Tx, ix *Index, from, to []byte, fn func
 		buf = buf[:0]
 		return true
 	}
-	// For a PLP forest, scanForest stitches segments in routing-key
-	// order, which is global key order (routing keys are the leading key
-	// bytes), so the chunked version merge is oblivious to partitioning.
-	scan := func(cb func(k, v []byte) bool) error {
-		if ix.segs != nil {
-			return ix.scanForest(false, from, to, func(k, v []byte) bool {
-				// scanForest already hands out private copies.
-				return cb(k, v)
-			})
-		}
-		return ix.tree.Scan(from, to, func(k, v []byte) bool {
-			return cb(append([]byte(nil), k...), append([]byte(nil), v...))
-		})
-	}
-	err := scan(func(k, v []byte) bool {
+	// A PLP forest scans in global key order (routing keys are the leading
+	// key bytes), so the chunked version merge is oblivious to partitioning.
+	err := ix.scan(ix.access(t), from, to, func(k, v []byte) bool {
 		buf = append(buf, kv{k, v})
 		if len(buf) >= chunkSize {
 			// Just past the last buffered key: the smallest possible

@@ -4,7 +4,7 @@ import "repro/internal/sim"
 
 // Ablation models: the finished Shore-MT with exactly ONE optimization
 // reverted, quantifying how much each design choice contributes to the
-// final system's 32-thread throughput (DESIGN.md's ablation index). This
+// final system's 32-thread throughput. This
 // goes beyond the paper's cumulative ladder (Figure 7), which never
 // isolates individual optimizations.
 func AblationModels() []InsertModel {

@@ -4,8 +4,7 @@
 // figures are *queueing* claims — how throughput scales when 1..32
 // hardware contexts hammer the storage manager's critical sections — and
 // this host has a single CPU whose Go runtime (GC, preemption, no thread
-// pinning) obscures latch-level behaviour (see DESIGN.md's substitution
-// table).
+// pinning) obscures latch-level behaviour.
 //
 // Virtual threads are goroutines executing arbitrary Go scripts against a
 // virtual clock; only one runs at a time and hand-off is synchronous, so

@@ -156,11 +156,11 @@ func TestFullMixConsistency(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		switch i % 5 {
 		case 0, 1:
-			if err := db.PaymentWithRetry(GenPayment(r, db.Scale, 1), 5); err != nil {
+			if err := db.PaymentCtx(context.Background(), GenPayment(r, db.Scale, 1)); err != nil {
 				t.Fatal(err)
 			}
 		case 2, 3:
-			err := db.NewOrderWithRetry(GenNewOrder(r, db.Scale, 1), 5)
+			err := db.NewOrderCtx(context.Background(), GenNewOrder(r, db.Scale, 1))
 			if err == nil {
 				newOrders++
 			} else if !errors.Is(err, ErrUserAbort) {

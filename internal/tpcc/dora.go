@@ -3,8 +3,6 @@ package tpcc
 import (
 	"context"
 	"errors"
-	"fmt"
-	"time"
 
 	"repro/internal/dora"
 	"repro/internal/lock"
@@ -133,59 +131,9 @@ func (db *DB) DoraPayment(ctx context.Context, in PaymentInput) error {
 	return x.Submit(t)
 }
 
-// paymentHome is Payment's home-partition half: warehouse and district
-// YTD plus the history append (which needs both names).
-func (db *DB) paymentHome(ctx context.Context, t *tx.Tx, in PaymentInput) error {
-	e := db.Engine
-	wh, err := db.readWarehouse(ctx, t, in.WID)
-	if err != nil {
-		return err
-	}
-	wh.YTD += in.Amount
-	if err := e.IndexUpdateCtx(ctx, t, db.Warehouse, wKey(in.WID), wh.encode()); err != nil {
-		return err
-	}
-	dist, err := db.readDistrict(ctx, t, in.WID, in.DID)
-	if err != nil {
-		return err
-	}
-	dist.YTD += in.Amount
-	if err := e.IndexUpdateCtx(ctx, t, db.District, dKey(in.WID, in.DID), dist.encode()); err != nil {
-		return err
-	}
-	h := History{
-		CID: in.CID, CDID: in.CDID, CWID: in.CWID,
-		DID: in.DID, WID: in.WID,
-		Date: time.Now().UnixNano(), Amount: in.Amount,
-		Data: wh.Name + "    " + dist.Name,
-	}
-	_, err = e.HeapInsertCtx(ctx, t, db.History, h.encode())
-	return err
-}
-
-// paymentCustomer is Payment's customer half: balance and payment stats
-// on the (possibly remote) customer warehouse.
-func (db *DB) paymentCustomer(ctx context.Context, t *tx.Tx, in PaymentInput) error {
-	cust, err := db.readCustomer(ctx, t, in.CWID, in.CDID, in.CID)
-	if err != nil {
-		return err
-	}
-	cust.Balance -= in.Amount
-	cust.YTDPayment += in.Amount
-	cust.PaymentCnt++
-	if cust.Credit == "BC" {
-		info := fmt.Sprintf("%d %d %d %d %d %.2f|", in.CID, in.CDID, in.CWID, in.DID, in.WID, in.Amount)
-		cust.Data = info + cust.Data
-		if len(cust.Data) > 500 {
-			cust.Data = cust.Data[:500]
-		}
-	}
-	return db.Engine.IndexUpdateCtx(ctx, t, db.Customer, cKey(in.CWID, in.CDID, in.CID), cust.encode())
-}
-
 // DoraNewOrder runs one New Order through the partition executor. The
-// home action allocates the order id (publishing it as the rendezvous
-// input), inserts the ORDERS/NEW_ORDER rows, and processes every line
+// home action allocates the order id and inserts the ORDERS/NEW_ORDER
+// rows, publishes the id as the rendezvous input, and processes every line
 // whose supply warehouse routes to the home partition; lines for other
 // partitions become dependent actions that park until the order id
 // arrives. The spec's 1% rollback surfaces as ErrUserAbort with every
@@ -241,43 +189,13 @@ func (db *DB) DoraNewOrder(ctx context.Context, in NewOrderInput) error {
 		Locks:     home,
 		Produces:  len(remote) > 0,
 		Run: func(ctx context.Context, sub *tx.Tx, _ uint64) error {
-			e := db.Engine
-			if _, err := db.readWarehouse(ctx, sub, in.WID); err != nil {
-				return err
-			}
-			if _, err := db.readCustomer(ctx, sub, in.WID, in.DID, in.CID); err != nil {
-				return err
-			}
-			dist, err := db.readDistrict(ctx, sub, in.WID, in.DID)
+			oid, err := db.newOrderHead(ctx, sub, in)
 			if err != nil {
 				return err
 			}
-			oid := dist.NextOID
-			dist.NextOID++
-			if err := e.IndexUpdateCtx(ctx, sub, db.District, dKey(in.WID, in.DID), dist.encode()); err != nil {
-				return err
-			}
 			t.PublishInput(uint64(oid))
-			allLocal := true
-			for _, l := range in.Lines {
-				if l.SupplyWID != in.WID {
-					allLocal = false
-				}
-			}
-			ord := Order{
-				WID: in.WID, DID: in.DID, ID: oid, CID: in.CID,
-				EntryDate: time.Now().UnixNano(),
-				OLCount:   uint8(len(in.Lines)), AllLocal: allLocal,
-			}
-			if err := e.IndexInsertCtx(ctx, sub, db.Orders, oKey(in.WID, in.DID, oid), ord.encode()); err != nil {
-				return err
-			}
-			no := NewOrderRow{WID: in.WID, DID: in.DID, OID: oid}
-			if err := e.IndexInsertCtx(ctx, sub, db.NewOrderTab, oKey(in.WID, in.DID, oid), no.encode()); err != nil {
-				return err
-			}
 			for _, ref := range homeLines {
-				if err := db.newOrderLine(ctx, sub, in, oid, ref.idx, ref.line); err != nil {
+				if err := db.newOrderLine(ctx, sub, in, oid, ref.idx); err != nil {
 					return err
 				}
 			}
@@ -301,7 +219,7 @@ func (db *DB) DoraNewOrder(ctx context.Context, in NewOrderInput) error {
 			Run: func(ctx context.Context, sub *tx.Tx, input uint64) error {
 				oid := uint32(input)
 				for _, ref := range group {
-					if err := db.newOrderLine(ctx, sub, in, oid, ref.idx, ref.line); err != nil {
+					if err := db.newOrderLine(ctx, sub, in, oid, ref.idx); err != nil {
 						return err
 					}
 				}
@@ -316,44 +234,6 @@ func (db *DB) DoraNewOrder(ctx context.Context, in NewOrderInput) error {
 		t.Add(spec)
 	}
 	return x.Submit(t)
-}
-
-// newOrderLine processes one order line — item probe, stock update,
-// ORDER_LINE insert — inside sub-transaction t. Shared by the home and
-// remote New Order actions.
-func (db *DB) newOrderLine(ctx context.Context, t *tx.Tx, in NewOrderInput, oid uint32, idx int, l NewOrderLine) error {
-	e := db.Engine
-	item, ok, err := db.readItem(ctx, t, l.ItemID)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return ErrUserAbort
-	}
-	st, err := db.readStock(ctx, t, l.SupplyWID, l.ItemID)
-	if err != nil {
-		return err
-	}
-	if st.Quantity >= int32(l.Quantity)+10 {
-		st.Quantity -= int32(l.Quantity)
-	} else {
-		st.Quantity += 91 - int32(l.Quantity)
-	}
-	st.YTD += float64(l.Quantity)
-	st.OrderCnt++
-	if l.SupplyWID != in.WID {
-		st.RemoteCnt++
-	}
-	if err := e.IndexUpdateCtx(ctx, t, db.Stock, sKey(l.SupplyWID, l.ItemID), st.encode()); err != nil {
-		return err
-	}
-	ol := OrderLine{
-		WID: in.WID, DID: in.DID, OID: oid, Number: uint8(idx + 1),
-		ItemID: l.ItemID, SupplyWID: l.SupplyWID, Quantity: l.Quantity,
-		Amount:   float64(l.Quantity) * item.Price,
-		DistInfo: st.DistInfo,
-	}
-	return e.IndexInsertCtx(ctx, t, db.OrderLine, olKey(in.WID, in.DID, oid, uint8(idx+1)), ol.encode())
 }
 
 // DoraDelivery runs one Delivery through the partition executor. It

@@ -2,7 +2,6 @@ package tpcc
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/tx"
 )
@@ -79,95 +78,69 @@ func (db *DB) NewOrderCtx(ctx context.Context, in NewOrderInput) error {
 // (begin/abort/commit and deadlock retry belong to the runner; returning
 // ErrUserAbort makes the runner abort without retrying).
 func (db *DB) newOrder(ctx context.Context, t *tx.Tx, in NewOrderInput) error {
-	e := db.Engine
-	// Warehouse tax (read-only).
-	if _, err := db.readWarehouse(ctx, t, in.WID); err != nil {
-		return err
-	}
-	// Customer discount/credit (read-only).
-	if _, err := db.readCustomer(ctx, t, in.WID, in.DID, in.CID); err != nil {
-		return err
-	}
-	// District: allocate the order id (hot per-district counter).
-	dist, err := db.readDistrict(ctx, t, in.WID, in.DID)
+	oid, err := db.newOrderHead(ctx, t, in)
 	if err != nil {
 		return err
 	}
-	oid := dist.NextOID
-	dist.NextOID++
-	if err := e.IndexUpdateCtx(ctx, t, db.District, dKey(in.WID, in.DID), dist.encode()); err != nil {
-		return err
-	}
-
-	// ORDERS and NEW_ORDER rows.
-	allLocal := true
-	for _, l := range in.Lines {
-		if l.SupplyWID != in.WID {
-			allLocal = false
-		}
-	}
-	ord := Order{
-		WID: in.WID, DID: in.DID, ID: oid, CID: in.CID,
-		EntryDate: time.Now().UnixNano(),
-		OLCount:   uint8(len(in.Lines)), AllLocal: allLocal,
-	}
-	if err := e.IndexInsertCtx(ctx, t, db.Orders, oKey(in.WID, in.DID, oid), ord.encode()); err != nil {
-		return err
-	}
-	no := NewOrderRow{WID: in.WID, DID: in.DID, OID: oid}
-	if err := e.IndexInsertCtx(ctx, t, db.NewOrderTab, oKey(in.WID, in.DID, oid), no.encode()); err != nil {
-		return err
-	}
-
-	// Lines: item probe (ITEM contention), stock update (STOCK
-	// contention), order-line insert.
-	for i, l := range in.Lines {
+	for i := range in.Lines {
 		if in.Rollback && i == len(in.Lines)-1 {
 			// Unused item id: the spec's intentional rollback.
 			return ErrUserAbort
 		}
-		item, ok, err := db.readItem(ctx, t, l.ItemID)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return ErrUserAbort
-		}
-		st, err := db.readStock(ctx, t, l.SupplyWID, l.ItemID)
-		if err != nil {
-			return err
-		}
-		if st.Quantity >= int32(l.Quantity)+10 {
-			st.Quantity -= int32(l.Quantity)
-		} else {
-			st.Quantity += 91 - int32(l.Quantity)
-		}
-		st.YTD += float64(l.Quantity)
-		st.OrderCnt++
-		if l.SupplyWID != in.WID {
-			st.RemoteCnt++
-		}
-		if err := e.IndexUpdateCtx(ctx, t, db.Stock, sKey(l.SupplyWID, l.ItemID), st.encode()); err != nil {
-			return err
-		}
-		ol := OrderLine{
-			WID: in.WID, DID: in.DID, OID: oid, Number: uint8(i + 1),
-			ItemID: l.ItemID, SupplyWID: l.SupplyWID, Quantity: l.Quantity,
-			Amount:   float64(l.Quantity) * item.Price,
-			DistInfo: st.DistInfo,
-		}
-		if err := e.IndexInsertCtx(ctx, t, db.OrderLine, olKey(in.WID, in.DID, oid, uint8(i+1)), ol.encode()); err != nil {
+		if err := db.newOrderLine(ctx, t, in, oid, i); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// NewOrderWithRetry is NewOrderCtx with an explicit retry budget, kept
-// for callers that count in "retries". ErrUserAbort is a success from
-// the harness's point of view and is returned as-is, without retry.
-func (db *DB) NewOrderWithRetry(in NewOrderInput, maxRetries int) error {
-	return db.Engine.RunCtx(context.Background(), attempts(maxRetries), func(t *tx.Tx) error {
-		return db.newOrder(context.Background(), t, in)
-	}, nil)
+// newOrderHead is New Order's home-district step: warehouse tax and
+// customer discount (read-only), the order id allocated from the
+// district's hot counter, and the ORDERS and NEW_ORDER rows.
+func (db *DB) newOrderHead(ctx context.Context, t *tx.Tx, in NewOrderInput) (oid uint32, err error) {
+	e := db.Engine
+	if _, err := db.readWarehouse(ctx, t, in.WID); err != nil {
+		return 0, err
+	}
+	if _, err := db.readCustomer(ctx, t, in.WID, in.DID, in.CID); err != nil {
+		return 0, err
+	}
+	dist, err := db.readDistrict(ctx, t, in.WID, in.DID)
+	if err != nil {
+		return 0, err
+	}
+	oid = dist.NextOID
+	dist.NextOID++
+	if err := e.IndexUpdateCtx(ctx, t, db.District, dKey(in.WID, in.DID), dist.encode()); err != nil {
+		return 0, err
+	}
+	ord, no := newOrderRows(in, oid)
+	if err := e.IndexInsertCtx(ctx, t, db.Orders, oKey(in.WID, in.DID, oid), ord.encode()); err != nil {
+		return 0, err
+	}
+	return oid, e.IndexInsertCtx(ctx, t, db.NewOrderTab, oKey(in.WID, in.DID, oid), no.encode())
+}
+
+// newOrderLine processes order line idx — item probe (ITEM contention),
+// stock update (STOCK contention), ORDER_LINE insert — inside t.
+func (db *DB) newOrderLine(ctx context.Context, t *tx.Tx, in NewOrderInput, oid uint32, idx int) error {
+	e := db.Engine
+	l := in.Lines[idx]
+	item, ok, err := db.readItem(ctx, t, l.ItemID)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return ErrUserAbort
+	}
+	st, err := db.readStock(ctx, t, l.SupplyWID, l.ItemID)
+	if err != nil {
+		return err
+	}
+	st.order(l, in.WID)
+	if err := e.IndexUpdateCtx(ctx, t, db.Stock, sKey(l.SupplyWID, l.ItemID), st.encode()); err != nil {
+		return err
+	}
+	ol := newOrderLineRow(in, oid, idx, &item, &st)
+	return e.IndexInsertCtx(ctx, t, db.OrderLine, olKey(in.WID, in.DID, oid, ol.Number), ol.encode())
 }

@@ -3,7 +3,6 @@ package tpcc
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -23,13 +22,6 @@ var retryPolicy = core.RetryPolicy{BaseBackoff: 500 * time.Microsecond, MaxBacko
 // onceOnly runs a managed transaction exactly once — the plain
 // entrypoints surface deadlock victims to the caller.
 var onceOnly = core.RetryPolicy{MaxAttempts: 1}
-
-// attempts converts a legacy "retries" count to a RetryPolicy.
-func attempts(maxRetries int) core.RetryPolicy {
-	p := retryPolicy
-	p.MaxAttempts = maxRetries + 1
-	return p
-}
 
 // PaymentInput parameterizes one Payment transaction.
 type PaymentInput struct {
@@ -87,10 +79,19 @@ func (db *DB) PaymentCtx(ctx context.Context, in PaymentInput) error {
 }
 
 // payment is the transaction body, run inside a managed transaction
-// (begin/abort/commit and deadlock retry belong to the runner).
+// (begin/abort/commit and deadlock retry belong to the runner): the two
+// halves the partitioned executor runs as separate actions, back to back.
 func (db *DB) payment(ctx context.Context, t *tx.Tx, in PaymentInput) error {
+	if err := db.paymentHome(ctx, t, in); err != nil {
+		return err
+	}
+	return db.paymentCustomer(ctx, t, in)
+}
+
+// paymentHome is Payment's home-warehouse half: warehouse (the hot row)
+// and district YTD plus the history append, which needs both names.
+func (db *DB) paymentHome(ctx context.Context, t *tx.Tx, in PaymentInput) error {
 	e := db.Engine
-	// Warehouse: read + update YTD — the hot row.
 	wh, err := db.readWarehouse(ctx, t, in.WID)
 	if err != nil {
 		return err
@@ -99,8 +100,6 @@ func (db *DB) payment(ctx context.Context, t *tx.Tx, in PaymentInput) error {
 	if err := e.IndexUpdateCtx(ctx, t, db.Warehouse, wKey(in.WID), wh.encode()); err != nil {
 		return err
 	}
-
-	// District: read + update YTD.
 	dist, err := db.readDistrict(ctx, t, in.WID, in.DID)
 	if err != nil {
 		return err
@@ -109,42 +108,18 @@ func (db *DB) payment(ctx context.Context, t *tx.Tx, in PaymentInput) error {
 	if err := e.IndexUpdateCtx(ctx, t, db.District, dKey(in.WID, in.DID), dist.encode()); err != nil {
 		return err
 	}
-
-	// Customer: read + update balance/payment stats.
-	cust, err := db.readCustomer(ctx, t, in.CWID, in.CDID, in.CID)
-	if err != nil {
-		return err
-	}
-	cust.Balance -= in.Amount
-	cust.YTDPayment += in.Amount
-	cust.PaymentCnt++
-	if cust.Credit == "BC" {
-		info := fmt.Sprintf("%d %d %d %d %d %.2f|", in.CID, in.CDID, in.CWID, in.DID, in.WID, in.Amount)
-		cust.Data = info + cust.Data
-		if len(cust.Data) > 500 {
-			cust.Data = cust.Data[:500]
-		}
-	}
-	if err := e.IndexUpdateCtx(ctx, t, db.Customer, cKey(in.CWID, in.CDID, in.CID), cust.encode()); err != nil {
-		return err
-	}
-
-	// History: append.
-	h := History{
-		CID: in.CID, CDID: in.CDID, CWID: in.CWID,
-		DID: in.DID, WID: in.WID,
-		Date: time.Now().UnixNano(), Amount: in.Amount,
-		Data: wh.Name + "    " + dist.Name,
-	}
+	h := newHistory(in, &wh, &dist)
 	_, err = e.HeapInsertCtx(ctx, t, db.History, h.encode())
 	return err
 }
 
-// PaymentWithRetry is PaymentCtx with an explicit retry budget, kept for
-// callers that count in "retries"; the hand-rolled loop it once carried
-// now lives in the engine's managed runner.
-func (db *DB) PaymentWithRetry(in PaymentInput, maxRetries int) error {
-	return db.Engine.RunCtx(context.Background(), attempts(maxRetries), func(t *tx.Tx) error {
-		return db.payment(context.Background(), t, in)
-	}, nil)
+// paymentCustomer is Payment's customer half: balance and payment stats
+// on the (possibly remote) customer warehouse.
+func (db *DB) paymentCustomer(ctx context.Context, t *tx.Tx, in PaymentInput) error {
+	cust, err := db.readCustomer(ctx, t, in.CWID, in.CDID, in.CID)
+	if err != nil {
+		return err
+	}
+	cust.pay(in)
+	return db.Engine.IndexUpdateCtx(ctx, t, db.Customer, cKey(in.CWID, in.CDID, in.CID), cust.encode())
 }

@@ -241,6 +241,10 @@ func TestPlpSnapshotCoexistence(t *testing.T) {
 	ctx := context.Background()
 	wantCustomers := scale.Warehouses * scale.Districts * scale.Customers
 	done := make(chan struct{})
+	// Writers keep paying until every reader has completed a scan
+	// alongside them, however fast 60 payments go by.
+	const readers = 2
+	var scanned atomic.Int32 // readers with a completed scan
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -250,7 +254,7 @@ func TestPlpSnapshotCoexistence(t *testing.T) {
 			r := NewRand(int64(8200 + w))
 			home := uint32(w%scale.Warehouses + 1)
 			remote := home%uint32(scale.Warehouses) + 1
-			for i := 0; i < 60; i++ {
+			for i := 0; i < 60 || (scanned.Load() < readers && !t.Failed()); i++ {
 				cw := home
 				if i%3 == 0 {
 					cw = remote
@@ -270,7 +274,7 @@ func TestPlpSnapshotCoexistence(t *testing.T) {
 	go func() { wg.Wait(); close(done) }()
 
 	var rg sync.WaitGroup
-	for c := 0; c < 2; c++ {
+	for c := 0; c < readers; c++ {
 		rg.Add(1)
 		go func() {
 			defer rg.Done()
@@ -307,6 +311,9 @@ func TestPlpSnapshotCoexistence(t *testing.T) {
 				if n != wantCustomers {
 					t.Errorf("snapshot scan saw %d customers, want %d", n, wantCustomers)
 					return
+				}
+				if scans == 0 {
+					scanned.Add(1)
 				}
 			}
 		}()

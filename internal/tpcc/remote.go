@@ -206,22 +206,8 @@ func (r *Remote) paymentOnce(ctx context.Context, in PaymentInput) error {
 
 	wh.YTD += in.Amount
 	dist.YTD += in.Amount
-	cust.Balance -= in.Amount
-	cust.YTDPayment += in.Amount
-	cust.PaymentCnt++
-	if cust.Credit == "BC" {
-		info := fmt.Sprintf("%d %d %d %d %d %.2f|", in.CID, in.CDID, in.CWID, in.DID, in.WID, in.Amount)
-		cust.Data = info + cust.Data
-		if len(cust.Data) > 500 {
-			cust.Data = cust.Data[:500]
-		}
-	}
-	h := History{
-		CID: in.CID, CDID: in.CDID, CWID: in.CWID,
-		DID: in.DID, WID: in.WID,
-		Date: time.Now().UnixNano(), Amount: in.Amount,
-		Data: wh.Name + "    " + dist.Name,
-	}
+	cust.pay(in)
+	h := newHistory(in, &wh, &dist)
 
 	writes := client.NewBatch()
 	writes.IndexUpdate(r.warehouse, wKey(in.WID), wh.encode())
@@ -403,21 +389,10 @@ func (r *Remote) newOrderOnce(ctx context.Context, in NewOrderInput) error {
 	oid := dist.NextOID
 	dist.NextOID++
 
-	allLocal := true
-	for _, l := range in.Lines {
-		if l.SupplyWID != in.WID {
-			allLocal = false
-		}
-	}
 	writes := client.NewBatch()
 	writes.IndexUpdate(r.district, dKey(in.WID, in.DID), dist.encode())
-	ord := Order{
-		WID: in.WID, DID: in.DID, ID: oid, CID: in.CID,
-		EntryDate: time.Now().UnixNano(),
-		OLCount:   uint8(len(in.Lines)), AllLocal: allLocal,
-	}
+	ord, no := newOrderRows(in, oid)
 	writes.IndexInsert(r.orders, oKey(in.WID, in.DID, oid), ord.encode())
-	no := NewOrderRow{WID: in.WID, DID: in.DID, OID: oid}
 	writes.IndexInsert(r.newOrder, oKey(in.WID, in.DID, oid), no.encode())
 
 	for i, l := range in.Lines {
@@ -444,24 +419,10 @@ func (r *Remote) newOrderOnce(ctx context.Context, in NewOrderInput) error {
 			_ = tx.Rollback(ctx)
 			return err
 		}
-		if st.Quantity >= int32(l.Quantity)+10 {
-			st.Quantity -= int32(l.Quantity)
-		} else {
-			st.Quantity += 91 - int32(l.Quantity)
-		}
-		st.YTD += float64(l.Quantity)
-		st.OrderCnt++
-		if l.SupplyWID != in.WID {
-			st.RemoteCnt++
-		}
+		st.order(l, in.WID)
 		writes.IndexUpdate(r.stock, sKey(l.SupplyWID, l.ItemID), st.encode())
-		ol := OrderLine{
-			WID: in.WID, DID: in.DID, OID: oid, Number: uint8(i + 1),
-			ItemID: l.ItemID, SupplyWID: l.SupplyWID, Quantity: l.Quantity,
-			Amount:   float64(l.Quantity) * item.Price,
-			DistInfo: st.DistInfo,
-		}
-		writes.IndexInsert(r.orderLine, olKey(in.WID, in.DID, oid, uint8(i+1)), ol.encode())
+		ol := newOrderLineRow(in, oid, i, &item, &st)
+		writes.IndexInsert(r.orderLine, olKey(in.WID, in.DID, oid, ol.Number), ol.encode())
 	}
 	if err := tx.RunCommit(ctx, writes); err != nil {
 		rollbackUnlessAborted(ctx, tx, err)

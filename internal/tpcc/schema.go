@@ -1,6 +1,10 @@
 package tpcc
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+	"time"
+)
 
 // Composite primary keys, big-endian so B-tree order matches key order.
 
@@ -158,6 +162,22 @@ func decodeCustomer(b []byte) (Customer, error) {
 	return c, d.err
 }
 
+// pay applies one Payment to the customer row: balance and payment
+// statistics, plus the spec's bad-credit rule — the payment's identity is
+// spliced in front of C_DATA, which is capped at 500 characters.
+func (c *Customer) pay(in PaymentInput) {
+	c.Balance -= in.Amount
+	c.YTDPayment += in.Amount
+	c.PaymentCnt++
+	if c.Credit == "BC" {
+		info := fmt.Sprintf("%d %d %d %d %d %.2f|", in.CID, in.CDID, in.CWID, in.DID, in.WID, in.Amount)
+		c.Data = info + c.Data
+		if len(c.Data) > 500 {
+			c.Data = c.Data[:500]
+		}
+	}
+}
+
 // History is one HISTORY row (heap resident; no primary key).
 type History struct {
 	CID    uint32
@@ -168,6 +188,16 @@ type History struct {
 	Date   int64
 	Amount float64
 	Data   string
+}
+
+// newHistory builds the HISTORY row one Payment appends.
+func newHistory(in PaymentInput, wh *Warehouse, dist *District) History {
+	return History{
+		CID: in.CID, CDID: in.CDID, CWID: in.CWID,
+		DID: in.DID, WID: in.WID,
+		Date: time.Now().UnixNano(), Amount: in.Amount,
+		Data: wh.Name + "    " + dist.Name,
+	}
 }
 
 func (h *History) encode() []byte {
@@ -202,6 +232,22 @@ type Order struct {
 	CarrierID uint8
 	OLCount   uint8
 	AllLocal  bool
+}
+
+// newOrderRows builds the ORDERS and NEW_ORDER rows of New Order in
+// under order id oid.
+func newOrderRows(in NewOrderInput, oid uint32) (Order, NewOrderRow) {
+	allLocal := true
+	for _, l := range in.Lines {
+		if l.SupplyWID != in.WID {
+			allLocal = false
+		}
+	}
+	return Order{
+		WID: in.WID, DID: in.DID, ID: oid, CID: in.CID,
+		EntryDate: time.Now().UnixNano(),
+		OLCount:   uint8(len(in.Lines)), AllLocal: allLocal,
+	}, NewOrderRow{WID: in.WID, DID: in.DID, OID: oid}
 }
 
 func (o *Order) encode() []byte {
@@ -265,6 +311,18 @@ type OrderLine struct {
 	DistInfo  string
 }
 
+// newOrderLineRow builds ORDER_LINE row idx+1 of New Order in from the
+// line's item and its (already decremented) stock row.
+func newOrderLineRow(in NewOrderInput, oid uint32, idx int, item *Item, st *Stock) OrderLine {
+	l := in.Lines[idx]
+	return OrderLine{
+		WID: in.WID, DID: in.DID, OID: oid, Number: uint8(idx + 1),
+		ItemID: l.ItemID, SupplyWID: l.SupplyWID, Quantity: l.Quantity,
+		Amount:   float64(l.Quantity) * item.Price,
+		DistInfo: st.DistInfo,
+	}
+}
+
 func (ol *OrderLine) encode() []byte {
 	var e enc
 	e.u32(ol.WID)
@@ -324,6 +382,22 @@ type Stock struct {
 	RemoteCnt uint32
 	DistInfo  string
 	Data      string
+}
+
+// order applies one New Order line to the stock row: the spec's
+// decrement-or-restock rule and the order counters; homeW is the ordering
+// warehouse, so a row of another warehouse counts a remote order.
+func (s *Stock) order(l NewOrderLine, homeW uint32) {
+	if s.Quantity >= int32(l.Quantity)+10 {
+		s.Quantity -= int32(l.Quantity)
+	} else {
+		s.Quantity += 91 - int32(l.Quantity)
+	}
+	s.YTD += float64(l.Quantity)
+	s.OrderCnt++
+	if l.SupplyWID != homeW {
+		s.RemoteCnt++
+	}
 }
 
 func (s *Stock) encode() []byte {

@@ -361,12 +361,12 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			home := uint32(w%2 + 1)
 			for i := 0; i < 20; i++ {
 				if i%2 == 0 {
-					if err := db.PaymentWithRetry(GenPayment(r, db.Scale, home), 25); err != nil {
+					if err := db.PaymentCtx(context.Background(), GenPayment(r, db.Scale, home)); err != nil {
 						errCh <- err
 						return
 					}
 				} else {
-					err := db.NewOrderWithRetry(GenNewOrder(r, db.Scale, home), 25)
+					err := db.NewOrderCtx(context.Background(), GenNewOrder(r, db.Scale, home))
 					if err != nil && !errors.Is(err, ErrUserAbort) {
 						errCh <- err
 						return

@@ -101,8 +101,11 @@ func (l *consolidatedLog) insert(rec *Record) (LSN, error) {
 	var r uint64
 	for {
 		r = l.head.Load()
-		// Respect the buffer bound against the durable tail.
-		if r+size-uint64(l.gc.get()) > uint64(len(l.ring)) {
+		// Respect the buffer bound against the durable tail. The tail is
+		// read after the head, so it can already be past a stale r+size;
+		// that is not a full buffer (the unsigned distance would wrap and
+		// the wait below would never end) — the CAS fails and re-reads.
+		if tail := uint64(l.gc.get()); r+size > tail && r+size-tail > uint64(len(l.ring)) {
 			l.insertWaits.Add(1)
 			l.kickFlusher()
 			l.gc.wait(LSN(r+size-uint64(len(l.ring))), func() bool { return l.closed.Load() })

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func allDesigns() []Design {
@@ -317,6 +318,31 @@ func TestInsertAfterClose(t *testing.T) {
 		if err := m.Close(); err != nil {
 			t.Errorf("%v: double close = %v", d, err)
 		}
+	}
+}
+
+// TestConsolidatedInsertDurablePastHead: the consolidated insert reads the
+// head and then the durable mark, so under concurrent inserts and flushes
+// the mark it sees can be past its (stale) head. It used to take the
+// wrapped unsigned distance for a full buffer and wait for a durable LSN
+// near 2^64 — found as a hang of TestPlpCrossPartitionStress under -race.
+// Putting the mark ahead of the head reproduces what the stale read sees.
+func TestConsolidatedInsertDurablePastHead(t *testing.T) {
+	l := newConsolidated(NewMemStore(), 1<<16)
+	defer l.Close()
+	l.gc.advance(LSN(l.head.Load() + 4096))
+	done := make(chan error, 1)
+	go func() {
+		_, err := l.Insert(&Record{Type: RecUpdate, Redo: make([]byte, 64)})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("insert waits on a buffer that is not full")
 	}
 }
 
