@@ -24,10 +24,11 @@ type Env interface {
 	Unfix(f *buffer.Frame, mode sync2.LatchMode)
 	// AllocPage allocates a page for store.
 	AllocPage(store uint32) (page.ID, error)
-	// Log records op against f's page (with optional logical undo payload;
-	// nil undo = redo-only), applies it, stamps the page LSN and marks the
-	// frame dirty. The frame must be EX-latched by the caller.
-	Log(txID uint64, f *buffer.Frame, op pageop.Op, undo []byte) error
+	// Log records op against f's page (with optional logical undo; the
+	// zero Logical = redo-only), applies it, stamps the page LSN and marks
+	// the frame dirty. The frame must be EX-latched by the caller. Nothing
+	// undo references is retained.
+	Log(txID uint64, f *buffer.Frame, op pageop.Op, undo pageop.Logical) error
 }
 
 // OptEnv is the optional optimistic extension of Env: pin-free,
@@ -193,11 +194,11 @@ func Create(env Env, opt OptEnv, stats *OLCStats, txID uint64, store uint32) (*T
 		return nil, err
 	}
 	defer env.Unfix(f, sync2.LatchEX)
-	if err := env.Log(txID, f, pageop.Op{Kind: pageop.KindFormat, PType: page.TypeBTree, Store: store}, nil); err != nil {
+	if err := env.Log(txID, f, pageop.Op{Kind: pageop.KindFormat, PType: page.TypeBTree, Store: store}, pageop.Logical{}); err != nil {
 		return nil, err
 	}
 	hdr := nodeHeader{flags: flagLeaf | flagRoot, level: 0}
-	if err := env.Log(txID, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: 0, Data: hdr.encode()}, nil); err != nil {
+	if err := env.Log(txID, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: 0, Data: hdr.encode()}, pageop.Logical{}); err != nil {
 		return nil, err
 	}
 	return Open(env, opt, stats, store, rootPid), nil
@@ -543,9 +544,9 @@ func (t *Tree) insert(a Access, txID uint64, key, value []byte, withUndo bool) e
 			return fmt.Errorf("%w: %q", ErrDuplicateKey, key)
 		}
 		if f.Page().CanFit(len(entry)) {
-			var undo []byte
+			var undo pageop.Logical
 			if withUndo {
-				undo = pageop.Logical{Kind: pageop.LogicalBTreeDelete, Store: t.store, Key: key}.Encode()
+				undo = pageop.Logical{Kind: pageop.LogicalBTreeDelete, Store: t.store, Key: key}
 			}
 			err := t.env.Log(txID, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: uint16(slot), Data: entry}, undo)
 			t.env.Unfix(f, sync2.LatchEX)
@@ -599,7 +600,6 @@ func (t *Tree) update(a Access, txID uint64, key, value []byte, withUndo bool) e
 			t.env.Unfix(f, sync2.LatchEX)
 			return err
 		}
-		oldCopy := append([]byte(nil), oldVal...)
 		// The new entry may be larger than the old; ensure it fits.
 		if len(entry) > len(rec) && !f.Page().CanFit(len(entry)-len(rec)) {
 			if err := t.splitNode(txID, f, hdr, path); err != nil {
@@ -607,9 +607,9 @@ func (t *Tree) update(a Access, txID uint64, key, value []byte, withUndo bool) e
 			}
 			continue
 		}
-		var undo []byte
+		var undo pageop.Logical
 		if withUndo {
-			undo = pageop.Logical{Kind: pageop.LogicalBTreeUpdate, Store: t.store, Key: key, Value: oldCopy}.Encode()
+			undo = pageop.Logical{Kind: pageop.LogicalBTreeUpdate, Store: t.store, Key: key, Value: oldVal}
 		}
 		err = t.env.Log(txID, f, pageop.Op{Kind: pageop.KindUpdateAt, Slot: uint16(slot), Data: entry, Old: rec}, undo)
 		t.env.Unfix(f, sync2.LatchEX)
@@ -657,9 +657,9 @@ func (t *Tree) delete(a Access, txID uint64, key []byte, withUndo bool) ([]byte,
 		t.env.Unfix(f, sync2.LatchEX)
 		return nil, err
 	}
-	var undo []byte
+	var undo pageop.Logical
 	if withUndo {
-		undo = pageop.Logical{Kind: pageop.LogicalBTreeInsert, Store: t.store, Key: key, Value: oldVal}.Encode()
+		undo = pageop.Logical{Kind: pageop.LogicalBTreeInsert, Store: t.store, Key: key, Value: oldVal}
 	}
 	err = t.env.Log(txID, f, pageop.Op{Kind: pageop.KindRemoveAt, Slot: uint16(slot), Data: recCopy}, undo)
 	t.env.Unfix(f, sync2.LatchEX)

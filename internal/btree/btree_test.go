@@ -50,7 +50,7 @@ func (e *fakeEnv) Unfix(f *buffer.Frame, mode sync2.LatchMode) {
 func (e *fakeEnv) AllocPage(store uint32) (page.ID, error) {
 	return e.sm.AllocPage(store, nil)
 }
-func (e *fakeEnv) Log(txID uint64, f *buffer.Frame, op pageop.Op, undo []byte) error {
+func (e *fakeEnv) Log(txID uint64, f *buffer.Frame, op pageop.Op, undo pageop.Logical) error {
 	if err := pageop.Apply(f.Page(), op); err != nil {
 		return fmt.Errorf("apply %v: %w", op.Kind, err)
 	}

@@ -99,7 +99,7 @@ func (t *Tree) splitNode(txID uint64, f *buffer.Frame, hdr nodeHeader, path []pa
 		highKey:   sepKey,
 	}
 	img := buildNodeImage(p.PID(), t.store, leftHdr, entries[:mid])
-	err = t.env.Log(txID, f, pageop.Op{Kind: pageop.KindPageImage, Data: img}, nil)
+	err = t.env.Log(txID, f, pageop.Op{Kind: pageop.KindPageImage, Data: img}, pageop.Logical{})
 	t.env.Unfix(f, sync2.LatchEX)
 	if err != nil {
 		return err
@@ -137,7 +137,7 @@ func (t *Tree) writeFreshNode(txID uint64, pid page.ID, hdr nodeHeader, entries 
 	defer t.env.Unfix(f, sync2.LatchEX)
 	img := buildNodeImage(pid, t.store, hdr, entries)
 	// One image record covers format + header + all entries atomically.
-	return t.env.Log(txID, f, pageop.Op{Kind: pageop.KindPageImage, Data: img}, nil)
+	return t.env.Log(txID, f, pageop.Op{Kind: pageop.KindPageImage, Data: img}, pageop.Logical{})
 }
 
 // buildNodeImage constructs the full page bytes of a node.
@@ -231,7 +231,7 @@ func (t *Tree) splitRoot(txID uint64, f *buffer.Frame, hdr nodeHeader) error {
 		leftChild: leftPid,
 	}
 	img := buildNodeImage(p.PID(), t.store, rootHdr, [][]byte{encodeBranchEntry(sepKey, rightPid)})
-	err = t.env.Log(txID, f, pageop.Op{Kind: pageop.KindPageImage, Data: img}, nil)
+	err = t.env.Log(txID, f, pageop.Op{Kind: pageop.KindPageImage, Data: img}, pageop.Logical{})
 	t.env.Unfix(f, sync2.LatchEX)
 	return err
 }
@@ -288,7 +288,7 @@ func (t *Tree) insertIntoBranch(txID uint64, pid page.ID, path []page.ID, target
 			return nil
 		}
 		if f.Page().CanFit(len(entry)) {
-			err := t.env.Log(txID, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: uint16(slot), Data: entry}, nil)
+			err := t.env.Log(txID, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: uint16(slot), Data: entry}, pageop.Logical{})
 			t.env.Unfix(f, sync2.LatchEX)
 			return err
 		}

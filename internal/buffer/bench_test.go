@@ -13,8 +13,7 @@ import (
 // misses: a working set 4x the pool so every ~4th Fix replaces a page,
 // comparing the single global clock hand against sharded replacement
 // (per-shard hands + cleaner-fed free lists). Run with -cpu=8 to see the
-// hand serialize; the CI bench-smoke job captures it as
-// BENCH_buffer.json.
+// hand serialize; the CI bench-smoke job runs it once.
 func BenchmarkFixParallel(b *testing.B) {
 	const (
 		frames = 1024

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -778,21 +779,43 @@ func (e *Engine) lockRow(ctx context.Context, t *tx.Tx, store uint32, rid page.R
 }
 
 // logPhysical appends an update record for op on f's page, applies it, and
-// stamps LSN + dirty. undo may be a physical inverse (computed here when
-// nil and invertible), a logical descriptor, or explicitly empty for
-// redo-only records (pass redoOnly=true).
-func (e *Engine) logPhysical(txID uint64, t *tx.Tx, f *buffer.Frame, op pageop.Op, undo []byte, redoOnly bool) error {
-	if undo == nil && !redoOnly {
-		if inv, ok := pageop.Invert(op); ok {
-			undo = inv.Encode()
-		}
+// stamps LSN + dirty. The undo is the logical descriptor when there is one,
+// nothing for a redo-only record (pass redoOnly=true), and otherwise op's
+// physical inverse where it has one. The record is built in t's scratch
+// space — the log manager copies it out before Insert returns, and neither
+// it nor installVersion keeps a reference.
+func (e *Engine) logPhysical(txID uint64, t *tx.Tx, f *buffer.Frame, op pageop.Op, logical pageop.Logical, redoOnly bool) error {
+	var s *tx.LogScratch
+	if t != nil {
+		s = &t.LogScratch
+	} else {
+		s = new(tx.LogScratch)
 	}
-	rec := &wal.Record{
+	inv, physical := pageop.Op{}, false
+	if logical.Kind == pageop.LogicalNone && !redoOnly {
+		inv, physical = pageop.Invert(op)
+	}
+	// Redo and undo side by side, so the buffer grows at most once per
+	// record (a redo-only record over-reserves an empty descriptor).
+	need := op.EncodedSize() + logical.EncodedSize()
+	if physical {
+		need = op.EncodedSize() + inv.EncodedSize()
+	}
+	buf := op.AppendEncode(slices.Grow(s.Buf[:0], need))
+	redoLen := len(buf)
+	if physical {
+		buf = inv.AppendEncode(buf)
+	} else if logical.Kind != pageop.LogicalNone {
+		buf = logical.AppendEncode(buf)
+	}
+	s.Buf = buf
+	rec := &s.Rec
+	*rec = wal.Record{
 		Type: wal.RecUpdate,
 		TxID: txID,
 		Page: f.PID(),
-		Redo: op.Encode(),
-		Undo: undo,
+		Redo: buf[:redoLen],
+		Undo: buf[redoLen:],
 	}
 	if t != nil {
 		rec.PrevLSN = t.LastLSN()
@@ -810,7 +833,7 @@ func (e *Engine) logPhysical(txID uint64, t *tx.Tx, f *buffer.Frame, op pageop.O
 		// (physical undo applies directly, logical undo re-enters the
 		// tree as redo-only), so versions install exactly once per
 		// forward update.
-		e.installVersion(t, f, op, undo)
+		e.installVersion(t, f, op, logical)
 	}
 	if err := pageop.Apply(f.Page(), op); err != nil {
 		// The log record is already out; crash-correct but the in-memory

@@ -82,7 +82,7 @@ func (e *Engine) allocHeapPage(t *tx.Tx, store uint32) (*buffer.Frame, page.ID, 
 		return nil, 0, err
 	}
 	op := pageop.Op{Kind: pageop.KindFormat, PType: page.TypeHeap, Store: store}
-	if err := e.logPhysical(t.ID(), t, f, op, nil, true); err != nil {
+	if err := e.logPhysical(t.ID(), t, f, op, pageop.Logical{}, true); err != nil {
 		e.pool.Unfix(f, sync2.LatchEX)
 		return nil, 0, err
 	}
@@ -185,7 +185,7 @@ func (e *Engine) HeapInsertCtx(ctx context.Context, t *tx.Tx, store uint32, data
 			}
 		}
 		op := pageop.Op{Kind: pageop.KindHeapInsert, Slot: slot, Data: data}
-		err = e.logPhysical(t.ID(), t, f, op, nil, false)
+		err = e.logPhysical(t.ID(), t, f, op, pageop.Logical{}, false)
 		if err == nil {
 			f.SetSlotHint(slot + 1) // every slot below is now occupied
 		}
@@ -257,7 +257,7 @@ func (e *Engine) HeapUpdateCtx(ctx context.Context, t *tx.Tx, store uint32, rid 
 	}
 	oldCopy := append([]byte(nil), old...)
 	op := pageop.Op{Kind: pageop.KindUpdateAt, Slot: rid.Slot, Data: data, Old: oldCopy}
-	return e.logPhysical(t.ID(), t, f, op, nil, false)
+	return e.logPhysical(t.ID(), t, f, op, pageop.Logical{}, false)
 }
 
 // HeapDelete removes the record at rid under an X row lock. The slot is
@@ -288,7 +288,7 @@ func (e *Engine) HeapDeleteCtx(ctx context.Context, t *tx.Tx, store uint32, rid 
 	}
 	oldCopy := append([]byte(nil), old...)
 	op := pageop.Op{Kind: pageop.KindHeapDelete, Slot: rid.Slot, Old: oldCopy}
-	if err := e.logPhysical(t.ID(), t, f, op, nil, false); err != nil {
+	if err := e.logPhysical(t.ID(), t, f, op, pageop.Logical{}, false); err != nil {
 		return err
 	}
 	f.LowerSlotHint(rid.Slot) // the tombstoned slot is reusable again

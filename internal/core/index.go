@@ -34,9 +34,9 @@ func (v btreeEnv) AllocPage(store uint32) (page.ID, error) {
 	return v.e.sm.AllocPage(store, nil)
 }
 
-func (v btreeEnv) Log(txID uint64, f *buffer.Frame, op pageop.Op, undo []byte) error {
+func (v btreeEnv) Log(txID uint64, f *buffer.Frame, op pageop.Op, undo pageop.Logical) error {
 	t := v.e.txns.Lookup(txID)
-	return v.e.logPhysical(txID, t, f, op, undo, undo == nil)
+	return v.e.logPhysical(txID, t, f, op, undo, undo.Kind == pageop.LogicalNone)
 }
 
 // newTree wraps btree.Open. The buffer pool itself is the OptEnv; stats

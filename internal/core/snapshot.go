@@ -102,18 +102,14 @@ func heapVersionKey(pid page.ID, slot uint16) []byte {
 // page's EX latch. Heap ops carry their before-image physically (op.Old);
 // B-tree key mutations carry it in their logical undo descriptor —
 // structure modifications (splits) log redo-only and install nothing.
-func (e *Engine) installVersion(t *tx.Tx, f *buffer.Frame, op pageop.Op, undo []byte) {
-	if pageop.IsLogical(undo) {
-		l, err := pageop.DecodeLogical(undo)
-		if err != nil {
-			return
-		}
-		switch l.Kind {
-		case pageop.LogicalBTreeDelete: // undo of insert: key was absent before
-			e.mvcc.Install(mvcc.KindIndex, l.Store, l.Key, nil, false, t.EnsureStamp())
-		case pageop.LogicalBTreeInsert, pageop.LogicalBTreeUpdate: // key held Value before
-			e.mvcc.Install(mvcc.KindIndex, l.Store, l.Key, l.Value, true, t.EnsureStamp())
-		}
+func (e *Engine) installVersion(t *tx.Tx, f *buffer.Frame, op pageop.Op, l pageop.Logical) {
+	switch l.Kind {
+	case pageop.LogicalBTreeDelete: // undo of insert: key was absent before
+		e.mvcc.Install(mvcc.KindIndex, l.Store, l.Key, nil, false, t.EnsureStamp())
+		return
+	case pageop.LogicalBTreeInsert, pageop.LogicalBTreeUpdate: // key held Value before
+		// Install keeps the before-image; l.Value may alias the page.
+		e.mvcc.Install(mvcc.KindIndex, l.Store, l.Key, append([]byte(nil), l.Value...), true, t.EnsureStamp())
 		return
 	}
 	p := f.Page()

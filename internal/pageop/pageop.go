@@ -64,21 +64,26 @@ type Op struct {
 // ErrBadOp reports a malformed encoded operation.
 var ErrBadOp = errors.New("pageop: malformed operation")
 
-// Encode serializes op.
+// EncodedSize returns the length of op's serialization.
+func (op Op) EncodedSize() int { return 17 + len(op.Data) + len(op.Old) }
+
+// Encode serializes op into a fresh slice.
+func (op Op) Encode() []byte { return op.AppendEncode(make([]byte, 0, op.EncodedSize())) }
+
+// AppendEncode appends op's serialization to dst and returns the extended
+// slice.
 //
 // Layout: kind u8 | slot u16 | ptype u16 | store u32 | dataLen u32 |
 // oldLen u32 | data | old.
-func (op Op) Encode() []byte {
-	b := make([]byte, 17+len(op.Data)+len(op.Old))
-	b[0] = byte(op.Kind)
-	binary.LittleEndian.PutUint16(b[1:], op.Slot)
-	binary.LittleEndian.PutUint16(b[3:], uint16(op.PType))
-	binary.LittleEndian.PutUint32(b[5:], op.Store)
-	binary.LittleEndian.PutUint32(b[9:], uint32(len(op.Data)))
-	binary.LittleEndian.PutUint32(b[13:], uint32(len(op.Old)))
-	copy(b[17:], op.Data)
-	copy(b[17+len(op.Data):], op.Old)
-	return b
+func (op Op) AppendEncode(dst []byte) []byte {
+	dst = append(dst, byte(op.Kind))
+	dst = binary.LittleEndian.AppendUint16(dst, op.Slot)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(op.PType))
+	dst = binary.LittleEndian.AppendUint32(dst, op.Store)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(op.Data)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(op.Old)))
+	dst = append(dst, op.Data...)
+	return append(dst, op.Old...)
 }
 
 // Decode parses an encoded operation.
@@ -178,17 +183,21 @@ type Logical struct {
 // undo field of a log record (physical ops start with a Kind < 0x80).
 const logicalTag = 0xf0
 
-// Encode serializes l.
-func (l Logical) Encode() []byte {
-	b := make([]byte, 14+len(l.Key)+len(l.Value))
-	b[0] = logicalTag
-	b[1] = byte(l.Kind)
-	binary.LittleEndian.PutUint32(b[2:], l.Store)
-	binary.LittleEndian.PutUint32(b[6:], uint32(len(l.Key)))
-	binary.LittleEndian.PutUint32(b[10:], uint32(len(l.Value)))
-	copy(b[14:], l.Key)
-	copy(b[14+len(l.Key):], l.Value)
-	return b
+// EncodedSize returns the length of l's serialization.
+func (l Logical) EncodedSize() int { return 14 + len(l.Key) + len(l.Value) }
+
+// Encode serializes l into a fresh slice.
+func (l Logical) Encode() []byte { return l.AppendEncode(make([]byte, 0, l.EncodedSize())) }
+
+// AppendEncode appends l's serialization to dst and returns the extended
+// slice.
+func (l Logical) AppendEncode(dst []byte) []byte {
+	dst = append(dst, logicalTag, byte(l.Kind))
+	dst = binary.LittleEndian.AppendUint32(dst, l.Store)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(l.Key)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(l.Value)))
+	dst = append(dst, l.Key...)
+	return append(dst, l.Value...)
 }
 
 // IsLogical reports whether an undo payload is a logical descriptor.

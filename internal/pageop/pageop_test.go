@@ -18,7 +18,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Kind: KindHeapDelete, Slot: 4, Old: []byte("gone")},
 	}
 	for _, op := range ops {
-		got, err := Decode(op.Encode())
+		enc := op.Encode()
+		if len(enc) != op.EncodedSize() {
+			t.Fatalf("%v: encoded %d bytes, EncodedSize %d", op.Kind, len(enc), op.EncodedSize())
+		}
+		if app := op.AppendEncode([]byte("prefix")); !bytes.Equal(app, append([]byte("prefix"), enc...)) {
+			t.Fatalf("%v: AppendEncode after a prefix = %x", op.Kind, app)
+		}
+		got, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("%v: %v", op.Kind, err)
 		}
@@ -163,6 +170,9 @@ func TestLogicalRoundTrip(t *testing.T) {
 	enc := l.Encode()
 	if !IsLogical(enc) {
 		t.Fatal("IsLogical(enc) = false")
+	}
+	if app := l.AppendEncode([]byte("prefix")); len(enc) != l.EncodedSize() || !bytes.Equal(app, append([]byte("prefix"), enc...)) {
+		t.Fatalf("AppendEncode after a prefix = %x, Encode = %x, EncodedSize = %d", app, enc, l.EncodedSize())
 	}
 	got, err := DecodeLogical(enc)
 	if err != nil {

@@ -51,19 +51,29 @@ func newBenchServer(b testing.TB, opts Options, warehouses int) (*testServer, tp
 // deadlock victims, lock timeouts and shed requests. The clients=256
 // variant exercises connection counts far above GOMAXPROCS; overload
 // points many clients at a deliberately tiny pool and reports how much
-// load is shed while throughput holds.
+// load is shed and, as x-of-clients=16, how well throughput holds: its
+// tx/s over the unconstrained clients=16 run's. Graceful degradation
+// means that ratio stays near 1 (0.8 is the bar). It is a wall-clock
+// ratio, so it is reported here and not asserted in a test.
 func BenchmarkServerRemote(b *testing.B) {
+	var base float64
 	for _, nc := range []int{16, 256} {
 		b.Run(fmt.Sprintf("clients=%d", nc), func(b *testing.B) {
-			benchRemoteTPCC(b, Options{}, nc)
+			if tps := benchRemoteTPCC(b, Options{}, nc); nc == 16 {
+				base = tps
+			}
 		})
 	}
 	b.Run("overload", func(b *testing.B) {
-		benchRemoteTPCC(b, Options{Workers: 2, QueueDepth: 2, MaxTx: 8}, 64)
+		tps := benchRemoteTPCC(b, Options{Workers: 2, QueueDepth: 2, MaxTx: 8}, 64)
+		if base > 0 { // zero when -bench selected overload alone
+			b.ReportMetric(tps/base, "x-of-clients=16")
+		}
 	})
 }
 
-func benchRemoteTPCC(b *testing.B, opts Options, clients int) {
+// benchRemoteTPCC returns the committed transactions per second.
+func benchRemoteTPCC(b *testing.B, opts Options, clients int) float64 {
 	ts, scale := newBenchServer(b, opts, 2)
 	ctx := context.Background()
 	stats := &tpcc.RemoteStats{}
@@ -124,9 +134,10 @@ func benchRemoteTPCC(b *testing.B, opts Options, clients int) {
 	wg.Wait()
 	b.StopTimer()
 
-	elapsed := b.Elapsed().Seconds()
-	if elapsed > 0 {
-		b.ReportMetric(float64(b.N)/elapsed, "tx/s")
+	var tps float64
+	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
+		tps = float64(b.N) / elapsed
+		b.ReportMetric(tps, "tx/s")
 	}
 	n := float64(b.N)
 	b.ReportMetric(float64(stats.Sheds.Load())/n, "sheds/op")
@@ -138,17 +149,15 @@ func benchRemoteTPCC(b *testing.B, opts Options, clients int) {
 	if peak := ts.srv.Stats().SessionsPeak; int(peak) < clients {
 		b.Fatalf("sessions peak %d < %d clients", peak, clients)
 	}
+	return tps
 }
 
-// TestServerOverloadThroughput demonstrates graceful degradation: when
-// offered load far exceeds the pool, excess entry requests are refused
-// with ErrBusy while committed throughput does not collapse. Baseline
-// and overload run the same op against the same tiny server; overload
-// adds 8× the clients, none of which retry.
-func TestServerOverloadThroughput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-based")
-	}
+// TestServerOverload checks how a tiny server takes eight times the
+// clients its pool admits, none of which retry: excess entry requests are
+// refused with ErrBusy, every other reply is a commit or a retryable
+// error, and transactions keep committing. How much throughput holds
+// under overload is a wall-clock ratio; BenchmarkServerRemote reports it.
+func TestServerOverload(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 2, MaxTx: 4})
 	ctx := context.Background()
 
@@ -165,70 +174,41 @@ func TestServerOverloadThroughput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// run offers load from n clients for the window and returns the
-	// number of committed ops and of shed (ErrBusy) replies.
-	run := func(n int, window time.Duration) (committed, busy uint64) {
-		var c64, b64 atomic.Uint64
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				c, err := client.Dial(ts.addr, client.Options{Timeout: 30 * time.Second})
-				if err != nil {
+	// Every client runs until both outcomes have been seen, however slow
+	// the machine.
+	var committed, busy atomic.Uint64
+	deadline := time.Now().Add(30 * time.Second)
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c, err := client.Dial(ts.addr, client.Options{Timeout: 30 * time.Second})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			key := []byte(fmt.Sprintf("k%02d", i%16))
+			for (committed.Load() == 0 || busy.Load() == 0) && time.Now().Before(deadline) {
+				err := c.Update(ctx, func(b *client.Batch) {
+					b.IndexUpdate(store, key, []byte("1"))
+				})
+				switch {
+				case err == nil:
+					committed.Add(1)
+				case errors.Is(err, client.ErrBusy):
+					busy.Add(1)
+				case client.Retryable(err):
+				default:
 					t.Error(err)
 					return
 				}
-				defer c.Close()
-				key := []byte(fmt.Sprintf("k%02d", i%16))
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					err := c.Update(ctx, func(b *client.Batch) {
-						b.IndexUpdate(store, key, []byte("1"))
-					})
-					switch {
-					case err == nil:
-						c64.Add(1)
-					case errors.Is(err, client.ErrBusy):
-						b64.Add(1)
-					case client.Retryable(err):
-					default:
-						t.Error(err)
-						return
-					}
-				}
-			}(i)
-		}
-		time.Sleep(window)
-		close(stop)
-		wg.Wait()
-		return c64.Load(), b64.Load()
+			}
+		}(i)
 	}
-
-	window := 500 * time.Millisecond
-	tolerance := 0.8
-	if raceEnabled {
-		// The detector's per-access overhead on 16 spinning shedders
-		// steals real CPU from the single worker on small machines; the
-		// uninstrumented build is where the 20% bound is held.
-		tolerance = 0.4
-	}
-	// Up to 3 attempts: wall-clock throughput comparisons on a loaded
-	// machine need the benefit of the doubt before failing the build.
-	for attempt := 1; ; attempt++ {
-		base, _ := run(2, window)
-		over, busy := run(16, window)
-		t.Logf("baseline=%d committed, overload=%d committed, %d shed", base, over, busy)
-		if busy > 0 && float64(over) >= tolerance*float64(base) {
-			break
-		}
-		if attempt == 3 {
-			t.Fatalf("overload degraded: baseline=%d overload=%d shed=%d", base, over, busy)
-		}
+	wg.Wait()
+	if committed.Load() == 0 || busy.Load() == 0 {
+		t.Fatalf("under overload: %d committed, %d shed; want both above zero", committed.Load(), busy.Load())
 	}
 }

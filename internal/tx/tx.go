@@ -124,6 +124,18 @@ type Tx struct {
 	// ExtentCache is the per-transaction (conceptually thread-local)
 	// extent-membership cache of §6.2.2.
 	ExtentCache space.ExtentCache
+
+	// LogScratch is where the owner builds its update records.
+	LogScratch LogScratch
+}
+
+// LogScratch is reusable space for building one log record at a time. The
+// log manager has copied a record's bytes into its buffer by the time
+// Insert returns, so one Record and one payload buffer serve every update
+// a transaction logs.
+type LogScratch struct {
+	Rec wal.Record
+	Buf []byte // payload bytes of Rec; kept for its capacity
 }
 
 // ID returns the transaction id.

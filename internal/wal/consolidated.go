@@ -86,14 +86,8 @@ func (l *consolidatedLog) insert(rec *Record) (LSN, error) {
 		return NullLSN, ErrLogClosed
 	}
 	size := uint64(rec.EncodedSize())
-	if size > uint64(len(l.ring)) {
+	if size > uint64(len(l.ring)) || rec.tooLarge() {
 		return NullLSN, ErrRecordTooLarge
-	}
-	// Encode outside every critical section.
-	var scratch [512]byte
-	buf := scratch[:]
-	if int(size) > len(buf) {
-		buf = make([]byte, size)
 	}
 
 	// Phase 1: reserve [r, r+size). The only shared state touched is the
@@ -123,21 +117,11 @@ func (l *consolidatedLog) insert(rec *Record) (LSN, error) {
 		l.reserveRetry.Add(1)
 	}
 
-	// Phase 2: copy in parallel with other inserters.
+	// Phase 2: encode into the reservation, in parallel with other
+	// inserters. The reservation cannot be returned, which is why
+	// everything that could refuse the record was checked before it.
 	rec.LSN = LSN(r)
-	n, err := rec.Encode(buf)
-	if err != nil {
-		// The reservation cannot be returned; fill it with a padding
-		// record so the stream stays parseable. Encode errors are only
-		// possible for oversized payloads, which were checked above, so
-		// this is defensive.
-		for i := uint64(0); i < size; i++ {
-			l.ring[(r+i)%uint64(len(l.ring))] = 0
-		}
-		l.publish(r, size)
-		return NullLSN, err
-	}
-	copyToRing(l.ring, LSN(r), buf[:n])
+	putInRing(l.ring, rec.LSN, rec, int(size))
 
 	// Phase 3: ordered publication — hand the completion cursor forward.
 	l.publish(r, size)

@@ -87,18 +87,29 @@ func copyToRing(ring []byte, off LSN, b []byte) {
 	}
 }
 
+// putInRing serializes rec, size bytes long and not tooLarge, at log
+// offset off of the circular buffer. The caller owns [off, off+size) — it
+// is reserved and not yet published — so the record is built in place: one
+// copy of each payload byte, no allocation. Only a range that straddles
+// the ring's end is built aside and copied in as two pieces.
+func putInRing(ring []byte, off LSN, rec *Record, size int) {
+	pos := int(uint64(off) % uint64(len(ring)))
+	if pos+size <= len(ring) {
+		rec.put(ring[pos : pos+size])
+		return
+	}
+	buf := make([]byte, size)
+	rec.put(buf)
+	copyToRing(ring, off, buf)
+}
+
 func (l *decoupledLog) insert(rec *Record) (LSN, error) {
 	if l.closed.Load() {
 		return NullLSN, ErrLogClosed
 	}
 	size := rec.EncodedSize()
-	if size > len(l.ring) {
+	if size > len(l.ring) || rec.tooLarge() {
 		return NullLSN, ErrRecordTooLarge
-	}
-	var scratch [512]byte
-	buf := scratch[:]
-	if size > len(buf) {
-		buf = make([]byte, size)
 	}
 
 	l.insertMu.Lock()
@@ -124,19 +135,14 @@ func (l *decoupledLog) insert(rec *Record) (LSN, error) {
 		}
 	}
 	rec.LSN = l.head
-	n, err := rec.Encode(buf)
-	if err != nil {
-		l.insertMu.Unlock()
-		return NullLSN, err
-	}
-	copyToRing(l.ring, l.head, buf[:n])
-	l.head += LSN(n)
+	putInRing(l.ring, l.head, rec, size)
+	l.head += LSN(size)
 	head := l.head
 	l.copied.Store(uint64(head))
 	l.insertMu.Unlock()
 
 	l.inserts.Add(1)
-	l.insertedBytes.Add(uint64(n))
+	l.insertedBytes.Add(uint64(size))
 	if head-l.gc.get() > LSN(len(l.ring)/2) {
 		l.kickFlusher()
 	}

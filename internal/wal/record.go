@@ -140,14 +140,25 @@ func (r *Record) EncodedSize() int {
 // Encode serializes r into buf, which must be at least EncodedSize bytes,
 // and returns the number of bytes written.
 func (r *Record) Encode(buf []byte) (int, error) {
-	if len(r.Redo)+len(r.Undo) > MaxPayload {
+	if r.tooLarge() {
 		return 0, ErrRecordTooLarge
 	}
 	total := r.EncodedSize()
 	if len(buf) < total {
 		return 0, fmt.Errorf("wal: encode buffer too small: %d < %d", len(buf), total)
 	}
-	b := buf[:total]
+	r.put(buf[:total])
+	return total, nil
+}
+
+// tooLarge reports whether r's payloads exceed MaxPayload.
+func (r *Record) tooLarge() bool { return len(r.Redo)+len(r.Undo) > MaxPayload }
+
+// put serializes r into b, which is exactly EncodedSize bytes long; the
+// caller has ruled out tooLarge. It cannot fail, so a log manager may
+// call it on buffer space it can no longer give back.
+func (r *Record) put(b []byte) {
+	total := len(b)
 	binary.LittleEndian.PutUint32(b[0:], uint32(total))
 	b[4] = byte(r.Type)
 	b[5] = 0
@@ -162,7 +173,6 @@ func (r *Record) Encode(buf []byte) (int, error) {
 	copy(b[recHeaderSize+len(r.Redo):], r.Undo)
 	crc := crc32.ChecksumIEEE(b[:total-recTrailerSize])
 	binary.LittleEndian.PutUint32(b[total-recTrailerSize:], crc)
-	return total, nil
 }
 
 // DecodeRecord parses a record from the front of buf. It returns the

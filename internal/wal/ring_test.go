@@ -47,6 +47,47 @@ func TestRingWrapExactBoundary(t *testing.T) {
 	}
 }
 
+// TestRingStraddlingRecord: a record whose reservation straddles the
+// ring's end is the one case not encoded in place. Records that do not
+// divide the ring force it; every record must scan back (the scanner
+// checks each CRC) with the payload it was inserted with.
+func TestRingStraddlingRecord(t *testing.T) {
+	const ringSize, records = 4096, 60
+	for _, d := range []Design{DesignDecoupled, DesignConsolidated} {
+		store := NewMemStore()
+		m := New(store, Options{Design: d, BufferSize: ringSize})
+		payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 300+i) }
+		straddled := 0
+		for i := 0; i < records; i++ {
+			rec := &Record{Type: RecUpdate, TxID: uint64(i), Redo: payload(i), Undo: payload(i)[:7]}
+			lsn, err := m.Insert(rec)
+			if err != nil {
+				t.Fatalf("%v: insert %d: %v", d, i, err)
+			}
+			if int(lsn)%ringSize+rec.EncodedSize() > ringSize {
+				straddled++
+			}
+		}
+		if err := m.Flush(m.CurLSN()); err != nil {
+			t.Fatal(err)
+		}
+		if straddled == 0 {
+			t.Fatalf("%v: no reservation straddled the ring's end", d)
+		}
+		sc := NewScanner(store, NullLSN)
+		for i := 0; i < records; i++ {
+			rec, err := sc.Next()
+			if err != nil {
+				t.Fatalf("%v: record %d: %v", d, i, err)
+			}
+			if rec.TxID != uint64(i) || !bytes.Equal(rec.Redo, payload(i)) || !bytes.Equal(rec.Undo, payload(i)[:7]) {
+				t.Fatalf("%v: record %d came back as txid %d, %d+%d payload bytes", d, i, rec.TxID, len(rec.Redo), len(rec.Undo))
+			}
+		}
+		m.Close()
+	}
+}
+
 // TestInsertWaitsWhenBufferFull forces the decoupled log's buffer-full
 // path: a tiny ring with many inserts must record insert waits yet lose
 // nothing.

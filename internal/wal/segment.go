@@ -282,7 +282,7 @@ func (s *SegmentStore) loadLocked(idxs []uint64) error {
 // createLocked creates segment k (header written and synced immediately,
 // so a crash can never leave a durable successor without its own header).
 func (s *SegmentStore) createLocked(k uint64) (*logSegment, error) {
-	f, err := s.be.create(k)
+	f, err := s.be.create(k, segHeaderSize+s.segBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -660,7 +660,8 @@ func (s *SegmentStore) Close() error {
 // segBackend abstracts where segments live (memory or a directory).
 type segBackend interface {
 	list() ([]uint64, error)
-	create(idx uint64) (segFile, error)
+	// create makes segment idx; size is the most it will ever hold.
+	create(idx uint64, size int64) (segFile, error)
 	open(idx uint64) (segFile, error)
 	remove(idx uint64) error
 	setMaster(l LSN) error
@@ -697,8 +698,10 @@ func (b *memSegBackend) list() ([]uint64, error) {
 	return idxs, nil
 }
 
-func (b *memSegBackend) create(idx uint64) (segFile, error) {
-	f := &memSegFile{}
+// create allocates the segment's whole extent up front: a log byte then
+// costs one copy into place, never a reallocation of what came before it.
+func (b *memSegBackend) create(idx uint64, size int64) (segFile, error) {
+	f := &memSegFile{data: make([]byte, 0, size)}
 	b.files[idx] = f
 	return f, nil
 }
@@ -731,11 +734,7 @@ func (b *memSegBackend) clone() *memSegBackend {
 type memSegFile struct{ data []byte }
 
 func (f *memSegFile) writeAt(b []byte, off int64) error {
-	end := off + int64(len(b))
-	for int64(len(f.data)) < end {
-		f.data = append(f.data, 0)
-	}
-	copy(f.data[off:end], b)
+	f.data = writeAtGrow(f.data, b, off)
 	return nil
 }
 
@@ -799,7 +798,7 @@ func (b *fileSegBackend) list() ([]uint64, error) {
 	return idxs, nil
 }
 
-func (b *fileSegBackend) create(idx uint64) (segFile, error) {
+func (b *fileSegBackend) create(idx uint64, _ int64) (segFile, error) {
 	f, err := os.OpenFile(filepath.Join(b.dir, segFileName(idx)), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err

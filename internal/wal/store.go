@@ -65,12 +65,31 @@ func NewMemStore() *MemStore {
 func (s *MemStore) WriteAt(b []byte, off int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	end := off + int64(len(b))
-	for int64(len(s.buf)) < end {
-		s.buf = append(s.buf, 0)
-	}
-	copy(s.buf[off:end], b)
+	s.buf = writeAtGrow(s.buf, b, off)
 	return nil
+}
+
+// writeAtGrow copies b into buf at off and returns buf, extended to cover
+// the write. Truncation keeps the old bytes in the capacity, so a hole
+// between the old end and off is zeroed: a memory store must read back
+// like a file, where bytes never written are zero. Past the capacity the
+// buffer doubles.
+func writeAtGrow(buf, b []byte, off int64) []byte {
+	old, end := int64(len(buf)), off+int64(len(b))
+	switch {
+	case end <= old:
+	case end <= int64(cap(buf)):
+		buf = buf[:end]
+		if off > old {
+			clear(buf[old:off])
+		}
+	default:
+		grown := make([]byte, end, max(end, 2*int64(cap(buf))))
+		copy(grown, buf)
+		buf = grown
+	}
+	copy(buf[off:], b)
+	return buf
 }
 
 // Flush implements Store.

@@ -355,6 +355,90 @@ func TestOversizedRecordRejected(t *testing.T) {
 		}
 		m.Close()
 	}
+	// A payload over MaxPayload is refused before buffer space is
+	// reserved, even when the buffer could hold it: the log must not be
+	// left with a hole where the record would have been.
+	for _, d := range allDesigns() {
+		store := NewMemStore()
+		m := New(store, Options{Design: d, BufferSize: 4 << 20})
+		if _, err := m.Insert(&Record{Type: RecUpdate, Redo: make([]byte, MaxPayload+1)}); err != ErrRecordTooLarge {
+			t.Errorf("%v: insert over MaxPayload = %v", d, err)
+		}
+		lsn, err := m.Insert(&Record{Type: RecUpdate, TxID: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lsn != logHeaderSize {
+			t.Errorf("%v: record after a refused one has %v, want the first LSN", d, lsn)
+		}
+		m.Close()
+	}
+}
+
+// regrowZeroFills checks the zero-fill rule of the memory stores on one of
+// them: truncating keeps the old bytes in the buffer's capacity, and a
+// later write past the new end must not make them readable again — the
+// hole reads back as zeros, as it would from a file.
+func regrowZeroFills(t *testing.T, write func(b []byte, off int64), truncate func(n int64), read func(b []byte, off int64)) {
+	t.Helper()
+	rec := bytes.Repeat([]byte{0xAB}, 100)
+	for i := int64(0); i < 3; i++ {
+		write(rec, 100+i*100)
+	}
+	truncate(250) // into the middle of the second record
+	write(rec[:10], 390)
+	got := make([]byte, 150)
+	read(got, 250)
+	if want := append(make([]byte, 140), rec[:10]...); !bytes.Equal(got, want) {
+		t.Fatalf("bytes [250,400) after truncate(250) and a write at 390 = %x, want 140 zeros and the write", got)
+	}
+	read(got[:50], 200)
+	if !bytes.Equal(got[:50], rec[:50]) {
+		t.Fatal("bytes below the truncation point changed")
+	}
+}
+
+func TestMemSegFileRegrowZeroFills(t *testing.T) {
+	f, err := newMemSegBackend().create(0, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regrowZeroFills(t,
+		func(b []byte, off int64) {
+			if err := f.writeAt(b, off); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func(n int64) {
+			if err := f.truncate(n); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func(b []byte, off int64) {
+			if _, err := f.readAt(b, off); err != nil {
+				t.Fatal(err)
+			}
+		})
+}
+
+func TestMemStoreRegrowZeroFills(t *testing.T) {
+	s := NewMemStore()
+	regrowZeroFills(t,
+		func(b []byte, off int64) {
+			if err := s.WriteAt(b, off); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func(n int64) {
+			if err := s.Truncate(n); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func(b []byte, off int64) {
+			if _, err := s.ReadAt(b, off); err != nil {
+				t.Fatal(err)
+			}
+		})
 }
 
 func TestCheckpointDataRoundTrip(t *testing.T) {
