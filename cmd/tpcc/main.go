@@ -240,6 +240,8 @@ func main() {
 		fmt.Printf("               %d snapshots (%d active, oldest LSN %d), %d reads, %d scans\n",
 			m.Snapshots, m.ActiveSnapshots, m.OldestSnapshot, m.SnapshotReads, m.SnapshotScans)
 	}
+	fmt.Printf("  btree:       %d latched descents; cursor: %d hits, %d misses, %d insertion-point splits\n",
+		st.Btree.LatchedDescents, st.Btree.CursorHits, st.Btree.CursorMisses, st.Btree.InsertPointSplits)
 	if *olc {
 		fmt.Printf("  btree OLC:   %d optimistic descents, %d restarts, %d fallbacks\n",
 			st.Btree.OptDescents, st.Btree.Restarts, st.Btree.Fallbacks)

@@ -2,7 +2,9 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/buffer"
@@ -65,6 +67,13 @@ type OLCStats struct {
 	OwnerWrites     atomic.Uint64 // Owner mutation descents (insert/update/delete); moves with OwnerDescents
 	OwnerScans      atomic.Uint64 // Owner range scans
 	OwnerFallbacks  atomic.Uint64 // Owner operations that exhausted their restarts and ran Latched
+
+	// Cursor outcomes, any policy. A hit is an operation that reached its
+	// leaf from the transaction's Cursor and so is in none of the descent
+	// counters above; a miss went on to descend and is.
+	CursorHits        atomic.Uint64
+	CursorMisses      atomic.Uint64
+	InsertPointSplits atomic.Uint64 // leaf splits cut at the insertion point instead of the middle
 }
 
 // OLCSnapshot is a point-in-time copy of OLCStats.
@@ -80,6 +89,10 @@ type OLCSnapshot struct {
 	OwnerWrites     uint64
 	OwnerScans      uint64
 	OwnerFallbacks  uint64
+
+	CursorHits        uint64
+	CursorMisses      uint64
+	InsertPointSplits uint64
 }
 
 // Snapshot copies the counters.
@@ -96,6 +109,10 @@ func (s *OLCStats) Snapshot() OLCSnapshot {
 		OwnerWrites:     s.OwnerWrites.Load(),
 		OwnerScans:      s.OwnerScans.Load(),
 		OwnerFallbacks:  s.OwnerFallbacks.Load(),
+
+		CursorHits:        s.CursorHits.Load(),
+		CursorMisses:      s.CursorMisses.Load(),
+		InsertPointSplits: s.InsertPointSplits.Load(),
 	}
 }
 
@@ -189,19 +206,11 @@ func Create(env Env, opt OptEnv, stats *OLCStats, txID uint64, store uint32) (*T
 	if err != nil {
 		return nil, err
 	}
-	f, err := env.FixNew(rootPid)
-	if err != nil {
+	t := Open(env, opt, stats, store, rootPid)
+	if err := t.writeFreshNode(txID, rootPid, nodeHeader{flags: flagLeaf | flagRoot}, nil); err != nil {
 		return nil, err
 	}
-	defer env.Unfix(f, sync2.LatchEX)
-	if err := env.Log(txID, f, pageop.Op{Kind: pageop.KindFormat, PType: page.TypeBTree, Store: store}, pageop.Logical{}); err != nil {
-		return nil, err
-	}
-	hdr := nodeHeader{flags: flagLeaf | flagRoot, level: 0}
-	if err := env.Log(txID, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: 0, Data: hdr.encode()}, pageop.Logical{}); err != nil {
-		return nil, err
-	}
-	return Open(env, opt, stats, store, rootPid), nil
+	return t, nil
 }
 
 // Open attaches to an existing tree. opt serves the Optimistic and Owner
@@ -217,6 +226,71 @@ func (t *Tree) Root() page.ID { return t.root }
 // Store returns the owning store id.
 func (t *Tree) Store() uint32 { return t.store }
 
+// Cursor is what one transaction remembers about one tree between its
+// operations: the leaf the last one ended on, and where its last insert
+// went. Point operations try the remembered leaf before walking down from
+// the root (latchLeaf, readLeafOpt), and a full leaf splits where the
+// cursor says a run of inserts is going (splitPoint). A Cursor belongs to
+// one goroutine; the zero value remembers nothing and a nil *Cursor turns
+// both uses off. It may be stale in any way: it is a hint, checked under
+// the leaf's latch.
+type Cursor struct {
+	at      leafMemo // the leaf the last operation ended on
+	insLeaf page.ID  // leaf of the last insert; 0: none
+	insSlot int      // slot that insert went into
+}
+
+// leafMemo is a remembered leaf with a filter its owner applies without
+// touching the page: the first eight bytes, as a number, of the lowest
+// key the leaf was seen to cover and of its high key. A key in the leaf's
+// range has its prefix in [lo, hi]; any other goes straight to the root
+// instead of paying a fix to learn the same.
+type leafMemo struct {
+	leaf   page.ID // 0: none
+	lo, hi uint64
+}
+
+func keyPrefix(k []byte) uint64 {
+	var b [8]byte
+	copy(b[:], k)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// memoOf describes leaf pid (image p, header h) after an operation on key
+// ended there. Safe on a torn image, whose memo must be discarded.
+func memoOf(pid page.ID, p *page.Page, h nodeHeader, key []byte) leafMemo {
+	m := leafMemo{leaf: pid, lo: keyPrefix(key), hi: math.MaxUint64}
+	if first, err := entryKey(p, 1); err == nil {
+		m.lo = min(m.lo, keyPrefix(first))
+	}
+	if h.highKey != nil {
+		m.hi = keyPrefix(h.highKey)
+	}
+	return m
+}
+
+// remember records that an operation on key ended on leaf f (header h).
+func (c *Cursor) remember(f *buffer.Frame, h nodeHeader, key []byte) {
+	if c != nil {
+		c.at = memoOf(f.Page().PID(), f.Page(), h, key)
+	}
+}
+
+// missed reports whether an operation about to descend had a remembered
+// leaf that did not serve it.
+func (c *Cursor) missed() bool { return c != nil && c.at.leaf != 0 }
+
+// hint returns the remembered leaf if key may be on it, else 0.
+func (c *Cursor) hint(key []byte) page.ID {
+	if c == nil || c.at.leaf == 0 {
+		return 0
+	}
+	if k := keyPrefix(key); k < c.at.lo || k > c.at.hi {
+		return 0
+	}
+	return c.at.leaf
+}
+
 func checkKV(key, value []byte) error {
 	if len(key) == 0 || len(key) > MaxKeySize {
 		return fmt.Errorf("%w: %d bytes", ErrKeyTooLarge, len(key))
@@ -228,28 +302,31 @@ func checkKV(key, value []byte) error {
 }
 
 // moveRight advances from a latched node to its right sibling while key is
-// beyond the node's high key; it returns the (possibly new) latched frame
-// and header.
-func (t *Tree) moveRight(f *buffer.Frame, hdr nodeHeader, key []byte, mode sync2.LatchMode) (*buffer.Frame, nodeHeader, error) {
-	for needsMoveRight(hdr, key) {
+// beyond the node's high key, at most maxHops times; it returns the
+// (possibly new) latched frame, its header (whose highKey aliases the
+// page, like every header read under a latch) and the hops taken. Stopped
+// by the bound, it returns a node key is still beyond. On error nothing
+// stays latched.
+func (t *Tree) moveRight(f *buffer.Frame, hdr nodeHeader, key []byte, mode sync2.LatchMode, maxHops int) (*buffer.Frame, nodeHeader, int, error) {
+	hops := 0
+	for ; hops < maxHops && needsMoveRight(hdr, key); hops++ {
 		right := hdr.right
 		if right == 0 {
-			return f, hdr, fmt.Errorf("%w: high key without right sibling", ErrCorruptNode)
+			t.env.Unfix(f, mode)
+			return nil, nodeHeader{}, hops, fmt.Errorf("%w: high key without right sibling", ErrCorruptNode)
 		}
 		rf, err := t.env.Fix(right, mode)
-		if err != nil {
-			t.env.Unfix(f, mode)
-			return nil, nodeHeader{}, err
-		}
 		t.env.Unfix(f, mode)
-		f = rf
-		hdr, err = readHeader(f.Page())
 		if err != nil {
+			return nil, nodeHeader{}, hops, err
+		}
+		f = rf
+		if hdr, err = peekHeader(f.Page()); err != nil {
 			t.env.Unfix(f, mode)
-			return nil, nodeHeader{}, err
+			return nil, nodeHeader{}, hops, err
 		}
 	}
-	return f, hdr, nil
+	return f, hdr, hops, nil
 }
 
 // attempt is the one restart-then-fall-back loop: it runs try under a
@@ -277,33 +354,72 @@ func (t *Tree) attempt(a Access, try func(speculate bool) (ok bool, err error)) 
 	}
 }
 
-// descend walks from the root to the leaf responsible for key and returns
-// it latched in mode, with the page id of the parent at each level above
-// it (for split propagation).
-func (t *Tree) descend(a Access, key []byte, mode sync2.LatchMode) (f *buffer.Frame, hdr nodeHeader, path []page.ID, err error) {
-	a, err = t.attempt(a, func(speculate bool) (bool, error) {
-		path = path[:0]
-		pid, ok, err := t.walk(key, speculate, true, &path)
+// nodePath is the page id of the parent at each level above a descent's
+// leaf, deepest last (for split propagation), in a fixed array on the
+// caller's stack. A deeper tree records its upper levels only;
+// insertIntoBranch descends from wherever it is started.
+type nodePath struct {
+	n   int
+	ids [8]page.ID
+}
+
+func (p *nodePath) push(pid page.ID) {
+	if p.n < len(p.ids) {
+		p.ids[p.n] = pid
+		p.n++
+	}
+}
+
+// descend returns the leaf responsible for key latched in mode, and where
+// key is (or belongs) in it. It tries c's remembered leaf first and
+// otherwise walks from the root, recording the ancestors in *path (nil
+// when the caller never splits; left empty when the cursor hit). c, when
+// not nil, remembers the leaf.
+func (t *Tree) descend(a Access, c *Cursor, key []byte, mode sync2.LatchMode, path *nodePath) (f *buffer.Frame, hdr nodeHeader, slot int, exact bool, err error) {
+	if pid := c.hint(key); pid != 0 {
+		var ok bool
+		if f, hdr, slot, exact, ok, err = t.latchLeaf(pid, key, mode, true); err != nil || ok {
+			if ok {
+				t.stats.CursorHits.Add(1)
+				c.remember(f, hdr, key)
+			}
+			return
+		}
+	}
+	if c.missed() {
+		t.stats.CursorMisses.Add(1)
+	}
+	a, err = t.attempt(a, func(speculate bool) (ok bool, err error) {
+		if path != nil {
+			path.n = 0
+		}
+		pid, ok, err := t.walk(key, speculate, true, path)
 		if !ok || err != nil {
 			return false, err
 		}
-		f, hdr, ok, err = t.latchLeaf(pid, key, mode)
+		f, hdr, slot, exact, ok, err = t.latchLeaf(pid, key, mode, false)
 		return ok, err
 	})
 	if err != nil {
-		return nil, nodeHeader{}, nil, err
+		return nil, nodeHeader{}, 0, false, err
 	}
 	t.stats.descent(a)
-	return f, hdr, path, nil
+	c.remember(f, hdr, key)
+	return
 }
+
+// maxHintHops bounds the sideways moves from a remembered leaf: one split
+// since it was remembered is the common case, a second is cheap, and a
+// cursor further off than that is better served by the root.
+const maxHintHops = 2
 
 // walk is the root-to-leaf loop. It follows key down to leaf level
 // without touching the leaf's latch and returns where the leaf-level
 // search starts: the leaf itself, or the covering child of a level-1
 // branch (which is a leaf, permanently — only the root ever changes
-// level, and the root is nobody's child). Ancestors are appended to
+// level, and the root is nobody's child). Ancestors are pushed onto
 // *path when path is not nil. ok=false (with nil error) means restart.
-func (t *Tree) walk(key []byte, speculate, pin bool, path *[]page.ID) (page.ID, bool, error) {
+func (t *Tree) walk(key []byte, speculate, pin bool, path *nodePath) (page.ID, bool, error) {
 	pid := t.root
 	for hop := 0; !speculate || hop < maxOptHops; hop++ {
 		s, ok, err := t.readStep(pid, key, speculate, pin)
@@ -315,7 +431,7 @@ func (t *Tree) walk(key []byte, speculate, pin bool, path *[]page.ID) (page.ID, 
 		}
 		if !s.sideways {
 			if path != nil {
-				*path = append(*path, pid)
+				path.push(pid)
 			}
 			if s.level == 1 {
 				return s.next, true, nil
@@ -360,29 +476,47 @@ func (t *Tree) readStep(pid page.ID, key []byte, speculate, pin bool) (s step, o
 	return s, true, err
 }
 
-// latchLeaf is how every descent that ends in a latched leaf ends: fix
-// pid in mode, re-read the header under the latch, restart (ok=false) if
-// the page is not a leaf — the root grew a level since the walk looked at
-// it — and move right per Lehman-Yao.
-func (t *Tree) latchLeaf(pid page.ID, key []byte, mode sync2.LatchMode) (*buffer.Frame, nodeHeader, bool, error) {
-	f, err := t.env.Fix(pid, mode)
-	if err != nil {
-		return nil, nodeHeader{}, false, err
+// latchLeaf is how every operation that ends in a latched leaf gets
+// there: fix pid in mode, read the header under the latch (no copy: its
+// highKey aliases the page), give up (ok=false, nothing held) if the page
+// is not a leaf — the root grew a level since it was looked at — move
+// right per Lehman-Yao, and find key's place.
+//
+// hinted says pid is a cursor's remembered leaf rather than the end of a
+// walk. Such a leaf is used only on proof, under the latch, that it
+// covers key. A page never leaves its tree and a node's low bound never
+// changes (deletion is lazy, there are no merges, a split only lowers the
+// left node's high key), so the remembered page is still a leaf of this
+// tree unless it is the root and grew, and can only lie left or right of
+// key's leaf. Key is below the high key by the move-right check, taken at
+// most maxHintHops times; key is at or above the low bound, which no node
+// stores, if the leaf holds key or an entry below it, or if it was
+// reached by moving right from a leaf whose high key — this one's low
+// bound — key is not below. No proof: ok=false.
+func (t *Tree) latchLeaf(pid page.ID, key []byte, mode sync2.LatchMode, hinted bool) (f *buffer.Frame, hdr nodeHeader, slot int, exact, ok bool, err error) {
+	if f, err = t.env.Fix(pid, mode); err != nil {
+		return nil, nodeHeader{}, 0, false, false, err
 	}
-	hdr, err := readHeader(f.Page())
-	if err != nil {
+	if hdr, err = peekHeader(f.Page()); err != nil || !hdr.isLeaf() {
 		t.env.Unfix(f, mode)
-		return nil, nodeHeader{}, false, err
+		return nil, nodeHeader{}, 0, false, false, err
 	}
-	if !hdr.isLeaf() {
-		t.env.Unfix(f, mode)
-		return nil, nodeHeader{}, false, nil
+	maxHops := math.MaxInt
+	if hinted {
+		maxHops = maxHintHops
 	}
-	f, hdr, err = t.moveRight(f, hdr, key, mode)
-	if err != nil {
-		return nil, nodeHeader{}, false, err
+	var hops int
+	if f, hdr, hops, err = t.moveRight(f, hdr, key, mode, maxHops); err != nil {
+		return nil, nodeHeader{}, 0, false, false, err
 	}
-	return f, hdr, true, nil
+	if !needsMoveRight(hdr, key) {
+		slot, exact, err = searchEntries(f.Page(), key)
+		if proven := !hinted || hops > 0 || exact || slot > 1; err == nil && proven {
+			return f, hdr, slot, exact, true, nil
+		}
+	}
+	t.env.Unfix(f, mode)
+	return nil, nodeHeader{}, 0, false, false, err
 }
 
 // step is one descent step computed from a node image: leaf reports
@@ -418,51 +552,93 @@ func nodeStep(p *page.Page, key []byte) (step, error) {
 	}
 }
 
-// viewLeaf runs read over an image of the leaf responsible for key: a
-// validated copy under the speculative policies (nothing pinned, nothing
-// latched), the SH-latched page under Latched. read may run more than
-// once and on a torn image, so it must only copy values out through the
-// bounds-checked accessors and reset what it collects on entry; its
-// results, error included, count only when viewLeaf returns. h.highKey
-// aliases the page.
-func (t *Tree) viewLeaf(a Access, key []byte, read func(p *page.Page, h nodeHeader) error) error {
-	a, err := t.attempt(a, func(speculate bool) (bool, error) {
-		if speculate {
-			return t.viewLeafOpt(key, read)
+// viewLeaf runs read over an image of the leaf responsible for key, with
+// the slot key is (exact) or belongs at: a validated copy under the
+// speculative policies (nothing pinned, nothing latched), the SH-latched
+// page under Latched. c's remembered leaf is tried first, the same way.
+// read may run more than once and on a torn image, so it must only copy
+// values out through the bounds-checked accessors and reset what it
+// collects on entry; its results, error included, count only when
+// viewLeaf returns. h.highKey aliases the page.
+func (t *Tree) viewLeaf(a Access, c *Cursor, key []byte, read leafReader) error {
+	if t.opt == nil {
+		a = Latched
+	}
+	hint := c // for descend to try; a speculative policy tries it here
+	if a != Latched {
+		hint = nil
+		if pid := c.hint(key); pid != 0 {
+			if ok, err := t.readLeafOpt(pid, true, c, key, read); ok || err != nil {
+				if ok {
+					t.stats.CursorHits.Add(1)
+					t.stats.leafRead(a)
+				}
+				return err
+			}
 		}
-		f, hdr, _, err := t.descend(Latched, key, sync2.LatchSH)
+		if c.missed() {
+			t.stats.CursorMisses.Add(1)
+		}
+	}
+	ran, err := t.attempt(a, func(speculate bool) (bool, error) {
+		if speculate {
+			pid, ok, err := t.walk(key, true, false, nil)
+			if !ok || err != nil {
+				return false, err
+			}
+			return t.readLeafOpt(pid, false, c, key, read)
+		}
+		f, hdr, slot, exact, err := t.descend(Latched, hint, key, sync2.LatchSH, nil)
 		if err != nil {
 			return false, err
 		}
 		defer t.env.Unfix(f, sync2.LatchSH)
-		return true, read(f.Page(), hdr)
+		if hint == nil {
+			c.remember(f, hdr, key) // descend did not
+		}
+		return true, read(f.Page(), hdr, slot, exact)
 	})
-	if err == nil && a != Latched {
-		t.stats.leafRead(a)
+	if err == nil && ran != Latched {
+		t.stats.leafRead(ran)
 	}
 	return err
 }
 
-// viewLeafOpt is one pin-free attempt of viewLeaf: locate the leaf,
-// move right past concurrent splits, run read, and only then validate.
-// A concurrent writer on the leaf fails the validation (it holds the
-// frame EX, bumping the latch version), so a successful read saw a
-// pre-writer or post-writer image, never a torn one.
-func (t *Tree) viewLeafOpt(key []byte, read func(p *page.Page, h nodeHeader) error) (bool, error) {
-	pid, ok, err := t.walk(key, true, false, nil)
-	if !ok || err != nil {
-		return false, err
+// leafReader is viewLeaf's callback: p is the leaf image, h its header,
+// slot the first entry at or above the key, exact whether it is the key.
+type leafReader func(p *page.Page, h nodeHeader, slot int, exact bool) error
+
+// readLeafOpt is the pin-free leaf read: starting at leaf pid, move right
+// past concurrent splits, run read, and only then validate. A concurrent
+// writer on the leaf fails the validation (it holds the frame EX, bumping
+// the latch version), so a successful read saw a pre-writer or
+// post-writer image, never a torn one. hinted is as for latchLeaf: few
+// hops, and no read without proof that the leaf covers key. c, when not
+// nil, remembers the leaf the read ran on.
+func (t *Tree) readLeafOpt(pid page.ID, hinted bool, c *Cursor, key []byte, read leafReader) (bool, error) {
+	hops := maxOptHops
+	if hinted {
+		hops = maxHintHops
 	}
-	for hop := 0; hop < maxOptHops; hop++ {
+	for hop := 0; hop <= hops; hop++ {
 		ref, got := t.opt.FixOpt(pid)
 		if !got {
 			return false, nil
 		}
 		h, err := peekHeader(ref.Page())
 		right, arrived := h.right, false
-		if err == nil && h.isLeaf() && !needsMoveRight(h, key) {
-			arrived = true
-			err = read(ref.Page(), h)
+		sideways := err == nil && h.isLeaf() && needsMoveRight(h, key)
+		var at leafMemo
+		if err == nil && h.isLeaf() && !sideways {
+			var slot int
+			var exact bool
+			slot, exact, err = searchEntries(ref.Page(), key)
+			if err == nil && !(hinted && hop == 0 && !exact && slot == 1) {
+				if arrived = true; c != nil {
+					at = memoOf(pid, ref.Page(), h, key)
+				}
+				err = read(ref.Page(), h, slot, exact)
+			}
 		}
 		valid := t.opt.Validate(ref)
 		t.opt.ReleaseOpt(ref)
@@ -471,10 +647,13 @@ func (t *Tree) viewLeafOpt(key []byte, read func(p *page.Page, h nodeHeader) err
 			return false, nil
 		case err != nil:
 			return false, err
-		case !h.isLeaf():
-			return false, nil // the root grew a level under the walk
 		case arrived:
+			if c != nil {
+				c.at = at
+			}
 			return true, nil
+		case !sideways:
+			return false, nil // not a leaf (the root grew a level under the walk), or no proof
 		case right == 0:
 			return false, fmt.Errorf("%w: high key without right sibling", ErrCorruptNode)
 		}
@@ -483,16 +662,15 @@ func (t *Tree) viewLeafOpt(key []byte, read func(p *page.Page, h nodeHeader) err
 	return false, nil
 }
 
-// Search returns a copy of the value stored for key.
-func (t *Tree) Search(a Access, key []byte) (val []byte, found bool, err error) {
+// Search returns a copy of the value stored for key. c may be nil.
+func (t *Tree) Search(a Access, c *Cursor, key []byte) (val []byte, found bool, err error) {
 	if err := checkKV(key, nil); err != nil {
 		return nil, false, err
 	}
-	err = t.viewLeaf(a, key, func(p *page.Page, _ nodeHeader) error {
+	err = t.viewLeaf(a, c, key, func(p *page.Page, _ nodeHeader, slot int, exact bool) error {
 		val, found = nil, false
-		slot, exact, err := searchEntries(p, key)
-		if err != nil || !exact {
-			return err
+		if !exact {
+			return nil
 		}
 		rec, err := p.Record(slot)
 		if err != nil {
@@ -513,30 +691,26 @@ func (t *Tree) Search(a Access, key []byte) (val []byte, found bool, err error) 
 
 // Insert adds key→value; ErrDuplicateKey if present. The operation is
 // logged with a logical undo (delete key), so aborting the transaction
-// removes the key even if splits moved it.
-func (t *Tree) Insert(a Access, txID uint64, key, value []byte) error {
-	return t.insert(a, txID, key, value, true)
+// removes the key even if splits moved it. c may be nil.
+func (t *Tree) Insert(a Access, c *Cursor, txID uint64, key, value []byte) error {
+	return t.insert(a, c, txID, key, value, true)
 }
 
 // InsertNoUndo adds key→value with redo-only logging. Recovery's logical
 // undo path uses it (a CLR-covered action must not generate further undo).
 func (t *Tree) InsertNoUndo(a Access, txID uint64, key, value []byte) error {
-	return t.insert(a, txID, key, value, false)
+	return t.insert(a, nil, txID, key, value, false)
 }
 
-func (t *Tree) insert(a Access, txID uint64, key, value []byte, withUndo bool) error {
+func (t *Tree) insert(a Access, c *Cursor, txID uint64, key, value []byte, withUndo bool) error {
 	if err := checkKV(key, value); err != nil {
 		return err
 	}
 	entry := encodeLeafEntry(key, value)
+	var path nodePath
 	for {
-		f, hdr, path, err := t.descend(a, key, sync2.LatchEX)
+		f, hdr, slot, exact, err := t.descend(a, c, key, sync2.LatchEX, &path)
 		if err != nil {
-			return err
-		}
-		slot, exact, err := searchEntries(f.Page(), key)
-		if err != nil {
-			t.env.Unfix(f, sync2.LatchEX)
 			return err
 		}
 		if exact {
@@ -549,41 +723,41 @@ func (t *Tree) insert(a Access, txID uint64, key, value []byte, withUndo bool) e
 				undo = pageop.Logical{Kind: pageop.LogicalBTreeDelete, Store: t.store, Key: key}
 			}
 			err := t.env.Log(txID, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: uint16(slot), Data: entry}, undo)
+			if err == nil && c != nil {
+				c.insLeaf, c.insSlot = f.Page().PID(), slot
+			}
 			t.env.Unfix(f, sync2.LatchEX)
 			return err
 		}
-		// Leaf full: split, then retry the insert (the retry re-descends,
-		// which is simple and correct; splits are rare).
-		if err := t.splitNode(txID, f, hdr, path); err != nil {
+		// Leaf full: split, then retry the insert. The retry finds its
+		// leaf through the cursor when there is one (the split leaf or
+		// its new right sibling), else by descending again.
+		if err := t.splitNode(txID, f, hdr, path.ids[:path.n], &pendingInsert{key: key, slot: slot, c: c}); err != nil {
 			return err
 		}
 	}
 }
 
 // Update replaces the value for key. Logged with logical undo restoring
-// the old value.
-func (t *Tree) Update(a Access, txID uint64, key, value []byte) error {
-	return t.update(a, txID, key, value, true)
+// the old value. c may be nil.
+func (t *Tree) Update(a Access, c *Cursor, txID uint64, key, value []byte) error {
+	return t.update(a, c, txID, key, value, true)
 }
 
 // UpdateNoUndo is Update with redo-only logging (for recovery undo).
 func (t *Tree) UpdateNoUndo(a Access, txID uint64, key, value []byte) error {
-	return t.update(a, txID, key, value, false)
+	return t.update(a, nil, txID, key, value, false)
 }
 
-func (t *Tree) update(a Access, txID uint64, key, value []byte, withUndo bool) error {
+func (t *Tree) update(a Access, c *Cursor, txID uint64, key, value []byte, withUndo bool) error {
 	if err := checkKV(key, value); err != nil {
 		return err
 	}
 	entry := encodeLeafEntry(key, value)
+	var path nodePath
 	for {
-		f, hdr, path, err := t.descend(a, key, sync2.LatchEX)
+		f, hdr, slot, exact, err := t.descend(a, c, key, sync2.LatchEX, &path)
 		if err != nil {
-			return err
-		}
-		slot, exact, err := searchEntries(f.Page(), key)
-		if err != nil {
-			t.env.Unfix(f, sync2.LatchEX)
 			return err
 		}
 		if !exact {
@@ -602,7 +776,7 @@ func (t *Tree) update(a Access, txID uint64, key, value []byte, withUndo bool) e
 		}
 		// The new entry may be larger than the old; ensure it fits.
 		if len(entry) > len(rec) && !f.Page().CanFit(len(entry)-len(rec)) {
-			if err := t.splitNode(txID, f, hdr, path); err != nil {
+			if err := t.splitNode(txID, f, hdr, path.ids[:path.n], nil); err != nil {
 				return err
 			}
 			continue
@@ -619,27 +793,23 @@ func (t *Tree) update(a Access, txID uint64, key, value []byte, withUndo bool) e
 
 // Delete removes key, returning its old value. Logged with logical undo
 // re-inserting the key. Underflowed leaves are left in place (lazy
-// deletion; no merges), which keeps sibling pointers stable.
-func (t *Tree) Delete(a Access, txID uint64, key []byte) ([]byte, error) {
-	return t.delete(a, txID, key, true)
+// deletion; no merges), which keeps sibling pointers stable — and is what
+// lets a Cursor trust a remembered leaf. c may be nil.
+func (t *Tree) Delete(a Access, c *Cursor, txID uint64, key []byte) ([]byte, error) {
+	return t.delete(a, c, txID, key, true)
 }
 
 // DeleteNoUndo is Delete with redo-only logging (for recovery undo).
 func (t *Tree) DeleteNoUndo(a Access, txID uint64, key []byte) ([]byte, error) {
-	return t.delete(a, txID, key, false)
+	return t.delete(a, nil, txID, key, false)
 }
 
-func (t *Tree) delete(a Access, txID uint64, key []byte, withUndo bool) ([]byte, error) {
+func (t *Tree) delete(a Access, c *Cursor, txID uint64, key []byte, withUndo bool) ([]byte, error) {
 	if err := checkKV(key, nil); err != nil {
 		return nil, err
 	}
-	f, _, _, err := t.descend(a, key, sync2.LatchEX)
+	f, _, slot, exact, err := t.descend(a, c, key, sync2.LatchEX, nil)
 	if err != nil {
-		return nil, err
-	}
-	slot, exact, err := searchEntries(f.Page(), key)
-	if err != nil {
-		t.env.Unfix(f, sync2.LatchEX)
 		return nil, err
 	}
 	if !exact {
@@ -688,12 +858,8 @@ func (t *Tree) Scan(a Access, from, to []byte, fn func(key, value []byte) bool) 
 	var pairs [][2][]byte
 	for {
 		var next []byte // the leaf's high key; nil once the scan is complete
-		err := t.viewLeaf(a, lo, func(p *page.Page, h nodeHeader) error {
+		err := t.viewLeaf(a, nil, lo, func(p *page.Page, h nodeHeader, slot int, _ bool) error {
 			pairs, next = pairs[:0], nil
-			slot, _, err := searchEntries(p, lo)
-			if err != nil {
-				return err
-			}
 			for n := numEntries(p); slot <= n; slot++ {
 				rec, err := p.Record(slot)
 				if err != nil {

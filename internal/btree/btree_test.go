@@ -79,14 +79,25 @@ var policies = []struct {
 	a    Access
 }{{"latched", Latched}, {"optimistic", Optimistic}, {"owner", Owner}}
 
+// cursorModes is the other axis: no cursor (every operation walks from
+// the root), or one fresh cursor per goroutine, the way a transaction
+// carries one.
+var cursorModes = []struct {
+	name string
+	cur  func() *Cursor
+}{
+	{"nocursor", func() *Cursor { return nil }},
+	{"cursor", func() *Cursor { return new(Cursor) }},
+}
+
 // TestPolicies runs one insert / search / scan / update / delete / split
-// script, and the concurrent stresses, under each access policy, then
-// checks that the policy's own counters recorded the work and nobody
-// else's moved.
+// script, and the concurrent stresses, under each access policy with and
+// without a cursor, then checks that the policy's own counters recorded
+// the work and nobody else's moved.
 func TestPolicies(t *testing.T) {
 	script := []struct {
 		name string
-		run  func(*testing.T, Access) *Tree
+		run  func(*testing.T, Access, func() *Cursor) *Tree
 	}{
 		{"InsertSearchSmall", testInsertSearchSmall},
 		{"SplitsManyKeysSequential", testSplitsManyKeysSequential},
@@ -99,22 +110,26 @@ func TestPolicies(t *testing.T) {
 		{"EvictionChurn", testEvictionChurn},
 	}
 	for _, p := range policies {
-		p := p
-		t.Run(p.name, func(t *testing.T) {
-			for _, step := range script {
-				step := step
-				t.Run(step.name, func(t *testing.T) {
-					tr := step.run(t, p.a)
-					if t.Failed() {
-						return
-					}
-					if _, err := tr.Verify(); err != nil {
-						t.Fatalf("Verify: %v", err)
-					}
-					checkPolicyCounters(t, p.a, tr.stats.Snapshot())
-				})
-			}
-		})
+		for _, m := range cursorModes {
+			t.Run(p.name+"/"+m.name, func(t *testing.T) {
+				for _, step := range script {
+					t.Run(step.name, func(t *testing.T) {
+						tr := step.run(t, p.a, m.cur)
+						if t.Failed() {
+							return
+						}
+						if _, err := tr.Verify(); err != nil {
+							t.Fatalf("Verify: %v", err)
+						}
+						s := tr.stats.Snapshot()
+						checkPolicyCounters(t, p.a, s)
+						if used := m.cur() != nil; used != (s.CursorHits > 0) || !used && s.CursorMisses > 0 {
+							t.Errorf("cursor %v: %d hits, %d misses", used, s.CursorHits, s.CursorMisses)
+						}
+					})
+				}
+			})
+		}
 	}
 }
 
@@ -122,7 +137,9 @@ func TestPolicies(t *testing.T) {
 // counters only: the other speculative policy's stay at zero, Latched
 // never speculates (its only restart is a descent that found the root
 // leaf grown into a branch under its feet), and a speculative policy
-// reaches the latched descent only through a counted fallback.
+// reaches the latched descent only through a counted fallback. Cursor
+// hits are in none of these counters, so none of this depends on whether
+// a cursor was in use.
 func checkPolicyCounters(t *testing.T, a Access, s OLCSnapshot) {
 	t.Helper()
 	opt := s.OptDescents + s.OptLeafReads + s.Fallbacks
@@ -151,15 +168,16 @@ func checkPolicyCounters(t *testing.T, a Access, s OLCSnapshot) {
 func key(i int) []byte { return []byte(fmt.Sprintf("key%08d", i)) }
 func val(i int) []byte { return []byte(fmt.Sprintf("value-%d", i)) }
 
-func testInsertSearchSmall(t *testing.T, a Access) *Tree {
+func testInsertSearchSmall(t *testing.T, a Access, cur func() *Cursor) *Tree {
+	c := cur()
 	tr, _ := newTestTree(t, 64)
 	for i := 0; i < 50; i++ {
-		if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, c, 1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 50; i++ {
-		v, ok, err := tr.Search(a, key(i))
+		v, ok, err := tr.Search(a, c, key(i))
 		if err != nil || !ok {
 			t.Fatalf("Search(%s) = %v, %v", key(i), ok, err)
 		}
@@ -167,7 +185,7 @@ func testInsertSearchSmall(t *testing.T, a Access) *Tree {
 			t.Fatalf("Search(%s) = %q, want %q", key(i), v, val(i))
 		}
 	}
-	if _, ok, err := tr.Search(a, []byte("missing")); err != nil || ok {
+	if _, ok, err := tr.Search(a, c, []byte("missing")); err != nil || ok {
 		t.Fatalf("missing key found: %v %v", ok, err)
 	}
 	return tr
@@ -176,10 +194,10 @@ func testInsertSearchSmall(t *testing.T, a Access) *Tree {
 func TestDuplicateKeyRejected(t *testing.T) {
 	tr, _ := newTestTree(t, 64)
 	const a = Latched
-	if err := tr.Insert(a, 1, key(1), val(1)); err != nil {
+	if err := tr.Insert(a, nil, 1, key(1), val(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Insert(a, 1, key(1), val(2)); !errors.Is(err, ErrDuplicateKey) {
+	if err := tr.Insert(a, nil, 1, key(1), val(2)); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("duplicate insert = %v", err)
 	}
 }
@@ -187,38 +205,39 @@ func TestDuplicateKeyRejected(t *testing.T) {
 func TestKeyValueLimits(t *testing.T) {
 	tr, _ := newTestTree(t, 64)
 	const a = Latched
-	if err := tr.Insert(a, 1, nil, val(1)); !errors.Is(err, ErrKeyTooLarge) {
+	if err := tr.Insert(a, nil, 1, nil, val(1)); !errors.Is(err, ErrKeyTooLarge) {
 		t.Errorf("empty key = %v", err)
 	}
-	if err := tr.Insert(a, 1, make([]byte, MaxKeySize+1), val(1)); !errors.Is(err, ErrKeyTooLarge) {
+	if err := tr.Insert(a, nil, 1, make([]byte, MaxKeySize+1), val(1)); !errors.Is(err, ErrKeyTooLarge) {
 		t.Errorf("big key = %v", err)
 	}
-	if err := tr.Insert(a, 1, key(1), make([]byte, MaxValueSize+1)); !errors.Is(err, ErrValueTooLarge) {
+	if err := tr.Insert(a, nil, 1, key(1), make([]byte, MaxValueSize+1)); !errors.Is(err, ErrValueTooLarge) {
 		t.Errorf("big value = %v", err)
 	}
 	// Max-size boundary accepted.
-	if err := tr.Insert(a, 1, bytes.Repeat([]byte("k"), MaxKeySize), make([]byte, MaxValueSize)); err != nil {
+	if err := tr.Insert(a, nil, 1, bytes.Repeat([]byte("k"), MaxKeySize), make([]byte, MaxValueSize)); err != nil {
 		t.Errorf("boundary KV = %v", err)
 	}
 }
 
-func testSplitsManyKeysSequential(t *testing.T, a Access) *Tree {
+func testSplitsManyKeysSequential(t *testing.T, a Access, cur func() *Cursor) *Tree {
+	c := cur()
 	tr, _ := newTestTree(t, 256)
 	const n = 5000
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, c, 1, key(i), val(i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
 	for i := 0; i < n; i++ {
-		v, ok, err := tr.Search(a, key(i))
+		v, ok, err := tr.Search(a, c, key(i))
 		if err != nil || !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("Search(%d) = %q,%v,%v", i, v, ok, err)
 		}
 	}
 	// Misses below, above and between the keys of a multi-level tree.
 	for _, miss := range []string{"key", "zzz", "key00000007x"} {
-		if _, ok, err := tr.Search(a, []byte(miss)); err != nil || ok {
+		if _, ok, err := tr.Search(a, c, []byte(miss)); err != nil || ok {
 			t.Fatalf("Search(%q) = %v, %v; want miss", miss, ok, err)
 		}
 	}
@@ -238,17 +257,18 @@ func testSplitsManyKeysSequential(t *testing.T, a Access) *Tree {
 	return tr
 }
 
-func testSplitsRandomOrder(t *testing.T, a Access) *Tree {
+func testSplitsRandomOrder(t *testing.T, a Access, cur func() *Cursor) *Tree {
+	c := cur()
 	tr, _ := newTestTree(t, 256)
 	rng := rand.New(rand.NewSource(42))
 	perm := rng.Perm(3000)
 	for _, i := range perm {
-		if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, c, 1, key(i), val(i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
 	for i := 0; i < 3000; i++ {
-		v, ok, err := tr.Search(a, key(i))
+		v, ok, err := tr.Search(a, c, key(i))
 		if err != nil || !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("Search(%d) = %q,%v,%v", i, v, ok, err)
 		}
@@ -256,11 +276,12 @@ func testSplitsRandomOrder(t *testing.T, a Access) *Tree {
 	return tr
 }
 
-func testScanOrderedAndBounded(t *testing.T, a Access) *Tree {
+func testScanOrderedAndBounded(t *testing.T, a Access, cur func() *Cursor) *Tree {
+	c := cur()
 	tr, _ := newTestTree(t, 256)
 	rng := rand.New(rand.NewSource(7))
 	for _, i := range rng.Perm(2000) {
-		if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, c, 1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,28 +325,29 @@ func testScanOrderedAndBounded(t *testing.T, a Access) *Tree {
 	return tr
 }
 
-func testUpdateValues(t *testing.T, a Access) *Tree {
+func testUpdateValues(t *testing.T, a Access, cur func() *Cursor) *Tree {
+	c := cur()
 	tr, _ := newTestTree(t, 64)
-	if err := tr.Insert(a, 1, key(1), val(1)); err != nil {
+	if err := tr.Insert(a, c, 1, key(1), val(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Update(a, 1, key(1), []byte("new-value")); err != nil {
+	if err := tr.Update(a, c, 1, key(1), []byte("new-value")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, _ := tr.Search(a, key(1))
+	v, ok, _ := tr.Search(a, c, key(1))
 	if !ok || string(v) != "new-value" {
 		t.Fatalf("after update: %q, %v", v, ok)
 	}
-	if err := tr.Update(a, 1, key(2), val(2)); !errors.Is(err, ErrKeyNotFound) {
+	if err := tr.Update(a, c, 1, key(2), val(2)); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("update missing = %v", err)
 	}
 	// Grow the value beyond the original size repeatedly.
 	for size := 10; size <= 1000; size *= 10 {
 		nv := bytes.Repeat([]byte("x"), size)
-		if err := tr.Update(a, 1, key(1), nv); err != nil {
+		if err := tr.Update(a, c, 1, key(1), nv); err != nil {
 			t.Fatalf("grow to %d: %v", size, err)
 		}
-		v, _, _ := tr.Search(a, key(1))
+		v, _, _ := tr.Search(a, c, key(1))
 		if !bytes.Equal(v, nv) {
 			t.Fatalf("grow to %d lost data", size)
 		}
@@ -333,16 +355,17 @@ func testUpdateValues(t *testing.T, a Access) *Tree {
 	return tr
 }
 
-func testDeleteAndReinsert(t *testing.T, a Access) *Tree {
+func testDeleteAndReinsert(t *testing.T, a Access, cur func() *Cursor) *Tree {
+	c := cur()
 	tr, _ := newTestTree(t, 256)
 	for i := 0; i < 500; i++ {
-		if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, c, 1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Delete the even keys.
 	for i := 0; i < 500; i += 2 {
-		old, err := tr.Delete(a, 1, key(i))
+		old, err := tr.Delete(a, c, 1, key(i))
 		if err != nil {
 			t.Fatalf("delete %d: %v", i, err)
 		}
@@ -350,11 +373,11 @@ func testDeleteAndReinsert(t *testing.T, a Access) *Tree {
 			t.Fatalf("delete %d returned %q", i, old)
 		}
 	}
-	if _, err := tr.Delete(a, 1, key(0)); !errors.Is(err, ErrKeyNotFound) {
+	if _, err := tr.Delete(a, c, 1, key(0)); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("double delete = %v", err)
 	}
 	for i := 0; i < 500; i++ {
-		_, ok, err := tr.Search(a, key(i))
+		_, ok, err := tr.Search(a, c, key(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,12 +387,12 @@ func testDeleteAndReinsert(t *testing.T, a Access) *Tree {
 	}
 	// Re-insert the deleted keys.
 	for i := 0; i < 500; i += 2 {
-		if err := tr.Insert(a, 1, key(i), val(i+1000)); err != nil {
+		if err := tr.Insert(a, c, 1, key(i), val(i+1000)); err != nil {
 			t.Fatalf("reinsert %d: %v", i, err)
 		}
 	}
 	for i := 0; i < 500; i += 2 {
-		v, ok, _ := tr.Search(a, key(i))
+		v, ok, _ := tr.Search(a, c, key(i))
 		if !ok || !bytes.Equal(v, val(i+1000)) {
 			t.Fatalf("reinserted %d = %q,%v", i, v, ok)
 		}
@@ -377,7 +400,7 @@ func testDeleteAndReinsert(t *testing.T, a Access) *Tree {
 	return tr
 }
 
-func testConcurrentInsertDisjointRanges(t *testing.T, a Access) *Tree {
+func testConcurrentInsertDisjointRanges(t *testing.T, a Access, cur func() *Cursor) *Tree {
 	tr, _ := newTestTree(t, 512)
 	const g, n = 8, 400
 	var wg sync.WaitGroup
@@ -385,8 +408,9 @@ func testConcurrentInsertDisjointRanges(t *testing.T, a Access) *Tree {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			c := cur() // one per goroutine, like one per transaction
 			for i := 0; i < n; i++ {
-				if err := tr.Insert(a, 1, key(w*n+i), val(w*n+i)); err != nil {
+				if err := tr.Insert(a, c, 1, key(w*n+i), val(w*n+i)); err != nil {
 					t.Errorf("insert %d: %v", w*n+i, err)
 					return
 				}
@@ -417,11 +441,12 @@ func testConcurrentInsertDisjointRanges(t *testing.T, a Access) *Tree {
 // split leaves and inner nodes: every present key must be found with its
 // exact value (values are immutable once inserted, so a torn read would
 // surface as a mismatch), during the churn and after it.
-func testConcurrentReadersAndWriters(t *testing.T, a Access) *Tree {
+func testConcurrentReadersAndWriters(t *testing.T, a Access, cur func() *Cursor) *Tree {
 	tr, _ := newTestTree(t, 512)
 	const warm, extra = 1000, 1500
+	c := cur()
 	for i := 0; i < warm; i++ {
-		if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, c, 1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -433,8 +458,9 @@ func testConcurrentReadersAndWriters(t *testing.T, a Access) *Tree {
 	go func() {
 		defer wg.Done()
 		defer close(stop)
+		c := cur()
 		for i := warm; i < warm+extra; i++ {
-			if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
+			if err := tr.Insert(a, c, 1, key(i), val(i)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -445,6 +471,7 @@ func testConcurrentReadersAndWriters(t *testing.T, a Access) *Tree {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			c := cur()
 			rng := rand.New(rand.NewSource(int64(r)))
 			for {
 				select {
@@ -453,7 +480,7 @@ func testConcurrentReadersAndWriters(t *testing.T, a Access) *Tree {
 				default:
 				}
 				i := rng.Intn(warm)
-				v, ok, err := tr.Search(a, key(i))
+				v, ok, err := tr.Search(a, c, key(i))
 				if err != nil || !ok || !bytes.Equal(v, val(i)) {
 					t.Errorf("reader: Search(%d) = %q,%v,%v", i, v, ok, err)
 					return
@@ -463,7 +490,7 @@ func testConcurrentReadersAndWriters(t *testing.T, a Access) *Tree {
 	}
 	wg.Wait()
 	for i := 0; i < warm+extra; i++ {
-		v, ok, err := tr.Search(a, key(i))
+		v, ok, err := tr.Search(a, c, key(i))
 		if err != nil || !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("after inserts Search(%d) = %q,%v,%v", i, v, ok, err)
 		}
@@ -472,20 +499,18 @@ func testConcurrentReadersAndWriters(t *testing.T, a Access) *Tree {
 }
 
 // TestQuickTreeMatchesMap property-tests the tree against a map reference
-// under random operation sequences.
+// under random operation sequences, each run with and without a cursor.
 func TestQuickTreeMatchesMap(t *testing.T) {
 	run := 0
-	f := func(ops []uint16) bool {
+	matches := func(a Access, c *Cursor, ops []uint16) bool {
 		tr, _ := newTestTree(t, 256)
-		a := policies[run%len(policies)].a // rotate the policy across sequences
-		run++
 		ref := map[string]string{}
 		for _, op := range ops {
 			k := string(key(int(op % 200)))
 			v := string(val(int(op)))
-			switch op % 3 {
+			switch op % 4 {
 			case 0:
-				err := tr.Insert(a, 1, []byte(k), []byte(v))
+				err := tr.Insert(a, c, 1, []byte(k), []byte(v))
 				if _, dup := ref[k]; dup {
 					if !errors.Is(err, ErrDuplicateKey) {
 						return false
@@ -496,7 +521,7 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 					ref[k] = v
 				}
 			case 1:
-				_, err := tr.Delete(a, 1, []byte(k))
+				_, err := tr.Delete(a, c, 1, []byte(k))
 				if _, present := ref[k]; present {
 					if err != nil {
 						return false
@@ -506,7 +531,7 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 					return false
 				}
 			case 2:
-				err := tr.Update(a, 1, []byte(k), []byte(v))
+				err := tr.Update(a, c, 1, []byte(k), []byte(v))
 				if _, present := ref[k]; present {
 					if err != nil {
 						return false
@@ -515,15 +540,26 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 				} else if !errors.Is(err, ErrKeyNotFound) {
 					return false
 				}
+			case 3:
+				got, ok, err := tr.Search(a, c, []byte(k))
+				if want, present := ref[k]; err != nil || ok != present || string(got) != want {
+					return false
+				}
 			}
 		}
 		for k, v := range ref {
-			got, ok, err := tr.Search(a, []byte(k))
+			got, ok, err := tr.Search(a, c, []byte(k))
 			if err != nil || !ok || string(got) != v {
 				return false
 			}
 		}
-		return true
+		n, err := tr.Verify()
+		return err == nil && n == len(ref)
+	}
+	f := func(ops []uint16) bool {
+		a := policies[run%len(policies)].a // rotate the policy across sequences
+		run++
+		return matches(a, nil, ops) && matches(a, new(Cursor), ops)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -171,14 +171,7 @@ func entryKey(p *page.Page, i int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(rec) < 2 {
-		return nil, fmt.Errorf("%w: short entry", ErrCorruptNode)
-	}
-	kl := int(binary.LittleEndian.Uint16(rec))
-	if len(rec) < 2+kl {
-		return nil, fmt.Errorf("%w: truncated entry", ErrCorruptNode)
-	}
-	return rec[2 : 2+kl], nil
+	return entryKeyFromRecord(rec)
 }
 
 // numEntries returns the number of key entries on the node (slots beyond

@@ -16,20 +16,21 @@ import (
 // optimistic references constantly race frame recycling and leaves are
 // often not resident: every failed validation or absent page must restart
 // or fall back, never return stale data.
-func testEvictionChurn(t *testing.T, a Access) *Tree {
+func testEvictionChurn(t *testing.T, a Access, cur func() *Cursor) *Tree {
+	c := cur()
 	tr, _ := newTestTree(t, 32)
 	const n = 3000
 	// 200-byte values: the tree spans a few hundred pages.
 	wide := func(i int) []byte { return append(bytes.Repeat([]byte{'.'}, 200), val(i)...) }
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(a, 1, key(i), wide(i)); err != nil {
+		if err := tr.Insert(a, c, 1, key(i), wide(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r := rand.New(rand.NewSource(7))
 	for probe := 0; probe < 5000; probe++ {
 		i := r.Intn(n)
-		v, ok, err := tr.Search(a, key(i))
+		v, ok, err := tr.Search(a, c, key(i))
 		if err != nil || !ok {
 			t.Fatalf("Search(%s) = %v, %v", key(i), ok, err)
 		}
@@ -57,10 +58,10 @@ func TestPoliciesWithoutOptEnv(t *testing.T) {
 	for _, p := range policies {
 		for i := 0; i < 200; i++ {
 			k := seqKey(int(p.a), i)
-			if err := tr.Insert(p.a, 1, k, val(i)); err != nil {
+			if err := tr.Insert(p.a, nil, 1, k, val(i)); err != nil {
 				t.Fatal(err)
 			}
-			if v, ok, err := tr.Search(p.a, k); err != nil || !ok || !bytes.Equal(v, val(i)) {
+			if v, ok, err := tr.Search(p.a, nil, k); err != nil || !ok || !bytes.Equal(v, val(i)) {
 				t.Fatalf("%s: Search(%s) = %q, %v, %v", p.name, k, v, ok, err)
 			}
 		}
@@ -91,7 +92,7 @@ func concurrentSplitProbe(t *testing.T, a Access) {
 	)
 	// Seed enough keys that readers have something to find immediately.
 	for i := 0; i < 100; i++ {
-		if err := tr.Insert(a, 1, seqKey(99, i), val(i)); err != nil {
+		if err := tr.Insert(a, nil, 1, seqKey(99, i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +103,7 @@ func concurrentSplitProbe(t *testing.T, a Access) {
 		go func(w int) {
 			defer writeWG.Done()
 			for i := 0; i < perW; i++ {
-				if err := tr.Insert(a, 1, seqKey(w, i), val(i)); err != nil {
+				if err := tr.Insert(a, nil, 1, seqKey(w, i), val(i)); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -121,7 +122,7 @@ func concurrentSplitProbe(t *testing.T, a Access) {
 				default:
 				}
 				i := rng.Intn(100)
-				v, ok, err := tr.Search(a, seqKey(99, i))
+				v, ok, err := tr.Search(a, nil, seqKey(99, i))
 				if err != nil || !ok || !bytes.Equal(v, val(i)) {
 					t.Errorf("reader %d: Search(%s) = %q, %v, %v", r, seqKey(99, i), v, ok, err)
 					return
@@ -142,7 +143,7 @@ func concurrentSplitProbe(t *testing.T, a Access) {
 	// Every inserted key must be findable and the structure sound.
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perW; i++ {
-			if _, ok, err := tr.Search(a, seqKey(w, i)); err != nil || !ok {
+			if _, ok, err := tr.Search(a, nil, seqKey(w, i)); err != nil || !ok {
 				t.Fatalf("lost key %s: %v %v", seqKey(w, i), ok, err)
 			}
 		}
@@ -216,7 +217,7 @@ func restartAndFallback(t *testing.T, a Access) {
 	}
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, nil, 1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,19 +233,19 @@ func restartAndFallback(t *testing.T, a Access) {
 	}{
 		{"descent", false, func() {
 			next++
-			if err := tr.Insert(a, 1, key(next), val(next)); err != nil {
+			if err := tr.Insert(a, nil, 1, key(next), val(next)); err != nil {
 				t.Fatalf("Insert: %v", err)
 			}
-			if err := tr.Update(a, 1, key(next), val(7)); err != nil {
+			if err := tr.Update(a, nil, 1, key(next), val(7)); err != nil {
 				t.Fatalf("Update: %v", err)
 			}
-			if old, err := tr.Delete(a, 1, key(next)); err != nil || !bytes.Equal(old, val(7)) {
+			if old, err := tr.Delete(a, nil, 1, key(next)); err != nil || !bytes.Equal(old, val(7)) {
 				t.Fatalf("Delete = %q, %v", old, err)
 			}
 		}},
 		{"probe", true, func() {
 			for i := 0; i < 3; i++ {
-				if v, ok, err := tr.Search(a, key(i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
+				if v, ok, err := tr.Search(a, nil, key(i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
 					t.Fatalf("Search(%s) = %q, %v, %v", key(i), v, ok, err)
 				}
 			}
@@ -354,7 +355,7 @@ func BenchmarkIndexProbeParallel(b *testing.B) {
 			}
 			const n = 20000
 			for i := 0; i < n; i++ {
-				if err := tr.Insert(a, 1, key(i), val(i)); err != nil {
+				if err := tr.Insert(a, nil, 1, key(i), val(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -363,7 +364,7 @@ func BenchmarkIndexProbeParallel(b *testing.B) {
 				rng := rand.New(rand.NewSource(rand.Int63()))
 				for pb.Next() {
 					i := rng.Intn(n)
-					_, ok, err := tr.Search(a, key(i))
+					_, ok, err := tr.Search(a, nil, key(i))
 					if err != nil || !ok {
 						b.Fatalf("Search(%s) = %v, %v", key(i), ok, err)
 					}

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/buffer"
 	"repro/internal/page"
@@ -15,55 +16,115 @@ import (
 //  1. The new right node is built on a freshly allocated page with
 //     redo-only records. Until step 2 it is unreachable, so a crash here
 //     leaks at most one page.
-//  2. The (existing) left node is rewritten with ONE atomic page-image
-//     record: entries above the split point removed, right pointer and
-//     high key set. After this instant every reader finds moved keys by
-//     following the right link.
+//  2. The (existing) left node is rewritten with ONE atomic record:
+//     entries above the split point removed, right pointer and high key
+//     set. After this instant every reader finds moved keys by following
+//     the right link.
 //  3. The separator is inserted into the parent (itself a plain,
 //     independently crash-safe insert; if it is missing after a crash,
 //     B-link searches still succeed via move-right).
 //
+// Where a node splits is splitPoint's decision. A leaf that splits at its
+// end — the shape every ascending insert stream produces — moves no
+// entry, and is logged as what it is: step 1 is a format record and the
+// right node's header (what Create writes for an empty tree), step 2 one
+// update of the left node's header record, which holds both the right
+// pointer and the high key. Every other split moves entries and logs a
+// page image of each node. Either way step 2 is one record.
+//
 // All split records are redo-only: structure modifications are never
 // undone (aborting transactions undo their *keys* logically instead).
 
-// splitNode splits the EX-latched full node f (consuming its latch) and
-// propagates the separator to the parent. path holds the page ids of the
-// ancestors visited during the descent, deepest last.
-func (t *Tree) splitNode(txID uint64, f *buffer.Frame, hdr nodeHeader, path []page.ID) error {
-	p := f.Page()
-	n := numEntries(p)
-	if n < 2 {
-		t.env.Unfix(f, sync2.LatchEX)
-		return fmt.Errorf("%w: split of node with %d entries", ErrCorruptNode, n)
-	}
-	if hdr.isRoot() {
-		return t.splitRoot(txID, f, hdr)
-	}
+// pendingInsert is the leaf insert a split makes room for.
+type pendingInsert struct {
+	key  []byte
+	slot int     // where key goes in the full leaf
+	c    *Cursor // the inserting transaction's cursor; may be nil
+}
 
-	// Snapshot the entries (they alias page memory we are about to
-	// rewrite).
+// splitPoint returns how many of the n entries of full node p stay left.
+// A leaf whose pending insert continues a run — it goes right after the
+// same transaction's previous insert into this leaf, or past the last
+// entry — splits at the insertion point: the run goes on into free space
+// and what it leaves behind stays packed, where a cut in the middle would
+// leave every leaf the run passes half empty for ever (InnoDB's and
+// PostgreSQL's sequential-insert rule). Anything else splits in the middle.
+func (t *Tree) splitPoint(p *page.Page, n int, ins *pendingInsert) int {
+	if ins != nil && ins.slot > 1 {
+		if c := ins.c; ins.slot == n+1 || (c != nil && c.insLeaf == p.PID() && ins.slot == c.insSlot+1) {
+			t.stats.InsertPointSplits.Add(1)
+			return ins.slot - 1
+		}
+	}
+	return n / 2
+}
+
+// snapshotEntries copies the n entries of p, which alias page memory a
+// split is about to rewrite.
+func snapshotEntries(p *page.Page, n int) ([][]byte, error) {
 	entries := make([][]byte, 0, n)
 	for i := 1; i <= n; i++ {
 		rec, err := p.Record(i)
 		if err != nil {
-			t.env.Unfix(f, sync2.LatchEX)
-			return err
+			return nil, err
 		}
 		entries = append(entries, append([]byte(nil), rec...))
 	}
-	mid := n / 2
-	sepKey, err := entryKeyFromRecord(entries[mid])
-	if err != nil {
+	return entries, nil
+}
+
+// splitNode splits the EX-latched full node f (consuming its latch) and
+// propagates the separator to the parent. path holds the page ids of the
+// ancestors visited during the descent, deepest last; it may be short or
+// empty (a leaf reached through a cursor), and the parent is then found
+// from the root. ins is the leaf insert that found f full, nil for any
+// other cause.
+func (t *Tree) splitNode(txID uint64, f *buffer.Frame, hdr nodeHeader, path []page.ID, ins *pendingInsert) error {
+	p := f.Page()
+	n := numEntries(p)
+	unfix := func(err error) error { // every way out releases the node
 		t.env.Unfix(f, sync2.LatchEX)
 		return err
 	}
-	sepKey = append([]byte(nil), sepKey...)
+	if n < 2 {
+		return unfix(fmt.Errorf("%w: split of node with %d entries", ErrCorruptNode, n))
+	}
+	if hdr.isRoot() {
+		return t.splitRoot(txID, f, hdr)
+	}
+	// hdr was read under the latch without a copy; p is about to change.
+	hdr.highKey = append([]byte(nil), hdr.highKey...)
+	mid := t.splitPoint(p, n, ins)
+	if mid == n && len(ins.key)-len(hdr.highKey) > p.FreeSpace() {
+		// Nothing would move, the separator would be the pending key, and
+		// the left header cannot take it as its high key in place
+		// (page.Update needs the growth in free space): move the last
+		// entry, whose key is then the separator and whose room the header
+		// can have.
+		mid = n - 1
+	}
+	// A split that moves nothing reads no entry; its separator is the
+	// pending key itself.
+	var entries [][]byte
+	sepKey := []byte(nil)
+	if mid == n {
+		sepKey = append(sepKey, ins.key...)
+	} else {
+		var err error
+		if entries, err = snapshotEntries(p, n); err != nil {
+			return unfix(err)
+		}
+		k, err := entryKeyFromRecord(entries[mid])
+		if err != nil {
+			return unfix(err)
+		}
+		sepKey = append(sepKey, k...)
+	}
 
 	// Step 1: build the new right node.
 	newPid, err := t.env.AllocPage(t.store)
 	if err != nil {
-		t.env.Unfix(f, sync2.LatchEX)
-		return err
+		return unfix(err)
 	}
 	rightHdr := nodeHeader{
 		flags:   hdr.flags &^ flagRoot,
@@ -72,22 +133,22 @@ func (t *Tree) splitNode(txID uint64, f *buffer.Frame, hdr nodeHeader, path []pa
 		highKey: hdr.highKey,
 	}
 	var rightEntries [][]byte
-	if hdr.isLeaf() {
+	switch {
+	case mid == n:
+	case hdr.isLeaf():
 		rightEntries = entries[mid:]
-	} else {
+	default:
 		// Branch split: the separator moves up; its child becomes the new
 		// node's leftmost child.
 		_, sepChild, err := decodeBranchEntry(entries[mid])
 		if err != nil {
-			t.env.Unfix(f, sync2.LatchEX)
-			return err
+			return unfix(err)
 		}
 		rightHdr.leftChild = sepChild
 		rightEntries = entries[mid+1:]
 	}
 	if err := t.writeFreshNode(txID, newPid, rightHdr, rightEntries); err != nil {
-		t.env.Unfix(f, sync2.LatchEX)
-		return err
+		return unfix(err)
 	}
 
 	// Step 2: atomically rewrite the left node.
@@ -98,10 +159,11 @@ func (t *Tree) splitNode(txID uint64, f *buffer.Frame, hdr nodeHeader, path []pa
 		leftChild: hdr.leftChild,
 		highKey:   sepKey,
 	}
-	img := buildNodeImage(p.PID(), t.store, leftHdr, entries[:mid])
-	err = t.env.Log(txID, f, pageop.Op{Kind: pageop.KindPageImage, Data: img}, pageop.Logical{})
-	t.env.Unfix(f, sync2.LatchEX)
-	if err != nil {
+	op := pageop.Op{Kind: pageop.KindUpdateAt, Slot: 0, Data: leftHdr.encode()}
+	if mid < n {
+		op = pageop.Op{Kind: pageop.KindPageImage, Data: buildNodeImage(p.PID(), t.store, leftHdr, entries[:mid])}
+	}
+	if err := unfix(t.env.Log(txID, f, op, pageop.Logical{})); err != nil {
 		return err
 	}
 
@@ -128,16 +190,24 @@ func entryKeyFromRecord(rec []byte) ([]byte, error) {
 }
 
 // writeFreshNode formats a new page as a node with hdr and entries,
-// logging redo-only records.
+// logging redo-only records: one page image covering format, header and
+// entries, or, for a node without entries, the format and the header as
+// the two small records they are. The node is unreachable until a later
+// record links it, so the pair need not be atomic.
 func (t *Tree) writeFreshNode(txID uint64, pid page.ID, hdr nodeHeader, entries [][]byte) error {
 	f, err := t.env.FixNew(pid)
 	if err != nil {
 		return err
 	}
 	defer t.env.Unfix(f, sync2.LatchEX)
-	img := buildNodeImage(pid, t.store, hdr, entries)
-	// One image record covers format + header + all entries atomically.
-	return t.env.Log(txID, f, pageop.Op{Kind: pageop.KindPageImage, Data: img}, pageop.Logical{})
+	if len(entries) > 0 {
+		img := buildNodeImage(pid, t.store, hdr, entries)
+		return t.env.Log(txID, f, pageop.Op{Kind: pageop.KindPageImage, Data: img}, pageop.Logical{})
+	}
+	if err := t.env.Log(txID, f, pageop.Op{Kind: pageop.KindFormat, PType: page.TypeBTree, Store: t.store}, pageop.Logical{}); err != nil {
+		return err
+	}
+	return t.env.Log(txID, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: 0, Data: hdr.encode()}, pageop.Logical{})
 }
 
 // buildNodeImage constructs the full page bytes of a node.
@@ -165,32 +235,28 @@ func buildNodeImage(pid page.ID, store uint32, hdr nodeHeader, entries [][]byte)
 func (t *Tree) splitRoot(txID uint64, f *buffer.Frame, hdr nodeHeader) error {
 	p := f.Page()
 	n := numEntries(p)
-	entries := make([][]byte, 0, n)
-	for i := 1; i <= n; i++ {
-		rec, err := p.Record(i)
-		if err != nil {
-			t.env.Unfix(f, sync2.LatchEX)
-			return err
-		}
-		entries = append(entries, append([]byte(nil), rec...))
+	unfix := func(err error) error { // every way out releases the node
+		t.env.Unfix(f, sync2.LatchEX)
+		return err
+	}
+	entries, err := snapshotEntries(p, n)
+	if err != nil {
+		return unfix(err)
 	}
 	mid := n / 2
 	sepKey, err := entryKeyFromRecord(entries[mid])
 	if err != nil {
-		t.env.Unfix(f, sync2.LatchEX)
-		return err
+		return unfix(err)
 	}
 	sepKey = append([]byte(nil), sepKey...)
 
 	leftPid, err := t.env.AllocPage(t.store)
 	if err != nil {
-		t.env.Unfix(f, sync2.LatchEX)
-		return err
+		return unfix(err)
 	}
 	rightPid, err := t.env.AllocPage(t.store)
 	if err != nil {
-		t.env.Unfix(f, sync2.LatchEX)
-		return err
+		return unfix(err)
 	}
 
 	childFlags := hdr.flags &^ flagRoot
@@ -201,8 +267,7 @@ func (t *Tree) splitRoot(txID uint64, f *buffer.Frame, hdr nodeHeader) error {
 	} else {
 		_, sepChild, err := decodeBranchEntry(entries[mid])
 		if err != nil {
-			t.env.Unfix(f, sync2.LatchEX)
-			return err
+			return unfix(err)
 		}
 		rightHdr.leftChild = sepChild
 		rightEntries = entries[mid+1:]
@@ -217,12 +282,10 @@ func (t *Tree) splitRoot(txID uint64, f *buffer.Frame, hdr nodeHeader) error {
 	// Children are unreachable until the root image lands; order between
 	// them is irrelevant.
 	if err := t.writeFreshNode(txID, leftPid, leftHdr, entries[:mid]); err != nil {
-		t.env.Unfix(f, sync2.LatchEX)
-		return err
+		return unfix(err)
 	}
 	if err := t.writeFreshNode(txID, rightPid, rightHdr, rightEntries); err != nil {
-		t.env.Unfix(f, sync2.LatchEX)
-		return err
+		return unfix(err)
 	}
 	// Atomic root rewrite: one level up, pointing at the two children.
 	rootHdr := nodeHeader{
@@ -231,9 +294,7 @@ func (t *Tree) splitRoot(txID uint64, f *buffer.Frame, hdr nodeHeader) error {
 		leftChild: leftPid,
 	}
 	img := buildNodeImage(p.PID(), t.store, rootHdr, [][]byte{encodeBranchEntry(sepKey, rightPid)})
-	err = t.env.Log(txID, f, pageop.Op{Kind: pageop.KindPageImage, Data: img}, pageop.Logical{})
-	t.env.Unfix(f, sync2.LatchEX)
-	return err
+	return unfix(t.env.Log(txID, f, pageop.Op{Kind: pageop.KindPageImage, Data: img}, pageop.Logical{}))
 }
 
 // insertIntoBranch inserts a separator (sepKey → child) into the branch at
@@ -249,12 +310,12 @@ func (t *Tree) insertIntoBranch(txID uint64, pid page.ID, path []page.ID, target
 		if err != nil {
 			return err
 		}
-		hdr, err := readHeader(f.Page())
+		hdr, err := peekHeader(f.Page())
 		if err != nil {
 			t.env.Unfix(f, sync2.LatchEX)
 			return err
 		}
-		f, hdr, err = t.moveRight(f, hdr, sepKey, sync2.LatchEX)
+		f, hdr, _, err = t.moveRight(f, hdr, sepKey, sync2.LatchEX, math.MaxInt)
 		if err != nil {
 			return err
 		}
@@ -293,7 +354,7 @@ func (t *Tree) insertIntoBranch(txID uint64, pid page.ID, path []page.ID, target
 			return err
 		}
 		// Branch full: split it (consumes the latch), then retry.
-		if err := t.splitNode(txID, f, hdr, path); err != nil {
+		if err := t.splitNode(txID, f, hdr, path, nil); err != nil {
 			return err
 		}
 	}

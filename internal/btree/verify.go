@@ -14,126 +14,127 @@ import (
 //   - every key lies below the node's high key (when present);
 //   - leaf sibling chains are ordered left-to-right and connected;
 //   - all leaves are at level 0 and levels decrease by one per descent;
-//   - branch children cover the ranges their separators promise.
+//   - branch children cover the ranges their separators promise — a child
+//     together with any right siblings it split off whose separators a
+//     crash kept from the parent.
 //
 // It returns the total number of keys in the tree. Verify takes SH
 // latches node by node; concurrent writers may run, but the strongest
 // guarantees come from quiescent trees (tests).
 func (t *Tree) Verify() (keys int, err error) {
-	return t.verifyNode(t.root, nil, nil, -1)
+	return t.verifySubtree(t.root, nil, nil, -1)
 }
 
-// verifyNode checks the subtree rooted at pid. low/high bound its key
-// space (nil = unbounded); wantLevel is the expected level (-1 = any, for
-// the root).
-func (t *Tree) verifyNode(pid page.ID, low, high []byte, wantLevel int) (int, error) {
-	f, err := t.env.Fix(pid, sync2.LatchSH)
-	if err != nil {
-		return 0, err
-	}
-	p := f.Page()
-	if p.Type() != page.TypeBTree {
-		t.env.Unfix(f, sync2.LatchSH)
-		return 0, fmt.Errorf("%w: %v is not a btree page", ErrCorruptNode, pid)
-	}
-	hdr, err := readHeader(p)
-	if err != nil {
-		t.env.Unfix(f, sync2.LatchSH)
-		return 0, err
-	}
-	if wantLevel >= 0 && int(hdr.level) != wantLevel {
-		t.env.Unfix(f, sync2.LatchSH)
-		return 0, fmt.Errorf("%w: %v at level %d, want %d", ErrCorruptNode, pid, hdr.level, wantLevel)
-	}
-	// Effective upper bound: the tighter of high and hdr.highKey.
-	bound := high
-	if hdr.highKey != nil && (bound == nil || bytes.Compare(hdr.highKey, bound) < 0) {
-		bound = hdr.highKey
-	}
-	n := numEntries(p)
-	var prev []byte
-	type childRange struct {
-		pid       page.ID
-		low, high []byte
-	}
-	var children []childRange
-	for i := 1; i <= n; i++ {
-		k, err := entryKey(p, i)
+// verifySubtree checks what a parent's pointer to pid stands for: the
+// node and, when its high key stops short of high — the bound the parent
+// has for it — the chain of right siblings up to that bound. Those are
+// splits whose separator never reached the parent (a crash between the
+// left node's rewrite and the parent's insert); searches reach them by
+// moving right, and so does this.
+func (t *Tree) verifySubtree(pid page.ID, low, high []byte, wantLevel int) (int, error) {
+	total := 0
+	for {
+		n, right, hk, err := t.verifyNode(pid, low, high, wantLevel)
 		if err != nil {
-			t.env.Unfix(f, sync2.LatchSH)
 			return 0, err
 		}
-		if prev != nil && bytes.Compare(prev, k) >= 0 {
-			t.env.Unfix(f, sync2.LatchSH)
-			return 0, fmt.Errorf("%w: %v entries out of order (%q >= %q)", ErrCorruptNode, pid, prev, k)
+		total += n
+		if hk == nil || (high != nil && bytes.Compare(hk, high) >= 0) {
+			return total, nil
 		}
-		if low != nil && bytes.Compare(k, low) < 0 {
-			t.env.Unfix(f, sync2.LatchSH)
-			return 0, fmt.Errorf("%w: %v key %q below low bound %q", ErrCorruptNode, pid, k, low)
+		if right == 0 {
+			return 0, fmt.Errorf("%w: %v has a high key but no right sibling", ErrCorruptNode, pid)
 		}
-		if bound != nil && bytes.Compare(k, bound) >= 0 {
-			t.env.Unfix(f, sync2.LatchSH)
-			return 0, fmt.Errorf("%w: %v key %q at/above bound %q", ErrCorruptNode, pid, k, bound)
+		pid, low = right, hk
+	}
+}
+
+// verifyNode checks node pid and the subtrees below it, and returns the
+// key count with the node's right sibling and high key. low/high bound
+// its key space (nil = unbounded); wantLevel is the expected level (-1 =
+// any, for the root). The node's latch is released before its children
+// are visited.
+func (t *Tree) verifyNode(pid page.ID, low, high []byte, wantLevel int) (keys int, right page.ID, highKey []byte, err error) {
+	type child struct {
+		pid page.ID
+		low []byte
+	}
+	var hdr nodeHeader
+	var children []child
+	bound := high // effective upper bound: the tighter of high and the node's high key
+	err = func() error {
+		f, err := t.env.Fix(pid, sync2.LatchSH)
+		if err != nil {
+			return err
 		}
-		prev = append(prev[:0], k...)
+		defer t.env.Unfix(f, sync2.LatchSH)
+		p := f.Page()
+		if p.Type() != page.TypeBTree {
+			return fmt.Errorf("%w: %v is not a btree page", ErrCorruptNode, pid)
+		}
+		if hdr, err = readHeader(p); err != nil {
+			return err
+		}
+		if wantLevel >= 0 && int(hdr.level) != wantLevel {
+			return fmt.Errorf("%w: %v at level %d, want %d", ErrCorruptNode, pid, hdr.level, wantLevel)
+		}
+		if hdr.highKey != nil && (bound == nil || bytes.Compare(hdr.highKey, bound) < 0) {
+			bound = hdr.highKey
+		}
 		if !hdr.isLeaf() {
-			rec, err := p.Record(i)
+			if hdr.leftChild == 0 {
+				return fmt.Errorf("%w: branch %v without left child", ErrCorruptNode, pid)
+			}
+			children = append(children, child{pid: hdr.leftChild, low: low})
+		}
+		keys = numEntries(p)
+		var prev []byte
+		for i := 1; i <= keys; i++ {
+			k, err := entryKey(p, i)
 			if err != nil {
-				t.env.Unfix(f, sync2.LatchSH)
-				return 0, err
+				return err
 			}
-			_, child, err := decodeBranchEntry(rec)
+			switch {
+			case prev != nil && bytes.Compare(prev, k) >= 0:
+				return fmt.Errorf("%w: %v entries out of order (%q >= %q)", ErrCorruptNode, pid, prev, k)
+			case low != nil && bytes.Compare(k, low) < 0:
+				return fmt.Errorf("%w: %v key %q below low bound %q", ErrCorruptNode, pid, k, low)
+			case bound != nil && bytes.Compare(k, bound) >= 0:
+				return fmt.Errorf("%w: %v key %q at/above bound %q", ErrCorruptNode, pid, k, bound)
+			}
+			prev = append([]byte(nil), k...)
+			if !hdr.isLeaf() {
+				rec, err := p.Record(i)
+				if err != nil {
+					return err
+				}
+				_, c, err := decodeBranchEntry(rec)
+				if err != nil {
+					return err
+				}
+				children = append(children, child{pid: c, low: prev})
+			}
+		}
+		return nil
+	}()
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if !hdr.isLeaf() {
+		keys = 0
+		for i, c := range children {
+			hi := bound
+			if i+1 < len(children) {
+				hi = children[i+1].low
+			}
+			sub, err := t.verifySubtree(c.pid, c.low, hi, int(hdr.level)-1)
 			if err != nil {
-				t.env.Unfix(f, sync2.LatchSH)
-				return 0, err
+				return 0, 0, nil, fmt.Errorf("child %d of %v: %w", i, pid, err)
 			}
-			kCopy := append([]byte(nil), k...)
-			if len(children) > 0 {
-				children[len(children)-1].high = kCopy
-			} else if hdr.leftChild != 0 {
-				// close leftChild's range below
-			}
-			children = append(children, childRange{pid: child, low: kCopy})
+			keys += sub
 		}
 	}
-	total := 0
-	if hdr.isLeaf() {
-		total = n
-	} else {
-		// Prepend the leftmost child covering [low, firstKey).
-		var firstKey []byte
-		if n > 0 {
-			k, _ := entryKey(p, 1)
-			firstKey = append([]byte(nil), k...)
-		}
-		all := append([]childRange{{pid: hdr.leftChild, low: low, high: firstKey}}, children...)
-		if len(all) > 0 {
-			all[len(all)-1].high = nil // bounded by `bound` below
-		}
-		level := int(hdr.level) - 1
-		t.env.Unfix(f, sync2.LatchSH)
-		for i, c := range all {
-			hi := c.high
-			if hi == nil {
-				hi = bound
-			}
-			// Children may have split since their separator was posted;
-			// verifyNode follows only direct pointers, so a child's own
-			// high key narrows the check (B-link tolerance).
-			sub, err := t.verifyNode(c.pid, c.low, hi, level)
-			if err != nil {
-				return 0, fmt.Errorf("child %d of %v: %w", i, pid, err)
-			}
-			total += sub
-			// Also count keys in right-siblings not yet posted to the
-			// parent: walk right while the sibling's key space is still
-			// below this child's upper bound.
-			total += 0
-		}
-		return total, nil
-	}
-	t.env.Unfix(f, sync2.LatchSH)
-	return total, nil
+	return keys, hdr.right, hdr.highKey, nil
 }
 
 // CountViaScan returns the number of keys a full Scan reaches; comparing

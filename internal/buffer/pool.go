@@ -125,23 +125,14 @@ func (a chainAdapter) getOrInsert(pid page.ID, idx uint32) (uint32, bool, error)
 func (a chainAdapter) delete(pid page.ID) bool { return a.t.Delete(uint64(pid)) }
 func (a chainAdapter) lockStats() sync2.Stats  { return a.t.LockStats() }
 
-type cuckooAdapter struct {
-	t    *hash.Cuckoo
-	pool *Pool
-}
+// cuckooAdapter needs no overflow handling: a cascade that exceeds its
+// bound parks the displaced mapping in the table's own stash, so every
+// cached page stays reachable and nothing here can re-enter the table.
+type cuckooAdapter struct{ t *hash.Cuckoo }
 
 func (a cuckooAdapter) get(pid page.ID) (uint32, bool) { return a.t.Get(uint64(pid)) }
 func (a cuckooAdapter) getOrInsert(pid page.ID, idx uint32) (uint32, bool, error) {
-	v, ins, ev, err := a.t.GetOrInsert(uint64(pid), idx)
-	if err != nil {
-		return 0, false, err
-	}
-	if ev != nil {
-		// A cascade overflow displaced another cached page's mapping. The
-		// paper's remedy: evict the troublesome page to end the cascade.
-		a.pool.dropOrphan(page.ID(ev.Key), ev.Value)
-	}
-	return v, ins, nil
+	return a.t.GetOrInsert(uint64(pid), idx)
 }
 func (a cuckooAdapter) delete(pid page.ID) bool { return a.t.Delete(uint64(pid)) }
 func (a cuckooAdapter) lockStats() sync2.Stats  { return sync2.Stats{} }
@@ -205,7 +196,7 @@ func New(vol disk.Volume, opts Options) *Pool {
 	p.shardBase = opts.Frames / n
 	switch opts.Table {
 	case TableCuckoo:
-		p.table = cuckooAdapter{t: hash.NewCuckoo(opts.Frames*4, opts.Seed), pool: p}
+		p.table = cuckooAdapter{t: hash.NewCuckoo(opts.Frames*4, opts.Seed)}
 	case TablePerBucketChain:
 		p.table = chainAdapter{t: hash.NewChainTable(opts.Frames*2, hash.PerBucketLock, opts.Seed,
 			func() sync2.Locker { return new(sync2.HybridLock) })}
@@ -620,7 +611,7 @@ func (p *Pool) evictContents(f *Frame, s *shard) error {
 		e, fresh := p.transit.begin(oldPid)
 		for tries := 1; !fresh; tries++ {
 			// Another transit in flight for this pid (e.g. a cleaner
-			// write-back or a cuckoo orphan drop). Wait it out — bounded,
+			// write-back). Wait it out — bounded,
 			// so a wedged transit cannot hang the miss path forever.
 			p.transitConflicts.Add(1)
 			if tries > maxTransitWaits {
@@ -656,43 +647,6 @@ func (p *Pool) writeBack(f *Frame) error {
 	}
 	f.dirty.Store(false)
 	return nil
-}
-
-// dropOrphan handles a cuckoo cascade overflow: the mapping for pid was
-// displaced from the table while its page may still occupy frame idx. Try
-// to retire the frame; if it is pinned, restore the mapping instead.
-func (p *Pool) dropOrphan(pid page.ID, idx uint32) {
-	if int(idx) >= len(p.frames) {
-		return
-	}
-	f := p.frames[idx]
-	if f.PID() != pid {
-		return // already recycled
-	}
-	if f.pin.tryFreeze() {
-		f.latch.LatchEX() // never blocks (frozen); bumps the version for optimistic readers
-		freed := false
-		if f.PID() == pid {
-			if f.Dirty() {
-				_ = p.writeBack(f)
-			}
-			f.pid.Store(0)
-			f.slotHint.Store(0)
-			freed = !f.Dirty() // write-back failure keeps the frame out of reuse
-		}
-		f.latch.UnlatchEX()
-		if freed {
-			// Clean and unmapped: straight back to circulation (the shard
-			// free list, still frozen) instead of waiting for the clock.
-			p.freeFrozen(f, idx)
-		} else {
-			f.pin.unfreezeTo(0)
-		}
-		return
-	}
-	// Pinned: the page must stay reachable. Re-insert (may cascade again,
-	// but geometry has changed).
-	_, _, _ = p.table.getOrInsert(pid, idx)
 }
 
 // Drop removes pid from the pool without writing it back (used when a page

@@ -2,11 +2,14 @@ package buffer
 
 import (
 	"encoding/binary"
+	"math/bits"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/hash"
 	"repro/internal/page"
 	"repro/internal/sync2"
 	"repro/internal/wal"
@@ -478,5 +481,66 @@ func TestTableKindString(t *testing.T) {
 		TablePerBucketChain.String() != "perBucketChain" ||
 		TableCuckoo.String() != "cuckoo" || TableKind(9).String() != "unknown" {
 		t.Error("TableKind strings")
+	}
+}
+
+// TestCuckooOverflowKeepsPinnedPagesReachable is the regression for the
+// unbounded getOrInsert ↔ dropOrphan recursion: four pinned pages whose
+// cuckoo candidate slots all fall into the same three slots of a 16-slot
+// table, so placing the fourth must exhaust the cascade bound with every
+// possible victim pinned. The cascade is deterministic, so re-inserting a
+// displaced mapping displaces it again; the old remedy recursed until the
+// stack overflowed (a fatal error — the small stack limit makes that
+// quick). Now the table keeps the overflow itself and every page stays
+// mapped: fixing them again must hit, never go to the (empty) volume.
+func TestCuckooOverflowKeepsPinnedPagesReachable(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(1 << 20))
+	const frames, seed = 4, 1
+	h := hash.NewCombined(seed)
+	slotsOf := func(pid page.ID) (m uint16) {
+		for w := 0; w < 3; w++ {
+			m |= 1 << (h.Sub(w, uint64(pid)) & (frames*4 - 1))
+		}
+		return m
+	}
+	var target uint16
+	var pids []page.ID
+	for pid := page.ID(1); len(pids) < frames; pid++ {
+		m := slotsOf(pid)
+		if target == 0 && bits.OnesCount16(m) == 3 {
+			target = m
+		}
+		if target != 0 && m&^target == 0 {
+			pids = append(pids, pid)
+		}
+	}
+	p := New(disk.NewMem(0), Options{
+		Frames: frames, Shards: 1, Seed: seed, Table: TableCuckoo, AtomicPin: true,
+		TransitPartitions: 1, TransitBypass: true,
+	})
+	defer p.Close()
+	held := make([]*Frame, len(pids))
+	for i, pid := range pids {
+		f, err := p.FixNew(pid)
+		if err != nil {
+			t.Fatalf("FixNew(%v): %v", pid, err)
+		}
+		held[i] = f
+	}
+	for _, f := range held {
+		p.Unfix(f, sync2.LatchEX)
+	}
+	for i, pid := range pids {
+		f, err := p.Fix(pid, sync2.LatchSH)
+		if err != nil {
+			t.Fatalf("Fix(%v) after the overflow: %v", pid, err)
+		}
+		if f != held[i] {
+			t.Errorf("Fix(%v) returned a second frame for a cached page", pid)
+		}
+		p.Unfix(f, sync2.LatchSH)
+	}
+	if s := p.Stats(); s.Misses != 0 {
+		t.Errorf("%d misses: a mapping was lost", s.Misses)
 	}
 }

@@ -126,6 +126,13 @@ func (ix *Index) access(t *tx.Tx) btree.Access {
 	return ix.shared
 }
 
+// at resolves one point operation of t on key: the tree holding key, the
+// latch policy, and t's cursor for that tree.
+func (ix *Index) at(t *tx.Tx, key []byte) (*btree.Tree, btree.Access, *btree.Cursor) {
+	tr := ix.segFor(key)
+	return tr, ix.access(t), t.TreeCursor(tr.Root())
+}
+
 // Verify checks the index's structural invariants (entry ordering, high
 // keys, level consistency, leaf chains) and returns its key count. For a
 // forest it verifies every segment and additionally checks that each
@@ -273,7 +280,8 @@ func (e *Engine) IndexInsertCtx(ctx context.Context, t *tx.Tx, ix *Index, key, v
 		return err
 	}
 	e.probeLockTable(t, ix.store, key)
-	return ix.segFor(key).Insert(ix.access(t), t.ID(), key, value)
+	tr, a, c := ix.at(t, key)
+	return tr.Insert(a, c, t.ID(), key, value)
 }
 
 // IndexLookup probes the index under an S key lock.
@@ -293,7 +301,8 @@ func (e *Engine) IndexLookupCtx(ctx context.Context, t *tx.Tx, ix *Index, key []
 		return nil, false, err
 	}
 	e.probeLockTable(t, ix.store, key)
-	return ix.segFor(key).Search(ix.access(t), key)
+	tr, a, c := ix.at(t, key)
+	return tr.Search(a, c, key)
 }
 
 // IndexLookupForUpdateCtx probes the index under an X key lock — SELECT
@@ -314,7 +323,8 @@ func (e *Engine) IndexLookupForUpdateCtx(ctx context.Context, t *tx.Tx, ix *Inde
 		return nil, false, err
 	}
 	e.probeLockTable(t, ix.store, key)
-	return ix.segFor(key).Search(ix.access(t), key)
+	tr, a, c := ix.at(t, key)
+	return tr.Search(a, c, key)
 }
 
 // IndexUpdate replaces the value for key under an X key lock.
@@ -334,7 +344,8 @@ func (e *Engine) IndexUpdateCtx(ctx context.Context, t *tx.Tx, ix *Index, key, v
 		return err
 	}
 	e.probeLockTable(t, ix.store, key)
-	return ix.segFor(key).Update(ix.access(t), t.ID(), key, value)
+	tr, a, c := ix.at(t, key)
+	return tr.Update(a, c, t.ID(), key, value)
 }
 
 // IndexDelete removes key under an X key lock, returning the old value.
@@ -354,7 +365,8 @@ func (e *Engine) IndexDeleteCtx(ctx context.Context, t *tx.Tx, ix *Index, key []
 		return nil, err
 	}
 	e.probeLockTable(t, ix.store, key)
-	return ix.segFor(key).Delete(ix.access(t), t.ID(), key)
+	tr, a, c := ix.at(t, key)
+	return tr.Delete(a, c, t.ID(), key)
 }
 
 // IndexScan iterates keys in [from, to) under a store-level S lock,

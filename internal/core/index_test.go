@@ -81,7 +81,10 @@ func TestEmptyIndexConcurrentInsert(t *testing.T) {
 }
 
 // TestLatchedDescentsCounted: without OLC or PLP every index operation
-// is a latched descent, and the engine-wide counter says so.
+// is either a latched descent or a hit of the transaction's cursor, and
+// the engine-wide counters say which. One transaction working its way
+// through one leaf descends once; transactions of one operation each
+// have nothing to remember and descend every time.
 func TestLatchedDescentsCounted(t *testing.T) {
 	e, _, _ := newEngine(t, StageFinal)
 	tx, err := e.Begin()
@@ -92,27 +95,42 @@ func TestLatchedDescentsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 50
+	const n = 50 // one leaf's worth
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%04d", i)) }
 	for i := 0; i < n; i++ {
-		if err := e.IndexInsert(tx, ix, []byte(fmt.Sprintf("key%04d", i)), []byte("v")); err != nil {
+		if err := e.IndexInsert(tx, ix, key(i), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	afterInserts := e.Stats().Btree
-	if afterInserts.LatchedDescents < n {
-		t.Fatalf("LatchedDescents = %d after %d inserts", afterInserts.LatchedDescents, n)
-	}
 	for i := 0; i < n; i++ {
-		if _, ok, err := e.IndexLookup(tx, ix, []byte(fmt.Sprintf("key%04d", i))); err != nil || !ok {
+		if _, ok, err := e.IndexLookup(tx, ix, key(i)); err != nil || !ok {
 			t.Fatalf("lookup %d: %v, %v", i, ok, err)
 		}
 	}
 	if err := e.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
+	one := e.Stats().Btree
+	if one.LatchedDescents != 1 || one.CursorHits != 2*n-1 || one.CursorMisses != 0 {
+		t.Fatalf("one transaction, %d operations on one leaf: %d latched descents, %d cursor hits, %d misses; want 1, %d, 0",
+			2*n, one.LatchedDescents, one.CursorHits, one.CursorMisses, 2*n-1)
+	}
+	for i := 0; i < n; i++ {
+		tx, err := e.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := e.IndexLookup(tx, ix, key(i)); err != nil || !ok {
+			t.Fatalf("lookup %d: %v, %v", i, ok, err)
+		}
+		if err := e.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
 	s := e.Stats().Btree
-	if s.LatchedDescents < afterInserts.LatchedDescents+n {
-		t.Fatalf("LatchedDescents = %d after %d lookups on top of %d", s.LatchedDescents, n, afterInserts.LatchedDescents)
+	if s.LatchedDescents != one.LatchedDescents+n || s.CursorHits != one.CursorHits || s.CursorMisses != 0 {
+		t.Fatalf("%d single-lookup transactions: %d latched descents, %d cursor hits, %d misses on top of %+v",
+			n, s.LatchedDescents, s.CursorHits, s.CursorMisses, one)
 	}
 	if s.OptDescents+s.OptLeafReads+s.OwnerDescents+s.OwnerReads != 0 {
 		t.Fatalf("speculative counters moved without OLC or PLP: %+v", s)

@@ -221,7 +221,7 @@ func (e *Engine) heapScanSnapshot(t *tx.Tx, store uint32, fn func(rid page.RID, 
 // chain resolution.
 func (e *Engine) indexLookupSnapshot(t *tx.Tx, ix *Index, key []byte) ([]byte, bool, error) {
 	e.mvcc.CountRead()
-	cur, found, err := ix.segFor(key).Search(ix.access(t), key)
+	cur, found, err := ix.segFor(key).Search(ix.access(t), nil, key)
 	if err != nil {
 		return nil, false, err
 	}

@@ -3,6 +3,7 @@ package hash
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -49,17 +50,24 @@ func unpack(e uint64) (key uint64, val uint32) {
 //
 // A collision occurs only when all N candidate slots for a key are full and
 // is resolved by relocating a victim to one of its other N-1 slots,
-// cascading if necessary. Because the buffer pool is merely a cache, a
-// cascade that exceeds its bound evicts the final victim entry outright and
-// reports it to the caller (Insert's first return), matching the paper's
-// "we can also evict particularly troublesome pages in order to end
-// cascades".
+// cascading if necessary. A cascade that exceeds its bound parks the final
+// victim in a small overflow stash that lookups consult after the ways.
+// The paper ends such cascades by evicting "particularly troublesome
+// pages"; that needs the victim's frame to be evictable, and a cascade is
+// deterministic — walking a cycle it hands back the very key it was asked
+// to insert, whose page is pinned by the loader — so here the table never
+// loses an entry and its user never has to repair one.
 type Cuckoo struct {
 	h     Combined
 	slots []atomic.Uint64 // one flat array; each way indexes the whole array
 	mask  uint64
 	mu    sync.Mutex // serializes Insert/Delete
 	size  atomic.Int64
+	// stash holds the packed entries no bounded cascade could place; nil
+	// when empty, which is nearly always. Copy-on-write under mu, so Get
+	// stays wait-free. Delete moves an entry home when it frees one of its
+	// candidate slots.
+	stash atomic.Pointer[[]uint64]
 }
 
 // NewCuckoo creates a table with at least capacity slots (rounded up to a
@@ -91,13 +99,34 @@ func (c *Cuckoo) Get(key uint64) (uint32, bool) {
 			}
 		}
 	}
+	for _, e := range c.stashed() {
+		if k, v := unpack(e); k == key {
+			return v, true
+		}
+	}
 	return 0, false
 }
 
-// Evicted describes an entry displaced by a cascade overflow.
-type Evicted struct {
-	Key   uint64
-	Value uint32
+// setStash publishes a new stash (nil when empty). Caller holds c.mu.
+func (c *Cuckoo) setStash(s []uint64) {
+	if len(s) == 0 {
+		c.stash.Store(nil)
+		return
+	}
+	c.stash.Store(&s)
+}
+
+// stashed returns the current stash, which is never modified in place.
+func (c *Cuckoo) stashed() []uint64 {
+	if s := c.stash.Load(); s != nil {
+		return *s
+	}
+	return nil
+}
+
+// stashWithout returns a copy of the stash with entry j removed.
+func stashWithout(s []uint64, j int) []uint64 {
+	return slices.Delete(slices.Clone(s), j, j+1)
 }
 
 func checkRange(key uint64, val uint32) error {
@@ -110,28 +139,24 @@ func checkRange(key uint64, val uint32) error {
 	return nil
 }
 
-// getLocked looks key up while c.mu is held.
-func (c *Cuckoo) getLocked(key uint64) (uint32, bool) {
-	for w := 0; w < cuckooWays; w++ {
-		if e := c.slots[c.idx(w, key)].Load(); e != 0 {
-			if k, v := unpack(e); k == key {
-				return v, true
-			}
-		}
-	}
-	return 0, false
-}
-
 // insertLocked performs the insert/replace/cascade while c.mu is held.
-func (c *Cuckoo) insertLocked(key uint64, val uint32) *Evicted {
+func (c *Cuckoo) insertLocked(key uint64, val uint32) {
 	// Replace in place if present.
 	for w := 0; w < cuckooWays; w++ {
 		i := c.idx(w, key)
 		if e := c.slots[i].Load(); e != 0 {
 			if k, _ := unpack(e); k == key {
 				c.slots[i].Store(pack(key, val))
-				return nil
+				return
 			}
+		}
+	}
+	for j, e := range c.stashed() {
+		if k, _ := unpack(e); k == key {
+			s := slices.Clone(c.stashed())
+			s[j] = pack(key, val)
+			c.setStash(s)
+			return
 		}
 	}
 	// Use any empty candidate slot.
@@ -140,7 +165,7 @@ func (c *Cuckoo) insertLocked(key uint64, val uint32) *Evicted {
 		if c.slots[i].Load() == 0 {
 			c.slots[i].Store(pack(key, val))
 			c.size.Add(1)
-			return nil
+			return
 		}
 	}
 	// Cascade: displace the occupant of a candidate slot and walk.
@@ -152,7 +177,7 @@ func (c *Cuckoo) insertLocked(key uint64, val uint32) *Evicted {
 		c.slots[i].Store(pack(curKey, curVal))
 		if old == 0 {
 			c.size.Add(1)
-			return nil
+			return
 		}
 		curKey, curVal = unpack(old)
 		// Try the victim's other slots before cascading further.
@@ -161,43 +186,44 @@ func (c *Cuckoo) insertLocked(key uint64, val uint32) *Evicted {
 			if c.slots[j].Load() == 0 {
 				c.slots[j].Store(pack(curKey, curVal))
 				c.size.Add(1)
-				return nil
+				return
 			}
 		}
 		// Displace from a rotating way to avoid short cycles.
 		way = (way + 1) % cuckooWays
 	}
-	// Cascade bound exceeded: the cache drops the final victim. The net
-	// size is unchanged (one entry in, one entry out).
-	return &Evicted{Key: curKey, Value: curVal}
+	// Cascade bound exceeded: the final victim (possibly key itself, when
+	// the walk closed a cycle) goes to the stash.
+	c.setStash(append(slices.Clone(c.stashed()), pack(curKey, curVal)))
+	c.size.Add(1)
 }
 
-// Insert stores key→val. If key is present its value is replaced. If an
-// eviction cascade exceeds its bound, the displaced entry is returned in
-// evicted (non-nil) and the insert still succeeds.
-func (c *Cuckoo) Insert(key uint64, val uint32) (evicted *Evicted, err error) {
+// Insert stores key→val. If key is present its value is replaced.
+func (c *Cuckoo) Insert(key uint64, val uint32) error {
 	if err := checkRange(key, val); err != nil {
-		return nil, err
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.insertLocked(key, val), nil
+	c.insertLocked(key, val)
+	return nil
 }
 
 // GetOrInsert atomically looks key up and, if absent, inserts val. It
 // returns the value now associated with key and whether this call inserted
 // it. Buffer-pool miss paths use this to close the window in which a
 // concurrent cascade makes an entry transiently invisible to lock-free Get.
-func (c *Cuckoo) GetOrInsert(key uint64, val uint32) (got uint32, inserted bool, evicted *Evicted, err error) {
+func (c *Cuckoo) GetOrInsert(key uint64, val uint32) (got uint32, inserted bool, err error) {
 	if err := checkRange(key, val); err != nil {
-		return 0, false, nil, err
+		return 0, false, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if v, ok := c.getLocked(key); ok {
-		return v, false, nil, nil
+	if v, ok := c.Get(key); ok {
+		return v, false, nil
 	}
-	return val, true, c.insertLocked(key, val), nil
+	c.insertLocked(key, val)
+	return val, true, nil
 }
 
 // Delete removes key and reports whether it was present.
@@ -210,11 +236,34 @@ func (c *Cuckoo) Delete(key uint64) bool {
 			if k, _ := unpack(e); k == key {
 				c.slots[i].Store(0)
 				c.size.Add(-1)
+				c.unstashInto(i)
 				return true
 			}
 		}
 	}
+	for j, e := range c.stashed() {
+		if k, _ := unpack(e); k == key {
+			c.setStash(stashWithout(c.stashed(), j))
+			c.size.Add(-1)
+			return true
+		}
+	}
 	return false
+}
+
+// unstashInto moves a stashed entry into the just-freed slot i if i is
+// one of its candidates, so the stash drains as the table churns.
+func (c *Cuckoo) unstashInto(i uint64) {
+	for j, e := range c.stashed() {
+		k, _ := unpack(e)
+		for w := 0; w < cuckooWays; w++ {
+			if c.idx(w, k) == i {
+				c.slots[i].Store(e)
+				c.setStash(stashWithout(c.stashed(), j))
+				return
+			}
+		}
+	}
 }
 
 // Len returns the number of stored entries.
@@ -233,6 +282,11 @@ func (c *Cuckoo) Range(fn func(key uint64, val uint32) bool) {
 			if !fn(k, v) {
 				return
 			}
+		}
+	}
+	for _, e := range c.stashed() {
+		if k, v := unpack(e); !fn(k, v) {
+			return
 		}
 	}
 }

@@ -50,13 +50,13 @@ func TestCuckooBasic(t *testing.T) {
 	if _, ok := c.Get(5); ok {
 		t.Fatal("Get on empty table found a value")
 	}
-	if _, err := c.Insert(5, 50); err != nil {
+	if err := c.Insert(5, 50); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := c.Get(5); !ok || v != 50 {
 		t.Fatalf("Get(5) = %d,%v want 50,true", v, ok)
 	}
-	if _, err := c.Insert(5, 51); err != nil { // replace
+	if err := c.Insert(5, 51); err != nil { // replace
 		t.Fatal(err)
 	}
 	if v, _ := c.Get(5); v != 51 {
@@ -78,7 +78,7 @@ func TestCuckooBasic(t *testing.T) {
 
 func TestCuckooKeyZero(t *testing.T) {
 	c := NewCuckoo(64, 1)
-	if _, err := c.Insert(0, 7); err != nil {
+	if err := c.Insert(0, 7); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := c.Get(0); !ok || v != 7 {
@@ -88,17 +88,17 @@ func TestCuckooKeyZero(t *testing.T) {
 
 func TestCuckooRangeErrors(t *testing.T) {
 	c := NewCuckoo(64, 1)
-	if _, err := c.Insert(MaxKey+1, 0); err == nil {
+	if err := c.Insert(MaxKey+1, 0); err == nil {
 		t.Error("Insert with oversized key did not error")
 	}
-	if _, err := c.Insert(1, MaxValue+1); err == nil {
+	if err := c.Insert(1, MaxValue+1); err == nil {
 		t.Error("Insert with oversized value did not error")
 	}
-	if _, _, _, err := c.GetOrInsert(MaxKey+1, 0); err == nil {
+	if _, _, err := c.GetOrInsert(MaxKey+1, 0); err == nil {
 		t.Error("GetOrInsert with oversized key did not error")
 	}
 	// Boundary values must work.
-	if _, err := c.Insert(MaxKey, MaxValue); err != nil {
+	if err := c.Insert(MaxKey, MaxValue); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := c.Get(MaxKey); !ok || v != MaxValue {
@@ -109,41 +109,80 @@ func TestCuckooRangeErrors(t *testing.T) {
 func TestCuckooManyKeys(t *testing.T) {
 	c := NewCuckoo(4096, 99)
 	const n = 2000 // ~50% load factor, cascades will occur
-	dropped := map[uint64]bool{}
 	for i := uint64(0); i < n; i++ {
-		ev, err := c.Insert(i, uint32(i%1000))
-		if err != nil {
+		if err := c.Insert(i, uint32(i%1000)); err != nil {
 			t.Fatal(err)
 		}
-		if ev != nil {
-			dropped[ev.Key] = true
-		}
 	}
-	missing := 0
 	for i := uint64(0); i < n; i++ {
-		v, ok := c.Get(i)
-		if !ok {
-			if !dropped[i] {
-				missing++
-			}
-			continue
-		}
-		if v != uint32(i%1000) {
-			t.Fatalf("Get(%d) = %d, want %d", i, v, i%1000)
+		if v, ok := c.Get(i); !ok || v != uint32(i%1000) {
+			t.Fatalf("Get(%d) = %d,%v want %d", i, v, ok, i%1000)
 		}
 	}
-	if missing > 0 {
-		t.Fatalf("%d keys missing that were never reported evicted", missing)
+	if c.Len() != n {
+		t.Fatalf("Len = %d, want %d", c.Len(), n)
+	}
+}
+
+// TestCuckooOverflowStash overfills a 16-slot table so that cascades hit
+// their bound: every key stays reachable (the table never loses an entry),
+// replace and delete work on stashed entries, Range and Len see them, and
+// deleting table entries drains the stash back into the freed slots.
+func TestCuckooOverflowStash(t *testing.T) {
+	c := NewCuckoo(16, 7)
+	const n = 40
+	for i := uint64(0); i < n; i++ {
+		if err := c.Insert(i, uint32(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stashLen := func() int { return len(c.stashed()) }
+	if stashLen() < n-c.Capacity() {
+		t.Fatalf("stash holds %d entries, want at least %d", stashLen(), n-c.Capacity())
+	}
+	if c.Len() != n {
+		t.Fatalf("Len = %d, want %d", c.Len(), n)
+	}
+	for i := uint64(0); i < n; i++ {
+		if v, ok := c.Get(i); !ok || v != uint32(i) {
+			t.Fatalf("Get(%d) = %d,%v after overflow", i, v, ok)
+		}
+	}
+	seen := 0
+	c.Range(func(uint64, uint32) bool { seen++; return true })
+	if seen != n {
+		t.Fatalf("Range visited %d entries, want %d", seen, n)
+	}
+	// Replace and GetOrInsert on a stashed key do not duplicate it.
+	k, _ := unpack(c.stashed()[0])
+	if err := c.Insert(k, 999); err != nil {
+		t.Fatal(err)
+	}
+	if v, ins, _ := c.GetOrInsert(k, 5); ins || v != 999 {
+		t.Fatalf("GetOrInsert(stashed) = %d,%v want 999,false", v, ins)
+	}
+	if c.Len() != n {
+		t.Fatalf("Len = %d after replace, want %d", c.Len(), n)
+	}
+	if !c.Delete(k) || c.Delete(k) {
+		t.Fatal("Delete of a stashed key: want present once")
+	}
+	// Emptying the table drains the stash.
+	for i := uint64(0); i < n; i++ {
+		c.Delete(i)
+	}
+	if c.Len() != 0 || stashLen() != 0 {
+		t.Fatalf("after deleting everything: Len %d, stash %d", c.Len(), stashLen())
 	}
 }
 
 func TestCuckooGetOrInsert(t *testing.T) {
 	c := NewCuckoo(256, 3)
-	v, ins, _, err := c.GetOrInsert(9, 90)
+	v, ins, err := c.GetOrInsert(9, 90)
 	if err != nil || !ins || v != 90 {
 		t.Fatalf("first GetOrInsert = %d,%v,%v", v, ins, err)
 	}
-	v, ins, _, err = c.GetOrInsert(9, 91)
+	v, ins, err = c.GetOrInsert(9, 91)
 	if err != nil || ins || v != 90 {
 		t.Fatalf("second GetOrInsert = %d,%v,%v want existing 90", v, ins, err)
 	}
@@ -153,7 +192,7 @@ func TestCuckooConcurrentReadsDuringWrites(t *testing.T) {
 	c := NewCuckoo(8192, 5)
 	const hot = 100
 	for i := uint64(0); i < hot; i++ {
-		if _, err := c.Insert(i, uint32(i)); err != nil {
+		if err := c.Insert(i, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,7 +210,7 @@ func TestCuckooConcurrentReadsDuringWrites(t *testing.T) {
 			}
 			k := hot + uint64(rng.Intn(1000))
 			if rng.Intn(2) == 0 {
-				_, _ = c.Insert(k, uint32(k))
+				_ = c.Insert(k, uint32(k))
 			} else {
 				c.Delete(k)
 			}
@@ -200,7 +239,7 @@ func TestCuckooConcurrentReadsDuringWrites(t *testing.T) {
 func TestCuckooRange(t *testing.T) {
 	c := NewCuckoo(256, 11)
 	for i := uint64(0); i < 50; i++ {
-		if _, err := c.Insert(i, uint32(i)); err != nil {
+		if err := c.Insert(i, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,40 +266,29 @@ func TestCuckooRange(t *testing.T) {
 // Go map over random operation sequences.
 func TestCuckooQuickMapEquivalence(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c := NewCuckoo(4096, 13)
+		c := NewCuckoo(256, 13) // up to 512 keys: the overflow stash is in play
 		ref := map[uint64]uint32{}
-		evicted := map[uint64]bool{}
 		for _, op := range ops {
 			k := uint64(op % 512)
 			switch op % 3 {
 			case 0, 1:
-				ev, err := c.Insert(k, uint32(op))
-				if err != nil {
+				if err := c.Insert(k, uint32(op)); err != nil {
 					return false
 				}
 				ref[k] = uint32(op)
-				delete(evicted, k)
-				if ev != nil {
-					evicted[ev.Key] = true
-				}
 			case 2:
-				c.Delete(k)
+				if _, present := ref[k]; c.Delete(k) != present {
+					return false
+				}
 				delete(ref, k)
 			}
 		}
 		for k, want := range ref {
-			v, ok := c.Get(k)
-			if !ok {
-				if !evicted[k] {
-					return false
-				}
-				continue
-			}
-			if v != want {
+			if v, ok := c.Get(k); !ok || v != want {
 				return false
 			}
 		}
-		return true
+		return c.Len() == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

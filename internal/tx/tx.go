@@ -12,8 +12,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/btree"
 	"repro/internal/lock"
 	"repro/internal/mvcc"
+	"repro/internal/page"
 	"repro/internal/space"
 	"repro/internal/sync2"
 	"repro/internal/wal"
@@ -127,6 +129,31 @@ type Tx struct {
 
 	// LogScratch is where the owner builds its update records.
 	LogScratch LogScratch
+
+	// cursors is what the owner remembers about the B-trees it has
+	// touched, by tree root (a PLP forest's segments are separate trees):
+	// see btree.Cursor. Eight covers New Order, TPC-C's widest
+	// transaction; one that touches more trees forgets the cursor it
+	// claimed longest ago. No allocation; empty at Begin.
+	cursors [8]struct {
+		root page.ID
+		btree.Cursor
+	}
+	nextCursor uint8
+}
+
+// TreeCursor returns t's cursor for the tree rooted at root, empty on
+// first use. Owner-only, like everything the cursor is passed to.
+func (t *Tx) TreeCursor(root page.ID) *btree.Cursor {
+	for i := range t.cursors {
+		if t.cursors[i].root == root {
+			return &t.cursors[i].Cursor
+		}
+	}
+	tc := &t.cursors[int(t.nextCursor)%len(t.cursors)]
+	t.nextCursor++
+	tc.root, tc.Cursor = root, btree.Cursor{}
+	return &tc.Cursor
 }
 
 // LogScratch is reusable space for building one log record at a time. The

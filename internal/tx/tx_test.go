@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/lock"
 	"repro/internal/page"
 )
@@ -247,5 +248,43 @@ func TestStateString(t *testing.T) {
 	if StateActive.String() != "active" || StateCommitted.String() != "committed" ||
 		StateAborted.String() != "aborted" || State(9).String() == "" {
 		t.Error("state strings")
+	}
+}
+
+// TestTreeCursorPerRoot: a transaction keeps one B-tree cursor per tree
+// root, hands the same one back for the same root, starts with none, and
+// when it touches more trees than it has room for forgets the one it
+// claimed longest ago — never handing one tree's memory to another.
+func TestTreeCursorPerRoot(t *testing.T) {
+	m := NewManager(Options{})
+	tx := m.Begin()
+	var empty btree.Cursor
+	first := tx.TreeCursor(100)
+	if *first != empty {
+		t.Fatal("a new transaction's cursor remembers something")
+	}
+	if tx.TreeCursor(100) != first {
+		t.Fatal("same root, different cursor")
+	}
+	seen := map[*btree.Cursor]bool{first: true}
+	for root := page.ID(101); root < 108; root++ {
+		c := tx.TreeCursor(root)
+		if seen[c] {
+			t.Fatalf("root %v shares a cursor with another tree", root)
+		}
+		seen[c] = true
+	}
+	if tx.TreeCursor(100) != first {
+		t.Fatal("eight trees do not fit")
+	}
+	// A ninth tree takes the oldest slot, and root 100 starts over.
+	if c := tx.TreeCursor(108); c != first {
+		t.Fatal("the ninth tree did not replace the oldest cursor")
+	}
+	if c := tx.TreeCursor(100); c == first || *c != empty {
+		t.Fatal("a forgotten tree's cursor came back, or came back remembering")
+	}
+	if *m.Begin().TreeCursor(100) != empty {
+		t.Fatal("a cursor outlived its transaction")
 	}
 }
