@@ -71,9 +71,10 @@ func NewFlushDaemon(mgr Manager, opts DaemonOptions) *FlushDaemon {
 }
 
 // Harden asks the daemon to make every record with LSN < upTo durable and
-// returns a channel that fires exactly once: nil when durable, or
-// ErrLogClosed when the daemon can no longer guarantee it. The flush
-// itself is batched with other callers'.
+// returns a channel that fires exactly once: nil when durable, the device
+// error when the log device has failed, or ErrLogClosed when the daemon
+// can no longer guarantee it. The flush itself is batched with other
+// callers'.
 func (d *FlushDaemon) Harden(upTo LSN) <-chan error {
 	ch := d.mgr.Subscribe(upTo)
 	if d.closed.Load() {
@@ -164,12 +165,10 @@ func (d *FlushDaemon) run() {
 	}
 }
 
-// flush covers target and records batch stats. A flush failure is
-// retried a few times (transient store hiccups); if it persists the log
-// cannot guarantee durability anymore, so the daemon closes the manager —
-// failing every outstanding and future subscription with ErrLogClosed
-// rather than leaving committers blocked forever on a horizon that will
-// never advance.
+// flush covers target and records batch stats. A flush that fails needs
+// nothing more from the daemon: the manager latched the device error and
+// has already failed every subscription Harden handed out, and will fail
+// the later ones.
 func (d *FlushDaemon) flush(target LSN, n uint64) {
 	if d.killed.Load() {
 		return // crash semantics: no flush on the way down
@@ -181,22 +180,8 @@ func (d *FlushDaemon) flush(target LSN, n uint64) {
 			break
 		}
 	}
-	for attempt := 0; ; attempt++ {
-		err := d.mgr.Flush(target)
-		if err == nil || err == ErrLogClosed {
-			return
-		}
-		if attempt >= flushRetries {
-			_ = d.mgr.Close()
-			return
-		}
-		time.Sleep(time.Millisecond << attempt)
-	}
+	_ = d.mgr.Flush(target)
 }
-
-// flushRetries bounds re-attempts of a failing store flush before the
-// daemon gives the log up for dead.
-const flushRetries = 3
 
 // finalFlush hardens everything still queued at close.
 func (d *FlushDaemon) finalFlush() {

@@ -3,7 +3,6 @@ package wal
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -170,33 +169,23 @@ func TestFlushDaemonCloseHardensQueue(t *testing.T) {
 	}
 }
 
-// failingStore wraps a store whose Flush always errors once armed.
-type failingStore struct {
-	*MemStore
-	fail atomic.Bool
-}
-
-func (s *failingStore) Flush(upTo int64) error {
-	if s.fail.Load() {
-		return errors.New("injected flush failure")
-	}
-	return s.MemStore.Flush(upTo)
-}
-
+// TestFlushDaemonSurfacesPersistentFlushFailure: a committer waiting on a
+// log whose device has died gets the device error — not a hang, and not a
+// bare ErrLogClosed that would hide what happened.
 func TestFlushDaemonSurfacesPersistentFlushFailure(t *testing.T) {
-	store := &failingStore{MemStore: NewMemStore()}
+	store := &flakyStore{Store: NewMemStore()}
 	m := New(store, Options{Design: DesignCoupled})
 	fd := NewFlushDaemon(m, DaemonOptions{})
 	defer fd.Close()
 	if _, err := m.Insert(&Record{Type: RecTxCommit, TxID: 1}); err != nil {
 		t.Fatal(err)
 	}
-	store.fail.Store(true)
+	store.failFlushes.Store(1 << 30)
 	ch := fd.Harden(m.CurLSN())
 	select {
 	case err := <-ch:
-		if err != ErrLogClosed {
-			t.Fatalf("got %v, want ErrLogClosed after persistent flush failure", err)
+		if !errors.Is(err, errFlakyDevice) {
+			t.Fatalf("got %v, want the device error after persistent flush failure", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("committer left hanging on a dead log")

@@ -32,7 +32,8 @@ func (d Design) String() string {
 	}
 }
 
-// Manager is the log manager interface shared by all three designs.
+// Manager is the log manager interface; ringLog implements it for all
+// three designs.
 type Manager interface {
 	// Insert appends rec to the log, assigning and returning its LSN.
 	// Durability is NOT guaranteed until Flush covers the LSN.
@@ -41,14 +42,17 @@ type Manager interface {
 	// in the decoupled design, uses the dedicated compensation mutex.
 	InsertCLR(rec *Record) (LSN, error)
 	// Flush blocks until every record with LSN < upTo is durable
-	// (group commit: concurrent callers share flushes).
+	// (group commit: concurrent callers share flushes). A store write or
+	// sync that fails is terminal: that error comes back from this and
+	// every later call, and the durable boundary never moves again.
 	Flush(upTo LSN) error
 	// CurLSN returns the LSN that the next inserted record would receive.
 	CurLSN() LSN
 	// DurableLSN returns the boundary below which all records are durable.
 	DurableLSN() LSN
 	// Subscribe returns a channel that receives nil once every record with
-	// LSN < upTo is durable, or ErrLogClosed if the manager closes first.
+	// LSN < upTo is durable, the device error if the log device has failed,
+	// or ErrLogClosed if the manager closes first.
 	// Subscribe is passive: it never triggers a flush, so a subscription
 	// completes only when Flush (or a flush daemon) advances the boundary
 	// past upTo. The channel is buffered; the manager never blocks on it.
@@ -87,14 +91,7 @@ func New(store Store, opts Options) Manager {
 	if size <= 0 {
 		size = DefaultBufferSize
 	}
-	switch opts.Design {
-	case DesignDecoupled:
-		return newDecoupled(store, size)
-	case DesignConsolidated:
-		return newConsolidated(store, size)
-	default:
-		return newCoupled(store, size)
-	}
+	return newRingLog(store, size, opts.Design)
 }
 
 // groupCommit implements shared flush waiting: callers block until the
@@ -123,31 +120,24 @@ func newGroupCommit() *groupCommit {
 }
 
 // advance publishes a new durable boundary, wakes waiters, and resolves
-// satisfied subscriptions.
+// satisfied subscriptions. Callers are serialized: the boundary has one
+// writer, the drain.
 func (g *groupCommit) advance(to LSN) {
-	for {
-		old := g.durable.Load()
-		if uint64(to) <= old {
-			return
-		}
-		if g.durable.CompareAndSwap(old, uint64(to)) {
-			break
-		}
+	if to <= g.get() {
+		return
 	}
+	g.durable.Store(uint64(to))
 	g.mu.Lock()
 	g.cond.Broadcast()
-	if len(g.subs) > 0 {
-		durable := g.get()
-		kept := g.subs[:0]
-		for _, s := range g.subs {
-			if s.upTo <= durable {
-				s.ch <- nil // buffered: never blocks
-			} else {
-				kept = append(kept, s)
-			}
+	kept := g.subs[:0]
+	for _, s := range g.subs {
+		if s.upTo <= to {
+			s.ch <- nil // buffered: never blocks
+		} else {
+			kept = append(kept, s)
 		}
-		g.subs = kept
 	}
+	g.subs = kept
 	g.mu.Unlock()
 }
 
@@ -174,10 +164,10 @@ func (g *groupCommit) subscribe(upTo LSN) <-chan error {
 
 // fail resolves every outstanding subscription with err and makes future
 // subscriptions fail fast. Called at manager close (after the final drain
-// has resolved everything it could) and when the flush daemon hits a
-// store failure — a log device that cannot harden bytes must fail
-// waiters, not strand them. The first error wins; close-time ErrLogClosed
-// never masks a real device error.
+// has resolved everything it could) and when the drain hits a store
+// failure — a log device that cannot harden bytes must fail waiters, not
+// strand them. The first error wins; close-time ErrLogClosed never masks
+// a real device error.
 func (g *groupCommit) fail(err error) {
 	g.mu.Lock()
 	if g.failErr == nil {
@@ -201,22 +191,23 @@ func (g *groupCommit) failed() error {
 // get returns the durable boundary.
 func (g *groupCommit) get() LSN { return LSN(g.durable.Load()) }
 
-// wait blocks until the durable boundary reaches at least upTo, the
-// manager fails terminally, or closed returns true.
-func (g *groupCommit) wait(upTo LSN, closed func() bool) {
+// wait blocks until the durable boundary reaches at least upTo. It gives
+// up with the terminal error once the manager has failed, and with
+// ErrLogClosed once closed is set.
+func (g *groupCommit) wait(upTo LSN, closed *atomic.Bool) error {
 	if g.get() >= upTo {
-		return
+		return nil
 	}
 	g.mu.Lock()
-	for g.get() < upTo && g.failErr == nil && !closed() {
+	defer g.mu.Unlock()
+	for g.get() < upTo {
+		if g.failErr != nil {
+			return g.failErr
+		}
+		if closed.Load() {
+			return ErrLogClosed
+		}
 		g.cond.Wait()
 	}
-	g.mu.Unlock()
-}
-
-// wakeAll wakes every waiter (used at close).
-func (g *groupCommit) wakeAll() {
-	g.mu.Lock()
-	g.cond.Broadcast()
-	g.mu.Unlock()
+	return nil
 }

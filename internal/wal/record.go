@@ -1,11 +1,13 @@
 // Package wal implements ARIES-style write-ahead logging with the three
-// log-manager designs whose evolution the Shore-MT paper traces:
+// log-manager designs whose evolution the Shore-MT paper traces, as three
+// reservation policies over one ring log (ring.go):
 //
-//   - Coupled: the original Shore design — one global mutex, a
-//     non-circular buffer, and synchronous flushes that block inserts.
-//   - Decoupled (§6.2.2 problem 2): a circular buffer with separate insert,
-//     compensate and flush mutexes and a cached tail pointer, so unrelated
-//     operations proceed in parallel.
+//   - Coupled: the original Shore design — one global mutex held across
+//     every insert and every flush, and synchronous flushes that block
+//     inserts.
+//   - Decoupled (§6.2.2 problem 2): separate insert, compensate and flush
+//     mutexes and a cached tail pointer, so unrelated operations proceed
+//     in parallel.
 //   - Consolidated (§6.2.4): the extended-queuing-lock buffer — threads
 //     serialize only long enough to claim buffer space and an LSN, copy
 //     their record in parallel, and publish completion in order, with the

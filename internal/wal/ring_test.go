@@ -2,12 +2,16 @@ package wal
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
-// TestQuickRingCopyRoundTrip property-tests the circular-buffer copy used
-// by the decoupled and consolidated logs: any record written at any offset
+// TestQuickRingCopyRoundTrip property-tests the circular-buffer copy
+// behind putInRing's straddle path: any record written at any offset
 // (including wrap-around) must read back intact.
 func TestQuickRingCopyRoundTrip(t *testing.T) {
 	ring := make([]byte, 256)
@@ -53,7 +57,7 @@ func TestRingWrapExactBoundary(t *testing.T) {
 // checks each CRC) with the payload it was inserted with.
 func TestRingStraddlingRecord(t *testing.T) {
 	const ringSize, records = 4096, 60
-	for _, d := range []Design{DesignDecoupled, DesignConsolidated} {
+	for _, d := range allDesigns() {
 		store := NewMemStore()
 		m := New(store, Options{Design: d, BufferSize: ringSize})
 		payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 300+i) }
@@ -88,43 +92,279 @@ func TestRingStraddlingRecord(t *testing.T) {
 	}
 }
 
-// TestInsertWaitsWhenBufferFull forces the decoupled log's buffer-full
-// path: a tiny ring with many inserts must record insert waits yet lose
-// nothing.
+// TestInsertWaitsWhenBufferFull forces the buffer-full path: a tiny ring
+// with many inserts must record insert waits (coupled counts the flushes
+// it runs inline there) yet lose nothing.
 func TestInsertWaitsWhenBufferFull(t *testing.T) {
-	store := NewMemStore()
-	m := New(store, Options{Design: DesignDecoupled, BufferSize: 2048})
-	payload := make([]byte, 128)
-	for i := 0; i < 200; i++ {
-		if _, err := m.Insert(&Record{Type: RecUpdate, TxID: uint64(i), Redo: payload}); err != nil {
-			t.Fatal(err)
-		}
+	for _, d := range allDesigns() {
+		t.Run(d.String(), func(t *testing.T) {
+			store := NewMemStore()
+			m := New(store, Options{Design: d, BufferSize: 2048})
+			defer m.Close()
+			payload := make([]byte, 128)
+			for i := 0; i < 200; i++ {
+				if _, err := m.Insert(&Record{Type: RecUpdate, TxID: uint64(i), Redo: payload}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.Flush(m.CurLSN()); err != nil {
+				t.Fatal(err)
+			}
+			st := m.Stats()
+			if st.Inserts != 200 {
+				t.Fatalf("inserts = %d", st.Inserts)
+			}
+			if st.InsertWaits == 0 {
+				t.Error("tiny buffer never filled — buffer-full path untested")
+			}
+			if got := scanInOrder(t, store); got != 200 {
+				t.Fatalf("scanned %d records, want 200", got)
+			}
+		})
 	}
-	if err := m.Flush(m.CurLSN()); err != nil {
-		t.Fatal(err)
-	}
-	st := m.Stats()
-	if st.Inserts != 200 {
-		t.Fatalf("inserts = %d", st.Inserts)
-	}
-	if st.InsertWaits == 0 {
-		t.Error("tiny buffer never filled — buffer-full path untested")
-	}
-	// All records intact.
+}
+
+// scanInOrder scans store from its start to the end of the log, checks
+// that the records carry the transaction ids 0, 1, 2, … every caller
+// assigns, and returns how many there are.
+func scanInOrder(t *testing.T, store Store) int {
+	t.Helper()
 	sc := NewScanner(store, NullLSN)
-	count := 0
-	for {
+	for n := 0; ; n++ {
 		rec, err := sc.Next()
+		if err == io.EOF {
+			return n
+		}
 		if err != nil {
-			break
+			t.Fatalf("record %d: %v", n, err)
 		}
-		if rec.TxID != uint64(count) {
-			t.Fatalf("record %d has txid %d", count, rec.TxID)
+		if rec.TxID != uint64(n) {
+			t.Fatalf("record %d has txid %d", n, rec.TxID)
 		}
-		count++
 	}
-	if count != 200 {
-		t.Fatalf("scanned %d records, want 200", count)
+}
+
+// flakyStore fails its next failFlushes Flush calls with errFlakyDevice
+// and then works again — the device that "heals", which the log must not
+// believe.
+type flakyStore struct {
+	Store
+	failFlushes atomic.Int64
+}
+
+var errFlakyDevice = errors.New("injected log device failure")
+
+func (s *flakyStore) Flush(upTo int64) error {
+	if s.failFlushes.Add(-1) >= 0 {
+		return errFlakyDevice
 	}
-	m.Close()
+	return s.Store.Flush(upTo)
+}
+
+// TestDeviceFailureIsTerminal holds all three designs to the one failure
+// rule: the first failed store flush is latched; from then on the durable
+// mark never moves, however healthy the store looks, and Flush, Subscribe,
+// FlushDaemon.Harden, an insert that needs room and Close all return that
+// error.
+func TestDeviceFailureIsTerminal(t *testing.T) {
+	for _, d := range allDesigns() {
+		t.Run(d.String(), func(t *testing.T) {
+			store := &flakyStore{Store: NewMemStore()}
+			m := New(store, Options{Design: d, BufferSize: 2048})
+			insert := func() error {
+				_, err := m.Insert(&Record{Type: RecUpdate, Redo: make([]byte, 64)})
+				return err
+			}
+			if err := insert(); err != nil {
+				t.Fatal(err)
+			}
+			store.failFlushes.Store(1) // fails once, then heals
+			if err := m.Flush(m.CurLSN()); !errors.Is(err, errFlakyDevice) {
+				t.Fatalf("flush on a failing device = %v, want the device error", err)
+			}
+			durable, stored := m.DurableLSN(), store.DurableSize()
+
+			if err := insert(); err != nil {
+				t.Fatalf("insert that fits the ring after the failure: %v", err)
+			}
+			for i := 0; i < 3; i++ {
+				if err := m.Flush(m.CurLSN()); !errors.Is(err, errFlakyDevice) {
+					t.Errorf("flush %d after the failure = %v, want the device error", i, err)
+				}
+			}
+			if err := <-m.Subscribe(m.CurLSN()); !errors.Is(err, errFlakyDevice) {
+				t.Errorf("subscribe after the failure = %v, want the device error", err)
+			}
+			fd := NewFlushDaemon(m, DaemonOptions{})
+			if err := <-fd.Harden(m.CurLSN()); !errors.Is(err, errFlakyDevice) {
+				t.Errorf("harden after the failure = %v, want the device error", err)
+			}
+			fd.Close()
+			var err error
+			for i := 0; i < 64 && err == nil; i++ { // 64 × 100 bytes overruns the 2 KiB ring
+				err = insert()
+			}
+			if !errors.Is(err, errFlakyDevice) {
+				t.Errorf("insert into a full ring after the failure = %v, want the device error", err)
+			}
+			time.Sleep(50 * time.Millisecond) // a background drain would have run by now
+			if got := m.DurableLSN(); got != durable {
+				t.Errorf("durable mark moved %v -> %v after the device failed", durable, got)
+			}
+			if got := store.DurableSize(); got != stored {
+				t.Errorf("store synced %d -> %d after the device failed", stored, got)
+			}
+			if err := m.Close(); !errors.Is(err, errFlakyDevice) {
+				t.Errorf("close = %v, want the device error", err)
+			}
+		})
+	}
+}
+
+// gateStore parks every Flush until released.
+type gateStore struct {
+	Store
+	entered chan struct{} // a Flush has arrived at the gate
+	release chan struct{} // closed to open the gate
+}
+
+func (s *gateStore) Flush(upTo int64) error {
+	s.entered <- struct{}{}
+	<-s.release
+	return s.Store.Flush(upTo)
+}
+
+// TestInsertVersusSlowFlush checks the property each rung is named for,
+// without a clock. With a Flush parked inside the store, an insert that
+// fits the ring completes on decoupled and consolidated — "fast inserts
+// never wait on slow flushes" (§6.2.2) — and on coupled cannot: the flush
+// holds the one mutex every insert needs, so the insert returns only after
+// the gate opens.
+func TestInsertVersusSlowFlush(t *testing.T) {
+	for _, d := range allDesigns() {
+		t.Run(d.String(), func(t *testing.T) {
+			store := &gateStore{Store: NewMemStore(), entered: make(chan struct{}, 4), release: make(chan struct{})}
+			l := newRingLog(store, 1<<16, d)
+			rec := func() *Record { return &Record{Type: RecUpdate, Redo: make([]byte, 64)} }
+			if _, err := l.Insert(rec()); err != nil {
+				t.Fatal(err)
+			}
+			flushed := make(chan error, 1)
+			go func() { flushed <- l.Flush(l.CurLSN()) }()
+			<-store.entered
+
+			var gateOpen atomic.Bool
+			inserted := make(chan error, 1)
+			go func() {
+				_, err := l.Insert(rec())
+				if err == nil && d == DesignCoupled && !gateOpen.Load() {
+					err = errors.New("coupled insert completed while a flush held the log mutex")
+				}
+				inserted <- err
+			}()
+			if p, ok := l.policy.(*coupled); ok {
+				if p.mu.TryLock() {
+					t.Fatal("coupled: the log mutex is free while a flush is in the store")
+				}
+			} else if err := <-inserted; err != nil { // hangs here if the insert waits for the flush
+				t.Fatal(err)
+			}
+			gateOpen.Store(true)
+			close(store.release)
+			if d == DesignCoupled {
+				if err := <-inserted; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := <-flushed; err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestReopenSeedsMarks opens every design over stores in the states a
+// restart finds them in. The marks must come up ordered (durable ≤ head),
+// the log must continue exactly at the store's end, and bytes the store
+// already holds — synced or not — must never be rewritten from the ring,
+// which does not have them.
+func TestReopenSeedsMarks(t *testing.T) {
+	stores := map[string]func() Store{
+		"mem":    func() Store { return NewMemStore() },
+		"memseg": func() Store { return NewMemSegmentStore(1 << 20) },
+	}
+	// Each state is reached from a log of ten synced records followed by
+	// two the device took but never synced; survivors is how many of the
+	// twelve the reopened log starts with.
+	states := []struct {
+		name      string
+		survivors int
+		prepare   func(t *testing.T, s Store, synced int64)
+	}{
+		{"crash", 10, func(t *testing.T, s Store, _ int64) { s.Crash() }},
+		{"truncate", 9, func(t *testing.T, s Store, synced int64) {
+			if err := s.Truncate(synced - int64(testRecord(9).EncodedSize())); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"unsynced-tail", 12, func(*testing.T, Store, int64) {}},
+	}
+	for sname, newStore := range stores {
+		for _, state := range states {
+			for _, d := range allDesigns() {
+				t.Run(sname+"/"+state.name+"/"+d.String(), func(t *testing.T) {
+					s := newStore()
+					m := New(s, Options{Design: DesignCoupled})
+					for i := 0; i < 10; i++ {
+						if _, err := m.Insert(testRecord(i)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := m.Close(); err != nil {
+						t.Fatal(err)
+					}
+					synced := s.DurableSize()
+					for i := 10; i < 12; i++ {
+						rec := testRecord(i)
+						rec.LSN = LSN(s.Size())
+						buf := make([]byte, rec.EncodedSize())
+						rec.put(buf)
+						if err := s.WriteAt(buf, s.Size()); err != nil {
+							t.Fatal(err)
+						}
+					}
+					state.prepare(t, s, synced)
+
+					m = New(s, Options{Design: d})
+					if m.DurableLSN() > m.CurLSN() {
+						t.Fatalf("opened with durable %v past head %v", m.DurableLSN(), m.CurLSN())
+					}
+					n, end := state.survivors, s.Size()
+					lsn, err := m.Insert(testRecord(n))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if int64(lsn) != end {
+						t.Fatalf("first insert at %v, store ended at %d", lsn, end)
+					}
+					if err := m.Flush(m.CurLSN()); err != nil {
+						t.Fatal(err)
+					}
+					if err := m.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if got := scanInOrder(t, s); got != n+1 {
+						t.Fatalf("log holds %d records after reopen, want %d", got, n+1)
+					}
+				})
+			}
+		}
+	}
+}
+
+func testRecord(i int) *Record {
+	return &Record{Type: RecUpdate, TxID: uint64(i), Redo: bytes.Repeat([]byte{byte(i + 1)}, 40)}
 }

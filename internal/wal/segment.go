@@ -825,7 +825,7 @@ func (b *fileSegBackend) remove(idx uint64) error {
 
 func (b *fileSegBackend) setMaster(l LSN) error {
 	var buf [8]byte
-	putLSN(buf[:], l)
+	binary.LittleEndian.PutUint64(buf[:], uint64(l))
 	if _, err := b.mf.WriteAt(buf[:], 0); err != nil {
 		return err
 	}
@@ -838,7 +838,7 @@ func (b *fileSegBackend) master() (LSN, error) {
 	if err != nil && n == 0 {
 		return NullLSN, nil // fresh master file
 	}
-	return getLSN(buf[:]), nil
+	return LSN(binary.LittleEndian.Uint64(buf[:])), nil
 }
 
 func (b *fileSegBackend) close() error { return b.mf.Close() }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,13 @@ import (
 // Store is the durable backing of the log: an append-mostly byte store
 // with an explicit durability boundary, so tests can crash the system and
 // observe exactly the flushed prefix surviving.
+//
+// The invariant a store must keep, and recovery relies on: every byte
+// below Horizon() was written and synced; a failed Flush changes nothing
+// observable. The manager's half of it (ringLog.drain, the only caller of
+// WriteAt and Flush on a live log): it writes a byte before it asks for it
+// to be synced, never rewrites a byte the store already holds, and after
+// a failed WriteAt or Flush never calls either again.
 type Store interface {
 	// WriteAt stores b at off in the volatile layer.
 	WriteAt(b []byte, off int64) error
@@ -307,7 +315,7 @@ func (s *FileStore) Size() int64 {
 // SetMaster implements Store.
 func (s *FileStore) SetMaster(l LSN) error {
 	var b [8]byte
-	putLSN(b[:], l)
+	binary.LittleEndian.PutUint64(b[:], uint64(l))
 	if _, err := s.master.WriteAt(b[:], 0); err != nil {
 		return err
 	}
@@ -321,7 +329,7 @@ func (s *FileStore) Master() (LSN, error) {
 	if err != nil && n == 0 {
 		return NullLSN, nil // fresh master file
 	}
-	return getLSN(b[:]), nil
+	return LSN(binary.LittleEndian.Uint64(b[:])), nil
 }
 
 // Horizon implements Store. After reopening a plain log file nothing
@@ -382,20 +390,6 @@ func (s *FileStore) Close() error {
 	err1 := s.f.Close()
 	err2 := s.master.Close()
 	return errors.Join(err1, err2)
-}
-
-func putLSN(b []byte, l LSN) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(l >> (8 * i))
-	}
-}
-
-func getLSN(b []byte) LSN {
-	var l LSN
-	for i := 0; i < 8; i++ {
-		l |= LSN(b[i]) << (8 * i)
-	}
-	return l
 }
 
 var (

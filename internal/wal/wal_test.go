@@ -321,28 +321,37 @@ func TestInsertAfterClose(t *testing.T) {
 	}
 }
 
-// TestConsolidatedInsertDurablePastHead: the consolidated insert reads the
-// head and then the durable mark, so under concurrent inserts and flushes
-// the mark it sees can be past its (stale) head. It used to take the
-// wrapped unsigned distance for a full buffer and wait for a durable LSN
-// near 2^64 — found as a hang of TestPlpCrossPartitionStress under -race.
+// TestInsertDurablePastHead: an insert reads the head and then the durable
+// mark, so under concurrent inserts and flushes the mark it sees can be
+// past its (stale) head. The consolidated insert used to take the wrapped
+// unsigned distance for a full buffer and wait for a durable LSN near 2^64
+// — found as a hang of TestPlpCrossPartitionStress under -race; the
+// decoupled insert had the same unguarded subtraction against its cached
+// tail. There is one space check now, so every design is held to it.
 // Putting the mark ahead of the head reproduces what the stale read sees.
-func TestConsolidatedInsertDurablePastHead(t *testing.T) {
-	l := newConsolidated(NewMemStore(), 1<<16)
-	defer l.Close()
-	l.gc.advance(LSN(l.head.Load() + 4096))
-	done := make(chan error, 1)
-	go func() {
-		_, err := l.Insert(&Record{Type: RecUpdate, Redo: make([]byte, 64)})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("insert waits on a buffer that is not full")
+func TestInsertDurablePastHead(t *testing.T) {
+	for _, d := range allDesigns() {
+		t.Run(d.String(), func(t *testing.T) {
+			l := newRingLog(NewMemStore(), 1<<16, d)
+			defer l.Close()
+			l.gc.advance(LSN(l.head.Load() + 4096))
+			if p, ok := l.policy.(*decoupled); ok {
+				p.cachedTail = uint64(l.gc.get()) // the copy it checks first
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := l.Insert(&Record{Type: RecUpdate, Redo: make([]byte, 64)})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("insert waits on a buffer that is not full")
+			}
+		})
 	}
 }
 
