@@ -1,9 +1,11 @@
 package buffer
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/page"
 	"repro/internal/wal"
 )
 
@@ -91,15 +93,85 @@ func (p *Pool) RefillFreeLists() {
 			continue
 		}
 		for int(s.nfree.Load()) < s.highWater {
-			f, idx, err := p.claimVictim(s)
+			f, err := p.claimVictim(s)
 			if err != nil {
 				break // region exhausted (all pinned) or I/O error; retry next pass
 			}
-			f.latch.UnlatchEX()
-			s.pushFree(idx)
+			p.retire(f) // claimed → free: onto s's list
 			s.cleanerFrees.Add(1)
 		}
 	}
+}
+
+// walkDirty is the one walk over frames that may hold a dirty page, shared
+// by the cleaner, FlushAll and the checkpoint. Each goes to fn once with
+// its pid and recLSN; held says the walk has it pinned and SH-latched
+// across the call, so fn may write it. A frame the walk cannot have —
+// frozen: leaving, its write-back not yet landed; EX-latched: being
+// modified, recLSN NullLSN if the writer has logged but not yet dirtied
+// it — is reported not held, for fn to account for conservatively, and
+// never dropped (R5); with block the walk waits for it instead (on the
+// transit entry, on the writer's latch).
+func (p *Pool) walkDirty(block bool, fn func(f *Frame, pid page.ID, rec wal.LSN, held bool)) {
+	for _, f := range p.frames {
+	again:
+		// The latch first: a writer sets the dirty bit before it lets go
+		// of the EX latch, so one that slips between the two loads is
+		// seen dirty; the other order would miss it.
+		if !f.latch.HeldEX() && !f.Dirty() {
+			continue
+		}
+		pinned, held := f.pin.tryPin(), false
+		if pinned && block {
+			f.latch.LatchSH()
+			held = true
+		} else if pinned {
+			held = f.latch.TryLatchSH()
+		}
+		dirty := f.Dirty()
+		if block && !pinned && dirty {
+			if !p.awaitTransit(f.PID()) {
+				runtime.Gosched() // frozen a moment ago, its transit not begun
+			}
+			goto again
+		}
+		// A frozen frame has no writer: clean, it holds nothing to report.
+		if pid := f.PID(); pid != 0 && (dirty || pinned && !held) {
+			fn(f, pid, f.RecLSN(), held)
+		}
+		if held {
+			f.latch.UnlatchSH()
+		}
+		if pinned {
+			f.pin.unpin()
+		}
+	}
+}
+
+// FlushAll writes every dirty page to the volume (e.g. at clean shutdown).
+// It does not return while a write it left to an evictor is in flight.
+func (p *Pool) FlushAll() error {
+	var firstErr error
+	p.walkDirty(true, func(f *Frame, _ page.ID, _ wal.LSN, _ bool) { // always held: the walk blocks
+		if err := p.writeBack(f); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	})
+	return firstErr
+}
+
+// DirtyPageTable collects the (pid, recLSN) of every dirty frame — the
+// checkpoint's dirty page table. beginLSN is the checkpoint-begin LSN used
+// as a conservative recLSN for frames being modified during the scan.
+func (p *Pool) DirtyPageTable(beginLSN wal.LSN) []wal.DirtyInfo {
+	var out []wal.DirtyInfo
+	p.walkDirty(false, func(_ *Frame, pid page.ID, rec wal.LSN, held bool) {
+		if !held && (rec == wal.NullLSN || rec > beginLSN) {
+			rec = beginLSN
+		}
+		out = append(out, wal.DirtyInfo{Page: pid, RecLSN: rec})
+	})
+	return out
 }
 
 // CleanerSweep performs one full cleaning pass and publishes the
@@ -110,42 +182,20 @@ func (p *Pool) CleanerSweep() {
 	if p.opts.CurLSN != nil {
 		sweepStart = p.opts.CurLSN()
 	}
-	// minSkipped tracks the recLSN of dirty frames the sweep could not
-	// write (pinned/EX-latched); the published checkpoint LSN must not
-	// pass them.
-	minSkipped := wal.LSN(^uint64(0))
-	for _, f := range p.frames {
-		if !f.Dirty() {
-			continue
+	// oldest is the recLSN of the oldest page the sweep left dirty (it
+	// could not pin or latch it, or the write failed); the published
+	// checkpoint LSN must not pass it. A writer that has logged but not
+	// yet dirtied its page has a recLSN nobody knows: NullLSN, and this
+	// sweep publishes nothing.
+	oldest := wal.LSN(^uint64(0))
+	p.walkDirty(false, func(f *Frame, _ page.ID, rec wal.LSN, held bool) {
+		if held && p.writeBack(f) == nil {
+			p.cleanerIO.Add(1)
+		} else {
+			oldest = min(oldest, rec)
 		}
-		if !f.pin.tryPin() {
-			if rec := f.RecLSN(); rec != wal.NullLSN && rec < minSkipped {
-				minSkipped = rec
-			}
-			continue
-		}
-		if !f.latch.TryLatchSH() {
-			if rec := f.RecLSN(); rec != wal.NullLSN && rec < minSkipped {
-				minSkipped = rec
-			}
-			f.pin.unpin()
-			continue
-		}
-		if f.Dirty() && f.PID() != 0 {
-			if err := p.writeBack(f); err == nil {
-				p.cleanerIO.Add(1)
-			} else if rec := f.RecLSN(); rec != wal.NullLSN && rec < minSkipped {
-				minSkipped = rec
-			}
-		}
-		f.latch.UnlatchSH()
-		f.pin.unpin()
-	}
-	ckpt := sweepStart
-	if minSkipped < ckpt {
-		ckpt = minSkipped
-	}
-	if ckpt != wal.NullLSN && ckpt != wal.LSN(^uint64(0)) {
+	})
+	if ckpt := min(sweepStart, oldest); ckpt != wal.NullLSN {
 		p.cleaner.ckptLSN.Store(uint64(ckpt))
 	}
 }

@@ -7,10 +7,49 @@
 // lists with the transit-bypass optimization, and a shard-aware
 // background cleaner that keeps the free lists ahead of demand and
 // doubles as the checkpoint's oldest-dirty-LSN tracker.
+//
+// # Frame life-cycle
+//
+// A frame's state is in the frame (pin count, latch, pid, dirty bit) and
+// each edge is one function — claimFree and claimVictim beside the free
+// lists and the clock in shard.go, the rest below:
+//
+//	         claimFree                install
+//	free ──────────────► claimed ──────────────► resident
+//	 ▲                    │   ▲                    │   ▲
+//	 └────── retire ──────┘   │ evict              │   │ evict failed
+//	                          │        claimVictim ▼   │
+//	                          └──────────────── leaving
+//
+//	free      frozen (pin −1), clean, pid 0, unlatched, on its shard's free
+//	          list (a single shard has none: pin 0, in the clock)
+//	claimed   frozen + EX-latched, clean, pid 0: allocFrame's result, owned
+//	          by one goroutine
+//	resident  the table maps pid to this frame; pin ≥ 0; clean or dirty
+//	leaving   frozen + EX-latched, still mapped, its image still the newest
+//	          and possibly on its way to the volume
+//
+// retire also takes a resident frame that its caller owns (Drop, an
+// install that lost) to free. Five rules hold by construction:
+//
+//	R1 frame first (install): a goroutine owns its destination frame
+//	   before it registers anything under a pid, transit entry or mapping,
+//	   so the holder of a registration never waits for a clock lock.
+//	R2 no wait under a clock lock (evict): a victim whose pid is in
+//	   transit is skipped. The hand may be held across the victim's own
+//	   write (ClockHandRelease off), never across anyone else's.
+//	R3 the volume is read only when it holds the newest image (install).
+//	R4 a page stays reachable until its write lands (evict): no frame
+//	   holds a pid the table does not map to it. A fixer that meets a
+//	   leaving frame parks on its transit entry (awaitTransit); it does
+//	   not spin across the device.
+//	R5 the checkpoint never loses a dirty page (walkDirty): a frame that
+//	   cannot be pinned or latched is reported with its recLSN.
 package buffer
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/page"
@@ -35,6 +74,10 @@ type Frame struct {
 	// and the pool resets it whenever the frame changes pages.
 	slotHint atomic.Uint32
 	dirty    atomic.Bool
+	// wmu admits one write-back of this frame at a time: the cleaner and
+	// FlushAll both write under the SH latch and may meet on one frame,
+	// and a volume wants the writes of one page serialized.
+	wmu sync.Mutex
 	// recLSN is the LSN of the first update since the page was last clean
 	// (the ARIES dirty-page-table entry).
 	recLSN atomic.Uint64
@@ -104,6 +147,165 @@ func (f *Frame) LowerSlotHint(s uint16) {
 	}
 }
 
+// install turns a claimed frame into the resident frame of pid and returns
+// it EX-latched with the caller's pin; read=false (FixNew) skips the volume.
+// nil, nil means someone else owns pid right now: look it up again. The
+// TransitBypass settings differ only in where the mapping is published —
+// off: begin(pid) → read → publish → end; on: publish → read (transit.go).
+func (p *Pool) install(pid page.ID, read bool) (*Frame, error) {
+	f, err := p.allocFrame(pid) // R1: nothing is registered under pid yet
+	if err != nil {
+		return nil, err
+	}
+	early := p.opts.TransitBypass // publish before the read?
+	if early {
+		// R3: the insert succeeds only once no frame holds pid, and a
+		// leaving frame holds it until its write has landed (R4).
+		if ok, err := p.publish(f, pid); !ok {
+			return nil, err
+		}
+	} else {
+		e, fresh := p.transit.begin(pid)
+		if !fresh {
+			p.retire(f)
+			p.transitWait.Add(1)
+			e.wait()
+			return nil, nil
+		}
+		defer p.transit.end(pid, e)
+		// R3: the entry keeps every evictor of pid out, and nobody writes
+		// an unmapped page. Mapped means it was loaded since our lookup.
+		if _, mapped := p.table.get(pid); mapped {
+			p.retire(f)
+			return nil, nil
+		}
+	}
+	if read {
+		if err := p.vol.Read(pid, f.buf); err != nil {
+			p.retire(f)
+			return nil, err
+		}
+		// Never-written pages read back zeroed; stamp the true id so the
+		// in-memory header is always self-consistent (redo relies on it).
+		f.pg.SetPID(pid)
+	}
+	if !early {
+		if ok, err := p.publish(f, pid); !ok {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// publish makes a claimed frame reachable as pid: identity, the owner's
+// pin, then the mapping. If pid is mapped elsewhere (or the table fails)
+// the frame is retired and publish reports false.
+func (p *Pool) publish(f *Frame, pid page.ID) (bool, error) {
+	f.pid.Store(uint64(pid))
+	f.pin.unfreezeTo(1)
+	_, inserted, err := p.table.getOrInsert(pid, f.idx)
+	if err != nil || !inserted {
+		p.retire(f)
+		return false, err
+	}
+	return true, nil
+}
+
+// evict takes a leaving frame (frozen and EX-latched by claimVictim, still
+// mapped) to claimed, charging shard s. On an error the frame is as it came
+// — mapped, and dirty if it was — for the caller to unfreeze: the pid is in
+// someone's transit (R2: skip, never wait), or the write-back failed (R4).
+func (p *Pool) evict(f *Frame, s *shard) error {
+	pid := f.PID()
+	if pid == 0 {
+		return nil // a single-hand pool's free frames sit in the clock
+	}
+	if f.Dirty() {
+		// Transit-out: fixers of pid park on the entry instead of reading
+		// the volume under the write. It ends after the unmap, so a woken
+		// fixer finds pid unmapped and the volume current.
+		e, fresh := p.transit.begin(pid)
+		if !fresh {
+			return errVictimInTransit
+		}
+		defer p.transit.end(pid, e)
+		if err := p.writeBack(f); err != nil {
+			return err
+		}
+		p.writebacks.Add(1)
+	}
+	p.table.delete(pid)
+	f.pid.Store(0)
+	f.slotHint.Store(0)
+	p.evictions.Add(1)
+	s.evictions.Add(1)
+	return nil
+}
+
+// writeBack flushes the WAL up to the page LSN (the WAL rule), writes the
+// frame to the volume and clears its dirty bit. The caller keeps the image
+// still: a leaving frame's EX latch, or a pin plus the SH latch.
+func (p *Pool) writeBack(f *Frame) error {
+	f.wmu.Lock()
+	defer f.wmu.Unlock()
+	if !f.Dirty() {
+		return nil // another SH-latched writer got here first
+	}
+	if p.opts.FlushLog != nil {
+		if err := p.opts.FlushLog(wal.LSN(f.pg.LSN())); err != nil {
+			return err
+		}
+	}
+	if err := p.vol.Write(f.PID(), f.buf); err != nil {
+		return err
+	}
+	f.dirty.Store(false)
+	return nil
+}
+
+// retire returns a frame its caller owns — EX-latched, and either frozen
+// or holding the only legitimate pin — to free, from any state: whatever
+// page it holds is unmapped and discarded unwritten. The identity clears
+// under the EX latch (a frame's pid may only change there, or an
+// optimistic reader could validate against the stale one), then the latch
+// drops so that a visitor parked on it can re-check the pid and leave,
+// and only then does a pin wait out those visitors: a visitor that pinned
+// and passed its pre-latch ID check is blocked on this very latch, and
+// waiting for its unpin while holding the latch would deadlock.
+func (p *Pool) retire(f *Frame) {
+	if pid := f.PID(); pid != 0 {
+		// Only f's owner maps or unmaps f, so the check cannot go stale;
+		// an install that lost must not unmap the winner.
+		if idx, ok := p.table.get(pid); ok && idx == f.idx {
+			p.table.delete(pid)
+		}
+		f.pid.Store(0)
+	}
+	f.dirty.Store(false)
+	f.slotHint.Store(0)
+	f.latch.UnlatchEX()
+	if f.pin.get() > 0 {
+		f.pin.freezeFromOne()
+	}
+	if p.freeLists {
+		p.shardOfFrame(f.idx).pushFree(f.idx)
+	} else {
+		f.pin.unfreezeTo(0) // single-hand mode: the clock is the free list
+	}
+}
+
+// awaitTransit parks until pid's in-flight transit, if there is one, has
+// completed, and reports whether it waited. Never call it holding a clock
+// lock or a registration under any pid (R1, R2).
+func (p *Pool) awaitTransit(pid page.ID) bool {
+	e, ok := p.transit.lookup(pid)
+	if ok {
+		p.transitWait.Add(1)
+		e.wait()
+	}
+	return ok
+}
+
 // pinCount extends sync2.PinCount semantics with the transitions the
 // buffer pool needs: pins from zero race against eviction freezes.
 //
@@ -153,9 +355,8 @@ func (p *pinCount) unfreezeTo(count int32) { p.n.Store(count) }
 // state (1 → -1), waiting out transient pin-then-check visitors (stale
 // hot-array entries, table lookups that raced the load's failure); they
 // unpin as soon as an ID check fails. Only the pin's sole legitimate
-// holder may call it, and NEVER while holding the frame's latch: a
-// visitor that passed its pre-latch ID check parks its pin behind that
-// latch, and waiting for the unpin would deadlock (see retireFailedLoad).
+// holder may call it, and never while holding the frame's latch (retire
+// says why).
 func (p *pinCount) freezeFromOne() {
 	for !p.n.CompareAndSwap(1, -1) {
 		runtime.Gosched()

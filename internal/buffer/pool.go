@@ -85,7 +85,7 @@ type Stats struct {
 	Writebacks       uint64 // eviction write-backs
 	CleanerIO        uint64 // cleaner write-backs
 	TransitWait      uint64
-	TransitConflicts uint64 // eviction retries against an in-flight transit
+	TransitConflicts uint64 // clock victims skipped because their page was in transit
 	PinRetries       uint64
 	FreeListHits     uint64 // misses that allocated from a shard free list
 	Steals           uint64 // misses that crossed into another shard
@@ -105,6 +105,8 @@ var (
 	// errShardExhausted is the internal "this region had no victim"
 	// signal that drives stealing and the cleaner-kick retry loop.
 	errShardExhausted = errors.New("buffer: shard exhausted")
+	// errVictimInTransit is evict's "skip this victim" (R2).
+	errVictimInTransit = errors.New("buffer: victim's page is in transit")
 )
 
 // pageTable abstracts the pid → frame-index map.
@@ -276,22 +278,32 @@ func (p *Pool) Fix(pid page.ID, mode sync2.LatchMode) (*Frame, error) {
 			f.Latch(mode)
 			if f.PID() == pid {
 				p.hits.Add(1)
-				p.hotRecord(pid, p.frameIndex(f))
+				p.hotRecord(pid, f.idx)
 				return f, nil
 			}
 			// Dumped by a failed load between the pin's ID check and the
-			// latch; fall through to miss (the mapping is gone).
+			// latch; fall through to the miss (the mapping is gone).
 			f.Unlatch(mode)
 			f.pin.unpin()
 		}
-		f, err := p.miss(pid, mode)
+		// Miss. If someone else is moving this very page — loading it, or
+		// writing it out of its leaving frame — park, then look again.
+		if p.awaitTransit(pid) {
+			continue
+		}
+		f, err := p.install(pid, true)
 		if err != nil {
 			return nil, err
 		}
 		if f != nil {
+			p.misses.Add(1)
+			if mode == sync2.LatchSH {
+				f.latch.Downgrade()
+			}
+			p.hotRecord(pid, f.idx)
 			return f, nil
 		}
-		// Retry: someone else was loading or evicting this page.
+		// Lost to another loader of this page: retry.
 		if attempt%16 == 15 {
 			runtime.Gosched()
 		}
@@ -333,120 +345,14 @@ func (p *Pool) lookupAndPin(pid page.ID) *Frame {
 			p.pinRetries.Add(1)
 			continue // stale mapping; re-read the table
 		}
-		// Frame frozen by an evictor: the mapping will disappear shortly.
+		// Frozen: the frame is leaving. A dirty one stays mapped for the
+		// whole device write, so park on its transit entry; a clean one
+		// (or a Drop) is unmapped within a few instructions.
 		p.pinRetries.Add(1)
-		runtime.Gosched()
-	}
-}
-
-func (p *Pool) frameIndex(f *Frame) uint32 { return f.idx }
-
-// miss loads pid from disk. It returns a pinned, latched frame; nil frame
-// (no error) means "retry Fix".
-func (p *Pool) miss(pid page.ID, mode sync2.LatchMode) (*Frame, error) {
-	if !p.opts.TransitBypass {
-		// Original design: all transits (in and out) are invisible to the
-		// table; a missing page may be mid-read by another thread.
-		if e, ok := p.transit.lookup(pid); ok {
-			p.transitWait.Add(1)
-			e.wait()
-			return nil, nil // retry: the loader has inserted the mapping
+		if !p.awaitTransit(pid) {
+			runtime.Gosched()
 		}
-		e, fresh := p.transit.begin(pid)
-		if !fresh {
-			p.transitWait.Add(1)
-			e.wait()
-			return nil, nil
-		}
-		f, err := p.load(pid, mode, e)
-		if err != nil {
-			p.transit.end(pid, e)
-			return nil, err
-		}
-		if f == nil {
-			p.transit.end(pid, e)
-			return nil, nil
-		}
-		p.transit.end(pid, e)
-		return f, nil
 	}
-	// Bypass design (§6.2.3): only dirty evictions live in the transit
-	// lists; wait for any in-flight write-back of this page, then load.
-	if e, ok := p.transit.lookup(pid); ok {
-		p.transitWait.Add(1)
-		e.wait()
-	}
-	return p.load(pid, mode, nil)
-}
-
-// load claims a victim frame, maps it to pid, and reads the page. With
-// TransitBypass the mapping becomes visible before the read and the EX
-// latch blocks other fixers; otherwise the mapping appears only after the
-// read completes (transit waiters handle the rest). The frame arrives
-// from allocFrame already EX-latched, so optimistic readers of the
-// recycled frame fail validation for the whole load.
-func (p *Pool) load(pid page.ID, mode sync2.LatchMode, transitIn *transitEntry) (*Frame, error) {
-	f, idx, err := p.allocFrame(pid)
-	if err != nil {
-		return nil, err
-	}
-	if p.opts.TransitBypass {
-		// Publish first; hold EX during the read.
-		f.pid.Store(uint64(pid))
-		f.pin.unfreezeTo(1)
-		got, inserted, err := p.table.getOrInsert(pid, idx)
-		if err != nil || !inserted {
-			// Lost the race (or table error): dump the claim. The identity
-			// clears before the latch drops — a frame's pid may only change
-			// under the EX latch, or an optimistic reader could validate
-			// against the stale claim.
-			p.retireFailedLoad(f, idx)
-			_ = got
-			if err != nil {
-				return nil, err
-			}
-			return nil, nil
-		}
-		if err := p.vol.Read(pid, f.buf); err != nil {
-			p.table.delete(pid)
-			p.retireFailedLoad(f, idx)
-			return nil, err
-		}
-		// Never-written pages read back zeroed; stamp the true id so the
-		// in-memory header is always self-consistent (redo relies on it).
-		f.pg.SetPID(pid)
-		p.misses.Add(1)
-		if mode == sync2.LatchSH {
-			f.latch.Downgrade()
-		}
-		p.hotRecord(pid, idx)
-		return f, nil
-	}
-	// Non-bypass: read first, publish after (still under the EX latch from
-	// allocFrame, so optimistic readers cannot validate against the
-	// half-loaded image).
-	if err := p.vol.Read(pid, f.buf); err != nil {
-		// Still frozen and unmapped: straight back to circulation.
-		p.releaseFreeFrame(f, idx)
-		return nil, err
-	}
-	f.pg.SetPID(pid)
-	f.pid.Store(uint64(pid))
-	f.pin.unfreezeTo(1)
-	got, inserted, err := p.table.getOrInsert(pid, idx)
-	if err != nil || !inserted {
-		// Another loader won despite the transit list (possible only if
-		// callers raced begin/end); fall back to retry.
-		p.retireFailedLoad(f, idx)
-		_ = got
-		return nil, err
-	}
-	if mode == sync2.LatchSH {
-		f.latch.Downgrade()
-	}
-	p.misses.Add(1)
-	p.hotRecord(pid, idx)
-	return f, nil
 }
 
 // FixNew claims a frame for a freshly allocated page without reading disk.
@@ -455,33 +361,23 @@ func (p *Pool) FixNew(pid page.ID) (*Frame, error) {
 	if p.closed.Load() {
 		return nil, ErrPoolClosed
 	}
-	f, idx, err := p.allocFrame(pid)
+	f, err := p.install(pid, false)
 	if err != nil {
 		return nil, err
 	}
-	f.pid.Store(uint64(pid))
-	f.pin.unfreezeTo(1)
-	_, inserted, err := p.table.getOrInsert(pid, idx)
-	if err != nil || !inserted {
-		p.retireFailedLoad(f, idx)
-		if err != nil {
-			return nil, err
-		}
+	if f == nil {
 		// A concurrent last-page reader can fix a freshly allocated page
 		// before its allocator gets here, caching the raw zeroed image.
 		// The pid is still exclusively ours (readers never write a
 		// non-heap page), so take the cached frame over: EX-latch it and
 		// hand it back for formatting.
-		g, ferr := p.Fix(pid, sync2.LatchEX)
-		if ferr != nil {
-			return nil, ferr
+		if f, err = p.Fix(pid, sync2.LatchEX); err != nil {
+			return nil, err
 		}
-		if g.Page().Type() != page.TypeFree {
-			p.Unfix(g, sync2.LatchEX)
+		if f.Page().Type() != page.TypeFree {
+			p.Unfix(f, sync2.LatchEX)
 			return nil, fmt.Errorf("buffer: FixNew(%v): page already cached", pid)
 		}
-		g.pg.Init(pid, page.TypeFree, 0)
-		return g, nil
 	}
 	f.pg.Init(pid, page.TypeFree, 0)
 	return f, nil
@@ -493,41 +389,31 @@ func (p *Pool) Unfix(f *Frame, mode sync2.LatchMode) {
 	f.pin.unpin()
 }
 
-// Miss-path recovery bounds: a fully pinned pool kicks the cleaner and
-// retries with backoff before ErrNoFreeFrames surfaces, and an eviction
-// that keeps colliding with in-flight transits of its victim's pid gives
-// up after a bounded number of waits.
+// Miss-path recovery bound: a fully pinned pool kicks the cleaner and
+// retries with backoff before ErrNoFreeFrames surfaces.
 const (
-	allocRetries    = 5
-	allocBackoff    = 50 * time.Microsecond
-	maxTransitWaits = 8
+	allocRetries = 5
+	allocBackoff = 50 * time.Microsecond
 )
 
 // allocFrame claims a frame for pid: its home shard's free list first
 // (no eviction work at all), then the home clock region, and only when
 // that region is exhausted the other shards — free lists, then clocks
-// (counted as steals). The returned frame is frozen (pin == -1),
-// EX-latched, unmapped, and clean. The EX latch never blocks — a frozen
-// frame has no pin holders and latch holders always pin first — but
-// taking it bumps the frame's version so optimistic readers that sampled
-// the previous occupant fail validation.
+// (counted as steals). The returned frame is claimed (frame.go).
 //
 // When every shard is exhausted (all frames pinned), allocFrame kicks
 // the cleaner and retries with backoff; only then does it surface
 // ErrNoFreeFrames, decorated with the pool's occupancy.
-func (p *Pool) allocFrame(pid page.ID) (*Frame, uint32, error) {
+func (p *Pool) allocFrame(pid page.ID) (*Frame, error) {
 	home := p.homeShard(pid)
 	for attempt := 0; ; attempt++ {
-		f, idx, err := p.allocOnce(home)
-		if err == nil {
-			return f, idx, nil
-		}
+		f, err := p.allocOnce(home)
 		if err != errShardExhausted {
-			return nil, 0, err
+			return f, err
 		}
 		if attempt >= allocRetries {
 			pinned, free := p.occupancy()
-			return nil, 0, fmt.Errorf("%w (%d/%d frames pinned, %d free-listed; %d retries)",
+			return nil, fmt.Errorf("%w (%d/%d frames pinned, %d free-listed; %d retries)",
 				ErrNoFreeFrames, pinned, len(p.frames), free, attempt)
 		}
 		p.kickCleaner()
@@ -540,43 +426,40 @@ func (p *Pool) allocFrame(pid page.ID) (*Frame, uint32, error) {
 }
 
 // allocOnce is one sweep of the allocation ladder for home.
-func (p *Pool) allocOnce(home *shard) (*Frame, uint32, error) {
-	if f, idx, ok := p.claimFree(home); ok {
+func (p *Pool) allocOnce(home *shard) (*Frame, error) {
+	if f := p.claimFree(home); f != nil {
 		home.freeHits.Add(1)
 		if int(home.nfree.Load()) < home.lowWater {
 			p.kickCleaner() // demand is eating into the buffer: refill ahead
 		}
-		return f, idx, nil
+		return f, nil
 	}
 	if p.freeLists {
 		p.kickCleaner() // the free list ran dry: replacement fell behind
 	}
-	f, idx, err := p.claimVictim(home)
-	if err == nil || err != errShardExhausted {
-		return f, idx, err
+	f, err := p.claimVictim(home)
+	if err != errShardExhausted {
+		return f, err
 	}
 	// Home region exhausted: steal. Neighbors' free lists first (cheap),
 	// then their clock regions.
 	n := len(p.shards)
 	for off := 1; off < n; off++ {
-		s := p.shards[(home.id+off)%n]
-		if f, idx, ok := p.claimFree(s); ok {
+		if f := p.claimFree(p.shards[(home.id+off)%n]); f != nil {
 			home.steals.Add(1)
-			return f, idx, nil
+			return f, nil
 		}
 	}
 	for off := 1; off < n; off++ {
-		s := p.shards[(home.id+off)%n]
-		f, idx, err := p.claimVictim(s)
+		f, err := p.claimVictim(p.shards[(home.id+off)%n])
 		if err == nil {
 			home.steals.Add(1)
-			return f, idx, nil
 		}
 		if err != errShardExhausted {
-			return nil, 0, err
+			return f, err
 		}
 	}
-	return nil, 0, errShardExhausted
+	return nil, errShardExhausted
 }
 
 // occupancy reports how many frames are pinned and how many sit on free
@@ -593,62 +476,6 @@ func (p *Pool) occupancy() (pinned, free int) {
 	return pinned, free
 }
 
-// evictContents writes back and unmaps whatever page the frozen frame
-// holds. s, when non-nil, is the shard charged for the eviction.
-func (p *Pool) evictContents(f *Frame, s *shard) error {
-	oldPid := f.PID()
-	if oldPid == 0 {
-		return nil
-	}
-	p.evictions.Add(1)
-	if s != nil {
-		s.evictions.Add(1)
-	}
-	if f.Dirty() {
-		// Register in-transit-out before unmapping so that concurrent
-		// misses on oldPid wait for the write instead of reading a stale
-		// disk image.
-		e, fresh := p.transit.begin(oldPid)
-		for tries := 1; !fresh; tries++ {
-			// Another transit in flight for this pid (e.g. a cleaner
-			// write-back). Wait it out — bounded,
-			// so a wedged transit cannot hang the miss path forever.
-			p.transitConflicts.Add(1)
-			if tries > maxTransitWaits {
-				return fmt.Errorf("buffer: persistent transit conflict on %v (%d waits)", oldPid, tries-1)
-			}
-			e.wait()
-			e, fresh = p.transit.begin(oldPid)
-		}
-		p.table.delete(oldPid)
-		err := p.writeBack(f)
-		p.transit.end(oldPid, e)
-		if err != nil {
-			return err
-		}
-		p.writebacks.Add(1)
-	} else {
-		p.table.delete(oldPid)
-	}
-	f.pid.Store(0)
-	return nil
-}
-
-// writeBack flushes the WAL up to the page LSN (the WAL rule), then writes
-// the frame to the volume and clears its dirty bit.
-func (p *Pool) writeBack(f *Frame) error {
-	if p.opts.FlushLog != nil {
-		if err := p.opts.FlushLog(wal.LSN(f.pg.LSN())); err != nil {
-			return err
-		}
-	}
-	if err := p.vol.Write(f.PID(), f.buf); err != nil {
-		return err
-	}
-	f.dirty.Store(false)
-	return nil
-}
-
 // Drop removes pid from the pool without writing it back (used when a page
 // is deallocated). The page must not be pinned by the caller.
 func (p *Pool) Drop(pid page.ID) {
@@ -660,75 +487,12 @@ func (p *Pool) Drop(pid page.ID) {
 	if !f.pin.tryFreeze() {
 		return // someone is using it; the clock will get it eventually
 	}
+	if f.PID() != pid {
+		f.pin.unfreezeTo(0) // recycled since the lookup
+		return
+	}
 	f.latch.LatchEX() // never blocks (frozen); bumps the version for optimistic readers
-	freed := false
-	if f.PID() == pid {
-		p.table.delete(pid)
-		f.dirty.Store(false)
-		f.pid.Store(0)
-		f.slotHint.Store(0)
-		freed = true
-	}
-	f.latch.UnlatchEX()
-	if freed {
-		// The dropped page's frame is clean and unmapped: recycle it via
-		// the shard free list (still frozen) rather than the clock.
-		p.freeFrozen(f, idx)
-	} else {
-		f.pin.unfreezeTo(0)
-	}
-}
-
-// FlushAll writes every dirty page to the volume (e.g. at clean shutdown).
-func (p *Pool) FlushAll() error {
-	var firstErr error
-	for _, f := range p.frames {
-		if !f.Dirty() {
-			continue
-		}
-		if !f.pin.tryPin() {
-			continue // being evicted; the evictor writes it
-		}
-		f.latch.LatchSH()
-		if f.Dirty() {
-			if err := p.writeBack(f); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		f.latch.UnlatchSH()
-		f.pin.unpin()
-	}
-	return firstErr
-}
-
-// DirtyPageTable collects the (pid, recLSN) of every dirty frame — the
-// checkpoint's dirty page table. beginLSN is the checkpoint-begin LSN used
-// as a conservative recLSN for frames being modified during the scan.
-func (p *Pool) DirtyPageTable(beginLSN wal.LSN) []wal.DirtyInfo {
-	var out []wal.DirtyInfo
-	for _, f := range p.frames {
-		if !f.pin.tryPin() {
-			continue // frozen: mid-eviction, will be clean on disk
-		}
-		if f.latch.TryLatchSH() {
-			if f.Dirty() && f.PID() != 0 {
-				out = append(out, wal.DirtyInfo{Page: f.PID(), RecLSN: f.RecLSN()})
-			}
-			f.latch.UnlatchSH()
-		} else {
-			// EX-held: being modified right now; include conservatively.
-			pid := f.PID()
-			if pid != 0 {
-				rec := f.RecLSN()
-				if rec == wal.NullLSN || rec > beginLSN {
-					rec = beginLSN
-				}
-				out = append(out, wal.DirtyInfo{Page: pid, RecLSN: rec})
-			}
-		}
-		f.pin.unpin()
-	}
-	return out
+	p.retire(f)       // straight to the shard free list rather than round the clock
 }
 
 // Stats returns a snapshot of pool counters, including one ShardStats

@@ -111,7 +111,7 @@ func TestEvictionWritesBackAndReloads(t *testing.T) {
 				}
 				return nil
 			}
-			p := New(v, opts)
+			p := New(newCheckedVolume(t, v), opts)
 			defer p.Close()
 
 			// Dirty page 1 with a known LSN.
@@ -228,7 +228,7 @@ func TestConcurrentWritersSamePage(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			v := newVol(t, 12)
 			opts.Frames = 4
-			p := New(v, opts)
+			p := New(newCheckedVolume(t, v), opts)
 			defer p.Close()
 			// All goroutines increment a counter on page 2 under EX latch,
 			// with eviction pressure from other fixes.
@@ -364,6 +364,23 @@ func TestCleanerSkipsLatchedPages(t *testing.T) {
 		t.Fatalf("ckpt LSN = %v, want 50 (bounded by skipped dirty page)", got)
 	}
 	p.Unfix(f, sync2.LatchEX)
+	// A writer that holds the latch and has logged its update but not yet
+	// dirtied the page: nobody knows its recLSN, so a sweep that meets it
+	// publishes nothing (page 1 is cleaned; the bound stays where it was).
+	g, err := p.Fix(2, sync2.LatchEX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.CleanerSweep()
+	if got := p.CleanerCkptLSN(); got != 50 {
+		t.Fatalf("ckpt LSN = %v, want 50: the sweep passed a page that is being modified", got)
+	}
+	g.MarkDirty(60)
+	p.Unfix(g, sync2.LatchEX)
+	p.CleanerSweep()
+	if got := p.CleanerCkptLSN(); got != 900 {
+		t.Fatalf("ckpt LSN = %v, want 900 once everything is clean", got)
+	}
 }
 
 func TestBackgroundCleaner(t *testing.T) {

@@ -116,8 +116,7 @@ func newShards(frames []*Frame, n int, freeLists bool) []*shard {
 	return shards
 }
 
-// popFree removes one pre-evicted frame from s's free list. The frame
-// comes back frozen, clean, unmapped, and unlatched.
+// popFree removes one free frame from s's list.
 func (s *shard) popFree() (uint32, bool) {
 	if s.nfree.Load() == 0 {
 		return 0, false
@@ -135,8 +134,7 @@ func (s *shard) popFree() (uint32, bool) {
 	return idx, true
 }
 
-// pushFree returns a frozen, clean, unmapped, unlatched frame to s's
-// free list.
+// pushFree puts a free frame on s's list.
 func (s *shard) pushFree(idx uint32) {
 	s.freeMu.Lock()
 	s.free = append(s.free, idx)
@@ -163,22 +161,20 @@ func (p *Pool) shardOfFrame(idx uint32) *shard {
 }
 
 // claimVictim runs s's clock hand until it claims one victim, returned
-// frozen, EX-latched, unmapped, and clean. While the cleaner is running
-// the first pass considers only clean frames — dirty victims are the
-// cleaner's job, keeping write-back I/O off the miss path — and a second
-// pass accepts dirty frames and writes them back inline, which keeps the
-// pool correct when the cleaner is off or behind. errShardExhausted
-// means every frame in the region is pinned or mid-transition.
-func (p *Pool) claimVictim(s *shard) (*Frame, uint32, error) {
-	s.mu.Lock()
-	released := false
-	unlock := func() {
-		if !released {
+// claimed. While the cleaner is running the first pass considers only
+// clean frames — dirty victims are the cleaner's job, keeping write-back
+// I/O off the miss path — and a second pass accepts dirty frames and
+// writes them back inline, which keeps the pool correct when the cleaner
+// is off or behind. errShardExhausted means every frame in the region is
+// pinned or mid-transition; any other error is a victim's failed
+// write-back, and that victim is resident and dirty again.
+func (p *Pool) claimVictim(s *shard) (*Frame, error) {
+	locked := false // the hand's lock; dropped early under ClockHandRelease
+	defer func() {
+		if locked {
 			s.mu.Unlock()
-			released = true
 		}
-	}
-	defer unlock()
+	}()
 	region := s.hi - s.lo
 	firstPass := 0
 	if !p.freeLists || !p.cleaner.running.Load() {
@@ -189,6 +185,10 @@ func (p *Pool) claimVictim(s *shard) (*Frame, uint32, error) {
 	sawDirty := false
 	for pass := firstPass; pass < 2; pass++ {
 		for i := 0; i < 2*region; i++ {
+			if !locked { // first time round, or the last victim was skipped hand-released
+				s.mu.Lock()
+				locked = true
+			}
 			s.hand++
 			if s.hand >= s.hi {
 				s.hand = s.lo
@@ -199,7 +199,7 @@ func (p *Pool) claimVictim(s *shard) (*Frame, uint32, error) {
 				continue // second chance
 			}
 			if f.pin.get() != 0 {
-				continue // pinned, or frozen (free-listed / mid-eviction)
+				continue // pinned, or frozen (free-listed / claimed / leaving)
 			}
 			if pass == 0 && f.Dirty() {
 				sawDirty = true
@@ -208,21 +208,23 @@ func (p *Pool) claimVictim(s *shard) (*Frame, uint32, error) {
 			if !f.pin.tryFreeze() {
 				continue
 			}
-			f.latch.LatchEX()
-			f.slotHint.Store(0)
-			idx := uint32(s.hand)
+			f.latch.LatchEX() // resident → leaving
 			if p.opts.ClockHandRelease {
 				// §7.6 carried over per shard: drop this region's hand
 				// before any eviction I/O so sibling misses proceed.
-				unlock()
+				s.mu.Unlock()
+				locked = false
 			}
-			if err := p.evictContents(f, s); err != nil {
-				f.latch.UnlatchEX()
-				f.pin.unfreezeTo(0)
-				return nil, 0, err
+			err := p.evict(f, s)
+			if err == nil {
+				return f, nil
 			}
-			unlock()
-			return f, idx, nil
+			f.latch.UnlatchEX() // leaving → resident, nothing lost (R4)
+			f.pin.unfreezeTo(0)
+			if err != errVictimInTransit {
+				return nil, err
+			}
+			p.transitConflicts.Add(1) // R2: skip it, the hand moves on
 		}
 		if pass == 0 {
 			if !sawDirty {
@@ -231,51 +233,19 @@ func (p *Pool) claimVictim(s *shard) (*Frame, uint32, error) {
 			p.kickCleaner() // dirty backlog: get the cleaner onto this region
 		}
 	}
-	return nil, 0, errShardExhausted
+	return nil, errShardExhausted
 }
 
-// claimFree pops a frame from s's free list and EX-latches it (never
-// blocks: the frame is frozen, and taking the latch bumps the version so
-// optimistic readers of the previous occupant fail validation).
-func (p *Pool) claimFree(s *shard) (*Frame, uint32, bool) {
+// claimFree takes a frame from s's free list to claimed, nil if there is
+// none. The EX latch never blocks — a frozen frame has no pin holders and
+// latch holders pin first — but taking it bumps the frame's version, so
+// optimistic readers that sampled the previous occupant fail validation.
+func (p *Pool) claimFree(s *shard) *Frame {
 	idx, ok := s.popFree()
 	if !ok {
-		return nil, 0, false
+		return nil
 	}
 	f := p.frames[idx]
 	f.latch.LatchEX()
-	return f, idx, true
-}
-
-// freeFrozen returns a frozen, clean, unmapped, unlatched frame to
-// circulation: the shard free list, or — single-hand mode — the clock.
-func (p *Pool) freeFrozen(f *Frame, idx uint32) {
-	if p.freeLists {
-		p.shardOfFrame(idx).pushFree(idx)
-	} else {
-		f.pin.unfreezeTo(0)
-	}
-}
-
-// releaseFreeFrame returns a claimed-but-unused frame (frozen,
-// EX-latched, clean, unmapped) to circulation.
-func (p *Pool) releaseFreeFrame(f *Frame, idx uint32) {
-	f.latch.UnlatchEX()
-	p.freeFrozen(f, idx)
-}
-
-// retireFailedLoad dumps a frame whose load failed after its pin was
-// published (pin == 1, EX latch held, pid possibly visible): the
-// identity clears under the EX latch, the latch drops so any visitor
-// blocked on it can run its post-latch ID re-check and leave, the
-// loader's pin waits out those transient visitors into the frozen
-// state, and the frame returns to circulation. The latch MUST drop
-// before the pin wait: a visitor that pinned and passed the pre-latch
-// ID check is blocked on this very latch, and waiting for its unpin
-// while holding the latch would deadlock.
-func (p *Pool) retireFailedLoad(f *Frame, idx uint32) {
-	f.pid.Store(0)
-	f.latch.UnlatchEX()
-	f.pin.freezeFromOne()
-	p.freeFrozen(f, idx)
+	return f
 }

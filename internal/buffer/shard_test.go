@@ -264,7 +264,7 @@ func TestShardedPoolStress(t *testing.T) {
 	v := newVol(t, allPages)
 	opts := shardedOpts(shards)
 	opts.Frames = frames
-	p := New(v, opts)
+	p := New(newCheckedVolume(t, v), opts)
 	defer p.Close()
 	p.StartCleaner(100 * time.Microsecond)
 

@@ -11,6 +11,21 @@ import (
 // global linked list; §6.2.3 describes breaking it into many small lists
 // (128 in Shore-MT) and, with the bypass optimization, keeping only dirty
 // evictions in it at all — so each list is nearly always empty.
+//
+// What an entry under pid means, by Options.TransitBypass:
+//
+//	     in (install)                      out (evict of a dirty victim)
+//	off  pid is unmapped and being read:   pid is mapped to a leaving frame
+//	     begin → read → publish → end      and being written: begin → write
+//	on   none: the mapping is published    → unmap → end (a failed write
+//	     before the read and the frame's   skips the unmap)
+//	     EX latch holds visitors
+//
+// There is at most one entry per pid, and whoever finds one that is not
+// its own parks on it (Pool.awaitTransit, install) — except an evictor,
+// which may hold a clock lock and skips that victim (frame.go, R2). Cleaner
+// and FlushAll writes register nothing: they write a resident, pinned
+// frame, which no loader can be reading from the volume.
 type transitSet struct {
 	parts []transitPart
 	mask  uint64
