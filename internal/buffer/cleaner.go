@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,6 +30,10 @@ type cleanerState struct {
 	// token; created at pool construction so kickCleaner never races
 	// StartCleaner.
 	kick chan struct{}
+	// writing admits one writing walk (CleanerSweep, FlushAll) at a time:
+	// both write under the SH latch, and a volume wants the writes of one
+	// page serialized. Evictors write frozen frames, which no walk can pin.
+	writing sync.Mutex
 	// ckptLSN is the published "oldest possible recLSN" from the last
 	// completed sweep; NullLSN until one completes.
 	ckptLSN atomic.Uint64
@@ -104,15 +109,24 @@ func (p *Pool) RefillFreeLists() {
 }
 
 // walkDirty is the one walk over frames that may hold a dirty page, shared
-// by the cleaner, FlushAll and the checkpoint. Each goes to fn once with
-// its pid and recLSN; held says the walk has it pinned and SH-latched
-// across the call, so fn may write it. A frame the walk cannot have —
-// frozen: leaving, its write-back not yet landed; EX-latched: being
-// modified, recLSN NullLSN if the writer has logged but not yet dirtied
-// it — is reported not held, for fn to account for conservatively, and
-// never dropped (R5); with block the walk waits for it instead (on the
-// transit entry, on the writer's latch).
-func (p *Pool) walkDirty(block bool, fn func(f *Frame, pid page.ID, rec wal.LSN, held bool)) {
+// by the cleaner, FlushAll and the checkpoint. fn sees every dirty page once
+// with its recLSN; writable says the walk holds it pinned and SH-latched
+// across the call. What becomes of a frame the walk cannot have is decided
+// here and nowhere else (R5):
+//
+//	frozen, dirty        leaving, its write not yet landed; nobody modifies
+//	                     a frozen frame, so the recLSN is exact. Reported,
+//	                     not writable; flush waits for the transit instead.
+//	latched, recLSN set  being modified; the recLSN was fixed when the page
+//	                     went dirty. Reported, not writable; flush waits for
+//	                     the latch instead.
+//	latched, no recLSN   the holder may have logged an update it has not yet
+//	                     marked: a recLSN nobody knows. The walk holds only
+//	                     a pin, so it waits until there is one or the latch
+//	                     is free — asleep: a bypass load in flight looks the
+//	                     same, and spinning across device reads cost
+//	                     kv-outofpool 6 % of its CPU.
+func (p *Pool) walkDirty(flush bool, fn func(f *Frame, pid page.ID, rec wal.LSN, writable bool)) {
 	for _, f := range p.frames {
 	again:
 		// The latch first: a writer sets the dirty bit before it lets go
@@ -121,38 +135,44 @@ func (p *Pool) walkDirty(block bool, fn func(f *Frame, pid page.ID, rec wal.LSN,
 		if !f.latch.HeldEX() && !f.Dirty() {
 			continue
 		}
-		pinned, held := f.pin.tryPin(), false
-		if pinned && block {
-			f.latch.LatchSH()
-			held = true
-		} else if pinned {
-			held = f.latch.TryLatchSH()
-		}
-		dirty := f.Dirty()
-		if block && !pinned && dirty {
-			if !p.awaitTransit(f.PID()) {
-				runtime.Gosched() // frozen a moment ago, its transit not begun
+		if !f.pin.tryPin() {
+			// Dirty is read last: while it holds, the write has not
+			// landed and the pid and recLSN read before it are the page's.
+			pid, rec := f.PID(), wal.LSN(f.recLSN.Load())
+			if pid == 0 || !f.Dirty() {
+				continue // free, claimed, or its write has just landed
 			}
-			goto again
+			if flush {
+				if !p.awaitTransit(pid) {
+					runtime.Gosched() // frozen a moment ago, its transit not begun
+				}
+				goto again
+			}
+			fn(f, pid, rec, false)
+			continue
 		}
-		// A frozen frame has no writer: clean, it holds nothing to report.
-		if pid := f.PID(); pid != 0 && (dirty || pinned && !held) {
-			fn(f, pid, f.RecLSN(), held)
+		writable := f.latch.TryLatchSH()
+		for !writable && (flush || f.RecLSN() == wal.NullLSN) {
+			time.Sleep(20 * time.Microsecond)
+			writable = f.latch.TryLatchSH()
 		}
-		if held {
+		if pid := f.PID(); pid != 0 && f.Dirty() {
+			fn(f, pid, f.RecLSN(), writable)
+		}
+		if writable {
 			f.latch.UnlatchSH()
 		}
-		if pinned {
-			f.pin.unpin()
-		}
+		f.pin.unpin()
 	}
 }
 
 // FlushAll writes every dirty page to the volume (e.g. at clean shutdown).
 // It does not return while a write it left to an evictor is in flight.
 func (p *Pool) FlushAll() error {
+	p.cleaner.writing.Lock()
+	defer p.cleaner.writing.Unlock()
 	var firstErr error
-	p.walkDirty(true, func(f *Frame, _ page.ID, _ wal.LSN, _ bool) { // always held: the walk blocks
+	p.walkDirty(true, func(f *Frame, _ page.ID, _ wal.LSN, _ bool) {
 		if err := p.writeBack(f); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -161,14 +181,11 @@ func (p *Pool) FlushAll() error {
 }
 
 // DirtyPageTable collects the (pid, recLSN) of every dirty frame — the
-// checkpoint's dirty page table. beginLSN is the checkpoint-begin LSN used
-// as a conservative recLSN for frames being modified during the scan.
-func (p *Pool) DirtyPageTable(beginLSN wal.LSN) []wal.DirtyInfo {
+// checkpoint's dirty page table. The checkpoint-begin LSN it is passed has
+// no use: the walk reports real recLSNs and needs no stand-in.
+func (p *Pool) DirtyPageTable(_ wal.LSN) []wal.DirtyInfo {
 	var out []wal.DirtyInfo
-	p.walkDirty(false, func(_ *Frame, pid page.ID, rec wal.LSN, held bool) {
-		if !held && (rec == wal.NullLSN || rec > beginLSN) {
-			rec = beginLSN
-		}
+	p.walkDirty(false, func(_ *Frame, pid page.ID, rec wal.LSN, _ bool) {
 		out = append(out, wal.DirtyInfo{Page: pid, RecLSN: rec})
 	})
 	return out
@@ -178,25 +195,24 @@ func (p *Pool) DirtyPageTable(beginLSN wal.LSN) []wal.DirtyInfo {
 // checkpoint LSN. It is exported so tests and checkpoints can force a
 // sweep synchronously.
 func (p *Pool) CleanerSweep() {
-	var sweepStart wal.LSN
+	p.cleaner.writing.Lock()
+	defer p.cleaner.writing.Unlock()
+	// oldest starts at the log position the sweep starts at and falls to the
+	// recLSN of the oldest page the sweep leaves dirty (leaving, being
+	// modified, or its write failed): the checkpoint LSN must not pass it.
+	oldest := wal.NullLSN
 	if p.opts.CurLSN != nil {
-		sweepStart = p.opts.CurLSN()
+		oldest = p.opts.CurLSN()
 	}
-	// oldest is the recLSN of the oldest page the sweep left dirty (it
-	// could not pin or latch it, or the write failed); the published
-	// checkpoint LSN must not pass it. A writer that has logged but not
-	// yet dirtied its page has a recLSN nobody knows: NullLSN, and this
-	// sweep publishes nothing.
-	oldest := wal.LSN(^uint64(0))
-	p.walkDirty(false, func(f *Frame, _ page.ID, rec wal.LSN, held bool) {
-		if held && p.writeBack(f) == nil {
+	p.walkDirty(false, func(f *Frame, _ page.ID, rec wal.LSN, writable bool) {
+		if writable && p.writeBack(f) == nil {
 			p.cleanerIO.Add(1)
 		} else {
 			oldest = min(oldest, rec)
 		}
 	})
-	if ckpt := min(sweepStart, oldest); ckpt != wal.NullLSN {
-		p.cleaner.ckptLSN.Store(uint64(ckpt))
+	if oldest != wal.NullLSN {
+		p.cleaner.ckptLSN.Store(uint64(oldest))
 	}
 }
 

@@ -44,12 +44,12 @@
 //	   leaving frame parks on its transit entry (awaitTransit); it does
 //	   not spin across the device.
 //	R5 the checkpoint never loses a dirty page (walkDirty): a frame that
-//	   cannot be pinned or latched is reported with its recLSN.
+//	   cannot be pinned or latched is reported with its recLSN, and where
+//	   nobody knows the recLSN yet the walk waits for the latch.
 package buffer
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/page"
@@ -74,10 +74,6 @@ type Frame struct {
 	// and the pool resets it whenever the frame changes pages.
 	slotHint atomic.Uint32
 	dirty    atomic.Bool
-	// wmu admits one write-back of this frame at a time: the cleaner and
-	// FlushAll both write under the SH latch and may meet on one frame,
-	// and a volume wants the writes of one page serialized.
-	wmu sync.Mutex
 	// recLSN is the LSN of the first update since the page was last clean
 	// (the ARIES dirty-page-table entry).
 	recLSN atomic.Uint64
@@ -165,14 +161,12 @@ func (p *Pool) install(pid page.ID, read bool) (*Frame, error) {
 			return nil, err
 		}
 	} else {
-		e, fresh := p.transit.begin(pid)
-		if !fresh {
+		if !p.transit.begin(pid) {
 			p.retire(f)
-			p.transitWait.Add(1)
-			e.wait()
+			p.awaitTransit(pid)
 			return nil, nil
 		}
-		defer p.transit.end(pid, e)
+		defer p.transit.end(pid)
 		// R3: the entry keeps every evictor of pid out, and nobody writes
 		// an unmapped page. Mapped means it was loaded since our lookup.
 		if _, mapped := p.table.get(pid); mapped {
@@ -224,11 +218,10 @@ func (p *Pool) evict(f *Frame, s *shard) error {
 		// Transit-out: fixers of pid park on the entry instead of reading
 		// the volume under the write. It ends after the unmap, so a woken
 		// fixer finds pid unmapped and the volume current.
-		e, fresh := p.transit.begin(pid)
-		if !fresh {
+		if !p.transit.begin(pid) {
 			return errVictimInTransit
 		}
-		defer p.transit.end(pid, e)
+		defer p.transit.end(pid)
 		if err := p.writeBack(f); err != nil {
 			return err
 		}
@@ -244,13 +237,9 @@ func (p *Pool) evict(f *Frame, s *shard) error {
 
 // writeBack flushes the WAL up to the page LSN (the WAL rule), writes the
 // frame to the volume and clears its dirty bit. The caller keeps the image
-// still: a leaving frame's EX latch, or a pin plus the SH latch.
+// still and is its only writer: a leaving frame's EX latch, or a pin plus
+// the SH latch in the one writing walk (cleanerState.writing).
 func (p *Pool) writeBack(f *Frame) error {
-	f.wmu.Lock()
-	defer f.wmu.Unlock()
-	if !f.Dirty() {
-		return nil // another SH-latched writer got here first
-	}
 	if p.opts.FlushLog != nil {
 		if err := p.opts.FlushLog(wal.LSN(f.pg.LSN())); err != nil {
 			return err
@@ -298,12 +287,12 @@ func (p *Pool) retire(f *Frame) {
 // completed, and reports whether it waited. Never call it holding a clock
 // lock or a registration under any pid (R1, R2).
 func (p *Pool) awaitTransit(pid page.ID) bool {
-	e, ok := p.transit.lookup(pid)
-	if ok {
+	done := p.transit.lookup(pid)
+	if done != nil {
 		p.transitWait.Add(1)
-		e.wait()
+		<-done
 	}
-	return ok
+	return done != nil
 }
 
 // pinCount extends sync2.PinCount semantics with the transitions the

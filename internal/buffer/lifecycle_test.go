@@ -3,6 +3,7 @@ package buffer
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -303,34 +304,74 @@ func TestLeavingPageIsAccountedFor(t *testing.T) {
 	}
 }
 
-// TestLoaderHoldsNoClockLock (R1, R2): while one goroutine's read of page
-// 1 is parked in the volume, a miss on another page runs the same clock
-// region and completes.
-func TestLoaderHoldsNoClockLock(t *testing.T) {
-	for name, opts := range variants() {
-		opts := opts
+// TestSweepPublishesBesideMisses: the cleaner's checkpoint LSN keeps up
+// while fixers miss all around it. A frame whose load is in flight is
+// clean and EX-latched, like a writer that has logged but not yet dirtied
+// its page; the sweep may wait for either, it may not give up the round.
+func TestSweepPublishesBesideMisses(t *testing.T) {
+	for _, name := range []string{"baseline", "final"} { // TransitBypass off, on
+		opts := variants()[name]
 		t.Run(name, func(t *testing.T) {
-			v := newGateVolume(newVol(t, 8))
-			opts.Frames = 2
-			p := New(v, opts)
+			var lsn atomic.Uint64
+			lsn.Store(1)
+			opts.Frames = 32
+			opts.CurLSN = func() wal.LSN { return wal.LSN(lsn.Load()) }
+			// checkedVolume yields inside every call: loads stay in flight
+			// across scheduling points.
+			p := New(newCheckedVolume(t, newVol(t, 128)), opts)
 			defer p.Close()
-			read := v.hold(false, 1)
-			loaded, other := make(chan struct{}), make(chan struct{})
-			fix := func(pid page.ID, done chan struct{}) {
-				defer close(done)
-				f, err := p.Fix(pid, sync2.LatchSH)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				p.Unfix(f, sync2.LatchSH)
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(int64(w)))
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						f, err := p.Fix(page.ID(1+r.Intn(128)), sync2.LatchEX)
+						if err != nil {
+							continue // every frame pinned for a moment
+						}
+						l := wal.LSN(lsn.Add(1))
+						stamp(f, uint64(l))
+						f.Page().SetLSN(uint64(l))
+						f.MarkDirty(l)
+						p.Unfix(f, sync2.LatchEX)
+					}
+				}(w)
 			}
-			go fix(1, loaded)
-			await(t, read.parked, "read of page 1")
-			go fix(2, other)
-			await(t, other, "miss on page 2 beside a parked load")
-			close(read.open)
-			await(t, loaded, "load of page 1")
+			// A sweep either moves the checkpoint LSN or is held to it by a
+			// page it had to leave dirty (leaving, or a writer queued for its
+			// latch). A sweep that gives up beside every load in flight does
+			// neither, 13 to 16 times of 16 here.
+			const sweeps = 16
+			gaveUp, last := 0, wal.NullLSN
+			for i := 0; i < sweeps; i++ {
+				for next := lsn.Load() + 50; lsn.Load() < next; { // a sweep per 50 updates
+					runtime.Gosched()
+				}
+				p.CleanerSweep()
+				got := p.CleanerCkptLSN()
+				held := false
+				for _, f := range p.frames {
+					held = held || f.Dirty() && wal.LSN(f.recLSN.Load()) == got
+				}
+				if got == last && !held {
+					gaveUp++
+				}
+				last = got
+				p.RefillFreeLists()
+			}
+			close(stop)
+			wg.Wait()
+			if gaveUp > sweeps/4 {
+				t.Errorf("%d of %d sweeps published nothing (checkpoint LSN %v, log at %v)", gaveUp, sweeps, last, lsn.Load())
+			}
 		})
 	}
 }

@@ -365,18 +365,27 @@ func TestCleanerSkipsLatchedPages(t *testing.T) {
 	}
 	p.Unfix(f, sync2.LatchEX)
 	// A writer that holds the latch and has logged its update but not yet
-	// dirtied the page: nobody knows its recLSN, so a sweep that meets it
-	// publishes nothing (page 1 is cleaned; the bound stays where it was).
+	// dirtied the page: nobody knows its recLSN, so the sweep waits for the
+	// latch instead of publishing past it (or publishing nothing).
 	g, err := p.Fix(2, sync2.LatchEX)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.CleanerSweep()
-	if got := p.CleanerCkptLSN(); got != 50 {
-		t.Fatalf("ckpt LSN = %v, want 50: the sweep passed a page that is being modified", got)
+	swept := make(chan struct{})
+	go func() { defer close(swept); p.CleanerSweep() }()
+	select {
+	case <-swept:
+		t.Fatalf("sweep returned (ckpt LSN %v) past a page that is being modified", p.CleanerCkptLSN())
+	case <-time.After(20 * time.Millisecond):
 	}
 	g.MarkDirty(60)
 	p.Unfix(g, sync2.LatchEX)
+	await(t, swept, "sweep after the writer let go")
+	// 60 if the sweep looked between MarkDirty and Unfix, 900 if it got
+	// the latch and wrote the page.
+	if got := p.CleanerCkptLSN(); got != 60 && got != 900 {
+		t.Fatalf("ckpt LSN = %v, want 60 or 900", got)
+	}
 	p.CleanerSweep()
 	if got := p.CleanerCkptLSN(); got != 900 {
 		t.Fatalf("ckpt LSN = %v, want 900 once everything is clean", got)

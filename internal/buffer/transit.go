@@ -22,7 +22,7 @@ import (
 //	     EX latch holds visitors
 //
 // There is at most one entry per pid, and whoever finds one that is not
-// its own parks on it (Pool.awaitTransit, install) — except an evictor,
+// its own parks on it (Pool.awaitTransit) — except an evictor,
 // which may hold a clock lock and skips that victim (frame.go, R2). Cleaner
 // and FlushAll writes register nothing: they write a resident, pinned
 // frame, which no loader can be reading from the volume.
@@ -33,11 +33,7 @@ type transitSet struct {
 
 type transitPart struct {
 	mu sync.Mutex
-	m  map[page.ID]*transitEntry
-}
-
-type transitEntry struct {
-	done chan struct{} // closed when the transit completes
+	m  map[page.ID]chan struct{} // closed when the transit completes
 }
 
 // newTransitSet builds a set with the given number of partitions (rounded
@@ -49,7 +45,7 @@ func newTransitSet(partitions int) *transitSet {
 	}
 	t := &transitSet{parts: make([]transitPart, n), mask: uint64(n - 1)}
 	for i := range t.parts {
-		t.parts[i].m = make(map[page.ID]*transitEntry)
+		t.parts[i].m = make(map[page.ID]chan struct{})
 	}
 	return t
 }
@@ -59,37 +55,35 @@ func (t *transitSet) part(pid page.ID) *transitPart {
 	return &t.parts[(h>>32)&t.mask]
 }
 
-// begin registers pid as in transit. If it already is, begin returns the
-// existing entry and false (the caller should wait on it instead).
-func (t *transitSet) begin(pid page.ID) (*transitEntry, bool) {
+// begin registers pid as in transit and reports whether it did; false
+// means pid already is, in someone else's hands.
+func (t *transitSet) begin(pid page.ID) bool {
 	p := t.part(pid)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if e, ok := p.m[pid]; ok {
-		return e, false
+	if _, ok := p.m[pid]; ok {
+		return false
 	}
-	e := &transitEntry{done: make(chan struct{})}
-	p.m[pid] = e
-	return e, true
+	p.m[pid] = make(chan struct{})
+	return true
 }
 
-// end completes pid's transit and wakes all waiters.
-func (t *transitSet) end(pid page.ID, e *transitEntry) {
+// end completes the transit its caller began under pid and wakes all
+// waiters.
+func (t *transitSet) end(pid page.ID) {
 	p := t.part(pid)
 	p.mu.Lock()
+	done := p.m[pid]
 	delete(p.m, pid)
 	p.mu.Unlock()
-	close(e.done)
+	close(done)
 }
 
-// lookup returns the in-flight entry for pid, if any.
-func (t *transitSet) lookup(pid page.ID) (*transitEntry, bool) {
+// lookup returns the channel that pid's in-flight transit closes when it
+// completes, nil if there is none.
+func (t *transitSet) lookup(pid page.ID) chan struct{} {
 	p := t.part(pid)
 	p.mu.Lock()
-	e, ok := p.m[pid]
-	p.mu.Unlock()
-	return e, ok
+	defer p.mu.Unlock()
+	return p.m[pid]
 }
-
-// wait blocks until e's transit completes.
-func (e *transitEntry) wait() { <-e.done }
