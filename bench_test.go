@@ -40,7 +40,7 @@ import (
 // newBenchEngine builds a real engine at the given stage.
 func newBenchEngine(b *testing.B, stage core.Stage) *core.Engine {
 	b.Helper()
-	return newBenchEngineStore(b, stage, wal.NewMemStore())
+	return newBenchEngineStore(b, stage, wal.NewMemSegmentStore(0))
 }
 
 // benchCreateTable registers a heap store in a short committed setup
@@ -77,7 +77,7 @@ func newBenchEngineStore(b *testing.B, stage core.Stage, store wal.Store) *core.
 // newBenchEngineCfg builds a real engine from an explicit config.
 func newBenchEngineCfg(b *testing.B, cfg core.Config) *core.Engine {
 	b.Helper()
-	e, err := core.Open(disk.NewMem(0), wal.NewMemStore(), cfg)
+	e, err := core.Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -556,7 +556,7 @@ func (s *slowStore) Flush(upTo int64) error {
 // -cpu=8 (or more) to see the difference. Rows are locked in increasing
 // order so no deadlocks occur.
 func benchCommit(b *testing.B, stage core.Stage, batch int) {
-	store := &slowStore{Store: wal.NewMemStore(), latency: 50 * time.Microsecond}
+	store := &slowStore{Store: wal.NewMemSegmentStore(0), latency: 50 * time.Microsecond}
 	e := newBenchEngineStore(b, stage, store)
 	table := benchCreateTable(b, e)
 	const rows = 256
@@ -654,7 +654,7 @@ func BenchmarkLog_Designs(b *testing.B) {
 	for _, d := range []wal.Design{wal.DesignCoupled, wal.DesignDecoupled, wal.DesignConsolidated} {
 		d := d
 		b.Run(d.String(), func(b *testing.B) {
-			m := wal.New(wal.NewMemStore(), wal.Options{Design: d})
+			m := wal.New(wal.NewMemSegmentStore(0), wal.Options{Design: d})
 			defer m.Close()
 			payload := make([]byte, 64)
 			b.RunParallel(func(pb *testing.PB) {

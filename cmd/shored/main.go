@@ -50,7 +50,7 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 	snapshot := flag.Bool("snapshot", false, "multiversion snapshot reads: View batches run lock-free against version chains")
 	warehouses := flag.Int("tpcc", 0, "preload a TPC-C database with this many warehouses and publish its catalog")
-	logSegment := flag.Int64("log-segment", 0, "rotate the log into fixed-size segments of this many bytes (0 = single unbounded log)")
+	logSegment := flag.Int64("log-segment", 0, "log segment size in bytes (0 = default segment size)")
 	redoWorkers := flag.Int("redo-workers", 0, "parallel redo workers during restart recovery (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 

@@ -60,7 +60,7 @@ func main() {
 	plpfl := flag.Bool("plp", false, "physiological partitioning (implies -dora): per-partition B-tree segments with latch-free owner access and a skew re-balancer")
 	partitions := flag.Int("partitions", 0, "DORA partitions (0 = GOMAXPROCS; clamped to -warehouses)")
 	addr := flag.String("addr", "", "drive a remote shored server at this address instead of an embedded engine")
-	logSegment := flag.Int64("log-segment", 0, "rotate the log into fixed-size segments of this many bytes (0 = single unbounded log)")
+	logSegment := flag.Int64("log-segment", 0, "log segment size in bytes (0 = default segment size)")
 	redoWorkers := flag.Int("redo-workers", 0, "parallel redo workers during restart recovery (0 = GOMAXPROCS, 1 = serial)")
 	readers := flag.Int("readers", 0, "concurrent read-only clients running Stock-Level / Order-Status scan loops next to the write mix")
 	snapshot := flag.Bool("snapshot", false, "multiversion snapshot reads: read-only transactions run lock-free against version chains")
@@ -97,11 +97,7 @@ func main() {
 		cfg.CheckpointEvery = 8 << 20
 	}
 
-	var logStore wal.Store = wal.NewMemStore()
-	if *logSegment > 0 {
-		logStore = wal.NewMemSegmentStore(*logSegment)
-	}
-	engine, err := core.Open(disk.NewMem(0), logStore, cfg)
+	engine, err := core.Open(disk.NewMem(0), wal.NewMemSegmentStore(*logSegment), cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "open:", err)
 		os.Exit(1)

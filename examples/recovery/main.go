@@ -17,7 +17,7 @@ func main() {
 	// Shared "durable hardware": the volume and log store survive the
 	// crash; the engine (buffer pool, lock tables, ...) does not.
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 
 	cfg := core.StageConfig(core.StageFinal)
 	cfg.Frames = 256

@@ -24,7 +24,7 @@ const (
 func runStage(stage core.Stage) {
 	cfg := core.StageConfig(stage)
 	cfg.Frames = 1024
-	engine, err := core.Open(disk.NewMem(0), wal.NewMemStore(), cfg)
+	engine, err := core.Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

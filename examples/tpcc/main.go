@@ -25,7 +25,7 @@ import (
 func main() {
 	cfg := core.StageConfig(core.StageFinal)
 	cfg.Frames = 4096
-	engine, err := core.Open(disk.NewMem(0), wal.NewMemStore(), cfg)
+	engine, err := core.Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

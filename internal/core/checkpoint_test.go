@@ -16,7 +16,7 @@ import (
 // Txs list lets analysis find it.
 func TestLoserSpanningCheckpoint(t *testing.T) {
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 128
 	e, err := Open(vol, logStore, cfg)
@@ -74,7 +74,7 @@ func TestLoserSpanningCheckpoint(t *testing.T) {
 // checkpoint and CLRs without confusion.
 func TestDoubleCrashRecovery(t *testing.T) {
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 64
 	e, err := Open(vol, logStore, cfg)
@@ -147,7 +147,7 @@ func TestDoubleCrashRecovery(t *testing.T) {
 // corrupt anything while transactions run.
 func TestCheckpointWhileConcurrentLoad(t *testing.T) {
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 128
 	e, err := Open(vol, logStore, cfg)

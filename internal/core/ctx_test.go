@@ -19,7 +19,7 @@ import (
 // held lock remains grantable to a third transaction.
 func TestCtxCancelUnblocksEngineLockWait(t *testing.T) {
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 256
 	cfg.LockTimeout = 5 * time.Second
@@ -84,7 +84,7 @@ func TestCtxCancelUnblocksEngineLockWait(t *testing.T) {
 // later transaction commits normally.
 func TestCtxCancelDuringHardenWait(t *testing.T) {
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StagePipeline)
 	cfg.Frames = 256
 	// Coupled design: no internal background flusher, so the harden wait
@@ -138,7 +138,7 @@ func TestCtxCancelDuringHardenWait(t *testing.T) {
 // deadlocks (opposite-order row updates) and both workloads commit.
 func TestRunCtxRetriesDeadlockVictims(t *testing.T) {
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 256
 	cfg.LockTimeout = 2 * time.Second
@@ -184,7 +184,7 @@ func TestRunCtxRetriesDeadlockVictims(t *testing.T) {
 // retried exactly MaxAttempts times, then the last error surfaces.
 func TestRunCtxGivesUpAfterCap(t *testing.T) {
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	e, err := Open(vol, logStore, StageConfig(StageFinal))
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestRunCtxGivesUpAfterCap(t *testing.T) {
 // loop with ErrCanceled instead of burning the attempt budget.
 func TestRunCtxStopsOnCancel(t *testing.T) {
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	e, err := Open(vol, logStore, StageConfig(StageFinal))
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestRunCtxStopsOnCancel(t *testing.T) {
 // window would stall a strict commit.
 func TestCommitReadOnlySkipsDurabilityWait(t *testing.T) {
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StagePipeline)
 	cfg.LogDesign = wal.DesignCoupled
 	cfg.PipelineInterval = 400 * time.Millisecond // strict commits wait out the window

@@ -22,7 +22,7 @@ func TestCursorAcrossForestSegments(t *testing.T) {
 	cfg.DoraPartitions = 2
 	cfg.DoraKeys = 4
 	cfg.PlpRebalanceEvery = -1
-	e, err := Open(disk.NewMem(0), wal.NewMemStore(), cfg)
+	e, err := Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCursorAcrossForestSegments(t *testing.T) {
 func TestSplitCrashPrefixes(t *testing.T) {
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 256
-	vol, logStore := disk.NewMem(0), wal.NewMemStore()
+	vol, logStore := disk.NewMem(0), wal.NewMemSegmentStore(0)
 	e, err := Open(vol, logStore, cfg)
 	if err != nil {
 		t.Fatal(err)

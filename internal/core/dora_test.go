@@ -21,7 +21,7 @@ func TestDoraBypassesLockManager(t *testing.T) {
 	cfg.DORA = true
 	cfg.DoraPartitions = 1
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	e, err := Open(vol, logStore, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestDoraDurability(t *testing.T) {
 	cfg.DORA = true
 	cfg.DoraPartitions = 1
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	e, err := Open(vol, logStore, cfg)
 	if err != nil {
 		t.Fatal(err)

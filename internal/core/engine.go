@@ -104,17 +104,15 @@ func Open(vol disk.Volume, logStore wal.Store, cfg Config) (*Engine, error) {
 	// Validate the log tail before any manager captures the store's size:
 	// a torn tail above the durable horizon is clipped here, while damage
 	// below it refuses startup with wal.ErrCorrupt.
-	if logStore.Size() > 8 { // anything beyond the preamble
-		end, torn, err := wal.CheckTail(logStore)
-		if err != nil {
-			return nil, fmt.Errorf("core: recovery: %w", err)
+	end, torn, err := wal.CheckTail(logStore)
+	if err != nil {
+		return nil, fmt.Errorf("core: recovery: %w", err)
+	}
+	if torn > 0 {
+		if err := logStore.Truncate(end); err != nil {
+			return nil, fmt.Errorf("core: recovery: clipping torn tail: %w", err)
 		}
-		if torn > 0 {
-			if err := logStore.Truncate(end); err != nil {
-				return nil, fmt.Errorf("core: recovery: clipping torn tail: %w", err)
-			}
-			e.recovery.TornBytesClipped = torn
-		}
+		e.recovery.TornBytesClipped = torn
 	}
 	e.log = wal.New(logStore, wal.Options{Design: cfg.LogDesign, BufferSize: cfg.LogBuffer})
 	bopts := cfg.Buffer
@@ -127,10 +125,22 @@ func Open(vol disk.Volume, logStore wal.Store, cfg Config) (*Engine, error) {
 	if cfg.Snapshot {
 		e.mvcc = mvcc.NewStore()
 	}
+	if err := e.start(); err != nil {
+		// A half-open engine dies as a crashed one does, so that nothing of
+		// it — the log's flusher, the cleaner — is still writing when the
+		// caller opens the store again.
+		e.CrashHard()
+		return nil, err
+	}
+	return e, nil
+}
 
-	if logStore.DurableSize() > 8 { // anything beyond the preamble
+// start recovers the database and starts the background work.
+func (e *Engine) start() error {
+	cfg := e.cfg
+	if e.logStore.DurableSize() > 8 { // anything beyond the preamble
 		if err := e.restart(); err != nil {
-			return nil, fmt.Errorf("core: recovery: %w", err)
+			return fmt.Errorf("core: recovery: %w", err)
 		}
 	}
 	if cfg.CleanerInterval > 0 {
@@ -147,7 +157,7 @@ func Open(vol disk.Volume, logStore wal.Store, cfg Config) (*Engine, error) {
 	}
 	if cfg.PLP {
 		if err := e.plpInit(); err != nil {
-			return nil, fmt.Errorf("core: plp: %w", err)
+			return fmt.Errorf("core: plp: %w", err)
 		}
 	}
 	if cfg.CheckpointEvery > 0 {
@@ -156,7 +166,7 @@ func Open(vol disk.Volume, logStore wal.Store, cfg Config) (*Engine, error) {
 		e.ckptDone = make(chan struct{})
 		go e.checkpointLoop()
 	}
-	return e, nil
+	return nil
 }
 
 // checkpointLoop is the auto-checkpoint daemon: it polls the log's growth
@@ -935,8 +945,20 @@ func (e *Engine) archiveSegments(beginLSN wal.LSN, dirty []wal.DirtyInfo) {
 }
 
 // Crash simulates power failure for recovery testing: background work
-// stops, the log's volatile tail vanishes, and nothing is flushed.
-func (e *Engine) Crash() {
+// stops, the log's staged buffer contents are flushed up to the close
+// point, and what the store had not synced vanishes.
+func (e *Engine) Crash() { e.crash(true) }
+
+// CrashHard is Crash without the close-time log flush: only what group
+// commit already made durable survives. It most closely models pulling
+// the plug.
+func (e *Engine) CrashHard() { e.crash(false) }
+
+// crash stops everything that can write to the log store — the log
+// manager last, after its close-time flush if there is to be one — before
+// it cuts the store's power: a flusher still draining into a store that
+// the next Open is recovering could acknowledge a commit after the crash.
+func (e *Engine) crash(flushLog bool) {
 	if e.closed.Swap(true) {
 		return
 	}
@@ -949,26 +971,10 @@ func (e *Engine) Crash() {
 		e.flushd.Kill() // queued hardens are abandoned, not flushed
 	}
 	e.pool.StopCleaner()
-	_ = e.log.Close() // flushes staged buffer contents up to close point
-	e.logStore.Crash()
-}
-
-// CrashHard is Crash without the close-time log flush: only what group
-// commit already made durable survives. It most closely models pulling
-// the plug.
-func (e *Engine) CrashHard() {
-	if e.closed.Swap(true) {
-		return
+	if flushLog {
+		_ = e.log.Close() // a failed device loses the tail, as the crash would
 	}
-	e.stopCheckpointLoop()
-	e.stopRebalancer()
-	if e.dora != nil {
-		e.dora.Close()
-	}
-	if e.flushd != nil {
-		e.flushd.Kill()
-	}
-	e.pool.StopCleaner()
+	e.log.Kill()
 	e.logStore.Crash()
 }
 

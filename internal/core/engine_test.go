@@ -13,10 +13,10 @@ import (
 )
 
 // newEngine builds an engine at the given stage over fresh stores.
-func newEngine(t *testing.T, stage Stage) (*Engine, *disk.MemVolume, *wal.MemStore) {
+func newEngine(t *testing.T, stage Stage) (*Engine, *disk.MemVolume, *wal.SegmentStore) {
 	t.Helper()
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(stage)
 	cfg.Frames = 256
 	e, err := Open(vol, logStore, cfg)
@@ -47,7 +47,7 @@ func createTable(tb testing.TB, e *Engine) uint32 {
 
 // reopen closes nothing and opens a new engine over the same stores
 // (post-crash).
-func reopen(t *testing.T, vol *disk.MemVolume, logStore *wal.MemStore, stage Stage) *Engine {
+func reopen(t *testing.T, vol *disk.MemVolume, logStore *wal.SegmentStore, stage Stage) *Engine {
 	t.Helper()
 	cfg := StageConfig(stage)
 	cfg.Frames = 256
@@ -266,7 +266,7 @@ func TestIndexScanRange(t *testing.T) {
 func TestCrashRecoveryCommittedSurvive(t *testing.T) {
 	allStages(t, func(t *testing.T, stage Stage) {
 		vol := disk.NewMem(0)
-		logStore := wal.NewMemStore()
+		logStore := wal.NewMemSegmentStore(0)
 		cfg := StageConfig(stage)
 		cfg.Frames = 128
 		e, err := Open(vol, logStore, cfg)
@@ -345,7 +345,7 @@ func TestCrashRecoveryUncommittedInvisible(t *testing.T) {
 	// Without any flush, uncommitted work simply vanishes with the
 	// volatile log tail.
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	e, err := Open(vol, logStore, StageConfig(StageFinal))
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +373,7 @@ func TestCrashRecoveryUncommittedInvisible(t *testing.T) {
 
 func TestCrashRecoveryIndex(t *testing.T) {
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 128
 	e, err := Open(vol, logStore, cfg)
@@ -440,7 +440,7 @@ func TestCheckpointShortensRecovery(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			vol := disk.NewMem(0)
-			logStore := wal.NewMemStore()
+			logStore := wal.NewMemSegmentStore(0)
 			cfg := StageConfig(StageFinal)
 			cfg.Frames = 128
 			cfg.CleanerCheckpoint = cleanerCkpt
@@ -588,7 +588,7 @@ func TestRowLockConflictBlocksAndResolves(t *testing.T) {
 
 func TestLockEscalation(t *testing.T) {
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StageFinal)
 	cfg.EscalateAfter = 50
 	e, err := Open(vol, logStore, cfg)

@@ -17,7 +17,7 @@ import (
 func TestHeapSlotHintReuse(t *testing.T) {
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 128
-	e, err := Open(disk.NewMem(0), wal.NewMemStore(), cfg)
+	e, err := Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestHeapSlotHintReuse(t *testing.T) {
 func TestHeapSlotHintAbortReuse(t *testing.T) {
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 128
-	e, err := Open(disk.NewMem(0), wal.NewMemStore(), cfg)
+	e, err := Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

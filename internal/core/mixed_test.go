@@ -17,7 +17,7 @@ import (
 // exists for.
 func TestConcurrentCommitAbortMix(t *testing.T) {
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 512
 	e, err := Open(vol, logStore, cfg)

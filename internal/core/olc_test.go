@@ -18,7 +18,7 @@ func olcEngine(tb testing.TB) *Engine {
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 1024
 	cfg.OLC = true
-	e, err := Open(disk.NewMem(0), wal.NewMemStore(), cfg)
+	e, err := Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestOLCConcurrentSplitsVsProbes(t *testing.T) {
 // reproduces the committed state.
 func TestOLCRecoveryUnaffected(t *testing.T) {
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 256
 	cfg.OLC = true
@@ -223,7 +223,7 @@ func TestOLCRecoveryUnaffected(t *testing.T) {
 // checkpoint.
 func TestAutoCheckpoint(t *testing.T) {
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 256
 	cfg.CheckpointEvery = 16 << 10 // 16 KiB of log per checkpoint

@@ -42,7 +42,7 @@ func TestOutOfPoolCounters(t *testing.T) {
 			cfg := StageConfig(stage)
 			cfg.Frames = frames
 			cfg.CleanerInterval = time.Millisecond
-			vol, logStore := disk.NewMem(0), wal.NewMemStore()
+			vol, logStore := disk.NewMem(0), wal.NewMemSegmentStore(0)
 			e, err := Open(vol, logStore, cfg)
 			if err != nil {
 				t.Fatal(err)

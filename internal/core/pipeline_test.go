@@ -15,7 +15,7 @@ import (
 
 // newPipelineEngine builds a StagePipeline engine over a fault-injecting
 // volume so tests can prove no page I/O leaks pre-committed state.
-func newPipelineEngine(t *testing.T) (*Engine, *disk.FaultVolume, *wal.MemStore) {
+func newPipelineEngine(t *testing.T) (*Engine, *disk.FaultVolume, *wal.SegmentStore) {
 	t.Helper()
 	return newPipelineEngineDesign(t, StageConfig(StagePipeline).LogDesign)
 }
@@ -27,10 +27,10 @@ func newPipelineEngine(t *testing.T) (*Engine, *disk.FaultVolume, *wal.MemStore)
 // (With the decoupled/consolidated designs their internal flush daemon
 // may drain the buffer at any moment — harmless for correctness, fatal
 // for a test that needs the window to stay open.)
-func newPipelineEngineDesign(t *testing.T, design wal.Design) (*Engine, *disk.FaultVolume, *wal.MemStore) {
+func newPipelineEngineDesign(t *testing.T, design wal.Design) (*Engine, *disk.FaultVolume, *wal.SegmentStore) {
 	t.Helper()
 	vol := disk.NewFault(disk.NewMem(0))
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StagePipeline)
 	cfg.Frames = 256
 	cfg.LogDesign = design

@@ -30,7 +30,7 @@ func TestPlpMapCrashRecovery(t *testing.T) {
 	cfg.DoraKeys = 4
 	cfg.PlpRebalanceEvery = -1 // deterministic migrations only
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	e, err := Open(vol, logStore, cfg)
 	if err != nil {
 		t.Fatal(err)

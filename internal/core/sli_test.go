@@ -16,7 +16,7 @@ func newSLIEngine(t *testing.T) *Engine {
 	t.Helper()
 	cfg := StageConfig(StageFinal)
 	cfg.SLI = true
-	e, err := Open(disk.NewMem(0), wal.NewMemStore(), cfg)
+	e, err := Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

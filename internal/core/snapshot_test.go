@@ -20,10 +20,10 @@ import (
 
 // newSnapshotEngine builds a final-stage engine with multiversion
 // snapshot reads enabled.
-func newSnapshotEngine(t *testing.T) (*Engine, *disk.MemVolume, *wal.MemStore) {
+func newSnapshotEngine(t *testing.T) (*Engine, *disk.MemVolume, *wal.SegmentStore) {
 	t.Helper()
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 256
 	cfg.Snapshot = true
@@ -459,7 +459,7 @@ func TestSnapshotGCRespectsHeldSnapshot(t *testing.T) {
 // image — committed updates in, losers rolled back, version store empty.
 func TestSnapshotRecoveryIgnoresVersions(t *testing.T) {
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 256
 	cfg.Snapshot = true

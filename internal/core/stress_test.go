@@ -23,7 +23,7 @@ func TestRecoveryStressRandomCrashPoints(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			vol := disk.NewMem(0)
-			logStore := wal.NewMemStore()
+			logStore := wal.NewMemSegmentStore(0)
 			cfg := StageConfig(StageFinal)
 			cfg.Frames = 64 // tiny pool: forces evictions + write-backs mid-run
 			e, err := Open(vol, logStore, cfg)
@@ -161,7 +161,7 @@ func TestRecoveryStressRandomCrashPoints(t *testing.T) {
 func TestDiskWriteFaultSurfaces(t *testing.T) {
 	base := disk.NewMem(0)
 	vol := disk.NewFault(base)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 8 // tiny: evictions happen quickly
 	e, err := Open(vol, logStore, cfg)
@@ -215,7 +215,7 @@ func TestDiskWriteFaultSurfaces(t *testing.T) {
 func TestReadFaultSurfaces(t *testing.T) {
 	base := disk.NewMem(0)
 	vol := disk.NewFault(base)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 4
 	e, err := Open(vol, logStore, cfg)

@@ -19,7 +19,7 @@ func newDoraDB(t testing.TB, scale Scale, partitions int) *DB {
 	cfg.DORA = true
 	cfg.DoraPartitions = partitions
 	cfg.DoraKeys = scale.Warehouses
-	e, err := core.Open(disk.NewMem(0), wal.NewMemStore(), cfg)
+	e, err := core.Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func newPlpDB(t testing.TB, scale Scale, partitions int, rebalance time.Duration
 	cfg.DoraPartitions = partitions
 	cfg.DoraKeys = scale.Warehouses
 	cfg.PlpRebalanceEvery = rebalance
-	e, err := core.Open(disk.NewMem(0), wal.NewMemStore(), cfg)
+	e, err := core.Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestPlpSnapshotCoexistence(t *testing.T) {
 	cfg.DoraKeys = scale.Warehouses
 	cfg.PlpRebalanceEvery = -1
 	cfg.Snapshot = true
-	e, err := core.Open(disk.NewMem(0), wal.NewMemStore(), cfg)
+	e, err := core.Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

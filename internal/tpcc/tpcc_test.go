@@ -15,7 +15,7 @@ import (
 func newDB(t testing.TB, scale Scale) *DB {
 	t.Helper()
 	vol := disk.NewMem(0)
-	logStore := wal.NewMemStore()
+	logStore := wal.NewMemSegmentStore(0)
 	cfg := core.StageConfig(core.StageFinal)
 	cfg.Frames = 2048
 	e, err := core.Open(vol, logStore, cfg)

@@ -14,7 +14,7 @@ func designs() []Design {
 func TestSubscribeResolvesOnFlush(t *testing.T) {
 	for _, d := range designs() {
 		t.Run(d.String(), func(t *testing.T) {
-			m := New(NewMemStore(), Options{Design: d})
+			m := New(NewMemSegmentStore(0), Options{Design: d})
 			defer m.Close()
 			lsn, err := m.Insert(&Record{Type: RecTxCommit, TxID: 1})
 			if err != nil {
@@ -48,7 +48,7 @@ func TestSubscribeResolvesOnFlush(t *testing.T) {
 func TestSubscribeAlreadyDurable(t *testing.T) {
 	for _, d := range designs() {
 		t.Run(d.String(), func(t *testing.T) {
-			m := New(NewMemStore(), Options{Design: d})
+			m := New(NewMemSegmentStore(0), Options{Design: d})
 			defer m.Close()
 			if _, err := m.Insert(&Record{Type: RecTxCommit, TxID: 1}); err != nil {
 				t.Fatal(err)
@@ -72,7 +72,7 @@ func TestSubscribeAlreadyDurable(t *testing.T) {
 func TestSubscribeFailsOnClose(t *testing.T) {
 	for _, d := range designs() {
 		t.Run(d.String(), func(t *testing.T) {
-			m := New(NewMemStore(), Options{Design: d})
+			m := New(NewMemSegmentStore(0), Options{Design: d})
 			if _, err := m.Insert(&Record{Type: RecTxCommit, TxID: 1}); err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func TestSubscribeFailsOnClose(t *testing.T) {
 func TestFlushDaemonHardensBatches(t *testing.T) {
 	for _, d := range designs() {
 		t.Run(d.String(), func(t *testing.T) {
-			m := New(NewMemStore(), Options{Design: d})
+			m := New(NewMemSegmentStore(0), Options{Design: d})
 			defer m.Close()
 			fd := NewFlushDaemon(m, DaemonOptions{})
 			defer fd.Close()
@@ -145,7 +145,7 @@ func TestFlushDaemonHardensBatches(t *testing.T) {
 }
 
 func TestFlushDaemonCloseHardensQueue(t *testing.T) {
-	m := New(NewMemStore(), Options{Design: DesignCoupled})
+	m := New(NewMemSegmentStore(0), Options{Design: DesignCoupled})
 	defer m.Close()
 	fd := NewFlushDaemon(m, DaemonOptions{Interval: 50 * time.Millisecond})
 	if _, err := m.Insert(&Record{Type: RecTxCommit, TxID: 1}); err != nil {
@@ -173,7 +173,7 @@ func TestFlushDaemonCloseHardensQueue(t *testing.T) {
 // log whose device has died gets the device error — not a hang, and not a
 // bare ErrLogClosed that would hide what happened.
 func TestFlushDaemonSurfacesPersistentFlushFailure(t *testing.T) {
-	store := &flakyStore{Store: NewMemStore()}
+	store := &flakyStore{Store: NewMemSegmentStore(0)}
 	m := New(store, Options{Design: DesignCoupled})
 	fd := NewFlushDaemon(m, DaemonOptions{})
 	defer fd.Close()
@@ -193,7 +193,7 @@ func TestFlushDaemonSurfacesPersistentFlushFailure(t *testing.T) {
 }
 
 func TestFlushDaemonKillAbandonsQueue(t *testing.T) {
-	store := NewMemStore()
+	store := NewMemSegmentStore(0)
 	m := New(store, Options{Design: DesignCoupled})
 	fd := NewFlushDaemon(m, DaemonOptions{Interval: time.Hour}) // never flush on its own
 	if _, err := m.Insert(&Record{Type: RecTxCommit, TxID: 1}); err != nil {

@@ -61,6 +61,10 @@ type Manager interface {
 	Stats() ManagerStats
 	// Close stops background daemons and flushes everything.
 	Close() error
+	// Kill stops the manager as a power cut does, writing nothing: once it
+	// returns no call of this manager reaches the store again, and every
+	// waiter has failed. Call it before Store.Crash.
+	Kill()
 }
 
 // ManagerStats aggregates log-manager activity.

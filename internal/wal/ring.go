@@ -419,12 +419,31 @@ func (l *ringLog) Close() error {
 	if l.closed.Swap(true) {
 		return nil
 	}
-	if l.stop != nil {
-		close(l.stop)
-		<-l.done
-	}
+	l.stopFlusher()
 	l.drain()
 	err := l.gc.failed()
 	l.gc.fail(ErrLogClosed) // resolve subscriptions the final drain missed
 	return err
+}
+
+// Kill implements Manager. Under flushMu a drain in flight has finished
+// and none has started; the terminal error latched there turns every later
+// drain into a no-op and fails the waiters, Flush, Subscribe and an insert
+// that needs room. Unlike Close it drains nothing.
+func (l *ringLog) Kill() {
+	l.flushMu.Lock()
+	l.gc.fail(ErrLogClosed)
+	l.flushMu.Unlock()
+	if !l.closed.Swap(true) {
+		l.stopFlusher()
+	}
+}
+
+// stopFlusher stops the background flusher, if the policy has one, and
+// waits for it. The caller has won the swap of closed.
+func (l *ringLog) stopFlusher() {
+	if l.stop != nil {
+		close(l.stop)
+		<-l.done
+	}
 }

@@ -58,7 +58,7 @@ func TestRingWrapExactBoundary(t *testing.T) {
 func TestRingStraddlingRecord(t *testing.T) {
 	const ringSize, records = 4096, 60
 	for _, d := range allDesigns() {
-		store := NewMemStore()
+		store := NewMemSegmentStore(0)
 		m := New(store, Options{Design: d, BufferSize: ringSize})
 		payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 300+i) }
 		straddled := 0
@@ -98,7 +98,7 @@ func TestRingStraddlingRecord(t *testing.T) {
 func TestInsertWaitsWhenBufferFull(t *testing.T) {
 	for _, d := range allDesigns() {
 		t.Run(d.String(), func(t *testing.T) {
-			store := NewMemStore()
+			store := NewMemSegmentStore(0)
 			m := New(store, Options{Design: d, BufferSize: 2048})
 			defer m.Close()
 			payload := make([]byte, 128)
@@ -169,7 +169,7 @@ func (s *flakyStore) Flush(upTo int64) error {
 func TestDeviceFailureIsTerminal(t *testing.T) {
 	for _, d := range allDesigns() {
 		t.Run(d.String(), func(t *testing.T) {
-			store := &flakyStore{Store: NewMemStore()}
+			store := &flakyStore{Store: NewMemSegmentStore(0)}
 			m := New(store, Options{Design: d, BufferSize: 2048})
 			insert := func() error {
 				_, err := m.Insert(&Record{Type: RecUpdate, Redo: make([]byte, 64)})
@@ -243,7 +243,7 @@ func (s *gateStore) Flush(upTo int64) error {
 func TestInsertVersusSlowFlush(t *testing.T) {
 	for _, d := range allDesigns() {
 		t.Run(d.String(), func(t *testing.T) {
-			store := &gateStore{Store: NewMemStore(), entered: make(chan struct{}, 4), release: make(chan struct{})}
+			store := &gateStore{Store: NewMemSegmentStore(0), entered: make(chan struct{}, 4), release: make(chan struct{})}
 			l := newRingLog(store, 1<<16, d)
 			rec := func() *Record { return &Record{Type: RecUpdate, Redo: make([]byte, 64)} }
 			if _, err := l.Insert(rec()); err != nil {
@@ -292,10 +292,6 @@ func TestInsertVersusSlowFlush(t *testing.T) {
 // already holds — synced or not — must never be rewritten from the ring,
 // which does not have them.
 func TestReopenSeedsMarks(t *testing.T) {
-	stores := map[string]func() Store{
-		"mem":    func() Store { return NewMemStore() },
-		"memseg": func() Store { return NewMemSegmentStore(1 << 20) },
-	}
 	// Each state is reached from a log of ten synced records followed by
 	// two the device took but never synced; survivors is how many of the
 	// twelve the reopened log starts with.
@@ -312,59 +308,151 @@ func TestReopenSeedsMarks(t *testing.T) {
 		}},
 		{"unsynced-tail", 12, func(*testing.T, Store, int64) {}},
 	}
-	for sname, newStore := range stores {
-		for _, state := range states {
-			for _, d := range allDesigns() {
-				t.Run(sname+"/"+state.name+"/"+d.String(), func(t *testing.T) {
-					s := newStore()
-					m := New(s, Options{Design: DesignCoupled})
-					for i := 0; i < 10; i++ {
-						if _, err := m.Insert(testRecord(i)); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := m.Close(); err != nil {
+	for _, state := range states {
+		for _, d := range allDesigns() {
+			t.Run(state.name+"/"+d.String(), func(t *testing.T) {
+				s := NewMemSegmentStore(0)
+				m := New(s, Options{Design: DesignCoupled})
+				for i := 0; i < 10; i++ {
+					if _, err := m.Insert(testRecord(i)); err != nil {
 						t.Fatal(err)
 					}
-					synced := s.DurableSize()
-					for i := 10; i < 12; i++ {
-						rec := testRecord(i)
-						rec.LSN = LSN(s.Size())
-						buf := make([]byte, rec.EncodedSize())
-						rec.put(buf)
-						if err := s.WriteAt(buf, s.Size()); err != nil {
-							t.Fatal(err)
-						}
+				}
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+				synced := s.DurableSize()
+				for i := 10; i < 12; i++ {
+					rec := testRecord(i)
+					rec.LSN = LSN(s.Size())
+					buf := make([]byte, rec.EncodedSize())
+					rec.put(buf)
+					if err := s.WriteAt(buf, s.Size()); err != nil {
+						t.Fatal(err)
 					}
-					state.prepare(t, s, synced)
+				}
+				state.prepare(t, s, synced)
 
-					m = New(s, Options{Design: d})
-					if m.DurableLSN() > m.CurLSN() {
-						t.Fatalf("opened with durable %v past head %v", m.DurableLSN(), m.CurLSN())
-					}
-					n, end := state.survivors, s.Size()
-					lsn, err := m.Insert(testRecord(n))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if int64(lsn) != end {
-						t.Fatalf("first insert at %v, store ended at %d", lsn, end)
-					}
-					if err := m.Flush(m.CurLSN()); err != nil {
-						t.Fatal(err)
-					}
-					if err := m.Close(); err != nil {
-						t.Fatal(err)
-					}
-					if got := scanInOrder(t, s); got != n+1 {
-						t.Fatalf("log holds %d records after reopen, want %d", got, n+1)
-					}
-				})
-			}
+				m = New(s, Options{Design: d})
+				if m.DurableLSN() > m.CurLSN() {
+					t.Fatalf("opened with durable %v past head %v", m.DurableLSN(), m.CurLSN())
+				}
+				n, end := state.survivors, s.Size()
+				lsn, err := m.Insert(testRecord(n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if int64(lsn) != end {
+					t.Fatalf("first insert at %v, store ended at %d", lsn, end)
+				}
+				if err := m.Flush(m.CurLSN()); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got := scanInOrder(t, s); got != n+1 {
+					t.Fatalf("log holds %d records after reopen, want %d", got, n+1)
+				}
+			})
 		}
 	}
 }
 
 func testRecord(i int) *Record {
 	return &Record{Type: RecUpdate, TxID: uint64(i), Redo: bytes.Repeat([]byte{byte(i + 1)}, 40)}
+}
+
+// countingStore counts the calls that change the store.
+type countingStore struct {
+	Store
+	calls atomic.Int64
+}
+
+func (s *countingStore) WriteAt(b []byte, off int64) error {
+	s.calls.Add(1)
+	return s.Store.WriteAt(b, off)
+}
+
+func (s *countingStore) Flush(upTo int64) error {
+	s.calls.Add(1)
+	return s.Store.Flush(upTo)
+}
+
+// TestCrashStop checks Kill, the power cut as the manager sees it, on all
+// three designs. A drain that is inside the store when Kill is called
+// finishes before Kill returns; after that no WriteAt or Flush reaches the
+// store, whatever is still in the ring and whoever asks, and everyone who
+// waits on the log gets an error.
+func TestCrashStop(t *testing.T) {
+	for _, d := range allDesigns() {
+		t.Run(d.String(), func(t *testing.T) {
+			inner := &countingStore{Store: NewMemSegmentStore(0)}
+			store := &gateStore{Store: inner, entered: make(chan struct{}, 4), release: make(chan struct{})}
+			l := newRingLog(store, 1<<16, d)
+			if _, err := l.Insert(testRecord(0)); err != nil {
+				t.Fatal(err)
+			}
+			flushed := make(chan error, 1)
+			go func() { flushed <- l.Flush(l.CurLSN()) }()
+			<-store.entered // a drain is parked in the store's Flush
+
+			killed := make(chan struct{})
+			go func() {
+				l.Kill()
+				close(killed)
+			}()
+			select {
+			case <-killed:
+				t.Fatal("Kill returned while a drain was inside the store")
+			case <-time.After(20 * time.Millisecond):
+			}
+			close(store.release)
+			<-killed
+			if err := <-flushed; err != nil {
+				t.Fatalf("the flush that was in the store when Kill was called = %v; it had finished", err)
+			}
+
+			calls, durable := inner.calls.Load(), l.DurableLSN()
+			if _, err := l.Insert(testRecord(1)); !errors.Is(err, ErrLogClosed) {
+				t.Errorf("insert after Kill = %v, want ErrLogClosed", err)
+			}
+			if err := l.Flush(l.CurLSN() + 1); !errors.Is(err, ErrLogClosed) {
+				t.Errorf("flush after Kill = %v, want ErrLogClosed", err)
+			}
+			if err := <-l.Subscribe(l.CurLSN() + 1); !errors.Is(err, ErrLogClosed) {
+				t.Errorf("subscribe after Kill = %v, want ErrLogClosed", err)
+			}
+			l.drain()
+			l.Kill()
+			if err := l.Close(); err != nil {
+				t.Errorf("close after Kill = %v; there is nothing left to close", err)
+			}
+			if got := inner.calls.Load(); got != calls {
+				t.Errorf("%d store calls after Kill returned", got-calls)
+			}
+			if got := l.DurableLSN(); got != durable {
+				t.Errorf("durable mark moved %v -> %v after Kill", durable, got)
+			}
+		})
+	}
+	// With no drain in flight Kill does not start one: what the ring holds
+	// is lost, as in a power cut.
+	for _, d := range allDesigns() {
+		t.Run(d.String()+"/idle", func(t *testing.T) {
+			inner := &countingStore{Store: NewMemSegmentStore(0)}
+			l := newRingLog(inner, 1<<16, d)
+			lsn, err := l.Insert(testRecord(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.Kill()
+			if err := l.Flush(lsn + 1); !errors.Is(err, ErrLogClosed) {
+				t.Errorf("flush after Kill = %v, want ErrLogClosed", err)
+			}
+			if n := inner.calls.Load(); n != 0 || inner.Size() != logHeaderSize {
+				t.Errorf("Kill let %d calls through; the store holds %d bytes", n, inner.Size())
+			}
+		})
+	}
 }

@@ -10,32 +10,22 @@ import (
 )
 
 // Scanner iterates log records in LSN order directly from a Store. It is
-// the read path of recovery, and it renders one of two verdicts at the
-// end of the written log:
-//
-//   - A bad record at or above the store's durable horizon is an expected
-//     torn tail — the crash interrupted an in-flight write — so the scan
-//     ends cleanly (io.EOF) and TornBytes reports what must be clipped.
-//   - A bad record *below* the horizon means provably-durable log bytes
-//     were damaged: the scan fails with a wrapped ErrCorrupt carrying
-//     segment/offset context, and startup must refuse rather than
-//     silently truncate committed work.
+// the read path of recovery. At the end of the written log it takes
+// readRecordAt's verdict: a torn tail ends the scan cleanly (io.EOF) and
+// TornBytes reports what must be clipped; corruption fails it with a
+// wrapped ErrCorrupt, and startup must refuse rather than silently
+// truncate committed work.
 type Scanner struct {
-	store   Store
-	off     int64
-	limit   int64
-	horizon int64
-	torn    int64
+	store Store
+	off   int64
+	limit int64
+	torn  int64
 }
 
 // NewScanner scans from LSN `from` (NullLSN means the start of the log)
 // to the end of the written log.
 func NewScanner(store Store, from LSN) *Scanner {
-	off := int64(from)
-	if off < logHeaderSize {
-		off = logHeaderSize
-	}
-	return &Scanner{store: store, off: off, limit: store.Size(), horizon: int64(store.Horizon())}
+	return &Scanner{store: store, off: max(int64(from), logHeaderSize), limit: store.Size()}
 }
 
 // End returns the offset where the scan stopped: the end of the valid log
@@ -46,14 +36,53 @@ func (s *Scanner) End() int64 { return s.off }
 // tail (valid only after Next returned io.EOF).
 func (s *Scanner) TornBytes() int64 { return s.torn }
 
-// verdict classifies a bad record at the scan position: torn tail above
-// the horizon (clean EOF), corruption below it.
-func (s *Scanner) verdict(cause error) (*Record, error) {
-	if s.off < s.horizon {
-		return nil, corruptAt(s.store, s.off, cause)
+// errTorn marks a bad record at or above the durable horizon.
+var errTorn = errors.New("wal: torn log tail")
+
+// readRecordAt reads the record at off of a log that ends at limit. It is
+// the one reader, and the one place that says what the bytes at off are:
+//
+//   - a whole record, returned with its encoded length;
+//   - a torn tail (errTorn): a bad record at or above store.Horizon(),
+//     where a crash may have interrupted a write in flight;
+//   - corruption (ErrCorrupt, with segment and offset): a bad record below
+//     the horizon, where every byte was written and synced.
+//
+// Bad means any of: no room for a header before limit, a length no record
+// can have (the zero fill of a hole included), a body that runs past
+// limit, bytes the store cannot read, or a failed decode (CRC, type,
+// reserved bytes, payload lengths).
+func readRecordAt(store Store, off, limit int64) (*Record, int64, error) {
+	bad := func(cause error) (*Record, int64, error) {
+		if off < int64(store.Horizon()) {
+			return nil, 0, corruptAt(store, off, cause)
+		}
+		return nil, 0, fmt.Errorf("%w at %d: %w", errTorn, off, cause)
 	}
-	s.torn = s.limit - s.off
-	return nil, io.EOF
+	if off+recHeaderSize+recTrailerSize > limit {
+		return bad(fmt.Errorf("%w: truncated header", ErrBadRecord))
+	}
+	var lenBuf [4]byte
+	if _, err := store.ReadAt(lenBuf[:], off); err != nil {
+		return bad(err)
+	}
+	total := int64(binary.LittleEndian.Uint32(lenBuf[:]))
+	if total < recHeaderSize+recTrailerSize || total > recHeaderSize+MaxPayload+recTrailerSize {
+		return bad(fmt.Errorf("%w: bad length %d", ErrBadRecord, total))
+	}
+	if off+total > limit {
+		return bad(fmt.Errorf("%w: truncated body", ErrBadRecord))
+	}
+	buf := make([]byte, total)
+	if _, err := store.ReadAt(buf, off); err != nil {
+		return bad(err)
+	}
+	rec, _, err := DecodeRecord(buf)
+	if err != nil {
+		return bad(err)
+	}
+	rec.LSN = LSN(off)
+	return rec, total, nil
 }
 
 // corruptAt wraps cause in ErrCorrupt with segment/offset context.
@@ -72,33 +101,15 @@ func (s *Scanner) Next() (*Record, error) {
 	if s.off >= s.limit {
 		return nil, io.EOF
 	}
-	if s.off+recHeaderSize+recTrailerSize > s.limit {
-		return s.verdict(fmt.Errorf("%w: truncated header", ErrBadRecord))
+	rec, n, err := readRecordAt(s.store, s.off, s.limit)
+	if errors.Is(err, errTorn) {
+		s.torn = s.limit - s.off
+		return nil, io.EOF
 	}
-	var lenBuf [4]byte
-	if _, err := s.store.ReadAt(lenBuf[:], s.off); err != nil {
-		return s.verdict(err)
-	}
-	total := int(binary.LittleEndian.Uint32(lenBuf[:]))
-	if total < recHeaderSize+recTrailerSize || total > recHeaderSize+MaxPayload+recTrailerSize {
-		return s.verdict(fmt.Errorf("%w: bad length %d", ErrBadRecord, total))
-	}
-	if s.off+int64(total) > s.limit {
-		return s.verdict(fmt.Errorf("%w: truncated body", ErrBadRecord))
-	}
-	buf := make([]byte, total)
-	if _, err := s.store.ReadAt(buf, s.off); err != nil {
-		return s.verdict(err)
-	}
-	rec, n, err := DecodeRecord(buf)
 	if err != nil {
-		if errors.Is(err, ErrBadRecord) {
-			return s.verdict(err)
-		}
 		return nil, err
 	}
-	rec.LSN = LSN(s.off)
-	s.off += int64(n)
+	s.off += n
 	return rec, nil
 }
 
@@ -129,30 +140,17 @@ func CheckTail(store Store) (end int64, torn int64, err error) {
 	return sc.End(), sc.TornBytes(), nil
 }
 
-// ReadRecordAt reads the single record at lsn. Unlike Scanner, corruption
-// here is a hard error: undo follows PrevLSN chains and a broken link is
-// unrecoverable.
+// ReadRecordAt reads the single record at lsn. Unlike Scanner it takes a
+// torn tail for an error too: undo follows PrevLSN chains and a broken
+// link is unrecoverable.
 func ReadRecordAt(store Store, lsn LSN) (*Record, error) {
 	if lsn < logHeaderSize {
 		return nil, fmt.Errorf("wal: ReadRecordAt(%v): %w: before log start", lsn, ErrInvalidLSN)
 	}
-	var lenBuf [4]byte
-	if _, err := store.ReadAt(lenBuf[:], int64(lsn)); err != nil {
-		return nil, fmt.Errorf("wal: ReadRecordAt(%v): %w", lsn, err)
-	}
-	total := int(binary.LittleEndian.Uint32(lenBuf[:]))
-	if total < recHeaderSize+recTrailerSize || total > recHeaderSize+MaxPayload+recTrailerSize {
-		return nil, fmt.Errorf("wal: ReadRecordAt(%v): %w", lsn, ErrBadRecord)
-	}
-	buf := make([]byte, total)
-	if _, err := store.ReadAt(buf, int64(lsn)); err != nil {
-		return nil, fmt.Errorf("wal: ReadRecordAt(%v): %w", lsn, err)
-	}
-	rec, _, err := DecodeRecord(buf)
+	rec, _, err := readRecordAt(store, int64(lsn), store.Size())
 	if err != nil {
 		return nil, fmt.Errorf("wal: ReadRecordAt(%v): %w", lsn, err)
 	}
-	rec.LSN = lsn
 	return rec, nil
 }
 

@@ -14,11 +14,12 @@ import (
 	"sync"
 )
 
-// SegmentStore rotates the log across fixed-size segments while keeping
-// the flat LSN address space every manager and recovery path already
-// speaks: segment k holds logical bytes [k*segBytes, (k+1)*segBytes), at
-// physical offset segHeaderSize past its header. Because it implements
-// Store, all three log-manager designs get segmentation for free.
+// SegmentStore is the log device — the only Store. It rotates the log
+// across fixed-size segments while keeping the flat LSN address space every
+// manager and recovery path speaks: segment k holds logical bytes
+// [k*segBytes, (k+1)*segBytes), at physical offset segHeaderSize past its
+// header. The segments live behind a segBackend, a directory or memory;
+// everything above that interface, fault injection included, is shared.
 //
 // Durability discipline:
 //
@@ -34,22 +35,31 @@ import (
 //   - ArchiveBelow removes sealed segments wholly below the caller's
 //     safe point (checkpoint redo floor and oldest active-transaction
 //     first LSN), bounding both disk usage and restart scan length.
+//   - Every segment file knows how far it has been synced. A Crash keeps
+//     that much of each and loads the rest of its state from what is left,
+//     with the code that opens a store: it computes no mark of its own.
 type SegmentStore struct {
 	mu       sync.Mutex
 	be       segBackend
 	segBytes int64
+	segState
+
+	tornKeep   int64 // unsynced bytes the next Crash preserves
+	failFlush  int64 // <0: disabled; else successful flushes remaining
+	archiveCnt uint64
+}
+
+// segState is everything load derives from the backend. Open and Crash
+// both start it from zero.
+type segState struct {
 	segs     map[uint64]*logSegment
 	first    uint64 // lowest retained segment index
 	last     uint64 // highest segment index
 	size     int64  // logical volatile high-water mark
 	durable  int64  // logical durability boundary
-	sealFrom uint64 // lowest segment that might still need sealing
-	sealed   int64  // logical end of the contiguous sealed prefix
+	sealFrom uint64 // lowest unsealed segment: all below it are sealed or archived
 	master   LSN    // cached copy of the backend's master LSN
-
-	tornKeep   int64 // bytes past durable the next Crash preserves
-	failFlush  int64 // <0: disabled; else successful flushes remaining
-	archiveCnt uint64
+	loadErr  error  // why load refused what a Crash left; Master reports it
 }
 
 // logSegment is one open segment.
@@ -58,18 +68,6 @@ type logSegment struct {
 	base   int64
 	sealed bool
 }
-
-// Archiver is implemented by stores that can discard old log segments.
-// The engine type-asserts for it at checkpoint time.
-type Archiver interface {
-	// ArchiveBelow removes sealed segments wholly below lsn and returns
-	// how many were removed.
-	ArchiveBelow(lsn LSN) (int, error)
-}
-
-// ErrInjectedFlush is returned by Flush after FailFlushes arms fsync
-// failure injection.
-var ErrInjectedFlush = errors.New("wal: injected flush failure")
 
 // Segment header layout (48 bytes at the front of every segment file):
 //
@@ -109,27 +107,27 @@ func encodeSegHeader(idx uint64, base int64, sealed bool, end int64) [segHeaderS
 	return b
 }
 
-func decodeSegHeader(b []byte) (idx uint64, base int64, sealed bool, end int64, err error) {
+func decodeSegHeader(b []byte) (idx uint64, base int64, sealed bool, err error) {
 	if len(b) < segHeaderSize {
-		return 0, 0, false, 0, fmt.Errorf("%w: segment header truncated", ErrCorrupt)
+		return 0, 0, false, fmt.Errorf("%w: segment header truncated", ErrCorrupt)
 	}
 	if [8]byte(b[0:8]) != segMagic {
-		return 0, 0, false, 0, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
+		return 0, 0, false, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
 	if crc32.ChecksumIEEE(b[:40]) != binary.LittleEndian.Uint32(b[40:]) {
-		return 0, 0, false, 0, fmt.Errorf("%w: segment header crc mismatch", ErrCorrupt)
+		return 0, 0, false, fmt.Errorf("%w: segment header crc mismatch", ErrCorrupt)
 	}
 	if v := binary.LittleEndian.Uint32(b[8:]); v != segVersion {
-		return 0, 0, false, 0, fmt.Errorf("%w: segment version %d (want %d)", ErrCorrupt, v, segVersion)
+		return 0, 0, false, fmt.Errorf("%w: segment version %d (want %d)", ErrCorrupt, v, segVersion)
 	}
 	flags := binary.LittleEndian.Uint32(b[12:])
 	idx = binary.LittleEndian.Uint64(b[16:])
 	base = int64(binary.LittleEndian.Uint64(b[24:]))
-	end = int64(binary.LittleEndian.Uint64(b[32:]))
-	return idx, base, flags&segFlagSealed != 0, end, nil
+	return idx, base, flags&segFlagSealed != 0, nil
 }
 
-// NewMemSegmentStore returns an empty memory-backed segmented log store.
+// NewMemSegmentStore returns an empty memory-backed log store. segBytes is
+// the segment size; zero selects DefaultSegmentBytes.
 func NewMemSegmentStore(segBytes int64) *SegmentStore {
 	s, err := newSegmentStore(newMemSegBackend(), segBytes)
 	if err != nil {
@@ -139,9 +137,11 @@ func NewMemSegmentStore(segBytes int64) *SegmentStore {
 	return s
 }
 
-// OpenSegmentStore opens (or creates) a file-backed segmented log in dir.
-// Reopening validates every segment header and the chain structure; any
-// inconsistency below the durable horizon refuses with ErrCorrupt.
+// OpenSegmentStore opens (or creates) a file-backed log in dir. segBytes is
+// the segment size (zero selects DefaultSegmentBytes) and must be the size
+// the log was created with. Reopening validates every segment header and
+// the chain structure; any inconsistency below the durable horizon refuses
+// with ErrCorrupt.
 func OpenSegmentStore(dir string, segBytes int64) (*SegmentStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -159,40 +159,47 @@ func OpenSegmentStore(dir string, segBytes int64) (*SegmentStore, error) {
 }
 
 func newSegmentStore(be segBackend, segBytes int64) (*SegmentStore, error) {
-	if segBytes < MinSegmentBytes {
-		segBytes = MinSegmentBytes
+	if segBytes <= 0 {
+		segBytes = DefaultSegmentBytes
 	}
-	s := &SegmentStore{
-		be:        be,
-		segBytes:  segBytes,
-		segs:      make(map[uint64]*logSegment),
-		failFlush: -1,
-	}
-	idxs, err := be.list()
-	if err != nil {
-		return nil, err
-	}
-	if len(idxs) == 0 {
-		if _, err := s.createLocked(0); err != nil {
-			return nil, err
-		}
-		if err := s.writeAtLocked(logMagic[:], 0); err != nil {
-			return nil, err
-		}
-		if err := s.segs[0].f.sync(); err != nil {
-			return nil, err
-		}
-		s.durable = logHeaderSize
-		return s, nil
-	}
-	if err := s.loadLocked(idxs); err != nil {
+	s := &SegmentStore{be: be, segBytes: max(segBytes, MinSegmentBytes), failFlush: -1}
+	if err := s.load(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// loadLocked opens and validates an existing segment chain.
-func (s *SegmentStore) loadLocked(idxs []uint64) error {
+// load derives the store's state from what the backend holds, and from
+// nothing else: an empty log if it holds no segment, else the validated
+// chain. OpenSegmentStore runs it and Crash ends with it, so the store a
+// crash leaves is by construction the store a reopen would find.
+func (s *SegmentStore) load() error {
+	s.segState = segState{segs: make(map[uint64]*logSegment)}
+	err := s.loadChain()
+	if err != nil {
+		s.closeSegs()
+	}
+	return err
+}
+
+func (s *SegmentStore) loadChain() error {
+	idxs, err := s.be.list()
+	if err != nil {
+		return err
+	}
+	if len(idxs) == 0 {
+		if _, err := s.createLocked(0); err != nil {
+			return err
+		}
+		if err := s.writeAtLocked(logMagic[:], 0); err != nil {
+			return err
+		}
+		if err := s.segs[0].f.sync(); err != nil {
+			return err
+		}
+		s.durable = logHeaderSize
+		return nil
+	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	s.first, s.last = idxs[0], idxs[len(idxs)-1]
 	for i, k := range idxs {
@@ -216,55 +223,49 @@ func (s *SegmentStore) loadLocked(idxs []uint64) error {
 				return err
 			}
 			s.last--
-			idxs = idxs[:i]
 			continue
 		}
+		seg := &logSegment{f: f}
+		s.segs[k] = seg
 		hdr := make([]byte, segHeaderSize)
 		if _, err := f.readAt(hdr, 0); err != nil {
-			f.close()
 			return fmt.Errorf("%w: segment %d header unreadable: %v", ErrCorrupt, k, err)
 		}
-		idx, base, sealed, _, err := decodeSegHeader(hdr)
+		idx, base, sealed, err := decodeSegHeader(hdr)
 		if err != nil {
-			f.close()
 			return fmt.Errorf("segment %d: %w", k, err)
 		}
 		if idx != k || base != int64(k)*s.segBytes {
-			f.close()
 			return fmt.Errorf("%w: segment %d header claims index %d base %d (segment size mismatch?)",
 				ErrCorrupt, k, idx, base)
 		}
-		s.segs[k] = &logSegment{f: f, base: base, sealed: sealed}
+		seg.base, seg.sealed = base, sealed
 	}
 	// Seals happen strictly in order, and a sealed segment always has a
 	// durable successor. Violations mean the tail (or a middle piece) of
 	// the log was lost.
 	s.sealFrom = s.first
 	for k := s.first; k <= s.last; k++ {
-		seg := s.segs[k]
-		if seg.sealed {
+		if s.segs[k].sealed {
 			if k != s.sealFrom {
 				return fmt.Errorf("%w: segment %d sealed after unsealed segment %d", ErrCorrupt, k, s.sealFrom)
 			}
 			s.sealFrom = k + 1
-			s.sealed = seg.base + s.segBytes
 		}
 	}
-	if s.segs[s.last].sealed {
+	tail := s.segs[s.last]
+	if tail.sealed {
 		return fmt.Errorf("%w: tail segment %d is sealed — later log segment(s) are missing", ErrCorrupt, s.last)
 	}
-	tail := s.segs[s.last]
 	s.size = tail.base + (tail.f.size() - segHeaderSize)
-	m, err := s.be.master()
-	if err != nil {
+	if s.master, err = s.be.master(); err != nil {
 		return err
 	}
-	s.master = m
-	if int64(m) > s.size {
-		return fmt.Errorf("%w: master checkpoint %v beyond log end %d — log tail missing", ErrCorrupt, m, s.size)
+	if int64(s.master) > s.size {
+		return fmt.Errorf("%w: master checkpoint %v beyond log end %d — log tail missing", ErrCorrupt, s.master, s.size)
 	}
-	if first := s.segs[s.first]; first.base > 0 && int64(m) < first.base {
-		return fmt.Errorf("%w: master checkpoint %v below first retained segment (base %d)", ErrCorrupt, m, first.base)
+	if first := s.segs[s.first]; first.base > 0 && int64(s.master) < first.base {
+		return fmt.Errorf("%w: master checkpoint %v below first retained segment (base %d)", ErrCorrupt, s.master, first.base)
 	}
 	if s.first == 0 {
 		var pre [logHeaderSize]byte
@@ -272,15 +273,25 @@ func (s *SegmentStore) loadLocked(idxs []uint64) error {
 			return fmt.Errorf("%w: bad log preamble", ErrCorrupt)
 		}
 	}
-	// Like a reopened flat file, optimistically treat the whole extent as
-	// durable; CheckTail + Truncate clip whatever fails validation above
-	// the horizon.
+	// Whatever is on the device survived, and counts as durable; CheckTail
+	// + Truncate clip what fails validation above the horizon.
 	s.durable = s.size
 	return nil
 }
 
+// closeSegs closes every open segment file.
+func (s *SegmentStore) closeSegs() error {
+	var err error
+	for k, seg := range s.segs {
+		err = errors.Join(err, seg.f.close())
+		delete(s.segs, k)
+	}
+	return err
+}
+
 // createLocked creates segment k (header written and synced immediately,
 // so a crash can never leave a durable successor without its own header).
+// A creation that fails leaves no file behind.
 func (s *SegmentStore) createLocked(k uint64) (*logSegment, error) {
 	f, err := s.be.create(k, segHeaderSize+s.segBytes)
 	if err != nil {
@@ -288,20 +299,19 @@ func (s *SegmentStore) createLocked(k uint64) (*logSegment, error) {
 	}
 	base := int64(k) * s.segBytes
 	hdr := encodeSegHeader(k, base, false, 0)
-	if err := f.writeAt(hdr[:], 0); err != nil {
-		f.close()
-		return nil, err
+	if err = f.writeAt(hdr[:], 0); err == nil {
+		err = f.sync()
 	}
-	if err := f.sync(); err != nil {
+	if err != nil {
 		f.close()
+		_ = s.be.remove(k) // best effort: load drops a headerless tail anyway
 		return nil, err
 	}
 	seg := &logSegment{f: f, base: base}
 	if len(s.segs) == 0 {
-		s.first, s.last = k, k
-	} else if k > s.last {
-		s.last = k
+		s.first = k
 	}
+	s.last = k // k is 0 on an empty store, else last+1
 	s.segs[k] = seg
 	return seg, nil
 }
@@ -383,8 +393,10 @@ func (s *SegmentStore) readAtLocked(b []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// Flush implements Store: sync the segments covering (durable, upTo],
-// advance the boundary, and seal any segment that became fully durable.
+// Flush implements Store: sync the segments covering (durable, upTo], seal
+// every segment this makes fully durable, and only then — nothing left
+// that can fail — move the boundary. A Flush that fails has moved nothing
+// it did not finish on the device: each seal is recorded as it lands.
 func (s *SegmentStore) Flush(upTo int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -394,10 +406,10 @@ func (s *SegmentStore) Flush(upTo int64) error {
 		}
 		s.failFlush--
 	}
-	if upTo > s.size {
-		upTo = s.size
-	}
-	if upTo > s.durable {
+	upTo = min(upTo, s.size)
+	if upTo <= s.durable {
+		upTo = s.durable
+	} else {
 		for k := uint64(s.durable / s.segBytes); k <= uint64((upTo-1)/s.segBytes); k++ {
 			if seg := s.segs[k]; seg != nil {
 				if err := seg.f.sync(); err != nil {
@@ -405,36 +417,27 @@ func (s *SegmentStore) Flush(upTo int64) error {
 				}
 			}
 		}
-		s.durable = upTo
 	}
-	for {
-		seg := s.segs[s.sealFrom]
-		if seg == nil || seg.sealed {
-			break
-		}
-		end := seg.base + s.segBytes
-		if end > s.durable {
-			break
-		}
+	for seg := s.segs[s.sealFrom]; seg != nil && seg.base+s.segBytes <= upTo; seg = s.segs[s.sealFrom] {
 		if err := s.sealLocked(s.sealFrom, seg); err != nil {
 			return err
 		}
-		s.sealFrom++
 	}
+	s.durable = upTo
 	return nil
 }
 
-// sealLocked marks a fully-durable segment sealed. The successor is
-// created (and its header synced) first so the sealed⇒successor invariant
-// holds even if the crash lands between the two syncs.
+// sealLocked marks fully-durable segment k, the lowest unsealed one,
+// sealed. The successor is created (and its header synced) first so the
+// sealed⇒successor invariant holds even if the crash lands between the
+// two syncs.
 func (s *SegmentStore) sealLocked(k uint64, seg *logSegment) error {
 	if s.segs[k+1] == nil {
 		if _, err := s.createLocked(k + 1); err != nil {
 			return err
 		}
 	}
-	end := seg.base + s.segBytes
-	hdr := encodeSegHeader(k, seg.base, true, end)
+	hdr := encodeSegHeader(k, seg.base, true, seg.base+s.segBytes)
 	if err := seg.f.writeAt(hdr[:], 0); err != nil {
 		return err
 	}
@@ -442,9 +445,7 @@ func (s *SegmentStore) sealLocked(k uint64, seg *logSegment) error {
 		return err
 	}
 	seg.sealed = true
-	if end > s.sealed {
-		s.sealed = end
-	}
+	s.sealFrom = k + 1
 	return nil
 }
 
@@ -462,19 +463,16 @@ func (s *SegmentStore) Size() int64 {
 	return s.size
 }
 
+// sealedEnd is the logical end of the sealed prefix. Segments below first
+// count: only a sealed segment is ever archived.
+func (s *SegmentStore) sealedEnd() int64 { return int64(s.sealFrom) * s.segBytes }
+
 // Horizon implements Store: the durable floor provable after a crash is
 // whatever the master checkpoint covers plus every sealed segment.
 func (s *SegmentStore) Horizon() LSN {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := int64(s.master)
-	if s.sealed > h {
-		h = s.sealed
-	}
-	if h < logHeaderSize {
-		h = logHeaderSize
-	}
-	return LSN(h)
+	return LSN(max(int64(s.master), s.sealedEnd(), logHeaderSize))
 }
 
 // Truncate implements Store: clip a torn tail, dropping any segments that
@@ -485,15 +483,14 @@ func (s *SegmentStore) Truncate(size int64) error {
 	if size < logHeaderSize {
 		return fmt.Errorf("%w: truncate to %d inside preamble", ErrInvalidLSN, size)
 	}
-	if size < s.sealed {
-		return fmt.Errorf("%w: refusing to truncate to %d below sealed boundary %d", ErrCorrupt, size, s.sealed)
+	if size < s.sealedEnd() {
+		return fmt.Errorf("%w: refusing to truncate to %d below sealed boundary %d", ErrCorrupt, size, s.sealedEnd())
 	}
 	for s.last > s.first && s.segs[s.last].base >= size {
 		if s.segs[s.last-1].sealed {
 			break // sealed predecessor keeps its (now empty) successor
 		}
-		seg := s.segs[s.last]
-		seg.f.close()
+		s.segs[s.last].f.close()
 		if err := s.be.remove(s.last); err != nil {
 			return err
 		}
@@ -501,19 +498,10 @@ func (s *SegmentStore) Truncate(size int64) error {
 		s.last--
 	}
 	tail := s.segs[s.last]
-	phys := segHeaderSize + size - tail.base
-	if phys < segHeaderSize {
-		phys = segHeaderSize
-	}
-	if err := tail.f.truncate(phys); err != nil {
+	if err := tail.f.truncate(segHeaderSize + max(size-tail.base, 0)); err != nil {
 		return err
 	}
-	if size < s.size {
-		s.size = size
-	}
-	if s.durable > size {
-		s.durable = size
-	}
+	s.size, s.durable = min(s.size, size), min(s.durable, size)
 	return nil
 }
 
@@ -528,41 +516,41 @@ func (s *SegmentStore) SetMaster(l LSN) error {
 	return nil
 }
 
-// Master implements Store.
+// Master implements Store. After a Crash whose reload refused what was
+// left, it returns that refusal: Master is the first thing an Open reads
+// from a store, so the Open fails as OpenSegmentStore would have.
 func (s *SegmentStore) Master() (LSN, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.master, nil
+	return s.master, s.loadErr
 }
 
-// Crash implements Store: everything beyond the durable boundary vanishes
-// — except, after ArmTornCrash, a prefix of the in-flight bytes, modeling
-// a write the disk had partially retired when power failed. Segment
-// headers survive (they are synced at creation and seal).
+// Crash implements Store: the power is cut. Each segment file keeps what
+// it had synced and loses the rest — except, after ArmTornCrash, up to
+// that many bytes of the unsynced suffix, in LSN order: a write the disk
+// had partly retired. The store's state is then loaded from what is left,
+// as a reopen loads it, validation included.
 func (s *SegmentStore) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	target := s.durable + s.tornKeep
+	keep := s.tornKeep
 	s.tornKeep = 0
-	if target > s.size {
-		target = s.size
+	var err error
+	for k := s.first; s.segs[k] != nil; k++ {
+		f := s.segs[k].f
+		take := min(keep, f.size()-f.synced())
+		keep -= take
+		err = errors.Join(err, f.truncate(f.synced()+take))
 	}
-	for k := s.first; k <= s.last; k++ {
-		seg := s.segs[k]
-		phys := segHeaderSize + target - seg.base
-		if phys < segHeaderSize {
-			phys = segHeaderSize
-		}
-		if phys > segHeaderSize+s.segBytes {
-			continue
-		}
-		_ = seg.f.truncate(phys)
+	err = errors.Join(err, s.closeSegs())
+	if err == nil {
+		err = s.load()
 	}
-	s.size = target
+	s.loadErr = err
 }
 
-// ArmTornCrash makes the next Crash preserve up to keep bytes beyond the
-// durable boundary — a torn tail for recovery to detect and clip.
+// ArmTornCrash makes the next Crash preserve up to keep bytes that were
+// written but not synced — a torn tail for recovery to detect and clip.
 func (s *SegmentStore) ArmTornCrash(keep int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -617,44 +605,24 @@ func (s *SegmentStore) Archived() uint64 {
 	return s.archiveCnt
 }
 
-// Clone deep-copies a memory-backed store (for recovery equivalence
-// tests); it panics on a file-backed one.
+// Clone copies a memory-backed store's segments and opens the copy, as a
+// reopen of a copied device would (for recovery equivalence tests); it
+// panics on a file-backed store.
 func (s *SegmentStore) Clone() *SegmentStore {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	mb, ok := s.be.(*memSegBackend)
-	if !ok {
-		panic("wal: Clone requires a memory-backed SegmentStore")
+	c, err := newSegmentStore(s.be.(*memSegBackend).clone(), s.segBytes)
+	if err != nil {
+		panic(fmt.Sprintf("wal: a copy of a live store does not load: %v", err))
 	}
-	nbe := mb.clone()
-	ns := &SegmentStore{
-		be:        nbe,
-		segBytes:  s.segBytes,
-		segs:      make(map[uint64]*logSegment, len(s.segs)),
-		first:     s.first,
-		last:      s.last,
-		size:      s.size,
-		durable:   s.durable,
-		sealFrom:  s.sealFrom,
-		sealed:    s.sealed,
-		master:    s.master,
-		failFlush: -1,
-	}
-	for k, seg := range s.segs {
-		ns.segs[k] = &logSegment{f: nbe.files[k], base: seg.base, sealed: seg.sealed}
-	}
-	return ns
+	return c
 }
 
 // Close implements Store.
 func (s *SegmentStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var err error
-	for _, seg := range s.segs {
-		err = errors.Join(err, seg.f.close())
-	}
-	return errors.Join(err, s.be.close())
+	return errors.Join(s.closeSegs(), s.be.close())
 }
 
 // segBackend abstracts where segments live (memory or a directory).
@@ -676,6 +644,9 @@ type segFile interface {
 	sync() error
 	truncate(n int64) error
 	size() int64
+	// synced is the prefix a power cut cannot take: what the last sync
+	// covered, or what open found on the device.
+	synced() int64
 	close() error
 }
 
@@ -698,19 +669,27 @@ func (b *memSegBackend) list() ([]uint64, error) {
 	return idxs, nil
 }
 
-// create allocates the segment's whole extent up front: a log byte then
-// costs one copy into place, never a reallocation of what came before it.
+// create allocates a segment of up to 8 MiB whole: a log byte then costs
+// one copy into place, never a reallocation of what came before it. A
+// larger segment — the default size, under an engine that may log a few
+// kilobytes — starts at 64 KiB and doubles.
 func (b *memSegBackend) create(idx uint64, size int64) (segFile, error) {
+	if size > segHeaderSize+8<<20 {
+		size = 64 << 10
+	}
 	f := &memSegFile{data: make([]byte, 0, size)}
 	b.files[idx] = f
 	return f, nil
 }
 
+// open finds the segment as a restart would: what is there is what
+// survived.
 func (b *memSegBackend) open(idx uint64) (segFile, error) {
 	f, ok := b.files[idx]
 	if !ok {
 		return nil, fmt.Errorf("wal: segment %d not found", idx)
 	}
+	f.syncedTo = int64(len(f.data))
 	return f, nil
 }
 
@@ -731,11 +710,37 @@ func (b *memSegBackend) clone() *memSegBackend {
 	return nb
 }
 
-type memSegFile struct{ data []byte }
+type memSegFile struct {
+	data     []byte
+	syncedTo int64
+}
 
 func (f *memSegFile) writeAt(b []byte, off int64) error {
 	f.data = writeAtGrow(f.data, b, off)
 	return nil
+}
+
+// writeAtGrow copies b into buf at off and returns buf, extended to cover
+// the write. Truncation keeps the old bytes in the capacity, so a hole
+// between the old end and off is zeroed: a memory segment must read back
+// like a file, where bytes never written are zero. Past the capacity the
+// buffer doubles.
+func writeAtGrow(buf, b []byte, off int64) []byte {
+	old, end := int64(len(buf)), off+int64(len(b))
+	switch {
+	case end <= old:
+	case end <= int64(cap(buf)):
+		buf = buf[:end]
+		if off > old {
+			clear(buf[old:off])
+		}
+	default:
+		grown := make([]byte, end, max(end, 2*int64(cap(buf))))
+		copy(grown, buf)
+		buf = grown
+	}
+	copy(buf[off:], b)
+	return buf
 }
 
 func (f *memSegFile) readAt(b []byte, off int64) (int, error) {
@@ -749,17 +754,22 @@ func (f *memSegFile) readAt(b []byte, off int64) (int, error) {
 	return n, nil
 }
 
-func (f *memSegFile) sync() error { return nil }
+func (f *memSegFile) sync() error {
+	f.syncedTo = int64(len(f.data))
+	return nil
+}
 
 func (f *memSegFile) truncate(n int64) error {
 	if n < int64(len(f.data)) {
 		f.data = f.data[:n]
 	}
+	f.syncedTo = min(f.syncedTo, n)
 	return nil
 }
 
-func (f *memSegFile) size() int64  { return int64(len(f.data)) }
-func (f *memSegFile) close() error { return nil }
+func (f *memSegFile) size() int64   { return int64(len(f.data)) }
+func (f *memSegFile) synced() int64 { return f.syncedTo }
+func (f *memSegFile) close() error  { return nil }
 
 // --- file backend ---
 
@@ -816,7 +826,7 @@ func (b *fileSegBackend) open(idx uint64) (segFile, error) {
 		f.Close()
 		return nil, err
 	}
-	return &fileSegFile{f: f, sz: st.Size()}, nil
+	return &fileSegFile{f: f, sz: st.Size(), syncedTo: st.Size()}, nil
 }
 
 func (b *fileSegBackend) remove(idx uint64) error {
@@ -844,8 +854,9 @@ func (b *fileSegBackend) master() (LSN, error) {
 func (b *fileSegBackend) close() error { return b.mf.Close() }
 
 type fileSegFile struct {
-	f  *os.File
-	sz int64
+	f        *os.File
+	sz       int64
+	syncedTo int64 // what this process saw synced, or found at open
 }
 
 func (f *fileSegFile) writeAt(b []byte, off int64) error {
@@ -862,20 +873,28 @@ func (f *fileSegFile) readAt(b []byte, off int64) (int, error) {
 	return f.f.ReadAt(b, off)
 }
 
-func (f *fileSegFile) sync() error { return f.f.Sync() }
-
-func (f *fileSegFile) truncate(n int64) error {
-	if err := f.f.Truncate(n); err != nil {
+func (f *fileSegFile) sync() error {
+	if err := f.f.Sync(); err != nil {
 		return err
 	}
-	if n < f.sz {
-		f.sz = n
-	}
+	f.syncedTo = f.sz
 	return nil
 }
 
-func (f *fileSegFile) size() int64  { return f.sz }
-func (f *fileSegFile) close() error { return f.f.Close() }
+func (f *fileSegFile) truncate(n int64) error {
+	if n >= f.sz {
+		return nil
+	}
+	if err := f.f.Truncate(n); err != nil {
+		return err
+	}
+	f.sz, f.syncedTo = n, min(f.syncedTo, n)
+	return nil
+}
+
+func (f *fileSegFile) size() int64   { return f.sz }
+func (f *fileSegFile) synced() int64 { return f.syncedTo }
+func (f *fileSegFile) close() error  { return f.f.Close() }
 
 var (
 	_ Store    = (*SegmentStore)(nil)

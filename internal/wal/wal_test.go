@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -100,7 +101,7 @@ func TestRecordQuickRoundTrip(t *testing.T) {
 }
 
 func testManagerBasics(t *testing.T, d Design) {
-	store := NewMemStore()
+	store := NewMemSegmentStore(0)
 	m := New(store, Options{Design: d, BufferSize: 1 << 16})
 	defer m.Close()
 
@@ -163,7 +164,7 @@ func TestManagerBasics(t *testing.T) {
 }
 
 func testManagerConcurrent(t *testing.T, d Design) {
-	store := NewMemStore()
+	store := NewMemSegmentStore(0)
 	m := New(store, Options{Design: d, BufferSize: 1 << 14}) // small: forces wrap + waits
 	defer m.Close()
 
@@ -238,7 +239,7 @@ func TestCrashLosesUnflushedTail(t *testing.T) {
 	for _, d := range allDesigns() {
 		d := d
 		t.Run(d.String(), func(t *testing.T) {
-			store := NewMemStore()
+			store := NewMemSegmentStore(0)
 			m := New(store, Options{Design: d, BufferSize: 1 << 16})
 			var durableLSN LSN
 			for i := 0; i < 50; i++ {
@@ -282,7 +283,7 @@ func TestCrashLosesUnflushedTail(t *testing.T) {
 }
 
 func TestReadRecordAt(t *testing.T) {
-	store := NewMemStore()
+	store := NewMemSegmentStore(0)
 	m := New(store, Options{Design: DesignConsolidated})
 	defer m.Close()
 	rec := &Record{Type: RecUpdate, TxID: 5, Redo: []byte("abc")}
@@ -307,7 +308,7 @@ func TestReadRecordAt(t *testing.T) {
 
 func TestInsertAfterClose(t *testing.T) {
 	for _, d := range allDesigns() {
-		m := New(NewMemStore(), Options{Design: d})
+		m := New(NewMemSegmentStore(0), Options{Design: d})
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +333,7 @@ func TestInsertAfterClose(t *testing.T) {
 func TestInsertDurablePastHead(t *testing.T) {
 	for _, d := range allDesigns() {
 		t.Run(d.String(), func(t *testing.T) {
-			l := newRingLog(NewMemStore(), 1<<16, d)
+			l := newRingLog(NewMemSegmentStore(0), 1<<16, d)
 			defer l.Close()
 			l.gc.advance(LSN(l.head.Load() + 4096))
 			if p, ok := l.policy.(*decoupled); ok {
@@ -357,7 +358,7 @@ func TestInsertDurablePastHead(t *testing.T) {
 
 func TestOversizedRecordRejected(t *testing.T) {
 	for _, d := range allDesigns() {
-		m := New(NewMemStore(), Options{Design: d, BufferSize: 4096})
+		m := New(NewMemSegmentStore(0), Options{Design: d, BufferSize: 4096})
 		rec := &Record{Type: RecUpdate, Redo: make([]byte, 8192)}
 		if _, err := m.Insert(rec); err != ErrRecordTooLarge {
 			t.Errorf("%v: oversized insert = %v", d, err)
@@ -368,7 +369,7 @@ func TestOversizedRecordRejected(t *testing.T) {
 	// reserved, even when the buffer could hold it: the log must not be
 	// left with a hole where the record would have been.
 	for _, d := range allDesigns() {
-		store := NewMemStore()
+		store := NewMemSegmentStore(0)
 		m := New(store, Options{Design: d, BufferSize: 4 << 20})
 		if _, err := m.Insert(&Record{Type: RecUpdate, Redo: make([]byte, MaxPayload+1)}); err != ErrRecordTooLarge {
 			t.Errorf("%v: insert over MaxPayload = %v", d, err)
@@ -384,70 +385,40 @@ func TestOversizedRecordRejected(t *testing.T) {
 	}
 }
 
-// regrowZeroFills checks the zero-fill rule of the memory stores on one of
-// them: truncating keeps the old bytes in the buffer's capacity, and a
+// TestMemSegFileRegrowZeroFills checks the zero-fill rule of the memory
+// backend: truncating keeps the old bytes in the buffer's capacity, and a
 // later write past the new end must not make them readable again — the
 // hole reads back as zeros, as it would from a file.
-func regrowZeroFills(t *testing.T, write func(b []byte, off int64), truncate func(n int64), read func(b []byte, off int64)) {
-	t.Helper()
-	rec := bytes.Repeat([]byte{0xAB}, 100)
-	for i := int64(0); i < 3; i++ {
-		write(rec, 100+i*100)
-	}
-	truncate(250) // into the middle of the second record
-	write(rec[:10], 390)
-	got := make([]byte, 150)
-	read(got, 250)
-	if want := append(make([]byte, 140), rec[:10]...); !bytes.Equal(got, want) {
-		t.Fatalf("bytes [250,400) after truncate(250) and a write at 390 = %x, want 140 zeros and the write", got)
-	}
-	read(got[:50], 200)
-	if !bytes.Equal(got[:50], rec[:50]) {
-		t.Fatal("bytes below the truncation point changed")
-	}
-}
-
 func TestMemSegFileRegrowZeroFills(t *testing.T) {
 	f, err := newMemSegBackend().create(0, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	regrowZeroFills(t,
-		func(b []byte, off int64) {
-			if err := f.writeAt(b, off); err != nil {
-				t.Fatal(err)
-			}
-		},
-		func(n int64) {
-			if err := f.truncate(n); err != nil {
-				t.Fatal(err)
-			}
-		},
-		func(b []byte, off int64) {
-			if _, err := f.readAt(b, off); err != nil {
-				t.Fatal(err)
-			}
-		})
-}
-
-func TestMemStoreRegrowZeroFills(t *testing.T) {
-	s := NewMemStore()
-	regrowZeroFills(t,
-		func(b []byte, off int64) {
-			if err := s.WriteAt(b, off); err != nil {
-				t.Fatal(err)
-			}
-		},
-		func(n int64) {
-			if err := s.Truncate(n); err != nil {
-				t.Fatal(err)
-			}
-		},
-		func(b []byte, off int64) {
-			if _, err := s.ReadAt(b, off); err != nil {
-				t.Fatal(err)
-			}
-		})
+	rec := bytes.Repeat([]byte{0xAB}, 100)
+	for i := int64(0); i < 3; i++ {
+		if err := f.writeAt(rec, 100+i*100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.truncate(250); err != nil { // into the middle of the second record
+		t.Fatal(err)
+	}
+	if err := f.writeAt(rec[:10], 390); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 150)
+	if _, err := f.readAt(got, 250); err != nil {
+		t.Fatal(err)
+	}
+	if want := append(make([]byte, 140), rec[:10]...); !bytes.Equal(got, want) {
+		t.Fatalf("bytes [250,400) after truncate(250) and a write at 390 = %x, want 140 zeros and the write", got)
+	}
+	if _, err := f.readAt(got[:50], 200); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:50], rec[:50]) {
+		t.Fatal("bytes below the truncation point changed")
+	}
 }
 
 func TestCheckpointDataRoundTrip(t *testing.T) {
@@ -487,17 +458,23 @@ func TestCheckpointDataRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFileStorePersistence(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "log")
-	store, err := OpenFileStore(path)
+// TestSegmentStoreFilePersistence is what a log in a directory owes its
+// owner: what was written and flushed, and the master, are there after a
+// reopen; the log goes on past its old tail; and a power cut takes only
+// what was not synced.
+func TestSegmentStoreFilePersistence(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	store, err := OpenSegmentStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if store.SegmentBytes() != DefaultSegmentBytes {
+		t.Fatalf("segment size 0 opened %d-byte segments, want the default", store.SegmentBytes())
 	}
 	m := New(store, Options{Design: DesignDecoupled})
 	var lastLSN LSN
 	for i := 0; i < 10; i++ {
-		lsn, err := m.Insert(&Record{Type: RecUpdate, TxID: uint64(i), Redo: []byte("p")})
+		lsn, err := m.Insert(testRecord(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -512,7 +489,7 @@ func TestFileStorePersistence(t *testing.T) {
 	m.Close()
 	store.Close()
 
-	store2, err := OpenFileStore(path)
+	store2, err := OpenSegmentStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,48 +498,43 @@ func TestFileStorePersistence(t *testing.T) {
 	if err != nil || master != lastLSN {
 		t.Fatalf("master = %v, %v; want %v", master, err, lastLSN)
 	}
-	sc := NewScanner(store2, NullLSN)
-	count := 0
-	for {
-		_, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		count++
-	}
-	if count != 10 {
-		t.Fatalf("reopened log has %d records, want 10", count)
+	if got := scanInOrder(t, store2); got != 10 {
+		t.Fatalf("reopened log has %d records, want 10", got)
 	}
 	// A new manager must continue appending after the existing tail.
 	m2 := New(store2, Options{Design: DesignCoupled})
-	lsn, err := m2.Insert(&Record{Type: RecTxCommit, TxID: 42})
+	lsn, err := m2.Insert(testRecord(10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lsn <= lastLSN {
 		t.Fatalf("appended LSN %v not beyond old tail %v", lsn, lastLSN)
 	}
-	m2.Close()
-}
-
-func TestMemStoreMaster(t *testing.T) {
-	s := NewMemStore()
-	if master, _ := s.Master(); master != NullLSN {
-		t.Fatalf("fresh master = %v", master)
-	}
-	if err := s.SetMaster(88); err != nil {
+	if err := m2.Flush(m2.CurLSN()); err != nil {
 		t.Fatal(err)
 	}
-	if master, _ := s.Master(); master != 88 {
-		t.Fatalf("master = %v, want 88", master)
+	// The device takes a twelfth record and the power goes before a sync.
+	rec := testRecord(11)
+	buf := make([]byte, rec.EncodedSize())
+	rec.put(buf)
+	if err := store2.WriteAt(buf, store2.Size()); err != nil {
+		t.Fatal(err)
+	}
+	m2.Kill()
+	store2.Crash()
+	if master, err := store2.Master(); err != nil || master != lastLSN {
+		t.Fatalf("master after the crash = %v, %v; want %v", master, err, lastLSN)
+	}
+	if got := scanInOrder(t, store2); got != 11 {
+		t.Fatalf("crashed log has %d records, want the 11 that were synced", got)
+	}
+	if st, err := os.Stat(filepath.Join(dir, segFileName(0))); err != nil || st.Size() != segHeaderSize+store2.Size() {
+		t.Fatalf("segment file after the crash: %v, %v; want %d bytes", st, err, segHeaderSize+store2.Size())
 	}
 }
 
 func TestGroupCommitSharedFlush(t *testing.T) {
-	store := NewMemStore()
+	store := NewMemSegmentStore(0)
 	m := New(store, Options{Design: DesignConsolidated})
 	defer m.Close()
 	var wg sync.WaitGroup

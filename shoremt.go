@@ -28,6 +28,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"time"
@@ -210,15 +212,16 @@ type Options struct {
 	// workloads bound their restart-recovery work without calling
 	// DB.Checkpoint manually. Zero disables automatic checkpoints.
 	CheckpointEvery int64
-	// LogSegmentBytes, when positive, rotates the write-ahead log into
-	// fixed-size segments with sealed headers: full segments are sealed
-	// (marked immutable with a recorded end LSN), checkpoints archive
-	// segments wholly below the recovery horizon, and restart recovery
-	// distinguishes a torn tail in the active segment (clipped and
-	// recovered) from corruption below the durable horizon (startup
-	// refused with wal.ErrCorrupt). Zero keeps the single unbounded log.
-	// With Dir set, segments live under Dir/wal/; see the README's
-	// "Recovery & the log" section.
+	// LogSegmentBytes is the size of a write-ahead log segment; zero
+	// selects the default (wal.DefaultSegmentBytes, 64 MiB). The log is
+	// always segmented: full segments are sealed (marked immutable with a
+	// recorded end LSN), checkpoints archive segments wholly below the
+	// recovery horizon, and restart recovery distinguishes a torn tail in
+	// the active segment (clipped and recovered) from corruption below
+	// the durable horizon (startup refused with wal.ErrCorrupt). With Dir
+	// set, segments live under Dir/wal/ and a log must be reopened with
+	// the size it was created with; see the README's "Recovery & the
+	// log" section.
 	LogSegmentBytes int64
 	// RedoWorkers sets the parallelism of restart recovery's redo pass
 	// (log records fan out to workers hash-partitioned by page ID). 0
@@ -297,28 +300,27 @@ func Open(opts Options) (*DB, error) {
 	var vol disk.Volume
 	var logStore wal.Store
 	if opts.Dir != "" {
+		// The log used to be one flat file, Dir/wal.log. Starting an empty
+		// segmented log next to one would open an old volume without its
+		// log, so refuse.
+		walDir, flat := filepath.Join(opts.Dir, "wal"), filepath.Join(opts.Dir, "wal.log")
+		if _, err := os.Stat(flat); err == nil {
+			if _, err := os.Stat(walDir); errors.Is(err, fs.ErrNotExist) {
+				return nil, fmt.Errorf("shoremt: open log: %s is a flat log from before logs were segmented and there is no %s; this version reads only segmented logs", flat, walDir)
+			}
+		}
 		fv, err := disk.OpenFile(filepath.Join(opts.Dir, "data.vol"))
 		if err != nil {
 			return nil, fmt.Errorf("shoremt: open volume: %w", err)
 		}
-		var ls wal.Store
-		if opts.LogSegmentBytes > 0 {
-			ls, err = wal.OpenSegmentStore(filepath.Join(opts.Dir, "wal"), opts.LogSegmentBytes)
-		} else {
-			ls, err = wal.OpenFileStore(filepath.Join(opts.Dir, "wal.log"))
-		}
+		ls, err := wal.OpenSegmentStore(walDir, opts.LogSegmentBytes)
 		if err != nil {
 			fv.Close()
 			return nil, fmt.Errorf("shoremt: open log: %w", err)
 		}
 		vol, logStore = fv, ls
 	} else {
-		vol = disk.NewMem(0)
-		if opts.LogSegmentBytes > 0 {
-			logStore = wal.NewMemSegmentStore(opts.LogSegmentBytes)
-		} else {
-			logStore = wal.NewMemStore()
-		}
+		vol, logStore = disk.NewMem(0), wal.NewMemSegmentStore(opts.LogSegmentBytes)
 	}
 	engine, err := core.Open(vol, logStore, cfg)
 	if err != nil {

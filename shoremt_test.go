@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -242,6 +244,29 @@ func TestFileBackedPersistence(t *testing.T) {
 	if err := tx2.Commit(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLegacyFlatLogRefused: a directory with the flat wal.log of an earlier
+// version and no wal/ is refused, untouched, not opened over an empty log.
+func TestLegacyFlatLogRefused(t *testing.T) {
+	dir := t.TempDir()
+	flat := filepath.Join(dir, "wal.log")
+	if err := os.WriteFile(flat, []byte("SHORELOG and records"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := Open(Options{Dir: dir}); err == nil {
+		db.Close()
+		t.Fatal("Open started an empty log next to a flat wal.log")
+	} else if !strings.Contains(err.Error(), "wal.log") {
+		t.Fatalf("Open = %v; the error does not name wal.log", err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("the refused Open left %v in the directory (%v)", ents, err)
+	}
+	if err := os.Remove(flat); err != nil {
+		t.Fatal(err)
+	}
+	openTest(t, Options{Dir: dir})
 }
 
 func TestStagesAllFunctional(t *testing.T) {
