@@ -738,22 +738,23 @@ func (t *Tree) insert(a Access, c *Cursor, txID uint64, key, value []byte, withU
 	}
 }
 
-// Update replaces the value for key. Logged with logical undo restoring
-// the old value. c may be nil.
+// Update replaces the value for key. Logged as a patch of the bytes that
+// differ, with a logical undo that puts the old ones back. c may be nil.
 func (t *Tree) Update(a Access, c *Cursor, txID uint64, key, value []byte) error {
-	return t.update(a, c, txID, key, value, true)
+	return t.update(a, c, txID, key, 0, 0, value, true)
 }
 
-// UpdateNoUndo is Update with redo-only logging (for recovery undo).
-func (t *Tree) UpdateNoUndo(a Access, txID uint64, key, value []byte) error {
-	return t.update(a, nil, txID, key, value, false)
+// UpdateNoUndo puts mid between the first off and the last suf bytes of
+// key's value, with redo-only logging: the action of a logical update undo
+// (see pageop.Logical for why it may safely run twice).
+func (t *Tree) UpdateNoUndo(a Access, txID uint64, key []byte, off, suf int, mid []byte) error {
+	return t.update(a, nil, txID, key, off, suf, mid, false)
 }
 
-func (t *Tree) update(a Access, c *Cursor, txID uint64, key, value []byte, withUndo bool) error {
-	if err := checkKV(key, value); err != nil {
+func (t *Tree) update(a Access, c *Cursor, txID uint64, key []byte, off, suf int, mid []byte, withUndo bool) error {
+	if err := checkKV(key, mid); err != nil {
 		return err
 	}
-	entry := encodeLeafEntry(key, value)
 	var path nodePath
 	for {
 		f, hdr, slot, exact, err := t.descend(a, c, key, sync2.LatchEX, &path)
@@ -770,12 +771,18 @@ func (t *Tree) update(a Access, c *Cursor, txID uint64, key, value []byte, withU
 			return err
 		}
 		_, oldVal, err := decodeLeafEntry(rec)
+		if err == nil && off+suf > len(oldVal) {
+			err = fmt.Errorf("btree: update keeps %d+%d bytes of a %d-byte value", off, suf, len(oldVal))
+		}
 		if err != nil {
 			t.env.Unfix(f, sync2.LatchEX)
 			return err
 		}
+		// Only the bytes that differ are logged; rec still aliases the page.
+		valAt := len(rec) - len(oldVal)
+		op := pageop.Patch(uint16(slot), valAt+off, oldVal[off:len(oldVal)-suf], mid)
 		// The new entry may be larger than the old; ensure it fits.
-		if len(entry) > len(rec) && !f.Page().CanFit(len(entry)-len(rec)) {
+		if grow := len(op.Data) - len(op.Old); grow > 0 && !f.Page().CanFit(grow) {
 			if err := t.splitNode(txID, f, hdr, path.ids[:path.n], nil); err != nil {
 				return err
 			}
@@ -783,9 +790,11 @@ func (t *Tree) update(a Access, c *Cursor, txID uint64, key, value []byte, withU
 		}
 		var undo pageop.Logical
 		if withUndo {
-			undo = pageop.Logical{Kind: pageop.LogicalBTreeUpdate, Store: t.store, Key: key, Value: oldVal}
+			pre := int(op.Off) - valAt
+			undo = pageop.Logical{Kind: pageop.LogicalBTreeUpdate, Store: t.store, Key: key,
+				Off: uint16(pre), Suf: uint16(len(oldVal) - pre - len(op.Old)), Value: op.Old}
 		}
-		err = t.env.Log(txID, f, pageop.Op{Kind: pageop.KindUpdateAt, Slot: uint16(slot), Data: entry, Old: rec}, undo)
+		err = t.env.Log(txID, f, op, undo)
 		t.env.Unfix(f, sync2.LatchEX)
 		return err
 	}
@@ -821,8 +830,7 @@ func (t *Tree) delete(a Access, c *Cursor, txID uint64, key []byte, withUndo boo
 		t.env.Unfix(f, sync2.LatchEX)
 		return nil, err
 	}
-	recCopy := append([]byte(nil), rec...)
-	_, oldVal, err := decodeLeafEntry(recCopy)
+	_, oldVal, err := decodeLeafEntry(rec)
 	if err != nil {
 		t.env.Unfix(f, sync2.LatchEX)
 		return nil, err
@@ -831,7 +839,12 @@ func (t *Tree) delete(a Access, c *Cursor, txID uint64, key []byte, withUndo boo
 	if withUndo {
 		undo = pageop.Logical{Kind: pageop.LogicalBTreeInsert, Store: t.store, Key: key, Value: oldVal}
 	}
-	err = t.env.Log(txID, f, pageop.Op{Kind: pageop.KindRemoveAt, Slot: uint16(slot), Data: recCopy}, undo)
+	// Removing the slot leaves the entry's bytes where they are, so oldVal
+	// stays readable until the latch goes.
+	err = t.env.Log(txID, f, pageop.Op{Kind: pageop.KindRemoveAt, Slot: uint16(slot), Old: rec}, undo)
+	if err == nil {
+		oldVal = append([]byte(nil), oldVal...)
+	}
 	t.env.Unfix(f, sync2.LatchEX)
 	if err != nil {
 		return nil, err

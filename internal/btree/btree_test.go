@@ -585,3 +585,84 @@ func TestHeaderRoundTrip(t *testing.T) {
 		t.Error("nil high key became non-nil")
 	}
 }
+
+// undoRecorder keeps a private copy of the last logical undo the tree
+// logged (its Value aliases the page until Log returns).
+type undoRecorder struct {
+	*fakeEnv
+	last pageop.Logical
+	op   pageop.Op
+}
+
+func (e *undoRecorder) Log(txID uint64, f *buffer.Frame, op pageop.Op, undo pageop.Logical) error {
+	e.op, e.last = op, undo
+	e.last.Value = append([]byte(nil), undo.Value...)
+	return e.fakeEnv.Log(txID, f, op, undo)
+}
+
+// TestUpdateUndoMayRunTwice: an update logs only the range that differs,
+// and the action of its logical undo — what rollback runs, and runs again
+// when a crash fell between the action and its CLR — restores the old
+// value from that range whether it meets the new value or the old one.
+func TestUpdateUndoMayRunTwice(t *testing.T) {
+	env := &undoRecorder{fakeEnv: newFakeEnv(t, 64)}
+	tr, err := Create(env, env.pool, new(OLCStats), 1, env.sm.CreateStore(space.KindBTree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("the-key")
+	if err := tr.Insert(Latched, nil, 1, key, []byte("seed")); err != nil {
+		t.Fatal(err)
+	}
+	value := func() []byte {
+		v, _, err := tr.Search(Latched, nil, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 500; round++ {
+		old := value()
+		upd := append([]byte(nil), old...)
+		switch rng.Intn(3) {
+		case 0: // equal length
+			if len(upd) > 0 {
+				upd[rng.Intn(len(upd))] ^= 0x55
+			}
+		case 1: // grows in the middle
+			i := rng.Intn(len(upd) + 1)
+			upd = append(upd[:i:i], append(bytes.Repeat([]byte{byte(round)}, 1+rng.Intn(40)), old[i:]...)...)
+		default: // shrinks
+			i := rng.Intn(len(upd) + 1)
+			upd = append(upd[:i:i], old[i+rng.Intn(len(old)-i+1):]...)
+		}
+		if len(upd) > 600 {
+			upd = upd[:100]
+		}
+		if err := tr.Update(Latched, nil, 1, key, upd); err != nil {
+			t.Fatal(err)
+		}
+		u := env.last
+		if got := len(u.Value) + len(env.op.Data); got > len(old)+len(upd) || int(u.Off)+int(u.Suf)+len(u.Value) != len(old) {
+			t.Fatalf("round %d: undo keeps %d+%d and carries %d bytes of a %d-byte value", round, u.Off, u.Suf, len(u.Value), len(old))
+		}
+		if !bytes.Equal(value(), upd) {
+			t.Fatalf("round %d: update did not land", round)
+		}
+		if rng.Intn(2) == 0 {
+			continue // keep the new value, go on from there
+		}
+		for run := 1; run <= 2; run++ {
+			if err := tr.UpdateNoUndo(Latched, 1, key, int(u.Off), int(u.Suf), u.Value); err != nil {
+				t.Fatal(err)
+			}
+			if got := value(); !bytes.Equal(got, old) {
+				t.Fatalf("round %d, undo run %d: %q, want %q", round, run, got, old)
+			}
+		}
+	}
+	if err := tr.UpdateNoUndo(Latched, 1, key, 400, 400, nil); err == nil {
+		t.Error("an undo range larger than the value was accepted")
+	}
+}

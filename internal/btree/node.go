@@ -144,6 +144,13 @@ func decodeLeafEntry(rec []byte) (key, value []byte, err error) {
 	return rec[2 : 2+kl], rec[2+kl:], nil
 }
 
+// LeafValue returns the value of a leaf entry record (aliased) — what the
+// version store keeps of an entry that is about to change.
+func LeafValue(rec []byte) ([]byte, error) {
+	_, v, err := decodeLeafEntry(rec)
+	return v, err
+}
+
 // encodeBranchEntry builds an internal (branch) entry record.
 func encodeBranchEntry(key []byte, child page.ID) []byte {
 	b := make([]byte, 2+len(key)+8)

@@ -159,9 +159,15 @@ func (t *Tree) splitNode(txID uint64, f *buffer.Frame, hdr nodeHeader, path []pa
 		leftChild: hdr.leftChild,
 		highKey:   sepKey,
 	}
-	op := pageop.Op{Kind: pageop.KindUpdateAt, Slot: 0, Data: leftHdr.encode()}
+	var op pageop.Op
 	if mid < n {
 		op = pageop.Op{Kind: pageop.KindPageImage, Data: buildNodeImage(p.PID(), t.store, leftHdr, entries[:mid])}
+	} else { // nothing moved: only the header's right pointer and high key change
+		oldHdr, err := p.Record(0)
+		if err != nil {
+			return unfix(err)
+		}
+		op = pageop.Patch(0, 0, oldHdr, leftHdr.encode())
 	}
 	if err := unfix(t.env.Log(txID, f, op, pageop.Logical{})); err != nil {
 		return err

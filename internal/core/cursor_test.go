@@ -167,7 +167,7 @@ func TestSplitCrashPrefixes(t *testing.T) {
 	}
 	want := []pageop.Kind{
 		pageop.KindFormat, pageop.KindInsertAt, // the fresh right node
-		pageop.KindUpdateAt, // the left node's header: right pointer and high key
+		pageop.KindPatch,    // the left node's header: right pointer and high key
 		pageop.KindInsertAt, // the separator in the parent
 		pageop.KindInsertAt, // the key itself, into the right node
 	}

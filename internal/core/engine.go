@@ -793,8 +793,13 @@ func (e *Engine) lockRow(ctx context.Context, t *tx.Tx, store uint32, rid page.R
 // nothing for a redo-only record (pass redoOnly=true), and otherwise op's
 // physical inverse where it has one. The record is built in t's scratch
 // space — the log manager copies it out before Insert returns, and neither
-// it nor installVersion keeps a reference.
+// it nor installVersion keeps a reference — so op and logical may alias
+// the page: they are encoded before Apply touches it. An op the page
+// cannot take is refused before anything reaches the log.
 func (e *Engine) logPhysical(txID uint64, t *tx.Tx, f *buffer.Frame, op pageop.Op, logical pageop.Logical, redoOnly bool) error {
+	if err := pageop.Check(f.Page(), op); err != nil {
+		return fmt.Errorf("core: %v on %v: %w", op.Kind, f.PID(), err)
+	}
 	var s *tx.LogScratch
 	if t != nil {
 		s = &t.LogScratch
@@ -806,11 +811,8 @@ func (e *Engine) logPhysical(txID uint64, t *tx.Tx, f *buffer.Frame, op pageop.O
 		inv, physical = pageop.Invert(op)
 	}
 	// Redo and undo side by side, so the buffer grows at most once per
-	// record (a redo-only record over-reserves an empty descriptor).
-	need := op.EncodedSize() + logical.EncodedSize()
-	if physical {
-		need = op.EncodedSize() + inv.EncodedSize()
-	}
+	// record: at most one of inv and logical is set.
+	need := 2*pageop.MaxHeader + len(op.Data) + len(inv.Data) + len(logical.Key) + len(logical.Value)
 	buf := op.AppendEncode(slices.Grow(s.Buf[:0], need))
 	redoLen := len(buf)
 	if physical {
@@ -846,8 +848,8 @@ func (e *Engine) logPhysical(txID uint64, t *tx.Tx, f *buffer.Frame, op pageop.O
 		e.installVersion(t, f, op, logical)
 	}
 	if err := pageop.Apply(f.Page(), op); err != nil {
-		// The log record is already out; crash-correct but the in-memory
-		// state diverged. Treat as fatal for this operation.
+		// Check passed under the same latch, so this is a bug, and the log
+		// record is already out.
 		return fmt.Errorf("core: apply %v on %v: %w", op.Kind, f.PID(), err)
 	}
 	f.Page().SetLSN(uint64(lsn))

@@ -255,9 +255,7 @@ func (e *Engine) HeapUpdateCtx(ctx context.Context, t *tx.Tx, store uint32, rid 
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrNoRecord, rid)
 	}
-	oldCopy := append([]byte(nil), old...)
-	op := pageop.Op{Kind: pageop.KindUpdateAt, Slot: rid.Slot, Data: data, Old: oldCopy}
-	return e.logPhysical(t.ID(), t, f, op, pageop.Logical{}, false)
+	return e.logPhysical(t.ID(), t, f, pageop.Patch(rid.Slot, 0, old, data), pageop.Logical{}, false)
 }
 
 // HeapDelete removes the record at rid under an X row lock. The slot is
@@ -286,8 +284,7 @@ func (e *Engine) HeapDeleteCtx(ctx context.Context, t *tx.Tx, store uint32, rid 
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrNoRecord, rid)
 	}
-	oldCopy := append([]byte(nil), old...)
-	op := pageop.Op{Kind: pageop.KindHeapDelete, Slot: rid.Slot, Old: oldCopy}
+	op := pageop.Op{Kind: pageop.KindHeapDelete, Slot: rid.Slot, Old: old}
 	if err := e.logPhysical(t.ID(), t, f, op, pageop.Logical{}, false); err != nil {
 		return err
 	}

@@ -253,7 +253,7 @@ func (e *Engine) applyRedo(rec *wal.Record) (bool, error) {
 	}
 	op, err := pageop.Decode(rec.Redo)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("redo on %v at %v: %w", rec.Page, rec.LSN, err)
 	}
 	if err := pageop.Apply(f.Page(), op); err != nil {
 		return false, fmt.Errorf("redo %v on %v at %v: %w", op.Kind, rec.Page, rec.LSN, err)

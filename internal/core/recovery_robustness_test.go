@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +10,8 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/page"
+	"repro/internal/pageop"
+	"repro/internal/sync2"
 	"repro/internal/wal"
 )
 
@@ -382,5 +385,185 @@ func TestCorruptionBelowHorizonRefusesStartup(t *testing.T) {
 
 	if _, err := openOver(t, vol, logStore, wal.DesignConsolidated, 0); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("startup over corrupt sealed segment = %v, want wal.ErrCorrupt", err)
+	}
+}
+
+// TestLoserPatchesRecoverOldValues: the log holds only the bytes an update
+// changed, so restart must rebuild whole old values from byte ranges. A
+// loser with an equal-length and two length-changing index updates and a
+// heap update is crashed (i) before any undo and (ii) between the logical
+// undo action of its last record and that action's marker CLR — where
+// restart redoes the action and then runs it a second time — on every log
+// design, with each index update taking the turn of being last.
+func TestLoserPatchesRecoverOldValues(t *testing.T) {
+	updates := []struct{ key, old, upd string }{
+		{"k-equal", "balance=0000100;ytd=0000;name=BARBARBAR", "balance=0000042;ytd=0017;name=BARBARBAR"},
+		{"k-grows", "data:tail", "data:a good deal more than there was:tail"},
+		{"k-shrinks", "history|history|history|end", "history|end"},
+	}
+	const heapOld, heapUpd = "row: quantity=0091 ytd=00000300 dist-info", "row: quantity=0107 ytd=000000301 dist-info"
+	for _, d := range []wal.Design{wal.DesignCoupled, wal.DesignDecoupled, wal.DesignConsolidated} {
+		for last := range updates {
+			for _, midUndo := range []bool{false, true} {
+				name := fmt.Sprintf("%v/last=%s/midUndo=%v", d, updates[last].key, midUndo)
+				t.Run(name, func(t *testing.T) {
+					vol := disk.NewMem(0)
+					logStore := wal.NewMemSegmentStore(wal.MinSegmentBytes)
+					e, err := openOver(t, vol, logStore, d, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					store := createTable(t, e)
+					setup, _ := e.Begin()
+					ix, err := e.CreateIndex(setup)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rid, err := e.HeapInsert(setup, store, []byte(heapOld))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, u := range updates {
+						if err := e.IndexInsert(setup, ix, []byte(u.key), []byte(u.old)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := e.Commit(setup); err != nil {
+						t.Fatal(err)
+					}
+
+					loser, _ := e.Begin()
+					if err := e.HeapUpdate(loser, store, rid, []byte(heapUpd)); err != nil {
+						t.Fatal(err)
+					}
+					for i := range updates {
+						u := updates[(last+1+i)%len(updates)] // updates[last] goes last
+						if err := e.IndexUpdate(loser, ix, []byte(u.key), []byte(u.upd)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := e.Log().Flush(e.Log().CurLSN()); err != nil {
+						t.Fatal(err)
+					}
+					if midUndo {
+						rec, err := wal.ReadRecordAt(logStore, loser.LastLSN())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := e.logicalUndoAction(loser.ID(), rec.Undo); err != nil {
+							t.Fatal(err)
+						}
+						if err := e.Log().Flush(e.Log().CurLSN()); err != nil {
+							t.Fatal(err)
+						}
+					}
+					e.CrashHard()
+
+					e2, err := openOver(t, vol, logStore, d, 0)
+					if err != nil {
+						t.Fatalf("recovery: %v", err)
+					}
+					defer e2.Close()
+					ix2, err := e2.OpenIndex(ix.Store())
+					if err != nil {
+						t.Fatal(err)
+					}
+					check, _ := e2.Begin()
+					if got, err := e2.HeapRead(check, store, rid); err != nil || string(got) != heapOld {
+						t.Errorf("heap row = %q, %v; want %q", got, err, heapOld)
+					}
+					for _, u := range updates {
+						if got, ok, err := e2.IndexLookup(check, ix2, []byte(u.key)); err != nil || !ok || string(got) != u.old {
+							t.Errorf("%s = %q, %v, %v; want %q", u.key, got, ok, err, u.old)
+						}
+					}
+					if err := e2.Commit(check); err != nil {
+						t.Fatal(err)
+					}
+					if n, err := ix2.Verify(); err != nil || n != len(updates) {
+						t.Errorf("index Verify = %d keys, %v", n, err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestOpenRefusesRetiredLogLayout: a log whose update records carry the
+// fixed-header payload layout (kinds 1–7, whole before-images) must not be
+// replayed as if its bytes meant something in the current one. Restart
+// meets such a record in redo and refuses with pageop.ErrBadOp.
+func TestOpenRefusesRetiredLogLayout(t *testing.T) {
+	vol := disk.NewMem(0)
+	logStore := wal.NewMemSegmentStore(wal.MinSegmentBytes)
+	e, err := openOver(t, vol, logStore, wal.DesignConsolidated, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := createTable(t, e)
+	tx, _ := e.Begin()
+	rid, err := e.HeapInsert(tx, store, []byte("old value"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	// UpdateAt as the parent wrote it: kind 4 | slot u16 | ptype u16 |
+	// store u32 | dataLen u32 | oldLen u32 | data | old.
+	retired := []byte{4}
+	retired = binary.LittleEndian.AppendUint16(retired, rid.Slot)
+	retired = append(retired, make([]byte, 6)...)
+	retired = binary.LittleEndian.AppendUint32(retired, 9)
+	retired = binary.LittleEndian.AppendUint32(retired, 9)
+	retired = append(retired, "new valueold value"...)
+	if _, err := e.Log().Insert(&wal.Record{Type: wal.RecUpdate, TxID: 99, Page: rid.Page, Redo: retired}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Log().Flush(e.Log().CurLSN()); err != nil {
+		t.Fatal(err)
+	}
+	e.CrashHard()
+	if _, err := openOver(t, vol, logStore, wal.DesignConsolidated, 0); !errors.Is(err, pageop.ErrBadOp) {
+		t.Fatalf("Open over a retired-layout record = %v, want pageop.ErrBadOp", err)
+	}
+}
+
+// TestRejectedOpNeverReachesTheLog: an op the latched page cannot take is
+// an error before the log insert — CurLSN does not move and the page keeps
+// its bytes — not a record that redo would trip over later.
+func TestRejectedOpNeverReachesTheLog(t *testing.T) {
+	e, _, _ := newEngine(t, StageFinal)
+	store := createTable(t, e)
+	tx, _ := e.Begin()
+	rid, err := e.HeapInsert(tx, store, []byte("ten bytes!"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := e.fix(rid.Page, sync2.LatchEX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := append([]byte(nil), f.Page().Bytes()...)
+	cur := e.Log().CurLSN()
+	for name, op := range map[string]pageop.Op{
+		"range past the record": {Kind: pageop.KindPatch, Slot: rid.Slot, Off: 8, Del: 5, Data: []byte("x")},
+		"missing slot":          {Kind: pageop.KindPatch, Slot: rid.Slot + 7, Data: []byte("x")},
+		"result does not fit":   {Kind: pageop.KindPatch, Slot: rid.Slot, Off: 10, Data: make([]byte, page.MaxRecordSize-5)},
+		"occupied slot":         {Kind: pageop.KindHeapInsert, Slot: rid.Slot, Data: []byte("x")},
+	} {
+		if err := e.logPhysical(tx.ID(), tx, f, op, pageop.Logical{}, false); err == nil {
+			t.Errorf("%s: logged and applied", name)
+		}
+	}
+	if got := e.Log().CurLSN(); got != cur {
+		t.Errorf("CurLSN moved from %v to %v over rejected ops", cur, got)
+	}
+	if !bytes.Equal(before, f.Page().Bytes()) {
+		t.Error("a rejected op changed the page")
+	}
+	e.pool.Unfix(f, sync2.LatchEX)
+	if err := e.Commit(tx); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -111,40 +111,15 @@ func (e *Engine) undoPhysical(t interface {
 	return nil
 }
 
-// undoLogical executes a logical undo action (B-tree key-level) through
-// the index layer with redo-only logging, then writes a marker CLR that
-// skips the compensated record.
+// undoLogical executes a logical undo action, then writes a marker CLR
+// that skips the compensated record.
 func (e *Engine) undoLogical(t interface {
 	ID() uint64
 	LastLSN() wal.LSN
 	RecordLog(wal.LSN)
 }, rec *wal.Record) error {
-	l, err := pageop.DecodeLogical(rec.Undo)
-	if err != nil {
+	if err := e.logicalUndoAction(t.ID(), rec.Undo); err != nil {
 		return err
-	}
-	tr, a, err := e.openTreeByStore(l.Store, l.Key)
-	if err != nil {
-		return err
-	}
-	// Logical undo must be idempotent: a crash after the action but
-	// before its CLR re-executes it at restart, so "already undone" states
-	// (key absent on delete-undo, present on insert-undo) are successes.
-	switch l.Kind {
-	case pageop.LogicalBTreeDelete:
-		if _, err := tr.DeleteNoUndo(a, t.ID(), l.Key); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
-			return fmt.Errorf("core: logical undo delete %q: %w", l.Key, err)
-		}
-	case pageop.LogicalBTreeInsert:
-		if err := tr.InsertNoUndo(a, t.ID(), l.Key, l.Value); err != nil && !errors.Is(err, btree.ErrDuplicateKey) {
-			return fmt.Errorf("core: logical undo insert %q: %w", l.Key, err)
-		}
-	case pageop.LogicalBTreeUpdate:
-		if err := tr.UpdateNoUndo(a, t.ID(), l.Key, l.Value); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
-			return fmt.Errorf("core: logical undo update %q: %w", l.Key, err)
-		}
-	default:
-		return fmt.Errorf("core: unknown logical undo kind %d", l.Kind)
 	}
 	clr := &wal.Record{
 		Type:     wal.RecCLR,
@@ -157,5 +132,39 @@ func (e *Engine) undoLogical(t interface {
 		return err
 	}
 	t.RecordLog(lsn)
+	return nil
+}
+
+// logicalUndoAction runs the B-tree key-level action an encoded logical
+// undo describes, through the index layer with redo-only logging.
+func (e *Engine) logicalUndoAction(txID uint64, undo []byte) error {
+	l, err := pageop.DecodeLogical(undo)
+	if err != nil {
+		return err
+	}
+	tr, a, err := e.openTreeByStore(l.Store, l.Key)
+	if err != nil {
+		return err
+	}
+	// Logical undo must be idempotent: a crash after the action but
+	// before its CLR re-executes it at restart, so "already undone" states
+	// (key absent on delete-undo, present on insert-undo) are successes, and
+	// an update-undo on a restored value changes nothing (pageop.Logical).
+	switch l.Kind {
+	case pageop.LogicalBTreeDelete:
+		if _, err := tr.DeleteNoUndo(a, txID, l.Key); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
+			return fmt.Errorf("core: logical undo delete %q: %w", l.Key, err)
+		}
+	case pageop.LogicalBTreeInsert:
+		if err := tr.InsertNoUndo(a, txID, l.Key, l.Value); err != nil && !errors.Is(err, btree.ErrDuplicateKey) {
+			return fmt.Errorf("core: logical undo insert %q: %w", l.Key, err)
+		}
+	case pageop.LogicalBTreeUpdate:
+		if err := tr.UpdateNoUndo(a, txID, l.Key, int(l.Off), int(l.Suf), l.Value); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
+			return fmt.Errorf("core: logical undo update %q: %w", l.Key, err)
+		}
+	default:
+		return fmt.Errorf("core: unknown logical undo kind %d", l.Kind)
+	}
 	return nil
 }

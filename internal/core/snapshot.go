@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/btree"
 	"repro/internal/buffer"
 	"repro/internal/mvcc"
 	"repro/internal/page"
@@ -99,29 +100,27 @@ func heapVersionKey(pid page.ID, slot uint16) []byte {
 // installVersion records the before-image of a forward page update in the
 // version store, stamped by the writing transaction. Called by
 // logPhysical after the log insert and before the page apply, under the
-// page's EX latch. Heap ops carry their before-image physically (op.Old);
-// B-tree key mutations carry it in their logical undo descriptor —
-// structure modifications (splits) log redo-only and install nothing.
+// page's EX latch: the whole before-image is still in op's slot, and it is
+// copied from there — the log record holds only the bytes that change.
+// logPhysical has checked that the slot holds a record, and the tree has
+// decoded it, so neither read can fail. B-tree key mutations are known by
+// their logical undo descriptor; structure modifications (splits) log
+// redo-only and install nothing.
 func (e *Engine) installVersion(t *tx.Tx, f *buffer.Frame, op pageop.Op, l pageop.Logical) {
-	switch l.Kind {
-	case pageop.LogicalBTreeDelete: // undo of insert: key was absent before
-		e.mvcc.Install(mvcc.KindIndex, l.Store, l.Key, nil, false, t.EnsureStamp())
-		return
-	case pageop.LogicalBTreeInsert, pageop.LogicalBTreeUpdate: // key held Value before
-		// Install keeps the before-image; l.Value may alias the page.
-		e.mvcc.Install(mvcc.KindIndex, l.Store, l.Key, append([]byte(nil), l.Value...), true, t.EnsureStamp())
-		return
-	}
 	p := f.Page()
-	if p.Type() != page.TypeHeap {
-		return
-	}
-	key := heapVersionKey(f.PID(), op.Slot)
-	switch op.Kind {
-	case pageop.KindHeapInsert: // slot was free (or tombstoned) before
-		e.mvcc.Install(mvcc.KindHeap, p.Store(), key, nil, false, t.EnsureStamp())
-	case pageop.KindUpdateAt, pageop.KindHeapDelete:
-		e.mvcc.Install(mvcc.KindHeap, p.Store(), key, op.Old, true, t.EnsureStamp())
+	switch {
+	case l.Kind == pageop.LogicalBTreeDelete: // undo of insert: key was absent before
+		e.mvcc.Install(mvcc.KindIndex, l.Store, l.Key, nil, false, t.EnsureStamp())
+	case l.Kind != pageop.LogicalNone: // update or delete: the entry still holds the old value
+		rec, _ := p.Record(int(op.Slot))
+		val, _ := btree.LeafValue(rec)
+		e.mvcc.Install(mvcc.KindIndex, l.Store, l.Key, append([]byte(nil), val...), true, t.EnsureStamp())
+	case p.Type() != page.TypeHeap:
+	case op.Kind == pageop.KindHeapInsert: // slot was free (or tombstoned) before
+		e.mvcc.Install(mvcc.KindHeap, p.Store(), heapVersionKey(f.PID(), op.Slot), nil, false, t.EnsureStamp())
+	case op.Kind == pageop.KindPatch, op.Kind == pageop.KindHeapDelete:
+		rec, _ := p.Record(int(op.Slot))
+		e.mvcc.Install(mvcc.KindHeap, p.Store(), heapVersionKey(f.PID(), op.Slot), append([]byte(nil), rec...), true, t.EnsureStamp())
 	}
 }
 

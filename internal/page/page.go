@@ -99,6 +99,7 @@ func (r RID) String() string { return fmt.Sprintf("%v:%d", r.Page, r.Slot) }
 var (
 	ErrPageFull   = errors.New("page: not enough free space")
 	ErrBadSlot    = errors.New("page: slot out of range or deleted")
+	ErrBadRange   = errors.New("page: byte range outside the record")
 	ErrTooLarge   = errors.New("page: record exceeds maximum size")
 	ErrCorrupt    = errors.New("page: checksum mismatch")
 	ErrWrongSize  = errors.New("page: buffer is not page.Size bytes")
@@ -214,11 +215,8 @@ func (p *Page) CanFit(n int) bool { return p.FreeSpace() >= n+slotSize }
 // Insert appends data as a new record, reusing a tombstoned slot if one
 // exists, and returns the slot number. Heap-page discipline.
 func (p *Page) Insert(data []byte) (uint16, error) {
-	if len(data) == 0 {
-		return 0, ErrEmptyInput
-	}
-	if len(data) > MaxRecordSize {
-		return 0, ErrTooLarge
+	if err := checkSize(len(data)); err != nil {
+		return 0, err
 	}
 	// Reuse a tombstone if available (no new slot space needed).
 	n := p.NumSlots()
@@ -253,28 +251,10 @@ func (p *Page) Insert(data []byte) (uint16, error) {
 // counterpart of Insert: replaying a logged insert must land in the same
 // slot. The slot must be empty (tombstone or beyond the directory).
 func (p *Page) PlaceAt(i int, data []byte) error {
-	if len(data) == 0 {
-		return ErrEmptyInput
-	}
-	if len(data) > MaxRecordSize {
-		return ErrTooLarge
-	}
-	if i < 0 || i >= (Size-headerSize)/slotSize {
-		return ErrBadSlot
+	if err := p.CheckPlaceAt(i, len(data)); err != nil {
+		return err
 	}
 	n := p.NumSlots()
-	if i < n {
-		if off, _ := p.slot(i); off != 0 {
-			return ErrBadSlot // occupied
-		}
-	}
-	need := len(data)
-	if i >= n {
-		need += (i + 1 - n) * slotSize
-	}
-	if p.FreeSpace() < need {
-		return ErrPageFull
-	}
 	for j := n; j <= i; j++ {
 		p.setSlot(j, 0, 0)
 	}
@@ -288,22 +268,49 @@ func (p *Page) PlaceAt(i int, data []byte) error {
 	return nil
 }
 
+// CheckPlaceAt reports the error PlaceAt would return for a record of
+// size bytes in slot i, without touching the page.
+func (p *Page) CheckPlaceAt(i, size int) error {
+	if err := checkSize(size); err != nil {
+		return err
+	}
+	if i < 0 || i >= (Size-headerSize)/slotSize {
+		return ErrBadSlot
+	}
+	n := p.NumSlots()
+	if i < n {
+		if off, _ := p.slot(i); off != 0 {
+			return ErrBadSlot // occupied
+		}
+	}
+	need := size
+	if i >= n {
+		need += (i + 1 - n) * slotSize
+	}
+	if p.FreeSpace() < need {
+		return ErrPageFull
+	}
+	return nil
+}
+
+// checkSize rejects a record size no page can hold.
+func checkSize(size int) error {
+	if size == 0 {
+		return ErrEmptyInput
+	}
+	if size > MaxRecordSize {
+		return ErrTooLarge
+	}
+	return nil
+}
+
 // InsertAt inserts data as a new record at slot index i, shifting later
 // slots right. Index-page discipline (keeps slots sorted).
 func (p *Page) InsertAt(i int, data []byte) error {
-	if len(data) == 0 {
-		return ErrEmptyInput
-	}
-	if len(data) > MaxRecordSize {
-		return ErrTooLarge
+	if err := p.CheckInsertAt(i, len(data)); err != nil {
+		return err
 	}
 	n := p.NumSlots()
-	if i < 0 || i > n {
-		return ErrBadSlot
-	}
-	if p.FreeSpace() < len(data)+slotSize {
-		return ErrPageFull
-	}
 	top := p.heapTopAbs() - len(data)
 	copy(p.b[top:], data)
 	p.setHeapTop(top)
@@ -311,6 +318,21 @@ func (p *Page) InsertAt(i int, data []byte) error {
 	copy(p.b[p.slotPos(i+1):p.slotPos(n+1)], p.b[p.slotPos(i):p.slotPos(n)])
 	p.setSlot(i, top, len(data))
 	p.setNumSlots(n + 1)
+	return nil
+}
+
+// CheckInsertAt reports the error InsertAt would return for a record of
+// size bytes at slot index i, without touching the page.
+func (p *Page) CheckInsertAt(i, size int) error {
+	if err := checkSize(size); err != nil {
+		return err
+	}
+	if i < 0 || i > p.NumSlots() {
+		return ErrBadSlot
+	}
+	if p.FreeSpace() < size+slotSize {
+		return ErrPageFull
+	}
 	return nil
 }
 
@@ -405,6 +427,64 @@ func (p *Page) Update(i int, data []byte) error {
 	copy(p.b[top:], data)
 	p.setHeapTop(top)
 	p.setSlot(i, top, len(data))
+	return nil
+}
+
+// Splice replaces the del bytes at off of the record in slot i by ins. An
+// equal-length splice copies only ins, a shrinking one closes the gap in
+// place, and a growing one relocates the record as Update does.
+func (p *Page) Splice(i, off, del int, ins []byte) error {
+	if err := p.CheckSplice(i, off, del, len(ins)); err != nil {
+		return err
+	}
+	start, length := p.slot(i)
+	tail := p.b[start+off+del : start+length]
+	switch size := length - del + len(ins); {
+	case len(ins) == del:
+		copy(p.b[start+off:], ins)
+	case size < length:
+		copy(p.b[start+off+len(ins):], tail)
+		copy(p.b[start+off:], ins)
+		p.setSlot(i, start, size)
+	default:
+		rec := make([]byte, 0, size)
+		rec = append(append(append(rec, p.b[start:start+off]...), ins...), tail...)
+		return p.Update(i, rec)
+	}
+	return nil
+}
+
+// CheckSplice reports the error Splice would return for ins inserted
+// bytes, without touching the page: the slot is live, the range lies
+// inside its record, and the record that results fits.
+func (p *Page) CheckSplice(i, off, del, ins int) error {
+	if i < 0 || i >= p.NumSlots() {
+		return ErrBadSlot
+	}
+	start, length := p.slot(i)
+	if start == 0 {
+		return ErrBadSlot
+	}
+	if off < 0 || del < 0 || ins < 0 || off+del > length {
+		return ErrBadRange
+	}
+	size := length - del + ins
+	if err := checkSize(size); err != nil {
+		return err
+	}
+	if size <= length || p.FreeSpace() >= size {
+		return nil
+	}
+	// Update compacts before it gives up: count what that would free.
+	free := Size - headerSize - p.NumSlots()*slotSize + length
+	for j := 0; j < p.NumSlots(); j++ {
+		if o, l := p.slot(j); o != 0 {
+			free -= l
+		}
+	}
+	if free < size {
+		return ErrPageFull
+	}
 	return nil
 }
 

@@ -3,6 +3,7 @@ package page
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -345,5 +346,69 @@ func TestQuickInsertDeleteInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpliceIsUpdateOfTheSplicedRecord: on pages with neighbours, dead
+// space and little room, Splice leaves exactly the bytes Update leaves when
+// handed the whole new record, fails exactly when Update fails, and
+// CheckSplice says which beforehand without touching the page.
+func TestSpliceIsUpdateOfTheSplicedRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 3000; round++ {
+		p := New(1, TypeHeap, 0)
+		var slots []int
+		for n := 1 + rng.Intn(9); n > 0; n-- {
+			rec := make([]byte, 1+rng.Intn(1500))
+			rng.Read(rec)
+			s, err := p.Insert(rec)
+			if err != nil {
+				break
+			}
+			slots = append(slots, int(s))
+		}
+		if rng.Intn(2) == 0 && len(slots) > 1 { // dead space for Update to compact away
+			_ = p.Delete(slots[0])
+			slots = slots[1:]
+		}
+		i := slots[rng.Intn(len(slots))]
+		rec, _ := p.Record(i)
+		off := rng.Intn(len(rec) + 1)
+		del := rng.Intn(len(rec) - off + 1)
+		ins := make([]byte, rng.Intn(3)*rng.Intn(2500))
+		if rng.Intn(3) == 0 {
+			ins = make([]byte, del)
+		}
+		rng.Read(ins)
+		whole := append(append(append([]byte(nil), rec[:off]...), ins...), rec[off+del:]...)
+
+		ref := &Page{b: append([]byte(nil), p.b...)}
+		before := append([]byte(nil), p.b...)
+		want := ref.Update(i, whole)
+		checked := p.CheckSplice(i, off, del, len(ins))
+		if !bytes.Equal(before, p.b) {
+			t.Fatalf("round %d: CheckSplice changed the page", round)
+		}
+		got := p.Splice(i, off, del, ins)
+		if (want == nil) != (got == nil) || (want == nil) != (checked == nil) {
+			t.Fatalf("round %d: Update = %v, CheckSplice = %v, Splice = %v", round, want, checked, got)
+		}
+		if want != nil {
+			if !bytes.Equal(before, p.b) {
+				t.Fatalf("round %d: a refused Splice changed the page", round)
+			}
+			continue
+		}
+		if !bytes.Equal(ref.b, p.b) {
+			t.Fatalf("round %d: Splice(off=%d del=%d ins=%d) and Update left different pages", round, off, del, len(ins))
+		}
+	}
+	p := New(1, TypeHeap, 0)
+	s, _ := p.Insert([]byte("0123456789"))
+	if err := p.Splice(int(s), 8, 3, nil); err != ErrBadRange {
+		t.Errorf("range past the record = %v", err)
+	}
+	if err := p.Splice(int(s)+1, 0, 0, []byte("x")); err != ErrBadSlot {
+		t.Errorf("missing slot = %v", err)
 	}
 }
