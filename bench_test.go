@@ -552,7 +552,7 @@ func (s *slowStore) Flush(upTo int64) error {
 // workers update rows of one shared table and commit every `batch`
 // updates. Each iteration is one committed transaction. StageFinal holds
 // every lock across its commit flush; StagePipeline releases locks at
-// pre-commit and lets the flush daemon batch the hardening — run with
+// pre-commit, before the log's flusher has hardened them — run with
 // -cpu=8 (or more) to see the difference. Rows are locked in increasing
 // order so no deadlocks occur.
 func benchCommit(b *testing.B, stage core.Stage, batch int) {

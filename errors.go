@@ -26,6 +26,10 @@ var (
 	// the waiters behind it is unaffected. A cancelled commit wait leaves
 	// the transaction in doubt (see Tx.Commit).
 	ErrCanceled = lock.ErrCanceled
+	// ErrCommitting is returned by Tx.Abort for an in-doubt commit: the
+	// commit record is in the log, so the transaction was NOT rolled back
+	// and may yet become durable (see Tx.Abort).
+	ErrCommitting = core.ErrCommitting
 	// ErrReadOnly is returned by every write method of a transaction
 	// running under DB.View.
 	ErrReadOnly = errors.New("shoremt: read-only transaction")

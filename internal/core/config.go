@@ -28,7 +28,7 @@ const (
 	StageLockMgr               // §7.5: per-bucket lock table, lock-free pool
 	StageBpool2                // §7.6: clock-hand release, partitioned transit
 	StageFinal                 // §7.7: consolidated log, cleaner checkpoints
-	StagePipeline              // beyond the paper: staged commit pipeline (ELR + async group commit)
+	StagePipeline              // beyond the paper: early lock release at the commit record
 )
 
 // String names the stage as Figure 7 labels it.
@@ -83,15 +83,12 @@ type Config struct {
 	CleanerCheckpoint bool
 	// CleanerInterval runs the background dirty-page cleaner (0 disables).
 	CleanerInterval time.Duration
-	// CommitPipeline enables the staged commit pipeline (StagePipeline):
-	// committing transactions release their locks as soon as the commit
-	// record is in the log (Early Lock Release) and a dedicated flush
-	// daemon batches outstanding commit LSNs; Commit still blocks until
-	// its record is durable, CommitAsync does not.
+	// CommitPipeline (StagePipeline) decides when a committing transaction
+	// releases its locks: as soon as the commit record is in the log
+	// (Early Lock Release) instead of after the record is durable. The
+	// wait itself is the same on every stage — a subscription to the log's
+	// one flusher; Commit blocks on it, CommitAsync hands it back.
 	CommitPipeline bool
-	// PipelineInterval is the flush daemon's optional batching window
-	// (0 flushes as soon as the daemon is free).
-	PipelineInterval time.Duration
 	// SLI enables speculative lock inheritance (Johnson, Pandis,
 	// Ailamaki, VLDB 2009): committing transactions park their
 	// database/store intent locks on a per-worker agent instead of

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -79,58 +80,56 @@ func TestCtxCancelUnblocksEngineLockWait(t *testing.T) {
 }
 
 // TestCtxCancelDuringHardenWait: cancelling a strict commit's durability
-// wait (pipeline stage) returns promptly and leaves the flush daemon's
-// subscription list healthy — the same transaction can re-await and a
-// later transaction commits normally.
+// wait returns at once and leaves the log's subscription list healthy —
+// the same transaction can re-await and a later transaction commits
+// normally. On both sides of CommitPipeline: the wait is the same, only
+// the locks differ.
 func TestCtxCancelDuringHardenWait(t *testing.T) {
-	vol := disk.NewMem(0)
-	logStore := wal.NewMemSegmentStore(0)
-	cfg := StageConfig(StagePipeline)
-	cfg.Frames = 256
-	// Coupled design: no internal background flusher, so the harden wait
-	// is resolved only by the flush daemon — whose batching window we
-	// stretch to hold the wait open deterministically.
-	cfg.LogDesign = wal.DesignCoupled
-	cfg.PipelineInterval = 300 * time.Millisecond
-	e, err := Open(vol, logStore, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-
-	store := createTable(t, e)
-	t1, _ := e.Begin()
-	if _, err := e.HeapInsert(t1, store, []byte("slow-commit")); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err = e.CommitCtx(ctx, t1)
-	if !errors.Is(err, lock.ErrCanceled) {
-		t.Fatalf("CommitCtx = %v, want lock.ErrCanceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
-		t.Fatalf("cancelled commit wait took %v", elapsed)
-	}
-	if t1.State() != tx.StateCommitting {
-		t.Fatalf("state after cancelled harden = %v, want StateCommitting", t1.State())
-	}
-	// Retry resolves once the daemon flushes; the abandoned subscription
-	// must not have corrupted the list.
-	if err := e.CommitCtx(context.Background(), t1); err != nil {
-		t.Fatalf("retried commit: %v", err)
-	}
-	if t1.State() != tx.StateCommitted {
-		t.Fatalf("state after retry = %v", t1.State())
-	}
-	// And a fresh transaction commits normally afterwards.
-	t2, _ := e.Begin()
-	if _, err := e.HeapInsert(t2, store, []byte("after")); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Commit(t2); err != nil {
-		t.Fatal(err)
+	for _, stage := range []Stage{StageFinal, StagePipeline} {
+		t.Run(stage.String(), func(t *testing.T) {
+			e, _, logStore := newGatedEngine(t, stage)
+			store := createTable(t, e)
+			t1, _ := e.Begin()
+			if _, err := e.HeapInsert(t1, store, []byte("slow-commit")); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			parked := logStore.Shut()
+			committed := make(chan error, 1)
+			go func() { committed <- e.CommitCtx(ctx, t1) }()
+			<-parked // the commit's flush is in the store: the wait is on
+			cancel()
+			if err := <-committed; !errors.Is(err, lock.ErrCanceled) {
+				t.Fatalf("CommitCtx = %v, want lock.ErrCanceled", err)
+			}
+			if t1.State() != tx.StateCommitting {
+				t.Fatalf("state after cancelled wait = %v, want StateCommitting", t1.State())
+			}
+			if held := e.Locks().Stats().LiveRequests > 0; held == e.Config().CommitPipeline {
+				t.Fatalf("locks held through the wait = %v with CommitPipeline = %v", held, e.Config().CommitPipeline)
+			}
+			// The retry resolves once the flush lands; the abandoned
+			// subscription must not have corrupted the list.
+			logStore.Open()
+			if err := e.CommitCtx(context.Background(), t1); err != nil {
+				t.Fatalf("retried commit: %v", err)
+			}
+			if t1.State() != tx.StateCommitted {
+				t.Fatalf("state after retry = %v", t1.State())
+			}
+			if n := e.Locks().Stats().LiveRequests; n != 0 {
+				t.Fatalf("%d live lock requests after the commit", n)
+			}
+			// And a fresh transaction commits normally afterwards.
+			t2, _ := e.Begin()
+			if _, err := e.HeapInsert(t2, store, []byte("after")); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Commit(t2); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -241,40 +240,59 @@ func TestRunCtxStopsOnCancel(t *testing.T) {
 	}
 }
 
-// TestCommitReadOnlySkipsDurabilityWait: a read-only commit returns
-// without waiting on the flush daemon even when the daemon's batching
-// window would stall a strict commit.
+// TestCommitReadOnlySkipsDurabilityWait: a read-only commit returns with
+// no flush at all possible — unless it read what an early releaser has not
+// hardened yet: then it waits for exactly that, the inherited horizon.
 func TestCommitReadOnlySkipsDurabilityWait(t *testing.T) {
-	vol := disk.NewMem(0)
-	logStore := wal.NewMemSegmentStore(0)
-	cfg := StageConfig(StagePipeline)
-	cfg.LogDesign = wal.DesignCoupled
-	cfg.PipelineInterval = 400 * time.Millisecond // strict commits wait out the window
-	e, err := Open(vol, logStore, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-
-	store := createTable(t, e)
-	w, _ := e.Begin()
-	rid, _ := e.HeapInsert(w, store, []byte("row"))
-	if err := e.Commit(w); err != nil {
-		t.Fatal(err)
-	}
+	e, _, logStore := newPipelineEngine(t)
+	store, rid := seedRow(t, e, "row")
 
 	r, _ := e.Begin()
 	if _, err := e.HeapRead(r, store, rid); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	if err := e.CommitReadOnly(context.Background(), r); err != nil {
+	logStore.Shut()
+	if err := e.CommitReadOnly(context.Background(), r); err != nil { // hangs here if it waits
 		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
-		t.Fatalf("read-only commit waited %v", elapsed)
 	}
 	if r.State() != tx.StateCommitted {
 		t.Fatalf("state = %v", r.State())
+	}
+
+	w, _ := e.Begin()
+	if err := e.HeapUpdate(w, store, rid, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	parked := logStore.Shut()
+	acked := e.CommitAsync(w) // locks released, not durable
+	<-parked
+	r2, _ := e.Begin()
+	if got, err := e.HeapRead(r2, store, rid); err != nil || string(got) != "new" {
+		t.Fatalf("read behind an early releaser = %q, %v", got, err)
+	}
+	// With the gate shut the wait cannot end by itself, so a context that
+	// is cancelled once r2's commit record is out tells the two apart: a
+	// commit that waits is interrupted and in doubt, one that does not
+	// returns nil.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for r2.State() == tx.StateActive {
+			runtime.Gosched()
+		}
+		cancel()
+	}()
+	if err := e.CommitReadOnly(ctx, r2); !errors.Is(err, lock.ErrCanceled) || r2.State() != tx.StateCommitting {
+		t.Fatalf("read-only commit behind an unhardened releaser = %v in %v; it must wait for the horizon it inherited", err, r2.State())
+	}
+	logStore.Open()
+	if err := e.Commit(r2); err != nil { // resumes the wait
+		t.Fatal(err)
+	}
+	if d, h := e.Log().DurableLSN(), r2.ELRHorizon(); d < h {
+		t.Fatalf("acknowledged with durable %v below the inherited horizon %v", d, h)
+	}
+	if err := <-acked; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -28,10 +28,11 @@ import (
 var (
 	ErrClosed  = errors.New("core: engine closed")
 	ErrAborted = errors.New("core: transaction aborted")
-	// ErrCommitting is returned when aborting (or re-committing) a
-	// transaction that already entered the commit pipeline: its commit
-	// record is in the log and its locks are gone, so the only legal
-	// outcomes are hardening or crash-time rollback.
+	// ErrCommitting is returned when aborting a transaction whose commit
+	// record is already in the log (or committing one that has ended): the
+	// record may harden at any moment and, under CommitPipeline, the locks
+	// are gone, so the only legal outcomes are hardening or crash-time
+	// rollback.
 	ErrCommitting = errors.New("core: transaction is pre-committed")
 )
 
@@ -46,9 +47,8 @@ type Engine struct {
 	locks    *lock.Manager
 	txns     *tx.Manager
 	sm       *space.Manager
-	flushd   *wal.FlushDaemon // harden stage of the commit pipeline (nil unless CommitPipeline)
-	dora     *dora.Executor   // partition executor (nil unless Config.DORA)
-	mvcc     *mvcc.Store      // version store for snapshot reads (nil unless Config.Snapshot)
+	dora     *dora.Executor // partition executor (nil unless Config.DORA)
+	mvcc     *mvcc.Store    // version store for snapshot reads (nil unless Config.Snapshot)
 
 	// PLP state (Config.PLP): the current partition map, published
 	// through an atomic pointer so the router and index dispatch read it
@@ -146,9 +146,6 @@ func (e *Engine) start() error {
 	if cfg.CleanerInterval > 0 {
 		e.pool.StartCleaner(cfg.CleanerInterval)
 	}
-	if cfg.CommitPipeline {
-		e.flushd = wal.NewFlushDaemon(e.log, wal.DaemonOptions{Interval: cfg.PipelineInterval})
-	}
 	if cfg.DORA {
 		e.dora = dora.NewExecutor(doraEnv{e}, dora.Options{
 			Partitions: cfg.DoraPartitions,
@@ -234,8 +231,8 @@ func (e *Engine) Locks() *lock.Manager { return e.locks }
 // Space exposes the free-space manager.
 func (e *Engine) Space() *space.Manager { return e.sm }
 
-// Close flushes and shuts the engine down cleanly. In-flight pipeline
-// commits are hardened before the log closes.
+// Close flushes and shuts the engine down cleanly. The log's close-time
+// flush hardens every commit still waiting for its durability.
 func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return nil
@@ -244,9 +241,6 @@ func (e *Engine) Close() error {
 	e.stopRebalancer() // before dora.Close: a migration barrier needs live owners
 	if e.dora != nil {
 		e.dora.Close() // partition owners drain their queues
-	}
-	if e.flushd != nil {
-		_ = e.flushd.Close() // final flush of queued commit LSNs
 	}
 	if err := e.pool.Close(); err != nil {
 		return err
@@ -269,7 +263,13 @@ func (e *Engine) Begin() (*tx.Tx, error) { return e.BeginCtx(context.Background(
 // BeginCtx is Begin observing ctx: a transaction begun with it threads no
 // state — cancellation is checked here and must be passed to each
 // subsequent operation via its Ctx variant.
-func (e *Engine) BeginCtx(ctx context.Context) (*tx.Tx, error) {
+func (e *Engine) BeginCtx(ctx context.Context) (*tx.Tx, error) { return e.begin(ctx, false) }
+
+// begin starts a transaction. A noLock one is a DORA partition-local
+// sub-transaction: it never reaches the lock manager (see doraEnv), so it
+// is not bound to an SLI agent either — it will not acquire anything an
+// agent could park.
+func (e *Engine) begin(ctx context.Context, noLock bool) (*tx.Tx, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -277,7 +277,9 @@ func (e *Engine) BeginCtx(ctx context.Context) (*tx.Tx, error) {
 		return nil, err
 	}
 	t := e.txns.Begin()
-	if e.cfg.SLI {
+	if noLock {
+		t.SetNoLock()
+	} else if e.cfg.SLI {
 		t.SetAgent(e.grabAgent())
 	}
 	lsn, err := e.log.Insert(&wal.Record{Type: wal.RecTxBegin, TxID: t.ID()})
@@ -300,7 +302,7 @@ func (e *Engine) Dora() *dora.Executor { return e.dora }
 // thread-local table already serialized conflicting actions.
 type doraEnv struct{ e *Engine }
 
-func (v doraEnv) Begin(ctx context.Context) (*tx.Tx, error) { return v.e.beginDora(ctx) }
+func (v doraEnv) Begin(ctx context.Context) (*tx.Tx, error) { return v.e.begin(ctx, true) }
 
 func (v doraEnv) Commit(t *tx.Tx, readonly bool) error {
 	if readonly {
@@ -310,26 +312,6 @@ func (v doraEnv) Commit(t *tx.Tx, readonly bool) error {
 }
 
 func (v doraEnv) Abort(t *tx.Tx) error { return v.e.Abort(t) }
-
-// beginDora is BeginCtx for a partition-local sub-transaction: same
-// begin record, but marked NoLock and never bound to an SLI agent (it
-// will not acquire anything an agent could park).
-func (e *Engine) beginDora(ctx context.Context) (*tx.Tx, error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	t := e.txns.Begin()
-	t.SetNoLock()
-	lsn, err := e.log.Insert(&wal.Record{Type: wal.RecTxBegin, TxID: t.ID()})
-	if err != nil {
-		return nil, err
-	}
-	t.RecordLog(lsn)
-	return t, nil
-}
 
 // grabAgent pops a pooled agent (with whatever intent locks its last
 // transaction parked on it) or makes a fresh one.
@@ -354,71 +336,99 @@ func (e *Engine) putAgent(a *lock.Agent) {
 	e.agentMu.Unlock()
 }
 
-// Commit makes t durable. Without the commit pipeline this is the
-// classic monolithic path: commit record, group-commit log flush while
-// still holding every lock, then lock release. With CommitPipeline it is
-// staged — pre-commit (commit record + early lock release), harden
-// (batched flush by the daemon), notify — but keeps the exact same
-// external contract: when Commit returns nil, the commit is durable.
+// Commit makes t durable. Every commit flavour is one sequence: the commit
+// record (publishCommit), one wait for the harden target (awaitDurable),
+// then the transaction retires. CommitPipeline decides one thing, where
+// the locks go: with it they are released before the wait (Early Lock
+// Release; later acquirers inherit the target as their ELR horizon),
+// without it after. Either way, when Commit returns nil the commit is
+// durable.
 func (e *Engine) Commit(t *tx.Tx) error { return e.CommitCtx(context.Background(), t) }
 
 // CommitCtx is Commit whose durability wait observes ctx. Cancellation
 // mid-wait returns lock.ErrCanceled-wrapped context error and leaves t in
 // StateCommitting: the commit record is already in the log, so the
-// transaction is in doubt — the caller may retry Commit (the record is
-// not re-inserted; only the wait resumes) or walk away and let the
-// background flush / restart recovery settle it. It can never abort.
+// transaction is in doubt — the caller may call Commit again (the record is
+// not re-inserted; only the wait resumes), hand it to CommitDetached, or
+// walk away and let restart recovery settle it. It can never abort: the
+// log's flusher may harden the commit record at any moment.
 func (e *Engine) CommitCtx(ctx context.Context, t *tx.Tx) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	// Fail fast on a dead context before the commit record exists: at
-	// this point the transaction can still abort cleanly, whereas one
-	// instruction later it is in doubt and will commit despite the
-	// caller being told it was cancelled.
 	if t.State() == tx.StateActive {
+		// Fail fast on a dead context before the commit record exists: at
+		// this point the transaction can still abort cleanly, whereas one
+		// instruction later it is in doubt and will commit despite the
+		// caller being told it was cancelled.
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
+		if err := e.precommit(t); err != nil {
+			return err
+		}
+	}
+	return e.finishCommit(ctx, t)
+}
+
+// precommit puts t's commit record in the log and, under CommitPipeline,
+// releases its locks at once: the ELR horizon is raised first so that
+// whoever acquires one of them observes it. From here t cannot abort; a
+// crash before its harden target is durable rolls it back at restart (the
+// commit record never reached the disk, so analysis sees a loser).
+func (e *Engine) precommit(t *tx.Tx) error {
+	target, err := e.publishCommit(t)
+	if err != nil {
+		return err
 	}
 	if e.cfg.CommitPipeline {
-		if t.State() == tx.StateCommitting {
-			// Retrying after a failed harden: the commit record is
-			// already in the log; just wait out its durability.
-			return e.awaitHarden(ctx, t, t.HardenTarget())
-		}
-		target, err := e.PreCommit(t)
-		if err != nil {
-			return err
-		}
-		return e.awaitHarden(ctx, t, target)
-	}
-	switch t.State() {
-	case tx.StateCommitting:
-		// Retrying after a failed flush: the commit record is already in
-		// the log. Once it exists the transaction is in doubt — it can
-		// only harden (here) or be resolved by restart recovery; it can
-		// never abort, because a background flusher may harden the commit
-		// record at any moment.
-		if err := e.flushCtx(ctx, t.HardenTarget()); err != nil {
-			return err
-		}
+		e.locks.RaiseELR(uint64(target))
 		e.releaseLocks(t)
-		return e.txns.Commit(t)
-	case tx.StateActive:
-	default:
+	}
+	return nil
+}
+
+// finishCommit waits until t's commit is durable, releases the locks
+// precommit kept, and retires t. An interrupted wait (ctx, a failed log
+// device, a closing engine) leaves t as it found it, in StateCommitting,
+// and can be resumed by calling this again.
+func (e *Engine) finishCommit(ctx context.Context, t *tx.Tx) error {
+	if t.State() != tx.StateCommitting {
 		return fmt.Errorf("%w: tx %d is %v", ErrCommitting, t.ID(), t.State())
 	}
-	if _, err := e.publishCommit(t); err != nil {
+	if err := e.awaitDurable(ctx, t.HardenTarget()); err != nil {
 		return err
 	}
-	if err := e.flushCtx(ctx, t.HardenTarget()); err != nil {
-		// In doubt: stays StateCommitting with locks held; the caller may
-		// retry Commit (not Abort) or let restart recovery decide.
-		return err
+	if !e.cfg.CommitPipeline {
+		e.releaseLocks(t)
 	}
-	e.releaseLocks(t)
 	return e.txns.Commit(t)
+}
+
+// awaitDurable waits for the log's one flusher to make every record below
+// target durable, or for ctx. The flush is never torn down — group commit
+// goes on for everyone else — the caller only stops waiting for it; the
+// subscription it leaves behind is resolved and dropped by the flusher.
+func (e *Engine) awaitDurable(ctx context.Context, target wal.LSN) error {
+	if ctx.Done() == nil {
+		return e.log.Flush(target) // nothing else to wait on: no channel, no allocation
+	}
+	select {
+	case err := <-e.log.Subscribe(target):
+		return err
+	case <-ctx.Done():
+		return ctxErr(ctx)
+	}
+}
+
+// CommitDetached finishes an in-doubt commit — t is in StateCommitting, its
+// durability wait was interrupted — for a caller that is walking away from
+// it: once the flush lands the locks go and t retires, the outcome
+// unobserved, exactly as if the caller had crashed after the commit record.
+// If the log is dead or the engine closing, t stays in doubt for restart
+// recovery. The caller must not touch t again.
+func (e *Engine) CommitDetached(t *tx.Tx) {
+	go func() { _ = e.finishCommit(context.Background(), t) }()
 }
 
 // publishCommit is the commit point shared by every commit flavor: it
@@ -427,7 +437,7 @@ func (e *Engine) CommitCtx(ctx context.Context, t *tx.Tx) error {
 // stamps the harden target — CurLSN as a group-commit-friendly cover of
 // the record, raised to any observed ELR horizon so t's acknowledgment
 // stays ordered behind every early releaser whose data it may have read
-// (the horizon is zero outside the pipeline).
+// (the horizon is zero without CommitPipeline).
 func (e *Engine) publishCommit(t *tx.Tx) (wal.LSN, error) {
 	e.ckptMu.RLock()
 	defer e.ckptMu.RUnlock()
@@ -450,7 +460,6 @@ func (e *Engine) publishCommit(t *tx.Tx) (wal.LSN, error) {
 		return wal.NullLSN, err
 	}
 	t.RecordLog(lsn)
-	t.SetCommitLSN(lsn)
 	target := e.log.CurLSN()
 	if h := t.ELRHorizon(); h > target {
 		target = h
@@ -500,130 +509,40 @@ func (e *Engine) CommitReadOnly(ctx context.Context, t *tx.Tx) error {
 		return err
 	}
 	e.releaseLocks(t)
-	if e.flushd != nil {
-		if h := t.ELRHorizon(); h > e.log.DurableLSN() {
-			return e.awaitHarden(ctx, t, h)
+	if h := t.ELRHorizon(); h > e.log.DurableLSN() {
+		if err := e.awaitDurable(ctx, h); err != nil {
+			return err // in doubt: Commit resumes the wait
 		}
 	}
 	return e.txns.Commit(t)
 }
 
-// flushCtx is log.Flush racing ctx: the flush itself is never torn down
-// (group commit continues for everyone else), but the caller stops
-// waiting for it when ctx fires.
-func (e *Engine) flushCtx(ctx context.Context, upTo wal.LSN) error {
-	if ctx.Done() == nil {
-		return e.log.Flush(upTo)
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- e.log.Flush(upTo) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		return ctxErr(ctx)
-	}
-}
-
 // CommitAsync starts committing t and returns a channel that fires
-// exactly once: nil when the commit LSN is durable, an error otherwise.
-// With the commit pipeline, t's locks are already released when
-// CommitAsync returns — other transactions can read its (not yet
-// durable) writes, ordered behind this commit's durability via the ELR
-// horizon. Without the pipeline it degrades to a blocking commit on a
-// helper goroutine. The caller must not touch t after calling this.
+// exactly once: nil when the commit is durable, an error otherwise. The
+// commit record is in the log when CommitAsync returns; under
+// CommitPipeline t's locks are released too — other transactions can read
+// its (not yet durable) writes, ordered behind this commit's durability
+// via the ELR horizon. The caller must not touch t after calling this.
 func (e *Engine) CommitAsync(t *tx.Tx) <-chan error {
 	out := make(chan error, 1)
 	if e.closed.Load() {
 		out <- ErrClosed
 		return out
 	}
-	if !e.cfg.CommitPipeline {
-		go func() {
-			err := e.Commit(t)
-			if err != nil {
-				switch t.State() {
-				case tx.StateActive:
-					// The commit never reached its commit record (insert
-					// failure): the caller has no handle to clean up with,
-					// so roll back here rather than strand the locks.
-					_ = e.Abort(t)
-				case tx.StateCommitting:
-					// In doubt after a failed flush — and without the
-					// pipeline the locks are still held. The channel fires
-					// at most once, so no caller can retry: do it here,
-					// briefly; if the log stays dead, restart recovery
-					// resolves the commit exactly as a crash would.
-					for attempt := 0; attempt < 3; attempt++ {
-						time.Sleep(time.Millisecond << attempt)
-						if e.Commit(t) == nil {
-							break
-						}
-					}
-				}
+	if t.State() == tx.StateActive {
+		if err := e.precommit(t); err != nil {
+			if t.State() == tx.StateActive {
+				// The commit record never made it into the log, and the
+				// caller has no handle to clean up with: roll back here
+				// rather than strand the locks.
+				_ = e.Abort(t)
 			}
 			out <- err
-		}()
-		return out
-	}
-	if t.State() == tx.StateCommitting {
-		// Retrying after a failed harden; the commit record already exists.
-		go func() { out <- e.awaitHarden(context.Background(), t, t.HardenTarget()) }()
-		return out
-	}
-	target, err := e.PreCommit(t)
-	if err != nil {
-		out <- err
-		return out
-	}
-	go func() { out <- e.awaitHarden(context.Background(), t, target) }()
-	return out
-}
-
-// PreCommit runs the first pipeline stage: it inserts t's commit record,
-// moves t to StateCommitting, publishes the ELR horizon and releases all
-// of t's locks. It returns the harden target — the log position that must
-// become durable before the commit may be acknowledged. After PreCommit
-// succeeds t can no longer abort; a crash before the target hardens rolls
-// it back during restart recovery (the commit record never made it to
-// disk, so analysis sees a loser).
-func (e *Engine) PreCommit(t *tx.Tx) (wal.LSN, error) {
-	if e.closed.Load() {
-		return wal.NullLSN, ErrClosed
-	}
-	if t.State() != tx.StateActive {
-		return wal.NullLSN, fmt.Errorf("%w: tx %d is %v", ErrCommitting, t.ID(), t.State())
-	}
-	target, err := e.publishCommit(t)
-	if err != nil {
-		return wal.NullLSN, err
-	}
-	// Early Lock Release: publish the horizon first so that any
-	// transaction acquiring these locks observes it, then drop the locks.
-	e.locks.RaiseELR(uint64(target))
-	e.releaseLocks(t)
-	return target, nil
-}
-
-// awaitHarden is the notify stage: wait for the flush daemon to push the
-// durable horizon past target, then retire t from the transaction table.
-// The wait observes ctx: cancellation abandons the (buffered, exactly-
-// once) subscription channel — the daemon still resolves and drops it
-// when the horizon advances, so the subscription list stays intact — and
-// leaves t in StateCommitting for a later retry or restart recovery.
-func (e *Engine) awaitHarden(ctx context.Context, t *tx.Tx, target wal.LSN) error {
-	select {
-	case err := <-e.flushd.Harden(target):
-		if err != nil {
-			// Not durable (engine closing / log failure): leave t in
-			// StateCommitting; restart recovery decides its fate exactly
-			// as a crash would.
-			return err
+			return out
 		}
-		return e.txns.Commit(t)
-	case <-ctx.Done(): // a nil Done channel (no cancellation) never fires
-		return ctxErr(ctx)
 	}
+	go func() { out <- e.finishCommit(context.Background(), t) }()
+	return out
 }
 
 // Abort rolls t back: undo every update (physical or logical), writing
@@ -635,9 +554,9 @@ func (e *Engine) Abort(t *tx.Tx) error {
 		return ErrClosed
 	}
 	if t.State() == tx.StateCommitting {
-		// Pre-committed: the commit record is logged and the locks are
-		// gone; rolling back now could undo writes another transaction
-		// already read. Only restart recovery may resolve it.
+		// The commit record is logged and may harden at any moment, and
+		// with early lock release another transaction may already have read
+		// t's writes. Only hardening or restart recovery may resolve it.
 		return fmt.Errorf("%w: tx %d", ErrCommitting, t.ID())
 	}
 	if t.IsSnapshot() {
@@ -711,7 +630,7 @@ func (e *Engine) releaseLocks(t *tx.Tx) {
 //     latch. A claim that yields a too-weak mode still skips the fresh
 //     enqueue: the manager sees an ordinary conversion.
 //
-// Under the commit pipeline the granted lock may have been released
+// Under CommitPipeline the granted lock may have been released
 // early by a transaction whose commit record is not yet durable;
 // folding the ELR horizon into t orders t's own commit acknowledgment
 // behind that releaser's durability. The fast paths skip the fold
@@ -969,9 +888,6 @@ func (e *Engine) crash(flushLog bool) {
 	if e.dora != nil {
 		e.dora.Close()
 	}
-	if e.flushd != nil {
-		e.flushd.Kill() // queued hardens are abandoned, not flushed
-	}
 	e.pool.StopCleaner()
 	if flushLog {
 		_ = e.log.Close() // a failed device loses the tail, as the crash would
@@ -987,7 +903,6 @@ type EngineStats struct {
 	Lock     lock.Stats
 	Space    space.Stats
 	Tx       tx.Stats
-	Pipeline wal.DaemonStats   // zero unless CommitPipeline is enabled
 	Btree    btree.OLCSnapshot // which latch policy index descents ran under
 	Dora     dora.Stats        // zero unless DORA is enabled
 	Recovery RecoveryStats     // zero unless Open ran restart recovery
@@ -1004,9 +919,6 @@ func (e *Engine) Stats() EngineStats {
 		Space:  e.sm.Stats(),
 		Tx:     e.txns.Stats(),
 		Btree:  e.olc.Snapshot(),
-	}
-	if e.flushd != nil {
-		s.Pipeline = e.flushd.Stats()
 	}
 	if e.dora != nil {
 		s.Dora = e.dora.Stats()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,34 +10,34 @@ import (
 	"repro/internal/page"
 	"repro/internal/tx"
 	"repro/internal/wal"
+	"repro/internal/waltest"
 )
 
-// newPipelineEngine builds a StagePipeline engine over a fault-injecting
-// volume so tests can prove no page I/O leaks pre-committed state.
-func newPipelineEngine(t *testing.T) (*Engine, *disk.FaultVolume, *wal.SegmentStore) {
+// newPipelineEngine builds a StagePipeline engine — the preset as it is,
+// consolidated log and all — over a fault-injecting volume, so tests can
+// prove no page I/O leaks pre-committed state, and a gated log store: the
+// log's flusher may run at any moment, so a test that needs the window
+// between pre-commit and durability to stay open shuts the gate.
+func newPipelineEngine(t *testing.T) (*Engine, *disk.FaultVolume, *waltest.GateStore) {
 	t.Helper()
-	return newPipelineEngineDesign(t, StageConfig(StagePipeline).LogDesign)
+	return newGatedEngine(t, StagePipeline)
 }
 
-// newPipelineEngineDesign is newPipelineEngine with an explicit log
-// design. The crash-window tests use DesignCoupled: it has no background
-// flusher, so the flush daemon is the only thing that can harden a
-// commit and the pre-commit→harden window stays open deterministically.
-// (With the decoupled/consolidated designs their internal flush daemon
-// may drain the buffer at any moment — harmless for correctness, fatal
-// for a test that needs the window to stay open.)
-func newPipelineEngineDesign(t *testing.T, design wal.Design) (*Engine, *disk.FaultVolume, *wal.SegmentStore) {
+// newGatedEngine is newPipelineEngine at any stage.
+func newGatedEngine(t *testing.T, stage Stage) (*Engine, *disk.FaultVolume, *waltest.GateStore) {
 	t.Helper()
 	vol := disk.NewFault(disk.NewMem(0))
-	logStore := wal.NewMemSegmentStore(0)
-	cfg := StageConfig(StagePipeline)
+	logStore := waltest.NewGateStore(wal.NewMemSegmentStore(0))
+	cfg := StageConfig(stage)
 	cfg.Frames = 256
-	cfg.LogDesign = design
 	e, err := Open(vol, logStore, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { e.Close() })
+	t.Cleanup(func() {
+		logStore.Open() // a test that failed with the gate shut must not hang Close
+		e.Close()
+	})
 	return e, vol, logStore
 }
 
@@ -95,7 +94,7 @@ func readCommitted(t *testing.T, e *Engine, store uint32, rid page.RID) string {
 // pre-commit but whose commit record never reached the disk must be
 // rolled back by restart recovery, never exposed as committed.
 func TestPipelineCrashBetweenPrecommitAndHarden(t *testing.T) {
-	e, vol, logStore := newPipelineEngineDesign(t, wal.DesignCoupled)
+	e, vol, logStore := newPipelineEngine(t)
 	store, rid := seedRow(t, e, "before")
 
 	t1, err := e.Begin()
@@ -109,18 +108,21 @@ func TestPipelineCrashBetweenPrecommitAndHarden(t *testing.T) {
 	// would be a WAL violation (it would have to force the log first), so
 	// fail all of them.
 	vol.FailWritesAfter(0)
-	target, err := e.PreCommit(t1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parked := logStore.Shut()
+	acked := e.CommitAsync(t1)
 	if t1.State() != tx.StateCommitting {
 		t.Fatalf("state after pre-commit: %v", t1.State())
 	}
-	if d := e.Log().DurableLSN(); d >= target {
+	<-parked // the flusher is in the store with the commit record
+	if d, target := e.Log().DurableLSN(), t1.HardenTarget(); d >= target {
 		t.Fatalf("commit already durable (%v >= %v); the crash window is gone", d, target)
 	}
 
-	e.CrashHard() // nothing flushed: the commit record dies with the buffer
+	logStore.Cut() // the flush in flight never completes: the commit record dies unsynced
+	if err := <-acked; err == nil {
+		t.Fatal("commit acknowledged although its flush failed")
+	}
+	e.CrashHard()
 	vol.HealWrites()
 
 	e2 := reopenPipeline(t, vol, logStore)
@@ -138,7 +140,7 @@ func TestPipelineCrashBetweenPrecommitAndHarden(t *testing.T) {
 // system crashes before hardening, recovery rolls everything back — the
 // read value was never acknowledged as committed to anyone.
 func TestPipelineELRReaderSeesUnhardenedWrite(t *testing.T) {
-	e, vol, logStore := newPipelineEngineDesign(t, wal.DesignCoupled)
+	e, vol, logStore := newPipelineEngine(t)
 	store, rid := seedRow(t, e, "before")
 
 	t1, err := e.Begin()
@@ -148,10 +150,9 @@ func TestPipelineELRReaderSeesUnhardenedWrite(t *testing.T) {
 	if err := e.HeapUpdate(t1, store, rid, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	target, err := e.PreCommit(t1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	logStore.Shut()
+	e.CommitAsync(t1) // pre-committed when it returns; never acknowledged
+	target := t1.HardenTarget()
 
 	// ELR: the X lock is gone, so a reader gets in without waiting …
 	t2, err := e.Begin()
@@ -170,6 +171,7 @@ func TestPipelineELRReaderSeesUnhardenedWrite(t *testing.T) {
 		t.Fatalf("reader horizon %v < releaser target %v", h, target)
 	}
 
+	logStore.Cut()
 	e.CrashHard()
 
 	e2 := reopenPipeline(t, vol, logStore)
@@ -192,9 +194,8 @@ func TestPipelineELRReaderCommitHardensReleaser(t *testing.T) {
 	if err := e.HeapUpdate(t1, store, rid, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PreCommit(t1); err != nil {
-		t.Fatal(err)
-	}
+	parked := logStore.Shut()
+	e.CommitAsync(t1) // pre-committed, not durable; nobody waits for it
 
 	t2, err := e.Begin()
 	if err != nil {
@@ -203,7 +204,11 @@ func TestPipelineELRReaderCommitHardensReleaser(t *testing.T) {
 	if _, err := e.HeapRead(t2, store, rid); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Commit(t2); err != nil { // durable on return
+	committed := make(chan error, 1)
+	go func() { committed <- e.Commit(t2) }() // durable on return
+	<-parked
+	logStore.Open()
+	if err := <-committed; err != nil {
 		t.Fatal(err)
 	}
 
@@ -262,7 +267,7 @@ func TestPipelineCommitAsync(t *testing.T) {
 	if t1.State() != tx.StateCommitted {
 		t.Fatalf("state after async commit resolved: %v", t1.State())
 	}
-	if d, c := e.Log().DurableLSN(), t1.CommitLSN(); d <= c {
+	if d, c := e.Log().DurableLSN(), t1.LastLSN(); d <= c { // the commit record is t1's last
 		t.Fatalf("async commit resolved before durable: durable %v, commit %v", d, c)
 	}
 
@@ -276,7 +281,7 @@ func TestPipelineCommitAsync(t *testing.T) {
 // TestPipelineAbortAfterPreCommitRejected: once pre-committed, a
 // transaction cannot roll back voluntarily.
 func TestPipelineAbortAfterPreCommitRejected(t *testing.T) {
-	e, _, _ := newPipelineEngine(t)
+	e, _, logStore := newPipelineEngine(t)
 	store, rid := seedRow(t, e, "v0")
 
 	t1, err := e.Begin()
@@ -286,22 +291,21 @@ func TestPipelineAbortAfterPreCommitRejected(t *testing.T) {
 	if err := e.HeapUpdate(t1, store, rid, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	target, err := e.PreCommit(t1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	logStore.Shut()
+	acked := e.CommitAsync(t1)
 	if err := e.Abort(t1); !errors.Is(err, ErrCommitting) {
 		t.Fatalf("abort after pre-commit: %v", err)
 	}
-	if _, err := e.PreCommit(t1); !errors.Is(err, ErrCommitting) {
-		t.Fatalf("double pre-commit: %v", err)
-	}
 	// The commit can still harden normally.
-	if err := e.awaitHarden(context.Background(), t1, target); err != nil {
+	logStore.Open()
+	if err := <-acked; err != nil {
 		t.Fatal(err)
 	}
 	if t1.State() != tx.StateCommitted {
 		t.Fatalf("state: %v", t1.State())
+	}
+	if err := e.Commit(t1); !errors.Is(err, ErrCommitting) {
+		t.Fatalf("commit of a committed transaction: %v", err)
 	}
 }
 
@@ -320,7 +324,10 @@ func TestPipelineCheckpointDuringCommitting(t *testing.T) {
 	if err := e.HeapUpdate(t1, store, rid, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PreCommit(t1); err != nil {
+	// The first half of a commit alone: nobody waits for t1, so it is still
+	// StateCommitting when the checkpoint snapshots the transaction table,
+	// whatever the log's flusher does meanwhile.
+	if err := e.precommit(t1); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Checkpoint(); err != nil {

@@ -75,10 +75,10 @@ func IsRetryable(err error) bool {
 //
 // A commit failure that leaves the transaction in StateCommitting (an
 // interrupted durability wait) is returned as-is — the commit record is
-// in the log, so re-running fn could double-apply. For a cancellation the
-// runner detaches a background waiter that completes the commit and
-// releases its locks once the flush lands, so a cancelled managed commit
-// never strands lock holders.
+// in the log, so re-running fn could double-apply. The runner hands it to
+// CommitDetached, which completes the commit and releases its locks once
+// the flush lands, so a cancelled managed commit never strands lock
+// holders.
 func (e *Engine) RunCtx(ctx context.Context, policy RetryPolicy, fn func(*tx.Tx) error, commit func(context.Context, *tx.Tx) error) error {
 	policy = policy.normalize()
 	if commit == nil {
@@ -100,22 +100,9 @@ func (e *Engine) RunCtx(ctx context.Context, policy RetryPolicy, fn func(*tx.Tx)
 			if t.State() == tx.StateCommitting {
 				// In doubt: the commit record is logged, so fn must not
 				// re-run. The transaction is invisible to the caller (the
-				// runner made it), so nobody could ever retry the wait —
-				// detach one, whatever interrupted it (cancellation, a
-				// flush error): it finishes the commit once the flush
-				// lands and releases the locks, its outcome unobserved,
-				// exactly as if the caller had crashed after pre-commit.
-				go func() {
-					for attempt := 0; attempt < 3; attempt++ {
-						if e.Commit(t) == nil {
-							return
-						}
-						time.Sleep(time.Millisecond << attempt)
-					}
-					// Unrecoverable (log store dead / engine closing):
-					// the commit stays in doubt for restart recovery,
-					// exactly as a crash would leave it.
-				}()
+				// runner made it), so nobody could ever retry the wait,
+				// whatever interrupted it (cancellation, a flush error).
+				e.CommitDetached(t)
 				return err
 			}
 			if t.State() == tx.StateActive {

@@ -378,16 +378,22 @@ func (sess *session) setTx(t *shoremt.Tx) {
 	sess.hasTx.Store(t != nil)
 }
 
-// abortTx best-effort rolls the session transaction back and reports
-// the FlagTxAborted bit. An in-doubt commit (interrupted durability
-// wait) refuses to abort; the handle is dropped either way and restart
-// recovery or the flush daemon settles it.
+// abortTx ends the session transaction and reports the FlagTxAborted bit
+// — only when it was in fact rolled back. An in-doubt commit (its
+// durability wait interrupted by shutdown or a log error) refuses to
+// abort: its commit record is in the log and may harden, so telling the
+// client "aborted, retry the whole unit of work" could apply it twice.
+// The handle is dropped either way; Tx.Abort leaves the in-doubt commit
+// to finish in the background, which is when its locks go.
 func (sess *session) abortTx() uint8 {
 	if sess.tx == nil {
 		return 0
 	}
-	_ = sess.tx.Abort()
+	err := sess.tx.Abort()
 	sess.setTx(nil)
+	if errors.Is(err, shoremt.ErrCommitting) {
+		return 0
+	}
 	return wire.FlagTxAborted
 }
 

@@ -10,6 +10,7 @@
 package soak
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,6 +35,8 @@ type Config struct {
 	OpsPerTurn int   // transfers per worker per round
 	Seed       int64 // randomization seed (runs are reproducible)
 
+	Stage core.Stage // engine preset (StagePipeline: locks go before the commit is durable)
+
 	SegmentBytes int64         // log segment size
 	Frames       int           // buffer pool frames (small forces evictions)
 	MaxRecovery  time.Duration // hard bound on a single recovery
@@ -42,7 +45,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the standard soak shape: 30 cycles, 64 accounts,
-// 4 workers.
+// 4 workers, the finished Shore-MT.
 func DefaultConfig(seed int64) Config {
 	return Config{
 		Cycles:       30,
@@ -51,6 +54,7 @@ func DefaultConfig(seed int64) Config {
 		Rounds:       3,
 		OpsPerTurn:   12,
 		Seed:         seed,
+		Stage:        core.StageFinal,
 		SegmentBytes: 16 << 10,
 		Frames:       128,
 		MaxRecovery:  30 * time.Second,
@@ -116,9 +120,13 @@ func Run(cfg Config) (*Result, error) {
 	logStore := wal.NewMemSegmentStore(cfg.SegmentBytes)
 	res := &Result{CrashModes: map[string]int{}}
 	total := int64(cfg.Accounts) * initialBalance
+	// Never cancelled, but cancellable: a commit that waits under it waits
+	// on a log subscription instead of blocking in Flush.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 
 	engCfg := func() core.Config {
-		c := core.StageConfig(core.StageFinal)
+		c := core.StageConfig(cfg.Stage)
 		c.Frames = cfg.Frames
 		c.LockTimeout = 200 * time.Millisecond
 		c.RedoWorkers = 4
@@ -187,7 +195,7 @@ func Run(cfg Config) (*Result, error) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					committed[w] = transferWorker(e, store, ixStore, cfg.Accounts, cfg.OpsPerTurn, seed)
+					committed[w] = transferWorker(ctx, e, store, ixStore, cfg.Accounts, cfg.OpsPerTurn, seed)
 				}()
 			}
 			wg.Wait()
@@ -217,7 +225,7 @@ func Run(cfg Config) (*Result, error) {
 
 		// Leave losers: transactions caught mid-flight by the crash.
 		for i := 0; i < 2; i++ {
-			loserTransfer(e, store, ixStore, cfg.Accounts, rng.Int63())
+			loserTransfer(ctx, e, store, ixStore, cfg.Accounts, rng.Int63())
 		}
 		_ = e.Log().Flush(e.Log().CurLSN()) // may fail under log faults
 
@@ -305,11 +313,11 @@ func Run(cfg Config) (*Result, error) {
 // transferWorker runs n random transfers and returns how many committed.
 // Any error — deadlock, timeout, injected fault, engine killed — aborts
 // that transfer and moves on: the post-crash audit is the arbiter.
-func transferWorker(e *core.Engine, store, ixStore uint32, accounts, n int, seed int64) uint64 {
+func transferWorker(ctx context.Context, e *core.Engine, store, ixStore uint32, accounts, n int, seed int64) uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	var committed uint64
 	for i := 0; i < n; i++ {
-		if transferOnce(e, store, ixStore, accounts, rng, true) {
+		if transferOnce(ctx, e, store, ixStore, accounts, rng, true) {
 			committed++
 		}
 	}
@@ -318,15 +326,16 @@ func transferWorker(e *core.Engine, store, ixStore uint32, accounts, n int, seed
 
 // loserTransfer performs a transfer's updates and deliberately never
 // commits: crash fodder for the undo pass.
-func loserTransfer(e *core.Engine, store, ixStore uint32, accounts int, seed int64) {
-	transferOnce(e, store, ixStore, accounts, rand.New(rand.NewSource(seed)), false)
+func loserTransfer(ctx context.Context, e *core.Engine, store, ixStore uint32, accounts int, seed int64) {
+	transferOnce(ctx, e, store, ixStore, accounts, rand.New(rand.NewSource(seed)), false)
 }
 
 // transferOnce moves a random amount between two random accounts inside
 // one transaction, updating both the heap rows and the index entries.
 // When commit is false the transaction is left open. Returns whether the
-// transfer committed.
-func transferOnce(e *core.Engine, store, ixStore uint32, accounts int, rng *rand.Rand, commit bool) bool {
+// transfer committed. Both durability waits get traffic: odd amounts commit
+// under ctx, even ones under none.
+func transferOnce(ctx context.Context, e *core.Engine, store, ixStore uint32, accounts int, rng *rand.Rand, commit bool) bool {
 	a := uint64(rng.Intn(accounts))
 	b := uint64(rng.Intn(accounts))
 	if a == b {
@@ -367,7 +376,10 @@ func transferOnce(e *core.Engine, store, ixStore uint32, accounts int, rng *rand
 	if !commit {
 		return false // left open on purpose
 	}
-	return e.Commit(tx) == nil
+	if amount%2 == 0 {
+		ctx = context.Background()
+	}
+	return e.CommitCtx(ctx, tx) == nil
 }
 
 // findAccount scans for the heap row of an account. Linear, but tables

@@ -3,6 +3,8 @@ package soak
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestCrashSoak is the headline robustness gate: 30 randomized
@@ -35,18 +37,23 @@ func TestCrashSoak(t *testing.T) {
 }
 
 // TestCrashSoakSeeds runs short soaks under a few extra seeds so a lucky
-// mode sequence cannot hide a bug behind the fixed headline seed.
+// mode sequence cannot hide a bug behind the fixed headline seed, and one
+// of them again at StagePipeline: transactions that let their locks go
+// before their commit is durable, killed, torn and failed the same ways.
 func TestCrashSoakSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("headline soak covers short mode")
 	}
-	for _, seed := range []int64{1, 7, 1009} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := DefaultConfig(seed)
+	for _, run := range []struct {
+		seed  int64
+		stage core.Stage
+	}{{1, core.StageFinal}, {7, core.StageFinal}, {1009, core.StageFinal}, {7, core.StagePipeline}} {
+		t.Run(fmt.Sprintf("seed=%d/%v", run.seed, run.stage), func(t *testing.T) {
+			cfg := DefaultConfig(run.seed)
 			cfg.Cycles = 6
+			cfg.Stage = run.stage
 			if _, err := Run(cfg); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
+				t.Fatalf("seed %d: %v", run.seed, err)
 			}
 		})
 	}

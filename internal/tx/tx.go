@@ -72,8 +72,6 @@ type Tx struct {
 	lastLSN  atomic.Uint64
 	undoNext atomic.Uint64
 
-	// commitLSN is the transaction's commit record (pipeline commits).
-	commitLSN wal.LSN
 	// hardenTarget is the log position whose durability completes this
 	// transaction's commit (set at commit-record insertion; used to retry
 	// hardening after a failed flush).
@@ -170,13 +168,6 @@ func (t *Tx) ID() uint64 { return t.id }
 
 // State returns the lifecycle state.
 func (t *Tx) State() State { return State(t.state.Load()) }
-
-// SetCommitLSN records the transaction's commit-record LSN (pipeline
-// pre-commit stage).
-func (t *Tx) SetCommitLSN(lsn wal.LSN) { t.commitLSN = lsn }
-
-// CommitLSN returns the commit-record LSN (NullLSN before pre-commit).
-func (t *Tx) CommitLSN() wal.LSN { return t.commitLSN }
 
 // SetHardenTarget records the log position whose durability completes
 // this transaction's commit.

@@ -50,16 +50,19 @@ type Manager interface {
 	CurLSN() LSN
 	// DurableLSN returns the boundary below which all records are durable.
 	DurableLSN() LSN
-	// Subscribe returns a channel that receives nil once every record with
-	// LSN < upTo is durable, the device error if the log device has failed,
-	// or ErrLogClosed if the manager closes first.
-	// Subscribe is passive: it never triggers a flush, so a subscription
-	// completes only when Flush (or a flush daemon) advances the boundary
-	// past upTo. The channel is buffered; the manager never blocks on it.
+	// Subscribe is Flush for a caller that wants to wait on something else
+	// as well: it asks the flusher for upTo (at most CurLSN) and returns a
+	// channel that receives nil once every record with LSN < upTo is
+	// durable, the device error if the log device has failed, or
+	// ErrLogClosed if the manager is closed or killed first. The channel
+	// is buffered and receives exactly one value, so a subscriber may walk
+	// away from it. Under DesignCoupled, whose flushes are synchronous, the
+	// flush runs inside the call and the channel comes back resolved.
 	Subscribe(upTo LSN) <-chan error
 	// Stats returns contention and traffic counters.
 	Stats() ManagerStats
-	// Close stops background daemons and flushes everything.
+	// Close stops the flusher, if the design has one, and flushes everything:
+	// a subscription the final flush covers resolves with nil.
 	Close() error
 	// Kill stops the manager as a power cut does, writing nothing: once it
 	// returns no call of this manager reaches the store again, and every
@@ -102,11 +105,17 @@ func New(store Store, opts Options) Manager {
 // durable LSN passes their target, and a single flusher satisfies many
 // waiters at once. It also carries the asynchronous side of the same
 // contract: durable-LSN subscriptions, resolved by whoever advances the
-// boundary (the commit pipeline's notify stage rides on this).
+// boundary.
 type groupCommit struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	durable atomic.Uint64
+	// waiters counts callers blocked in Flush plus unresolved
+	// subscriptions. A target can be past copied (CurLSN is the
+	// reservation head), so the drain a waiter asked for may run before
+	// the copy it waits for is published; publishers kick the flusher
+	// again while anyone waits, closing that lost wake-up.
+	waiters atomic.Int64
 	subs    []gcSub // outstanding subscriptions, unordered
 	failErr error   // once set, new subscriptions fail immediately
 }
@@ -141,19 +150,24 @@ func (g *groupCommit) advance(to LSN) {
 			kept = append(kept, s)
 		}
 	}
+	if n := len(g.subs) - len(kept); n > 0 {
+		g.waiters.Add(int64(-n))
+	}
 	g.subs = kept
 	g.mu.Unlock()
 }
 
 // subscribe registers a durable-LSN subscription. The returned channel is
-// buffered and receives exactly one value.
-func (g *groupCommit) subscribe(upTo LSN) <-chan error {
-	ch := make(chan error, 1)
+// buffered and receives exactly one value; pending reports that it has not
+// received it yet, so somebody must get a drain going.
+func (g *groupCommit) subscribe(upTo LSN) (ch chan error, pending bool) {
+	ch = make(chan error, 1)
 	if g.get() >= upTo {
 		ch <- nil
-		return ch
+		return ch, false
 	}
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	switch {
 	case g.get() >= upTo: // raced with advance
 		ch <- nil
@@ -161,9 +175,10 @@ func (g *groupCommit) subscribe(upTo LSN) <-chan error {
 		ch <- g.failErr
 	default:
 		g.subs = append(g.subs, gcSub{upTo: upTo, ch: ch})
+		g.waiters.Add(1)
+		pending = true
 	}
-	g.mu.Unlock()
-	return ch
+	return ch, pending
 }
 
 // fail resolves every outstanding subscription with err and makes future
@@ -180,6 +195,7 @@ func (g *groupCommit) fail(err error) {
 	for _, s := range g.subs {
 		s.ch <- g.failErr
 	}
+	g.waiters.Add(-int64(len(g.subs)))
 	g.subs = nil
 	g.cond.Broadcast()
 	g.mu.Unlock()

@@ -11,7 +11,7 @@
 //   - Consolidated (§6.2.4): the extended-queuing-lock buffer — threads
 //     serialize only long enough to claim buffer space and an LSN, copy
 //     their record in parallel, and publish completion in order, with the
-//     flush daemon following behind.
+//     flusher following behind.
 //
 // LSNs are byte offsets into the log stream, so a reservation counter
 // doubles as the LSN generator and recovery can seek directly to any

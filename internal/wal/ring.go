@@ -34,9 +34,9 @@ import (
 // Failure rule, the same for all three: the first error from the store's
 // WriteAt or Flush is latched in groupCommit and is terminal. The drain
 // never touches the store again, so durable never moves again, and Flush,
-// Subscribe (hence FlushDaemon.Harden) and an insert that needs room all
-// return that error. A failed fsync cannot be retried safely — the kernel
-// may have dropped the dirty pages it could not write.
+// Subscribe and an insert that needs room all return that error. A failed
+// fsync cannot be retried safely — the kernel may have dropped the dirty
+// pages it could not write.
 type ringLog struct {
 	store  Store
 	ring   []byte
@@ -46,11 +46,6 @@ type ringLog struct {
 	stop   chan struct{}
 	done   chan struct{}
 	closed atomic.Bool
-	// flushWaiters counts callers blocked in Flush. A flush target can be
-	// past copied (CurLSN is the reservation head), so the drain a waiter
-	// kicked may run before the copy it waits for is published;
-	// publishers re-kick while anyone waits, closing that lost wake-up.
-	flushWaiters atomic.Int64
 
 	// Every insert reads the fields above and writes the two marks below: the
 	// padding gives the marks a cache line of their own (~2 % of insert CPU).
@@ -309,7 +304,7 @@ func (l *ringLog) insert(rec *Record, clr bool) (LSN, error) {
 
 	l.inserts.Add(1)
 	l.insertedBytes.Add(size)
-	if l.flushWaiters.Load() > 0 || LSN(r+size)-l.gc.get() > LSN(len(l.ring)/2) {
+	if l.gc.waiters.Load() > 0 || LSN(r+size)-l.gc.get() > LSN(len(l.ring)/2) {
 		l.kickFlusher()
 	}
 	return rec.LSN, nil
@@ -385,10 +380,10 @@ func (l *ringLog) Flush(upTo LSN) error {
 	if l.gc.get() >= upTo {
 		return nil
 	}
-	l.flushWaiters.Add(1)
+	l.gc.waiters.Add(1) // before the kick: see groupCommit.waiters
 	l.policy.sync(l)
 	err := l.gc.wait(upTo, &l.closed)
-	l.flushWaiters.Add(-1)
+	l.gc.waiters.Add(-1)
 	return err
 }
 
@@ -398,8 +393,15 @@ func (l *ringLog) CurLSN() LSN { return LSN(l.head.Load()) }
 // DurableLSN implements Manager.
 func (l *ringLog) DurableLSN() LSN { return l.gc.get() }
 
-// Subscribe implements Manager.
-func (l *ringLog) Subscribe(upTo LSN) <-chan error { return l.gc.subscribe(upTo) }
+// Subscribe implements Manager: register first, then get a drain going, so
+// that the drain which covers upTo finds the subscription.
+func (l *ringLog) Subscribe(upTo LSN) <-chan error {
+	ch, pending := l.gc.subscribe(upTo)
+	if pending {
+		l.policy.sync(l)
+	}
+	return ch
+}
 
 // Stats implements Manager.
 func (l *ringLog) Stats() ManagerStats {

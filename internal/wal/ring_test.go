@@ -163,9 +163,9 @@ func (s *flakyStore) Flush(upTo int64) error {
 
 // TestDeviceFailureIsTerminal holds all three designs to the one failure
 // rule: the first failed store flush is latched; from then on the durable
-// mark never moves, however healthy the store looks, and Flush, Subscribe,
-// FlushDaemon.Harden, an insert that needs room and Close all return that
-// error.
+// mark never moves, however healthy the store looks, and the subscription
+// that met the failure, every later Flush and Subscribe, an insert that
+// needs room and Close all return that error.
 func TestDeviceFailureIsTerminal(t *testing.T) {
 	for _, d := range allDesigns() {
 		t.Run(d.String(), func(t *testing.T) {
@@ -179,8 +179,8 @@ func TestDeviceFailureIsTerminal(t *testing.T) {
 				t.Fatal(err)
 			}
 			store.failFlushes.Store(1) // fails once, then heals
-			if err := m.Flush(m.CurLSN()); !errors.Is(err, errFlakyDevice) {
-				t.Fatalf("flush on a failing device = %v, want the device error", err)
+			if err := await(t, m.Subscribe(m.CurLSN())); !errors.Is(err, errFlakyDevice) {
+				t.Fatalf("subscription on a failing device = %v, want the device error", err)
 			}
 			durable, stored := m.DurableLSN(), store.DurableSize()
 
@@ -195,11 +195,6 @@ func TestDeviceFailureIsTerminal(t *testing.T) {
 			if err := <-m.Subscribe(m.CurLSN()); !errors.Is(err, errFlakyDevice) {
 				t.Errorf("subscribe after the failure = %v, want the device error", err)
 			}
-			fd := NewFlushDaemon(m, DaemonOptions{})
-			if err := <-fd.Harden(m.CurLSN()); !errors.Is(err, errFlakyDevice) {
-				t.Errorf("harden after the failure = %v, want the device error", err)
-			}
-			fd.Close()
 			var err error
 			for i := 0; i < 64 && err == nil; i++ { // 64 × 100 bytes overruns the 2 KiB ring
 				err = insert()
@@ -218,6 +213,159 @@ func TestDeviceFailureIsTerminal(t *testing.T) {
 				t.Errorf("close = %v, want the device error", err)
 			}
 		})
+	}
+}
+
+// await receives a subscription's verdict, or fails the test: nobody in
+// these tests calls Flush for a subscriber, so one that is never served
+// would hang.
+func await(t *testing.T, ch <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-ch:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("subscription never resolved")
+		return nil
+	}
+}
+
+// TestSubscription holds Subscribe to its contract on all three designs.
+// No row calls Flush: a subscription gets its own drain going.
+func TestSubscription(t *testing.T) {
+	const far = 1 << 30 // a target no insert of these tests reaches
+	rows := []struct {
+		name string
+		run  func(t *testing.T, l *ringLog)
+	}{
+		{"alone", func(t *testing.T, l *ringLog) {
+			defer l.Close()
+			lsn, err := l.Insert(testRecord(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := await(t, l.Subscribe(l.CurLSN())); err != nil {
+				t.Fatal(err)
+			}
+			if l.DurableLSN() <= lsn {
+				t.Fatalf("resolved with durable %v, record at %v", l.DurableLSN(), lsn)
+			}
+			if err := await(t, l.Subscribe(l.CurLSN())); err != nil { // already durable
+				t.Fatal(err)
+			}
+		}},
+		// CurLSN is the reservation head: with inserters running, a target
+		// is past copied whenever a neighbour has reserved and not yet
+		// published, and the drain the subscriber asked for can run first.
+		{"past-copied", func(t *testing.T, l *ringLog) {
+			defer l.Close()
+			const workers, commits = 8, 100
+			errs := make(chan error, workers)
+			for w := 0; w < workers; w++ {
+				go func() {
+					for i := 0; i < commits; i++ {
+						if _, err := l.Insert(testRecord(i)); err != nil {
+							errs <- err
+							return
+						}
+						select {
+						case err := <-l.Subscribe(l.CurLSN()):
+							if err != nil {
+								errs <- err
+								return
+							}
+						case <-time.After(10 * time.Second):
+							errs <- errors.New("subscription never resolved")
+							return
+						}
+					}
+					errs <- nil
+				}()
+			}
+			for w := 0; w < workers; w++ {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := l.gc.waiters.Load(); n != 0 {
+				t.Fatalf("%d waiters counted with nobody waiting", n)
+			}
+		}},
+		// The same lost wake-up with the order forced: the target is the end
+		// of a record that is inserted only after the subscriber's drain has
+		// run and found nothing. Coupled drains inline and has no flusher to
+		// wake, and no target past copied either: its head moves under the
+		// mutex the drain holds.
+		{"ahead-of-insert", func(t *testing.T, l *ringLog) {
+			defer l.Close()
+			if l.kick == nil {
+				t.Skip("no background flusher")
+			}
+			rec := testRecord(0)
+			ch := l.Subscribe(l.CurLSN() + LSN(rec.EncodedSize()))
+			l.drain()
+			if _, err := l.Insert(rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := await(t, ch); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"close", func(t *testing.T, l *ringLog) {
+			if _, err := l.Insert(testRecord(0)); err != nil {
+				t.Fatal(err)
+			}
+			reached, unreached := l.Subscribe(l.CurLSN()), l.Subscribe(far)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := await(t, reached); err != nil {
+				t.Errorf("close resolved a subscription it hardened with %v", err)
+			}
+			if err := await(t, unreached); err != ErrLogClosed {
+				t.Errorf("close resolved a subscription past the log's end with %v, want ErrLogClosed", err)
+			}
+			if err := await(t, l.Subscribe(far)); err != ErrLogClosed {
+				t.Errorf("subscribe after close = %v, want ErrLogClosed", err)
+			}
+		}},
+		{"kill", func(t *testing.T, l *ringLog) {
+			ch := l.Subscribe(far)
+			l.Kill()
+			if err := await(t, ch); err != ErrLogClosed {
+				t.Errorf("kill resolved a subscription with %v, want ErrLogClosed", err)
+			}
+		}},
+		// A subscriber that stopped listening (a cancelled commit wait) costs
+		// one buffered send; the list and the waiter count recover.
+		{"abandoned", func(t *testing.T, l *ringLog) {
+			defer l.Close()
+			for i := 0; i < 3; i++ {
+				if _, err := l.Insert(testRecord(i)); err != nil {
+					t.Fatal(err)
+				}
+				l.Subscribe(l.CurLSN()) // never received from
+			}
+			if _, err := l.Insert(testRecord(3)); err != nil {
+				t.Fatal(err)
+			}
+			if err := await(t, l.Subscribe(l.CurLSN())); err != nil {
+				t.Fatal(err)
+			}
+			l.gc.mu.Lock()
+			subs := len(l.gc.subs)
+			l.gc.mu.Unlock()
+			if n := l.gc.waiters.Load(); subs != 0 || n != 0 {
+				t.Fatalf("%d subscriptions listed and %d waiters counted after all resolved", subs, n)
+			}
+		}},
+	}
+	for _, row := range rows {
+		for _, d := range allDesigns() {
+			t.Run(row.name+"/"+d.String(), func(t *testing.T) {
+				row.run(t, newRingLog(NewMemSegmentStore(0), 1<<16, d))
+			})
+		}
 	}
 }
 
@@ -394,8 +542,8 @@ func TestCrashStop(t *testing.T) {
 				t.Fatal(err)
 			}
 			flushed := make(chan error, 1)
-			go func() { flushed <- l.Flush(l.CurLSN()) }()
-			<-store.entered // a drain is parked in the store's Flush
+			go func() { flushed <- <-l.Subscribe(l.CurLSN()) }()
+			<-store.entered // the subscription's drain is parked in the store's Flush
 
 			killed := make(chan struct{})
 			go func() {
@@ -410,7 +558,7 @@ func TestCrashStop(t *testing.T) {
 			close(store.release)
 			<-killed
 			if err := <-flushed; err != nil {
-				t.Fatalf("the flush that was in the store when Kill was called = %v; it had finished", err)
+				t.Fatalf("the subscription whose drain was in the store when Kill was called = %v; it had finished", err)
 			}
 
 			calls, durable := inner.calls.Load(), l.DurableLSN()

@@ -58,10 +58,11 @@ const (
 	StageLockMgr               // §7.5
 	StageBpool2                // §7.6
 	StageFinal                 // §7.7: Shore-MT
-	// StagePipeline extends the ladder past the paper: commits are staged
-	// through Early Lock Release and an asynchronous group-commit flush
-	// daemon. Commit keeps its durable-on-return contract; CommitAsync
-	// exposes the weaker pre-committed state.
+	// StagePipeline extends the ladder past the paper with Early Lock
+	// Release: a committing transaction drops its locks once its commit
+	// record is in the log, before the log's flusher has made it durable.
+	// Commit keeps its durable-on-return contract; CommitAsync exposes the
+	// weaker pre-committed state.
 	StagePipeline
 )
 
@@ -245,9 +246,8 @@ type DB struct {
 	closed     atomic.Bool
 }
 
-// Open creates or reopens a database. If the log is non-empty, ARIES
-// restart recovery runs before Open returns.
-func Open(opts Options) (*DB, error) {
+// config resolves opts into the engine's component configuration.
+func (opts Options) config() core.Config {
 	cfg := core.StageConfig(opts.Stage.coreStage())
 	if opts.Advanced != nil {
 		cfg = *opts.Advanced
@@ -296,7 +296,12 @@ func Open(opts Options) (*DB, error) {
 	if opts.RedoWorkers > 0 {
 		cfg.RedoWorkers = opts.RedoWorkers
 	}
+	return cfg
+}
 
+// Open creates or reopens a database. If the log is non-empty, ARIES
+// restart recovery runs before Open returns.
+func Open(opts Options) (*DB, error) {
 	var vol disk.Volume
 	var logStore wal.Store
 	if opts.Dir != "" {
@@ -322,7 +327,15 @@ func Open(opts Options) (*DB, error) {
 	} else {
 		vol, logStore = disk.NewMem(0), wal.NewMemSegmentStore(opts.LogSegmentBytes)
 	}
-	engine, err := core.Open(vol, logStore, cfg)
+	return OpenStores(vol, logStore, opts)
+}
+
+// OpenStores is Open over a volume and a log store the caller made — a
+// fault-injecting wrapper, say — instead of the ones Dir selects. The
+// database owns them from here: Close closes both, and so does a failed
+// open.
+func OpenStores(vol disk.Volume, logStore wal.Store, opts Options) (*DB, error) {
+	engine, err := core.Open(vol, logStore, opts.config())
 	if err != nil {
 		vol.Close()
 		logStore.Close()
@@ -439,7 +452,7 @@ func (db *DB) commitInner(ctx context.Context, inner *tx.Tx) error {
 		select {
 		case err := <-ch: // resolved immediately: pre-commit failure or already durable
 			return err
-		default: // harden in the background; outcome intentionally unobserved
+		default: // the log's flusher hardens it; outcome intentionally unobserved
 			return nil
 		}
 	}
@@ -449,14 +462,14 @@ func (db *DB) commitInner(ctx context.Context, inner *tx.Tx) error {
 // Commit commits the transaction. Under DurabilityStrict (the default)
 // it returns only once the commit record is durable (group commit).
 // Under DurabilityRelaxed it may return as soon as the transaction is
-// pre-committed, with hardening left to the background flush daemon;
-// immediately surfaced errors are still reported.
+// pre-committed, with hardening left to the log's flusher; immediately
+// surfaced errors are still reported.
 //
 // If the transaction's context is cancelled during the durability wait,
 // Commit returns ErrCanceled and the transaction is in doubt: its commit
 // record is in the log, so it can no longer abort — call Commit again to
-// resume waiting (the record is not re-inserted), or walk away and let
-// the background flush / restart recovery settle it.
+// resume waiting (the record is not re-inserted), or call Abort to walk
+// away: it refuses, and leaves the commit to finish in the background.
 func (t *Tx) Commit() error {
 	if t.managed {
 		return ErrManaged
@@ -502,21 +515,19 @@ func (t *Tx) CommitAsync() (<-chan error, error) {
 	if t.done {
 		return nil, ErrTxDone
 	}
-	t.done = true
-	ch := t.db.engine.CommitAsync(t.inner)
-	if t.db.engine.Config().CommitPipeline && t.inner.State() == tx.StateActive {
-		// Pre-commit failed synchronously (the error is already on ch):
-		// the transaction is still active and abortable, so leave the Tx
-		// open for the caller to Abort. (Without the pipeline the commit
-		// runs on a helper goroutine, which cleans up after itself.)
-		t.done = false
-	}
-	return ch, nil
+	t.done = true // also when the commit record could not be logged: the engine rolled it back
+	return t.db.engine.CommitAsync(t.inner), nil
 }
 
 // Abort rolls the transaction back. Abort always runs to completion,
 // even when the transaction's context is already cancelled — rollback is
 // what restores consistency.
+//
+// The one transaction Abort cannot roll back is an in-doubt commit (a
+// Commit whose durability wait was interrupted): its commit record is in
+// the log and may harden. Abort then returns ErrCommitting, and since the
+// Tx is finished for the caller either way, the engine completes the
+// commit in the background — its locks are released when the flush lands.
 func (t *Tx) Abort() error {
 	if t.managed {
 		return ErrManaged
@@ -525,7 +536,11 @@ func (t *Tx) Abort() error {
 		return ErrTxDone
 	}
 	t.done = true
-	return t.db.engine.Abort(t.inner)
+	err := t.db.engine.Abort(t.inner)
+	if errors.Is(err, ErrCommitting) {
+		t.db.engine.CommitDetached(t.inner)
+	}
+	return err
 }
 
 // Table is a heap table handle.

@@ -10,8 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/disk"
 	"repro/internal/wal"
+	"repro/internal/waltest"
 )
 
 // TestUpdateTransferWorkloadNoVisibleDeadlocks is the headline guarantee
@@ -294,10 +295,15 @@ func TestManagedTxRefusesLifecycleCalls(t *testing.T) {
 // retryable — a second Commit resumes the wait (ignoring the dead
 // context, since the caller explicitly asked to finish) and succeeds.
 func TestManualCommitRetryAfterCancelledWait(t *testing.T) {
-	cfg := core.StageConfig(core.StagePipeline)
-	cfg.LogDesign = wal.DesignCoupled // no internal flusher: the daemon's window gates hardening
-	cfg.PipelineInterval = 300 * time.Millisecond
-	db := openTest(t, Options{Advanced: &cfg})
+	logStore := waltest.NewGateStore(wal.NewMemSegmentStore(0))
+	db, err := OpenStores(disk.NewMem(0), logStore, Options{Stage: StagePipeline, CleanerInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		logStore.Open()
+		db.Close()
+	})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	tx, err := db.BeginCtx(ctx)
@@ -311,13 +317,15 @@ func TestManualCommitRetryAfterCancelledWait(t *testing.T) {
 	if _, err := tb.Insert(tx, []byte("row")); err != nil {
 		t.Fatal(err)
 	}
+	parked := logStore.Shut()
 	go func() {
-		time.Sleep(20 * time.Millisecond)
+		<-parked // the commit's flush is in the store: the wait is on
 		cancel()
 	}()
 	if err := tx.Commit(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("first Commit = %v, want ErrCanceled", err)
 	}
+	logStore.Open()
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("retried Commit = %v, want nil", err)
 	}
