@@ -1,8 +1,9 @@
 // Package client is the Go client for shored, the network front end of
 // the shoremt storage engine. It speaks the length-prefixed binary
 // protocol of internal/wire: one synchronous request/response exchange
-// at a time per connection, with whole transactions batchable into a
-// single round trip.
+// at a time per connection. Data ops travel only in batches — a whole
+// transaction in one round trip, or fragments of the session's explicit
+// one (BeginBatch, Tx.Run, Tx.RunCommit); a single op is a one-op batch.
 //
 // Quick start:
 //
@@ -229,16 +230,14 @@ func (c *Client) View(ctx context.Context, fn func(b *Batch)) error {
 	return c.runBatch(ctx, b, wire.BatchView)
 }
 
-// Begin opens the session's explicit transaction.
+// Begin opens the session's explicit transaction: an empty BeginBatch.
 func (c *Client) Begin(ctx context.Context) (*Tx, error) {
-	if _, err := c.roundTrip(ctx, wire.OpBegin, nil); err != nil {
-		return nil, err
-	}
-	return &Tx{c: c}, nil
+	return c.BeginBatch(ctx, NewBatch())
 }
 
 // BeginBatch opens the explicit transaction AND runs b inside it, in
-// one round trip.
+// one round trip. If any op fails the server rolls the transaction back
+// (IsAborted(err) == true): a failed BeginBatch leaves nothing open.
 func (c *Client) BeginBatch(ctx context.Context, b *Batch) (*Tx, error) {
 	if err := c.runBatch(ctx, b, wire.BatchSession|wire.BatchBegin); err != nil {
 		return nil, err
@@ -267,14 +266,9 @@ type Tx struct {
 	done bool
 }
 
-// Commit commits the transaction.
+// Commit commits the transaction: an empty RunCommit.
 func (t *Tx) Commit(ctx context.Context) error {
-	if t.done {
-		return ErrTxDone
-	}
-	t.done = true
-	_, err := t.c.roundTrip(ctx, wire.OpCommit, nil)
-	return err
+	return t.RunCommit(ctx, NewBatch())
 }
 
 // Rollback rolls the transaction back. Calling it after an error that
@@ -289,10 +283,6 @@ func (t *Tx) Rollback(ctx context.Context) error {
 	return err
 }
 
-// abandon marks the handle finished without a round trip (server
-// already rolled the transaction back).
-func (t *Tx) abandon() { t.done = true }
-
 // Run executes b's ops inside the transaction (one round trip, no
 // commit). If the returned error carries the aborted flag the
 // transaction is gone — see IsAborted.
@@ -302,7 +292,7 @@ func (t *Tx) Run(ctx context.Context, b *Batch) error {
 	}
 	err := t.c.runBatch(ctx, b, wire.BatchSession)
 	if IsAborted(err) {
-		t.abandon()
+		t.done = true // the server already rolled it back
 	}
 	return err
 }
@@ -322,141 +312,8 @@ func (t *Tx) RunCommit(ctx context.Context, b *Batch) error {
 	return err
 }
 
-// Single-op convenience wrappers on the open transaction. Each is one
-// round trip; batch them when latency matters.
-
-func (t *Tx) single(ctx context.Context, op *wire.DataOp) (wire.Response, error) {
-	if t.done {
-		return wire.Response{}, ErrTxDone
-	}
-	var e wire.Enc
-	wire.AppendDataOp(&e, op)
-	resp, err := t.c.roundTrip(ctx, op.Kind, e.B)
-	if IsAborted(err) {
-		t.abandon()
-	}
-	return resp, err
-}
-
-// IndexInsert adds key→value to a B-tree store.
-func (t *Tx) IndexInsert(ctx context.Context, store uint32, key, value []byte) error {
-	_, err := t.single(ctx, &wire.DataOp{Kind: wire.OpIdxInsert, Store: store, Key: key, Val: value})
-	return err
-}
-
-// IndexGet returns the value for key (copied) and whether it exists.
-func (t *Tx) IndexGet(ctx context.Context, store uint32, key []byte) ([]byte, bool, error) {
-	return t.indexGet(ctx, wire.OpIdxGet, store, key)
-}
-
-// IndexGetForUpdate is IndexGet under an exclusive lock — SELECT FOR
-// UPDATE. Use it for keys the transaction will write back in a later
-// round trip; see Batch.IndexGetForUpdate.
-func (t *Tx) IndexGetForUpdate(ctx context.Context, store uint32, key []byte) ([]byte, bool, error) {
-	return t.indexGet(ctx, wire.OpIdxGetU, store, key)
-}
-
-func (t *Tx) indexGet(ctx context.Context, kind wire.Op, store uint32, key []byte) ([]byte, bool, error) {
-	resp, err := t.single(ctx, &wire.DataOp{Kind: kind, Store: store, Key: key})
-	if err != nil {
-		return nil, false, err
-	}
-	d := wire.NewDec(resp.Body)
-	found := d.U8() == 1
-	val := append([]byte(nil), d.Bytes()...)
-	if err := d.Done(); err != nil {
-		return nil, false, err
-	}
-	if !found {
-		return nil, false, nil
-	}
-	return val, true, nil
-}
-
-// IndexUpdate replaces the value for key.
-func (t *Tx) IndexUpdate(ctx context.Context, store uint32, key, value []byte) error {
-	_, err := t.single(ctx, &wire.DataOp{Kind: wire.OpIdxUpdate, Store: store, Key: key, Val: value})
-	return err
-}
-
-// IndexDelete removes key, returning the old value.
-func (t *Tx) IndexDelete(ctx context.Context, store uint32, key []byte) ([]byte, error) {
-	resp, err := t.single(ctx, &wire.DataOp{Kind: wire.OpIdxDelete, Store: store, Key: key})
-	if err != nil {
-		return nil, err
-	}
-	d := wire.NewDec(resp.Body)
-	old := append([]byte(nil), d.Bytes()...)
-	return old, d.Done()
-}
-
-// IndexScan returns up to limit (0 = server default) pairs in
-// [from, to), nil meaning unbounded.
-func (t *Tx) IndexScan(ctx context.Context, store uint32, from, to []byte, limit int) ([]KV, error) {
-	resp, err := t.single(ctx, &wire.DataOp{
-		Kind: wire.OpIdxScan, Store: store, Key: from, Val: to, Limit: uint32(limit),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return decodeScan(resp.Body)
-}
-
-// HeapInsert appends a record to a heap store, returning its RID.
-func (t *Tx) HeapInsert(ctx context.Context, store uint32, data []byte) (RID, error) {
-	resp, err := t.single(ctx, &wire.DataOp{Kind: wire.OpHeapInsert, Store: store, Val: data})
-	if err != nil {
-		return RID{}, err
-	}
-	d := wire.NewDec(resp.Body)
-	rid := RID{Page: d.U64(), Slot: d.U16()}
-	return rid, d.Done()
-}
-
-// HeapGet reads the record at rid.
-func (t *Tx) HeapGet(ctx context.Context, store uint32, rid RID) ([]byte, error) {
-	resp, err := t.single(ctx, &wire.DataOp{Kind: wire.OpHeapGet, Store: store, RID: rid})
-	if err != nil {
-		return nil, err
-	}
-	d := wire.NewDec(resp.Body)
-	rec := append([]byte(nil), d.Bytes()...)
-	return rec, d.Done()
-}
-
-// HeapUpdate replaces the record at rid.
-func (t *Tx) HeapUpdate(ctx context.Context, store uint32, rid RID, data []byte) error {
-	_, err := t.single(ctx, &wire.DataOp{Kind: wire.OpHeapUpdate, Store: store, RID: rid, Val: data})
-	return err
-}
-
-// HeapDelete removes the record at rid.
-func (t *Tx) HeapDelete(ctx context.Context, store uint32, rid RID) error {
-	_, err := t.single(ctx, &wire.DataOp{Kind: wire.OpHeapDelete, Store: store, RID: rid})
-	return err
-}
-
 // KV is one scan result pair.
 type KV struct {
 	Key   []byte
 	Value []byte
-}
-
-// decodeScan parses a scan result body into copied pairs.
-func decodeScan(body []byte) ([]KV, error) {
-	d := wire.NewDec(body)
-	n := int(d.U32())
-	if d.Err != nil {
-		return nil, d.Err
-	}
-	kvs := make([]KV, 0, min(n, 1024))
-	for i := 0; i < n; i++ {
-		k := append([]byte(nil), d.Bytes()...)
-		v := append([]byte(nil), d.Bytes()...)
-		if d.Err != nil {
-			return nil, d.Err
-		}
-		kvs = append(kvs, KV{Key: k, Value: v})
-	}
-	return kvs, d.Done()
 }

@@ -182,7 +182,7 @@ func StageConfig(stage Stage) Config {
 		Shards:            1,
 	}
 	c.LogDesign = wal.DesignCoupled
-	c.Lock = lock.Options{Table: lock.TableGlobal, Pool: lock.PoolMutex, DetectDeadlock: true}
+	c.Lock = lock.Options{Table: lock.TableGlobal, Pool: lock.PoolMutex}
 	c.Space = space.Options{Mutex: sync2.KindBlocking, LatchInCS: true}
 	c.CachedOldest = false
 	c.ProbeLockTable = true

@@ -666,21 +666,23 @@ func (e *Engine) acquire(ctx context.Context, t *tx.Tx, n lock.Name, m lock.Mode
 	return nil
 }
 
-// lockRow performs hierarchical locking for a row access in mode
-// (lock.S or lock.X), with table-level escalation past the threshold.
-// A row lock the transaction already holds covers its whole ancestry
-// (the intents were taken before it), so the re-access fast path is one
-// private cache probe — the manager, and even the per-level cache
-// probes, are skipped entirely.
-func (e *Engine) lockRow(ctx context.Context, t *tx.Tx, store uint32, rid page.RID, m lock.Mode) error {
+// lockLeaf performs hierarchical locking for one access to a leaf of
+// store — a heap row (lock.RowName) or an index key (keyLockName) — in
+// mode m (lock.S, lock.U or lock.X), with table-level escalation past
+// the threshold. A leaf lock the transaction already holds covers its
+// whole ancestry (the intents were taken before it), so the re-access
+// fast path is one private cache probe — the manager, and even the
+// per-level cache probes, are skipped entirely.
+func (e *Engine) lockLeaf(ctx context.Context, t *tx.Tx, store uint32, name lock.Name, m lock.Mode) error {
 	if t.NoLock() {
+		// DORA sub-transaction: the owning partition's thread-local table
+		// already serialized every conflicting access.
 		return nil
 	}
 	// If already escalated to a covering store lock, nothing to do.
 	if held, ok := t.Escalated(store); ok && lock.StrongerOrEqual(held, m) {
 		return nil
 	}
-	name := lock.RowName(store, rid)
 	if held := t.HeldMode(name); held != lock.NL && lock.StrongerOrEqual(held, m) {
 		t.HitLockCache()
 		return nil

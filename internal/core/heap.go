@@ -212,7 +212,7 @@ func (e *Engine) HeapReadCtx(ctx context.Context, t *tx.Tx, store uint32, rid pa
 	if t != nil && t.IsSnapshot() {
 		return e.heapReadSnapshot(t, store, rid)
 	}
-	if err := e.lockRow(ctx, t, store, rid, lock.S); err != nil {
+	if err := e.lockLeaf(ctx, t, store, lock.RowName(store, rid), lock.S); err != nil {
 		return nil, err
 	}
 	f, err := e.fix(rid.Page, sync2.LatchSH)
@@ -243,7 +243,7 @@ func (e *Engine) HeapUpdateCtx(ctx context.Context, t *tx.Tx, store uint32, rid 
 	if len(data) == 0 || len(data) > MaxRecord {
 		return fmt.Errorf("core: record size %d out of range", len(data))
 	}
-	if err := e.lockRow(ctx, t, store, rid, lock.X); err != nil {
+	if err := e.lockLeaf(ctx, t, store, lock.RowName(store, rid), lock.X); err != nil {
 		return err
 	}
 	f, err := e.fix(rid.Page, sync2.LatchEX)
@@ -272,7 +272,7 @@ func (e *Engine) HeapDeleteCtx(ctx context.Context, t *tx.Tx, store uint32, rid 
 	if err := snapshotGuard(t); err != nil {
 		return err
 	}
-	if err := e.lockRow(ctx, t, store, rid, lock.X); err != nil {
+	if err := e.lockLeaf(ctx, t, store, lock.RowName(store, rid), lock.X); err != nil {
 		return err
 	}
 	f, err := e.fix(rid.Page, sync2.LatchEX)

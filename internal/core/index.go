@@ -217,44 +217,6 @@ func keyLockName(store uint32, key []byte) lock.Name {
 	return lock.RowName(store, page.RID{Page: page.ID(h & 0xffffffffff), Slot: uint16(h >> 48)})
 }
 
-// lockKey performs hierarchical key locking with escalation. Like
-// lockRow, a key lock the transaction already holds covers its whole
-// ancestry, so a re-probe of the same key is a single private cache
-// probe with no lock-table traffic.
-func (e *Engine) lockKey(ctx context.Context, t *tx.Tx, store uint32, key []byte, m lock.Mode) error {
-	if t.NoLock() {
-		// DORA sub-transaction: conflicting key accesses were already
-		// serialized by the owning partition's thread-local table.
-		return nil
-	}
-	if held, ok := t.Escalated(store); ok && lock.StrongerOrEqual(held, m) {
-		return nil
-	}
-	name := keyLockName(store, key)
-	if held := t.HeldMode(name); held != lock.NL && lock.StrongerOrEqual(held, m) {
-		t.HitLockCache()
-		return nil
-	}
-	intent := lock.Intention(m)
-	if err := e.acquire(ctx, t, lock.DatabaseName(), intent); err != nil {
-		return err
-	}
-	if err := e.acquire(ctx, t, lock.StoreName(store), intent); err != nil {
-		return err
-	}
-	if e.cfg.EscalateAfter > 0 && t.CountRowLock(store) > e.cfg.EscalateAfter {
-		esc := lock.S
-		if m == lock.X {
-			esc = lock.X
-		}
-		if err := e.acquire(ctx, t, lock.StoreName(store), esc); err == nil {
-			t.MarkEscalated(store, esc)
-			return nil
-		}
-	}
-	return e.acquire(ctx, t, name, m)
-}
-
 // probeLockTable is the pre-§7.7 wasted work: every B-tree probe searched
 // the lock table even when the answer was not needed.
 func (e *Engine) probeLockTable(t *tx.Tx, store uint32, key []byte) {
@@ -276,7 +238,7 @@ func (e *Engine) IndexInsertCtx(ctx context.Context, t *tx.Tx, ix *Index, key, v
 	if err := snapshotGuard(t); err != nil {
 		return err
 	}
-	if err := e.lockKey(ctx, t, ix.store, key, lock.X); err != nil {
+	if err := e.lockLeaf(ctx, t, ix.store, keyLockName(ix.store, key), lock.X); err != nil {
 		return err
 	}
 	e.probeLockTable(t, ix.store, key)
@@ -297,7 +259,7 @@ func (e *Engine) IndexLookupCtx(ctx context.Context, t *tx.Tx, ix *Index, key []
 	if t != nil && t.IsSnapshot() {
 		return e.indexLookupSnapshot(t, ix, key)
 	}
-	if err := e.lockKey(ctx, t, ix.store, key, lock.S); err != nil {
+	if err := e.lockLeaf(ctx, t, ix.store, keyLockName(ix.store, key), lock.S); err != nil {
 		return nil, false, err
 	}
 	e.probeLockTable(t, ix.store, key)
@@ -319,7 +281,7 @@ func (e *Engine) IndexLookupForUpdateCtx(ctx context.Context, t *tx.Tx, ix *Inde
 	if err := snapshotGuard(t); err != nil {
 		return nil, false, err
 	}
-	if err := e.lockKey(ctx, t, ix.store, key, lock.X); err != nil {
+	if err := e.lockLeaf(ctx, t, ix.store, keyLockName(ix.store, key), lock.X); err != nil {
 		return nil, false, err
 	}
 	e.probeLockTable(t, ix.store, key)
@@ -340,7 +302,7 @@ func (e *Engine) IndexUpdateCtx(ctx context.Context, t *tx.Tx, ix *Index, key, v
 	if err := snapshotGuard(t); err != nil {
 		return err
 	}
-	if err := e.lockKey(ctx, t, ix.store, key, lock.X); err != nil {
+	if err := e.lockLeaf(ctx, t, ix.store, keyLockName(ix.store, key), lock.X); err != nil {
 		return err
 	}
 	e.probeLockTable(t, ix.store, key)
@@ -361,7 +323,7 @@ func (e *Engine) IndexDeleteCtx(ctx context.Context, t *tx.Tx, ix *Index, key []
 	if err := snapshotGuard(t); err != nil {
 		return nil, err
 	}
-	if err := e.lockKey(ctx, t, ix.store, key, lock.X); err != nil {
+	if err := e.lockLeaf(ctx, t, ix.store, keyLockName(ix.store, key), lock.X); err != nil {
 		return nil, err
 	}
 	e.probeLockTable(t, ix.store, key)

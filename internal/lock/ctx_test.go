@@ -13,7 +13,7 @@ import (
 // waiter's context must unblock it well inside 100ms, and the error must
 // carry both ErrCanceled and context.Canceled.
 func TestCancelUnblocksLockWait(t *testing.T) {
-	m := NewManager(Options{DefaultTimeout: 5 * time.Second, DetectDeadlock: true})
+	m := NewManager(Options{DefaultTimeout: 5 * time.Second})
 	n := RowName(1, page.RID{Page: 1, Slot: 1})
 	if err := m.Lock(context.Background(), 1, n, X, 0); err != nil {
 		t.Fatal(err)

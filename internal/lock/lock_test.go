@@ -18,7 +18,6 @@ func newTestManager(t TableMode, p PoolKind) *Manager {
 		Table:          t,
 		Pool:           p,
 		DefaultTimeout: 200 * time.Millisecond,
-		DetectDeadlock: true,
 	})
 }
 
@@ -283,7 +282,7 @@ func TestDeadlockDetection(t *testing.T) {
 	m.Unlock(1, b)
 }
 
-func TestTimeoutWithoutDetector(t *testing.T) {
+func TestTimeout(t *testing.T) {
 	m := NewManager(Options{Buckets: 16, DefaultTimeout: 50 * time.Millisecond})
 	n := StoreName(1)
 	if err := m.Lock(context.Background(), 1, n, X, 0); err != nil {

@@ -51,7 +51,6 @@ type Options struct {
 	Table          TableMode     // latch granularity
 	Pool           PoolKind      // request pool implementation
 	DefaultTimeout time.Duration // wait bound; 0 means 500ms
-	DetectDeadlock bool          // waits-for cycle detection before blocking
 }
 
 // Stats reports lock-manager activity.
@@ -253,9 +252,7 @@ func hasWaiters(h *lockHead, exclude *request) bool {
 // producing false deadlock cycles.
 func (h *lockHead) grantWaiters(m *Manager) {
 	grant := func(r *request) {
-		if m.opts.DetectDeadlock {
-			m.clearEdges(r.txID.Load())
-		}
+		m.clearEdges(r.txID.Load())
 		if r.wake != nil {
 			close(r.wake)
 			r.wake = nil
@@ -420,39 +417,20 @@ const (
 // wait blocks txID's request until granted, deadlock, timeout or ctx
 // cancellation.
 //
-// With deadlock detection on, the wait is a poll loop: every detectPoll
-// the waiter re-derives its blockers from the live queue under the
-// bucket latch and replaces its waits-for edges, then re-runs cycle
-// detection. Deriving edges from current state (rather than a snapshot
-// taken at enqueue) is what keeps the graph honest — snapshots go stale
-// as earlier waiters are granted and re-queue, and a stale edge can both
-// fabricate cycles (spurious victims) and hide real ones (timeout
-// storms). A cycle must survive two consecutive accurate snapshots
-// before its designated victim (largest txID: youngest-dies, so retry
-// loops cannot livelock on mutual victimization) backs out; a
-// non-victim that sees the cycle outlive many polls aborts itself as a
-// fallback rather than stalling until the lock timeout.
+// The wait is a poll loop: every detectPoll the waiter re-derives its
+// blockers from the live queue under the bucket latch and replaces its
+// waits-for edges, then re-runs cycle detection. Deriving edges from
+// current state (rather than a snapshot taken at enqueue) is what keeps
+// the graph honest — snapshots go stale as earlier waiters are granted
+// and re-queue, and a stale edge can both fabricate cycles (spurious
+// victims) and hide real ones (timeout storms). A cycle must survive two
+// consecutive accurate snapshots before its designated victim (largest
+// txID: youngest-dies, so retry loops cannot livelock on mutual
+// victimization) backs out; a non-victim that sees the cycle outlive many
+// polls aborts itself as a fallback rather than stalling until the lock
+// timeout.
 func (m *Manager) wait(ctx context.Context, txID uint64, name Name, r *request, wake chan struct{}, blockers []uint64, timeout time.Duration, conversion bool) error {
 	m.waits.Add(1)
-	if !m.opts.DetectDeadlock {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		select {
-		case <-wake:
-			m.acquires.Add(1)
-			return nil
-		case <-ctx.Done():
-			return m.cancelFor(ctx, txID, name, r, wake, conversion)
-		case <-timer.C:
-			if m.finishWait(name, r, wake, conversion) {
-				m.acquires.Add(1)
-				return nil // the grant raced the timer: keep the lock
-			}
-			m.timeouts.Add(1)
-			return fmt.Errorf("%w: tx %d on %v after %v", ErrTimeout, txID, name, timeout)
-		}
-	}
-
 	defer m.clearEdges(txID)
 	m.setEdges(txID, blockers)
 	deadline := time.Now().Add(timeout)

@@ -8,7 +8,7 @@ import (
 )
 
 func sliManager() *Manager {
-	return NewManager(Options{Table: TablePerBucket, Pool: PoolLockFree, DetectDeadlock: true})
+	return NewManager(Options{Table: TablePerBucket, Pool: PoolLockFree})
 }
 
 func TestInheritAndClaim(t *testing.T) {

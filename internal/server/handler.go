@@ -44,48 +44,27 @@ func (s *Server) serve(t *task) {
 	sess.reply(status, flags, sess.body.B)
 }
 
-// exec dispatches the request; on error the message is left in
-// sess.body and the status/flags describe it.
-func (s *Server) exec(sess *session, req wire.Request) (wire.Status, uint8) {
-	fail := func(status wire.Status, flags uint8, err error) (wire.Status, uint8) {
-		sess.body.B = append(sess.body.B[:0], err.Error()...)
-		return status, flags
-	}
-	switch req.Op {
-	case wire.OpBegin:
-		if len(req.Body) != 0 {
-			return fail(wire.StatusProto, 0, fmt.Errorf("begin: non-empty body"))
-		}
-		if sess.tx != nil {
-			return fail(wire.StatusTxOpen, 0, errors.New("transaction already open"))
-		}
-		if !s.acquireTxToken() {
-			s.st.sheds.Add(1)
-			return fail(wire.StatusBusy, 0, errors.New("open-transaction limit reached"))
-		}
-		tx, err := s.db.BeginCtx(s.baseCtx)
-		if err != nil {
-			s.releaseTxToken()
-			return fail(statusOf(err), 0, err)
-		}
-		sess.setTx(tx)
-		return wire.StatusOK, 0
+// fail leaves err's message in sess.body and returns the status and flags
+// that describe it.
+func (sess *session) fail(status wire.Status, flags uint8, err error) (wire.Status, uint8) {
+	sess.body.B = append(sess.body.B[:0], err.Error()...)
+	return status, flags
+}
 
-	case wire.OpCommit:
-		if sess.tx == nil {
-			return fail(wire.StatusNoTx, 0, errors.New("no open transaction"))
-		}
-		err := sess.tx.Commit()
-		if err != nil {
-			flags := sess.abortTx()
-			return fail(statusOf(err), flags, err)
-		}
-		sess.setTx(nil)
-		return wire.StatusOK, 0
+// exec dispatches the request; on error the message is left in
+// sess.body and the status/flags describe it. Only OpBatch and OpRollback
+// touch the session's transaction (DDL runs inside it when one is open):
+//
+//	no tx ──batch with Begin──▶ open ──batch with Commit │ Rollback │
+//	                                   abort-worthy failure │ disconnect──▶ no tx
+func (s *Server) exec(sess *session, req wire.Request) (wire.Status, uint8) {
+	switch req.Op {
+	case wire.OpBatch:
+		return s.execBatch(sess, req.Body)
 
 	case wire.OpRollback:
 		if sess.tx == nil {
-			return fail(wire.StatusNoTx, 0, errors.New("no open transaction"))
+			return sess.fail(wire.StatusNoTx, 0, errors.New("no open transaction"))
 		}
 		sess.abortTx()
 		return wire.StatusOK, 0
@@ -97,11 +76,11 @@ func (s *Server) exec(sess *session, req wire.Request) (wire.Status, uint8) {
 		d := wire.NewDec(req.Body)
 		name := d.Str()
 		if err := d.Done(); err != nil {
-			return fail(wire.StatusProto, 0, err)
+			return sess.fail(wire.StatusProto, 0, err)
 		}
 		e, ok := s.resolve(name)
 		if !ok {
-			return fail(wire.StatusNotFound, 0, fmt.Errorf("catalog: %q not registered", name))
+			return sess.fail(wire.StatusNotFound, 0, fmt.Errorf("catalog: %q not registered", name))
 		}
 		sess.body.U32(e.id)
 		sess.body.U8(e.kind)
@@ -114,35 +93,13 @@ func (s *Server) exec(sess *session, req wire.Request) (wire.Status, uint8) {
 		}
 		b, err := json.Marshal(payload)
 		if err != nil {
-			return fail(wire.StatusErr, 0, err)
+			return sess.fail(wire.StatusErr, 0, err)
 		}
 		sess.body.B = append(sess.body.B, b...)
 		return wire.StatusOK, 0
-
-	case wire.OpBatch:
-		return s.execBatch(sess, req.Body)
-
-	default: // single data op on the session transaction
-		var op wire.DataOp
-		d := wire.NewDec(req.Body)
-		if err := wire.DecodeDataOp(d, req.Op, &op); err != nil {
-			return fail(wire.StatusProto, 0, err)
-		}
-		if err := d.Done(); err != nil {
-			return fail(wire.StatusProto, 0, err)
-		}
-		if sess.tx == nil {
-			return fail(wire.StatusNoTx, 0, errors.New("no open transaction (use Begin or a managed batch)"))
-		}
-		if err := s.execDataOp(sess.tx, &op, &sess.body); err != nil {
-			var flags uint8
-			if abortWorthy(err) {
-				flags = sess.abortTx()
-			}
-			return fail(statusOf(err), flags, err)
-		}
-		return wire.StatusOK, 0
 	}
+	// ParseRequest lets no other opcode through.
+	return sess.fail(wire.StatusProto, 0, fmt.Errorf("%w: opcode %v", wire.ErrMalformed, req.Op))
 }
 
 // execCreate runs DDL: inside the session transaction when one is
@@ -174,27 +131,23 @@ func (s *Server) execCreate(sess *session, op wire.Op) (wire.Status, uint8) {
 	}
 	if err != nil {
 		var flags uint8
-		if sess.tx != nil && abortWorthy(err) {
+		if abortWorthy(err) {
 			flags = sess.abortTx()
 		}
-		sess.body.B = append(sess.body.B[:0], err.Error()...)
-		return statusOf(err), flags
+		return sess.fail(statusOf(err), flags, err)
 	}
 	sess.body.U32(id)
 	return wire.StatusOK, 0
 }
 
-// execBatch runs an OpBatch body: a whole transaction (or fragment) in
-// one frame.
+// execBatch runs an OpBatch body — a whole transaction, or a fragment of
+// the session's — and is the one place a session's transaction begins,
+// runs data ops and commits.
 func (s *Server) execBatch(sess *session, body []byte) (wire.Status, uint8) {
 	s.st.batches.Add(1)
-	fail := func(status wire.Status, flags uint8, err error) (wire.Status, uint8) {
-		sess.body.B = append(sess.body.B[:0], err.Error()...)
-		return status, flags
-	}
 	batch, err := wire.DecodeBatch(body)
 	if err != nil {
-		return fail(wire.StatusProto, 0, err)
+		return sess.fail(wire.StatusProto, 0, err)
 	}
 	run := func(t *shoremt.Tx) error {
 		sess.body.B = sess.body.B[:0] // managed retry re-runs the ops
@@ -205,62 +158,60 @@ func (s *Server) execBatch(sess *session, body []byte) (wire.Status, uint8) {
 		}
 		return nil
 	}
+	begin, commit := batch.Flags&wire.BatchBegin != 0, batch.Flags&wire.BatchCommit != 0
+	// A batch that starts a transaction needs the session to have none; a
+	// fragment needs the one that is open.
+	if starts := startsTx(batch.Flags); starts && sess.tx != nil {
+		return sess.fail(wire.StatusTxOpen, 0, errors.New("transaction already open"))
+	} else if !starts && sess.tx == nil {
+		return sess.fail(wire.StatusNoTx, 0, errors.New("batch with no open transaction"))
+	}
 	switch batch.Flags & wire.BatchModeMask {
-	case wire.BatchUpdate, wire.BatchView:
-		if sess.tx != nil {
-			return fail(wire.StatusTxOpen, 0, errors.New("managed batch with an explicit transaction open"))
-		}
-		if batch.Flags&wire.BatchModeMask == wire.BatchView {
-			err = s.db.View(s.baseCtx, run)
-		} else {
-			err = s.db.Update(s.baseCtx, run)
-		}
-		if err != nil {
-			return fail(statusOf(err), 0, err)
-		}
-		return wire.StatusOK, 0
-
+	case wire.BatchUpdate:
+		err = s.db.Update(s.baseCtx, run)
+	case wire.BatchView:
+		err = s.db.View(s.baseCtx, run)
 	default: // session mode
-		if batch.Flags&wire.BatchBegin != 0 {
-			if sess.tx != nil {
-				return fail(wire.StatusTxOpen, 0, errors.New("batch Begin with a transaction already open"))
-			}
+		if begin {
 			if !s.acquireTxToken() {
 				s.st.sheds.Add(1)
-				return fail(wire.StatusBusy, 0, errors.New("open-transaction limit reached"))
+				return sess.fail(wire.StatusBusy, 0, errors.New("open-transaction limit reached"))
 			}
 			tx, err := s.db.BeginCtx(s.baseCtx)
 			if err != nil {
 				s.releaseTxToken()
-				return fail(statusOf(err), 0, err)
+				return sess.fail(statusOf(err), 0, err)
 			}
 			sess.setTx(tx)
 		}
-		if sess.tx == nil {
-			return fail(wire.StatusNoTx, 0, errors.New("batch with no open transaction"))
-		}
-		if err := run(sess.tx); err != nil {
-			var flags uint8
-			// A commit-bound batch rolls back on ANY failure so the
-			// client can always retry the whole unit of work; a
-			// fragment only rolls back when the engine already killed
-			// the transaction (deadlock victim, timeout, cancellation).
-			if abortWorthy(err) || batch.Flags&wire.BatchCommit != 0 {
-				flags = sess.abortTx()
+		if err = run(sess.tx); err == nil && commit {
+			if err = sess.tx.Commit(); err == nil {
+				sess.setTx(nil)
 			}
-			return fail(statusOf(err), flags, err)
 		}
-		if batch.Flags&wire.BatchCommit != 0 {
-			result := append([]byte(nil), sess.body.B...)
-			if err := sess.tx.Commit(); err != nil {
-				flags := sess.abortTx()
-				return fail(statusOf(err), flags, err)
-			}
-			sess.setTx(nil)
-			sess.body.B = append(sess.body.B[:0], result...)
-		}
-		return wire.StatusOK, 0
 	}
+	if err != nil {
+		// A batch that began the session's transaction or was to commit
+		// it rolls back on ANY failure: the first leaves the client no
+		// handle to roll back with, and either way the whole unit of work
+		// can simply be retried. A fragment in between only rolls back
+		// when the engine already killed the transaction (deadlock
+		// victim, timeout, cancellation). A managed batch has nothing
+		// open here: abortTx is a no-op for it.
+		var flags uint8
+		if begin || commit || abortWorthy(err) {
+			flags = sess.abortTx()
+		}
+		return sess.fail(statusOf(err), flags, err)
+	}
+	return wire.StatusOK, 0
+}
+
+// startsTx reports whether a batch with these flags runs in a transaction
+// it starts itself — a managed mode, or the session's with the begin bit —
+// as opposed to continuing the session's open one.
+func startsTx(flags uint8) bool {
+	return flags&wire.BatchModeMask != wire.BatchSession || flags&wire.BatchBegin != 0
 }
 
 // execDataOp runs one data op inside t, appending its result encoding

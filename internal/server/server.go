@@ -8,11 +8,12 @@
 //     its life blocked in Read, so connection counts can far exceed
 //     GOMAXPROCS);
 //   - a bounded admission queue in front of a GOMAXPROCS-scaled worker
-//     pool executes requests that START new work (Begin, managed
-//     batches, DDL). When the queue — or the open-transaction budget
-//     (Options.MaxTx) — is full, those are refused immediately with
-//     StatusBusy: load is shed at the transaction boundary instead of
-//     being absorbed until the server collapses;
+//     pool executes requests that START new work (a batch with the
+//     begin bit, managed batches, DDL). When the queue — or the
+//     open-transaction budget (Options.MaxTx) — is full, those are
+//     refused immediately with StatusBusy: load is shed at the
+//     transaction boundary instead of being absorbed until the server
+//     collapses;
 //   - requests that CONTINUE an admitted transaction are never shed or
 //     queued — they execute inline on the connection's reader
 //     goroutine. This is load-bearing, not just a latency trick:
@@ -49,7 +50,7 @@ type Options struct {
 	// requests arriving with the queue full are shed with StatusBusy.
 	QueueDepth int
 	// MaxTx bounds concurrently open explicit transactions (0 =
-	// 4×QueueDepth). A Begin past the bound is shed with StatusBusy:
+	// 4×QueueDepth). A BatchBegin past the bound is shed with StatusBusy:
 	// the lock footprint of admitted-but-unfinished transactions stays
 	// bounded no matter how many connections are parked on open
 	// transactions.

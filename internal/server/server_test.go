@@ -51,6 +51,13 @@ func (ts *testServer) dial(t testing.TB) *client.Client {
 	return c
 }
 
+// run1 runs one recorded op inside tx: a single op is a one-op batch.
+func run1(ctx context.Context, tx *client.Tx, record func(b *client.Batch)) error {
+	b := client.NewBatch()
+	record(b)
+	return tx.Run(ctx, b)
+}
+
 func TestServerIndexCRUD(t *testing.T) {
 	ts := newTestServer(t, Options{})
 	c := ts.dial(t)
@@ -65,43 +72,58 @@ func TestServerIndexCRUD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.IndexInsert(ctx, store, []byte("alpha"), []byte("1")); err != nil {
+	insert := func(k, v string) error {
+		return run1(ctx, tx, func(b *client.Batch) { b.IndexInsert(store, []byte(k), []byte(v)) })
+	}
+	get := func(tx *client.Tx, k string, forUpdate bool) (*client.Lookup, error) {
+		var l *client.Lookup
+		err := run1(ctx, tx, func(b *client.Batch) {
+			if forUpdate {
+				l = b.IndexGetForUpdate(store, []byte(k))
+			} else {
+				l = b.IndexGet(store, []byte(k))
+			}
+		})
+		return l, err
+	}
+	if err := insert("alpha", "1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.IndexInsert(ctx, store, []byte("beta"), []byte("2")); err != nil {
+	if err := insert("beta", "2"); err != nil {
 		t.Fatal(err)
 	}
 	// A duplicate insert fails but does not kill the transaction.
-	if err := tx.IndexInsert(ctx, store, []byte("alpha"), []byte("x")); !errors.Is(err, client.ErrDuplicate) {
-		t.Fatalf("duplicate insert: got %v, want ErrDuplicate", err)
+	if err := insert("alpha", "x"); !errors.Is(err, client.ErrDuplicate) || client.IsAborted(err) {
+		t.Fatalf("duplicate insert: got %v, want ErrDuplicate with the transaction alive", err)
 	}
-	val, ok, err := tx.IndexGet(ctx, store, []byte("alpha"))
-	if err != nil || !ok || string(val) != "1" {
-		t.Fatalf("get alpha = %q %v %v", val, ok, err)
+	if l, err := get(tx, "alpha", false); err != nil || !l.Found || string(l.Value) != "1" {
+		t.Fatalf("get alpha = %+v %v", l, err)
 	}
-	val, ok, err = tx.IndexGetForUpdate(ctx, store, []byte("beta"))
-	if err != nil || !ok || string(val) != "2" {
-		t.Fatalf("get-for-update beta = %q %v %v", val, ok, err)
+	if l, err := get(tx, "beta", true); err != nil || !l.Found || string(l.Value) != "2" {
+		t.Fatalf("get-for-update beta = %+v %v", l, err)
 	}
-	if _, ok, err := tx.IndexGet(ctx, store, []byte("nope")); err != nil || ok {
-		t.Fatalf("get missing = %v %v", ok, err)
+	if l, err := get(tx, "nope", false); err != nil || l.Found || l.Value != nil {
+		t.Fatalf("get missing = %+v %v", l, err)
 	}
-	if err := tx.IndexUpdate(ctx, store, []byte("beta"), []byte("22")); err != nil {
+	if err := run1(ctx, tx, func(b *client.Batch) { b.IndexUpdate(store, []byte("beta"), []byte("22")) }); err != nil {
 		t.Fatal(err)
 	}
-	kvs, err := tx.IndexScan(ctx, store, nil, nil, 0)
-	if err != nil || len(kvs) != 2 {
-		t.Fatalf("scan = %d kvs, %v", len(kvs), err)
+	var scan *client.Scanned
+	if err := run1(ctx, tx, func(b *client.Batch) { scan = b.IndexScan(store, nil, nil, 0) }); err != nil || len(scan.KVs) != 2 {
+		t.Fatalf("scan = %+v, %v", scan, err)
 	}
-	if string(kvs[0].Key) != "alpha" || string(kvs[1].Value) != "22" {
+	if kvs := scan.KVs; string(kvs[0].Key) != "alpha" || string(kvs[1].Value) != "22" {
 		t.Fatalf("scan contents wrong: %q %q", kvs[0].Key, kvs[1].Value)
 	}
-	old, err := tx.IndexDelete(ctx, store, []byte("alpha"))
-	if err != nil || string(old) != "1" {
-		t.Fatalf("delete = %q %v", old, err)
+	var old *client.Deleted
+	if err := run1(ctx, tx, func(b *client.Batch) { old = b.IndexDelete(store, []byte("alpha")) }); err != nil || string(old.Old) != "1" {
+		t.Fatalf("delete = %+v %v", old, err)
 	}
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if err := tx.Commit(ctx); !errors.Is(err, client.ErrTxDone) {
+		t.Fatalf("second Commit: got %v, want ErrTxDone", err)
 	}
 
 	// A fresh transaction sees the committed state.
@@ -109,12 +131,11 @@ func TestServerIndexCRUD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := tx2.IndexGet(ctx, store, []byte("alpha")); ok {
-		t.Fatal("deleted key visible after commit")
+	if l, err := get(tx2, "alpha", false); err != nil || l.Found {
+		t.Fatalf("deleted key after commit = %+v %v", l, err)
 	}
-	val, ok, err = tx2.IndexGet(ctx, store, []byte("beta"))
-	if err != nil || !ok || string(val) != "22" {
-		t.Fatalf("beta after commit = %q %v %v", val, ok, err)
+	if l, err := get(tx2, "beta", false); err != nil || !l.Found || string(l.Value) != "22" {
+		t.Fatalf("beta after commit = %+v %v", l, err)
 	}
 	if err := tx2.Rollback(ctx); err != nil {
 		t.Fatal(err)
@@ -134,21 +155,25 @@ func TestServerHeapCRUD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := tx.HeapInsert(ctx, store, []byte("record one"))
-	if err != nil {
+	var ins *client.InsertedRID
+	if err := run1(ctx, tx, func(b *client.Batch) { ins = b.HeapInsert(store, []byte("record one")) }); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := tx.HeapGet(ctx, store, rid)
-	if err != nil || string(rec) != "record one" {
-		t.Fatalf("heap get = %q %v", rec, err)
+	rid := ins.RID
+	var rec *client.Lookup
+	if err := run1(ctx, tx, func(b *client.Batch) { rec = b.HeapGet(store, rid) }); err != nil || string(rec.Value) != "record one" {
+		t.Fatalf("heap get = %+v %v", rec, err)
 	}
-	if err := tx.HeapUpdate(ctx, store, rid, []byte("record two")); err != nil {
+	if err := run1(ctx, tx, func(b *client.Batch) { b.HeapUpdate(store, rid, []byte("record two")) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.HeapDelete(ctx, store, rid); err != nil {
+	if err := run1(ctx, tx, func(b *client.Batch) { rec = b.HeapGet(store, rid) }); err != nil || string(rec.Value) != "record two" {
+		t.Fatalf("heap get after update = %+v %v", rec, err)
+	}
+	if err := run1(ctx, tx, func(b *client.Batch) { b.HeapDelete(store, rid) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.HeapGet(ctx, store, rid); !errors.Is(err, client.ErrNoRecord) {
+	if err := run1(ctx, tx, func(b *client.Batch) { b.HeapGet(store, rid) }); !errors.Is(err, client.ErrNoRecord) {
 		t.Fatalf("get deleted rid: got %v, want ErrNoRecord", err)
 	}
 	if err := tx.Commit(ctx); err != nil {
@@ -313,7 +338,7 @@ func TestServerShedsOnQueueOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := htx.IndexGetForUpdate(ctx, store, []byte("hot")); err != nil {
+	if err := run1(ctx, htx, func(b *client.Batch) { b.IndexGetForUpdate(store, []byte("hot")) }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -389,7 +414,7 @@ func TestServerIdleReap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.IndexInsert(ctx, store, []byte("k"), []byte("v")); err != nil {
+	if err := run1(ctx, tx, func(b *client.Batch) { b.IndexInsert(store, []byte("k"), []byte("v")) }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -432,7 +457,7 @@ func TestServerRollbackOnDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.IndexInsert(ctx, store, []byte("mine"), []byte("v")); err != nil {
+	if err := run1(ctx, tx, func(b *client.Batch) { b.IndexInsert(store, []byte("mine"), []byte("v")) }); err != nil {
 		t.Fatal(err)
 	}
 	// Tear the connection down without Commit/Rollback.
@@ -474,7 +499,7 @@ func TestServerDrainingRefusesEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.IndexInsert(ctx, store, []byte("k"), []byte("v")); err != nil {
+	if err := run1(ctx, tx, func(b *client.Batch) { b.IndexInsert(store, []byte("k"), []byte("v")) }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -550,7 +575,7 @@ func TestServerBadSession(t *testing.T) {
 	defer conn.Close()
 
 	// An op before Hello is refused with StatusBadSession.
-	payload := wire.AppendRequest(nil, wire.OpBegin, 999, nil)
+	payload := wire.AppendRequest(nil, wire.OpRollback, 999, nil)
 	if err := wire.WriteFrame(conn, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -599,8 +624,25 @@ func TestServerTxStateErrors(t *testing.T) {
 		t.Fatalf("hello: %+v", hello)
 	}
 	sid := wire.NewDec(hello.Body).U32()
-	if resp := roundTrip(wire.OpCommit, sid, nil); resp.Status != wire.StatusNoTx {
+	var commit wire.Enc
+	if err := wire.AppendBatch(&commit, wire.BatchSession|wire.BatchCommit, nil); err != nil {
+		t.Fatal(err)
+	}
+	if resp := roundTrip(wire.OpBatch, sid, commit.B); resp.Status != wire.StatusNoTx {
 		t.Fatalf("commit without tx: %+v, want StatusNoTx", resp)
+	}
+	if resp := roundTrip(wire.OpRollback, sid, nil); resp.Status != wire.StatusNoTx {
+		t.Fatalf("rollback without tx: %+v, want StatusNoTx", resp)
+	}
+	// The retired begin/commit opcodes and a bare data op are refused as
+	// malformed, and the connection survives them.
+	for _, op := range []wire.Op{3, 4, wire.OpIdxGet} {
+		if resp := roundTrip(op, sid, nil); resp.Status != wire.StatusProto {
+			t.Fatalf("opcode %d as a request: %+v, want StatusProto", op, resp)
+		}
+	}
+	if resp := roundTrip(wire.OpPing, sid, nil); resp.Status != wire.StatusOK {
+		t.Fatalf("ping after refused opcodes: %+v", resp)
 	}
 
 	// Double Begin and managed-batch-with-open-tx via the client.

@@ -161,18 +161,15 @@ func (sess *session) readLoop() {
 }
 
 // entryRequest reports whether req starts new work (and is therefore
-// sheddable), as opposed to continuing an already-admitted transaction.
+// sheddable), as opposed to continuing an already-admitted transaction:
+// DDL, and every batch but a fragment of the session's open transaction.
 func entryRequest(req wire.Request) bool {
 	switch req.Op {
-	case wire.OpBegin, wire.OpCreateTable, wire.OpCreateIndex:
+	case wire.OpCreateTable, wire.OpCreateIndex:
 		return true
 	case wire.OpBatch:
-		if len(req.Body) == 0 {
-			return true // malformed; classify as entry, handler rejects
-		}
-		flags := req.Body[0]
-		return flags&wire.BatchModeMask != wire.BatchSession ||
-			flags&wire.BatchBegin != 0
+		// Malformed: classify as entry, the handler rejects it.
+		return len(req.Body) == 0 || startsTx(req.Body[0])
 	}
 	return false
 }

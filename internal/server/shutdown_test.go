@@ -8,6 +8,7 @@ import (
 	"time"
 
 	shoremt "repro"
+	"repro/client"
 	"repro/internal/disk"
 	"repro/internal/wal"
 	"repro/internal/waltest"
@@ -30,7 +31,7 @@ func TestServerForcedShutdownRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.IndexInsert(ctx, store, []byte("k"), []byte("v")); err != nil {
+	if err := run1(ctx, tx, func(b *client.Batch) { b.IndexInsert(store, []byte("k"), []byte("v")) }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,106 +83,93 @@ func TestServerServeAfterShutdown(t *testing.T) {
 // the flags it returns are the reply's.
 func TestServerInDoubtCommitIsNotReportedAborted(t *testing.T) {
 	key := []byte("k")
-	commitBatch := func(store uint32) []byte {
+	logStore := waltest.NewGateStore(wal.NewMemSegmentStore(0))
+	db, err := shoremt.OpenStores(disk.NewMem(0), logStore, shoremt.Options{
+		CleanerInterval: -1,
+		LockTimeout:     5 * time.Second, // the second transaction waits out the finisher, not this
+		Retry:           shoremt.RetryPolicy{MaxAttempts: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(db, Options{})
+	t.Cleanup(func() {
+		logStore.Open()
+		srv.Close()
+		db.Close()
+	})
+	ctx := context.Background()
+	var ix *shoremt.Index
+	if err := db.Update(ctx, func(tx *shoremt.Tx) (err error) {
+		if ix, err = db.CreateIndex(tx); err == nil {
+			err = ix.Insert(tx, key, []byte("old"))
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	batch := func(flags uint8, ops ...wire.DataOp) wire.Request {
 		var e wire.Enc
-		ops := []wire.DataOp{{Kind: wire.OpIdxUpdate, Store: store, Key: key, Val: []byte("new")}}
-		if err := wire.AppendBatch(&e, wire.BatchSession|wire.BatchCommit, ops); err != nil {
+		if err := wire.AppendBatch(&e, flags, ops); err != nil {
 			t.Fatal(err)
 		}
-		return e.B
+		return wire.Request{Op: wire.OpBatch, Body: e.B}
 	}
-	for _, path := range []string{"OpCommit", "BatchCommit"} {
-		t.Run(path, func(t *testing.T) {
-			logStore := waltest.NewGateStore(wal.NewMemSegmentStore(0))
-			db, err := shoremt.OpenStores(disk.NewMem(0), logStore, shoremt.Options{
-				CleanerInterval: -1,
-				LockTimeout:     5 * time.Second, // the second transaction waits out the finisher, not this
-				Retry:           shoremt.RetryPolicy{MaxAttempts: 1},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := New(db, Options{})
-			t.Cleanup(func() {
-				logStore.Open()
-				srv.Close()
-				db.Close()
-			})
-			ctx := context.Background()
-			var ix *shoremt.Index
-			if err := db.Update(ctx, func(tx *shoremt.Tx) (err error) {
-				if ix, err = db.CreateIndex(tx); err == nil {
-					err = ix.Insert(tx, key, []byte("old"))
-				}
-				return err
-			}); err != nil {
-				t.Fatal(err)
-			}
+	sess := &session{srv: srv}
+	update := wire.DataOp{Kind: wire.OpIdxUpdate, Store: ix.ID(), Key: key, Val: []byte("new")}
+	if status, _ := srv.exec(sess, batch(wire.BatchSession|wire.BatchBegin, update)); status != wire.StatusOK {
+		t.Fatalf("begin batch: %v (%s)", status, sess.body.B)
+	}
 
-			sess := &session{srv: srv}
-			tx, err := db.BeginCtx(srv.baseCtx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sess.setTx(tx)
-			req := wire.Request{Op: wire.OpBatch, Body: commitBatch(ix.ID())}
-			if path == "OpCommit" {
-				if err := ix.Update(tx, key, []byte("new")); err != nil {
-					t.Fatal(err)
-				}
-				req = wire.Request{Op: wire.OpCommit}
-			}
+	parked := logStore.Shut()
+	type reply struct {
+		status wire.Status
+		flags  uint8
+	}
+	replied := make(chan reply, 1)
+	go func() {
+		status, flags := srv.exec(sess, batch(wire.BatchSession|wire.BatchCommit))
+		replied <- reply{status, flags}
+	}()
+	<-parked // the commit record is in the store, unsynced: the wait is on
+	// Shutdown with no drain window cancels the wait.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := <-replied
+	if r.status != wire.StatusCanceled {
+		t.Fatalf("status = %v (%s), want StatusCanceled", r.status, sess.body.B)
+	}
+	if r.flags&wire.FlagTxAborted != 0 {
+		t.Fatal("an in-doubt commit was reported as rolled back")
+	}
+	if sess.tx != nil {
+		t.Fatal("the session kept the in-doubt transaction")
+	}
 
-			parked := logStore.Shut()
-			type reply struct {
-				status wire.Status
-				flags  uint8
-			}
-			replied := make(chan reply, 1)
-			go func() {
-				status, flags := srv.exec(sess, req)
-				replied <- reply{status, flags}
-			}()
-			<-parked // the commit record is in the store, unsynced: the wait is on
-			// Shutdown with no drain window cancels the wait.
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
-			r := <-replied
-			if r.status != wire.StatusCanceled {
-				t.Fatalf("status = %v (%s), want StatusCanceled", r.status, sess.body.B)
-			}
-			if r.flags&wire.FlagTxAborted != 0 {
-				t.Fatal("an in-doubt commit was reported as rolled back")
-			}
-			if sess.tx != nil {
-				t.Fatal("the session kept the in-doubt transaction")
-			}
-
-			logStore.Open()
-			// A second transaction gets the row's lock — once the detached
-			// finisher has released it — and finds the commit applied.
-			if err := db.Update(ctx, func(tx *shoremt.Tx) error {
-				v, ok, err := ix.GetForUpdate(tx, key)
-				if err == nil && (!ok || string(v) != "new") {
-					err = errors.New("row = " + string(v) + ", want the committed value")
-				}
-				return err
-			}); err != nil {
-				t.Fatalf("after the flush landed: %v", err)
-			}
-			// The finisher retires the transaction just after it lets the
-			// locks go.
-			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-				st := db.Stats()
-				if st.Lock.LiveRequests == 0 && st.Tx.Begins == st.Tx.Commits+st.Tx.Aborts {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("left behind: %d live lock requests, begins=%d commits=%d aborts=%d",
-						st.Lock.LiveRequests, st.Tx.Begins, st.Tx.Commits, st.Tx.Aborts)
-				}
-			}
-		})
+	logStore.Open()
+	// A second transaction gets the row's lock — once the detached
+	// finisher has released it — and finds the commit applied.
+	if err := db.Update(ctx, func(tx *shoremt.Tx) error {
+		v, ok, err := ix.GetForUpdate(tx, key)
+		if err == nil && (!ok || string(v) != "new") {
+			err = errors.New("row = " + string(v) + ", want the committed value")
+		}
+		return err
+	}); err != nil {
+		t.Fatalf("after the flush landed: %v", err)
+	}
+	// The finisher retires the transaction just after it lets the
+	// locks go.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := db.Stats()
+		if st.Lock.LiveRequests == 0 && st.Tx.Begins == st.Tx.Commits+st.Tx.Aborts {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("left behind: %d live lock requests, begins=%d commits=%d aborts=%d",
+				st.Lock.LiveRequests, st.Tx.Begins, st.Tx.Commits, st.Tx.Aborts)
+		}
 	}
 }

@@ -71,7 +71,7 @@ func TestServerDisconnectStress(t *testing.T) {
 					return
 				}
 				key := []byte(fmt.Sprintf("k-%03d-%03d", r, i))
-				if err := tx.IndexInsert(ctx, store, key, []byte("v")); err != nil {
+				if err := run1(ctx, tx, func(b *client.Batch) { b.IndexInsert(store, key, []byte("v")) }); err != nil {
 					errCh <- err
 					return
 				}

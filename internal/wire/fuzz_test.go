@@ -48,7 +48,8 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzParseRequest hammers the payload parser directly.
 func FuzzParseRequest(f *testing.F) {
-	f.Add(AppendRequest(nil, OpIdxGet, 3, []byte("key")))
+	f.Add(AppendRequest(nil, OpIdxGet, 3, []byte("key"))) // an entry kind: refused
+	f.Add(AppendRequest(nil, OpResolve, 3, []byte("name")))
 	f.Add([]byte{Version, byte(OpBatch), 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

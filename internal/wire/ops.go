@@ -12,8 +12,7 @@ type RID struct {
 	Slot uint16
 }
 
-// DataOp is one data operation: a single-op request body, or one entry
-// of a batch. Field use by kind:
+// DataOp is one data operation: one entry of a batch. Field use by kind:
 //
 //	OpHeapInsert: Store, Val
 //	OpHeapGet/OpHeapDelete: Store, RID
@@ -30,8 +29,8 @@ type DataOp struct {
 	Limit uint32
 }
 
-// DataOpKind reports whether op names a data operation that may appear
-// in a batch (or as a single request with an implied kind).
+// DataOpKind reports whether op names a data operation, the only kinds
+// that may appear in a batch.
 func DataOpKind(op Op) bool {
 	switch op {
 	case OpHeapInsert, OpHeapGet, OpHeapUpdate, OpHeapDelete,
@@ -146,6 +145,9 @@ func AppendBatch(e *Enc, flags uint8, ops []DataOp) error {
 func DecodeBatch(body []byte) (Batch, error) {
 	d := NewDec(body)
 	b := Batch{Flags: d.U8()}
+	if b.Flags&BatchModeMask > BatchView {
+		return b, fmt.Errorf("%w: batch mode %d", ErrMalformed, b.Flags&BatchModeMask)
+	}
 	n := int(d.U16())
 	if n > MaxBatchOps {
 		return b, fmt.Errorf("%w: %d batch ops", ErrTooLarge, n)

@@ -22,7 +22,22 @@
 // status is an error code, and the body is a UTF-8 message (possibly
 // empty). FlagTxAborted reports that the session's open transaction was
 // rolled back as a side effect of the error (deadlock victims, lock
-// timeouts and failed commits), so the client knows not to send Rollback.
+// timeouts, and any failure of a batch that began the transaction or was
+// to commit it), so the client knows not to send Rollback.
+//
+// One request shape works inside a transaction: OpBatch, whose body is
+//
+//	| u8 flags | u16 n | n × ( u8 kind | op body ) |
+//
+// The flags pick a mode — a server-managed transaction (BatchUpdate,
+// BatchView) or the session's explicit one (BatchSession) — and, in
+// session mode, whether to begin before the first op (BatchBegin) and
+// commit after the last (BatchCommit). n may be zero: begin is an empty
+// batch with BatchBegin, commit an empty one with BatchCommit, a single
+// op a batch of one. The kinds (OpHeapInsert … OpIdxGetU) share the Op
+// number space with the request opcodes but are not requests; the
+// remaining requests are OpHello, OpPing, OpResolve, OpStats, DDL
+// (OpCreateTable, OpCreateIndex) and OpRollback.
 package wire
 
 import (
@@ -60,14 +75,15 @@ var (
 // Op identifies a request type.
 type Op uint8
 
-// Request opcodes.
+// Opcodes: the requests (see Valid) and, in the same number space, the
+// kinds of a batch entry (see DataOpKind). Values are never renumbered.
 const (
 	OpInvalid  Op = iota
 	OpHello       // open a session; response body: u32 session id
 	OpPing        // liveness probe; empty body
-	OpBegin       // begin the session's explicit transaction
-	OpCommit      // commit it
-	OpRollback    // roll it back
+	_             // retired: begin (now an OpBatch with BatchBegin)
+	_             // retired: commit (now an OpBatch with BatchCommit)
+	OpRollback    // roll the session's transaction back
 	OpCreateTable
 	OpCreateIndex
 	OpResolve // catalog lookup: str name -> u32 id, u8 kind
@@ -87,12 +103,11 @@ const (
 	// for the keys they will write back: S-then-upgrade-to-X across a
 	// round trip deadlocks against any concurrent reader of the key.
 	OpIdxGetU
-	opMax
 )
 
 // String names the opcode.
 func (o Op) String() string {
-	names := [...]string{"invalid", "hello", "ping", "begin", "commit", "rollback",
+	names := [...]string{"invalid", "hello", "ping", "op3", "op4", "rollback",
 		"createTable", "createIndex", "resolve", "heapInsert", "heapGet",
 		"heapUpdate", "heapDelete", "idxInsert", "idxGet", "idxUpdate",
 		"idxDelete", "idxScan", "batch", "stats", "idxGetU"}
@@ -102,8 +117,16 @@ func (o Op) String() string {
 	return fmt.Sprintf("op%d", uint8(o))
 }
 
-// Valid reports whether o is a known opcode.
-func (o Op) Valid() bool { return o > OpInvalid && o < opMax }
+// Valid reports whether o is a request opcode. Batch entry kinds
+// (DataOpKind) and retired opcodes are not: ParseRequest refuses them.
+func (o Op) Valid() bool {
+	switch o {
+	case OpHello, OpPing, OpRollback, OpCreateTable, OpCreateIndex,
+		OpResolve, OpBatch, OpStats:
+		return true
+	}
+	return false
+}
 
 // Status encodes a response outcome.
 type Status uint8
@@ -121,8 +144,8 @@ const (
 	StatusNotFound   Status = 7
 	StatusNoRecord   Status = 8
 	StatusReadOnly   Status = 9
-	StatusTxOpen     Status = 10 // Begin with a transaction already open
-	StatusNoTx       Status = 11 // Commit/Rollback/op with no transaction
+	StatusTxOpen     Status = 10 // BatchBegin or a managed batch with a transaction open
+	StatusNoTx       Status = 11 // session batch or Rollback with no transaction
 	StatusProto      Status = 12 // malformed request
 	StatusTooLarge   Status = 13 // request or response exceeded MaxFrame
 	StatusClosing    Status = 14 // server is draining; no new transactions

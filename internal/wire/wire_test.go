@@ -9,7 +9,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	payload := AppendRequest(nil, OpIdxGet, 7, []byte{1, 2, 3})
+	payload := AppendRequest(nil, OpBatch, 7, []byte{1, 2, 3})
 	if err := WriteFrame(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Op != OpIdxGet || req.Session != 7 || !bytes.Equal(req.Body, []byte{1, 2, 3}) {
+	if req.Op != OpBatch || req.Session != 7 || !bytes.Equal(req.Body, []byte{1, 2, 3}) {
 		t.Fatalf("round trip mismatch: %+v", req)
 	}
 }
@@ -62,11 +62,14 @@ func TestWriteFrameTooLarge(t *testing.T) {
 
 func TestParseRequestRejects(t *testing.T) {
 	cases := [][]byte{
-		nil,                                // empty
-		{Version, byte(OpPing)},            // short header
-		{99, byte(OpPing), 0, 0, 0, 0},     // bad version
-		{Version, 0, 0, 0, 0, 0},           // invalid opcode 0
-		{Version, byte(opMax), 0, 0, 0, 0}, // invalid opcode high
+		nil,                            // empty
+		{Version, byte(OpPing)},        // short header
+		{99, byte(OpPing), 0, 0, 0, 0}, // bad version
+		{Version, 0, 0, 0, 0, 0},       // invalid opcode 0
+		{Version, byte(OpIdxGetU) + 1, 0, 0, 0, 0}, // invalid opcode high
+		{Version, 3, 0, 0, 0, 0},                   // retired: begin
+		{Version, 4, 0, 0, 0, 0},                   // retired: commit
+		{Version, byte(OpIdxGet), 0, 0, 0, 0},      // a batch entry kind, not a request
 	}
 	for i, p := range cases {
 		if _, err := ParseRequest(p); err == nil {
@@ -122,10 +125,11 @@ func TestBatchRoundTrip(t *testing.T) {
 func TestDecodeBatchRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		{0},                      // missing count
-		{0, 0xff, 0xff},          // count 65535 > MaxBatchOps
-		{0, 0, 1},                // one op, no kind
-		{0, 0, 1, byte(OpBegin)}, // non-data op in a batch
+		{0},                         // missing count
+		{0, 0xff, 0xff},             // count 65535 > MaxBatchOps
+		{0, 0, 1},                   // one op, no kind
+		{BatchModeMask, 0, 0},       // a mode that does not exist
+		{0, 0, 1, byte(OpRollback)}, // non-data op in a batch
 		{0, 0, 1, byte(OpIdxGet), 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}, // lying length prefix
 	}
 	for i, body := range cases {

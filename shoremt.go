@@ -231,9 +231,6 @@ type Options struct {
 	// Retry governs Update/View's automatic deadlock/timeout retry; the
 	// zero value selects the defaults (see RetryPolicy).
 	Retry RetryPolicy
-	// Advanced overrides the full component configuration; when non-nil it
-	// takes precedence over Stage.
-	Advanced *core.Config
 }
 
 // DB is an open database.
@@ -249,9 +246,6 @@ type DB struct {
 // config resolves opts into the engine's component configuration.
 func (opts Options) config() core.Config {
 	cfg := core.StageConfig(opts.Stage.coreStage())
-	if opts.Advanced != nil {
-		cfg = *opts.Advanced
-	}
 	if opts.BufferFrames > 0 {
 		cfg.Frames = opts.BufferFrames
 	}
