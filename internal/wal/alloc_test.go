@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/sync2"
@@ -102,5 +103,51 @@ func BenchmarkSegmentStoreAppend(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestScannerNextAllocs: the recovery read path allocates one buffer per
+// record and the Record itself. The header is read into the scanner's own
+// scratch, and the payloads point into the buffer instead of being copied
+// out of it.
+func TestScannerNextAllocs(t *testing.T) {
+	store := NewMemSegmentStore(MinSegmentBytes)
+	m := New(store, Options{Design: DesignCoupled})
+	const records = 200
+	var prev LSN
+	for i := 0; i < records; i++ {
+		rec := &Record{Type: RecUpdate, TxID: 3, PrevLSN: prev, Page: 9, Redo: make([]byte, 20+i%90), Undo: make([]byte, i%30)}
+		if i%3 == 2 {
+			rec.Type, rec.UndoNext, rec.Undo = RecCLR, prev, nil
+		}
+		lsn, err := m.Insert(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev = lsn
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if first, last := store.Segments(); first == last {
+		t.Fatal("the log fits one segment; the scan crosses no boundary")
+	}
+	n := 0
+	allocs := allocsIn(func() {
+		sc := NewScanner(store, NullLSN)
+		for n = 0; ; n++ {
+			if _, err := sc.Next(); err != nil {
+				if err != io.EOF {
+					t.Fatal(err)
+				}
+				return
+			}
+		}
+	})
+	if n != records {
+		t.Fatalf("scanned %d records, want %d", n, records)
+	}
+	if perRecord := (allocs - 1) / records; perRecord > 2 { // 1: the Scanner
+		t.Fatalf("Scanner.Next allocates %.2f objects per record, want at most 2", perRecord)
 	}
 }

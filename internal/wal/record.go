@@ -15,7 +15,10 @@
 //
 // LSNs are byte offsets into the log stream, so a reservation counter
 // doubles as the LSN generator and recovery can seek directly to any
-// record.
+// record. A record's frame (record.go) is a type byte, uvarint fields and
+// a CRC, with its back-links stored as distances from its own LSN; its
+// size therefore depends on the LSN it gets, and each design computes it
+// inside the reservation, at the candidate LSN.
 package wal
 
 import (
@@ -23,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"repro/internal/page"
 )
@@ -46,7 +50,9 @@ func (l LSN) String() string { return fmt.Sprintf("lsn:%d", uint64(l)) }
 // RecType identifies the kind of a log record.
 type RecType uint8
 
-// Log record types.
+// Log record types. The valid set is exactly the types the engine writes;
+// zero is never one, so zero fill fails as an invalid type. (9 was a page
+// format record: formats are updates with a page-op format kind.)
 const (
 	RecInvalid   RecType = iota
 	RecUpdate            // page update: redo + undo payloads
@@ -57,8 +63,10 @@ const (
 	RecTxEnd             // transaction fully finished (after rollback)
 	RecCkptBegin         // fuzzy checkpoint begin
 	RecCkptEnd           // fuzzy checkpoint end (carries tables)
-	RecFormat            // page format (redo-only)
 )
+
+// valid reports whether t is a type the engine writes.
+func (t RecType) valid() bool { return t >= RecUpdate && t <= RecCkptEnd }
 
 // String names the record type.
 func (t RecType) String() string {
@@ -79,8 +87,6 @@ func (t RecType) String() string {
 		return "ckpt-begin"
 	case RecCkptEnd:
 		return "ckpt-end"
-	case RecFormat:
-		return "format"
 	default:
 		return fmt.Sprintf("rec%d", uint8(t))
 	}
@@ -99,25 +105,32 @@ type Record struct {
 	Undo     []byte  // undo payload
 }
 
-// Wire format:
+// Wire format, one layout for every type:
 //
-//	u32 totalLen  (header + payloads + crc)
-//	u8  type
-//	u8  flags (reserved)
-//	u16 reserved
-//	u64 txid
-//	u64 prevLSN
-//	u64 page
-//	u64 undoNext
-//	u32 redoLen
-//	u32 undoLen
+//	u8      type
+//	uvarint txid
+//	uvarint LSN − prevLSN    (0: none)
+//	uvarint page
+//	uvarint LSN − undoNext   (0: none)
+//	uvarint redoLen
+//	uvarint undoLen
 //	... redo bytes, undo bytes
-//	u32 crc32 (over everything before the crc)
+//	u32     crc32c (over everything before the crc)
+//
+// There is no length field: the total follows from the two payload
+// lengths. A back-link always points to an earlier record, so a non-null
+// one is a positive distance, usually one or two bytes. Every uvarint is
+// minimal, so a record has exactly one encoding at a given LSN. The CRC is
+// CRC-32C: most records are under 64 bytes, below which the IEEE
+// polynomial has no hardware path on amd64 and costs more than the bytes
+// the frame saves; CRC-32C has one at any length.
 const (
-	recHeaderSize  = 4 + 1 + 1 + 2 + 8 + 8 + 8 + 8 + 4 + 4
 	recTrailerSize = 4
 	// MaxPayload bounds redo+undo so a record always fits in any buffer.
 	MaxPayload = 1 << 20
+	// maxHeaderSize is the widest header: the type, four 64-bit uvarints
+	// and two payload lengths of at most MaxPayload (3 bytes each).
+	maxHeaderSize = 1 + 4*binary.MaxVarintLen64 + 2*3
 )
 
 // Errors from encoding/decoding and from the store layer. ErrBadRecord
@@ -134,93 +147,142 @@ var (
 	ErrInvalidLSN     = errors.New("wal: invalid LSN")
 )
 
-// EncodedSize returns the on-log size of r.
-func (r *Record) EncodedSize() int {
-	return recHeaderSize + len(r.Redo) + len(r.Undo) + recTrailerSize
+// The ways a frame can be bad, each an ErrBadRecord. They are values, so
+// the scan that meets one allocates nothing to say so.
+var (
+	errTruncHeader = fmt.Errorf("%w: truncated header", ErrBadRecord)
+	errTruncBody   = fmt.Errorf("%w: truncated body", ErrBadRecord)
+	errBadTag      = fmt.Errorf("%w: invalid record type", ErrBadRecord)
+	errNonMinimal  = fmt.Errorf("%w: non-minimal or overflowing uvarint", ErrBadRecord)
+	errPayloadLen  = fmt.Errorf("%w: payload length past limit", ErrBadRecord)
+	errBadLink     = fmt.Errorf("%w: back-link before the start of the log", ErrBadRecord)
+	errBadCRC      = fmt.Errorf("%w: crc mismatch", ErrBadRecord)
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// uvarintLen is the length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// linkDelta is link's distance back from at, or 0 for NullLSN.
+func linkDelta(at, link LSN) uint64 {
+	if link == NullLSN {
+		return 0
+	}
+	return uint64(at - link)
 }
 
-// Encode serializes r into buf, which must be at least EncodedSize bytes,
-// and returns the number of bytes written.
-func (r *Record) Encode(buf []byte) (int, error) {
-	if r.tooLarge() {
-		return 0, ErrRecordTooLarge
-	}
-	total := r.EncodedSize()
-	if len(buf) < total {
-		return 0, fmt.Errorf("wal: encode buffer too small: %d < %d", len(buf), total)
-	}
-	r.put(buf[:total])
-	return total, nil
+// linkOK reports whether link can be stored in a record at at: none, or
+// a record between the log's start and at. Insert checks it up front.
+func linkOK(at, link LSN) bool { return link == NullLSN || (link >= logHeaderSize && link < at) }
+
+// sizeAt returns the on-log size of r at LSN at.
+func (r *Record) sizeAt(at LSN) int {
+	return 1 + uvarintLen(r.TxID) + uvarintLen(linkDelta(at, r.PrevLSN)) + uvarintLen(uint64(r.Page)) +
+		uvarintLen(linkDelta(at, r.UndoNext)) + uvarintLen(uint64(len(r.Redo))) + uvarintLen(uint64(len(r.Undo))) +
+		len(r.Redo) + len(r.Undo) + recTrailerSize
 }
+
+// maxSize returns r's widest frame, at any LSN: a back-link's distance
+// only grows with the LSN.
+func (r *Record) maxSize() int { return r.sizeAt(^LSN(0)) }
+
+// EncodedSize returns the on-log size of r at r.LSN.
+func (r *Record) EncodedSize() int { return r.sizeAt(r.LSN) }
 
 // tooLarge reports whether r's payloads exceed MaxPayload.
 func (r *Record) tooLarge() bool { return len(r.Redo)+len(r.Undo) > MaxPayload }
 
-// put serializes r into b, which is exactly EncodedSize bytes long; the
-// caller has ruled out tooLarge. It cannot fail, so a log manager may
-// call it on buffer space it can no longer give back.
+// put serializes r at r.LSN into b, which is exactly EncodedSize bytes
+// long; the caller has ruled out tooLarge and links that fail linkOK. It
+// cannot fail, so a log manager may call it on buffer space it can no
+// longer give back.
 func (r *Record) put(b []byte) {
-	total := len(b)
-	binary.LittleEndian.PutUint32(b[0:], uint32(total))
-	b[4] = byte(r.Type)
-	b[5] = 0
-	binary.LittleEndian.PutUint16(b[6:], 0)
-	binary.LittleEndian.PutUint64(b[8:], r.TxID)
-	binary.LittleEndian.PutUint64(b[16:], uint64(r.PrevLSN))
-	binary.LittleEndian.PutUint64(b[24:], uint64(r.Page))
-	binary.LittleEndian.PutUint64(b[32:], uint64(r.UndoNext))
-	binary.LittleEndian.PutUint32(b[40:], uint32(len(r.Redo)))
-	binary.LittleEndian.PutUint32(b[44:], uint32(len(r.Undo)))
-	copy(b[recHeaderSize:], r.Redo)
-	copy(b[recHeaderSize+len(r.Redo):], r.Undo)
-	crc := crc32.ChecksumIEEE(b[:total-recTrailerSize])
-	binary.LittleEndian.PutUint32(b[total-recTrailerSize:], crc)
+	b[0] = byte(r.Type)
+	n := 1
+	for _, v := range [...]uint64{r.TxID, linkDelta(r.LSN, r.PrevLSN), uint64(r.Page),
+		linkDelta(r.LSN, r.UndoNext), uint64(len(r.Redo)), uint64(len(r.Undo))} {
+		n += binary.PutUvarint(b[n:], v)
+	}
+	n += copy(b[n:], r.Redo)
+	n += copy(b[n:], r.Undo)
+	binary.LittleEndian.PutUint32(b[n:], crc32.Checksum(b[:n], castagnoli))
 }
 
-// DecodeRecord parses a record from the front of buf. It returns the
-// record and its encoded length. ErrBadRecord is returned for truncated or
-// corrupt input — recovery uses this to find the end of the log. Decoding
-// is strict: any accepted record re-encodes to exactly the input bytes, so
-// the CRC the encoder would produce always agrees with the one on the log.
-func DecodeRecord(buf []byte) (*Record, int, error) {
-	if len(buf) < recHeaderSize+recTrailerSize {
-		return nil, 0, fmt.Errorf("%w: truncated header", ErrBadRecord)
+// parseHeader reads the header of the record at at from the front of b,
+// which may end anywhere after it, into r, and returns the header's
+// length and the two payload lengths. The type comes first, so zero fill
+// fails there, before any length is trusted.
+func parseHeader(r *Record, b []byte, at LSN) (hdrLen, redoLen, undoLen int, err error) {
+	if len(b) == 0 {
+		return 0, 0, 0, errTruncHeader
 	}
-	total := int(binary.LittleEndian.Uint32(buf[0:]))
-	if total < recHeaderSize+recTrailerSize || total > recHeaderSize+MaxPayload+recTrailerSize {
-		return nil, 0, fmt.Errorf("%w: bad length %d", ErrBadRecord, total)
+	if r.Type = RecType(b[0]); !r.Type.valid() {
+		return 0, 0, 0, errBadTag
 	}
+	var f [6]uint64 // txid, prev distance, page, undo-next distance, redoLen, undoLen
+	hdrLen = 1
+	for i := range f {
+		x, n := binary.Uvarint(b[hdrLen:])
+		if n == 0 {
+			return 0, 0, 0, errTruncHeader
+		}
+		if n < 0 || (n > 1 && b[hdrLen+n-1] == 0) {
+			return 0, 0, 0, errNonMinimal
+		}
+		f[i], hdrLen = x, hdrLen+n
+	}
+	if f[4] > MaxPayload || f[5] > MaxPayload-f[4] {
+		return 0, 0, 0, errPayloadLen
+	}
+	for _, d := range [...]uint64{f[1], f[3]} {
+		if d != 0 && (at < logHeaderSize || d > uint64(at-logHeaderSize)) {
+			return 0, 0, 0, errBadLink
+		}
+	}
+	r.LSN, r.TxID, r.PrevLSN, r.Page, r.UndoNext = at, f[0], linkAt(at, f[1]), page.ID(f[2]), linkAt(at, f[3])
+	return hdrLen, int(f[4]), int(f[5]), nil
+}
+
+// linkAt turns a stored distance back into an LSN.
+func linkAt(at LSN, delta uint64) LSN {
+	if delta == 0 {
+		return NullLSN
+	}
+	return at - LSN(delta)
+}
+
+// frameSize is the total length of a record with this header.
+func frameSize(hdrLen, redoLen, undoLen int) int { return hdrLen + redoLen + undoLen + recTrailerSize }
+
+// DecodeRecord parses the record at LSN at from the front of buf. It
+// returns the record and its encoded length. ErrBadRecord is returned for
+// truncated or corrupt input — recovery uses this to find the end of the
+// log. Decoding is strict: any accepted record re-encodes at the same LSN
+// to exactly the input bytes, so the CRC the encoder would produce always
+// agrees with the one on the log.
+//
+// Redo and Undo are sub-slices of buf, clipped to their length: the
+// caller must not reuse buf while the record is in use.
+func DecodeRecord(buf []byte, at LSN) (*Record, int, error) {
+	r := new(Record)
+	hdrLen, redoLen, undoLen, err := parseHeader(r, buf, at)
+	if err != nil {
+		return nil, 0, err
+	}
+	total := frameSize(hdrLen, redoLen, undoLen)
 	if len(buf) < total {
-		return nil, 0, fmt.Errorf("%w: truncated body", ErrBadRecord)
+		return nil, 0, errTruncBody
 	}
-	b := buf[:total]
-	want := binary.LittleEndian.Uint32(b[total-recTrailerSize:])
-	if crc32.ChecksumIEEE(b[:total-recTrailerSize]) != want {
-		return nil, 0, fmt.Errorf("%w: crc mismatch", ErrBadRecord)
-	}
-	if t := RecType(b[4]); t == RecInvalid || t > RecFormat {
-		return nil, 0, fmt.Errorf("%w: unknown record type %d", ErrBadRecord, b[4])
-	}
-	if b[5] != 0 || binary.LittleEndian.Uint16(b[6:]) != 0 {
-		return nil, 0, fmt.Errorf("%w: nonzero reserved bytes", ErrBadRecord)
-	}
-	redoLen := int(binary.LittleEndian.Uint32(b[40:]))
-	undoLen := int(binary.LittleEndian.Uint32(b[44:]))
-	if recHeaderSize+redoLen+undoLen+recTrailerSize != total {
-		return nil, 0, fmt.Errorf("%w: inconsistent payload lengths", ErrBadRecord)
-	}
-	r := &Record{
-		Type:     RecType(b[4]),
-		TxID:     binary.LittleEndian.Uint64(b[8:]),
-		PrevLSN:  LSN(binary.LittleEndian.Uint64(b[16:])),
-		Page:     page.ID(binary.LittleEndian.Uint64(b[24:])),
-		UndoNext: LSN(binary.LittleEndian.Uint64(b[32:])),
+	body, redoEnd := total-recTrailerSize, hdrLen+redoLen
+	if crc32.Checksum(buf[:body], castagnoli) != binary.LittleEndian.Uint32(buf[body:]) {
+		return nil, 0, errBadCRC
 	}
 	if redoLen > 0 {
-		r.Redo = append([]byte(nil), b[recHeaderSize:recHeaderSize+redoLen]...)
+		r.Redo = buf[hdrLen:redoEnd:redoEnd]
 	}
 	if undoLen > 0 {
-		r.Undo = append([]byte(nil), b[recHeaderSize+redoLen:recHeaderSize+redoLen+undoLen]...)
+		r.Undo = buf[redoEnd:body:body]
 	}
 	return r, total, nil
 }

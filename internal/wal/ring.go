@@ -66,9 +66,10 @@ type ringLog struct {
 
 // reserver is a log design.
 type reserver interface {
-	// reserve claims ring bytes [r, r+size) for the caller, first getting
-	// room for them if the ring is full. On error nothing is held.
-	reserve(l *ringLog, size uint64, clr bool) (r uint64, err error)
+	// reserve claims ring bytes [r, r+size) for rec, first getting room
+	// for them if the ring is full. The size is rec's at r, so it is
+	// computed inside the reservation. On error nothing is held.
+	reserve(l *ringLog, rec *Record, clr bool) (r, size uint64, err error)
 	// publish moves copied past the record the caller has put at r, once
 	// every earlier record is there, and releases what reserve took.
 	publish(l *ringLog, r, size uint64, clr bool)
@@ -109,9 +110,10 @@ func newRingLog(store Store, bufSize int, d Design) *ringLog {
 // contention Figure 7's "baseline" suffers from.
 type coupled struct{ mu sync2.BlockingLock }
 
-func (p *coupled) reserve(l *ringLog, size uint64, _ bool) (uint64, error) {
+func (p *coupled) reserve(l *ringLog, rec *Record, _ bool) (uint64, uint64, error) {
 	p.mu.Lock()
-	r := l.head.Load()
+	r := l.head.Load() // fixed while mu is held
+	size := uint64(rec.sizeAt(LSN(r)))
 	if !l.fits(r, size, uint64(l.gc.get())) {
 		// Synchronous flush on the insert path — the defining flaw. It
 		// empties the ring: nothing is copied past r while mu is held.
@@ -119,10 +121,10 @@ func (p *coupled) reserve(l *ringLog, size uint64, _ bool) (uint64, error) {
 		l.drain()
 		if err := l.gc.failed(); err != nil {
 			p.mu.Unlock()
-			return 0, err
+			return 0, 0, err
 		}
 	}
-	return r, nil
+	return r, size, nil
 }
 
 func (p *coupled) publish(l *ringLog, r, size uint64, _ bool) {
@@ -151,19 +153,20 @@ type decoupled struct {
 	cachedTail uint64 // a past value of durable; guarded by insertMu
 }
 
-func (p *decoupled) reserve(l *ringLog, size uint64, clr bool) (r uint64, err error) {
+func (p *decoupled) reserve(l *ringLog, rec *Record, clr bool) (r, size uint64, err error) {
 	if clr {
 		p.compMu.Lock()
 	}
 	p.insertMu.Lock()
-	r = l.head.Load()
+	r = l.head.Load() // fixed while insertMu is held
+	size = uint64(rec.sizeAt(LSN(r)))
 	if !l.fits(r, size, p.cachedTail) {
 		if p.cachedTail, err = l.awaitSpace(r, size); err != nil {
 			p.release(clr)
-			return 0, err
+			return 0, 0, err
 		}
 	}
-	return r, nil
+	return r, size, nil
 }
 
 func (p *decoupled) publish(l *ringLog, r, size uint64, clr bool) {
@@ -197,21 +200,22 @@ type consolidated struct {
 	publishSpins atomic.Uint64
 }
 
-func (p *consolidated) reserve(l *ringLog, size uint64, _ bool) (uint64, error) {
+func (p *consolidated) reserve(l *ringLog, rec *Record, _ bool) (uint64, uint64, error) {
 	for {
 		r := l.head.Load()
+		size := uint64(rec.sizeAt(LSN(r))) // again on every attempt: r moves
 		// durable is read after head and can already be past a stale r+size.
 		// That fits (see fits); the CAS then fails and re-reads.
 		if !l.fits(r, size, uint64(l.gc.get())) {
 			if _, err := l.awaitSpace(r, size); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			continue
 		}
 		if l.head.CompareAndSwap(r, r+size) {
 			// The reservation cannot be returned, which is why insert
 			// checked everything that could refuse the record before it.
-			return r, nil
+			return r, size, nil
 		}
 		p.retries.Add(1)
 	}
@@ -290,11 +294,15 @@ func (l *ringLog) insert(rec *Record, clr bool) (LSN, error) {
 	if l.closed.Load() {
 		return NullLSN, ErrLogClosed
 	}
-	size := uint64(rec.EncodedSize())
-	if size > uint64(len(l.ring)) || rec.tooLarge() {
+	if rec.tooLarge() || rec.maxSize() > len(l.ring) {
 		return NullLSN, ErrRecordTooLarge
 	}
-	r, err := l.policy.reserve(l, size, clr)
+	// Every record this one links to is below the head, and so below
+	// whatever LSN it gets.
+	if head := LSN(l.head.Load()); !linkOK(head, rec.PrevLSN) || !linkOK(head, rec.UndoNext) {
+		return NullLSN, fmt.Errorf("%w: back-link of a record inserted at %v", ErrInvalidLSN, head)
+	}
+	r, size, err := l.policy.reserve(l, rec, clr)
 	if err != nil {
 		return NullLSN, err
 	}

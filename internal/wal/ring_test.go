@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -473,9 +474,7 @@ func TestReopenSeedsMarks(t *testing.T) {
 				for i := 10; i < 12; i++ {
 					rec := testRecord(i)
 					rec.LSN = LSN(s.Size())
-					buf := make([]byte, rec.EncodedSize())
-					rec.put(buf)
-					if err := s.WriteAt(buf, s.Size()); err != nil {
+					if err := s.WriteAt(encode(rec), s.Size()); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -600,6 +599,126 @@ func TestCrashStop(t *testing.T) {
 			}
 			if n := inner.calls.Load(); n != 0 || inner.Size() != logHeaderSize {
 				t.Errorf("Kill let %d calls through; the store holds %d bytes", n, inner.Size())
+			}
+		})
+	}
+}
+
+// TestBackLinkDeltas: a record's size depends on the LSN it gets, because
+// its back-links are stored as distances from it. Six inserters per design
+// each keep a PrevLSN chain through their own records and point the
+// UndoNext of every other record (a CLR) at the head less a distance
+// around a uvarint width boundary (128 and 16 384 bytes); every 40th record
+// is 17 KiB, so the PrevLSN after it is three bytes wide. Where the
+// distances land depends on the schedule, so one inserter then adds links
+// exactly 127, 128, 16 383 and 16 384 bytes back (the log manager does not
+// follow links, so they need not be record starts). The scan back must
+// find every link as inserted, the records tiling the log from its start
+// to CurLSN.
+func TestBackLinkDeltas(t *testing.T) {
+	const inserters, each = 6, 240
+	type links struct{ prev, undoNext LSN }
+	for _, d := range allDesigns() {
+		t.Run(d.String(), func(t *testing.T) {
+			store := NewMemSegmentStore(0)
+			m := New(store, Options{Design: d, BufferSize: 1 << 16})
+			defer m.Close()
+			var mu sync.Mutex
+			inserted := make(map[LSN]links)
+			insert := func(rec *Record) (LSN, error) {
+				ins := m.Insert
+				if rec.Type == RecCLR {
+					ins = m.InsertCLR
+				}
+				lsn, err := ins(rec)
+				if err == nil {
+					mu.Lock()
+					inserted[lsn] = links{rec.PrevLSN, rec.UndoNext}
+					mu.Unlock()
+				}
+				return lsn, err
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < inserters; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					var prev LSN
+					for i := 0; i < each; i++ {
+						rec := &Record{Type: RecUpdate, TxID: uint64(w), PrevLSN: prev, Redo: make([]byte, (i*7+w)%48)}
+						if i%40 == 39 {
+							rec.Redo = make([]byte, 17<<10)
+						}
+						if i%2 == 1 {
+							back := LSN(32 + (i*5+w)%128)
+							if i%4 == 3 {
+								back += 16384 - 128
+							}
+							if cur := m.CurLSN(); cur >= logHeaderSize+back {
+								rec.Type, rec.UndoNext = RecCLR, cur-back
+							}
+						}
+						lsn, err := insert(rec)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						prev = lsn
+					}
+				}(w)
+			}
+			wg.Wait()
+			exact := []uint64{127, 128, 16383, 16384}
+			for _, dist := range exact {
+				cur := m.CurLSN()
+				lsn, err := insert(&Record{Type: RecCLR, TxID: inserters, PrevLSN: cur - LSN(dist), UndoNext: cur - LSN(dist)})
+				if err != nil || lsn != cur {
+					t.Fatalf("insert at %v: %v, %v", cur, lsn, err)
+				}
+			}
+			if err := m.Flush(m.CurLSN()); err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[uint64]int) // distances stored, by value
+			sc := NewScanner(store, NullLSN)
+			end, n := int64(logHeaderSize), 0
+			for {
+				rec, err := sc.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if int64(rec.LSN) != end || sc.End()-end != int64(rec.EncodedSize()) {
+					t.Fatalf("record at %v, %d bytes, follows a record ending at %d: the log does not tile", rec.LSN, sc.End()-int64(rec.LSN), end)
+				}
+				want, ok := inserted[rec.LSN]
+				if !ok || rec.PrevLSN != want.prev || rec.UndoNext != want.undoNext {
+					t.Fatalf("record at %v links %v/%v, inserted with %+v (%v)", rec.LSN, rec.PrevLSN, rec.UndoNext, want, ok)
+				}
+				for _, link := range []LSN{rec.PrevLSN, rec.UndoNext} {
+					if link != NullLSN {
+						seen[uint64(rec.LSN-link)]++
+					}
+				}
+				end = sc.End()
+				n++
+			}
+			if n != len(inserted) || LSN(end) != m.CurLSN() || sc.TornBytes() != 0 {
+				t.Fatalf("scanned %d records to %d (%d torn); inserted %d to %v", n, end, sc.TornBytes(), len(inserted), m.CurLSN())
+			}
+			widths := make(map[int]bool)
+			for dist := range seen {
+				widths[uvarintLen(dist)] = true
+			}
+			for _, dist := range exact {
+				if seen[dist] < 2 {
+					t.Errorf("distance %d stored %d times, want at least 2", dist, seen[dist])
+				}
+			}
+			if len(widths) != 3 {
+				t.Errorf("stored distances have uvarint widths %v, want 1, 2 and 3", widths)
 			}
 		})
 	}

@@ -20,6 +20,7 @@ type Scanner struct {
 	off   int64
 	limit int64
 	torn  int64
+	hdr   [maxHeaderSize]byte // readRecordAt's header scratch
 }
 
 // NewScanner scans from LSN `from` (NullLSN means the start of the log)
@@ -48,40 +49,48 @@ var errTorn = errors.New("wal: torn log tail")
 //   - corruption (ErrCorrupt, with segment and offset): a bad record below
 //     the horizon, where every byte was written and synced.
 //
-// Bad means any of: no room for a header before limit, a length no record
-// can have (the zero fill of a hole included), a body that runs past
-// limit, bytes the store cannot read, or a failed decode (CRC, type,
-// reserved bytes, payload lengths).
-func readRecordAt(store Store, off, limit int64) (*Record, int64, error) {
+// Bad means any of: a type the engine does not write (the zero fill of a
+// hole included), a header cut short by limit, a non-minimal or
+// overflowing uvarint, payload lengths past MaxPayload or running past
+// limit, a back-link before the log's start, bytes the store cannot read,
+// or a failed CRC.
+//
+// It reads the header into hdr (maxHeaderSize bytes, or fewer where the
+// log ends), derives the record's length from it and then reads the rest
+// into one new buffer, which the record's payloads point into.
+func readRecordAt(store Store, off, limit int64, hdr []byte) (*Record, int64, error) {
 	bad := func(cause error) (*Record, int64, error) {
 		if off < int64(store.Horizon()) {
 			return nil, 0, corruptAt(store, off, cause)
 		}
 		return nil, 0, fmt.Errorf("%w at %d: %w", errTorn, off, cause)
 	}
-	if off+recHeaderSize+recTrailerSize > limit {
-		return bad(fmt.Errorf("%w: truncated header", ErrBadRecord))
-	}
-	var lenBuf [4]byte
-	if _, err := store.ReadAt(lenBuf[:], off); err != nil {
+	hdr = hdr[:min(int64(len(hdr)), max(limit-off, 0))]
+	// The prefix can reach past this record into a hole a crash left;
+	// what was read is all the header there is.
+	n, err := store.ReadAt(hdr, off)
+	if err != nil && !errors.Is(err, io.EOF) {
 		return bad(err)
 	}
-	total := int64(binary.LittleEndian.Uint32(lenBuf[:]))
-	if total < recHeaderSize+recTrailerSize || total > recHeaderSize+MaxPayload+recTrailerSize {
-		return bad(fmt.Errorf("%w: bad length %d", ErrBadRecord, total))
-	}
-	if off+total > limit {
-		return bad(fmt.Errorf("%w: truncated body", ErrBadRecord))
-	}
-	buf := make([]byte, total)
-	if _, err := store.ReadAt(buf, off); err != nil {
-		return bad(err)
-	}
-	rec, _, err := DecodeRecord(buf)
+	var h Record
+	hdrLen, redoLen, undoLen, err := parseHeader(&h, hdr[:n], LSN(off))
 	if err != nil {
 		return bad(err)
 	}
-	rec.LSN = LSN(off)
+	total := int64(frameSize(hdrLen, redoLen, undoLen))
+	if off+total > limit {
+		return bad(errTruncBody)
+	}
+	buf := make([]byte, total)
+	if c := copy(buf, hdr[:n]); int64(c) < total {
+		if _, err := store.ReadAt(buf[c:], off+int64(c)); err != nil {
+			return bad(err)
+		}
+	}
+	rec, _, err := DecodeRecord(buf, LSN(off))
+	if err != nil {
+		return bad(err)
+	}
 	return rec, total, nil
 }
 
@@ -101,7 +110,7 @@ func (s *Scanner) Next() (*Record, error) {
 	if s.off >= s.limit {
 		return nil, io.EOF
 	}
-	rec, n, err := readRecordAt(s.store, s.off, s.limit)
+	rec, n, err := readRecordAt(s.store, s.off, s.limit, s.hdr[:])
 	if errors.Is(err, errTorn) {
 		s.torn = s.limit - s.off
 		return nil, io.EOF
@@ -147,7 +156,7 @@ func ReadRecordAt(store Store, lsn LSN) (*Record, error) {
 	if lsn < logHeaderSize {
 		return nil, fmt.Errorf("wal: ReadRecordAt(%v): %w: before log start", lsn, ErrInvalidLSN)
 	}
-	rec, _, err := readRecordAt(store, int64(lsn), store.Size())
+	rec, _, err := readRecordAt(store, int64(lsn), store.Size(), make([]byte, maxHeaderSize))
 	if err != nil {
 		return nil, fmt.Errorf("wal: ReadRecordAt(%v): %w", lsn, err)
 	}
@@ -199,21 +208,23 @@ func (c *CheckpointData) Encode() []byte {
 	return b
 }
 
-// DecodeCheckpoint parses a checkpoint payload.
+// DecodeCheckpoint parses a checkpoint payload. The counts are bounded by
+// what the payload can hold before anything is multiplied, and the payload
+// must be exactly as long as they say.
 func DecodeCheckpoint(b []byte) (*CheckpointData, error) {
 	if len(b) < 24 {
 		return nil, fmt.Errorf("%w: checkpoint payload too short", ErrBadRecord)
 	}
 	get := func(off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
 	c := &CheckpointData{BeginLSN: LSN(get(0))}
-	nTx := int(get(8))
-	nDirty := int(get(16))
-	want := 24 + nTx*24 + nDirty*16
-	if len(b) < want {
-		return nil, fmt.Errorf("%w: checkpoint payload truncated", ErrBadRecord)
+	room := uint64(len(b) - 24)
+	nTx, nDirty := get(8), get(16)
+	if nTx > room/24 || nDirty > room/16 || nTx*24+nDirty*16 != room {
+		return nil, fmt.Errorf("%w: checkpoint payload of %d bytes for %d transactions and %d dirty pages",
+			ErrBadRecord, len(b), nTx, nDirty)
 	}
 	off := 24
-	for i := 0; i < nTx; i++ {
+	for range nTx {
 		c.Txs = append(c.Txs, TxInfo{
 			TxID:     get(off),
 			LastLSN:  LSN(get(off + 8)),
@@ -221,7 +232,7 @@ func DecodeCheckpoint(b []byte) (*CheckpointData, error) {
 		})
 		off += 24
 	}
-	for i := 0; i < nDirty; i++ {
+	for range nDirty {
 		c.Dirty = append(c.Dirty, DirtyInfo{
 			Page:   page.ID(get(off)),
 			RecLSN: LSN(get(off + 8)),

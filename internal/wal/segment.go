@@ -81,7 +81,7 @@ type logSegment struct {
 //	[44:48) padding
 const (
 	segHeaderSize = 48
-	segVersion    = 1
+	segVersion    = 2 // 2: the record frame of record.go; 1 had a 48-byte header
 	segFlagSealed = 1 << 0
 	// MinSegmentBytes floors the configurable segment size.
 	MinSegmentBytes = 4096

@@ -2,10 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -152,11 +155,7 @@ func TestSegmentTornTailClipped(t *testing.T) {
 
 	// Write a record past the durable boundary without flushing, then
 	// crash with a torn tail: part of the in-flight bytes hit the disk.
-	rec := &Record{Type: RecUpdate, TxID: 5000, Redo: bytes.Repeat([]byte{1}, 64)}
-	buf := make([]byte, rec.EncodedSize())
-	if _, err := rec.Encode(buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := encode(&Record{Type: RecUpdate, TxID: 5000, Redo: bytes.Repeat([]byte{1}, 64)})
 	if err := s.WriteAt(buf, durable); err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +205,36 @@ func TestSegmentCorruptionBelowHorizonRefused(t *testing.T) {
 		t.Fatalf("horizon %v below first segment end", h)
 	}
 	// Flip a byte in the middle of a record inside segment 0.
-	if err := s.WriteAt([]byte{0xFF}, logHeaderSize+recHeaderSize/2); err != nil {
+	if err := s.WriteAt([]byte{0xFF}, logHeaderSize+20); err != nil { // in the first record's redo
 		t.Fatal(err)
 	}
 	_, _, err := CheckTail(s)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("CheckTail = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSegmentVersion1Refused: a log written in the 48-byte record frame
+// has segment version 1, and no decoder for that frame is kept, so the
+// store refuses it at open and says which version it found.
+func TestSegmentVersion1Refused(t *testing.T) {
+	be := newMemSegBackend()
+	f, err := be.create(0, segHeaderSize+MinSegmentBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := encodeSegHeader(0, 0, false, 0)
+	binary.LittleEndian.PutUint32(hdr[8:], 1)
+	binary.LittleEndian.PutUint32(hdr[40:], crc32.ChecksumIEEE(hdr[:40]))
+	if err := f.writeAt(append(hdr[:], logMagic[:]...), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.sync(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = newSegmentStore(be, MinSegmentBytes)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "segment version 1 (want 2)") {
+		t.Fatalf("open of a version 1 segment = %v, want ErrCorrupt naming the version", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -394,17 +395,22 @@ func TestReadRecordAtVerdicts(t *testing.T) {
 			return s.Size()
 		}
 	}
+	// The header of every record here is one byte each: type, txid 1,
+	// prev, page, undo-next, redo length 64, undo length 0.
 	kinds := []struct {
 		name string
 		// damage makes the record at off bad and returns where the log
 		// now ends for a reader.
 		damage func(s *SegmentStore, off int64) (limit int64)
+		cause  error // what the verdict must name
 	}{
-		{"zero fill", overwrite(0, make([]byte, recLen))},
-		{"bad length", overwrite(0, []byte{0xFF, 0xFF, 0xFF, 0xFF})},
-		{"bad crc", overwrite(recHeaderSize+3, []byte{0x00})},
-		{"truncated header", func(_ *SegmentStore, off int64) int64 { return off + recHeaderSize/2 }},
-		{"truncated body", func(_ *SegmentStore, off int64) int64 { return off + recLen - 1 }},
+		{"zero fill", overwrite(0, make([]byte, recLen)), errBadTag},
+		{"invalid tag", overwrite(0, []byte{byte(RecCkptEnd + 1)}), errBadTag},
+		{"non-minimal uvarint", overwrite(1, []byte{0x81, 0x00}), errNonMinimal},
+		{"payload length past limit", overwrite(5, []byte{0x80, 0x80, 0x41, 0x00}), errPayloadLen},
+		{"bad crc", overwrite(10, []byte{0x00}), errBadCRC},
+		{"truncated header", func(_ *SegmentStore, off int64) int64 { return off + 3 }, errTruncHeader},
+		{"truncated body", func(_ *SegmentStore, off int64) int64 { return off + recLen - 1 }, errTruncBody},
 	}
 	for _, pos := range positions {
 		for _, kind := range kinds {
@@ -415,8 +421,9 @@ func TestReadRecordAtVerdicts(t *testing.T) {
 				if pos.off < horizon {
 					want = ErrCorrupt
 				}
-				if _, _, err := readRecordAt(s, pos.off, limit); !errors.Is(err, want) {
-					t.Fatalf("readRecordAt = %v, want %v", err, want)
+				_, _, err := readRecordAt(s, pos.off, limit, make([]byte, maxHeaderSize))
+				if !errors.Is(err, want) || !strings.Contains(err.Error(), kind.cause.Error()) {
+					t.Fatalf("readRecordAt = %v, want %v for %q", err, want, kind.cause)
 				}
 				if limit != s.Size() {
 					if want == ErrCorrupt {

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -10,14 +11,24 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/page"
 )
 
 func allDesigns() []Design {
 	return []Design{DesignCoupled, DesignDecoupled, DesignConsolidated}
 }
 
+// encode returns the frame of r at r.LSN, as a log manager writes it.
+func encode(r *Record) []byte {
+	buf := make([]byte, r.EncodedSize())
+	r.put(buf)
+	return buf
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	r := &Record{
+		LSN:      1000,
 		Type:     RecUpdate,
 		TxID:     77,
 		PrevLSN:  123,
@@ -26,22 +37,15 @@ func TestRecordRoundTrip(t *testing.T) {
 		Redo:     []byte("redo-bytes"),
 		Undo:     []byte("undo"),
 	}
-	buf := make([]byte, r.EncodedSize())
-	n, err := r.Encode(buf)
+	buf := encode(r)
+	got, n, err := DecodeRecord(buf, r.LSN)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != r.EncodedSize() {
-		t.Fatalf("encoded %d bytes, want %d", n, r.EncodedSize())
+	if n != len(buf) {
+		t.Fatalf("decoded length %d, want %d", n, len(buf))
 	}
-	got, m, err := DecodeRecord(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != n {
-		t.Fatalf("decoded length %d, want %d", m, n)
-	}
-	if got.Type != r.Type || got.TxID != r.TxID || got.PrevLSN != r.PrevLSN ||
+	if got.LSN != r.LSN || got.Type != r.Type || got.TxID != r.TxID || got.PrevLSN != r.PrevLSN ||
 		got.Page != r.Page || got.UndoNext != r.UndoNext ||
 		!bytes.Equal(got.Redo, r.Redo) || !bytes.Equal(got.Undo, r.Undo) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, r)
@@ -49,51 +53,55 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestRecordDecodeErrors(t *testing.T) {
-	r := &Record{Type: RecTxCommit, TxID: 1}
-	buf := make([]byte, r.EncodedSize())
-	if _, err := r.Encode(buf); err != nil {
-		t.Fatal(err)
-	}
+	r := &Record{LSN: 500, Type: RecTxCommit, TxID: 1, PrevLSN: 400}
+	buf := encode(r)
 	// Truncated.
-	if _, _, err := DecodeRecord(buf[:10]); !errors.Is(err, ErrBadRecord) {
+	if _, _, err := DecodeRecord(buf[:len(buf)-1], r.LSN); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("truncated decode = %v", err)
 	}
 	// Corrupted byte.
 	bad := append([]byte(nil), buf...)
-	bad[recHeaderSize-1] ^= 0xff
-	if _, _, err := DecodeRecord(bad); !errors.Is(err, ErrBadRecord) {
+	bad[1] ^= 0x02
+	if _, _, err := DecodeRecord(bad, r.LSN); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("corrupt decode = %v", err)
 	}
-	// Oversized payload rejected at encode.
-	huge := &Record{Type: RecUpdate, Redo: make([]byte, MaxPayload+1)}
-	if _, err := huge.Encode(make([]byte, MaxPayload+1024)); err != ErrRecordTooLarge {
-		t.Errorf("oversized encode = %v", err)
-	}
-	// Short buffer at encode.
-	if _, err := r.Encode(make([]byte, 4)); err == nil {
-		t.Error("short-buffer encode succeeded")
+	// The same bytes at an LSN where the back-link would fall before the
+	// log's start.
+	if _, _, err := DecodeRecord(buf, 105); !errors.Is(err, errBadLink) {
+		t.Errorf("decode with a back-link before the log start = %v", err)
 	}
 }
 
+// TestRecordQuickRoundTrip encodes random records at random LSNs up to
+// 2^40, each back-link drawn as none, the longest one (to the log's
+// start) or anything between, and decodes them at the same LSN.
 func TestRecordQuickRoundTrip(t *testing.T) {
-	f := func(txid uint64, prev, undoNext uint64, pid uint64, redo, undo []byte, typ uint8) bool {
-		if len(redo)+len(undo) > MaxPayload {
-			return true
+	link := func(at LSN, pick uint8, x uint64) LSN {
+		switch pick % 3 {
+		case 0:
+			return NullLSN
+		case 1:
+			return logHeaderSize // the widest distance at at
+		default:
+			return logHeaderSize + LSN(x%uint64(at-logHeaderSize))
 		}
+	}
+	f := func(txid, pid, lsn, prev, undoNext uint64, picks [2]uint8, redo, undo []byte, typ uint8) bool {
+		at := LSN(logHeaderSize + 1 + lsn%(1<<40))
 		r := &Record{
-			Type: RecType(typ%9 + 1), TxID: txid, PrevLSN: LSN(prev),
-			Page: 0, UndoNext: LSN(undoNext), Redo: redo, Undo: undo,
+			LSN: at, Type: RecType(typ%uint8(RecCkptEnd) + 1), TxID: txid, PrevLSN: link(at, picks[0], prev),
+			Page: page.ID(pid), UndoNext: link(at, picks[1], undoNext), Redo: redo, Undo: undo,
 		}
-		_ = pid
-		buf := make([]byte, r.EncodedSize())
-		if _, err := r.Encode(buf); err != nil {
+		buf := encode(r)
+		if len(buf) > r.maxSize() {
 			return false
 		}
-		got, _, err := DecodeRecord(buf)
-		if err != nil {
+		got, n, err := DecodeRecord(buf, at)
+		if err != nil || n != len(buf) {
 			return false
 		}
-		return got.TxID == r.TxID && bytes.Equal(got.Redo, r.Redo) && bytes.Equal(got.Undo, r.Undo)
+		return got.LSN == at && got.Type == r.Type && got.TxID == r.TxID && got.PrevLSN == r.PrevLSN &&
+			got.Page == r.Page && got.UndoNext == r.UndoNext && bytes.Equal(got.Redo, r.Redo) && bytes.Equal(got.Undo, r.Undo)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -374,6 +382,13 @@ func TestOversizedRecordRejected(t *testing.T) {
 		if _, err := m.Insert(&Record{Type: RecUpdate, Redo: make([]byte, MaxPayload+1)}); err != ErrRecordTooLarge {
 			t.Errorf("%v: insert over MaxPayload = %v", d, err)
 		}
+		// So is a back-link that no record at the head could store: one at
+		// or past the head, or one before the log's start.
+		for _, link := range []LSN{m.CurLSN(), m.CurLSN() + 1, logHeaderSize - 1} {
+			if _, err := m.InsertCLR(&Record{Type: RecCLR, UndoNext: link}); !errors.Is(err, ErrInvalidLSN) {
+				t.Errorf("%v: insert with undo-next %v at %v = %v", d, link, m.CurLSN(), err)
+			}
+		}
 		lsn, err := m.Insert(&Record{Type: RecUpdate, TxID: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -450,6 +465,19 @@ func TestCheckpointDataRoundTrip(t *testing.T) {
 	if _, err := DecodeCheckpoint(c.Encode()[:30]); err == nil {
 		t.Error("truncated payload decoded")
 	}
+	if _, err := DecodeCheckpoint(append(c.Encode(), 0)); err == nil {
+		t.Error("payload with a trailing byte decoded")
+	}
+	// Counts whose byte sizes overflow back to the payload's length, and
+	// a negative count, are refused, not indexed.
+	for _, counts := range [][2]uint64{{1 << 62, 0}, {0, 1 << 60}, {1 << 63, 0}, {^uint64(0), 1}} {
+		b := make([]byte, 24)
+		binary.LittleEndian.PutUint64(b[8:], counts[0])
+		binary.LittleEndian.PutUint64(b[16:], counts[1])
+		if _, err := DecodeCheckpoint(b); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("counts %d/%d in a 24-byte payload: %v", counts[0], counts[1], err)
+		}
+	}
 	// Empty checkpoint.
 	empty := &CheckpointData{}
 	got2, err := DecodeCheckpoint(empty.Encode())
@@ -514,10 +542,7 @@ func TestSegmentStoreFilePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The device takes a twelfth record and the power goes before a sync.
-	rec := testRecord(11)
-	buf := make([]byte, rec.EncodedSize())
-	rec.put(buf)
-	if err := store2.WriteAt(buf, store2.Size()); err != nil {
+	if err := store2.WriteAt(encode(testRecord(11)), store2.Size()); err != nil {
 		t.Fatal(err)
 	}
 	m2.Kill()
@@ -569,10 +594,14 @@ func TestDesignString(t *testing.T) {
 		DesignConsolidated.String() != "consolidated" || Design(9).String() != "unknown" {
 		t.Error("Design.String mismatch")
 	}
-	for _, rt := range []RecType{RecUpdate, RecCLR, RecTxBegin, RecTxCommit, RecTxAbort, RecTxEnd, RecCkptBegin, RecCkptEnd, RecFormat} {
-		if rt.String() == "" {
-			t.Error("empty RecType string")
+	for _, rt := range []RecType{RecUpdate, RecCLR, RecTxBegin, RecTxCommit, RecTxAbort, RecTxEnd, RecCkptBegin, RecCkptEnd} {
+		if rt.String() == "" || !rt.valid() {
+			t.Errorf("record type %d: %q, valid %v", rt, rt, rt.valid())
 		}
+	}
+	// The retired page-format type is no longer one the decoder takes.
+	if rt := RecCkptEnd + 1; rt.valid() || rt.String() != "rec9" {
+		t.Errorf("record type 9: %q, valid %v", rt, rt.valid())
 	}
 	if LSN(5).String() != "lsn:5" {
 		t.Error("LSN.String mismatch")
