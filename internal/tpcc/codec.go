@@ -1,11 +1,19 @@
 // Package tpcc implements the TPC-C subset the paper benchmarks with
 // (§3.2): the full nine-table schema, the standard NURand key generator,
-// a scale-configurable loader, and the Payment and New Order transactions
-// — together 88% of the TPC-C mix and the workloads of Figure 5.
+// a scale-configurable loader, and the five transactions, of which
+// Payment and New Order — 88% of the mix — are the workloads of Figure 5.
 //
 // Rows live in B-tree primary indexes keyed by their composite primary
 // keys (big-endian encodings so ranges scan in order); HISTORY, which has
 // no primary key, lives in a heap table.
+//
+// Each transaction but Delivery is written once, as a plan over named
+// rows (plan.go), run by three executors: embedded (core calls on one
+// transaction: the …Ctx entry points), DORA (steps grouped into
+// per-partition actions whose lock lists derive from the steps' reads)
+// and wire (Remote: every read of Payment or New Order in the begin round
+// trip, every write in the commit; one View per round of a read-only
+// plan). A row the plan writes back is read X up front, on every back end.
 package tpcc
 
 import (
@@ -20,13 +28,16 @@ var ErrShortRow = errors.New("tpcc: truncated row")
 // enc is a tiny append-only row encoder.
 type enc struct{ b []byte }
 
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *enc) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
+// newEnc starts an encoding with room for a row of up to 128 bytes plus
+// extra, so that it allocates once: every row but a customer's (extra:
+// its C_DATA) fits, where growing from empty took four to six copies.
+func newEnc(extra int) enc { return enc{b: make([]byte, 0, 128+extra)} }
+
+func (e *enc) u8(v uint8)    { e.b = append(e.b, v) }
+func (e *enc) u32(v uint32)  { e.b = binary.BigEndian.AppendUint32(e.b, v) }
+func (e *enc) u64(v uint64)  { e.b = binary.BigEndian.AppendUint64(e.b, v) }
+func (e *enc) i64(v int64)   { e.u64(uint64(v)) }
+func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
 func (e *enc) str(s string) {
 	if len(s) > 0xffff {
 		s = s[:0xffff]
@@ -42,55 +53,24 @@ type dec struct {
 	err error
 }
 
-func (d *dec) need(n int) bool {
+// take consumes the next n bytes. Past the row's end it records
+// ErrShortRow and returns n zero bytes, so every field after decodes as
+// its zero value.
+func (d *dec) take(n int) []byte {
 	if d.err != nil || d.off+n > len(d.b) {
 		d.err = ErrShortRow
-		return false
+		return make([]byte, n)
 	}
-	return true
-}
-
-func (d *dec) u8() uint8 {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) i64() int64 { return int64(d.u64()) }
-
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *dec) str() string {
-	if !d.need(2) {
-		return ""
-	}
-	n := int(d.b[d.off])<<8 | int(d.b[d.off+1])
-	d.off += 2
-	if !d.need(n) {
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
 	d.off += n
-	return s
+	return d.b[d.off-n : d.off]
+}
+
+func (d *dec) u8() uint8    { return d.take(1)[0] }
+func (d *dec) u32() uint32  { return binary.BigEndian.Uint32(d.take(4)) }
+func (d *dec) u64() uint64  { return binary.BigEndian.Uint64(d.take(8)) }
+func (d *dec) i64() int64   { return int64(d.u64()) }
+func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
+func (d *dec) str() string {
+	n := d.take(2)
+	return string(d.take(int(n[0])<<8 | int(n[1])))
 }

@@ -2,10 +2,8 @@ package tpcc
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/tx"
 )
 
 // Scale configures database size. The TPC-C defaults (10 districts per
@@ -52,60 +50,6 @@ type DB struct {
 	History     uint32 // heap store (no primary key)
 }
 
-// readWarehouse fetches and decodes a warehouse row.
-func (db *DB) readWarehouse(ctx context.Context, t *tx.Tx, w uint32) (Warehouse, error) {
-	b, ok, err := db.Engine.IndexLookupCtx(ctx, t, db.Warehouse, wKey(w))
-	if err != nil {
-		return Warehouse{}, err
-	}
-	if !ok {
-		return Warehouse{}, fmt.Errorf("tpcc: warehouse %d missing", w)
-	}
-	return decodeWarehouse(b)
-}
-
-func (db *DB) readDistrict(ctx context.Context, t *tx.Tx, w uint32, d uint8) (District, error) {
-	b, ok, err := db.Engine.IndexLookupCtx(ctx, t, db.District, dKey(w, d))
-	if err != nil {
-		return District{}, err
-	}
-	if !ok {
-		return District{}, fmt.Errorf("tpcc: district %d/%d missing", w, d)
-	}
-	return decodeDistrict(b)
-}
-
-func (db *DB) readCustomer(ctx context.Context, t *tx.Tx, w uint32, d uint8, c uint32) (Customer, error) {
-	b, ok, err := db.Engine.IndexLookupCtx(ctx, t, db.Customer, cKey(w, d, c))
-	if err != nil {
-		return Customer{}, err
-	}
-	if !ok {
-		return Customer{}, fmt.Errorf("tpcc: customer %d/%d/%d missing", w, d, c)
-	}
-	return decodeCustomer(b)
-}
-
-func (db *DB) readItem(ctx context.Context, t *tx.Tx, i uint32) (Item, bool, error) {
-	b, ok, err := db.Engine.IndexLookupCtx(ctx, t, db.Item, iKey(i))
-	if err != nil || !ok {
-		return Item{}, ok, err
-	}
-	it, err := decodeItem(b)
-	return it, true, err
-}
-
-func (db *DB) readStock(ctx context.Context, t *tx.Tx, w, i uint32) (Stock, error) {
-	b, ok, err := db.Engine.IndexLookupCtx(ctx, t, db.Stock, sKey(w, i))
-	if err != nil {
-		return Stock{}, err
-	}
-	if !ok {
-		return Stock{}, fmt.Errorf("tpcc: stock %d/%d missing", w, i)
-	}
-	return decodeStock(b)
-}
-
 // Load builds and populates a TPC-C database on engine at the given scale.
 func Load(engine *core.Engine, scale Scale, seed int64) (*DB, error) {
 	db := &DB{Engine: engine, Scale: scale}
@@ -115,38 +59,19 @@ func Load(engine *core.Engine, scale Scale, seed int64) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	mk := func() (*core.Index, error) { return engine.CreateIndex(t) }
-	// Warehouse-prefixed indexes become PLP forests when the engine runs
-	// physiological partitioning: every key's first four bytes are the
-	// warehouse id, which is exactly the DORA routing key. ITEM is shared
-	// across warehouses and stays a single tree.
-	mkPart := mk
-	if engine.PlpMap() != nil {
-		mkPart = func() (*core.Index, error) { return engine.CreatePartitionedIndex(t) }
-	}
-	if db.Warehouse, err = mkPart(); err != nil {
-		return nil, err
-	}
-	if db.District, err = mkPart(); err != nil {
-		return nil, err
-	}
-	if db.Customer, err = mkPart(); err != nil {
-		return nil, err
-	}
-	if db.Orders, err = mkPart(); err != nil {
-		return nil, err
-	}
-	if db.NewOrderTab, err = mkPart(); err != nil {
-		return nil, err
-	}
-	if db.OrderLine, err = mkPart(); err != nil {
-		return nil, err
-	}
-	if db.Item, err = mk(); err != nil {
-		return nil, err
-	}
-	if db.Stock, err = mkPart(); err != nil {
-		return nil, err
+	for tab, ix := range db.indexes() {
+		// Warehouse-prefixed indexes become PLP forests when the engine runs
+		// physiological partitioning: every key's first four bytes are the
+		// warehouse id, which is exactly the DORA routing key. ITEM is shared
+		// across warehouses and stays a single tree.
+		if engine.PlpMap() != nil && table(tab) != tItem {
+			*ix, err = engine.CreatePartitionedIndex(t)
+		} else {
+			*ix, err = engine.CreateIndex(t)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	if db.History, err = engine.CreateTable(t); err != nil {
 		return nil, err
@@ -156,7 +81,7 @@ func Load(engine *core.Engine, scale Scale, seed int64) (*DB, error) {
 	}
 
 	// Items (shared across warehouses).
-	if err := db.loadBatch(func(t *tx.Tx) error {
+	if err := db.loadBatch(func(w writer) {
 		for i := 1; i <= scale.Items; i++ {
 			item := Item{
 				ID:    uint32(i),
@@ -165,78 +90,65 @@ func Load(engine *core.Engine, scale Scale, seed int64) (*DB, error) {
 				Price: r.Float(1, 100),
 				Data:  r.AString(26, 50),
 			}
-			if err := engine.IndexInsert(t, db.Item, iKey(item.ID), item.encode()); err != nil {
-				return err
-			}
+			w.insert(iRow(item.ID), item.encode())
 		}
-		return nil
 	}); err != nil {
 		return nil, err
 	}
 
 	for w := 1; w <= scale.Warehouses; w++ {
-		w := uint32(w)
-		if err := db.loadWarehouse(r, w); err != nil {
+		if err := db.loadWarehouse(r, uint32(w)); err != nil {
 			return nil, err
 		}
 	}
 	return db, nil
 }
 
-// loadBatch runs fn inside one committed transaction.
-func (db *DB) loadBatch(fn func(t *tx.Tx) error) error {
+// loadBatch runs fn's inserts inside one committed transaction.
+func (db *DB) loadBatch(fn func(w writer)) error {
 	t, err := db.Engine.Begin()
 	if err != nil {
 		return err
 	}
-	if err := fn(t); err != nil {
+	w := &txWriter{db: db, ctx: context.Background(), t: t}
+	if fn(w); w.first != nil {
 		_ = db.Engine.Abort(t)
-		return err
+		return w.first
 	}
 	return db.Engine.Commit(t)
 }
 
 func (db *DB) loadWarehouse(r *Rand, w uint32) error {
-	e := db.Engine
 	scale := db.Scale
 	// Warehouse row + stock.
-	if err := db.loadBatch(func(t *tx.Tx) error {
+	if err := db.loadBatch(func(wr writer) {
 		wh := Warehouse{
 			ID: w, Name: r.AString(6, 10), Street: r.AString(10, 20),
 			City: r.AString(10, 20), State: r.AString(2, 2), Zip: r.NString(9, 9),
 			Tax: r.Float(0, 0.2),
 		}
-		if err := e.IndexInsert(t, db.Warehouse, wKey(w), wh.encode()); err != nil {
-			return err
-		}
-		if scale.StockPerItem {
-			for i := 1; i <= scale.Items; i++ {
-				s := Stock{
-					WID: w, ItemID: uint32(i),
-					Quantity: int32(r.Int(10, 100)),
-					DistInfo: r.AString(24, 24),
-					Data:     r.AString(26, 50),
-				}
-				if err := e.IndexInsert(t, db.Stock, sKey(w, uint32(i)), s.encode()); err != nil {
-					return err
-				}
+		wr.insert(wRow(w), wh.encode())
+		for i := 1; scale.StockPerItem && i <= scale.Items; i++ {
+			s := Stock{
+				WID: w, ItemID: uint32(i),
+				Quantity: int32(r.Int(10, 100)),
+				DistInfo: r.AString(24, 24),
+				Data:     r.AString(26, 50),
 			}
+			wr.insert(sRow(w, uint32(i)), s.encode())
 		}
-		return nil
 	}); err != nil {
 		return err
 	}
 	// Districts and customers.
 	for d := 1; d <= scale.Districts; d++ {
 		d := uint8(d)
-		if err := db.loadBatch(func(t *tx.Tx) error {
+		if err := db.loadBatch(func(wr writer) {
 			dist := District{
 				WID: w, ID: d, Name: r.AString(6, 10), Street: r.AString(10, 20),
 				City: r.AString(10, 20), Tax: r.Float(0, 0.2), NextOID: uint32(scale.InitialOrders + 1),
 			}
-			if err := e.IndexInsert(t, db.District, dKey(w, d), dist.encode()); err != nil {
-				return err
-			}
+			wr.insert(dRow(w, d), dist.encode())
 			for c := 1; c <= scale.Customers; c++ {
 				credit := "GC"
 				if r.Int(1, 10) == 1 {
@@ -248,20 +160,15 @@ func (db *DB) loadWarehouse(r *Rand, w uint32) error {
 					Credit: credit, CreditLim: 50000, Discount: r.Float(0, 0.5),
 					Balance: -10, YTDPayment: 10, Data: r.AString(100, 200),
 				}
-				if err := e.IndexInsert(t, db.Customer, cKey(w, d, uint32(c)), cust.encode()); err != nil {
-					return err
-				}
+				wr.insert(cRow(w, d, uint32(c)), cust.encode())
 			}
 			for o := 1; o <= scale.InitialOrders; o++ {
 				ord := Order{
 					WID: w, DID: d, ID: uint32(o),
 					CID: uint32(r.Int(1, scale.Customers)), OLCount: 5, AllLocal: true,
 				}
-				if err := e.IndexInsert(t, db.Orders, oKey(w, d, uint32(o)), ord.encode()); err != nil {
-					return err
-				}
+				wr.insert(oRow(w, d, uint32(o)), ord.encode())
 			}
-			return nil
 		}); err != nil {
 			return err
 		}

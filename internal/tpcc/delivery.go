@@ -3,16 +3,14 @@ package tpcc
 import (
 	"context"
 	"errors"
-	"time"
 
-	"repro/internal/core"
+	"repro/internal/lock"
 	"repro/internal/tx"
 )
 
-// The remaining three TPC-C transactions. The paper benchmarks only
-// Payment and New Order (88% of the mix, §3.2); Delivery, Order-Status and
-// Stock-Level complete the specification's mix and exercise range scans
-// and read-only paths the two write-heavy transactions do not.
+// The remaining three TPC-C transactions: not in the paper's benchmark
+// (§3.2), they complete the mix and exercise range scans and read-only
+// paths the two write-heavy transactions do not.
 
 // ErrNothingToDeliver is returned when a district has no undelivered
 // orders (the spec treats this as a skipped delivery, not a failure).
@@ -29,37 +27,29 @@ func GenDelivery(r *Rand, scale Scale, homeW uint32) DeliveryInput {
 	return DeliveryInput{WID: homeW, CarrierID: uint8(r.Int(1, 10))}
 }
 
-// Delivery processes the oldest undelivered order in every district of the
-// warehouse: deletes its NEW_ORDER row, stamps the carrier on ORDERS, sums
-// the order's lines, and credits the customer's balance. Deadlock victims
-// are surfaced, not retried — use DeliveryCtx.
-func (db *DB) Delivery(in DeliveryInput) (int, error) {
-	return db.deliveryRun(context.Background(), onceOnly, in)
-}
-
-// DeliveryCtx is Delivery under the engine's managed-transaction runner:
-// deadlock/timeout victims are retried and lock waits observe ctx.
+// DeliveryCtx processes the oldest undelivered order in every district of
+// the warehouse — deletes its NEW_ORDER row, stamps the carrier on ORDERS,
+// and credits the customer with the order's lines — as one managed
+// transaction (runCtx).
 func (db *DB) DeliveryCtx(ctx context.Context, in DeliveryInput) (int, error) {
-	return db.deliveryRun(ctx, retryPolicy, in)
-}
-
-func (db *DB) deliveryRun(ctx context.Context, policy core.RetryPolicy, in DeliveryInput) (int, error) {
 	var delivered int
-	err := db.Engine.RunCtx(ctx, policy, func(t *tx.Tx) error {
-		n, err := db.delivery(ctx, t, in)
-		delivered = n
+	err := db.Engine.RunCtx(ctx, retryPolicy, func(t *tx.Tx) (err error) {
+		delivered, err = db.delivery(ctx, t, in)
 		return err
 	}, nil)
-	if err != nil {
-		return 0, err
-	}
-	if delivered == 0 {
+	return deliveredOrNone(delivered, err)
+}
+
+// deliveredOrNone is a Delivery's answer: ErrNothingToDeliver for none.
+func deliveredOrNone(delivered int, err error) (int, error) {
+	if err == nil && delivered == 0 {
 		return 0, ErrNothingToDeliver
 	}
-	return delivered, nil
+	return delivered, err
 }
 
 // delivery is the transaction body, run inside a managed transaction.
+// It writes back the order and customer rows it reads, so it reads them X.
 func (db *DB) delivery(ctx context.Context, t *tx.Tx, in DeliveryInput) (delivered int, err error) {
 	e := db.Engine
 	for d := 1; d <= db.Scale.Districts; d++ {
@@ -71,31 +61,31 @@ func (db *DB) delivery(ctx context.Context, t *tx.Tx, in DeliveryInput) (deliver
 		if !ok {
 			continue // district fully delivered
 		}
-		if _, err := e.IndexDeleteCtx(ctx, t, db.NewOrderTab, oKey(in.WID, d, oid)); err != nil {
+		or := oRow(in.WID, d, oid)
+		if _, err := e.IndexDeleteCtx(ctx, t, db.NewOrderTab, or.key()); err != nil {
 			return 0, err
 		}
 		// Stamp the carrier on the order.
-		ob, ok, err := e.IndexLookupCtx(ctx, t, db.Orders, oKey(in.WID, d, oid))
-		if err != nil || !ok {
-			return 0, errors.Join(err, errors.New("tpcc: NEW_ORDER without ORDERS row"))
+		ob, err := db.get(ctx, t, read{row: or, mode: lock.X})
+		if err != nil {
+			return 0, err
 		}
 		ord, err := decodeOrder(ob)
 		if err != nil {
 			return 0, err
 		}
 		ord.CarrierID = in.CarrierID
-		if err := e.IndexUpdateCtx(ctx, t, db.Orders, oKey(in.WID, d, oid), ord.encode()); err != nil {
+		if err := e.IndexUpdateCtx(ctx, t, db.Orders, or.key(), ord.encode()); err != nil {
 			return 0, err
 		}
-		// Sum the order lines and stamp delivery dates.
+		// Sum the order lines.
 		var total float64
-		now := time.Now().UnixNano()
 		for l := uint8(1); l <= ord.OLCount; l++ {
-			lb, ok, err := e.IndexLookupCtx(ctx, t, db.OrderLine, olKey(in.WID, d, oid, l))
+			lb, err := db.get(ctx, t, read{row: row{t: tOrderLine, w: in.WID, d: d, id: oid, n: l}, mode: lock.S})
 			if err != nil {
 				return 0, err
 			}
-			if !ok {
+			if lb == nil {
 				continue // rolled-back line counts were conservative
 			}
 			ol, err := decodeOrderLine(lb)
@@ -103,16 +93,20 @@ func (db *DB) delivery(ctx context.Context, t *tx.Tx, in DeliveryInput) (deliver
 				return 0, err
 			}
 			total += ol.Amount
-			_ = now // delivery date is carried in the order row's carrier stamp
 		}
 		// Credit the customer.
-		cust, err := db.readCustomer(ctx, t, in.WID, d, ord.CID)
+		cr := cRow(in.WID, d, ord.CID)
+		cb, err := db.get(ctx, t, read{row: cr, mode: lock.X})
+		if err != nil {
+			return 0, err
+		}
+		cust, err := decodeCustomer(cb)
 		if err != nil {
 			return 0, err
 		}
 		cust.Balance += total
 		cust.DeliveryCt++
-		if err := e.IndexUpdateCtx(ctx, t, db.Customer, cKey(in.WID, d, ord.CID), cust.encode()); err != nil {
+		if err := e.IndexUpdateCtx(ctx, t, db.Customer, cr.key(), cust.encode()); err != nil {
 			return 0, err
 		}
 		delivered++
@@ -120,19 +114,17 @@ func (db *DB) delivery(ctx context.Context, t *tx.Tx, in DeliveryInput) (deliver
 	return delivered, nil
 }
 
-// oldestNewOrder returns the smallest order id with a NEW_ORDER row in
-// (w, d).
+// oldestNewOrder returns the smallest order id with a NEW_ORDER row in (w, d).
 func (db *DB) oldestNewOrder(ctx context.Context, t *tx.Tx, w uint32, d uint8) (uint32, bool, error) {
 	var oid uint32
 	found := false
-	from := oKey(w, d, 0)
-	to := oKey(w, d+1, 0) // districts are small; d+1 never wraps in practice
-	err := db.Engine.IndexScanCtx(ctx, t, db.NewOrderTab, from, to, func(k, v []byte) bool {
-		row, err := decodeNewOrderRow(v)
+	r := row{t: tNewOrder, w: w, d: d}
+	err := db.Engine.IndexScanCtx(ctx, t, db.NewOrderTab, r.key(), r.end(), func(k, v []byte) bool {
+		no, err := decodeNewOrderRow(v)
 		if err != nil {
 			return false
 		}
-		oid = row.OID
+		oid = no.OID
 		found = true
 		return false // first key in range = oldest
 	})
@@ -148,11 +140,7 @@ type OrderStatusInput struct {
 
 // GenOrderStatus draws Order-Status parameters.
 func GenOrderStatus(r *Rand, scale Scale, homeW uint32) OrderStatusInput {
-	return OrderStatusInput{
-		WID: homeW,
-		DID: uint8(r.Int(1, scale.Districts)),
-		CID: uint32(r.CustomerID(scale.Customers)),
-	}
+	return OrderStatusInput{WID: homeW, DID: uint8(r.Int(1, scale.Districts)), CID: uint32(r.CustomerID(scale.Customers))}
 }
 
 // OrderStatusResult is the read-only answer.
@@ -163,71 +151,57 @@ type OrderStatusResult struct {
 	HasOrder bool
 }
 
-// OrderStatus reports a customer's balance and their most recent order
-// with its lines. Read-only: it commits through CommitReadOnly, which
-// never waits on log durability.
-func (db *DB) OrderStatus(in OrderStatusInput) (OrderStatusResult, error) {
-	return db.OrderStatusCtx(context.Background(), in)
+// OrderStatusCtx reports a customer's balance and their most recent order
+// with its lines, in one managed read-only transaction (no durability
+// wait).
+func (db *DB) OrderStatusCtx(ctx context.Context, in OrderStatusInput) (res OrderStatusResult, err error) {
+	err = db.Engine.RunViewCtx(ctx, retryPolicy, func(t *tx.Tx) error { return in.run(db.fetcher(ctx, t), &res) })
+	return res, err
 }
 
-// OrderStatusCtx is OrderStatus with managed retry and ctx-aware waits.
-func (db *DB) OrderStatusCtx(ctx context.Context, in OrderStatusInput) (OrderStatusResult, error) {
-	var res OrderStatusResult
-	err := db.Engine.RunViewCtx(ctx, retryPolicy, func(t *tx.Tx) error {
-		var err error
-		res, err = db.orderStatus(ctx, t, in)
+// run is Order-Status in two rounds, answered in *res: the customer and
+// the district's orders, then the lines of the customer's latest order.
+func (in OrderStatusInput) run(fetch fetcher, res *OrderStatusResult) error {
+	*res = OrderStatusResult{}
+	got, err := fetch(read{row: cRow(in.WID, in.DID, in.CID), mode: lock.S},
+		read{row: oRow(in.WID, in.DID, 0), mode: lock.S, scan: true})
+	if err != nil {
 		return err
-	})
-	if err != nil {
-		return OrderStatusResult{}, err
 	}
-	return res, nil
-}
-
-// orderStatus is the read-only transaction body.
-func (db *DB) orderStatus(ctx context.Context, t *tx.Tx, in OrderStatusInput) (OrderStatusResult, error) {
-	e := db.Engine
-	var res OrderStatusResult
-	var err error
-	res.Customer, err = db.readCustomer(ctx, t, in.WID, in.DID, in.CID)
-	if err != nil {
-		return OrderStatusResult{}, err
+	if res.Customer, err = decodeCustomer(got[0].value); err != nil {
+		return err
 	}
-	// Find the customer's most recent order: scan the district's orders
-	// and keep the last match (order ids ascend with time).
-	from := oKey(in.WID, in.DID, 0)
-	to := oKey(in.WID, in.DID+1, 0)
-	err = e.IndexScanCtx(ctx, t, db.Orders, from, to, func(k, v []byte) bool {
+	// Order ids ascend with time: the last match is the latest.
+	for _, v := range got[1].scan {
 		ord, err := decodeOrder(v)
 		if err != nil {
-			return false
+			return err
 		}
 		if ord.CID == in.CID {
-			res.Order = ord
-			res.HasOrder = true
-		}
-		return true
-	})
-	if err != nil {
-		return OrderStatusResult{}, err
-	}
-	if res.HasOrder {
-		for l := uint8(1); l <= res.Order.OLCount; l++ {
-			lb, ok, err := e.IndexLookupCtx(ctx, t, db.OrderLine, olKey(in.WID, in.DID, res.Order.ID, l))
-			if err != nil {
-				return OrderStatusResult{}, err
-			}
-			if !ok {
-				continue
-			}
-			ol, err := decodeOrderLine(lb)
-			if err != nil {
-				return OrderStatusResult{}, err
-			}
-			res.Lines = append(res.Lines, ol)
+			res.Order, res.HasOrder = ord, true
 		}
 	}
-	return res, nil
+	if !res.HasOrder {
+		return nil
+	}
+	lines := make([]read, res.Order.OLCount)
+	for i := range lines {
+		lines[i] = read{row: row{t: tOrderLine, w: in.WID, d: in.DID, id: res.Order.ID, n: uint8(i + 1)}, mode: lock.S}
+	}
+	if got, err = fetch(lines...); err != nil {
+		return err
+	}
+	for _, f := range got {
+		if f.value == nil {
+			continue
+		}
+		ol, err := decodeOrderLine(f.value)
+		if err != nil {
+			return err
+		}
+		res.Lines = append(res.Lines, ol)
+	}
+	return nil
 }
 
 // StockLevelInput parameterizes one Stock-Level transaction.
@@ -239,68 +213,60 @@ type StockLevelInput struct {
 
 // GenStockLevel draws Stock-Level parameters (threshold 10-20 per spec).
 func GenStockLevel(r *Rand, scale Scale, homeW uint32) StockLevelInput {
-	return StockLevelInput{
-		WID:       homeW,
-		DID:       uint8(r.Int(1, scale.Districts)),
-		Threshold: int32(r.Int(10, 20)),
-	}
+	return StockLevelInput{WID: homeW, DID: uint8(r.Int(1, scale.Districts)), Threshold: int32(r.Int(10, 20))}
 }
 
-// StockLevel counts distinct items from the district's last 20 orders
-// whose stock is below the threshold. Read-only; the heaviest scanner of
-// the mix. Commits through CommitReadOnly (no durability wait).
-func (db *DB) StockLevel(in StockLevelInput) (int, error) {
-	return db.StockLevelCtx(context.Background(), in)
+// StockLevelCtx counts distinct items from the district's last 20 orders
+// whose stock is below the threshold, in one managed read-only
+// transaction: the heaviest scanner of the mix.
+func (db *DB) StockLevelCtx(ctx context.Context, in StockLevelInput) (low int, err error) {
+	err = db.Engine.RunViewCtx(ctx, retryPolicy, func(t *tx.Tx) error { return in.run(db.fetcher(ctx, t), &low) })
+	return low, err
 }
 
-// StockLevelCtx is StockLevel with managed retry and ctx-aware waits.
-func (db *DB) StockLevelCtx(ctx context.Context, in StockLevelInput) (int, error) {
-	var low int
-	err := db.Engine.RunViewCtx(ctx, retryPolicy, func(t *tx.Tx) error {
-		var err error
-		low, err = db.stockLevel(ctx, t, in)
+// run is Stock-Level in three rounds, answered in *low: the district's
+// order counter, the lines of its last 20 orders, the stock rows of
+// their distinct items.
+func (in StockLevelInput) run(fetch fetcher, low *int) error {
+	*low = 0
+	got, err := fetch(read{row: dRow(in.WID, in.DID), mode: lock.S})
+	if err != nil {
 		return err
-	})
-	if err != nil {
-		return 0, err
 	}
-	return low, nil
-}
-
-// stockLevel is the read-only transaction body.
-func (db *DB) stockLevel(ctx context.Context, t *tx.Tx, in StockLevelInput) (low int, err error) {
-	e := db.Engine
-	dist, err := db.readDistrict(ctx, t, in.WID, in.DID)
+	dist, err := decodeDistrict(got[0].value)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	firstOID := uint32(1)
+	first := uint32(1)
 	if dist.NextOID > 20 {
-		firstOID = dist.NextOID - 20
+		first = dist.NextOID - 20
 	}
-	// Collect distinct item ids from those orders' lines.
-	items := map[uint32]struct{}{}
-	from := olKey(in.WID, in.DID, firstOID, 0)
-	to := oKey(in.WID, in.DID+1, 0)
-	err = e.IndexScanCtx(ctx, t, db.OrderLine, from, to, func(k, v []byte) bool {
+	if got, err = fetch(read{row: row{t: tOrderLine, w: in.WID, d: in.DID, id: first}, mode: lock.S, scan: true}); err != nil {
+		return err
+	}
+	var stocks []read
+	seen := map[uint32]bool{}
+	for _, v := range got[0].scan {
 		ol, err := decodeOrderLine(v)
 		if err != nil {
-			return false
+			return err
 		}
-		items[ol.ItemID] = struct{}{}
-		return true
-	})
-	if err != nil {
-		return 0, err
+		if !seen[ol.ItemID] {
+			seen[ol.ItemID] = true
+			stocks = append(stocks, read{row: sRow(in.WID, ol.ItemID), mode: lock.S})
+		}
 	}
-	for item := range items {
-		st, err := db.readStock(ctx, t, in.WID, item)
+	if got, err = fetch(stocks...); err != nil {
+		return err
+	}
+	for _, f := range got {
+		st, err := decodeStock(f.value)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if st.Quantity < in.Threshold {
-			low++
+			*low++
 		}
 	}
-	return low, nil
+	return nil
 }

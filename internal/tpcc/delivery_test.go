@@ -13,7 +13,7 @@ func placeOrder(t *testing.T, db *DB, w uint32, d uint8, c uint32, items ...uint
 	for _, i := range items {
 		lines = append(lines, NewOrderLine{ItemID: i, SupplyWID: w, Quantity: 5})
 	}
-	if err := db.NewOrder(NewOrderInput{WID: w, DID: d, CID: c, Lines: lines}); err != nil {
+	if err := db.NewOrderCtx(context.Background(), NewOrderInput{WID: w, DID: d, CID: c, Lines: lines}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -25,7 +25,7 @@ func TestDeliveryProcessesOldestOrder(t *testing.T) {
 	placeOrder(t, db, 1, 1, 3, 3)
 	placeOrder(t, db, 1, 2, 4, 4)
 
-	delivered, err := db.Delivery(DeliveryInput{WID: 1, CarrierID: 7})
+	delivered, err := db.DeliveryCtx(context.Background(), DeliveryInput{WID: 1, CarrierID: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,13 +35,13 @@ func TestDeliveryProcessesOldestOrder(t *testing.T) {
 	// District 1's OLDEST order (oid 1, customer 2) was delivered.
 	tx1, _ := db.Engine.Begin()
 	defer db.Engine.Commit(tx1)
-	if _, ok, _ := db.Engine.IndexLookup(tx1, db.NewOrderTab, oKey(1, 1, 1)); ok {
+	if _, ok, _ := db.Engine.IndexLookup(tx1, db.NewOrderTab, oRow(1, 1, 1).key()); ok {
 		t.Fatal("delivered NEW_ORDER row still present")
 	}
-	if _, ok, _ := db.Engine.IndexLookup(tx1, db.NewOrderTab, oKey(1, 1, 2)); !ok {
+	if _, ok, _ := db.Engine.IndexLookup(tx1, db.NewOrderTab, oRow(1, 1, 2).key()); !ok {
 		t.Fatal("newer order's NEW_ORDER row missing")
 	}
-	ob, ok, err := db.Engine.IndexLookup(tx1, db.Orders, oKey(1, 1, 1))
+	ob, ok, err := db.Engine.IndexLookup(tx1, db.Orders, oRow(1, 1, 1).key())
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -50,10 +50,7 @@ func TestDeliveryProcessesOldestOrder(t *testing.T) {
 		t.Fatalf("carrier = %d, want 7", ord.CarrierID)
 	}
 	// Customer 2's balance was credited with the order total.
-	cust, err := db.readCustomer(context.Background(), tx1, 1, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cust := readRow(t, db, tx1, cRow(1, 1, 2), decodeCustomer)
 	if cust.Balance <= -10 || cust.DeliveryCt != 1 {
 		t.Fatalf("customer not credited: %+v", cust)
 	}
@@ -61,7 +58,7 @@ func TestDeliveryProcessesOldestOrder(t *testing.T) {
 
 func TestDeliveryNothingToDeliver(t *testing.T) {
 	db := newDB(t, TinyScale())
-	if _, err := db.Delivery(DeliveryInput{WID: 1, CarrierID: 1}); !errors.Is(err, ErrNothingToDeliver) {
+	if _, err := db.DeliveryCtx(context.Background(), DeliveryInput{WID: 1, CarrierID: 1}); !errors.Is(err, ErrNothingToDeliver) {
 		t.Fatalf("empty delivery = %v", err)
 	}
 }
@@ -72,7 +69,7 @@ func TestOrderStatus(t *testing.T) {
 	placeOrder(t, db, 1, 1, 5, 4) // more recent order for the same customer
 	placeOrder(t, db, 1, 1, 6, 5) // different customer
 
-	res, err := db.OrderStatus(OrderStatusInput{WID: 1, DID: 1, CID: 5})
+	res, err := db.OrderStatusCtx(context.Background(), OrderStatusInput{WID: 1, DID: 1, CID: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +86,7 @@ func TestOrderStatus(t *testing.T) {
 		t.Fatalf("customer = %+v", res.Customer)
 	}
 	// Customer with no orders.
-	res2, err := db.OrderStatus(OrderStatusInput{WID: 1, DID: 2, CID: 1})
+	res2, err := db.OrderStatusCtx(context.Background(), OrderStatusInput{WID: 1, DID: 2, CID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +99,7 @@ func TestStockLevel(t *testing.T) {
 	db := newDB(t, TinyScale())
 	placeOrder(t, db, 1, 1, 1, 1, 2, 3)
 	// Threshold above every stock level: all three items count.
-	low, err := db.StockLevel(StockLevelInput{WID: 1, DID: 1, Threshold: 1000})
+	low, err := db.StockLevelCtx(context.Background(), StockLevelInput{WID: 1, DID: 1, Threshold: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +107,7 @@ func TestStockLevel(t *testing.T) {
 		t.Fatalf("low-stock items = %d, want 3", low)
 	}
 	// Threshold below every stock level: none count.
-	low, err = db.StockLevel(StockLevelInput{WID: 1, DID: 1, Threshold: -1})
+	low, err = db.StockLevelCtx(context.Background(), StockLevelInput{WID: 1, DID: 1, Threshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +117,7 @@ func TestStockLevel(t *testing.T) {
 	// Distinctness: ordering the same item twice counts once.
 	placeOrder(t, db, 1, 2, 1, 7)
 	placeOrder(t, db, 1, 2, 2, 7)
-	low, err = db.StockLevel(StockLevelInput{WID: 1, DID: 2, Threshold: 1000})
+	low, err = db.StockLevelCtx(context.Background(), StockLevelInput{WID: 1, DID: 2, Threshold: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +164,13 @@ func TestFullMixConsistency(t *testing.T) {
 				t.Fatal(err)
 			}
 		case 4:
-			if _, err := db.Delivery(GenDelivery(r, db.Scale, 1)); err != nil && !errors.Is(err, ErrNothingToDeliver) {
+			if _, err := db.DeliveryCtx(context.Background(), GenDelivery(r, db.Scale, 1)); err != nil && !errors.Is(err, ErrNothingToDeliver) {
 				t.Fatal(err)
 			}
-			if _, err := db.OrderStatus(GenOrderStatus(r, db.Scale, 1)); err != nil {
+			if _, err := db.OrderStatusCtx(context.Background(), GenOrderStatus(r, db.Scale, 1)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := db.StockLevel(GenStockLevel(r, db.Scale, 1)); err != nil {
+			if _, err := db.StockLevelCtx(context.Background(), GenStockLevel(r, db.Scale, 1)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -194,10 +191,7 @@ func TestFullMixConsistency(t *testing.T) {
 	}
 	sumNext := 0
 	for d := 1; d <= db.Scale.Districts; d++ {
-		dist, err := db.readDistrict(context.Background(), tx1, 1, uint8(d))
-		if err != nil {
-			t.Fatal(err)
-		}
+		dist := readRow(t, db, tx1, dRow(1, uint8(d)), decodeDistrict)
 		sumNext += int(dist.NextOID) - 1
 	}
 	if sumNext != newOrders {

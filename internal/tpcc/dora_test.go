@@ -1,14 +1,18 @@
 package tpcc
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/dora"
+	"repro/internal/lock"
 	"repro/internal/wal"
 )
 
@@ -103,18 +107,12 @@ func TestDoraCrossPartitionStress(t *testing.T) {
 	}
 	defer db.Engine.Abort(rd)
 	for w := 1; w <= scale.Warehouses; w++ {
-		wh, err := db.readWarehouse(ctx, rd, uint32(w))
-		if err != nil {
-			t.Fatal(err)
-		}
+		wh := readRow(t, db, rd, wRow(uint32(w)), decodeWarehouse)
 		if want := float64(whYTD[w].Load()); wh.YTD != want {
 			t.Errorf("warehouse %d YTD = %v, want %v (lost update)", w, wh.YTD, want)
 		}
 		for d := 1; d <= scale.Districts; d++ {
-			dist, err := db.readDistrict(ctx, rd, uint32(w), uint8(d))
-			if err != nil {
-				t.Fatal(err)
-			}
+			dist := readRow(t, db, rd, dRow(uint32(w), uint8(d)), decodeDistrict)
 			want := uint32(scale.InitialOrders) + 1 + uint32(orders[w][d].Load())
 			if dist.NextOID != want {
 				t.Errorf("district (%d,%d) NextOID = %d, want %d", w, d, dist.NextOID, want)
@@ -174,14 +172,8 @@ func TestDoraRendezvousAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	distBefore, err := db.readDistrict(ctx, rd, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stockBefore, err := db.readStock(ctx, rd, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	distBefore := readRow(t, db, rd, dRow(1, 1), decodeDistrict)
+	stockBefore := readRow(t, db, rd, sRow(1, 1), decodeStock)
 	ordersBefore, err := db.Orders.Verify()
 	if err != nil {
 		t.Fatal(err)
@@ -206,17 +198,11 @@ func TestDoraRendezvousAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Engine.Abort(rd2)
-	distAfter, err := db.readDistrict(ctx, rd2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	distAfter := readRow(t, db, rd2, dRow(1, 1), decodeDistrict)
 	if distAfter.NextOID != distBefore.NextOID {
 		t.Errorf("NextOID %d -> %d: home partition did not roll back", distBefore.NextOID, distAfter.NextOID)
 	}
-	stockAfter, err := db.readStock(ctx, rd2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stockAfter := readRow(t, db, rd2, sRow(1, 1), decodeStock)
 	if stockAfter != stockBefore {
 		t.Errorf("stock (1,1) changed across aborted order: %+v -> %+v", stockBefore, stockAfter)
 	}
@@ -254,10 +240,7 @@ func TestDoraRollbackFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Engine.Abort(rd)
-	dist, err := db.readDistrict(ctx, rd, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dist := readRow(t, db, rd, dRow(1, 1), decodeDistrict)
 	if want := uint32(scale.InitialOrders) + 1; dist.NextOID != want {
 		t.Errorf("NextOID = %d, want %d after rollback", dist.NextOID, want)
 	}
@@ -301,5 +284,80 @@ func TestDoraReadOnlyTransactions(t *testing.T) {
 	}
 	if _, err := db.DoraDelivery(ctx, DeliveryInput{WID: 1, CarrierID: 3}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDoraLockSets pins the DORA decomposition derived from the plans to
+// the lock lists DoraPayment and DoraNewOrder used to spell out by hand:
+// the same actions, routed by the same warehouses, with the same locks.
+// Static routing is modulo two partitions (warehouses 1 and 3 share one),
+// PLP groups by warehouse.
+func TestDoraLockSets(t *testing.T) {
+	static := func(w uint32) int { return int((w - 1) % 2) }
+	plp := func(w uint32) int { return int(w) }
+	type want struct {
+		route        uint32
+		head, depend bool
+		locks        []dora.LockReq
+	}
+	l := func(key uint64, m lock.Mode) dora.LockReq { return dora.LockReq{Key: key, Mode: m} }
+	payHome := []dora.LockReq{l(kWh(1), lock.IX), l(kWRow(1), lock.X), l(kDist(1, 2), lock.X)}
+	payCust := func(w uint32) []dora.LockReq {
+		return []dora.LockReq{l(kWh(w), lock.IX), l(kCust(w, 1, 7), lock.X)}
+	}
+	pay := func(cw uint32) []step {
+		return PaymentInput{WID: 1, DID: 2, CWID: cw, CDID: 1, CID: 7, Amount: 10}.plan()
+	}
+	noHead := []dora.LockReq{l(kWh(1), lock.IX), l(kWRow(1), lock.S), l(kDist(1, 2), lock.X), l(kCust(1, 2, 7), lock.S)}
+	stock := func(w, i uint32) []dora.LockReq { return []dora.LockReq{l(kWh(w), lock.IX), l(kStock(w, i), lock.X)} }
+	newOrder := func(lines ...NewOrderLine) []step {
+		return NewOrderInput{WID: 1, DID: 2, CID: 7, Lines: lines}.plan()
+	}
+	remoteLines := []NewOrderLine{{ItemID: 5, SupplyWID: 1}, {ItemID: 6, SupplyWID: 2}, {ItemID: 7, SupplyWID: 3}, {ItemID: 8, SupplyWID: 2}}
+	cat := func(lists ...[]dora.LockReq) []dora.LockReq { return slices.Concat(lists...) }
+	for _, c := range []struct {
+		name  string
+		plan  []step
+		group func(uint32) int
+		want  []want
+	}{
+		{"local payment", pay(1), static, []want{{route: 1, locks: cat(payHome, payCust(1)[1:])}}},
+		{"remote customer, same partition, static", pay(3), static, []want{{route: 1, locks: cat(payHome, payCust(3))}}},
+		{"remote customer, same partition, plp", pay(3), plp, []want{{route: 1, locks: payHome}, {route: 3, locks: payCust(3)}}},
+		{"remote customer, other partition, static", pay(2), static, []want{{route: 1, locks: payHome}, {route: 2, locks: payCust(2)}}},
+		{"remote customer, other partition, plp", pay(2), plp, []want{{route: 1, locks: payHome}, {route: 2, locks: payCust(2)}}},
+		{"new order, home lines", newOrder(NewOrderLine{ItemID: 5, SupplyWID: 1}, NewOrderLine{ItemID: 6, SupplyWID: 1}), static,
+			[]want{{route: 1, head: true, locks: cat(noHead, stock(1, 5)[1:], stock(1, 6)[1:])}}},
+		{"new order, remote lines, static", newOrder(remoteLines...), static, []want{
+			{route: 1, head: true, locks: cat(noHead, stock(1, 5)[1:], stock(3, 7))},
+			{route: 2, depend: true, locks: cat(stock(2, 6), stock(2, 8)[1:])},
+		}},
+		{"new order, remote lines, plp", newOrder(remoteLines...), plp, []want{
+			{route: 1, head: true, locks: cat(noHead, stock(1, 5)[1:])},
+			{route: 2, depend: true, locks: cat(stock(2, 6), stock(2, 8)[1:])},
+			{route: 3, depend: true, locks: stock(3, 7)},
+		}},
+		{"new order, one stock row twice", newOrder(NewOrderLine{ItemID: 5, SupplyWID: 1}, NewOrderLine{ItemID: 5, SupplyWID: 1}), plp,
+			[]want{{route: 1, head: true, locks: cat(noHead, stock(1, 5)[1:])}}},
+	} {
+		got := actions(c.plan, c.group)
+		if len(got) != len(c.want) {
+			t.Errorf("%s: %d actions, want %d", c.name, len(got), len(c.want))
+			continue
+		}
+		sorted := func(l []dora.LockReq) []dora.LockReq {
+			l = slices.Clone(l)
+			slices.SortFunc(l, func(a, b dora.LockReq) int { return cmp.Compare(a.Key, b.Key) })
+			return l
+		}
+		for i, w := range c.want {
+			a := got[i]
+			gotLocks, wantLocks := sorted(a.locks), sorted(w.locks)
+			parks := a.depend && !a.head // Dependent, as runDora submits it
+			if a.route != w.route || a.head != w.head || parks != w.depend || !slices.Equal(gotLocks, wantLocks) {
+				t.Errorf("%s: action %d routes by %d (head %v, parks %v) with %v, want %d (%v, %v) with %v",
+					c.name, i, a.route, a.head, parks, gotLocks, w.route, w.head, w.depend, wantLocks)
+			}
+		}
 	}
 }

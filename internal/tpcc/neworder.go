@@ -1,9 +1,10 @@
 package tpcc
 
 import (
+	"cmp"
 	"context"
 
-	"repro/internal/tx"
+	"repro/internal/lock"
 )
 
 // NewOrderInput parameterizes one New Order transaction.
@@ -40,107 +41,72 @@ func GenNewOrder(r *Rand, scale Scale, homeW uint32) NewOrderInput {
 			Quantity:  uint8(r.Int(1, 10)),
 		}
 		if scale.Warehouses > 1 && r.Int(1, 100) == 1 {
-			for {
-				w := uint32(r.Int(1, scale.Warehouses))
-				if w != homeW {
-					l.SupplyWID = w
-					break
-				}
-			}
+			l.SupplyWID = r.otherWarehouse(scale, homeW)
 		}
 		in.Lines = append(in.Lines, l)
 	}
 	return in
 }
 
-// NewOrder executes one TPC-C New Order transaction (§3.2: "enters an
+// NewOrderCtx executes one TPC-C New Order transaction (§3.2: "enters an
 // order and its line items into the system, as well as updating customer
 // and stock information ... stresses B-Tree indexes (probes and
-// insertions) and the lock manager"). It commits on success; the 1%
-// intentional rollback returns ErrUserAbort after aborting.
-func (db *DB) NewOrder(in NewOrderInput) error {
-	return db.Engine.RunCtx(context.Background(), onceOnly, func(t *tx.Tx) error {
-		return db.newOrder(context.Background(), t, in)
-	}, nil)
-}
-
-// NewOrderCtx runs NewOrder under the engine's managed-transaction
-// runner: deadlock victims and lock timeouts are aborted and retried
-// with capped exponential backoff, every lock wait observes ctx, and
-// ErrUserAbort (not retryable) passes through as-is.
+// insertions) and the lock manager") as one managed transaction (runCtx);
+// the 1% intentional rollback returns ErrUserAbort after aborting.
 func (db *DB) NewOrderCtx(ctx context.Context, in NewOrderInput) error {
-	return db.Engine.RunCtx(ctx, retryPolicy, func(t *tx.Tx) error {
-		return db.newOrder(ctx, t, in)
-	}, nil)
+	return db.runCtx(ctx, in.plan())
 }
 
-// newOrder is the transaction body, run inside a managed transaction
-// (begin/abort/commit and deadlock retry belong to the runner; returning
-// ErrUserAbort makes the runner abort without retrying).
-func (db *DB) newOrder(ctx context.Context, t *tx.Tx, in NewOrderInput) error {
-	oid, err := db.newOrderHead(ctx, t, in)
-	if err != nil {
-		return err
-	}
-	for i := range in.Lines {
+// plan is New Order as a head step and one step per line. The head reads
+// the warehouse (tax) and the customer (discount) and, to write it back,
+// the district, whose counter gives the order id; it inserts the ORDERS
+// and NEW_ORDER rows. A line reads its item, and its stock row to write
+// back, and inserts its ORDER_LINE row under the head's order id. A
+// rollback input orders an unused item last, as the spec has it.
+func (in NewOrderInput) plan() []step {
+	dr := dRow(in.WID, in.DID)
+	p := append(make([]step, 0, 1+len(in.Lines)), step{
+		head: true,
+		reads: []read{
+			{row: wRow(in.WID), mode: lock.S},
+			{row: cRow(in.WID, in.DID, in.CID), mode: lock.S},
+			{row: dr, mode: lock.X},
+		},
+		apply: func(got []found, _ uint32, w writer) (uint32, error) {
+			dist, err := decodeDistrict(got[2].value)
+			if err != nil {
+				return 0, err
+			}
+			oid := dist.NextOID
+			dist.NextOID++
+			ord, no := newOrderRows(in, oid)
+			w.update(dr, dist.encode())
+			w.insert(oRow(in.WID, in.DID, oid), ord.encode())
+			w.insert(row{t: tNewOrder, w: in.WID, d: in.DID, id: oid}, no.encode())
+			return oid, nil
+		},
+	})
+	for i, l := range in.Lines {
 		if in.Rollback && i == len(in.Lines)-1 {
-			// Unused item id: the spec's intentional rollback.
-			return ErrUserAbort
+			l.ItemID = 0 // unused: item ids start at 1
 		}
-		if err := db.newOrderLine(ctx, t, in, oid, i); err != nil {
-			return err
-		}
+		sr := sRow(l.SupplyWID, l.ItemID)
+		p = append(p, step{
+			dependent: true,
+			reads:     []read{{row: iRow(l.ItemID), mode: lock.S}, {row: sr, mode: lock.X}},
+			apply: func(got []found, oid uint32, w writer) (uint32, error) {
+				item, ierr := decodeItem(got[0].value)
+				st, serr := decodeStock(got[1].value)
+				if err := cmp.Or(ierr, serr); err != nil {
+					return oid, err
+				}
+				st.order(l, in.WID)
+				ol := newOrderLineRow(in, oid, i, &item, &st)
+				w.update(sr, st.encode())
+				w.insert(row{t: tOrderLine, w: in.WID, d: in.DID, id: oid, n: ol.Number}, ol.encode())
+				return oid, nil
+			},
+		})
 	}
-	return nil
-}
-
-// newOrderHead is New Order's home-district step: warehouse tax and
-// customer discount (read-only), the order id allocated from the
-// district's hot counter, and the ORDERS and NEW_ORDER rows.
-func (db *DB) newOrderHead(ctx context.Context, t *tx.Tx, in NewOrderInput) (oid uint32, err error) {
-	e := db.Engine
-	if _, err := db.readWarehouse(ctx, t, in.WID); err != nil {
-		return 0, err
-	}
-	if _, err := db.readCustomer(ctx, t, in.WID, in.DID, in.CID); err != nil {
-		return 0, err
-	}
-	dist, err := db.readDistrict(ctx, t, in.WID, in.DID)
-	if err != nil {
-		return 0, err
-	}
-	oid = dist.NextOID
-	dist.NextOID++
-	if err := e.IndexUpdateCtx(ctx, t, db.District, dKey(in.WID, in.DID), dist.encode()); err != nil {
-		return 0, err
-	}
-	ord, no := newOrderRows(in, oid)
-	if err := e.IndexInsertCtx(ctx, t, db.Orders, oKey(in.WID, in.DID, oid), ord.encode()); err != nil {
-		return 0, err
-	}
-	return oid, e.IndexInsertCtx(ctx, t, db.NewOrderTab, oKey(in.WID, in.DID, oid), no.encode())
-}
-
-// newOrderLine processes order line idx — item probe (ITEM contention),
-// stock update (STOCK contention), ORDER_LINE insert — inside t.
-func (db *DB) newOrderLine(ctx context.Context, t *tx.Tx, in NewOrderInput, oid uint32, idx int) error {
-	e := db.Engine
-	l := in.Lines[idx]
-	item, ok, err := db.readItem(ctx, t, l.ItemID)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return ErrUserAbort
-	}
-	st, err := db.readStock(ctx, t, l.SupplyWID, l.ItemID)
-	if err != nil {
-		return err
-	}
-	st.order(l, in.WID)
-	if err := e.IndexUpdateCtx(ctx, t, db.Stock, sKey(l.SupplyWID, l.ItemID), st.encode()); err != nil {
-		return err
-	}
-	ol := newOrderLineRow(in, oid, idx, &item, &st)
-	return e.IndexInsertCtx(ctx, t, db.OrderLine, olKey(in.WID, in.DID, oid, ol.Number), ol.encode())
+	return p
 }

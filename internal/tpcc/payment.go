@@ -1,12 +1,13 @@
 package tpcc
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/tx"
+	"repro/internal/lock"
 )
 
 // ErrUserAbort marks New Order's intentional 1% rollback.
@@ -18,10 +19,6 @@ var ErrUserAbort = errors.New("tpcc: user-initiated rollback")
 // short (tens of µs of work), so the cap is kept tight — the default
 // 50ms cap would oversleep hot-row victims by two orders of magnitude.
 var retryPolicy = core.RetryPolicy{BaseBackoff: 500 * time.Microsecond, MaxBackoff: 16 * time.Millisecond}
-
-// onceOnly runs a managed transaction exactly once — the plain
-// entrypoints surface deadlock victims to the caller.
-var onceOnly = core.RetryPolicy{MaxAttempts: 1}
 
 // PaymentInput parameterizes one Payment transaction.
 type PaymentInput struct {
@@ -39,87 +36,57 @@ func GenPayment(r *Rand, scale Scale, homeW uint32) PaymentInput {
 	in := PaymentInput{
 		WID:    homeW,
 		DID:    uint8(r.Int(1, scale.Districts)),
+		CWID:   homeW,
 		Amount: r.Float(1, 5000),
 	}
 	if scale.Warehouses > 1 && r.Int(1, 100) > 85 {
-		// Remote customer.
-		for {
-			w := uint32(r.Int(1, scale.Warehouses))
-			if w != homeW {
-				in.CWID = w
-				break
-			}
-		}
-	} else {
-		in.CWID = homeW
+		in.CWID = r.otherWarehouse(scale, homeW) // remote customer
 	}
 	in.CDID = uint8(r.Int(1, scale.Districts))
 	in.CID = uint32(r.CustomerID(scale.Customers))
 	return in
 }
 
-// Payment executes one TPC-C Payment transaction (§3.2: "updates the
+// PaymentCtx executes one TPC-C Payment transaction (§3.2: "updates the
 // customer's balance and corresponding district and warehouse sales
 // statistics ... One of the updates made by Payment is to a contended
-// table, WAREHOUSE"). It commits on success and aborts on error; a
-// deadlock victim is surfaced, not retried — use PaymentCtx.
-func (db *DB) Payment(in PaymentInput) error {
-	return db.Engine.RunCtx(context.Background(), onceOnly, func(t *tx.Tx) error {
-		return db.payment(context.Background(), t, in)
-	}, nil)
-}
-
-// PaymentCtx runs Payment under the engine's managed-transaction runner:
-// deadlock victims and lock timeouts are aborted and retried with capped
-// exponential backoff, and every lock wait observes ctx.
+// table, WAREHOUSE") as one managed transaction (runCtx).
 func (db *DB) PaymentCtx(ctx context.Context, in PaymentInput) error {
-	return db.Engine.RunCtx(ctx, retryPolicy, func(t *tx.Tx) error {
-		return db.payment(ctx, t, in)
-	}, nil)
+	return db.runCtx(ctx, in.plan())
 }
 
-// payment is the transaction body, run inside a managed transaction
-// (begin/abort/commit and deadlock retry belong to the runner): the two
-// halves the partitioned executor runs as separate actions, back to back.
-func (db *DB) payment(ctx context.Context, t *tx.Tx, in PaymentInput) error {
-	if err := db.paymentHome(ctx, t, in); err != nil {
-		return err
-	}
-	return db.paymentCustomer(ctx, t, in)
-}
-
-// paymentHome is Payment's home-warehouse half: warehouse (the hot row)
-// and district YTD plus the history append, which needs both names.
-func (db *DB) paymentHome(ctx context.Context, t *tx.Tx, in PaymentInput) error {
-	e := db.Engine
-	wh, err := db.readWarehouse(ctx, t, in.WID)
-	if err != nil {
-		return err
-	}
-	wh.YTD += in.Amount
-	if err := e.IndexUpdateCtx(ctx, t, db.Warehouse, wKey(in.WID), wh.encode()); err != nil {
-		return err
-	}
-	dist, err := db.readDistrict(ctx, t, in.WID, in.DID)
-	if err != nil {
-		return err
-	}
-	dist.YTD += in.Amount
-	if err := e.IndexUpdateCtx(ctx, t, db.District, dKey(in.WID, in.DID), dist.encode()); err != nil {
-		return err
-	}
-	h := newHistory(in, &wh, &dist)
-	_, err = e.HeapInsertCtx(ctx, t, db.History, h.encode())
-	return err
-}
-
-// paymentCustomer is Payment's customer half: balance and payment stats
-// on the (possibly remote) customer warehouse.
-func (db *DB) paymentCustomer(ctx context.Context, t *tx.Tx, in PaymentInput) error {
-	cust, err := db.readCustomer(ctx, t, in.CWID, in.CDID, in.CID)
-	if err != nil {
-		return err
-	}
-	cust.pay(in)
-	return db.Engine.IndexUpdateCtx(ctx, t, db.Customer, cKey(in.CWID, in.CDID, in.CID), cust.encode())
+// plan is Payment in two steps, each writing back every row it reads.
+// The home step adds the amount to the warehouse's YTD (the hot row) and
+// the district's and appends the history row, which needs both names;
+// the customer step pays on the (possibly remote) customer's warehouse.
+func (in PaymentInput) plan() []step {
+	wr, dr, cr := wRow(in.WID), dRow(in.WID, in.DID), cRow(in.CWID, in.CDID, in.CID)
+	return []step{{
+		reads: []read{{row: wr, mode: lock.X}, {row: dr, mode: lock.X}},
+		apply: func(got []found, _ uint32, w writer) (uint32, error) {
+			wh, werr := decodeWarehouse(got[0].value)
+			dist, derr := decodeDistrict(got[1].value)
+			if err := cmp.Or(werr, derr); err != nil {
+				return 0, err
+			}
+			wh.YTD += in.Amount
+			dist.YTD += in.Amount
+			h := newHistory(in, &wh, &dist)
+			w.update(wr, wh.encode())
+			w.update(dr, dist.encode())
+			w.insert(row{t: tHistory}, h.encode())
+			return 0, nil
+		},
+	}, {
+		reads: []read{{row: cr, mode: lock.X}},
+		apply: func(got []found, _ uint32, w writer) (uint32, error) {
+			cust, err := decodeCustomer(got[0].value)
+			if err != nil {
+				return 0, err
+			}
+			cust.pay(in)
+			w.update(cr, cust.encode())
+			return 0, nil
+		},
+	}}
 }

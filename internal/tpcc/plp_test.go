@@ -186,18 +186,12 @@ func TestPlpCrossPartitionStress(t *testing.T) {
 	}
 	defer db.Engine.Abort(rd)
 	for w := 1; w <= scale.Warehouses; w++ {
-		wh, err := db.readWarehouse(ctx, rd, uint32(w))
-		if err != nil {
-			t.Fatal(err)
-		}
+		wh := readRow(t, db, rd, wRow(uint32(w)), decodeWarehouse)
 		if want := float64(whYTD[w].Load()); wh.YTD != want {
 			t.Errorf("warehouse %d YTD = %v, want %v (lost update)", w, wh.YTD, want)
 		}
 		for d := 1; d <= scale.Districts; d++ {
-			dist, err := db.readDistrict(ctx, rd, uint32(w), uint8(d))
-			if err != nil {
-				t.Fatal(err)
-			}
+			dist := readRow(t, db, rd, dRow(uint32(w), uint8(d)), decodeDistrict)
 			want := uint32(scale.InitialOrders) + 1 + uint32(orders[w][d].Load())
 			if dist.NextOID != want {
 				t.Errorf("district (%d,%d) NextOID = %d, want %d", w, d, dist.NextOID, want)
@@ -424,18 +418,13 @@ func TestPlpRebalanceSkew(t *testing.T) {
 	}
 
 	// Correctness audit: a migration must not lose or duplicate a cent.
-	// (Fresh context: ctx was canceled to stop the workers.)
-	actx := context.Background()
 	rd, err := db.Engine.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Engine.Abort(rd)
 	for w := 1; w <= scale.Warehouses; w++ {
-		wh, err := db.readWarehouse(actx, rd, uint32(w))
-		if err != nil {
-			t.Fatal(err)
-		}
+		wh := readRow(t, db, rd, wRow(uint32(w)), decodeWarehouse)
 		if want := float64(whYTD[w].Load()); wh.YTD != want {
 			t.Errorf("warehouse %d YTD = %v, want %v", w, wh.YTD, want)
 		}

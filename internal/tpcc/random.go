@@ -5,7 +5,6 @@ import "math/rand"
 // NURand constants fixed at load time, per the TPC-C specification
 // (clause 2.1.6): C values for the non-uniform distributions.
 const (
-	cLast  = 157
 	cCID   = 91
 	cOLIID = 33
 )
@@ -85,11 +84,6 @@ func LastName(number int) string {
 	return lastNameSyllables[number/100] + lastNameSyllables[(number/10)%10] + lastNameSyllables[number%10]
 }
 
-// LastNameNumber draws a last-name number with the NURand(255) skew.
-func (r *Rand) LastNameNumber() int {
-	return r.NURand(255, 0, 999, cLast)
-}
-
 // AString returns a random alphanumeric string with length in [lo, hi].
 func (r *Rand) AString(lo, hi int) string {
 	const alpha = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
@@ -109,6 +103,15 @@ func (r *Rand) NString(lo, hi int) string {
 		b[i] = byte('0' + r.r.Intn(10))
 	}
 	return string(b)
+}
+
+// otherWarehouse draws a warehouse other than homeW, of two or more.
+func (r *Rand) otherWarehouse(scale Scale, homeW uint32) uint32 {
+	for {
+		if w := uint32(r.Int(1, scale.Warehouses)); w != homeW {
+			return w
+		}
+	}
 }
 
 // Rollback1Percent reports true with probability 1/100 (New Order's

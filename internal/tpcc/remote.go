@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/client"
+	"repro/internal/lock"
 	"repro/internal/wire"
 )
 
@@ -66,20 +67,16 @@ type RemoteStats struct {
 }
 
 // Remote drives TPC-C transactions against a shored server over one
-// client connection, mirroring the local Payment and New Order bodies.
-// Each transaction is two round trips: a BeginBatch carrying every read
-// (all keys are known up front), then a RunCommit carrying every write.
-// Deadlock victims, lock timeouts and shed requests are retried
-// client-side with capped exponential backoff. Not safe for concurrent
-// use — one Remote per goroutine, like the Client it wraps.
+// client connection: the wire executor of the plans. Deadlock victims,
+// lock timeouts and shed requests are retried client-side with capped
+// exponential backoff. Not safe for concurrent use — one Remote per
+// goroutine, like the Client it wraps.
 type Remote struct {
 	C     *client.Client
 	Scale Scale
 	Stats *RemoteStats
 
-	warehouse, district, customer uint32
-	orders, newOrder, orderLine   uint32
-	item, stock, history          uint32
+	stores [nTables]uint32 // by table
 }
 
 // OpenRemote resolves the TPC-C catalog over c. The returned Remote
@@ -89,29 +86,23 @@ func OpenRemote(ctx context.Context, c *client.Client, stats *RemoteStats) (*Rem
 		stats = &RemoteStats{}
 	}
 	r := &Remote{C: c, Stats: stats}
-	resolve := func(name string, dst *uint32) error {
-		id, _, err := c.Resolve(ctx, name)
-		if err != nil {
-			return fmt.Errorf("tpcc: resolve %s: %w", name, err)
-		}
-		*dst = id
-		return nil
-	}
 	var w, d, cu, it uint32
 	for _, e := range []struct {
 		name string
 		dst  *uint32
 	}{
-		{CatWarehouse, &r.warehouse}, {CatDistrict, &r.district},
-		{CatCustomer, &r.customer}, {CatOrders, &r.orders},
-		{CatNewOrder, &r.newOrder}, {CatOrderLine, &r.orderLine},
-		{CatItem, &r.item}, {CatStock, &r.stock}, {CatHistory, &r.history},
+		{CatWarehouse, &r.stores[tWarehouse]}, {CatDistrict, &r.stores[tDistrict]},
+		{CatCustomer, &r.stores[tCustomer]}, {CatOrders, &r.stores[tOrders]},
+		{CatNewOrder, &r.stores[tNewOrder]}, {CatOrderLine, &r.stores[tOrderLine]},
+		{CatItem, &r.stores[tItem]}, {CatStock, &r.stores[tStock]}, {CatHistory, &r.stores[tHistory]},
 		{CatScaleWarehouses, &w}, {CatScaleDistricts, &d},
 		{CatScaleCustomers, &cu}, {CatScaleItems, &it},
 	} {
-		if err := resolve(e.name, e.dst); err != nil {
-			return nil, err
+		id, _, err := c.Resolve(ctx, e.name)
+		if err != nil {
+			return nil, fmt.Errorf("tpcc: resolve %s: %w", e.name, err)
 		}
+		*e.dst = id
 	}
 	r.Scale = Scale{Warehouses: int(w), Districts: int(d), Customers: int(cu), Items: int(it), StockPerItem: true}
 	return r, nil
@@ -157,276 +148,141 @@ func (r *Remote) retryRemote(ctx context.Context, fn func() error) error {
 	return err
 }
 
-// rollbackUnlessAborted releases the transaction after a failure that
-// may or may not have carried the server's aborted flag.
-func rollbackUnlessAborted(ctx context.Context, tx *client.Tx, err error) {
-	if !client.IsAborted(err) {
-		_ = tx.Rollback(ctx)
-	}
-}
-
-// Payment runs one remote Payment transaction (reads batched into the
-// begin round trip, writes batched into the commit round trip).
+// Payment runs one remote Payment transaction.
 func (r *Remote) Payment(ctx context.Context, in PaymentInput) error {
-	return r.retryRemote(ctx, func() error { return r.paymentOnce(ctx, in) })
-}
-
-func (r *Remote) paymentOnce(ctx context.Context, in PaymentInput) error {
-	// Every row read here is written back at commit, and the write is a
-	// full client round trip away — take the X locks up front (SELECT
-	// FOR UPDATE) or concurrent payments on the same warehouse deadlock
-	// on the S→X upgrade almost every time.
-	reads := client.NewBatch()
-	gw := reads.IndexGetForUpdate(r.warehouse, wKey(in.WID))
-	gd := reads.IndexGetForUpdate(r.district, dKey(in.WID, in.DID))
-	gc := reads.IndexGetForUpdate(r.customer, cKey(in.CWID, in.CDID, in.CID))
-	tx, err := r.C.BeginBatch(ctx, reads)
-	if err != nil {
-		return err
-	}
-	if !gw.Found || !gd.Found || !gc.Found {
-		_ = tx.Rollback(ctx)
-		return fmt.Errorf("tpcc: payment row missing (w=%v d=%v c=%v)", gw.Found, gd.Found, gc.Found)
-	}
-	wh, err := decodeWarehouse(gw.Value)
-	if err != nil {
-		_ = tx.Rollback(ctx)
-		return err
-	}
-	dist, err := decodeDistrict(gd.Value)
-	if err != nil {
-		_ = tx.Rollback(ctx)
-		return err
-	}
-	cust, err := decodeCustomer(gc.Value)
-	if err != nil {
-		_ = tx.Rollback(ctx)
-		return err
-	}
-
-	wh.YTD += in.Amount
-	dist.YTD += in.Amount
-	cust.pay(in)
-	h := newHistory(in, &wh, &dist)
-
-	writes := client.NewBatch()
-	writes.IndexUpdate(r.warehouse, wKey(in.WID), wh.encode())
-	writes.IndexUpdate(r.district, dKey(in.WID, in.DID), dist.encode())
-	writes.IndexUpdate(r.customer, cKey(in.CWID, in.CDID, in.CID), cust.encode())
-	writes.HeapInsert(r.history, h.encode())
-	if err := tx.RunCommit(ctx, writes); err != nil {
-		rollbackUnlessAborted(ctx, tx, err)
-		return err
-	}
-	return nil
-}
-
-// OrderStatus runs one remote Order-Status query through the server's
-// View path (wire.BatchView): with the server opened under snapshot
-// reads every batch below is a lock-free as-of read. The query spans
-// two View batches — the second fetches the order lines found by the
-// first — so it reads across two snapshots; each batch is individually
-// consistent, which is what a status screen needs.
-func (r *Remote) OrderStatus(ctx context.Context, in OrderStatusInput) (OrderStatusResult, error) {
-	var res OrderStatusResult
-	err := r.retryRemote(ctx, func() error {
-		res = OrderStatusResult{}
-		var gc *client.Lookup
-		var orders *client.Scanned
-		if err := r.C.View(ctx, func(b *client.Batch) {
-			gc = b.IndexGet(r.customer, cKey(in.WID, in.DID, in.CID))
-			orders = b.IndexScan(r.orders, oKey(in.WID, in.DID, 0), oKey(in.WID, in.DID+1, 0), 0)
-		}); err != nil {
-			return err
-		}
-		if !gc.Found {
-			return fmt.Errorf("tpcc: customer %d/%d/%d missing", in.WID, in.DID, in.CID)
-		}
-		cust, err := decodeCustomer(gc.Value)
-		if err != nil {
-			return err
-		}
-		res.Customer = cust
-		for _, kv := range orders.KVs {
-			ord, err := decodeOrder(kv.Value)
-			if err != nil {
-				return err
-			}
-			if ord.CID == in.CID {
-				res.Order = ord
-				res.HasOrder = true
-			}
-		}
-		if !res.HasOrder {
-			return nil
-		}
-		var lines *client.Scanned
-		if err := r.C.View(ctx, func(b *client.Batch) {
-			lines = b.IndexScan(r.orderLine,
-				olKey(in.WID, in.DID, res.Order.ID, 0),
-				olKey(in.WID, in.DID, res.Order.ID+1, 0), 0)
-		}); err != nil {
-			return err
-		}
-		for _, kv := range lines.KVs {
-			ol, err := decodeOrderLine(kv.Value)
-			if err != nil {
-				return err
-			}
-			res.Lines = append(res.Lines, ol)
-		}
-		return nil
-	})
-	return res, err
-}
-
-// StockLevel runs one remote Stock-Level query through the View path:
-// district read, order-line range scan, then the distinct items' stock
-// rows — three read-only batches, the heaviest remote scanner of the
-// mix.
-func (r *Remote) StockLevel(ctx context.Context, in StockLevelInput) (int, error) {
-	low := 0
-	err := r.retryRemote(ctx, func() error {
-		low = 0
-		var gd *client.Lookup
-		if err := r.C.View(ctx, func(b *client.Batch) {
-			gd = b.IndexGet(r.district, dKey(in.WID, in.DID))
-		}); err != nil {
-			return err
-		}
-		if !gd.Found {
-			return fmt.Errorf("tpcc: district %d/%d missing", in.WID, in.DID)
-		}
-		dist, err := decodeDistrict(gd.Value)
-		if err != nil {
-			return err
-		}
-		firstOID := uint32(1)
-		if dist.NextOID > 20 {
-			firstOID = dist.NextOID - 20
-		}
-		var lines *client.Scanned
-		if err := r.C.View(ctx, func(b *client.Batch) {
-			lines = b.IndexScan(r.orderLine,
-				olKey(in.WID, in.DID, firstOID, 0), oKey(in.WID, in.DID+1, 0), 0)
-		}); err != nil {
-			return err
-		}
-		items := map[uint32]struct{}{}
-		for _, kv := range lines.KVs {
-			ol, err := decodeOrderLine(kv.Value)
-			if err != nil {
-				return err
-			}
-			items[ol.ItemID] = struct{}{}
-		}
-		if len(items) == 0 {
-			return nil
-		}
-		stocks := make(map[uint32]*client.Lookup, len(items))
-		if err := r.C.View(ctx, func(b *client.Batch) {
-			for item := range items {
-				stocks[item] = b.IndexGet(r.stock, sKey(in.WID, item))
-			}
-		}); err != nil {
-			return err
-		}
-		for _, g := range stocks {
-			if !g.Found {
-				continue
-			}
-			st, err := decodeStock(g.Value)
-			if err != nil {
-				return err
-			}
-			if st.Quantity < in.Threshold {
-				low++
-			}
-		}
-		return nil
-	})
-	return low, err
+	return r.retryRemote(ctx, func() error { return r.run(ctx, in.plan()) })
 }
 
 // NewOrder runs one remote New Order transaction.
 func (r *Remote) NewOrder(ctx context.Context, in NewOrderInput) error {
-	err := r.retryRemote(ctx, func() error { return r.newOrderOnce(ctx, in) })
+	err := r.retryRemote(ctx, func() error { return r.run(ctx, in.plan()) })
 	if errors.Is(err, ErrUserAbort) {
 		r.Stats.UserAborts.Add(1)
 	}
 	return err
 }
 
-func (r *Remote) newOrderOnce(ctx context.Context, in NewOrderInput) error {
-	// Every key is known up front, so the whole read set rides on the
-	// begin round trip.
-	reads := client.NewBatch()
-	reads.IndexGet(r.warehouse, wKey(in.WID))
-	reads.IndexGet(r.customer, cKey(in.WID, in.DID, in.CID))
-	// District and stock rows are written back at commit: X up front
-	// (see paymentOnce). Warehouse, customer and item stay S — New
-	// Order only reads them.
-	gd := reads.IndexGetForUpdate(r.district, dKey(in.WID, in.DID))
-	items := make([]*client.Lookup, len(in.Lines))
-	stocks := make([]*client.Lookup, len(in.Lines))
-	for i, l := range in.Lines {
-		items[i] = reads.IndexGet(r.item, iKey(l.ItemID))
-		stocks[i] = reads.IndexGetForUpdate(r.stock, sKey(l.SupplyWID, l.ItemID))
+// OrderStatus runs one remote Order-Status query in two View batches
+// (wire.BatchView: lock-free as-of reads under snapshot reads). It reads
+// across two snapshots; each is consistent, which a status screen needs.
+func (r *Remote) OrderStatus(ctx context.Context, in OrderStatusInput) (res OrderStatusResult, err error) {
+	err = r.retryRemote(ctx, func() error { return in.run(r.fetcher(ctx), &res) })
+	return res, err
+}
+
+// StockLevel runs one remote Stock-Level query in three View batches,
+// the heaviest remote scanner of the mix.
+func (r *Remote) StockLevel(ctx context.Context, in StockLevelInput) (low int, err error) {
+	err = r.retryRemote(ctx, func() error { return in.run(r.fetcher(ctx), &low) })
+	return low, err
+}
+
+// run is the wire executor of a write plan: every step's reads ride on
+// the begin round trip, every write on the commit round trip.
+func (r *Remote) run(ctx context.Context, p []step) error {
+	var reads []read
+	for _, s := range p {
+		reads = append(reads, s.reads...)
 	}
-	tx, err := r.C.BeginBatch(ctx, reads)
+	b := client.NewBatch()
+	results := r.record(b, reads)
+	tx, err := r.C.BeginBatch(ctx, b)
 	if err != nil {
 		return err
 	}
-	if !gd.Found {
-		_ = tx.Rollback(ctx)
-		return fmt.Errorf("tpcc: district %d/%d missing", in.WID, in.DID)
+	got, err := results()
+	w := batchWriter{stores: &r.stores, b: client.NewBatch(), wrote: map[row][]byte{}}
+	if err == nil {
+		_, err = apply(p, 0, func(reads ...read) ([]found, error) {
+			f := got[:len(reads)]
+			got = got[len(reads):]
+			for i, rd := range reads {
+				if v, ok := w.wrote[rd.row]; ok {
+					f[i].value = v // New Order's second line of one stock row
+				}
+			}
+			return f, nil
+		}, w)
 	}
-	dist, err := decodeDistrict(gd.Value)
+	if err == nil {
+		if err = tx.RunCommit(ctx, w.b); client.IsAborted(err) {
+			return err
+		}
+	}
 	if err != nil {
 		_ = tx.Rollback(ctx)
-		return err
 	}
-	oid := dist.NextOID
-	dist.NextOID++
+	return err
+}
 
-	writes := client.NewBatch()
-	writes.IndexUpdate(r.district, dKey(in.WID, in.DID), dist.encode())
-	ord, no := newOrderRows(in, oid)
-	writes.IndexInsert(r.orders, oKey(in.WID, in.DID, oid), ord.encode())
-	writes.IndexInsert(r.newOrder, oKey(in.WID, in.DID, oid), no.encode())
+// fetcher reads each round in one View batch (an empty one in none).
+func (r *Remote) fetcher(ctx context.Context) fetcher {
+	return func(reads ...read) ([]found, error) {
+		if len(reads) == 0 {
+			return nil, nil
+		}
+		var results func() ([]found, error)
+		if err := r.C.View(ctx, func(b *client.Batch) { results = r.record(b, reads) }); err != nil {
+			return nil, err
+		}
+		return results()
+	}
+}
 
-	for i, l := range in.Lines {
-		if in.Rollback && i == len(in.Lines)-1 {
-			// The spec's intentional rollback (unused item id).
-			_ = tx.Rollback(ctx)
-			return ErrUserAbort
+// record adds reads to b (a get, for update by the read's mode, or a
+// scan) and returns what each found, to be called once b has run.
+func (r *Remote) record(b *client.Batch, reads []read) func() ([]found, error) {
+	gets, scans := make([]*client.Lookup, len(reads)), make([]*client.Scanned, len(reads))
+	for i, rd := range reads {
+		store, key := r.stores[rd.row.t], rd.row.key()
+		switch {
+		case rd.scan:
+			scans[i] = b.IndexScan(store, key, rd.row.end(), 0)
+		case rd.mode == lock.X:
+			gets[i] = b.IndexGetForUpdate(store, key)
+		default:
+			gets[i] = b.IndexGet(store, key)
 		}
-		if !items[i].Found {
-			_ = tx.Rollback(ctx)
-			return ErrUserAbort
-		}
-		item, err := decodeItem(items[i].Value)
-		if err != nil {
-			_ = tx.Rollback(ctx)
-			return err
-		}
-		if !stocks[i].Found {
-			_ = tx.Rollback(ctx)
-			return fmt.Errorf("tpcc: stock %d/%d missing", l.SupplyWID, l.ItemID)
-		}
-		st, err := decodeStock(stocks[i].Value)
-		if err != nil {
-			_ = tx.Rollback(ctx)
-			return err
-		}
-		st.order(l, in.WID)
-		writes.IndexUpdate(r.stock, sKey(l.SupplyWID, l.ItemID), st.encode())
-		ol := newOrderLineRow(in, oid, i, &item, &st)
-		writes.IndexInsert(r.orderLine, olKey(in.WID, in.DID, oid, ol.Number), ol.encode())
 	}
-	if err := tx.RunCommit(ctx, writes); err != nil {
-		rollbackUnlessAborted(ctx, tx, err)
-		return err
+	return func() ([]found, error) {
+		got := make([]found, len(reads))
+		for i, rd := range reads {
+			switch {
+			case rd.scan:
+				for _, kv := range scans[i].KVs {
+					got[i].scan = append(got[i].scan, kv.Value)
+				}
+			case gets[i].Found:
+				got[i].value = gets[i].Value
+			default:
+				if err := rd.row.missing(); err != nil {
+					return nil, err
+				}
+			}
+		}
+		return got, nil
 	}
-	return nil
+}
+
+// batchWriter adds a step's writes to the commit batch and keeps each
+// update, which a later step reading the row must see.
+type batchWriter struct {
+	stores *[nTables]uint32
+	b      *client.Batch
+	wrote  map[row][]byte
+}
+
+func (w batchWriter) err() error { return nil }
+
+func (w batchWriter) update(r row, v []byte) {
+	w.wrote[r] = v
+	w.b.IndexUpdate(w.stores[r.t], r.key(), v)
+}
+
+func (w batchWriter) insert(r row, v []byte) {
+	if r.t == tHistory {
+		w.b.HeapInsert(w.stores[r.t], v)
+	} else {
+		w.b.IndexInsert(w.stores[r.t], r.key(), v)
+	}
 }

@@ -1,49 +1,9 @@
 package tpcc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 )
-
-// Composite primary keys, big-endian so B-tree order matches key order.
-
-func wKey(w uint32) []byte {
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint32(b, w)
-	return b
-}
-
-func dKey(w uint32, d uint8) []byte {
-	return append(wKey(w), d)
-}
-
-func cKey(w uint32, d uint8, c uint32) []byte {
-	b := dKey(w, d)
-	return binary.BigEndian.AppendUint32(b, c)
-}
-
-func oKey(w uint32, d uint8, o uint32) []byte {
-	b := dKey(w, d)
-	return binary.BigEndian.AppendUint32(b, o)
-}
-
-func olKey(w uint32, d uint8, o uint32, ol uint8) []byte {
-	return append(oKey(w, d, o), ol)
-}
-
-func iKey(i uint32) []byte {
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint32(b, i)
-	return b
-}
-
-func sKey(w, i uint32) []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint32(b, w)
-	binary.BigEndian.PutUint32(b[4:], i)
-	return b
-}
 
 // Warehouse is one WAREHOUSE row.
 type Warehouse struct {
@@ -58,7 +18,7 @@ type Warehouse struct {
 }
 
 func (w *Warehouse) encode() []byte {
-	var e enc
+	e := newEnc(0)
 	e.u32(w.ID)
 	e.str(w.Name)
 	e.str(w.Street)
@@ -92,7 +52,7 @@ type District struct {
 }
 
 func (r *District) encode() []byte {
-	var e enc
+	e := newEnc(0)
 	e.u32(r.WID)
 	e.u8(r.ID)
 	e.str(r.Name)
@@ -132,7 +92,7 @@ type Customer struct {
 }
 
 func (c *Customer) encode() []byte {
-	var e enc
+	e := newEnc(len(c.Data))
 	e.u32(c.WID)
 	e.u8(c.DID)
 	e.u32(c.ID)
@@ -201,7 +161,7 @@ func newHistory(in PaymentInput, wh *Warehouse, dist *District) History {
 }
 
 func (h *History) encode() []byte {
-	var e enc
+	e := newEnc(0)
 	e.u32(h.CID)
 	e.u8(h.CDID)
 	e.u32(h.CWID)
@@ -251,7 +211,7 @@ func newOrderRows(in NewOrderInput, oid uint32) (Order, NewOrderRow) {
 }
 
 func (o *Order) encode() []byte {
-	var e enc
+	e := newEnc(0)
 	e.u32(o.WID)
 	e.u8(o.DID)
 	e.u32(o.ID)
@@ -271,9 +231,8 @@ func decodeOrder(b []byte) (Order, error) {
 	d := dec{b: b}
 	o := Order{
 		WID: d.u32(), DID: d.u8(), ID: d.u32(), CID: d.u32(),
-		EntryDate: d.i64(), CarrierID: d.u8(), OLCount: d.u8(),
+		EntryDate: d.i64(), CarrierID: d.u8(), OLCount: d.u8(), AllLocal: d.u8() == 1,
 	}
-	o.AllLocal = d.u8() == 1
 	return o, d.err
 }
 
@@ -285,7 +244,7 @@ type NewOrderRow struct {
 }
 
 func (n *NewOrderRow) encode() []byte {
-	var e enc
+	e := newEnc(0)
 	e.u32(n.WID)
 	e.u8(n.DID)
 	e.u32(n.OID)
@@ -324,7 +283,7 @@ func newOrderLineRow(in NewOrderInput, oid uint32, idx int, item *Item, st *Stoc
 }
 
 func (ol *OrderLine) encode() []byte {
-	var e enc
+	e := newEnc(0)
 	e.u32(ol.WID)
 	e.u8(ol.DID)
 	e.u32(ol.OID)
@@ -357,7 +316,7 @@ type Item struct {
 }
 
 func (i *Item) encode() []byte {
-	var e enc
+	e := newEnc(0)
 	e.u32(i.ID)
 	e.u32(i.ImID)
 	e.str(i.Name)
@@ -401,7 +360,7 @@ func (s *Stock) order(l NewOrderLine, homeW uint32) {
 }
 
 func (s *Stock) encode() []byte {
-	var e enc
+	e := newEnc(0)
 	e.u32(s.WID)
 	e.u32(s.ItemID)
 	e.u32(uint32(s.Quantity))
@@ -415,12 +374,9 @@ func (s *Stock) encode() []byte {
 
 func decodeStock(b []byte) (Stock, error) {
 	d := dec{b: b}
-	s := Stock{WID: d.u32(), ItemID: d.u32()}
-	s.Quantity = int32(d.u32())
-	s.YTD = d.f64()
-	s.OrderCnt = d.u32()
-	s.RemoteCnt = d.u32()
-	s.DistInfo = d.str()
-	s.Data = d.str()
+	s := Stock{
+		WID: d.u32(), ItemID: d.u32(), Quantity: int32(d.u32()), YTD: d.f64(),
+		OrderCnt: d.u32(), RemoteCnt: d.u32(), DistInfo: d.str(), Data: d.str(),
+	}
 	return s, d.err
 }

@@ -2,13 +2,16 @@ package tpcc
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/lock"
 	"repro/internal/page"
+	"repro/internal/tx"
 	"repro/internal/wal"
 )
 
@@ -28,6 +31,20 @@ func newDB(t testing.TB, scale Scale) *DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// readRow reads row r in tx under an S lock and decodes it.
+func readRow[T any](t testing.TB, db *DB, tx *tx.Tx, r row, decode func([]byte) (T, error)) T {
+	t.Helper()
+	b, err := db.get(context.Background(), tx, read{row: r, mode: lock.S})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 func TestCodecRoundTrips(t *testing.T) {
@@ -84,15 +101,30 @@ func TestCodecRoundTrips(t *testing.T) {
 
 func TestKeyOrdering(t *testing.T) {
 	// Order keys must sort by (w, d, o).
-	a := oKey(1, 2, 3)
-	b := oKey(1, 2, 4)
-	c := oKey(1, 3, 1)
-	d := oKey(2, 1, 1)
+	a := oRow(1, 2, 3).key()
+	b := oRow(1, 2, 4).key()
+	c := oRow(1, 3, 1).key()
+	d := oRow(2, 1, 1).key()
 	if !(string(a) < string(b) && string(b) < string(c) && string(c) < string(d)) {
 		t.Fatal("order keys do not sort correctly")
 	}
-	if len(olKey(1, 2, 3, 4)) != len(oKey(1, 2, 3))+1 {
-		t.Fatal("order-line key length")
+	// Every table's key: its ids big-endian in primary-key order.
+	for _, k := range []struct {
+		r    row
+		want string
+	}{
+		{wRow(1), "00000001"},
+		{dRow(1, 2), "0000000102"},
+		{cRow(1, 2, 3), "000000010200000003"},
+		{oRow(1, 2, 3), "000000010200000003"},
+		{row{t: tNewOrder, w: 1, d: 2, id: 3}, "000000010200000003"},
+		{row{t: tOrderLine, w: 1, d: 2, id: 3, n: 4}, "00000001020000000304"},
+		{iRow(5), "00000005"},
+		{sRow(1, 5), "0000000100000005"},
+	} {
+		if got := hex.EncodeToString(k.r.key()); got != k.want {
+			t.Errorf("%+v: key %s, want %s", k.r, got, k.want)
+		}
 	}
 }
 
@@ -150,37 +182,25 @@ func TestLoadPopulatesAllTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := uint32(1); w <= 2; w++ {
-		wh, err := db.readWarehouse(context.Background(), tx1, w)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wh := readRow(t, db, tx1, wRow(w), decodeWarehouse)
 		if wh.ID != w {
 			t.Fatalf("warehouse %d decoded id %d", w, wh.ID)
 		}
 		for d := uint8(1); d <= 2; d++ {
-			dist, err := db.readDistrict(context.Background(), tx1, w, d)
-			if err != nil {
-				t.Fatal(err)
-			}
+			dist := readRow(t, db, tx1, dRow(w, d), decodeDistrict)
 			if dist.NextOID != 1 {
 				t.Fatalf("district NextOID = %d", dist.NextOID)
 			}
 			for c := uint32(1); c <= 10; c++ {
-				if _, err := db.readCustomer(context.Background(), tx1, w, d, c); err != nil {
-					t.Fatal(err)
-				}
+				readRow(t, db, tx1, cRow(w, d, c), decodeCustomer)
 			}
 		}
 		for i := uint32(1); i <= 50; i++ {
-			if _, err := db.readStock(context.Background(), tx1, w, i); err != nil {
-				t.Fatal(err)
-			}
+			readRow(t, db, tx1, sRow(w, i), decodeStock)
 		}
 	}
 	for i := uint32(1); i <= 50; i++ {
-		if _, ok, err := db.readItem(context.Background(), tx1, i); err != nil || !ok {
-			t.Fatalf("item %d: %v %v", i, ok, err)
-		}
+		readRow(t, db, tx1, iRow(i), decodeItem)
 	}
 	if err := db.Engine.Commit(tx1); err != nil {
 		t.Fatal(err)
@@ -190,22 +210,19 @@ func TestLoadPopulatesAllTables(t *testing.T) {
 func TestPaymentUpdatesBalances(t *testing.T) {
 	db := newDB(t, TinyScale())
 	in := PaymentInput{WID: 1, DID: 1, CWID: 1, CDID: 1, CID: 3, Amount: 100}
-	if err := db.Payment(in); err != nil {
+	if err := db.PaymentCtx(context.Background(), in); err != nil {
 		t.Fatal(err)
 	}
 	tx1, _ := db.Engine.Begin()
-	wh, err := db.readWarehouse(context.Background(), tx1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wh := readRow(t, db, tx1, wRow(1), decodeWarehouse)
 	if wh.YTD != 100 {
 		t.Errorf("warehouse YTD = %v, want 100", wh.YTD)
 	}
-	dist, _ := db.readDistrict(context.Background(), tx1, 1, 1)
+	dist := readRow(t, db, tx1, dRow(1, 1), decodeDistrict)
 	if dist.YTD != 100 {
 		t.Errorf("district YTD = %v", dist.YTD)
 	}
-	cust, _ := db.readCustomer(context.Background(), tx1, 1, 1, 3)
+	cust := readRow(t, db, tx1, cRow(1, 1, 3), decodeCustomer)
 	if cust.Balance != -110 {
 		t.Errorf("customer balance = %v, want -110", cust.Balance)
 	}
@@ -245,19 +262,16 @@ func TestNewOrderCreatesRows(t *testing.T) {
 			{ItemID: 2, SupplyWID: 1, Quantity: 3},
 		},
 	}
-	if err := db.NewOrder(in); err != nil {
+	if err := db.NewOrderCtx(context.Background(), in); err != nil {
 		t.Fatal(err)
 	}
 	tx1, _ := db.Engine.Begin()
-	dist, err := db.readDistrict(context.Background(), tx1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dist := readRow(t, db, tx1, dRow(1, 1), decodeDistrict)
 	if dist.NextOID != 2 {
 		t.Fatalf("NextOID = %d, want 2", dist.NextOID)
 	}
 	// The order and its lines are queryable.
-	b, ok, err := db.Engine.IndexLookup(tx1, db.Orders, oKey(1, 1, 1))
+	b, ok, err := db.Engine.IndexLookup(tx1, db.Orders, oRow(1, 1, 1).key())
 	if err != nil || !ok {
 		t.Fatalf("order row: %v %v", ok, err)
 	}
@@ -266,7 +280,7 @@ func TestNewOrderCreatesRows(t *testing.T) {
 		t.Fatalf("order: %+v, %v", ord, err)
 	}
 	for n := uint8(1); n <= 2; n++ {
-		b, ok, err := db.Engine.IndexLookup(tx1, db.OrderLine, olKey(1, 1, 1, n))
+		b, ok, err := db.Engine.IndexLookup(tx1, db.OrderLine, row{t: tOrderLine, w: 1, d: 1, id: 1, n: n}.key())
 		if err != nil || !ok {
 			t.Fatalf("order line %d: %v %v", n, ok, err)
 		}
@@ -276,10 +290,7 @@ func TestNewOrderCreatesRows(t *testing.T) {
 		}
 	}
 	// Stock was decremented.
-	st, err := db.readStock(context.Background(), tx1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := readRow(t, db, tx1, sRow(1, 1), decodeStock)
 	if st.OrderCnt != 1 || st.YTD != 5 {
 		t.Fatalf("stock after order: %+v", st)
 	}
@@ -295,25 +306,19 @@ func TestNewOrderRollbackLeavesNoTrace(t *testing.T) {
 		Lines:    []NewOrderLine{{ItemID: 1, SupplyWID: 1, Quantity: 1}, {ItemID: 2, SupplyWID: 1, Quantity: 1}},
 		Rollback: true,
 	}
-	err := db.NewOrder(in)
+	err := db.NewOrderCtx(context.Background(), in)
 	if !errors.Is(err, ErrUserAbort) {
 		t.Fatalf("rollback order err = %v", err)
 	}
 	tx1, _ := db.Engine.Begin()
-	dist, err := db.readDistrict(context.Background(), tx1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dist := readRow(t, db, tx1, dRow(1, 1), decodeDistrict)
 	if dist.NextOID != 1 {
 		t.Fatalf("NextOID = %d after rollback, want 1", dist.NextOID)
 	}
-	if _, ok, _ := db.Engine.IndexLookup(tx1, db.Orders, oKey(1, 1, 1)); ok {
+	if _, ok, _ := db.Engine.IndexLookup(tx1, db.Orders, oRow(1, 1, 1).key()); ok {
 		t.Fatal("rolled-back order row visible")
 	}
-	st, err := db.readStock(context.Background(), tx1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := readRow(t, db, tx1, sRow(1, 1), decodeStock)
 	if st.OrderCnt != 0 {
 		t.Fatalf("stock touched by rolled-back order: %+v", st)
 	}
@@ -384,16 +389,10 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	tx1, _ := db.Engine.Begin()
 	var wYTD, dYTD float64
 	for w := uint32(1); w <= 2; w++ {
-		wh, err := db.readWarehouse(context.Background(), tx1, w)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wh := readRow(t, db, tx1, wRow(w), decodeWarehouse)
 		wYTD += wh.YTD
 		for d := uint8(1); d <= 2; d++ {
-			dist, err := db.readDistrict(context.Background(), tx1, w, d)
-			if err != nil {
-				t.Fatal(err)
-			}
+			dist := readRow(t, db, tx1, dRow(w, d), decodeDistrict)
 			dYTD += dist.YTD
 		}
 	}
