@@ -67,27 +67,26 @@ func freeSlot(f *buffer.Frame) uint16 {
 	return uint16(n)
 }
 
-// allocHeapPage allocates and formats a fresh heap page for store. With
-// Space.LatchInCS the page fix happens inside the allocation critical
-// section (the Figure 6 pathology); otherwise after it. The returned frame
-// is EX-latched and pinned.
-func (e *Engine) allocHeapPage(t *tx.Tx, store uint32) (*buffer.Frame, page.ID, error) {
+// allocHeapPage extends store past page full (0: none) through the space
+// manager's Extend. A fresh page comes back formatted, EX-latched and
+// pinned; with Space.LatchInCS its fix happens inside the allocation
+// critical section (the Figure 6 pathology), otherwise after it. A nil
+// frame means another inserter extended the store first: its page is the
+// hint to retry on.
+func (e *Engine) allocHeapPage(t *tx.Tx, store uint32, full page.ID) (*buffer.Frame, page.ID, error) {
 	var f *buffer.Frame
-	pid, err := e.sm.AllocPage(store, func(p page.ID) error {
-		var ferr error
-		f, ferr = e.pool.FixNew(p)
-		return ferr
+	pid, err := e.sm.Extend(store, full, &t.ExtentCache, func(p page.ID) (err error) {
+		f, err = e.pool.FixNew(p)
+		return err
+	}, func(page.ID) error {
+		op := pageop.Op{Kind: pageop.KindFormat, PType: page.TypeHeap, Store: store}
+		err := e.logPhysical(t.ID(), t, f, op, pageop.Logical{}, true)
+		if err != nil {
+			e.pool.Unfix(f, sync2.LatchEX)
+		}
+		return err
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	op := pageop.Op{Kind: pageop.KindFormat, PType: page.TypeHeap, Store: store}
-	if err := e.logPhysical(t.ID(), t, f, op, pageop.Logical{}, true); err != nil {
-		e.pool.Unfix(f, sync2.LatchEX)
-		return nil, 0, err
-	}
-	e.sm.SetLastPage(store, pid)
-	return f, pid, nil
+	return f, pid, err
 }
 
 // HeapInsert appends data to the table, returning its RID. Locking
@@ -123,12 +122,7 @@ func (e *Engine) HeapInsertCtx(ctx context.Context, t *tx.Tx, store uint32, data
 			return page.RID{}, err
 		}
 		var f *buffer.Frame
-		if pid == 0 {
-			f, pid, err = e.allocHeapPage(t, store)
-			if err != nil {
-				return page.RID{}, err
-			}
-		} else {
+		if pid != 0 {
 			// §6.2.2: verify the target page belongs to this table, via the
 			// per-transaction extent cache when enabled.
 			if err := e.sm.CheckPage(store, pid, &t.ExtentCache); err != nil {
@@ -138,21 +132,24 @@ func (e *Engine) HeapInsertCtx(ctx context.Context, t *tx.Tx, store uint32, data
 			if err != nil {
 				return page.RID{}, err
 			}
-			if f.Page().Type() != page.TypeHeap {
-				// The last-page hint can race a concurrent allocation: the
-				// page is claimed in the extent bitmap but its formatting
-				// happens under the allocator's EX latch, which we may beat
-				// to the fix. Never write to the raw image — retry; the
-				// allocator formats it (or our own retry allocates anew).
+			if p := f.Page(); p.Type() != page.TypeHeap || p.Store() != store {
+				// The hint is read without the space mutex, so it can name a
+				// page that is not (or no longer) this table's heap page.
+				// Never write to it — retry on a fresh hint.
 				e.pool.Unfix(f, sync2.LatchEX)
 				continue
 			}
 			if !f.Page().CanFit(len(data)) {
 				e.pool.Unfix(f, sync2.LatchEX)
-				f, pid, err = e.allocHeapPage(t, store)
-				if err != nil {
-					return page.RID{}, err
-				}
+				f = nil
+			}
+		}
+		if f == nil {
+			if f, pid, err = e.allocHeapPage(t, store, pid); err != nil {
+				return page.RID{}, err
+			}
+			if f == nil {
+				continue // another inserter's page: re-check it under its latch
 			}
 		}
 		slot := freeSlot(f)
@@ -193,7 +190,6 @@ func (e *Engine) HeapInsertCtx(ctx context.Context, t *tx.Tx, store uint32, data
 		if err != nil {
 			return page.RID{}, err
 		}
-		e.sm.SetLastPage(store, pid)
 		return rid, nil
 	}
 	return page.RID{}, fmt.Errorf("core: HeapInsert: could not claim a slot after many retries")

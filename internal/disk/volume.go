@@ -49,10 +49,13 @@ type Stats struct {
 	Reads, Writes uint64
 }
 
-// MemVolume is a memory-backed volume.
+// MemVolume is a memory-backed volume. Like a sparse file, it gives a
+// page its bytes at the page's first write: Grow only reserves (it runs
+// inside the space manager's allocation critical section), and a page
+// never written reads as zeros.
 type MemVolume struct {
 	mu     sync.RWMutex
-	pages  [][]byte
+	pages  [][]byte // nil: never written
 	closed bool
 	reads  atomic.Uint64
 	writes atomic.Uint64
@@ -83,7 +86,9 @@ func (v *MemVolume) Read(pid page.ID, buf []byte) error {
 	if pid == page.InvalidID || i >= len(v.pages) {
 		return fmt.Errorf("%w: %v (size %d)", ErrOutOfRange, pid, len(v.pages))
 	}
-	copy(buf, v.pages[i])
+	if copy(buf, v.pages[i]) == 0 {
+		clear(buf)
+	}
 	v.reads.Add(1)
 	return nil
 }
@@ -101,6 +106,9 @@ func (v *MemVolume) Write(pid page.ID, buf []byte) error {
 	i := int(pid) - 1
 	if pid == page.InvalidID || i >= len(v.pages) {
 		return fmt.Errorf("%w: %v (size %d)", ErrOutOfRange, pid, len(v.pages))
+	}
+	if v.pages[i] == nil {
+		v.pages[i] = make([]byte, page.Size)
 	}
 	copy(v.pages[i], buf)
 	v.writes.Add(1)
@@ -122,9 +130,7 @@ func (v *MemVolume) Grow(n int) (page.ID, error) {
 		return 0, ErrClosed
 	}
 	first := page.ID(len(v.pages) + 1)
-	for i := 0; i < n; i++ {
-		v.pages = append(v.pages, make([]byte, page.Size))
-	}
+	v.pages = append(v.pages, make([][]byte, n)...)
 	return first, nil
 }
 

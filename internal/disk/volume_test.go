@@ -33,8 +33,8 @@ func testVolume(t *testing.T, v Volume) {
 	if v.NumPages() != 4 {
 		t.Fatalf("NumPages = %d, want 4", v.NumPages())
 	}
-	// Fresh pages read as zero.
-	buf := make([]byte, page.Size)
+	// Fresh pages read as zero, whatever the buffer held.
+	buf := fill(0xff)
 	if err := v.Read(2, buf); err != nil {
 		t.Fatal(err)
 	}

@@ -388,25 +388,3 @@ func TestHotLockContention(t *testing.T) {
 		t.Fatalf("counter = %d, want 400 (mutual exclusion violated)", counter)
 	}
 }
-
-func TestPoolReuse(t *testing.T) {
-	for _, pk := range []PoolKind{PoolMutex, PoolLockFree} {
-		pk := pk
-		t.Run(pk.String(), func(t *testing.T) {
-			p := newPool(pk)
-			r1 := p.get()
-			r1.txID.Store(9)
-			p.put(r1)
-			r2 := p.get()
-			if r2 != r1 {
-				t.Error("pool did not reuse the freed request")
-			}
-			if r2.txID.Load() != 0 {
-				t.Error("pooled request not reset")
-			}
-			if p.allocations() != 1 {
-				t.Errorf("allocations = %d, want 1", p.allocations())
-			}
-		})
-	}
-}

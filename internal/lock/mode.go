@@ -1,8 +1,8 @@
 // Package lock implements the hierarchical two-phase-locking lock manager
 // of §2.2.3 and §7.5: intention modes, a hash table of lock heads with
-// global or per-bucket latching, a pre-allocated request pool (mutex-based
-// or lock-free Treiber stack), blocking waits with timeouts, and waits-for
-// deadlock detection.
+// global or per-bucket latching, a request pool (one mutex-guarded free
+// list, or per-processor free lists), blocking waits with timeouts, and
+// waits-for deadlock detection.
 package lock
 
 import "fmt"

@@ -3,13 +3,12 @@ package lock
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/sync2"
 )
 
 // request is a lock request: one transaction's (granted or waiting) claim
 // on one lock head. Requests are pooled; Shore-MT found the pool's mutex
-// to be a contention point and replaced it with a lock-free stack (§7.5).
+// to be a contention point and replaced it with a lock-free stack (§7.5);
+// here it is a per-processor pool.
 //
 // txID and spec are atomic because speculative lock inheritance claims
 // and revokes a parked request without the bucket latch: the owning
@@ -24,7 +23,6 @@ type request struct {
 	wake    chan struct{} // closed when the request is granted
 	next    *request      // intrusive list inside a lock head
 	head    *lockHead     // owner, for release
-	node    sync2.StackNode
 }
 
 // Speculative-inheritance states of a granted request.
@@ -49,7 +47,7 @@ type PoolKind int
 // Request pool kinds.
 const (
 	PoolMutex    PoolKind = iota // free list under one mutex (pre-§7.5)
-	PoolLockFree                 // Treiber stack, single-CAS push/pop (§7.5)
+	PoolLockFree                 // per-processor free lists, no shared word (§7.5)
 )
 
 // String names the pool kind.
@@ -92,44 +90,34 @@ func (p *mutexPool) put(r *request) {
 
 func (p *mutexPool) allocations() uint64 { return p.allocs.Load() }
 
-// lockFreePool is the §7.5 replacement: a Treiber stack where threads push
-// and pop requests with a single compare-and-swap.
+// lockFreePool is the §7.5 replacement, one step further: §7.5's
+// Treiber stack still made every get and put CAS one head word that all
+// processors share, which is a cache-line transfer per row lock on a
+// multicore. A sync.Pool keeps a free slot and list per processor, so the
+// common get and put touch only the caller's own.
 type lockFreePool struct {
-	stack  sync2.Stack
+	pool   sync.Pool
 	allocs atomic.Uint64
 }
 
 func (p *lockFreePool) get() *request {
-	if n := p.stack.Pop(); n != nil {
-		r := n.Value().(*request)
+	if r, ok := p.pool.Get().(*request); ok {
 		r.reset()
 		return r
 	}
 	p.allocs.Add(1)
-	r := &request{}
-	return r
+	return &request{}
 }
 
-func (p *lockFreePool) put(r *request) {
-	n := &r.node
-	if n.Value() == nil {
-		n.Init(r)
-	}
-	p.stack.Push(n)
-}
+func (p *lockFreePool) put(r *request) { p.pool.Put(r) }
 
 func (p *lockFreePool) allocations() uint64 { return p.allocs.Load() }
 
-func (r *request) reset() {
-	r.txID.Store(0)
-	r.spec.Store(specOwned)
-	r.mode = NL
-	r.want = NL
-	r.granted = false
-	r.wake = nil
-	r.next = nil
-	r.head = nil
-}
+// reset returns a recycled request to the zero value: specOwned, NL,
+// not granted, unlinked. Plain stores suffice for the atomic fields —
+// a request in the pool is referenced by no one (a parked one is never
+// put back).
+func (r *request) reset() { *r = request{} }
 
 func newPool(k PoolKind) requestPool {
 	if k == PoolLockFree {

@@ -14,7 +14,9 @@ package space
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/disk"
@@ -68,12 +70,18 @@ type Options struct {
 
 // storeInfo is the in-memory directory entry for one store.
 type storeInfo struct {
-	id      uint32
+	id uint32
+	// guarded by mu:
 	kind    StoreKind
 	extents []uint32 // extent numbers owned, ascending
+	full    int      // extents[:full] are full: allocLocked's scan stops there
 	root    page.ID  // B-tree root (KindBTree only)
-	// lastHint caches the last page with insert space (LastPageCache).
-	lastHint page.ID
+	// hint is the page appends go to (LastPageCache), read without mu.
+	// Extend publishes a page only once its allocator has formatted it.
+	hint atomic.Uint64
+	// grow queues Extend's callers, so a store grows by one page per
+	// page-full however many inserters found it full.
+	grow sync.Mutex
 }
 
 // extentInfo records ownership and allocation of one extent.
@@ -98,9 +106,12 @@ type Manager struct {
 	opts Options
 	vol  disk.Volume
 	mu   sync2.Locker
+	// stores is the store directory. It is copied on write under mu
+	// (CreateStore and RestoreStore are rare), so a lookup needs no lock.
+	stores atomic.Pointer[map[uint32]*storeInfo]
 	// guarded by mu:
-	stores  map[uint32]*storeInfo
 	extents []extentInfo
+	owned   uint32 // extents[:owned] all have a store: the free search starts there
 	nextID  uint32
 
 	allocs        atomic.Uint64
@@ -113,13 +124,27 @@ type Manager struct {
 
 // NewManager creates a manager over vol.
 func NewManager(vol disk.Volume, opts Options) *Manager {
-	return &Manager{
-		opts:   opts,
-		vol:    vol,
-		mu:     sync2.New(opts.Mutex),
-		stores: make(map[uint32]*storeInfo),
-		nextID: 1,
+	m := &Manager{opts: opts, vol: vol, mu: sync2.New(opts.Mutex), nextID: 1}
+	m.stores.Store(&map[uint32]*storeInfo{})
+	return m
+}
+
+// dir returns the current store directory; it must not be modified.
+func (m *Manager) dir() map[uint32]*storeInfo { return *m.stores.Load() }
+
+// store looks store id up in the directory without mu.
+func (m *Manager) store(id uint32) (*storeInfo, error) {
+	if s, ok := m.dir()[id]; ok {
+		return s, nil
 	}
+	return nil, fmt.Errorf("%w: %d", ErrNoSuchStore, id)
+}
+
+// addStoreLocked publishes a directory holding s as well. Caller holds mu.
+func (m *Manager) addStoreLocked(s *storeInfo) {
+	dir := maps.Clone(m.dir())
+	dir[s.id] = s
+	m.stores.Store(&dir)
 }
 
 // extentFirstPage returns the first page ID of extent e (extent 0 covers
@@ -135,27 +160,26 @@ func (m *Manager) CreateStore(kind StoreKind) uint32 {
 	defer m.mu.Unlock()
 	id := m.nextID
 	m.nextID++
-	m.stores[id] = &storeInfo{id: id, kind: kind}
+	m.addStoreLocked(&storeInfo{id: id, kind: kind})
 	return id
 }
 
 // StoreKindOf returns the kind of store id.
 func (m *Manager) StoreKindOf(id uint32) (StoreKind, error) {
+	s, err := m.store(id)
+	if err != nil {
+		return 0, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.stores[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoSuchStore, id)
-	}
 	return s.kind, nil
 }
 
 // Stores returns all store ids, ascending.
 func (m *Manager) Stores() []uint32 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]uint32, 0, len(m.stores))
-	for id := range m.stores {
+	dir := m.dir()
+	out := make([]uint32, 0, len(dir))
+	for id := range dir {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -164,24 +188,24 @@ func (m *Manager) Stores() []uint32 {
 
 // SetRoot records the B-tree root page of store id.
 func (m *Manager) SetRoot(id uint32, root page.ID) error {
+	s, err := m.store(id)
+	if err != nil {
+		return err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.stores[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchStore, id)
-	}
 	s.root = root
 	return nil
 }
 
 // Root returns the B-tree root page of store id (0 if unset).
 func (m *Manager) Root(id uint32) (page.ID, error) {
+	s, err := m.store(id)
+	if err != nil {
+		return 0, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.stores[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoSuchStore, id)
-	}
 	return s.root, nil
 }
 
@@ -191,24 +215,15 @@ func (m *Manager) Root(id uint32) (page.ID, error) {
 // mutex is held — the pre-refactor behaviour of Figure 6; otherwise the
 // caller is expected to fix the page after AllocPage returns.
 func (m *Manager) AllocPage(store uint32, fixInCS func(page.ID) error) (page.ID, error) {
-	m.mu.Lock()
-	s, ok := m.stores[store]
-	if !ok {
-		m.mu.Unlock()
-		return 0, fmt.Errorf("%w: %d", ErrNoSuchStore, store)
+	s, err := m.store(store)
+	if err != nil {
+		return 0, err
 	}
+	m.mu.Lock()
 	pid, err := m.allocLocked(s)
 	if err != nil {
 		m.mu.Unlock()
 		return 0, err
-	}
-	if m.opts.LastPageCache && (m.opts.LatchInCS || fixInCS == nil) {
-		// Publishing the hint here is only safe when the page is fixed
-		// before mu is released (or not fixed through us at all): with the
-		// refactored fix-outside-CS protocol a concurrent LastPage reader
-		// could otherwise fix the page before the allocator does. Those
-		// callers publish via SetLastPage once the page is formatted.
-		s.lastHint = pid
 	}
 	if m.opts.LatchInCS && fixInCS != nil {
 		// The infamous pattern: page latch acquired inside the allocation
@@ -234,25 +249,32 @@ func (m *Manager) AllocPage(store uint32, fixInCS func(page.ID) error) (page.ID,
 }
 
 // allocLocked finds a free slot in the store's extents or grows the
-// volume by one extent. Caller holds mu.
+// volume by one extent. Caller holds mu. Both searches start at a bound
+// below which they would find nothing (s.full, m.owned), so growing a
+// store by an extent costs O(1) and not a scan of every extent — the
+// page chosen is the same.
 func (m *Manager) allocLocked(s *storeInfo) (page.ID, error) {
 	// Shore "tends to fill one extent completely before moving on": scan
 	// the store's extents from the back.
-	for i := len(s.extents) - 1; i >= 0; i-- {
+	for i := len(s.extents) - 1; i >= s.full; i-- {
 		e := s.extents[i]
 		if m.extents[e].bitmap != 0xff {
 			return m.claimInExtent(e), nil
 		}
 	}
+	s.full = len(s.extents)
 	// No room: grab a free extent or grow the volume.
-	for e := range m.extents {
+	for e := m.owned; e < uint32(len(m.extents)); e++ {
 		if m.extents[e].store == 0 {
+			m.owned = e + 1
 			m.extents[e].store = s.id
-			s.extents = append(s.extents, uint32(e))
+			s.extents = append(s.extents, e)
 			sort.Slice(s.extents, func(i, j int) bool { return s.extents[i] < s.extents[j] })
-			return m.claimInExtent(uint32(e)), nil
+			s.full = 0
+			return m.claimInExtent(e), nil
 		}
 	}
+	m.owned = uint32(len(m.extents))
 	first, err := m.vol.Grow(ExtentSize)
 	if err != nil {
 		return 0, err
@@ -299,12 +321,14 @@ func (m *Manager) freePageLocked(pid page.ID) {
 	}
 	bit := (uint64(pid) - 1) % ExtentSize
 	m.extents[e].bitmap &^= 1 << bit
-	if s, ok := m.stores[m.extents[e].store]; ok && s.lastHint == pid {
-		s.lastHint = 0
+	s, ok := m.dir()[m.extents[e].store]
+	if ok {
+		s.hint.CompareAndSwap(uint64(pid), 0)
+		s.full = 0
 	}
 	// A fully free extent returns to the pool.
 	if m.extents[e].bitmap == 0 {
-		if s, ok := m.stores[m.extents[e].store]; ok {
+		if ok {
 			for i, se := range s.extents {
 				if se == e {
 					s.extents = append(s.extents[:i], s.extents[i+1:]...)
@@ -313,6 +337,7 @@ func (m *Manager) freePageLocked(pid page.ID) {
 			}
 		}
 		m.extents[e].store = 0
+		m.owned = min(m.owned, e)
 	}
 }
 
@@ -340,10 +365,15 @@ func (m *Manager) StoreOf(pid page.ID, cache *ExtentCache) (uint32, error) {
 		return 0, fmt.Errorf("%w: %v", ErrNotOwned, pid)
 	}
 	st := m.extents[e].store
-	if m.opts.ExtentCache && cache != nil {
-		*cache = ExtentCache{extent: e, store: st, valid: true}
-	}
+	m.remember(cache, e, st)
 	return st, nil
+}
+
+// remember fills cache with extent e's owner, if the cache is on.
+func (m *Manager) remember(cache *ExtentCache, e, store uint32) {
+	if m.opts.ExtentCache && cache != nil {
+		*cache = ExtentCache{extent: e, store: store, valid: true}
+	}
 }
 
 // CheckPage verifies pid belongs to store — the per-insert membership
@@ -359,19 +389,27 @@ func (m *Manager) CheckPage(store uint32, pid page.ID, cache *ExtentCache) error
 	return nil
 }
 
-// LastPage returns the store's most recently allocated page (the target
-// for appends). Without LastPageCache it walks the extent list every call
-// — the O(n) step that made page allocation O(n²) before §7.6.
+// LastPage returns the page appends to store go to. With LastPageCache it
+// is the hint, read without mu — 0 until Extend has published a page —
+// and the caller re-validates it under the page latch. Without the cache
+// it walks the extent list under mu every call: the O(n) step that made
+// page allocation O(n²) before §7.6.
 func (m *Manager) LastPage(store uint32) (page.ID, error) {
+	s, err := m.store(store)
+	if err != nil {
+		return 0, err
+	}
+	if m.opts.LastPageCache {
+		return page.ID(s.hint.Load()), nil
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.stores[store]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoSuchStore, store)
-	}
-	if m.opts.LastPageCache && s.lastHint != 0 {
-		return s.lastHint, nil
-	}
+	return m.walkLocked(s), nil
+}
+
+// walkLocked returns the store's highest allocated page by walking its
+// extents. Caller holds mu.
+func (m *Manager) walkLocked(s *storeInfo) page.ID {
 	m.lastPageWalks.Add(1)
 	var last page.ID
 	for _, e := range s.extents {
@@ -385,33 +423,66 @@ func (m *Manager) LastPage(store uint32) (page.ID, error) {
 			}
 		}
 	}
-	if m.opts.LastPageCache {
-		s.lastHint = last
-	}
-	return last, nil
+	return last
 }
 
-// SetLastPage updates the last-page hint after the caller appended a page.
+// SetLastPage publishes pid as the store's last-page hint.
 func (m *Manager) SetLastPage(store uint32, pid page.ID) {
-	if !m.opts.LastPageCache {
-		return
+	if s, err := m.store(store); err == nil && m.opts.LastPageCache {
+		s.hint.Store(uint64(pid))
 	}
-	m.mu.Lock()
-	if s, ok := m.stores[store]; ok {
-		s.lastHint = pid
+}
+
+// Extend returns the next page for appends to store once the caller found
+// page full full (0: LastPage gave it none). With LastPageCache it is one
+// allocation per page-full: callers queue on the store's grow lock, and
+// one that finds the hint moved past full (or, on a cold hint, the walk
+// finds a page) gets that page back without allocating. A fresh page is
+// passed to fix (inside the allocation critical section with LatchInCS,
+// as AllocPage does) and then to format, and only then published — a
+// reader of the hint never fixes a page before its allocator has. The
+// fresh page's extent goes into cache. The caller learns a page is fresh
+// from its callbacks having run.
+func (m *Manager) Extend(store uint32, full page.ID, cache *ExtentCache, fix, format func(page.ID) error) (page.ID, error) {
+	s, err := m.store(store)
+	if err != nil {
+		return 0, err
 	}
-	m.mu.Unlock()
+	if m.opts.LastPageCache {
+		s.grow.Lock()
+		defer s.grow.Unlock()
+		h := page.ID(s.hint.Load())
+		if h == 0 {
+			m.mu.Lock()
+			h = m.walkLocked(s)
+			m.mu.Unlock()
+			s.hint.CompareAndSwap(0, uint64(h))
+		}
+		if h != 0 && h != full {
+			return h, nil
+		}
+	}
+	pid, err := m.AllocPage(store, fix)
+	if err != nil {
+		return 0, err
+	}
+	if err := format(pid); err != nil {
+		return 0, err
+	}
+	m.SetLastPage(store, pid)
+	m.remember(cache, extentOf(pid), store)
+	return pid, nil
 }
 
 // Pages returns the allocated pages of store in ascending order (heap scan
 // order: extents are allocated sequentially for locality).
 func (m *Manager) Pages(store uint32) ([]page.ID, error) {
+	s, err := m.store(store)
+	if err != nil {
+		return nil, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.stores[store]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoSuchStore, store)
-	}
 	var out []page.ID
 	for _, e := range s.extents {
 		bm := m.extents[e].bitmap
@@ -430,10 +501,10 @@ func (m *Manager) Pages(store uint32) ([]page.ID, error) {
 func (m *Manager) RestoreStore(id uint32, kind StoreKind) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.stores[id]; !ok {
-		m.stores[id] = &storeInfo{id: id, kind: kind}
+	if s, ok := m.dir()[id]; ok {
+		s.kind = kind
 	} else {
-		m.stores[id].kind = kind
+		m.addStoreLocked(&storeInfo{id: id, kind: kind})
 	}
 	if id >= m.nextID {
 		m.nextID = id + 1
@@ -450,9 +521,10 @@ func (m *Manager) RestorePage(pid page.ID, store uint32) {
 	}
 	if m.extents[e].store == 0 {
 		m.extents[e].store = store
-		if s, ok := m.stores[store]; ok {
+		if s, ok := m.dir()[store]; ok {
 			s.extents = append(s.extents, e)
 			sort.Slice(s.extents, func(i, j int) bool { return s.extents[i] < s.extents[j] })
+			s.full = 0
 		}
 	}
 	bit := (uint64(pid) - 1) % ExtentSize

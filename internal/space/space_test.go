@@ -2,7 +2,9 @@ package space
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/disk"
@@ -160,13 +162,15 @@ func TestFreePageAndExtentReuse(t *testing.T) {
 	}
 }
 
+func noInit(page.ID) error { return nil }
+
 func TestLastPageCacheVsWalk(t *testing.T) {
-	// With the cache: no walks after warm-up.
+	// With the cache: one walk while the hint is cold, then none.
 	m, _ := newMgr(fullOpts())
 	s := m.CreateStore(KindHeap)
 	var last page.ID
 	for i := 0; i < 20; i++ {
-		last, _ = m.AllocPage(s, nil)
+		last, _ = m.Extend(s, last, nil, nil, noInit)
 	}
 	got, err := m.LastPage(s)
 	if err != nil {
@@ -175,8 +179,8 @@ func TestLastPageCacheVsWalk(t *testing.T) {
 	if got != last {
 		t.Fatalf("LastPage = %v, want %v", got, last)
 	}
-	if m.Stats().LastPageWalks != 0 {
-		t.Errorf("walks with cache on = %d", m.Stats().LastPageWalks)
+	if m.Stats().LastPageWalks != 1 {
+		t.Errorf("walks with cache on = %d, want 1 (the cold hint)", m.Stats().LastPageWalks)
 	}
 	// Without the cache: every call walks.
 	m2, _ := newMgr(Options{Mutex: sync2.KindBlocking})
@@ -204,6 +208,122 @@ func TestLastPageCacheVsWalk(t *testing.T) {
 	}
 	if _, err := m.LastPage(999); !errors.Is(err, ErrNoSuchStore) {
 		t.Errorf("LastPage unknown store = %v", err)
+	}
+}
+
+// TestExtendOncePerPageFull: inserters that all found the same page full
+// grow the store by one page, and every one of them is handed that page.
+// A cold hint is filled from the walk instead of allocating.
+func TestExtendOncePerPageFull(t *testing.T) {
+	m, _ := newMgr(fullOpts())
+	s := m.CreateStore(KindHeap)
+	first, _ := m.AllocPage(s, nil) // e.g. restored by recovery: hint cold
+	if got, _ := m.Extend(s, 0, nil, nil, noInit); got != first {
+		t.Fatalf("cold Extend = %v, want the walked page %v", got, first)
+	}
+	const g = 8
+	got := make([]page.ID, g)
+	var inits atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < g; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w], _ = m.Extend(s, first, nil, nil, func(page.ID) error {
+				inits.Add(1)
+				return nil
+			})
+		}(w)
+	}
+	wg.Wait()
+	if inits.Load() != 1 || m.Stats().Allocs != 2 {
+		t.Fatalf("%d inits, %d allocations for one page-full; want 1 and 2", inits.Load(), m.Stats().Allocs)
+	}
+	for w, p := range got {
+		if p != got[0] || p == first {
+			t.Fatalf("caller %d got %v, caller 0 got %v (full page %v)", w, p, got[0], first)
+		}
+	}
+	// The allocator's extent cache learns the fresh page's extent.
+	var cache ExtentCache
+	p, _ := m.Extend(s, got[0], &cache, nil, noInit)
+	misses := m.Stats().CacheMisses
+	if err := m.CheckPage(s, p, &cache); err != nil || m.Stats().CacheMisses != misses {
+		t.Fatalf("CheckPage of a page this cache allocated: err %v, misses %d -> %d", err, misses, m.Stats().CacheMisses)
+	}
+	// A failed init publishes nothing.
+	bad := errors.New("format failed")
+	if _, err := m.Extend(s, p, nil, nil, func(page.ID) error { return bad }); !errors.Is(err, bad) {
+		t.Fatalf("Extend with failing init = %v", err)
+	}
+	if h, _ := m.LastPage(s); h != p {
+		t.Fatalf("hint after a failed init = %v, want %v", h, p)
+	}
+}
+
+// TestLastPageConcurrent: LastPage reads the hint and the directory
+// without the mutex while writers allocate and publish and new stores are
+// created. A reader sees 0 or a page of its store, and the hint ends at
+// the page published last.
+func TestLastPageConcurrent(t *testing.T) {
+	m, _ := newMgr(fullOpts())
+	s := m.CreateStore(KindHeap)
+	const writers, pages, readers = 4, 200, 4
+	var pubMu sync.Mutex
+	var lastPub page.ID
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < pages; i++ {
+				pid, err := m.AllocPage(s, noInit)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				pubMu.Lock()
+				m.SetLastPage(s, pid)
+				lastPub = pid
+				pubMu.Unlock()
+				if i%50 == 0 {
+					m.CreateStore(KindHeap) // a directory copy under the readers
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				pid, err := m.LastPage(s)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if pid == 0 {
+					continue
+				}
+				if err := m.CheckPage(s, pid, nil); err != nil {
+					t.Errorf("LastPage = %v: %v", pid, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	rg.Wait()
+	if got, _ := m.LastPage(s); got != lastPub {
+		t.Fatalf("final hint = %v, want the last published %v", got, lastPub)
 	}
 }
 
@@ -328,6 +448,52 @@ func TestConcurrentAllocation(t *testing.T) {
 				t.Errorf("alloc counter = %d", m.Stats().Allocs)
 			}
 		})
+	}
+}
+
+// TestAllocMatchesFullScan: allocLocked's scan bounds change what a page
+// allocation costs, never which page it picks. Random allocations and
+// frees over three stores are checked against the unbounded search: the
+// last non-full extent of the store, else the first free extent, else a
+// new one at the end of the volume.
+func TestAllocMatchesFullScan(t *testing.T) {
+	m, v := newMgr(fullOpts())
+	stores := []uint32{m.CreateStore(KindHeap), m.CreateStore(KindHeap), m.CreateStore(KindBTree)}
+	want := func(s *storeInfo) page.ID {
+		for i := len(s.extents) - 1; i >= 0; i-- {
+			e := s.extents[i]
+			for bit := 0; bit < ExtentSize; bit++ {
+				if m.extents[e].bitmap&(1<<bit) == 0 {
+					return extentFirstPage(e) + page.ID(bit)
+				}
+			}
+		}
+		for e := range m.extents {
+			if m.extents[e].store == 0 {
+				return extentFirstPage(uint32(e))
+			}
+		}
+		return page.ID(v.NumPages() + 1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var live []page.ID
+	for i := 0; i < 5000; i++ {
+		if len(live) > 0 && rng.Intn(5) < 2 {
+			j := rng.Intn(len(live))
+			m.FreePage(live[j])
+			live = append(live[:j], live[j+1:]...)
+			continue
+		}
+		st := stores[rng.Intn(len(stores))]
+		exp := want(m.dir()[st])
+		got, err := m.AllocPage(st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != exp {
+			t.Fatalf("op %d: AllocPage(store %d) = %v, the full scan picks %v", i, st, got, exp)
+		}
+		live = append(live, got)
 	}
 }
 

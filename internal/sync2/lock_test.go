@@ -256,68 +256,6 @@ func TestRWLatchWriterPreference(t *testing.T) {
 	<-exDone
 }
 
-func TestTreiberStack(t *testing.T) {
-	var s Stack
-	if s.Pop() != nil {
-		t.Fatal("Pop on empty stack != nil")
-	}
-	s.Push(NewStackNode(1))
-	s.Push(NewStackNode(2))
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
-	}
-	if v := s.Pop().Value(); v != 2 {
-		t.Fatalf("Pop = %v, want 2 (LIFO)", v)
-	}
-	if v := s.Pop().Value(); v != 1 {
-		t.Fatalf("Pop = %v, want 1", v)
-	}
-	if s.Pop() != nil {
-		t.Fatal("Pop on drained stack != nil")
-	}
-}
-
-func TestTreiberStackConcurrent(t *testing.T) {
-	var s Stack
-	const g, n = 8, 1000
-	var wg sync.WaitGroup
-	for i := 0; i < g; i++ {
-		wg.Add(1)
-		go func(base int) {
-			defer wg.Done()
-			for j := 0; j < n; j++ {
-				s.Push(NewStackNode(base*n + j))
-			}
-		}(i)
-	}
-	wg.Wait()
-	seen := make(map[int]bool, g*n)
-	var mu sync.Mutex
-	for i := 0; i < g; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				nd := s.Pop()
-				if nd == nil {
-					return
-				}
-				mu.Lock()
-				v := nd.Value().(int)
-				if seen[v] {
-					t.Errorf("value %d popped twice", v)
-				}
-				seen[v] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if len(seen) != g*n {
-		t.Fatalf("popped %d distinct values, want %d", len(seen), g*n)
-	}
-}
-
 func TestPinCount(t *testing.T) {
 	var p PinCount
 	if p.PinIfPinned() {

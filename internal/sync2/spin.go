@@ -1,7 +1,7 @@
 // Package sync2 provides the synchronization primitives studied in the
 // Shore-MT paper (EDBT 2009): test-and-set and test-and-test-and-set
-// spinlocks, MCS queue locks, ticket locks, reader-writer latches, hybrid
-// spin-then-block mutexes, and a lock-free Treiber stack.
+// spinlocks, MCS queue locks, ticket locks, reader-writer latches and
+// hybrid spin-then-block mutexes.
 //
 // Every primitive records contention statistics (acquisitions, contended
 // acquisitions, spin iterations) so that higher layers can produce the
