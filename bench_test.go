@@ -197,18 +197,16 @@ func BenchmarkFigure4_SimulatedEngines(b *testing.B) {
 	}
 }
 
-// newFig5Engine builds the Figure 5 engine: StageFinal with the lock
-// fast paths of the follow-up work enabled — the transaction-private
-// lock cache is always on, SLI per the flag.
-func newFig5Engine(b *testing.B, sli bool) *core.Engine {
+// newFig5Engine builds the Figure 5 engine: StageFinal, whose lock path
+// runs through the transaction-private lock cache before the lock table.
+func newFig5Engine(b *testing.B) *core.Engine {
 	cfg := core.StageConfig(core.StageFinal)
 	cfg.Frames = 4096
-	cfg.SLI = sli
 	return newBenchEngineCfg(b, cfg)
 }
 
 func BenchmarkFigure5_Payment(b *testing.B) {
-	e := newFig5Engine(b, true)
+	e := newFig5Engine(b)
 	db, err := tpcc.Load(e, tpcc.Scale{Warehouses: 2, Districts: 4, Customers: 50, Items: 200, StockPerItem: true}, 42)
 	if err != nil {
 		b.Fatal(err)
@@ -223,7 +221,7 @@ func BenchmarkFigure5_Payment(b *testing.B) {
 }
 
 func BenchmarkFigure5_NewOrder(b *testing.B) {
-	e := newFig5Engine(b, true)
+	e := newFig5Engine(b)
 	db, err := tpcc.Load(e, tpcc.Scale{Warehouses: 2, Districts: 4, Customers: 50, Items: 200, StockPerItem: true}, 42)
 	if err != nil {
 		b.Fatal(err)
@@ -239,13 +237,12 @@ func BenchmarkFigure5_NewOrder(b *testing.B) {
 }
 
 // benchFig5Parallel drives a TPC-C transaction from concurrent workers
-// (run with -cpu=8 or more), comparing the lock path with and without
-// speculative lock inheritance. One iteration is one committed
-// transaction; retryable storms that exhaust the retry budget are
-// counted, not fatal.
-func benchFig5Parallel(b *testing.B, sli bool, run func(db *tpcc.DB, r *tpcc.Rand, home uint32) error) {
+// (run with -cpu=8 or more) through the shared lock manager. One
+// iteration is one committed transaction; retryable storms that exhaust
+// the retry budget are counted, not fatal.
+func benchFig5Parallel(b *testing.B, run func(db *tpcc.DB, r *tpcc.Rand, home uint32) error) {
 	const warehouses = 4
-	e := newFig5Engine(b, sli)
+	e := newFig5Engine(b)
 	db, err := tpcc.Load(e, tpcc.Scale{Warehouses: warehouses, Districts: 4, Customers: 50, Items: 200, StockPerItem: true}, 42)
 	if err != nil {
 		b.Fatal(err)
@@ -273,35 +270,24 @@ func benchFig5Parallel(b *testing.B, sli bool, run func(db *tpcc.DB, r *tpcc.Ran
 	// Per-op rates, so runs with different b.N are comparable.
 	b.ReportMetric(float64(giveUps.Load())/float64(b.N), "giveups/op")
 	b.ReportMetric(float64(st.Lock.CacheHits)/float64(b.N), "cachehits/op")
-	b.ReportMetric(float64(st.Lock.InheritedGrants)/float64(b.N), "inherited/op")
 }
 
 func BenchmarkFigure5_PaymentParallel(b *testing.B) {
-	for _, sli := range []bool{false, true} {
-		sli := sli
-		b.Run(fmt.Sprintf("sli=%v", sli), func(b *testing.B) {
-			benchFig5Parallel(b, sli, func(db *tpcc.DB, r *tpcc.Rand, home uint32) error {
-				return db.PaymentCtx(context.Background(), tpcc.GenPayment(r, db.Scale, home))
-			})
-		})
-	}
+	benchFig5Parallel(b, func(db *tpcc.DB, r *tpcc.Rand, home uint32) error {
+		return db.PaymentCtx(context.Background(), tpcc.GenPayment(r, db.Scale, home))
+	})
 }
 
 func BenchmarkFigure5_NewOrderParallel(b *testing.B) {
-	for _, sli := range []bool{false, true} {
-		sli := sli
-		b.Run(fmt.Sprintf("sli=%v", sli), func(b *testing.B) {
-			benchFig5Parallel(b, sli, func(db *tpcc.DB, r *tpcc.Rand, home uint32) error {
-				return db.NewOrderCtx(context.Background(), tpcc.GenNewOrder(r, db.Scale, home))
-			})
-		})
-	}
+	benchFig5Parallel(b, func(db *tpcc.DB, r *tpcc.Rand, home uint32) error {
+		return db.NewOrderCtx(context.Background(), tpcc.GenNewOrder(r, db.Scale, home))
+	})
 }
 
 // benchDoraParallel drives one TPC-C transaction type from concurrent
-// workers (run with -cpu=8), comparing the engine's best shared-lock
-// configuration (SLI, PR 3's baseline) against data-oriented execution
-// on the same mix. One iteration is one committed transaction.
+// workers (run with -cpu=8), comparing the shared lock manager against
+// data-oriented execution on the same mix. One iteration is one committed
+// transaction.
 func benchDoraParallel(b *testing.B, dora bool, run func(db *tpcc.DB, r *tpcc.Rand, home uint32) error) {
 	const warehouses = 8
 	cfg := core.StageConfig(core.StageFinal)
@@ -309,8 +295,6 @@ func benchDoraParallel(b *testing.B, dora bool, run func(db *tpcc.DB, r *tpcc.Ra
 	if dora {
 		cfg.DORA = true
 		cfg.DoraKeys = warehouses
-	} else {
-		cfg.SLI = true
 	}
 	e := newBenchEngineCfg(b, cfg)
 	db, err := tpcc.Load(e, tpcc.Scale{Warehouses: warehouses, Districts: 4, Customers: 50, Items: 100, StockPerItem: true}, 42)
@@ -344,9 +328,8 @@ func benchDoraParallel(b *testing.B, dora bool, run func(db *tpcc.DB, r *tpcc.Ra
 	}
 }
 
-// BenchmarkDoraParallel is the PR's headline comparison: the SLI
-// configuration versus DORA-style partitioned execution, per
-// transaction type. CI captures it as BENCH_dora.json.
+// BenchmarkDoraParallel compares the shared lock manager with
+// DORA-style partitioned execution, per transaction type. CI captures it as BENCH_dora.json.
 func BenchmarkDoraParallel(b *testing.B) {
 	payment := func(db *tpcc.DB, r *tpcc.Rand, home uint32) error {
 		return db.PaymentCtx(context.Background(), tpcc.GenPayment(r, db.Scale, home))
@@ -360,9 +343,9 @@ func BenchmarkDoraParallel(b *testing.B) {
 	doraNewOrder := func(db *tpcc.DB, r *tpcc.Rand, home uint32) error {
 		return db.DoraNewOrder(context.Background(), tpcc.GenNewOrder(r, db.Scale, home))
 	}
-	b.Run("payment/sli", func(b *testing.B) { benchDoraParallel(b, false, payment) })
+	b.Run("payment/shared", func(b *testing.B) { benchDoraParallel(b, false, payment) })
 	b.Run("payment/dora", func(b *testing.B) { benchDoraParallel(b, true, doraPayment) })
-	b.Run("neworder/sli", func(b *testing.B) { benchDoraParallel(b, false, newOrder) })
+	b.Run("neworder/shared", func(b *testing.B) { benchDoraParallel(b, false, newOrder) })
 	b.Run("neworder/dora", func(b *testing.B) { benchDoraParallel(b, true, doraNewOrder) })
 }
 
@@ -695,47 +678,6 @@ func BenchmarkLock_Manager(b *testing.B) {
 				})
 			})
 		}
-	}
-}
-
-// BenchmarkLock_SLI isolates the speculative-lock-inheritance fast
-// path on the hottest possible lock: every worker takes the single
-// database intent lock per "transaction". The plain variant pays the
-// bucket latch round trip twice per iteration (the §7.5 bottleneck,
-// since one hot name means one hot bucket no matter how many buckets
-// the table has); the inherit variant claims and parks the same grant
-// with one CAS each way.
-func BenchmarkLock_SLI(b *testing.B) {
-	for _, inherit := range []bool{false, true} {
-		inherit := inherit
-		b.Run(fmt.Sprintf("inherit=%v", inherit), func(b *testing.B) {
-			m := lock.NewManager(lock.Options{Table: lock.TablePerBucket, Pool: lock.PoolLockFree})
-			n := lock.DatabaseName()
-			var txSeq atomic.Uint64
-			b.RunParallel(func(pb *testing.PB) {
-				ag := m.NewAgent()
-				for pb.Next() {
-					txID := txSeq.Add(1)
-					if inherit {
-						if _, ok := ag.Claim(n, txID); !ok {
-							if err := m.Lock(context.Background(), txID, n, lock.IX, 0); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-						if !m.ReleaseInherit(txID, n, ag) {
-							m.Unlock(txID, n)
-						}
-						continue
-					}
-					if err := m.Lock(context.Background(), txID, n, lock.IX, 0); err != nil {
-						b.Error(err)
-						return
-					}
-					m.Unlock(txID, n)
-				}
-			})
-		})
 	}
 }
 

@@ -39,7 +39,6 @@ func main() {
 	frames := flag.Int("frames", 8192, "buffer pool frames")
 	shards := flag.Int("shards", 0, "buffer replacement shards (0 = stage default)")
 	durability := flag.String("durability", "strict", "commit durability: strict|relaxed")
-	sli := flag.Bool("sli", false, "speculative lock inheritance")
 	olc := flag.Bool("olc", false, "optimistic latch coupling on B-tree descents")
 	dora := flag.Bool("dora", false, "data-oriented execution (partitioned lock tables)")
 	plp := flag.Bool("plp", false, "physiological partitioning (implies -dora): per-partition B-tree segments with a skew re-balancer")
@@ -64,7 +63,6 @@ func main() {
 		BufferFrames: *frames,
 		BufferShards: *shards,
 		Dir:          *dir,
-		SLI:          *sli,
 		OLC:          *olc,
 		DORA:         *dora,
 		PLP:          *plp,

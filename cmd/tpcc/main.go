@@ -54,7 +54,6 @@ func main() {
 	frames := flag.Int("frames", 8192, "buffer pool frames")
 	shards := flag.Int("shards", 0, "buffer replacement shards (0 = stage default: GOMAXPROCS-scaled from bpool2 up, 1 = single clock hand)")
 	payPct := flag.Int("payment", 50, "percent of transactions that are Payment (rest New Order)")
-	sli := flag.Bool("sli", false, "speculative lock inheritance: park intent locks on the worker agent across transactions")
 	olc := flag.Bool("olc", false, "optimistic latch coupling: validate B-tree inner nodes against latch versions instead of pinning them")
 	dorafl := flag.Bool("dora", false, "data-oriented execution: route decomposed actions to partition owners with thread-local lock tables")
 	plpfl := flag.Bool("plp", false, "physiological partitioning (implies -dora): per-partition B-tree segments with latch-free owner access and a skew re-balancer")
@@ -79,7 +78,6 @@ func main() {
 	useDora := *dorafl || *plpfl
 	cfg := core.StageConfig(stage)
 	cfg.Frames = *frames
-	cfg.SLI = *sli
 	cfg.OLC = *olc
 	cfg.DORA = useDora
 	cfg.PLP = *plpfl
@@ -227,8 +225,7 @@ func main() {
 		st.Log.Inserts, float64(st.Log.InsertedBytes)/(1<<20), st.Log.Flushes)
 	fmt.Printf("  locks:       %d acquires, %d waits, %d deadlocks, %d timeouts, %d canceled\n",
 		st.Lock.Acquires, st.Lock.Waits, st.Lock.Deadlocks, st.Lock.Timeouts, st.Lock.Cancels)
-	fmt.Printf("  lock bypass: %d cache hits, %d inherits, %d inherited grants, %d revokes\n",
-		st.Lock.CacheHits, st.Lock.Inherits, st.Lock.InheritedGrants, st.Lock.Revokes)
+	fmt.Printf("  lock bypass: %d cache hits\n", st.Lock.CacheHits)
 	if *snapshot {
 		m := st.Mvcc
 		fmt.Printf("  mvcc:        %d versions installed (%d live, %.1f KiB, chain high-water %d), %d chain walks, %d reclaimed\n",

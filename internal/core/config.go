@@ -89,16 +89,6 @@ type Config struct {
 	// wait itself is the same on every stage — a subscription to the log's
 	// one flusher; Commit blocks on it, CommitAsync hands it back.
 	CommitPipeline bool
-	// SLI enables speculative lock inheritance (Johnson, Pandis,
-	// Ailamaki, VLDB 2009): committing transactions park their
-	// database/store intent locks on a per-worker agent instead of
-	// releasing them, and the agent's next transaction reclaims them
-	// with one CAS — no lock-table traffic. Inherited locks stay
-	// revocable, but on workloads dominated by absolute (S/X) locks at
-	// store granularity the revocation round trips can outweigh the
-	// savings; leave it off there. The transaction-private lock cache
-	// is always on and needs no knob.
-	SLI bool
 	// OLC enables optimistic latch coupling on B-tree descents: inner
 	// nodes are read speculatively against the frame latch's version
 	// (no pin-count or latch RMWs on the read path), restarting from the
@@ -114,7 +104,7 @@ type Config struct {
 	// goroutines, each with a thread-local lock table. Sub-transactions
 	// begun through the executor bypass the shared lock manager
 	// entirely (EngineStats.Dora.LocalAcquires counts the grants that
-	// never touched it). Orthogonal to Stage, like SLI and OLC.
+	// never touched it). Orthogonal to Stage, like OLC.
 	DORA bool
 	// DoraPartitions fixes the executor's partition count; 0 auto-scales
 	// to GOMAXPROCS (mirroring buffer.AutoShards).
@@ -150,7 +140,7 @@ type Config struct {
 	// walking the chain — no lock-manager interaction at all, so long
 	// scans neither block writers nor abort. Version garbage collection
 	// rides the checkpoint (entries below the oldest pinned snapshot are
-	// dropped). Orthogonal to Stage, like SLI, OLC, and DORA.
+	// dropped). Orthogonal to Stage, like OLC and DORA.
 	Snapshot bool
 	// CheckpointEvery, when positive, runs a background fuzzy checkpoint
 	// whenever that many log bytes have accumulated since the last one,

@@ -72,13 +72,6 @@ type Engine struct {
 	ckptMu sync.RWMutex
 	closed atomic.Bool
 
-	// Agent pool for speculative lock inheritance: a committing
-	// transaction's agent (with its parked intent locks) is handed to
-	// whichever transaction begins next. LIFO reuse keeps a steady
-	// worker set claiming its own locks back.
-	agentMu sync.Mutex
-	agents  []*lock.Agent
-
 	// olc aggregates optimistic-descent outcomes across every tree this
 	// engine opens (Config.OLC).
 	olc btree.OLCStats
@@ -266,9 +259,7 @@ func (e *Engine) Begin() (*tx.Tx, error) { return e.BeginCtx(context.Background(
 func (e *Engine) BeginCtx(ctx context.Context) (*tx.Tx, error) { return e.begin(ctx, false) }
 
 // begin starts a transaction. A noLock one is a DORA partition-local
-// sub-transaction: it never reaches the lock manager (see doraEnv), so it
-// is not bound to an SLI agent either — it will not acquire anything an
-// agent could park.
+// sub-transaction: it never reaches the lock manager (see doraEnv).
 func (e *Engine) begin(ctx context.Context, noLock bool) (*tx.Tx, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -279,8 +270,6 @@ func (e *Engine) begin(ctx context.Context, noLock bool) (*tx.Tx, error) {
 	t := e.txns.Begin()
 	if noLock {
 		t.SetNoLock()
-	} else if e.cfg.SLI {
-		t.SetAgent(e.grabAgent())
 	}
 	lsn, err := e.log.Insert(&wal.Record{Type: wal.RecTxBegin, TxID: t.ID()})
 	if err != nil {
@@ -312,29 +301,6 @@ func (v doraEnv) Commit(t *tx.Tx, readonly bool) error {
 }
 
 func (v doraEnv) Abort(t *tx.Tx) error { return v.e.Abort(t) }
-
-// grabAgent pops a pooled agent (with whatever intent locks its last
-// transaction parked on it) or makes a fresh one.
-func (e *Engine) grabAgent() *lock.Agent {
-	e.agentMu.Lock()
-	var a *lock.Agent
-	if n := len(e.agents); n > 0 {
-		a = e.agents[n-1]
-		e.agents = e.agents[:n-1]
-	}
-	e.agentMu.Unlock()
-	if a == nil {
-		a = e.locks.NewAgent()
-	}
-	return a
-}
-
-// putAgent returns an agent to the pool at end-of-transaction.
-func (e *Engine) putAgent(a *lock.Agent) {
-	e.agentMu.Lock()
-	e.agents = append(e.agents, a)
-	e.agentMu.Unlock()
-}
 
 // Commit makes t durable. Every commit flavour is one sequence: the commit
 // record (publishCommit), one wait for the harden target (awaitDurable),
@@ -590,54 +556,23 @@ func (e *Engine) Abort(t *tx.Tx) error {
 	return e.txns.Abort(t)
 }
 
-// releaseLocks drops every lock t holds (end of 2PL). With SLI, the
-// transaction's pure intent locks on the database and stores are parked
-// for inheritance instead of released, and the agent carrying them
-// returns to the pool for the next transaction; everything else is
-// released exactly once (the lock list is deduplicated by the private
-// cache).
+// releaseLocks drops every lock t holds (end of 2PL), each exactly once
+// (the lock list is deduplicated by the private cache).
 func (e *Engine) releaseLocks(t *tx.Tx) {
 	names := t.Locks()
-	ag := t.Agent()
 	for i := len(names) - 1; i >= 0; i-- {
-		n := names[i]
-		if ag != nil && n.Scope != lock.ScopeRow {
-			if m := t.HeldMode(n); (m == lock.IS || m == lock.IX) &&
-				e.locks.ReleaseInherit(t.ID(), n, ag) {
-				continue
-			}
-		}
-		e.locks.Unlock(t.ID(), n)
+		e.locks.Unlock(t.ID(), names[i])
 	}
 	if h := t.LockCacheHits(); h > 0 {
 		e.locks.NoteCacheHits(h)
 	}
-	if ag != nil {
-		t.SetAgent(nil)
-		e.putAgent(ag)
-	}
 }
 
 // acquire takes a lock for t, recording it for release; ctx cancellation
-// unblocks the wait. Two fast paths run before the lock manager:
-//
-//  1. The transaction-private cache: when the held mode already covers
-//     the request, return without any shared-structure access.
-//     Conversions (held mode weaker than requested) always reach the
-//     manager.
-//  2. The worker agent's inherited set (SLI): a lock parked by the
-//     agent's previous transaction is claimed with one CAS — no bucket
-//     latch. A claim that yields a too-weak mode still skips the fresh
-//     enqueue: the manager sees an ordinary conversion.
-//
-// Under CommitPipeline the granted lock may have been released
-// early by a transaction whose commit record is not yet durable;
-// folding the ELR horizon into t orders t's own commit acknowledgment
-// behind that releaser's durability. The fast paths skip the fold
-// safely: a cache hit adds no dependency the original acquisition did
-// not already observe, and inherited locks are pure intent locks, so
-// every data access under them still takes a row/key/store lock through
-// the manager first.
+// unblocks the wait. The transaction-private cache runs first: when the
+// held mode already covers the request, return without any
+// shared-structure access. Conversions (held mode weaker than requested)
+// always reach the manager.
 func (e *Engine) acquire(ctx context.Context, t *tx.Tx, n lock.Name, m lock.Mode) error {
 	if t.NoLock() {
 		// DORA sub-transaction: the partition owner already serialized
@@ -648,22 +583,39 @@ func (e *Engine) acquire(ctx context.Context, t *tx.Tx, n lock.Name, m lock.Mode
 		t.HitLockCache()
 		return nil
 	}
-	if ag := t.Agent(); ag != nil {
-		if got, ok := ag.Claim(n, t.ID()); ok {
-			t.AddLock(n, got)
-			if lock.StrongerOrEqual(got, m) {
-				return nil
-			}
-		}
-	}
 	if err := e.locks.Lock(ctx, t.ID(), n, m, 0); err != nil {
 		return err
 	}
+	e.recordLock(t, n, m)
+	return nil
+}
+
+// recordLock records a lock the manager granted t. Under CommitPipeline
+// the lock may have been released early by a transaction whose commit
+// record is not yet durable; folding the ELR horizon into t orders t's own
+// commit acknowledgment behind that releaser's durability. A cache hit
+// skips the fold safely: it adds no dependency the original acquisition
+// did not already observe.
+func (e *Engine) recordLock(t *tx.Tx, n lock.Name, m lock.Mode) {
 	t.AddLock(n, m)
 	if e.cfg.CommitPipeline {
 		t.ObserveELR(wal.LSN(e.locks.ELRHorizon()))
 	}
-	return nil
+}
+
+// escalate tries to trade t's row locks on store for one store lock in
+// mode (S or X), without waiting: a caller may hold a page latch, and a
+// refused escalation that waited would wait again, up to the lock
+// timeout, on every later row of the store. On a refusal the caller keeps
+// locking rows.
+func (e *Engine) escalate(t *tx.Tx, store uint32, mode lock.Mode) bool {
+	name := lock.StoreName(store)
+	if e.locks.TryLockNoWait(t.ID(), name, mode) != nil {
+		return false
+	}
+	e.recordLock(t, name, mode)
+	t.MarkEscalated(store, mode)
+	return true
 }
 
 // lockLeaf performs hierarchical locking for one access to a leaf of
@@ -699,12 +651,9 @@ func (e *Engine) lockLeaf(ctx context.Context, t *tx.Tx, store uint32, name lock
 		if m == lock.X || m == lock.U {
 			esc = lock.X
 		}
-		if err := e.acquire(ctx, t, lock.StoreName(store), esc); err == nil {
-			t.MarkEscalated(store, esc)
+		if e.escalate(t, store, esc) {
 			return nil
 		}
-		// Escalation failed (somebody else holds conflicting locks): fall
-		// back to row locking.
 	}
 	return e.acquire(ctx, t, name, m)
 }

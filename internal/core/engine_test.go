@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/lock"
 	"repro/internal/page"
+	"repro/internal/tx"
 	"repro/internal/wal"
 )
 
@@ -608,6 +610,66 @@ func TestLockEscalation(t *testing.T) {
 		t.Fatal("transaction never escalated despite 200 row locks (threshold 50)")
 	}
 	if err := e.Commit(tx1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEscalationNeverWaits: on the index path, an escalation refused by
+// another transaction's intent lock costs the writer nothing — it goes on
+// locking keys without waiting, where a blocking try waited out the lock
+// timeout on every key past the threshold — and an unopposed escalation
+// goes through. TestLockEscalation covers the heap path.
+func TestEscalationNeverWaits(t *testing.T) {
+	cfg := StageConfig(StageFinal)
+	cfg.Frames = 256
+	cfg.EscalateAfter = 50
+	e, err := Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	setup, _ := e.Begin()
+	ix, err := e.CreateIndex(setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Commit(setup); err != nil {
+		t.Fatal(err)
+	}
+	insertKeys := func(tx1 *tx.Tx, prefix string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := e.IndexInsert(tx1, ix, fmt.Appendf(nil, "%s-%03d", prefix, i), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	holder, _ := e.Begin()
+	insertKeys(holder, "a", 1) // IX on the index's store
+	writer, _ := e.Begin()
+	insertKeys(writer, "b", 60)
+	if st := e.Stats().Lock; st.Waits != 0 || st.Timeouts != 0 {
+		t.Fatalf("60 keys past a refused escalation: %d lock waits, %d timeouts; want 0 and 0", st.Waits, st.Timeouts)
+	}
+	if _, ok := writer.Escalated(ix.Store()); ok {
+		t.Fatal("escalated to X over another transaction's IX")
+	}
+	for _, x := range []*tx.Tx{holder, writer} {
+		if err := e.Commit(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	alone, _ := e.Begin()
+	insertKeys(alone, "c", 60)
+	if m, ok := alone.Escalated(ix.Store()); !ok || m != lock.X {
+		t.Fatalf("Escalated = %v, %v with no other holder; want X, true", m, ok)
+	}
+	if got := e.Locks().Holds(alone.ID(), lock.StoreName(ix.Store())); got != lock.X {
+		t.Fatalf("manager holds the store in %v, want X", got)
+	}
+	if err := e.Commit(alone); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -171,14 +171,7 @@ func (e *Engine) HeapInsertCtx(ctx context.Context, t *tx.Tx, store uint32, data
 			}
 			t.AddLock(name, lock.X)
 			if e.cfg.EscalateAfter > 0 && t.CountRowLock(store) > e.cfg.EscalateAfter {
-				// Escalate to a store-level X lock. Conditional only: we
-				// hold the page latch, so we must never block here.
-				name := lock.StoreName(store)
-				if err := e.locks.TryLockNoWait(t.ID(), name, lock.X); err == nil {
-					t.AddLock(name, lock.X)
-					t.MarkEscalated(store, lock.X)
-					escalated = true
-				}
+				escalated = e.escalate(t, store, lock.X)
 			}
 		}
 		op := pageop.Op{Kind: pageop.KindHeapInsert, Slot: slot, Data: data}

@@ -62,11 +62,7 @@ type Stats struct {
 	Cancels     uint64 // requests abandoned by context cancellation
 	PoolAllocs  uint64 // request-pool misses
 	ELRReleases uint64 // transactions that released locks before hardening
-	// Lock-table bypass fast paths (transaction-private cache + SLI).
-	CacheHits       uint64 // requests answered by the tx-private lock cache
-	Inherits        uint64 // intent locks parked for inheritance at release
-	InheritedGrants uint64 // parked locks claimed latch-free by an agent
-	Revokes         uint64 // parked locks reclaimed by conflicting requesters
+	CacheHits   uint64 // requests answered by the tx-private lock cache, never reaching the table
 	// Live gauges, measured by walking the whole table under its
 	// latches at Stats time: both must drop to zero once every
 	// transaction has finished (leaked locks keep them non-zero, which
@@ -118,15 +114,12 @@ type Manager struct {
 	walkGen   uint64
 	walkStack []uint64
 
-	acquires      atomic.Uint64
-	waits         atomic.Uint64
-	deadlocks     atomic.Uint64
-	timeouts      atomic.Uint64
-	cancels       atomic.Uint64
-	cacheHits     atomic.Uint64
-	inherits      atomic.Uint64
-	inheritGrants atomic.Uint64
-	revokes       atomic.Uint64
+	acquires  atomic.Uint64
+	waits     atomic.Uint64
+	deadlocks atomic.Uint64
+	timeouts  atomic.Uint64
+	cancels   atomic.Uint64
+	cacheHits atomic.Uint64
 
 	// Early Lock Release (staged commit pipeline): the highest log
 	// position released-before-hardening by any committing transaction.
@@ -228,13 +221,10 @@ func grantedCompatible(h *lockHead, mode Mode, exclude *request) bool {
 	return true
 }
 
-// hasWaiters reports whether any request other than exclude is blocked on
-// h (callers test admission for a request already linked into the queue).
-func hasWaiters(h *lockHead, exclude *request) bool {
+// hasWaiters reports whether any request is blocked on h: a fresh waiter
+// or a pending conversion.
+func hasWaiters(h *lockHead) bool {
 	for r := h.queue; r != nil; r = r.next {
-		if r == exclude {
-			continue
-		}
 		if !r.granted || r.want != r.mode {
 			return true
 		}
@@ -252,18 +242,16 @@ func hasWaiters(h *lockHead, exclude *request) bool {
 // producing false deadlock cycles.
 func (h *lockHead) grantWaiters(m *Manager) {
 	grant := func(r *request) {
-		m.clearEdges(r.txID.Load())
+		m.clearEdges(r.txID)
 		if r.wake != nil {
 			close(r.wake)
 			r.wake = nil
 		}
 	}
-	// Conversions. grantableOrRevoke may unlink speculative holders
-	// mid-iteration; an unlinked node's next pointer still leads back
-	// into the live chain, so the walk stays sound.
+	// Conversions.
 	for r := h.queue; r != nil; r = r.next {
 		if r.granted && r.want != r.mode {
-			if m.grantableOrRevoke(h, r.want, r) {
+			if grantedCompatible(h, r.want, r) {
 				r.mode = r.want
 				grant(r)
 			}
@@ -280,7 +268,7 @@ func (h *lockHead) grantWaiters(m *Manager) {
 		if r.granted {
 			continue
 		}
-		if m.grantableOrRevoke(h, r.want, r) {
+		if grantedCompatible(h, r.want, r) {
 			r.granted = true
 			r.mode = r.want
 			grant(r)
@@ -298,7 +286,7 @@ func holdersIncompatibleWith(h *lockHead, mode Mode, exclude *request) []uint64 
 			continue
 		}
 		if !Compatible(r.mode, mode) {
-			ids = append(ids, r.txID.Load())
+			ids = append(ids, r.txID)
 		}
 	}
 	return ids
@@ -314,14 +302,13 @@ func holdersIncompatibleWith(h *lockHead, mode Mode, exclude *request) []uint64 
 // A wants) is invisible to the detector and resolves only by timeout.
 func blockersOf(h *lockHead, r *request, mode Mode) []uint64 {
 	var ids []uint64
-	myID := r.txID.Load()
 	for rr := r.next; rr != nil; rr = rr.next {
 		if rr.granted && rr.want == rr.mode {
 			if !Compatible(rr.mode, mode) {
-				ids = append(ids, rr.txID.Load())
+				ids = append(ids, rr.txID)
 			}
-		} else if id := rr.txID.Load(); id != myID {
-			ids = append(ids, id)
+		} else if rr.txID != r.txID {
+			ids = append(ids, rr.txID)
 		}
 	}
 	return ids
@@ -348,58 +335,73 @@ func (m *Manager) Lock(ctx context.Context, txID uint64, name Name, mode Mode, t
 	b := m.bucketFor(name)
 	b.latch.Lock()
 	h := b.findHead(name, true)
-
-	// Existing request by this transaction?
-	var mine *request
-	for r := h.queue; r != nil; r = r.next {
-		if r.txID.Load() == txID {
-			mine = r
-			break
-		}
-	}
-	if mine != nil && mine.granted {
-		want := Supremum(mine.mode, mode)
-		if want == mine.mode {
-			b.latch.Unlock()
-			m.acquires.Add(1)
-			return nil // already strong enough
-		}
-		// Conversion: incompatible speculative holders are revoked, not
-		// waited on — an inherited lock must never block a live request.
-		if m.grantableOrRevoke(h, want, mine) {
-			mine.mode = want
-			mine.want = want
-			b.latch.Unlock()
-			m.acquires.Add(1)
-			return nil
-		}
-		mine.want = want
-		mine.wake = make(chan struct{})
-		wake := mine.wake
-		blockers := holdersIncompatibleWith(h, want, mine)
-		b.latch.Unlock()
-		return m.wait(ctx, txID, name, mine, wake, blockers, timeout, true)
-	}
-
-	// Fresh request.
-	r := m.pool.get()
-	r.txID.Store(txID)
-	r.want = mode
-	r.head = h
-	r.next = h.queue
-	h.queue = r
-	if !hasWaiters(h, r) && m.grantableOrRevoke(h, mode, r) {
-		r.granted = true
-		r.mode = mode
+	mine, want, ok := m.admit(h, txID, mode)
+	if ok {
 		b.latch.Unlock()
 		m.acquires.Add(1)
 		return nil
 	}
-	r.wake = make(chan struct{})
-	wake := r.wake
-	blockers := blockersOf(h, r, mode)
+	conversion := mine != nil
+	var blockers []uint64
+	if conversion {
+		mine.want = want
+		blockers = holdersIncompatibleWith(h, want, mine)
+	} else {
+		mine = m.pool.get()
+		mine.txID, mine.want = txID, want
+		h.push(mine)
+		blockers = blockersOf(h, mine, want)
+	}
+	mine.wake = make(chan struct{})
+	wake := mine.wake
 	b.latch.Unlock()
-	return m.wait(ctx, txID, name, r, wake, blockers, timeout, false)
+	return m.wait(ctx, txID, name, mine, wake, blockers, timeout, conversion)
+}
+
+// admit is the one grant rule, shared by Lock and TryLockNoWait; the
+// caller holds h's bucket latch. It finds txID's granted request on h and
+// grants mode if it can without waiting:
+//
+//   - a granted request whose mode already covers mode: nothing to do;
+//   - a granted request of a weaker mode: a conversion to the supremum,
+//     granted when every other granted request is compatible with it;
+//   - no request: a fresh one, granted when nobody is queued (grants are
+//     strict FIFO) and every granted request is compatible with mode.
+//
+// A fresh grant takes a request from the pool and links it. A refusal
+// changes nothing and takes nothing from the pool: it returns txID's
+// granted request (nil for a fresh request) and the mode it must wait for.
+func (m *Manager) admit(h *lockHead, txID uint64, mode Mode) (mine *request, want Mode, ok bool) {
+	for r := h.queue; r != nil; r = r.next {
+		if r.txID == txID && r.granted {
+			mine = r
+			break
+		}
+	}
+	if mine != nil {
+		want = Supremum(mine.mode, mode)
+		if want != mine.mode {
+			if !grantedCompatible(h, want, mine) {
+				return mine, want, false
+			}
+			mine.mode, mine.want = want, want
+		}
+		return mine, want, true
+	}
+	if hasWaiters(h) || !grantedCompatible(h, mode, nil) {
+		return nil, mode, false
+	}
+	r := m.pool.get()
+	r.txID, r.mode, r.want, r.granted = txID, mode, mode, true
+	h.push(r)
+	return r, mode, true
+}
+
+// push links r at the front of h's queue (the queue is newest-first).
+func (h *lockHead) push(r *request) {
+	r.head = h
+	r.next = h.queue
+	h.queue = r
 }
 
 // detectPoll is how often a blocked request refreshes its waits-for
@@ -563,8 +565,8 @@ func unlinkRequest(h *lockHead, r *request) {
 // granted immediately.
 var ErrWouldBlock = errors.New("lock: would block")
 
-// TryLockNoWait acquires name in mode for txID only if it can be granted
-// immediately, without ever enqueueing. Callers holding page latches use
+// TryLockNoWait acquires name in mode for txID only if Lock would grant it
+// without waiting, and never enqueues. Callers holding page latches use
 // this to avoid lock-waits-under-latch deadlocks.
 func (m *Manager) TryLockNoWait(txID uint64, name Name, mode Mode) error {
 	if mode == NL {
@@ -574,37 +576,7 @@ func (m *Manager) TryLockNoWait(txID uint64, name Name, mode Mode) error {
 	b.latch.Lock()
 	defer b.latch.Unlock()
 	h := b.findHead(name, true)
-	var mine *request
-	for r := h.queue; r != nil; r = r.next {
-		if r.txID.Load() == txID {
-			mine = r
-			break
-		}
-	}
-	if mine != nil && mine.granted {
-		want := Supremum(mine.mode, mode)
-		if want == mine.mode {
-			m.acquires.Add(1)
-			return nil
-		}
-		if m.grantableOrRevoke(h, want, mine) {
-			mine.mode = want
-			mine.want = want
-			m.acquires.Add(1)
-			return nil
-		}
-		b.removeHeadIfEmpty(h)
-		return ErrWouldBlock
-	}
-	if !hasWaiters(h, nil) && m.grantableOrRevoke(h, mode, nil) {
-		r := m.pool.get()
-		r.txID.Store(txID)
-		r.mode = mode
-		r.want = mode
-		r.granted = true
-		r.head = h
-		r.next = h.queue
-		h.queue = r
+	if _, _, ok := m.admit(h, txID, mode); ok {
 		m.acquires.Add(1)
 		return nil
 	}
@@ -647,7 +619,7 @@ func (m *Manager) Unlock(txID uint64, name Name) {
 	}
 	var mine *request
 	for r := h.queue; r != nil; r = r.next {
-		if r.txID.Load() == txID && r.granted {
+		if r.txID == txID && r.granted {
 			mine = r
 			break
 		}
@@ -660,12 +632,7 @@ func (m *Manager) Unlock(txID uint64, name Name) {
 	h.grantWaiters(m)
 	b.removeHeadIfEmpty(h)
 	b.latch.Unlock()
-	if mine.spec.Load() == specOwned {
-		// A request that is (or was) parked for inheritance may still be
-		// referenced by its agent; leave it to the garbage collector
-		// instead of recycling it under a live pointer.
-		m.pool.put(mine)
-	}
+	m.pool.put(mine)
 }
 
 // NoteCacheHits folds n transaction-private lock-cache hits into the
@@ -684,7 +651,7 @@ func (m *Manager) Holds(txID uint64, name Name) Mode {
 		return NL
 	}
 	for r := h.queue; r != nil; r = r.next {
-		if r.txID.Load() == txID && r.granted {
+		if r.txID == txID && r.granted {
 			return r.mode
 		}
 	}
@@ -801,17 +768,14 @@ func (m *Manager) clearEdges(txID uint64) {
 // Stats returns a snapshot of lock-manager counters.
 func (m *Manager) Stats() Stats {
 	s := Stats{
-		Acquires:        m.acquires.Load(),
-		Waits:           m.waits.Load(),
-		Deadlocks:       m.deadlocks.Load(),
-		Timeouts:        m.timeouts.Load(),
-		Cancels:         m.cancels.Load(),
-		PoolAllocs:      m.pool.allocations(),
-		ELRReleases:     m.elrReleases.Load(),
-		CacheHits:       m.cacheHits.Load(),
-		Inherits:        m.inherits.Load(),
-		InheritedGrants: m.inheritGrants.Load(),
-		Revokes:         m.revokes.Load(),
+		Acquires:    m.acquires.Load(),
+		Waits:       m.waits.Load(),
+		Deadlocks:   m.deadlocks.Load(),
+		Timeouts:    m.timeouts.Load(),
+		Cancels:     m.cancels.Load(),
+		PoolAllocs:  m.pool.allocations(),
+		ELRReleases: m.elrReleases.Load(),
+		CacheHits:   m.cacheHits.Load(),
 	}
 	if m.opts.Table == TableGlobal {
 		s.Latch = m.global.Stats()

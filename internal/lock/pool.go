@@ -8,29 +8,17 @@ import (
 // request is a lock request: one transaction's (granted or waiting) claim
 // on one lock head. Requests are pooled; Shore-MT found the pool's mutex
 // to be a contention point and replaced it with a lock-free stack (§7.5);
-// here it is a per-processor pool.
-//
-// txID and spec are atomic because speculative lock inheritance claims
-// and revokes a parked request without the bucket latch: the owning
-// agent writes txID and CASes spec outside the latch, while queue
-// walkers read both under it.
+// here it is a per-processor pool. A linked request is read and written
+// only under its head's bucket latch.
 type request struct {
-	txID    atomic.Uint64
-	spec    atomic.Uint32 // specOwned / specSpeculative / specRevoked
-	mode    Mode          // granted mode (or requested, while waiting)
-	want    Mode          // target mode for waiting conversions
+	txID    uint64
+	mode    Mode // granted mode (NL while a fresh request waits)
+	want    Mode // requested mode; differs from mode during a conversion
 	granted bool
 	wake    chan struct{} // closed when the request is granted
 	next    *request      // intrusive list inside a lock head
 	head    *lockHead     // owner, for release
 }
-
-// Speculative-inheritance states of a granted request.
-const (
-	specOwned       uint32 = iota // held by a live transaction (normal)
-	specSpeculative               // parked by a committed holder, claimable by its agent
-	specRevoked                   // terminal: a conflicting requester (or Drop) reclaimed it
-)
 
 // requestPool abstracts the pre-allocated request pool.
 type requestPool interface {
@@ -113,10 +101,8 @@ func (p *lockFreePool) put(r *request) { p.pool.Put(r) }
 
 func (p *lockFreePool) allocations() uint64 { return p.allocs.Load() }
 
-// reset returns a recycled request to the zero value: specOwned, NL,
-// not granted, unlinked. Plain stores suffice for the atomic fields —
-// a request in the pool is referenced by no one (a parked one is never
-// put back).
+// reset returns a recycled request to the zero value: NL, not granted,
+// unlinked.
 func (r *request) reset() { *r = request{} }
 
 func newPool(k PoolKind) requestPool {

@@ -32,12 +32,11 @@ func TestPoolReuse(t *testing.T) {
 			p := newPool(pk)
 			for i := 0; i < 10000; i++ {
 				r := p.get()
-				if r.txID.Load() != 0 || r.spec.Load() != specOwned || r.mode != NL || r.want != NL ||
+				if r.txID != 0 || r.mode != NL || r.want != NL ||
 					r.granted || r.wake != nil || r.next != nil || r.head != nil {
 					t.Fatalf("get %d: request not reset", i)
 				}
-				r.txID.Store(9)
-				r.spec.Store(specRevoked)
+				r.txID = 9
 				r.mode, r.want, r.granted = X, X, true
 				r.wake, r.next, r.head = make(chan struct{}), r, &lockHead{}
 				p.put(r)

@@ -95,9 +95,6 @@ type Tx struct {
 	// plain field (not atomic) because only the owner increments it —
 	// the engine folds it into the lock manager's stats at release.
 	cacheHits uint64
-	// agent, when non-nil, carries speculatively inherited intent locks
-	// between the transactions of one worker (SLI).
-	agent *lock.Agent
 	// rowLocks counts row locks per store for escalation. A transaction
 	// touches a handful of stores, so a linear-scanned slice beats a
 	// map (no allocation, no hashing).
@@ -270,13 +267,6 @@ func (t *Tx) EnsureStamp() *mvcc.Stamp {
 	}
 	return t.stamp
 }
-
-// SetAgent binds the worker agent whose inherited locks this
-// transaction may claim (nil detaches it).
-func (t *Tx) SetAgent(a *lock.Agent) { t.agent = a }
-
-// Agent returns the bound worker agent, if any.
-func (t *Tx) Agent() *lock.Agent { return t.agent }
 
 // Locks returns the held-lock list (most recent last), one entry per
 // distinct name.

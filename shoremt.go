@@ -147,15 +147,6 @@ type Options struct {
 	CleanerInterval time.Duration
 	// Durability selects Commit's blocking behavior (see Durability).
 	Durability Durability
-	// SLI enables speculative lock inheritance: committing transactions
-	// park their database/store intent locks on a per-worker agent and
-	// the next transaction reclaims them with a single CAS instead of a
-	// lock-table round trip. Inherited locks are revoked on demand by
-	// conflicting requesters, so it is safe at every stage — but on
-	// high-conflict workloads (frequent store-level S/X locks, full-table
-	// scans) the revocation traffic can outweigh the savings; leave it
-	// off there. See the README's "Lock hierarchy" section.
-	SLI bool
 	// OLC enables optimistic latch coupling on B-tree descents: probes
 	// and the inner levels of every index operation read nodes
 	// speculatively and validate against a per-frame latch version
@@ -262,9 +253,6 @@ func (opts Options) config() core.Config {
 		cfg.CleanerInterval = 50 * time.Millisecond
 	default:
 		cfg.CleanerInterval = 0
-	}
-	if opts.SLI {
-		cfg.SLI = true
 	}
 	if opts.OLC {
 		cfg.OLC = true

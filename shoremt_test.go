@@ -473,58 +473,6 @@ func TestLockTimeoutSurfaces(t *testing.T) {
 	}
 }
 
-func TestOptionsSLI(t *testing.T) {
-	db := openTest(t, Options{SLI: true})
-	ctx := context.Background()
-	var tb *Table
-	if err := db.Update(ctx, func(tx *Tx) error {
-		var err error
-		tb, err = db.CreateTable(tx)
-		if err != nil {
-			return err
-		}
-		_, err = tb.Insert(tx, []byte("v0"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// A single worker's transaction chain inherits its db/store intent
-	// locks instead of re-acquiring them through the lock table.
-	for i := 0; i < 10; i++ {
-		if err := db.Update(ctx, func(tx *Tx) error {
-			rid, err := tb.Insert(tx, []byte("v"))
-			if err != nil {
-				return err
-			}
-			// The read-back's intent and row locks are all covered by the
-			// insert's grants: answered by the private cache.
-			_, err = tb.Get(tx, rid)
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := db.Stats().Lock
-	if st.Inherits == 0 || st.InheritedGrants == 0 {
-		t.Fatalf("SLI never exercised: %+v", st)
-	}
-	if st.CacheHits == 0 {
-		t.Fatalf("lock cache never hit: %+v", st)
-	}
-	// Reads from another worker while the agent's locks are parked must
-	// still see everything (intent locks are revocable/shareable).
-	n := 0
-	if err := db.View(ctx, func(tx *Tx) error {
-		n = 0
-		return tb.Scan(tx, func(RID, []byte) bool { n++; return true })
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 11 {
-		t.Fatalf("scan saw %d rows, want 11", n)
-	}
-}
-
 // TestPublicOLCOption drives index traffic with optimistic latch
 // coupling on through the managed API and checks the new stats surface.
 func TestPublicOLCOption(t *testing.T) {
