@@ -223,8 +223,8 @@ func main() {
 	}
 	fmt.Printf("  log:         %d inserts (%.1f MiB), %d flushes\n",
 		st.Log.Inserts, float64(st.Log.InsertedBytes)/(1<<20), st.Log.Flushes)
-	fmt.Printf("  locks:       %d acquires, %d waits, %d deadlocks, %d timeouts, %d canceled\n",
-		st.Lock.Acquires, st.Lock.Waits, st.Lock.Deadlocks, st.Lock.Timeouts, st.Lock.Cancels)
+	fmt.Printf("  locks:       %d acquires, %d waits, %d deadlocks, %d timeouts, %d canceled, %d escalations (%d refused)\n",
+		st.Lock.Acquires, st.Lock.Waits, st.Lock.Deadlocks, st.Lock.Timeouts, st.Lock.Cancels, st.Lock.Escalations, st.Lock.EscalationsRefused)
 	fmt.Printf("  lock bypass: %d cache hits\n", st.Lock.CacheHits)
 	if *snapshot {
 		m := st.Mvcc

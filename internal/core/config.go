@@ -68,7 +68,7 @@ type Config struct {
 	Frames        int           // buffer pool frames (default 4096)
 	LogBuffer     int           // log buffer bytes (default 1 MiB)
 	LockTimeout   time.Duration // lock wait bound (default 500ms)
-	EscalateAfter int           // row locks per store before escalation (default 1024; <0 disables)
+	EscalateAfter int           // row locks per store before escalating, retried as the count doubles (default 256, above TPC-C's footprints; <0 disables)
 
 	Buffer       buffer.Options
 	LogDesign    wal.Design
@@ -161,7 +161,7 @@ func StageConfig(stage Stage) Config {
 		Frames:        4096,
 		LogBuffer:     wal.DefaultBufferSize,
 		LockTimeout:   500 * time.Millisecond,
-		EscalateAfter: 1024,
+		EscalateAfter: 256,
 	}
 	// Baseline defaults (original Shore): global mutexes, coupled log,
 	// one global clock hand.
@@ -228,7 +228,7 @@ func (c *Config) normalize() {
 		c.LockTimeout = 500 * time.Millisecond
 	}
 	if c.EscalateAfter == 0 {
-		c.EscalateAfter = 1024
+		c.EscalateAfter = 256
 	}
 	if c.RedoWorkers <= 0 {
 		c.RedoWorkers = runtime.GOMAXPROCS(0)

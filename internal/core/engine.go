@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -569,11 +570,12 @@ func (e *Engine) releaseLocks(t *tx.Tx) {
 }
 
 // acquire takes a lock for t, recording it for release; ctx cancellation
-// unblocks the wait. The transaction-private cache runs first: when the
+// unblocks the wait, and with noWait it never waits: a conflict returns
+// lock.ErrWouldBlock. The transaction-private cache runs first: when the
 // held mode already covers the request, return without any
 // shared-structure access. Conversions (held mode weaker than requested)
 // always reach the manager.
-func (e *Engine) acquire(ctx context.Context, t *tx.Tx, n lock.Name, m lock.Mode) error {
+func (e *Engine) acquire(ctx context.Context, t *tx.Tx, n lock.Name, m lock.Mode, noWait bool) error {
 	if t.NoLock() {
 		// DORA sub-transaction: the partition owner already serialized
 		// every conflicting action through its thread-local table.
@@ -583,7 +585,11 @@ func (e *Engine) acquire(ctx context.Context, t *tx.Tx, n lock.Name, m lock.Mode
 		t.HitLockCache()
 		return nil
 	}
-	if err := e.locks.Lock(ctx, t.ID(), n, m, 0); err != nil {
+	if noWait {
+		if err := e.locks.TryLockNoWait(t.ID(), n, m); err != nil {
+			return err
+		}
+	} else if err := e.locks.Lock(ctx, t.ID(), n, m, 0); err != nil {
 		return err
 	}
 	e.recordLock(t, n, m)
@@ -603,35 +609,43 @@ func (e *Engine) recordLock(t *tx.Tx, n lock.Name, m lock.Mode) {
 	}
 }
 
-// escalate tries to trade t's row locks on store for one store lock in
-// mode (S or X), without waiting: a caller may hold a page latch, and a
-// refused escalation that waited would wait again, up to the lock
-// timeout, on every later row of the store. On a refusal the caller keeps
-// locking rows.
-func (e *Engine) escalate(t *tx.Tx, store uint32, mode lock.Mode) bool {
-	name := lock.StoreName(store)
-	if e.locks.TryLockNoWait(t.ID(), name, mode) != nil {
+// escalate counts one more row lock of t on store and, on the first past
+// Config.EscalateAfter and again each time the count doubles, tries to
+// trade the row locks for one store lock (S for a read, X for a write).
+// The try never waits: a caller may hold a page latch, and a refused
+// escalation that waited would wait again on later rows. On a refusal
+// the caller keeps locking rows; retrying only at 2×, 4×, … the threshold
+// keeps that from costing a store lock-head trip per row.
+func (e *Engine) escalate(t *tx.Tx, store uint32, m lock.Mode) bool {
+	n, after := t.CountRowLock(store), e.cfg.EscalateAfter
+	if after <= 0 || n <= after || (n-1)%after != 0 || bits.OnesCount(uint((n-1)/after)) != 1 {
 		return false
 	}
-	e.recordLock(t, name, mode)
-	t.MarkEscalated(store, mode)
-	return true
+	mode, name := lock.S, lock.StoreName(store)
+	if m == lock.X || m == lock.U {
+		mode = lock.X
+	}
+	granted := e.locks.TryLockNoWait(t.ID(), name, mode) == nil
+	e.locks.NoteEscalation(granted)
+	if granted {
+		e.recordLock(t, name, mode)
+		t.MarkEscalated(store, mode)
+	}
+	return granted
 }
 
-// lockLeaf performs hierarchical locking for one access to a leaf of
-// store — a heap row (lock.RowName) or an index key (keyLockName) — in
-// mode m (lock.S, lock.U or lock.X), with table-level escalation past
-// the threshold. A leaf lock the transaction already holds covers its
-// whole ancestry (the intents were taken before it), so the re-access
-// fast path is one private cache probe — the manager, and even the
-// per-level cache probes, are skipped entirely.
-func (e *Engine) lockLeaf(ctx context.Context, t *tx.Tx, store uint32, name lock.Name, m lock.Mode) error {
+// lockRow is the one path that locks a leaf of store — a heap row
+// (lock.RowName) or an index key (keyLockName) — in mode m (S, U or X):
+// DORA sub-transactions skip it; a store lock escalated to in a covering
+// mode, or the leaf lock already held (its intents were taken before
+// it), answers without the manager; otherwise the intents, escalate and
+// the leaf lock. With noWait (the caller holds a page latch) a conflict
+// returns lock.ErrWouldBlock; the caller unlatches, calls again to wait,
+// and retries.
+func (e *Engine) lockRow(ctx context.Context, t *tx.Tx, store uint32, name lock.Name, m lock.Mode, noWait bool) error {
 	if t.NoLock() {
-		// DORA sub-transaction: the owning partition's thread-local table
-		// already serialized every conflicting access.
 		return nil
 	}
-	// If already escalated to a covering store lock, nothing to do.
 	if held, ok := t.Escalated(store); ok && lock.StrongerOrEqual(held, m) {
 		return nil
 	}
@@ -640,22 +654,16 @@ func (e *Engine) lockLeaf(ctx context.Context, t *tx.Tx, store uint32, name lock
 		return nil
 	}
 	intent := lock.Intention(m)
-	if err := e.acquire(ctx, t, lock.DatabaseName(), intent); err != nil {
+	if err := e.acquire(ctx, t, lock.DatabaseName(), intent, noWait); err != nil {
 		return err
 	}
-	if err := e.acquire(ctx, t, lock.StoreName(store), intent); err != nil {
+	if err := e.acquire(ctx, t, lock.StoreName(store), intent, noWait); err != nil {
 		return err
 	}
-	if e.cfg.EscalateAfter > 0 && t.CountRowLock(store) > e.cfg.EscalateAfter {
-		esc := lock.S
-		if m == lock.X || m == lock.U {
-			esc = lock.X
-		}
-		if e.escalate(t, store, esc) {
-			return nil
-		}
+	if e.escalate(t, store, m) {
+		return nil
 	}
-	return e.acquire(ctx, t, name, m)
+	return e.acquire(ctx, t, name, m, noWait)
 }
 
 // logPhysical appends an update record for op on f's page, applies it, and

@@ -89,10 +89,10 @@ func (e *Engine) allocHeapPage(t *tx.Tx, store uint32, full page.ID) (*buffer.Fr
 	return f, pid, err
 }
 
-// HeapInsert appends data to the table, returning its RID. Locking
-// protocol: IX on database and store, X on the new row (acquired
-// conditionally under the page latch; on conflict the latch is released
-// and the lock awaited before retrying).
+// HeapInsert appends data to the table, returning its RID. The new row is
+// locked X through lockRow (intents, escalation) without waiting, under
+// the page latch; on a conflict the latch is released and the lock
+// awaited before retrying.
 func (e *Engine) HeapInsert(t *tx.Tx, store uint32, data []byte) (page.RID, error) {
 	return e.HeapInsertCtx(context.Background(), t, store, data)
 }
@@ -108,14 +108,6 @@ func (e *Engine) HeapInsertCtx(ctx context.Context, t *tx.Tx, store uint32, data
 	if len(data) == 0 || len(data) > MaxRecord {
 		return page.RID{}, fmt.Errorf("core: record size %d out of range", len(data))
 	}
-	if err := e.acquire(ctx, t, lock.DatabaseName(), lock.IX); err != nil {
-		return page.RID{}, err
-	}
-	if err := e.acquire(ctx, t, lock.StoreName(store), lock.IX); err != nil {
-		return page.RID{}, err
-	}
-	_, escalated := t.Escalated(store)
-
 	for attempt := 0; attempt < 1000; attempt++ {
 		pid, err := e.sm.LastPage(store)
 		if err != nil {
@@ -154,25 +146,17 @@ func (e *Engine) HeapInsertCtx(ctx context.Context, t *tx.Tx, store uint32, data
 		}
 		slot := freeSlot(f)
 		rid := page.RID{Page: pid, Slot: slot}
-		if !escalated {
-			// Conditional row lock under the latch; never wait here.
-			name := lock.RowName(store, rid)
-			if err := e.locks.TryLockNoWait(t.ID(), name, lock.X); err != nil {
-				e.pool.Unfix(f, sync2.LatchEX)
-				if errors.Is(err, lock.ErrWouldBlock) {
-					// Wait without the latch, keep the lock (2PL), retry the
-					// slot choice from scratch.
-					if err := e.acquire(ctx, t, name, lock.X); err != nil {
-						return page.RID{}, err
-					}
-					continue
-				}
+		if err := e.lockRow(ctx, t, store, lock.RowName(store, rid), lock.X, true); err != nil {
+			e.pool.Unfix(f, sync2.LatchEX)
+			if !errors.Is(err, lock.ErrWouldBlock) {
 				return page.RID{}, err
 			}
-			t.AddLock(name, lock.X)
-			if e.cfg.EscalateAfter > 0 && t.CountRowLock(store) > e.cfg.EscalateAfter {
-				escalated = e.escalate(t, store, lock.X)
+			// Wait without the latch, keep the lock (2PL), retry the slot
+			// choice from scratch.
+			if err := e.lockRow(ctx, t, store, lock.RowName(store, rid), lock.X, false); err != nil {
+				return page.RID{}, err
 			}
+			continue
 		}
 		op := pageop.Op{Kind: pageop.KindHeapInsert, Slot: slot, Data: data}
 		err = e.logPhysical(t.ID(), t, f, op, pageop.Logical{}, false)
@@ -201,7 +185,7 @@ func (e *Engine) HeapReadCtx(ctx context.Context, t *tx.Tx, store uint32, rid pa
 	if t != nil && t.IsSnapshot() {
 		return e.heapReadSnapshot(t, store, rid)
 	}
-	if err := e.lockLeaf(ctx, t, store, lock.RowName(store, rid), lock.S); err != nil {
+	if err := e.lockRow(ctx, t, store, lock.RowName(store, rid), lock.S, false); err != nil {
 		return nil, err
 	}
 	f, err := e.fix(rid.Page, sync2.LatchSH)
@@ -232,7 +216,7 @@ func (e *Engine) HeapUpdateCtx(ctx context.Context, t *tx.Tx, store uint32, rid 
 	if len(data) == 0 || len(data) > MaxRecord {
 		return fmt.Errorf("core: record size %d out of range", len(data))
 	}
-	if err := e.lockLeaf(ctx, t, store, lock.RowName(store, rid), lock.X); err != nil {
+	if err := e.lockRow(ctx, t, store, lock.RowName(store, rid), lock.X, false); err != nil {
 		return err
 	}
 	f, err := e.fix(rid.Page, sync2.LatchEX)
@@ -261,7 +245,7 @@ func (e *Engine) HeapDeleteCtx(ctx context.Context, t *tx.Tx, store uint32, rid 
 	if err := snapshotGuard(t); err != nil {
 		return err
 	}
-	if err := e.lockLeaf(ctx, t, store, lock.RowName(store, rid), lock.X); err != nil {
+	if err := e.lockRow(ctx, t, store, lock.RowName(store, rid), lock.X, false); err != nil {
 		return err
 	}
 	f, err := e.fix(rid.Page, sync2.LatchEX)
@@ -296,10 +280,10 @@ func (e *Engine) HeapScanCtx(ctx context.Context, t *tx.Tx, store uint32, fn fun
 	if t != nil && t.IsSnapshot() {
 		return e.heapScanSnapshot(t, store, fn)
 	}
-	if err := e.acquire(ctx, t, lock.DatabaseName(), lock.IS); err != nil {
+	if err := e.acquire(ctx, t, lock.DatabaseName(), lock.IS, false); err != nil {
 		return err
 	}
-	if err := e.acquire(ctx, t, lock.StoreName(store), lock.S); err != nil {
+	if err := e.acquire(ctx, t, lock.StoreName(store), lock.S, false); err != nil {
 		return err
 	}
 	pids, err := e.sm.Pages(store)

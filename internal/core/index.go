@@ -238,7 +238,7 @@ func (e *Engine) IndexInsertCtx(ctx context.Context, t *tx.Tx, ix *Index, key, v
 	if err := snapshotGuard(t); err != nil {
 		return err
 	}
-	if err := e.lockLeaf(ctx, t, ix.store, keyLockName(ix.store, key), lock.X); err != nil {
+	if err := e.lockRow(ctx, t, ix.store, keyLockName(ix.store, key), lock.X, false); err != nil {
 		return err
 	}
 	e.probeLockTable(t, ix.store, key)
@@ -259,7 +259,7 @@ func (e *Engine) IndexLookupCtx(ctx context.Context, t *tx.Tx, ix *Index, key []
 	if t != nil && t.IsSnapshot() {
 		return e.indexLookupSnapshot(t, ix, key)
 	}
-	if err := e.lockLeaf(ctx, t, ix.store, keyLockName(ix.store, key), lock.S); err != nil {
+	if err := e.lockRow(ctx, t, ix.store, keyLockName(ix.store, key), lock.S, false); err != nil {
 		return nil, false, err
 	}
 	e.probeLockTable(t, ix.store, key)
@@ -281,7 +281,7 @@ func (e *Engine) IndexLookupForUpdateCtx(ctx context.Context, t *tx.Tx, ix *Inde
 	if err := snapshotGuard(t); err != nil {
 		return nil, false, err
 	}
-	if err := e.lockLeaf(ctx, t, ix.store, keyLockName(ix.store, key), lock.X); err != nil {
+	if err := e.lockRow(ctx, t, ix.store, keyLockName(ix.store, key), lock.X, false); err != nil {
 		return nil, false, err
 	}
 	e.probeLockTable(t, ix.store, key)
@@ -302,7 +302,7 @@ func (e *Engine) IndexUpdateCtx(ctx context.Context, t *tx.Tx, ix *Index, key, v
 	if err := snapshotGuard(t); err != nil {
 		return err
 	}
-	if err := e.lockLeaf(ctx, t, ix.store, keyLockName(ix.store, key), lock.X); err != nil {
+	if err := e.lockRow(ctx, t, ix.store, keyLockName(ix.store, key), lock.X, false); err != nil {
 		return err
 	}
 	e.probeLockTable(t, ix.store, key)
@@ -323,7 +323,7 @@ func (e *Engine) IndexDeleteCtx(ctx context.Context, t *tx.Tx, ix *Index, key []
 	if err := snapshotGuard(t); err != nil {
 		return nil, err
 	}
-	if err := e.lockLeaf(ctx, t, ix.store, keyLockName(ix.store, key), lock.X); err != nil {
+	if err := e.lockRow(ctx, t, ix.store, keyLockName(ix.store, key), lock.X, false); err != nil {
 		return nil, err
 	}
 	e.probeLockTable(t, ix.store, key)
@@ -345,10 +345,10 @@ func (e *Engine) IndexScanCtx(ctx context.Context, t *tx.Tx, ix *Index, from, to
 	if t != nil && t.IsSnapshot() {
 		return e.indexScanSnapshot(t, ix, from, to, fn)
 	}
-	if err := e.acquire(ctx, t, lock.DatabaseName(), lock.IS); err != nil {
+	if err := e.acquire(ctx, t, lock.DatabaseName(), lock.IS, false); err != nil {
 		return err
 	}
-	if err := e.acquire(ctx, t, lock.StoreName(ix.store), lock.S); err != nil {
+	if err := e.acquire(ctx, t, lock.StoreName(ix.store), lock.S, false); err != nil {
 		return err
 	}
 	return ix.scan(ix.access(t), from, to, fn)

@@ -95,11 +95,11 @@ func TestCacheUpgradeModes(t *testing.T) {
 
 	// S then U: U subsumes S, conversion required; later S is cache-covered.
 	tx1, _ := e.Begin()
-	if err := e.acquire(ctx, tx1, n, lock.S); err != nil {
+	if err := e.acquire(ctx, tx1, n, lock.S, false); err != nil {
 		t.Fatal(err)
 	}
 	before := e.Locks().Stats().Acquires
-	if err := e.acquire(ctx, tx1, n, lock.U); err != nil {
+	if err := e.acquire(ctx, tx1, n, lock.U, false); err != nil {
 		t.Fatal(err)
 	}
 	if e.Locks().Stats().Acquires == before {
@@ -109,7 +109,7 @@ func TestCacheUpgradeModes(t *testing.T) {
 		t.Fatalf("Holds = %v, want U", got)
 	}
 	before = e.Locks().Stats().Acquires
-	if err := e.acquire(ctx, tx1, n, lock.S); err != nil {
+	if err := e.acquire(ctx, tx1, n, lock.S, false); err != nil {
 		t.Fatal(err)
 	}
 	if e.Locks().Stats().Acquires != before {
@@ -121,10 +121,10 @@ func TestCacheUpgradeModes(t *testing.T) {
 
 	// S then IX: the supremum is SIX, again via the manager.
 	tx2, _ := e.Begin()
-	if err := e.acquire(ctx, tx2, n, lock.S); err != nil {
+	if err := e.acquire(ctx, tx2, n, lock.S, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.acquire(ctx, tx2, n, lock.IX); err != nil {
+	if err := e.acquire(ctx, tx2, n, lock.IX, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Locks().Holds(tx2.ID(), n); got != lock.SIX {

@@ -63,6 +63,10 @@ type Stats struct {
 	PoolAllocs  uint64 // request-pool misses
 	ELRReleases uint64 // transactions that released locks before hardening
 	CacheHits   uint64 // requests answered by the tx-private lock cache, never reaching the table
+	// Escalations and EscalationsRefused count a transaction's tries to
+	// trade its row locks on a store for one store lock (NoteEscalation).
+	Escalations        uint64
+	EscalationsRefused uint64
 	// Live gauges, measured by walking the whole table under its
 	// latches at Stats time: both must drop to zero once every
 	// transaction has finished (leaked locks keep them non-zero, which
@@ -120,6 +124,8 @@ type Manager struct {
 	timeouts  atomic.Uint64
 	cancels   atomic.Uint64
 	cacheHits atomic.Uint64
+	escalated atomic.Uint64
+	refused   atomic.Uint64
 
 	// Early Lock Release (staged commit pipeline): the highest log
 	// position released-before-hardening by any committing transaction.
@@ -641,6 +647,17 @@ func (m *Manager) Unlock(txID uint64, name Name) {
 // them in one call at release time.
 func (m *Manager) NoteCacheHits(n uint64) { m.cacheHits.Add(n) }
 
+// NoteEscalation counts one escalation try by the engine, granted or
+// refused. Escalation is the engine's policy (a TryLockNoWait on the
+// store); the manager only keeps the counts.
+func (m *Manager) NoteEscalation(granted bool) {
+	if granted {
+		m.escalated.Add(1)
+	} else {
+		m.refused.Add(1)
+	}
+}
+
 // Holds returns the mode txID currently holds on name (NL if none).
 func (m *Manager) Holds(txID uint64, name Name) Mode {
 	b := m.bucketFor(name)
@@ -776,6 +793,9 @@ func (m *Manager) Stats() Stats {
 		PoolAllocs:  m.pool.allocations(),
 		ELRReleases: m.elrReleases.Load(),
 		CacheHits:   m.cacheHits.Load(),
+
+		Escalations:        m.escalated.Load(),
+		EscalationsRefused: m.refused.Load(),
 	}
 	if m.opts.Table == TableGlobal {
 		s.Latch = m.global.Stats()

@@ -198,3 +198,47 @@ func TestFullMixConsistency(t *testing.T) {
 		t.Fatalf("sum of district order counters %d != %d", sumNext, newOrders)
 	}
 }
+
+// TestMixNeverEscalates: under the default Config.EscalateAfter no TPC-C
+// transaction locks enough rows of one store to try escalation, so none
+// changes lock granularity. The footprints are largest with a full
+// warehouse: Delivery reads up to 10 orders' lines, Stock-Level the
+// stock rows of the last 20 orders' lines, 5-15 lines each.
+func TestMixNeverEscalates(t *testing.T) {
+	db := newDB(t, Scale{Warehouses: 1, Districts: 10, Customers: 30, Items: 1000, StockPerItem: true})
+	ctx := context.Background()
+	base := db.Engine.Stats().Lock // Load's batches escalate; the mix must not
+	r := NewRand(3)
+	for d := 1; d <= db.Scale.Districts; d++ {
+		for placed := 0; placed < 30; {
+			in := GenNewOrder(r, db.Scale, 1)
+			in.DID = uint8(d)
+			switch err := db.NewOrderCtx(ctx, in); {
+			case err == nil:
+				placed++
+			case !errors.Is(err, ErrUserAbort):
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if err := db.PaymentCtx(ctx, GenPayment(r, db.Scale, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.OrderStatusCtx(ctx, GenOrderStatus(r, db.Scale, 1)); err != nil {
+			t.Fatal(err)
+		}
+		in := GenStockLevel(r, db.Scale, 1)
+		in.DID = uint8(i%db.Scale.Districts + 1)
+		if _, err := db.StockLevelCtx(ctx, in); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.DeliveryCtx(ctx, GenDelivery(r, db.Scale, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := db.Engine.Stats().Lock
+	if n, refused := st.Escalations-base.Escalations, st.EscalationsRefused-base.EscalationsRefused; n != 0 || refused != 0 {
+		t.Errorf("the mix tried %d escalations (%d refused), want none", n+refused, refused)
+	}
+}

@@ -39,7 +39,8 @@ func newDoraDB(t testing.TB, scale Scale, partitions int) *DB {
 // Orders from many goroutines (run under -race in CI) and then audits
 // the money and order counters: lost updates on either side of a
 // rendezvous would break the per-warehouse YTD sums or the district
-// order sequence.
+// order sequence. No action reaches the shared lock manager, the HISTORY
+// insert of every Payment included.
 func TestDoraCrossPartitionStress(t *testing.T) {
 	scale := Scale{Warehouses: 4, Districts: 2, Customers: 10, Items: 50, StockPerItem: true}
 	db := newDoraDB(t, scale, 2)
@@ -54,6 +55,7 @@ func TestDoraCrossPartitionStress(t *testing.T) {
 	var whYTD [5]atomic.Int64
 	var orders [5][3]atomic.Int64
 
+	acquires := db.Engine.Stats().Lock.Acquires
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -98,6 +100,9 @@ func TestDoraCrossPartitionStress(t *testing.T) {
 	wg.Wait()
 	if t.Failed() {
 		return
+	}
+	if got := db.Engine.Stats().Lock.Acquires - acquires; got != 0 {
+		t.Errorf("DORA Payments and New Orders took %d shared lock-manager locks, want 0", got)
 	}
 
 	// Audit through a regular locking transaction.
