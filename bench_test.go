@@ -353,10 +353,10 @@ func BenchmarkDoraParallel(b *testing.B) {
 // executor from concurrent workers (run with -cpu=8), comparing
 // shared-tree DORA (partition-local locks, shared B-trees) against PLP
 // (per-partition segment forests with latch-free owner-path index
-// operations plus the skew re-balancer). One iteration is one committed
+// operations, ownership fixed at open). One iteration is one committed
 // transaction. With zipf, each worker draws its home warehouse
-// per-iteration from a Zipfian distribution, so the re-balancer has
-// real skew to correct.
+// per-iteration from a Zipfian distribution, so partitions carry
+// unequal load.
 func benchPlpParallel(b *testing.B, plpOn, zipf bool, run func(db *tpcc.DB, r *tpcc.Rand, home uint32) error) {
 	const warehouses = 8
 	cfg := core.StageConfig(core.StageFinal)
@@ -364,15 +364,11 @@ func benchPlpParallel(b *testing.B, plpOn, zipf bool, run func(db *tpcc.DB, r *t
 	cfg.DORA = true
 	cfg.DoraKeys = warehouses
 	if zipf {
-		// Fewer partitions than routing keys, so partitions own multi-key
-		// spans and the re-balancer has boundary keys to migrate; with one
-		// partition per warehouse the map is born converged.
+		// Fewer partitions than routing keys, so the hot warehouses share
+		// an owner.
 		cfg.DoraPartitions = warehouses / 2
 	}
-	if plpOn {
-		cfg.PLP = true
-		cfg.PlpRebalanceEvery = 5 * time.Millisecond
-	}
+	cfg.PLP = plpOn
 	e := newBenchEngineCfg(b, cfg)
 	db, err := tpcc.Load(e, tpcc.Scale{Warehouses: warehouses, Districts: 4, Customers: 50, Items: 100, StockPerItem: true}, 42)
 	if err != nil {
@@ -411,17 +407,15 @@ func benchPlpParallel(b *testing.B, plpOn, zipf bool, run func(db *tpcc.DB, r *t
 	if plpOn {
 		st := e.Stats()
 		b.ReportMetric(float64(st.Btree.OwnerDescents+st.Btree.OwnerReads)/float64(b.N), "ownerops/op")
-		b.ReportMetric(float64(st.Plp.Migrations), "migrations")
 	}
 }
 
-// benchResidualSkew measures the routing skew left over after the timed
-// run (and, under PLP, after any migrations the re-balancer committed
-// during it): it drives a short untimed burst of the same Zipfian
-// Payment load and returns max/mean of the per-partition routing deltas
-// over that burst. Shared-tree DORA cannot adapt, so its ratio stays at
-// the distribution's intrinsic skew; PLP's converges toward uniform as
-// boundary keys migrate off the hot partition.
+// benchResidualSkew measures the routing skew the partition map leaves
+// under the Zipfian load: it drives a short untimed burst of Zipfian
+// Payments after the timed run and returns max/mean of the per-partition
+// routing deltas over that burst. Shared-tree DORA deals warehouses to
+// partitions modulo their count, PLP in contiguous ranges; neither moves
+// a warehouse while it runs.
 func benchResidualSkew(b *testing.B, db *tpcc.DB, warehouses int) float64 {
 	b.Helper()
 	parts := db.Engine.Stats().Dora.Parts
@@ -460,10 +454,9 @@ func benchResidualSkew(b *testing.B, db *tpcc.DB, warehouses int) float64 {
 	return float64(max) / (float64(total) / float64(len(after)))
 }
 
-// BenchmarkPlpParallel is this PR's headline comparison: shared-tree
-// DORA versus physiologically partitioned trees, per transaction type,
-// plus a Zipfian-skewed variant that exercises the re-balancer and
-// reports the residual routing skew. CI captures it as BENCH_plp.json.
+// BenchmarkPlpParallel compares shared-tree DORA with physiologically
+// partitioned trees, per transaction type, plus Zipfian-skewed variants
+// that report the routing skew. CI captures it as BENCH_plp.json.
 func BenchmarkPlpParallel(b *testing.B) {
 	payment := func(db *tpcc.DB, r *tpcc.Rand, home uint32) error {
 		return db.DoraPayment(context.Background(), tpcc.GenPayment(r, db.Scale, home))
@@ -477,6 +470,8 @@ func BenchmarkPlpParallel(b *testing.B) {
 	b.Run("neworder/plp", func(b *testing.B) { benchPlpParallel(b, true, false, newOrder) })
 	b.Run("zipf-payment/dora", func(b *testing.B) { benchPlpParallel(b, false, true, payment) })
 	b.Run("zipf-payment/plp", func(b *testing.B) { benchPlpParallel(b, true, true, payment) })
+	b.Run("zipf-neworder/dora", func(b *testing.B) { benchPlpParallel(b, false, true, newOrder) })
+	b.Run("zipf-neworder/plp", func(b *testing.B) { benchPlpParallel(b, true, true, newOrder) })
 }
 
 func BenchmarkFigure6_FreeSpaceMutex(b *testing.B) {

@@ -41,7 +41,7 @@ func main() {
 	durability := flag.String("durability", "strict", "commit durability: strict|relaxed")
 	olc := flag.Bool("olc", false, "optimistic latch coupling on B-tree descents")
 	dora := flag.Bool("dora", false, "data-oriented execution (partitioned lock tables)")
-	plp := flag.Bool("plp", false, "physiological partitioning (implies -dora): per-partition B-tree segments with a skew re-balancer")
+	plp := flag.Bool("plp", false, "physiological partitioning (implies -dora): per-partition B-tree segments, ownership fixed at open")
 	partitions := flag.Int("partitions", 0, "DORA partitions (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "execution pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x workers); overflow sheds with busy")
@@ -165,8 +165,8 @@ func main() {
 	}
 	if *plp {
 		p := es.Plp
-		log.Printf("plp: %d keys over %d partitions (%d forests), map v%d, %d migrations, dora skew %.2f",
-			p.Keys, p.Partitions, p.Tables, p.MapVersion, p.Migrations, es.Dora.SkewRatio)
+		log.Printf("plp: %d keys over %d partitions (%d forests), map v%d, dora skew %.2f",
+			p.Keys, p.Partitions, p.Tables, p.MapVersion, es.Dora.SkewRatio)
 	}
 	if err := db.Close(); err != nil {
 		log.Printf("close: %v", err)

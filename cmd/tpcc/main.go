@@ -56,7 +56,7 @@ func main() {
 	payPct := flag.Int("payment", 50, "percent of transactions that are Payment (rest New Order)")
 	olc := flag.Bool("olc", false, "optimistic latch coupling: validate B-tree inner nodes against latch versions instead of pinning them")
 	dorafl := flag.Bool("dora", false, "data-oriented execution: route decomposed actions to partition owners with thread-local lock tables")
-	plpfl := flag.Bool("plp", false, "physiological partitioning (implies -dora): per-partition B-tree segments with latch-free owner access and a skew re-balancer")
+	plpfl := flag.Bool("plp", false, "physiological partitioning (implies -dora): per-partition B-tree segments with latch-free owner access, ownership fixed at open")
 	partitions := flag.Int("partitions", 0, "DORA partitions (0 = GOMAXPROCS; clamped to -warehouses)")
 	addr := flag.String("addr", "", "drive a remote shored server at this address instead of an embedded engine")
 	logSegment := flag.Int64("log-segment", 0, "log segment size in bytes (0 = default segment size)")
@@ -253,8 +253,8 @@ func main() {
 	if *plpfl {
 		p := st.Plp
 		b := st.Btree
-		fmt.Printf("  plp:         %d routing keys over %d partitions (%d forests), map v%d, %d migrations\n",
-			p.Keys, p.Partitions, p.Tables, p.MapVersion, p.Migrations)
+		fmt.Printf("  plp:         %d routing keys over %d partitions (%d forests), map v%d\n",
+			p.Keys, p.Partitions, p.Tables, p.MapVersion)
 		fmt.Printf("               owner path: %d descents, %d reads, %d writes, %d scans, %d fallbacks\n",
 			b.OwnerDescents, b.OwnerReads, b.OwnerWrites, b.OwnerScans, b.OwnerFallbacks)
 	}

@@ -121,17 +121,9 @@ type Config struct {
 	// validated speculative page images with no latch acquisition at all
 	// (EngineStats.Btree.Owner* counters observe the bypass). The
 	// partition map (segment roots + ownership bounds) lives in a
-	// catalog store and is rebuilt by crash recovery; a background
-	// re-balancer migrates boundary routing keys between adjacent
-	// partitions when routing skew exceeds a threshold. Implies DORA.
+	// catalog store and is rebuilt by crash recovery. Ownership is an
+	// even split of the routing keyspace, fixed at open. Implies DORA.
 	PLP bool
-	// PlpRebalanceEvery is the skew re-balancer's poll interval. 0
-	// defaults to 100ms — long enough that one tick aggregates routing
-	// across scheduler rotations even on few cores (short windows see
-	// whichever worker happened to run and mistake time-slicing for
-	// skew); negative disables re-balancing (the initial even split is
-	// kept).
-	PlpRebalanceEvery time.Duration
 	// Snapshot enables multiversion snapshot reads: writers install the
 	// before-image of every row/key they touch in an in-memory version
 	// store, stamped at commit with their harden target, and read-only
@@ -246,9 +238,6 @@ func (c *Config) normalize() {
 			} else {
 				c.DoraKeys = runtime.GOMAXPROCS(0)
 			}
-		}
-		if c.PlpRebalanceEvery == 0 {
-			c.PlpRebalanceEvery = 100 * time.Millisecond
 		}
 	}
 	c.Buffer.Frames = c.Frames

@@ -21,7 +21,6 @@ func TestCursorAcrossForestSegments(t *testing.T) {
 	cfg.PLP = true
 	cfg.DoraPartitions = 2
 	cfg.DoraKeys = 4
-	cfg.PlpRebalanceEvery = -1
 	e, err := Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -52,16 +52,12 @@ type Engine struct {
 	mvcc     *mvcc.Store    // version store for snapshot reads (nil unless Config.Snapshot)
 
 	// PLP state (Config.PLP): the current partition map, published
-	// through an atomic pointer so the router and index dispatch read it
-	// without locks; plpMu serializes map mutations (registration,
-	// migration) with their catalog persistence; plpRID tracks the
-	// catalog record. See plp.go.
-	plpMap        atomic.Pointer[plp.Map]
-	plpMu         sync.Mutex
-	plpRID        page.RID
-	plpStop       chan struct{}
-	plpDone       chan struct{}
-	plpMigrations atomic.Uint64
+	// through an atomic pointer so index dispatch reads it without locks;
+	// plpMu serializes table registration with its catalog persistence;
+	// plpRID tracks the catalog record. See plp.go.
+	plpMap atomic.Pointer[plp.Map]
+	plpMu  sync.Mutex
+	plpRID page.RID
 
 	// ckptMu orders commit-point publication against checkpoint snapshots:
 	// committers hold it shared for the instant between inserting the
@@ -232,7 +228,6 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.stopCheckpointLoop()
-	e.stopRebalancer() // before dora.Close: a migration barrier needs live owners
 	if e.dora != nil {
 		e.dora.Close() // partition owners drain their queues
 	}
@@ -843,7 +838,6 @@ func (e *Engine) crash(flushLog bool) {
 		return
 	}
 	e.stopCheckpointLoop()
-	e.stopRebalancer()
 	if e.dora != nil {
 		e.dora.Close()
 	}
@@ -891,7 +885,6 @@ func (e *Engine) Stats() EngineStats {
 			Partitions: m.Parts(),
 			Tables:     len(m.Tables()),
 			MapVersion: m.Version(),
-			Migrations: e.plpMigrations.Load(),
 		}
 	}
 	s.Recovery = e.recovery

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/disk"
@@ -18,17 +19,16 @@ func plpKey(rk uint32, i int) []byte {
 	return append(k, []byte(fmt.Sprintf("%08d", i))...)
 }
 
-// TestPlpMapCrashRecovery pins the catalog contract: the partition map —
-// segment roots and ownership bounds, including a committed migration —
-// survives a crash byte-identically. The map lives in one heap record,
-// so ordinary ARIES redo must rebuild exactly what was persisted; a
-// reopened engine then serves every key from the same segment forest.
+// TestPlpMapCrashRecovery pins the catalog contract: the partition map
+// lives in one heap record, so ordinary ARIES redo rebuilds it after a
+// crash. Reopening with a different partition count then redistributes
+// ownership (Repartition) without touching a segment root, and the
+// reopened engine serves every key from the same segment forest.
 func TestPlpMapCrashRecovery(t *testing.T) {
 	cfg := StageConfig(StageFinal)
 	cfg.PLP = true
 	cfg.DoraPartitions = 2
 	cfg.DoraKeys = 4
-	cfg.PlpRebalanceEvery = -1 // deterministic migrations only
 	vol := disk.NewMem(0)
 	logStore := wal.NewMemSegmentStore(0)
 	e, err := Open(vol, logStore, cfg)
@@ -56,46 +56,29 @@ func TestPlpMapCrashRecovery(t *testing.T) {
 	if err := e.Commit(setup); err != nil {
 		t.Fatal(err)
 	}
-
-	// Deterministic boundary migration: partition 0 sheds routing key 2
-	// to partition 1 ([1 3 5] -> [1 2 5]).
 	m := e.PlpMap()
-	bounds := m.Bounds()
-	bounds[1]--
-	next, err := m.WithBounds(bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.migrate(0, 1, next)
-	m = e.PlpMap()
-	if m.Version() != next.Version() {
-		t.Fatalf("migration did not flip: map v%d, want v%d", m.Version(), next.Version())
-	}
-	if got := m.Owner(2); got != 1 {
-		t.Fatalf("Owner(2) = %d after migration, want 1", got)
-	}
-	enc := m.Encode()
-
 	e.Crash()
+
+	cfg.DoraPartitions = 1
 	e2, err := Open(vol, logStore, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e2.Close()
-
 	m2 := e2.PlpMap()
 	if m2 == nil {
 		t.Fatal("reopened engine has no partition map")
 	}
-	if !bytes.Equal(m2.Encode(), enc) {
-		t.Fatalf("recovered map differs:\n got %x\nwant %x", m2.Encode(), enc)
+	if m2.Parts() != 1 || m2.Version() != m.Version()+1 {
+		t.Fatalf("reopened map: %d partitions, v%d; want 1, v%d", m2.Parts(), m2.Version(), m.Version()+1)
+	}
+	tables := m2.Tables()
+	if !slices.Equal(tables, m.Tables()) || len(tables) != 1 {
+		t.Fatalf("recovered tables %v, want %v", tables, m.Tables())
+	}
+	if !slices.Equal(m2.Roots(tables[0]), m.Roots(tables[0])) {
+		t.Fatalf("recovered segment roots %v, want %v", m2.Roots(tables[0]), m.Roots(tables[0]))
 	}
 
-	// The recovered map must still route every key to a live segment.
-	tables := m2.Tables()
-	if len(tables) != 1 {
-		t.Fatalf("recovered map has %d tables, want 1", len(tables))
-	}
 	ix2 := e2.plpForest(tables[0], m2.Roots(tables[0]))
 	check, err := e2.Begin()
 	if err != nil {
@@ -119,5 +102,18 @@ func TestPlpMapCrashRecovery(t *testing.T) {
 		t.Fatalf("forest verify after recovery: %v", err)
 	} else if want := 4 * perKey; n != want {
 		t.Fatalf("forest holds %d keys after recovery, want %d", n, want)
+	}
+
+	// The repartitioned map was persisted at open: a second crash brings
+	// it back byte-identically.
+	enc := m2.Encode()
+	e2.Crash()
+	e3, err := Open(vol, logStore, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e3.Close()
+	if got := e3.PlpMap().Encode(); !bytes.Equal(got, enc) {
+		t.Fatalf("recovered map differs:\n got %x\nwant %x", got, enc)
 	}
 }

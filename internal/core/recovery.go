@@ -72,9 +72,8 @@ func (e *Engine) restart() error {
 	if e.cfg.PLP {
 		// Losers may carry logical undo against partitioned indexes, and
 		// routing a key to its segment needs the partition map's root
-		// table. Segment roots never change after registration (only
-		// ownership bounds do), so the pre-undo map is safe to route
-		// with even when a loser was mid-migration; plpInit re-reads the
+		// table. Segment roots never change after registration, so the
+		// pre-undo map is safe to route with; plpInit re-reads the
 		// catalog after undo for the authoritative post-recovery map.
 		if m, rid, err := e.plpReadCatalog(); err == nil && m != nil {
 			e.plpMap.Store(m)

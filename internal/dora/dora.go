@@ -103,10 +103,8 @@ type RunFunc func(ctx context.Context, sub *tx.Tx, input uint64) error
 type ActionSpec struct {
 	Partition int
 	// RouteKey, when non-zero, is the action's 1-based routing key
-	// (TPC-C: warehouse id). Submit re-resolves the owning partition
-	// from it under the routing lock, so a re-balancer that moves the
-	// key between partitions mid-flight never splits one transaction
-	// across map versions. Zero means Partition is used as-is.
+	// (TPC-C: warehouse id); Add resolves the owning partition from it
+	// through Route. Zero means Partition is used as-is.
 	RouteKey uint32
 	Locks    []LockReq
 	Run      RunFunc
@@ -127,7 +125,6 @@ type ActionSpec struct {
 type action struct {
 	txn       *Txn
 	part      *partition
-	routeKey  uint32
 	locks     []LockReq
 	run       RunFunc
 	produces  bool
@@ -175,7 +172,6 @@ func (t *Txn) Add(spec ActionSpec) {
 	t.actions = append(t.actions, &action{
 		txn:       t,
 		part:      t.exec.parts[part],
-		routeKey:  spec.RouteKey,
 		locks:     spec.Locks,
 		run:       spec.Run,
 		produces:  spec.Produces,
@@ -212,16 +208,10 @@ type Executor struct {
 	submitMu sync.Mutex
 	closed   atomic.Bool
 
-	// routeMu serializes routing-table changes against submissions:
-	// Submit resolves every action's partition from its route key and
-	// enqueues under the read side, so a re-balancer that takes the
-	// write side (FreezeRouting) observes no in-flight transaction
-	// straddling two routing-map versions.
-	routeMu sync.RWMutex
 	// router, when set, replaces the modulo default of Route. Installed
-	// by the PLP layer so the executor and the partition map agree on
-	// ownership.
-	router atomic.Pointer[func(key uint32) int]
+	// by the PLP layer before the first transaction, so the executor and
+	// the partition map agree on ownership; never changed afterwards.
+	router func(key uint32) int
 
 	localTx   atomic.Uint64
 	crossTx   atomic.Uint64
@@ -260,8 +250,8 @@ func (x *Executor) Partitions() int { return len(x.parts) }
 // partition: through the installed router when one is set (PLP's
 // partition map), otherwise round-robin modulo.
 func (x *Executor) Route(key uint32) int {
-	if fn := x.router.Load(); fn != nil {
-		if p := (*fn)(key); p >= 0 && p < len(x.parts) {
+	if x.router != nil {
+		if p := x.router(key); p >= 0 && p < len(x.parts) {
 			return p
 		}
 		return 0
@@ -269,24 +259,10 @@ func (x *Executor) Route(key uint32) int {
 	return int((key - 1) % uint32(len(x.parts)))
 }
 
-// SetRouter installs (or, with nil, removes) the routing function
-// consulted by Route. Call it under FreezeRouting when transactions may
-// be in flight.
-func (x *Executor) SetRouter(fn func(key uint32) int) {
-	if fn == nil {
-		x.router.Store(nil)
-		return
-	}
-	x.router.Store(&fn)
-}
-
-// FreezeRouting blocks new submissions (they wait at the routing lock's
-// read side) until UnfreezeRouting. The re-balancer brackets its
-// quiesce-and-flip with this pair.
-func (x *Executor) FreezeRouting() { x.routeMu.Lock() }
-
-// UnfreezeRouting releases FreezeRouting.
-func (x *Executor) UnfreezeRouting() { x.routeMu.Unlock() }
+// SetRouter installs the routing function consulted by Route. Call it
+// once, before the first transaction is built: Route reads it without
+// synchronization, and an action's partition is fixed when Add routes it.
+func (x *Executor) SetRouter(fn func(key uint32) int) { x.router = fn }
 
 // Submit enqueues t's actions and blocks until every partition applied
 // the rendezvous decision, returning the transaction's outcome. A
@@ -311,15 +287,7 @@ func (x *Executor) Submit(t *Txn) error {
 	}
 	t.pending.Store(int32(n))
 	t.finishPending.Store(int32(n))
-	// Resolve partitions and enqueue under the routing read lock: every
-	// route-keyed action binds to the current map version, and a
-	// re-balancer holding the write side sees either none or all of this
-	// transaction's actions enqueued.
-	x.routeMu.RLock()
 	for _, a := range t.actions {
-		if a.routeKey != 0 {
-			a.part = x.parts[x.Route(a.routeKey)]
-		}
 		a.part.routed.Add(1)
 	}
 	if n == 1 {
@@ -337,33 +305,7 @@ func (x *Executor) Submit(t *Txn) error {
 		}
 		x.submitMu.Unlock()
 	}
-	x.routeMu.RUnlock()
 	return <-t.done
-}
-
-// Quiesce posts a barrier to the listed partitions and, if every one of
-// them reports idle (empty queue, no held locks, nothing parked), runs
-// fn while all of them are stopped at the barrier, returning true. If
-// any partition is busy the barrier is released without running fn and
-// Quiesce returns false; the caller retries. Call with routing frozen,
-// or new work will race the idleness check.
-func (x *Executor) Quiesce(parts []int, fn func()) bool {
-	release := make(chan struct{})
-	busyCh := make(chan bool, len(parts))
-	for _, id := range parts {
-		x.parts[id].enqueue(message{kind: msgBarrier, b: &barrier{release: release, busy: busyCh}})
-	}
-	idle := true
-	for range parts {
-		if <-busyCh {
-			idle = false
-		}
-	}
-	if idle {
-		fn()
-	}
-	close(release)
-	return idle
 }
 
 // Close stops the partition owners after they drain their queues. The
@@ -407,8 +349,9 @@ type Stats struct {
 	Aborts          uint64 // transactions rolled back
 	QueueHighWater  int64  // max over partitions
 	// SkewRatio is max/mean of the per-partition Routed counters — 1.0
-	// is perfectly uniform routing; the PLP re-balancer drives it down
-	// on skewed workloads. Zero when nothing was routed yet.
+	// is perfectly uniform routing. Ownership is fixed, so it reports
+	// the workload's skew as the partition map splits it. Zero when
+	// nothing was routed yet.
 	SkewRatio float64
 	Parts     []PartitionStats
 }

@@ -10,27 +10,16 @@ import (
 // message is one input-queue entry for a partition owner.
 type message struct {
 	kind   byte
-	a      *action  // msgAction, msgFinish
-	txn    *Txn     // msgInput
-	commit bool     // msgFinish
-	b      *barrier // msgBarrier
+	a      *action // msgAction, msgFinish
+	txn    *Txn    // msgInput
+	commit bool    // msgFinish
 }
 
 const (
-	msgAction  = byte(iota + 1) // new action to admit
-	msgInput                    // a producer published txn's input
-	msgFinish                   // rendezvous decision for one local action
-	msgBarrier                  // re-balancer rendezvous: report busy, hold at release
+	msgAction = byte(iota + 1) // new action to admit
+	msgInput                   // a producer published txn's input
+	msgFinish                  // rendezvous decision for one local action
 )
-
-// barrier is one re-balancer rendezvous: the owner reports whether it
-// has any work (queued, granted, or parked) on busy, then holds until
-// release closes. busy is shared by all partitions of one Quiesce;
-// release is closed exactly once by the quiescer.
-type barrier struct {
-	release chan struct{}
-	busy    chan bool
-}
 
 // holder records one granted lock: which action holds the key and in
 // what (supremum) mode. Holders are per action, not per transaction, so
@@ -110,43 +99,12 @@ func (p *partition) loop() {
 		batch := p.queue
 		p.queue = spare[:0]
 		p.mu.Unlock()
-		for i := range batch {
-			m := batch[i]
+		for i, m := range batch {
 			batch[i] = message{}
-			if m.kind == msgBarrier {
-				// The unprocessed tail of the batch goes back to the
-				// queue first, so the barrier's busy check counts it and
-				// nothing is lost while the owner holds.
-				p.holdAtBarrier(m.b, batch[i+1:])
-				for j := i + 1; j < len(batch); j++ {
-					batch[j] = message{}
-				}
-				break
-			}
 			p.handle(m)
 		}
 		spare = batch
 	}
-}
-
-// holdAtBarrier re-queues the unprocessed batch tail, reports whether
-// this partition has any work in flight (queued messages, granted
-// locks, parked or input-waiting actions), and holds the owner at the
-// barrier until the quiescer releases it. While held, submitters can
-// still enqueue — the owner just won't process anything, which is
-// exactly the stop-the-partition window the re-balancer needs.
-func (p *partition) holdAtBarrier(b *barrier, rest []message) {
-	p.mu.Lock()
-	if len(rest) > 0 {
-		merged := make([]message, 0, len(rest)+len(p.queue))
-		merged = append(merged, rest...)
-		merged = append(merged, p.queue...)
-		p.queue = merged
-	}
-	busy := len(p.queue) > 0 || len(p.locks) > 0 || len(p.parked) > 0 || len(p.awaitingInput) > 0
-	p.mu.Unlock()
-	b.busy <- busy
-	<-b.release
 }
 
 func (p *partition) handle(m message) {

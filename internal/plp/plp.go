@@ -2,18 +2,15 @@
 // (PLP): the assignment of routing keys to DORA partitions, and the
 // per-routing-key B-tree segment roots of every partitioned index.
 //
-// The design keeps segment identity immutable and makes only *ownership*
-// mobile. Each routing key (a TPC-C warehouse) gets its own segment tree
-// per partitioned index, fixed at index creation; the map assigns
-// contiguous routing-key ranges to partitions through a bounds array.
-// Re-balancing moves a boundary key between adjacent partitions by
-// rewriting the bounds — pure metadata, no key ever changes trees — so a
-// migration is crash-atomic as a single catalog-record update, and
-// routing a key to its segment never needs the (mutable) ownership
-// assignment at all.
+// Each routing key (a TPC-C warehouse) gets its own segment tree per
+// partitioned index, fixed at index creation; the map assigns contiguous
+// routing-key ranges to partitions through a bounds array, an even split
+// fixed while the engine is open. Routing a key to its segment never
+// needs the ownership assignment, so a reopen with a different partition
+// count (Repartition) rewrites the bounds and moves no key between trees.
 //
 // A Map value is immutable after construction; mutations return a new
-// Map (WithBounds, WithTable), so the engine publishes it through an
+// Map (WithTable, Repartition), so the engine publishes it through an
 // atomic pointer and readers need no lock.
 package plp
 
@@ -69,9 +66,6 @@ func (m *Map) Parts() int { return len(m.bounds) - 1 }
 // Version returns the map version (bumped by every ownership change).
 func (m *Map) Version() uint64 { return m.version }
 
-// Bounds returns a copy of the ownership bounds array.
-func (m *Map) Bounds() []uint32 { return append([]uint32(nil), m.bounds...) }
-
 // Owner returns the partition owning routing key rk. Out-of-range keys
 // clamp to the nearest partition, so a router built on Owner is total.
 func (m *Map) Owner(rk uint32) int {
@@ -85,9 +79,6 @@ func (m *Map) Owner(rk uint32) int {
 	}
 	return p
 }
-
-// Span returns the routing-key range [lo, hi) partition p owns.
-func (m *Map) Span(p int) (lo, hi uint32) { return m.bounds[p], m.bounds[p+1] }
 
 // Tables returns the registered partitioned stores, sorted.
 func (m *Map) Tables() []uint32 {
@@ -112,27 +103,6 @@ func (m *Map) WithTable(store uint32, roots []uint64) (*Map, error) {
 	}
 	n := m.clone()
 	n.tables[store] = append([]uint64(nil), roots...)
-	return n, nil
-}
-
-// WithBounds returns a copy of m with new ownership bounds and a bumped
-// version. The bounds must cover the same keyspace with the same
-// partition count, monotonically.
-func (m *Map) WithBounds(bounds []uint32) (*Map, error) {
-	if len(bounds) != len(m.bounds) {
-		return nil, fmt.Errorf("plp: bounds length %d, want %d", len(bounds), len(m.bounds))
-	}
-	if bounds[0] != 1 || bounds[len(bounds)-1] != uint32(m.keys+1) {
-		return nil, fmt.Errorf("plp: bounds %v do not cover keyspace 1..%d", bounds, m.keys)
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] < bounds[i-1] {
-			return nil, fmt.Errorf("plp: bounds %v not monotonic", bounds)
-		}
-	}
-	n := m.clone()
-	n.bounds = append([]uint32(nil), bounds...)
-	n.version++
 	return n, nil
 }
 
@@ -199,39 +169,46 @@ func Decode(data []byte) (*Map, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	version := r.u64()
-	keys := int(r.u32())
-	parts := int(r.u32())
+	keys := int64(r.u32())
+	parts := int64(r.u32())
 	if r.err || keys <= 0 || parts <= 0 || parts > keys {
 		return nil, fmt.Errorf("%w: keys=%d parts=%d", ErrCorrupt, keys, parts)
+	}
+	// Size every allocation by the bytes actually present, so a corrupt
+	// count cannot ask for gigabytes.
+	if r.left() < 4*(parts+1)+4 {
+		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	bounds := make([]uint32, parts+1)
 	for i := range bounds {
 		bounds[i] = r.u32()
 	}
-	ntables := int(r.u32())
-	if r.err || ntables < 0 {
-		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+	if bounds[0] != 1 || bounds[parts] != uint32(keys+1) {
+		return nil, fmt.Errorf("%w: bounds %v do not cover keyspace 1..%d", ErrCorrupt, bounds, keys)
+	}
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] < bounds[i-1] {
+			return nil, fmt.Errorf("%w: bounds %v not monotonic", ErrCorrupt, bounds)
+		}
+	}
+	ntables := int64(r.u32())
+	size := 4 + 8*keys // one table: store id, then a root per key
+	if ntables > r.left()/size || ntables*size != r.left() {
+		return nil, fmt.Errorf("%w: %d table bytes for %d tables of %d keys", ErrCorrupt, r.left(), ntables, keys)
 	}
 	tables := make(map[uint32][]uint64, ntables)
-	for i := 0; i < ntables; i++ {
+	for i := int64(0); i < ntables; i++ {
 		store := r.u32()
+		if _, dup := tables[store]; dup {
+			return nil, fmt.Errorf("%w: store %d registered twice", ErrCorrupt, store)
+		}
 		roots := make([]uint64, keys)
 		for j := range roots {
 			roots[j] = r.u64()
 		}
-		if r.err {
-			return nil, fmt.Errorf("%w: truncated table", ErrCorrupt)
-		}
 		tables[store] = roots
 	}
-	if r.err || len(r.data) != r.off {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrCorrupt)
-	}
-	m := &Map{keys: keys, bounds: bounds, version: version, tables: tables}
-	if _, err := m.WithBounds(bounds); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return m, nil
+	return &Map{keys: int(keys), bounds: bounds, version: version, tables: tables}, nil
 }
 
 // reader is a bounds-checked big-endian cursor.
@@ -250,6 +227,9 @@ func (r *reader) bytes(n int) []byte {
 	r.off += n
 	return b
 }
+
+// left returns the unread byte count.
+func (r *reader) left() int64 { return int64(len(r.data) - r.off) }
 
 func (r *reader) u32() uint32 { return binary.BigEndian.Uint32(r.bytes(4)) }
 func (r *reader) u64() uint64 { return binary.BigEndian.Uint64(r.bytes(8)) }

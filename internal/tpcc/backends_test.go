@@ -271,7 +271,7 @@ func TestBackEndsAgree(t *testing.T) {
 	backEnds := []backEnd{
 		embeddedBackEnd("embedded", newDB(t, scale)),
 		doraBackEnd("dora", newDoraDB(t, scale, 2)),
-		doraBackEnd("plp", newPlpDB(t, scale, 2, -1)),
+		doraBackEnd("plp", newPlpDB(t, scale, 2)),
 		remoteBackEnd(t, scale),
 	}
 	want := script.run(t, backEnds[0])

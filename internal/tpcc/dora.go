@@ -91,17 +91,17 @@ type action struct {
 	depend bool // runs a step that needs it
 }
 
-// actions groups p's steps into DORA actions by group(home warehouse):
-// the partition under a static router, whose planning-time answer holds;
-// the warehouse under PLP, where a migration can re-route between
-// planning and Submit and an action's locks must live where its route
-// key goes. An action takes IX on the anchor of every row its steps
-// read, the read's mode on the row itself.
-func actions(p []step, group func(w uint32) int) []action {
+// actions groups p's steps into DORA actions by the partition that owns
+// each step's home warehouse (route), so steps on two warehouses of one
+// partition share an action; ownership is fixed while the engine is
+// open, so the planning-time answer holds at Submit. An action takes IX
+// on the anchor of every row its steps read, the read's mode on the row
+// itself.
+func actions(p []step, route func(w uint32) int) []action {
 	var acts []action
 	for _, s := range p {
 		w := s.home()
-		g := group(w)
+		g := route(w)
 		i := slices.IndexFunc(acts, func(a action) bool { return a.group == g })
 		if i < 0 {
 			i, acts = len(acts), append(acts, action{group: g, route: w})
@@ -128,11 +128,7 @@ func (db *DB) runDora(ctx context.Context, p []step) error {
 	if x == nil {
 		return ErrDoraDisabled
 	}
-	group := x.Route
-	if db.Engine.PlpMap() != nil {
-		group = func(w uint32) int { return int(w) }
-	}
-	acts := actions(p, group)
+	acts := actions(p, x.Route)
 	t := x.NewTxn(ctx)
 	for i := range acts {
 		a := &acts[i]

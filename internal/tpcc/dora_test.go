@@ -295,11 +295,12 @@ func TestDoraReadOnlyTransactions(t *testing.T) {
 // TestDoraLockSets pins the DORA decomposition derived from the plans to
 // the lock lists DoraPayment and DoraNewOrder used to spell out by hand:
 // the same actions, routed by the same warehouses, with the same locks.
-// Static routing is modulo two partitions (warehouses 1 and 3 share one),
-// PLP groups by warehouse.
+// Static routing is modulo two partitions (warehouses 1 and 3 share one);
+// PLP's map splits four warehouses into contiguous ranges (1 and 2 share
+// one).
 func TestDoraLockSets(t *testing.T) {
 	static := func(w uint32) int { return int((w - 1) % 2) }
-	plp := func(w uint32) int { return int(w) }
+	plp := func(w uint32) int { return int((w - 1) / 2) }
 	type want struct {
 		route        uint32
 		head, depend bool
@@ -328,9 +329,9 @@ func TestDoraLockSets(t *testing.T) {
 	}{
 		{"local payment", pay(1), static, []want{{route: 1, locks: cat(payHome, payCust(1)[1:])}}},
 		{"remote customer, same partition, static", pay(3), static, []want{{route: 1, locks: cat(payHome, payCust(3))}}},
-		{"remote customer, same partition, plp", pay(3), plp, []want{{route: 1, locks: payHome}, {route: 3, locks: payCust(3)}}},
+		{"remote customer, same partition, plp", pay(2), plp, []want{{route: 1, locks: cat(payHome, payCust(2))}}},
 		{"remote customer, other partition, static", pay(2), static, []want{{route: 1, locks: payHome}, {route: 2, locks: payCust(2)}}},
-		{"remote customer, other partition, plp", pay(2), plp, []want{{route: 1, locks: payHome}, {route: 2, locks: payCust(2)}}},
+		{"remote customer, other partition, plp", pay(3), plp, []want{{route: 1, locks: payHome}, {route: 3, locks: payCust(3)}}},
 		{"new order, home lines", newOrder(NewOrderLine{ItemID: 5, SupplyWID: 1}, NewOrderLine{ItemID: 6, SupplyWID: 1}), static,
 			[]want{{route: 1, head: true, locks: cat(noHead, stock(1, 5)[1:], stock(1, 6)[1:])}}},
 		{"new order, remote lines, static", newOrder(remoteLines...), static, []want{
@@ -338,8 +339,7 @@ func TestDoraLockSets(t *testing.T) {
 			{route: 2, depend: true, locks: cat(stock(2, 6), stock(2, 8)[1:])},
 		}},
 		{"new order, remote lines, plp", newOrder(remoteLines...), plp, []want{
-			{route: 1, head: true, locks: cat(noHead, stock(1, 5)[1:])},
-			{route: 2, depend: true, locks: cat(stock(2, 6), stock(2, 8)[1:])},
+			{route: 1, head: true, locks: cat(noHead, stock(1, 5)[1:], stock(2, 6), stock(2, 8)[1:])},
 			{route: 3, depend: true, locks: stock(3, 7)},
 		}},
 		{"new order, one stock row twice", newOrder(NewOrderLine{ItemID: 5, SupplyWID: 1}, NewOrderLine{ItemID: 5, SupplyWID: 1}), plp,

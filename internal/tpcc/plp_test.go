@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -16,16 +15,14 @@ import (
 
 // newPlpDB opens a PLP engine (physiologically partitioned B-trees over
 // DORA) and loads TPC-C into it: the warehouse-prefixed indexes become
-// per-partition segment forests. rebalance < 0 disables the skew
-// re-balancer for deterministic tests.
-func newPlpDB(t testing.TB, scale Scale, partitions int, rebalance time.Duration) *DB {
+// per-partition segment forests.
+func newPlpDB(t testing.TB, scale Scale, partitions int) *DB {
 	t.Helper()
 	cfg := core.StageConfig(core.StageFinal)
 	cfg.Frames = 4096
 	cfg.PLP = true
 	cfg.DoraPartitions = partitions
 	cfg.DoraKeys = scale.Warehouses
-	cfg.PlpRebalanceEvery = rebalance
 	e, err := core.Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +64,7 @@ func verifyForests(t *testing.T, db *DB) {
 // through the cursor and not one of them is a descent.
 func TestPlpLatchBypass(t *testing.T) {
 	scale := Scale{Warehouses: 4, Districts: 2, Customers: 10, Items: 50, StockPerItem: true}
-	db := newPlpDB(t, scale, 2, -1)
+	db := newPlpDB(t, scale, 2)
 	ctx := context.Background()
 
 	if db.Engine.PlpMap() == nil {
@@ -126,7 +123,7 @@ func TestPlpLatchBypass(t *testing.T) {
 // Verify — segment routing intact, every key in its owner's sub-range.
 func TestPlpCrossPartitionStress(t *testing.T) {
 	scale := Scale{Warehouses: 4, Districts: 2, Customers: 10, Items: 50, StockPerItem: true}
-	db := newPlpDB(t, scale, 2, -1)
+	db := newPlpDB(t, scale, 2)
 	ctx := context.Background()
 
 	const (
@@ -225,7 +222,6 @@ func TestPlpSnapshotCoexistence(t *testing.T) {
 	cfg.PLP = true
 	cfg.DoraPartitions = 2
 	cfg.DoraKeys = scale.Warehouses
-	cfg.PlpRebalanceEvery = -1
 	cfg.Snapshot = true
 	e, err := core.Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
 	if err != nil {
@@ -336,98 +332,23 @@ func TestPlpSnapshotCoexistence(t *testing.T) {
 	}
 }
 
-// TestPlpRebalanceSkew aims the whole write mix at the two warehouses of
-// one partition and waits for the re-balancer to migrate the boundary
-// key to its neighbor, then audits correctness: migrations are pure
-// metadata flips, so the money sums and forest structure must be exactly
-// as if the load had never moved.
-func TestPlpRebalanceSkew(t *testing.T) {
-	scale := Scale{Warehouses: 8, Districts: 1, Customers: 5, Items: 20, StockPerItem: true}
-	// Ticks long enough that even a race-detector-throttled run clears
-	// the re-balancer's minimum per-tick sample (plpMinSample).
-	db := newPlpDB(t, scale, 4, 50*time.Millisecond)
-	v0 := db.Engine.Stats().Plp.MapVersion
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var whYTD [9]atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := NewRand(int64(9300 + w))
-			// All load on warehouses 1 and 2 — both initially owned by
-			// partition 0 (even bounds over 8 keys, 4 partitions).
-			home := uint32(w%2 + 1)
-			for ctx.Err() == nil {
-				amount := float64(r.Int(1, 100))
-				in := PaymentInput{
-					WID: home, DID: 1, CWID: home, CDID: 1,
-					CID: uint32(r.Int(1, scale.Customers)), Amount: amount,
-				}
-				if err := db.DoraPayment(ctx, in); err != nil {
-					if ctx.Err() != nil {
-						return
-					}
-					t.Error(err)
-					return
-				}
-				whYTD[home].Add(int64(amount))
-			}
-		}(w)
+// TestPlpSharedPartitionOneAction pins PLP's action grouping: a Payment
+// whose home and customer warehouses differ but share an owner (1 and 2
+// under the even split of four warehouses over two partitions) is one
+// action on one partition, not a cross-partition rendezvous.
+func TestPlpSharedPartitionOneAction(t *testing.T) {
+	scale := Scale{Warehouses: 4, Districts: 2, Customers: 10, Items: 50, StockPerItem: true}
+	db := newPlpDB(t, scale, 2)
+	if m := db.Engine.PlpMap(); m.Owner(1) != m.Owner(2) {
+		t.Fatalf("warehouses 1 and 2 on partitions %d and %d, want one", m.Owner(1), m.Owner(2))
 	}
-
-	// Wait for the re-balancer's stable terminal state under this load:
-	// each hot warehouse alone in a singleton partition. Intermediate
-	// states can oscillate (a quiet tick on one hot warehouse lets its
-	// neighbor shed the boundary key back), but once both spans hit 1
-	// neither partition is eligible as a migration source again, so the
-	// separation is permanent and safe to assert after cancel.
-	deadline := time.After(20 * time.Second)
-	for separated := false; !separated; {
-		select {
-		case <-deadline:
-			cancel()
-			wg.Wait()
-			t.Fatalf("hot warehouses not separated after 20s: stats %+v, bounds %v",
-				db.Engine.Stats().Plp, db.Engine.PlpMap().Bounds())
-		case <-time.After(10 * time.Millisecond):
-			m := db.Engine.PlpMap()
-			b := m.Bounds()
-			o1, o2 := m.Owner(1), m.Owner(2)
-			separated = o1 != o2 && b[o1+1]-b[o1] == 1 && b[o2+1]-b[o2] == 1
-		}
-	}
-	cancel()
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	st := db.Engine.Stats().Plp
-	if st.MapVersion <= v0 {
-		t.Errorf("map version did not advance: %d -> %d", v0, st.MapVersion)
-	}
-	if st.Migrations < 1 {
-		t.Errorf("migrations = %d, want >= 1", st.Migrations)
-	}
-	m := db.Engine.PlpMap()
-	if m.Owner(1) == m.Owner(2) {
-		t.Errorf("hot warehouses still share partition %d (bounds %v)", m.Owner(1), m.Bounds())
-	}
-
-	// Correctness audit: a migration must not lose or duplicate a cent.
-	rd, err := db.Engine.Begin()
-	if err != nil {
+	before := db.Engine.Stats().Dora
+	in := PaymentInput{WID: 1, DID: 1, CWID: 2, CDID: 2, CID: 3, Amount: 10}
+	if err := db.DoraPayment(context.Background(), in); err != nil {
 		t.Fatal(err)
 	}
-	defer db.Engine.Abort(rd)
-	for w := 1; w <= scale.Warehouses; w++ {
-		wh := readRow(t, db, rd, wRow(uint32(w)), decodeWarehouse)
-		if want := float64(whYTD[w].Load()); wh.YTD != want {
-			t.Errorf("warehouse %d YTD = %v, want %v", w, wh.YTD, want)
-		}
+	after := db.Engine.Stats().Dora
+	if local, cross := after.LocalTx-before.LocalTx, after.CrossTx-before.CrossTx; local != 1 || cross != 0 {
+		t.Errorf("LocalTx +%d, CrossTx +%d; want +1, +0", local, cross)
 	}
-	verifyForests(t, db)
 }

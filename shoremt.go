@@ -174,20 +174,16 @@ type Options struct {
 	// authors' PLP follow-up) on top of DORA (implied): each partition
 	// owns a disjoint routing-key sub-range of every partitioned index,
 	// backed by its own B-tree segment, so partition-local index
-	// operations run latch-free on the owner's goroutine. A background
-	// re-balancer watches per-partition routing skew and migrates
-	// boundary keys between adjacent partitions (a pure metadata flip,
-	// crash-atomic through the catalog). Indexes created through
-	// Engine().CreatePartitionedIndex participate; plain CreateIndex
-	// stays a single shared tree. Requires a fresh volume (the catalog
+	// operations run latch-free on the owner's goroutine. Ownership is
+	// an even split of the routing keys, fixed while the database is
+	// open; reopening with a different Partitions redistributes it.
+	// Indexes created through Engine().CreatePartitionedIndex
+	// participate; plain CreateIndex stays a single shared tree.
+	// Requires a fresh volume (the catalog
 	// claims the first store). Observability: Stats().Plp and
 	// Stats().Btree (Owner* counters). See the README's "Physiological
 	// partitioning" section.
 	PLP bool
-	// PlpRebalanceEvery sets the re-balancer's sampling interval
-	// (default 100ms; negative disables rebalancing). Ignored unless
-	// PLP is set.
-	PlpRebalanceEvery time.Duration
 	// Snapshot enables lock-free snapshot reads: View transactions pin
 	// the durable log horizon at begin and read everything as of that
 	// LSN through writer-installed version chains, never touching the
@@ -267,7 +263,6 @@ func (opts Options) config() core.Config {
 		if cfg.DoraPartitions == 0 {
 			cfg.DoraPartitions = opts.Partitions
 		}
-		cfg.PlpRebalanceEvery = opts.PlpRebalanceEvery
 	}
 	if opts.Snapshot {
 		cfg.Snapshot = true
