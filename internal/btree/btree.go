@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -74,6 +75,7 @@ type OLCStats struct {
 	CursorHits        atomic.Uint64
 	CursorMisses      atomic.Uint64
 	InsertPointSplits atomic.Uint64 // leaf splits cut at the insertion point instead of the middle
+	ImageSplits       atomic.Uint64 // splits that moved entries, and so logged page images
 }
 
 // OLCSnapshot is a point-in-time copy of OLCStats.
@@ -93,6 +95,7 @@ type OLCSnapshot struct {
 	CursorHits        uint64
 	CursorMisses      uint64
 	InsertPointSplits uint64
+	ImageSplits       uint64
 }
 
 // Snapshot copies the counters.
@@ -113,6 +116,7 @@ func (s *OLCStats) Snapshot() OLCSnapshot {
 		CursorHits:        s.CursorHits.Load(),
 		CursorMisses:      s.CursorMisses.Load(),
 		InsertPointSplits: s.InsertPointSplits.Load(),
+		ImageSplits:       s.ImageSplits.Load(),
 	}
 }
 
@@ -227,17 +231,14 @@ func (t *Tree) Root() page.ID { return t.root }
 func (t *Tree) Store() uint32 { return t.store }
 
 // Cursor is what one transaction remembers about one tree between its
-// operations: the leaf the last one ended on, and where its last insert
-// went. Point operations try the remembered leaf before walking down from
-// the root (latchLeaf, readLeafOpt), and a full leaf splits where the
-// cursor says a run of inserts is going (splitPoint). A Cursor belongs to
-// one goroutine; the zero value remembers nothing and a nil *Cursor turns
-// both uses off. It may be stale in any way: it is a hint, checked under
-// the leaf's latch.
+// operations: the leaf the last one ended on. Point operations try the
+// remembered leaf before walking down from the root (latchLeaf,
+// readLeafOpt). A Cursor belongs to one goroutine; the zero value
+// remembers nothing and a nil *Cursor turns it off. It may be stale in any
+// way: it is a hint, checked under the leaf's latch. (Where inserts run is
+// the leaf's to remember, not the transaction's: see splitPoint.)
 type Cursor struct {
-	at      leafMemo // the leaf the last operation ended on
-	insLeaf page.ID  // leaf of the last insert; 0: none
-	insSlot int      // slot that insert went into
+	at leafMemo // the leaf the last operation ended on
 }
 
 // leafMemo is a remembered leaf with a filter its owner applies without
@@ -723,8 +724,8 @@ func (t *Tree) insert(a Access, c *Cursor, txID uint64, key, value []byte, withU
 				undo = pageop.Logical{Kind: pageop.LogicalBTreeDelete, Store: t.store, Key: key}
 			}
 			err := t.env.Log(txID, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: uint16(slot), Data: entry}, undo)
-			if err == nil && c != nil {
-				c.insLeaf, c.insSlot = f.Page().PID(), slot
+			if err == nil {
+				f.SetInsertHint(uint16(slot))
 			}
 			t.env.Unfix(f, sync2.LatchEX)
 			return err
@@ -732,7 +733,7 @@ func (t *Tree) insert(a Access, c *Cursor, txID uint64, key, value []byte, withU
 		// Leaf full: split, then retry the insert. The retry finds its
 		// leaf through the cursor when there is one (the split leaf or
 		// its new right sibling), else by descending again.
-		if err := t.splitNode(txID, f, hdr, path.ids[:path.n], &pendingInsert{key: key, slot: slot, c: c}); err != nil {
+		if err := t.splitNode(txID, f, hdr, path.ids[:path.n], &pendingInsert{key: key, slot: slot}); err != nil {
 			return err
 		}
 	}
@@ -781,8 +782,9 @@ func (t *Tree) update(a Access, c *Cursor, txID uint64, key []byte, off, suf int
 		// Only the bytes that differ are logged; rec still aliases the page.
 		valAt := len(rec) - len(oldVal)
 		op := pageop.Patch(uint16(slot), valAt+off, oldVal[off:len(oldVal)-suf], mid)
-		// The new entry may be larger than the old; ensure it fits.
-		if grow := len(op.Data) - len(op.Old); grow > 0 && !f.Page().CanFit(grow) {
+		// The new entry may be larger than the old: split unless the page
+		// takes it as Apply would, compacting dead space if it must.
+		if err := pageop.Check(f.Page(), op); errors.Is(err, page.ErrPageFull) {
 			if err := t.splitNode(txID, f, hdr, path.ids[:path.n], nil); err != nil {
 				return err
 			}

@@ -666,3 +666,57 @@ func TestUpdateUndoMayRunTwice(t *testing.T) {
 		t.Error("an undo range larger than the value was accepted")
 	}
 }
+
+// TestUpdateFitsWhatThePageTakes: a growing update splits only when the
+// page cannot take it the way Apply would, compacting if it must. The root
+// leaf is filled, one value shrinks (leaving dead bytes in the record
+// heap), and another grows by exactly what the gap and the dead bytes hold
+// together: the update must go in place, the root stay one leaf.
+func TestUpdateFitsWhatThePageTakes(t *testing.T) {
+	tr, _ := newTestTree(t, 64)
+	value := func(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
+	freeSpace := func() int {
+		f, err := tr.env.Fix(tr.root, sync2.LatchSH)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.env.Unfix(f, sync2.LatchSH)
+		return f.Page().FreeSpace()
+	}
+	n := 0
+	for ; freeSpace() > 200; n++ {
+		if err := tr.Insert(Latched, nil, 1, key(n), value('v', 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const dead = 30
+	if err := tr.Update(Latched, nil, 1, key(0), value('v', 100-dead)); err != nil {
+		t.Fatal(err)
+	}
+	grow := freeSpace() + dead
+	if err := tr.Update(Latched, nil, 1, key(1), value('v', 100+grow)); err != nil {
+		t.Fatal(err)
+	}
+	if h := headerOf(t, tr, tr.root); !h.isLeaf() {
+		t.Fatalf("an update growing by the %d bytes the leaf has free (%d of them dead) split it", grow, dead)
+	}
+	if got, ok, err := tr.Search(Latched, nil, key(1)); err != nil || !ok || !bytes.Equal(got, value('v', 100+grow)) {
+		t.Fatalf("after the update: %d bytes, %v, %v", len(got), ok, err)
+	}
+	if free := freeSpace(); free != 0 {
+		t.Fatalf("after the update the leaf has %d bytes free, want 0", free)
+	}
+	if got, err := tr.Verify(); err != nil || got != n {
+		t.Fatalf("Verify = %d, %v; want %d", got, err, n)
+	}
+	// One byte more than the page takes still splits.
+	if err := tr.Update(Latched, nil, 1, key(2), value('v', 101)); err != nil {
+		t.Fatal(err)
+	}
+	if h := headerOf(t, tr, tr.root); h.isLeaf() {
+		t.Fatal("an update the leaf cannot take did not split it")
+	}
+	if got, err := tr.Verify(); err != nil || got != n {
+		t.Fatalf("Verify after the split = %d, %v; want %d", got, err, n)
+	}
+}

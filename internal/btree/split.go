@@ -30,7 +30,8 @@ import (
 // right node's header (what Create writes for an empty tree), step 2 one
 // update of the left node's header record, which holds both the right
 // pointer and the high key. Every other split moves entries and logs a
-// page image of each node. Either way step 2 is one record.
+// page image of each node, less the free gap between slot directory and
+// record heap (pageop.Image). Either way step 2 is one record.
 //
 // All split records are redo-only: structure modifications are never
 // undone (aborting transactions undo their *keys* logically instead).
@@ -38,23 +39,22 @@ import (
 // pendingInsert is the leaf insert a split makes room for.
 type pendingInsert struct {
 	key  []byte
-	slot int     // where key goes in the full leaf
-	c    *Cursor // the inserting transaction's cursor; may be nil
+	slot int // where key goes in the full leaf
 }
 
-// splitPoint returns how many of the n entries of full node p stay left.
+// splitPoint returns how many of the n entries of full node f stay left.
 // A leaf whose pending insert continues a run — it goes right after the
-// same transaction's previous insert into this leaf, or past the last
-// entry — splits at the insertion point: the run goes on into free space
-// and what it leaves behind stays packed, where a cut in the middle would
-// leave every leaf the run passes half empty for ever (InnoDB's and
-// PostgreSQL's sequential-insert rule). Anything else splits in the middle.
-func (t *Tree) splitPoint(p *page.Page, n int, ins *pendingInsert) int {
-	if ins != nil && ins.slot > 1 {
-		if c := ins.c; ins.slot == n+1 || (c != nil && c.insLeaf == p.PID() && ins.slot == c.insSlot+1) {
-			t.stats.InsertPointSplits.Add(1)
-			return ins.slot - 1
-		}
+// leaf's previous insert, whichever transaction made it (the frame's
+// insert hint), or past the last entry — splits at the insertion point:
+// the run goes on into free space and what it leaves behind stays packed,
+// where a cut in the middle would leave every leaf the run passes half
+// empty for ever (InnoDB's and PostgreSQL's sequential-insert rule). A
+// stream of one-key transactions is a run too: after one such cut it
+// inserts at the end of its own leaf. Anything else splits in the middle.
+func (t *Tree) splitPoint(f *buffer.Frame, n int, ins *pendingInsert) int {
+	if ins != nil && ins.slot > 1 && (ins.slot == n+1 || ins.slot == int(f.InsertHint())+1) {
+		t.stats.InsertPointSplits.Add(1)
+		return ins.slot - 1
 	}
 	return n / 2
 }
@@ -94,7 +94,7 @@ func (t *Tree) splitNode(txID uint64, f *buffer.Frame, hdr nodeHeader, path []pa
 	}
 	// hdr was read under the latch without a copy; p is about to change.
 	hdr.highKey = append([]byte(nil), hdr.highKey...)
-	mid := t.splitPoint(p, n, ins)
+	mid := t.splitPoint(f, n, ins)
 	if mid == n && len(ins.key)-len(hdr.highKey) > p.FreeSpace() {
 		// Nothing would move, the separator would be the pending key, and
 		// the left header cannot take it as its high key in place
@@ -161,7 +161,8 @@ func (t *Tree) splitNode(txID uint64, f *buffer.Frame, hdr nodeHeader, path []pa
 	}
 	var op pageop.Op
 	if mid < n {
-		op = pageop.Op{Kind: pageop.KindPageImage, Data: buildNodeImage(p.PID(), t.store, leftHdr, entries[:mid])}
+		t.stats.ImageSplits.Add(1)
+		op = pageop.Image(buildNodeImage(p.PID(), t.store, leftHdr, entries[:mid]))
 	} else { // nothing moved: only the header's right pointer and high key change
 		oldHdr, err := p.Record(0)
 		if err != nil {
@@ -207,8 +208,7 @@ func (t *Tree) writeFreshNode(txID uint64, pid page.ID, hdr nodeHeader, entries 
 	}
 	defer t.env.Unfix(f, sync2.LatchEX)
 	if len(entries) > 0 {
-		img := buildNodeImage(pid, t.store, hdr, entries)
-		return t.env.Log(txID, f, pageop.Op{Kind: pageop.KindPageImage, Data: img}, pageop.Logical{})
+		return t.env.Log(txID, f, pageop.Image(buildNodeImage(pid, t.store, hdr, entries)), pageop.Logical{})
 	}
 	if err := t.env.Log(txID, f, pageop.Op{Kind: pageop.KindFormat, PType: page.TypeBTree, Store: t.store}, pageop.Logical{}); err != nil {
 		return err
@@ -299,8 +299,9 @@ func (t *Tree) splitRoot(txID uint64, f *buffer.Frame, hdr nodeHeader) error {
 		level:     hdr.level + 1,
 		leftChild: leftPid,
 	}
+	t.stats.ImageSplits.Add(1)
 	img := buildNodeImage(p.PID(), t.store, rootHdr, [][]byte{encodeBranchEntry(sepKey, rightPid)})
-	return unfix(t.env.Log(txID, f, pageop.Op{Kind: pageop.KindPageImage, Data: img}, pageop.Logical{}))
+	return unfix(t.env.Log(txID, f, pageop.Image(img), pageop.Logical{}))
 }
 
 // insertIntoBranch inserts a separator (sepKey → child) into the branch at

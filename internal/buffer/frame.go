@@ -73,7 +73,11 @@ type Frame struct {
 	// it is a reusable tombstone. It is advisory — too low merely rescans,
 	// and the pool resets it whenever the frame changes pages.
 	slotHint atomic.Uint32
-	dirty    atomic.Bool
+	// insertHint is the B-tree layer's memory of where inserts run: the
+	// slot of the last insert into the leaf this frame holds, 0 for none.
+	// Advisory and reset with slotHint.
+	insertHint atomic.Uint32
+	dirty      atomic.Bool
 	// recLSN is the LSN of the first update since the page was last clean
 	// (the ARIES dirty-page-table entry).
 	recLSN atomic.Uint64
@@ -142,6 +146,13 @@ func (f *Frame) LowerSlotHint(s uint16) {
 		}
 	}
 }
+
+// InsertHint returns the slot of the last insert into the B-tree leaf in
+// the frame, 0 if none is known.
+func (f *Frame) InsertHint() uint16 { return uint16(f.insertHint.Load()) }
+
+// SetInsertHint records that an insert went into slot s of the leaf.
+func (f *Frame) SetInsertHint(s uint16) { f.insertHint.Store(uint32(s)) }
 
 // install turns a claimed frame into the resident frame of pid and returns
 // it EX-latched with the caller's pin; read=false (FixNew) skips the volume.
@@ -230,6 +241,7 @@ func (p *Pool) evict(f *Frame, s *shard) error {
 	p.table.delete(pid)
 	f.pid.Store(0)
 	f.slotHint.Store(0)
+	f.insertHint.Store(0)
 	p.evictions.Add(1)
 	s.evictions.Add(1)
 	return nil
@@ -272,6 +284,7 @@ func (p *Pool) retire(f *Frame) {
 	}
 	f.dirty.Store(false)
 	f.slotHint.Store(0)
+	f.insertHint.Store(0)
 	f.latch.UnlatchEX()
 	if f.pin.get() > 0 {
 		f.pin.freezeFromOne()

@@ -489,43 +489,54 @@ func TestLoserPatchesRecoverOldValues(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesRetiredLogLayout: a log whose update records carry the
-// fixed-header payload layout (kinds 1–7, whole before-images) must not be
-// replayed as if its bytes meant something in the current one. Restart
-// meets such a record in redo and refuses with pageop.ErrBadOp.
+// TestOpenRefusesRetiredLogLayout: a log whose update records carry a
+// retired payload layout — the fixed-header one (kinds 1–7, whole
+// before-images) or the whole-page image (kind 14, free gap included) —
+// must not be replayed as if its bytes meant something in the current one.
+// Restart meets such a record in redo and refuses with pageop.ErrBadOp.
 func TestOpenRefusesRetiredLogLayout(t *testing.T) {
-	vol := disk.NewMem(0)
-	logStore := wal.NewMemSegmentStore(wal.MinSegmentBytes)
-	e, err := openOver(t, vol, logStore, wal.DesignConsolidated, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := createTable(t, e)
-	tx, _ := e.Begin()
-	rid, err := e.HeapInsert(tx, store, []byte("old value"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Commit(tx); err != nil {
-		t.Fatal(err)
-	}
-	// UpdateAt as the parent wrote it: kind 4 | slot u16 | ptype u16 |
-	// store u32 | dataLen u32 | oldLen u32 | data | old.
-	retired := []byte{4}
-	retired = binary.LittleEndian.AppendUint16(retired, rid.Slot)
-	retired = append(retired, make([]byte, 6)...)
-	retired = binary.LittleEndian.AppendUint32(retired, 9)
-	retired = binary.LittleEndian.AppendUint32(retired, 9)
-	retired = append(retired, "new valueold value"...)
-	if _, err := e.Log().Insert(&wal.Record{Type: wal.RecUpdate, TxID: 99, Page: rid.Page, Redo: retired}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Log().Flush(e.Log().CurLSN()); err != nil {
-		t.Fatal(err)
-	}
-	e.CrashHard()
-	if _, err := openOver(t, vol, logStore, wal.DesignConsolidated, 0); !errors.Is(err, pageop.ErrBadOp) {
-		t.Fatalf("Open over a retired-layout record = %v, want pageop.ErrBadOp", err)
+	for name, retired := range map[string]func(rid page.RID) []byte{
+		// UpdateAt as the fixed-header layout wrote it: kind 4 | slot u16 |
+		// ptype u16 | store u32 | dataLen u32 | oldLen u32 | data | old.
+		"fixed header": func(rid page.RID) []byte {
+			b := []byte{4}
+			b = binary.LittleEndian.AppendUint16(b, rid.Slot)
+			b = append(b, make([]byte, 6)...)
+			b = binary.LittleEndian.AppendUint32(b, 9)
+			b = binary.LittleEndian.AppendUint32(b, 9)
+			return append(b, "new valueold value"...)
+		},
+		// A page image as it was before it left out the free gap: kind 14 |
+		// all page.Size bytes.
+		"whole-page image": func(rid page.RID) []byte {
+			return append([]byte{14}, page.New(rid.Page, page.TypeHeap, 1).Bytes()...)
+		},
+	} {
+		vol := disk.NewMem(0)
+		logStore := wal.NewMemSegmentStore(wal.MinSegmentBytes)
+		e, err := openOver(t, vol, logStore, wal.DesignConsolidated, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := createTable(t, e)
+		tx, _ := e.Begin()
+		rid, err := e.HeapInsert(tx, store, []byte("old value"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Log().Insert(&wal.Record{Type: wal.RecUpdate, TxID: 99, Page: rid.Page, Redo: retired(rid)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Log().Flush(e.Log().CurLSN()); err != nil {
+			t.Fatal(err)
+		}
+		e.CrashHard()
+		if _, err := openOver(t, vol, logStore, wal.DesignConsolidated, 0); !errors.Is(err, pageop.ErrBadOp) {
+			t.Fatalf("%s: Open over a retired-layout record = %v, want pageop.ErrBadOp", name, err)
+		}
 	}
 }
 

@@ -209,6 +209,12 @@ func (p *Page) FreeSpace() int {
 	return free
 }
 
+// Gap returns where the free gap between the slot directory and the record
+// heap starts and how long it is: FreeSpace bytes that hold nothing.
+func (p *Page) Gap() (off, n int) {
+	return min(headerSize+p.NumSlots()*slotSize, Size), p.FreeSpace()
+}
+
 // CanFit reports whether a record of n bytes fits (using a fresh slot).
 func (p *Page) CanFit(n int) bool { return p.FreeSpace() >= n+slotSize }
 

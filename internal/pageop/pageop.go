@@ -29,8 +29,9 @@ import (
 type Kind uint8
 
 // Physical operation kinds. Values 1–7 belonged to the fixed-header layout
-// that logged whole before-images; they are retired, so a log written in
-// it decodes to ErrBadOp instead of being misapplied.
+// that logged whole before-images, and 14 to a page image that carried all
+// page.Size bytes, free gap included; they are retired, so a log written
+// in either decodes to ErrBadOp instead of being misapplied.
 const (
 	KindInvalid    Kind = 0
 	KindFormat     Kind = iota + 7 // initialize a page: type + store
@@ -39,7 +40,8 @@ const (
 	KindPatch                      // replace a byte range of the record in a slot
 	KindHeapInsert                 // heap page: place record into a specific slot
 	KindHeapDelete                 // heap page: tombstone a slot
-	KindPageImage                  // overwrite the whole page with an after-image
+	_                              // 14: the retired whole-page image
+	KindPageImage                  // overwrite the page with an after-image less its free gap
 )
 
 // A layout says which fields follow a kind's byte, as a set of these bits
@@ -65,7 +67,7 @@ var kinds = [256]struct {
 	KindPatch:      {"patch", hasSlot | hasOff | hasDel | hasData},
 	KindHeapInsert: {"heapInsert", hasSlot | hasData},
 	KindHeapDelete: {"heapDelete", hasSlot},
-	KindPageImage:  {"pageImage", hasData},
+	KindPageImage:  {"pageImage", hasOff | hasDel | hasData},
 }
 
 // String names the kind.
@@ -80,8 +82,8 @@ func (k Kind) String() string {
 type Op struct {
 	Kind  Kind
 	Slot  uint16    // slot / index position
-	Off   uint16    // Patch: where the replaced range starts in the record
-	Del   uint16    // Patch: how many bytes the range loses
+	Off   uint16    // Patch: where the replaced range starts in the record; PageImage: where the hole starts
+	Del   uint16    // Patch: how many bytes the range loses; PageImage: how long the hole is
 	PType page.Type // for Format
 	Store uint32    // for Format
 	Data  []byte    // the bytes op puts on the page
@@ -131,6 +133,30 @@ func commonSuffix(a, b []byte) int {
 		i++
 	}
 	return i
+}
+
+// Image returns the page image op for buf, a whole page: its bytes without
+// the hole, the free gap between the slot directory and the record heap,
+// which Apply zeroes. Data is a fresh slice. A buf that is not a page gives
+// an op Check refuses.
+func Image(buf []byte) Op {
+	op := Op{Kind: KindPageImage, Data: buf}
+	if p, err := page.Wrap(buf); err == nil {
+		off, hole := p.Gap()
+		op.Off, op.Del = uint16(off), uint16(hole)
+		op.Data = append(append(make([]byte, 0, len(buf)-hole), buf[:off]...), buf[off+hole:]...)
+	}
+	return op
+}
+
+// checkImage reports whether a page image op rebuilds exactly one page:
+// its hole and its bytes add up to page.Size, and the hole starts inside
+// the bytes.
+func checkImage(op Op) error {
+	if int(op.Del)+len(op.Data) != page.Size || int(op.Off) > len(op.Data) {
+		return fmt.Errorf("%w: page image of %d bytes with a %d-byte hole at %d", ErrBadOp, len(op.Data), op.Del, op.Off)
+	}
+	return nil
 }
 
 // MaxHeader bounds what an encoding spends outside its byte fields (an
@@ -202,6 +228,11 @@ func Decode(b []byte) (Op, error) {
 	if r.bad {
 		return Op{}, fmt.Errorf("%w: bad %v payload", ErrBadOp, op.Kind)
 	}
+	if op.Kind == KindPageImage {
+		if err := checkImage(op); err != nil {
+			return Op{}, err
+		}
+	}
 	return op, nil
 }
 
@@ -227,10 +258,7 @@ func Check(p *page.Page, op Op) error {
 	case KindHeapInsert:
 		return p.CheckPlaceAt(int(op.Slot), len(op.Data))
 	case KindPageImage:
-		if len(op.Data) != page.Size {
-			return fmt.Errorf("%w: page image is %d bytes", ErrBadOp, len(op.Data))
-		}
-		return nil
+		return checkImage(op)
 	default:
 		return fmt.Errorf("%w: kind %d", ErrBadOp, op.Kind)
 	}
@@ -253,12 +281,17 @@ func Apply(p *page.Page, op Op) error {
 		return p.PlaceAt(int(op.Slot), op.Data)
 	case KindHeapDelete:
 		return p.Delete(int(op.Slot))
-	default: // a page image, or no operation at all
-		if err := Check(p, op); err != nil {
+	case KindPageImage:
+		if err := checkImage(op); err != nil {
 			return err
 		}
-		copy(p.Bytes(), op.Data)
+		b, off, end := p.Bytes(), int(op.Off), int(op.Off)+int(op.Del)
+		copy(b, op.Data[:off])
+		clear(b[off:end])
+		copy(b[end:], op.Data[off:])
 		return nil
+	default:
+		return fmt.Errorf("%w: kind %d", ErrBadOp, op.Kind)
 	}
 }
 

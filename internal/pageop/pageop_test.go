@@ -24,6 +24,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Kind: KindHeapInsert, Slot: 9, Data: []byte("rec")},
 		{Kind: KindHeapDelete, Slot: 4},
 		{Kind: KindPageImage, Data: bytes.Repeat([]byte{7}, page.Size)},
+		{Kind: KindPageImage, Off: 40, Del: page.Size - 100, Data: bytes.Repeat([]byte{7}, 100)},
+		{Kind: KindPageImage, Off: 0, Del: page.Size},
 	}
 	for _, op := range ops {
 		enc := op.Encode()
@@ -67,10 +69,18 @@ func TestDecodeErrors(t *testing.T) {
 		"trailing bytes":    {byte(KindRemoveAt), 1, 2},
 		"patch without del": {byte(KindPatch), 1, 2},
 		"unknown kind":      {0x7f, 1},
+		// A hole of 8 064 bytes (uvarint 0x80 0x3f) needs 128 bytes beside it.
+		"image too short":   append([]byte{byte(KindPageImage), 32, 0x80, 0x3f}, make([]byte, 127)...),
+		"image too long":    append([]byte{byte(KindPageImage), 32, 0x80, 0x3f}, make([]byte, 129)...),
+		"hole past bytes":   append([]byte{byte(KindPageImage), 0x81, 0x01, 0x80, 0x3f}, make([]byte, 128)...),
+		"image without off": {byte(KindPageImage)},
 	} {
 		if _, err := Decode(b); !errors.Is(err, ErrBadOp) {
 			t.Errorf("%s: Decode(%x) = %v, want ErrBadOp", name, b, err)
 		}
+	}
+	if _, err := Decode(append([]byte{byte(KindPageImage), 0x80, 0x01, 0x80, 0x3f}, make([]byte, 128)...)); err != nil {
+		t.Errorf("an image whose hole starts at its end: %v", err)
 	}
 }
 
@@ -92,6 +102,11 @@ func TestRetiredLayoutIsRefused(t *testing.T) {
 		if op, err := Decode(oldLayout(kind, 3, []byte("new value"), []byte("old value"))); !errors.Is(err, ErrBadOp) {
 			t.Errorf("retired kind %d decoded to %+v, %v", kind, op, err)
 		}
+	}
+	// The whole-page image: kind 14 | page.Size bytes, gap included.
+	whole := append([]byte{14}, page.New(5, page.TypeBTree, 3).Bytes()...)
+	if op, err := Decode(whole); !errors.Is(err, ErrBadOp) {
+		t.Errorf("retired whole-page image decoded to kind %v, %v", op.Kind, err)
 	}
 	oldLogical := append([]byte{0xf0, byte(LogicalBTreeUpdate)}, make([]byte, 12)...)
 	if IsLogical(oldLogical) {
@@ -203,6 +218,8 @@ func TestCheckRefusesWhatApplyWould(t *testing.T) {
 		"delete of a missing slot":    {Kind: KindHeapDelete, Slot: 1},
 		"remove of a missing slot":    {Kind: KindRemoveAt, Slot: 1},
 		"short page image":            {Kind: KindPageImage, Data: []byte("x")},
+		"page image hole past bytes":  {Kind: KindPageImage, Off: 2, Del: page.Size - 1, Data: []byte("x")},
+		"image of no page":            Image(make([]byte, 100)),
 		"no kind":                     {},
 	} {
 		if err := Check(p, op); err == nil {
@@ -393,6 +410,9 @@ func FuzzDecode(f *testing.F) {
 	for k := LogicalBTreeDelete; k <= LogicalBTreeUpdate; k++ {
 		f.Add(Logical{Kind: k, Store: 300, Key: []byte("key"), Off: 1, Suf: 2, Value: []byte("value")}.Encode())
 	}
+	empty := page.New(3, page.TypeBTree, 9)
+	_ = empty.InsertAt(0, []byte("header"))
+	f.Add(Image(empty.Bytes()).Encode()) // a hole-free image
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 'n', 'e', 'w'}) // the retired layout
 	f.Fuzz(func(t *testing.T, b []byte) {
