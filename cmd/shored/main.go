@@ -40,9 +40,6 @@ func main() {
 	shards := flag.Int("shards", 0, "buffer replacement shards (0 = stage default)")
 	durability := flag.String("durability", "strict", "commit durability: strict|relaxed")
 	olc := flag.Bool("olc", false, "optimistic latch coupling on B-tree descents")
-	dora := flag.Bool("dora", false, "data-oriented execution (partitioned lock tables)")
-	plp := flag.Bool("plp", false, "physiological partitioning (implies -dora): per-partition B-tree segments, ownership fixed at open")
-	partitions := flag.Int("partitions", 0, "DORA partitions (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "execution pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x workers); overflow sheds with busy")
 	idle := flag.Duration("idle", 5*time.Minute, "idle-session timeout (rolls back and closes; <0 disables)")
@@ -64,9 +61,6 @@ func main() {
 		BufferShards: *shards,
 		Dir:          *dir,
 		OLC:          *olc,
-		DORA:         *dora,
-		PLP:          *plp,
-		Partitions:   *partitions,
 		Snapshot:     *snapshot,
 
 		LogSegmentBytes: *logSegment,
@@ -162,11 +156,6 @@ func main() {
 		m := es.Mvcc
 		log.Printf("mvcc: %d versions installed (%d live, %d B, chain high-water %d), %d walks, %d reclaimed, %d snapshots",
 			m.VersionsInstalled, m.LiveVersions, m.LiveBytes, m.ChainLenHW, m.ChainWalks, m.GCReclaimed, m.Snapshots)
-	}
-	if *plp {
-		p := es.Plp
-		log.Printf("plp: %d keys over %d partitions (%d forests), map v%d, dora skew %.2f",
-			p.Keys, p.Partitions, p.Tables, p.MapVersion, es.Dora.SkewRatio)
 	}
 	if err := db.Close(); err != nil {
 		log.Printf("close: %v", err)

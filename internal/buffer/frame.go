@@ -126,9 +126,6 @@ func (f *Frame) RecLSN() wal.LSN {
 	return wal.LSN(f.recLSN.Load())
 }
 
-// LatchStats exposes the frame latch's contention counters.
-func (f *Frame) LatchStats() sync2.Stats { return f.latch.Stats() }
-
 // SlotHint returns the heap free-slot hint: every slot below it is known
 // occupied, so tombstone scans may start there.
 func (f *Frame) SlotHint() uint16 { return uint16(f.slotHint.Load()) }

@@ -213,9 +213,6 @@ func New(vol disk.Volume, opts Options) *Pool {
 	return p
 }
 
-// NumFrames returns the pool capacity.
-func (p *Pool) NumFrames() int { return len(p.frames) }
-
 // hot-page array ------------------------------------------------------------
 
 func (p *Pool) hotSlot(pid page.ID) *atomic.Uint64 {

@@ -111,7 +111,8 @@ type Config struct {
 	DoraPartitions int
 	// DoraKeys, when positive, is the routing keyspace size (TPC-C: the
 	// warehouse count); a larger partition count is clamped to it with a
-	// logged warning.
+	// logged warning. PLP requires it: the keyspace sizes every segment
+	// forest, and Open refuses PLP without it.
 	DoraKeys int
 	// PLP enables physiological partitioning (the DORA authors' own
 	// follow-up): every partitioned index becomes a forest of per-
@@ -229,16 +230,6 @@ func (c *Config) normalize() {
 		// PLP layers on DORA: routing, ownership, and the single-writer
 		// discipline all come from the partition executor.
 		c.DORA = true
-		if c.DoraKeys <= 0 {
-			// The routing keyspace sizes the segment forests, so it must
-			// be fixed: default to the partition count (one routing key
-			// per partition owner).
-			if c.DoraPartitions > 0 {
-				c.DoraKeys = c.DoraPartitions
-			} else {
-				c.DoraKeys = runtime.GOMAXPROCS(0)
-			}
-		}
 	}
 	c.Buffer.Frames = c.Frames
 	c.Buffer.Seed = c.Seed

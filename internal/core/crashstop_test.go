@@ -143,7 +143,7 @@ func TestCrashStopFailedOpen(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	plpCfg := cfg
-	plpCfg.DORA, plpCfg.PLP = true, true
+	plpCfg.DORA, plpCfg.PLP, plpCfg.DoraKeys = true, true, 4
 	if e, err := Open(vol, logStore, plpCfg); err == nil {
 		e.Close()
 		t.Fatal("Open with PLP over a volume whose store 1 is an index succeeded")

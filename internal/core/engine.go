@@ -27,8 +27,7 @@ import (
 
 // Errors returned by the engine.
 var (
-	ErrClosed  = errors.New("core: engine closed")
-	ErrAborted = errors.New("core: transaction aborted")
+	ErrClosed = errors.New("core: engine closed")
 	// ErrCommitting is returned when aborting a transaction whose commit
 	// record is already in the log (or committing one that has ended): the
 	// record may harden at any moment and, under CommitPipeline, the locks
@@ -92,6 +91,9 @@ type Engine struct {
 // Open builds an engine over vol and logStore per cfg, running ARIES
 // restart recovery if the log is non-empty.
 func Open(vol disk.Volume, logStore wal.Store, cfg Config) (*Engine, error) {
+	if cfg.PLP && cfg.DoraKeys <= 0 {
+		return nil, errors.New("core: PLP needs Config.DoraKeys, the routing keyspace that sizes its segment forests")
+	}
 	cfg.normalize()
 	e := &Engine{cfg: cfg, vol: vol, logStore: logStore}
 	// Validate the log tail before any manager captures the store's size:

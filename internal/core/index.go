@@ -79,9 +79,6 @@ func (e *Engine) sharedAccess(forest bool) btree.Access {
 // Store returns the index's store id.
 func (ix *Index) Store() uint32 { return ix.store }
 
-// Partitioned reports whether the index is a PLP forest.
-func (ix *Index) Partitioned() bool { return ix.segs != nil }
-
 // plpRouteKey extracts a key's 1-based routing key: its first four bytes
 // big-endian (TPC-C keys lead with the warehouse id). Short keys route
 // to the first segment.

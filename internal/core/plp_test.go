@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/disk"
 	"repro/internal/wal"
@@ -17,6 +20,44 @@ func plpKey(rk uint32, i int) []byte {
 	k := make([]byte, 4, 12)
 	binary.BigEndian.PutUint32(k, rk)
 	return append(k, []byte(fmt.Sprintf("%08d", i))...)
+}
+
+// TestOpenRefusesPlpWithoutKeys: the routing keyspace sizes every PLP
+// segment forest, so Open refuses PLP without DoraKeys rather than guess
+// it from the partition count — a guess that, below the real keyspace,
+// builds forests whose segments hold foreign keys. The refusal starts
+// nothing and writes nothing: the same stores then open with DoraKeys.
+func TestOpenRefusesPlpWithoutKeys(t *testing.T) {
+	vol, logStore := disk.NewMem(0), wal.NewMemSegmentStore(0)
+	cfg := StageConfig(StageFinal)
+	cfg.Frames = 256
+	cfg.PLP = true
+	cfg.DoraPartitions = 2
+	before, logSize := runtime.NumGoroutine(), logStore.Size()
+	if e, err := Open(vol, logStore, cfg); err == nil {
+		e.Close()
+		t.Fatal("Open with PLP and no DoraKeys succeeded")
+	} else if !strings.Contains(err.Error(), "DoraKeys") {
+		t.Errorf("refusal %q does not name DoraKeys", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("the refused Open left %d goroutines running", runtime.NumGoroutine()-before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := logStore.Size(); n != logSize {
+		t.Errorf("the refused Open grew the log %d → %d bytes", logSize, n)
+	}
+	cfg.DoraKeys = 4
+	e, err := Open(vol, logStore, cfg)
+	if err != nil {
+		t.Fatalf("Open with DoraKeys after the refusal: %v", err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestPlpMapCrashRecovery pins the catalog contract: the partition map

@@ -7,6 +7,7 @@ import (
 	"repro/internal/btree"
 	"repro/internal/pageop"
 	"repro/internal/sync2"
+	"repro/internal/tx"
 	"repro/internal/wal"
 )
 
@@ -71,11 +72,7 @@ func (e *Engine) rollback(txID uint64, undoNext wal.LSN) error {
 // undoPhysical applies a physical inverse op and logs it as a CLR whose
 // redo payload is the inverse (so restart can redo the undo) and whose
 // UndoNext skips past the compensated record.
-func (e *Engine) undoPhysical(t interface {
-	ID() uint64
-	LastLSN() wal.LSN
-	RecordLog(wal.LSN)
-}, rec *wal.Record) error {
+func (e *Engine) undoPhysical(t *tx.Tx, rec *wal.Record) error {
 	op, err := pageop.Decode(rec.Undo)
 	if err != nil {
 		return err
@@ -113,11 +110,7 @@ func (e *Engine) undoPhysical(t interface {
 
 // undoLogical executes a logical undo action, then writes a marker CLR
 // that skips the compensated record.
-func (e *Engine) undoLogical(t interface {
-	ID() uint64
-	LastLSN() wal.LSN
-	RecordLog(wal.LSN)
-}, rec *wal.Record) error {
+func (e *Engine) undoLogical(t *tx.Tx, rec *wal.Record) error {
 	if err := e.logicalUndoAction(t.ID(), rec.Undo); err != nil {
 		return err
 	}

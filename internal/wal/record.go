@@ -143,7 +143,6 @@ var (
 	ErrRecordTooLarge = errors.New("wal: record payload too large")
 	ErrBadRecord      = errors.New("wal: malformed or corrupt record")
 	ErrCorrupt        = errors.New("wal: log corrupt below durable horizon")
-	ErrShortWrite     = errors.New("wal: short write")
 	ErrInvalidLSN     = errors.New("wal: invalid LSN")
 )
 

@@ -158,32 +158,6 @@ type Options struct {
 	// (OptDescents / Restarts / Fallbacks). See the README's "Latch
 	// hierarchy" section.
 	OLC bool
-	// DORA enables data-oriented execution (the Shore-MT authors' VLDB
-	// 2010 follow-up): the engine owns a partition executor whose
-	// dedicated owner goroutines run decomposed transaction actions
-	// against thread-local lock tables, bypassing the shared lock
-	// manager. Regular Begin/Update transactions are unaffected; work
-	// enters the executor through Engine().Dora() (see the tpcc
-	// package's Dora* transactions and the README's "Data-oriented
-	// execution" section). Observability: Stats().Dora.
-	DORA bool
-	// Partitions fixes the DORA executor's partition count; 0
-	// auto-scales to GOMAXPROCS. Ignored unless DORA is set.
-	Partitions int
-	// PLP enables physiologically partitioned B-trees (the Shore-MT
-	// authors' PLP follow-up) on top of DORA (implied): each partition
-	// owns a disjoint routing-key sub-range of every partitioned index,
-	// backed by its own B-tree segment, so partition-local index
-	// operations run latch-free on the owner's goroutine. Ownership is
-	// an even split of the routing keys, fixed while the database is
-	// open; reopening with a different Partitions redistributes it.
-	// Indexes created through Engine().CreatePartitionedIndex
-	// participate; plain CreateIndex stays a single shared tree.
-	// Requires a fresh volume (the catalog
-	// claims the first store). Observability: Stats().Plp and
-	// Stats().Btree (Owner* counters). See the README's "Physiological
-	// partitioning" section.
-	PLP bool
 	// Snapshot enables lock-free snapshot reads: View transactions pin
 	// the durable log horizon at begin and read everything as of that
 	// LSN through writer-installed version chains, never touching the
@@ -252,17 +226,6 @@ func (opts Options) config() core.Config {
 	}
 	if opts.OLC {
 		cfg.OLC = true
-	}
-	if opts.DORA {
-		cfg.DORA = true
-		cfg.DoraPartitions = opts.Partitions
-	}
-	if opts.PLP {
-		cfg.PLP = true
-		cfg.DORA = true
-		if cfg.DoraPartitions == 0 {
-			cfg.DoraPartitions = opts.Partitions
-		}
 	}
 	if opts.Snapshot {
 		cfg.Snapshot = true
