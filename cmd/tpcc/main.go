@@ -1,6 +1,8 @@
 // Command tpcc loads a TPC-C database into the real storage engine and
-// runs a Payment / New Order mix, with optional Order-Status / Stock-Level
-// readers next to it, reporting throughput and engine statistics. Unlike
+// runs a Payment / New Order / Delivery mix, with optional Order-Status /
+// Stock-Level readers next to it, reporting throughput and engine
+// statistics. An embedded run ends by checking TPC-C's consistency
+// conditions 1–4 and fails if one does not hold. Unlike
 // shorebench (the paper's figures on the contention simulator), this
 // drives the actual Go implementation end to end.
 //
@@ -8,7 +10,7 @@
 //
 //	tpcc -warehouses 2 -clients 4 -duration 5s -stage final
 //
-// A run picks one executor for the four transactions: the engine's managed
+// A run picks one executor for the five transactions: the engine's managed
 // transactions (the default), the partition executor (-dora, or -plp for
 // partitioned B-trees as well), or a live shored daemon. With -addr each
 // client goroutine dials its own connection to a daemon started with a
@@ -46,28 +48,31 @@ func main() {
 	}
 }
 
-// executor runs the mix's four transactions against one back end.
+// executor runs the mix's five transactions against one back end.
 type executor struct {
 	payment     func(context.Context, tpcc.PaymentInput) error
 	newOrder    func(context.Context, tpcc.NewOrderInput) error
 	orderStatus func(context.Context, tpcc.OrderStatusInput) (tpcc.OrderStatusResult, error)
 	stockLevel  func(context.Context, tpcc.StockLevelInput) (int, error)
+	delivery    func(context.Context, tpcc.DeliveryInput) (int, error)
 }
 
 // backend is what a run drives: the database's scale, an executor for each
 // client goroutine with the function that releases it, and finish, which
-// prints the back end's statistics after the run and closes it.
+// prints the back end's statistics after the run, checks what it can and
+// closes it.
 type backend struct {
 	desc   string
 	scale  tpcc.Scale
 	client func() (executor, func())
-	finish func()
+	finish func() error
 }
 
 // result is what a run counted. loaded and end are the embedded engine's
 // statistics after the load and after the run.
 type result struct {
-	payments, newOrders, userAborts, payFailures, noFailures, reads, readFailures atomic.Uint64
+	payments, newOrders, deliveries, userAborts, reads      atomic.Uint64
+	payFailures, noFailures, deliveryFailures, readFailures atomic.Uint64
 
 	loaded, end core.EngineStats
 	errMu       sync.Mutex
@@ -92,7 +97,7 @@ func run(args []string, out io.Writer) (*result, error) {
 	})
 	frames := fs.Int("frames", 8192, "buffer pool frames")
 	shards := fs.Int("shards", 0, "buffer replacement shards (0 = stage default: GOMAXPROCS-scaled from bpool2 up, 1 = single clock hand)")
-	payPct := fs.Int("payment", 50, "percent of transactions that are Payment (rest New Order)")
+	payPct := fs.Int("payment", 50, "percent of the transactions other than Delivery (4 %) that are Payment (rest New Order)")
 	olc := fs.Bool("olc", false, "optimistic latch coupling: validate B-tree inner nodes against latch versions instead of pinning them")
 	dorafl := fs.Bool("dora", false, "data-oriented execution: route decomposed actions to partition owners with thread-local lock tables")
 	plpfl := fs.Bool("plp", false, "physiological partitioning (implies -dora): per-partition B-tree segments with latch-free owner access, ownership fixed at open")
@@ -134,8 +139,7 @@ func run(args []string, out io.Writer) (*result, error) {
 		return nil, err
 	}
 	res.drive(b, *clients, *readers, *payPct, *duration, out)
-	b.finish()
-	return res, nil
+	return res, b.finish()
 }
 
 // openEmbedded opens an in-memory engine per cfg, loads TPC-C into it and
@@ -159,9 +163,9 @@ func openEmbedded(cfg core.Config, logSegment int64, warehouses int, out io.Writ
 	res.loaded = engine.Stats()
 
 	// Every transaction runs under the engine's managed deadlock retry.
-	ex := executor{db.PaymentCtx, db.NewOrderCtx, db.OrderStatusCtx, db.StockLevelCtx}
+	ex := executor{db.PaymentCtx, db.NewOrderCtx, db.OrderStatusCtx, db.StockLevelCtx, db.DeliveryCtx}
 	if cfg.DORA {
-		ex.payment, ex.newOrder = db.DoraPayment, db.DoraNewOrder
+		ex.payment, ex.newOrder, ex.delivery = db.DoraPayment, db.DoraNewOrder, db.DoraDelivery
 		if !cfg.Snapshot {
 			// The writers' sub-transactions lock in their partitions'
 			// tables only, so a reader locking in the shared manager
@@ -174,10 +178,15 @@ func openEmbedded(cfg core.Config, logSegment int64, warehouses int, out io.Writ
 		desc:   fmt.Sprintf("stage %s, dora %v, plp %v, snapshot %v", cfg.Stage, cfg.DORA, cfg.PLP, cfg.Snapshot),
 		scale:  scale,
 		client: func() (executor, func()) { return ex, func() {} },
-		finish: func() {
+		finish: func() error {
+			defer engine.Close()
 			res.end = engine.Stats()
 			printEngine(out, res.end)
-			engine.Close()
+			if err := db.CheckConsistency(context.Background()); err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "  consistency: TPC-C conditions 1-4 hold\n")
+			return nil
 		},
 	}, nil
 }
@@ -204,13 +213,13 @@ func dialRemote(addr string, out io.Writer) (*backend, error) {
 			c := &remoteConn{addr: addr, stats: stats}
 			return c.executor(), c.close
 		},
-		finish: func() {
+		finish: func() error {
 			defer probe.Close()
 			fmt.Fprintf(out, "  retries:     %d shed (busy), %d deadlock victims, %d lock timeouts\n",
 				stats.Sheds.Load(), stats.Deadlocks.Load(), stats.Timeouts.Load())
 			sst, ejson, err := probe.Stats(context.Background())
 			if err != nil {
-				return
+				return nil
 			}
 			fmt.Fprintf(out, "\nserver statistics:\n")
 			fmt.Fprintf(out, "  sessions:    %d open, %d peak, %d total\n", sst.SessionsOpen, sst.SessionsPeak, sst.SessionsTotal)
@@ -221,6 +230,7 @@ func dialRemote(addr string, out io.Writer) (*backend, error) {
 			if json.Unmarshal(ejson, &es) == nil {
 				printEngine(out, es)
 			}
+			return nil
 		},
 	}, nil
 }
@@ -277,6 +287,10 @@ func (c *remoteConn) executor() executor {
 			err = c.do(ctx, func(r *tpcc.Remote) (err error) { low, err = r.StockLevel(ctx, in); return err })
 			return low, err
 		},
+		delivery: func(ctx context.Context, in tpcc.DeliveryInput) (n int, err error) {
+			err = c.do(ctx, func(r *tpcc.Remote) (err error) { n, err = r.Delivery(ctx, in); return err })
+			return n, err
+		},
 	}
 }
 
@@ -308,12 +322,13 @@ func (res *result) drive(b *backend, clients, readers, payPct int, duration time
 	wg.Wait()
 
 	secs := duration.Seconds()
-	pay, no, reads := res.payments.Load(), res.newOrders.Load(), res.reads.Load()
+	pay, no, del, reads := res.payments.Load(), res.newOrders.Load(), res.deliveries.Load(), res.reads.Load()
 	fmt.Fprintf(out, "\nresults (tps by transaction type):\n")
 	fmt.Fprintf(out, "  payments:    %8d (%8.1f tps, %d failed)\n", pay, float64(pay)/secs, res.payFailures.Load())
 	fmt.Fprintf(out, "  new orders:  %8d (%8.1f tps, %d failed)\n", no, float64(no)/secs, res.noFailures.Load())
+	fmt.Fprintf(out, "  deliveries:  %8d (%8.1f tps, %d failed)\n", del, float64(del)/secs, res.deliveryFailures.Load())
 	fmt.Fprintf(out, "  user aborts: %8d (the spec's 1%% intentional rollbacks)\n", res.userAborts.Load())
-	fmt.Fprintf(out, "  total:       %8d committed (%8.1f tps)\n", pay+no, float64(pay+no)/secs)
+	fmt.Fprintf(out, "  total:       %8d committed (%8.1f tps)\n", pay+no+del, float64(pay+no+del)/secs)
 	if readers > 0 {
 		fmt.Fprintf(out, "  readers:     %8d read txns (%8.1f tps, %d failed)\n", reads, float64(reads)/secs, res.readFailures.Load())
 	}
@@ -322,31 +337,37 @@ func (res *result) drive(b *backend, clients, readers, payPct int, duration time
 	}
 }
 
-// write runs writer c's Payment / New Order mix until ctx is done.
+// write runs writer c's mix until ctx is done: Delivery at TPC-C's 4 %
+// share, and the rest Payment at payPct percent, else New Order. A
+// Delivery that finds nothing to deliver counts as done, as the spec has
+// it.
 func (res *result) write(ctx context.Context, ex executor, scale tpcc.Scale, c, payPct int) {
 	r := tpcc.NewRand(int64(1000 + c))
 	home := uint32(c%scale.Warehouses + 1)
 	for ctx.Err() == nil {
-		pay := r.Int(1, 100) <= payPct
 		var err error
-		if pay {
+		done, failed := &res.newOrders, &res.noFailures
+		switch {
+		case r.Int(1, 100) <= 4:
+			done, failed = &res.deliveries, &res.deliveryFailures
+			if _, err = ex.delivery(ctx, tpcc.GenDelivery(r, scale, home)); errors.Is(err, tpcc.ErrNothingToDeliver) {
+				err = nil
+			}
+		case r.Int(1, 100) <= payPct:
+			done, failed = &res.payments, &res.payFailures
 			err = ex.payment(ctx, tpcc.GenPayment(r, scale, home))
-		} else {
+		default:
 			err = ex.newOrder(ctx, tpcc.GenNewOrder(r, scale, home))
 		}
 		switch {
-		case err == nil && pay:
-			res.payments.Add(1)
 		case err == nil:
-			res.newOrders.Add(1)
+			done.Add(1)
 		case errors.Is(err, tpcc.ErrUserAbort):
 			res.userAborts.Add(1)
 		case ctx.Err() != nil:
 			return // the run is over: drain
-		case pay:
-			res.fail(&res.payFailures, err)
 		default:
-			res.fail(&res.noFailures, err)
+			res.fail(failed, err)
 		}
 	}
 }

@@ -19,11 +19,11 @@ func runTpcc(t *testing.T, args ...string) *result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.payments.Load() == 0 || res.newOrders.Load() == 0 || res.reads.Load() == 0 {
-		t.Errorf("payments %d, new orders %d, reads %d: want all > 0",
-			res.payments.Load(), res.newOrders.Load(), res.reads.Load())
+	if res.payments.Load() == 0 || res.newOrders.Load() == 0 || res.deliveries.Load() == 0 || res.reads.Load() == 0 {
+		t.Errorf("payments %d, new orders %d, deliveries %d, reads %d: want all > 0",
+			res.payments.Load(), res.newOrders.Load(), res.deliveries.Load(), res.reads.Load())
 	}
-	if n := res.payFailures.Load() + res.noFailures.Load() + res.readFailures.Load(); n != 0 {
+	if n := res.payFailures.Load() + res.noFailures.Load() + res.deliveryFailures.Load() + res.readFailures.Load(); n != 0 {
 		t.Errorf("%d failed transactions: %v", n, res.errSamples)
 	}
 	return res

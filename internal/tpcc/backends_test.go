@@ -26,6 +26,7 @@ type backEnd struct {
 	newOrder    func(NewOrderInput) error
 	orderStatus func(OrderStatusInput) (OrderStatusResult, error)
 	stockLevel  func(StockLevelInput) (int, error)
+	delivery    func(DeliveryInput) (int, error)
 	server      func() wire.ServerStats
 }
 
@@ -37,6 +38,7 @@ func embeddedBackEnd(name string, db *DB) backEnd {
 		newOrder:    func(in NewOrderInput) error { return db.NewOrderCtx(ctx, in) },
 		orderStatus: func(in OrderStatusInput) (OrderStatusResult, error) { return db.OrderStatusCtx(ctx, in) },
 		stockLevel:  func(in StockLevelInput) (int, error) { return db.StockLevelCtx(ctx, in) },
+		delivery:    func(in DeliveryInput) (int, error) { return db.DeliveryCtx(ctx, in) },
 	}
 }
 
@@ -48,6 +50,7 @@ func doraBackEnd(name string, db *DB) backEnd {
 		newOrder:    func(in NewOrderInput) error { return db.DoraNewOrder(ctx, in) },
 		orderStatus: func(in OrderStatusInput) (OrderStatusResult, error) { return db.DoraOrderStatus(ctx, in) },
 		stockLevel:  func(in StockLevelInput) (int, error) { return db.DoraStockLevel(ctx, in) },
+		delivery:    func(in DeliveryInput) (int, error) { return db.DoraDelivery(ctx, in) },
 	}
 }
 
@@ -97,16 +100,20 @@ func remoteBackEnd(t *testing.T, scale Scale) backEnd {
 		newOrder:    func(in NewOrderInput) error { return r.NewOrder(ctx, in) },
 		orderStatus: func(in OrderStatusInput) (OrderStatusResult, error) { return r.OrderStatus(ctx, in) },
 		stockLevel:  func(in StockLevelInput) (int, error) { return r.StockLevel(ctx, in) },
+		delivery:    func(in DeliveryInput) (int, error) { return r.Delivery(ctx, in) },
 		server:      srv.Stats,
 	}
 }
 
 // agreeScript is one seeded run of Payments and New Orders — remote
 // customers and supply lines, one rollback input and one unknown item
-// among them — followed by Order-Status and Stock-Level queries.
+// among them — with a Delivery before every third pair, the first of
+// which finds nothing to deliver, followed by Order-Status and
+// Stock-Level queries.
 type agreeScript struct {
 	payments    []PaymentInput
 	newOrders   []NewOrderInput
+	deliveries  []DeliveryInput // before pair i; none where WID is 0
 	orderStatus []OrderStatusInput
 	stockLevel  []StockLevelInput
 }
@@ -129,8 +136,13 @@ func newAgreeScript(scale Scale) agreeScript {
 		if i == 17 {
 			no.Lines[1].ItemID = uint32(scale.Items) + 9
 		}
+		var del DeliveryInput
+		if i%3 == 0 {
+			del = GenDelivery(r, scale, home)
+		}
 		s.payments = append(s.payments, p)
 		s.newOrders = append(s.newOrders, no)
+		s.deliveries = append(s.deliveries, del)
 		if i%3 == 0 {
 			s.orderStatus = append(s.orderStatus, OrderStatusInput{WID: no.WID, DID: no.DID, CID: no.CID})
 		}
@@ -170,6 +182,15 @@ func (s agreeScript) run(t *testing.T, b backEnd) agreeRun {
 		}
 	}
 	for i := range s.payments {
+		if in := s.deliveries[i]; in.WID != 0 {
+			before := count()
+			n, err := b.delivery(in)
+			if err != nil && !errors.Is(err, ErrNothingToDeliver) {
+				t.Fatalf("%s: delivery %d: %v", b.name, i, err)
+			}
+			expect(fmt.Sprintf("delivery %d", i), before)
+			out.outcomes = append(out.outcomes, fmt.Sprintf("delivery %d: %d delivered (%v)", i, n, err))
+		}
 		before := count()
 		if err := b.payment(s.payments[i]); err != nil {
 			t.Fatalf("%s: payment %d: %v", b.name, i, err)
@@ -207,6 +228,9 @@ func (s agreeScript) run(t *testing.T, b backEnd) agreeRun {
 		out.outcomes = append(out.outcomes, fmt.Sprintf("stock level %+v: %d", in, low))
 	}
 	out.dump = dumpTables(t, b.db)
+	if err := b.db.CheckConsistency(context.Background()); err != nil {
+		t.Errorf("%s: %v", b.name, err)
+	}
 	return out
 }
 
@@ -261,11 +285,12 @@ func dumpTables(t *testing.T, db *DB) []string {
 	return append(dump, history...)
 }
 
-// TestBackEndsAgree runs one script through the four back ends the plans
-// have — embedded, DORA with static routing, DORA over PLP, and remote
-// against an in-process server — each on a fresh database loaded from
-// the same seed. Every answer and every row of every table must come out
-// the same, and every remote transaction must take one batch.
+// TestBackEndsAgree runs one script of all five transactions through the
+// four back ends the plans have — embedded, DORA with static routing,
+// DORA over PLP, and remote against an in-process server — each on a
+// fresh database loaded from the same seed. Every answer and every row of
+// every table must come out the same, every remote transaction must take
+// one batch, and each database must pass CheckConsistency.
 func TestBackEndsAgree(t *testing.T) {
 	scale := TinyScale()
 	script := newAgreeScript(scale)
@@ -284,6 +309,16 @@ func TestBackEndsAgree(t *testing.T) {
 	}
 	if aborts != 2 {
 		t.Fatalf("%d New Orders rolled back, want 2 (the rollback input and the unknown item)", aborts)
+	}
+	delivered := 0
+	for _, o := range want.outcomes {
+		var i, n int
+		if _, err := fmt.Sscanf(o, "delivery %d: %d delivered", &i, &n); err == nil {
+			delivered += n
+		}
+	}
+	if !strings.HasPrefix(want.outcomes[0], "delivery 0: 0 delivered") || delivered == 0 {
+		t.Fatalf("the first Delivery answered %q and all delivered %d; want none, then some", want.outcomes[0], delivered)
 	}
 	for _, b := range backEnds[1:] {
 		got := script.run(t, b)

@@ -7,15 +7,15 @@
 // keys (big-endian encodings so ranges scan in order); HISTORY, which has
 // no primary key, lives in a heap table.
 //
-// Each transaction but Delivery is written once, as a plan over named
-// rows (plan.go), run by two executors: embedded (core calls on one
-// transaction: the …Ctx entry points) and DORA (steps grouped into
-// per-partition actions whose lock lists derive from the steps' reads).
-// A served database runs the embedded one for remote callers too: Load
-// registers each transaction as a program on the engine, and Remote sends
-// one frame per transaction naming the program and carrying its input
-// (remote.go). A row the plan writes back is read X up front, on every
-// back end.
+// Each transaction is written once, as a plan over named rows (plan.go),
+// run by two executors: embedded (core calls on one transaction: the
+// …Ctx entry points) and DORA (steps grouped into per-partition actions
+// whose lock lists derive from the steps' reads). A served database runs
+// the embedded one for remote callers too: Load registers each
+// transaction as a program on the engine, and Remote sends one frame per
+// transaction naming the program and carrying its input (remote.go). A
+// row the plan writes back is read X up front, on every back end.
+// CheckConsistency audits TPC-C's consistency conditions 1–4.
 package tpcc
 
 import (

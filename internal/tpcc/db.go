@@ -10,12 +10,11 @@ import (
 // warehouse, 3000 customers per district, 100k items) are far larger than
 // unit tests need, so every axis is adjustable.
 type Scale struct {
-	Warehouses    int
-	Districts     int // per warehouse
-	Customers     int // per district
-	Items         int
-	StockPerItem  bool // load stock for every (warehouse, item) pair
-	InitialOrders int  // pre-loaded orders per district
+	Warehouses   int
+	Districts    int // per warehouse
+	Customers    int // per district
+	Items        int
+	StockPerItem bool // load stock for every (warehouse, item) pair
 }
 
 // DefaultScale returns a small-but-realistic scale for benchmarks.
@@ -150,7 +149,7 @@ func (db *DB) loadWarehouse(r *Rand, w uint32) error {
 		if err := db.loadBatch(func(wr *txWriter) {
 			dist := District{
 				WID: w, ID: d, Name: r.AString(6, 10), Street: r.AString(10, 20),
-				City: r.AString(10, 20), Tax: r.Float(0, 0.2), NextOID: uint32(scale.InitialOrders + 1),
+				City: r.AString(10, 20), Tax: r.Float(0, 0.2), NextOID: 1,
 			}
 			wr.insert(dRow(w, d), dist.encode())
 			for c := 1; c <= scale.Customers; c++ {
@@ -165,13 +164,6 @@ func (db *DB) loadWarehouse(r *Rand, w uint32) error {
 					Balance: -10, YTDPayment: 10, Data: r.AString(100, 200),
 				}
 				wr.insert(cRow(w, d, uint32(c)), cust.encode())
-			}
-			for o := 1; o <= scale.InitialOrders; o++ {
-				ord := Order{
-					WID: w, DID: d, ID: uint32(o),
-					CID: uint32(r.Int(1, scale.Customers)), OLCount: 5, AllLocal: true,
-				}
-				wr.insert(oRow(w, d, uint32(o)), ord.encode())
 			}
 		}); err != nil {
 			return err

@@ -28,16 +28,11 @@ func GenDelivery(r *Rand, scale Scale, homeW uint32) DeliveryInput {
 }
 
 // DeliveryCtx processes the oldest undelivered order in every district of
-// the warehouse — deletes its NEW_ORDER row, stamps the carrier on ORDERS,
-// and credits the customer with the order's lines — as one managed
-// transaction (runCtx).
+// the warehouse as one managed transaction (runCtx) and answers how many
+// it delivered.
 func (db *DB) DeliveryCtx(ctx context.Context, in DeliveryInput) (int, error) {
-	var delivered int
-	err := db.Engine.RunCtx(ctx, retryPolicy, func(t *tx.Tx) (err error) {
-		delivered, err = db.delivery(ctx, t, in)
-		return err
-	}, nil)
-	return deliveredOrNone(delivered, err)
+	delivered, err := db.runCtx(ctx, in.plan(db.Scale.Districts))
+	return deliveredOrNone(int(delivered), err)
 }
 
 // deliveredOrNone is a Delivery's answer: ErrNothingToDeliver for none.
@@ -48,87 +43,64 @@ func deliveredOrNone(delivered int, err error) (int, error) {
 	return delivered, err
 }
 
-// delivery is the transaction body, run inside a managed transaction.
-// It writes back the order and customer rows it reads, so it reads them X.
-func (db *DB) delivery(ctx context.Context, t *tx.Tx, in DeliveryInput) (delivered int, err error) {
-	e := db.Engine
-	for d := 1; d <= db.Scale.Districts; d++ {
-		d := uint8(d)
-		oid, ok, err := db.oldestNewOrder(ctx, t, in.WID, d)
-		if err != nil {
-			return 0, err
+// plan is Delivery as one step per district, each counting in the value
+// in force the order it delivers: the district's oldest NEW_ORDER row
+// (none when all are delivered), which it deletes. The row names the
+// order, whose carrier it stamps; the order names the customer and lines,
+// and it credits the customer with their sum. It reads what it writes X.
+func (in DeliveryInput) plan(districts int) []step {
+	p := make([]step, districts)
+	for i := range p {
+		d := uint8(i + 1)
+		p[i] = step{
+			reads: []read{{row: row{t: tNewOrder, w: in.WID, d: d}, mode: lock.X, scan: true, first: true}},
+			apply: func(got []found, delivered uint32, w *txWriter) (uint32, error) {
+				if got[0].value == nil {
+					return delivered, nil
+				}
+				no, err := decodeNewOrderRow(got[0].value)
+				if err != nil {
+					return delivered, err
+				}
+				w.delete(row{t: tNewOrder, w: in.WID, d: d, id: no.OID})
+				or := oRow(in.WID, d, no.OID)
+				if got, err = w.fetch(read{row: or, mode: lock.X}); err != nil {
+					return delivered, err
+				}
+				ord, err := decodeOrder(got[0].value)
+				if err != nil {
+					return delivered, err
+				}
+				ord.CarrierID = in.CarrierID
+				w.update(or, ord.encode())
+				cr := cRow(in.WID, d, ord.CID)
+				reads := make([]read, ord.OLCount, ord.OLCount+1)
+				for l := range reads {
+					reads[l] = read{row: row{t: tOrderLine, w: in.WID, d: d, id: no.OID, n: uint8(l + 1)}, mode: lock.S}
+				}
+				if got, err = w.fetch(append(reads, read{row: cr, mode: lock.X})...); err != nil {
+					return delivered, err
+				}
+				var total float64
+				for _, f := range got[:ord.OLCount] {
+					ol, err := decodeOrderLine(f.value)
+					if err != nil {
+						return delivered, err
+					}
+					total += ol.Amount
+				}
+				cust, err := decodeCustomer(got[ord.OLCount].value)
+				if err != nil {
+					return delivered, err
+				}
+				cust.Balance += total
+				cust.DeliveryCt++
+				w.update(cr, cust.encode())
+				return delivered + 1, nil
+			},
 		}
-		if !ok {
-			continue // district fully delivered
-		}
-		or := oRow(in.WID, d, oid)
-		if _, err := e.IndexDeleteCtx(ctx, t, db.NewOrderTab, or.key()); err != nil {
-			return 0, err
-		}
-		// Stamp the carrier on the order.
-		ob, err := db.get(ctx, t, read{row: or, mode: lock.X})
-		if err != nil {
-			return 0, err
-		}
-		ord, err := decodeOrder(ob)
-		if err != nil {
-			return 0, err
-		}
-		ord.CarrierID = in.CarrierID
-		if err := e.IndexUpdateCtx(ctx, t, db.Orders, or.key(), ord.encode()); err != nil {
-			return 0, err
-		}
-		// Sum the order lines.
-		var total float64
-		for l := uint8(1); l <= ord.OLCount; l++ {
-			lb, err := db.get(ctx, t, read{row: row{t: tOrderLine, w: in.WID, d: d, id: oid, n: l}, mode: lock.S})
-			if err != nil {
-				return 0, err
-			}
-			if lb == nil {
-				continue // rolled-back line counts were conservative
-			}
-			ol, err := decodeOrderLine(lb)
-			if err != nil {
-				return 0, err
-			}
-			total += ol.Amount
-		}
-		// Credit the customer.
-		cr := cRow(in.WID, d, ord.CID)
-		cb, err := db.get(ctx, t, read{row: cr, mode: lock.X})
-		if err != nil {
-			return 0, err
-		}
-		cust, err := decodeCustomer(cb)
-		if err != nil {
-			return 0, err
-		}
-		cust.Balance += total
-		cust.DeliveryCt++
-		if err := e.IndexUpdateCtx(ctx, t, db.Customer, cr.key(), cust.encode()); err != nil {
-			return 0, err
-		}
-		delivered++
 	}
-	return delivered, nil
-}
-
-// oldestNewOrder returns the smallest order id with a NEW_ORDER row in (w, d).
-func (db *DB) oldestNewOrder(ctx context.Context, t *tx.Tx, w uint32, d uint8) (uint32, bool, error) {
-	var oid uint32
-	found := false
-	r := row{t: tNewOrder, w: w, d: d}
-	err := db.Engine.IndexScanCtx(ctx, t, db.NewOrderTab, r.key(), r.end(), func(k, v []byte) bool {
-		no, err := decodeNewOrderRow(v)
-		if err != nil {
-			return false
-		}
-		oid = no.OID
-		found = true
-		return false // first key in range = oldest
-	})
-	return oid, found, err
+	return p
 }
 
 // OrderStatusInput parameterizes one Order-Status transaction.
@@ -155,15 +127,15 @@ type OrderStatusResult struct {
 // with its lines, in one managed read-only transaction (no durability
 // wait).
 func (db *DB) OrderStatusCtx(ctx context.Context, in OrderStatusInput) (res OrderStatusResult, err error) {
-	err = db.Engine.RunViewCtx(ctx, retryPolicy, func(t *tx.Tx) error { return in.run(db.fetcher(ctx, t), &res) })
+	err = db.Engine.RunViewCtx(ctx, retryPolicy, func(t *tx.Tx) error { return in.run(&txWriter{db: db, ctx: ctx, t: t}, &res) })
 	return res, err
 }
 
 // run is Order-Status in two rounds, answered in *res: the customer and
 // the district's orders, then the lines of the customer's latest order.
-func (in OrderStatusInput) run(fetch fetcher, res *OrderStatusResult) error {
+func (in OrderStatusInput) run(w *txWriter, res *OrderStatusResult) error {
 	*res = OrderStatusResult{}
-	got, err := fetch(read{row: cRow(in.WID, in.DID, in.CID), mode: lock.S},
+	got, err := w.fetch(read{row: cRow(in.WID, in.DID, in.CID), mode: lock.S},
 		read{row: oRow(in.WID, in.DID, 0), mode: lock.S, scan: true})
 	if err != nil {
 		return err
@@ -188,7 +160,7 @@ func (in OrderStatusInput) run(fetch fetcher, res *OrderStatusResult) error {
 	for i := range lines {
 		lines[i] = read{row: row{t: tOrderLine, w: in.WID, d: in.DID, id: res.Order.ID, n: uint8(i + 1)}, mode: lock.S}
 	}
-	if got, err = fetch(lines...); err != nil {
+	if got, err = w.fetch(lines...); err != nil {
 		return err
 	}
 	for _, f := range got {
@@ -220,16 +192,16 @@ func GenStockLevel(r *Rand, scale Scale, homeW uint32) StockLevelInput {
 // whose stock is below the threshold, in one managed read-only
 // transaction: the heaviest scanner of the mix.
 func (db *DB) StockLevelCtx(ctx context.Context, in StockLevelInput) (low int, err error) {
-	err = db.Engine.RunViewCtx(ctx, retryPolicy, func(t *tx.Tx) error { return in.run(db.fetcher(ctx, t), &low) })
+	err = db.Engine.RunViewCtx(ctx, retryPolicy, func(t *tx.Tx) error { return in.run(&txWriter{db: db, ctx: ctx, t: t}, &low) })
 	return low, err
 }
 
 // run is Stock-Level in three rounds, answered in *low: the district's
 // order counter, the lines of its last 20 orders, the stock rows of
 // their distinct items.
-func (in StockLevelInput) run(fetch fetcher, low *int) error {
+func (in StockLevelInput) run(w *txWriter, low *int) error {
 	*low = 0
-	got, err := fetch(read{row: dRow(in.WID, in.DID), mode: lock.S})
+	got, err := w.fetch(read{row: dRow(in.WID, in.DID), mode: lock.S})
 	if err != nil {
 		return err
 	}
@@ -241,7 +213,7 @@ func (in StockLevelInput) run(fetch fetcher, low *int) error {
 	if dist.NextOID > 20 {
 		first = dist.NextOID - 20
 	}
-	if got, err = fetch(read{row: row{t: tOrderLine, w: in.WID, d: in.DID, id: first}, mode: lock.S, scan: true}); err != nil {
+	if got, err = w.fetch(read{row: row{t: tOrderLine, w: in.WID, d: in.DID, id: first}, mode: lock.S, scan: true}); err != nil {
 		return err
 	}
 	var stocks []read
@@ -256,7 +228,7 @@ func (in StockLevelInput) run(fetch fetcher, low *int) error {
 			stocks = append(stocks, read{row: sRow(in.WID, ol.ItemID), mode: lock.S})
 		}
 	}
-	if got, err = fetch(stocks...); err != nil {
+	if got, err = w.fetch(stocks...); err != nil {
 		return err
 	}
 	for _, f := range got {

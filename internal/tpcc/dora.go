@@ -15,8 +15,8 @@ import (
 // (Executor.Route), and a transaction becomes one action per partition
 // it touches. Partition-local lock keys form a small hierarchy anchored
 // on the warehouse: fine-grained actions take an intent mode on the
-// anchor plus absolute modes on the rows they read; coarse transactions
-// (Delivery, Stock-Level) take an absolute mode on the anchor alone.
+// anchor plus absolute modes on the rows they read; an action that scans
+// (Delivery, Stock-Level) takes an absolute mode on the anchor alone.
 // ITEM is read-only after load and needs no lock at all.
 //
 // Cross-partition writes stay logically consistent without cross-
@@ -87,8 +87,9 @@ type action struct {
 	route  uint32
 	steps  []step
 	locks  lockList
-	head   bool // runs the step that allocates the order id
-	depend bool // runs a step that needs it
+	head   bool   // runs the step that allocates the order id
+	depend bool   // runs a step that needs it
+	v      uint32 // the value in force after its steps ran
 }
 
 // actions groups p's steps into DORA actions by the partition that owns
@@ -96,7 +97,8 @@ type action struct {
 // partition share an action; ownership is fixed while the engine is
 // open, so the planning-time answer holds at Submit. An action takes IX
 // on the anchor of every row its steps read, the read's mode on the row
-// itself.
+// itself. A scan cannot name the rows its step reads after it, so for a
+// scan the action takes the scan's mode on the anchor instead.
 func actions(p []step, route func(w uint32) int) []action {
 	var acts []action
 	for _, s := range p {
@@ -111,7 +113,10 @@ func actions(p []step, route func(w uint32) int) []action {
 		a.head = a.head || s.head
 		a.depend = a.depend || s.dependent
 		for _, r := range s.reads {
-			if k, ok := r.row.lockKey(); ok {
+			switch k, ok := r.row.lockKey(); {
+			case r.scan:
+				a.locks.add(kWh(r.row.w), r.mode)
+			case ok:
 				a.locks.add(kWh(r.row.w), lock.IX)
 				a.locks.add(k, r.mode)
 			}
@@ -122,11 +127,13 @@ func actions(p []step, route func(w uint32) int) []action {
 
 // runDora runs a write plan through the partition executor: one action
 // per group of steps, all rendezvousing at commit. The action that runs
-// the head publishes the order id; the others park until it arrives.
-func (db *DB) runDora(ctx context.Context, p []step) error {
+// the head publishes the order id; the others park until it arrives. It
+// returns the value in force after the first action, the plan's own when
+// the plan is one action.
+func (db *DB) runDora(ctx context.Context, p []step) (uint32, error) {
 	x := db.Engine.Dora()
 	if x == nil {
-		return ErrDoraDisabled
+		return 0, ErrDoraDisabled
 	}
 	acts := actions(p, x.Route)
 	t := x.NewTxn(ctx)
@@ -137,23 +144,25 @@ func (db *DB) runDora(ctx context.Context, p []step) error {
 			Locks:     a.locks,
 			Produces:  a.head && len(acts) > 1,
 			Dependent: a.depend && !a.head,
-			Run: func(ctx context.Context, sub *tx.Tx, input uint64) error {
-				oid, err := apply(a.steps, uint32(input), db.fetcher(ctx, sub), &txWriter{db: db, ctx: ctx, t: sub})
+			Run: func(ctx context.Context, sub *tx.Tx, input uint64) (err error) {
+				a.v, err = apply(a.steps, uint32(input), &txWriter{db: db, ctx: ctx, t: sub})
 				if a.head {
-					t.PublishInput(uint64(oid))
+					t.PublishInput(uint64(a.v))
 				}
 				return err
 			},
 		})
 	}
-	return x.Submit(t)
+	err := x.Submit(t)
+	return acts[0].v, err
 }
 
 // DoraPayment runs one Payment through the partition executor: one
 // action for a customer of the home partition, else a home and a
 // customer action that rendezvous at commit.
 func (db *DB) DoraPayment(ctx context.Context, in PaymentInput) error {
-	return db.runDora(ctx, in.plan())
+	_, err := db.runDora(ctx, in.plan())
+	return err
 }
 
 // DoraNewOrder runs one New Order through the partition executor: the
@@ -162,11 +171,13 @@ func (db *DB) DoraPayment(ctx context.Context, in PaymentInput) error {
 // the id arrives. The spec's 1% rollback surfaces as ErrUserAbort with
 // every partition rolled back.
 func (db *DB) DoraNewOrder(ctx context.Context, in NewOrderInput) error {
-	return db.runDora(ctx, in.plan())
+	_, err := db.runDora(ctx, in.plan())
+	return err
 }
 
-// doraSolo runs body as a transaction's one action, on w's partition.
-func (db *DB) doraSolo(ctx context.Context, w uint32, readOnly bool, locks []dora.LockReq, body func(context.Context, *tx.Tx) error) error {
+// doraSolo runs read-only plan run as a transaction's one action, on w's
+// partition.
+func (db *DB) doraSolo(ctx context.Context, w uint32, locks []dora.LockReq, run func(*txWriter) error) error {
 	x := db.Engine.Dora()
 	if x == nil {
 		return ErrDoraDisabled
@@ -175,23 +186,17 @@ func (db *DB) doraSolo(ctx context.Context, w uint32, readOnly bool, locks []dor
 	t.Add(dora.ActionSpec{
 		RouteKey: w,
 		Locks:    locks,
-		ReadOnly: readOnly,
-		Run:      func(ctx context.Context, sub *tx.Tx, _ uint64) error { return body(ctx, sub) },
+		ReadOnly: true,
+		Run:      func(ctx context.Context, sub *tx.Tx, _ uint64) error { return run(&txWriter{db: db, ctx: ctx, t: sub}) },
 	})
 	return x.Submit(t)
 }
 
-// DoraDelivery runs one Delivery through the partition executor. It
-// touches every district and unknown customers of its warehouse, so it
-// takes the coarse warehouse X anchor, like lock escalation.
+// DoraDelivery runs one Delivery through the partition executor: one
+// action, which holds its warehouse's X anchor because its steps scan.
 func (db *DB) DoraDelivery(ctx context.Context, in DeliveryInput) (int, error) {
-	var delivered int
-	err := db.doraSolo(ctx, in.WID, false, []dora.LockReq{{Key: kWh(in.WID), Mode: lock.X}},
-		func(ctx context.Context, sub *tx.Tx) (err error) {
-			delivered, err = db.delivery(ctx, sub, in)
-			return err
-		})
-	return deliveredOrNone(delivered, err)
+	delivered, err := db.runDora(ctx, in.plan(db.Scale.Districts))
+	return deliveredOrNone(int(delivered), err)
 }
 
 // DoraOrderStatus runs one Order-Status (read-only) through the
@@ -203,9 +208,7 @@ func (db *DB) DoraOrderStatus(ctx context.Context, in OrderStatusInput) (res Ord
 		{Key: kDist(in.WID, in.DID), Mode: lock.S},
 		{Key: kCust(in.WID, in.DID, in.CID), Mode: lock.S},
 	}
-	err = db.doraSolo(ctx, in.WID, true, locks, func(ctx context.Context, sub *tx.Tx) error {
-		return in.run(db.fetcher(ctx, sub), &res)
-	})
+	err = db.doraSolo(ctx, in.WID, locks, func(w *txWriter) error { return in.run(w, &res) })
 	return res, err
 }
 
@@ -214,8 +217,6 @@ func (db *DB) DoraOrderStatus(ctx context.Context, in OrderStatusInput) (res Ord
 // it takes the coarse warehouse S anchor against writers' IX.
 func (db *DB) DoraStockLevel(ctx context.Context, in StockLevelInput) (low int, err error) {
 	locks := []dora.LockReq{{Key: kWh(in.WID), Mode: lock.S}}
-	err = db.doraSolo(ctx, in.WID, true, locks, func(ctx context.Context, sub *tx.Tx) error {
-		return in.run(db.fetcher(ctx, sub), &low)
-	})
+	err = db.doraSolo(ctx, in.WID, locks, func(w *txWriter) error { return in.run(w, &low) })
 	return low, err
 }

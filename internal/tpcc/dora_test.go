@@ -118,7 +118,7 @@ func TestDoraCrossPartitionStress(t *testing.T) {
 		}
 		for d := 1; d <= scale.Districts; d++ {
 			dist := readRow(t, db, rd, dRow(uint32(w), uint8(d)), decodeDistrict)
-			want := uint32(scale.InitialOrders) + 1 + uint32(orders[w][d].Load())
+			want := 1 + uint32(orders[w][d].Load())
 			if dist.NextOID != want {
 				t.Errorf("district (%d,%d) NextOID = %d, want %d", w, d, dist.NextOID, want)
 			}
@@ -149,6 +149,10 @@ func TestDoraCrossPartitionStress(t *testing.T) {
 		if n != ix.want {
 			t.Errorf("%s: %d rows, want %d", ix.name, n, ix.want)
 		}
+	}
+
+	if err := db.CheckConsistency(ctx); err != nil {
+		t.Error(err)
 	}
 
 	st := db.Engine.Stats().Dora
@@ -246,7 +250,7 @@ func TestDoraRollbackFlag(t *testing.T) {
 	}
 	defer db.Engine.Abort(rd)
 	dist := readRow(t, db, rd, dRow(1, 1), decodeDistrict)
-	if want := uint32(scale.InitialOrders) + 1; dist.NextOID != want {
+	if want := uint32(1); dist.NextOID != want {
 		t.Errorf("NextOID = %d, want %d after rollback", dist.NextOID, want)
 	}
 }
@@ -293,8 +297,9 @@ func TestDoraReadOnlyTransactions(t *testing.T) {
 }
 
 // TestDoraLockSets pins the DORA decomposition derived from the plans to
-// the lock lists DoraPayment and DoraNewOrder used to spell out by hand:
-// the same actions, routed by the same warehouses, with the same locks.
+// the lock lists DoraPayment, DoraNewOrder and DoraDelivery used to spell
+// out by hand: the same actions, routed by the same warehouses, with the
+// same locks. Delivery's scans take the X anchor of its warehouse.
 // Static routing is modulo two partitions (warehouses 1 and 3 share one);
 // PLP's map splits four warehouses into contiguous ranges (1 and 2 share
 // one).
@@ -319,6 +324,7 @@ func TestDoraLockSets(t *testing.T) {
 	newOrder := func(lines ...NewOrderLine) []step {
 		return NewOrderInput{WID: 1, DID: 2, CID: 7, Lines: lines}.plan()
 	}
+	delivery := func(w uint32) []step { return DeliveryInput{WID: w, CarrierID: 4}.plan(10) }
 	remoteLines := []NewOrderLine{{ItemID: 5, SupplyWID: 1}, {ItemID: 6, SupplyWID: 2}, {ItemID: 7, SupplyWID: 3}, {ItemID: 8, SupplyWID: 2}}
 	cat := func(lists ...[]dora.LockReq) []dora.LockReq { return slices.Concat(lists...) }
 	for _, c := range []struct {
@@ -344,6 +350,8 @@ func TestDoraLockSets(t *testing.T) {
 		}},
 		{"new order, one stock row twice", newOrder(NewOrderLine{ItemID: 5, SupplyWID: 1}, NewOrderLine{ItemID: 5, SupplyWID: 1}), plp,
 			[]want{{route: 1, head: true, locks: cat(noHead, stock(1, 5)[1:])}}},
+		{"delivery, static", delivery(3), static, []want{{route: 3, locks: []dora.LockReq{l(kWh(3), lock.X)}}}},
+		{"delivery, plp", delivery(2), plp, []want{{route: 2, locks: []dora.LockReq{l(kWh(2), lock.X)}}}},
 	} {
 		got := actions(c.plan, c.group)
 		if len(got) != len(c.want) {

@@ -54,7 +54,8 @@ func GenNewOrder(r *Rand, scale Scale, homeW uint32) NewOrderInput {
 // insertions) and the lock manager") as one managed transaction (runCtx);
 // the 1% intentional rollback returns ErrUserAbort after aborting.
 func (db *DB) NewOrderCtx(ctx context.Context, in NewOrderInput) error {
-	return db.runCtx(ctx, in.plan())
+	_, err := db.runCtx(ctx, in.plan())
+	return err
 }
 
 // plan is New Order as a head step and one step per line. The head reads

@@ -54,7 +54,8 @@ func GenPayment(r *Rand, scale Scale, homeW uint32) PaymentInput {
 // statistics ... One of the updates made by Payment is to a contended
 // table, WAREHOUSE") as one managed transaction (runCtx).
 func (db *DB) PaymentCtx(ctx context.Context, in PaymentInput) error {
-	return db.runCtx(ctx, in.plan())
+	_, err := db.runCtx(ctx, in.plan())
+	return err
 }
 
 // plan is Payment in two steps, each writing back every row it reads.

@@ -93,33 +93,31 @@ func (r row) missing() error {
 
 // read is one row a plan reads: X when the plan writes the row back (S
 // and an upgrade at the write deadlock two transactions doing the same),
-// S otherwise. A scan reads from its row's key to its district's end.
+// S otherwise. A scan reads from its row's key to its district's end, a
+// first scan only its first row there; DORA takes a scan's mode on its
+// warehouse's anchor (actions), since it cannot name the rows scanned.
 type read struct {
-	row  row
-	mode lock.Mode
-	scan bool
+	row         row
+	mode        lock.Mode
+	scan, first bool
 }
 
-// found is what one read returned: a get's value (nil for an absent row
-// whose absence is an answer), or a scan's values in key order.
+// found is what one read returned: a get's or a first scan's value (nil
+// for an absent row whose absence is an answer, or an empty range), or a
+// scan's values in key order.
 type found struct {
 	value []byte
 	scan  [][]byte
 }
 
-// fetcher reads one round and returns what each read found; an absent
-// row is its missing() error. A read-only plan is a function over a
-// fetcher, one call per round: each round's keys come from the last's values.
-type fetcher func(reads ...read) ([]found, error)
-
 // step is one unit of a write plan: the rows it reads, every key known
-// from the input alone, and apply, which turns what they hold into
-// writes. New Order's head step allocates the order id that its
-// dependent steps need: apply takes the id in force and returns it.
+// from the input alone, and apply, which turns what they hold into writes
+// and follow-up reads through w. apply takes the value in force and
+// returns it: New Order's order id, Delivery's count of orders delivered.
 type step struct {
 	reads           []read
 	head, dependent bool
-	apply           func(got []found, oid uint32, w *txWriter) (uint32, error)
+	apply           func(got []found, v uint32, w *txWriter) (uint32, error)
 }
 
 // home is the warehouse s's rows live in (ITEM's live in none).
@@ -132,20 +130,19 @@ func (s *step) home() uint32 {
 	return 0
 }
 
-// apply runs a write plan's steps in order, each over what fetch reads
-// for it and writing through w, and returns the order id in force at the
-// end.
-func apply(p []step, oid uint32, fetch fetcher, w *txWriter) (uint32, error) {
+// apply runs a write plan's steps in order, each over what w reads for
+// it and writing through w, and returns the value in force at the end.
+func apply(p []step, v uint32, w *txWriter) (uint32, error) {
 	for _, s := range p {
-		got, err := fetch(s.reads...)
+		got, err := w.fetch(s.reads...)
 		if err == nil {
-			oid, err = s.apply(got, oid, w)
+			v, err = s.apply(got, v, w)
 		}
 		if err = cmp.Or(err, w.first); err != nil {
-			return oid, err
+			return v, err
 		}
 	}
-	return oid, nil
+	return v, nil
 }
 
 // The plans have two executors. The embedded one is core calls on one
@@ -165,57 +162,20 @@ func (db *DB) indexes() [tHistory]**core.Index {
 	}
 }
 
-// get reads r.row in t, under an X key lock when r.mode is X (SELECT FOR
-// UPDATE) and S otherwise.
-func (db *DB) get(ctx context.Context, t *tx.Tx, r read) ([]byte, error) {
-	lookup := db.Engine.IndexLookupCtx
-	if r.mode == lock.X {
-		lookup = db.Engine.IndexLookupForUpdateCtx
-	}
-	b, ok, err := lookup(ctx, t, db.index(r.row.t), r.row.key())
-	if err == nil && !ok {
-		err = r.row.missing()
-	}
-	return b, err
-}
-
-// fetcher reads each read at once in t.
-func (db *DB) fetcher(ctx context.Context, t *tx.Tx) fetcher {
-	return func(reads ...read) ([]found, error) {
-		got := make([]found, len(reads))
-		for i, r := range reads {
-			var err error
-			if r.scan {
-				err = db.Engine.IndexScanCtx(ctx, t, db.index(r.row.t), r.row.key(), r.row.end(), func(_, v []byte) bool {
-					got[i].scan = append(got[i].scan, v)
-					return true
-				})
-			} else {
-				got[i].value, err = db.get(ctx, t, r)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		return got, nil
-	}
-}
-
 // runCtx runs write plan p as one managed transaction: deadlock and
 // timeout victims are retried with capped exponential backoff, lock
-// waits observe ctx, and ErrUserAbort is not retried.
-func (db *DB) runCtx(ctx context.Context, p []step) error {
-	return db.Engine.RunCtx(ctx, retryPolicy, func(t *tx.Tx) error { return db.runPlan(ctx, t, p) }, nil)
+// waits observe ctx, and ErrUserAbort is not retried. It returns the
+// value in force at the end of the attempt that committed.
+func (db *DB) runCtx(ctx context.Context, p []step) (v uint32, err error) {
+	err = db.Engine.RunCtx(ctx, retryPolicy, func(t *tx.Tx) (err error) {
+		v, err = apply(p, 0, &txWriter{db: db, ctx: ctx, t: t})
+		return err
+	}, nil)
+	return v, err
 }
 
-// runPlan runs write plan p on t.
-func (db *DB) runPlan(ctx context.Context, t *tx.Tx, p []step) error {
-	_, err := apply(p, 0, db.fetcher(ctx, t), &txWriter{db: db, ctx: ctx, t: t})
-	return err
-}
-
-// txWriter runs each write of a step in t as it comes. first is the first
-// write that failed; the writes after it are dropped.
+// txWriter runs a plan's reads and writes in t as they come. first is the
+// first write that failed; the writes after it are dropped.
 type txWriter struct {
 	db    *DB
 	ctx   context.Context
@@ -223,9 +183,49 @@ type txWriter struct {
 	first error
 }
 
+// fetch reads one round and returns what each read found; an absent row
+// is its missing() error. A get takes an X key lock when its mode is X
+// (SELECT FOR UPDATE), S otherwise. A read-only plan is a function over
+// w, one fetch per round: each round's keys come from the last's values.
+func (w *txWriter) fetch(reads ...read) ([]found, error) {
+	e, got := w.db.Engine, make([]found, len(reads))
+	for i, r := range reads {
+		var err error
+		ix, key := w.db.index(r.row.t), r.row.key()
+		if r.scan {
+			err = e.IndexScanCtx(w.ctx, w.t, ix, key, r.row.end(), func(_, v []byte) bool {
+				if r.first {
+					got[i].value = v
+					return false
+				}
+				got[i].scan = append(got[i].scan, v)
+				return true
+			})
+		} else {
+			lookup, ok := e.IndexLookupCtx, false
+			if r.mode == lock.X {
+				lookup = e.IndexLookupForUpdateCtx
+			}
+			if got[i].value, ok, err = lookup(w.ctx, w.t, ix, key); err == nil && !ok {
+				err = r.row.missing()
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return got, nil
+}
+
 func (w *txWriter) update(r row, v []byte) {
 	if w.first == nil {
 		w.first = w.db.Engine.IndexUpdateCtx(w.ctx, w.t, w.db.index(r.t), r.key(), v)
+	}
+}
+
+func (w *txWriter) delete(r row) {
+	if w.first == nil {
+		_, w.first = w.db.Engine.IndexDeleteCtx(w.ctx, w.t, w.db.index(r.t), r.key())
 	}
 }
 
@@ -247,51 +247,65 @@ const (
 	progNewOrder
 	progOrderStatus
 	progStockLevel
+	progDelivery
 	nPrograms
 )
 
-// registerPrograms registers the four transactions as programs on the
-// engine: each decodes its input from the call's arguments (remote.go) and
-// runs its plan through the embedded executor on the call's transaction.
-// Order-Status and Stock-Level are read-only and answer their result.
+// programs is the table of the five transactions as programs, which
+// registerPrograms, Catalog and OpenRemote read: each one's catalog name,
+// whether it only reads (a View batch, not an Update), and run, which
+// decodes its input from a call's arguments (remote.go), runs it through
+// the embedded executor on the call's transaction and appends its answer.
+var programs = [nPrograms]struct {
+	name     string
+	readOnly bool
+	run      func(w *txWriter, args, out []byte) ([]byte, error)
+}{
+	progPayment: {"tpcc.program.payment", false, func(w *txWriter, args, out []byte) ([]byte, error) {
+		in, err := decodePaymentArgs(args)
+		if err == nil {
+			_, err = apply(in.plan(), 0, w)
+		}
+		return out, err
+	}},
+	progNewOrder: {"tpcc.program.neworder", false, func(w *txWriter, args, out []byte) ([]byte, error) {
+		in, err := decodeNewOrderArgs(args)
+		if err == nil {
+			_, err = apply(in.plan(), 0, w)
+		}
+		return out, err
+	}},
+	progOrderStatus: {"tpcc.program.orderstatus", true, func(w *txWriter, args, out []byte) ([]byte, error) {
+		in, err := decodeOrderStatusArgs(args)
+		var res OrderStatusResult
+		if err == nil {
+			err = in.run(w, &res)
+		}
+		return res.appendTo(out), err
+	}},
+	progStockLevel: {"tpcc.program.stocklevel", true, func(w *txWriter, args, out []byte) ([]byte, error) {
+		in, err := decodeStockLevelArgs(args)
+		var low int
+		if err == nil {
+			err = in.run(w, &low)
+		}
+		return binary.BigEndian.AppendUint32(out, uint32(low)), err
+	}},
+	progDelivery: {"tpcc.program.delivery", false, func(w *txWriter, args, out []byte) ([]byte, error) {
+		in, err := decodeDeliveryArgs(args)
+		var delivered uint32
+		if err == nil {
+			delivered, err = apply(in.plan(w.db.Scale.Districts), 0, w)
+		}
+		return binary.BigEndian.AppendUint32(out, delivered), err
+	}},
+}
+
+// registerPrograms registers the programs on the engine.
 func (db *DB) registerPrograms() {
-	e := db.Engine
-	db.programs = [nPrograms]uint32{
-		progPayment: e.RegisterProgram(core.Program{Run: func(ctx context.Context, t *tx.Tx, args, out []byte) ([]byte, error) {
-			in, err := decodePaymentArgs(args)
-			if err == nil {
-				err = db.runPlan(ctx, t, in.plan())
-			}
-			return out, err
-		}}),
-		progNewOrder: e.RegisterProgram(core.Program{Run: func(ctx context.Context, t *tx.Tx, args, out []byte) ([]byte, error) {
-			in, err := decodeNewOrderArgs(args)
-			if err == nil {
-				err = db.runPlan(ctx, t, in.plan())
-			}
-			return out, err
-		}}),
-		progOrderStatus: e.RegisterProgram(core.Program{ReadOnly: true, Run: func(ctx context.Context, t *tx.Tx, args, out []byte) ([]byte, error) {
-			in, err := decodeOrderStatusArgs(args)
-			var res OrderStatusResult
-			if err == nil {
-				err = in.run(db.fetcher(ctx, t), &res)
-			}
-			if err != nil {
-				return out, err
-			}
-			return res.appendTo(out), nil
-		}}),
-		progStockLevel: e.RegisterProgram(core.Program{ReadOnly: true, Run: func(ctx context.Context, t *tx.Tx, args, out []byte) ([]byte, error) {
-			in, err := decodeStockLevelArgs(args)
-			var low int
-			if err == nil {
-				err = in.run(db.fetcher(ctx, t), &low)
-			}
-			if err != nil {
-				return out, err
-			}
-			return binary.BigEndian.AppendUint32(out, uint32(low)), nil
-		}}),
+	for p, prog := range programs {
+		db.programs[p] = db.Engine.RegisterProgram(core.Program{ReadOnly: prog.readOnly, Run: func(ctx context.Context, t *tx.Tx, args, out []byte) ([]byte, error) {
+			return prog.run(&txWriter{db: db, ctx: ctx, t: t}, args, out)
+		}})
 	}
 }

@@ -189,7 +189,7 @@ func TestPlpCrossPartitionStress(t *testing.T) {
 		}
 		for d := 1; d <= scale.Districts; d++ {
 			dist := readRow(t, db, rd, dRow(uint32(w), uint8(d)), decodeDistrict)
-			want := uint32(scale.InitialOrders) + 1 + uint32(orders[w][d].Load())
+			want := 1 + uint32(orders[w][d].Load())
 			if dist.NextOID != want {
 				t.Errorf("district (%d,%d) NextOID = %d, want %d", w, d, dist.NextOID, want)
 			}
@@ -197,6 +197,9 @@ func TestPlpCrossPartitionStress(t *testing.T) {
 	}
 
 	verifyForests(t, db)
+	if err := db.CheckConsistency(ctx); err != nil {
+		t.Error(err)
+	}
 
 	st := db.Engine.Stats()
 	if st.Dora.CrossTx == 0 {

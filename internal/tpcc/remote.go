@@ -14,7 +14,8 @@ import (
 )
 
 // Catalog names under which a served TPC-C database publishes its
-// stores, scale axes and programs for remote drivers to resolve.
+// stores and scale axes for remote drivers to resolve; the programs'
+// names are in their table (plan.go).
 const (
 	CatWarehouse = "tpcc.warehouse"
 	CatDistrict  = "tpcc.district"
@@ -30,18 +31,13 @@ const (
 	CatScaleDistricts  = "tpcc.scale.districts"
 	CatScaleCustomers  = "tpcc.scale.customers"
 	CatScaleItems      = "tpcc.scale.items"
-
-	CatProgramPayment     = "tpcc.program.payment"
-	CatProgramNewOrder    = "tpcc.program.neworder"
-	CatProgramOrderStatus = "tpcc.program.orderstatus"
-	CatProgramStockLevel  = "tpcc.program.stocklevel"
 )
 
 // Catalog enumerates the entries a server should register for this
 // database: the nine stores, the scale axes remote generators need and
-// the four programs a remote driver calls.
+// the five programs a remote driver calls.
 func (db *DB) Catalog() []CatalogEntry {
-	return []CatalogEntry{
+	cat := []CatalogEntry{
 		{CatWarehouse, db.Warehouse.Store(), wire.KindIndex},
 		{CatDistrict, db.District.Store(), wire.KindIndex},
 		{CatCustomer, db.Customer.Store(), wire.KindIndex},
@@ -55,11 +51,11 @@ func (db *DB) Catalog() []CatalogEntry {
 		{CatScaleDistricts, uint32(db.Scale.Districts), wire.KindMeta},
 		{CatScaleCustomers, uint32(db.Scale.Customers), wire.KindMeta},
 		{CatScaleItems, uint32(db.Scale.Items), wire.KindMeta},
-		{CatProgramPayment, db.programs[progPayment], wire.KindProgram},
-		{CatProgramNewOrder, db.programs[progNewOrder], wire.KindProgram},
-		{CatProgramOrderStatus, db.programs[progOrderStatus], wire.KindProgram},
-		{CatProgramStockLevel, db.programs[progStockLevel], wire.KindProgram},
 	}
+	for p, prog := range programs {
+		cat = append(cat, CatalogEntry{prog.name, db.programs[p], wire.KindProgram})
+	}
+	return cat
 }
 
 // CatalogEntry is one name→id binding for a server catalog.
@@ -71,10 +67,9 @@ type CatalogEntry struct {
 
 // RemoteStats counts a remote driver's retry traffic.
 type RemoteStats struct {
-	Sheds      atomic.Uint64 // ErrBusy responses (admission control)
-	Deadlocks  atomic.Uint64 // deadlock-victim retries
-	Timeouts   atomic.Uint64 // lock-timeout retries
-	UserAborts atomic.Uint64 // the spec's 1% intentional rollbacks
+	Sheds     atomic.Uint64 // ErrBusy responses (admission control)
+	Deadlocks atomic.Uint64 // deadlock-victim retries
+	Timeouts  atomic.Uint64 // lock-timeout retries
 }
 
 // Remote drives TPC-C transactions against a shored server over one
@@ -101,20 +96,17 @@ func OpenRemote(ctx context.Context, c *client.Client, stats *RemoteStats) (*Rem
 	}
 	r := &Remote{C: c, Stats: stats}
 	var w, d, cu, it uint32
-	for _, e := range []struct {
-		name string
-		dst  *uint32
-	}{
-		{CatProgramPayment, &r.programs[progPayment]}, {CatProgramNewOrder, &r.programs[progNewOrder]},
-		{CatProgramOrderStatus, &r.programs[progOrderStatus]}, {CatProgramStockLevel, &r.programs[progStockLevel]},
-		{CatScaleWarehouses, &w}, {CatScaleDistricts, &d},
-		{CatScaleCustomers, &cu}, {CatScaleItems, &it},
-	} {
-		id, _, err := c.Resolve(ctx, e.name)
+	names := []string{CatScaleWarehouses, CatScaleDistricts, CatScaleCustomers, CatScaleItems}
+	dsts := []*uint32{&w, &d, &cu, &it}
+	for p, prog := range programs {
+		names, dsts = append(names, prog.name), append(dsts, &r.programs[p])
+	}
+	for i, name := range names {
+		id, _, err := c.Resolve(ctx, name)
 		if err != nil {
-			return nil, fmt.Errorf("tpcc: resolve %s: %w", e.name, err)
+			return nil, fmt.Errorf("tpcc: resolve %s: %w", name, err)
 		}
-		*e.dst = id
+		*dsts[i] = id
 	}
 	r.Scale = Scale{Warehouses: int(w), Districts: int(d), Customers: int(cu), Items: int(it), StockPerItem: true}
 	return r, nil
@@ -160,9 +152,13 @@ func (r *Remote) retryRemote(ctx context.Context, fn func() error) error {
 	return err
 }
 
-// call runs program p with args in one batch run by run (the client's
-// Update or View), with retry, and returns the program's answer.
-func (r *Remote) call(ctx context.Context, run func(context.Context, func(*client.Batch)) error, p program, args []byte) ([]byte, error) {
+// call runs program p with args in one batch, a View if p only reads and
+// an Update otherwise, with retry, and returns the program's answer.
+func (r *Remote) call(ctx context.Context, p program, args []byte) ([]byte, error) {
+	run := r.C.Update
+	if programs[p].readOnly {
+		run = r.C.View
+	}
 	var called *client.Called
 	err := r.retryRemote(ctx, func() error {
 		return run(ctx, func(b *client.Batch) { called = b.Call(r.programs[p], args) })
@@ -175,16 +171,15 @@ func (r *Remote) call(ctx context.Context, run func(context.Context, func(*clien
 
 // Payment runs one remote Payment transaction.
 func (r *Remote) Payment(ctx context.Context, in PaymentInput) error {
-	_, err := r.call(ctx, r.C.Update, progPayment, in.appendArgs(nil))
+	_, err := r.call(ctx, progPayment, in.appendArgs(nil))
 	return err
 }
 
 // NewOrder runs one remote New Order transaction. Its rollback, which
 // the server runs in the same frame, comes back as ErrUserAbort.
 func (r *Remote) NewOrder(ctx context.Context, in NewOrderInput) error {
-	_, err := r.call(ctx, r.C.Update, progNewOrder, in.appendArgs(nil))
+	_, err := r.call(ctx, progNewOrder, in.appendArgs(nil))
 	if errors.Is(err, client.ErrRolledBack) {
-		r.Stats.UserAborts.Add(1)
 		return ErrUserAbort
 	}
 	return err
@@ -193,7 +188,7 @@ func (r *Remote) NewOrder(ctx context.Context, in NewOrderInput) error {
 // OrderStatus runs one remote Order-Status query in one View batch
 // (lock-free as-of reads under snapshot reads).
 func (r *Remote) OrderStatus(ctx context.Context, in OrderStatusInput) (OrderStatusResult, error) {
-	b, err := r.call(ctx, r.C.View, progOrderStatus, in.appendArgs(nil))
+	b, err := r.call(ctx, progOrderStatus, in.appendArgs(nil))
 	if err != nil {
 		return OrderStatusResult{}, err
 	}
@@ -202,13 +197,24 @@ func (r *Remote) OrderStatus(ctx context.Context, in OrderStatusInput) (OrderSta
 
 // StockLevel runs one remote Stock-Level query in one View batch.
 func (r *Remote) StockLevel(ctx context.Context, in StockLevelInput) (int, error) {
-	b, err := r.call(ctx, r.C.View, progStockLevel, in.appendArgs(nil))
+	return r.count(ctx, progStockLevel, in.appendArgs(nil))
+}
+
+// Delivery runs one remote Delivery transaction and answers how many
+// orders it delivered.
+func (r *Remote) Delivery(ctx context.Context, in DeliveryInput) (int, error) {
+	return deliveredOrNone(r.count(ctx, progDelivery, in.appendArgs(nil)))
+}
+
+// count calls program p, whose answer is a count.
+func (r *Remote) count(ctx context.Context, p program, args []byte) (int, error) {
+	b, err := r.call(ctx, p, args)
 	if err != nil {
 		return 0, err
 	}
 	d := dec{b: b}
-	low := d.u32()
-	return int(low), d.argsErr(true)
+	n := d.u32()
+	return int(n), d.argsErr(true)
 }
 
 // The argument codecs: what a remote caller sends and a program decodes.
@@ -295,6 +301,19 @@ func decodeStockLevelArgs(b []byte) (StockLevelInput, error) {
 	d := dec{b: b}
 	in := StockLevelInput{WID: d.u32(), DID: d.u8(), Threshold: int32(d.u32())}
 	return in, d.argsErr(true)
+}
+
+func (in DeliveryInput) appendArgs(b []byte) []byte {
+	e := enc{b: b}
+	e.u32(in.WID)
+	e.u8(in.CarrierID)
+	return e.b
+}
+
+func decodeDeliveryArgs(b []byte) (DeliveryInput, error) {
+	d := dec{b: b}
+	in := DeliveryInput{WID: d.u32(), CarrierID: d.u8()}
+	return in, d.argsErr(in.CarrierID >= 1 && in.CarrierID <= 10)
 }
 
 // appendTo encodes an Order-Status answer: the customer row, then, if

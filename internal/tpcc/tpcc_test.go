@@ -36,11 +36,11 @@ func newDB(t testing.TB, scale Scale) *DB {
 // readRow reads row r in tx under an S lock and decodes it.
 func readRow[T any](t testing.TB, db *DB, tx *tx.Tx, r row, decode func([]byte) (T, error)) T {
 	t.Helper()
-	b, err := db.get(context.Background(), tx, read{row: r, mode: lock.S})
+	got, err := (&txWriter{db: db, ctx: context.Background(), t: tx}).fetch(read{row: r, mode: lock.S})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := decode(b)
+	v, err := decode(got[0].value)
 	if err != nil {
 		t.Fatal(err)
 	}
