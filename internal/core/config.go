@@ -86,8 +86,8 @@ type Config struct {
 	// CommitPipeline (StagePipeline) decides when a committing transaction
 	// releases its locks: as soon as the commit record is in the log
 	// (Early Lock Release) instead of after the record is durable. The
-	// wait itself is the same on every stage — a subscription to the log's
-	// one flusher; Commit blocks on it, CommitAsync hands it back.
+	// wait itself is the same on every stage — one drain of the log, which
+	// group commit shares; Commit blocks on it, CommitAsync hands it back.
 	CommitPipeline bool
 	// OLC enables optimistic latch coupling on B-tree descents: inner
 	// nodes are read speculatively against the frame latch's version

@@ -372,10 +372,12 @@ func (e *Engine) finishCommit(ctx context.Context, t *tx.Tx) error {
 	return e.txns.Commit(t)
 }
 
-// awaitDurable waits for the log's one flusher to make every record below
-// target durable, or for ctx. The flush is never torn down — group commit
-// goes on for everyone else — the caller only stops waiting for it; the
-// subscription it leaves behind is resolved and dropped by the flusher.
+// awaitDurable waits for the log to make every record below target
+// durable, or for ctx. A blocking wait may run the log's drain itself; a
+// wait with a context hands it to the log's flusher. The flush is never
+// torn down — group commit goes on for everyone else — the caller only
+// stops waiting for it; the subscription it leaves behind is resolved and
+// dropped by the flusher.
 func (e *Engine) awaitDurable(ctx context.Context, target wal.LSN) error {
 	if ctx.Done() == nil {
 		return e.log.Flush(target) // nothing else to wait on: no channel, no allocation

@@ -110,12 +110,15 @@ type groupCommit struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	durable atomic.Uint64
-	// waiters counts callers blocked in Flush plus unresolved
-	// subscriptions. A target can be past copied (CurLSN is the
-	// reservation head), so the drain a waiter asked for may run before
-	// the copy it waits for is published; publishers kick the flusher
-	// again while anyone waits, closing that lost wake-up.
-	waiters atomic.Int64
+	// want is the highest target anyone has asked to be made durable: a
+	// Flush, a subscription, an insert waiting for ring space, or an
+	// insert that found the ring over half full. The flusher drains only
+	// while want is past durable, so no drain runs that nobody waits for.
+	// A target can be past copied (CurLSN is the reservation head), so
+	// the drain a waiter asked for may run before the copy it waits for is
+	// published; a publisher whose bytes start below want kicks the
+	// flusher again, closing that lost wake-up.
+	want    atomic.Uint64
 	subs    []gcSub // outstanding subscriptions, unordered
 	failErr error   // once set, new subscriptions fail immediately
 }
@@ -150,9 +153,6 @@ func (g *groupCommit) advance(to LSN) {
 			kept = append(kept, s)
 		}
 	}
-	if n := len(g.subs) - len(kept); n > 0 {
-		g.waiters.Add(int64(-n))
-	}
 	g.subs = kept
 	g.mu.Unlock()
 }
@@ -174,11 +174,21 @@ func (g *groupCommit) subscribe(upTo LSN) (ch chan error, pending bool) {
 	case g.failErr != nil:
 		ch <- g.failErr
 	default:
+		g.ask(upTo)
 		g.subs = append(g.subs, gcSub{upTo: upTo, ch: ch})
-		g.waiters.Add(1)
 		pending = true
 	}
 	return ch, pending
+}
+
+// ask raises want to upTo. Call it before getting a drain going for
+// upTo: see want.
+func (g *groupCommit) ask(upTo LSN) {
+	for w := g.want.Load(); w < uint64(upTo); w = g.want.Load() {
+		if g.want.CompareAndSwap(w, uint64(upTo)) {
+			return
+		}
+	}
 }
 
 // fail resolves every outstanding subscription with err and makes future
@@ -195,7 +205,6 @@ func (g *groupCommit) fail(err error) {
 	for _, s := range g.subs {
 		s.ch <- g.failErr
 	}
-	g.waiters.Add(-int64(len(g.subs)))
 	g.subs = nil
 	g.cond.Broadcast()
 	g.mu.Unlock()

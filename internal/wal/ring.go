@@ -28,8 +28,14 @@ import (
 //	decoupled    MCS insert mutex, cached  same mutex          background flusher, flushMu;
 //	             tail; CLRs queue on the                       inserts hold nothing of it
 //	             compensation mutex first
-//	consolidated CAS on head, copy with    ordered hand-off    background flusher, flushMu
-//	             nothing held              of copied (spin)
+//	consolidated CAS on head, copy with    ordered hand-off    a blocking Flush inline when
+//	             nothing held              of copied (spin)    no drain runs, else the
+//	                                                           background flusher; flushMu
+//
+// A drain runs only on demand: for a target someone waits for (Flush, a
+// subscription, an insert that needs ring space; groupCommit.want), or
+// when the ring is over half full. An insert does not kick the flusher
+// for a waiter whose target is below the insert's bytes.
 //
 // Failure rule, the same for all three: the first error from the store's
 // WriteAt or Flush is latched in groupCommit and is terminal. The drain
@@ -73,9 +79,11 @@ type reserver interface {
 	// publish moves copied past the record the caller has put at r, once
 	// every earlier record is there, and releases what reserve took.
 	publish(l *ringLog, r, size uint64, clr bool)
-	// sync gets a drain going: inline under the policy's own lock, or by
-	// kicking the background flusher.
-	sync(l *ringLog)
+	// sync gets a drain going for a target already in want: inline, or by
+	// kicking the background flusher. wait reports that the caller blocks
+	// until the drain is done (Flush) rather than being free to walk away
+	// (Subscribe), so it may run the drain itself.
+	sync(l *ringLog, wait bool)
 	// lockStats reports contention on the reservation.
 	lockStats(l *ringLog) sync2.Stats
 }
@@ -133,7 +141,7 @@ func (p *coupled) publish(l *ringLog, r, size uint64, _ bool) {
 	p.mu.Unlock()
 }
 
-func (p *coupled) sync(l *ringLog) {
+func (p *coupled) sync(l *ringLog, _ bool) {
 	p.mu.Lock()
 	l.drain()
 	p.mu.Unlock()
@@ -182,7 +190,7 @@ func (p *decoupled) release(clr bool) {
 	}
 }
 
-func (p *decoupled) sync(l *ringLog) { l.kickFlusher() }
+func (p *decoupled) sync(l *ringLog, _ bool) { l.kickFlusher() }
 
 func (p *decoupled) lockStats(*ringLog) sync2.Stats { return p.insertMu.Stats() }
 
@@ -232,7 +240,17 @@ func (p *consolidated) publish(l *ringLog, r, size uint64, _ bool) {
 	l.copied.Store(r + size)
 }
 
-func (p *consolidated) sync(l *ringLog) { l.kickFlusher() }
+// sync runs a blocking caller's drain on its own goroutine when no drain
+// is running, saving the two hand-offs to the flusher and back; otherwise
+// the flusher follows the running drain with one that covers the caller.
+func (p *consolidated) sync(l *ringLog, wait bool) {
+	if wait && l.flushMu.TryLock() {
+		l.drainLocked()
+		l.flushMu.Unlock()
+		return
+	}
+	l.kickFlusher()
+}
 
 func (p *consolidated) lockStats(l *ringLog) sync2.Stats {
 	return sync2.Stats{
@@ -259,8 +277,10 @@ func (l *ringLog) awaitSpace(r, size uint64) (tail uint64, err error) {
 			return tail, nil
 		}
 		l.insertWaits.Add(1)
+		target := LSN(r + size - uint64(len(l.ring)))
+		l.gc.ask(target)
 		l.kickFlusher()
-		if err := l.gc.wait(LSN(r+size-uint64(len(l.ring))), &l.closed); err != nil {
+		if err := l.gc.wait(target, &l.closed); err != nil {
 			return 0, err
 		}
 	}
@@ -312,7 +332,12 @@ func (l *ringLog) insert(rec *Record, clr bool) (LSN, error) {
 
 	l.inserts.Add(1)
 	l.insertedBytes.Add(size)
-	if l.gc.waiters.Load() > 0 || LSN(r+size)-l.gc.get() > LSN(len(l.ring)/2) {
+	// A waiter's target reaches into this record, whose bytes the drain it
+	// asked for may have missed; or the ring is over half full.
+	if r < l.gc.want.Load() {
+		l.kickFlusher()
+	} else if LSN(r+size)-l.gc.get() > LSN(len(l.ring)/2) {
+		l.gc.ask(LSN(r + size))
 		l.kickFlusher()
 	}
 	return rec.LSN, nil
@@ -335,7 +360,9 @@ func (l *ringLog) startFlusher() {
 			case <-l.stop:
 				return
 			case <-l.kick:
-				l.drain()
+				if l.gc.want.Load() > uint64(l.gc.get()) {
+					l.drain()
+				}
 			}
 		}
 	}()
@@ -355,7 +382,12 @@ func (l *ringLog) kickFlusher() {
 // After a device error it does nothing.
 func (l *ringLog) drain() {
 	l.flushMu.Lock()
-	defer l.flushMu.Unlock()
+	l.drainLocked()
+	l.flushMu.Unlock()
+}
+
+// drainLocked is drain with flushMu held.
+func (l *ringLog) drainLocked() {
 	if l.gc.failed() != nil {
 		return
 	}
@@ -388,11 +420,9 @@ func (l *ringLog) Flush(upTo LSN) error {
 	if l.gc.get() >= upTo {
 		return nil
 	}
-	l.gc.waiters.Add(1) // before the kick: see groupCommit.waiters
-	l.policy.sync(l)
-	err := l.gc.wait(upTo, &l.closed)
-	l.gc.waiters.Add(-1)
-	return err
+	l.gc.ask(upTo) // before the drain: see groupCommit.want
+	l.policy.sync(l, true)
+	return l.gc.wait(upTo, &l.closed)
 }
 
 // CurLSN implements Manager.
@@ -402,11 +432,13 @@ func (l *ringLog) CurLSN() LSN { return LSN(l.head.Load()) }
 func (l *ringLog) DurableLSN() LSN { return l.gc.get() }
 
 // Subscribe implements Manager: register first, then get a drain going, so
-// that the drain which covers upTo finds the subscription.
+// that the drain which covers upTo finds the subscription. The subscriber
+// may walk away, so it never runs the drain itself, except under coupled,
+// whose every drain is inline.
 func (l *ringLog) Subscribe(upTo LSN) <-chan error {
 	ch, pending := l.gc.subscribe(upTo)
 	if pending {
-		l.policy.sync(l)
+		l.policy.sync(l, false)
 	}
 	return ch
 }

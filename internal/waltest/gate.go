@@ -32,7 +32,7 @@ type gate struct {
 func NewGateStore(store wal.Store) *GateStore { return &GateStore{Store: store} }
 
 // Shut closes the gate and returns a channel that receives once a Flush
-// has parked at it: the log's flusher is then inside the store, the bytes
+// has parked at it: a drain of the log is then inside the store, the bytes
 // it carries written and not synced.
 func (g *GateStore) Shut() <-chan struct{} {
 	p := &gate{parked: make(chan struct{}, 1), release: make(chan struct{})}
