@@ -64,6 +64,11 @@ type Frame struct {
 	idx uint32        // position in the pool's frame array (immutable)
 	pid atomic.Uint64 // current page id, 0 if free
 	pin pinCount
+	// hits and hotHits count the fixes that found the page here, through
+	// the page table and through the hot-page array. They sit beside the
+	// pin, whose line every fix has just written; Pool.Stats sums them.
+	hits    atomic.Uint64
+	hotHits atomic.Uint64
 	// latch is versioned so optimistic readers (FixOpt) can validate that
 	// neither a writer nor a recycle touched the frame: every EX
 	// acquisition bumps the version, and the pool EX-latches frames while

@@ -140,6 +140,13 @@ func (a cuckooAdapter) delete(pid page.ID) bool { return a.t.Delete(uint64(pid))
 func (a cuckooAdapter) lockStats() sync2.Stats  { return sync2.Stats{} }
 
 // Pool is the buffer pool manager.
+//
+// A hit writes only its frame: the pin, the latch, the reference bit and
+// the hit counters sit in the Frame, and Stats sums them. The fields above
+// the padding are read on every fix and written (almost) never; the
+// counters below it are written by the miss and eviction paths, and the
+// padding keeps them off the read-mostly fields' cache lines, so a miss on
+// one core does not cost every other core's next fix a line transfer.
 type Pool struct {
 	opts   Options
 	vol    disk.Volume
@@ -161,8 +168,8 @@ type Pool struct {
 	hot       []atomic.Uint64 // packed pid<<24|idx hot-page array
 	closed    atomic.Bool
 
-	hits             atomic.Uint64
-	hotHits          atomic.Uint64
+	_ [64]byte
+
 	misses           atomic.Uint64
 	evictions        atomic.Uint64
 	writebacks       atomic.Uint64
@@ -220,11 +227,16 @@ func (p *Pool) hotSlot(pid page.ID) *atomic.Uint64 {
 	return &p.hot[(h>>33)%uint64(len(p.hot))]
 }
 
+// hotRecord points pid's slot at frame idx. A hit on a page the slot
+// already names stores nothing: the slot's line stays shared.
 func (p *Pool) hotRecord(pid page.ID, idx uint32) {
 	if p.hot == nil {
 		return
 	}
-	p.hotSlot(pid).Store(uint64(pid)<<24 | uint64(idx))
+	slot, v := p.hotSlot(pid), uint64(pid)<<24|uint64(idx)
+	if slot.Load() != v {
+		slot.Store(v)
+	}
 }
 
 func (p *Pool) hotLookup(pid page.ID) (uint32, bool) {
@@ -251,18 +263,22 @@ func (p *Pool) Fix(pid page.ID, mode sync2.LatchMode) (*Frame, error) {
 		// Hot-page array: pin first, check the ID after (§7.3 — "we changed
 		// the search to pin the page, then check its ID before acquiring
 		// the latch; if a page eviction occurs before the pin completes the
-		// IDs would not match"). The ID is re-checked after the latch too:
-		// a failed load dumps its frame by clearing the pid under the EX
-		// latch, so a visitor that pinned and passed the first check while
-		// the load was in flight must not treat the dumped frame as pid.
+		// IDs would not match"). An unpinned frame is pinned too, as
+		// lookupAndPin does: the pin keeps an evictor out, and a frame the
+		// evictor froze first refuses it. The ID check before the latch
+		// keeps a stale slot from latching another page's frame, which its
+		// caller may hold. The ID is re-checked after the latch: a failed
+		// load dumps its frame by clearing the pid under the EX latch, so a
+		// visitor that pinned and passed the first check while the load was
+		// in flight must not treat the dumped frame as pid.
 		if idx, ok := p.hotLookup(pid); ok {
 			f := p.frames[idx]
-			if f.pin.pinIfPinned() {
+			if f.pin.pinIfPinned() || f.pin.tryPin() {
 				if f.PID() == pid {
 					f.refbit.Store(true)
 					f.Latch(mode)
 					if f.PID() == pid {
-						p.hotHits.Add(1)
+						f.hotHits.Add(1)
 						return f, nil
 					}
 					f.Unlatch(mode)
@@ -274,7 +290,7 @@ func (p *Pool) Fix(pid page.ID, mode sync2.LatchMode) (*Frame, error) {
 			f.refbit.Store(true)
 			f.Latch(mode)
 			if f.PID() == pid {
-				p.hits.Add(1)
+				f.hits.Add(1)
 				p.hotRecord(pid, f.idx)
 				return f, nil
 			}
@@ -493,11 +509,10 @@ func (p *Pool) Drop(pid page.ID) {
 }
 
 // Stats returns a snapshot of pool counters, including one ShardStats
-// entry per replacement shard and their aggregates.
+// entry per replacement shard and their aggregates. Hits are summed over
+// the frames, which count them.
 func (p *Pool) Stats() Stats {
 	s := Stats{
-		Hits:             p.hits.Load(),
-		HotHits:          p.hotHits.Load(),
 		Misses:           p.misses.Load(),
 		Evictions:        p.evictions.Load(),
 		Writebacks:       p.writebacks.Load(),
@@ -506,6 +521,10 @@ func (p *Pool) Stats() Stats {
 		TransitConflicts: p.transitConflicts.Load(),
 		PinRetries:       p.pinRetries.Load(),
 		TableLock:        p.table.lockStats(),
+	}
+	for _, f := range p.frames {
+		s.Hits += f.hits.Load()
+		s.HotHits += f.hotHits.Load()
 	}
 	s.Shards = make([]ShardStats, len(p.shards))
 	for i, sh := range p.shards {

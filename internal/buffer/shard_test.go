@@ -3,11 +3,15 @@ package buffer
 import (
 	"encoding/binary"
 	"errors"
+	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/disk"
 	"repro/internal/page"
 	"repro/internal/sync2"
 	"repro/internal/wal"
@@ -369,5 +373,113 @@ func TestShardedPoolStress(t *testing.T) {
 			t.Errorf("page %d counter = %d, want %d (lost updates)", i, got, want)
 		}
 		p.Unfix(f, sync2.LatchSH)
+	}
+}
+
+// flakyReadVolume yields inside every read, widening the window in which
+// a load's frame is published but its page not yet in it, and fails every
+// nth read after poisoning the buffer: a failed load dumps its frame.
+type flakyReadVolume struct {
+	disk.Volume
+	n     uint64
+	reads atomic.Uint64
+}
+
+var errInjectedRead = errors.New("injected read failure")
+
+func (v *flakyReadVolume) Read(pid page.ID, buf []byte) error {
+	runtime.Gosched()
+	if v.reads.Add(1)%v.n == 0 {
+		clear(buf)
+		return errInjectedRead
+	}
+	return v.Volume.Read(pid, buf)
+}
+
+// TestHotPinRacesEviction: the hot-page array pins an unpinned frame, so a
+// stale slot can pin a frame that holds another page now, or one whose
+// load is about to fail. Eight goroutines fix skewed page ids over a pool
+// an eighth the size of the volume while the cleaner refills the free
+// lists; each holds its first page EX while it fixes a second, higher one,
+// so a stale slot that latched without checking the pid first would
+// latch its own goroutine's frame. Every fix must return a frame holding
+// the page it asked for — the pid and the stamp the page was written with.
+func TestHotPinRacesEviction(t *testing.T) {
+	const (
+		frames  = 64
+		pages   = 512
+		workers = 8
+		rounds  = 400
+	)
+	mem := newVol(t, pages)
+	buf := make([]byte, page.Size)
+	for pid := page.ID(1); pid <= pages; pid++ {
+		if err := mem.Read(pid, buf); err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(buf[100:], uint64(pid))
+		if err := mem.Write(pid, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := shardedOpts(4)
+	opts.Frames, opts.HotArray = frames, pages
+	p := New(&flakyReadVolume{Volume: mem, n: 4}, opts)
+	p.StartCleaner(100 * time.Microsecond)
+
+	// fix fixes pid and checks the frame; it reports false when the load
+	// failed by injection.
+	fix := func(pid page.ID, mode sync2.LatchMode) (*Frame, bool) {
+		f, err := p.Fix(pid, mode)
+		if err != nil {
+			if !errors.Is(err, errInjectedRead) {
+				t.Error(err)
+			}
+			return nil, false
+		}
+		if f.PID() != pid || readStamp(f) != uint64(pid) {
+			t.Errorf("fix of %v returned a frame holding %v, page stamp %d", pid, f.PID(), readStamp(f))
+		}
+		return f, true
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			skewed := func() page.ID { return page.ID(1 + rng.Intn(1+rng.Intn(pages))) }
+			for i := 0; i < rounds; i++ {
+				a, b := skewed(), skewed()
+				if a > b {
+					a, b = b, a
+				}
+				fa, ok := fix(a, sync2.LatchEX)
+				if !ok {
+					continue
+				}
+				fa.MarkDirty(1) // the cleaner and evictors write it back
+				if b != a {
+					if fb, ok := fix(b, sync2.LatchSH); ok {
+						p.Unfix(fb, sync2.LatchSH)
+					}
+				}
+				p.Unfix(fa, sync2.LatchEX)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		// Not Close: the pool's walks would wait on the stuck latches.
+		t.Fatal("fixes stuck: a fix waits on a latch its own goroutine holds")
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.HotHits == 0 || st.Evictions == 0 {
+		t.Errorf("%d hot hits, %d evictions: the race was not run", st.HotHits, st.Evictions)
 	}
 }

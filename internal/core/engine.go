@@ -560,7 +560,8 @@ func (e *Engine) Abort(t *tx.Tx) error {
 }
 
 // releaseLocks drops every lock t holds (end of 2PL), each exactly once
-// (the lock list is deduplicated by the private cache).
+// (the lock list is deduplicated by the private cache), and folds the hits
+// of t's private lock and extent caches into their managers' Stats.
 func (e *Engine) releaseLocks(t *tx.Tx) {
 	names := t.Locks()
 	for i := len(names) - 1; i >= 0; i-- {
@@ -569,6 +570,7 @@ func (e *Engine) releaseLocks(t *tx.Tx) {
 	if h := t.LockCacheHits(); h > 0 {
 		e.locks.NoteCacheHits(h)
 	}
+	e.sm.FoldCacheHits(&t.ExtentCache)
 }
 
 // acquire takes a lock for t, recording it for release; ctx cancellation

@@ -106,3 +106,51 @@ func TestHeapInsertSpaceLockPerPage(t *testing.T) {
 		})
 	}
 }
+
+// TestExtentCacheHitsFold: a transaction's extent cache counts its own
+// hits, and they reach Stats().Space.CacheHits exactly once, when the
+// transaction ends, whether it commits or aborts; under the commit
+// pipeline the locks, and with them the hits, go at precommit. Every
+// insert into a table that has a last page checks that page once, so the
+// hits are the checks less the misses, which are counted at once.
+func TestExtentCacheHitsFold(t *testing.T) {
+	const inserts = 300
+	for _, stage := range []Stage{StageFinal, StagePipeline} {
+		for _, commit := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%v/commit=%v", stage, commit), func(t *testing.T) {
+				e, _, _ := newEngine(t, stage)
+				store := createTable(t, e)
+				seed, _ := e.Begin()
+				if _, err := e.HeapInsert(seed, store, []byte("first page")); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Commit(seed); err != nil {
+					t.Fatal(err)
+				}
+				before := e.Stats().Space
+				txn, _ := e.Begin()
+				payload := make([]byte, 100)
+				for i := 0; i < inserts; i++ {
+					if _, err := e.HeapInsert(txn, store, payload); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := e.Stats().Space.CacheHits; got != before.CacheHits {
+					t.Fatalf("cache hits %d -> %d before the transaction ended", before.CacheHits, got)
+				}
+				end := e.Commit
+				if !commit {
+					end = e.Abort
+				}
+				if err := end(txn); err != nil {
+					t.Fatal(err)
+				}
+				after := e.Stats().Space
+				misses := after.CacheMisses - before.CacheMisses
+				if hits := after.CacheHits - before.CacheHits; hits != inserts-misses || hits == 0 {
+					t.Fatalf("%d checks, %d misses: cache hits grew by %d, want %d", inserts, misses, hits, inserts-misses)
+				}
+			})
+		}
+	}
+}

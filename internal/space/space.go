@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,6 +77,9 @@ type storeInfo struct {
 	extents []uint32 // extent numbers owned, ascending
 	full    int      // extents[:full] are full: allocLocked's scan stops there
 	root    page.ID  // B-tree root (KindBTree only)
+	// spent says every extent was full after the last allocation; it is
+	// read without mu, to grow the volume before taking it (AllocPage).
+	spent atomic.Bool
 	// hint is the page appends go to (LastPageCache), read without mu.
 	// Extend publishes a page only once its allocator has formatted it.
 	hint atomic.Uint64
@@ -95,7 +99,7 @@ type Stats struct {
 	Allocs        uint64
 	Frees         uint64
 	ExtentsGrown  uint64
-	CacheHits     uint64 // thread-local extent-cache hits (checks avoided)
+	CacheHits     uint64 // thread-local extent-cache hits (checks avoided), as folded
 	CacheMisses   uint64
 	LastPageWalks uint64 // O(n) walks taken because the cache is off/cold
 	Lock          sync2.Stats
@@ -113,6 +117,9 @@ type Manager struct {
 	extents []extentInfo
 	owned   uint32 // extents[:owned] all have a store: the free search starts there
 	nextID  uint32
+	// noFree says no extent was free after the last allocation; it is read
+	// without mu, like storeInfo.spent.
+	noFree atomic.Bool
 
 	allocs        atomic.Uint64
 	frees         atomic.Uint64
@@ -214,12 +221,30 @@ func (m *Manager) Root(id uint32) (page.ID, error) {
 // FixNew, which can block on latches and I/O) runs while the allocation
 // mutex is held — the pre-refactor behaviour of Figure 6; otherwise the
 // caller is expected to fix the page after AllocPage returns.
+//
+// Growing the volume is the longest step of an allocation, and under mu
+// every other store's allocation waits for it. So when the store's
+// extents were all full and no extent was free after the last allocation
+// (spent, noFree: read without mu), the volume grows before mu is taken,
+// and the grown extent is registered under it. A stale guess costs an
+// extent grown early, which stays free for the next store that needs one,
+// or a growth under mu.
 func (m *Manager) AllocPage(store uint32, fixInCS func(page.ID) error) (page.ID, error) {
 	s, err := m.store(store)
 	if err != nil {
 		return 0, err
 	}
+	var grown page.ID
+	if s.spent.Load() && m.noFree.Load() {
+		if grown, err = m.vol.Grow(ExtentSize); err != nil {
+			return 0, err
+		}
+		m.extentsGrown.Add(1)
+	}
 	m.mu.Lock()
+	if grown != 0 {
+		m.coverLocked(extentOf(grown))
+	}
 	pid, err := m.allocLocked(s)
 	if err != nil {
 		m.mu.Unlock()
@@ -248,45 +273,58 @@ func (m *Manager) AllocPage(store uint32, fixInCS func(page.ID) error) (page.ID,
 	return pid, nil
 }
 
-// allocLocked finds a free slot in the store's extents or grows the
-// volume by one extent. Caller holds mu. Both searches start at a bound
-// below which they would find nothing (s.full, m.owned), so growing a
-// store by an extent costs O(1) and not a scan of every extent — the
-// page chosen is the same.
+// allocLocked finds a free slot in the store's extents, else takes a free
+// extent for it, else grows the volume by one extent and takes that.
+// Caller holds mu. Both searches start at a bound below which they would
+// find nothing (s.full, m.owned), so growing a store by an extent costs
+// O(1) and not a scan of every extent — the page chosen is the same.
 func (m *Manager) allocLocked(s *storeInfo) (page.ID, error) {
 	// Shore "tends to fill one extent completely before moving on": scan
 	// the store's extents from the back.
 	for i := len(s.extents) - 1; i >= s.full; i-- {
 		e := s.extents[i]
 		if m.extents[e].bitmap != 0xff {
-			return m.claimInExtent(e), nil
+			pid := m.claimInExtent(e)
+			// Every extent but e is full when e is the last the scan
+			// could reach.
+			s.spent.Store(i == s.full && m.extents[e].bitmap == 0xff)
+			return pid, nil
 		}
 	}
 	s.full = len(s.extents)
-	// No room: grab a free extent or grow the volume.
-	for e := m.owned; e < uint32(len(m.extents)); e++ {
-		if m.extents[e].store == 0 {
-			m.owned = e + 1
-			m.extents[e].store = s.id
-			s.extents = append(s.extents, e)
-			sort.Slice(s.extents, func(i, j int) bool { return s.extents[i] < s.extents[j] })
-			s.full = 0
-			return m.claimInExtent(e), nil
+	for {
+		for e := m.owned; e < uint32(len(m.extents)); e++ {
+			if m.extents[e].store == 0 {
+				m.owned = e + 1
+				m.extents[e].store = s.id
+				// A grown extent is the store's highest and goes on the
+				// end; a freed one may go anywhere, and only the extents
+				// from its place on can have room.
+				i, _ := slices.BinarySearch(s.extents, e)
+				s.extents = slices.Insert(s.extents, i, e)
+				s.full = i
+				s.spent.Store(false)
+				m.noFree.Store(m.owned == uint32(len(m.extents)))
+				return m.claimInExtent(e), nil
+			}
 		}
+		m.owned = uint32(len(m.extents))
+		first, err := m.vol.Grow(ExtentSize)
+		if err != nil {
+			return 0, err
+		}
+		m.extentsGrown.Add(1)
+		m.coverLocked(extentOf(first))
 	}
-	m.owned = uint32(len(m.extents))
-	first, err := m.vol.Grow(ExtentSize)
-	if err != nil {
-		return 0, err
-	}
-	e := extentOf(first)
+}
+
+// coverLocked extends the extent table through extent e, whose pages the
+// volume has: the new entries are free. Caller holds mu.
+func (m *Manager) coverLocked(e uint32) {
 	for uint32(len(m.extents)) <= e {
 		m.extents = append(m.extents, extentInfo{})
+		m.noFree.Store(false)
 	}
-	m.extents[e].store = s.id
-	s.extents = append(s.extents, e)
-	m.extentsGrown.Add(1)
-	return m.claimInExtent(e), nil
 }
 
 // claimInExtent marks the first free page of extent e allocated.
@@ -325,6 +363,7 @@ func (m *Manager) freePageLocked(pid page.ID) {
 	if ok {
 		s.hint.CompareAndSwap(uint64(pid), 0)
 		s.full = 0
+		s.spent.Store(false)
 	}
 	// A fully free extent returns to the pool.
 	if m.extents[e].bitmap == 0 {
@@ -338,16 +377,30 @@ func (m *Manager) freePageLocked(pid page.ID) {
 		}
 		m.extents[e].store = 0
 		m.owned = min(m.owned, e)
+		m.noFree.Store(false)
 	}
 }
 
 // ExtentCache is a caller-owned (conceptually thread-local) cache of the
 // most recent extent-membership lookups — the §6.2.2 fix that "cut the
 // number of page checks by over 95%". The zero value is ready to use.
+// It counts its own hits, so a hit writes nothing shared; FoldCacheHits
+// moves them into the manager's Stats.
 type ExtentCache struct {
 	extent uint32
 	store  uint32
 	valid  bool
+	hits   uint64 // since the last FoldCacheHits
+}
+
+// FoldCacheHits adds the hits cache counted since its last fold to the
+// manager's CacheHits. The owner calls it when it is done with a batch of
+// checks (the engine: once per transaction, when it releases its locks).
+func (m *Manager) FoldCacheHits(cache *ExtentCache) {
+	if cache.hits > 0 {
+		m.cacheHits.Add(cache.hits)
+		cache.hits = 0
+	}
 }
 
 // StoreOf returns the store owning pid, consulting cache (if enabled and
@@ -355,7 +408,7 @@ type ExtentCache struct {
 func (m *Manager) StoreOf(pid page.ID, cache *ExtentCache) (uint32, error) {
 	e := extentOf(pid)
 	if m.opts.ExtentCache && cache != nil && cache.valid && cache.extent == e {
-		m.cacheHits.Add(1)
+		cache.hits++
 		return cache.store, nil
 	}
 	m.cacheMisses.Add(1)
@@ -372,7 +425,7 @@ func (m *Manager) StoreOf(pid page.ID, cache *ExtentCache) (uint32, error) {
 // remember fills cache with extent e's owner, if the cache is on.
 func (m *Manager) remember(cache *ExtentCache, e, store uint32) {
 	if m.opts.ExtentCache && cache != nil {
-		*cache = ExtentCache{extent: e, store: store, valid: true}
+		cache.extent, cache.store, cache.valid = e, store, true
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/disk"
 	"repro/internal/page"
@@ -107,6 +108,7 @@ func TestExtentCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	m.FoldCacheHits(&cache)
 	st := m.Stats()
 	if st.CacheMisses != misses {
 		t.Errorf("cache misses grew: %d -> %d", misses, st.CacheMisses)
@@ -416,14 +418,16 @@ func TestConcurrentAllocation(t *testing.T) {
 			opts := fullOpts()
 			opts.Mutex = kind
 			m, _ := newMgr(opts)
-			s := m.CreateStore(KindHeap)
+			// Two stores, so an extent one allocator grew the volume for
+			// can be taken by the other store's.
+			stores := []uint32{m.CreateStore(KindHeap), m.CreateStore(KindHeap)}
 			const g, n = 8, 50
 			var mu sync.Mutex
-			seen := map[page.ID]bool{}
+			seen := map[page.ID]uint32{}
 			var wg sync.WaitGroup
 			for w := 0; w < g; w++ {
 				wg.Add(1)
-				go func() {
+				go func(s uint32) {
 					defer wg.Done()
 					for i := 0; i < n; i++ {
 						p, err := m.AllocPage(s, nil)
@@ -432,17 +436,22 @@ func TestConcurrentAllocation(t *testing.T) {
 							return
 						}
 						mu.Lock()
-						if seen[p] {
+						if _, dup := seen[p]; dup {
 							t.Errorf("page %v allocated twice", p)
 						}
-						seen[p] = true
+						seen[p] = s
 						mu.Unlock()
 					}
-				}()
+				}(stores[w%2])
 			}
 			wg.Wait()
 			if len(seen) != g*n {
 				t.Fatalf("allocated %d distinct pages, want %d", len(seen), g*n)
+			}
+			for p, s := range seen {
+				if got, err := m.StoreOf(p, nil); err != nil || got != s {
+					t.Errorf("page %v allocated to store %d belongs to %d (%v)", p, s, got, err)
+				}
 			}
 			if m.Stats().Allocs != g*n {
 				t.Errorf("alloc counter = %d", m.Stats().Allocs)
@@ -507,5 +516,65 @@ func TestStoresList(t *testing.T) {
 	}
 	if KindHeap.String() != "heap" || KindBTree.String() != "btree" {
 		t.Error("kind strings")
+	}
+}
+
+// gateGrowVolume parks a Grow, once armed, until it is let go.
+type gateGrowVolume struct {
+	disk.Volume
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (v *gateGrowVolume) Grow(n int) (page.ID, error) {
+	if v.armed.Swap(false) {
+		close(v.entered)
+		<-v.release
+	}
+	return v.Volume.Grow(n)
+}
+
+// TestGrowOutsideMutex: a store whose extents are full grows the volume
+// without the space mutex, so another store's allocation goes on while the
+// device call is in flight.
+func TestGrowOutsideMutex(t *testing.T) {
+	v := &gateGrowVolume{Volume: disk.NewMem(0), entered: make(chan struct{}), release: make(chan struct{})}
+	m := NewManager(v, fullOpts())
+	a, b := m.CreateStore(KindHeap), m.CreateStore(KindHeap)
+	for i := 0; i < ExtentSize; i++ { // a fills its extent
+		if _, err := m.AllocPage(a, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.AllocPage(b, nil); err != nil { // b has room left, and no extent is free
+		t.Fatal(err)
+	}
+	v.armed.Store(true)
+	grew := make(chan page.ID, 1)
+	go func() {
+		p, err := m.AllocPage(a, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		grew <- p
+	}()
+	<-v.entered
+	other := make(chan page.ID, 1)
+	go func() {
+		p, err := m.AllocPage(b, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		other <- p
+	}()
+	select {
+	case <-other:
+	case <-time.After(5 * time.Second):
+		t.Error("an allocation with room waited for another store's volume growth")
+	}
+	close(v.release)
+	if p := <-grew; p != 2*ExtentSize+1 {
+		t.Errorf("a's ninth page = %v, want the grown extent's first, %v", p, 2*ExtentSize+1)
 	}
 }

@@ -52,29 +52,32 @@ type ringLog struct {
 	stop   chan struct{}
 	done   chan struct{}
 	closed atomic.Bool
+	start  uint64 // head when the manager opened: InsertedBytes is head − start
 
-	// Every insert reads the fields above and writes the two marks below: the
+	// Every insert reads the fields above and writes the marks below: the
 	// padding gives the marks a cache line of their own (~2 % of insert CPU).
-	_      [64]byte
-	head   atomic.Uint64
-	copied atomic.Uint64
-	_      [64]byte
+	// The insert counter rides on that line, which the insert has just
+	// taken; the bytes inserted are not counted at all, but read off head.
+	_       [64]byte
+	head    atomic.Uint64
+	copied  atomic.Uint64
+	inserts atomic.Uint64
+	_       [64]byte
 
 	flushMu sync2.BlockingLock // serializes drains
 	written uint64             // store holds every byte below it; guarded by flushMu
 
-	inserts       atomic.Uint64
-	insertedBytes atomic.Uint64
-	flushes       atomic.Uint64
-	flushedBytes  atomic.Uint64
-	insertWaits   atomic.Uint64
+	flushes      atomic.Uint64
+	flushedBytes atomic.Uint64
+	insertWaits  atomic.Uint64
 }
 
 // reserver is a log design.
 type reserver interface {
 	// reserve claims ring bytes [r, r+size) for rec, first getting room
 	// for them if the ring is full. The size is rec's at r, so it is
-	// computed inside the reservation. On error nothing is held.
+	// computed inside the reservation, and so is the check of rec's
+	// back-links against r (checkLinks). On error nothing is held.
 	reserve(l *ringLog, rec *Record, clr bool) (r, size uint64, err error)
 	// publish moves copied past the record the caller has put at r, once
 	// every earlier record is there, and releases what reserve took.
@@ -95,6 +98,7 @@ func newRingLog(store Store, bufSize int, d Design) *ringLog {
 	// (written), whether or not it counts all of them durable, and the
 	// ring never rewrites them.
 	start := max(uint64(store.Size()), logHeaderSize)
+	l.start = start
 	l.head.Store(start)
 	l.copied.Store(start)
 	l.written = start
@@ -121,6 +125,10 @@ type coupled struct{ mu sync2.BlockingLock }
 func (p *coupled) reserve(l *ringLog, rec *Record, _ bool) (uint64, uint64, error) {
 	p.mu.Lock()
 	r := l.head.Load() // fixed while mu is held
+	if err := checkLinks(rec, r); err != nil {
+		p.mu.Unlock()
+		return 0, 0, err
+	}
 	size := uint64(rec.sizeAt(LSN(r)))
 	if !l.fits(r, size, uint64(l.gc.get())) {
 		// Synchronous flush on the insert path — the defining flaw. It
@@ -167,6 +175,10 @@ func (p *decoupled) reserve(l *ringLog, rec *Record, clr bool) (r, size uint64, 
 	}
 	p.insertMu.Lock()
 	r = l.head.Load() // fixed while insertMu is held
+	if err := checkLinks(rec, r); err != nil {
+		p.release(clr)
+		return 0, 0, err
+	}
 	size = uint64(rec.sizeAt(LSN(r)))
 	if !l.fits(r, size, p.cachedTail) {
 		if p.cachedTail, err = l.awaitSpace(r, size); err != nil {
@@ -211,6 +223,11 @@ type consolidated struct {
 func (p *consolidated) reserve(l *ringLog, rec *Record, _ bool) (uint64, uint64, error) {
 	for {
 		r := l.head.Load()
+		// A stale r is below the LSN the record gets, and every record
+		// this one links to is below r already: the check holds at both.
+		if err := checkLinks(rec, r); err != nil {
+			return 0, 0, err
+		}
 		size := uint64(rec.sizeAt(LSN(r))) // again on every attempt: r moves
 		// durable is read after head and can already be past a stale r+size.
 		// That fits (see fits); the CAS then fails and re-reads.
@@ -221,8 +238,8 @@ func (p *consolidated) reserve(l *ringLog, rec *Record, _ bool) (uint64, uint64,
 			continue
 		}
 		if l.head.CompareAndSwap(r, r+size) {
-			// The reservation cannot be returned, which is why insert
-			// checked everything that could refuse the record before it.
+			// The reservation cannot be returned, which is why everything
+			// that could refuse the record was checked before it.
 			return r, size, nil
 		}
 		p.retries.Add(1)
@@ -258,6 +275,14 @@ func (p *consolidated) lockStats(l *ringLog) sync2.Stats {
 		Contended:    p.retries.Load(),
 		SpinIters:    p.publishSpins.Load(),
 	}
+}
+
+// checkLinks refuses rec at r unless every record it links to is below r.
+func checkLinks(rec *Record, r uint64) error {
+	if !linkOK(LSN(r), rec.PrevLSN) || !linkOK(LSN(r), rec.UndoNext) {
+		return fmt.Errorf("%w: back-link of a record inserted at %v", ErrInvalidLSN, LSN(r))
+	}
+	return nil
 }
 
 // fits reports whether reserving [r, r+size) keeps the live bytes within
@@ -317,11 +342,6 @@ func (l *ringLog) insert(rec *Record, clr bool) (LSN, error) {
 	if rec.tooLarge() || rec.maxSize() > len(l.ring) {
 		return NullLSN, ErrRecordTooLarge
 	}
-	// Every record this one links to is below the head, and so below
-	// whatever LSN it gets.
-	if head := LSN(l.head.Load()); !linkOK(head, rec.PrevLSN) || !linkOK(head, rec.UndoNext) {
-		return NullLSN, fmt.Errorf("%w: back-link of a record inserted at %v", ErrInvalidLSN, head)
-	}
 	r, size, err := l.policy.reserve(l, rec, clr)
 	if err != nil {
 		return NullLSN, err
@@ -331,7 +351,6 @@ func (l *ringLog) insert(rec *Record, clr bool) (LSN, error) {
 	l.policy.publish(l, r, size, clr)
 
 	l.inserts.Add(1)
-	l.insertedBytes.Add(size)
 	// A waiter's target reaches into this record, whose bytes the drain it
 	// asked for may have missed; or the ring is over half full.
 	if r < l.gc.want.Load() {
@@ -447,7 +466,7 @@ func (l *ringLog) Subscribe(upTo LSN) <-chan error {
 func (l *ringLog) Stats() ManagerStats {
 	return ManagerStats{
 		Inserts:       l.inserts.Load(),
-		InsertedBytes: l.insertedBytes.Load(),
+		InsertedBytes: l.head.Load() - l.start,
 		Flushes:       l.flushes.Load(),
 		FlushedBytes:  l.flushedBytes.Load(),
 		InsertWaits:   l.insertWaits.Load(),
