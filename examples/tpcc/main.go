@@ -2,22 +2,21 @@
 // mix (88% of the TPC-C transaction mix, per §3.2 of the paper),
 // demonstrating the workloads of Figure 5 on the context-aware API: the
 // run is bounded by a context deadline, each transaction runs under the
-// engine's managed retry (no hand-rolled deadlock loops), and cancellation
-// drains the workers mid-wait instead of at the next iteration boundary.
+// engine's managed retry (no hand-rolled deadlock loops), and the deadline
+// drains the clients mid-wait instead of at the next iteration boundary.
+// The run ends with an audit of the database against what the clients
+// were told, and exits 1 if it fails or a transaction did.
 package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
-	"sync"
-	"sync/atomic"
+	"os"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/disk"
-	"repro/internal/lock"
 	"repro/internal/tpcc"
 	"repro/internal/wal"
 )
@@ -39,69 +38,40 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	base, err := db.Baseline(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	const clients = 4
+	// Four clients, each homed on a warehouse, draw Payment and New Order
+	// half and half until the deadline. A transaction the deadline cuts
+	// off gets no answer; it may still commit.
 	const duration = 2 * time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), duration)
 	defer cancel()
-
-	var payments, orders, rollbacks atomic.Uint64
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			r := tpcc.NewRand(int64(c))
-			home := uint32(c%scale.Warehouses + 1)
-			for ctx.Err() == nil {
-				// The §3.2 mix: Payment and New Order alternating, each a
-				// managed transaction — deadlock victims retry inside the
-				// engine, and the context deadline unblocks any lock wait.
-				err := db.PaymentCtx(ctx, tpcc.GenPayment(r, scale, home))
-				switch {
-				case err == nil:
-					payments.Add(1)
-				case errors.Is(err, lock.ErrCanceled):
-					return // deadline: drain
-				default:
-					log.Fatal("payment: ", err)
-				}
-				err = db.NewOrderCtx(ctx, tpcc.GenNewOrder(r, scale, home))
-				switch {
-				case err == nil:
-					orders.Add(1)
-				case errors.Is(err, tpcc.ErrUserAbort):
-					rollbacks.Add(1) // the spec's 1% intentional aborts
-				case errors.Is(err, lock.ErrCanceled):
-					return // deadline: drain
-				default:
-					log.Fatal("new order: ", err)
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
+	tally := tpcc.NewTally(scale)
+	tpcc.Drive(ctx, db.Executor, tpcc.Mix{tpcc.Payment: 50, tpcc.NewOrder: 50}, 4, 0, tally)
 
 	secs := duration.Seconds()
-	fmt.Printf("payments:   %6d (%7.1f tps)\n", payments.Load(), float64(payments.Load())/secs)
-	fmt.Printf("new orders: %6d (%7.1f tps)\n", orders.Load(), float64(orders.Load())/secs)
-	fmt.Printf("rollbacks:  %6d (intentional)\n", rollbacks.Load())
-
-	// Consistency audit: district order counters vs ORDERS rows.
-	t, _ := engine.Begin()
-	totalOrders := 0
-	if err := engine.IndexScan(t, db.Orders, nil, nil, func(k, v []byte) bool {
-		totalOrders++
-		return true
-	}); err != nil {
-		log.Fatal(err)
-	}
-	if err := engine.Commit(t); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("ORDERS rows: %d (== committed new orders: %v)\n",
-		totalOrders, uint64(totalOrders) == orders.Load())
+	pay, no := tally.Acked[tpcc.Payment].Load(), tally.Acked[tpcc.NewOrder].Load()
+	fmt.Printf("payments:   %6d (%7.1f tps)\nnew orders: %6d (%7.1f tps)\n", pay, float64(pay)/secs, no, float64(no)/secs)
+	fmt.Printf("rollbacks:  %6d (intentional); %d failed, %d cut off by the deadline\n",
+		tally.Aborted[tpcc.NewOrder].Load(), tally.Failed.Sum(), tally.Cut.Sum())
 	st := engine.Stats()
 	fmt.Printf("engine: %d lock acquires, %d waits, %d deadlocks, %d canceled waits, %d log inserts\n",
 		st.Lock.Acquires, st.Lock.Waits, st.Lock.Deadlocks, st.Lock.Cancels, st.Log.Inserts)
+
+	// Audit: every index verifies, TPC-C's consistency conditions hold,
+	// and ORDERS, NEW-ORDER, ORDER-LINE and HISTORY grew by at least what
+	// was acknowledged and at most that plus what got no answer.
+	err = db.Audit(context.Background(), base, tally)
+	if n := tally.Failed.Sum(); err == nil && n > 0 {
+		err = fmt.Errorf("%d transactions failed: %v", n, tally.Errors)
+	}
+	if err != nil {
+		fmt.Println("audit: FAILED:", err)
+		engine.Close()
+		os.Exit(1)
+	}
+	fmt.Println("audit: ok")
 }

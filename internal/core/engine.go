@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -303,6 +304,10 @@ func (v doraEnv) Commit(t *tx.Tx, readonly bool) error {
 
 func (v doraEnv) Abort(t *tx.Tx) error { return v.e.Abort(t) }
 
+// Precommit puts one commit record for all of ts in the log; Commit then
+// finishes each of them.
+func (v doraEnv) Precommit(ts []*tx.Tx) error { return v.e.precommit(ts...) }
+
 // Commit makes t durable. Every commit flavour is one sequence: the commit
 // record (publishCommit), one wait for the harden target (awaitDurable),
 // then the transaction retires. CommitPipeline decides one thing, where
@@ -343,14 +348,16 @@ func (e *Engine) CommitCtx(ctx context.Context, t *tx.Tx) error {
 // whoever acquires one of them observes it. From here t cannot abort; a
 // crash before its harden target is durable rolls it back at restart (the
 // commit record never reached the disk, so analysis sees a loser).
-func (e *Engine) precommit(t *tx.Tx) error {
-	target, err := e.publishCommit(t)
+func (e *Engine) precommit(ts ...*tx.Tx) error {
+	target, err := e.publishCommit(ts...)
 	if err != nil {
 		return err
 	}
 	if e.cfg.CommitPipeline {
 		e.locks.RaiseELR(uint64(target))
-		e.releaseLocks(t)
+		for _, t := range ts {
+			e.releaseLocks(t)
+		}
 	}
 	return nil
 }
@@ -401,16 +408,20 @@ func (e *Engine) CommitDetached(t *tx.Tx) {
 }
 
 // publishCommit is the commit point shared by every commit flavor: it
-// inserts t's commit record and enters StateCommitting atomically with
-// respect to checkpoint snapshots (shared ckptMu; see its comment), and
-// stamps the harden target — CurLSN as a group-commit-friendly cover of
-// the record, raised to any observed ELR horizon so t's acknowledgment
-// stays ordered behind every early releaser whose data it may have read
-// (the horizon is zero without CommitPipeline).
-func (e *Engine) publishCommit(t *tx.Tx) (wal.LSN, error) {
+// inserts one commit record for ts and moves each of them to
+// StateCommitting atomically with respect to checkpoint snapshots (shared
+// ckptMu; see its comment), and stamps the harden target — CurLSN as a
+// group-commit-friendly cover of the record, raised to any observed ELR
+// horizon so the acknowledgment stays ordered behind every early releaser
+// whose data it may have read (the horizon is zero without
+// CommitPipeline). The record is ts[0]'s and its redo payload names the
+// others (their ids, uvarints), so restart recovery finds all of them
+// committed or none: the sub-transactions of a partitioned transaction
+// (doraEnv.Precommit) cannot be torn by a crash.
+func (e *Engine) publishCommit(ts ...*tx.Tx) (wal.LSN, error) {
 	e.ckptMu.RLock()
 	defer e.ckptMu.RUnlock()
-	if st := t.Stamp(); st != nil && e.mvcc != nil {
+	if e.mvcc != nil {
 		// Pending floor: between here and the stamp store below, this
 		// commit is in the log but its versions are unstamped. New
 		// snapshots are clamped below the floor so they see the commit as
@@ -419,31 +430,46 @@ func (e *Engine) publishCommit(t *tx.Tx) (wal.LSN, error) {
 		// visible, while this commit's stamp will land strictly above it.
 		// The deferred EndPublish also covers the insert-failure path
 		// (the stamp stays 0: still invisible).
-		e.mvcc.BeginPublish(st, uint64(e.log.CurLSN())+1)
-		defer e.mvcc.EndPublish(st)
+		for _, t := range ts {
+			if st := t.Stamp(); st != nil {
+				e.mvcc.BeginPublish(st, uint64(e.log.CurLSN())+1)
+			}
+		}
+		defer func() {
+			for _, t := range ts {
+				if st := t.Stamp(); st != nil {
+					e.mvcc.EndPublish(st)
+				}
+			}
+		}()
 	}
-	lsn, err := e.log.Insert(&wal.Record{
-		Type: wal.RecTxCommit, TxID: t.ID(), PrevLSN: t.LastLSN(),
-	})
+	rec := wal.Record{Type: wal.RecTxCommit, TxID: ts[0].ID(), PrevLSN: ts[0].LastLSN()}
+	for _, t := range ts[1:] {
+		rec.Redo = binary.AppendUvarint(rec.Redo, t.ID())
+	}
+	lsn, err := e.log.Insert(&rec)
 	if err != nil {
 		return wal.NullLSN, err
 	}
-	t.RecordLog(lsn)
+	ts[0].RecordLog(lsn)
 	target := e.log.CurLSN()
-	if h := t.ELRHorizon(); h > target {
-		target = h
+	for _, t := range ts {
+		target = max(target, t.ELRHorizon())
 	}
-	t.SetHardenTarget(target)
-	if st := t.Stamp(); st != nil {
-		// Stamp with the harden target, not the commit record's own LSN:
-		// a snapshot S only admits stamps strictly below it, and S never
-		// exceeds the durable horizon, so stamp < S proves the whole
-		// commit record is on disk. Folding the ELR horizon keeps stamps
-		// ordered behind every early releaser whose data t read.
-		st.Commit(uint64(target))
-	}
-	if err := e.txns.BeginCommit(t); err != nil {
-		return wal.NullLSN, err
+	for _, t := range ts {
+		t.SetHardenTarget(target)
+		if st := t.Stamp(); st != nil {
+			// Stamp with the harden target, not the commit record's own
+			// LSN: a snapshot S only admits stamps strictly below it, and
+			// S never exceeds the durable horizon, so stamp < S proves the
+			// whole commit record is on disk. Folding the ELR horizon
+			// keeps stamps ordered behind every early releaser whose data
+			// t read.
+			st.Commit(uint64(target))
+		}
+		if err := e.txns.BeginCommit(t); err != nil {
+			return wal.NullLSN, err
+		}
 	}
 	return target, nil
 }

@@ -815,3 +815,49 @@ func TestEngineStatsPopulated(t *testing.T) {
 		t.Errorf("stats look empty: %+v", st)
 	}
 }
+
+// TestGroupCommitRecoversAsOne: one commit record commits a group of
+// transactions (a partitioned transaction's sub-transactions), so restart
+// recovery keeps every member's writes, not only those of the member
+// whose id the record carries.
+func TestGroupCommitRecoversAsOne(t *testing.T) {
+	vol, logStore := disk.NewMem(0), wal.NewMemSegmentStore(0)
+	e, err := Open(vol, logStore, StageConfig(StageFinal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := createTable(t, e)
+	var group []*tx.Tx
+	for i := 0; i < 3; i++ {
+		tr, _ := e.Begin()
+		if _, err := e.HeapInsert(tr, store, []byte(fmt.Sprintf("member-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		group = append(group, tr)
+	}
+	if err := e.precommit(group...); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range group {
+		if err := e.Commit(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.CrashHard()
+	e2, err := Open(vol, logStore, StageConfig(StageFinal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	tr, _ := e2.Begin()
+	n := 0
+	if err := e2.HeapScan(tr, store, func(page.RID, []byte) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(group) {
+		t.Fatalf("%d of the group's %d rows survived the crash", n, len(group))
+	}
+	if err := e2.Commit(tr); err != nil {
+		t.Fatal(err)
+	}
+}

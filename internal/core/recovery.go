@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -142,6 +143,14 @@ func (e *Engine) analyze() (losers map[uint64]*loserState, dpt map[page.ID]wal.L
 			}
 		case wal.RecTxCommit, wal.RecTxEnd:
 			delete(losers, rec.TxID)
+			for b := rec.Redo; len(b) > 0; { // a group commit (publishCommit)
+				id, n := binary.Uvarint(b)
+				if n <= 0 {
+					return nil, nil, 0, 0, fmt.Errorf("%w: group commit at %v", wal.ErrCorrupt, rec.LSN)
+				}
+				delete(losers, id)
+				b = b[n:]
+			}
 		case wal.RecTxAbort:
 			if l := losers[rec.TxID]; l != nil {
 				l.lastLSN = rec.LSN

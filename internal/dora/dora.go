@@ -68,6 +68,10 @@ type Env interface {
 	Begin(ctx context.Context) (*tx.Tx, error)
 	Commit(t *tx.Tx, readonly bool) error
 	Abort(t *tx.Tx) error
+	// Precommit makes the writing sub-transactions of a cross-partition
+	// transaction commit as one, before each partition finishes its own
+	// with Commit: a crash must keep all of them or none.
+	Precommit(ts []*tx.Tx) error
 }
 
 // Options configures an Executor.
@@ -207,6 +211,7 @@ type Executor struct {
 	// never take it.
 	submitMu sync.Mutex
 	closed   atomic.Bool
+	stopped  chan struct{} // closed once every owner has exited
 
 	// router, when set, replaces the modulo default of Route. Installed
 	// by the PLP layer before the first transaction, so the executor and
@@ -233,7 +238,7 @@ func NewExecutor(env Env, opts Options) *Executor {
 		logf("dora: clamping %d partitions to %d routing keys (extra owners would idle)", n, opts.Keys)
 		n = opts.Keys
 	}
-	x := &Executor{env: env, parts: make([]*partition, n)}
+	x := &Executor{env: env, parts: make([]*partition, n), stopped: make(chan struct{})}
 	for i := range x.parts {
 		p := &partition{x: x, id: i, locks: make(map[uint64]*lockEntry), exited: make(chan struct{})}
 		p.cond = sync.NewCond(&p.mu)
@@ -305,7 +310,12 @@ func (x *Executor) Submit(t *Txn) error {
 		}
 		x.submitMu.Unlock()
 	}
-	return <-t.done
+	select {
+	case err := <-t.done:
+		return err
+	case <-x.stopped: // Close raced t, as a crash does: restart recovery settles it
+		return ErrClosed
+	}
 }
 
 // Close stops the partition owners after they drain their queues. The
@@ -324,6 +334,7 @@ func (x *Executor) Close() {
 	for _, p := range x.parts {
 		<-p.exited
 	}
+	close(x.stopped)
 }
 
 // PartitionStats reports one partition owner's activity.

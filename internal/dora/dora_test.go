@@ -18,10 +18,11 @@ import (
 // real *tx.Tx handles and Commit/Abort only count, which is all the
 // executor's own invariants need.
 type fakeEnv struct {
-	m         *tx.Manager
-	commits   atomic.Uint64
-	roCommits atomic.Uint64
-	aborts    atomic.Uint64
+	m          *tx.Manager
+	commits    atomic.Uint64
+	roCommits  atomic.Uint64
+	aborts     atomic.Uint64
+	precommits atomic.Uint64 // sub-transactions precommitted as a group
 }
 
 func newFakeEnv() *fakeEnv { return &fakeEnv{m: tx.NewManager(tx.Options{})} }
@@ -34,6 +35,11 @@ func (f *fakeEnv) Commit(t *tx.Tx, readonly bool) error {
 	} else {
 		f.commits.Add(1)
 	}
+	return nil
+}
+
+func (f *fakeEnv) Precommit(ts []*tx.Tx) error {
+	f.precommits.Add(uint64(len(ts)))
 	return nil
 }
 
@@ -197,8 +203,8 @@ func TestDependentReceivesInput(t *testing.T) {
 	if got.Load() != 42 {
 		t.Fatalf("dependent input = %d, want 42", got.Load())
 	}
-	if env.commits.Load() != 2 {
-		t.Fatalf("commits = %d, want 2", env.commits.Load())
+	if env.commits.Load() != 2 || env.precommits.Load() != 2 {
+		t.Fatalf("commits = %d, precommitted as one = %d; want 2, 2", env.commits.Load(), env.precommits.Load())
 	}
 }
 
@@ -391,5 +397,36 @@ func TestStressNoDeadlock(t *testing.T) {
 	}
 	if env.commits.Load() != uint64(st.Routed) {
 		t.Fatalf("commits %d != routed actions %d", env.commits.Load(), st.Routed)
+	}
+}
+
+// TestSubmitReturnsAfterClose: a crash closes the executor under running
+// transactions. Here the partition that would apply A's decision has
+// already exited when A's last action finishes, so A can never finish;
+// Submit must return ErrClosed once the owners are gone instead of
+// waiting for it forever.
+func TestSubmitReturnsAfterClose(t *testing.T) {
+	x := NewExecutor(newFakeEnv(), Options{Partitions: 2})
+	entered, gate := make(chan struct{}), make(chan struct{})
+	a := x.NewTxn(context.Background())
+	a.Add(ActionSpec{Partition: 0, Run: func(context.Context, *tx.Tx, uint64) error {
+		close(entered)
+		<-gate
+		return nil
+	}})
+	a.Add(ActionSpec{Partition: 1, Run: func(context.Context, *tx.Tx, uint64) error { return nil }})
+	done := make(chan error, 1)
+	go func() { done <- x.Submit(a) }()
+	<-entered
+	go x.Close()
+	<-x.parts[1].exited
+	close(gate)
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("Submit = %v, want ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Submit still waiting 10 s after Close")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/lock"
+	"repro/internal/tx"
 )
 
 // message is one input-queue entry for a partition owner.
@@ -323,6 +324,19 @@ func (p *partition) wakeDependents(t *Txn) {
 // actions, via msgFinish for remote ones.
 func (p *partition) decide(t *Txn) {
 	commit := !t.failed.Load()
+	if commit && t.multi {
+		var subs []*tx.Tx
+		for _, a := range t.actions {
+			if a.sub != nil && !a.readonly {
+				subs = append(subs, a.sub)
+			}
+		}
+		if len(subs) > 1 {
+			if err := p.x.env.Precommit(subs); err != nil {
+				t.actions[0].err, commit = err, false
+			}
+		}
+	}
 	if !commit {
 		p.x.abortedTx.Add(1)
 	}

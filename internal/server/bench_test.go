@@ -45,11 +45,11 @@ func newBenchServer(b testing.TB, opts Options, warehouses int) (*testServer, tp
 	return &testServer{db: db, srv: srv, addr: l.Addr().String()}, scale
 }
 
-// BenchmarkServerRemote drives the TPC-C mix over the wire: every
-// transaction is two round trips (read batch, then write batch with
-// commit) through admission control, with client-side retry absorbing
-// deadlock victims, lock timeouts and shed requests. The clients=256
-// variant exercises connection counts far above GOMAXPROCS; overload
+// BenchmarkServerRemote drives the TPC-C Payment / New Order mix over the
+// wire: every transaction is one round trip through admission control,
+// with client-side retry absorbing deadlock victims, lock timeouts and
+// shed requests. The clients=256 variant exercises connection counts far
+// above GOMAXPROCS; overload
 // points many clients at a deliberately tiny pool and reports how much
 // load is shed and, as x-of-clients=16, how well throughput holds: its
 // tx/s over the unconstrained clients=16 run's. Graceful degradation
@@ -72,79 +72,39 @@ func BenchmarkServerRemote(b *testing.B) {
 	})
 }
 
-// benchRemoteTPCC returns the committed transactions per second.
+// benchRemoteTPCC runs clients on their own connections until b.N
+// transactions have been answered and returns the committed transactions
+// per second.
 func benchRemoteTPCC(b *testing.B, opts Options, clients int) float64 {
 	ts, scale := newBenchServer(b, opts, 2)
-	ctx := context.Background()
 	stats := &tpcc.RemoteStats{}
-
-	var remaining atomic.Int64
-	remaining.Store(int64(b.N))
-	var failures, aborts atomic.Uint64
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := client.Dial(ts.addr, client.Options{Timeout: 60 * time.Second})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			defer func() { c.Close() }()
-			r, err := tpcc.OpenRemote(ctx, c, stats)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			r.Scale = scale
-			rng := tpcc.NewRand(7919*int64(i) + 1)
-			home := uint32(i%scale.Warehouses) + 1
-			<-start
-			for j := 0; remaining.Add(-1) >= 0; j++ {
-				if c.Closed() { // transport error poisoned the conn: redial
-					if c, err = client.Dial(ts.addr, client.Options{Timeout: 60 * time.Second}); err != nil {
-						b.Error(err)
-						return
-					}
-					if r, err = tpcc.OpenRemote(ctx, c, stats); err != nil {
-						b.Error(err)
-						return
-					}
-					r.Scale = scale
-				}
-				if j%2 == 0 {
-					err = r.Payment(ctx, tpcc.GenPayment(rng, scale, home))
-				} else {
-					err = r.NewOrder(ctx, tpcc.GenNewOrder(rng, scale, home))
-				}
-				switch {
-				case err == nil:
-				case errors.Is(err, tpcc.ErrUserAbort):
-					aborts.Add(1) // the spec's 1% rollback: a success
-				default:
-					failures.Add(1)
-				}
-			}
-		}(i)
+	tally := tpcc.NewTally(scale)
+	answered := func() int {
+		return int(tally.Acked.Sum() + tally.Aborted.Sum() + tally.Failed.Sum())
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		for answered() < b.N {
+			time.Sleep(100 * time.Microsecond)
+		}
+		cancel()
+	}()
 	b.ResetTimer()
-	close(start)
-	wg.Wait()
+	tpcc.Drive(ctx, tpcc.Redial(ts.addr, stats), tpcc.Mix{tpcc.Payment: 50, tpcc.NewOrder: 50}, clients, 1, tally)
 	b.StopTimer()
 
+	n := float64(answered())
 	var tps float64
 	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
-		tps = float64(b.N) / elapsed
+		tps = float64(tally.Acked.Sum()+tally.Aborted.Sum()) / elapsed
 		b.ReportMetric(tps, "tx/s")
 	}
-	n := float64(b.N)
+	failures := tally.Failed.Sum()
 	b.ReportMetric(float64(stats.Sheds.Load())/n, "sheds/op")
 	b.ReportMetric(float64(stats.Deadlocks.Load()+stats.Timeouts.Load())/n, "retries/op")
-	b.ReportMetric(float64(failures.Load())/n, "failures/op")
-	if f := failures.Load(); f > uint64(b.N/5) {
-		b.Fatalf("%d of %d transactions failed hard", f, b.N)
+	b.ReportMetric(float64(failures)/n, "failures/op")
+	if failures > uint64(n/5) {
+		b.Fatalf("%d of %v transactions failed hard: %v", failures, n, tally.Errors)
 	}
 	if peak := ts.srv.Stats().SessionsPeak; int(peak) < clients {
 		b.Fatalf("sessions peak %d < %d clients", peak, clients)

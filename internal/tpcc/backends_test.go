@@ -11,51 +11,26 @@ import (
 	"time"
 
 	shoremt "repro"
-	"repro/client"
 	"repro/internal/page"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
 
-// backEnd is one way to run the plans: its entry points, the database it
+// backEnd is one way to run the plans: its executor, the database it
 // changes, and (remote only) the server's counters.
 type backEnd struct {
-	name        string
-	db          *DB
-	payment     func(PaymentInput) error
-	newOrder    func(NewOrderInput) error
-	orderStatus func(OrderStatusInput) (OrderStatusResult, error)
-	stockLevel  func(StockLevelInput) (int, error)
-	delivery    func(DeliveryInput) (int, error)
-	server      func() wire.ServerStats
+	name   string
+	db     *DB
+	ex     Executor
+	server func() wire.ServerStats
 }
 
-func embeddedBackEnd(name string, db *DB) backEnd {
-	ctx := context.Background()
-	return backEnd{
-		name: name, db: db,
-		payment:     func(in PaymentInput) error { return db.PaymentCtx(ctx, in) },
-		newOrder:    func(in NewOrderInput) error { return db.NewOrderCtx(ctx, in) },
-		orderStatus: func(in OrderStatusInput) (OrderStatusResult, error) { return db.OrderStatusCtx(ctx, in) },
-		stockLevel:  func(in StockLevelInput) (int, error) { return db.StockLevelCtx(ctx, in) },
-		delivery:    func(in DeliveryInput) (int, error) { return db.DeliveryCtx(ctx, in) },
-	}
-}
-
-func doraBackEnd(name string, db *DB) backEnd {
-	ctx := context.Background()
-	return backEnd{
-		name: name, db: db,
-		payment:     func(in PaymentInput) error { return db.DoraPayment(ctx, in) },
-		newOrder:    func(in NewOrderInput) error { return db.DoraNewOrder(ctx, in) },
-		orderStatus: func(in OrderStatusInput) (OrderStatusResult, error) { return db.DoraOrderStatus(ctx, in) },
-		stockLevel:  func(in StockLevelInput) (int, error) { return db.DoraStockLevel(ctx, in) },
-		delivery:    func(in DeliveryInput) (int, error) { return db.DoraDelivery(ctx, in) },
-	}
-}
+// localBackEnd runs the plans on db's engine, through the partition
+// executor when the engine has one.
+func localBackEnd(name string, db *DB) backEnd { return backEnd{name: name, db: db, ex: db.Executor()} }
 
 // remoteBackEnd serves a freshly loaded database from an in-process
-// server on loopback and drives it through one client.
+// server on loopback and drives it through one connection.
 func remoteBackEnd(t *testing.T, scale Scale) backEnd {
 	sdb, err := shoremt.Open(shoremt.Options{CleanerInterval: -1})
 	if err != nil {
@@ -75,12 +50,9 @@ func remoteBackEnd(t *testing.T, scale Scale) backEnd {
 	}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(l) }()
-	c, err := client.Dial(l.Addr().String(), client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := Redial(l.Addr().String(), &RemoteStats{})()
 	t.Cleanup(func() {
-		c.Close()
+		ex.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
@@ -89,20 +61,7 @@ func remoteBackEnd(t *testing.T, scale Scale) backEnd {
 		<-served
 		sdb.Close()
 	})
-	ctx := context.Background()
-	r, err := OpenRemote(ctx, c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return backEnd{
-		name: "remote", db: db,
-		payment:     func(in PaymentInput) error { return r.Payment(ctx, in) },
-		newOrder:    func(in NewOrderInput) error { return r.NewOrder(ctx, in) },
-		orderStatus: func(in OrderStatusInput) (OrderStatusResult, error) { return r.OrderStatus(ctx, in) },
-		stockLevel:  func(in StockLevelInput) (int, error) { return r.StockLevel(ctx, in) },
-		delivery:    func(in DeliveryInput) (int, error) { return r.Delivery(ctx, in) },
-		server:      srv.Stats,
-	}
+	return backEnd{name: "remote", db: db, ex: ex, server: srv.Stats}
 }
 
 // agreeScript is one seeded run of Payments and New Orders — remote
@@ -167,6 +126,7 @@ type agreeRun struct {
 // server runs in that frame, with no OpRollback after it.
 func (s agreeScript) run(t *testing.T, b backEnd) agreeRun {
 	var out agreeRun
+	ctx := context.Background()
 	count := func() wire.ServerStats {
 		if b.server == nil {
 			return wire.ServerStats{}
@@ -184,7 +144,7 @@ func (s agreeScript) run(t *testing.T, b backEnd) agreeRun {
 	for i := range s.payments {
 		if in := s.deliveries[i]; in.WID != 0 {
 			before := count()
-			n, err := b.delivery(in)
+			n, err := b.ex.Delivery(ctx, in)
 			if err != nil && !errors.Is(err, ErrNothingToDeliver) {
 				t.Fatalf("%s: delivery %d: %v", b.name, i, err)
 			}
@@ -192,12 +152,12 @@ func (s agreeScript) run(t *testing.T, b backEnd) agreeRun {
 			out.outcomes = append(out.outcomes, fmt.Sprintf("delivery %d: %d delivered (%v)", i, n, err))
 		}
 		before := count()
-		if err := b.payment(s.payments[i]); err != nil {
+		if err := b.ex.Payment(ctx, s.payments[i]); err != nil {
 			t.Fatalf("%s: payment %d: %v", b.name, i, err)
 		}
 		expect(fmt.Sprintf("payment %d", i), before)
 		before = count()
-		err := b.newOrder(s.newOrders[i])
+		err := b.ex.NewOrder(ctx, s.newOrders[i])
 		switch {
 		case err == nil:
 			expect(fmt.Sprintf("new order %d", i), before)
@@ -210,7 +170,7 @@ func (s agreeScript) run(t *testing.T, b backEnd) agreeRun {
 	}
 	for i, in := range s.orderStatus {
 		before := count()
-		res, err := b.orderStatus(in)
+		res, err := b.ex.OrderStatus(ctx, in)
 		if err != nil {
 			t.Fatalf("%s: order status %d: %v", b.name, i, err)
 		}
@@ -220,7 +180,7 @@ func (s agreeScript) run(t *testing.T, b backEnd) agreeRun {
 	}
 	for i, in := range s.stockLevel {
 		before := count()
-		low, err := b.stockLevel(in)
+		low, err := b.ex.StockLevel(ctx, in)
 		if err != nil {
 			t.Fatalf("%s: stock level %d: %v", b.name, i, err)
 		}
@@ -295,9 +255,9 @@ func TestBackEndsAgree(t *testing.T) {
 	scale := TinyScale()
 	script := newAgreeScript(scale)
 	backEnds := []backEnd{
-		embeddedBackEnd("embedded", newDB(t, scale)),
-		doraBackEnd("dora", newDoraDB(t, scale, 2)),
-		doraBackEnd("plp", newPlpDB(t, scale, 2)),
+		localBackEnd("embedded", newDB(t, scale)),
+		localBackEnd("dora", newDoraDB(t, scale, 2)),
+		localBackEnd("plp", newPlpDB(t, scale, 2)),
 		remoteBackEnd(t, scale),
 	}
 	want := script.run(t, backEnds[0])

@@ -12,23 +12,24 @@ import (
 func TestCheckConsistencyCatchesBrokenRows(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []struct {
-		condition string
-		brk       func(t *testing.T, w *txWriter)
+		name, condition string
+		brk             func(t *testing.T, w *txWriter)
 	}{
-		{"condition 1", func(t *testing.T, w *txWriter) {
+		{"condition 1", "condition 1", func(t *testing.T, w *txWriter) {
 			wh := readRow(t, w.db, w.t, wRow(1), decodeWarehouse)
 			wh.YTD++
 			w.update(wRow(1), wh.encode())
 		}},
-		{"condition 2", func(t *testing.T, w *txWriter) {
+		{"condition 2", "condition 2", func(t *testing.T, w *txWriter) {
 			dist := readRow(t, w.db, w.t, dRow(1, 1), decodeDistrict)
 			dist.NextOID++
 			w.update(dRow(1, 1), dist.encode())
 		}},
-		{"condition 3", func(t *testing.T, w *txWriter) { w.delete(row{t: tNewOrder, w: 1, d: 1, id: 3}) }},
-		{"condition 4", func(t *testing.T, w *txWriter) { w.delete(row{t: tOrderLine, w: 1, d: 2, id: 1, n: 1}) }},
+		{"missing order", "condition 2", func(t *testing.T, w *txWriter) { w.delete(oRow(1, 1, 2)) }},
+		{"condition 3", "condition 3", func(t *testing.T, w *txWriter) { w.delete(row{t: tNewOrder, w: 1, d: 1, id: 3}) }},
+		{"condition 4", "condition 4", func(t *testing.T, w *txWriter) { w.delete(row{t: tOrderLine, w: 1, d: 2, id: 1, n: 1}) }},
 	} {
-		t.Run(c.condition, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			db := newDB(t, TinyScale())
 			for i := uint32(1); i <= 4; i++ {
 				placeOrder(t, db, 1, 1, i, 1, 2)

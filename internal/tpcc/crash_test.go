@@ -2,96 +2,68 @@ package tpcc
 
 import (
 	"context"
-	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/wal"
 )
 
-// TestCrashKeepsAcknowledgedCommits is the crash audit of the commit path.
-// Two clients run Payment, New Order and Delivery until the plug is pulled
-// mid-stream (CrashHard: only what group commit made durable survives).
-// The database reopened over the same volume and log must hold every New
-// Order a client was told had committed, and pass TPC-C's consistency
-// conditions. A New Order in flight at the crash may survive or not.
+// TestCrashKeepsAcknowledgedCommits is the crash audit of the commit path,
+// on every stage of the ladder and on the partition executor, PLP and
+// snapshot reads at final. Two clients run the five transactions until the
+// plug is pulled mid-stream (CrashHard: only what group commit made
+// durable survives). The database reopened over the same volume and log
+// must pass Audit: whatever was in flight at the crash may survive or not,
+// but every acknowledged commit is there.
 func TestCrashKeepsAcknowledgedCommits(t *testing.T) {
-	for _, stage := range []core.Stage{core.StageFinal, core.StagePipeline} {
-		t.Run(stage.String(), func(t *testing.T) {
-			vol, logStore := disk.NewMem(0), wal.NewMemSegmentStore(0)
-			cfg := core.StageConfig(stage)
-			cfg.Frames = 2048
+	type config struct {
+		name string
+		cfg  core.Config
+	}
+	var configs []config
+	for _, stage := range core.Stages() {
+		configs = append(configs, config{stage.String(), core.StageConfig(stage)})
+	}
+	final := core.StageConfig(core.StageFinal)
+	dora, plp, snapshot := final, final, final
+	dora.DORA, plp.PLP, snapshot.Snapshot = true, true, true
+	configs = append(configs, config{"dora", dora}, config{"plp", plp}, config{"snapshot", snapshot})
+	for _, c := range configs {
+		t.Run(c.name, func(t *testing.T) {
+			scale := TinyScale()
+			vol, logStore, cfg := disk.NewMem(0), wal.NewMemSegmentStore(0), c.cfg
+			cfg.Frames, cfg.DoraPartitions, cfg.DoraKeys = 2048, 2, scale.Warehouses
 			e, err := core.Open(vol, logStore, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scale := TinyScale()
 			db, err := Load(e, scale, 42)
 			if err != nil {
 				e.Close()
 				t.Fatal(err)
 			}
-			before := nextOrderIDs(t, db)
+			base, err := db.Baseline(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
 
-			const clients, acks = 2, 300
-			var (
-				acked   atomic.Int64
-				crashed atomic.Bool
-				wg      sync.WaitGroup
-			)
-			enough, errs := make(chan struct{}), make(chan error, clients)
-			orders := make([][]uint32, clients) // acknowledged New Orders per district, per client
-			for c := range orders {
-				orders[c] = make([]uint32, len(before))
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					ctx, r, home := context.Background(), NewRand(int64(7+c)), uint32(c%scale.Warehouses+1)
-					for {
-						var err error
-						switch n := r.Int(1, 10); {
-						case n <= 4:
-							err = db.PaymentCtx(ctx, GenPayment(r, scale, home))
-						case n <= 9:
-							in := GenNewOrder(r, scale, home)
-							if err = db.NewOrderCtx(ctx, in); err == nil {
-								orders[c][district(scale, in.WID, in.DID)]++
-							}
-						default:
-							_, err = db.DeliveryCtx(ctx, GenDelivery(r, scale, home))
-						}
-						if errors.Is(err, ErrUserAbort) || errors.Is(err, ErrNothingToDeliver) {
-							err = nil
-						}
-						if err != nil {
-							if !crashed.Load() {
-								errs <- err
-							}
-							return
-						}
-						if acked.Add(1) == acks {
-							close(enough)
-						}
-					}
-				}(c)
-			}
-			stopped := make(chan struct{})
-			go func() { wg.Wait(); close(stopped) }()
-			select {
-			case <-enough:
-			case <-stopped:
-				t.Fatalf("a client stopped before the crash: %v", <-errs)
-			}
-			crashed.Store(true)
+			tally := NewTally(scale)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			drained := make(chan struct{})
+			go func() {
+				Drive(ctx, db.Executor, Mix{Payment: 40, NewOrder: 45, OrderStatus: 5, StockLevel: 5, Delivery: 5}, 2, 7, tally)
+				close(drained)
+			}()
+			awaitAcks(t, tally, 300)
+			failed := tally.Failed.Sum()
 			e.CrashHard()
-			<-stopped
-			select {
-			case err := <-errs:
-				t.Fatalf("a client failed before the crash: %v", err)
-			default:
+			cancel()
+			<-drained
+			if failed != 0 {
+				t.Fatalf("%d transactions failed before the crash: %v", failed, tally.Errors)
 			}
 
 			e2, err := core.Open(vol, logStore, cfg)
@@ -99,66 +71,23 @@ func TestCrashKeepsAcknowledgedCommits(t *testing.T) {
 				t.Fatalf("reopen: %v", err)
 			}
 			defer e2.Close()
-			db2 := &DB{Engine: e2, Scale: scale, History: db.History}
-			old := db.indexes()
-			for i, ix := range db2.indexes() {
-				if *ix, err = e2.OpenIndex((*old[i]).Store()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := db2.CheckConsistency(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			after := nextOrderIDs(t, db2)
-			tr, err := e2.Begin()
+			db2, err := db.Reopen(e2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, first := range before {
-				w, d := uint32(i/scale.Districts+1), uint8(i%scale.Districts+1)
-				end := first
-				for c := range orders {
-					end += orders[c][i]
-				}
-				if after[i] < end {
-					t.Errorf("district %d/%d: next order id %d after the crash, %d New Orders were acknowledged from %d", w, d, after[i], end-first, first)
-				}
-				// Order ids are taken in commit order, and an acknowledged
-				// commit hardened every commit before it: the acknowledged
-				// orders are among the first end-first ids.
-				for o := first; o < end; o++ {
-					if _, ok, err := e2.IndexLookup(tr, db2.Orders, oRow(w, d, o).key()); err != nil || !ok {
-						t.Fatalf("district %d/%d: ORDERS lost order %d of %d acknowledged from %d (err %v)", w, d, o, end-first, first, err)
-					}
-				}
-			}
-			if err := e2.Commit(tr); err != nil {
+			if err := db2.Audit(context.Background(), base, tally); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 }
 
-// district numbers district d of warehouse w from 0.
-func district(scale Scale, w uint32, d uint8) int {
-	return int(w-1)*scale.Districts + int(d-1)
-}
-
-// nextOrderIDs reads every district's D_NEXT_O_ID, in district order.
-func nextOrderIDs(t *testing.T, db *DB) []uint32 {
+// awaitAcks waits until tally's clients have been acknowledged n times.
+func awaitAcks(t *testing.T, tally *Tally, n uint64) {
 	t.Helper()
-	tr, err := db.Engine.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := make([]uint32, db.Scale.Warehouses*db.Scale.Districts)
-	for w := uint32(1); w <= uint32(db.Scale.Warehouses); w++ {
-		for d := uint8(1); d <= uint8(db.Scale.Districts); d++ {
-			next[district(db.Scale, w, d)] = readRow(t, db, tr, dRow(w, d), decodeDistrict).NextOID
+	for deadline := time.Now().Add(time.Minute); tally.Acked.Sum() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d acknowledgements after a minute; failures: %v", tally.Acked.Sum(), n, tally.Errors)
 		}
 	}
-	if err := db.Engine.Commit(tr); err != nil {
-		t.Fatal(err)
-	}
-	return next
 }

@@ -23,10 +23,9 @@ import (
 // partition lock names: a remote New Order action inserts ORDER_LINE
 // rows keyed by the home district, but the home action holds that
 // district's X lock until the rendezvous releases both actions together,
-// so no reader can observe a torn order. Each partition commits its
-// sub-transaction independently after the unanimous decision, like the
-// pipeline stage's early lock release: a crash in between rolls the
-// laggard back, the contract CommitAsync documents.
+// so no reader can observe a torn order. After the unanimous decision
+// one commit record commits every partition's sub-transaction
+// (dora.Env.Precommit), so a crash cannot tear the order either.
 
 // ErrDoraDisabled is returned by the Dora* entrypoints when the engine
 // was opened without Config.DORA.

@@ -36,134 +36,101 @@ func newDoraDB(t testing.TB, scale Scale, partitions int) *DB {
 }
 
 // TestDoraCrossPartitionStress drives forced-remote Payments and New
-// Orders from many goroutines (run under -race in CI) and then audits
-// the money and order counters: lost updates on either side of a
-// rendezvous would break the per-warehouse YTD sums or the district
-// order sequence. No action reaches the shared lock manager, the HISTORY
-// insert of every Payment included.
+// Orders from many goroutines (run under -race in CI) through the
+// partition executor, over shared B-trees and over PLP's forests, and then
+// audits the result: lost updates on either side of a rendezvous would
+// break the warehouses' YTD, the districts' order sequence or the order
+// tables' growth, which Audit checks exactly when nothing failed. No
+// action reaches the shared lock manager, the HISTORY insert of every
+// Payment included.
 func TestDoraCrossPartitionStress(t *testing.T) {
 	scale := Scale{Warehouses: 4, Districts: 2, Customers: 10, Items: 50, StockPerItem: true}
-	db := newDoraDB(t, scale, 2)
-	ctx := context.Background()
-
-	const (
-		workers = 8
-		iters   = 40
-	)
-	// Per-warehouse expected YTD deltas (integer amounts, exact in
-	// float64) and per-(warehouse,district) expected order counts.
-	var whYTD [5]atomic.Int64
-	var orders [5][3]atomic.Int64
-
-	acquires := db.Engine.Stats().Lock.Acquires
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := NewRand(int64(7000 + w))
-			home := uint32(w%scale.Warehouses + 1)
-			// remote: a warehouse on the other partition (2 partitions,
-			// route = (wid-1)%2, so +1 flips the partition).
-			remote := home%uint32(scale.Warehouses) + 1
-			for i := 0; i < iters; i++ {
-				if i%2 == 0 {
-					amount := float64(r.Int(1, 500))
-					in := PaymentInput{
-						WID: home, DID: uint8(r.Int(1, scale.Districts)),
-						CWID: remote, CDID: uint8(r.Int(1, scale.Districts)),
-						CID: uint32(r.Int(1, scale.Customers)), Amount: amount,
+	for _, c := range []struct {
+		name string
+		open func(testing.TB, Scale, int) *DB
+		seed int64
+	}{{"static", newDoraDB, 7000}, {"plp", newPlpDB, 7100}} {
+		t.Run(c.name, func(t *testing.T) {
+			db := c.open(t, scale, 2)
+			ctx, ex := context.Background(), db.Executor()
+			base, err := db.Baseline(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tally := NewTally(scale)
+			var whYTD [5]atomic.Int64 // integer amounts: exact in float64
+			acquires := db.Engine.Stats().Lock.Acquires
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					r := NewRand(c.seed + int64(w))
+					home := uint32(w%scale.Warehouses + 1)
+					// The next warehouse: always on the other partition
+					// under static routing ((w-1) mod 2), every other
+					// time under PLP's two ranges.
+					remote := home%uint32(scale.Warehouses) + 1
+					for i := 0; i < 40; i++ {
+						if i%2 == 0 {
+							amount := float64(r.Int(1, 500))
+							err := ex.Payment(ctx, PaymentInput{
+								WID: home, DID: uint8(r.Int(1, scale.Districts)),
+								CWID: remote, CDID: uint8(r.Int(1, scale.Districts)),
+								CID: uint32(r.Int(1, scale.Customers)), Amount: amount,
+							})
+							if err == nil {
+								whYTD[home].Add(int64(amount))
+							}
+							tally.book(ctx, Payment, err)
+						} else {
+							in := NewOrderInput{
+								WID: home, DID: uint8(r.Int(1, scale.Districts)), CID: uint32(r.Int(1, scale.Customers)),
+								Lines: []NewOrderLine{
+									{ItemID: uint32(r.Int(1, scale.Items)), SupplyWID: home, Quantity: 1 + uint8(i%5)},
+									{ItemID: uint32(r.Int(1, scale.Items)), SupplyWID: remote, Quantity: 1 + uint8(w%5)},
+								},
+							}
+							err := ex.NewOrder(ctx, in)
+							if err == nil {
+								tally.ackNewOrder(in)
+							}
+							tally.book(ctx, NewOrder, err)
+						}
 					}
-					if err := db.DoraPayment(ctx, in); err != nil {
-						t.Error(err)
-						return
-					}
-					whYTD[home].Add(int64(amount))
-				} else {
-					did := uint8(r.Int(1, scale.Districts))
-					in := NewOrderInput{
-						WID: home, DID: did, CID: uint32(r.Int(1, scale.Customers)),
-						Lines: []NewOrderLine{
-							{ItemID: uint32(r.Int(1, scale.Items)), SupplyWID: home, Quantity: 1 + uint8(i%5)},
-							{ItemID: uint32(r.Int(1, scale.Items)), SupplyWID: remote, Quantity: 1 + uint8(w%5)},
-						},
-					}
-					if err := db.DoraNewOrder(ctx, in); err != nil {
-						t.Error(err)
-						return
-					}
-					orders[home][did].Add(1)
+				}()
+			}
+			wg.Wait()
+			if n := tally.Failed.Sum(); n != 0 {
+				t.Fatalf("%d transactions failed: %v", n, tally.Errors)
+			}
+			st := db.Engine.Stats()
+			if got := st.Lock.Acquires - acquires; got != 0 {
+				t.Errorf("DORA Payments and New Orders took %d shared lock-manager locks, want 0", got)
+			}
+			if st.Dora.CrossTx == 0 || st.Dora.LocalAcquires == 0 || st.Dora.Aborts != 0 {
+				t.Errorf("%d cross-partition transactions, %d thread-local lock acquires, %d aborts; want some, some, none",
+					st.Dora.CrossTx, st.Dora.LocalAcquires, st.Dora.Aborts)
+			}
+			if c.name == "plp" && (st.Btree.OwnerWrites == 0 || st.Plp.Tables == 0) {
+				t.Errorf("%d owner-path writes over %d partitioned indexes; want both above zero", st.Btree.OwnerWrites, st.Plp.Tables)
+			}
+			rd, err := db.Engine.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w := 1; w <= scale.Warehouses; w++ {
+				if got, want := readRow(t, db, rd, wRow(uint32(w)), decodeWarehouse).YTD, float64(whYTD[w].Load()); got != want {
+					t.Errorf("warehouse %d YTD = %v, want %v (lost update)", w, got, want)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	if got := db.Engine.Stats().Lock.Acquires - acquires; got != 0 {
-		t.Errorf("DORA Payments and New Orders took %d shared lock-manager locks, want 0", got)
-	}
-
-	// Audit through a regular locking transaction.
-	rd, err := db.Engine.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Engine.Abort(rd)
-	for w := 1; w <= scale.Warehouses; w++ {
-		wh := readRow(t, db, rd, wRow(uint32(w)), decodeWarehouse)
-		if want := float64(whYTD[w].Load()); wh.YTD != want {
-			t.Errorf("warehouse %d YTD = %v, want %v (lost update)", w, wh.YTD, want)
-		}
-		for d := 1; d <= scale.Districts; d++ {
-			dist := readRow(t, db, rd, dRow(uint32(w), uint8(d)), decodeDistrict)
-			want := 1 + uint32(orders[w][d].Load())
-			if dist.NextOID != want {
-				t.Errorf("district (%d,%d) NextOID = %d, want %d", w, d, dist.NextOID, want)
+			if err := db.Engine.Commit(rd); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-
-	// Structural integrity plus row counts: one ORDERS and one NEW_ORDER
-	// row per committed New Order, two ORDER_LINE rows each.
-	var totalOrders int64
-	for w := 1; w <= scale.Warehouses; w++ {
-		for d := 1; d <= scale.Districts; d++ {
-			totalOrders += orders[w][d].Load()
-		}
-	}
-	for _, ix := range []struct {
-		name string
-		ix   *core.Index
-		want int
-	}{
-		{"orders", db.Orders, int(totalOrders)},
-		{"neworder", db.NewOrderTab, int(totalOrders)},
-		{"orderline", db.OrderLine, int(2 * totalOrders)},
-	} {
-		n, err := ix.ix.Verify()
-		if err != nil {
-			t.Fatalf("%s: Verify: %v", ix.name, err)
-		}
-		if n != ix.want {
-			t.Errorf("%s: %d rows, want %d", ix.name, n, ix.want)
-		}
-	}
-
-	if err := db.CheckConsistency(ctx); err != nil {
-		t.Error(err)
-	}
-
-	st := db.Engine.Stats().Dora
-	if st.CrossTx == 0 {
-		t.Error("no cross-partition transactions ran")
-	}
-	if st.LocalAcquires == 0 {
-		t.Error("no thread-local lock acquires recorded")
-	}
-	if st.Aborts != 0 {
-		t.Errorf("unexpected aborts: %d", st.Aborts)
+			if err := db.Audit(ctx, base, tally); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

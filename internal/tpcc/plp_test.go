@@ -117,102 +117,6 @@ func TestPlpLatchBypass(t *testing.T) {
 	}
 }
 
-// TestPlpCrossPartitionStress is the DORA cross-partition stress shaped
-// for PLP (run under -race in CI): forced-remote Payments and New Orders
-// from many goroutines, then a money/order audit and a full forest
-// Verify — segment routing intact, every key in its owner's sub-range.
-func TestPlpCrossPartitionStress(t *testing.T) {
-	scale := Scale{Warehouses: 4, Districts: 2, Customers: 10, Items: 50, StockPerItem: true}
-	db := newPlpDB(t, scale, 2)
-	ctx := context.Background()
-
-	const (
-		workers = 8
-		iters   = 40
-	)
-	var whYTD [5]atomic.Int64
-	var orders [5][3]atomic.Int64
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := NewRand(int64(7100 + w))
-			home := uint32(w%scale.Warehouses + 1)
-			remote := home%uint32(scale.Warehouses) + 1
-			for i := 0; i < iters; i++ {
-				if i%2 == 0 {
-					amount := float64(r.Int(1, 500))
-					in := PaymentInput{
-						WID: home, DID: uint8(r.Int(1, scale.Districts)),
-						CWID: remote, CDID: uint8(r.Int(1, scale.Districts)),
-						CID: uint32(r.Int(1, scale.Customers)), Amount: amount,
-					}
-					if err := db.DoraPayment(ctx, in); err != nil {
-						t.Error(err)
-						return
-					}
-					whYTD[home].Add(int64(amount))
-				} else {
-					did := uint8(r.Int(1, scale.Districts))
-					in := NewOrderInput{
-						WID: home, DID: did, CID: uint32(r.Int(1, scale.Customers)),
-						Lines: []NewOrderLine{
-							{ItemID: uint32(r.Int(1, scale.Items)), SupplyWID: home, Quantity: 1 + uint8(i%5)},
-							{ItemID: uint32(r.Int(1, scale.Items)), SupplyWID: remote, Quantity: 1 + uint8(w%5)},
-						},
-					}
-					if err := db.DoraNewOrder(ctx, in); err != nil {
-						t.Error(err)
-						return
-					}
-					orders[home][did].Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	rd, err := db.Engine.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Engine.Abort(rd)
-	for w := 1; w <= scale.Warehouses; w++ {
-		wh := readRow(t, db, rd, wRow(uint32(w)), decodeWarehouse)
-		if want := float64(whYTD[w].Load()); wh.YTD != want {
-			t.Errorf("warehouse %d YTD = %v, want %v (lost update)", w, wh.YTD, want)
-		}
-		for d := 1; d <= scale.Districts; d++ {
-			dist := readRow(t, db, rd, dRow(uint32(w), uint8(d)), decodeDistrict)
-			want := 1 + uint32(orders[w][d].Load())
-			if dist.NextOID != want {
-				t.Errorf("district (%d,%d) NextOID = %d, want %d", w, d, dist.NextOID, want)
-			}
-		}
-	}
-
-	verifyForests(t, db)
-	if err := db.CheckConsistency(ctx); err != nil {
-		t.Error(err)
-	}
-
-	st := db.Engine.Stats()
-	if st.Dora.CrossTx == 0 {
-		t.Error("no cross-partition transactions ran")
-	}
-	if st.Btree.OwnerWrites == 0 {
-		t.Error("no owner-path writes recorded")
-	}
-	if st.Plp.Tables == 0 {
-		t.Error("no partitioned indexes registered")
-	}
-}
-
 // TestPlpSnapshotCoexistence runs lock-free View readers scanning a
 // partitioned forest while partition-local writers commit through the
 // executor (run under -race in CI): every snapshot scan must see a

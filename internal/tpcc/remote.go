@@ -86,6 +86,7 @@ type Remote struct {
 	Stats *RemoteStats
 
 	programs [nPrograms]uint32
+	addr     string // where to redial a poisoned connection; "" for none
 }
 
 // OpenRemote resolves the TPC-C catalog over c. The returned Remote
@@ -110,6 +111,44 @@ func OpenRemote(ctx context.Context, c *client.Client, stats *RemoteStats) (*Rem
 	}
 	r.Scale = Scale{Warehouses: int(w), Districts: int(d), Customers: int(cu), Items: int(it), StockPerItem: true}
 	return r, nil
+}
+
+// Redial returns an opener of executors for Drive, each on a connection
+// of its own to the TPC-C server at addr, dialed at once. A transport
+// error poisons a connection (its stream is desynchronized), so the next
+// transaction redials, as any real database client would.
+func Redial(addr string, stats *RemoteStats) func() Executor {
+	return func() Executor {
+		r := &Remote{Stats: cmp.Or(stats, &RemoteStats{}), addr: addr}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_ = r.redial(ctx) // a failed dial is retried by the first transaction
+		return Executor{r.Payment, r.NewOrder, r.OrderStatus, r.StockLevel, r.Delivery, func() {
+			if r.C != nil {
+				r.C.Close()
+			}
+		}}
+	}
+}
+
+// redial connects r to its server again, every 50 ms until ctx ends, if
+// it has no open connection.
+func (r *Remote) redial(ctx context.Context) error {
+	for r.C == nil || r.C.Closed() {
+		if c, err := client.Dial(r.addr, client.Options{}); err == nil {
+			if dialed, err := OpenRemote(ctx, c, r.Stats); err == nil {
+				r.C, r.Scale, r.programs = c, dialed.Scale, dialed.programs
+				return nil
+			}
+			c.Close()
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	return nil
 }
 
 // remoteAttempts bounds client-side retries of one transaction.
@@ -155,6 +194,11 @@ func (r *Remote) retryRemote(ctx context.Context, fn func() error) error {
 // call runs program p with args in one batch, a View if p only reads and
 // an Update otherwise, with retry, and returns the program's answer.
 func (r *Remote) call(ctx context.Context, p program, args []byte) ([]byte, error) {
+	if r.addr != "" {
+		if err := r.redial(ctx); err != nil {
+			return nil, err
+		}
+	}
 	run := r.C.Update
 	if programs[p].readOnly {
 		run = r.C.View

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -353,55 +352,27 @@ func TestGeneratorsRespectScale(t *testing.T) {
 	}
 }
 
+// TestConcurrentMixedWorkload runs Payments and New Orders from four
+// clients and audits the database: nothing failed, every index verifies,
+// TPC-C's consistency conditions hold and the tables grew by what was
+// acknowledged.
 func TestConcurrentMixedWorkload(t *testing.T) {
 	db := newDB(t, Scale{Warehouses: 2, Districts: 2, Customers: 20, Items: 100, StockPerItem: true})
-	const workers = 4
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers*40)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := NewRand(int64(100 + w))
-			home := uint32(w%2 + 1)
-			for i := 0; i < 20; i++ {
-				if i%2 == 0 {
-					if err := db.PaymentCtx(context.Background(), GenPayment(r, db.Scale, home)); err != nil {
-						errCh <- err
-						return
-					}
-				} else {
-					err := db.NewOrderCtx(context.Background(), GenNewOrder(r, db.Scale, home))
-					if err != nil && !errors.Is(err, ErrUserAbort) {
-						errCh <- err
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	base, err := db.Baseline(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Money conservation: warehouse YTD sums must equal district YTD sums.
-	tx1, _ := db.Engine.Begin()
-	var wYTD, dYTD float64
-	for w := uint32(1); w <= 2; w++ {
-		wh := readRow(t, db, tx1, wRow(w), decodeWarehouse)
-		wYTD += wh.YTD
-		for d := uint8(1); d <= 2; d++ {
-			dist := readRow(t, db, tx1, dRow(w, d), decodeDistrict)
-			dYTD += dist.YTD
-		}
+	tally := NewTally(db.Scale)
+	ctx, cancel := context.WithCancel(context.Background())
+	drained := make(chan struct{})
+	go func() { Drive(ctx, db.Executor, Mix{Payment: 50, NewOrder: 50}, 4, 100, tally); close(drained) }()
+	awaitAcks(t, tally, 80)
+	cancel()
+	<-drained
+	if n := tally.Failed.Sum(); n != 0 {
+		t.Fatalf("%d transactions failed: %v", n, tally.Errors)
 	}
-	// Warehouse and district totals accumulate the same payments in
-	// different orders; allow float rounding slack.
-	if diff := wYTD - dYTD; diff > 1e-6 || diff < -1e-6 {
-		t.Fatalf("money not conserved: warehouse YTD %v != district YTD %v", wYTD, dYTD)
-	}
-	if err := db.Engine.Commit(tx1); err != nil {
+	if err := db.Audit(context.Background(), base, tally); err != nil {
 		t.Fatal(err)
 	}
 }
