@@ -814,7 +814,7 @@ func (e *Engine) Checkpoint() error {
 	// Reset the auto-checkpoint meter only once the checkpoint fully
 	// landed, so a failed attempt is retried on the daemon's next tick.
 	e.lastCkpt.Store(uint64(beginLSN))
-	e.archiveSegments(beginLSN, data.Dirty)
+	e.archiveSegments(&data)
 	if e.mvcc != nil {
 		// Version GC rides the checkpoint daemon: drop every before-image
 		// committed below the oldest snapshot any reader can still pin
@@ -825,19 +825,25 @@ func (e *Engine) Checkpoint() error {
 }
 
 // archiveSegments drops log segments wholly below the recovery safe
-// point: recovery never reads below min(checkpoint begin, oldest dirty
-// recLSN, oldest live undo chain), so sealed segments under it are dead
+// point of checkpoint c: recovery never reads below min(checkpoint begin,
+// oldest dirty recLSN, oldest LastLSN of its table (where analysis may
+// start), oldest live undo chain), so sealed segments under it are dead
 // weight. Failures are ignored — archiving is opportunistic and the next
 // checkpoint retries.
-func (e *Engine) archiveSegments(beginLSN wal.LSN, dirty []wal.DirtyInfo) {
+func (e *Engine) archiveSegments(c *wal.CheckpointData) {
 	ar, ok := e.logStore.(wal.Archiver)
 	if !ok {
 		return
 	}
-	point := beginLSN
-	for _, d := range dirty {
+	point := c.BeginLSN
+	for _, d := range c.Dirty {
 		if d.RecLSN != wal.NullLSN && d.RecLSN < point {
 			point = d.RecLSN
+		}
+	}
+	for _, t := range c.Txs {
+		if t.LastLSN != wal.NullLSN && t.LastLSN < point {
+			point = t.LastLSN
 		}
 	}
 	first, ok := e.txns.MinFirstLSN()

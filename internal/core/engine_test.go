@@ -434,6 +434,41 @@ func TestCrashRecoveryIndex(t *testing.T) {
 	}
 }
 
+// TestEmptyTableSurvivesRestart: a committed table with no rows is still
+// there after a crash and after a clean close. It scans empty, and its
+// store id is not handed out again.
+func TestEmptyTableSurvivesRestart(t *testing.T) {
+	for _, how := range []string{"crash", "close"} {
+		t.Run(how, func(t *testing.T) {
+			e, vol, logStore := newEngine(t, StageFinal)
+			store := createTable(t, e)
+			if how == "crash" {
+				e.CrashHard()
+			} else if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e2 := reopen(t, vol, logStore, StageFinal)
+			t2, err := e2.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := 0
+			if err := e2.HeapScan(t2, store, func(page.RID, []byte) bool { rows++; return true }); err != nil {
+				t.Fatalf("scan of the empty table %d: %v", store, err)
+			}
+			if rows != 0 {
+				t.Fatalf("the empty table scans %d rows", rows)
+			}
+			if next, err := e2.CreateTable(t2); err != nil || next == store {
+				t.Fatalf("CreateTable after the restart = %d, %v; table %d exists", next, err, store)
+			}
+			if err := e2.Commit(t2); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestCheckpointShortensRecovery(t *testing.T) {
 	for _, cleanerCkpt := range []bool{false, true} {
 		name := "sweepCkpt"

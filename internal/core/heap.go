@@ -27,9 +27,10 @@ const MaxRecord = page.MaxRecordSize / 2
 // CreateTable registers a new heap store inside transaction t, mirroring
 // CreateIndex's shape. Like index creation, store registration itself is
 // NOT transactional: the store id is allocated immediately and is not
-// reclaimed if t aborts — table durability is derived from the page
-// headers of the first committed insert, so an aborted creation leaves
-// only an unused id behind.
+// reclaimed if t aborts, and neither is the table's first page: restart
+// finds stores by their page headers (rebuildDirectory), so the page is
+// formatted here under t, as an index's root is, and a committed empty
+// table survives a restart and keeps its id.
 func (e *Engine) CreateTable(t *tx.Tx) (uint32, error) {
 	if e.closed.Load() {
 		return 0, ErrClosed
@@ -40,7 +41,13 @@ func (e *Engine) CreateTable(t *tx.Tx) (uint32, error) {
 	if err := snapshotGuard(t); err != nil {
 		return 0, err
 	}
-	return e.sm.CreateStore(space.KindHeap), nil
+	store := e.sm.CreateStore(space.KindHeap)
+	f, _, err := e.allocHeapPage(t, store, 0)
+	if err != nil {
+		return 0, err
+	}
+	e.pool.Unfix(f, sync2.LatchEX)
+	return store, nil
 }
 
 // freeSlot returns the slot an insert into f's page would use: the first

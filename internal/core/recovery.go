@@ -98,9 +98,17 @@ func (e *Engine) analyze() (losers map[uint64]*loserState, dpt map[page.ID]wal.L
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
+	start, err := analysisStart(e.logStore, master)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
 	lowWater := wal.NullLSN
+	// A transaction whose commit or end record the scan has passed is
+	// never a loser again, whatever a checkpoint's table taken before its
+	// end says: undoing it would undo what later commits wrote.
+	ended := make(map[uint64]bool)
 
-	sc := wal.NewScanner(e.logStore, master)
+	sc := wal.NewScanner(e.logStore, start)
 	for {
 		rec, err := sc.Next()
 		if err == io.EOF {
@@ -143,12 +151,14 @@ func (e *Engine) analyze() (losers map[uint64]*loserState, dpt map[page.ID]wal.L
 			}
 		case wal.RecTxCommit, wal.RecTxEnd:
 			delete(losers, rec.TxID)
+			ended[rec.TxID] = true
 			for b := rec.Redo; len(b) > 0; { // a group commit (publishCommit)
 				id, n := binary.Uvarint(b)
 				if n <= 0 {
 					return nil, nil, 0, 0, fmt.Errorf("%w: group commit at %v", wal.ErrCorrupt, rec.LSN)
 				}
 				delete(losers, id)
+				ended[id] = true
 				b = b[n:]
 			}
 		case wal.RecTxAbort:
@@ -160,8 +170,11 @@ func (e *Engine) analyze() (losers map[uint64]*loserState, dpt map[page.ID]wal.L
 			if err != nil {
 				return nil, nil, 0, 0, err
 			}
+			if data.BeginLSN < master {
+				continue // an older checkpoint, read because analysis starts below the master
+			}
 			for _, t := range data.Txs {
-				if _, seen := losers[t.TxID]; !seen {
+				if _, seen := losers[t.TxID]; !seen && !ended[t.TxID] {
 					losers[t.TxID] = &loserState{lastLSN: t.LastLSN, undoNext: t.UndoNext}
 				}
 				if t.TxID > maxTxID {
@@ -209,6 +222,44 @@ func (e *Engine) analyze() (losers map[uint64]*loserState, dpt map[page.ID]wal.L
 		}
 	}
 	return losers, dpt, redoStart, maxTxID, nil
+}
+
+// analysisStart is where analysis reads the log from: the master
+// checkpoint, or the oldest LastLSN its transaction table names if that is
+// older. A record joins its transaction's chain (tx.RecordLog) only after
+// Insert has placed it, so the table can name a transaction's record
+// before its newest while the newest lies below the checkpoint.
+func analysisStart(store wal.Store, master wal.LSN) (wal.LSN, error) {
+	if master == wal.NullLSN {
+		return master, nil
+	}
+	sc := wal.NewScanner(store, master)
+	for {
+		rec, err := sc.Next()
+		if err == io.EOF {
+			return master, nil
+		}
+		if err != nil {
+			return 0, err
+		}
+		if rec.Type != wal.RecCkptEnd {
+			continue
+		}
+		data, err := wal.DecodeCheckpoint(rec.Redo)
+		if err != nil {
+			return 0, err
+		}
+		if data.BeginLSN != master {
+			continue
+		}
+		start := master
+		for _, t := range data.Txs {
+			if t.LastLSN != wal.NullLSN {
+				start = min(start, t.LastLSN)
+			}
+		}
+		return start, nil
+	}
 }
 
 // redo replays every page update from redoStart, gated by page LSN.

@@ -207,6 +207,80 @@ func TestParallelRedoEquivalence(t *testing.T) {
 	}
 }
 
+// TestCheckpointRacingATransaction builds, record by record, two logs a
+// fuzzy checkpoint leaves when a transaction moves while its table is
+// taken, and crashes on each. In "ended" the table lists a transaction
+// whose rollback ends between the checkpoint's begin and end records; a
+// later committed update of its row must survive restart. In "unlinked"
+// the table names a transaction's record before its newest, which was
+// inserted below the checkpoint but not yet linked into the transaction
+// (tx.RecordLog runs after Insert); restart must undo both its updates.
+func TestCheckpointRacingATransaction(t *testing.T) {
+	for _, name := range []string{"ended", "unlinked"} {
+		t.Run(name, func(t *testing.T) {
+			e, vol, logStore := newEngine(t, StageFinal)
+			store := createTable(t, e)
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			setup, err := e.Begin()
+			must(err)
+			r1, err := e.HeapInsert(setup, store, []byte("a1"))
+			must(err)
+			r2, err := e.HeapInsert(setup, store, []byte("a2"))
+			must(err)
+			must(e.Commit(setup))
+
+			loser, err := e.Begin()
+			must(err)
+			must(e.HeapUpdate(loser, store, r1, []byte("b1")))
+			first := loser.LastLSN()
+			must(e.HeapUpdate(loser, store, r2, []byte("b2")))
+			begin, err := e.log.Insert(&wal.Record{Type: wal.RecCkptBegin})
+			must(err)
+			txs := e.txns.Snapshot()
+			if name == "ended" {
+				must(e.Abort(loser))
+			} else {
+				for i := range txs {
+					if txs[i].TxID == loser.ID() {
+						txs[i].LastLSN, txs[i].UndoNext = first, first
+					}
+				}
+			}
+			data := wal.CheckpointData{BeginLSN: begin, Txs: txs, Dirty: e.pool.DirtyPageTable(begin)}
+			end, err := e.log.Insert(&wal.Record{Type: wal.RecCkptEnd, Redo: data.Encode()})
+			must(err)
+			must(e.log.Flush(end + 1))
+			must(logStore.SetMaster(begin))
+			want := "a1"
+			if name == "ended" {
+				later, err := e.Begin()
+				must(err)
+				must(e.HeapUpdate(later, store, r1, []byte("c1")))
+				must(e.Commit(later))
+				want = "c1"
+			}
+			e.CrashHard()
+
+			e2 := reopen(t, vol, logStore, StageFinal)
+			check, err := e2.Begin()
+			must(err)
+			for rid, want := range map[page.RID]string{r1: want, r2: "a2"} {
+				got, err := e2.HeapRead(check, store, rid)
+				must(err)
+				if string(got) != want {
+					t.Errorf("row %v = %q after restart, want %q", rid, got, want)
+				}
+			}
+			must(e2.Commit(check))
+		})
+	}
+}
+
 // TestCrashDuringCheckpoint leaves a dangling RecCkptBegin (the crash hit
 // between begin and end); recovery must fall back to the last complete
 // checkpoint and still reproduce every committed row.

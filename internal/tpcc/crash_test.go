@@ -2,6 +2,10 @@ package tpcc
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,13 +14,39 @@ import (
 	"repro/internal/wal"
 )
 
-// TestCrashKeepsAcknowledgedCommits is the crash audit of the commit path,
-// on every stage of the ladder and on the partition executor, PLP and
-// snapshot reads at final. Two clients run the five transactions until the
-// plug is pulled mid-stream (CrashHard: only what group commit made
-// durable survives). The database reopened over the same volume and log
-// must pass Audit: whatever was in flight at the crash may survive or not,
-// but every acknowledged commit is there.
+// The flavours: how a cycle of the crash harness ends.
+const (
+	cleanCut    = iota // the plug is pulled: only what group commit hardened survives
+	tornTail           // the plug is pulled mid log write: a torn tail to clip
+	volumeFault        // the volume starts failing writes, then the plug
+	logFault           // the log stops hardening, then the plug
+)
+
+var flavours = [...]string{"clean cut", "torn tail", "volume fault", "log fault"}
+
+// Shapes of the crash harness.
+const (
+	crashClients     = 2
+	crashSegBytes    = 16 << 10 // log segment: small, so checkpoints archive
+	crashAcks        = 100      // acknowledgements per cycle (the checkpoint at half)
+	crashMaxRecovery = 30 * time.Second
+)
+
+// TestCrashKeepsAcknowledgedCommits is the crash harness: on every stage of
+// the ladder and on the partition executor, PLP and snapshot reads at final,
+// one database over a fault-injecting volume and log lives through cycles of
+// traffic, crash and recovery. A cycle starts at a clean point (a cleaner
+// sweep and a checkpoint with no traffic), draws a flavour (every four
+// cycles see all four), runs the five transactions on two clients with a
+// checkpoint half-way, and pulls the plug (CrashHard); a fault cycle pulls
+// it once its fault has fired, since under a dead log an in-doubt commit
+// keeps its locks and later transactions can only time out. The devices
+// are healed and the database reopened, and it must pass Audit: whatever
+// was in flight may survive or not, but every acknowledged commit is there.
+// Recovery must stay within crashMaxRecovery and start its redo no earlier
+// than two segments before the clean point. Over the run, torn tails must
+// have been clipped, segments archived and losers rolled back; a clean
+// Close and reopen ends it with one more Audit.
 func TestCrashKeepsAcknowledgedCommits(t *testing.T) {
 	type config struct {
 		name string
@@ -30,64 +60,221 @@ func TestCrashKeepsAcknowledgedCommits(t *testing.T) {
 	dora, plp, snapshot := final, final, final
 	dora.DORA, plp.PLP, snapshot.Snapshot = true, true, true
 	configs = append(configs, config{"dora", dora}, config{"plp", plp}, config{"snapshot", snapshot})
-	for _, c := range configs {
+	losers, ran := 0, 0
+	for i, c := range configs {
+		cycles := 6
+		if c.name == core.StageFinal.String() {
+			cycles = 30
+			if testing.Short() || raceEnabled {
+				cycles = 8
+			}
+		}
+		seed := int64(0x50AC + i)
 		t.Run(c.name, func(t *testing.T) {
-			scale := TinyScale()
-			vol, logStore, cfg := disk.NewMem(0), wal.NewMemSegmentStore(0), c.cfg
-			cfg.Frames, cfg.DoraPartitions, cfg.DoraKeys = 2048, 2, scale.Warehouses
-			e, err := core.Open(vol, logStore, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			db, err := Load(e, scale, 42)
-			if err != nil {
-				e.Close()
-				t.Fatal(err)
-			}
-			base, err := db.Baseline(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			tally := NewTally(scale)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			drained := make(chan struct{})
-			go func() {
-				Drive(ctx, db.Executor, Mix{Payment: 40, NewOrder: 45, OrderStatus: 5, StockLevel: 5, Delivery: 5}, 2, 7, tally)
-				close(drained)
-			}()
-			awaitAcks(t, tally, 300)
-			failed := tally.Failed.Sum()
-			e.CrashHard()
-			cancel()
-			<-drained
-			if failed != 0 {
-				t.Fatalf("%d transactions failed before the crash: %v", failed, tally.Errors)
-			}
-
-			e2, err := core.Open(vol, logStore, cfg)
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			defer e2.Close()
-			db2, err := db.Reopen(e2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := db2.Audit(context.Background(), base, tally); err != nil {
-				t.Fatal(err)
-			}
+			losers += crashCycles(t, c.cfg, seed, cycles)
+			ran++
 		})
+	}
+	// The partition executor lets its owners finish when it closes, so a
+	// crash seldom leaves it a loser: undo is asserted over the whole run.
+	if ran == len(configs) && losers == 0 {
+		t.Error("no loser was rolled back in any configuration")
 	}
 }
 
-// awaitAcks waits until tally's clients have been acknowledged n times.
-func awaitAcks(t *testing.T, tally *Tally, n uint64) {
-	t.Helper()
+// crashCycles runs TestCrashKeepsAcknowledgedCommits on one configuration
+// and returns how many losers its recoveries rolled back.
+func crashCycles(t *testing.T, cfg core.Config, seed int64, cycles int) (losers int) {
+	ctx := context.Background()
+	rng, scale := rand.New(rand.NewSource(seed)), TinyScale()
+	vol, logStore := disk.NewFault(disk.NewMem(0)), wal.NewMemSegmentStore(crashSegBytes)
+	cfg.Frames, cfg.DoraPartitions, cfg.DoraKeys = 128, 2, scale.Warehouses
+	// A transaction in flight at the crash keeps its locks, so a client
+	// waiting on one learns of the crash only when its wait times out.
+	cfg.LockTimeout = 100 * time.Millisecond
+	e, err := core.Open(vol, logStore, cfg)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	db, err := Load(e, scale, seed)
+	if err != nil {
+		e.Close()
+		t.Fatalf("seed %d: load: %v", seed, err)
+	}
+	defer func() { db.Engine.Close() }()
+	// restart opens the engine again over the devices and audits db on it.
+	restart := func(base Baseline, tally *Tally) (core.RecoveryStats, time.Duration, error) {
+		start := time.Now()
+		e, err := core.Open(vol, logStore, cfg)
+		if err != nil {
+			return core.RecoveryStats{}, 0, err
+		}
+		took := time.Since(start)
+		re, err := db.Reopen(e)
+		if err != nil {
+			e.Close()
+			return core.RecoveryStats{}, 0, err
+		}
+		db = re
+		return e.Stats().Recovery, took, db.Audit(ctx, base, tally)
+	}
+
+	var tornBytes int64
+	var order []int
+	for cycle := 0; cycle < cycles; cycle++ {
+		if cycle%4 == 0 {
+			order = rng.Perm(4)
+		}
+		f := order[cycle%4]
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d, cycle %d (%s): %s", seed, cycle, flavours[f], fmt.Sprintf(format, args...))
+		}
+
+		// The clean point: with no traffic, every dirty page is written and
+		// a checkpoint taken over an empty dirty page table.
+		e := db.Engine
+		e.Pool().CleanerSweep()
+		if err := e.Checkpoint(); err != nil {
+			fail("checkpoint at the clean point: %v", err)
+		}
+		cleanFloor := logStore.Size()
+		base, err := db.Baseline(ctx)
+		if err != nil {
+			fail("baseline: %v", err)
+		}
+		switch f {
+		case volumeFault:
+			vol.FailWritesAfter(int64(rng.Intn(40)))
+		case logFault:
+			logStore.FailFlushes(int64(rng.Intn(60)))
+		}
+		faulty := f == volumeFault || f == logFault
+
+		// Every other client commits with no cancellation, so that both of
+		// awaitDurable's waits (the blocking flush and the subscription)
+		// meet the crash. Each counts what it begins after the crash.
+		var crashed atomic.Bool
+		var late [crashClients]atomic.Int32
+		clients := 0
+		open := func() Executor {
+			c, ex := clients, db.Executor()
+			clients++
+			at := func(ctx context.Context) context.Context {
+				if crashed.Load() {
+					late[c].Add(1)
+				}
+				if c%2 == 1 {
+					return context.WithoutCancel(ctx)
+				}
+				return ctx
+			}
+			return Executor{
+				Payment:  func(ctx context.Context, in PaymentInput) error { return ex.Payment(at(ctx), in) },
+				NewOrder: func(ctx context.Context, in NewOrderInput) error { return ex.NewOrder(at(ctx), in) },
+				OrderStatus: func(ctx context.Context, in OrderStatusInput) (OrderStatusResult, error) {
+					return ex.OrderStatus(at(ctx), in)
+				},
+				StockLevel: func(ctx context.Context, in StockLevelInput) (int, error) { return ex.StockLevel(at(ctx), in) },
+				Delivery:   func(ctx context.Context, in DeliveryInput) (int, error) { return ex.Delivery(at(ctx), in) },
+			}
+		}
+		tally := NewTally(scale)
+		runCtx, cancel := context.WithCancel(ctx)
+		drained := make(chan struct{})
+		go func() {
+			Drive(runCtx, open, Mix{Payment: 40, NewOrder: 45, OrderStatus: 5, StockLevel: 5, Delivery: 5}, crashClients, rng.Int63(), tally)
+			close(drained)
+		}()
+		// A fault has fired once a transaction failed.
+		fired := func() bool { return faulty && tally.Failed.Sum() > 0 }
+		if !awaitAcks(fail, tally, crashAcks/2, fired) {
+			if err := e.Checkpoint(); err != nil && !(faulty && (errors.Is(err, disk.ErrInjected) || errors.Is(err, wal.ErrInjectedFlush))) {
+				fail("checkpoint: %v", err)
+			}
+			awaitAcks(fail, tally, crashAcks, fired)
+		}
+		failed := tally.Failed.Sum()
+
+		if f == tornTail {
+			logStore.ArmTornCrash(int64(1 + rng.Intn(3000)))
+		}
+		e.CrashHard()
+		crashed.Store(true)
+		select {
+		case <-drained: // every client stopped at the crash's answer
+		case <-time.After(time.Minute):
+			fail("the clients still run a minute after the crash")
+		}
+		cancel()
+		if failed != 0 && !faulty {
+			fail("%d transactions failed before the crash: %v", failed, tally.Errors)
+		}
+		for c := range late {
+			if n := late[c].Load(); n > 1 {
+				fail("client %d began %d transactions after the crash, want at most 1", c, n)
+			}
+		}
+		if f == tornTail {
+			// What the disk had in flight: garbage past the surviving
+			// prefix, possibly across a segment boundary.
+			garbage := make([]byte, 1+rng.Intn(3000))
+			rng.Read(garbage)
+			if err := logStore.WriteAt(garbage, logStore.Size()); err != nil {
+				fail("splatter: %v", err)
+			}
+		}
+		vol.HealWrites()
+		logStore.FailFlushes(-1)
+
+		rs, took, err := restart(base, tally)
+		switch {
+		case err != nil:
+			fail("restart and audit: %v", err)
+		case took > crashMaxRecovery:
+			fail("recovery took %v, bound %v", took, crashMaxRecovery)
+		case !rs.Ran:
+			fail("recovery did not run")
+		case int64(rs.RedoStart)+2*crashSegBytes < cleanFloor:
+			fail("redo started at %d, before the clean point %d: checkpoints do not bound recovery", rs.RedoStart, cleanFloor)
+		}
+		tornBytes += rs.TornBytesClipped
+		losers += rs.Losers
+		t.Logf("cycle %02d %-12s acked %4d, failed %3d; recovery %v, redo %d B, torn %d B, %d losers",
+			cycle, flavours[f], tally.Acked.Sum(), tally.Failed.Sum(), took.Round(time.Millisecond),
+			rs.LogEnd-rs.RedoStart, rs.TornBytesClipped, rs.Losers)
+	}
+	if tornBytes == 0 {
+		t.Errorf("seed %d: no torn tail was clipped in %d cycles", seed, cycles)
+	}
+	if logStore.Archived() == 0 {
+		t.Errorf("seed %d: no log segment was archived in %d cycles", seed, cycles)
+	}
+
+	base, err := db.Baseline(ctx)
+	if err == nil {
+		err = db.Engine.Close()
+	}
+	if err == nil {
+		_, _, err = restart(base, NewTally(scale))
+	}
+	if err != nil {
+		t.Fatalf("seed %d: after the final clean close: %v", seed, err)
+	}
+	return losers
+}
+
+// awaitAcks waits until tally's clients have been acknowledged n times or
+// stop, if not nil, holds, and reports whether it was stop. It fails
+// through fatalf after a minute.
+func awaitAcks(fatalf func(string, ...any), tally *Tally, n uint64, stop func() bool) bool {
 	for deadline := time.Now().Add(time.Minute); tally.Acked.Sum() < n; time.Sleep(time.Millisecond) {
+		if stop != nil && stop() {
+			return true
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d acknowledgements after a minute; failures: %v", tally.Acked.Sum(), n, tally.Errors)
+			fatalf("%d of %d acknowledgements after a minute; failures: %v", tally.Acked.Sum(), n, tally.Errors)
 		}
 	}
+	return false
 }

@@ -8,8 +8,10 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/dora"
 	"repro/internal/page"
 	"repro/internal/tx"
+	"repro/internal/wal"
 )
 
 // Executor runs the five transactions on one back end: the engine's
@@ -159,7 +161,9 @@ func (t *Tally) run(ctx context.Context, ex Executor, typ Type, r *Rand, home ui
 // ends, books every answer in t, and returns once the last has drained.
 // Each client runs on an executor of its own from open, all of them opened
 // before any client starts, and closes it at the end. Client c draws from
-// NewRand(seed+c) and is homed on warehouse c mod W + 1.
+// NewRand(seed+c) and is homed on warehouse c mod W + 1. A client stops
+// early at its first answer that says its back end closed (a crash, say):
+// every later one would say the same, and Audit counts each as unanswered.
 func Drive(ctx context.Context, open func() Executor, mix Mix, clients int, seed int64, t *Tally) {
 	exs := make([]Executor, clients)
 	for c := range exs {
@@ -176,7 +180,11 @@ func Drive(ctx context.Context, open func() Executor, mix Mix, clients int, seed
 			r, home := NewRand(seed+int64(c)), uint32(c%t.Scale.Warehouses+1)
 			for ctx.Err() == nil {
 				typ := mix.draw(r)
-				t.book(ctx, typ, t.run(ctx, ex, typ, r, home))
+				err := t.run(ctx, ex, typ, r, home)
+				t.book(ctx, typ, err)
+				if errors.Is(err, core.ErrClosed) || errors.Is(err, dora.ErrClosed) || errors.Is(err, wal.ErrLogClosed) {
+					return
+				}
 			}
 		}()
 	}

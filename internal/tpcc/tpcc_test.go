@@ -366,7 +366,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	drained := make(chan struct{})
 	go func() { Drive(ctx, db.Executor, Mix{Payment: 50, NewOrder: 50}, 4, 100, tally); close(drained) }()
-	awaitAcks(t, tally, 80)
+	awaitAcks(t.Fatalf, tally, 80, nil)
 	cancel()
 	<-drained
 	if n := tally.Failed.Sum(); n != 0 {

@@ -509,8 +509,9 @@ type Table struct {
 
 // CreateTable creates a heap table inside transaction t. Like
 // CreateIndex, the store registration itself is not undone by abort;
-// creation is durable once any row insert in it commits (table metadata
-// is derived from page headers).
+// creation is durable once t commits, with or without rows (table
+// metadata is derived from page headers: the table's first page is
+// formatted under t).
 func (db *DB) CreateTable(t *Tx) (*Table, error) {
 	if t.done {
 		return nil, ErrTxDone
