@@ -82,6 +82,24 @@ func TestCrashKeepsAcknowledgedCommits(t *testing.T) {
 	}
 }
 
+// TestCrashSoakSeeds runs the crash harness again under a few extra seeds,
+// so that a lucky flavour order cannot hide a bug behind the fixed seed of
+// each configuration: three at final, and one at pipeline, where a
+// transaction lets its locks go before its commit is durable.
+func TestCrashSoakSeeds(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("TestCrashKeepsAcknowledgedCommits covers short and race runs")
+	}
+	for _, run := range []struct {
+		seed  int64
+		stage core.Stage
+	}{{1, core.StageFinal}, {7, core.StageFinal}, {1009, core.StageFinal}, {7, core.StagePipeline}} {
+		t.Run(fmt.Sprintf("seed=%d/%v", run.seed, run.stage), func(t *testing.T) {
+			crashCycles(t, core.StageConfig(run.stage), run.seed, 6)
+		})
+	}
+}
+
 // crashCycles runs TestCrashKeepsAcknowledgedCommits on one configuration
 // and returns how many losers its recoveries rolled back.
 func crashCycles(t *testing.T, cfg core.Config, seed int64, cycles int) (losers int) {
