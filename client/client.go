@@ -154,7 +154,7 @@ func (c *Client) roundTrip(ctx context.Context, op wire.Op, body []byte) (wire.R
 		return wire.Response{}, err
 	}
 	if resp.Status != wire.StatusOK {
-		return resp, statusError(resp.Status, resp.Flags, string(resp.Body))
+		return resp, &Error{Status: resp.Status, Aborted: resp.Flags&wire.FlagTxAborted != 0, Message: string(resp.Body)}
 	}
 	return resp, nil
 }

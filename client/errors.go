@@ -2,77 +2,84 @@ package client
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/wire"
 )
 
-// Sentinel errors mapped from server response statuses. Test with
-// errors.Is; the concrete error carries the server's message.
+// Sentinel errors. Test with errors.Is; the concrete error carries the
+// server's message. A sentinel named after a status is that status, so
+// Retryable reads the one status table in internal/wire.
 var (
-	// ErrBusy: the admission queue was full and the server shed the
-	// request instead of absorbing it. The unit of work was NOT
-	// started; back off and retry.
-	ErrBusy = errors.New("client: server busy")
-	// ErrDeadlock: the transaction was chosen as a deadlock victim and
-	// rolled back; retry the whole unit of work.
-	ErrDeadlock = errors.New("client: deadlock victim")
-	// ErrTimeout: a lock wait exceeded the server's bound; the
-	// transaction was rolled back. Retryable.
-	ErrTimeout = errors.New("client: lock wait timeout")
-	// ErrCanceled: the operation was abandoned server-side (shutdown or
-	// context cancellation).
-	ErrCanceled = errors.New("client: canceled by server")
-	// ErrDuplicate: index insert on an existing key.
-	ErrDuplicate = errors.New("client: duplicate key")
-	// ErrNotFound: index update/delete on a missing key, or an
-	// unresolvable catalog name.
-	ErrNotFound = errors.New("client: not found")
-	// ErrNoRecord: heap access to a dead RID.
-	ErrNoRecord = errors.New("client: no such record")
-	// ErrReadOnly: write op inside a View batch.
-	ErrReadOnly = errors.New("client: read-only transaction")
-	// ErrTxOpen: Begin (or managed batch) while the session already has
-	// an explicit transaction.
-	ErrTxOpen = errors.New("client: transaction already open")
-	// ErrNoTx: op or Commit/Rollback without an open transaction.
-	ErrNoTx = errors.New("client: no open transaction")
-	// ErrProto: the server rejected the request as malformed.
-	ErrProto = errors.New("client: protocol error")
-	// ErrTooLarge: a frame exceeded the protocol's size cap.
-	ErrTooLarge = errors.New("client: frame too large")
-	// ErrClosing: the server is draining and refuses new transactions.
-	ErrClosing = errors.New("client: server shutting down")
-	// ErrBadSession: session id mismatch (handshake skipped?).
-	ErrBadSession = errors.New("client: bad session")
-	// ErrTxDone: use of a finished Tx handle.
+	// ErrBusy is wire.StatusBusy: the admission queue was full and the
+	// server shed the request instead of absorbing it. The unit of work
+	// was NOT started; back off and retry.
+	ErrBusy error = wire.StatusBusy
+	// ErrDeadlock is wire.StatusDeadlock: the transaction was chosen as a
+	// deadlock victim and rolled back; retry the whole unit of work.
+	ErrDeadlock error = wire.StatusDeadlock
+	// ErrTimeout is wire.StatusTimeout: a lock wait exceeded the server's
+	// bound; the transaction was rolled back. Retryable.
+	ErrTimeout error = wire.StatusTimeout
+	// ErrCanceled is wire.StatusCanceled: the operation was abandoned
+	// server-side (a forced shutdown or context cancellation); the
+	// transaction was rolled back.
+	ErrCanceled error = wire.StatusCanceled
+	// ErrDuplicate is wire.StatusDuplicate: index insert on an existing key.
+	ErrDuplicate error = wire.StatusDuplicate
+	// ErrNotFound is wire.StatusNotFound: index update/delete on a missing
+	// key, an unresolvable catalog name, an unknown program id or a store
+	// id that names no table or index.
+	ErrNotFound error = wire.StatusNotFound
+	// ErrNoRecord is wire.StatusNoRecord: heap access to a dead RID.
+	ErrNoRecord error = wire.StatusNoRecord
+	// ErrReadOnly is wire.StatusReadOnly: a write inside a View batch,
+	// snapshot or not.
+	ErrReadOnly error = wire.StatusReadOnly
+	// ErrTxOpen is wire.StatusTxOpen: Begin (or a managed batch) while the
+	// session already has an explicit transaction.
+	ErrTxOpen error = wire.StatusTxOpen
+	// ErrNoTx is wire.StatusNoTx: an op or Commit/Rollback without an open
+	// transaction.
+	ErrNoTx error = wire.StatusNoTx
+	// ErrProto is wire.StatusProto: the server rejected the request as
+	// malformed.
+	ErrProto error = wire.StatusProto
+	// ErrTooLarge is wire.StatusTooLarge: a request, or the answer it asked
+	// for, exceeded the protocol's size cap.
+	ErrTooLarge error = wire.StatusTooLarge
+	// ErrClosing is wire.StatusClosing: the server is draining and refuses
+	// new transactions, or the engine behind it is closed or crashed
+	// (shoremt.ErrClosed). Not retryable on this server.
+	ErrClosing error = wire.StatusClosing
+	// ErrBadSession is wire.StatusBadSession: session id mismatch
+	// (handshake skipped?).
+	ErrBadSession error = wire.StatusBadSession
+	// ErrRolledBack is wire.StatusRolledBack: a program rolled its
+	// transaction back on purpose (the server's shoremt.ErrRollback). Not
+	// retryable: the same arguments would roll back again.
+	ErrRolledBack error = wire.StatusRolledBack
+	// ErrTxDone: use of a finished Tx handle (no status: the client
+	// refuses it itself).
 	ErrTxDone = errors.New("client: transaction already finished")
-	// ErrClosed: use of a closed Client.
+	// ErrClosed: use of a closed Client (no status: the client refuses it
+	// itself).
 	ErrClosed = errors.New("client: connection closed")
-	// ErrRolledBack: a program rolled its transaction back on purpose
-	// (the server's shoremt.ErrRollback). Not retryable: the same
-	// arguments would roll back again.
-	ErrRolledBack = errors.New("client: rolled back by the program")
 )
 
-// Error is the concrete error for non-OK responses.
+// Error is the concrete error for non-OK responses. It unwraps to its
+// Status, which is the sentinel (wire.StatusErr when the server's error has
+// none: device I/O, corruption).
 type Error struct {
-	Status   wire.Status
-	Aborted  bool // server rolled the session transaction back
-	Message  string
-	sentinel error
+	Status  wire.Status
+	Aborted bool // server rolled the session transaction back
+	Message string
 }
 
 // Error formats the server's report.
-func (e *Error) Error() string {
-	if e.Message == "" {
-		return fmt.Sprintf("%v (status %v)", e.sentinel, e.Status)
-	}
-	return fmt.Sprintf("%v: %s", e.sentinel, e.Message)
-}
+func (e *Error) Error() string { return "client: " + e.Status.String() + ": " + e.Message }
 
-// Unwrap exposes the sentinel for errors.Is.
-func (e *Error) Unwrap() error { return e.sentinel }
+// Unwrap exposes the status for errors.Is.
+func (e *Error) Unwrap() error { return e.Status }
 
 // IsAborted reports whether err carries the server's tx-aborted flag:
 // the session's open transaction was rolled back while producing the
@@ -85,53 +92,9 @@ func IsAborted(err error) bool {
 }
 
 // Retryable reports errors after which re-running the whole unit of
-// work is the right move: deadlock victims, lock timeouts and shed
-// (busy) requests.
+// work is the right move: the statuses wire's table marks retryable
+// (deadlock victims, lock timeouts and shed requests).
 func Retryable(err error) bool {
-	return errors.Is(err, ErrDeadlock) || errors.Is(err, ErrTimeout) || errors.Is(err, ErrBusy)
-}
-
-// statusError maps a response status onto the sentinel taxonomy.
-func statusError(status wire.Status, flags uint8, msg string) error {
-	var sentinel error
-	switch status {
-	case wire.StatusBusy:
-		sentinel = ErrBusy
-	case wire.StatusDeadlock:
-		sentinel = ErrDeadlock
-	case wire.StatusTimeout:
-		sentinel = ErrTimeout
-	case wire.StatusCanceled:
-		sentinel = ErrCanceled
-	case wire.StatusDuplicate:
-		sentinel = ErrDuplicate
-	case wire.StatusNotFound:
-		sentinel = ErrNotFound
-	case wire.StatusNoRecord:
-		sentinel = ErrNoRecord
-	case wire.StatusReadOnly:
-		sentinel = ErrReadOnly
-	case wire.StatusTxOpen:
-		sentinel = ErrTxOpen
-	case wire.StatusNoTx:
-		sentinel = ErrNoTx
-	case wire.StatusProto:
-		sentinel = ErrProto
-	case wire.StatusTooLarge:
-		sentinel = ErrTooLarge
-	case wire.StatusClosing:
-		sentinel = ErrClosing
-	case wire.StatusBadSession:
-		sentinel = ErrBadSession
-	case wire.StatusRolledBack:
-		sentinel = ErrRolledBack
-	default:
-		sentinel = errors.New("client: server error")
-	}
-	return &Error{
-		Status:   status,
-		Aborted:  flags&wire.FlagTxAborted != 0,
-		Message:  msg,
-		sentinel: sentinel,
-	}
+	var s wire.Status
+	return errors.As(err, &s) && s.Retryable()
 }

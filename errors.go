@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/btree"
+	"repro/internal/closed"
 	"repro/internal/core"
 	"repro/internal/lock"
 )
@@ -51,6 +52,11 @@ var (
 	// its own transaction back on purpose. It is not retryable: Update
 	// aborts and returns it.
 	ErrRollback = core.ErrRollback
+	// ErrClosed is what every error of a closed or crashed DB wraps,
+	// whichever part of the engine noticed first: the engine, its log, its
+	// lock manager (a lock wait ends with it at a crash) or its partition
+	// executor. It is not retryable; a server answers it as shutting down.
+	ErrClosed = closed.Err
 )
 
 // isBtreeDup reports a duplicate-key failure from the index layer.

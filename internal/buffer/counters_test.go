@@ -96,6 +96,7 @@ func TestPoolLayout(t *testing.T) {
 		{"transitWait", unsafe.Offsetof(p.transitWait), unsafe.Sizeof(p.transitWait)},
 		{"transitConflicts", unsafe.Offsetof(p.transitConflicts), unsafe.Sizeof(p.transitConflicts)},
 		{"pinRetries", unsafe.Offsetof(p.pinRetries), unsafe.Sizeof(p.pinRetries)},
+		{"exhaustedSweeps", unsafe.Offsetof(p.exhaustedSweeps), unsafe.Sizeof(p.exhaustedSweeps)},
 	}
 	for _, r := range readMostly {
 		for _, c := range counters {

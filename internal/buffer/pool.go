@@ -87,6 +87,7 @@ type Stats struct {
 	TransitWait      uint64
 	TransitConflicts uint64 // clock victims skipped because their page was in transit
 	PinRetries       uint64
+	ExhaustedSweeps  uint64 // allocation sweeps that found every frame pinned (each retries)
 	FreeListHits     uint64 // misses that allocated from a shard free list
 	Steals           uint64 // misses that crossed into another shard
 	CleanerFrees     uint64 // free frames the cleaner pre-evicted
@@ -177,6 +178,7 @@ type Pool struct {
 	transitWait      atomic.Uint64
 	transitConflicts atomic.Uint64
 	pinRetries       atomic.Uint64
+	exhaustedSweeps  atomic.Uint64
 
 	cleaner cleanerState
 }
@@ -424,6 +426,7 @@ func (p *Pool) allocFrame(pid page.ID) (*Frame, error) {
 		if err != errShardExhausted {
 			return f, err
 		}
+		p.exhaustedSweeps.Add(1)
 		if attempt >= allocRetries {
 			pinned, free := p.occupancy()
 			return nil, fmt.Errorf("%w (%d/%d frames pinned, %d free-listed; %d retries)",
@@ -520,6 +523,7 @@ func (p *Pool) Stats() Stats {
 		TransitWait:      p.transitWait.Load(),
 		TransitConflicts: p.transitConflicts.Load(),
 		PinRetries:       p.pinRetries.Load(),
+		ExhaustedSweeps:  p.exhaustedSweeps.Load(),
 		TableLock:        p.table.lockStats(),
 	}
 	for _, f := range p.frames {

@@ -230,7 +230,8 @@ func TestNoFreeFramesOccupancyError(t *testing.T) {
 
 // TestAllocRetryRecovers exercises the recoverable ErrNoFreeFrames path:
 // a fully pinned pool whose pins release mid-backoff succeeds without
-// surfacing an error.
+// surfacing an error. The pin goes only once the allocator's first sweep
+// has failed, so the retry is what recovers.
 func TestAllocRetryRecovers(t *testing.T) {
 	v := newVol(t, 8)
 	opts := shardedOpts(1)
@@ -240,7 +241,9 @@ func TestAllocRetryRecovers(t *testing.T) {
 	f1, _ := p.Fix(1, sync2.LatchSH)
 	f2, _ := p.Fix(2, sync2.LatchSH)
 	go func() {
-		time.Sleep(200 * time.Microsecond)
+		for p.exhaustedSweeps.Load() == 0 {
+			runtime.Gosched()
+		}
 		p.Unfix(f1, sync2.LatchSH)
 	}()
 	f3, err := p.Fix(3, sync2.LatchSH)

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/closed"
 	"repro/internal/disk"
 	"repro/internal/page"
 	"repro/internal/wal"
+	"repro/internal/waltest"
 )
 
 // gatedLog parks every Flush at a gate while one is armed, and counts the
@@ -161,5 +165,92 @@ func TestCrashStopFailedOpen(t *testing.T) {
 	}
 	if err := e2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCrashWakesLockWaiters: a transaction waiting for a lock held by one
+// in flight at the crash is woken by the crash with the closed
+// classification; it does not sleep out its lock timeout, a minute here.
+func TestCrashWakesLockWaiters(t *testing.T) {
+	cfg := StageConfig(StageFinal)
+	cfg.LockTimeout = time.Minute
+	e, err := Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup, err := e.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := e.CreateIndex(setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Commit(setup); err != nil {
+		t.Fatal(err)
+	}
+	holder, err := e.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.IndexInsert(holder, ix, []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	waiter, err := e.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := e.IndexLookupCtx(context.Background(), waiter, ix, []byte("k"))
+		errc <- err
+	}()
+	for e.Locks().Stats().Waits == 0 {
+		runtime.Gosched()
+	}
+	e.CrashHard()
+	if err := <-errc; !errors.Is(err, closed.Err) {
+		t.Fatalf("lock waiter after the crash: %v, want the closed classification", err)
+	}
+}
+
+// TestAbortAfterCrashKeepsInDoubt: a commit whose flush the crash cut is in
+// doubt, and Abort says so (ErrCommitting) even on the crashed engine, so
+// that no caller reports it rolled back; restart recovery settles it.
+func TestAbortAfterCrashKeepsInDoubt(t *testing.T) {
+	g := waltest.NewGateStore(wal.NewMemSegmentStore(0))
+	e, err := Open(disk.NewMem(0), g, StageConfig(StageFinal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup, err := e.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := e.CreateIndex(setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Commit(setup); err != nil {
+		t.Fatal(err)
+	}
+	inDoubt, err := e.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.IndexInsert(inDoubt, ix, []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	parked := g.Shut()
+	committed := make(chan error, 1)
+	go func() { committed <- e.Commit(inDoubt) }()
+	<-parked
+	g.Cut()
+	e.CrashHard()
+	if err := <-committed; err == nil {
+		t.Fatal("a commit whose flush the crash cut was acknowledged")
+	}
+	if err := e.Abort(inDoubt); !errors.Is(err, ErrCommitting) {
+		t.Fatalf("Abort of the in-doubt commit after the crash: %v, want ErrCommitting", err)
 	}
 }

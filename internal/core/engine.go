@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/buffer"
+	"repro/internal/closed"
 	"repro/internal/disk"
 	"repro/internal/dora"
 	"repro/internal/lock"
@@ -28,7 +29,7 @@ import (
 
 // Errors returned by the engine.
 var (
-	ErrClosed = errors.New("core: engine closed")
+	ErrClosed = fmt.Errorf("core: engine %w", closed.Err)
 	// ErrCommitting is returned when aborting a transaction whose commit
 	// record is already in the log (or committing one that has ended): the
 	// record may harden at any moment and, under CommitPipeline, the locks
@@ -545,14 +546,15 @@ func (e *Engine) CommitAsync(t *tx.Tx) <-chan error {
 // ctx-observing variant: once begun, rollback must run to completion to
 // restore consistency — a cancelled caller still gets a full abort.
 func (e *Engine) Abort(t *tx.Tx) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
 	if t.State() == tx.StateCommitting {
 		// The commit record is logged and may harden at any moment, and
 		// with early lock release another transaction may already have read
-		// t's writes. Only hardening or restart recovery may resolve it.
+		// t's writes. Only hardening or restart recovery may resolve it,
+		// also once the engine is closed or crashed.
 		return fmt.Errorf("%w: tx %d", ErrCommitting, t.ID())
+	}
+	if e.closed.Load() {
+		return ErrClosed
 	}
 	if t.IsSnapshot() {
 		// Snapshot reader: nothing to undo, nothing logged, no locks.
@@ -870,24 +872,28 @@ func (e *Engine) Crash() { e.crash(true) }
 // the plug.
 func (e *Engine) CrashHard() { e.crash(false) }
 
-// crash stops everything that can write to the log store — the log
-// manager last, after its close-time flush if there is to be one — before
-// it cuts the store's power: a flusher still draining into a store that
-// the next Open is recovering could acknowledge a commit after the crash.
+// crash cuts the power at one instant, as ARIES assumes: the log manager
+// stops (after its close-time flush if there is to be one) and its store
+// crashes before anything else stops, so nothing still running can make
+// a write durable or acknowledge a commit. Only then are the lock waiters
+// woken with lock.ErrClosed and the partition owners stopped: an action
+// in flight fails on the dead log, and its transaction is a loser at
+// restart.
 func (e *Engine) crash(flushLog bool) {
 	if e.closed.Swap(true) {
 		return
 	}
 	e.stopCheckpointLoop()
-	if e.dora != nil {
-		e.dora.Close()
-	}
-	e.pool.StopCleaner()
 	if flushLog {
 		_ = e.log.Close() // a failed device loses the tail, as the crash would
 	}
 	e.log.Kill()
 	e.logStore.Crash()
+	e.locks.Close()
+	if e.dora != nil {
+		e.dora.Close()
+	}
+	e.pool.StopCleaner()
 }
 
 // EngineStats aggregates component statistics for profiling output.

@@ -43,19 +43,21 @@ package dora
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/closed"
 	"repro/internal/lock"
 	"repro/internal/tx"
 )
 
 // Errors returned by the executor.
 var (
-	ErrClosed     = errors.New("dora: executor closed")
+	ErrClosed     = fmt.Errorf("dora: executor %w", closed.Err)
 	ErrNoActions  = errors.New("dora: transaction has no actions")
 	ErrNoProducer = errors.New("dora: dependent action without a producer")
 )

@@ -3,9 +3,11 @@ package lock
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/closed"
 	"repro/internal/page"
 )
 
@@ -158,5 +160,43 @@ func TestCancelPendingConversion(t *testing.T) {
 	m.Unlock(2, n)
 	if err := m.Lock(context.Background(), 1, n, X, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseWakesLockWaiters: with the timeout at a minute, so that nothing
+// passes by timing out, Close must end a fresh request's wait and a
+// conversion's with ErrClosed, which is the closed classification. A
+// request that would wait afterwards gets it at once; one that needs no
+// wait is still granted.
+func TestCloseWakesLockWaiters(t *testing.T) {
+	m := NewManager(Options{DefaultTimeout: time.Minute})
+	ctx := context.Background()
+	n, n2 := RowName(1, page.RID{Page: 1, Slot: 1}), RowName(1, page.RID{Page: 1, Slot: 2})
+	for _, l := range []struct {
+		tx   uint64
+		name Name
+		mode Mode
+	}{{1, n, X}, {1, n2, S}, {3, n2, S}} {
+		if err := m.Lock(ctx, l.tx, l.name, l.mode, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errc := make(chan error, 2)
+	go func() { errc <- m.Lock(ctx, 2, n, X, 0) }()  // a fresh request behind tx1's X
+	go func() { errc <- m.Lock(ctx, 3, n2, X, 0) }() // a conversion behind tx1's S
+	for m.Stats().Waits < 2 {
+		runtime.Gosched()
+	}
+	m.Close()
+	for range 2 {
+		if err := <-errc; !errors.Is(err, ErrClosed) || !errors.Is(err, closed.Err) {
+			t.Fatalf("waiter woken by Close: %v, want ErrClosed", err)
+		}
+	}
+	if err := m.Lock(ctx, 4, n, S, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("request after Close: %v, want ErrClosed", err)
+	}
+	if err := m.Lock(ctx, 4, RowName(1, page.RID{Page: 2, Slot: 1}), X, 0); err != nil {
+		t.Fatalf("uncontended request after Close: %v", err)
 	}
 }

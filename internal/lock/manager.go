@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/closed"
 	"repro/internal/sync2"
 )
 
@@ -23,6 +24,10 @@ var (
 	// dequeued cleanly: FIFO grant order and waits-for edges for everyone
 	// behind it are unaffected.
 	ErrCanceled = errors.New("lock: wait canceled")
+	// ErrClosed ends every wait once the manager is closed, as a crash
+	// does: the transactions holding the locks will never release them,
+	// and restart recovery settles them instead.
+	ErrClosed = fmt.Errorf("lock: manager %w", closed.Err)
 )
 
 // TableMode selects the latching granularity of the lock hash table,
@@ -134,6 +139,9 @@ type Manager struct {
 	// releaser whose (still volatile) data they may have observed.
 	elrHorizon  atomic.Uint64
 	elrReleases atomic.Uint64
+
+	closed    chan struct{} // closed by Close: every wait ends with ErrClosed
+	closeOnce sync.Once
 }
 
 // NewManager builds a lock manager.
@@ -156,6 +164,7 @@ func NewManager(opts Options) *Manager {
 		wf:       make(map[uint64][]uint64),
 		cycSeen:  make(map[uint64]uint64),
 		walkSeen: make(map[uint64]uint64),
+		closed:   make(chan struct{}),
 	}
 	if opts.Table == TableGlobal {
 		m.global = new(sync2.HybridLock)
@@ -422,8 +431,13 @@ const (
 	detectPollMax = 24 * time.Millisecond
 )
 
-// wait blocks txID's request until granted, deadlock, timeout or ctx
-// cancellation.
+// Close ends every wait, current and future, with ErrClosed. A grant that
+// needs no wait is still made: it changes nothing but memory the crash is
+// about to lose.
+func (m *Manager) Close() { m.closeOnce.Do(func() { close(m.closed) }) }
+
+// wait blocks txID's request until granted, deadlock, timeout, ctx
+// cancellation or Close.
 //
 // The wait is a poll loop: every detectPoll the waiter re-derives its
 // blockers from the live queue under the bucket latch and replaces its
@@ -453,6 +467,12 @@ func (m *Manager) wait(ctx context.Context, txID uint64, name Name, r *request, 
 			return nil
 		case <-ctx.Done():
 			return m.cancelFor(ctx, txID, name, r, wake, conversion)
+		case <-m.closed:
+			if m.finishWait(name, r, wake, conversion) {
+				m.acquires.Add(1)
+				return nil // the grant raced the close: keep the lock
+			}
+			return fmt.Errorf("%w: tx %d on %v", ErrClosed, txID, name)
 		case <-timer.C:
 		}
 		if !time.Now().Before(deadline) {

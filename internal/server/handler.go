@@ -7,7 +7,9 @@ import (
 	"fmt"
 
 	shoremt "repro"
+	"repro/internal/core"
 	"repro/internal/page"
+	"repro/internal/space"
 	"repro/internal/wire"
 )
 
@@ -44,9 +46,20 @@ func (s *Server) serve(t *task) {
 	sess.reply(status, flags, sess.body.B)
 }
 
-// fail leaves err's message in sess.body and returns the status and flags
-// that describe it.
-func (sess *session) fail(status wire.Status, flags uint8, err error) (wire.Status, uint8) {
+// refuse answers a protocol refusal; msg is left in sess.body.
+func (sess *session) refuse(status wire.Status, msg string) (wire.Status, uint8) {
+	sess.body.B = append(sess.body.B[:0], msg...)
+	return status, 0
+}
+
+// fail answers err with its statusRows status, leaving its message in
+// sess.body, and ends the session's transaction if end or the status says.
+func (sess *session) fail(err error, end bool) (wire.Status, uint8) {
+	status := statusOf(err)
+	var flags uint8
+	if end || status.Aborts() {
+		flags = sess.abortTx()
+	}
 	sess.body.B = append(sess.body.B[:0], err.Error()...)
 	return status, flags
 }
@@ -64,7 +77,7 @@ func (s *Server) exec(sess *session, req wire.Request) (wire.Status, uint8) {
 
 	case wire.OpRollback:
 		if sess.tx == nil {
-			return sess.fail(wire.StatusNoTx, 0, errors.New("no open transaction"))
+			return sess.refuse(wire.StatusNoTx, "no open transaction")
 		}
 		sess.abortTx()
 		return wire.StatusOK, 0
@@ -76,11 +89,11 @@ func (s *Server) exec(sess *session, req wire.Request) (wire.Status, uint8) {
 		d := wire.NewDec(req.Body)
 		name := d.Str()
 		if err := d.Done(); err != nil {
-			return sess.fail(wire.StatusProto, 0, err)
+			return sess.fail(err, false)
 		}
 		e, ok := s.resolve(name)
 		if !ok {
-			return sess.fail(wire.StatusNotFound, 0, fmt.Errorf("catalog: %q not registered", name))
+			return sess.fail(fmt.Errorf("catalog: %q: %w", name, shoremt.ErrNotFound), false)
 		}
 		sess.body.U32(e.id)
 		sess.body.U8(e.kind)
@@ -93,13 +106,13 @@ func (s *Server) exec(sess *session, req wire.Request) (wire.Status, uint8) {
 		}
 		b, err := json.Marshal(payload)
 		if err != nil {
-			return sess.fail(wire.StatusErr, 0, err)
+			return sess.fail(err, false)
 		}
 		sess.body.B = append(sess.body.B, b...)
 		return wire.StatusOK, 0
 	}
 	// ParseRequest lets no other opcode through.
-	return sess.fail(wire.StatusProto, 0, fmt.Errorf("%w: opcode %v", wire.ErrMalformed, req.Op))
+	return sess.fail(fmt.Errorf("%w: opcode %v", wire.ErrMalformed, req.Op), false)
 }
 
 // execCreate runs DDL: inside the session transaction when one is
@@ -130,11 +143,7 @@ func (s *Server) execCreate(sess *session, op wire.Op) (wire.Status, uint8) {
 		})
 	}
 	if err != nil {
-		var flags uint8
-		if abortWorthy(err) {
-			flags = sess.abortTx()
-		}
-		return sess.fail(statusOf(err), flags, err)
+		return sess.fail(err, false)
 	}
 	sess.body.U32(id)
 	return wire.StatusOK, 0
@@ -147,7 +156,7 @@ func (s *Server) execBatch(sess *session, body []byte) (wire.Status, uint8) {
 	s.st.batches.Add(1)
 	batch, err := wire.DecodeBatch(body)
 	if err != nil {
-		return sess.fail(wire.StatusProto, 0, err)
+		return sess.fail(err, false)
 	}
 	run := func(t *shoremt.Tx) error {
 		sess.body.B = sess.body.B[:0] // managed retry re-runs the ops
@@ -162,9 +171,9 @@ func (s *Server) execBatch(sess *session, body []byte) (wire.Status, uint8) {
 	// A batch that starts a transaction needs the session to have none; a
 	// fragment needs the one that is open.
 	if starts := startsTx(batch.Flags); starts && sess.tx != nil {
-		return sess.fail(wire.StatusTxOpen, 0, errors.New("transaction already open"))
+		return sess.refuse(wire.StatusTxOpen, "transaction already open")
 	} else if !starts && sess.tx == nil {
-		return sess.fail(wire.StatusNoTx, 0, errors.New("batch with no open transaction"))
+		return sess.refuse(wire.StatusNoTx, "batch with no open transaction")
 	}
 	switch batch.Flags & wire.BatchModeMask {
 	case wire.BatchUpdate:
@@ -175,12 +184,12 @@ func (s *Server) execBatch(sess *session, body []byte) (wire.Status, uint8) {
 		if begin {
 			if !s.acquireTxToken() {
 				s.st.sheds.Add(1)
-				return sess.fail(wire.StatusBusy, 0, errors.New("open-transaction limit reached"))
+				return sess.refuse(wire.StatusBusy, "open-transaction limit reached")
 			}
 			tx, err := s.db.BeginCtx(s.baseCtx)
 			if err != nil {
 				s.releaseTxToken()
-				return sess.fail(statusOf(err), 0, err)
+				return sess.fail(err, false)
 			}
 			sess.setTx(tx)
 		}
@@ -195,14 +204,10 @@ func (s *Server) execBatch(sess *session, body []byte) (wire.Status, uint8) {
 		// it rolls back on ANY failure: the first leaves the client no
 		// handle to roll back with, and either way the whole unit of work
 		// can simply be retried. A fragment in between only rolls back
-		// when the engine already killed the transaction (deadlock
-		// victim, timeout, cancellation). A managed batch has nothing
-		// open here: abortTx is a no-op for it.
-		var flags uint8
-		if begin || commit || abortWorthy(err) {
-			flags = sess.abortTx()
-		}
-		return sess.fail(statusOf(err), flags, err)
+		// when its status says the transaction is over (deadlock victim,
+		// timeout, cancellation, a program's rollback). A managed batch
+		// has nothing open here: abortTx is a no-op for it.
+		return sess.fail(err, begin || commit)
 	}
 	return wire.StatusOK, 0
 }
@@ -362,38 +367,36 @@ func (sess *session) abortTx() uint8 {
 	return wire.FlagTxAborted
 }
 
-// statusOf maps an engine error onto a wire status.
-func statusOf(err error) wire.Status {
-	switch {
-	case errors.Is(err, shoremt.ErrDeadlock):
-		return wire.StatusDeadlock
-	case errors.Is(err, shoremt.ErrTimeout):
-		return wire.StatusTimeout
-	case errors.Is(err, shoremt.ErrCanceled):
-		return wire.StatusCanceled
-	case errors.Is(err, shoremt.ErrDuplicate):
-		return wire.StatusDuplicate
-	case errors.Is(err, shoremt.ErrNotFound):
-		return wire.StatusNotFound
-	case errors.Is(err, shoremt.ErrNoRecord):
-		return wire.StatusNoRecord
-	case errors.Is(err, shoremt.ErrReadOnly):
-		return wire.StatusReadOnly
-	case errors.Is(err, shoremt.ErrTxDone):
-		return wire.StatusNoTx
-	case errors.Is(err, shoremt.ErrRollback):
-		return wire.StatusRolledBack
-	default:
-		return wire.StatusErr
-	}
+// statusRows is the one classification of engine errors: an error takes
+// the status of the first row it wraps, StatusErr if none (device I/O,
+// corruption). Closed comes first: once the engine is gone nothing is
+// retryable, whatever else the error wraps.
+var statusRows = [...]struct {
+	err    error
+	status wire.Status
+}{
+	{shoremt.ErrClosed, wire.StatusClosing},
+	{shoremt.ErrDeadlock, wire.StatusDeadlock},
+	{shoremt.ErrTimeout, wire.StatusTimeout},
+	{shoremt.ErrCanceled, wire.StatusCanceled},
+	{shoremt.ErrDuplicate, wire.StatusDuplicate},
+	{shoremt.ErrNotFound, wire.StatusNotFound},
+	{space.ErrNoSuchStore, wire.StatusNotFound},
+	{shoremt.ErrNoRecord, wire.StatusNoRecord},
+	{shoremt.ErrReadOnly, wire.StatusReadOnly},
+	{core.ErrSnapshotWrite, wire.StatusReadOnly},
+	{shoremt.ErrTxDone, wire.StatusNoTx},
+	{shoremt.ErrRollback, wire.StatusRolledBack},
+	{wire.ErrTooLarge, wire.StatusTooLarge},
+	{wire.ErrMalformed, wire.StatusProto},
 }
 
-// abortWorthy reports errors after which the transaction must be rolled
-// back: the engine requires it (its locks may already be gone and retrying
-// inside it is meaningless), or a program asked for it (ErrRollback).
-func abortWorthy(err error) bool {
-	return errors.Is(err, shoremt.ErrDeadlock) ||
-		errors.Is(err, shoremt.ErrTimeout) ||
-		errors.Is(err, shoremt.ErrCanceled) ||
-		errors.Is(err, shoremt.ErrRollback)
+// statusOf classifies an engine error by statusRows.
+func statusOf(err error) wire.Status {
+	for _, r := range statusRows {
+		if errors.Is(err, r.err) {
+			return r.status
+		}
+	}
+	return wire.StatusErr
 }

@@ -78,11 +78,6 @@ func (sess *session) reply(status wire.Status, flags uint8, body []byte) {
 	_ = sess.bw.Flush()
 }
 
-// replyErr writes an error response with a message body.
-func (sess *session) replyErr(status wire.Status, flags uint8, msg string) {
-	sess.reply(status, flags, []byte(msg))
-}
-
 // readLoop parses frames and pushes them through admission until the
 // connection dies or turns protocol-broken.
 func (sess *session) readLoop() {
@@ -96,7 +91,7 @@ func (sess *session) readLoop() {
 			if errors.Is(err, wire.ErrTooLarge) {
 				// The stream cannot be resynchronized past an oversized
 				// frame: report and hang up.
-				sess.replyErr(wire.StatusTooLarge, 0, err.Error())
+				sess.reply(wire.StatusTooLarge, 0, []byte(err.Error()))
 			}
 			return
 		}
@@ -105,7 +100,7 @@ func (sess *session) readLoop() {
 		if err != nil {
 			// In-frame garbage: the framing is still synchronized, so
 			// report and keep the connection.
-			sess.replyErr(wire.StatusProto, 0, err.Error())
+			sess.reply(wire.StatusProto, 0, []byte(err.Error()))
 			continue
 		}
 		switch req.Op {
@@ -120,7 +115,7 @@ func (sess *session) readLoop() {
 			continue
 		}
 		if !hello || req.Session != sess.id {
-			sess.replyErr(wire.StatusBadSession, 0, "session id mismatch (Hello first)")
+			sess.reply(wire.StatusBadSession, 0, []byte("session id mismatch (Hello first)"))
 			continue
 		}
 
@@ -136,7 +131,7 @@ func (sess *session) readLoop() {
 		// per-session serialization (one frame at a time) still holds.
 		if entryRequest(req) {
 			if s.draining.Load() {
-				sess.replyErr(wire.StatusClosing, 0, "server draining")
+				sess.reply(wire.StatusClosing, 0, []byte("server draining"))
 				continue
 			}
 			t := &task{sess: sess, req: req, done: make(chan struct{})}
@@ -146,7 +141,7 @@ func (sess *session) readLoop() {
 			default:
 				sess.inflight.Store(false)
 				s.st.sheds.Add(1)
-				sess.replyErr(wire.StatusBusy, 0, "admission queue full")
+				sess.reply(wire.StatusBusy, 0, []byte("admission queue full"))
 				continue
 			}
 			maxInt64(&s.st.queueHighWater, int64(len(s.tasks)))

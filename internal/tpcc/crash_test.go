@@ -5,12 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/closed"
 	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/lock"
 	"repro/internal/wal"
 )
 
@@ -75,8 +78,8 @@ func TestCrashKeepsAcknowledgedCommits(t *testing.T) {
 			ran++
 		})
 	}
-	// The partition executor lets its owners finish when it closes, so a
-	// crash seldom leaves it a loser: undo is asserted over the whole run.
+	// A cycle whose crash finds no transaction with a durable record in
+	// flight has no loser: undo is asserted over the whole run.
 	if ran == len(configs) && losers == 0 {
 		t.Error("no loser was rolled back in any configuration")
 	}
@@ -107,9 +110,6 @@ func crashCycles(t *testing.T, cfg core.Config, seed int64, cycles int) (losers 
 	rng, scale := rand.New(rand.NewSource(seed)), TinyScale()
 	vol, logStore := disk.NewFault(disk.NewMem(0)), wal.NewMemSegmentStore(crashSegBytes)
 	cfg.Frames, cfg.DoraPartitions, cfg.DoraKeys = 128, 2, scale.Warehouses
-	// A transaction in flight at the crash keeps its locks, so a client
-	// waiting on one learns of the crash only when its wait times out.
-	cfg.LockTimeout = 100 * time.Millisecond
 	e, err := core.Open(vol, logStore, cfg)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
@@ -171,30 +171,59 @@ func crashCycles(t *testing.T, cfg core.Config, seed int64, cycles int) (losers 
 
 		// Every other client commits with no cancellation, so that both of
 		// awaitDurable's waits (the blocking flush and the subscription)
-		// meet the crash. Each counts what it begins after the crash.
-		var crashed atomic.Bool
+		// meet the crash. Each counts what it begins after the crash and
+		// keeps the answers given once the crash began that are lock
+		// timeouts (a crash wakes every lock waiter), or that are not
+		// closed for a transaction begun after it.
+		var crashing, crashed atomic.Bool
 		var late [crashClients]atomic.Int32
+		var wrongMu sync.Mutex
+		var wrong []error
 		clients := 0
 		open := func() Executor {
 			c, ex := clients, db.Executor()
 			clients++
-			at := func(ctx context.Context) context.Context {
-				if crashed.Load() {
+			at := func(ctx context.Context) (context.Context, func(error) error) {
+				began := crashed.Load()
+				if began {
 					late[c].Add(1)
 				}
 				if c%2 == 1 {
-					return context.WithoutCancel(ctx)
+					ctx = context.WithoutCancel(ctx)
 				}
-				return ctx
+				return ctx, func(err error) error {
+					if crashing.Load() && (errors.Is(err, lock.ErrTimeout) || began && !errors.Is(err, closed.Err)) {
+						wrongMu.Lock()
+						wrong = append(wrong, err)
+						wrongMu.Unlock()
+					}
+					return err
+				}
 			}
 			return Executor{
-				Payment:  func(ctx context.Context, in PaymentInput) error { return ex.Payment(at(ctx), in) },
-				NewOrder: func(ctx context.Context, in NewOrderInput) error { return ex.NewOrder(at(ctx), in) },
-				OrderStatus: func(ctx context.Context, in OrderStatusInput) (OrderStatusResult, error) {
-					return ex.OrderStatus(at(ctx), in)
+				Payment: func(ctx context.Context, in PaymentInput) error {
+					ctx, answer := at(ctx)
+					return answer(ex.Payment(ctx, in))
 				},
-				StockLevel: func(ctx context.Context, in StockLevelInput) (int, error) { return ex.StockLevel(at(ctx), in) },
-				Delivery:   func(ctx context.Context, in DeliveryInput) (int, error) { return ex.Delivery(at(ctx), in) },
+				NewOrder: func(ctx context.Context, in NewOrderInput) error {
+					ctx, answer := at(ctx)
+					return answer(ex.NewOrder(ctx, in))
+				},
+				OrderStatus: func(ctx context.Context, in OrderStatusInput) (OrderStatusResult, error) {
+					ctx, answer := at(ctx)
+					res, err := ex.OrderStatus(ctx, in)
+					return res, answer(err)
+				},
+				StockLevel: func(ctx context.Context, in StockLevelInput) (int, error) {
+					ctx, answer := at(ctx)
+					low, err := ex.StockLevel(ctx, in)
+					return low, answer(err)
+				},
+				Delivery: func(ctx context.Context, in DeliveryInput) (int, error) {
+					ctx, answer := at(ctx)
+					n, err := ex.Delivery(ctx, in)
+					return n, answer(err)
+				},
 			}
 		}
 		tally := NewTally(scale)
@@ -217,6 +246,7 @@ func crashCycles(t *testing.T, cfg core.Config, seed int64, cycles int) (losers 
 		if f == tornTail {
 			logStore.ArmTornCrash(int64(1 + rng.Intn(3000)))
 		}
+		crashing.Store(true)
 		e.CrashHard()
 		crashed.Store(true)
 		select {
@@ -232,6 +262,9 @@ func crashCycles(t *testing.T, cfg core.Config, seed int64, cycles int) (losers 
 			if n := late[c].Load(); n > 1 {
 				fail("client %d began %d transactions after the crash, want at most 1", c, n)
 			}
+		}
+		if len(wrong) > 0 {
+			fail("answers after the crash that are lock timeouts or not closed: %v", wrong)
 		}
 		if f == tornTail {
 			// What the disk had in flight: garbage past the surviving

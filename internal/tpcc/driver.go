@@ -7,11 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/closed"
 	"repro/internal/core"
-	"repro/internal/dora"
 	"repro/internal/page"
 	"repro/internal/tx"
-	"repro/internal/wal"
 )
 
 // Executor runs the five transactions on one back end: the engine's
@@ -182,7 +181,7 @@ func Drive(ctx context.Context, open func() Executor, mix Mix, clients int, seed
 				typ := mix.draw(r)
 				err := t.run(ctx, ex, typ, r, home)
 				t.book(ctx, typ, err)
-				if errors.Is(err, core.ErrClosed) || errors.Is(err, dora.ErrClosed) || errors.Is(err, wal.ErrLogClosed) {
+				if errors.Is(err, closed.Err) {
 					return
 				}
 			}

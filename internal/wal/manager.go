@@ -1,10 +1,11 @@
 package wal
 
 import (
-	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/closed"
 	"repro/internal/sync2"
 )
 
@@ -81,7 +82,7 @@ type ManagerStats struct {
 }
 
 // ErrLogClosed is returned by operations on a closed manager.
-var ErrLogClosed = errors.New("wal: log manager closed")
+var ErrLogClosed = fmt.Errorf("wal: log manager %w", closed.Err)
 
 // Options configures log-manager construction.
 type Options struct {

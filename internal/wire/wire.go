@@ -137,11 +137,12 @@ func (o Op) Valid() bool {
 	return false
 }
 
-// Status encodes a response outcome.
+// Status encodes a response outcome. It is an error: each of the client's
+// sentinels is its status (client.ErrDeadlock is StatusDeadlock).
 type Status uint8
 
 // Response status codes. StatusOK is success; everything else is an
-// error, mapped onto client sentinels on the other side.
+// error, and the client's sentinel for it.
 const (
 	StatusOK         Status = 0
 	StatusErr        Status = 1 // uncategorized; message in body
@@ -162,17 +163,49 @@ const (
 	StatusRolledBack Status = 16 // a program rolled its transaction back on purpose
 )
 
+// statuses is the one table of what a status means to a caller: its name,
+// whether to retry the whole unit of work, and whether the server ends the
+// session's transaction when an engine error takes the status.
+var statuses = [...]struct {
+	name      string
+	retryable bool
+	aborts    bool
+}{
+	StatusOK:         {name: "ok"},
+	StatusErr:        {name: "error"},
+	StatusBusy:       {name: "busy", retryable: true},
+	StatusDeadlock:   {name: "deadlock", retryable: true, aborts: true},
+	StatusTimeout:    {name: "timeout", retryable: true, aborts: true},
+	StatusCanceled:   {name: "canceled", aborts: true},
+	StatusDuplicate:  {name: "duplicate"},
+	StatusNotFound:   {name: "notFound"},
+	StatusNoRecord:   {name: "noRecord"},
+	StatusReadOnly:   {name: "readOnly"},
+	StatusTxOpen:     {name: "txOpen"},
+	StatusNoTx:       {name: "noTx"},
+	StatusProto:      {name: "proto"},
+	StatusTooLarge:   {name: "tooLarge"},
+	StatusClosing:    {name: "closing"},
+	StatusBadSession: {name: "badSession"},
+	StatusRolledBack: {name: "rolledBack", aborts: true},
+}
+
 // String names the status.
 func (s Status) String() string {
-	names := [...]string{"ok", "error", "busy", "deadlock", "timeout",
-		"canceled", "duplicate", "notFound", "noRecord", "readOnly",
-		"txOpen", "noTx", "proto", "tooLarge", "closing", "badSession",
-		"rolledBack"}
-	if int(s) < len(names) {
-		return names[s]
+	if int(s) < len(statuses) {
+		return statuses[s].name
 	}
 	return fmt.Sprintf("status%d", uint8(s))
 }
+
+// Error makes a status a sentinel; it reads as its name.
+func (s Status) Error() string { return s.String() }
+
+// Retryable reports the table's retryable column for s.
+func (s Status) Retryable() bool { return int(s) < len(statuses) && statuses[s].retryable }
+
+// Aborts reports the table's column for whether s ends the transaction.
+func (s Status) Aborts() bool { return int(s) < len(statuses) && statuses[s].aborts }
 
 // Response flag bits.
 const (
