@@ -665,11 +665,25 @@ func (t *Tree) readLeafOpt(pid page.ID, hinted bool, c *Cursor, key []byte, read
 
 // Search returns a copy of the value stored for key. c may be nil.
 func (t *Tree) Search(a Access, c *Cursor, key []byte) (val []byte, found bool, err error) {
+	found, err = t.View(a, c, key, func(v []byte) { val = append(val[:0:0], v...) })
+	if !found {
+		val = nil
+	}
+	return val, found, err
+}
+
+// View calls view with the value stored for key and reports whether there
+// is one. view sees the leaf's bytes, under its latch or on an image that
+// may yet fail validation: it must copy what it keeps, and it may run more
+// than once (the last call is the one that counts) or run and still have
+// View answer not found, whose caller then ignores what it copied. c may
+// be nil.
+func (t *Tree) View(a Access, c *Cursor, key []byte, view func(v []byte)) (found bool, err error) {
 	if err := checkKV(key, nil); err != nil {
-		return nil, false, err
+		return false, err
 	}
 	err = t.viewLeaf(a, c, key, func(p *page.Page, _ nodeHeader, slot int, exact bool) error {
-		val, found = nil, false
+		found = false
 		if !exact {
 			return nil
 		}
@@ -681,13 +695,14 @@ func (t *Tree) Search(a Access, c *Cursor, key []byte) (val []byte, found bool, 
 		if err != nil {
 			return err
 		}
-		val, found = append([]byte(nil), v...), true
+		view(v)
+		found = true
 		return nil
 	})
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
-	return val, found, nil
+	return found, nil
 }
 
 // Insert adds key→value; ErrDuplicateKey if present. The operation is
@@ -707,7 +722,11 @@ func (t *Tree) insert(a Access, c *Cursor, txID uint64, key, value []byte, withU
 	if err := checkKV(key, value); err != nil {
 		return err
 	}
-	entry := encodeLeafEntry(key, value)
+	// The entry is scratch: Log copies it into the record and the page.
+	scratch := entryScratch.Get().(*[]byte)
+	defer entryScratch.Put(scratch)
+	entry := appendLeafEntry((*scratch)[:0], key, value)
+	*scratch = entry
 	var path nodePath
 	for {
 		f, hdr, slot, exact, err := t.descend(a, c, key, sync2.LatchEX, &path)

@@ -15,6 +15,11 @@ import (
 // redoes onto a frame holding anything at all, here all 0xFF, as exactly
 // the page that was built. Fixed cases (an empty leaf, a full leaf, a
 // branch) ride along with random entry sets.
+// encodeLeafEntry builds a leaf entry record.
+func encodeLeafEntry(key, value []byte) []byte {
+	return appendLeafEntry(make([]byte, 0, 2+len(key)+len(value)), key, value)
+}
+
 func TestNodeImageRoundTrip(t *testing.T) {
 	redone := func(b []byte) []byte {
 		op := pageop.Image(b)

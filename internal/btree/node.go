@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/page"
 )
@@ -123,14 +124,14 @@ func peekHeader(p *page.Page) (nodeHeader, error) {
 
 // entry encoding --------------------------------------------------------
 
-// encodeLeafEntry builds a leaf entry record.
-func encodeLeafEntry(key, value []byte) []byte {
-	b := make([]byte, 2+len(key)+len(value))
-	binary.LittleEndian.PutUint16(b, uint16(len(key)))
-	copy(b[2:], key)
-	copy(b[2+len(key):], value)
-	return b
+// appendLeafEntry appends key→value's leaf entry record to b.
+func appendLeafEntry(b, key, value []byte) []byte {
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(key)))
+	return append(append(b, key...), value...)
 }
+
+// entryScratch holds the buffers inserts encode their leaf entries in.
+var entryScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // decodeLeafEntry splits a leaf record into key and value (both aliased).
 func decodeLeafEntry(rec []byte) (key, value []byte, err error) {

@@ -225,6 +225,9 @@ func (e *Engine) Log() wal.Manager { return e.log }
 // Locks exposes the lock manager.
 func (e *Engine) Locks() *lock.Manager { return e.locks }
 
+// Txns exposes the transaction manager.
+func (e *Engine) Txns() *tx.Manager { return e.txns }
+
 // Space exposes the free-space manager.
 func (e *Engine) Space() *space.Manager { return e.sm }
 
@@ -274,7 +277,9 @@ func (e *Engine) begin(ctx context.Context, noLock bool) (*tx.Tx, error) {
 	if noLock {
 		t.SetNoLock()
 	}
-	lsn, err := e.log.Insert(&wal.Record{Type: wal.RecTxBegin, TxID: t.ID()})
+	rec := &t.LogScratch().Rec
+	*rec = wal.Record{Type: wal.RecTxBegin, TxID: t.ID()}
+	lsn, err := e.log.Insert(rec)
 	if err != nil {
 		return nil, err
 	}
@@ -444,11 +449,14 @@ func (e *Engine) publishCommit(ts ...*tx.Tx) (wal.LSN, error) {
 			}
 		}()
 	}
-	rec := wal.Record{Type: wal.RecTxCommit, TxID: ts[0].ID(), PrevLSN: ts[0].LastLSN()}
+	s := ts[0].LogScratch()
+	s.Buf = s.Buf[:0]
 	for _, t := range ts[1:] {
-		rec.Redo = binary.AppendUvarint(rec.Redo, t.ID())
+		s.Buf = binary.AppendUvarint(s.Buf, t.ID())
 	}
-	lsn, err := e.log.Insert(&rec)
+	rec := &s.Rec
+	*rec = wal.Record{Type: wal.RecTxCommit, TxID: ts[0].ID(), PrevLSN: ts[0].LastLSN(), Redo: s.Buf}
+	lsn, err := e.log.Insert(rec)
 	if err != nil {
 		return wal.NullLSN, err
 	}
@@ -561,9 +569,9 @@ func (e *Engine) Abort(t *tx.Tx) error {
 		e.mvcc.Unpin(t.SnapshotLSN())
 		return e.txns.Abort(t)
 	}
-	lsn, err := e.log.Insert(&wal.Record{
-		Type: wal.RecTxAbort, TxID: t.ID(), PrevLSN: t.LastLSN(),
-	})
+	rec := &t.LogScratch().Rec
+	*rec = wal.Record{Type: wal.RecTxAbort, TxID: t.ID(), PrevLSN: t.LastLSN()}
+	lsn, err := e.log.Insert(rec)
 	if err != nil {
 		return err
 	}
@@ -571,9 +579,8 @@ func (e *Engine) Abort(t *tx.Tx) error {
 	if err := e.rollback(t.ID(), t.UndoNext()); err != nil {
 		return fmt.Errorf("core: rollback of tx %d: %w", t.ID(), err)
 	}
-	if _, err := e.log.Insert(&wal.Record{
-		Type: wal.RecTxEnd, TxID: t.ID(), PrevLSN: t.LastLSN(),
-	}); err != nil {
+	*rec = wal.Record{Type: wal.RecTxEnd, TxID: t.ID(), PrevLSN: t.LastLSN()}
+	if _, err := e.log.Insert(rec); err != nil {
 		return err
 	}
 	if st := t.Stamp(); st != nil {
@@ -588,16 +595,15 @@ func (e *Engine) Abort(t *tx.Tx) error {
 }
 
 // releaseLocks drops every lock t holds (end of 2PL), each exactly once
-// (the lock list is deduplicated by the private cache), and folds the hits
-// of t's private lock and extent caches into their managers' Stats.
+// (the lock list is deduplicated by the private cache), and folds t's
+// lock grants and the hits of its private lock and extent caches into
+// their managers' Stats.
 func (e *Engine) releaseLocks(t *tx.Tx) {
 	names := t.Locks()
 	for i := len(names) - 1; i >= 0; i-- {
 		e.locks.Unlock(t.ID(), names[i])
 	}
-	if h := t.LockCacheHits(); h > 0 {
-		e.locks.NoteCacheHits(h)
-	}
+	e.locks.Fold(t.LockAcquires(), t.LockCacheHits())
 	e.sm.FoldCacheHits(&t.ExtentCache)
 }
 
@@ -617,25 +623,22 @@ func (e *Engine) acquire(ctx context.Context, t *tx.Tx, n lock.Name, m lock.Mode
 		t.HitLockCache()
 		return nil
 	}
-	if noWait {
-		if err := e.locks.TryLockNoWait(t.ID(), n, m); err != nil {
-			return err
-		}
-	} else if err := e.locks.Lock(ctx, t.ID(), n, m, 0); err != nil {
+	if err := e.locks.Acquire(ctx, t.ID(), n, m, noWait); err != nil {
 		return err
 	}
 	e.recordLock(t, n, m)
 	return nil
 }
 
-// recordLock records a lock the manager granted t. Under CommitPipeline
-// the lock may have been released early by a transaction whose commit
-// record is not yet durable; folding the ELR horizon into t orders t's own
-// commit acknowledgment behind that releaser's durability. A cache hit
-// skips the fold safely: it adds no dependency the original acquisition
-// did not already observe.
+// recordLock records and counts a lock the manager granted t. Under
+// CommitPipeline the lock may have been released early by a transaction
+// whose commit record is not yet durable; folding the ELR horizon into t
+// orders t's own commit acknowledgment behind that releaser's
+// durability. A cache hit skips the fold safely: it adds no dependency the
+// original acquisition did not already observe.
 func (e *Engine) recordLock(t *tx.Tx, n lock.Name, m lock.Mode) {
 	t.AddLock(n, m)
+	t.CountAcquire()
 	if e.cfg.CommitPipeline {
 		t.ObserveELR(wal.LSN(e.locks.ELRHorizon()))
 	}
@@ -657,7 +660,7 @@ func (e *Engine) escalate(t *tx.Tx, store uint32, m lock.Mode) bool {
 	if m == lock.X || m == lock.U {
 		mode = lock.X
 	}
-	granted := e.locks.TryLockNoWait(t.ID(), name, mode) == nil
+	granted := e.locks.Acquire(context.Background(), t.ID(), name, mode, true) == nil
 	e.locks.NoteEscalation(granted)
 	if granted {
 		e.recordLock(t, name, mode)
@@ -712,7 +715,7 @@ func (e *Engine) logPhysical(txID uint64, t *tx.Tx, f *buffer.Frame, op pageop.O
 	}
 	var s *tx.LogScratch
 	if t != nil {
-		s = &t.LogScratch
+		s = t.LogScratch()
 	} else {
 		s = new(tx.LogScratch)
 	}

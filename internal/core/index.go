@@ -250,18 +250,7 @@ func (e *Engine) IndexLookup(t *tx.Tx, ix *Index, key []byte) ([]byte, bool, err
 
 // IndexLookupCtx is IndexLookup whose lock waits observe ctx.
 func (e *Engine) IndexLookupCtx(ctx context.Context, t *tx.Tx, ix *Index, key []byte) ([]byte, bool, error) {
-	if e.closed.Load() {
-		return nil, false, ErrClosed
-	}
-	if t != nil && t.IsSnapshot() {
-		return e.indexLookupSnapshot(t, ix, key)
-	}
-	if err := e.lockRow(ctx, t, ix.store, keyLockName(ix.store, key), lock.S, false); err != nil {
-		return nil, false, err
-	}
-	e.probeLockTable(t, ix.store, key)
-	tr, a, c := ix.at(t, key)
-	return tr.Search(a, c, key)
+	return e.indexLookup(ctx, t, ix, key, lock.S)
 }
 
 // IndexLookupForUpdateCtx probes the index under an X key lock — SELECT
@@ -272,18 +261,48 @@ func (e *Engine) IndexLookupCtx(ctx context.Context, t *tx.Tx, ix *Index, key []
 // user think time) the more certain the collision. Taking X up front
 // serializes read-modify-write cycles on the key instead.
 func (e *Engine) IndexLookupForUpdateCtx(ctx context.Context, t *tx.Tx, ix *Index, key []byte) ([]byte, bool, error) {
+	return e.indexLookup(ctx, t, ix, key, lock.X)
+}
+
+// indexLookup is IndexView returning a copy the caller owns. A snapshot
+// read resolves to one already.
+func (e *Engine) indexLookup(ctx context.Context, t *tx.Tx, ix *Index, key []byte, m lock.Mode) (val []byte, found bool, err error) {
+	if t != nil && t.IsSnapshot() && m == lock.S && !e.closed.Load() {
+		return e.indexLookupSnapshot(t, ix, key)
+	}
+	found, err = e.IndexView(ctx, t, ix, key, m, func(v []byte) { val = append(val[:0:0], v...) })
+	if !found {
+		val = nil
+	}
+	return val, found, err
+}
+
+// IndexView probes the index under a key lock in mode m (S, or X as
+// IndexLookupForUpdateCtx takes it) and calls view with the value. view
+// sees the leaf's bytes, valid only inside the call: it copies what it
+// keeps, into t's arena for instance (the point read of a transaction's
+// own executor), and may run more than once, the last call counting; when
+// the key is absent found is false and whatever view copied is moot.
+func (e *Engine) IndexView(ctx context.Context, t *tx.Tx, ix *Index, key []byte, m lock.Mode, view func(v []byte)) (found bool, err error) {
 	if e.closed.Load() {
-		return nil, false, ErrClosed
+		return false, ErrClosed
 	}
-	if err := snapshotGuard(t); err != nil {
-		return nil, false, err
+	if t != nil && t.IsSnapshot() {
+		if m != lock.S {
+			return false, snapshotGuard(t)
+		}
+		v, found, err := e.indexLookupSnapshot(t, ix, key)
+		if found {
+			view(v)
+		}
+		return found, err
 	}
-	if err := e.lockRow(ctx, t, ix.store, keyLockName(ix.store, key), lock.X, false); err != nil {
-		return nil, false, err
+	if err := e.lockRow(ctx, t, ix.store, keyLockName(ix.store, key), m, false); err != nil {
+		return false, err
 	}
 	e.probeLockTable(t, ix.store, key)
 	tr, a, c := ix.at(t, key)
-	return tr.Search(a, c, key)
+	return tr.View(a, c, key, view)
 }
 
 // IndexUpdate replaces the value for key under an X key lock.

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/lock"
 )
 
 // TestEmptyIndexConcurrentInsert is the regression for the root-leaf
@@ -134,5 +137,83 @@ func TestLatchedDescentsCounted(t *testing.T) {
 	}
 	if s.OptDescents+s.OptLeafReads+s.OwnerDescents+s.OwnerReads != 0 {
 		t.Fatalf("speculative counters moved without OLC or PLP: %+v", s)
+	}
+}
+
+// TestLookupReturnsOwnedCopies: what an exported lookup returns belongs to
+// the caller. A transaction's arena is handed to the next one on the same
+// goroutine when it ends (and, under the race detector, overwritten with
+// garbage first), so a value that aliased it would change under a caller
+// that kept it past its commit.
+func TestLookupReturnsOwnedCopies(t *testing.T) {
+	e, _, _ := newEngine(t, StageFinal)
+	ctx := context.Background()
+	tx0, _ := e.Begin()
+	ix, err := e.CreateIndex(tx0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%03d", i)) }
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, 40) }
+	for i := 0; i < 50; i++ {
+		if err := e.IndexInsert(tx0, ix, key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Commit(tx0); err != nil {
+		t.Fatal(err)
+	}
+
+	tx1, _ := e.Begin()
+	got, _, err := e.IndexLookupCtx(ctx, tx1, ix, key(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forUpdate, _, err := e.IndexLookupForUpdateCtx(ctx, tx1, ix, key(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scanned [][]byte
+	if err := e.IndexScanCtx(ctx, tx1, ix, key(3), key(5), func(_, v []byte) bool {
+		scanned = append(scanned, v)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	deleted, err := e.IndexDeleteCtx(ctx, tx1, ix, key(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Commit(tx1); err != nil {
+		t.Fatal(err)
+	}
+
+	// The next transaction on this goroutine fills its arena with other
+	// values and rewrites the rows read.
+	tx2, _ := e.Begin()
+	for i := 6; i < 50; i++ {
+		if _, err := e.IndexView(ctx, tx2, ix, key(i), lock.S, func(v []byte) { tx2.Arena().Copy(v) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range []int{1, 2, 3, 4} {
+		if err := e.IndexUpdateCtx(ctx, tx2, ix, key(i), val(i+13)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Commit(tx2); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name      string
+		got, want []byte
+	}{
+		{"IndexLookupCtx", got, val(1)}, {"IndexLookupForUpdateCtx", forUpdate, val(2)},
+		{"IndexScanCtx", bytes.Join(scanned, nil), append(val(3), val(4)...)}, {"IndexDeleteCtx", deleted, val(5)},
+	} {
+		if !bytes.Equal(c.got, c.want) {
+			t.Errorf("%s's value changed after its transaction ended: %q, want %q", c.name, c.got, c.want)
+		}
 	}
 }

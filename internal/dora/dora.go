@@ -41,12 +41,13 @@
 package dora
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -159,31 +160,61 @@ type Txn struct {
 	input         atomic.Uint64
 	inputReady    atomic.Bool
 	done          chan error
+
+	subs []*tx.Tx // the deciding owner's scratch: sub-transactions to precommit
 }
 
 // NewTxn starts building a transaction bound to ctx (bodies receive it).
+// The Txn, its actions and their lock lists come from the executor's pool,
+// and Submit returns them to it.
 func (x *Executor) NewTxn(ctx context.Context) *Txn {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Txn{exec: x, ctx: ctx, done: make(chan error, 1)}
+	t, _ := x.txns.Get().(*Txn)
+	if t == nil {
+		t = &Txn{exec: x, done: make(chan error, 1)}
+	}
+	t.ctx = ctx
+	return t
 }
 
-// Add appends one action.
+// Add appends one action. The action keeps its own copy of spec.Locks.
 func (t *Txn) Add(spec ActionSpec) {
 	part := spec.Partition
 	if spec.RouteKey != 0 {
 		part = t.exec.Route(spec.RouteKey)
 	}
-	t.actions = append(t.actions, &action{
+	var a *action
+	if n := len(t.actions); n < cap(t.actions) {
+		a = t.actions[:n+1][n] // a recycled action, or nil
+	}
+	if a == nil {
+		a = new(action)
+	}
+	*a = action{
 		txn:       t,
 		part:      t.exec.parts[part],
-		locks:     spec.Locks,
+		locks:     append(a.locks[:0], spec.Locks...),
 		run:       spec.Run,
 		produces:  spec.Produces,
 		dependent: spec.Dependent,
 		readonly:  spec.ReadOnly,
-	})
+	}
+	t.actions = append(t.actions, a)
+}
+
+// recycle empties t, which no partition owner references any more, and
+// returns it to its executor's pool with its actions and their lock lists.
+func (t *Txn) recycle() {
+	poisonTxn(t)
+	t.actions = t.actions[:0]
+	t.ctx = nil
+	t.multi = false
+	t.failed.Store(false)
+	t.input.Store(0)
+	t.inputReady.Store(false)
+	t.exec.txns.Put(t)
 }
 
 // PublishInput stores the transaction's rendezvous value. Call it from
@@ -223,6 +254,8 @@ type Executor struct {
 	localTx   atomic.Uint64
 	crossTx   atomic.Uint64
 	abortedTx atomic.Uint64
+
+	txns sync.Pool // recycled *Txn (NewTxn, Txn.recycle)
 }
 
 // NewExecutor builds an executor over env and starts its partition
@@ -275,12 +308,15 @@ func (x *Executor) SetRouter(fn func(key uint32) int) { x.router = fn }
 // the rendezvous decision, returning the transaction's outcome. A
 // multi-partition transaction is enqueued atomically in canonical
 // partition order; see the package comment's deadlock-freedom argument.
+// t goes back to the executor's pool: the caller must not use it after.
 func (x *Executor) Submit(t *Txn) error {
 	if x.closed.Load() {
+		t.recycle()
 		return ErrClosed
 	}
 	n := len(t.actions)
 	if n == 0 {
+		t.recycle()
 		return ErrNoActions
 	}
 	hasProducer := false
@@ -290,6 +326,7 @@ func (x *Executor) Submit(t *Txn) error {
 		hasDependent = hasDependent || a.dependent
 	}
 	if hasDependent && !hasProducer {
+		t.recycle()
 		return ErrNoProducer
 	}
 	t.pending.Store(int32(n))
@@ -303,9 +340,7 @@ func (x *Executor) Submit(t *Txn) error {
 	} else {
 		t.multi = true
 		x.crossTx.Add(1)
-		sort.SliceStable(t.actions, func(i, j int) bool {
-			return t.actions[i].part.id < t.actions[j].part.id
-		})
+		slices.SortStableFunc(t.actions, func(a, b *action) int { return cmp.Compare(a.part.id, b.part.id) })
 		x.submitMu.Lock()
 		for _, a := range t.actions {
 			a.part.enqueue(message{kind: msgAction, a: a})
@@ -314,8 +349,12 @@ func (x *Executor) Submit(t *Txn) error {
 	}
 	select {
 	case err := <-t.done:
+		// The last owner to finish an action sent it: none touches t again.
+		t.recycle()
 		return err
 	case <-x.stopped: // Close raced t, as a crash does: restart recovery settles it
+		// t is dropped, not recycled: an owner stopped mid-transaction may
+		// still hold its actions.
 		return ErrClosed
 	}
 }

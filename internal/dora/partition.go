@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/lock"
-	"repro/internal/tx"
 )
 
 // message is one input-queue entry for a partition owner.
@@ -55,10 +54,14 @@ type partition struct {
 
 	// Owner-only state.
 	locks         map[uint64]*lockEntry
-	parked        []*action // arrival order (FIFO fairness)
-	awaitingInput []*action // granted dependents parked for their input
+	freeEntries   []*lockEntry // emptied lock entries, for reuse
+	parked        []*action    // arrival order (FIFO fairness)
+	awaitingInput []*action    // granted dependents parked for their input
 	dispatching   bool
 	redispatch    bool
+	// granted and blocked are scanParked's scratch (dispatch never
+	// re-enters it).
+	granted, blocked []*action
 
 	// Counters. routed is bumped by submitters; the rest by the owner —
 	// atomics only so Stats() can read them from outside.
@@ -149,7 +152,7 @@ func (p *partition) scanParked() bool {
 	if len(p.parked) == 0 {
 		return false
 	}
-	var granted, blocked []*action
+	granted, blocked := p.granted[:0], p.blocked[:0]
 	keep := p.parked[:0]
 	for _, a := range p.parked {
 		if p.grantable(a, blocked) {
@@ -168,9 +171,12 @@ func (p *partition) scanParked() bool {
 		p.parked[i] = nil
 	}
 	p.parked = keep
+	clear(blocked)
+	p.granted, p.blocked = granted, blocked
 	for _, a := range granted {
 		p.start(a)
 	}
+	clear(granted)
 	return len(granted) > 0
 }
 
@@ -211,7 +217,11 @@ func (p *partition) lockAll(a *action) {
 	for _, req := range a.locks {
 		e := p.locks[req.Key]
 		if e == nil {
-			e = &lockEntry{}
+			if n := len(p.freeEntries); n > 0 {
+				e, p.freeEntries = p.freeEntries[n-1], p.freeEntries[:n-1]
+			} else {
+				e = &lockEntry{}
+			}
 			p.locks[req.Key] = e
 		}
 		merged := false
@@ -279,7 +289,8 @@ func (p *partition) execute(a *action) {
 // notifyInput posts msgInput to every other partition holding a
 // dependent of t and wakes the local ones inline.
 func (p *partition) notifyInput(t *Txn) {
-	var seen []*partition
+	var buf [8]*partition
+	seen := buf[:0]
 	for _, a := range t.actions {
 		if !a.dependent || a.part == p {
 			continue
@@ -300,8 +311,15 @@ func (p *partition) notifyInput(t *Txn) {
 }
 
 // wakeDependents resumes every parked dependent of t on this partition.
+// The input must be ready: a msgInput can arrive after its transaction
+// ended (its dependent here was granted after the input was) and t was
+// recycled into another, whose dependents must wait for their own.
 func (p *partition) wakeDependents(t *Txn) {
-	var wake []*action
+	if !t.inputReady.Load() {
+		return
+	}
+	var buf [4]*action
+	wake := buf[:0]
 	keep := p.awaitingInput[:0]
 	for _, a := range p.awaitingInput {
 		if a.txn == t {
@@ -325,7 +343,7 @@ func (p *partition) wakeDependents(t *Txn) {
 func (p *partition) decide(t *Txn) {
 	commit := !t.failed.Load()
 	if commit && t.multi {
-		var subs []*tx.Tx
+		subs := t.subs[:0]
 		for _, a := range t.actions {
 			if a.sub != nil && !a.readonly {
 				subs = append(subs, a.sub)
@@ -336,6 +354,8 @@ func (p *partition) decide(t *Txn) {
 				t.actions[0].err, commit = err, false
 			}
 		}
+		clear(subs)
+		t.subs = subs[:0]
 	}
 	if !commit {
 		p.x.abortedTx.Add(1)
@@ -392,6 +412,7 @@ func (p *partition) release(a *action) {
 		}
 		if len(e.holders) == 0 {
 			delete(p.locks, req.Key)
+			p.freeEntries = append(p.freeEntries, e)
 		}
 	}
 	p.dispatch()

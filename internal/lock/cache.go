@@ -10,8 +10,9 @@ package lock
 // the dominant shared structure once the other hotspots are gone.
 //
 // A Cache is owned by a single transaction and is not safe for
-// concurrent use; it only ever grows (2PL releases nothing before
-// end-of-transaction, at which point the whole Cache is discarded).
+// concurrent use; it only ever grows while the transaction runs (2PL
+// releases nothing before end-of-transaction), and Reset empties it for
+// the next transaction, keeping the table.
 type Cache struct {
 	slots []cacheSlot
 	mask  uint64
@@ -71,6 +72,23 @@ func (c *Cache) Put(n Name, m Mode) (fresh bool) {
 		}
 	}
 }
+
+// Reset forgets every cached name. It keeps the table unless a big
+// transaction grew it past cacheKeepSlots, which every later one would
+// pay to clear.
+func (c *Cache) Reset() {
+	switch {
+	case len(c.slots) > cacheKeepSlots:
+		*c = Cache{}
+	case c.n > 0:
+		clear(c.slots)
+		c.n = 0
+	}
+}
+
+// cacheKeepSlots is the largest table Reset keeps: a New Order's locks
+// fit with room to spare.
+const cacheKeepSlots = 1024
 
 // Len returns the number of distinct names cached.
 func (c *Cache) Len() int { return c.n }

@@ -60,7 +60,7 @@ type Options struct {
 
 // Stats reports lock-manager activity.
 type Stats struct {
-	Acquires    uint64 // granted lock requests (incl. re-grants/conversions)
+	Acquires    uint64 // granted lock requests (incl. re-grants/conversions); a transaction's when it ends (Fold)
 	Waits       uint64 // requests that had to block
 	Deadlocks   uint64 // requests aborted by the detector
 	Timeouts    uint64 // requests aborted by timeout
@@ -337,6 +337,26 @@ func blockersOf(h *lockHead, r *request, mode Mode) []uint64 {
 // context's error and dequeues the request promptly, leaving the queue
 // grantable for every waiter behind it.
 func (m *Manager) Lock(ctx context.Context, txID uint64, name Name, mode Mode, timeout time.Duration) error {
+	err := m.lock(ctx, txID, name, mode, timeout)
+	if err == nil && mode != NL {
+		m.acquires.Add(1)
+	}
+	return err
+}
+
+// Acquire is Lock with the default timeout, or TryLockNoWait when noWait,
+// for a caller that counts its own grants: it leaves Stats' Acquires
+// alone, and the caller adds its count with Fold. A transaction does,
+// so that its acquire path writes no counter shared with every other.
+func (m *Manager) Acquire(ctx context.Context, txID uint64, name Name, mode Mode, noWait bool) error {
+	if noWait {
+		return m.tryLock(txID, name, mode)
+	}
+	return m.lock(ctx, txID, name, mode, 0)
+}
+
+// lock is Lock without the count.
+func (m *Manager) lock(ctx context.Context, txID uint64, name Name, mode Mode, timeout time.Duration) error {
 	if mode == NL {
 		return nil
 	}
@@ -353,7 +373,6 @@ func (m *Manager) Lock(ctx context.Context, txID uint64, name Name, mode Mode, t
 	mine, want, ok := m.admit(h, txID, mode)
 	if ok {
 		b.latch.Unlock()
-		m.acquires.Add(1)
 		return nil
 	}
 	conversion := mine != nil
@@ -463,13 +482,11 @@ func (m *Manager) wait(ctx context.Context, txID uint64, name Name, r *request, 
 	for {
 		select {
 		case <-wake:
-			m.acquires.Add(1)
 			return nil
 		case <-ctx.Done():
 			return m.cancelFor(ctx, txID, name, r, wake, conversion)
 		case <-m.closed:
 			if m.finishWait(name, r, wake, conversion) {
-				m.acquires.Add(1)
 				return nil // the grant raced the close: keep the lock
 			}
 			return fmt.Errorf("%w: tx %d on %v", ErrClosed, txID, name)
@@ -477,7 +494,6 @@ func (m *Manager) wait(ctx context.Context, txID uint64, name Name, r *request, 
 		}
 		if !time.Now().Before(deadline) {
 			if m.finishWait(name, r, wake, conversion) {
-				m.acquires.Add(1)
 				return nil // the grant raced the timer: keep the lock
 			}
 			m.timeouts.Add(1)
@@ -485,7 +501,6 @@ func (m *Manager) wait(ctx context.Context, txID uint64, name Name, r *request, 
 		}
 		granted, cur := m.currentBlockers(name, r, wake, conversion)
 		if granted {
-			m.acquires.Add(1)
 			return nil
 		}
 		m.setEdges(txID, cur)
@@ -500,7 +515,6 @@ func (m *Manager) wait(ctx context.Context, txID uint64, name Name, r *request, 
 			// Confirmed victim — or a cycle that outlived the whole
 			// window because its victim slept past its own check.
 			if m.finishWait(name, r, wake, conversion) {
-				m.acquires.Add(1)
 				return nil // the grant raced the verdict: keep the lock
 			}
 			m.deadlocks.Add(1)
@@ -537,7 +551,6 @@ func (m *Manager) currentBlockers(name Name, r *request, wake chan struct{}, con
 // surface at the next blocking point instead.
 func (m *Manager) cancelFor(ctx context.Context, txID uint64, name Name, r *request, wake chan struct{}, conversion bool) error {
 	if m.finishWait(name, r, wake, conversion) {
-		m.acquires.Add(1)
 		return nil
 	}
 	m.cancels.Add(1)
@@ -595,6 +608,15 @@ var ErrWouldBlock = errors.New("lock: would block")
 // without waiting, and never enqueues. Callers holding page latches use
 // this to avoid lock-waits-under-latch deadlocks.
 func (m *Manager) TryLockNoWait(txID uint64, name Name, mode Mode) error {
+	err := m.tryLock(txID, name, mode)
+	if err == nil && mode != NL {
+		m.acquires.Add(1)
+	}
+	return err
+}
+
+// tryLock is TryLockNoWait without the count.
+func (m *Manager) tryLock(txID uint64, name Name, mode Mode) error {
 	if mode == NL {
 		return nil
 	}
@@ -603,7 +625,6 @@ func (m *Manager) TryLockNoWait(txID uint64, name Name, mode Mode) error {
 	defer b.latch.Unlock()
 	h := b.findHead(name, true)
 	if _, _, ok := m.admit(h, txID, mode); ok {
-		m.acquires.Add(1)
 		return nil
 	}
 	b.removeHeadIfEmpty(h)
@@ -661,11 +682,19 @@ func (m *Manager) Unlock(txID uint64, name Name) {
 	m.pool.put(mine)
 }
 
-// NoteCacheHits folds n transaction-private lock-cache hits into the
-// manager's counters. The engine counts hits on a plain per-transaction
-// field (the fast path must not touch a shared cache line) and reports
-// them in one call at release time.
-func (m *Manager) NoteCacheHits(n uint64) { m.cacheHits.Add(n) }
+// Fold adds one transaction's counts to the manager's: the grants it got
+// through Acquire and the requests its private lock cache answered. The
+// engine counts both on plain per-transaction fields (the acquire path
+// must not touch a shared cache line) and reports them in one call at
+// release time.
+func (m *Manager) Fold(acquires, cacheHits uint64) {
+	if acquires > 0 {
+		m.acquires.Add(acquires)
+	}
+	if cacheHits > 0 {
+		m.cacheHits.Add(cacheHits)
+	}
+}
 
 // NoteEscalation counts one escalation try by the engine, granted or
 // refused. Escalation is the engine's policy (a TryLockNoWait on the

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // ErrShortRow reports a truncated row during decoding.
@@ -31,10 +32,10 @@ var ErrShortRow = errors.New("tpcc: truncated row")
 // enc is a tiny append-only row encoder.
 type enc struct{ b []byte }
 
-// newEnc starts an encoding with room for a row of up to 128 bytes plus
-// extra, so that it allocates once: every row but a customer's (extra:
-// its C_DATA) fits, where growing from empty took four to six copies.
-func newEnc(extra int) enc { return enc{b: make([]byte, 0, 128+extra)} }
+// rowRoom is the room a row encoding needs beyond its longest string:
+// every row but a customer's (whose C_DATA is the longest string) fits in
+// it, so an encoding into a buffer of rowRoom+extra bytes never grows.
+const rowRoom = 128
 
 func (e *enc) u8(v uint8)    { e.b = append(e.b, v) }
 func (e *enc) u32(v uint32)  { e.b = binary.BigEndian.AppendUint32(e.b, v) }
@@ -87,9 +88,18 @@ func (d *dec) u32() uint32  { return binary.BigEndian.Uint32(d.take(4)) }
 func (d *dec) u64() uint64  { return binary.BigEndian.Uint64(d.take(8)) }
 func (d *dec) i64() int64   { return int64(d.u64()) }
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *dec) str() string  { return string(d.bytes()) }
 
-// bytes is str without the copy: the result aliases the input.
+// str decodes a string that aliases the row: no copy is made, so it is
+// valid while the row's bytes are, which for a row a transaction read is
+// until that transaction ends (its arena is reused then). A string that
+// outlives it is cloned (OrderStatusResult.own).
+func (d *dec) str() string { return view(d.bytes()) }
+
+// view is b as a string, without a copy: b must not change while the
+// string is in use.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// bytes decodes a length-prefixed field: the result aliases the input.
 func (d *dec) bytes() []byte {
 	n := d.take(2)
 	return d.take(int(n[0])<<8 | int(n[1]))

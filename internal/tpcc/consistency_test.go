@@ -18,12 +18,12 @@ func TestCheckConsistencyCatchesBrokenRows(t *testing.T) {
 		{"condition 1", "condition 1", func(t *testing.T, w *txWriter) {
 			wh := readRow(t, w.db, w.t, wRow(1), decodeWarehouse)
 			wh.YTD++
-			w.update(wRow(1), wh.encode())
+			w.update(wRow(1), wh.encode(nil))
 		}},
 		{"condition 2", "condition 2", func(t *testing.T, w *txWriter) {
 			dist := readRow(t, w.db, w.t, dRow(1, 1), decodeDistrict)
 			dist.NextOID++
-			w.update(dRow(1, 1), dist.encode())
+			w.update(dRow(1, 1), dist.encode(nil))
 		}},
 		{"missing order", "condition 2", func(t *testing.T, w *txWriter) { w.delete(oRow(1, 1, 2)) }},
 		{"condition 3", "condition 3", func(t *testing.T, w *txWriter) { w.delete(row{t: tNewOrder, w: 1, d: 1, id: 3}) }},

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,6 +34,7 @@ const (
 	crashSegBytes    = 16 << 10 // log segment: small, so checkpoints archive
 	crashAcks        = 100      // acknowledgements per cycle (the checkpoint at half)
 	crashMaxRecovery = 30 * time.Second
+	crashStop        = 50 * time.Millisecond // from CrashHard until every client stopped
 )
 
 // TestCrashKeepsAcknowledgedCommits is the crash harness: on every stage of
@@ -46,9 +48,12 @@ const (
 // keeps its locks and later transactions can only time out. The devices
 // are healed and the database reopened, and it must pass Audit: whatever
 // was in flight may survive or not, but every acknowledged commit is there.
-// Recovery must stay within crashMaxRecovery and start its redo no earlier
-// than two segments before the clean point. Over the run, torn tails must
-// have been clipped, segments archived and losers rolled back; a clean
+// The plug is pulled, if that comes within 50 ms, once an active
+// transaction has a durable record, and every client must have stopped
+// within crashStop of it. Recovery must stay within crashMaxRecovery and
+// start its redo no earlier than two segments before the clean point. Over
+// the run, torn tails must have been clipped, segments archived and losers
+// rolled back, on DORA and PLP at least half as many as at final; a clean
 // Close and reopen ends it with one more Audit.
 func TestCrashKeepsAcknowledgedCommits(t *testing.T) {
 	type config struct {
@@ -63,25 +68,42 @@ func TestCrashKeepsAcknowledgedCommits(t *testing.T) {
 	dora, plp, snapshot := final, final, final
 	dora.DORA, plp.PLP, snapshot.Snapshot = true, true, true
 	configs = append(configs, config{"dora", dora}, config{"plp", plp}, config{"snapshot", snapshot})
-	losers, ran := 0, 0
+	long := !testing.Short() && !raceEnabled
+	losers, ran := map[string]int{}, 0
 	for i, c := range configs {
 		cycles := 6
-		if c.name == core.StageFinal.String() {
-			cycles = 30
-			if testing.Short() || raceEnabled {
-				cycles = 8
+		switch c.name {
+		case core.StageFinal.String(), "dora", "plp":
+			cycles = 8
+			if long {
+				cycles = 30
 			}
 		}
 		seed := int64(0x50AC + i)
 		t.Run(c.name, func(t *testing.T) {
-			losers += crashCycles(t, c.cfg, seed, cycles)
+			losers[c.name] = crashCycles(t, c.cfg, seed, cycles)
 			ran++
 		})
 	}
 	// A cycle whose crash finds no transaction with a durable record in
-	// flight has no loser: undo is asserted over the whole run.
-	if ran == len(configs) && losers == 0 {
+	// flight has no loser: undo is asserted over the whole run, and the
+	// partitioned executors must each see at least half final's losers
+	// (over the same number of cycles), or their crashes cut too little
+	// work in flight to test what a crash leaves of a DORA transaction.
+	if ran != len(configs) {
+		return
+	}
+	total := 0
+	for _, n := range losers {
+		total += n
+	}
+	if total == 0 {
 		t.Error("no loser was rolled back in any configuration")
+	}
+	for _, name := range []string{"dora", "plp"} {
+		if final := losers[core.StageFinal.String()]; long && 2*losers[name] < final {
+			t.Errorf("%s rolled back %d losers, under half final's %d", name, losers[name], final)
+		}
 	}
 }
 
@@ -246,7 +268,23 @@ func crashCycles(t *testing.T, cfg core.Config, seed int64, cycles int) (losers 
 		if f == tornTail {
 			logStore.ArmTornCrash(int64(1 + rng.Intn(3000)))
 		}
+		// The plug is pulled, if that comes soon, once a transaction that
+		// has not committed has a durable record: the crash then cuts work
+		// in flight, which restart must roll back.
+		inFlight := func() bool {
+			durable := e.Log().DurableLSN()
+			for _, t := range e.Txns().Snapshot() { // active, not committing
+				if t.LastLSN != wal.NullLSN && t.LastLSN < durable {
+					return true
+				}
+			}
+			return false
+		}
+		for wait := time.Now().Add(50 * time.Millisecond); !inFlight() && time.Now().Before(wait); {
+			runtime.Gosched()
+		}
 		crashing.Store(true)
+		crashAt := time.Now()
 		e.CrashHard()
 		crashed.Store(true)
 		select {
@@ -254,7 +292,11 @@ func crashCycles(t *testing.T, cfg core.Config, seed int64, cycles int) (losers 
 		case <-time.After(time.Minute):
 			fail("the clients still run a minute after the crash")
 		}
+		stopped := time.Since(crashAt)
 		cancel()
+		if stopped > crashStop {
+			fail("the clients stopped %v after the crash, bound %v", stopped, crashStop)
+		}
 		if failed != 0 && !faulty {
 			fail("%d transactions failed before the crash: %v", failed, tally.Errors)
 		}
@@ -291,8 +333,8 @@ func crashCycles(t *testing.T, cfg core.Config, seed int64, cycles int) (losers 
 		}
 		tornBytes += rs.TornBytesClipped
 		losers += rs.Losers
-		t.Logf("cycle %02d %-12s acked %4d, failed %3d; recovery %v, redo %d B, torn %d B, %d losers",
-			cycle, flavours[f], tally.Acked.Sum(), tally.Failed.Sum(), took.Round(time.Millisecond),
+		t.Logf("cycle %02d %-12s acked %4d, failed %3d; stopped in %v; recovery %v, redo %d B, torn %d B, %d losers",
+			cycle, flavours[f], tally.Acked.Sum(), tally.Failed.Sum(), stopped.Round(time.Microsecond), took.Round(time.Millisecond),
 			rs.LogEnd-rs.RedoStart, rs.TornBytesClipped, rs.Losers)
 	}
 	if tornBytes == 0 {

@@ -92,7 +92,7 @@ func Load(engine *core.Engine, scale Scale, seed int64) (*DB, error) {
 				Price: r.Float(1, 100),
 				Data:  r.AString(26, 50),
 			}
-			w.insert(iRow(item.ID), item.encode())
+			w.insert(iRow(item.ID), item.encode(w.buf(0)))
 		}
 	}); err != nil {
 		return nil, err
@@ -130,7 +130,7 @@ func (db *DB) loadWarehouse(r *Rand, w uint32) error {
 			City: r.AString(10, 20), State: r.AString(2, 2), Zip: r.NString(9, 9),
 			Tax: r.Float(0, 0.2),
 		}
-		wr.insert(wRow(w), wh.encode())
+		wr.insert(wRow(w), wh.encode(wr.buf(0)))
 		for i := 1; scale.StockPerItem && i <= scale.Items; i++ {
 			s := Stock{
 				WID: w, ItemID: uint32(i),
@@ -138,7 +138,7 @@ func (db *DB) loadWarehouse(r *Rand, w uint32) error {
 				DistInfo: r.AString(24, 24),
 				Data:     r.AString(26, 50),
 			}
-			wr.insert(sRow(w, uint32(i)), s.encode())
+			wr.insert(sRow(w, uint32(i)), s.encode(wr.buf(0)))
 		}
 	}); err != nil {
 		return err
@@ -151,7 +151,7 @@ func (db *DB) loadWarehouse(r *Rand, w uint32) error {
 				WID: w, ID: d, Name: r.AString(6, 10), Street: r.AString(10, 20),
 				City: r.AString(10, 20), Tax: r.Float(0, 0.2), NextOID: 1,
 			}
-			wr.insert(dRow(w, d), dist.encode())
+			wr.insert(dRow(w, d), dist.encode(wr.buf(0)))
 			for c := 1; c <= scale.Customers; c++ {
 				credit := "GC"
 				if r.Int(1, 10) == 1 {
@@ -163,7 +163,7 @@ func (db *DB) loadWarehouse(r *Rand, w uint32) error {
 					Credit: credit, CreditLim: 50000, Discount: r.Float(0, 0.5),
 					Balance: -10, YTDPayment: 10, Data: r.AString(100, 200),
 				}
-				wr.insert(cRow(w, d, uint32(c)), cust.encode())
+				wr.insert(cRow(w, d, uint32(c)), cust.encode(wr.buf(len(cust.Data))))
 			}
 		}); err != nil {
 			return err

@@ -3,6 +3,7 @@ package tpcc
 import (
 	"context"
 	"errors"
+	"strings"
 
 	"repro/internal/lock"
 	"repro/internal/tx"
@@ -31,7 +32,7 @@ func GenDelivery(r *Rand, scale Scale, homeW uint32) DeliveryInput {
 // the warehouse as one managed transaction (runCtx) and answers how many
 // it delivered.
 func (db *DB) DeliveryCtx(ctx context.Context, in DeliveryInput) (int, error) {
-	delivered, err := db.runCtx(ctx, in.plan(db.Scale.Districts))
+	delivered, err := db.runCtx(ctx, newPlan().delivery(in, db.Scale.Districts))
 	return deliveredOrNone(int(delivered), err)
 }
 
@@ -43,64 +44,67 @@ func deliveredOrNone(delivered int, err error) (int, error) {
 	return delivered, err
 }
 
-// plan is Delivery as one step per district, each counting in the value
-// in force the order it delivers: the district's oldest NEW_ORDER row
-// (none when all are delivered), which it deletes. The row names the
-// order, whose carrier it stamps; the order names the customer and lines,
-// and it credits the customer with their sum. It reads what it writes X.
-func (in DeliveryInput) plan(districts int) []step {
-	p := make([]step, districts)
-	for i := range p {
-		d := uint8(i + 1)
-		p[i] = step{
-			reads: []read{{row: row{t: tNewOrder, w: in.WID, d: d}, mode: lock.X, scan: true, first: true}},
-			apply: func(got []found, delivered uint32, w *txWriter) (uint32, error) {
-				if got[0].value == nil {
-					return delivered, nil
-				}
-				no, err := decodeNewOrderRow(got[0].value)
-				if err != nil {
-					return delivered, err
-				}
-				w.delete(row{t: tNewOrder, w: in.WID, d: d, id: no.OID})
-				or := oRow(in.WID, d, no.OID)
-				if got, err = w.fetch(read{row: or, mode: lock.X}); err != nil {
-					return delivered, err
-				}
-				ord, err := decodeOrder(got[0].value)
-				if err != nil {
-					return delivered, err
-				}
-				ord.CarrierID = in.CarrierID
-				w.update(or, ord.encode())
-				cr := cRow(in.WID, d, ord.CID)
-				reads := make([]read, ord.OLCount, ord.OLCount+1)
-				for l := range reads {
-					reads[l] = read{row: row{t: tOrderLine, w: in.WID, d: d, id: no.OID, n: uint8(l + 1)}, mode: lock.S}
-				}
-				if got, err = w.fetch(append(reads, read{row: cr, mode: lock.X})...); err != nil {
-					return delivered, err
-				}
-				var total float64
-				for _, f := range got[:ord.OLCount] {
-					ol, err := decodeOrderLine(f.value)
-					if err != nil {
-						return delivered, err
-					}
-					total += ol.Amount
-				}
-				cust, err := decodeCustomer(got[ord.OLCount].value)
-				if err != nil {
-					return delivered, err
-				}
-				cust.Balance += total
-				cust.DeliveryCt++
-				w.update(cr, cust.encode())
-				return delivered + 1, nil
-			},
-		}
+// delivery plans Delivery in p, as one step per district, each counting
+// in the value in force the order it delivers: the district's oldest
+// NEW_ORDER row (none when all are delivered), which it deletes. The row
+// names the order, whose carrier it stamps; the order names the customer
+// and lines, and it credits the customer with their sum. It reads what it
+// writes X.
+func (p *plan) delivery(in DeliveryInput, districts int) *plan {
+	p.del = in
+	for d := 1; d <= districts; d++ {
+		p.add(step{n: uint8(d), apply: deliverOne},
+			read{row: row{t: tNewOrder, w: in.WID, d: uint8(d)}, mode: lock.X, scan: true, first: true})
 	}
 	return p
+}
+
+// deliverOne delivers district s.n's oldest order.
+func deliverOne(p *plan, s *step, got []found, delivered uint32, w *txWriter) (uint32, error) {
+	wid, d := p.del.WID, s.n
+	if got[0].value == nil {
+		return delivered, nil
+	}
+	no, err := decodeNewOrderRow(got[0].value)
+	if err != nil {
+		return delivered, err
+	}
+	w.delete(row{t: tNewOrder, w: wid, d: d, id: no.OID})
+	or := oRow(wid, d, no.OID)
+	if got, err = w.fetch(read{row: or, mode: lock.X}); err != nil {
+		return delivered, err
+	}
+	ord, err := decodeOrder(got[0].value)
+	if err != nil {
+		return delivered, err
+	}
+	ord.CarrierID = p.del.CarrierID
+	w.update(or, ord.encode(w.buf(0)))
+	cr := cRow(wid, d, ord.CID)
+	var buf [16]read // an order has at most 15 lines
+	reads := buf[:0]
+	for l := uint8(1); l <= ord.OLCount; l++ {
+		reads = append(reads, read{row: row{t: tOrderLine, w: wid, d: d, id: no.OID, n: l}, mode: lock.S})
+	}
+	if got, err = w.fetch(append(reads, read{row: cr, mode: lock.X})...); err != nil {
+		return delivered, err
+	}
+	var total float64
+	for _, f := range got[:ord.OLCount] {
+		ol, err := decodeOrderLine(f.value)
+		if err != nil {
+			return delivered, err
+		}
+		total += ol.Amount
+	}
+	cust, err := decodeCustomer(got[ord.OLCount].value)
+	if err != nil {
+		return delivered, err
+	}
+	cust.Balance += total
+	cust.DeliveryCt++
+	w.update(cr, cust.encode(w.buf(len(cust.Data))))
+	return delivered + 1, nil
 }
 
 // OrderStatusInput parameterizes one Order-Status transaction.
@@ -123,12 +127,41 @@ type OrderStatusResult struct {
 	HasOrder bool
 }
 
+// own gives res's strings memory of their own: rows are decoded as views
+// of what their transaction read, which it reuses once it ends.
+func (res *OrderStatusResult) own() {
+	c := &res.Customer
+	for _, s := range []*string{&c.First, &c.Middle, &c.Last, &c.Credit, &c.Data} {
+		*s = strings.Clone(*s)
+	}
+	for i := range res.Lines {
+		res.Lines[i].DistInfo = strings.Clone(res.Lines[i].DistInfo)
+	}
+}
+
 // OrderStatusCtx reports a customer's balance and their most recent order
 // with its lines, in one managed read-only transaction (no durability
 // wait).
 func (db *DB) OrderStatusCtx(ctx context.Context, in OrderStatusInput) (res OrderStatusResult, err error) {
-	err = db.Engine.RunViewCtx(ctx, retryPolicy, func(t *tx.Tx) error { return in.run(&txWriter{db: db, ctx: ctx, t: t}, &res) })
+	err = db.runView(ctx, func(w *txWriter) error {
+		if err := in.run(w, &res); err != nil {
+			return err
+		}
+		res.own() // before the transaction ends
+		return nil
+	})
 	return res, err
+}
+
+// runView runs read-only plan run as one managed read-only transaction.
+func (db *DB) runView(ctx context.Context, run func(w *txWriter) error) error {
+	p := newPlan()
+	err := db.Engine.RunViewCtx(ctx, retryPolicy, func(t *tx.Tx) error {
+		p.w.begin(db, ctx, t)
+		return run(&p.w)
+	})
+	p.release()
+	return err
 }
 
 // run is Order-Status in two rounds, answered in *res: the customer and
@@ -156,9 +189,10 @@ func (in OrderStatusInput) run(w *txWriter, res *OrderStatusResult) error {
 	if !res.HasOrder {
 		return nil
 	}
-	lines := make([]read, res.Order.OLCount)
-	for i := range lines {
-		lines[i] = read{row: row{t: tOrderLine, w: in.WID, d: in.DID, id: res.Order.ID, n: uint8(i + 1)}, mode: lock.S}
+	var buf [15]read // an order has at most 15 lines
+	lines := buf[:0]
+	for l := uint8(1); l <= res.Order.OLCount; l++ {
+		lines = append(lines, read{row: row{t: tOrderLine, w: in.WID, d: in.DID, id: res.Order.ID, n: l}, mode: lock.S})
 	}
 	if got, err = w.fetch(lines...); err != nil {
 		return err
@@ -192,7 +226,7 @@ func GenStockLevel(r *Rand, scale Scale, homeW uint32) StockLevelInput {
 // whose stock is below the threshold, in one managed read-only
 // transaction: the heaviest scanner of the mix.
 func (db *DB) StockLevelCtx(ctx context.Context, in StockLevelInput) (low int, err error) {
-	err = db.Engine.RunViewCtx(ctx, retryPolicy, func(t *tx.Tx) error { return in.run(&txWriter{db: db, ctx: ctx, t: t}, &low) })
+	err = db.runView(ctx, func(w *txWriter) error { return in.run(w, &low) })
 	return low, err
 }
 

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"slices"
-
 	"repro/internal/dora"
 	"repro/internal/lock"
 	"repro/internal/tx"
@@ -80,7 +78,8 @@ func (l *lockList) add(key uint64, m lock.Mode) {
 	*l = append(*l, dora.LockReq{Key: key, Mode: m})
 }
 
-// action is one DORA action of a write plan: its steps, route and locks.
+// action is one DORA action of a write plan: its steps, route and locks,
+// and the writer its body runs through on its sub-transaction.
 type action struct {
 	group  int
 	route  uint32
@@ -89,6 +88,7 @@ type action struct {
 	head   bool   // runs the step that allocates the order id
 	depend bool   // runs a step that needs it
 	v      uint32 // the value in force after its steps ran
+	w      txWriter
 }
 
 // actions groups p's steps into DORA actions by the partition that owns
@@ -97,21 +97,33 @@ type action struct {
 // open, so the planning-time answer holds at Submit. An action takes IX
 // on the anchor of every row its steps read, the read's mode on the row
 // itself. A scan cannot name the rows its step reads after it, so for a
-// scan the action takes the scan's mode on the anchor instead.
-func actions(p []step, route func(w uint32) int) []action {
-	var acts []action
-	for _, s := range p {
+// scan the action takes the scan's mode on the anchor instead. The
+// actions live in p, reusing what an earlier plan left there.
+func (p *plan) actions(route func(w uint32) int) []action {
+	acts := p.acts[:0]
+	for si := range p.steps {
+		s := &p.steps[si]
 		w := s.home()
 		g := route(w)
-		i := slices.IndexFunc(acts, func(a action) bool { return a.group == g })
-		if i < 0 {
-			i, acts = len(acts), append(acts, action{group: g, route: w})
+		i := 0
+		for i < len(acts) && acts[i].group != g {
+			i++
+		}
+		if i == len(acts) {
+			if i < cap(acts) {
+				acts = acts[:i+1]
+			} else {
+				acts = append(acts, action{})
+			}
+			a := &acts[i]
+			a.group, a.route, a.head, a.depend, a.v = g, w, false, false, 0
+			a.steps, a.locks = a.steps[:0], a.locks[:0]
 		}
 		a := &acts[i]
-		a.steps = append(a.steps, s)
+		a.steps = append(a.steps, *s)
 		a.head = a.head || s.head
 		a.depend = a.depend || s.dependent
-		for _, r := range s.reads {
+		for _, r := range s.reads() {
 			switch k, ok := r.row.lockKey(); {
 			case r.scan:
 				a.locks.add(kWh(r.row.w), r.mode)
@@ -121,46 +133,63 @@ func actions(p []step, route func(w uint32) int) []action {
 			}
 		}
 	}
+	p.acts = acts
 	return acts
 }
 
-// runDora runs a write plan through the partition executor: one action
-// per group of steps, all rendezvousing at commit. The action that runs
-// the head publishes the order id; the others park until it arrives. It
-// returns the value in force after the first action, the plan's own when
-// the plan is one action.
-func (db *DB) runDora(ctx context.Context, p []step) (uint32, error) {
+// runDora runs write plan p through the partition executor and releases
+// it: one action per group of steps, all rendezvousing at commit. The
+// action that runs the head publishes the order id; the others park
+// until it arrives. It returns the value in force after the first action,
+// the plan's own when the plan is one action.
+func (db *DB) runDora(ctx context.Context, p *plan) (uint32, error) {
+	defer p.release()
 	x := db.Engine.Dora()
 	if x == nil {
 		return 0, ErrDoraDisabled
 	}
-	acts := actions(p, x.Route)
-	t := x.NewTxn(ctx)
+	p.db = db
+	acts := p.actions(x.Route)
+	p.txn = x.NewTxn(ctx)
 	for i := range acts {
 		a := &acts[i]
-		t.Add(dora.ActionSpec{
+		p.txn.Add(dora.ActionSpec{
 			RouteKey:  a.route,
 			Locks:     a.locks,
 			Produces:  a.head && len(acts) > 1,
 			Dependent: a.depend && !a.head,
-			Run: func(ctx context.Context, sub *tx.Tx, input uint64) (err error) {
-				a.v, err = apply(a.steps, uint32(input), &txWriter{db: db, ctx: ctx, t: sub})
-				if a.head {
-					t.PublishInput(uint64(a.v))
-				}
-				return err
-			},
+			Run:       p.run(i),
 		})
 	}
-	err := x.Submit(t)
+	err := x.Submit(p.txn)
+	p.txn = nil
 	return acts[0].v, err
+}
+
+// run returns the body of p's action i: it runs the action's steps on the
+// partition's sub-transaction, and the head's publishes the order id.
+// Bodies are made once per pooled plan and read the action from p.acts
+// when they run.
+func (p *plan) run(i int) dora.RunFunc {
+	for j := len(p.runs); j <= i; j++ {
+		p.runs = append(p.runs, func(ctx context.Context, sub *tx.Tx, input uint64) (err error) {
+			a := &p.acts[j]
+			a.w.begin(p.db, ctx, sub)
+			a.v, err = p.apply(a.steps, uint32(input), &a.w)
+			if a.head {
+				p.txn.PublishInput(uint64(a.v))
+			}
+			return err
+		})
+	}
+	return p.runs[i]
 }
 
 // DoraPayment runs one Payment through the partition executor: one
 // action for a customer of the home partition, else a home and a
 // customer action that rendezvous at commit.
 func (db *DB) DoraPayment(ctx context.Context, in PaymentInput) error {
-	_, err := db.runDora(ctx, in.plan())
+	_, err := db.runDora(ctx, newPlan().payment(in))
 	return err
 }
 
@@ -170,7 +199,7 @@ func (db *DB) DoraPayment(ctx context.Context, in PaymentInput) error {
 // the id arrives. The spec's 1% rollback surfaces as ErrUserAbort with
 // every partition rolled back.
 func (db *DB) DoraNewOrder(ctx context.Context, in NewOrderInput) error {
-	_, err := db.runDora(ctx, in.plan())
+	_, err := db.runDora(ctx, newPlan().newOrder(in))
 	return err
 }
 
@@ -181,12 +210,17 @@ func (db *DB) doraSolo(ctx context.Context, w uint32, locks []dora.LockReq, run 
 	if x == nil {
 		return ErrDoraDisabled
 	}
+	p := newPlan()
+	defer p.release()
 	t := x.NewTxn(ctx)
 	t.Add(dora.ActionSpec{
 		RouteKey: w,
 		Locks:    locks,
 		ReadOnly: true,
-		Run:      func(ctx context.Context, sub *tx.Tx, _ uint64) error { return run(&txWriter{db: db, ctx: ctx, t: sub}) },
+		Run: func(ctx context.Context, sub *tx.Tx, _ uint64) error {
+			p.w.begin(db, ctx, sub)
+			return run(&p.w)
+		},
 	})
 	return x.Submit(t)
 }
@@ -194,7 +228,7 @@ func (db *DB) doraSolo(ctx context.Context, w uint32, locks []dora.LockReq, run 
 // DoraDelivery runs one Delivery through the partition executor: one
 // action, which holds its warehouse's X anchor because its steps scan.
 func (db *DB) DoraDelivery(ctx context.Context, in DeliveryInput) (int, error) {
-	delivered, err := db.runDora(ctx, in.plan(db.Scale.Districts))
+	delivered, err := db.runDora(ctx, newPlan().delivery(in, db.Scale.Districts))
 	return deliveredOrNone(int(delivered), err)
 }
 
@@ -207,7 +241,13 @@ func (db *DB) DoraOrderStatus(ctx context.Context, in OrderStatusInput) (res Ord
 		{Key: kDist(in.WID, in.DID), Mode: lock.S},
 		{Key: kCust(in.WID, in.DID, in.CID), Mode: lock.S},
 	}
-	err = db.doraSolo(ctx, in.WID, locks, func(w *txWriter) error { return in.run(w, &res) })
+	err = db.doraSolo(ctx, in.WID, locks, func(w *txWriter) error {
+		if err := in.run(w, &res); err != nil {
+			return err
+		}
+		res.own() // before the action's sub-transaction ends
+		return nil
+	})
 	return res, err
 }
 

@@ -283,20 +283,20 @@ func TestDoraLockSets(t *testing.T) {
 	payCust := func(w uint32) []dora.LockReq {
 		return []dora.LockReq{l(kWh(w), lock.IX), l(kCust(w, 1, 7), lock.X)}
 	}
-	pay := func(cw uint32) []step {
-		return PaymentInput{WID: 1, DID: 2, CWID: cw, CDID: 1, CID: 7, Amount: 10}.plan()
+	pay := func(cw uint32) *plan {
+		return newPlan().payment(PaymentInput{WID: 1, DID: 2, CWID: cw, CDID: 1, CID: 7, Amount: 10})
 	}
 	noHead := []dora.LockReq{l(kWh(1), lock.IX), l(kWRow(1), lock.S), l(kDist(1, 2), lock.X), l(kCust(1, 2, 7), lock.S)}
 	stock := func(w, i uint32) []dora.LockReq { return []dora.LockReq{l(kWh(w), lock.IX), l(kStock(w, i), lock.X)} }
-	newOrder := func(lines ...NewOrderLine) []step {
-		return NewOrderInput{WID: 1, DID: 2, CID: 7, Lines: lines}.plan()
+	newOrder := func(lines ...NewOrderLine) *plan {
+		return newPlan().newOrder(NewOrderInput{WID: 1, DID: 2, CID: 7, Lines: lines})
 	}
-	delivery := func(w uint32) []step { return DeliveryInput{WID: w, CarrierID: 4}.plan(10) }
+	delivery := func(w uint32) *plan { return newPlan().delivery(DeliveryInput{WID: w, CarrierID: 4}, 10) }
 	remoteLines := []NewOrderLine{{ItemID: 5, SupplyWID: 1}, {ItemID: 6, SupplyWID: 2}, {ItemID: 7, SupplyWID: 3}, {ItemID: 8, SupplyWID: 2}}
 	cat := func(lists ...[]dora.LockReq) []dora.LockReq { return slices.Concat(lists...) }
 	for _, c := range []struct {
 		name  string
-		plan  []step
+		plan  *plan
 		group func(uint32) int
 		want  []want
 	}{
@@ -320,7 +320,7 @@ func TestDoraLockSets(t *testing.T) {
 		{"delivery, static", delivery(3), static, []want{{route: 3, locks: []dora.LockReq{l(kWh(3), lock.X)}}}},
 		{"delivery, plp", delivery(2), plp, []want{{route: 2, locks: []dora.LockReq{l(kWh(2), lock.X)}}}},
 	} {
-		got := actions(c.plan, c.group)
+		got := c.plan.actions(c.group)
 		if len(got) != len(c.want) {
 			t.Errorf("%s: %d actions, want %d", c.name, len(got), len(c.want))
 			continue

@@ -54,42 +54,43 @@ func GenPayment(r *Rand, scale Scale, homeW uint32) PaymentInput {
 // statistics ... One of the updates made by Payment is to a contended
 // table, WAREHOUSE") as one managed transaction (runCtx).
 func (db *DB) PaymentCtx(ctx context.Context, in PaymentInput) error {
-	_, err := db.runCtx(ctx, in.plan())
+	_, err := db.runCtx(ctx, newPlan().payment(in))
 	return err
 }
 
-// plan is Payment in two steps, each writing back every row it reads.
-// The home step adds the amount to the warehouse's YTD (the hot row) and
-// the district's and appends the history row, which needs both names;
-// the customer step pays on the (possibly remote) customer's warehouse.
-func (in PaymentInput) plan() []step {
-	wr, dr, cr := wRow(in.WID), dRow(in.WID, in.DID), cRow(in.CWID, in.CDID, in.CID)
-	return []step{{
-		reads: []read{{row: wr, mode: lock.X}, {row: dr, mode: lock.X}},
-		apply: func(got []found, _ uint32, w *txWriter) (uint32, error) {
-			wh, werr := decodeWarehouse(got[0].value)
-			dist, derr := decodeDistrict(got[1].value)
-			if err := cmp.Or(werr, derr); err != nil {
-				return 0, err
-			}
-			wh.YTD += in.Amount
-			dist.YTD += in.Amount
-			h := newHistory(in, &wh, &dist)
-			w.update(wr, wh.encode())
-			w.update(dr, dist.encode())
-			w.insert(row{t: tHistory}, h.encode())
-			return 0, nil
-		},
-	}, {
-		reads: []read{{row: cr, mode: lock.X}},
-		apply: func(got []found, _ uint32, w *txWriter) (uint32, error) {
-			cust, err := decodeCustomer(got[0].value)
-			if err != nil {
-				return 0, err
-			}
-			cust.pay(in)
-			w.update(cr, cust.encode())
-			return 0, nil
-		},
-	}}
+// payment plans Payment in p, in two steps, each writing back every row
+// it reads. The home step adds the amount to the warehouse's YTD (the hot
+// row) and the district's and appends the history row, which needs both
+// names; the customer step pays on the (possibly remote) customer's
+// warehouse.
+func (p *plan) payment(in PaymentInput) *plan {
+	p.pay = in
+	p.add(step{apply: payHome}, read{row: wRow(in.WID), mode: lock.X}, read{row: dRow(in.WID, in.DID), mode: lock.X})
+	p.add(step{apply: payCustomer}, read{row: cRow(in.CWID, in.CDID, in.CID), mode: lock.X})
+	return p
+}
+
+func payHome(p *plan, s *step, got []found, _ uint32, w *txWriter) (uint32, error) {
+	wh, werr := decodeWarehouse(got[0].value)
+	dist, derr := decodeDistrict(got[1].value)
+	if err := cmp.Or(werr, derr); err != nil {
+		return 0, err
+	}
+	wh.YTD += p.pay.Amount
+	dist.YTD += p.pay.Amount
+	h := newHistory(p.pay, &wh, &dist, w.buf(0)[:0:rowRoom])
+	w.update(s.rs[0].row, wh.encode(w.buf(0)))
+	w.update(s.rs[1].row, dist.encode(w.buf(0)))
+	w.insert(row{t: tHistory}, h.encode(w.buf(len(h.Data))))
+	return 0, nil
+}
+
+func payCustomer(p *plan, s *step, got []found, _ uint32, w *txWriter) (uint32, error) {
+	cust, err := decodeCustomer(got[0].value)
+	if err != nil {
+		return 0, err
+	}
+	cust.pay(p.pay, w.buf(len(cust.Data)))
+	w.update(s.rs[0].row, cust.encode(w.buf(len(cust.Data))))
+	return 0, nil
 }

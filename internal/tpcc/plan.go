@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
+	"repro/internal/dora"
 	"repro/internal/lock"
 	"repro/internal/tx"
 )
@@ -45,8 +47,13 @@ func sRow(w, i uint32) row                 { return row{t: tStock, w: w, id: i} 
 
 // key is the row's B-tree key: its ids big-endian in primary-key order,
 // so that B-tree order is key order. An item's key is its id alone.
-func (r row) key() []byte {
-	b := make([]byte, 0, 10)
+func (r row) key() []byte { return r.appendKey(make([]byte, 0, maxKey)) }
+
+// maxKey is the longest key: an order line's.
+const maxKey = 10
+
+// appendKey appends the row's key to b.
+func (r row) appendKey(b []byte) []byte {
 	if r.t == tItem {
 		return binary.BigEndian.AppendUint32(b, r.id)
 	}
@@ -68,8 +75,8 @@ func (r row) key() []byte {
 	return b
 }
 
-// end is where a scan from r stops: the next district's first key.
-func (r row) end() []byte { return oRow(r.w, r.d+1, 0).key() }
+// end is where a scan from r stops: the next district's first row.
+func (r row) end() row { return oRow(r.w, r.d+1, 0) }
 
 // missing is what a read reports when r is absent. An order line's absence
 // is an answer, and an item's New Order's rollback (an unused id, per spec).
@@ -114,15 +121,22 @@ type found struct {
 // from the input alone, and apply, which turns what they hold into writes
 // and follow-up reads through w. apply takes the value in force and
 // returns it: New Order's order id, Delivery's count of orders delivered.
+// apply is a function of the plan's input and of n, the order line or
+// district the step serves, so building a plan makes no closure.
 type step struct {
-	reads           []read
+	rs              [3]read // rs[:nr] are the step's reads
+	nr              uint8
+	n               uint8
 	head, dependent bool
-	apply           func(got []found, v uint32, w *txWriter) (uint32, error)
+	apply           func(p *plan, s *step, got []found, v uint32, w *txWriter) (uint32, error)
 }
+
+// reads returns the rows s reads.
+func (s *step) reads() []read { return s.rs[:s.nr] }
 
 // home is the warehouse s's rows live in (ITEM's live in none).
 func (s *step) home() uint32 {
-	for _, r := range s.reads {
+	for _, r := range s.reads() {
 		if r.row.w != 0 {
 			return r.row.w
 		}
@@ -130,13 +144,60 @@ func (s *step) home() uint32 {
 	return 0
 }
 
-// apply runs a write plan's steps in order, each over what w reads for
-// it and writing through w, and returns the value in force at the end.
-func apply(p []step, v uint32, w *txWriter) (uint32, error) {
-	for _, s := range p {
-		got, err := w.fetch(s.reads...)
+// plan is one write transaction ready to run: its steps and the input
+// they serve (pay, no or del, by the steps' apply). A plan comes from a
+// pool (newPlan) with the memory its executors run it in, and goes back
+// with release, so that building and running one allocates nothing once
+// the pool is warm.
+type plan struct {
+	steps []step
+	pay   PaymentInput
+	no    NewOrderInput
+	del   DeliveryInput
+
+	w txWriter // the embedded executor's writer
+
+	// The DORA executor's (dora.go): the actions, their bodies (made once
+	// per pooled plan, each bound to its index) and the transaction.
+	db   *DB
+	acts []action
+	runs []dora.RunFunc
+	txn  *dora.Txn
+}
+
+var plans = sync.Pool{New: func() any { return new(plan) }}
+
+// newPlan returns an empty plan from the pool.
+func newPlan() *plan { return plans.Get().(*plan) }
+
+// release empties p and returns it to the pool; nothing it held may be
+// used after.
+func (p *plan) release() {
+	p.steps = p.steps[:0]
+	p.pay, p.no, p.del = PaymentInput{}, NewOrderInput{}, DeliveryInput{}
+	p.w.end()
+	p.db = nil
+	for i := range p.acts {
+		p.acts[i].w.end()
+	}
+	p.acts = p.acts[:0]
+	plans.Put(p)
+}
+
+// add appends a step reading reads to p.
+func (p *plan) add(s step, reads ...read) {
+	s.nr = uint8(copy(s.rs[:], reads))
+	p.steps = append(p.steps, s)
+}
+
+// apply runs steps of p in order, each over what w reads for it and
+// writing through w, and returns the value in force at the end.
+func (p *plan) apply(steps []step, v uint32, w *txWriter) (uint32, error) {
+	for i := range steps {
+		s := &steps[i]
+		got, err := w.fetch(s.reads()...)
 		if err == nil {
-			v, err = s.apply(got, v, w)
+			v, err = s.apply(p, s, got, v, w)
 		}
 		if err = cmp.Or(err, w.first); err != nil {
 			return v, err
@@ -162,52 +223,87 @@ func (db *DB) indexes() [tHistory]**core.Index {
 	}
 }
 
-// runCtx runs write plan p as one managed transaction: deadlock and
-// timeout victims are retried with capped exponential backoff, lock
-// waits observe ctx, and ErrUserAbort is not retried. It returns the
-// value in force at the end of the attempt that committed.
-func (db *DB) runCtx(ctx context.Context, p []step) (v uint32, err error) {
+// runCtx runs write plan p as one managed transaction and releases it:
+// deadlock and timeout victims are retried with capped exponential
+// backoff, lock waits observe ctx, and ErrUserAbort is not retried. It
+// returns the value in force at the end of the attempt that committed.
+func (db *DB) runCtx(ctx context.Context, p *plan) (v uint32, err error) {
 	err = db.Engine.RunCtx(ctx, retryPolicy, func(t *tx.Tx) (err error) {
-		v, err = apply(p, 0, &txWriter{db: db, ctx: ctx, t: t})
+		p.w.begin(db, ctx, t)
+		v, err = p.apply(p.steps, 0, &p.w)
 		return err
 	}, nil)
+	p.release()
 	return v, err
 }
 
 // txWriter runs a plan's reads and writes in t as they come. first is the
-// first write that failed; the writes after it are dropped.
+// first write that failed; the writes after it are dropped. Keys, the
+// rows written and the values read live in t's arena, and what the
+// attempt's fetches found in found and scans, which only grow until the
+// next begin: a fetch's answer stays valid for the whole attempt.
 type txWriter struct {
 	db    *DB
 	ctx   context.Context
 	t     *tx.Tx
 	first error
+	found []found
+	scans [][]byte
 }
+
+// begin points w at one attempt of a transaction: t.
+func (w *txWriter) begin(db *DB, ctx context.Context, t *tx.Tx) {
+	w.end()
+	w.db, w.ctx, w.t = db, ctx, t
+}
+
+// end forgets the attempt, keeping w's buffers.
+func (w *txWriter) end() {
+	clear(w.found)
+	clear(w.scans)
+	*w = txWriter{found: w.found[:0], scans: w.scans[:0]}
+}
+
+// key returns r's key, in t's arena.
+func (w *txWriter) key(r row) []byte { return r.appendKey(w.t.Arena().Make(maxKey)) }
+
+// buf returns room, in t's arena, for a row whose longest string is extra
+// bytes long (0 for all but a customer's), or for a string built from
+// strings of the rows just read.
+func (w *txWriter) buf(extra int) []byte { return w.t.Arena().Make(rowRoom + extra) }
 
 // fetch reads one round and returns what each read found; an absent row
 // is its missing() error. A get takes an X key lock when its mode is X
-// (SELECT FOR UPDATE), S otherwise. A read-only plan is a function over
-// w, one fetch per round: each round's keys come from the last's values.
+// (SELECT FOR UPDATE), S otherwise, and copies the value into t's arena
+// under the leaf's latch. A read-only plan is a function over w, one
+// fetch per round: each round's keys come from the last's values.
 func (w *txWriter) fetch(reads ...read) ([]found, error) {
-	e, got := w.db.Engine, make([]found, len(reads))
+	e, arena, at := w.db.Engine, w.t.Arena(), len(w.found)
+	w.found = append(w.found, make([]found, len(reads))...)
+	got := w.found[at:]
 	for i, r := range reads {
 		var err error
-		ix, key := w.db.index(r.row.t), r.row.key()
+		ix, key := w.db.index(r.row.t), w.key(r.row)
 		if r.scan {
-			err = e.IndexScanCtx(w.ctx, w.t, ix, key, r.row.end(), func(_, v []byte) bool {
+			from := len(w.scans)
+			err = e.IndexScanCtx(w.ctx, w.t, ix, key, w.key(r.row.end()), func(_, v []byte) bool {
 				if r.first {
 					got[i].value = v
 					return false
 				}
-				got[i].scan = append(got[i].scan, v)
+				w.scans = append(w.scans, v)
 				return true
 			})
+			got[i].scan = w.scans[from:len(w.scans):len(w.scans)]
 		} else {
-			lookup, ok := e.IndexLookupCtx, false
+			mode := lock.S
 			if r.mode == lock.X {
-				lookup = e.IndexLookupForUpdateCtx
+				mode = lock.X
 			}
-			if got[i].value, ok, err = lookup(w.ctx, w.t, ix, key); err == nil && !ok {
-				err = r.row.missing()
+			var ok bool
+			ok, err = e.IndexView(w.ctx, w.t, ix, key, mode, func(v []byte) { got[i].value = arena.Copy(v) })
+			if err == nil && !ok {
+				got[i].value, err = nil, r.row.missing()
 			}
 		}
 		if err != nil {
@@ -219,13 +315,13 @@ func (w *txWriter) fetch(reads ...read) ([]found, error) {
 
 func (w *txWriter) update(r row, v []byte) {
 	if w.first == nil {
-		w.first = w.db.Engine.IndexUpdateCtx(w.ctx, w.t, w.db.index(r.t), r.key(), v)
+		w.first = w.db.Engine.IndexUpdateCtx(w.ctx, w.t, w.db.index(r.t), w.key(r), v)
 	}
 }
 
 func (w *txWriter) delete(r row) {
 	if w.first == nil {
-		_, w.first = w.db.Engine.IndexDeleteCtx(w.ctx, w.t, w.db.index(r.t), r.key())
+		_, w.first = w.db.Engine.IndexDeleteCtx(w.ctx, w.t, w.db.index(r.t), w.key(r))
 	}
 }
 
@@ -235,7 +331,7 @@ func (w *txWriter) insert(r row, v []byte) {
 	case r.t == tHistory:
 		_, w.first = w.db.Engine.HeapInsertCtx(w.ctx, w.t, w.db.History, v)
 	default:
-		w.first = w.db.Engine.IndexInsertCtx(w.ctx, w.t, w.db.index(r.t), r.key(), v)
+		w.first = w.db.Engine.IndexInsertCtx(w.ctx, w.t, w.db.index(r.t), w.key(r), v)
 	}
 }
 
@@ -255,47 +351,48 @@ const (
 // registerPrograms, Catalog and OpenRemote read: each one's catalog name,
 // whether it only reads (a View batch, not an Update), and run, which
 // decodes its input from a call's arguments (remote.go), runs it through
-// the embedded executor on the call's transaction and appends its answer.
+// the embedded executor on p, whose writer is on the call's transaction,
+// and appends its answer.
 var programs = [nPrograms]struct {
 	name     string
 	readOnly bool
-	run      func(w *txWriter, args, out []byte) ([]byte, error)
+	run      func(p *plan, args, out []byte) ([]byte, error)
 }{
-	progPayment: {"tpcc.program.payment", false, func(w *txWriter, args, out []byte) ([]byte, error) {
+	progPayment: {"tpcc.program.payment", false, func(p *plan, args, out []byte) ([]byte, error) {
 		in, err := decodePaymentArgs(args)
 		if err == nil {
-			_, err = apply(in.plan(), 0, w)
+			_, err = p.payment(in).apply(p.steps, 0, &p.w)
 		}
 		return out, err
 	}},
-	progNewOrder: {"tpcc.program.neworder", false, func(w *txWriter, args, out []byte) ([]byte, error) {
+	progNewOrder: {"tpcc.program.neworder", false, func(p *plan, args, out []byte) ([]byte, error) {
 		in, err := decodeNewOrderArgs(args)
 		if err == nil {
-			_, err = apply(in.plan(), 0, w)
+			_, err = p.newOrder(in).apply(p.steps, 0, &p.w)
 		}
 		return out, err
 	}},
-	progOrderStatus: {"tpcc.program.orderstatus", true, func(w *txWriter, args, out []byte) ([]byte, error) {
+	progOrderStatus: {"tpcc.program.orderstatus", true, func(p *plan, args, out []byte) ([]byte, error) {
 		in, err := decodeOrderStatusArgs(args)
 		var res OrderStatusResult
 		if err == nil {
-			err = in.run(w, &res)
+			err = in.run(&p.w, &res)
 		}
 		return res.appendTo(out), err
 	}},
-	progStockLevel: {"tpcc.program.stocklevel", true, func(w *txWriter, args, out []byte) ([]byte, error) {
+	progStockLevel: {"tpcc.program.stocklevel", true, func(p *plan, args, out []byte) ([]byte, error) {
 		in, err := decodeStockLevelArgs(args)
 		var low int
 		if err == nil {
-			err = in.run(w, &low)
+			err = in.run(&p.w, &low)
 		}
 		return binary.BigEndian.AppendUint32(out, uint32(low)), err
 	}},
-	progDelivery: {"tpcc.program.delivery", false, func(w *txWriter, args, out []byte) ([]byte, error) {
+	progDelivery: {"tpcc.program.delivery", false, func(p *plan, args, out []byte) ([]byte, error) {
 		in, err := decodeDeliveryArgs(args)
 		var delivered uint32
 		if err == nil {
-			delivered, err = apply(in.plan(w.db.Scale.Districts), 0, w)
+			delivered, err = p.delivery(in, p.w.db.Scale.Districts).apply(p.steps, 0, &p.w)
 		}
 		return binary.BigEndian.AppendUint32(out, delivered), err
 	}},
@@ -303,9 +400,13 @@ var programs = [nPrograms]struct {
 
 // registerPrograms registers the programs on the engine.
 func (db *DB) registerPrograms() {
-	for p, prog := range programs {
-		db.programs[p] = db.Engine.RegisterProgram(core.Program{ReadOnly: prog.readOnly, Run: func(ctx context.Context, t *tx.Tx, args, out []byte) ([]byte, error) {
-			return prog.run(&txWriter{db: db, ctx: ctx, t: t}, args, out)
+	for i, prog := range programs {
+		db.programs[i] = db.Engine.RegisterProgram(core.Program{ReadOnly: prog.readOnly, Run: func(ctx context.Context, t *tx.Tx, args, out []byte) ([]byte, error) {
+			p := newPlan()
+			p.w.begin(db, ctx, t)
+			out, err := prog.run(p, args, out)
+			p.release()
+			return out, err
 		}})
 	}
 }

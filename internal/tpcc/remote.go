@@ -364,13 +364,13 @@ func decodeDeliveryArgs(b []byte) (DeliveryInput, error) {
 // the customer has an order, the order row and its line rows.
 func (res *OrderStatusResult) appendTo(b []byte) []byte {
 	e := enc{b: b}
-	e.bytes(res.Customer.encode())
+	e.bytes(res.Customer.encode(nil))
 	e.bool(res.HasOrder)
 	if res.HasOrder {
-		e.bytes(res.Order.encode())
+		e.bytes(res.Order.encode(nil))
 		e.u8(uint8(len(res.Lines)))
 		for i := range res.Lines {
-			e.bytes(res.Lines[i].encode())
+			e.bytes(res.Lines[i].encode(nil))
 		}
 	}
 	return e.b
@@ -390,5 +390,6 @@ func decodeOrderStatusResult(b []byte) (OrderStatusResult, error) {
 			res.Lines = append(res.Lines, ol)
 		}
 	}
+	res.own()
 	return res, cmp.Or(err, d.argsErr(true))
 }

@@ -1,7 +1,7 @@
 package tpcc
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -17,8 +17,8 @@ type Warehouse struct {
 	YTD    float64
 }
 
-func (w *Warehouse) encode() []byte {
-	e := newEnc(0)
+func (w *Warehouse) encode(b []byte) []byte {
+	e := enc{b: b}
 	e.u32(w.ID)
 	e.str(w.Name)
 	e.str(w.Street)
@@ -51,8 +51,8 @@ type District struct {
 	NextOID uint32
 }
 
-func (r *District) encode() []byte {
-	e := newEnc(0)
+func (r *District) encode(b []byte) []byte {
+	e := enc{b: b}
 	e.u32(r.WID)
 	e.u8(r.ID)
 	e.str(r.Name)
@@ -91,8 +91,8 @@ type Customer struct {
 	Data       string
 }
 
-func (c *Customer) encode() []byte {
-	e := newEnc(len(c.Data))
+func (c *Customer) encode(b []byte) []byte {
+	e := enc{b: b}
 	e.u32(c.WID)
 	e.u8(c.DID)
 	e.u32(c.ID)
@@ -124,17 +124,20 @@ func decodeCustomer(b []byte) (Customer, error) {
 
 // pay applies one Payment to the customer row: balance and payment
 // statistics, plus the spec's bad-credit rule — the payment's identity is
-// spliced in front of C_DATA, which is capped at 500 characters.
-func (c *Customer) pay(in PaymentInput) {
+// spliced in front of C_DATA, which is capped at 500 characters. The new
+// C_DATA is built in b's room (which it outgrows only past rowRoom bytes
+// more than the old).
+func (c *Customer) pay(in PaymentInput, b []byte) {
 	c.Balance -= in.Amount
 	c.YTDPayment += in.Amount
 	c.PaymentCnt++
 	if c.Credit == "BC" {
-		info := fmt.Sprintf("%d %d %d %d %d %.2f|", in.CID, in.CDID, in.CWID, in.DID, in.WID, in.Amount)
-		c.Data = info + c.Data
-		if len(c.Data) > 500 {
-			c.Data = c.Data[:500]
+		for _, id := range [...]uint32{in.CID, uint32(in.CDID), in.CWID, uint32(in.DID), in.WID} {
+			b = append(strconv.AppendUint(b, uint64(id), 10), ' ')
 		}
+		b = append(strconv.AppendFloat(b, in.Amount, 'f', 2, 64), '|')
+		b = append(b, c.Data...)
+		c.Data = view(b[:min(len(b), 500)])
 	}
 }
 
@@ -150,18 +153,19 @@ type History struct {
 	Data   string
 }
 
-// newHistory builds the HISTORY row one Payment appends.
-func newHistory(in PaymentInput, wh *Warehouse, dist *District) History {
+// newHistory builds the HISTORY row one Payment appends, its H_DATA in
+// b's room (which it outgrows only past rowRoom bytes).
+func newHistory(in PaymentInput, wh *Warehouse, dist *District, b []byte) History {
 	return History{
 		CID: in.CID, CDID: in.CDID, CWID: in.CWID,
 		DID: in.DID, WID: in.WID,
 		Date: time.Now().UnixNano(), Amount: in.Amount,
-		Data: wh.Name + "    " + dist.Name,
+		Data: view(append(append(append(b, wh.Name...), "    "...), dist.Name...)),
 	}
 }
 
-func (h *History) encode() []byte {
-	e := newEnc(0)
+func (h *History) encode(b []byte) []byte {
+	e := enc{b: b}
 	e.u32(h.CID)
 	e.u8(h.CDID)
 	e.u32(h.CWID)
@@ -210,8 +214,8 @@ func newOrderRows(in NewOrderInput, oid uint32) (Order, NewOrderRow) {
 	}, NewOrderRow{WID: in.WID, DID: in.DID, OID: oid}
 }
 
-func (o *Order) encode() []byte {
-	e := newEnc(0)
+func (o *Order) encode(b []byte) []byte {
+	e := enc{b: b}
 	e.u32(o.WID)
 	e.u8(o.DID)
 	e.u32(o.ID)
@@ -239,8 +243,8 @@ type NewOrderRow struct {
 	OID uint32
 }
 
-func (n *NewOrderRow) encode() []byte {
-	e := newEnc(0)
+func (n *NewOrderRow) encode(b []byte) []byte {
+	e := enc{b: b}
 	e.u32(n.WID)
 	e.u8(n.DID)
 	e.u32(n.OID)
@@ -278,8 +282,8 @@ func newOrderLineRow(in NewOrderInput, oid uint32, idx int, item *Item, st *Stoc
 	}
 }
 
-func (ol *OrderLine) encode() []byte {
-	e := newEnc(0)
+func (ol *OrderLine) encode(b []byte) []byte {
+	e := enc{b: b}
 	e.u32(ol.WID)
 	e.u8(ol.DID)
 	e.u32(ol.OID)
@@ -311,8 +315,8 @@ type Item struct {
 	Data  string
 }
 
-func (i *Item) encode() []byte {
-	e := newEnc(0)
+func (i *Item) encode(b []byte) []byte {
+	e := enc{b: b}
 	e.u32(i.ID)
 	e.u32(i.ImID)
 	e.str(i.Name)
@@ -355,8 +359,8 @@ func (s *Stock) order(l NewOrderLine, homeW uint32) {
 	}
 }
 
-func (s *Stock) encode() []byte {
-	e := newEnc(0)
+func (s *Stock) encode(b []byte) []byte {
+	e := enc{b: b}
 	e.u32(s.WID)
 	e.u32(s.ItemID)
 	e.u32(uint32(s.Quantity))

@@ -82,25 +82,9 @@ type Tx struct {
 	// could come from a pre-committed-but-not-yet-hardened transaction.
 	elrHorizon wal.LSN
 
-	// 2PL bookkeeping: every distinct lock name acquired, released only
-	// at commit/abort.
-	locks []lock.Name
-	// held is the transaction-private lock cache: the supremum mode
-	// granted per name. It both answers the engine's covered-request
-	// fast path without a lock-table trip and dedupes the release list
-	// (the same name re-granted used to be replayed through Unlock once
-	// per grant).
-	held lock.Cache
-	// cacheHits counts lock requests answered by the private cache; a
-	// plain field (not atomic) because only the owner increments it —
-	// the engine folds it into the lock manager's stats at release.
-	cacheHits uint64
-	// rowLocks counts row locks per store for escalation. A transaction
-	// touches a handful of stores, so a linear-scanned slice beats a
-	// map (no allocation, no hashing).
-	rowLocks []rowLockCount
-	// escalated marks stores where the transaction holds a full-store lock.
-	escalated []storeEscalation
+	// own is the owner-only memory the transaction borrows from its
+	// manager for its lifetime (see owned).
+	own *owned
 	// noLock marks a DORA partition-local sub-transaction: the owning
 	// partition's thread-local lock table already serialized every
 	// conflicting action, so the engine skips lock-manager acquisition
@@ -121,35 +105,110 @@ type Tx struct {
 	// ExtentCache is the per-transaction (conceptually thread-local)
 	// extent-membership cache of §6.2.2.
 	ExtentCache space.ExtentCache
+}
 
-	// LogScratch is where the owner builds its update records.
-	LogScratch LogScratch
+// owned is the part of a transaction that only its owner goroutine
+// touches and that outlives it: a Tx borrows one from its Manager's pool
+// at Begin and gives it back when it ends (Commit, Abort), by which time
+// the engine has released every lock its list names. reset clears it for
+// the next Begin, keeping every buffer's capacity, so a transaction that
+// fits what an earlier one grew allocates none of this. The Tx header
+// itself is not recycled: early lock release, MVCC stamps and DORA's
+// group commit may hold a *Tx after it ends, and must never see another
+// transaction's state through it.
+type owned struct {
+	// 2PL bookkeeping: every distinct lock name acquired, released only
+	// at commit/abort.
+	locks []lock.Name
+	// held is the transaction-private lock cache: the supremum mode
+	// granted per name. It both answers the engine's covered-request
+	// fast path without a lock-table trip and dedupes the release list
+	// (the same name re-granted used to be replayed through Unlock once
+	// per grant).
+	held lock.Cache
+	// cacheHits counts lock requests answered by the private cache, and
+	// acquires those the lock manager granted; plain fields (not atomic)
+	// because only the owner increments them — the engine folds both
+	// into the lock manager's stats at release.
+	cacheHits, acquires uint64
+	// rowLocks counts row locks per store for escalation. A transaction
+	// touches a handful of stores, so a linear-scanned slice beats a
+	// map (no allocation, no hashing).
+	rowLocks []rowLockCount
+	// escalated marks stores where the transaction holds a full-store lock.
+	escalated []storeEscalation
+
+	// logScratch is where the owner builds its log records.
+	logScratch LogScratch
 
 	// cursors is what the owner remembers about the B-trees it has
 	// touched, by tree root (a PLP forest's segments are separate trees):
 	// see btree.Cursor. Eight covers New Order, TPC-C's widest
 	// transaction; one that touches more trees forgets the cursor it
-	// claimed longest ago. No allocation; empty at Begin.
+	// claimed longest ago. Empty at Begin.
 	cursors [8]struct {
 		root page.ID
 		btree.Cursor
 	}
 	nextCursor uint8
+
+	// arena holds the bytes the owner's operations make and drop within
+	// the transaction: keys, row images, values copied out of leaves.
+	arena Arena
+}
+
+// reset empties o for the next transaction, keeping its buffers. Under
+// the race detector it first overwrites them with garbage (poison), so
+// that a reference kept past the end of the transaction reads nonsense
+// that a checked run notices, rather than the next transaction's data.
+func (o *owned) reset() {
+	poison(o)
+	o.locks = o.locks[:0]
+	o.held.Reset()
+	o.cacheHits, o.acquires = 0, 0
+	o.rowLocks = o.rowLocks[:0]
+	o.escalated = o.escalated[:0]
+	o.logScratch.Rec = wal.Record{}
+	o.logScratch.Buf = o.logScratch.Buf[:0]
+	o.cursors = [len(o.cursors)]struct {
+		root page.ID
+		btree.Cursor
+	}{}
+	o.nextCursor = 0
+	o.arena.reset()
+}
+
+// owned returns t's owner-only memory. A transaction that ended (or was
+// restored by recovery) has none; it gets a fresh one, which is never
+// recycled into another live transaction's.
+func (t *Tx) owned() *owned {
+	if t.own == nil {
+		t.own = new(owned)
+	}
+	return t.own
 }
 
 // TreeCursor returns t's cursor for the tree rooted at root, empty on
 // first use. Owner-only, like everything the cursor is passed to.
 func (t *Tx) TreeCursor(root page.ID) *btree.Cursor {
-	for i := range t.cursors {
-		if t.cursors[i].root == root {
-			return &t.cursors[i].Cursor
+	o := t.owned()
+	for i := range o.cursors {
+		if o.cursors[i].root == root {
+			return &o.cursors[i].Cursor
 		}
 	}
-	tc := &t.cursors[int(t.nextCursor)%len(t.cursors)]
-	t.nextCursor++
+	tc := &o.cursors[int(o.nextCursor)%len(o.cursors)]
+	o.nextCursor++
 	tc.root, tc.Cursor = root, btree.Cursor{}
 	return &tc.Cursor
 }
+
+// LogScratch returns the space where t's owner builds its log records.
+func (t *Tx) LogScratch() *LogScratch { return &t.owned().logScratch }
+
+// Arena returns t's arena: owner-only memory for bytes that live until
+// the transaction ends, and are reused by a later transaction then.
+func (t *Tx) Arena() *Arena { return &t.owned().arena }
 
 // LogScratch is reusable space for building one log record at a time. The
 // log manager has copied a record's bytes into its buffer by the time
@@ -223,20 +282,26 @@ type storeEscalation struct {
 // conversion rule), and the name joins the release list only on its
 // first grant — releaseLocks releases each held name exactly once.
 func (t *Tx) AddLock(n lock.Name, m lock.Mode) {
-	if t.held.Put(n, m) {
-		t.locks = append(t.locks, n)
+	if o := t.owned(); o.held.Put(n, m) {
+		o.locks = append(o.locks, n)
 	}
 }
 
 // HeldMode returns the supremum mode this transaction holds on n (NL if
 // none) from the private cache, without touching the lock table.
-func (t *Tx) HeldMode(n lock.Name) lock.Mode { return t.held.Get(n) }
+func (t *Tx) HeldMode(n lock.Name) lock.Mode { return t.owned().held.Get(n) }
 
 // HitLockCache counts one lock request answered by the private cache.
-func (t *Tx) HitLockCache() { t.cacheHits++ }
+func (t *Tx) HitLockCache() { t.owned().cacheHits++ }
 
 // LockCacheHits returns the number of cache-answered lock requests.
-func (t *Tx) LockCacheHits() uint64 { return t.cacheHits }
+func (t *Tx) LockCacheHits() uint64 { return t.owned().cacheHits }
+
+// CountAcquire counts one lock request the lock manager granted t.
+func (t *Tx) CountAcquire() { t.owned().acquires++ }
+
+// LockAcquires returns the number of lock-manager grants counted so far.
+func (t *Tx) LockAcquires() uint64 { return t.owned().acquires }
 
 // SetNoLock marks t as lock-free: the caller guarantees an external
 // serialization of conflicting accesses (DORA's partition-local lock
@@ -270,39 +335,42 @@ func (t *Tx) EnsureStamp() *mvcc.Stamp {
 
 // Locks returns the held-lock list (most recent last), one entry per
 // distinct name.
-func (t *Tx) Locks() []lock.Name { return t.locks }
+func (t *Tx) Locks() []lock.Name { return t.owned().locks }
 
 // CountRowLock bumps the per-store row-lock counter and returns the new
 // count (for escalation decisions).
 func (t *Tx) CountRowLock(store uint32) int {
-	for i := range t.rowLocks {
-		if t.rowLocks[i].store == store {
-			t.rowLocks[i].n++
-			return t.rowLocks[i].n
+	o := t.owned()
+	for i := range o.rowLocks {
+		if o.rowLocks[i].store == store {
+			o.rowLocks[i].n++
+			return o.rowLocks[i].n
 		}
 	}
-	t.rowLocks = append(t.rowLocks, rowLockCount{store: store, n: 1})
+	o.rowLocks = append(o.rowLocks, rowLockCount{store: store, n: 1})
 	return 1
 }
 
 // MarkEscalated records that the transaction escalated to a store-level
 // lock in mode.
 func (t *Tx) MarkEscalated(store uint32, m lock.Mode) {
-	for i := range t.escalated {
-		if t.escalated[i].store == store {
-			t.escalated[i].mode = m
+	o := t.owned()
+	for i := range o.escalated {
+		if o.escalated[i].store == store {
+			o.escalated[i].mode = m
 			return
 		}
 	}
-	t.escalated = append(t.escalated, storeEscalation{store: store, mode: m})
+	o.escalated = append(o.escalated, storeEscalation{store: store, mode: m})
 }
 
 // Escalated returns the store-level mode the transaction escalated to, if
 // any.
 func (t *Tx) Escalated(store uint32) (lock.Mode, bool) {
-	for i := range t.escalated {
-		if t.escalated[i].store == store {
-			return t.escalated[i].mode, true
+	o := t.owned()
+	for i := range o.escalated {
+		if o.escalated[i].store == store {
+			return o.escalated[i].mode, true
 		}
 	}
 	return lock.NL, false
@@ -337,6 +405,9 @@ type Manager struct {
 	commits     atomic.Uint64
 	aborts      atomic.Uint64
 	oldestScans atomic.Uint64
+
+	// owned recycles ended transactions' owner-only memory (*owned).
+	owned sync.Pool
 }
 
 // NewManager builds a transaction manager.
@@ -357,6 +428,9 @@ func (m *Manager) BeginSnapshot() *Tx { return m.begin(true) }
 func (m *Manager) begin(snapshot bool) *Tx {
 	id := m.nextID.Add(1) - 1
 	t := &Tx{id: id, snapshot: snapshot} // zero state == StateActive
+	if o, ok := m.owned.Get().(*owned); ok {
+		t.own = o
+	}
 	m.mu.Lock()
 	m.active[id] = t
 	if m.opts.CachedOldest && len(m.active) == 1 {
@@ -382,6 +456,11 @@ func (m *Manager) finish(t *Tx, s State) error {
 	}
 	m.mu.Unlock()
 	t.state.Store(int32(s))
+	if o := t.own; o != nil {
+		t.own = nil
+		o.reset()
+		m.owned.Put(o)
+	}
 	if s == StateCommitted {
 		m.commits.Add(1)
 	} else {
@@ -391,7 +470,9 @@ func (m *Manager) finish(t *Tx, s State) error {
 }
 
 // Commit marks t committed and removes it from the table. Log flushing and
-// lock release are the storage manager's responsibility.
+// lock release are the storage manager's responsibility, and must be done:
+// t's owner-only memory (lock list, cursors, arena) goes to the next
+// Begin, and nothing from it may be used after.
 func (m *Manager) Commit(t *Tx) error { return m.finish(t, StateCommitted) }
 
 // BeginCommit moves t to StateCommitting (the pipeline pre-commit stage)
@@ -411,7 +492,8 @@ func (m *Manager) BeginCommit(t *Tx) error {
 	return nil
 }
 
-// Abort marks t aborted and removes it from the table.
+// Abort marks t aborted and removes it from the table; as with Commit,
+// t's locks must be released first.
 func (m *Manager) Abort(t *Tx) error { return m.finish(t, StateAborted) }
 
 // scanOldestLocked returns the smallest active id (0 when none). Caller

@@ -288,3 +288,39 @@ func TestTreeCursorPerRoot(t *testing.T) {
 		t.Fatal("a cursor outlived its transaction")
 	}
 }
+
+// TestEndRecyclesOwnedMemory: what a transaction's owner borrowed — lock
+// list, private lock cache, counts, row-lock tallies, escalations, arena —
+// goes back to the manager when the transaction ends, and every Begin
+// starts from none of it, whether it got fresh memory or recycled memory.
+func TestEndRecyclesOwnedMemory(t *testing.T) {
+	m := NewManager(Options{})
+	n := lock.RowName(1, page.RID{Page: 2, Slot: 3})
+	for i := 0; i < 4; i++ {
+		tx := m.Begin()
+		if len(tx.Locks()) != 0 || tx.HeldMode(n) != lock.NL || tx.LockAcquires() != 0 || tx.LockCacheHits() != 0 {
+			t.Fatalf("begin %d: starts with locks %v, mode %v, %d acquires, %d hits",
+				i, tx.Locks(), tx.HeldMode(n), tx.LockAcquires(), tx.LockCacheHits())
+		}
+		if _, ok := tx.Escalated(1); ok || tx.CountRowLock(1) != 1 {
+			t.Fatalf("begin %d: starts with another transaction's row locks", i)
+		}
+		if b := tx.Arena().Make(8); len(b) != 0 || cap(b) != 8 {
+			t.Fatalf("begin %d: arena slice len %d cap %d, want 0 and 8", i, len(b), cap(b))
+		}
+		tx.AddLock(n, lock.X)
+		tx.CountAcquire()
+		tx.HitLockCache()
+		tx.MarkEscalated(1, lock.X)
+		tx.Arena().Copy(make([]byte, 100))
+		var err error
+		if i%2 == 0 {
+			err = m.Commit(tx)
+		} else {
+			err = m.Abort(tx)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -144,6 +144,54 @@ func TestPublicIndexErrors(t *testing.T) {
 	}
 }
 
+// TestGetReturnsOwnedCopies: a value Get or GetForUpdate returned is the
+// caller's, unchanged after its transaction commits and the next one on
+// the same goroutine reads and rewrites the same rows (a transaction's
+// scratch memory goes to the next when it ends).
+func TestGetReturnsOwnedCopies(t *testing.T) {
+	db := openTest(t, Options{})
+	tx, _ := db.Begin()
+	ix, err := db.CreateIndex(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if err := ix.Insert(tx, []byte(k), []byte(strings.Repeat(k, 64))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx, _ = db.Begin()
+	a, _, err := ix.Get(tx, []byte("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := ix.GetForUpdate(tx, []byte("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx, _ = db.Begin()
+	for _, k := range []string{"c", "a", "b"} {
+		if _, _, err := ix.GetForUpdate(tx, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Update(tx, []byte(k), []byte(strings.Repeat("z", 64))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != strings.Repeat("a", 64) || string(b) != strings.Repeat("b", 64) {
+		t.Fatalf("values changed after their transaction ended: Get %q, GetForUpdate %q", a, b)
+	}
+}
+
 func TestTxDoneGuards(t *testing.T) {
 	db := openTest(t, Options{})
 	tx, _ := db.Begin()
