@@ -78,7 +78,7 @@ func payHome(p *plan, s *step, got []found, _ uint32, w *txWriter) (uint32, erro
 	}
 	wh.YTD += p.pay.Amount
 	dist.YTD += p.pay.Amount
-	h := newHistory(p.pay, &wh, &dist, w.buf(0)[:0:rowRoom])
+	h := newHistory(p.pay, &wh, &dist, w.buf(0))
 	w.update(s.rs[0].row, wh.encode(w.buf(0)))
 	w.update(s.rs[1].row, dist.encode(w.buf(0)))
 	w.insert(row{t: tHistory}, h.encode(w.buf(len(h.Data))))

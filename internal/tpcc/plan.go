@@ -45,14 +45,9 @@ func oRow(w uint32, d uint8, o uint32) row { return row{t: tOrders, w: w, d: d, 
 func iRow(i uint32) row                    { return row{t: tItem, id: i} }
 func sRow(w, i uint32) row                 { return row{t: tStock, w: w, id: i} }
 
-// key is the row's B-tree key: its ids big-endian in primary-key order,
-// so that B-tree order is key order. An item's key is its id alone.
-func (r row) key() []byte { return r.appendKey(make([]byte, 0, maxKey)) }
-
-// maxKey is the longest key: an order line's.
-const maxKey = 10
-
-// appendKey appends the row's key to b.
+// appendKey appends the row's B-tree key to b: its ids big-endian in
+// primary-key order, so that B-tree order is key order. An item's key is
+// its id alone.
 func (r row) appendKey(b []byte) []byte {
 	if r.t == tItem {
 		return binary.BigEndian.AppendUint32(b, r.id)
@@ -263,6 +258,9 @@ func (w *txWriter) end() {
 	clear(w.scans)
 	*w = txWriter{found: w.found[:0], scans: w.scans[:0]}
 }
+
+// maxKey is the longest key: an order line's.
+const maxKey = 10
 
 // key returns r's key, in t's arena.
 func (w *txWriter) key(r row) []byte { return r.appendKey(w.t.Arena().Make(maxKey)) }

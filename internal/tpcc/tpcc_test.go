@@ -33,6 +33,9 @@ func newDB(t testing.TB, scale Scale) *DB {
 	return db
 }
 
+// key returns r's B-tree key.
+func (r row) key() []byte { return r.appendKey(make([]byte, 0, maxKey)) }
+
 // readRow reads row r in tx under an S lock and decodes it.
 func readRow[T any](t testing.TB, db *DB, tx *tx.Tx, r row, decode func([]byte) (T, error)) T {
 	t.Helper()
