@@ -39,7 +39,6 @@ func main() {
 	frames := flag.Int("frames", 8192, "buffer pool frames")
 	shards := flag.Int("shards", 0, "buffer replacement shards (0 = stage default)")
 	durability := flag.String("durability", "strict", "commit durability: strict|relaxed")
-	olc := flag.Bool("olc", false, "optimistic latch coupling on B-tree descents")
 	workers := flag.Int("workers", 0, "execution pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x workers); overflow sheds with busy")
 	idle := flag.Duration("idle", 5*time.Minute, "idle-session timeout (rolls back and closes; <0 disables)")
@@ -60,7 +59,6 @@ func main() {
 		BufferFrames: *frames,
 		BufferShards: *shards,
 		Dir:          *dir,
-		OLC:          *olc,
 		Snapshot:     *snapshot,
 
 		LogSegmentBytes: *logSegment,

@@ -57,7 +57,6 @@ func run(args []string, out io.Writer) (*result, error) {
 	frames := fs.Int("frames", 8192, "buffer pool frames")
 	shards := fs.Int("shards", 0, "buffer replacement shards (0 = stage default: GOMAXPROCS-scaled from bpool2 up, 1 = single clock hand)")
 	payPct := fs.Int("payment", 50, "percent of the transactions other than Delivery (4 %) that are Payment (rest New Order)")
-	olc := fs.Bool("olc", false, "optimistic latch coupling: validate B-tree inner nodes against latch versions instead of pinning them")
 	dorafl := fs.Bool("dora", false, "data-oriented execution: route decomposed actions to partition owners with thread-local lock tables")
 	plpfl := fs.Bool("plp", false, "physiological partitioning (implies -dora): per-partition B-tree segments with latch-free owner access, ownership fixed at open")
 	partitions := fs.Int("partitions", 0, "DORA partitions (0 = GOMAXPROCS; clamped to -warehouses)")
@@ -77,7 +76,7 @@ func run(args []string, out io.Writer) (*result, error) {
 		return nil, fmt.Errorf("unknown stage %q", *stage)
 	} else {
 		cfg := core.StageConfig(core.Stages()[i])
-		cfg.Frames, cfg.OLC, cfg.Snapshot, cfg.CleanerInterval = *frames, *olc, *snapshot, 10*time.Millisecond
+		cfg.Frames, cfg.Snapshot, cfg.CleanerInterval = *frames, *snapshot, 10*time.Millisecond
 		cfg.DORA, cfg.PLP, cfg.DoraPartitions, cfg.DoraKeys = *dorafl || *plpfl, *plpfl, *partitions, *warehouses
 		cfg.Buffer.Shards = cmp.Or(*shards, cfg.Buffer.Shards)
 		if *snapshot {
@@ -190,7 +189,7 @@ func dialRemote(addr string, out io.Writer) (*result, error) {
 }
 
 // printEngine prints an engine's statistics, with a section for each of
-// MVCC, OLC, DORA and PLP that ran.
+// MVCC, optimistic descents, DORA and PLP that ran.
 func printEngine(out io.Writer, st core.EngineStats) {
 	b, l, m, bt := st.Buffer, st.Lock, st.Mvcc, st.Btree
 	fmt.Fprintf(out, "\nengine statistics:\n  buffer pool: %d hits, %d hot-array hits, %d misses, %d evictions\n", b.Hits, b.HotHits, b.Misses, b.Evictions)
@@ -213,8 +212,9 @@ func printEngine(out io.Writer, st core.EngineStats) {
 	}
 	fmt.Fprintf(out, "  btree:       %d latched descents; cursor: %d hits, %d misses; splits: %d at the insertion point, %d logged as images\n",
 		bt.LatchedDescents, bt.CursorHits, bt.CursorMisses, bt.InsertPointSplits, bt.ImageSplits)
-	if bt.OptDescents > 0 {
-		fmt.Fprintf(out, "  btree OLC:   %d optimistic descents, %d restarts, %d fallbacks\n", bt.OptDescents, bt.Restarts, bt.Fallbacks)
+	if bt.OptDescents+bt.OptLeafReads > 0 {
+		fmt.Fprintf(out, "  btree OLC:   %d optimistic descents, %d optimistic leaf reads, %d restarts, %d fallbacks\n",
+			bt.OptDescents, bt.OptLeafReads, bt.Restarts, bt.Fallbacks)
 	}
 	if d := st.Dora; d.Partitions > 0 {
 		fmt.Fprintf(out, "  dora:        %d partitions, %d actions routed, %d local tx, %d cross-partition tx, %d aborted\n",

@@ -31,8 +31,13 @@ type Env interface {
 	// zero Logical = redo-only), applies it, stamps the page LSN and marks
 	// the frame dirty. The frame must be EX-latched by the caller. Nothing
 	// undo references is retained.
-	Log(txID uint64, f *buffer.Frame, op pageop.Op, undo pageop.Logical) error
+	Log(t Txn, f *buffer.Frame, op pageop.Op, undo pageop.Logical) error
 }
+
+// Txn is the transaction a tree mutation is logged for. The tree only
+// hands it on to Env.Log, so the environment gets its transaction back
+// without looking it up by id.
+type Txn interface{ ID() uint64 }
 
 // OptEnv is the optional optimistic extension of Env: pin-free,
 // latch-free page references validated after the fact. buffer.Pool
@@ -57,14 +62,14 @@ type OLCStats struct {
 	OptDescents  atomic.Uint64 // Optimistic descents to a latched leaf whose inner levels stayed speculative
 	Restarts     atomic.Uint64 // operations restarted from the root (failed validation, unreadable node, root grew), any policy
 	Fallbacks    atomic.Uint64 // Optimistic operations that exhausted their restarts and ran Latched
-	OptLeafReads atomic.Uint64 // Optimistic leaf reads (Search, one per Scan leaf) completed without any pin or latch
+	OptLeafReads atomic.Uint64 // Optimistic leaf reads (Search, one per Scan leaf) over speculative inner levels; the leaf is latched only when it could not be read as a validated copy
 
 	// LatchedDescents counts classic pinned descents — the latch traffic
 	// OLC and PLP exist to avoid; the Owner* counters are the Optimistic
 	// ones for the partition-owner policy.
 	LatchedDescents atomic.Uint64 // pinned SH descents (fallbacks included)
 	OwnerDescents   atomic.Uint64 // Owner descents to a latched leaf completed without inner latches
-	OwnerReads      atomic.Uint64 // Owner leaf reads (Search, one per Scan leaf) completed with no pin and no latch
+	OwnerReads      atomic.Uint64 // Owner leaf reads (Search, one per Scan leaf), as OptLeafReads
 	OwnerWrites     atomic.Uint64 // Owner mutation descents (insert/update/delete); moves with OwnerDescents
 	OwnerScans      atomic.Uint64 // Owner range scans
 	OwnerFallbacks  atomic.Uint64 // Owner operations that exhausted their restarts and ran Latched
@@ -135,17 +140,19 @@ const maxOptHops = 64
 //
 //	            inner nodes      leaf, Search/Scan   leaf, mutations   counters
 //	Latched     pinned SH        pinned SH           pinned EX         LatchedDescents
-//	Optimistic  validated copy*  validated copy      pinned EX         OptDescents, OptLeafReads, Fallbacks
-//	Owner       validated copy*  validated copy      pinned EX         OwnerDescents+OwnerWrites, OwnerReads, OwnerScans, OwnerFallbacks
+//	Optimistic  validated copy*  validated copy**    pinned EX         OptDescents, OptLeafReads, Fallbacks
+//	Owner       validated copy*  validated copy**    pinned EX         OwnerDescents+OwnerWrites, OwnerReads, OwnerScans, OwnerFallbacks
 //
 // A validated copy is a speculative read of an unpinned, unlatched page
 // image (OptEnv) that counts only if the frame's latch version did not
-// move meanwhile; it writes no shared memory. (*) On the way to a latched
-// leaf a node that is not resident is read under a pinned SH latch,
-// which loads it; reads that end in a validated copy never pin, so a
-// cold or write-latched node restarts them. Any failed validation
-// restarts the operation from the root (Restarts); after maxOptRestarts
-// of them it falls back to Latched, which always succeeds.
+// move meanwhile; it writes no shared memory. (*) A node that is not
+// resident is read under a pinned SH latch, which loads it, and the walk
+// goes on speculatively below it. (**) A leaf that cannot be read as a
+// validated copy (not resident, write-latched, or changed under the
+// read) is read under a pinned SH latch instead. A failed validation of
+// an inner node restarts the operation from the root (Restarts); after
+// maxOptRestarts of them it falls back to Latched, which always
+// succeeds.
 //
 // Optimistic is for trees shared between threads (optimistic latch
 // coupling). Owner is the same mechanism counted separately for PLP
@@ -176,7 +183,7 @@ func (s *OLCStats) descent(a Access) {
 	}
 }
 
-// leafRead records a leaf read completed on a validated copy.
+// leafRead records a leaf read over speculative inner levels.
 func (s *OLCStats) leafRead(a Access) {
 	if a == Owner {
 		s.OwnerReads.Add(1)
@@ -205,13 +212,13 @@ type Tree struct {
 
 // Create allocates and initializes an empty tree for store. opt and
 // stats are as for Open.
-func Create(env Env, opt OptEnv, stats *OLCStats, txID uint64, store uint32) (*Tree, error) {
+func Create(env Env, opt OptEnv, stats *OLCStats, tx Txn, store uint32) (*Tree, error) {
 	rootPid, err := env.AllocPage(store)
 	if err != nil {
 		return nil, err
 	}
 	t := Open(env, opt, stats, store, rootPid)
-	if err := t.writeFreshNode(txID, rootPid, nodeHeader{flags: flagLeaf | flagRoot}, nil); err != nil {
+	if err := t.writeFreshNode(tx, rootPid, nodeHeader{flags: flagLeaf | flagRoot}, nil); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -583,11 +590,23 @@ func (t *Tree) viewLeaf(a Access, c *Cursor, key []byte, read leafReader) error 
 	}
 	ran, err := t.attempt(a, func(speculate bool) (bool, error) {
 		if speculate {
-			pid, ok, err := t.walk(key, true, false, nil)
+			pid, ok, err := t.walk(key, true, true, nil)
 			if !ok || err != nil {
 				return false, err
 			}
-			return t.readLeafOpt(pid, false, c, key, read)
+			if ok, err := t.readLeafOpt(pid, false, c, key, read); ok || err != nil {
+				return ok, err
+			}
+			// The leaf is cold, write-latched or changed under the read:
+			// read it latched, as a mutation would, rather than walk again
+			// to meet the same leaf.
+			f, hdr, slot, exact, ok, err := t.latchLeaf(pid, key, sync2.LatchSH, false)
+			if !ok || err != nil {
+				return false, err
+			}
+			defer t.env.Unfix(f, sync2.LatchSH)
+			c.remember(f, hdr, key)
+			return true, read(f.Page(), hdr, slot, exact)
 		}
 		f, hdr, slot, exact, err := t.descend(Latched, hint, key, sync2.LatchSH, nil)
 		if err != nil {
@@ -708,17 +727,17 @@ func (t *Tree) View(a Access, c *Cursor, key []byte, view func(v []byte)) (found
 // Insert adds key→value; ErrDuplicateKey if present. The operation is
 // logged with a logical undo (delete key), so aborting the transaction
 // removes the key even if splits moved it. c may be nil.
-func (t *Tree) Insert(a Access, c *Cursor, txID uint64, key, value []byte) error {
-	return t.insert(a, c, txID, key, value, true)
+func (t *Tree) Insert(a Access, c *Cursor, tx Txn, key, value []byte) error {
+	return t.insert(a, c, tx, key, value, true)
 }
 
 // InsertNoUndo adds key→value with redo-only logging. Recovery's logical
 // undo path uses it (a CLR-covered action must not generate further undo).
-func (t *Tree) InsertNoUndo(a Access, txID uint64, key, value []byte) error {
-	return t.insert(a, nil, txID, key, value, false)
+func (t *Tree) InsertNoUndo(a Access, tx Txn, key, value []byte) error {
+	return t.insert(a, nil, tx, key, value, false)
 }
 
-func (t *Tree) insert(a Access, c *Cursor, txID uint64, key, value []byte, withUndo bool) error {
+func (t *Tree) insert(a Access, c *Cursor, tx Txn, key, value []byte, withUndo bool) error {
 	if err := checkKV(key, value); err != nil {
 		return err
 	}
@@ -742,7 +761,7 @@ func (t *Tree) insert(a Access, c *Cursor, txID uint64, key, value []byte, withU
 			if withUndo {
 				undo = pageop.Logical{Kind: pageop.LogicalBTreeDelete, Store: t.store, Key: key}
 			}
-			err := t.env.Log(txID, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: uint16(slot), Data: entry}, undo)
+			err := t.env.Log(tx, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: uint16(slot), Data: entry}, undo)
 			if err == nil {
 				f.SetInsertHint(uint16(slot))
 			}
@@ -752,7 +771,7 @@ func (t *Tree) insert(a Access, c *Cursor, txID uint64, key, value []byte, withU
 		// Leaf full: split, then retry the insert. The retry finds its
 		// leaf through the cursor when there is one (the split leaf or
 		// its new right sibling), else by descending again.
-		if err := t.splitNode(txID, f, hdr, path.ids[:path.n], &pendingInsert{key: key, slot: slot}); err != nil {
+		if err := t.splitNode(tx, f, hdr, path.ids[:path.n], &pendingInsert{key: key, slot: slot}); err != nil {
 			return err
 		}
 	}
@@ -760,18 +779,18 @@ func (t *Tree) insert(a Access, c *Cursor, txID uint64, key, value []byte, withU
 
 // Update replaces the value for key. Logged as a patch of the bytes that
 // differ, with a logical undo that puts the old ones back. c may be nil.
-func (t *Tree) Update(a Access, c *Cursor, txID uint64, key, value []byte) error {
-	return t.update(a, c, txID, key, 0, 0, value, true)
+func (t *Tree) Update(a Access, c *Cursor, tx Txn, key, value []byte) error {
+	return t.update(a, c, tx, key, 0, 0, value, true)
 }
 
 // UpdateNoUndo puts mid between the first off and the last suf bytes of
 // key's value, with redo-only logging: the action of a logical update undo
 // (see pageop.Logical for why it may safely run twice).
-func (t *Tree) UpdateNoUndo(a Access, txID uint64, key []byte, off, suf int, mid []byte) error {
-	return t.update(a, nil, txID, key, off, suf, mid, false)
+func (t *Tree) UpdateNoUndo(a Access, tx Txn, key []byte, off, suf int, mid []byte) error {
+	return t.update(a, nil, tx, key, off, suf, mid, false)
 }
 
-func (t *Tree) update(a Access, c *Cursor, txID uint64, key []byte, off, suf int, mid []byte, withUndo bool) error {
+func (t *Tree) update(a Access, c *Cursor, tx Txn, key []byte, off, suf int, mid []byte, withUndo bool) error {
 	if err := checkKV(key, mid); err != nil {
 		return err
 	}
@@ -804,7 +823,7 @@ func (t *Tree) update(a Access, c *Cursor, txID uint64, key []byte, off, suf int
 		// The new entry may be larger than the old: split unless the page
 		// takes it as Apply would, compacting dead space if it must.
 		if err := pageop.Check(f.Page(), op); errors.Is(err, page.ErrPageFull) {
-			if err := t.splitNode(txID, f, hdr, path.ids[:path.n], nil); err != nil {
+			if err := t.splitNode(tx, f, hdr, path.ids[:path.n], nil); err != nil {
 				return err
 			}
 			continue
@@ -815,7 +834,7 @@ func (t *Tree) update(a Access, c *Cursor, txID uint64, key []byte, off, suf int
 			undo = pageop.Logical{Kind: pageop.LogicalBTreeUpdate, Store: t.store, Key: key,
 				Off: uint16(pre), Suf: uint16(len(oldVal) - pre - len(op.Old)), Value: op.Old}
 		}
-		err = t.env.Log(txID, f, op, undo)
+		err = t.env.Log(tx, f, op, undo)
 		t.env.Unfix(f, sync2.LatchEX)
 		return err
 	}
@@ -825,16 +844,16 @@ func (t *Tree) update(a Access, c *Cursor, txID uint64, key []byte, off, suf int
 // re-inserting the key. Underflowed leaves are left in place (lazy
 // deletion; no merges), which keeps sibling pointers stable — and is what
 // lets a Cursor trust a remembered leaf. c may be nil.
-func (t *Tree) Delete(a Access, c *Cursor, txID uint64, key []byte) ([]byte, error) {
-	return t.delete(a, c, txID, key, true)
+func (t *Tree) Delete(a Access, c *Cursor, tx Txn, key []byte) ([]byte, error) {
+	return t.delete(a, c, tx, key, true)
 }
 
 // DeleteNoUndo is Delete with redo-only logging (for recovery undo).
-func (t *Tree) DeleteNoUndo(a Access, txID uint64, key []byte) ([]byte, error) {
-	return t.delete(a, nil, txID, key, false)
+func (t *Tree) DeleteNoUndo(a Access, tx Txn, key []byte) ([]byte, error) {
+	return t.delete(a, nil, tx, key, false)
 }
 
-func (t *Tree) delete(a Access, c *Cursor, txID uint64, key []byte, withUndo bool) ([]byte, error) {
+func (t *Tree) delete(a Access, c *Cursor, tx Txn, key []byte, withUndo bool) ([]byte, error) {
 	if err := checkKV(key, nil); err != nil {
 		return nil, err
 	}
@@ -862,7 +881,7 @@ func (t *Tree) delete(a Access, c *Cursor, txID uint64, key []byte, withUndo boo
 	}
 	// Removing the slot leaves the entry's bytes where they are, so oldVal
 	// stays readable until the latch goes.
-	err = t.env.Log(txID, f, pageop.Op{Kind: pageop.KindRemoveAt, Slot: uint16(slot), Old: rec}, undo)
+	err = t.env.Log(tx, f, pageop.Op{Kind: pageop.KindRemoveAt, Slot: uint16(slot), Old: rec}, undo)
 	if err == nil {
 		oldVal = append([]byte(nil), oldVal...)
 	}
@@ -876,11 +895,12 @@ func (t *Tree) delete(a Access, c *Cursor, txID uint64, key []byte, withUndo boo
 // Scan calls fn for each key in [from, to) in ascending order until fn
 // returns false. nil from starts at the smallest key; nil to means no
 // upper bound. The range is read one leaf at a time through viewLeaf —
-// the entries in range are copied out of the leaf image and emitted
-// after it is let go, so fn receives copies it may retain and may
-// re-enter the tree. Splits between leaf reads are benign: the next
-// leaf is found by descending to the previous one's high key, below
-// which everything has been emitted and at or above which nothing has.
+// the entries in range are copied out of the leaf image, into one buffer
+// per leaf, and emitted after it is let go, so fn receives copies it may
+// retain and may re-enter the tree. Splits between leaf reads are
+// benign: the next leaf is found by descending to the previous one's
+// high key, below which everything has been emitted and at or above
+// which nothing has.
 func (t *Tree) Scan(a Access, from, to []byte, fn func(key, value []byte) bool) error {
 	if a == Owner && t.opt != nil {
 		t.stats.OwnerScans.Add(1)
@@ -891,25 +911,52 @@ func (t *Tree) Scan(a Access, from, to []byte, fn func(key, value []byte) bool) 
 	}
 	var pairs [][2][]byte
 	for {
-		var next []byte // the leaf's high key; nil once the scan is complete
+		var buf, next []byte // next: the leaf's high key; nil once the scan is complete
 		err := t.viewLeaf(a, nil, lo, func(p *page.Page, h nodeHeader, slot int, _ bool) error {
 			pairs, next = pairs[:0], nil
-			for n := numEntries(p); slot <= n; slot++ {
-				rec, err := p.Record(slot)
+			// Size the copy first, so that a leaf takes one allocation: a
+			// re-run reuses the buffer of the run before, which fn has not
+			// seen. A torn image may size it wrong; append still copies.
+			n, end, size := numEntries(p), slot, 0
+			for ; end <= n; end++ {
+				rec, err := p.Record(end)
 				if err != nil {
 					return err
 				}
-				k, v, err := decodeLeafEntry(append([]byte(nil), rec...))
+				k, _, err := decodeLeafEntry(rec)
 				if err != nil {
 					return err
 				}
 				if to != nil && bytes.Compare(k, to) >= 0 {
-					return nil
+					break
+				}
+				size += len(rec)
+			}
+			more := end > n && len(h.highKey) > 0 && (to == nil || bytes.Compare(h.highKey, to) < 0)
+			if more {
+				size += len(h.highKey)
+			}
+			if cap(buf) < size {
+				buf = make([]byte, 0, size)
+			}
+			buf = buf[:0]
+			for ; slot < end; slot++ {
+				rec, err := p.Record(slot)
+				if err != nil {
+					return err
+				}
+				at := len(buf)
+				buf = append(buf, rec...)
+				k, v, err := decodeLeafEntry(buf[at:len(buf):len(buf)])
+				if err != nil {
+					return err
 				}
 				pairs = append(pairs, [2][]byte{k, v})
 			}
-			if to == nil || bytes.Compare(h.highKey, to) < 0 {
-				next = append(next, h.highKey...)
+			if more {
+				at := len(buf)
+				buf = append(buf, h.highKey...)
+				next = buf[at:]
 			}
 			return nil
 		})

@@ -50,7 +50,16 @@ func (e *fakeEnv) Unfix(f *buffer.Frame, mode sync2.LatchMode) {
 func (e *fakeEnv) AllocPage(store uint32) (page.ID, error) {
 	return e.sm.AllocPage(store, nil)
 }
-func (e *fakeEnv) Log(txID uint64, f *buffer.Frame, op pageop.Op, undo pageop.Logical) error {
+
+// testTxn is the transaction the tests log their mutations for; the fake
+// environment ignores it.
+type testTxn uint64
+
+func (t testTxn) ID() uint64 { return uint64(t) }
+
+const tx1 testTxn = 1
+
+func (e *fakeEnv) Log(t Txn, f *buffer.Frame, op pageop.Op, undo pageop.Logical) error {
 	if err := pageop.Apply(f.Page(), op); err != nil {
 		return fmt.Errorf("apply %v: %w", op.Kind, err)
 	}
@@ -66,7 +75,7 @@ func newTestTree(tb testing.TB, frames int) (*Tree, *fakeEnv) {
 	tb.Helper()
 	env := newFakeEnv(tb, frames)
 	store := env.sm.CreateStore(space.KindBTree)
-	tr, err := Create(env, env.pool, new(OLCStats), 1, store)
+	tr, err := Create(env, env.pool, new(OLCStats), tx1, store)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -172,7 +181,7 @@ func testInsertSearchSmall(t *testing.T, a Access, cur func() *Cursor) *Tree {
 	c := cur()
 	tr, _ := newTestTree(t, 64)
 	for i := 0; i < 50; i++ {
-		if err := tr.Insert(a, c, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, c, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,10 +203,10 @@ func testInsertSearchSmall(t *testing.T, a Access, cur func() *Cursor) *Tree {
 func TestDuplicateKeyRejected(t *testing.T) {
 	tr, _ := newTestTree(t, 64)
 	const a = Latched
-	if err := tr.Insert(a, nil, 1, key(1), val(1)); err != nil {
+	if err := tr.Insert(a, nil, tx1, key(1), val(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Insert(a, nil, 1, key(1), val(2)); !errors.Is(err, ErrDuplicateKey) {
+	if err := tr.Insert(a, nil, tx1, key(1), val(2)); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("duplicate insert = %v", err)
 	}
 }
@@ -205,17 +214,17 @@ func TestDuplicateKeyRejected(t *testing.T) {
 func TestKeyValueLimits(t *testing.T) {
 	tr, _ := newTestTree(t, 64)
 	const a = Latched
-	if err := tr.Insert(a, nil, 1, nil, val(1)); !errors.Is(err, ErrKeyTooLarge) {
+	if err := tr.Insert(a, nil, tx1, nil, val(1)); !errors.Is(err, ErrKeyTooLarge) {
 		t.Errorf("empty key = %v", err)
 	}
-	if err := tr.Insert(a, nil, 1, make([]byte, MaxKeySize+1), val(1)); !errors.Is(err, ErrKeyTooLarge) {
+	if err := tr.Insert(a, nil, tx1, make([]byte, MaxKeySize+1), val(1)); !errors.Is(err, ErrKeyTooLarge) {
 		t.Errorf("big key = %v", err)
 	}
-	if err := tr.Insert(a, nil, 1, key(1), make([]byte, MaxValueSize+1)); !errors.Is(err, ErrValueTooLarge) {
+	if err := tr.Insert(a, nil, tx1, key(1), make([]byte, MaxValueSize+1)); !errors.Is(err, ErrValueTooLarge) {
 		t.Errorf("big value = %v", err)
 	}
 	// Max-size boundary accepted.
-	if err := tr.Insert(a, nil, 1, bytes.Repeat([]byte("k"), MaxKeySize), make([]byte, MaxValueSize)); err != nil {
+	if err := tr.Insert(a, nil, tx1, bytes.Repeat([]byte("k"), MaxKeySize), make([]byte, MaxValueSize)); err != nil {
 		t.Errorf("boundary KV = %v", err)
 	}
 }
@@ -225,7 +234,7 @@ func testSplitsManyKeysSequential(t *testing.T, a Access, cur func() *Cursor) *T
 	tr, _ := newTestTree(t, 256)
 	const n = 5000
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(a, c, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, c, tx1, key(i), val(i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -263,7 +272,7 @@ func testSplitsRandomOrder(t *testing.T, a Access, cur func() *Cursor) *Tree {
 	rng := rand.New(rand.NewSource(42))
 	perm := rng.Perm(3000)
 	for _, i := range perm {
-		if err := tr.Insert(a, c, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, c, tx1, key(i), val(i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -281,7 +290,7 @@ func testScanOrderedAndBounded(t *testing.T, a Access, cur func() *Cursor) *Tree
 	tr, _ := newTestTree(t, 256)
 	rng := rand.New(rand.NewSource(7))
 	for _, i := range rng.Perm(2000) {
-		if err := tr.Insert(a, c, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, c, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,23 +337,23 @@ func testScanOrderedAndBounded(t *testing.T, a Access, cur func() *Cursor) *Tree
 func testUpdateValues(t *testing.T, a Access, cur func() *Cursor) *Tree {
 	c := cur()
 	tr, _ := newTestTree(t, 64)
-	if err := tr.Insert(a, c, 1, key(1), val(1)); err != nil {
+	if err := tr.Insert(a, c, tx1, key(1), val(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Update(a, c, 1, key(1), []byte("new-value")); err != nil {
+	if err := tr.Update(a, c, tx1, key(1), []byte("new-value")); err != nil {
 		t.Fatal(err)
 	}
 	v, ok, _ := tr.Search(a, c, key(1))
 	if !ok || string(v) != "new-value" {
 		t.Fatalf("after update: %q, %v", v, ok)
 	}
-	if err := tr.Update(a, c, 1, key(2), val(2)); !errors.Is(err, ErrKeyNotFound) {
+	if err := tr.Update(a, c, tx1, key(2), val(2)); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("update missing = %v", err)
 	}
 	// Grow the value beyond the original size repeatedly.
 	for size := 10; size <= 1000; size *= 10 {
 		nv := bytes.Repeat([]byte("x"), size)
-		if err := tr.Update(a, c, 1, key(1), nv); err != nil {
+		if err := tr.Update(a, c, tx1, key(1), nv); err != nil {
 			t.Fatalf("grow to %d: %v", size, err)
 		}
 		v, _, _ := tr.Search(a, c, key(1))
@@ -359,13 +368,13 @@ func testDeleteAndReinsert(t *testing.T, a Access, cur func() *Cursor) *Tree {
 	c := cur()
 	tr, _ := newTestTree(t, 256)
 	for i := 0; i < 500; i++ {
-		if err := tr.Insert(a, c, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, c, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Delete the even keys.
 	for i := 0; i < 500; i += 2 {
-		old, err := tr.Delete(a, c, 1, key(i))
+		old, err := tr.Delete(a, c, tx1, key(i))
 		if err != nil {
 			t.Fatalf("delete %d: %v", i, err)
 		}
@@ -373,7 +382,7 @@ func testDeleteAndReinsert(t *testing.T, a Access, cur func() *Cursor) *Tree {
 			t.Fatalf("delete %d returned %q", i, old)
 		}
 	}
-	if _, err := tr.Delete(a, c, 1, key(0)); !errors.Is(err, ErrKeyNotFound) {
+	if _, err := tr.Delete(a, c, tx1, key(0)); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("double delete = %v", err)
 	}
 	for i := 0; i < 500; i++ {
@@ -387,7 +396,7 @@ func testDeleteAndReinsert(t *testing.T, a Access, cur func() *Cursor) *Tree {
 	}
 	// Re-insert the deleted keys.
 	for i := 0; i < 500; i += 2 {
-		if err := tr.Insert(a, c, 1, key(i), val(i+1000)); err != nil {
+		if err := tr.Insert(a, c, tx1, key(i), val(i+1000)); err != nil {
 			t.Fatalf("reinsert %d: %v", i, err)
 		}
 	}
@@ -410,7 +419,7 @@ func testConcurrentInsertDisjointRanges(t *testing.T, a Access, cur func() *Curs
 			defer wg.Done()
 			c := cur() // one per goroutine, like one per transaction
 			for i := 0; i < n; i++ {
-				if err := tr.Insert(a, c, 1, key(w*n+i), val(w*n+i)); err != nil {
+				if err := tr.Insert(a, c, tx1, key(w*n+i), val(w*n+i)); err != nil {
 					t.Errorf("insert %d: %v", w*n+i, err)
 					return
 				}
@@ -446,7 +455,7 @@ func testConcurrentReadersAndWriters(t *testing.T, a Access, cur func() *Cursor)
 	const warm, extra = 1000, 1500
 	c := cur()
 	for i := 0; i < warm; i++ {
-		if err := tr.Insert(a, c, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, c, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -460,7 +469,7 @@ func testConcurrentReadersAndWriters(t *testing.T, a Access, cur func() *Cursor)
 		defer close(stop)
 		c := cur()
 		for i := warm; i < warm+extra; i++ {
-			if err := tr.Insert(a, c, 1, key(i), val(i)); err != nil {
+			if err := tr.Insert(a, c, tx1, key(i), val(i)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -510,7 +519,7 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 			v := string(val(int(op)))
 			switch op % 4 {
 			case 0:
-				err := tr.Insert(a, c, 1, []byte(k), []byte(v))
+				err := tr.Insert(a, c, tx1, []byte(k), []byte(v))
 				if _, dup := ref[k]; dup {
 					if !errors.Is(err, ErrDuplicateKey) {
 						return false
@@ -521,7 +530,7 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 					ref[k] = v
 				}
 			case 1:
-				_, err := tr.Delete(a, c, 1, []byte(k))
+				_, err := tr.Delete(a, c, tx1, []byte(k))
 				if _, present := ref[k]; present {
 					if err != nil {
 						return false
@@ -531,7 +540,7 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 					return false
 				}
 			case 2:
-				err := tr.Update(a, c, 1, []byte(k), []byte(v))
+				err := tr.Update(a, c, tx1, []byte(k), []byte(v))
 				if _, present := ref[k]; present {
 					if err != nil {
 						return false
@@ -594,10 +603,10 @@ type undoRecorder struct {
 	op   pageop.Op
 }
 
-func (e *undoRecorder) Log(txID uint64, f *buffer.Frame, op pageop.Op, undo pageop.Logical) error {
+func (e *undoRecorder) Log(t Txn, f *buffer.Frame, op pageop.Op, undo pageop.Logical) error {
 	e.op, e.last = op, undo
 	e.last.Value = append([]byte(nil), undo.Value...)
-	return e.fakeEnv.Log(txID, f, op, undo)
+	return e.fakeEnv.Log(t, f, op, undo)
 }
 
 // TestUpdateUndoMayRunTwice: an update logs only the range that differs,
@@ -606,12 +615,12 @@ func (e *undoRecorder) Log(txID uint64, f *buffer.Frame, op pageop.Op, undo page
 // value from that range whether it meets the new value or the old one.
 func TestUpdateUndoMayRunTwice(t *testing.T) {
 	env := &undoRecorder{fakeEnv: newFakeEnv(t, 64)}
-	tr, err := Create(env, env.pool, new(OLCStats), 1, env.sm.CreateStore(space.KindBTree))
+	tr, err := Create(env, env.pool, new(OLCStats), tx1, env.sm.CreateStore(space.KindBTree))
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := []byte("the-key")
-	if err := tr.Insert(Latched, nil, 1, key, []byte("seed")); err != nil {
+	if err := tr.Insert(Latched, nil, tx1, key, []byte("seed")); err != nil {
 		t.Fatal(err)
 	}
 	value := func() []byte {
@@ -640,7 +649,7 @@ func TestUpdateUndoMayRunTwice(t *testing.T) {
 		if len(upd) > 600 {
 			upd = upd[:100]
 		}
-		if err := tr.Update(Latched, nil, 1, key, upd); err != nil {
+		if err := tr.Update(Latched, nil, tx1, key, upd); err != nil {
 			t.Fatal(err)
 		}
 		u := env.last
@@ -654,7 +663,7 @@ func TestUpdateUndoMayRunTwice(t *testing.T) {
 			continue // keep the new value, go on from there
 		}
 		for run := 1; run <= 2; run++ {
-			if err := tr.UpdateNoUndo(Latched, 1, key, int(u.Off), int(u.Suf), u.Value); err != nil {
+			if err := tr.UpdateNoUndo(Latched, tx1, key, int(u.Off), int(u.Suf), u.Value); err != nil {
 				t.Fatal(err)
 			}
 			if got := value(); !bytes.Equal(got, old) {
@@ -662,7 +671,7 @@ func TestUpdateUndoMayRunTwice(t *testing.T) {
 			}
 		}
 	}
-	if err := tr.UpdateNoUndo(Latched, 1, key, 400, 400, nil); err == nil {
+	if err := tr.UpdateNoUndo(Latched, tx1, key, 400, 400, nil); err == nil {
 		t.Error("an undo range larger than the value was accepted")
 	}
 }
@@ -685,16 +694,16 @@ func TestUpdateFitsWhatThePageTakes(t *testing.T) {
 	}
 	n := 0
 	for ; freeSpace() > 200; n++ {
-		if err := tr.Insert(Latched, nil, 1, key(n), value('v', 100)); err != nil {
+		if err := tr.Insert(Latched, nil, tx1, key(n), value('v', 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const dead = 30
-	if err := tr.Update(Latched, nil, 1, key(0), value('v', 100-dead)); err != nil {
+	if err := tr.Update(Latched, nil, tx1, key(0), value('v', 100-dead)); err != nil {
 		t.Fatal(err)
 	}
 	grow := freeSpace() + dead
-	if err := tr.Update(Latched, nil, 1, key(1), value('v', 100+grow)); err != nil {
+	if err := tr.Update(Latched, nil, tx1, key(1), value('v', 100+grow)); err != nil {
 		t.Fatal(err)
 	}
 	if h := headerOf(t, tr, tr.root); !h.isLeaf() {
@@ -710,7 +719,7 @@ func TestUpdateFitsWhatThePageTakes(t *testing.T) {
 		t.Fatalf("Verify = %d, %v; want %d", got, err, n)
 	}
 	// One byte more than the page takes still splits.
-	if err := tr.Update(Latched, nil, 1, key(2), value('v', 101)); err != nil {
+	if err := tr.Update(Latched, nil, tx1, key(2), value('v', 101)); err != nil {
 		t.Fatal(err)
 	}
 	if h := headerOf(t, tr, tr.root); h.isLeaf() {

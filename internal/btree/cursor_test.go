@@ -39,7 +39,7 @@ func cursorTree(t *testing.T, a Access, n, at int) (*Tree, *Cursor) {
 	t.Helper()
 	tr, _ := newTestTree(t, 1024)
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(a, nil, 1, key(i), wideVal(i)); err != nil {
+		if err := tr.Insert(a, nil, tx1, key(i), wideVal(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,7 +100,7 @@ func TestCursorValidity(t *testing.T) {
 				t.Errorf("neighbour read: hit %v, %d walks", hit, walked)
 			}
 			hit, _, walked := step(t, tr, func() {
-				if err := tr.Update(a, c, 1, key(301), wideVal(7)); err != nil {
+				if err := tr.Update(a, c, tx1, key(301), wideVal(7)); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -116,7 +116,7 @@ func TestCursorValidity(t *testing.T) {
 			// Someone else fills the gap below key(300) until its leaf
 			// splits and key(300) is on the new right sibling.
 			for j := 0; !needsMoveRight(headerOf(t, tr, leaf), key(300)); j++ {
-				if err := tr.Insert(a, nil, 1, between(299, j), wideVal(j)); err != nil {
+				if err := tr.Insert(a, nil, tx1, between(299, j), wideVal(j)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -127,7 +127,7 @@ func TestCursorValidity(t *testing.T) {
 			// Many more splits: the key is further right than the cursor
 			// will walk. It gives up and descends.
 			for j := 0; j < 400; j++ {
-				if err := tr.Insert(a, nil, 1, between(298, j), wideVal(j)); err != nil {
+				if err := tr.Insert(a, nil, tx1, between(298, j), wideVal(j)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -166,7 +166,7 @@ func TestCursorValidity(t *testing.T) {
 			// retry may well hit; what matters is that the first try did
 			// not, and that the key ends up where a descent finds it.)
 			_, miss, walked := step(t, tr, func() {
-				if err := tr.Insert(a, c, 1, between(first-1, 0), wideVal(0)); err != nil {
+				if err := tr.Insert(a, c, tx1, between(first-1, 0), wideVal(0)); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -189,19 +189,19 @@ func TestCursorValidity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 300; ; i-- {
-				if _, err := tr.Delete(a, c, 1, key(i)); err != nil {
+				if _, err := tr.Delete(a, c, tx1, key(i)); err != nil {
 					t.Fatal(err)
 				}
 				if c.at.leaf != leaf {
 					// key(i) was the left neighbour's; put it back.
-					if err := tr.Insert(a, nil, 1, key(i), wideVal(i)); err != nil {
+					if err := tr.Insert(a, nil, tx1, key(i), wideVal(i)); err != nil {
 						t.Fatal(err)
 					}
 					break
 				}
 			}
 			for _, k := range doomed[1:] {
-				if _, err := tr.Delete(a, nil, 1, k); err != nil {
+				if _, err := tr.Delete(a, nil, tx1, k); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -215,7 +215,7 @@ func TestCursorValidity(t *testing.T) {
 				t.Error("an empty leaf proved that it covers a key")
 			}
 			c.at.leaf = leaf
-			if err := tr.Insert(a, c, 1, key(300), wideVal(300)); err != nil {
+			if err := tr.Insert(a, c, tx1, key(300), wideVal(300)); err != nil {
 				t.Fatal(err)
 			}
 			mustFind(t, tr, nil, key(300), wideVal(300))()
@@ -230,7 +230,7 @@ func TestCursorValidity(t *testing.T) {
 				t.Fatal("ten keys are not on the root")
 			}
 			for i := 10; i < 200; i++ {
-				if err := tr.Insert(a, nil, 1, key(i), wideVal(i)); err != nil {
+				if err := tr.Insert(a, nil, tx1, key(i), wideVal(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -240,7 +240,7 @@ func TestCursorValidity(t *testing.T) {
 			if hit, miss, _ := step(t, tr, mustFind(t, tr, c, key(3), wideVal(3))); hit || !miss {
 				t.Errorf("remembered leaf is a branch now: hit %v, miss %v", hit, miss)
 			}
-			if err := tr.Update(a, c, 1, key(150), wideVal(1)); err != nil {
+			if err := tr.Update(a, c, tx1, key(150), wideVal(1)); err != nil {
 				t.Fatal(err)
 			}
 			mustFind(t, tr, c, key(150), wideVal(1))()
@@ -254,7 +254,7 @@ func TestCursorPrefixFilter(t *testing.T) {
 	tr, env := newTestTree(t, 1024)
 	k := func(i int) []byte { return []byte(fmt.Sprintf("%08d", i)) } // the prefix is the key
 	for i := 0; i < 3000; i++ {
-		if err := tr.Insert(Latched, nil, 1, k(i), wideVal(i)); err != nil {
+		if err := tr.Insert(Latched, nil, tx1, k(i), wideVal(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -336,7 +336,7 @@ func TestSplitShapeAscendingGroups(t *testing.T) {
 			for g := 0; g < arm.groups; g++ {
 				c := arm.cur() // a transaction
 				for l := 0; l < arm.lines; l++ {
-					if err := tr.Insert(Latched, c, 1, groupKey(g, o, l), wideVal(o)); err != nil {
+					if err := tr.Insert(Latched, c, tx1, groupKey(g, o, l), wideVal(o)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -375,7 +375,7 @@ func TestSplitShapeRandomInserts(t *testing.T) {
 			if i%10 == 0 {
 				c = m.cur()
 			}
-			if err := tr.Insert(Latched, c, 1, key(k), wideVal(k)); err != nil {
+			if err := tr.Insert(Latched, c, tx1, key(k), wideVal(k)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -398,19 +398,19 @@ func TestEmptyLeafInChain(t *testing.T) {
 	c := new(Cursor)
 	// Two groups; group 0's inserts split at the end of its last leaf.
 	for i := 0; i < 100; i++ {
-		if err := tr.Insert(Latched, c, 1, groupKey(1, i, 0), wideVal(i)); err != nil {
+		if err := tr.Insert(Latched, c, tx1, groupKey(1, i, 0), wideVal(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	last := 0
 	for before := tr.stats.Snapshot().InsertPointSplits; tr.stats.Snapshot().InsertPointSplits < before+2; last++ {
-		if err := tr.Insert(Latched, c, 1, groupKey(0, last, 0), wideVal(last)); err != nil {
+		if err := tr.Insert(Latched, c, tx1, groupKey(0, last, 0), wideVal(last)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	last--
 	// The last insert went alone into a fresh leaf; take it out again.
-	if _, err := tr.Delete(Latched, c, 1, groupKey(0, last, 0)); err != nil {
+	if _, err := tr.Delete(Latched, c, tx1, groupKey(0, last, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if f, err := tr.env.Fix(c.at.leaf, sync2.LatchSH); err != nil {
@@ -443,7 +443,7 @@ func TestEmptyLeafInChain(t *testing.T) {
 		}
 	}
 	// And the empty leaf takes the next insert of its range.
-	if err := tr.Insert(Latched, new(Cursor), 1, groupKey(0, last, 0), wideVal(last)); err != nil {
+	if err := tr.Insert(Latched, new(Cursor), tx1, groupKey(0, last, 0), wideVal(last)); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := tr.Verify(); err != nil || n != want+1 {

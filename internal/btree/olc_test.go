@@ -14,20 +14,21 @@ import (
 
 // testEvictionChurn probes through a pool far smaller than the tree, so
 // optimistic references constantly race frame recycling and leaves are
-// often not resident: every failed validation or absent page must restart
-// or fall back, never return stale data.
+// often not resident: every failed validation or absent page must be read
+// under its latch, restart or fall back, never return stale data.
 func testEvictionChurn(t *testing.T, a Access, cur func() *Cursor) *Tree {
 	c := cur()
-	tr, _ := newTestTree(t, 32)
+	tr, env := newTestTree(t, 32)
 	const n = 3000
 	// 200-byte values: the tree spans a few hundred pages.
 	wide := func(i int) []byte { return append(bytes.Repeat([]byte{'.'}, 200), val(i)...) }
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(a, c, 1, key(i), wide(i)); err != nil {
+		if err := tr.Insert(a, c, tx1, key(i), wide(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r := rand.New(rand.NewSource(7))
+	misses := env.pool.Stats().Misses
 	for probe := 0; probe < 5000; probe++ {
 		i := r.Intn(n)
 		v, ok, err := tr.Search(a, c, key(i))
@@ -38,10 +39,10 @@ func testEvictionChurn(t *testing.T, a Access, cur func() *Cursor) *Tree {
 			t.Fatalf("Search(%s) = %q, want %q", key(i), v, wide(i))
 		}
 	}
-	s := tr.stats.Snapshot()
-	if a != Latched && s.Fallbacks+s.OwnerFallbacks == 0 {
+	if env.pool.Stats().Misses == misses {
 		t.Error("no probe met a cold page: the pool is not smaller than the tree")
 	}
+	s := tr.stats.Snapshot()
 	t.Logf("under churn: %+v", s)
 	return tr
 }
@@ -51,14 +52,14 @@ func testEvictionChurn(t *testing.T, a Access, cur func() *Cursor) *Tree {
 func TestPoliciesWithoutOptEnv(t *testing.T) {
 	env := newFakeEnv(t, 128)
 	stats := new(OLCStats)
-	tr, err := Create(env, nil, stats, 1, env.sm.CreateStore(space.KindBTree))
+	tr, err := Create(env, nil, stats, tx1, env.sm.CreateStore(space.KindBTree))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range policies {
 		for i := 0; i < 200; i++ {
 			k := seqKey(int(p.a), i)
-			if err := tr.Insert(p.a, nil, 1, k, val(i)); err != nil {
+			if err := tr.Insert(p.a, nil, tx1, k, val(i)); err != nil {
 				t.Fatal(err)
 			}
 			if v, ok, err := tr.Search(p.a, nil, k); err != nil || !ok || !bytes.Equal(v, val(i)) {
@@ -92,7 +93,7 @@ func concurrentSplitProbe(t *testing.T, a Access) {
 	)
 	// Seed enough keys that readers have something to find immediately.
 	for i := 0; i < 100; i++ {
-		if err := tr.Insert(a, nil, 1, seqKey(99, i), val(i)); err != nil {
+		if err := tr.Insert(a, nil, tx1, seqKey(99, i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +104,7 @@ func concurrentSplitProbe(t *testing.T, a Access) {
 		go func(w int) {
 			defer writeWG.Done()
 			for i := 0; i < perW; i++ {
-				if err := tr.Insert(a, nil, 1, seqKey(w, i), val(i)); err != nil {
+				if err := tr.Insert(a, nil, tx1, seqKey(w, i), val(i)); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -211,13 +212,13 @@ func restartAndFallback(t *testing.T, a Access) {
 	env := newFakeEnv(t, 256)
 	flaky := &flakyOpt{OptEnv: env.pool}
 	stats := new(OLCStats)
-	tr, err := Create(env, flaky, stats, 1, env.sm.CreateStore(space.KindBTree))
+	tr, err := Create(env, flaky, stats, tx1, env.sm.CreateStore(space.KindBTree))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(a, nil, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(a, nil, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,31 +227,28 @@ func restartAndFallback(t *testing.T, a Access) {
 	next := n
 	ops := []struct {
 		name string
-		// viaLeafView: the operation reads through viewLeaf (never pins
-		// while speculating) rather than ending in a latched leaf.
-		viaLeafView bool
-		run         func()
+		run  func()
 	}{
-		{"descent", false, func() {
+		{"descent", func() {
 			next++
-			if err := tr.Insert(a, nil, 1, key(next), val(next)); err != nil {
+			if err := tr.Insert(a, nil, tx1, key(next), val(next)); err != nil {
 				t.Fatalf("Insert: %v", err)
 			}
-			if err := tr.Update(a, nil, 1, key(next), val(7)); err != nil {
+			if err := tr.Update(a, nil, tx1, key(next), val(7)); err != nil {
 				t.Fatalf("Update: %v", err)
 			}
-			if old, err := tr.Delete(a, nil, 1, key(next)); err != nil || !bytes.Equal(old, val(7)) {
+			if old, err := tr.Delete(a, nil, tx1, key(next)); err != nil || !bytes.Equal(old, val(7)) {
 				t.Fatalf("Delete = %q, %v", old, err)
 			}
 		}},
-		{"probe", true, func() {
+		{"probe", func() {
 			for i := 0; i < 3; i++ {
 				if v, ok, err := tr.Search(a, nil, key(i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
 					t.Fatalf("Search(%s) = %q, %v, %v", key(i), v, ok, err)
 				}
 			}
 		}},
-		{"scan", true, func() {
+		{"scan", func() {
 			// Three single-leaf scans.
 			for i := 0; i < 3; i++ {
 				got := 0
@@ -318,15 +316,11 @@ func restartAndFallback(t *testing.T, a Access) {
 		// One transient failure: one restart, then speculative success.
 		flaky.set(1, false)
 		step("transient validation failure", 1, 0, units)
-		// Nothing is resident: a descent to a latched leaf reads each node
-		// under a pinned SH latch and completes under its policy with no
-		// restart; a leaf view may not pin, so it restarts and falls back.
+		// Nothing is resident: every node, the leaf included, is read
+		// under a pinned SH latch, and the operation completes under its
+		// policy with no restart.
 		flaky.set(0, true)
-		if op.viaLeafView {
-			step("non-resident pages", units*maxOptRestarts, units, 0)
-		} else {
-			step("non-resident pages", 0, 0, units)
-		}
+		step("non-resident pages", 0, 0, units)
 		flaky.set(0, false)
 	}
 	if count, err := tr.Verify(); err != nil || count != n {
@@ -355,7 +349,7 @@ func BenchmarkIndexProbeParallel(b *testing.B) {
 			}
 			const n = 20000
 			for i := 0; i < n; i++ {
-				if err := tr.Insert(a, nil, 1, key(i), val(i)); err != nil {
+				if err := tr.Insert(a, nil, tx1, key(i), val(i)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -79,7 +79,7 @@ func snapshotEntries(p *page.Page, n int) ([][]byte, error) {
 // empty (a leaf reached through a cursor), and the parent is then found
 // from the root. ins is the leaf insert that found f full, nil for any
 // other cause.
-func (t *Tree) splitNode(txID uint64, f *buffer.Frame, hdr nodeHeader, path []page.ID, ins *pendingInsert) error {
+func (t *Tree) splitNode(tx Txn, f *buffer.Frame, hdr nodeHeader, path []page.ID, ins *pendingInsert) error {
 	p := f.Page()
 	n := numEntries(p)
 	unfix := func(err error) error { // every way out releases the node
@@ -90,7 +90,7 @@ func (t *Tree) splitNode(txID uint64, f *buffer.Frame, hdr nodeHeader, path []pa
 		return unfix(fmt.Errorf("%w: split of node with %d entries", ErrCorruptNode, n))
 	}
 	if hdr.isRoot() {
-		return t.splitRoot(txID, f, hdr)
+		return t.splitRoot(tx, f, hdr)
 	}
 	// hdr was read under the latch without a copy; p is about to change.
 	hdr.highKey = append([]byte(nil), hdr.highKey...)
@@ -147,7 +147,7 @@ func (t *Tree) splitNode(txID uint64, f *buffer.Frame, hdr nodeHeader, path []pa
 		rightHdr.leftChild = sepChild
 		rightEntries = entries[mid+1:]
 	}
-	if err := t.writeFreshNode(txID, newPid, rightHdr, rightEntries); err != nil {
+	if err := t.writeFreshNode(tx, newPid, rightHdr, rightEntries); err != nil {
 		return unfix(err)
 	}
 
@@ -170,7 +170,7 @@ func (t *Tree) splitNode(txID uint64, f *buffer.Frame, hdr nodeHeader, path []pa
 		}
 		op = pageop.Patch(0, 0, oldHdr, leftHdr.encode())
 	}
-	if err := unfix(t.env.Log(txID, f, op, pageop.Logical{})); err != nil {
+	if err := unfix(t.env.Log(tx, f, op, pageop.Logical{})); err != nil {
 		return err
 	}
 
@@ -181,7 +181,7 @@ func (t *Tree) splitNode(txID uint64, f *buffer.Frame, hdr nodeHeader, path []pa
 		parent = path[len(path)-1]
 		parentPath = path[:len(path)-1]
 	}
-	return t.insertIntoBranch(txID, parent, parentPath, hdr.level+1, sepKey, newPid)
+	return t.insertIntoBranch(tx, parent, parentPath, hdr.level+1, sepKey, newPid)
 }
 
 // entryKeyFromRecord extracts the key from a raw entry record.
@@ -201,19 +201,19 @@ func entryKeyFromRecord(rec []byte) ([]byte, error) {
 // entries, or, for a node without entries, the format and the header as
 // the two small records they are. The node is unreachable until a later
 // record links it, so the pair need not be atomic.
-func (t *Tree) writeFreshNode(txID uint64, pid page.ID, hdr nodeHeader, entries [][]byte) error {
+func (t *Tree) writeFreshNode(tx Txn, pid page.ID, hdr nodeHeader, entries [][]byte) error {
 	f, err := t.env.FixNew(pid)
 	if err != nil {
 		return err
 	}
 	defer t.env.Unfix(f, sync2.LatchEX)
 	if len(entries) > 0 {
-		return t.env.Log(txID, f, pageop.Image(buildNodeImage(pid, t.store, hdr, entries)), pageop.Logical{})
+		return t.env.Log(tx, f, pageop.Image(buildNodeImage(pid, t.store, hdr, entries)), pageop.Logical{})
 	}
-	if err := t.env.Log(txID, f, pageop.Op{Kind: pageop.KindFormat, PType: page.TypeBTree, Store: t.store}, pageop.Logical{}); err != nil {
+	if err := t.env.Log(tx, f, pageop.Op{Kind: pageop.KindFormat, PType: page.TypeBTree, Store: t.store}, pageop.Logical{}); err != nil {
 		return err
 	}
-	return t.env.Log(txID, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: 0, Data: hdr.encode()}, pageop.Logical{})
+	return t.env.Log(tx, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: 0, Data: hdr.encode()}, pageop.Logical{})
 }
 
 // buildNodeImage constructs the full page bytes of a node.
@@ -238,7 +238,7 @@ func buildNodeImage(pid page.ID, store uint32, hdr nodeHeader, entries [][]byte)
 // splitRoot splits the EX-latched full root (consuming the latch). The
 // root page id stays stable: its contents move into two fresh children and
 // the root becomes (or stays) a branch one level up.
-func (t *Tree) splitRoot(txID uint64, f *buffer.Frame, hdr nodeHeader) error {
+func (t *Tree) splitRoot(tx Txn, f *buffer.Frame, hdr nodeHeader) error {
 	p := f.Page()
 	n := numEntries(p)
 	unfix := func(err error) error { // every way out releases the node
@@ -287,10 +287,10 @@ func (t *Tree) splitRoot(txID uint64, f *buffer.Frame, hdr nodeHeader) error {
 	}
 	// Children are unreachable until the root image lands; order between
 	// them is irrelevant.
-	if err := t.writeFreshNode(txID, leftPid, leftHdr, entries[:mid]); err != nil {
+	if err := t.writeFreshNode(tx, leftPid, leftHdr, entries[:mid]); err != nil {
 		return unfix(err)
 	}
-	if err := t.writeFreshNode(txID, rightPid, rightHdr, rightEntries); err != nil {
+	if err := t.writeFreshNode(tx, rightPid, rightHdr, rightEntries); err != nil {
 		return unfix(err)
 	}
 	// Atomic root rewrite: one level up, pointing at the two children.
@@ -301,7 +301,7 @@ func (t *Tree) splitRoot(txID uint64, f *buffer.Frame, hdr nodeHeader) error {
 	}
 	t.stats.ImageSplits.Add(1)
 	img := buildNodeImage(p.PID(), t.store, rootHdr, [][]byte{encodeBranchEntry(sepKey, rightPid)})
-	return unfix(t.env.Log(txID, f, pageop.Image(img), pageop.Logical{}))
+	return unfix(t.env.Log(tx, f, pageop.Image(img), pageop.Logical{}))
 }
 
 // insertIntoBranch inserts a separator (sepKey → child) into the branch at
@@ -310,7 +310,7 @@ func (t *Tree) splitRoot(txID uint64, f *buffer.Frame, hdr nodeHeader) error {
 // concurrent splits, descends if the hint is too high (e.g. the root after
 // it grew levels), restarts from the root if the hint is stale-low, and
 // splits the branch itself if full.
-func (t *Tree) insertIntoBranch(txID uint64, pid page.ID, path []page.ID, targetLevel uint8, sepKey []byte, child page.ID) error {
+func (t *Tree) insertIntoBranch(tx Txn, pid page.ID, path []page.ID, targetLevel uint8, sepKey []byte, child page.ID) error {
 	entry := encodeBranchEntry(sepKey, child)
 	for {
 		f, err := t.env.Fix(pid, sync2.LatchEX)
@@ -356,12 +356,12 @@ func (t *Tree) insertIntoBranch(txID uint64, pid page.ID, path []page.ID, target
 			return nil
 		}
 		if f.Page().CanFit(len(entry)) {
-			err := t.env.Log(txID, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: uint16(slot), Data: entry}, pageop.Logical{})
+			err := t.env.Log(tx, f, pageop.Op{Kind: pageop.KindInsertAt, Slot: uint16(slot), Data: entry}, pageop.Logical{})
 			t.env.Unfix(f, sync2.LatchEX)
 			return err
 		}
 		// Branch full: split it (consumes the latch), then retry.
-		if err := t.splitNode(txID, f, hdr, path, nil); err != nil {
+		if err := t.splitNode(tx, f, hdr, path, nil); err != nil {
 			return err
 		}
 	}

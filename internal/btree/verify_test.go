@@ -10,7 +10,7 @@ func TestVerifyHealthyTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 3000
 	for _, i := range rng.Perm(n) {
-		if err := tr.Insert(Latched, nil, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(Latched, nil, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,12 +33,12 @@ func TestVerifyHealthyTree(t *testing.T) {
 func TestVerifyAfterDeletes(t *testing.T) {
 	tr, _ := newTestTree(t, 256)
 	for i := 0; i < 1000; i++ {
-		if err := tr.Insert(Latched, nil, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(Latched, nil, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 1000; i += 3 {
-		if _, err := tr.Delete(Latched, nil, 1, key(i)); err != nil {
+		if _, err := tr.Delete(Latched, nil, tx1, key(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func TestVerifyAfterDeletes(t *testing.T) {
 func TestVerifyDetectsCorruption(t *testing.T) {
 	tr, env := newTestTree(t, 64)
 	for i := 0; i < 10; i++ {
-		if err := tr.Insert(Latched, nil, 1, key(i), val(i)); err != nil {
+		if err := tr.Insert(Latched, nil, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -156,6 +156,14 @@ func (f *Frame) InsertHint() uint16 { return uint16(f.insertHint.Load()) }
 // SetInsertHint records that an insert went into slot s of the leaf.
 func (f *Frame) SetInsertHint(s uint16) { f.insertHint.Store(uint32(s)) }
 
+// touch sets the CLOCK reference bit if it is clear: a read that writes
+// nothing else (FixOpt) leaves the line alone while the bit is set.
+func (f *Frame) touch() {
+	if !f.refbit.Load() {
+		f.refbit.Store(true)
+	}
+}
+
 // install turns a claimed frame into the resident frame of pid and returns
 // it EX-latched with the caller's pin; read=false (FixNew) skips the volume.
 // nil, nil means someone else owns pid right now: look it up again. The

@@ -11,7 +11,8 @@ import "repro/internal/page"
 // pinned SH fix — nothing blocks, the caller's optimistic control flow
 // (validation, restarts, fallback) is exercised unchanged, but every
 // read is synchronized. ok=false on any contention, exactly like the
-// fast path.
+// fast path, which sets the reference bit and the hot-array slot the
+// same way.
 func (p *Pool) FixOpt(pid page.ID) (OptRef, bool) {
 	if p.closed.Load() || pid == page.InvalidID {
 		return OptRef{}, false
@@ -39,5 +40,7 @@ func (p *Pool) FixOpt(pid page.ID) (OptRef, bool) {
 		f.pin.unpin()
 		return OptRef{}, false
 	}
+	f.touch()
+	p.hotRecord(pid, idx)
 	return OptRef{f: f, ver: f.latch.Version(), pinned: true}, true
 }

@@ -570,3 +570,42 @@ func TestCuckooOverflowKeepsPinnedPagesReachable(t *testing.T) {
 		t.Errorf("%d misses: a mapping was lost", s.Misses)
 	}
 }
+
+// TestFixOptKeepsPageResident: a page read only through FixOpt (as B-tree
+// inner nodes are under optimistic descents) must look referenced to the
+// clock, or replacement evicts the pages read most. Two frames hold pages
+// 1 and 2, a sweep has cleared both reference bits, and one of the pages
+// is then read optimistically: the miss on page 3 must evict the other.
+// Each page takes the read once, so whichever frame the hand reaches
+// first is the optimistically read one in one of the two runs.
+func TestFixOptKeepsPageResident(t *testing.T) {
+	for _, read := range []page.ID{1, 2} {
+		opts := variants()["final"]
+		opts.Frames, opts.Shards = 2, 1
+		p := New(newVol(t, 3), opts)
+		for _, pid := range []page.ID{1, 2} {
+			f, err := p.Fix(pid, sync2.LatchSH)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Unfix(f, sync2.LatchSH)
+		}
+		for _, f := range p.frames {
+			f.refbit.Store(false) // what a passing hand leaves
+		}
+		ref, ok := p.FixOpt(read)
+		if !ok {
+			t.Fatalf("FixOpt(%v) missed a resident page", read)
+		}
+		p.ReleaseOpt(ref)
+		f, err := p.Fix(3, sync2.LatchSH)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unfix(f, sync2.LatchSH)
+		if _, ok := p.lookupFrame(read); !ok {
+			t.Errorf("page %v, read through FixOpt, was evicted ahead of an unreferenced page", read)
+		}
+		p.Close()
+	}
+}

@@ -63,6 +63,10 @@ func Stages() []Stage {
 // Config selects component implementations. Use StageConfig for the
 // paper's presets and tweak fields for ablations.
 type Config struct {
+	// Stage names the preset. Besides what StageConfig sets, it picks the
+	// latch policy of B-tree descents on shared trees: optimistic latch
+	// coupling (btree.Optimistic) from StageFinal on, the paper's latched
+	// descent (btree.Latched) below it.
 	Stage Stage
 
 	Frames        int           // buffer pool frames (default 4096)
@@ -89,22 +93,13 @@ type Config struct {
 	// wait itself is the same on every stage — one drain of the log, which
 	// group commit shares; Commit blocks on it, CommitAsync hands it back.
 	CommitPipeline bool
-	// OLC enables optimistic latch coupling on B-tree descents: inner
-	// nodes are read speculatively against the frame latch's version
-	// (no pin-count or latch RMWs on the read path), restarting from the
-	// root on validation failure and falling back to the classic latched
-	// descent after bounded retries. Leaves keep SH/EX latching and the
-	// Lehman-Yao move-right rules, so crash consistency and key-lock
-	// semantics are unchanged. Observability: EngineStats.Btree
-	// (OptDescents / Restarts / Fallbacks).
-	OLC bool
 	// DORA enables data-oriented execution (the Shore-MT authors' VLDB
 	// 2010 follow-up): the engine owns a partition executor that routes
 	// decomposed transaction actions to dedicated partition-owner
 	// goroutines, each with a thread-local lock table. Sub-transactions
 	// begun through the executor bypass the shared lock manager
 	// entirely (EngineStats.Dora.LocalAcquires counts the grants that
-	// never touched it). Orthogonal to Stage, like OLC.
+	// never touched it). Orthogonal to Stage.
 	DORA bool
 	// DoraPartitions fixes the executor's partition count; 0 auto-scales
 	// to GOMAXPROCS (mirroring buffer.AutoShards).
@@ -133,7 +128,7 @@ type Config struct {
 	// walking the chain — no lock-manager interaction at all, so long
 	// scans neither block writers nor abort. Version garbage collection
 	// rides the checkpoint (entries below the oldest pinned snapshot are
-	// dropped). Orthogonal to Stage, like OLC and DORA.
+	// dropped). Orthogonal to Stage, like DORA.
 	Snapshot bool
 	// CheckpointEvery, when positive, runs a background fuzzy checkpoint
 	// whenever that many log bytes have accumulated since the last one,

@@ -70,8 +70,8 @@ type Engine struct {
 	ckptMu sync.RWMutex
 	closed atomic.Bool
 
-	// olc aggregates optimistic-descent outcomes across every tree this
-	// engine opens (Config.OLC).
+	// olc aggregates the descent outcomes of every tree this engine opens,
+	// per latch policy (Index.access).
 	olc btree.OLCStats
 
 	// Auto-checkpoint daemon state (Config.CheckpointEvery): lastCkpt is
@@ -576,7 +576,7 @@ func (e *Engine) Abort(t *tx.Tx) error {
 		return err
 	}
 	t.RecordLog(lsn)
-	if err := e.rollback(t.ID(), t.UndoNext()); err != nil {
+	if err := e.rollback(t, t.UndoNext()); err != nil {
 		return fmt.Errorf("core: rollback of tx %d: %w", t.ID(), err)
 	}
 	*rec = wal.Record{Type: wal.RecTxEnd, TxID: t.ID(), PrevLSN: t.LastLSN()}
@@ -709,16 +709,11 @@ func (e *Engine) lockRow(ctx context.Context, t *tx.Tx, store uint32, name lock.
 // it nor installVersion keeps a reference — so op and logical may alias
 // the page: they are encoded before Apply touches it. An op the page
 // cannot take is refused before anything reaches the log.
-func (e *Engine) logPhysical(txID uint64, t *tx.Tx, f *buffer.Frame, op pageop.Op, logical pageop.Logical, redoOnly bool) error {
+func (e *Engine) logPhysical(t *tx.Tx, f *buffer.Frame, op pageop.Op, logical pageop.Logical, redoOnly bool) error {
 	if err := pageop.Check(f.Page(), op); err != nil {
 		return fmt.Errorf("core: %v on %v: %w", op.Kind, f.PID(), err)
 	}
-	var s *tx.LogScratch
-	if t != nil {
-		s = t.LogScratch()
-	} else {
-		s = new(tx.LogScratch)
-	}
+	s := t.LogScratch()
 	inv, physical := pageop.Op{}, false
 	if logical.Kind == pageop.LogicalNone && !redoOnly {
 		inv, physical = pageop.Invert(op)
@@ -736,20 +731,18 @@ func (e *Engine) logPhysical(txID uint64, t *tx.Tx, f *buffer.Frame, op pageop.O
 	s.Buf = buf
 	rec := &s.Rec
 	*rec = wal.Record{
-		Type: wal.RecUpdate,
-		TxID: txID,
-		Page: f.PID(),
-		Redo: buf[:redoLen],
-		Undo: buf[redoLen:],
-	}
-	if t != nil {
-		rec.PrevLSN = t.LastLSN()
+		Type:    wal.RecUpdate,
+		TxID:    t.ID(),
+		PrevLSN: t.LastLSN(),
+		Page:    f.PID(),
+		Redo:    buf[:redoLen],
+		Undo:    buf[redoLen:],
 	}
 	lsn, err := e.log.Insert(rec)
 	if err != nil {
 		return err
 	}
-	if e.mvcc != nil && t != nil && !redoOnly {
+	if e.mvcc != nil && !redoOnly {
 		// Install the before-image BEFORE applying the page change: a
 		// snapshot reader reads the page first (under its latch or a
 		// validated optimistic read) and resolves after, so any write it
@@ -767,9 +760,7 @@ func (e *Engine) logPhysical(txID uint64, t *tx.Tx, f *buffer.Frame, op pageop.O
 	}
 	f.Page().SetLSN(uint64(lsn))
 	f.MarkDirty(lsn)
-	if t != nil {
-		t.RecordLog(lsn)
-	}
+	t.RecordLog(lsn)
 	return nil
 }
 

@@ -87,7 +87,7 @@ func (e *Engine) allocHeapPage(t *tx.Tx, store uint32, full page.ID) (*buffer.Fr
 		return err
 	}, func(page.ID) error {
 		op := pageop.Op{Kind: pageop.KindFormat, PType: page.TypeHeap, Store: store}
-		err := e.logPhysical(t.ID(), t, f, op, pageop.Logical{}, true)
+		err := e.logPhysical(t, f, op, pageop.Logical{}, true)
 		if err != nil {
 			e.pool.Unfix(f, sync2.LatchEX)
 		}
@@ -166,7 +166,7 @@ func (e *Engine) HeapInsertCtx(ctx context.Context, t *tx.Tx, store uint32, data
 			continue
 		}
 		op := pageop.Op{Kind: pageop.KindHeapInsert, Slot: slot, Data: data}
-		err = e.logPhysical(t.ID(), t, f, op, pageop.Logical{}, false)
+		err = e.logPhysical(t, f, op, pageop.Logical{}, false)
 		if err == nil {
 			f.SetSlotHint(slot + 1) // every slot below is now occupied
 		}
@@ -235,7 +235,7 @@ func (e *Engine) HeapUpdateCtx(ctx context.Context, t *tx.Tx, store uint32, rid 
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrNoRecord, rid)
 	}
-	return e.logPhysical(t.ID(), t, f, pageop.Patch(rid.Slot, 0, old, data), pageop.Logical{}, false)
+	return e.logPhysical(t, f, pageop.Patch(rid.Slot, 0, old, data), pageop.Logical{}, false)
 }
 
 // HeapDelete removes the record at rid under an X row lock. The slot is
@@ -265,7 +265,7 @@ func (e *Engine) HeapDeleteCtx(ctx context.Context, t *tx.Tx, store uint32, rid 
 		return fmt.Errorf("%w: %v", ErrNoRecord, rid)
 	}
 	op := pageop.Op{Kind: pageop.KindHeapDelete, Slot: rid.Slot, Old: old}
-	if err := e.logPhysical(t.ID(), t, f, op, pageop.Logical{}, false); err != nil {
+	if err := e.logPhysical(t, f, op, pageop.Logical{}, false); err != nil {
 		return err
 	}
 	f.LowerSlotHint(rid.Slot) // the tombstoned slot is reusable again

@@ -34,9 +34,10 @@ func (v btreeEnv) AllocPage(store uint32) (page.ID, error) {
 	return v.e.sm.AllocPage(store, nil)
 }
 
-func (v btreeEnv) Log(txID uint64, f *buffer.Frame, op pageop.Op, undo pageop.Logical) error {
-	t := v.e.txns.Lookup(txID)
-	return v.e.logPhysical(txID, t, f, op, undo, undo.Kind == pageop.LogicalNone)
+// Log logs for the transaction the engine handed the tree: every
+// btree.Txn the engine passes is a *tx.Tx.
+func (v btreeEnv) Log(t btree.Txn, f *buffer.Frame, op pageop.Op, undo pageop.Logical) error {
+	return v.e.logPhysical(t.(*tx.Tx), f, op, undo, undo.Kind == pageop.LogicalNone)
 }
 
 // newTree wraps btree.Open. The buffer pool itself is the OptEnv; stats
@@ -56,7 +57,7 @@ type Index struct {
 	// creation; only partition ownership of routing keys moves.
 	segs []*btree.Tree
 	// shared is the latch policy of callers that are not the segment's
-	// owner: Optimistic under Config.OLC and always for a forest,
+	// owner: Optimistic from StageFinal on and always for a forest,
 	// otherwise Latched.
 	shared btree.Access
 }
@@ -68,9 +69,11 @@ func (e *Engine) newIndex(store uint32, tree *btree.Tree, segs []*btree.Tree) *I
 }
 
 // sharedAccess is the latch policy for index callers that do not own the
-// tree they operate on.
+// tree they operate on. The stages before StageFinal keep the latched
+// descent as the paper ran it; btree.Optimistic itself falls back to it
+// after bounded restarts.
 func (e *Engine) sharedAccess(forest bool) btree.Access {
-	if e.cfg.OLC || forest {
+	if e.cfg.Stage >= StageFinal || forest {
 		return btree.Optimistic
 	}
 	return btree.Latched
@@ -176,7 +179,7 @@ func (e *Engine) CreateIndex(t *tx.Tx) (*Index, error) {
 		return nil, err
 	}
 	store := e.sm.CreateStore(space.KindBTree)
-	tr, err := btree.Create(btreeEnv{e}, e.pool, &e.olc, t.ID(), store)
+	tr, err := btree.Create(btreeEnv{e}, e.pool, &e.olc, t, store)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +243,7 @@ func (e *Engine) IndexInsertCtx(ctx context.Context, t *tx.Tx, ix *Index, key, v
 	}
 	e.probeLockTable(t, ix.store, key)
 	tr, a, c := ix.at(t, key)
-	return tr.Insert(a, c, t.ID(), key, value)
+	return tr.Insert(a, c, t, key, value)
 }
 
 // IndexLookup probes the index under an S key lock.
@@ -323,7 +326,7 @@ func (e *Engine) IndexUpdateCtx(ctx context.Context, t *tx.Tx, ix *Index, key, v
 	}
 	e.probeLockTable(t, ix.store, key)
 	tr, a, c := ix.at(t, key)
-	return tr.Update(a, c, t.ID(), key, value)
+	return tr.Update(a, c, t, key, value)
 }
 
 // IndexDelete removes key under an X key lock, returning the old value.
@@ -344,7 +347,7 @@ func (e *Engine) IndexDeleteCtx(ctx context.Context, t *tx.Tx, ix *Index, key []
 	}
 	e.probeLockTable(t, ix.store, key)
 	tr, a, c := ix.at(t, key)
-	return tr.Delete(a, c, t.ID(), key)
+	return tr.Delete(a, c, t, key)
 }
 
 // IndexScan iterates keys in [from, to) under a store-level S lock,

@@ -12,12 +12,12 @@ import (
 	"repro/internal/wal"
 )
 
-// olcEngine builds a StageFinal engine with optimistic B-tree descents on.
+// olcEngine builds a StageFinal engine, whose shared trees descend
+// optimistically.
 func olcEngine(tb testing.TB) *Engine {
 	tb.Helper()
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 1024
-	cfg.OLC = true
 	e, err := Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -158,15 +158,14 @@ func TestOLCConcurrentSplitsVsProbes(t *testing.T) {
 	t.Logf("olc: %d optimistic, %d restarts, %d fallbacks", s.OptDescents, s.Restarts, s.Fallbacks)
 }
 
-// TestOLCRecoveryUnaffected crashes mid-stream with OLC on and verifies
-// restart recovery (which opens trees through the same engine config)
-// reproduces the committed state.
+// TestOLCRecoveryUnaffected crashes mid-stream under optimistic descents
+// (StageFinal) and verifies restart recovery (which opens trees through
+// the same engine config) reproduces the committed state.
 func TestOLCRecoveryUnaffected(t *testing.T) {
 	vol := disk.NewMem(0)
 	logStore := wal.NewMemSegmentStore(0)
 	cfg := StageConfig(StageFinal)
 	cfg.Frames = 256
-	cfg.OLC = true
 	e, err := Open(vol, logStore, cfg)
 	if err != nil {
 		t.Fatal(err)

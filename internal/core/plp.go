@@ -187,7 +187,7 @@ func (e *Engine) CreatePartitionedIndex(t *tx.Tx) (*Index, error) {
 	roots := make([]uint64, keys)
 	segs := make([]*btree.Tree, keys)
 	for i := 0; i < keys; i++ {
-		tr, err := btree.Create(btreeEnv{e}, e.pool, &e.olc, t.ID(), store)
+		tr, err := btree.Create(btreeEnv{e}, e.pool, &e.olc, t, store)
 		if err != nil {
 			return nil, err
 		}

@@ -469,7 +469,7 @@ func (e *Engine) undoLosers(losers map[uint64]*loserState) error {
 			undoNext = l.lastLSN
 		}
 		t := e.txns.Restore(id, l.lastLSN, undoNext)
-		if err := e.rollback(id, undoNext); err != nil {
+		if err := e.rollback(t, undoNext); err != nil {
 			return fmt.Errorf("tx %d: %w", id, err)
 		}
 		if _, err := e.log.Insert(&wal.Record{

@@ -524,7 +524,7 @@ func TestLoserPatchesRecoverOldValues(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if err := e.logicalUndoAction(loser.ID(), rec.Undo); err != nil {
+						if err := e.logicalUndoAction(loser, rec.Undo); err != nil {
 							t.Fatal(err)
 						}
 						if err := e.Log().Flush(e.Log().CurLSN()); err != nil {
@@ -637,7 +637,7 @@ func TestRejectedOpNeverReachesTheLog(t *testing.T) {
 		"result does not fit":   {Kind: pageop.KindPatch, Slot: rid.Slot, Off: 10, Data: make([]byte, page.MaxRecordSize-5)},
 		"occupied slot":         {Kind: pageop.KindHeapInsert, Slot: rid.Slot, Data: []byte("x")},
 	} {
-		if err := e.logPhysical(tx.ID(), tx, f, op, pageop.Logical{}, false); err == nil {
+		if err := e.logPhysical(tx, f, op, pageop.Logical{}, false); err == nil {
 			t.Errorf("%s: logged and applied", name)
 		}
 	}

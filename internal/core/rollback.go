@@ -11,16 +11,11 @@ import (
 	"repro/internal/wal"
 )
 
-// rollback undoes transaction txID from undoNext back to its begin record,
+// rollback undoes transaction t from undoNext back to its begin record,
 // writing compensation log records so that a crash mid-rollback resumes
-// where it left off. It serves both live aborts and restart undo; the
-// transaction must be registered in the transaction manager (live, or
+// where it left off. It serves both live aborts and restart undo (t
 // Restore()d by analysis).
-func (e *Engine) rollback(txID uint64, undoNext wal.LSN) error {
-	t := e.txns.Lookup(txID)
-	if t == nil {
-		return fmt.Errorf("core: rollback of unknown tx %d", txID)
-	}
+func (e *Engine) rollback(t *tx.Tx, undoNext wal.LSN) error {
 	// The undo walk reads the log through the store; push the volatile
 	// tail out first. (Everything we must read precedes this point.)
 	if err := e.log.Flush(e.log.CurLSN()); err != nil {
@@ -111,7 +106,7 @@ func (e *Engine) undoPhysical(t *tx.Tx, rec *wal.Record) error {
 // undoLogical executes a logical undo action, then writes a marker CLR
 // that skips the compensated record.
 func (e *Engine) undoLogical(t *tx.Tx, rec *wal.Record) error {
-	if err := e.logicalUndoAction(t.ID(), rec.Undo); err != nil {
+	if err := e.logicalUndoAction(t, rec.Undo); err != nil {
 		return err
 	}
 	clr := &wal.Record{
@@ -130,7 +125,7 @@ func (e *Engine) undoLogical(t *tx.Tx, rec *wal.Record) error {
 
 // logicalUndoAction runs the B-tree key-level action an encoded logical
 // undo describes, through the index layer with redo-only logging.
-func (e *Engine) logicalUndoAction(txID uint64, undo []byte) error {
+func (e *Engine) logicalUndoAction(t *tx.Tx, undo []byte) error {
 	l, err := pageop.DecodeLogical(undo)
 	if err != nil {
 		return err
@@ -145,15 +140,15 @@ func (e *Engine) logicalUndoAction(txID uint64, undo []byte) error {
 	// an update-undo on a restored value changes nothing (pageop.Logical).
 	switch l.Kind {
 	case pageop.LogicalBTreeDelete:
-		if _, err := tr.DeleteNoUndo(a, txID, l.Key); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
+		if _, err := tr.DeleteNoUndo(a, t, l.Key); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
 			return fmt.Errorf("core: logical undo delete %q: %w", l.Key, err)
 		}
 	case pageop.LogicalBTreeInsert:
-		if err := tr.InsertNoUndo(a, txID, l.Key, l.Value); err != nil && !errors.Is(err, btree.ErrDuplicateKey) {
+		if err := tr.InsertNoUndo(a, t, l.Key, l.Value); err != nil && !errors.Is(err, btree.ErrDuplicateKey) {
 			return fmt.Errorf("core: logical undo insert %q: %w", l.Key, err)
 		}
 	case pageop.LogicalBTreeUpdate:
-		if err := tr.UpdateNoUndo(a, txID, l.Key, int(l.Off), int(l.Suf), l.Value); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
+		if err := tr.UpdateNoUndo(a, t, l.Key, int(l.Off), int(l.Suf), l.Value); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
 			return fmt.Errorf("core: logical undo update %q: %w", l.Key, err)
 		}
 	default:

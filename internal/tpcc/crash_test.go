@@ -54,7 +54,9 @@ const (
 // start its redo no earlier than two segments before the clean point. Over
 // the run, torn tails must have been clipped, segments archived and losers
 // rolled back, on DORA and PLP at least half as many as at final; a clean
-// Close and reopen ends it with one more Audit.
+// Close and reopen ends it with one more Audit. The run must also have
+// descended the way its stage says: optimistically from final on (DORA,
+// PLP and snapshot included), latched on every node below it.
 func TestCrashKeepsAcknowledgedCommits(t *testing.T) {
 	type config struct {
 		name string
@@ -160,6 +162,7 @@ func crashCycles(t *testing.T, cfg core.Config, seed int64, cycles int) (losers 
 	}
 
 	var tornBytes int64
+	var speculated, fellBack uint64 // optimistic descents and leaf reads; fallbacks to latched
 	var order []int
 	for cycle := 0; cycle < cycles; cycle++ {
 		if cycle%4 == 0 {
@@ -264,6 +267,11 @@ func crashCycles(t *testing.T, cfg core.Config, seed int64, cycles int) (losers 
 			awaitAcks(fail, tally, crashAcks, fired)
 		}
 		failed := tally.Failed.Sum()
+		// Read before the wait for a transaction in flight, which Stats
+		// would lengthen.
+		bt := e.Stats().Btree
+		speculated += bt.OptDescents + bt.OptLeafReads
+		fellBack += bt.Fallbacks
 
 		if f == tornTail {
 			logStore.ArmTornCrash(int64(1 + rng.Intn(3000)))
@@ -342,6 +350,12 @@ func crashCycles(t *testing.T, cfg core.Config, seed int64, cycles int) (losers 
 	}
 	if logStore.Archived() == 0 {
 		t.Errorf("seed %d: no log segment was archived in %d cycles", seed, cycles)
+	}
+	t.Logf("%d optimistic descents and leaf reads, %d fallbacks", speculated, fellBack)
+	if optimistic := cfg.Stage >= core.StageFinal; optimistic && speculated == 0 {
+		t.Errorf("seed %d: %v descends optimistically, but no optimistic descent or leaf read was recorded", seed, cfg.Stage)
+	} else if !optimistic && speculated+fellBack != 0 {
+		t.Errorf("seed %d: %v latches every descent, but %d optimistic descents or leaf reads and %d fallbacks were recorded", seed, cfg.Stage, speculated, fellBack)
 	}
 
 	base, err := db.Baseline(ctx)

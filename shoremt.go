@@ -125,7 +125,13 @@ type RetryPolicy = core.RetryPolicy
 // Options configures Open.
 type Options struct {
 	// Stage selects component implementations; the default is StageFinal
-	// (the finished Shore-MT).
+	// (the finished Shore-MT). It also picks how index descents latch:
+	// StageFinal and StagePipeline read inner nodes optimistically, as
+	// copies validated against a per-frame latch version, with no pin or
+	// latch writes (falling back to the latched descent after bounded
+	// restarts); the earlier stages latch every node on the way down, as
+	// the paper did. Stats().Btree counts which ran. See the README's
+	// "Latch hierarchy" section.
 	Stage Stage
 	// BufferFrames sizes the buffer pool in 8 KiB pages (default 4096).
 	BufferFrames int
@@ -147,17 +153,6 @@ type Options struct {
 	CleanerInterval time.Duration
 	// Durability selects Commit's blocking behavior (see Durability).
 	Durability Durability
-	// OLC enables optimistic latch coupling on B-tree descents: probes
-	// and the inner levels of every index operation read nodes
-	// speculatively and validate against a per-frame latch version
-	// instead of pinning and latching them, removing all shared-memory
-	// writes from read-mostly index traffic. Validation failures restart
-	// from the root and, after bounded retries, fall back to the classic
-	// latched descent; leaves are always latched, so locking and crash
-	// consistency are unchanged. Observability: Stats().Btree
-	// (OptDescents / Restarts / Fallbacks). See the README's "Latch
-	// hierarchy" section.
-	OLC bool
 	// Snapshot enables lock-free snapshot reads: View transactions pin
 	// the durable log horizon at begin and read everything as of that
 	// LSN through writer-installed version chains, never touching the
@@ -223,9 +218,6 @@ func (opts Options) config() core.Config {
 		cfg.CleanerInterval = 50 * time.Millisecond
 	default:
 		cfg.CleanerInterval = 0
-	}
-	if opts.OLC {
-		cfg.OLC = true
 	}
 	if opts.Snapshot {
 		cfg.Snapshot = true

@@ -591,10 +591,40 @@ func TestLockTimeoutSurfaces(t *testing.T) {
 	}
 }
 
-// TestPublicOLCOption drives index traffic with optimistic latch
-// coupling on through the managed API and checks the new stats surface.
+// TestPublicOLCOption checks that the stage picks the descent: the
+// default stage (StageFinal) reads index inner nodes optimistically, and
+// StageBpool2, the last stage before it, latches every descent as the
+// paper did.
 func TestPublicOLCOption(t *testing.T) {
-	db := openTest(t, Options{OLC: true})
+	for _, c := range []struct {
+		stage      Stage
+		optimistic bool
+	}{{StageDefault, true}, {StageBpool2, false}} {
+		t.Run(c.stage.String(), func(t *testing.T) {
+			db := openTest(t, Options{Stage: c.stage})
+			indexTraffic(t, db)
+			s := db.Stats().Btree
+			if !c.optimistic {
+				if s.OptDescents+s.OptLeafReads+s.Fallbacks != 0 || s.LatchedDescents == 0 {
+					t.Fatalf("bpool2 should latch every descent: %+v", s)
+				}
+				return
+			}
+			if s.OptDescents == 0 || s.OptLeafReads == 0 {
+				t.Fatalf("the default stage recorded no optimistic descents or leaf reads: %+v", s)
+			}
+			if s.OptDescents < 10*(s.Restarts+s.Fallbacks) {
+				t.Fatalf("optimistic descents (%d) should dwarf restarts (%d) + fallbacks (%d) on this mix",
+					s.OptDescents, s.Restarts, s.Fallbacks)
+			}
+		})
+	}
+}
+
+// indexTraffic inserts 1500 keys into a new index in one transaction and
+// reads every seventh back, one read-only transaction for all of them.
+func indexTraffic(t *testing.T, db *DB) {
+	t.Helper()
 	ctx := context.Background()
 	var ix *Index
 	err := db.Update(ctx, func(tx *Tx) error {
@@ -625,14 +655,6 @@ func TestPublicOLCOption(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	s := db.Stats().Btree
-	if s.OptDescents == 0 {
-		t.Fatal("OLC enabled but no optimistic descents recorded")
-	}
-	if s.OptDescents < 10*(s.Restarts+s.Fallbacks) {
-		t.Fatalf("optimistic descents (%d) should dwarf restarts (%d) + fallbacks (%d) on this mix",
-			s.OptDescents, s.Restarts, s.Fallbacks)
 	}
 }
 
