@@ -227,7 +227,7 @@ func printEngine(out io.Writer, st core.EngineStats) {
 		}
 	}
 	if p := st.Plp; p.Partitions > 0 {
-		fmt.Fprintf(out, "  plp:         %d routing keys over %d partitions (%d forests), map v%d\n", p.Keys, p.Partitions, p.Tables, p.MapVersion)
+		fmt.Fprintf(out, "  plp:         %d routing keys over %d partitions (%d forests)\n", p.Keys, p.Partitions, p.Tables)
 		fmt.Fprintf(out, "               owner path: %d descents, %d reads, %d writes, %d scans, %d fallbacks\n",
 			bt.OwnerDescents, bt.OwnerReads, bt.OwnerWrites, bt.OwnerScans, bt.OwnerFallbacks)
 	}

@@ -318,8 +318,10 @@ func (p *Pool) awaitTransit(pid page.ID) bool {
 	return done != nil
 }
 
-// pinCount extends sync2.PinCount semantics with the transitions the
-// buffer pool needs: pins from zero race against eviction freezes.
+// pinCount is a frame's pin count with the atomic "pin-if-pinned" of
+// §6.2.1 (a hit on a pinned page pins it without the bucket lock, since a
+// pinned page cannot be evicted) and the transitions the buffer pool
+// needs besides: pins from zero race against eviction freezes.
 //
 // n > 0: pinned; n == 0: unpinned, evictable; n == -1: frozen by an
 // evictor.

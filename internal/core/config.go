@@ -116,9 +116,9 @@ type Config struct {
 	// partition-local index operations descend, split, and scan on
 	// validated speculative page images with no latch acquisition at all
 	// (EngineStats.Btree.Owner* counters observe the bypass). The
-	// partition map (segment roots + ownership bounds) lives in a
-	// catalog store and is rebuilt by crash recovery. Ownership is an
-	// even split of the routing keyspace, fixed at open. Implies DORA.
+	// segment catalog (keyspace size + segment roots) lives in a catalog
+	// store and is rebuilt by crash recovery. Ownership is DORA's Route,
+	// (key-1) mod DoraPartitions, fixed at open. Implies DORA.
 	PLP bool
 	// Snapshot enables multiversion snapshot reads: writers install the
 	// before-image of every row/key they touch in an in-memory version

@@ -52,7 +52,7 @@ type Engine struct {
 	dora     *dora.Executor // partition executor (nil unless Config.DORA)
 	mvcc     *mvcc.Store    // version store for snapshot reads (nil unless Config.Snapshot)
 
-	// PLP state (Config.PLP): the current partition map, published
+	// PLP state (Config.PLP): the current segment catalog, published
 	// through an atomic pointer so index dispatch reads it without locks;
 	// plpMu serializes table registration with its catalog persistence;
 	// plpRID tracks the catalog record. See plp.go.
@@ -923,9 +923,9 @@ func (e *Engine) Stats() EngineStats {
 	if m := e.plpMap.Load(); m != nil {
 		s.Plp = PlpStats{
 			Keys:       m.Keys(),
-			Partitions: m.Parts(),
+			Partitions: e.dora.Partitions(),
 			Tables:     len(m.Tables()),
-			MapVersion: m.Version(),
+			MapVersion: 1,
 		}
 	}
 	s.Recovery = e.recovery

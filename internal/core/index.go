@@ -190,7 +190,7 @@ func (e *Engine) CreateIndex(t *tx.Tx) (*Index, error) {
 }
 
 // OpenIndex attaches to an existing index by store id — as a forest
-// when the PLP partition map has the store registered.
+// when the PLP segment catalog has the store registered.
 func (e *Engine) OpenIndex(store uint32) (*Index, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -418,7 +418,7 @@ func (ix *Index) scan(a btree.Access, from, to []byte, fn func(key, value []byte
 // openTreeByStore returns the tree holding key in store during rollback,
 // and the latch policy to run the undo under: the key's segment when the
 // store is a registered PLP forest (segment roots come from the
-// partition map — the directory's single root slot is meaningless for a
+// segment catalog — the directory's single root slot is meaningless for a
 // forest), otherwise the store's tree.
 func (e *Engine) openTreeByStore(store uint32, key []byte) (*btree.Tree, btree.Access, error) {
 	if m := e.plpMap.Load(); m != nil {

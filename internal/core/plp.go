@@ -5,21 +5,18 @@ package core
 // of per-routing-key segment trees (one per TPC-C warehouse), and the
 // DORA partition owning a routing key is the only writer that mutates
 // its segments — so owner-path index operations run on validated
-// speculative page images with no latch acquisition (see btree/owner.go
-// for the latch-freedom argument).
+// speculative page images with no latch acquisition (see the Owner
+// access policy in btree/btree.go for the latch-freedom argument).
 //
-// The partition map (internal/plp.Map) is the single piece of shared
-// metadata: segment roots per store, plus the ownership bounds that
-// assign contiguous routing-key ranges to partitions. It is persisted
-// as one record in a catalog heap store with the fixed id 1, created at
-// the first PLP open — so crash recovery rebuilds the map byte-
-// identically from ordinary heap redo/undo.
+// The segment catalog (internal/plp.Map) is the single piece of shared
+// metadata: the routing keyspace size and the segment roots per store.
+// It is persisted as one record in a catalog heap store with the fixed
+// id 1, created at the first PLP open — so crash recovery rebuilds it
+// byte-identically from ordinary heap redo/undo.
 //
-// Ownership is decided once, in plpInit, and never changes while the
-// engine is open: the executor's router is installed before the first
-// Submit, so no transaction ever sees two owners for one routing key.
-// Only a reopen with a different partition count redistributes the
-// keyspace (plp.Map.Repartition).
+// Ownership is not in the catalog: dora.Executor.Route computes it from
+// the partition count, under PLP as under shared-tree DORA. A reopen
+// with a different partition count therefore only reads the catalog.
 
 import (
 	"context"
@@ -39,20 +36,20 @@ import (
 // metadata exists.
 const plpCatalogStore uint32 = 1
 
-// PlpStats reports the partition map's state.
+// PlpStats reports the segment catalog's state.
 type PlpStats struct {
 	Keys       int    // routing keyspace size (segments per partitioned index)
-	Partitions int    // owners sharing the keyspace
+	Partitions int    // owners sharing the keyspace (the DORA executor's)
 	Tables     int    // partitioned indexes registered
-	MapVersion uint64 // bumped by every ownership change
+	MapVersion uint64 // always 1: ownership is not stored, so never changes
 	Migrations uint64 // always 0: ownership is fixed at open
 }
 
-// PlpMap returns the current partition map (nil unless Config.PLP).
+// PlpMap returns the current segment catalog (nil unless Config.PLP).
 func (e *Engine) PlpMap() *plp.Map { return e.plpMap.Load() }
 
-// plpReadCatalog scans the catalog store for the persisted partition
-// map, reading pages directly (no transaction, no locks — callers run
+// plpReadCatalog scans the catalog store for the persisted segment
+// catalog, reading pages directly (no transaction, no locks — callers run
 // single-threaded during Open or hold plpMu). Returns (nil, zero RID,
 // nil) when the store exists but holds no record yet.
 func (e *Engine) plpReadCatalog() (*plp.Map, page.RID, error) {
@@ -101,55 +98,29 @@ func (e *Engine) plpPersist(ctx context.Context, t *tx.Tx, m *plp.Map) (page.RID
 	return e.HeapInsertCtx(ctx, t, plpCatalogStore, m.Encode())
 }
 
-// plpInit loads (or creates) the partition map and installs the
-// executor's router. Called from Open after restart recovery and
-// executor construction, before any Submit; ownership is fixed from here
-// until Close.
+// plpInit loads the segment catalog, or creates it on a fresh volume in
+// its own committed transaction. Called from Open after restart recovery,
+// before any Submit.
 func (e *Engine) plpInit() error {
-	parts := e.dora.Partitions()
-	var m *plp.Map
 	if kind, err := e.sm.StoreKindOf(plpCatalogStore); err == nil {
 		if kind != space.KindHeap {
 			return fmt.Errorf("core: store %d is not the PLP catalog — the volume predates PLP; recreate it with Config.PLP", plpCatalogStore)
 		}
-		var rid page.RID
-		var rerr error
-		m, rid, rerr = e.plpReadCatalog()
-		if rerr != nil {
-			return rerr
-		}
-		e.plpRID = rid
-	}
-	if m == nil {
-		// Fresh volume (or a crashed pre-commit creation): the catalog
-		// store must claim the fixed id before any user store exists.
-		if _, err := e.sm.StoreKindOf(plpCatalogStore); err != nil {
-			if id := e.sm.CreateStore(space.KindHeap); id != plpCatalogStore {
-				return fmt.Errorf("core: PLP catalog got store id %d, want %d — enable PLP on a fresh volume", id, plpCatalogStore)
-			}
-		}
-		m = plp.New(e.cfg.DoraKeys, parts)
-		if err := e.plpPersistTx(m); err != nil {
+		m, rid, err := e.plpReadCatalog()
+		if err != nil {
 			return err
 		}
-	} else if m.Parts() != parts {
-		// Reopened with a different partition count: redistribute the
-		// persisted keyspace evenly (segment roots are untouched).
-		m = m.Repartition(parts)
-		if err := e.plpPersistTx(m); err != nil {
-			return err
+		e.plpRID = rid // zero when no record: a crashed creation's was undone
+		if m != nil {
+			e.plpMap.Store(m)
+			return nil
 		}
+	} else if id := e.sm.CreateStore(space.KindHeap); id != plpCatalogStore {
+		// A fresh volume's catalog must claim the fixed id before any
+		// user store exists.
+		return fmt.Errorf("core: PLP catalog got store id %d, want %d — enable PLP on a fresh volume", id, plpCatalogStore)
 	}
-	e.plpMap.Store(m)
-	// Registering a table later publishes a new map with the same bounds,
-	// so routing through this one stays exact.
-	e.dora.SetRouter(m.Owner)
-	return nil
-}
-
-// plpPersistTx persists m in its own committed transaction and installs
-// the new catalog RID. Open-time only (no plpMu needed: single-threaded).
-func (e *Engine) plpPersistTx(m *plp.Map) error {
+	m := plp.New(e.cfg.DoraKeys)
 	t, err := e.Begin()
 	if err != nil {
 		return err
@@ -163,12 +134,13 @@ func (e *Engine) plpPersistTx(m *plp.Map) error {
 		return err
 	}
 	e.plpRID = rid
+	e.plpMap.Store(m)
 	return nil
 }
 
 // CreatePartitionedIndex allocates a PLP index inside transaction t: one
 // B-tree segment per routing key, all in one store, registered in the
-// partition map's catalog record. Like CreateIndex, the store id itself
+// segment catalog's record. Like CreateIndex, the store id itself
 // is not transactional; the catalog registration rides t, so the map is
 // durable iff t commits.
 func (e *Engine) CreatePartitionedIndex(t *tx.Tx) (*Index, error) {

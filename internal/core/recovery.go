@@ -72,7 +72,7 @@ func (e *Engine) restart() error {
 	e.txns.NextIDFloor(maxTxID)
 	if e.cfg.PLP {
 		// Losers may carry logical undo against partitioned indexes, and
-		// routing a key to its segment needs the partition map's root
+		// routing a key to its segment needs the segment catalog's root
 		// table. Segment roots never change after registration, so the
 		// pre-undo map is safe to route with; plpInit re-reads the
 		// catalog after undo for the authoritative post-recovery map.

@@ -38,6 +38,13 @@
 // Single-partition transactions skip the submit mutex entirely — the
 // common case pays one queue append and no shared synchronization
 // beyond it.
+//
+// # Ownership
+//
+// Executor.Route is the one rule that maps a routing key to its owner,
+// (key-1) mod the partition count, under shared-tree DORA and PLP alike.
+// Txn.Add applies it once per action, so an action's partition is fixed
+// before Submit and no routing lock exists.
 package dora
 
 import (
@@ -246,11 +253,6 @@ type Executor struct {
 	closed   atomic.Bool
 	stopped  chan struct{} // closed once every owner has exited
 
-	// router, when set, replaces the modulo default of Route. Installed
-	// by the PLP layer before the first transaction, so the executor and
-	// the partition map agree on ownership; never changed afterwards.
-	router func(key uint32) int
-
 	localTx   atomic.Uint64
 	crossTx   atomic.Uint64
 	abortedTx atomic.Uint64
@@ -287,22 +289,13 @@ func NewExecutor(env Env, opts Options) *Executor {
 func (x *Executor) Partitions() int { return len(x.parts) }
 
 // Route maps a 1-based routing key (TPC-C: warehouse id) to its
-// partition: through the installed router when one is set (PLP's
-// partition map), otherwise round-robin modulo.
+// partition, round-robin: key k belongs to partition (k-1) mod
+// Partitions. It is the engine's only ownership rule, shared-tree DORA
+// and PLP alike, and depends on nothing but the partition count, which
+// is fixed while the executor runs.
 func (x *Executor) Route(key uint32) int {
-	if x.router != nil {
-		if p := x.router(key); p >= 0 && p < len(x.parts) {
-			return p
-		}
-		return 0
-	}
 	return int((key - 1) % uint32(len(x.parts)))
 }
-
-// SetRouter installs the routing function consulted by Route. Call it
-// once, before the first transaction is built: Route reads it without
-// synchronization, and an action's partition is fixed when Add routes it.
-func (x *Executor) SetRouter(fn func(key uint32) int) { x.router = fn }
 
 // Submit enqueues t's actions and blocks until every partition applied
 // the rendezvous decision, returning the transaction's outcome. A
@@ -402,8 +395,8 @@ type Stats struct {
 	QueueHighWater  int64  // max over partitions
 	// SkewRatio is max/mean of the per-partition Routed counters — 1.0
 	// is perfectly uniform routing. Ownership is fixed, so it reports
-	// the workload's skew as the partition map splits it. Zero when
-	// nothing was routed yet.
+	// the workload's skew as Route splits it. Zero when nothing was
+	// routed yet.
 	SkewRatio float64
 	Parts     []PartitionStats
 }

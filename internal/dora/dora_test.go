@@ -67,6 +67,35 @@ func TestAutoScaleAndClamp(t *testing.T) {
 	x.Close()
 }
 
+// TestRouteSplitsKeysEvenly pins the one ownership rule, shared by
+// shared-tree DORA and PLP: over P partitions, keys 1..K land inside
+// [0, P), each partition gets ⌊K/P⌋ or ⌈K/P⌉ of them, and keys k and
+// k+P share an owner.
+func TestRouteSplitsKeysEvenly(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4} {
+		x := NewExecutor(newFakeEnv(), Options{Partitions: p})
+		for _, k := range []int{p, 7, 8, 64} {
+			per := make([]int, p)
+			for key := uint32(1); key <= uint32(k); key++ {
+				owner := x.Route(key)
+				if owner < 0 || owner >= p {
+					t.Fatalf("P=%d: Route(%d) = %d, outside [0, %d)", p, key, owner, p)
+				}
+				per[owner]++
+				if next := x.Route(key + uint32(p)); next != owner {
+					t.Errorf("P=%d: Route(%d) = %d, Route(%d) = %d; want one owner", p, key, owner, key+uint32(p), next)
+				}
+			}
+			for i, n := range per {
+				if n != k/p && n != (k+p-1)/p {
+					t.Errorf("P=%d K=%d: partition %d owns %d keys, want %d or %d", p, k, i, n, k/p, (k+p-1)/p)
+				}
+			}
+		}
+		x.Close()
+	}
+}
+
 func TestSingleActionCommit(t *testing.T) {
 	env := newFakeEnv()
 	x := NewExecutor(env, Options{Partitions: 2})

@@ -256,37 +256,6 @@ func TestRWLatchWriterPreference(t *testing.T) {
 	<-exDone
 }
 
-func TestPinCount(t *testing.T) {
-	var p PinCount
-	if p.PinIfPinned() {
-		t.Fatal("PinIfPinned succeeded on zero count")
-	}
-	p.Pin()
-	if !p.PinIfPinned() {
-		t.Fatal("PinIfPinned failed on pinned page")
-	}
-	if p.Get() != 2 {
-		t.Fatalf("Get = %d, want 2", p.Get())
-	}
-	p.Unpin()
-	if p.Unpin() != 0 {
-		t.Fatal("Unpin did not return to 0")
-	}
-	if !p.TryFreeze() {
-		t.Fatal("TryFreeze on unpinned page failed")
-	}
-	if p.PinIfPinned() {
-		t.Fatal("PinIfPinned succeeded on frozen page")
-	}
-	if p.TryFreeze() {
-		t.Fatal("double TryFreeze succeeded")
-	}
-	p.Unfreeze()
-	if p.Get() != 0 {
-		t.Fatalf("Get after Unfreeze = %d, want 0", p.Get())
-	}
-}
-
 func TestBackoff(t *testing.T) {
 	var b Backoff
 	for i := 0; i < 100; i++ {

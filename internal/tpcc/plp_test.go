@@ -68,7 +68,7 @@ func TestPlpLatchBypass(t *testing.T) {
 	ctx := context.Background()
 
 	if db.Engine.PlpMap() == nil {
-		t.Fatal("no partition map")
+		t.Fatal("no segment catalog")
 	}
 	before := db.Engine.Stats().Btree
 
@@ -240,17 +240,17 @@ func TestPlpSnapshotCoexistence(t *testing.T) {
 }
 
 // TestPlpSharedPartitionOneAction pins PLP's action grouping: a Payment
-// whose home and customer warehouses differ but share an owner (1 and 2
-// under the even split of four warehouses over two partitions) is one
+// whose home and customer warehouses differ but share an owner (1 and 3
+// of four warehouses over two partitions, under Route's modulo) is one
 // action on one partition, not a cross-partition rendezvous.
 func TestPlpSharedPartitionOneAction(t *testing.T) {
 	scale := Scale{Warehouses: 4, Districts: 2, Customers: 10, Items: 50, StockPerItem: true}
 	db := newPlpDB(t, scale, 2)
-	if m := db.Engine.PlpMap(); m.Owner(1) != m.Owner(2) {
-		t.Fatalf("warehouses 1 and 2 on partitions %d and %d, want one", m.Owner(1), m.Owner(2))
+	if x := db.Engine.Dora(); x.Route(1) != x.Route(3) {
+		t.Fatalf("warehouses 1 and 3 on partitions %d and %d, want one", x.Route(1), x.Route(3))
 	}
 	before := db.Engine.Stats().Dora
-	in := PaymentInput{WID: 1, DID: 1, CWID: 2, CDID: 2, CID: 3, Amount: 10}
+	in := PaymentInput{WID: 1, DID: 1, CWID: 3, CDID: 2, CID: 3, Amount: 10}
 	if err := db.DoraPayment(context.Background(), in); err != nil {
 		t.Fatal(err)
 	}

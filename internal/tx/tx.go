@@ -522,14 +522,6 @@ func (m *Manager) Oldest() uint64 {
 	return m.scanOldestLocked()
 }
 
-// Lookup returns the active transaction with id, or nil. The returned Tx
-// must only be used by its owning goroutine.
-func (m *Manager) Lookup(id uint64) *Tx {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.active[id]
-}
-
 // Restore re-registers a loser transaction during restart recovery with
 // its chain state reconstructed by the analysis pass.
 func (m *Manager) Restore(id uint64, lastLSN, undoNext wal.LSN) *Tx {

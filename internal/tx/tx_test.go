@@ -180,22 +180,23 @@ func TestSnapshot(t *testing.T) {
 	_ = m.Commit(t2)
 }
 
-func TestLookupAndRestore(t *testing.T) {
+func TestRestore(t *testing.T) {
 	m := NewManager(Options{CachedOldest: true})
 	t1 := m.Begin()
-	if m.Lookup(t1.ID()) != t1 {
-		t.Fatal("Lookup missed active tx")
-	}
-	if m.Lookup(9999) != nil {
-		t.Fatal("Lookup found ghost")
-	}
 	// Restore (recovery path).
 	loser := m.Restore(500, 77, 66)
 	if loser.ID() != 500 || loser.LastLSN() != 77 || loser.UndoNext() != 66 {
 		t.Fatalf("restored = %+v", loser)
 	}
-	if m.Lookup(500) != loser {
-		t.Fatal("restored tx not in table")
+	if n := m.ActiveCount(); n != 2 {
+		t.Fatalf("ActiveCount = %d, want 2 (t1 and the restored tx)", n)
+	}
+	var found bool
+	for _, s := range m.Snapshot() {
+		found = found || (s.TxID == 500 && s.LastLSN == 77 && s.UndoNext == 66)
+	}
+	if !found {
+		t.Fatalf("restored tx not in snapshot %+v", m.Snapshot())
 	}
 	// ID floor prevents reuse.
 	m.NextIDFloor(500)
