@@ -64,11 +64,6 @@ func main() {
 		LogSegmentBytes: *logSegment,
 		RedoWorkers:     *redoWorkers,
 	}
-	if *snapshot && opts.CheckpointEvery == 0 {
-		// Version-chain GC rides checkpoints; give a -snapshot server a
-		// default cadence so long-lived chains get reclaimed.
-		opts.CheckpointEvery = 8 << 20
-	}
 	if *durability == "relaxed" {
 		opts.Durability = shoremt.DurabilityRelaxed
 	} else if *durability != "strict" {

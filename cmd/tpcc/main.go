@@ -79,11 +79,6 @@ func run(args []string, out io.Writer) (*result, error) {
 		cfg.Frames, cfg.Snapshot, cfg.CleanerInterval = *frames, *snapshot, 10*time.Millisecond
 		cfg.DORA, cfg.PLP, cfg.DoraPartitions, cfg.DoraKeys = *dorafl || *plpfl, *plpfl, *partitions, *warehouses
 		cfg.Buffer.Shards = cmp.Or(*shards, cfg.Buffer.Shards)
-		if *snapshot {
-			// Version-chain GC rides checkpoints; without a checkpoint
-			// cadence a long -snapshot run grows chains without bound.
-			cfg.CheckpointEvery = 8 << 20
-		}
 		res, err = openEmbedded(cfg, *logSegment, *warehouses, out)
 	}
 	if err != nil {

@@ -60,39 +60,54 @@ func Stages() []Stage {
 	return []Stage{StageBaseline, StageBpool1, StageCaching, StageLog, StageLockMgr, StageBpool2, StageFinal, StagePipeline}
 }
 
+// What a stage decides beyond StageConfig's fields. These are rungs of the
+// ladder, not a caller's choice, so the stage answers them here and the
+// engine asks nowhere else.
+
+// ProbesLockTable reports whether B-tree probes search the lock table
+// first, the unnecessary work §7.7 removed.
+func (s Stage) ProbesLockTable() bool { return s < StageFinal }
+
+// CleanerCheckpoint reports whether a checkpoint takes its dirty-page
+// low-water mark from the page cleaner (§7.7) instead of serially
+// sweeping the buffer pool.
+func (s Stage) CleanerCheckpoint() bool { return s >= StageFinal }
+
+// EarlyLockRelease reports whether a committing transaction releases its
+// locks as soon as its commit record is in the log (Early Lock Release)
+// instead of after the record is durable. The wait itself is the same on
+// every stage — one drain of the log, which group commit shares; Commit
+// blocks on it, CommitAsync hands it back.
+func (s Stage) EarlyLockRelease() bool { return s >= StagePipeline }
+
+// escalateAfter is the row-lock count per store past which a transaction
+// trades its row locks for one store lock, retried each time the count
+// doubles: above TPC-C's footprints, so only bulk work escalates.
+const escalateAfter = 256
+
 // Config selects component implementations. Use StageConfig for the
-// paper's presets and tweak fields for ablations.
+// paper's presets; a stage decides everything that follows from it (see
+// Stage's methods), and the fields below choose sizes, intervals, the
+// sub-structs' variants for an ablation, and the features orthogonal to
+// the ladder (DORA, PLP, Snapshot).
 type Config struct {
-	// Stage names the preset. Besides what StageConfig sets, it picks the
-	// latch policy of B-tree descents on shared trees: optimistic latch
-	// coupling (btree.Optimistic) from StageFinal on, the paper's latched
-	// descent (btree.Latched) below it.
+	// Stage names the preset. Besides what StageConfig sets, it decides
+	// the latch policy of B-tree descents on shared trees (optimistic
+	// latch coupling from StageFinal on, the paper's latched descent below
+	// it), the lock-table probe, the checkpoint's dirty-page source and
+	// early lock release: see Stage's methods.
 	Stage Stage
 
-	Frames        int           // buffer pool frames (default 4096)
-	LogBuffer     int           // log buffer bytes (default 1 MiB)
-	LockTimeout   time.Duration // lock wait bound (default 500ms)
-	EscalateAfter int           // row locks per store before escalating, retried as the count doubles (default 256, above TPC-C's footprints; <0 disables)
+	Frames      int           // buffer pool frames (default 4096)
+	LogBuffer   int           // log buffer bytes (default 1 MiB)
+	LockTimeout time.Duration // lock wait bound (default 500ms)
 
-	Buffer       buffer.Options
-	LogDesign    wal.Design
-	Lock         lock.Options
-	Space        space.Options
-	CachedOldest bool
-	// ProbeLockTable re-enables the unnecessary lock-table search on B-tree
-	// probes that §7.7 removed.
-	ProbeLockTable bool
-	// CleanerCheckpoint uses the page-cleaner-tracked LSN for checkpoints
-	// (§7.7) instead of serially scanning the buffer pool.
-	CleanerCheckpoint bool
+	Buffer    buffer.Options
+	LogDesign wal.Design
+	Lock      lock.Options
+	Space     space.Options
 	// CleanerInterval runs the background dirty-page cleaner (0 disables).
 	CleanerInterval time.Duration
-	// CommitPipeline (StagePipeline) decides when a committing transaction
-	// releases its locks: as soon as the commit record is in the log
-	// (Early Lock Release) instead of after the record is durable. The
-	// wait itself is the same on every stage — one drain of the log, which
-	// group commit shares; Commit blocks on it, CommitAsync hands it back.
-	CommitPipeline bool
 	// DORA enables data-oriented execution (the Shore-MT authors' VLDB
 	// 2010 follow-up): the engine owns a partition executor that routes
 	// decomposed transaction actions to dedicated partition-owner
@@ -128,28 +143,28 @@ type Config struct {
 	// walking the chain — no lock-manager interaction at all, so long
 	// scans neither block writers nor abort. Version garbage collection
 	// rides the checkpoint (entries below the oldest pinned snapshot are
-	// dropped). Orthogonal to Stage, like DORA.
+	// dropped), so Snapshot brings a checkpoint cadence of its own: 8 MiB
+	// of log when CheckpointEvery is 0. Orthogonal to Stage, like DORA.
 	Snapshot bool
 	// CheckpointEvery, when positive, runs a background fuzzy checkpoint
 	// whenever that many log bytes have accumulated since the last one,
 	// bounding restart-recovery work without manual Checkpoint calls.
+	// 0 means none, or 8 MiB under Snapshot; negative means none.
 	CheckpointEvery int64
 	// RedoWorkers sets the parallelism of the redo pass of restart
 	// recovery: log records fan out to workers hash-partitioned by page
 	// ID, preserving per-page LSN order. 0 auto-scales to GOMAXPROCS;
 	// 1 forces the serial replay path.
 	RedoWorkers int
-	Seed        int64
 }
 
 // StageConfig returns the paper's preset for stage.
 func StageConfig(stage Stage) Config {
 	c := Config{
-		Stage:         stage,
-		Frames:        4096,
-		LogBuffer:     wal.DefaultBufferSize,
-		LockTimeout:   500 * time.Millisecond,
-		EscalateAfter: 256,
+		Stage:       stage,
+		Frames:      4096,
+		LogBuffer:   wal.DefaultBufferSize,
+		LockTimeout: 500 * time.Millisecond,
 	}
 	// Baseline defaults (original Shore): global mutexes, coupled log,
 	// one global clock hand.
@@ -162,9 +177,6 @@ func StageConfig(stage Stage) Config {
 	c.LogDesign = wal.DesignCoupled
 	c.Lock = lock.Options{Table: lock.TableGlobal, Pool: lock.PoolMutex}
 	c.Space = space.Options{Mutex: sync2.KindBlocking, LatchInCS: true}
-	c.CachedOldest = false
-	c.ProbeLockTable = true
-	c.CleanerCheckpoint = false
 
 	if stage >= StageBpool1 {
 		c.Buffer.Table = buffer.TablePerBucketChain
@@ -173,7 +185,6 @@ func StageConfig(stage Stage) Config {
 	if stage >= StageCaching {
 		c.Buffer.HotArray = 256
 		c.Space = space.Options{Mutex: sync2.KindMCS, LatchInCS: false, LastPageCache: true}
-		c.CachedOldest = true
 	}
 	if stage >= StageLog {
 		c.LogDesign = wal.DesignDecoupled
@@ -195,11 +206,6 @@ func StageConfig(stage Stage) Config {
 	}
 	if stage >= StageFinal {
 		c.LogDesign = wal.DesignConsolidated
-		c.ProbeLockTable = false
-		c.CleanerCheckpoint = true
-	}
-	if stage >= StagePipeline {
-		c.CommitPipeline = true
 	}
 	return c
 }
@@ -215,9 +221,6 @@ func (c *Config) normalize() {
 	if c.LockTimeout == 0 {
 		c.LockTimeout = 500 * time.Millisecond
 	}
-	if c.EscalateAfter == 0 {
-		c.EscalateAfter = 256
-	}
 	if c.RedoWorkers <= 0 {
 		c.RedoWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -226,7 +229,11 @@ func (c *Config) normalize() {
 		// discipline all come from the partition executor.
 		c.DORA = true
 	}
+	if c.Snapshot && c.CheckpointEvery == 0 {
+		// Version GC runs only inside a checkpoint: without a cadence,
+		// snapshot versions would pile up until a manual Checkpoint.
+		c.CheckpointEvery = 8 << 20
+	}
 	c.Buffer.Frames = c.Frames
-	c.Buffer.Seed = c.Seed
 	c.Lock.DefaultTimeout = c.LockTimeout
 }

@@ -82,8 +82,8 @@ func TestCtxCancelUnblocksEngineLockWait(t *testing.T) {
 // TestCtxCancelDuringHardenWait: cancelling a strict commit's durability
 // wait returns at once and leaves the log's subscription list healthy —
 // the same transaction can re-await and a later transaction commits
-// normally. On both sides of CommitPipeline: the wait is the same, only
-// the locks differ.
+// normally. On both sides of early lock release: the wait is the same,
+// only the locks differ.
 func TestCtxCancelDuringHardenWait(t *testing.T) {
 	for _, stage := range []Stage{StageFinal, StagePipeline} {
 		t.Run(stage.String(), func(t *testing.T) {
@@ -106,8 +106,8 @@ func TestCtxCancelDuringHardenWait(t *testing.T) {
 			if t1.State() != tx.StateCommitting {
 				t.Fatalf("state after cancelled wait = %v, want StateCommitting", t1.State())
 			}
-			if held := e.Locks().Stats().LiveRequests > 0; held == e.Config().CommitPipeline {
-				t.Fatalf("locks held through the wait = %v with CommitPipeline = %v", held, e.Config().CommitPipeline)
+			if held := e.Locks().Stats().LiveRequests > 0; held == stage.EarlyLockRelease() {
+				t.Fatalf("locks held through the wait = %v with early lock release = %v", held, stage.EarlyLockRelease())
 			}
 			// The retry resolves once the flush lands; the abandoned
 			// subscription must not have corrupted the list.

@@ -32,8 +32,8 @@ var (
 	ErrClosed = fmt.Errorf("core: engine %w", closed.Err)
 	// ErrCommitting is returned when aborting a transaction whose commit
 	// record is already in the log (or committing one that has ended): the
-	// record may harden at any moment and, under CommitPipeline, the locks
-	// are gone, so the only legal outcomes are hardening or crash-time
+	// record may harden at any moment and, under early lock release, the
+	// locks are gone, so the only legal outcomes are hardening or crash-time
 	// rollback.
 	ErrCommitting = errors.New("core: transaction is pre-committed")
 )
@@ -117,7 +117,7 @@ func Open(vol disk.Volume, logStore wal.Store, cfg Config) (*Engine, error) {
 	bopts.CurLSN = func() wal.LSN { return e.log.CurLSN() }
 	e.pool = buffer.New(vol, bopts)
 	e.locks = lock.NewManager(cfg.Lock)
-	e.txns = tx.NewManager(tx.Options{CachedOldest: cfg.CachedOldest})
+	e.txns = tx.NewManager()
 	e.sm = space.NewManager(vol, cfg.Space)
 	if cfg.Snapshot {
 		e.mvcc = mvcc.NewStore()
@@ -316,10 +316,10 @@ func (v doraEnv) Precommit(ts []*tx.Tx) error { return v.e.precommit(ts...) }
 
 // Commit makes t durable. Every commit flavour is one sequence: the commit
 // record (publishCommit), one wait for the harden target (awaitDurable),
-// then the transaction retires. CommitPipeline decides one thing, where
-// the locks go: with it they are released before the wait (Early Lock
-// Release; later acquirers inherit the target as their ELR horizon),
-// without it after. Either way, when Commit returns nil the commit is
+// then the transaction retires. The stage decides one thing, where the
+// locks go: with Stage.EarlyLockRelease they are released before the wait
+// (later acquirers inherit the target as their ELR horizon), without it
+// after. Either way, when Commit returns nil the commit is
 // durable.
 func (e *Engine) Commit(t *tx.Tx) error { return e.CommitCtx(context.Background(), t) }
 
@@ -349,9 +349,9 @@ func (e *Engine) CommitCtx(ctx context.Context, t *tx.Tx) error {
 	return e.finishCommit(ctx, t)
 }
 
-// precommit puts t's commit record in the log and, under CommitPipeline,
-// releases its locks at once: the ELR horizon is raised first so that
-// whoever acquires one of them observes it. From here t cannot abort; a
+// precommit puts t's commit record in the log and, under early lock
+// release, releases its locks at once: the ELR horizon is raised first so
+// that whoever acquires one of them observes it. From here t cannot abort; a
 // crash before its harden target is durable rolls it back at restart (the
 // commit record never reached the disk, so analysis sees a loser).
 func (e *Engine) precommit(ts ...*tx.Tx) error {
@@ -359,7 +359,7 @@ func (e *Engine) precommit(ts ...*tx.Tx) error {
 	if err != nil {
 		return err
 	}
-	if e.cfg.CommitPipeline {
+	if e.cfg.Stage.EarlyLockRelease() {
 		e.locks.RaiseELR(uint64(target))
 		for _, t := range ts {
 			e.releaseLocks(t)
@@ -379,7 +379,7 @@ func (e *Engine) finishCommit(ctx context.Context, t *tx.Tx) error {
 	if err := e.awaitDurable(ctx, t.HardenTarget()); err != nil {
 		return err
 	}
-	if !e.cfg.CommitPipeline {
+	if !e.cfg.Stage.EarlyLockRelease() {
 		e.releaseLocks(t)
 	}
 	return e.txns.Commit(t)
@@ -523,8 +523,8 @@ func (e *Engine) CommitReadOnly(ctx context.Context, t *tx.Tx) error {
 
 // CommitAsync starts committing t and returns a channel that fires
 // exactly once: nil when the commit is durable, an error otherwise. The
-// commit record is in the log when CommitAsync returns; under
-// CommitPipeline t's locks are released too — other transactions can read
+// commit record is in the log when CommitAsync returns; under early
+// lock release t's locks are released too — other transactions can read
 // its (not yet durable) writes, ordered behind this commit's durability
 // via the ELR horizon. The caller must not touch t after calling this.
 func (e *Engine) CommitAsync(t *tx.Tx) <-chan error {
@@ -631,7 +631,7 @@ func (e *Engine) acquire(ctx context.Context, t *tx.Tx, n lock.Name, m lock.Mode
 }
 
 // recordLock records and counts a lock the manager granted t. Under
-// CommitPipeline the lock may have been released early by a transaction
+// early lock release the lock may have been released by a transaction
 // whose commit record is not yet durable; folding the ELR horizon into t
 // orders t's own commit acknowledgment behind that releaser's
 // durability. A cache hit skips the fold safely: it adds no dependency the
@@ -639,21 +639,21 @@ func (e *Engine) acquire(ctx context.Context, t *tx.Tx, n lock.Name, m lock.Mode
 func (e *Engine) recordLock(t *tx.Tx, n lock.Name, m lock.Mode) {
 	t.AddLock(n, m)
 	t.CountAcquire()
-	if e.cfg.CommitPipeline {
+	if e.cfg.Stage.EarlyLockRelease() {
 		t.ObserveELR(wal.LSN(e.locks.ELRHorizon()))
 	}
 }
 
 // escalate counts one more row lock of t on store and, on the first past
-// Config.EscalateAfter and again each time the count doubles, tries to
+// escalateAfter and again each time the count doubles, tries to
 // trade the row locks for one store lock (S for a read, X for a write).
 // The try never waits: a caller may hold a page latch, and a refused
 // escalation that waited would wait again on later rows. On a refusal
 // the caller keeps locking rows; retrying only at 2×, 4×, … the threshold
 // keeps that from costing a store lock-head trip per row.
 func (e *Engine) escalate(t *tx.Tx, store uint32, m lock.Mode) bool {
-	n, after := t.CountRowLock(store), e.cfg.EscalateAfter
-	if after <= 0 || n <= after || (n-1)%after != 0 || bits.OnesCount(uint((n-1)/after)) != 1 {
+	n := t.CountRowLock(store)
+	if n <= escalateAfter || (n-1)%escalateAfter != 0 || bits.OnesCount(uint((n-1)/escalateAfter)) != 1 {
 		return false
 	}
 	mode, name := lock.S, lock.StoreName(store)
@@ -664,24 +664,23 @@ func (e *Engine) escalate(t *tx.Tx, store uint32, m lock.Mode) bool {
 	e.locks.NoteEscalation(granted)
 	if granted {
 		e.recordLock(t, name, mode)
-		t.MarkEscalated(store, mode)
 	}
 	return granted
 }
 
 // lockRow is the one path that locks a leaf of store — a heap row
 // (lock.RowName) or an index key (keyLockName) — in mode m (S, U or X):
-// DORA sub-transactions skip it; a store lock escalated to in a covering
-// mode, or the leaf lock already held (its intents were taken before
-// it), answers without the manager; otherwise the intents, escalate and
-// the leaf lock. With noWait (the caller holds a page latch) a conflict
-// returns lock.ErrWouldBlock; the caller unlatches, calls again to wait,
-// and retries.
+// DORA sub-transactions skip it; a store lock held in a covering mode (an
+// escalation's, or a scan's S) or the leaf lock already held (its intents
+// were taken before it) answers from the private cache, without the
+// manager; otherwise the intents, escalate and the leaf lock. With noWait
+// (the caller holds a page latch) a conflict returns lock.ErrWouldBlock;
+// the caller unlatches, calls again to wait, and retries.
 func (e *Engine) lockRow(ctx context.Context, t *tx.Tx, store uint32, name lock.Name, m lock.Mode, noWait bool) error {
 	if t.NoLock() {
 		return nil
 	}
-	if held, ok := t.Escalated(store); ok && lock.StrongerOrEqual(held, m) {
+	if lock.StrongerOrEqual(t.HeldMode(lock.StoreName(store)), m) {
 		return nil
 	}
 	if held := t.HeldMode(name); held != lock.NL && lock.StrongerOrEqual(held, m) {
@@ -765,9 +764,9 @@ func (e *Engine) logPhysical(t *tx.Tx, f *buffer.Frame, op pageop.Op, logical pa
 }
 
 // Checkpoint takes a fuzzy checkpoint: begin record, transaction + dirty
-// page tables, end record, master update. With CleanerCheckpoint (§7.7)
-// the dirty-page table collapses to the cleaner-published low-water mark
-// instead of a serial buffer pool sweep.
+// page tables, end record, master update. From StageFinal on
+// (Stage.CleanerCheckpoint, §7.7) the dirty-page table collapses to the
+// cleaner-published low-water mark instead of a serial buffer pool sweep.
 func (e *Engine) Checkpoint() error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -782,7 +781,7 @@ func (e *Engine) Checkpoint() error {
 		BeginLSN: beginLSN,
 		Txs:      e.txns.Snapshot(),
 	}
-	if e.cfg.CleanerCheckpoint {
+	if e.cfg.Stage.CleanerCheckpoint() {
 		if l := e.pool.CleanerCkptLSN(); l != wal.NullLSN {
 			// Low-water mark entry: page 0 carries the oldest possible
 			// recLSN; redo starts there, no page list needed.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/disk"
 	"repro/internal/lock"
 	"repro/internal/page"
@@ -469,18 +470,20 @@ func TestEmptyTableSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestCheckpointShortensRecovery: whether a checkpoint's dirty-page table
+// comes from a serial sweep of the pool (StageBpool2, the last stage that
+// sweeps) or from the cleaner's low-water mark (StageFinal), recovery
+// from it finds the rows committed on both sides of it.
 func TestCheckpointShortensRecovery(t *testing.T) {
-	for _, cleanerCkpt := range []bool{false, true} {
-		name := "sweepCkpt"
-		if cleanerCkpt {
-			name = "cleanerCkpt"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		stage Stage
+	}{{"sweepCkpt", StageBpool2}, {"cleanerCkpt", StageFinal}} {
+		t.Run(c.name, func(t *testing.T) {
 			vol := disk.NewMem(0)
 			logStore := wal.NewMemSegmentStore(0)
-			cfg := StageConfig(StageFinal)
+			cfg := StageConfig(c.stage)
 			cfg.Frames = 128
-			cfg.CleanerCheckpoint = cleanerCkpt
 			e, err := Open(vol, logStore, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -494,7 +497,7 @@ func TestCheckpointShortensRecovery(t *testing.T) {
 			if err := e.Commit(tx1); err != nil {
 				t.Fatal(err)
 			}
-			if cleanerCkpt {
+			if c.stage.CleanerCheckpoint() {
 				e.Pool().CleanerSweep()
 			}
 			if err := e.Checkpoint(); err != nil {
@@ -510,7 +513,7 @@ func TestCheckpointShortensRecovery(t *testing.T) {
 			}
 			e.CrashHard()
 
-			e2 := reopen(t, vol, logStore, StageFinal)
+			e2 := reopen(t, vol, logStore, c.stage)
 			tx3, _ := e2.Begin()
 			if got, err := e2.HeapRead(tx3, store, rid); err != nil || string(got) != "pre-ckpt" {
 				t.Fatalf("pre-ckpt row: %q, %v", got, err)
@@ -624,25 +627,17 @@ func TestRowLockConflictBlocksAndResolves(t *testing.T) {
 }
 
 func TestLockEscalation(t *testing.T) {
-	vol := disk.NewMem(0)
-	logStore := wal.NewMemSegmentStore(0)
-	cfg := StageConfig(StageFinal)
-	cfg.EscalateAfter = 50
-	e, err := Open(vol, logStore, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	e, _, _ := newEngine(t, StageFinal)
 	store := createTable(t, e)
 	tx1, _ := e.Begin()
-	for i := 0; i < 200; i++ {
+	for i := 0; i < escalateAfter+44; i++ {
 		if _, err := e.HeapInsert(tx1, store, []byte("r")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// After escalation the transaction holds a store-level X lock.
-	if _, ok := tx1.Escalated(store); !ok {
-		t.Fatal("transaction never escalated despite 200 row locks (threshold 50)")
+	if m := tx1.HeldMode(lock.StoreName(store)); m != lock.X {
+		t.Fatalf("store held in %v after %d row locks (threshold %d), want X", m, escalateAfter+44, escalateAfter)
 	}
 	if err := e.Commit(tx1); err != nil {
 		t.Fatal(err)
@@ -655,14 +650,8 @@ func TestLockEscalation(t *testing.T) {
 // timeout on every key past the threshold — and an unopposed escalation
 // goes through. TestLockEscalation covers the heap path.
 func TestEscalationNeverWaits(t *testing.T) {
-	cfg := StageConfig(StageFinal)
-	cfg.Frames = 256
-	cfg.EscalateAfter = 50
-	e, err := Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	e, _, _ := newEngine(t, StageFinal)
+	const keys = escalateAfter + 44
 	setup, _ := e.Begin()
 	ix, err := e.CreateIndex(setup)
 	if err != nil {
@@ -683,11 +672,11 @@ func TestEscalationNeverWaits(t *testing.T) {
 	holder, _ := e.Begin()
 	insertKeys(holder, "a", 1) // IX on the index's store
 	writer, _ := e.Begin()
-	insertKeys(writer, "b", 60)
+	insertKeys(writer, "b", keys)
 	if st := e.Stats().Lock; st.Waits != 0 || st.Timeouts != 0 {
-		t.Fatalf("60 keys past a refused escalation: %d lock waits, %d timeouts; want 0 and 0", st.Waits, st.Timeouts)
+		t.Fatalf("%d keys past a refused escalation: %d lock waits, %d timeouts; want 0 and 0", keys, st.Waits, st.Timeouts)
 	}
-	if _, ok := writer.Escalated(ix.Store()); ok {
+	if m := writer.HeldMode(lock.StoreName(ix.Store())); m == lock.X {
 		t.Fatal("escalated to X over another transaction's IX")
 	}
 	for _, x := range []*tx.Tx{holder, writer} {
@@ -697,9 +686,9 @@ func TestEscalationNeverWaits(t *testing.T) {
 	}
 
 	alone, _ := e.Begin()
-	insertKeys(alone, "c", 60)
-	if m, ok := alone.Escalated(ix.Store()); !ok || m != lock.X {
-		t.Fatalf("Escalated = %v, %v with no other holder; want X, true", m, ok)
+	insertKeys(alone, "c", keys)
+	if m := alone.HeldMode(lock.StoreName(ix.Store())); m != lock.X {
+		t.Fatalf("store held in %v with no other holder; want X", m)
 	}
 	if got := e.Locks().Holds(alone.ID(), lock.StoreName(ix.Store())); got != lock.X {
 		t.Fatalf("manager holds the store in %v, want X", got)
@@ -714,16 +703,11 @@ func TestEscalationNeverWaits(t *testing.T) {
 // reads only. Were the new row left unlocked, a reader holding IS could
 // S-lock it and see it before the insert commits.
 func TestEscalatedReaderInsertLocksRow(t *testing.T) {
-	cfg := StageConfig(StageFinal)
-	cfg.EscalateAfter = 50
-	e, err := Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	e, _, _ := newEngine(t, StageFinal)
 	store := createTable(t, e)
 	setup, _ := e.Begin()
-	rids := make([]page.RID, 60)
+	rids := make([]page.RID, escalateAfter+44)
+	var err error
 	for i := range rids {
 		if rids[i], err = e.HeapInsert(setup, store, []byte("r")); err != nil {
 			t.Fatal(err)
@@ -739,8 +723,8 @@ func TestEscalatedReaderInsertLocksRow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m, ok := t1.Escalated(store); !ok || m != lock.S {
-		t.Fatalf("Escalated = %v, %v after 60 reads (threshold 50); want S, true", m, ok)
+	if m := t1.HeldMode(lock.StoreName(store)); m != lock.S {
+		t.Fatalf("store held in %v after %d reads (threshold %d); want S", m, len(rids), escalateAfter)
 	}
 	rid, err := e.HeapInsert(t1, store, []byte("uncommitted"))
 	if err != nil {
@@ -763,13 +747,7 @@ func TestEscalatedReaderInsertLocksRow(t *testing.T) {
 // threshold: its inserts cost one lock-table latch trip per row, plus the
 // intents and a few tries.
 func TestEscalationBackoff(t *testing.T) {
-	cfg := StageConfig(StageFinal)
-	cfg.EscalateAfter = 256
-	e, err := Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	e, _, _ := newEngine(t, StageFinal)
 	store := createTable(t, e)
 	holder, _ := e.Begin()
 	if _, err := e.HeapInsert(holder, store, []byte("h")); err != nil { // IX on the heap
@@ -792,7 +770,7 @@ func TestEscalationBackoff(t *testing.T) {
 	if got := latches() - before - walk; got > rows+8 {
 		t.Errorf("%d rows past a refused escalation took %d lock-table latch acquisitions, want <= %d", rows, got, rows+8)
 	}
-	if _, ok := t1.Escalated(store); ok {
+	if m := t1.HeldMode(lock.StoreName(store)); m == lock.X {
 		t.Fatal("escalated to X over another transaction's IX")
 	}
 	if st := e.Locks().Stats(); st.Escalations != 0 || st.EscalationsRefused != 3 {
@@ -822,13 +800,75 @@ func TestStageConfigPresets(t *testing.T) {
 		t.Errorf("baseline preset wrong: %+v", base)
 	}
 	final := StageConfig(StageFinal)
-	if !final.Buffer.TransitBypass || final.LogDesign != wal.DesignConsolidated ||
-		final.ProbeLockTable || !final.CleanerCheckpoint {
+	if !final.Buffer.TransitBypass || final.LogDesign != wal.DesignConsolidated {
 		t.Errorf("final preset wrong: %+v", final)
 	}
 	for _, s := range Stages() {
 		if s.String() == "unknown" {
 			t.Errorf("stage %d has no name", s)
+		}
+	}
+}
+
+// TestStageDecides pins what each stage decides beyond StageConfig's
+// fields: the lock-table probe below StageFinal, the cleaner-tracked
+// checkpoint from StageFinal on, early lock release at StagePipeline
+// only, and optimistic descents on shared trees from StageFinal on (a
+// PLP forest's always).
+func TestStageDecides(t *testing.T) {
+	for _, c := range []struct {
+		stage                 Stage
+		probe, cleaner, early bool
+		shared                btree.Access
+	}{
+		{StageBaseline, true, false, false, btree.Latched},
+		{StageBpool1, true, false, false, btree.Latched},
+		{StageCaching, true, false, false, btree.Latched},
+		{StageLog, true, false, false, btree.Latched},
+		{StageLockMgr, true, false, false, btree.Latched},
+		{StageBpool2, true, false, false, btree.Latched},
+		{StageFinal, false, true, false, btree.Optimistic},
+		{StagePipeline, false, true, true, btree.Optimistic},
+	} {
+		t.Run(c.stage.String(), func(t *testing.T) {
+			s := c.stage
+			if s.ProbesLockTable() != c.probe || s.CleanerCheckpoint() != c.cleaner || s.EarlyLockRelease() != c.early {
+				t.Errorf("probe %v, cleaner checkpoint %v, early lock release %v; want %v, %v, %v",
+					s.ProbesLockTable(), s.CleanerCheckpoint(), s.EarlyLockRelease(), c.probe, c.cleaner, c.early)
+			}
+			e := &Engine{cfg: StageConfig(s)}
+			if got := e.sharedAccess(false); got != c.shared {
+				t.Errorf("shared-tree descent %v, want %v", got, c.shared)
+			}
+			if got := e.sharedAccess(true); got != btree.Optimistic {
+				t.Errorf("forest descent %v, want %v", got, btree.Optimistic)
+			}
+		})
+	}
+	if n := len(Stages()); n != 8 {
+		t.Errorf("%d stages, the table covers 8", n)
+	}
+}
+
+// TestSnapshotBringsCheckpointCadence: version GC runs only inside a
+// checkpoint, so Snapshot without a cadence gets one; a caller's own
+// cadence is kept, and without Snapshot none is added.
+func TestSnapshotBringsCheckpointCadence(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		snapshot  bool
+		every     int64
+		wantEvery int64
+	}{
+		{"snapshot alone", true, 0, 8 << 20},
+		{"snapshot with a cadence", true, 64 << 20, 64 << 20},
+		{"no snapshot", false, 0, 0},
+	} {
+		cfg := StageConfig(StageFinal)
+		cfg.Snapshot, cfg.CheckpointEvery = c.snapshot, c.every
+		cfg.normalize()
+		if cfg.CheckpointEvery != c.wantEvery {
+			t.Errorf("%s: CheckpointEvery %d, want %d", c.name, cfg.CheckpointEvery, c.wantEvery)
 		}
 	}
 }

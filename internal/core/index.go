@@ -220,7 +220,7 @@ func keyLockName(store uint32, key []byte) lock.Name {
 // probeLockTable is the pre-§7.7 wasted work: every B-tree probe searched
 // the lock table even when the answer was not needed.
 func (e *Engine) probeLockTable(t *tx.Tx, store uint32, key []byte) {
-	if e.cfg.ProbeLockTable {
+	if e.cfg.Stage.ProbesLockTable() {
 		_ = e.locks.Holds(t.ID(), keyLockName(store, key))
 	}
 }

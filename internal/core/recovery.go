@@ -54,7 +54,7 @@ func (e *Engine) restart() error {
 	rs.RedoWorkers = e.cfg.RedoWorkers
 	rs.LogEnd = wal.LSN(e.logStore.Size())
 	start := time.Now()
-	losers, _, redoStart, maxTxID, err := e.analyze()
+	losers, redoStart, maxTxID, err := e.analyze()
 	if err != nil {
 		return fmt.Errorf("analysis: %w", err)
 	}
@@ -90,19 +90,27 @@ func (e *Engine) restart() error {
 }
 
 // analyze scans the log from the last checkpoint, reconstructing the
-// active-transaction table and dirty-page table.
-func (e *Engine) analyze() (losers map[uint64]*loserState, dpt map[page.ID]wal.LSN, redoStart wal.LSN, maxTxID uint64, err error) {
+// active-transaction table and where redo starts. Redo has no per-page
+// skip (page-LSN gating decides), so of the dirty-page table only its
+// oldest recLSN is kept: a running minimum over the checkpoint's dirty
+// pages (its cleaner low-water mark included) and every page update the
+// scan reads.
+func (e *Engine) analyze() (losers map[uint64]*loserState, redoStart wal.LSN, maxTxID uint64, err error) {
 	losers = make(map[uint64]*loserState)
-	dpt = make(map[page.ID]wal.LSN)
 	master, err := e.logStore.Master()
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, 0, 0, err
 	}
 	start, err := analysisStart(e.logStore, master)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, 0, 0, err
 	}
-	lowWater := wal.NullLSN
+	redoStart = wal.NullLSN
+	dirtied := func(recLSN wal.LSN) {
+		if redoStart == wal.NullLSN || recLSN < redoStart {
+			redoStart = recLSN
+		}
+	}
 	// A transaction whose commit or end record the scan has passed is
 	// never a loser again, whatever a checkpoint's table taken before its
 	// end says: undoing it would undo what later commits wrote.
@@ -115,7 +123,7 @@ func (e *Engine) analyze() (losers map[uint64]*loserState, dpt map[page.ID]wal.L
 			break
 		}
 		if err != nil {
-			return nil, nil, 0, 0, err
+			return nil, 0, 0, err
 		}
 		if rec.TxID > maxTxID {
 			maxTxID = rec.TxID
@@ -132,9 +140,7 @@ func (e *Engine) analyze() (losers map[uint64]*loserState, dpt map[page.ID]wal.L
 			l.lastLSN = rec.LSN
 			l.undoNext = rec.LSN
 			if rec.Page != 0 {
-				if _, ok := dpt[rec.Page]; !ok {
-					dpt[rec.Page] = rec.LSN
-				}
+				dirtied(rec.LSN)
 			}
 		case wal.RecCLR:
 			l := losers[rec.TxID]
@@ -145,9 +151,7 @@ func (e *Engine) analyze() (losers map[uint64]*loserState, dpt map[page.ID]wal.L
 			l.lastLSN = rec.LSN
 			l.undoNext = rec.UndoNext
 			if rec.Page != 0 {
-				if _, ok := dpt[rec.Page]; !ok {
-					dpt[rec.Page] = rec.LSN
-				}
+				dirtied(rec.LSN)
 			}
 		case wal.RecTxCommit, wal.RecTxEnd:
 			delete(losers, rec.TxID)
@@ -155,7 +159,7 @@ func (e *Engine) analyze() (losers map[uint64]*loserState, dpt map[page.ID]wal.L
 			for b := rec.Redo; len(b) > 0; { // a group commit (publishCommit)
 				id, n := binary.Uvarint(b)
 				if n <= 0 {
-					return nil, nil, 0, 0, fmt.Errorf("%w: group commit at %v", wal.ErrCorrupt, rec.LSN)
+					return nil, 0, 0, fmt.Errorf("%w: group commit at %v", wal.ErrCorrupt, rec.LSN)
 				}
 				delete(losers, id)
 				ended[id] = true
@@ -168,7 +172,7 @@ func (e *Engine) analyze() (losers map[uint64]*loserState, dpt map[page.ID]wal.L
 		case wal.RecCkptEnd:
 			data, err := wal.DecodeCheckpoint(rec.Redo)
 			if err != nil {
-				return nil, nil, 0, 0, err
+				return nil, 0, 0, err
 			}
 			if data.BeginLSN < master {
 				continue // an older checkpoint, read because analysis starts below the master
@@ -182,28 +186,11 @@ func (e *Engine) analyze() (losers map[uint64]*loserState, dpt map[page.ID]wal.L
 				}
 			}
 			for _, d := range data.Dirty {
-				if d.Page == 0 {
-					// Cleaner-tracked low-water mark (§7.7 checkpoints).
-					if lowWater == wal.NullLSN || d.RecLSN < lowWater {
-						lowWater = d.RecLSN
-					}
-					continue
-				}
-				if cur, ok := dpt[d.Page]; !ok || d.RecLSN < cur {
-					dpt[d.Page] = d.RecLSN
-				}
+				// Page 0 is the cleaner-tracked low-water mark (§7.7
+				// checkpoints); it counts like any other recLSN.
+				dirtied(d.RecLSN)
 			}
 		}
-	}
-	// Redo starts at the oldest recLSN we know about.
-	redoStart = wal.NullLSN
-	for _, l := range dpt {
-		if redoStart == wal.NullLSN || l < redoStart {
-			redoStart = l
-		}
-	}
-	if lowWater != wal.NullLSN && (redoStart == wal.NullLSN || lowWater < redoStart) {
-		redoStart = lowWater
 	}
 	if redoStart == wal.NullLSN || (master != wal.NullLSN && master < redoStart) {
 		// No dirty info: be conservative and start at the checkpoint (or
@@ -221,7 +208,7 @@ func (e *Engine) analyze() (losers map[uint64]*loserState, dpt map[page.ID]wal.L
 			delete(losers, id)
 		}
 	}
-	return losers, dpt, redoStart, maxTxID, nil
+	return losers, redoStart, maxTxID, nil
 }
 
 // analysisStart is where analysis reads the log from: the master

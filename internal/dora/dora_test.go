@@ -25,7 +25,7 @@ type fakeEnv struct {
 	precommits atomic.Uint64 // sub-transactions precommitted as a group
 }
 
-func newFakeEnv() *fakeEnv { return &fakeEnv{m: tx.NewManager(tx.Options{})} }
+func newFakeEnv() *fakeEnv { return &fakeEnv{m: tx.NewManager()} }
 
 func (f *fakeEnv) Begin(ctx context.Context) (*tx.Tx, error) { return f.m.Begin(), nil }
 

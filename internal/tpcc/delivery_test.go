@@ -191,7 +191,7 @@ func TestFullMixConsistency(t *testing.T) {
 	}
 }
 
-// TestMixNeverEscalates: under the default Config.EscalateAfter no TPC-C
+// TestMixNeverEscalates: under the engine's escalation threshold no TPC-C
 // transaction locks enough rows of one store to try escalation, so none
 // changes lock granularity. The footprints are largest with a full
 // warehouse: Delivery reads up to 10 orders' lines, Stock-Level the

@@ -1,9 +1,8 @@
 // Package tx implements transaction management (§2.2.5): the active
-// transaction table, ID assignment, per-transaction log chains, 2PL lock
-// bookkeeping with escalation counters, and the two oldest-transaction
-// disciplines the paper contrasts in §7.3 — scanning the transaction list
-// under its mutex versus reading a cached atomic ID maintained by
-// committing transactions.
+// transaction table, ID assignment, per-transaction log chains, and 2PL
+// lock bookkeeping with escalation counters. §7.3's cached
+// oldest-transaction ID is not kept: nothing in the engine asks for the
+// oldest transaction.
 package tx
 
 import (
@@ -135,8 +134,6 @@ type owned struct {
 	// touches a handful of stores, so a linear-scanned slice beats a
 	// map (no allocation, no hashing).
 	rowLocks []rowLockCount
-	// escalated marks stores where the transaction holds a full-store lock.
-	escalated []storeEscalation
 
 	// logScratch is where the owner builds its log records.
 	logScratch LogScratch
@@ -167,7 +164,6 @@ func (o *owned) reset() {
 	o.held.Reset()
 	o.cacheHits, o.acquires = 0, 0
 	o.rowLocks = o.rowLocks[:0]
-	o.escalated = o.escalated[:0]
 	o.logScratch.Rec = wal.Record{}
 	o.logScratch.Buf = o.logScratch.Buf[:0]
 	o.cursors = [len(o.cursors)]struct {
@@ -272,11 +268,6 @@ type rowLockCount struct {
 	n     int
 }
 
-type storeEscalation struct {
-	store uint32
-	mode  lock.Mode
-}
-
 // AddLock records a grant of mode m on n: the private cache folds m
 // into any mode already held (Supremum, mirroring the manager's
 // conversion rule), and the name joins the release list only on its
@@ -351,68 +342,31 @@ func (t *Tx) CountRowLock(store uint32) int {
 	return 1
 }
 
-// MarkEscalated records that the transaction escalated to a store-level
-// lock in mode.
-func (t *Tx) MarkEscalated(store uint32, m lock.Mode) {
-	o := t.owned()
-	for i := range o.escalated {
-		if o.escalated[i].store == store {
-			o.escalated[i].mode = m
-			return
-		}
-	}
-	o.escalated = append(o.escalated, storeEscalation{store: store, mode: m})
-}
-
-// Escalated returns the store-level mode the transaction escalated to, if
-// any.
-func (t *Tx) Escalated(store uint32) (lock.Mode, bool) {
-	o := t.owned()
-	for i := range o.escalated {
-		if o.escalated[i].store == store {
-			return o.escalated[i].mode, true
-		}
-	}
-	return lock.NL, false
-}
-
-// Options configures the transaction manager.
-type Options struct {
-	// CachedOldest enables the §7.3 optimization: committing transactions
-	// maintain an atomically readable oldest-active ID, so readers avoid
-	// the transaction-list mutex entirely.
-	CachedOldest bool
-}
-
 // Stats reports transaction-manager activity.
 type Stats struct {
-	Begins      uint64
-	Commits     uint64
-	Aborts      uint64
-	OldestScans uint64 // list scans taken to answer Oldest()
-	Lock        sync2.Stats
+	Begins  uint64
+	Commits uint64
+	Aborts  uint64
+	Lock    sync2.Stats
 }
 
 // Manager is the transaction manager.
 type Manager struct {
-	opts   Options
 	mu     sync2.BlockingLock
 	active map[uint64]*Tx
 	nextID atomic.Uint64
-	oldest atomic.Uint64 // cached oldest active id (CachedOldest)
 
-	begins      atomic.Uint64
-	commits     atomic.Uint64
-	aborts      atomic.Uint64
-	oldestScans atomic.Uint64
+	begins  atomic.Uint64
+	commits atomic.Uint64
+	aborts  atomic.Uint64
 
 	// owned recycles ended transactions' owner-only memory (*owned).
 	owned sync.Pool
 }
 
 // NewManager builds a transaction manager.
-func NewManager(opts Options) *Manager {
-	m := &Manager{opts: opts, active: make(map[uint64]*Tx)}
+func NewManager() *Manager {
+	m := &Manager{active: make(map[uint64]*Tx)}
 	m.nextID.Store(1)
 	return m
 }
@@ -433,15 +387,12 @@ func (m *Manager) begin(snapshot bool) *Tx {
 	}
 	m.mu.Lock()
 	m.active[id] = t
-	if m.opts.CachedOldest && len(m.active) == 1 {
-		m.oldest.Store(id)
-	}
 	m.mu.Unlock()
 	m.begins.Add(1)
 	return t
 }
 
-// finish removes t from the table and maintains the cached oldest ID.
+// finish removes t from the table and recycles its owner-only memory.
 func (m *Manager) finish(t *Tx, s State) error {
 	m.mu.Lock()
 	if _, ok := m.active[t.id]; !ok {
@@ -449,11 +400,6 @@ func (m *Manager) finish(t *Tx, s State) error {
 		return fmt.Errorf("%w: %d", ErrNotActive, t.id)
 	}
 	delete(m.active, t.id)
-	if m.opts.CachedOldest && m.oldest.Load() == t.id {
-		// "Committing transactions would update the ID when they removed
-		// themselves from the list" (§7.3).
-		m.oldest.Store(m.scanOldestLocked())
-	}
 	m.mu.Unlock()
 	t.state.Store(int32(s))
 	if o := t.own; o != nil {
@@ -496,32 +442,6 @@ func (m *Manager) BeginCommit(t *Tx) error {
 // t's locks must be released first.
 func (m *Manager) Abort(t *Tx) error { return m.finish(t, StateAborted) }
 
-// scanOldestLocked returns the smallest active id (0 when none). Caller
-// holds mu.
-func (m *Manager) scanOldestLocked() uint64 {
-	var oldest uint64
-	for id := range m.active {
-		if oldest == 0 || id < oldest {
-			oldest = id
-		}
-	}
-	return oldest
-}
-
-// Oldest returns the oldest active transaction id, or 0 if none. With
-// CachedOldest it is a single atomic load ("callers could read it
-// atomically because IDs are 64-bit integers"); otherwise it scans the
-// list under the table mutex — the §7.3 bottleneck.
-func (m *Manager) Oldest() uint64 {
-	if m.opts.CachedOldest {
-		return m.oldest.Load()
-	}
-	m.oldestScans.Add(1)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.scanOldestLocked()
-}
-
 // Restore re-registers a loser transaction during restart recovery with
 // its chain state reconstructed by the analysis pass.
 func (m *Manager) Restore(id uint64, lastLSN, undoNext wal.LSN) *Tx {
@@ -530,12 +450,6 @@ func (m *Manager) Restore(id uint64, lastLSN, undoNext wal.LSN) *Tx {
 	t.undoNext.Store(uint64(undoNext))
 	m.mu.Lock()
 	m.active[id] = t
-	if m.opts.CachedOldest {
-		old := m.oldest.Load()
-		if old == 0 || id < old {
-			m.oldest.Store(id)
-		}
-	}
 	m.mu.Unlock()
 	return t
 }
@@ -616,11 +530,10 @@ func (m *Manager) NextIDFloor(floor uint64) {
 // Stats returns a counter snapshot.
 func (m *Manager) Stats() Stats {
 	return Stats{
-		Begins:      m.begins.Load(),
-		Commits:     m.commits.Load(),
-		Aborts:      m.aborts.Load(),
-		OldestScans: m.oldestScans.Load(),
-		Lock:        m.mu.Stats(),
+		Begins:  m.begins.Load(),
+		Commits: m.commits.Load(),
+		Aborts:  m.aborts.Load(),
+		Lock:    m.mu.Stats(),
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 func TestBeginCommitAbortLifecycle(t *testing.T) {
-	m := NewManager(Options{})
+	m := NewManager()
 	t1 := m.Begin()
 	t2 := m.Begin()
 	if t1.ID() == t2.ID() {
@@ -48,56 +48,8 @@ func TestBeginCommitAbortLifecycle(t *testing.T) {
 	}
 }
 
-func TestOldestVariants(t *testing.T) {
-	for _, cached := range []bool{false, true} {
-		name := "scan"
-		if cached {
-			name = "cached"
-		}
-		t.Run(name, func(t *testing.T) {
-			m := NewManager(Options{CachedOldest: cached})
-			if m.Oldest() != 0 {
-				t.Fatalf("Oldest on empty = %d", m.Oldest())
-			}
-			t1 := m.Begin()
-			t2 := m.Begin()
-			t3 := m.Begin()
-			if got := m.Oldest(); got != t1.ID() {
-				t.Fatalf("Oldest = %d, want %d", got, t1.ID())
-			}
-			// Removing the middle does not change the oldest.
-			if err := m.Commit(t2); err != nil {
-				t.Fatal(err)
-			}
-			if got := m.Oldest(); got != t1.ID() {
-				t.Fatalf("Oldest after middle commit = %d", got)
-			}
-			// Removing the oldest advances it.
-			if err := m.Commit(t1); err != nil {
-				t.Fatal(err)
-			}
-			if got := m.Oldest(); got != t3.ID() {
-				t.Fatalf("Oldest after oldest commit = %d, want %d", got, t3.ID())
-			}
-			if err := m.Commit(t3); err != nil {
-				t.Fatal(err)
-			}
-			if m.Oldest() != 0 {
-				t.Fatalf("Oldest after all done = %d", m.Oldest())
-			}
-			st := m.Stats()
-			if cached && st.OldestScans != 0 {
-				t.Errorf("cached variant scanned the list %d times", st.OldestScans)
-			}
-			if !cached && st.OldestScans == 0 {
-				t.Error("scan variant recorded no scans")
-			}
-		})
-	}
-}
-
 func TestLogChain(t *testing.T) {
-	m := NewManager(Options{})
+	m := NewManager()
 	tx := m.Begin()
 	if tx.LastLSN() != 0 || tx.UndoNext() != 0 {
 		t.Fatal("fresh tx has log state")
@@ -115,7 +67,7 @@ func TestLogChain(t *testing.T) {
 }
 
 func TestLockBookkeeping(t *testing.T) {
-	m := NewManager(Options{})
+	m := NewManager()
 	tx := m.Begin()
 	n1 := lock.StoreName(1)
 	n2 := lock.RowName(1, page.RID{Page: 2, Slot: 3})
@@ -143,18 +95,11 @@ func TestLockBookkeeping(t *testing.T) {
 	if tx.CountRowLock(2) != 1 {
 		t.Fatal("per-store counting not isolated")
 	}
-	if _, ok := tx.Escalated(1); ok {
-		t.Fatal("escalated before marking")
-	}
-	tx.MarkEscalated(1, lock.X)
-	if mode, ok := tx.Escalated(1); !ok || mode != lock.X {
-		t.Fatalf("escalated = %v, %v", mode, ok)
-	}
 	_ = m.Commit(tx)
 }
 
 func TestSnapshot(t *testing.T) {
-	m := NewManager(Options{})
+	m := NewManager()
 	t1 := m.Begin()
 	t1.RecordLog(10)
 	t2 := m.Begin()
@@ -181,7 +126,7 @@ func TestSnapshot(t *testing.T) {
 }
 
 func TestRestore(t *testing.T) {
-	m := NewManager(Options{CachedOldest: true})
+	m := NewManager()
 	t1 := m.Begin()
 	// Restore (recovery path).
 	loser := m.Restore(500, 77, 66)
@@ -210,7 +155,7 @@ func TestRestore(t *testing.T) {
 }
 
 func TestConcurrentBeginCommit(t *testing.T) {
-	m := NewManager(Options{CachedOldest: true})
+	m := NewManager()
 	var wg sync.WaitGroup
 	ids := make(chan uint64, 8*200)
 	for w := 0; w < 8; w++ {
@@ -220,7 +165,6 @@ func TestConcurrentBeginCommit(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				tx := m.Begin()
 				ids <- tx.ID()
-				_ = m.Oldest()
 				if err := m.Commit(tx); err != nil {
 					t.Error(err)
 					return
@@ -240,9 +184,6 @@ func TestConcurrentBeginCommit(t *testing.T) {
 	if m.ActiveCount() != 0 {
 		t.Fatalf("active = %d after all commits", m.ActiveCount())
 	}
-	if m.Oldest() != 0 {
-		t.Fatalf("oldest = %d after all commits", m.Oldest())
-	}
 }
 
 func TestStateString(t *testing.T) {
@@ -257,7 +198,7 @@ func TestStateString(t *testing.T) {
 // when it touches more trees than it has room for forgets the one it
 // claimed longest ago — never handing one tree's memory to another.
 func TestTreeCursorPerRoot(t *testing.T) {
-	m := NewManager(Options{})
+	m := NewManager()
 	tx := m.Begin()
 	var empty btree.Cursor
 	first := tx.TreeCursor(100)
@@ -291,11 +232,11 @@ func TestTreeCursorPerRoot(t *testing.T) {
 }
 
 // TestEndRecyclesOwnedMemory: what a transaction's owner borrowed — lock
-// list, private lock cache, counts, row-lock tallies, escalations, arena —
+// list, private lock cache, counts, row-lock tallies, arena —
 // goes back to the manager when the transaction ends, and every Begin
 // starts from none of it, whether it got fresh memory or recycled memory.
 func TestEndRecyclesOwnedMemory(t *testing.T) {
-	m := NewManager(Options{})
+	m := NewManager()
 	n := lock.RowName(1, page.RID{Page: 2, Slot: 3})
 	for i := 0; i < 4; i++ {
 		tx := m.Begin()
@@ -303,7 +244,7 @@ func TestEndRecyclesOwnedMemory(t *testing.T) {
 			t.Fatalf("begin %d: starts with locks %v, mode %v, %d acquires, %d hits",
 				i, tx.Locks(), tx.HeldMode(n), tx.LockAcquires(), tx.LockCacheHits())
 		}
-		if _, ok := tx.Escalated(1); ok || tx.CountRowLock(1) != 1 {
+		if tx.CountRowLock(1) != 1 {
 			t.Fatalf("begin %d: starts with another transaction's row locks", i)
 		}
 		if b := tx.Arena().Make(8); len(b) != 0 || cap(b) != 8 {
@@ -312,7 +253,6 @@ func TestEndRecyclesOwnedMemory(t *testing.T) {
 		tx.AddLock(n, lock.X)
 		tx.CountAcquire()
 		tx.HitLockCache()
-		tx.MarkEscalated(1, lock.X)
 		tx.Arena().Copy(make([]byte, 100))
 		var err error
 		if i%2 == 0 {

@@ -160,14 +160,17 @@ type Options struct {
 	// nor can be picked as a deadlock victim, and it is never retried.
 	// Writes pay one version install per row/key update; versions are
 	// garbage-collected below the oldest active snapshot at every
-	// checkpoint. Observability: Stats().Mvcc (VersionsInstalled /
-	// ChainWalks / GCReclaimed / OldestSnapshot). See the README's
-	// "Snapshot reads" section.
+	// checkpoint, so Snapshot brings a checkpoint cadence of its own
+	// (8 MiB of log) when CheckpointEvery is 0. Observability:
+	// Stats().Mvcc (VersionsInstalled / ChainWalks / GCReclaimed /
+	// OldestSnapshot). See the README's "Snapshot reads" section.
 	Snapshot bool
 	// CheckpointEvery, when positive, takes a background fuzzy checkpoint
 	// every time that many log bytes accumulate, so long-running
 	// workloads bound their restart-recovery work without calling
-	// DB.Checkpoint manually. Zero disables automatic checkpoints.
+	// DB.Checkpoint manually. Zero disables automatic checkpoints, except
+	// under Snapshot, whose version GC rides them: there zero means
+	// every 8 MiB.
 	CheckpointEvery int64
 	// LogSegmentBytes is the size of a write-ahead log segment; zero
 	// selects the default (wal.DefaultSegmentBytes, 64 MiB). The log is
@@ -376,10 +379,10 @@ func (db *DB) View(ctx context.Context, fn func(*Tx) error) error {
 // commitInner commits a finished inner transaction per the DB's
 // durability setting, observing ctx during any durability wait.
 func (db *DB) commitInner(ctx context.Context, inner *tx.Tx) error {
-	// Relaxed durability only applies when the commit pipeline is on;
-	// other stages have no pre-committed state to return early from, so
-	// they always commit strictly (as Durability documents).
-	if db.durability == DurabilityRelaxed && db.engine.Config().CommitPipeline {
+	// Relaxed durability only applies where the stage releases locks
+	// early; other stages have no pre-committed state to return early
+	// from, so they always commit strictly (as Durability documents).
+	if db.durability == DurabilityRelaxed && db.engine.Config().Stage.EarlyLockRelease() {
 		ch := db.engine.CommitAsync(inner)
 		select {
 		case err := <-ch: // resolved immediately: pre-commit failure or already durable
