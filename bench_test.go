@@ -97,7 +97,7 @@ func benchInsert(b *testing.B, stage core.Stage) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.HeapInsert(t, store, payload); err != nil {
+		if _, err := e.HeapInsertCtx(context.Background(), t, store, payload); err != nil {
 			b.Fatal(err)
 		}
 		if i%1000 == 999 { // commit every 1000 records, per the paper
@@ -160,7 +160,7 @@ func BenchmarkFigure1_InsertParallel(b *testing.B) {
 				}
 				n := 0
 				for pb.Next() {
-					if _, err := e.HeapInsert(t, store, payload); err != nil {
+					if _, err := e.HeapInsertCtx(context.Background(), t, store, payload); err != nil {
 						b.Error(err)
 						return
 					}
@@ -545,7 +545,7 @@ func benchCommit(b *testing.B, stage core.Stage, batch int) {
 	}
 	payload := []byte("0123456789abcdef0123456789abcdef")
 	for i := range rids {
-		if rids[i], err = e.HeapInsert(t0, table, payload); err != nil {
+		if rids[i], err = e.HeapInsertCtx(context.Background(), t0, table, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -571,7 +571,7 @@ func benchCommit(b *testing.B, stage core.Stage, batch int) {
 				start := int(rng>>33) % (rows - batch + 1)
 				retry := false
 				for j := 0; j < batch; j++ {
-					if err := e.HeapUpdate(t, table, rids[start+j], payload); err != nil {
+					if err := e.HeapUpdateCtx(context.Background(), t, table, rids[start+j], payload); err != nil {
 						if errors.Is(err, lock.ErrTimeout) || errors.Is(err, lock.ErrDeadlock) {
 							_ = e.Abort(t)
 							aborts.Add(1)
@@ -814,7 +814,7 @@ func benchViewWork(b *testing.B, snapshot bool, mode string) {
 		b.Fatal(err)
 	}
 	for i := range rids {
-		if rids[i], err = e.HeapInsert(setup, store, payload); err != nil {
+		if rids[i], err = e.HeapInsertCtx(context.Background(), setup, store, payload); err != nil {
 			b.Fatal(err)
 		}
 		if err := e.IndexInsert(setup, ix, benchKey(i), payload); err != nil {
@@ -972,7 +972,7 @@ func BenchmarkHeapSlotChurn(b *testing.B) {
 	}
 	var rids []page.RID
 	for i := 0; i < 150; i++ {
-		rid, err := e.HeapInsert(setup, store, payload)
+		rid, err := e.HeapInsertCtx(context.Background(), setup, store, payload)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -992,10 +992,10 @@ func BenchmarkHeapSlotChurn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := e.HeapDelete(tx, store, rids[k]); err != nil {
+		if err := e.HeapDeleteCtx(context.Background(), tx, store, rids[k]); err != nil {
 			b.Fatal(err)
 		}
-		rid, err := e.HeapInsert(tx, store, payload)
+		rid, err := e.HeapInsertCtx(context.Background(), tx, store, payload)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,7 +37,6 @@ func main() {
 	dir := flag.String("dir", "", "data directory (empty = in-memory volume and log)")
 	stageName := flag.String("stage", "final", "engine optimization stage (baseline|bpool1|caching|log|lock mgr|bpool2|final|pipeline)")
 	frames := flag.Int("frames", 8192, "buffer pool frames")
-	shards := flag.Int("shards", 0, "buffer replacement shards (0 = stage default)")
 	durability := flag.String("durability", "strict", "commit durability: strict|relaxed")
 	workers := flag.Int("workers", 0, "execution pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x workers); overflow sheds with busy")
@@ -57,7 +56,6 @@ func main() {
 	opts := shoremt.Options{
 		Stage:        stage,
 		BufferFrames: *frames,
-		BufferShards: *shards,
 		Dir:          *dir,
 		Snapshot:     *snapshot,
 

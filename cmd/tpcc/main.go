@@ -12,7 +12,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -55,7 +54,6 @@ func run(args []string, out io.Writer) (*result, error) {
 	duration := fs.Duration("duration", 5*time.Second, "run duration")
 	stage := fs.String("stage", "final", "engine optimization stage (baseline|bpool1|caching|log|lock mgr|bpool2|final|pipeline)")
 	frames := fs.Int("frames", 8192, "buffer pool frames")
-	shards := fs.Int("shards", 0, "buffer replacement shards (0 = stage default: GOMAXPROCS-scaled from bpool2 up, 1 = single clock hand)")
 	payPct := fs.Int("payment", 50, "percent of the transactions other than Delivery (4 %) that are Payment (rest New Order)")
 	dorafl := fs.Bool("dora", false, "data-oriented execution: route decomposed actions to partition owners with thread-local lock tables")
 	plpfl := fs.Bool("plp", false, "physiological partitioning (implies -dora): per-partition B-tree segments with latch-free owner access, ownership fixed at open")
@@ -78,7 +76,6 @@ func run(args []string, out io.Writer) (*result, error) {
 		cfg := core.StageConfig(core.Stages()[i])
 		cfg.Frames, cfg.Snapshot, cfg.CleanerInterval = *frames, *snapshot, 10*time.Millisecond
 		cfg.DORA, cfg.PLP, cfg.DoraPartitions, cfg.DoraKeys = *dorafl || *plpfl, *plpfl, *partitions, *warehouses
-		cfg.Buffer.Shards = cmp.Or(*shards, cfg.Buffer.Shards)
 		res, err = openEmbedded(cfg, *logSegment, *warehouses, out)
 	}
 	if err != nil {

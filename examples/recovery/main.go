@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Shared "durable hardware": the volume and log store survive the
 	// crash; the engine (buffer pool, lock tables, ...) does not.
 	vol := disk.NewMem(0)
@@ -27,7 +29,7 @@ func main() {
 	}
 
 	// Committed work: 100 rows + an index.
-	t1, _ := engine.Begin()
+	t1, _ := engine.BeginCtx(ctx)
 	table, err := engine.CreateTable(t1)
 	if err != nil {
 		log.Fatal(err)
@@ -40,16 +42,16 @@ func main() {
 	var rids []page.RID
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("key%03d", i)
-		rid, err := engine.HeapInsert(t1, table, []byte("value-"+key))
+		rid, err := engine.HeapInsertCtx(ctx, t1, table, []byte("value-"+key))
 		if err != nil {
 			log.Fatal(err)
 		}
 		rids = append(rids, rid)
-		if err := engine.IndexInsert(t1, ix, []byte(key), []byte(rid.String())); err != nil {
+		if err := engine.IndexInsertCtx(ctx, t1, ix, []byte(key), []byte(rid.String())); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := engine.Commit(t1); err != nil {
+	if err := engine.CommitCtx(ctx, t1); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("committed 100 rows + index entries")
@@ -63,11 +65,11 @@ func main() {
 
 	// In-flight transaction: must roll back at restart. Force its records
 	// into the durable log so recovery has something to undo.
-	t2, _ := engine.Begin()
-	if err := engine.HeapUpdate(t2, table, rids[0], []byte("TAMPERED")); err != nil {
+	t2, _ := engine.BeginCtx(ctx)
+	if err := engine.HeapUpdateCtx(ctx, t2, table, rids[0], []byte("TAMPERED")); err != nil {
 		log.Fatal(err)
 	}
-	if err := engine.IndexInsert(t2, ix, []byte("ghost"), []byte("boo")); err != nil {
+	if err := engine.IndexInsertCtx(ctx, t2, ix, []byte("ghost"), []byte("boo")); err != nil {
 		log.Fatal(err)
 	}
 	if err := engine.Log().Flush(engine.Log().CurLSN()); err != nil {
@@ -87,8 +89,8 @@ func main() {
 	defer engine2.Close()
 	fmt.Println("restart recovery complete")
 
-	t3, _ := engine2.Begin()
-	got, err := engine2.HeapRead(t3, table, rids[0])
+	t3, _ := engine2.BeginCtx(ctx)
+	got, err := engine2.HeapReadCtx(ctx, t3, table, rids[0])
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,19 +100,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, ok, _ := engine2.IndexLookup(t3, ix2, []byte("ghost")); ok {
+	if _, ok, _ := engine2.IndexLookupCtx(ctx, t3, ix2, []byte("ghost")); ok {
 		log.Fatal("ghost key survived recovery!")
 	}
 	fmt.Println("ghost key correctly absent")
 	count := 0
-	if err := engine2.IndexScan(t3, ix2, nil, nil, func(k, v []byte) bool {
+	if err := engine2.IndexScanCtx(ctx, t3, ix2, nil, nil, func(k, v []byte) bool {
 		count++
 		return true
 	}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("index has %d committed keys (want 100)\n", count)
-	if err := engine2.Commit(t3); err != nil {
+	if err := engine2.CommitCtx(ctx, t3); err != nil {
 		log.Fatal(err)
 	}
 	if count != 100 {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sync"
@@ -22,6 +23,7 @@ const (
 )
 
 func runStage(stage core.Stage) {
+	ctx := context.Background()
 	cfg := core.StageConfig(stage)
 	cfg.Frames = 1024
 	engine, err := core.Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
@@ -32,7 +34,7 @@ func runStage(stage core.Stage) {
 
 	// One private table per worker — the paper's microbenchmark shape.
 	stores := make([]uint32, workers)
-	setup, err := engine.Begin()
+	setup, err := engine.BeginCtx(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func runStage(stage core.Stage) {
 		}
 		stores[i] = s
 	}
-	if err := engine.Commit(setup); err != nil {
+	if err := engine.CommitCtx(ctx, setup); err != nil {
 		log.Fatal(err)
 	}
 
@@ -56,16 +58,16 @@ func runStage(stage core.Stage) {
 			defer wg.Done()
 			payload := []byte("0123456789abcdef0123456789abcdef")
 			for time.Now().Before(stop) {
-				t, err := engine.Begin()
+				t, err := engine.BeginCtx(ctx)
 				if err != nil {
 					log.Fatal(err)
 				}
 				for i := 0; i < 100; i++ {
-					if _, err := engine.HeapInsert(t, stores[w], payload); err != nil {
+					if _, err := engine.HeapInsertCtx(ctx, t, stores[w], payload); err != nil {
 						log.Fatal(err)
 					}
 				}
-				if err := engine.Commit(t); err != nil {
+				if err := engine.CommitCtx(ctx, t); err != nil {
 					log.Fatal(err)
 				}
 				inserted[w] += 100

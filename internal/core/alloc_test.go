@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -51,11 +52,11 @@ func TestLogPathAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.HeapInsert(tx, store, row); err != nil {
+		if _, err := e.HeapInsertCtx(context.Background(), tx, store, row); err != nil {
 			t.Fatal(err)
 		}
 		value[50]++ // a real change: the patch is one byte, not empty
-		if err := e.IndexUpdate(tx, ix, key, value); err != nil {
+		if err := e.IndexUpdateCtx(context.Background(), tx, ix, key, value); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Commit(tx); err != nil {

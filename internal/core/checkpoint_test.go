@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestLoserSpanningCheckpoint(t *testing.T) {
 	store := createTable(t, e)
 	// Committed baseline.
 	tx1, _ := e.Begin()
-	rid, err := e.HeapInsert(tx1, store, []byte("baseline"))
+	rid, err := e.HeapInsertCtx(context.Background(), tx1, store, []byte("baseline"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestLoserSpanningCheckpoint(t *testing.T) {
 	}
 	// The loser: modifies the row, then stays open across a checkpoint.
 	loser, _ := e.Begin()
-	if err := e.HeapUpdate(loser, store, rid, []byte("tampered")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), loser, store, rid, []byte("tampered")); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Checkpoint(); err != nil {
@@ -43,7 +44,7 @@ func TestLoserSpanningCheckpoint(t *testing.T) {
 	}
 	// More committed work after the checkpoint.
 	tx2, _ := e.Begin()
-	rid2, err := e.HeapInsert(tx2, store, []byte("after-ckpt"))
+	rid2, err := e.HeapInsertCtx(context.Background(), tx2, store, []byte("after-ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +55,14 @@ func TestLoserSpanningCheckpoint(t *testing.T) {
 
 	e2 := reopen(t, vol, logStore, StageFinal)
 	tx3, _ := e2.Begin()
-	got, err := e2.HeapRead(tx3, store, rid)
+	got, err := e2.HeapReadCtx(context.Background(), tx3, store, rid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "baseline" {
 		t.Fatalf("loser update not undone: %q", got)
 	}
-	if got, err := e2.HeapRead(tx3, store, rid2); err != nil || string(got) != "after-ckpt" {
+	if got, err := e2.HeapReadCtx(context.Background(), tx3, store, rid2); err != nil || string(got) != "after-ckpt" {
 		t.Fatalf("post-checkpoint commit lost: %q, %v", got, err)
 	}
 	if err := e2.Commit(tx3); err != nil {
@@ -85,7 +86,7 @@ func TestDoubleCrashRecovery(t *testing.T) {
 	tx1, _ := e.Begin()
 	var rids []page.RID
 	for i := 0; i < 30; i++ {
-		rid, err := e.HeapInsert(tx1, store, []byte(fmt.Sprintf("gen1-%d", i)))
+		rid, err := e.HeapInsertCtx(context.Background(), tx1, store, []byte(fmt.Sprintf("gen1-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func TestDoubleCrashRecovery(t *testing.T) {
 	}
 	// Loser 1.
 	l1, _ := e.Begin()
-	if err := e.HeapUpdate(l1, store, rids[0], []byte("tamper1")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), l1, store, rids[0], []byte("tamper1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Log().Flush(e.Log().CurLSN()); err != nil {
@@ -107,12 +108,12 @@ func TestDoubleCrashRecovery(t *testing.T) {
 	e2 := reopen(t, vol, logStore, StageFinal)
 	tx2, _ := e2.Begin()
 	for i := 0; i < 30; i++ {
-		if got, err := e2.HeapRead(tx2, store, rids[i]); err != nil || string(got) != fmt.Sprintf("gen1-%d", i) {
+		if got, err := e2.HeapReadCtx(context.Background(), tx2, store, rids[i]); err != nil || string(got) != fmt.Sprintf("gen1-%d", i) {
 			t.Fatalf("after first crash, row %d = %q, %v", i, got, err)
 		}
 	}
 	// Second generation of work, then a second loser + crash.
-	rid2, err := e2.HeapInsert(tx2, store, []byte("gen2"))
+	rid2, err := e2.HeapInsertCtx(context.Background(), tx2, store, []byte("gen2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestDoubleCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2, _ := e2.Begin()
-	if err := e2.HeapUpdate(l2, store, rid2, []byte("tamper2")); err != nil {
+	if err := e2.HeapUpdateCtx(context.Background(), l2, store, rid2, []byte("tamper2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := e2.Log().Flush(e2.Log().CurLSN()); err != nil {
@@ -131,11 +132,11 @@ func TestDoubleCrashRecovery(t *testing.T) {
 	e3 := reopen(t, vol, logStore, StageFinal)
 	tx3, _ := e3.Begin()
 	for i := 0; i < 30; i++ {
-		if got, err := e3.HeapRead(tx3, store, rids[i]); err != nil || string(got) != fmt.Sprintf("gen1-%d", i) {
+		if got, err := e3.HeapReadCtx(context.Background(), tx3, store, rids[i]); err != nil || string(got) != fmt.Sprintf("gen1-%d", i) {
 			t.Fatalf("after second crash, row %d = %q, %v", i, got, err)
 		}
 	}
-	if got, err := e3.HeapRead(tx3, store, rid2); err != nil || string(got) != "gen2" {
+	if got, err := e3.HeapReadCtx(context.Background(), tx3, store, rid2); err != nil || string(got) != "gen2" {
 		t.Fatalf("gen2 row = %q, %v", got, err)
 	}
 	if err := e3.Commit(tx3); err != nil {
@@ -164,7 +165,7 @@ func TestCheckpointWhileConcurrentLoad(t *testing.T) {
 				return
 			}
 			for j := 0; j < 20; j++ {
-				if _, err := e.HeapInsert(txi, store, []byte("row")); err != nil {
+				if _, err := e.HeapInsertCtx(context.Background(), txi, store, []byte("row")); err != nil {
 					done <- err
 					return
 				}

@@ -72,7 +72,7 @@ func TestCrashStopAcrossReopen(t *testing.T) {
 	go func() {
 		tw, err := e.Begin()
 		if err == nil {
-			if _, err = e.HeapInsert(tw, store, []byte("in flight")); err == nil {
+			if _, err = e.HeapInsertCtx(context.Background(), tw, store, []byte("in flight")); err == nil {
 				err = e.Commit(tw)
 			}
 		}

@@ -32,7 +32,7 @@ func TestCtxCancelUnblocksEngineLockWait(t *testing.T) {
 
 	store := createTable(t, e)
 	tx1, _ := e.Begin()
-	rid, err := e.HeapInsert(tx1, store, []byte("v0"))
+	rid, err := e.HeapInsertCtx(context.Background(), tx1, store, []byte("v0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestCtxCancelUnblocksEngineLockWait(t *testing.T) {
 	}
 
 	holder, _ := e.Begin()
-	if err := e.HeapUpdate(holder, store, rid, []byte("held")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), holder, store, rid, []byte("held")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -71,7 +71,7 @@ func TestCtxCancelUnblocksEngineLockWait(t *testing.T) {
 	}
 	// Lock queue healthy: a third transaction gets the row immediately.
 	tx3, _ := e.Begin()
-	if err := e.HeapUpdate(tx3, store, rid, []byte("after")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), tx3, store, rid, []byte("after")); err != nil {
 		t.Fatalf("row not grantable after cancelled wait: %v", err)
 	}
 	if err := e.Commit(tx3); err != nil {
@@ -90,7 +90,7 @@ func TestCtxCancelDuringHardenWait(t *testing.T) {
 			e, _, logStore := newGatedEngine(t, stage)
 			store := createTable(t, e)
 			t1, _ := e.Begin()
-			if _, err := e.HeapInsert(t1, store, []byte("slow-commit")); err != nil {
+			if _, err := e.HeapInsertCtx(context.Background(), t1, store, []byte("slow-commit")); err != nil {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
@@ -123,7 +123,7 @@ func TestCtxCancelDuringHardenWait(t *testing.T) {
 			}
 			// And a fresh transaction commits normally afterwards.
 			t2, _ := e.Begin()
-			if _, err := e.HeapInsert(t2, store, []byte("after")); err != nil {
+			if _, err := e.HeapInsertCtx(context.Background(), t2, store, []byte("after")); err != nil {
 				t.Fatal(err)
 			}
 			if err := e.Commit(t2); err != nil {
@@ -149,8 +149,8 @@ func TestRunCtxRetriesDeadlockVictims(t *testing.T) {
 
 	store := createTable(t, e)
 	setup, _ := e.Begin()
-	ridA, _ := e.HeapInsert(setup, store, []byte("A"))
-	ridB, _ := e.HeapInsert(setup, store, []byte("B"))
+	ridA, _ := e.HeapInsertCtx(context.Background(), setup, store, []byte("A"))
+	ridB, _ := e.HeapInsertCtx(context.Background(), setup, store, []byte("B"))
 	if err := e.Commit(setup); err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +163,11 @@ func TestRunCtxRetriesDeadlockVictims(t *testing.T) {
 			first, second = ridB, ridA
 		}
 		return func(t *tx.Tx) error {
-			if err := e.HeapUpdate(t, store, first, []byte("x")); err != nil {
+			if err := e.HeapUpdateCtx(context.Background(), t, store, first, []byte("x")); err != nil {
 				return err
 			}
 			time.Sleep(5 * time.Millisecond) // widen the deadlock window
-			return e.HeapUpdate(t, store, second, []byte("y"))
+			return e.HeapUpdateCtx(context.Background(), t, store, second, []byte("y"))
 		}
 	}
 	go func() { done <- e.RunCtx(context.Background(), policy, body(true, false), nil) }()
@@ -248,7 +248,7 @@ func TestCommitReadOnlySkipsDurabilityWait(t *testing.T) {
 	store, rid := seedRow(t, e, "row")
 
 	r, _ := e.Begin()
-	if _, err := e.HeapRead(r, store, rid); err != nil {
+	if _, err := e.HeapReadCtx(context.Background(), r, store, rid); err != nil {
 		t.Fatal(err)
 	}
 	logStore.Shut()
@@ -260,14 +260,14 @@ func TestCommitReadOnlySkipsDurabilityWait(t *testing.T) {
 	}
 
 	w, _ := e.Begin()
-	if err := e.HeapUpdate(w, store, rid, []byte("new")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), w, store, rid, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
 	parked := logStore.Shut()
 	acked := e.CommitAsync(w) // locks released, not durable
 	<-parked
 	r2, _ := e.Begin()
-	if got, err := e.HeapRead(r2, store, rid); err != nil || string(got) != "new" {
+	if got, err := e.HeapReadCtx(context.Background(), r2, store, rid); err != nil || string(got) != "new" {
 		t.Fatalf("read behind an early releaser = %q, %v", got, err)
 	}
 	// With the gate shut the wait cannot end by itself, so a context that

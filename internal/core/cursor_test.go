@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -46,7 +47,7 @@ func TestCursorAcrossForestSegments(t *testing.T) {
 	}
 	for i := 0; i < perKey; i++ {
 		for rk := uint32(4); rk >= 1; rk-- {
-			if _, ok, err := e.IndexLookup(tx, ix, plpKey(rk, i)); err != nil || !ok {
+			if _, ok, err := e.IndexLookupCtx(context.Background(), tx, ix, plpKey(rk, i)); err != nil || !ok {
 				t.Fatalf("lookup rk=%d i=%d: %v, %v", rk, i, ok, err)
 			}
 		}
@@ -200,7 +201,7 @@ func TestSplitCrashPrefixes(t *testing.T) {
 		}
 		tx, _ := e2.Begin()
 		for k := 0; k < n; k++ {
-			_, ok, err := e2.IndexLookup(tx, ix2, key(k))
+			_, ok, err := e2.IndexLookupCtx(context.Background(), tx, ix2, key(k))
 			if err != nil || ok != (k < committed) {
 				t.Fatalf("prefix %d: key %d found=%v, %v; want %v", i, k, ok, err, k < committed)
 			}

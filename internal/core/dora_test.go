@@ -86,7 +86,7 @@ func TestDoraBypassesLockManager(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		key := []byte(fmt.Sprintf("key-%04d", i))
-		_, ok, err := e.IndexLookup(check, ix, key)
+		_, ok, err := e.IndexLookupCtx(context.Background(), check, ix, key)
 		if err != nil || !ok {
 			t.Fatalf("lookup %s: ok=%v err=%v", key, ok, err)
 		}
@@ -150,7 +150,7 @@ func TestDoraDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := e2.IndexLookup(rd, ix2, []byte("durable"))
+	v, ok, err := e2.IndexLookupCtx(context.Background(), rd, ix2, []byte("durable"))
 	if err != nil || !ok || string(v) != "yes" {
 		t.Fatalf("after crash: v=%q ok=%v err=%v", v, ok, err)
 	}
@@ -247,7 +247,7 @@ func TestCrashHardCutsDoraOwners(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"a", "b"} {
-		if _, ok, err := e2.IndexLookup(rd, ix2, []byte(key)); err != nil || ok {
+		if _, ok, err := e2.IndexLookupCtx(context.Background(), rd, ix2, []byte(key)); err != nil || ok {
 			t.Errorf("after restart %q: found=%v err=%v, want it undone", key, ok, err)
 		}
 	}

@@ -22,7 +22,6 @@ import (
 	"repro/internal/pageop"
 	"repro/internal/plp"
 	"repro/internal/space"
-	"repro/internal/sync2"
 	"repro/internal/tx"
 	"repro/internal/wal"
 )
@@ -256,7 +255,8 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
-// Begin starts a transaction and logs its begin record.
+// Begin starts a transaction and logs its begin record. It is BeginCtx
+// without a context, kept for perf/ until ROADMAP item 16.
 func (e *Engine) Begin() (*tx.Tx, error) { return e.BeginCtx(context.Background()) }
 
 // BeginCtx is Begin observing ctx: a transaction begun with it threads no
@@ -320,7 +320,8 @@ func (v doraEnv) Precommit(ts []*tx.Tx) error { return v.e.precommit(ts...) }
 // locks go: with Stage.EarlyLockRelease they are released before the wait
 // (later acquirers inherit the target as their ELR horizon), without it
 // after. Either way, when Commit returns nil the commit is
-// durable.
+// durable. Commit is CommitCtx without a context, kept for perf/ until
+// ROADMAP item 16.
 func (e *Engine) Commit(t *tx.Tx) error { return e.CommitCtx(context.Background(), t) }
 
 // CommitCtx is Commit whose durability wait observes ctx. Cancellation
@@ -930,9 +931,4 @@ func (e *Engine) Stats() EngineStats {
 	s.Recovery = e.recovery
 	s.Recovery.SegmentsArchived = e.archived.Load()
 	return s
-}
-
-// fix wraps pool.Fix.
-func (e *Engine) fix(pid page.ID, mode sync2.LatchMode) (*buffer.Frame, error) {
-	return e.pool.Fix(pid, mode)
 }

@@ -96,15 +96,10 @@ func (e *Engine) allocHeapPage(t *tx.Tx, store uint32, full page.ID) (*buffer.Fr
 	return f, pid, err
 }
 
-// HeapInsert appends data to the table, returning its RID. The new row is
-// locked X through lockRow (intents, escalation) without waiting, under
-// the page latch; on a conflict the latch is released and the lock
+// HeapInsertCtx appends data to the table, returning its RID. The new
+// row is locked X through lockRow (intents, escalation) without waiting,
+// under the page latch; on a conflict the latch is released and the lock
 // awaited before retrying.
-func (e *Engine) HeapInsert(t *tx.Tx, store uint32, data []byte) (page.RID, error) {
-	return e.HeapInsertCtx(context.Background(), t, store, data)
-}
-
-// HeapInsertCtx is HeapInsert whose lock waits observe ctx.
 func (e *Engine) HeapInsertCtx(ctx context.Context, t *tx.Tx, store uint32, data []byte) (page.RID, error) {
 	if e.closed.Load() {
 		return page.RID{}, ErrClosed
@@ -127,7 +122,7 @@ func (e *Engine) HeapInsertCtx(ctx context.Context, t *tx.Tx, store uint32, data
 			if err := e.sm.CheckPage(store, pid, &t.ExtentCache); err != nil {
 				return page.RID{}, err
 			}
-			f, err = e.fix(pid, sync2.LatchEX)
+			f, err = e.pool.Fix(pid, sync2.LatchEX)
 			if err != nil {
 				return page.RID{}, err
 			}
@@ -176,43 +171,61 @@ func (e *Engine) HeapInsertCtx(ctx context.Context, t *tx.Tx, store uint32, data
 		}
 		return rid, nil
 	}
-	return page.RID{}, fmt.Errorf("core: HeapInsert: could not claim a slot after many retries")
+	return page.RID{}, fmt.Errorf("core: heap insert could not claim a slot after many retries")
 }
 
-// HeapRead returns a copy of the record at rid under an S row lock.
-func (e *Engine) HeapRead(t *tx.Tx, store uint32, rid page.RID) ([]byte, error) {
-	return e.HeapReadCtx(context.Background(), t, store, rid)
+// heapRecord returns the live record in slot of p when p is a heap page
+// of store. A RID comes from the caller, over the wire too, so it may
+// name any page: an index node's entries and another table's rows are
+// not records of store.
+func heapRecord(p *page.Page, store uint32, slot uint16) ([]byte, bool) {
+	if p.Type() != page.TypeHeap || p.Store() != store {
+		return nil, false
+	}
+	rec, err := p.Record(int(slot))
+	return rec, err == nil
 }
 
-// HeapReadCtx is HeapRead whose lock waits observe ctx.
+// heapRow is the prologue of a locked row operation of t on rid: the row
+// lock in mode m, then rid's page fixed SH for S and EX for X, and the
+// record heapRecord finds there, or ErrNoRecord. The caller unfixes f.
+func (e *Engine) heapRow(ctx context.Context, t *tx.Tx, store uint32, rid page.RID, m lock.Mode) (*buffer.Frame, []byte, error) {
+	if err := e.lockRow(ctx, t, store, lock.RowName(store, rid), m, false); err != nil {
+		return nil, nil, err
+	}
+	latch := sync2.LatchSH
+	if m == lock.X {
+		latch = sync2.LatchEX
+	}
+	f, err := e.pool.Fix(rid.Page, latch)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec, ok := heapRecord(f.Page(), store, rid.Slot)
+	if !ok {
+		e.pool.Unfix(f, latch)
+		return nil, nil, fmt.Errorf("%w: %v", ErrNoRecord, rid)
+	}
+	return f, rec, nil
+}
+
+// HeapReadCtx returns a copy of the record at rid under an S row lock.
 func (e *Engine) HeapReadCtx(ctx context.Context, t *tx.Tx, store uint32, rid page.RID) ([]byte, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	if t != nil && t.IsSnapshot() {
+	if t.IsSnapshot() {
 		return e.heapReadSnapshot(t, store, rid)
 	}
-	if err := e.lockRow(ctx, t, store, lock.RowName(store, rid), lock.S, false); err != nil {
-		return nil, err
-	}
-	f, err := e.fix(rid.Page, sync2.LatchSH)
+	f, rec, err := e.heapRow(ctx, t, store, rid, lock.S)
 	if err != nil {
 		return nil, err
 	}
 	defer e.pool.Unfix(f, sync2.LatchSH)
-	rec, err := f.Page().Record(int(rid.Slot))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNoRecord, rid)
-	}
 	return append([]byte(nil), rec...), nil
 }
 
-// HeapUpdate replaces the record at rid under an X row lock.
-func (e *Engine) HeapUpdate(t *tx.Tx, store uint32, rid page.RID, data []byte) error {
-	return e.HeapUpdateCtx(context.Background(), t, store, rid, data)
-}
-
-// HeapUpdateCtx is HeapUpdate whose lock waits observe ctx.
+// HeapUpdateCtx replaces the record at rid under an X row lock.
 func (e *Engine) HeapUpdateCtx(ctx context.Context, t *tx.Tx, store uint32, rid page.RID, data []byte) error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -223,28 +236,16 @@ func (e *Engine) HeapUpdateCtx(ctx context.Context, t *tx.Tx, store uint32, rid 
 	if len(data) == 0 || len(data) > MaxRecord {
 		return fmt.Errorf("core: record size %d out of range", len(data))
 	}
-	if err := e.lockRow(ctx, t, store, lock.RowName(store, rid), lock.X, false); err != nil {
-		return err
-	}
-	f, err := e.fix(rid.Page, sync2.LatchEX)
+	f, old, err := e.heapRow(ctx, t, store, rid, lock.X)
 	if err != nil {
 		return err
 	}
 	defer e.pool.Unfix(f, sync2.LatchEX)
-	old, err := f.Page().Record(int(rid.Slot))
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNoRecord, rid)
-	}
 	return e.logPhysical(t, f, pageop.Patch(rid.Slot, 0, old, data), pageop.Logical{}, false)
 }
 
-// HeapDelete removes the record at rid under an X row lock. The slot is
-// tombstoned; its RID may be reused after the transaction commits.
-func (e *Engine) HeapDelete(t *tx.Tx, store uint32, rid page.RID) error {
-	return e.HeapDeleteCtx(context.Background(), t, store, rid)
-}
-
-// HeapDeleteCtx is HeapDelete whose lock waits observe ctx.
+// HeapDeleteCtx removes the record at rid under an X row lock. The slot
+// is tombstoned; its RID may be reused after the transaction commits.
 func (e *Engine) HeapDeleteCtx(ctx context.Context, t *tx.Tx, store uint32, rid page.RID) error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -252,18 +253,11 @@ func (e *Engine) HeapDeleteCtx(ctx context.Context, t *tx.Tx, store uint32, rid 
 	if err := snapshotGuard(t); err != nil {
 		return err
 	}
-	if err := e.lockRow(ctx, t, store, lock.RowName(store, rid), lock.X, false); err != nil {
-		return err
-	}
-	f, err := e.fix(rid.Page, sync2.LatchEX)
+	f, old, err := e.heapRow(ctx, t, store, rid, lock.X)
 	if err != nil {
 		return err
 	}
 	defer e.pool.Unfix(f, sync2.LatchEX)
-	old, err := f.Page().Record(int(rid.Slot))
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNoRecord, rid)
-	}
 	op := pageop.Op{Kind: pageop.KindHeapDelete, Slot: rid.Slot, Old: old}
 	if err := e.logPhysical(t, f, op, pageop.Logical{}, false); err != nil {
 		return err
@@ -272,19 +266,19 @@ func (e *Engine) HeapDeleteCtx(ctx context.Context, t *tx.Tx, store uint32, rid 
 	return nil
 }
 
-// HeapScan iterates every record of the table in RID order under a
-// store-level S lock, calling fn with the rid and a copy of each record.
-// fn returning false stops the scan.
+// HeapScan is HeapScanCtx without a context, kept for perf/ (ROADMAP item 16).
 func (e *Engine) HeapScan(t *tx.Tx, store uint32, fn func(rid page.RID, rec []byte) bool) error {
 	return e.HeapScanCtx(context.Background(), t, store, fn)
 }
 
-// HeapScanCtx is HeapScan whose lock waits observe ctx.
+// HeapScanCtx iterates every record of the table in RID order under a
+// store-level S lock, calling fn with the rid and a copy of each record.
+// fn returning false stops the scan.
 func (e *Engine) HeapScanCtx(ctx context.Context, t *tx.Tx, store uint32, fn func(rid page.RID, rec []byte) bool) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	if t != nil && t.IsSnapshot() {
+	if t.IsSnapshot() {
 		return e.heapScanSnapshot(t, store, fn)
 	}
 	if err := e.acquire(ctx, t, lock.DatabaseName(), lock.IS, false); err != nil {
@@ -302,7 +296,7 @@ func (e *Engine) HeapScanCtx(ctx context.Context, t *tx.Tx, store uint32, fn fun
 		rec []byte
 	}
 	for _, pid := range pids {
-		f, err := e.fix(pid, sync2.LatchSH)
+		f, err := e.pool.Fix(pid, sync2.LatchSH)
 		if err != nil {
 			return err
 		}

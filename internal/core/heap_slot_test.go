@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -27,7 +28,7 @@ func TestHeapSlotHintReuse(t *testing.T) {
 	tx1, _ := e.Begin()
 	var rids []page.RID
 	for i := 0; i < 40; i++ {
-		rid, err := e.HeapInsert(tx1, store, []byte("record-payload"))
+		rid, err := e.HeapInsertCtx(context.Background(), tx1, store, []byte("record-payload"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func TestHeapSlotHintReuse(t *testing.T) {
 
 	victim := rids[7]
 	tx2, _ := e.Begin()
-	if err := e.HeapDelete(tx2, store, victim); err != nil {
+	if err := e.HeapDeleteCtx(context.Background(), tx2, store, victim); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Commit(tx2); err != nil {
@@ -50,7 +51,7 @@ func TestHeapSlotHintReuse(t *testing.T) {
 	}
 
 	tx3, _ := e.Begin()
-	rid, err := e.HeapInsert(tx3, store, []byte("reused-slot!!!"))
+	rid, err := e.HeapInsertCtx(context.Background(), tx3, store, []byte("reused-slot!!!"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestHeapSlotHintReuse(t *testing.T) {
 	// And the hint advances: the next insert must not re-scan into
 	// occupied territory (functionally: it simply lands on a fresh slot).
 	tx4, _ := e.Begin()
-	rid2, err := e.HeapInsert(tx4, store, []byte("fresh-slot"))
+	rid2, err := e.HeapInsertCtx(context.Background(), tx4, store, []byte("fresh-slot"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestHeapSlotHintAbortReuse(t *testing.T) {
 	store := createTable(t, e)
 
 	tx1, _ := e.Begin()
-	base, err := e.HeapInsert(tx1, store, []byte("keeper"))
+	base, err := e.HeapInsertCtx(context.Background(), tx1, store, []byte("keeper"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestHeapSlotHintAbortReuse(t *testing.T) {
 	}
 
 	tx2, _ := e.Begin()
-	doomed, err := e.HeapInsert(tx2, store, []byte("doomed"))
+	doomed, err := e.HeapInsertCtx(context.Background(), tx2, store, []byte("doomed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestHeapSlotHintAbortReuse(t *testing.T) {
 	}
 
 	tx3, _ := e.Begin()
-	rid, err := e.HeapInsert(tx3, store, []byte("recycled"))
+	rid, err := e.HeapInsertCtx(context.Background(), tx3, store, []byte("recycled"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestHeapInsertAllocRace(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := e.HeapInsert(txn, store, payload); err != nil {
+				if _, err := e.HeapInsertCtx(context.Background(), txn, store, payload); err != nil {
 					_ = e.Abort(txn)
 					errs <- fmt.Errorf("writer %d insert %d: %w", w, i, err)
 					return

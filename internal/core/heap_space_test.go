@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -27,7 +28,7 @@ func fillTable(t *testing.T, writers, txns, perTxn int) int {
 					return
 				}
 				for j := 0; j < perTxn; j++ {
-					if _, err := e.HeapInsert(txn, store, payload); err != nil {
+					if _, err := e.HeapInsertCtx(context.Background(), txn, store, payload); err != nil {
 						_ = e.Abort(txn)
 						errs <- fmt.Errorf("writer %d txn %d insert %d: %w", w, i, j, err)
 						return
@@ -82,7 +83,7 @@ func TestHeapInsertSpaceLockPerPage(t *testing.T) {
 			}
 			payload := make([]byte, 100)
 			for i := 0; i < 5000; i++ {
-				if _, err := e.HeapInsert(txn, store, payload); err != nil {
+				if _, err := e.HeapInsertCtx(context.Background(), txn, store, payload); err != nil {
 					t.Fatalf("insert %d: %v", i, err)
 				}
 			}
@@ -121,7 +122,7 @@ func TestExtentCacheHitsFold(t *testing.T) {
 				e, _, _ := newEngine(t, stage)
 				store := createTable(t, e)
 				seed, _ := e.Begin()
-				if _, err := e.HeapInsert(seed, store, []byte("first page")); err != nil {
+				if _, err := e.HeapInsertCtx(context.Background(), seed, store, []byte("first page")); err != nil {
 					t.Fatal(err)
 				}
 				if err := e.Commit(seed); err != nil {
@@ -131,7 +132,7 @@ func TestExtentCacheHitsFold(t *testing.T) {
 				txn, _ := e.Begin()
 				payload := make([]byte, 100)
 				for i := 0; i < inserts; i++ {
-					if _, err := e.HeapInsert(txn, store, payload); err != nil {
+					if _, err := e.HeapInsertCtx(context.Background(), txn, store, payload); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -120,17 +120,10 @@ func (ix *Index) segFor(key []byte) *btree.Tree {
 // and the owner goroutine is the segment's only writer), otherwise the
 // index's shared policy.
 func (ix *Index) access(t *tx.Tx) btree.Access {
-	if ix.segs != nil && t != nil && t.NoLock() {
+	if ix.segs != nil && t.NoLock() {
 		return btree.Owner
 	}
 	return ix.shared
-}
-
-// at resolves one point operation of t on key: the tree holding key, the
-// latch policy, and t's cursor for that tree.
-func (ix *Index) at(t *tx.Tx, key []byte) (*btree.Tree, btree.Access, *btree.Cursor) {
-	tr := ix.segFor(key)
-	return tr, ix.access(t), t.TreeCursor(tr.Root())
 }
 
 // Verify checks the index's structural invariants (entry ordering, high
@@ -225,33 +218,46 @@ func (e *Engine) probeLockTable(t *tx.Tx, store uint32, key []byte) {
 	}
 }
 
-// IndexInsert adds key→value to the index under an X key lock.
+// lockKey is the prologue of every locked point operation of t on ix: it
+// locks key in mode m, runs the pre-§7.7 lock-table probe, and resolves
+// the tree holding key, the latch policy, and t's cursor for that tree.
+func (e *Engine) lockKey(ctx context.Context, t *tx.Tx, ix *Index, key []byte, m lock.Mode) (*btree.Tree, btree.Access, *btree.Cursor, error) {
+	if err := e.lockRow(ctx, t, ix.store, keyLockName(ix.store, key), m, false); err != nil {
+		return nil, 0, nil, err
+	}
+	e.probeLockTable(t, ix.store, key)
+	tr := ix.segFor(key)
+	return tr, ix.access(t), t.TreeCursor(tr.Root()), nil
+}
+
+// writeKey is the prologue of an index write: ErrClosed on a closed
+// engine, ErrSnapshotWrite for a snapshot transaction, then lockKey in X.
+func (e *Engine) writeKey(ctx context.Context, t *tx.Tx, ix *Index, key []byte) (*btree.Tree, btree.Access, *btree.Cursor, error) {
+	if e.closed.Load() {
+		return nil, 0, nil, ErrClosed
+	}
+	if err := snapshotGuard(t); err != nil {
+		return nil, 0, nil, err
+	}
+	return e.lockKey(ctx, t, ix, key, lock.X)
+}
+
+// IndexInsertCtx adds key→value to the index under an X key lock.
+func (e *Engine) IndexInsertCtx(ctx context.Context, t *tx.Tx, ix *Index, key, value []byte) error {
+	tr, a, c, err := e.writeKey(ctx, t, ix, key)
+	if err != nil {
+		return err
+	}
+	return tr.Insert(a, c, t, key, value)
+}
+
+// IndexInsert is IndexInsertCtx without a context, kept for perf/ (ROADMAP item 16).
 func (e *Engine) IndexInsert(t *tx.Tx, ix *Index, key, value []byte) error {
 	return e.IndexInsertCtx(context.Background(), t, ix, key, value)
 }
 
-// IndexInsertCtx is IndexInsert whose lock waits observe ctx.
-func (e *Engine) IndexInsertCtx(ctx context.Context, t *tx.Tx, ix *Index, key, value []byte) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	if err := snapshotGuard(t); err != nil {
-		return err
-	}
-	if err := e.lockRow(ctx, t, ix.store, keyLockName(ix.store, key), lock.X, false); err != nil {
-		return err
-	}
-	e.probeLockTable(t, ix.store, key)
-	tr, a, c := ix.at(t, key)
-	return tr.Insert(a, c, t, key, value)
-}
-
-// IndexLookup probes the index under an S key lock.
-func (e *Engine) IndexLookup(t *tx.Tx, ix *Index, key []byte) ([]byte, bool, error) {
-	return e.IndexLookupCtx(context.Background(), t, ix, key)
-}
-
-// IndexLookupCtx is IndexLookup whose lock waits observe ctx.
+// IndexLookupCtx probes the index under an S key lock, returning a copy
+// of the value.
 func (e *Engine) IndexLookupCtx(ctx context.Context, t *tx.Tx, ix *Index, key []byte) ([]byte, bool, error) {
 	return e.indexLookup(ctx, t, ix, key, lock.S)
 }
@@ -270,7 +276,7 @@ func (e *Engine) IndexLookupForUpdateCtx(ctx context.Context, t *tx.Tx, ix *Inde
 // indexLookup is IndexView returning a copy the caller owns. A snapshot
 // read resolves to one already.
 func (e *Engine) indexLookup(ctx context.Context, t *tx.Tx, ix *Index, key []byte, m lock.Mode) (val []byte, found bool, err error) {
-	if t != nil && t.IsSnapshot() && m == lock.S && !e.closed.Load() {
+	if !e.closed.Load() && m == lock.S && t.IsSnapshot() {
 		return e.indexLookupSnapshot(t, ix, key)
 	}
 	found, err = e.IndexView(ctx, t, ix, key, m, func(v []byte) { val = append(val[:0:0], v...) })
@@ -290,9 +296,9 @@ func (e *Engine) IndexView(ctx context.Context, t *tx.Tx, ix *Index, key []byte,
 	if e.closed.Load() {
 		return false, ErrClosed
 	}
-	if t != nil && t.IsSnapshot() {
+	if t.IsSnapshot() {
 		if m != lock.S {
-			return false, snapshotGuard(t)
+			return false, ErrSnapshotWrite
 		}
 		v, found, err := e.indexLookupSnapshot(t, ix, key)
 		if found {
@@ -300,68 +306,38 @@ func (e *Engine) IndexView(ctx context.Context, t *tx.Tx, ix *Index, key []byte,
 		}
 		return found, err
 	}
-	if err := e.lockRow(ctx, t, ix.store, keyLockName(ix.store, key), m, false); err != nil {
+	tr, a, c, err := e.lockKey(ctx, t, ix, key, m)
+	if err != nil {
 		return false, err
 	}
-	e.probeLockTable(t, ix.store, key)
-	tr, a, c := ix.at(t, key)
 	return tr.View(a, c, key, view)
 }
 
-// IndexUpdate replaces the value for key under an X key lock.
-func (e *Engine) IndexUpdate(t *tx.Tx, ix *Index, key, value []byte) error {
-	return e.IndexUpdateCtx(context.Background(), t, ix, key, value)
-}
-
-// IndexUpdateCtx is IndexUpdate whose lock waits observe ctx.
+// IndexUpdateCtx replaces the value for key under an X key lock.
 func (e *Engine) IndexUpdateCtx(ctx context.Context, t *tx.Tx, ix *Index, key, value []byte) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	if err := snapshotGuard(t); err != nil {
+	tr, a, c, err := e.writeKey(ctx, t, ix, key)
+	if err != nil {
 		return err
 	}
-	if err := e.lockRow(ctx, t, ix.store, keyLockName(ix.store, key), lock.X, false); err != nil {
-		return err
-	}
-	e.probeLockTable(t, ix.store, key)
-	tr, a, c := ix.at(t, key)
 	return tr.Update(a, c, t, key, value)
 }
 
-// IndexDelete removes key under an X key lock, returning the old value.
-func (e *Engine) IndexDelete(t *tx.Tx, ix *Index, key []byte) ([]byte, error) {
-	return e.IndexDeleteCtx(context.Background(), t, ix, key)
-}
-
-// IndexDeleteCtx is IndexDelete whose lock waits observe ctx.
+// IndexDeleteCtx removes key under an X key lock, returning the old value.
 func (e *Engine) IndexDeleteCtx(ctx context.Context, t *tx.Tx, ix *Index, key []byte) ([]byte, error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := snapshotGuard(t); err != nil {
+	tr, a, c, err := e.writeKey(ctx, t, ix, key)
+	if err != nil {
 		return nil, err
 	}
-	if err := e.lockRow(ctx, t, ix.store, keyLockName(ix.store, key), lock.X, false); err != nil {
-		return nil, err
-	}
-	e.probeLockTable(t, ix.store, key)
-	tr, a, c := ix.at(t, key)
 	return tr.Delete(a, c, t, key)
 }
 
-// IndexScan iterates keys in [from, to) under a store-level S lock,
+// IndexScanCtx iterates keys in [from, to) under a store-level S lock,
 // calling fn with copies of each pair.
-func (e *Engine) IndexScan(t *tx.Tx, ix *Index, from, to []byte, fn func(key, value []byte) bool) error {
-	return e.IndexScanCtx(context.Background(), t, ix, from, to, fn)
-}
-
-// IndexScanCtx is IndexScan whose lock waits observe ctx.
 func (e *Engine) IndexScanCtx(ctx context.Context, t *tx.Tx, ix *Index, from, to []byte, fn func(key, value []byte) bool) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	if t != nil && t.IsSnapshot() {
+	if t.IsSnapshot() {
 		return e.indexScanSnapshot(t, ix, from, to, fn)
 	}
 	if err := e.acquire(ctx, t, lock.DatabaseName(), lock.IS, false); err != nil {
@@ -371,6 +347,11 @@ func (e *Engine) IndexScanCtx(ctx context.Context, t *tx.Tx, ix *Index, from, to
 		return err
 	}
 	return ix.scan(ix.access(t), from, to, fn)
+}
+
+// IndexScan is IndexScanCtx without a context, kept for perf/ (ROADMAP item 16).
+func (e *Engine) IndexScan(t *tx.Tx, ix *Index, from, to []byte, fn func(key, value []byte) bool) error {
+	return e.IndexScanCtx(context.Background(), t, ix, from, to, fn)
 }
 
 // scan runs a range scan of the index under latch policy a. A forest is

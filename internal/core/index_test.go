@@ -107,7 +107,7 @@ func TestLatchedDescentsCounted(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if _, ok, err := e.IndexLookup(tx, ix, key(i)); err != nil || !ok {
+		if _, ok, err := e.IndexLookupCtx(context.Background(), tx, ix, key(i)); err != nil || !ok {
 			t.Fatalf("lookup %d: %v, %v", i, ok, err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestLatchedDescentsCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, err := e.IndexLookup(tx, ix, key(i)); err != nil || !ok {
+		if _, ok, err := e.IndexLookupCtx(context.Background(), tx, ix, key(i)); err != nil || !ok {
 			t.Fatalf("lookup %d: %v, %v", i, ok, err)
 		}
 		if err := e.Commit(tx); err != nil {

@@ -13,17 +13,17 @@ func TestLockCacheFastPath(t *testing.T) {
 	e, _, _ := newEngine(t, StageFinal)
 	store := createTable(t, e)
 	tx1, _ := e.Begin()
-	rid, err := e.HeapInsert(tx1, store, []byte("v"))
+	rid, err := e.HeapInsertCtx(context.Background(), tx1, store, []byte("v"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.HeapRead(tx1, store, rid); err != nil {
+	if _, err := e.HeapReadCtx(context.Background(), tx1, store, rid); err != nil {
 		t.Fatal(err)
 	}
 	before := tx1.LockAcquires()
 	hitsBefore := tx1.LockCacheHits()
 	for i := 0; i < 10; i++ {
-		if _, err := e.HeapRead(tx1, store, rid); err != nil {
+		if _, err := e.HeapReadCtx(context.Background(), tx1, store, rid); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestCacheConversionReachesManager(t *testing.T) {
 	e, _, _ := newEngine(t, StageFinal)
 	store := createTable(t, e)
 	tx0, _ := e.Begin()
-	rid, err := e.HeapInsert(tx0, store, []byte("v"))
+	rid, err := e.HeapInsertCtx(context.Background(), tx0, store, []byte("v"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestCacheConversionReachesManager(t *testing.T) {
 	}
 
 	tx1, _ := e.Begin()
-	if _, err := e.HeapRead(tx1, store, rid); err != nil {
+	if _, err := e.HeapReadCtx(context.Background(), tx1, store, rid); err != nil {
 		t.Fatal(err)
 	}
 	rowName := lock.RowName(store, rid)
@@ -64,7 +64,7 @@ func TestCacheConversionReachesManager(t *testing.T) {
 		t.Fatalf("after read Holds = %v, want S", got)
 	}
 	before := tx1.LockAcquires()
-	if err := e.HeapUpdate(tx1, store, rid, []byte("w")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), tx1, store, rid, []byte("w")); err != nil {
 		t.Fatal(err)
 	}
 	if delta := tx1.LockAcquires() - before; delta == 0 {
@@ -141,7 +141,7 @@ func TestCacheUpgradeModes(t *testing.T) {
 // TestLockAcquiresExact: a transaction counts the grants the lock manager
 // gives it and folds the count in when it ends, so Stats reads exactly N
 // after N acquires (and nothing for a request the private cache answers);
-// a caller outside any transaction is counted at each grant.
+// a caller outside any transaction, through Lock, is counted at each grant.
 func TestLockAcquiresExact(t *testing.T) {
 	e, _, _ := newEngine(t, StageFinal)
 	ctx := context.Background()
@@ -168,13 +168,7 @@ func TestLockAcquiresExact(t *testing.T) {
 	const outside = 1 << 60 // a lock owner that is no transaction
 	for i := 0; i < n; i++ {
 		name := lock.StoreName(uint32(2000 + i))
-		var err error
-		if i%2 == 0 {
-			err = e.Locks().Lock(ctx, outside, name, lock.S, 0)
-		} else {
-			err = e.Locks().TryLockNoWait(outside, name, lock.S)
-		}
-		if err != nil {
+		if err := e.Locks().Lock(ctx, outside, name, lock.S, 0); err != nil {
 			t.Fatal(err)
 		}
 		defer e.Locks().Unlock(outside, name)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -102,7 +103,7 @@ func TestOLCConcurrentSplitsVsProbes(t *testing.T) {
 				}
 				for p := 0; p < 16; p++ {
 					i := rng.Intn(seed)
-					v, ok, err := e.IndexLookup(tx, ix, olcKey(99, i))
+					v, ok, err := e.IndexLookupCtx(context.Background(), tx, ix, olcKey(99, i))
 					if err != nil || !ok || string(v) != "seed" {
 						t.Errorf("reader %d: lookup(%s) = %q, %v, %v", r, olcKey(99, i), v, ok, err)
 						_ = e.Abort(tx)
@@ -139,7 +140,7 @@ func TestOLCConcurrentSplitsVsProbes(t *testing.T) {
 	check, _ := e.Begin()
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perW; i++ {
-			if _, ok, err := e.IndexLookup(check, ix, olcKey(w, i)); err != nil || !ok {
+			if _, ok, err := e.IndexLookupCtx(context.Background(), check, ix, olcKey(w, i)); err != nil || !ok {
 				t.Fatalf("lost key %s: %v %v", olcKey(w, i), ok, err)
 			}
 		}
@@ -201,11 +202,11 @@ func TestOLCRecoveryUnaffected(t *testing.T) {
 	}
 	tx2, _ := e2.Begin()
 	for i := 0; i < 500; i++ {
-		if v, ok, err := e2.IndexLookup(tx2, ix2, olcKey(0, i)); err != nil || !ok || string(v) != "durable" {
+		if v, ok, err := e2.IndexLookupCtx(context.Background(), tx2, ix2, olcKey(0, i)); err != nil || !ok || string(v) != "durable" {
 			t.Fatalf("committed key %s lost: %q, %v, %v", olcKey(0, i), v, ok, err)
 		}
 	}
-	if _, ok, err := e2.IndexLookup(tx2, ix2, olcKey(1, 0)); err != nil || ok {
+	if _, ok, err := e2.IndexLookupCtx(context.Background(), tx2, ix2, olcKey(1, 0)); err != nil || ok {
 		t.Fatalf("loser key survived recovery: %v, %v", ok, err)
 	}
 	if err := e2.Commit(tx2); err != nil {
@@ -242,7 +243,7 @@ func TestAutoCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 32; i++ {
-			rid, err := e.HeapInsert(tx, store, make([]byte, 128))
+			rid, err := e.HeapInsertCtx(context.Background(), tx, store, make([]byte, 128))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,7 +276,7 @@ func TestAutoCheckpoint(t *testing.T) {
 	// checkpoint — not at the log's beginning.
 	e2 := reopen(t, vol, logStore, StageFinal)
 	tx2, _ := e2.Begin()
-	if _, err := e2.HeapRead(tx2, store, lastRID); err != nil {
+	if _, err := e2.HeapReadCtx(context.Background(), tx2, store, lastRID); err != nil {
 		t.Fatalf("last committed row lost after auto-checkpoint recovery: %v", err)
 	}
 	if err := e2.Commit(tx2); err != nil {

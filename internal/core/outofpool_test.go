@@ -105,7 +105,7 @@ func TestOutOfPoolCounters(t *testing.T) {
 								}
 								copy(buf, v)
 								binary.BigEndian.PutUint64(buf, binary.BigEndian.Uint64(v)+1)
-								if err := e.IndexUpdate(t, ix, key(n), buf); err != nil {
+								if err := e.IndexUpdateCtx(ctx, t, ix, key(n), buf); err != nil {
 									return err
 								}
 							}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -63,7 +64,7 @@ func seedRow(t *testing.T, e *Engine, val string) (uint32, page.RID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := e.HeapInsert(t0, store, []byte(val))
+	rid, err := e.HeapInsertCtx(context.Background(), t0, store, []byte(val))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func readCommitted(t *testing.T, e *Engine, store uint32, rid page.RID) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.HeapRead(tr, store, rid)
+	got, err := e.HeapReadCtx(context.Background(), tr, store, rid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestPipelineCrashBetweenPrecommitAndHarden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.HeapUpdate(t1, store, rid, []byte("after")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), t1, store, rid, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
 	// Freeze the window: any page write between pre-commit and the crash
@@ -147,7 +148,7 @@ func TestPipelineELRReaderSeesUnhardenedWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.HeapUpdate(t1, store, rid, []byte("after")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), t1, store, rid, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
 	logStore.Shut()
@@ -159,7 +160,7 @@ func TestPipelineELRReaderSeesUnhardenedWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.HeapRead(t2, store, rid)
+	got, err := e.HeapReadCtx(context.Background(), t2, store, rid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestPipelineELRReaderCommitHardensReleaser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.HeapUpdate(t1, store, rid, []byte("after")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), t1, store, rid, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
 	parked := logStore.Shut()
@@ -201,7 +202,7 @@ func TestPipelineELRReaderCommitHardensReleaser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.HeapRead(t2, store, rid); err != nil {
+	if _, err := e.HeapReadCtx(context.Background(), t2, store, rid); err != nil {
 		t.Fatal(err)
 	}
 	committed := make(chan error, 1)
@@ -230,7 +231,7 @@ func TestPipelineBlockingCommitDurableOnReturn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.HeapUpdate(t1, store, rid, []byte("v1")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), t1, store, rid, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Commit(t1); err != nil {
@@ -258,7 +259,7 @@ func TestPipelineCommitAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.HeapUpdate(t1, store, rid, []byte("v1")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), t1, store, rid, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-e.CommitAsync(t1); err != nil {
@@ -288,7 +289,7 @@ func TestPipelineAbortAfterPreCommitRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.HeapUpdate(t1, store, rid, []byte("v1")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), t1, store, rid, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	logStore.Shut()
@@ -321,7 +322,7 @@ func TestPipelineCheckpointDuringCommitting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.HeapUpdate(t1, store, rid, []byte("after")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), t1, store, rid, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
 	// The first half of a commit alone: nobody waits for t1, so it is still
@@ -365,7 +366,7 @@ func TestPipelineConcurrentCommitsRecover(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := e.HeapInsert(tw, store, []byte(val)); err != nil {
+				if _, err := e.HeapInsertCtx(context.Background(), tw, store, []byte(val)); err != nil {
 					errs <- err
 					return
 				}

@@ -58,7 +58,7 @@ func (e *Engine) plpReadCatalog() (*plp.Map, page.RID, error) {
 		return nil, page.RID{}, err
 	}
 	for _, pid := range pids {
-		f, err := e.fix(pid, sync2.LatchSH)
+		f, err := e.pool.Fix(pid, sync2.LatchSH)
 		if err != nil {
 			return nil, page.RID{}, err
 		}

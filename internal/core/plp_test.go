@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"runtime"
@@ -130,7 +131,7 @@ func TestPlpMapCrashRecovery(t *testing.T) {
 	}
 	for rk := uint32(1); rk <= 4; rk++ {
 		for i := 0; i < perKey; i++ {
-			got, ok, err := e2.IndexLookup(check, ix2, plpKey(rk, i))
+			got, ok, err := e2.IndexLookupCtx(context.Background(), check, ix2, plpKey(rk, i))
 			if err != nil || !ok {
 				t.Fatalf("lookup rk=%d i=%d after recovery: ok=%v err=%v", rk, i, ok, err)
 			}

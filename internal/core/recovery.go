@@ -289,7 +289,7 @@ func (e *Engine) growFor(pid page.ID) error {
 // pre-checkpoint updates. The page-LSN gate is the sound (and sufficient)
 // redo filter.
 func (e *Engine) applyRedo(rec *wal.Record) (bool, error) {
-	f, err := e.fix(rec.Page, sync2.LatchEX)
+	f, err := e.pool.Fix(rec.Page, sync2.LatchEX)
 	if err != nil {
 		return false, err
 	}
@@ -413,7 +413,7 @@ func (e *Engine) redoParallel(redoStart wal.LSN, workers int) error {
 func (e *Engine) rebuildDirectory() error {
 	n := e.vol.NumPages()
 	for pid := page.ID(1); uint64(pid) <= n; pid++ {
-		f, err := e.fix(pid, sync2.LatchSH)
+		f, err := e.pool.Fix(pid, sync2.LatchSH)
 		if err != nil {
 			return err
 		}

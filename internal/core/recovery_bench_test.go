@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -28,7 +29,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	const rows = 2000
 	for i := 0; i < rows; i++ {
 		tx, _ := e.Begin()
-		rid, err := e.HeapInsert(tx, store, []byte(fmt.Sprintf("bench-row-%06d-%032d", i, i)))
+		rid, err := e.HeapInsertCtx(context.Background(), tx, store, []byte(fmt.Sprintf("bench-row-%06d-%032d", i, i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -39,7 +40,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	}
 	for i := 0; i < rows; i++ {
 		tx, _ := e.Begin()
-		if err := e.HeapUpdate(tx, store, rids[i], []byte(fmt.Sprintf("bench-upd-%06d-%032d", i, i))); err != nil {
+		if err := e.HeapUpdateCtx(context.Background(), tx, store, rids[i], []byte(fmt.Sprintf("bench-upd-%06d-%032d", i, i))); err != nil {
 			b.Fatal(err)
 		}
 		if err := e.Commit(tx); err != nil {

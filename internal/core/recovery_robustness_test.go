@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -52,7 +53,7 @@ func buildCrashWorkload(t *testing.T, vol disk.Volume, logStore wal.Store, desig
 	for i := 0; i < 80; i++ {
 		tx, _ := e.Begin()
 		v := fmt.Sprintf("row-%04d", i)
-		rid, err := e.HeapInsert(tx, store, []byte(v))
+		rid, err := e.HeapInsertCtx(context.Background(), tx, store, []byte(v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func buildCrashWorkload(t *testing.T, vol disk.Volume, logStore wal.Store, desig
 	for i := 0; i < 20; i++ {
 		tx, _ := e.Begin()
 		v := fmt.Sprintf("upd-%04d", i)
-		if err := e.HeapUpdate(tx, store, rids[i], []byte(v)); err != nil {
+		if err := e.HeapUpdateCtx(context.Background(), tx, store, rids[i], []byte(v)); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Commit(tx); err != nil {
@@ -83,7 +84,7 @@ func buildCrashWorkload(t *testing.T, vol disk.Volume, logStore wal.Store, desig
 	}
 	// An aborted transaction: its updates must stay invisible.
 	ab, _ := e.Begin()
-	if err := e.HeapUpdate(ab, store, rids[30], []byte("aborted")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), ab, store, rids[30], []byte("aborted")); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Abort(ab); err != nil {
@@ -93,10 +94,10 @@ func buildCrashWorkload(t *testing.T, vol disk.Volume, logStore wal.Store, desig
 	// the log but never committed.
 	l1, _ := e.Begin()
 	l2, _ := e.Begin()
-	if err := e.HeapUpdate(l1, store, rids[50], []byte("loser-1")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), l1, store, rids[50], []byte("loser-1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.HeapUpdate(l2, store, rids[51], []byte("loser-2")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), l2, store, rids[51], []byte("loser-2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Log().Flush(e.Log().CurLSN()); err != nil {
@@ -228,17 +229,17 @@ func TestCheckpointRacingATransaction(t *testing.T) {
 			}
 			setup, err := e.Begin()
 			must(err)
-			r1, err := e.HeapInsert(setup, store, []byte("a1"))
+			r1, err := e.HeapInsertCtx(context.Background(), setup, store, []byte("a1"))
 			must(err)
-			r2, err := e.HeapInsert(setup, store, []byte("a2"))
+			r2, err := e.HeapInsertCtx(context.Background(), setup, store, []byte("a2"))
 			must(err)
 			must(e.Commit(setup))
 
 			loser, err := e.Begin()
 			must(err)
-			must(e.HeapUpdate(loser, store, r1, []byte("b1")))
+			must(e.HeapUpdateCtx(context.Background(), loser, store, r1, []byte("b1")))
 			first := loser.LastLSN()
-			must(e.HeapUpdate(loser, store, r2, []byte("b2")))
+			must(e.HeapUpdateCtx(context.Background(), loser, store, r2, []byte("b2")))
 			begin, err := e.log.Insert(&wal.Record{Type: wal.RecCkptBegin})
 			must(err)
 			txs := e.txns.Snapshot()
@@ -260,7 +261,7 @@ func TestCheckpointRacingATransaction(t *testing.T) {
 			if name == "ended" {
 				later, err := e.Begin()
 				must(err)
-				must(e.HeapUpdate(later, store, r1, []byte("c1")))
+				must(e.HeapUpdateCtx(context.Background(), later, store, r1, []byte("c1")))
 				must(e.Commit(later))
 				want = "c1"
 			}
@@ -270,7 +271,7 @@ func TestCheckpointRacingATransaction(t *testing.T) {
 			check, err := e2.Begin()
 			must(err)
 			for rid, want := range map[page.RID]string{r1: want, r2: "a2"} {
-				got, err := e2.HeapRead(check, store, rid)
+				got, err := e2.HeapReadCtx(context.Background(), check, store, rid)
 				must(err)
 				if string(got) != want {
 					t.Errorf("row %v = %q after restart, want %q", rid, got, want)
@@ -295,7 +296,7 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 	var rids []page.RID
 	for i := 0; i < 40; i++ {
 		tx, _ := e.Begin()
-		rid, err := e.HeapInsert(tx, store, []byte(fmt.Sprintf("ck-%d", i)))
+		rid, err := e.HeapInsertCtx(context.Background(), tx, store, []byte(fmt.Sprintf("ck-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +309,7 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx, _ := e.Begin()
-	rid, err := e.HeapInsert(tx, store, []byte("after-ckpt"))
+	rid, err := e.HeapInsertCtx(context.Background(), tx, store, []byte("after-ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +333,11 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 	defer e2.Close()
 	tx2, _ := e2.Begin()
 	for i, r := range rids {
-		if got, err := e2.HeapRead(tx2, store, r); err != nil || string(got) != fmt.Sprintf("ck-%d", i) {
+		if got, err := e2.HeapReadCtx(context.Background(), tx2, store, r); err != nil || string(got) != fmt.Sprintf("ck-%d", i) {
 			t.Fatalf("row %d = %q, %v", i, got, err)
 		}
 	}
-	if got, err := e2.HeapRead(tx2, store, rid); err != nil || string(got) != "after-ckpt" {
+	if got, err := e2.HeapReadCtx(context.Background(), tx2, store, rid); err != nil || string(got) != "after-ckpt" {
 		t.Fatalf("post-checkpoint row = %q, %v", got, err)
 	}
 	if err := e2.Commit(tx2); err != nil {
@@ -424,7 +425,7 @@ func TestCorruptionBelowHorizonRefusesStartup(t *testing.T) {
 	}
 	for i := 0; ; i++ {
 		tx, _ := e.Begin()
-		if _, err := e.HeapInsert(tx, store, bytes.Repeat([]byte{byte(i)}, 200)); err != nil {
+		if _, err := e.HeapInsertCtx(context.Background(), tx, store, bytes.Repeat([]byte{byte(i)}, 200)); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Commit(tx); err != nil {
@@ -493,7 +494,7 @@ func TestLoserPatchesRecoverOldValues(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rid, err := e.HeapInsert(setup, store, []byte(heapOld))
+					rid, err := e.HeapInsertCtx(context.Background(), setup, store, []byte(heapOld))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -507,12 +508,12 @@ func TestLoserPatchesRecoverOldValues(t *testing.T) {
 					}
 
 					loser, _ := e.Begin()
-					if err := e.HeapUpdate(loser, store, rid, []byte(heapUpd)); err != nil {
+					if err := e.HeapUpdateCtx(context.Background(), loser, store, rid, []byte(heapUpd)); err != nil {
 						t.Fatal(err)
 					}
 					for i := range updates {
 						u := updates[(last+1+i)%len(updates)] // updates[last] goes last
-						if err := e.IndexUpdate(loser, ix, []byte(u.key), []byte(u.upd)); err != nil {
+						if err := e.IndexUpdateCtx(context.Background(), loser, ix, []byte(u.key), []byte(u.upd)); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -543,11 +544,11 @@ func TestLoserPatchesRecoverOldValues(t *testing.T) {
 						t.Fatal(err)
 					}
 					check, _ := e2.Begin()
-					if got, err := e2.HeapRead(check, store, rid); err != nil || string(got) != heapOld {
+					if got, err := e2.HeapReadCtx(context.Background(), check, store, rid); err != nil || string(got) != heapOld {
 						t.Errorf("heap row = %q, %v; want %q", got, err, heapOld)
 					}
 					for _, u := range updates {
-						if got, ok, err := e2.IndexLookup(check, ix2, []byte(u.key)); err != nil || !ok || string(got) != u.old {
+						if got, ok, err := e2.IndexLookupCtx(context.Background(), check, ix2, []byte(u.key)); err != nil || !ok || string(got) != u.old {
 							t.Errorf("%s = %q, %v, %v; want %q", u.key, got, ok, err, u.old)
 						}
 					}
@@ -594,7 +595,7 @@ func TestOpenRefusesRetiredLogLayout(t *testing.T) {
 		}
 		store := createTable(t, e)
 		tx, _ := e.Begin()
-		rid, err := e.HeapInsert(tx, store, []byte("old value"))
+		rid, err := e.HeapInsertCtx(context.Background(), tx, store, []byte("old value"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -621,11 +622,11 @@ func TestRejectedOpNeverReachesTheLog(t *testing.T) {
 	e, _, _ := newEngine(t, StageFinal)
 	store := createTable(t, e)
 	tx, _ := e.Begin()
-	rid, err := e.HeapInsert(tx, store, []byte("ten bytes!"))
+	rid, err := e.HeapInsertCtx(context.Background(), tx, store, []byte("ten bytes!"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := e.fix(rid.Page, sync2.LatchEX)
+	f, err := e.pool.Fix(rid.Page, sync2.LatchEX)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func (e *Engine) undoPhysical(t *tx.Tx, rec *wal.Record) error {
 	if err != nil {
 		return err
 	}
-	f, err := e.fix(rec.Page, sync2.LatchEX)
+	f, err := e.pool.Fix(rec.Page, sync2.LatchEX)
 	if err != nil {
 		return err
 	}

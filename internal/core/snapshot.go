@@ -83,7 +83,7 @@ func (e *Engine) RunViewCtx(ctx context.Context, policy RetryPolicy, fn func(*tx
 // snapshot path must never fall through to the locking write paths: a
 // snapshot transaction holds no locks, so its writes would be unserialized.
 func snapshotGuard(t *tx.Tx) error {
-	if t != nil && t.IsSnapshot() {
+	if t.IsSnapshot() {
 		return ErrSnapshotWrite
 	}
 	return nil
@@ -125,16 +125,17 @@ func (e *Engine) installVersion(t *tx.Tx, f *buffer.Frame, op pageop.Op, l pageo
 }
 
 // heapReadSnapshot resolves one record as of t's snapshot: page image
-// under a short SH latch, then the version chain.
+// under a short SH latch, then the version chain. A RID off store's heap
+// pages has neither, so it answers ErrNoRecord.
 func (e *Engine) heapReadSnapshot(t *tx.Tx, store uint32, rid page.RID) ([]byte, error) {
 	e.mvcc.CountRead()
-	f, err := e.fix(rid.Page, sync2.LatchSH)
+	f, err := e.pool.Fix(rid.Page, sync2.LatchSH)
 	if err != nil {
 		return nil, err
 	}
 	var cur []byte
 	exists := false
-	if rec, rerr := f.Page().Record(int(rid.Slot)); rerr == nil {
+	if rec, ok := heapRecord(f.Page(), store, rid.Slot); ok {
 		cur = append([]byte(nil), rec...)
 		exists = true
 	}
@@ -165,7 +166,7 @@ func (e *Engine) heapScanSnapshot(t *tx.Tx, store uint32, fn func(rid page.RID, 
 		exists bool
 	}
 	for _, pid := range pids {
-		f, err := e.fix(pid, sync2.LatchSH)
+		f, err := e.pool.Fix(pid, sync2.LatchSH)
 		if err != nil {
 			return err
 		}

@@ -69,7 +69,7 @@ func TestSnapshotLockBypass(t *testing.T) {
 		if err := e.IndexInsert(w, ix, []byte(fmt.Sprintf("k%03d", i)), []byte("old")); err != nil {
 			t.Fatal(err)
 		}
-		rid, err := e.HeapInsert(w, store, []byte("old"))
+		rid, err := e.HeapInsertCtx(context.Background(), w, store, []byte("old"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,10 +86,10 @@ func TestSnapshotLockBypass(t *testing.T) {
 	}
 	w2, _ := e.Begin()
 	for i := 0; i < n; i++ {
-		if err := e.IndexUpdate(w2, ix, []byte(fmt.Sprintf("k%03d", i)), []byte("new")); err != nil {
+		if err := e.IndexUpdateCtx(context.Background(), w2, ix, []byte(fmt.Sprintf("k%03d", i)), []byte("new")); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.HeapUpdate(w2, store, rids[i], []byte("new")); err != nil {
+		if err := e.HeapUpdateCtx(context.Background(), w2, store, rids[i], []byte("new")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +293,7 @@ func TestSnapshotHeapScanBankInvariant(t *testing.T) {
 	rids := make([]page.RID, accounts)
 	w, _ := e.Begin()
 	for i := range rids {
-		rid, err := e.HeapInsert(w, store, putBalance(balance))
+		rid, err := e.HeapInsertCtx(context.Background(), w, store, putBalance(balance))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +392,7 @@ func TestSnapshotGCRespectsHeldSnapshot(t *testing.T) {
 	for round := 1; round <= 3; round++ {
 		w, _ := e.Begin()
 		for i := 0; i < n; i++ {
-			if err := e.IndexUpdate(w, ix, []byte(fmt.Sprintf("g%02d", i)), []byte(fmt.Sprintf("v%d", round))); err != nil {
+			if err := e.IndexUpdateCtx(context.Background(), w, ix, []byte(fmt.Sprintf("g%02d", i)), []byte(fmt.Sprintf("v%d", round))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -425,7 +425,7 @@ func TestSnapshotGCRespectsHeldSnapshot(t *testing.T) {
 
 	// Nudge the durable horizon past the last round's stamps, then GC.
 	w2, _ := e.Begin()
-	if err := e.IndexUpdate(w2, ix, []byte("g00"), []byte("nudge")); err != nil {
+	if err := e.IndexUpdateCtx(context.Background(), w2, ix, []byte("g00"), []byte("nudge")); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Commit(w2); err != nil {
@@ -479,7 +479,7 @@ func TestSnapshotRecoveryIgnoresVersions(t *testing.T) {
 	}
 
 	w, _ := e.Begin()
-	rid, err := e.HeapInsert(w, store, []byte("base"))
+	rid, err := e.HeapInsertCtx(context.Background(), w, store, []byte("base"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,10 +492,10 @@ func TestSnapshotRecoveryIgnoresVersions(t *testing.T) {
 
 	// Committed update: installs stamped versions.
 	w2, _ := e.Begin()
-	if err := e.HeapUpdate(w2, store, rid, []byte("committed")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), w2, store, rid, []byte("committed")); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IndexUpdate(w2, ix, []byte("k"), []byte("v2")); err != nil {
+	if err := e.IndexUpdateCtx(context.Background(), w2, ix, []byte("k"), []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Commit(w2); err != nil {
@@ -504,10 +504,10 @@ func TestSnapshotRecoveryIgnoresVersions(t *testing.T) {
 
 	// In-flight loser: installs versions that never get a commit stamp.
 	loser, _ := e.Begin()
-	if err := e.HeapUpdate(loser, store, rid, []byte("dirty")); err != nil {
+	if err := e.HeapUpdateCtx(context.Background(), loser, store, rid, []byte("dirty")); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IndexUpdate(loser, ix, []byte("k"), []byte("dirty")); err != nil {
+	if err := e.IndexUpdateCtx(context.Background(), loser, ix, []byte("k"), []byte("dirty")); err != nil {
 		t.Fatal(err)
 	}
 	if e.Stats().Mvcc.VersionsInstalled == 0 {
@@ -660,7 +660,7 @@ func TestSnapshotScanSeesDeletedKeys(t *testing.T) {
 	// Delete every third key and update every fifth.
 	w2, _ := e.Begin()
 	for i := 0; i < n; i += 3 {
-		if _, err := e.IndexDelete(w2, ix, []byte(fmt.Sprintf("s%04d", i))); err != nil {
+		if _, err := e.IndexDeleteCtx(context.Background(), w2, ix, []byte(fmt.Sprintf("s%04d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -668,7 +668,7 @@ func TestSnapshotScanSeesDeletedKeys(t *testing.T) {
 		if i%3 == 0 {
 			continue
 		}
-		if err := e.IndexUpdate(w2, ix, []byte(fmt.Sprintf("s%04d", i)), []byte("new")); err != nil {
+		if err := e.IndexUpdateCtx(context.Background(), w2, ix, []byte(fmt.Sprintf("s%04d", i)), []byte("new")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -61,7 +62,7 @@ func TestRecoveryStressRandomCrashPoints(t *testing.T) {
 					if err := e.IndexInsert(txi, ix, []byte(key), []byte(val)); err != nil {
 						t.Fatal(err)
 					}
-					rid, err := e.HeapInsert(txi, store, []byte(val))
+					rid, err := e.HeapInsertCtx(context.Background(), txi, store, []byte(val))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -112,16 +113,16 @@ func TestRecoveryStressRandomCrashPoints(t *testing.T) {
 			}
 			txv, _ := e2.Begin()
 			for k, v := range committed {
-				got, ok, err := e2.IndexLookup(txv, ix2, []byte(k))
+				got, ok, err := e2.IndexLookupCtx(context.Background(), txv, ix2, []byte(k))
 				if err != nil || !ok || string(got) != v {
 					t.Fatalf("committed key %s: got %q,%v,%v want %q", k, got, ok, err, v)
 				}
-				rec, err := e2.HeapRead(txv, store, committedRIDs[k])
+				rec, err := e2.HeapReadCtx(context.Background(), txv, store, committedRIDs[k])
 				if err != nil || string(rec) != v {
 					t.Fatalf("committed heap row %s: %q, %v", k, rec, err)
 				}
 			}
-			if _, ok, _ := e2.IndexLookup(txv, ix2, []byte("zz-loser")); ok {
+			if _, ok, _ := e2.IndexLookupCtx(context.Background(), txv, ix2, []byte("zz-loser")); ok {
 				t.Fatal("loser key survived recovery")
 			}
 			// Every index key must be a committed one.
@@ -176,7 +177,7 @@ func TestDiskWriteFaultSurfaces(t *testing.T) {
 	big := make([]byte, 2048)
 	tx1, _ := e.Begin()
 	for i := 0; i < 200; i++ {
-		if _, err := e.HeapInsert(tx1, store, big); err != nil {
+		if _, err := e.HeapInsertCtx(context.Background(), tx1, store, big); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,7 +190,7 @@ func TestDiskWriteFaultSurfaces(t *testing.T) {
 	tx2, _ := e.Begin()
 	var opErr error
 	for i := 0; i < 500 && opErr == nil; i++ {
-		_, opErr = e.HeapInsert(tx2, store, big)
+		_, opErr = e.HeapInsertCtx(context.Background(), tx2, store, big)
 	}
 	if opErr == nil {
 		t.Fatal("no error surfaced despite failing volume writes")
@@ -202,7 +203,7 @@ func TestDiskWriteFaultSurfaces(t *testing.T) {
 	// Heal: the engine keeps working.
 	vol.HealWrites()
 	tx3, _ := e.Begin()
-	if _, err := e.HeapInsert(tx3, store, []byte("recovered")); err != nil {
+	if _, err := e.HeapInsertCtx(context.Background(), tx3, store, []byte("recovered")); err != nil {
 		t.Fatalf("insert after heal: %v", err)
 	}
 	if err := e.Commit(tx3); err != nil {
@@ -225,7 +226,7 @@ func TestReadFaultSurfaces(t *testing.T) {
 	defer e.Close()
 	store := createTable(t, e)
 	tx1, _ := e.Begin()
-	rid, err := e.HeapInsert(tx1, store, []byte("target"))
+	rid, err := e.HeapInsertCtx(context.Background(), tx1, store, []byte("target"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +239,11 @@ func TestReadFaultSurfaces(t *testing.T) {
 	e.Pool().Drop(rid.Page)
 	vol.FailReadsOf(rid.Page)
 	tx2, _ := e.Begin()
-	if _, err := e.HeapRead(tx2, store, rid); !errors.Is(err, disk.ErrInjected) {
+	if _, err := e.HeapReadCtx(context.Background(), tx2, store, rid); !errors.Is(err, disk.ErrInjected) {
 		t.Fatalf("read fault not surfaced: %v", err)
 	}
 	vol.HealReads()
-	if got, err := e.HeapRead(tx2, store, rid); err != nil || string(got) != "target" {
+	if got, err := e.HeapReadCtx(context.Background(), tx2, store, rid); err != nil || string(got) != "target" {
 		t.Fatalf("after heal: %q, %v", got, err)
 	}
 	if err := e.Commit(tx2); err != nil {

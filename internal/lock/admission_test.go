@@ -29,12 +29,12 @@ func queueOf(m *Manager, n Name) []queued {
 	return q
 }
 
-// TestAdmissionAgrees: Lock and TryLockNoWait share one grant rule. Over
-// every mode tx 1 may hold, every mode it may request, every mode tx 2
-// may hold next to it, and with or without tx 3 queued for X behind them,
-// TryLockNoWait grants exactly when Lock grants without waiting, and
-// leaves the same held mode. When it refuses, it leaves the queue as it
-// found it and takes no request from the pool.
+// TestAdmissionAgrees: Lock and a no-wait Acquire share one grant rule.
+// Over every mode tx 1 may hold, every mode it may request, every mode tx
+// 2 may hold next to it, and with or without tx 3 queued for X behind
+// them, the no-wait Acquire grants exactly when Lock grants without
+// waiting, and leaves the same held mode. When it refuses, it leaves the
+// queue as it found it and takes no request from the pool.
 func TestAdmissionAgrees(t *testing.T) {
 	all := []Mode{NL, IS, IX, S, SIX, U, X}
 	n := StoreName(7)
@@ -58,7 +58,7 @@ func TestAdmissionAgrees(t *testing.T) {
 								mode Mode
 							}{{1, held}, {2, other}} {
 								if g.mode != NL {
-									if err := m.TryLockNoWait(g.tx, n, g.mode); err != nil {
+									if err := m.Acquire(bg, g.tx, n, g.mode, true); err != nil {
 										t.Fatalf("setup: tx %d %v: %v", g.tx, g.mode, err)
 									}
 								}
@@ -79,13 +79,13 @@ func TestAdmissionAgrees(t *testing.T) {
 
 						tried := setup()
 						before, allocs := queueOf(tried, n), tried.Stats().PoolAllocs
-						tryErr := tried.TryLockNoWait(1, n, req)
+						tryErr := tried.Acquire(bg, 1, n, req, true)
 						if (tryErr == nil) != lockGranted {
-							t.Fatalf("TryLockNoWait = %v, Lock = %v (granted without waiting: %v)", tryErr, lockErr, lockGranted)
+							t.Fatalf("no-wait Acquire = %v, Lock = %v (granted without waiting: %v)", tryErr, lockErr, lockGranted)
 						}
 						if lockGranted {
 							if got, want := tried.Holds(1, n), locked.Holds(1, n); got != want {
-								t.Fatalf("TryLockNoWait left tx 1 holding %v, Lock %v", got, want)
+								t.Fatalf("no-wait Acquire left tx 1 holding %v, Lock %v", got, want)
 							}
 							return
 						}

@@ -344,15 +344,29 @@ func (m *Manager) Lock(ctx context.Context, txID uint64, name Name, mode Mode, t
 	return err
 }
 
-// Acquire is Lock with the default timeout, or TryLockNoWait when noWait,
-// for a caller that counts its own grants: it leaves Stats' Acquires
-// alone, and the caller adds its count with Fold. A transaction does,
-// so that its acquire path writes no counter shared with every other.
+// Acquire is Lock with the default timeout for a caller that counts its
+// own grants: it leaves Stats' Acquires alone, and the caller adds its
+// count with Fold. A transaction does, so that its acquire path writes no
+// counter shared with every other. With noWait it grants only what Lock
+// would grant without waiting, never enqueues, and otherwise returns
+// ErrWouldBlock: callers holding page latches use it to avoid
+// lock-waits-under-latch deadlocks.
 func (m *Manager) Acquire(ctx context.Context, txID uint64, name Name, mode Mode, noWait bool) error {
-	if noWait {
-		return m.tryLock(txID, name, mode)
+	if !noWait {
+		return m.lock(ctx, txID, name, mode, 0)
 	}
-	return m.lock(ctx, txID, name, mode, 0)
+	if mode == NL {
+		return nil
+	}
+	b := m.bucketFor(name)
+	b.latch.Lock()
+	defer b.latch.Unlock()
+	h := b.findHead(name, true)
+	if _, _, ok := m.admit(h, txID, mode); ok {
+		return nil
+	}
+	b.removeHeadIfEmpty(h)
+	return ErrWouldBlock
 }
 
 // lock is Lock without the count.
@@ -392,7 +406,7 @@ func (m *Manager) lock(ctx context.Context, txID uint64, name Name, mode Mode, t
 	return m.wait(ctx, txID, name, mine, wake, blockers, timeout, conversion)
 }
 
-// admit is the one grant rule, shared by Lock and TryLockNoWait; the
+// admit is the one grant rule, shared by lock and a no-wait Acquire; the
 // caller holds h's bucket latch. It finds txID's granted request on h and
 // grants mode if it can without waiting:
 //
@@ -600,36 +614,9 @@ func unlinkRequest(h *lockHead, r *request) {
 	}
 }
 
-// ErrWouldBlock is returned by TryLockNoWait when the request cannot be
-// granted immediately.
+// ErrWouldBlock is returned by a no-wait Acquire when the request cannot
+// be granted immediately.
 var ErrWouldBlock = errors.New("lock: would block")
-
-// TryLockNoWait acquires name in mode for txID only if Lock would grant it
-// without waiting, and never enqueues. Callers holding page latches use
-// this to avoid lock-waits-under-latch deadlocks.
-func (m *Manager) TryLockNoWait(txID uint64, name Name, mode Mode) error {
-	err := m.tryLock(txID, name, mode)
-	if err == nil && mode != NL {
-		m.acquires.Add(1)
-	}
-	return err
-}
-
-// tryLock is TryLockNoWait without the count.
-func (m *Manager) tryLock(txID uint64, name Name, mode Mode) error {
-	if mode == NL {
-		return nil
-	}
-	b := m.bucketFor(name)
-	b.latch.Lock()
-	defer b.latch.Unlock()
-	h := b.findHead(name, true)
-	if _, _, ok := m.admit(h, txID, mode); ok {
-		return nil
-	}
-	b.removeHeadIfEmpty(h)
-	return ErrWouldBlock
-}
 
 // RaiseELR publishes horizon as an early-release point before the caller
 // drops a committing transaction's locks: the commit record covering
@@ -697,7 +684,7 @@ func (m *Manager) Fold(acquires, cacheHits uint64) {
 }
 
 // NoteEscalation counts one escalation try by the engine, granted or
-// refused. Escalation is the engine's policy (a TryLockNoWait on the
+// refused. Escalation is the engine's policy (a no-wait Acquire on the
 // store); the manager only keeps the counts.
 func (m *Manager) NoteEscalation(granted bool) {
 	if granted {

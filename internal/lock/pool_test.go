@@ -3,12 +3,13 @@
 package lock
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/page"
 )
 
-// TestPoolReuse: the request pool recycles. 10 000 TryLockNoWait/Unlock
+// TestPoolReuse: the request pool recycles. 10 000 no-wait Acquire/Unlock
 // pairs on distinct names allocate fewer than 100 requests, and a request
 // that comes back from the pool comes back reset. A per-processor pool
 // promises no identity (a GC may drop what was put), only that misses are
@@ -20,7 +21,7 @@ func TestPoolReuse(t *testing.T) {
 			m := newTestManager(TablePerBucket, pk)
 			for i := 0; i < 10000; i++ {
 				n := RowName(1, page.RID{Page: page.ID(i + 1), Slot: 1})
-				if err := m.TryLockNoWait(1, n, X); err != nil {
+				if err := m.Acquire(context.Background(), 1, n, X, true); err != nil {
 					t.Fatal(err)
 				}
 				m.Unlock(1, n)

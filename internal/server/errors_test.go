@@ -109,6 +109,44 @@ func TestErrorTable(t *testing.T) {
 			t.Errorf("data op on store 999: got %v, want %v", err, client.ErrNotFound)
 		}
 	}
+
+	// And for a RID on an index node: it names no record of the table.
+	var table *shoremt.Table
+	var ix *shoremt.Index
+	err := ts.db.Update(ctx, func(tx *shoremt.Tx) (err error) {
+		if table, err = ts.db.CreateTable(tx); err != nil {
+			return err
+		}
+		if ix, err = ts.db.CreateIndex(tx); err != nil {
+			return err
+		}
+		for _, k := range []string{"a", "b", "c", "d", "e"} {
+			if err := ix.Insert(tx, []byte(k), []byte("v")); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := ts.db.Engine().OpenIndex(ix.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	onIndex := client.RID{Page: uint64(inner.Root()), Slot: 2}
+	for name, op := range map[string]func(b *client.Batch){
+		"HeapGet":    func(b *client.Batch) { b.HeapGet(table.ID(), onIndex) },
+		"HeapUpdate": func(b *client.Batch) { b.HeapUpdate(table.ID(), onIndex, []byte("x")) },
+		"HeapDelete": func(b *client.Batch) { b.HeapDelete(table.ID(), onIndex) },
+	} {
+		if err := c.Update(ctx, op); !errors.Is(err, client.ErrNoRecord) {
+			t.Errorf("%s on an index node's RID: got %v, want %v", name, err, client.ErrNoRecord)
+		}
+	}
+	if n, err := inner.Verify(); err != nil || n != 5 {
+		t.Errorf("index Verify = %d keys, %v; want 5, nil", n, err)
+	}
 }
 
 // TestErrorTableComplete checks that every exported Err* of the root's

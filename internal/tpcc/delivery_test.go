@@ -35,13 +35,13 @@ func TestDeliveryProcessesOldestOrder(t *testing.T) {
 	// District 1's OLDEST order (oid 1, customer 2) was delivered.
 	tx1, _ := db.Engine.Begin()
 	defer db.Engine.Commit(tx1)
-	if _, ok, _ := db.Engine.IndexLookup(tx1, db.NewOrderTab, oRow(1, 1, 1).key()); ok {
+	if _, ok, _ := db.Engine.IndexLookupCtx(context.Background(), tx1, db.NewOrderTab, oRow(1, 1, 1).key()); ok {
 		t.Fatal("delivered NEW_ORDER row still present")
 	}
-	if _, ok, _ := db.Engine.IndexLookup(tx1, db.NewOrderTab, oRow(1, 1, 2).key()); !ok {
+	if _, ok, _ := db.Engine.IndexLookupCtx(context.Background(), tx1, db.NewOrderTab, oRow(1, 1, 2).key()); !ok {
 		t.Fatal("newer order's NEW_ORDER row missing")
 	}
-	ob, ok, err := db.Engine.IndexLookup(tx1, db.Orders, oRow(1, 1, 1).key())
+	ob, ok, err := db.Engine.IndexLookupCtx(context.Background(), tx1, db.Orders, oRow(1, 1, 1).key())
 	if err != nil || !ok {
 		t.Fatal(err)
 	}

@@ -275,7 +275,7 @@ func TestNewOrderCreatesRows(t *testing.T) {
 		t.Fatalf("NextOID = %d, want 2", dist.NextOID)
 	}
 	// The order and its lines are queryable.
-	b, ok, err := db.Engine.IndexLookup(tx1, db.Orders, oRow(1, 1, 1).key())
+	b, ok, err := db.Engine.IndexLookupCtx(context.Background(), tx1, db.Orders, oRow(1, 1, 1).key())
 	if err != nil || !ok {
 		t.Fatalf("order row: %v %v", ok, err)
 	}
@@ -284,7 +284,7 @@ func TestNewOrderCreatesRows(t *testing.T) {
 		t.Fatalf("order: %+v, %v", ord, err)
 	}
 	for n := uint8(1); n <= 2; n++ {
-		b, ok, err := db.Engine.IndexLookup(tx1, db.OrderLine, row{t: tOrderLine, w: 1, d: 1, id: 1, n: n}.key())
+		b, ok, err := db.Engine.IndexLookupCtx(context.Background(), tx1, db.OrderLine, row{t: tOrderLine, w: 1, d: 1, id: 1, n: n}.key())
 		if err != nil || !ok {
 			t.Fatalf("order line %d: %v %v", n, ok, err)
 		}
@@ -319,7 +319,7 @@ func TestNewOrderRollbackLeavesNoTrace(t *testing.T) {
 	if dist.NextOID != 1 {
 		t.Fatalf("NextOID = %d after rollback, want 1", dist.NextOID)
 	}
-	if _, ok, _ := db.Engine.IndexLookup(tx1, db.Orders, oRow(1, 1, 1).key()); ok {
+	if _, ok, _ := db.Engine.IndexLookupCtx(context.Background(), tx1, db.Orders, oRow(1, 1, 1).key()); ok {
 		t.Fatal("rolled-back order row visible")
 	}
 	st := readRow(t, db, tx1, sRow(1, 1), decodeStock)

@@ -131,17 +131,13 @@ type Options struct {
 	// latch writes (falling back to the latched descent after bounded
 	// restarts); the earlier stages latch every node on the way down, as
 	// the paper did. Stats().Btree counts which ran. See the README's
-	// "Latch hierarchy" section.
+	// "Latch hierarchy" section. The stage also decides buffer
+	// replacement: one clock hand below StageBpool2, GOMAXPROCS-scaled
+	// clock shards with free lists from it on (README "Buffer
+	// replacement").
 	Stage Stage
 	// BufferFrames sizes the buffer pool in 8 KiB pages (default 4096).
 	BufferFrames int
-	// BufferShards overrides the number of independent buffer-replacement
-	// shards — clock regions with their own hand, lock, and free list of
-	// pre-evicted frames. 0 keeps the stage's default (GOMAXPROCS-scaled
-	// for the scalable stages); 1 restores the original single global
-	// clock hand, with no free lists and inline eviction write-back. See
-	// the README's "Buffer replacement" section.
-	BufferShards int
 	// Dir, when non-empty, stores data and log in files under this
 	// directory; otherwise everything is in memory.
 	Dir string
@@ -207,9 +203,6 @@ func (opts Options) config() core.Config {
 	cfg := core.StageConfig(opts.Stage.coreStage())
 	if opts.BufferFrames > 0 {
 		cfg.Frames = opts.BufferFrames
-	}
-	if opts.BufferShards > 0 {
-		cfg.Buffer.Shards = opts.BufferShards
 	}
 	if opts.LockTimeout > 0 {
 		cfg.LockTimeout = opts.LockTimeout

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/tx"
 )
@@ -413,49 +414,6 @@ func TestStagesAllFunctional(t *testing.T) {
 	}
 }
 
-func TestBufferShardsOption(t *testing.T) {
-	// An explicit shard count survives plumbing into the engine, and the
-	// pre-bpool2 stages keep the original single clock hand by default.
-	db := openTest(t, Options{BufferShards: 2, BufferFrames: 128})
-	if got := len(db.Stats().Buffer.Shards); got != 2 {
-		t.Fatalf("shard count = %d, want 2", got)
-	}
-	ctx := context.Background()
-	var rid RID
-	tb := (*Table)(nil)
-	err := db.Update(ctx, func(tx *Tx) error {
-		var err error
-		tb, err = db.CreateTable(tx)
-		if err != nil {
-			return err
-		}
-		rid, err = tb.Insert(tx, []byte("sharded"))
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = db.View(ctx, func(tx *Tx) error {
-		got, err := tb.Get(tx, rid)
-		if err != nil || string(got) != "sharded" {
-			return fmt.Errorf("Get = %q, %v", got, err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A fresh pool serves its first misses from the free lists.
-	if st := db.Stats().Buffer; st.FreeListHits == 0 {
-		t.Errorf("no free-list allocations recorded: %+v", st)
-	}
-
-	base := openTest(t, Options{Stage: StageBaseline, BufferFrames: 128})
-	if got := len(base.Stats().Buffer.Shards); got != 1 {
-		t.Errorf("baseline shard count = %d, want 1", got)
-	}
-}
-
 func TestDefaultStageIsFinal(t *testing.T) {
 	// The zero Options must open the finished Shore-MT, not the baseline.
 	db := openTest(t, Options{})
@@ -591,22 +549,35 @@ func TestLockTimeoutSurfaces(t *testing.T) {
 	}
 }
 
-// TestPublicOLCOption checks that the stage picks the descent: the
-// default stage (StageFinal) reads index inner nodes optimistically, and
+// TestStageDecides checks what the public stage decides, with no option
+// beside it: the descent and the buffer's replacement shards. The default
+// stage (StageFinal) reads index inner nodes optimistically, and
 // StageBpool2, the last stage before it, latches every descent as the
-// paper did.
-func TestPublicOLCOption(t *testing.T) {
+// paper did; both ask for the GOMAXPROCS-scaled shard count, while
+// StageBaseline keeps the single clock hand.
+func TestStageDecides(t *testing.T) {
 	for _, c := range []struct {
 		stage      Stage
 		optimistic bool
-	}{{StageDefault, true}, {StageBpool2, false}} {
+		shards     int // the count the stage asks the buffer pool for
+	}{
+		{StageDefault, true, buffer.AutoShards},
+		{StageBpool2, false, buffer.AutoShards},
+		{StageBaseline, false, 1},
+	} {
 		t.Run(c.stage.String(), func(t *testing.T) {
 			db := openTest(t, Options{Stage: c.stage})
+			if got := db.Engine().Config().Buffer.Shards; got != c.shards {
+				t.Fatalf("the stage asks for %d shards, want %d", got, c.shards)
+			}
+			if got := len(db.Stats().Buffer.Shards); c.shards == 1 && got != 1 {
+				t.Fatalf("shard count = %d, want the single clock hand", got)
+			}
 			indexTraffic(t, db)
 			s := db.Stats().Btree
 			if !c.optimistic {
 				if s.OptDescents+s.OptLeafReads+s.Fallbacks != 0 || s.LatchedDescents == 0 {
-					t.Fatalf("bpool2 should latch every descent: %+v", s)
+					t.Fatalf("%v should latch every descent: %+v", c.stage, s)
 				}
 				return
 			}
