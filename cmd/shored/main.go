@@ -1,8 +1,8 @@
 // Command shored serves a shore-mt database over TCP: the embedded
-// engine behind internal/wire's length-prefixed protocol, with
-// per-connection sessions, a bounded admission queue in front of a
-// GOMAXPROCS-scaled worker pool, and load shedding at the transaction
-// boundary. SIGTERM/SIGINT drain in-flight sessions before the process
+// engine behind internal/wire's length-prefixed protocol, with one
+// goroutine per connection, GOMAXPROCS execution slots that entry
+// requests wait for in a bounded line, load shedding at the transaction
+// boundary, and a read deadline that closes idle sessions. SIGTERM/SIGINT drain in-flight sessions before the process
 // exits; a second signal forces immediate teardown.
 package main
 
@@ -38,9 +38,9 @@ func main() {
 	stageName := flag.String("stage", "final", "engine optimization stage (baseline|bpool1|caching|log|lock mgr|bpool2|final|pipeline)")
 	frames := flag.Int("frames", 8192, "buffer pool frames")
 	durability := flag.String("durability", "strict", "commit durability: strict|relaxed")
-	workers := flag.Int("workers", 0, "execution pool size (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x workers); overflow sheds with busy")
-	idle := flag.Duration("idle", 5*time.Minute, "idle-session timeout (rolls back and closes; <0 disables)")
+	workers := flag.Int("workers", 0, "execution slots: entry requests running at once (0 = GOMAXPROCS)")
+	queue := flag.Int("queue", 0, "entry requests that may wait for a slot (0 = 4x workers); more shed with busy, as do Begins past 4x queue open transactions")
+	idle := flag.Duration("idle", 5*time.Minute, "read deadline between a session's frames (rolls back and closes; <0 disables)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 	snapshot := flag.Bool("snapshot", false, "multiversion snapshot reads: View batches run lock-free against version chains")
 	warehouses := flag.Int("tpcc", 0, "preload a TPC-C database with this many warehouses and publish its catalog")

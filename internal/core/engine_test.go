@@ -152,9 +152,10 @@ func TestAbortUndoesHeapChanges(t *testing.T) {
 }
 
 // TestHeapRIDOffTable: a RID comes from the caller (over the wire too),
-// so it may name an index node's entries or another table's row. Read,
-// update, delete and snapshot read answer ErrNoRecord for both, and
-// neither the index nor the other table changes.
+// so it may name an index node's entries, another table's row, the
+// invalid page or a page past the volume's end. Read, update, delete and
+// snapshot read answer ErrNoRecord for each, and neither the index nor
+// the other table changes.
 func TestHeapRIDOffTable(t *testing.T) {
 	e, _, _ := newSnapshotEngine(t)
 	ctx := context.Background()
@@ -174,7 +175,8 @@ func TestHeapRIDOffTable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, rid := range []page.RID{{Page: ix.Root(), Slot: 2}, {Page: ix.Root(), Slot: 3}, otherRID} {
+	for _, rid := range []page.RID{{Page: ix.Root(), Slot: 2}, {Page: ix.Root(), Slot: 3}, otherRID,
+		{Page: page.InvalidID}, {Page: page.ID(e.vol.NumPages()) + 1}, {Page: 1 << 20}, {Page: 1 << 39, Slot: 1}} {
 		w, _ := e.BeginCtx(ctx)
 		if got, err := e.HeapReadCtx(ctx, w, table, rid); !errors.Is(err, ErrNoRecord) {
 			t.Errorf("HeapReadCtx(%v) = %q, %v; want ErrNoRecord", rid, got, err)

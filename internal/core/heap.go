@@ -186,10 +186,25 @@ func heapRecord(p *page.Page, store uint32, slot uint16) ([]byte, bool) {
 	return rec, err == nil
 }
 
-// heapRow is the prologue of a locked row operation of t on rid: the row
-// lock in mode m, then rid's page fixed SH for S and EX for X, and the
-// record heapRecord finds there, or ErrNoRecord. The caller unfixes f.
+// onVolume refuses, with ErrNoRecord, a RID whose page is not on the
+// volume (pages are numbered 1 to NumPages): the invalid page or one past
+// the end names no record, and fixing it would answer a buffer or device
+// error instead.
+func (e *Engine) onVolume(rid page.RID) error {
+	if rid.Page == page.InvalidID || uint64(rid.Page) > e.vol.NumPages() {
+		return fmt.Errorf("%w: %v", ErrNoRecord, rid)
+	}
+	return nil
+}
+
+// heapRow is the prologue of a locked row operation of t on rid: a RID
+// off the volume refused, the row lock in mode m, then rid's page fixed
+// SH for S and EX for X, and the record heapRecord finds there, or
+// ErrNoRecord. The caller unfixes f.
 func (e *Engine) heapRow(ctx context.Context, t *tx.Tx, store uint32, rid page.RID, m lock.Mode) (*buffer.Frame, []byte, error) {
+	if err := e.onVolume(rid); err != nil {
+		return nil, nil, err
+	}
 	if err := e.lockRow(ctx, t, store, lock.RowName(store, rid), m, false); err != nil {
 		return nil, nil, err
 	}

@@ -129,6 +129,9 @@ func (e *Engine) installVersion(t *tx.Tx, f *buffer.Frame, op pageop.Op, l pageo
 // pages has neither, so it answers ErrNoRecord.
 func (e *Engine) heapReadSnapshot(t *tx.Tx, store uint32, rid page.RID) ([]byte, error) {
 	e.mvcc.CountRead()
+	if err := e.onVolume(rid); err != nil {
+		return nil, err
+	}
 	f, err := e.pool.Fix(rid.Page, sync2.LatchSH)
 	if err != nil {
 		return nil, err

@@ -14,7 +14,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/page"
 )
@@ -275,38 +274,7 @@ func (v *FileVolume) Stats() Stats {
 	return Stats{Reads: v.reads.Load(), Writes: v.writes.Load()}
 }
 
-// Latent wraps a Volume and adds a fixed service time per operation,
-// simulating disk latency for tests that need blocking I/O on the critical
-// path.
-type Latent struct {
-	Volume
-	ReadLatency  time.Duration
-	WriteLatency time.Duration
-}
-
-// NewLatent wraps v with per-op latencies.
-func NewLatent(v Volume, read, write time.Duration) *Latent {
-	return &Latent{Volume: v, ReadLatency: read, WriteLatency: write}
-}
-
-// Read sleeps for the read latency, then delegates.
-func (l *Latent) Read(pid page.ID, buf []byte) error {
-	if l.ReadLatency > 0 {
-		time.Sleep(l.ReadLatency)
-	}
-	return l.Volume.Read(pid, buf)
-}
-
-// Write sleeps for the write latency, then delegates.
-func (l *Latent) Write(pid page.ID, buf []byte) error {
-	if l.WriteLatency > 0 {
-		time.Sleep(l.WriteLatency)
-	}
-	return l.Volume.Write(pid, buf)
-}
-
 var (
 	_ Volume = (*MemVolume)(nil)
 	_ Volume = (*FileVolume)(nil)
-	_ Volume = (*Latent)(nil)
 )

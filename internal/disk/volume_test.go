@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/page"
 )
@@ -175,26 +174,5 @@ func TestMemVolumeConcurrent(t *testing.T) {
 	wg.Wait()
 	if v.NumPages() != 84 {
 		t.Fatalf("NumPages = %d, want 84", v.NumPages())
-	}
-}
-
-func TestLatentAddsDelay(t *testing.T) {
-	base := NewMem(1)
-	v := NewLatent(base, 5*time.Millisecond, 5*time.Millisecond)
-	buf := make([]byte, page.Size)
-	start := time.Now()
-	if err := v.Read(1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Write(1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 10*time.Millisecond {
-		t.Errorf("latent ops took %v, want >= 10ms", d)
-	}
-	// Zero-latency wrapper passes through.
-	fast := NewLatent(base, 0, 0)
-	if err := fast.Read(1, buf); err != nil {
-		t.Fatal(err)
 	}
 }

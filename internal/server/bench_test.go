@@ -50,7 +50,7 @@ func newBenchServer(b testing.TB, opts Options, warehouses int) (*testServer, tp
 // with client-side retry absorbing deadlock victims, lock timeouts and
 // shed requests. The clients=256 variant exercises connection counts far
 // above GOMAXPROCS; overload
-// points many clients at a deliberately tiny pool and reports how much
+// points many clients at deliberately few slots and reports how much
 // load is shed and, as x-of-clients=16, how well throughput holds: its
 // tx/s over the unconstrained clients=16 run's. Graceful degradation
 // means that ratio stays near 1 (0.8 is the bar). It is a wall-clock
@@ -65,7 +65,7 @@ func BenchmarkServerRemote(b *testing.B) {
 		})
 	}
 	b.Run("overload", func(b *testing.B) {
-		tps := benchRemoteTPCC(b, Options{Workers: 2, QueueDepth: 2, MaxTx: 8}, 64)
+		tps := benchRemoteTPCC(b, Options{Workers: 2, QueueDepth: 2}, 64)
 		if base > 0 { // zero when -bench selected overload alone
 			b.ReportMetric(tps/base, "x-of-clients=16")
 		}
@@ -112,13 +112,14 @@ func benchRemoteTPCC(b *testing.B, opts Options, clients int) float64 {
 	return tps
 }
 
-// TestServerOverload checks how a tiny server takes eight times the
-// clients its pool admits, none of which retry: excess entry requests are
-// refused with ErrBusy, every other reply is a commit or a retryable
-// error, and transactions keep committing. How much throughput holds
-// under overload is a wall-clock ratio; BenchmarkServerRemote reports it.
+// TestServerOverload checks how a server with one slot and room for two
+// waiters takes sixteen clients, none of which retry: excess entry
+// requests are refused with ErrBusy, every other reply is a commit or a
+// retryable error, and transactions keep committing. How much throughput
+// holds under overload is a wall-clock ratio; BenchmarkServerRemote
+// reports it.
 func TestServerOverload(t *testing.T) {
-	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 2, MaxTx: 4})
+	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 2})
 	ctx := context.Background()
 
 	setup := ts.dial(t)

@@ -110,7 +110,8 @@ func TestErrorTable(t *testing.T) {
 		}
 	}
 
-	// And for a RID on an index node: it names no record of the table.
+	// And for a RID on an index node or off the volume: it names no
+	// record of the table.
 	var table *shoremt.Table
 	var ix *shoremt.Index
 	err := ts.db.Update(ctx, func(tx *shoremt.Tx) (err error) {
@@ -134,14 +135,18 @@ func TestErrorTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	onIndex := client.RID{Page: uint64(inner.Root()), Slot: 2}
-	for name, op := range map[string]func(b *client.Batch){
-		"HeapGet":    func(b *client.Batch) { b.HeapGet(table.ID(), onIndex) },
-		"HeapUpdate": func(b *client.Batch) { b.HeapUpdate(table.ID(), onIndex, []byte("x")) },
-		"HeapDelete": func(b *client.Batch) { b.HeapDelete(table.ID(), onIndex) },
+	for where, rid := range map[string]client.RID{
+		"on an index node": {Page: uint64(inner.Root()), Slot: 2},
+		"off the volume":   {Page: 1 << 39, Slot: 1},
 	} {
-		if err := c.Update(ctx, op); !errors.Is(err, client.ErrNoRecord) {
-			t.Errorf("%s on an index node's RID: got %v, want %v", name, err, client.ErrNoRecord)
+		for name, op := range map[string]func(b *client.Batch){
+			"HeapGet":    func(b *client.Batch) { b.HeapGet(table.ID(), rid) },
+			"HeapUpdate": func(b *client.Batch) { b.HeapUpdate(table.ID(), rid, []byte("x")) },
+			"HeapDelete": func(b *client.Batch) { b.HeapDelete(table.ID(), rid) },
+		} {
+			if err := c.Update(ctx, op); !errors.Is(err, client.ErrNoRecord) {
+				t.Errorf("%s on a RID %s: got %v, want %v", name, where, err, client.ErrNoRecord)
+			}
 		}
 	}
 	if n, err := inner.Verify(); err != nil || n != 5 {

@@ -13,38 +13,12 @@ import (
 	"repro/internal/wire"
 )
 
-// task is one admitted request awaiting a worker.
-type task struct {
-	sess *session
-	req  wire.Request
-	done chan struct{}
-}
-
-// worker executes admitted tasks until the queue closes.
-func (s *Server) worker() {
-	defer s.workerWg.Done()
-	for t := range s.tasks {
-		s.serve(t)
-		close(t.done)
-	}
-}
-
 // scanBudget bounds an OpIdxScan or OpCall response body so it (plus
 // headers) always fits a frame.
 const scanBudget = wire.MaxFrame - 64*1024
 
 // defaultScanLimit applies when a scan request passes Limit 0.
 const defaultScanLimit = 1024
-
-// serve executes one request and writes its response.
-func (s *Server) serve(t *task) {
-	sess := t.sess
-	s.st.requests.Add(1)
-	sess.body.B = sess.body.B[:0]
-	status, flags := s.exec(sess, t.req)
-	// On success the body holds the result; on error, the message.
-	sess.reply(status, flags, sess.body.B)
-}
 
 // refuse answers a protocol refusal; msg is left in sess.body.
 func (sess *session) refuse(status wire.Status, msg string) (wire.Status, uint8) {
@@ -64,13 +38,16 @@ func (sess *session) fail(err error, end bool) (wire.Status, uint8) {
 	return status, flags
 }
 
-// exec dispatches the request; on error the message is left in
-// sess.body and the status/flags describe it. Only OpBatch and OpRollback
-// touch the session's transaction (DDL runs inside it when one is open):
+// exec runs one request: on success sess.body holds the result, on error
+// the message, and the status/flags describe it. Only OpBatch and
+// OpRollback touch the session's transaction (DDL runs inside it when one
+// is open):
 //
 //	no tx ──batch with Begin──▶ open ──batch with Commit │ Rollback │
 //	                                   abort-worthy failure │ disconnect──▶ no tx
 func (s *Server) exec(sess *session, req wire.Request) (wire.Status, uint8) {
+	s.st.requests.Add(1)
+	sess.body.B = sess.body.B[:0]
 	switch req.Op {
 	case wire.OpBatch:
 		return s.execBatch(sess, req.Body)
@@ -337,8 +314,7 @@ func ridOf(op *wire.DataOp) shoremt.RID {
 	return shoremt.RID{Page: page.ID(op.RID.Page), Slot: op.RID.Slot}
 }
 
-// setTx updates the session transaction and its shutdown/janitor
-// mirror, returning the open-transaction token when the transaction
+// setTx updates the session transaction and its drain mirror, returning the open-transaction token when the transaction
 // ends (the matching acquire happened before BeginCtx).
 func (sess *session) setTx(t *shoremt.Tx) {
 	if t == nil && sess.tx != nil {

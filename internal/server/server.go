@@ -2,30 +2,27 @@
 // over the length-prefixed binary protocol of internal/wire, turning the
 // embedded engine into a served system.
 //
-// The layering mirrors classic network database servers:
+// Each connection has one goroutine, its reader: it parses a frame, runs
+// the request and writes the reply before it reads the next frame. A
+// reader spends its life blocked in Read, so connection counts can far
+// exceed GOMAXPROCS, and a session's state needs no lock of its own.
 //
-//   - a reader goroutine per connection parses frames (cheap: it spends
-//     its life blocked in Read, so connection counts can far exceed
-//     GOMAXPROCS);
-//   - a bounded admission queue in front of a GOMAXPROCS-scaled worker
-//     pool executes requests that START new work (a batch with the
-//     begin bit, managed batches, DDL). When the queue — or the
-//     open-transaction budget (Options.MaxTx) — is full, those are
-//     refused immediately with StatusBusy: load is shed at the
-//     transaction boundary instead of being absorbed until the server
-//     collapses;
-//   - requests that CONTINUE an admitted transaction are never shed or
-//     queued — they execute inline on the connection's reader
-//     goroutine. This is load-bearing, not just a latency trick:
-//     pushing continuations through the shared pool deadlocks under
-//     contention (every worker blocks in a lock wait while the lock
-//     holders' commit frames sit unserved behind them). Inline
-//     execution guarantees lock holders always progress, so admitted
-//     work drains no matter what the pool is doing;
-//   - a session binds the connection to the engine's transactions. A
+//   - Requests that START new work (a batch with the begin bit, managed
+//     batches, DDL) run only while they hold one of Options.Workers
+//     execution slots. With none free they wait behind at most
+//     QueueDepth others; past that, or past the open-transaction budget
+//     (4×QueueDepth), they are refused at once with StatusBusy: load is
+//     shed at the transaction boundary instead of being absorbed until
+//     the server collapses.
+//   - Requests that CONTINUE an admitted transaction take no slot and are
+//     never shed. This is load-bearing: were they to need a slot, every
+//     slot could be held by a request blocked in a lock wait while the
+//     lock holders' commit frames wait for a slot. Lock holders always
+//     progress, so admitted work drains whatever the slots are doing.
+//   - A session binds the connection to the engine's transactions. A
 //     disconnect — graceful or torn — rolls back the session's open
-//     transaction, and an idle janitor reaps abandoned sessions, so a
-//     dead client can never leak locks.
+//     transaction, and a read deadline (Options.IdleTimeout) closes a
+//     session that sends nothing, so a dead client can never leak locks.
 package server
 
 import (
@@ -43,21 +40,21 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Workers sizes the execution pool (0 = GOMAXPROCS). The pool, not
-	// the connection count, bounds engine concurrency.
+	// Workers is the number of execution slots (0 = GOMAXPROCS): entry
+	// requests running at once. The slots, not the connection count,
+	// bound engine concurrency.
 	Workers int
-	// QueueDepth bounds the admission queue (0 = 4×Workers). Entry
-	// requests arriving with the queue full are shed with StatusBusy.
+	// QueueDepth bounds the entry requests waiting for a slot (0 =
+	// 4×Workers); one that arrives with QueueDepth already waiting is
+	// shed with StatusBusy. It also sets the open-transaction budget,
+	// 4×QueueDepth: a BatchBegin past it is shed too, so the lock
+	// footprint of admitted-but-unfinished transactions stays bounded no
+	// matter how many connections are parked on open transactions.
 	QueueDepth int
-	// MaxTx bounds concurrently open explicit transactions (0 =
-	// 4×QueueDepth). A BatchBegin past the bound is shed with StatusBusy:
-	// the lock footprint of admitted-but-unfinished transactions stays
-	// bounded no matter how many connections are parked on open
-	// transactions.
-	MaxTx int
-	// IdleTimeout reaps sessions with no traffic for this long,
-	// rolling back their open transaction (0 = 5 minutes; negative
-	// disables the janitor).
+	// IdleTimeout closes a session that sends no frame for this long,
+	// rolling back its open transaction (0 = 5 minutes; negative never
+	// closes one). The deadline runs only while the session's reader
+	// waits for a frame, so a request in flight is never cut off.
 	IdleTimeout time.Duration
 	// Logf, when non-nil, receives server diagnostics.
 	Logf func(format string, args ...any)
@@ -69,9 +66,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 4 * o.Workers
-	}
-	if o.MaxTx <= 0 {
-		o.MaxTx = 4 * o.QueueDepth
 	}
 	if o.IdleTimeout == 0 {
 		o.IdleTimeout = 5 * time.Minute
@@ -96,9 +90,9 @@ type Server struct {
 	baseCtx context.Context // parent of all session work
 	cancel  context.CancelFunc
 
-	tasks    chan *task
-	txTokens chan struct{} // open-transaction tokens (see Options.MaxTx)
-	stopped  chan struct{} // closed when the force phase of Shutdown begins
+	slots    chan struct{} // execution slots held by running entry requests
+	waiting  atomic.Int64  // entry requests waiting for a slot
+	txTokens chan struct{} // open-transaction tokens (see Options.QueueDepth)
 
 	mu        sync.Mutex
 	sessions  map[uint32]*session
@@ -111,9 +105,7 @@ type Server struct {
 	draining atomic.Bool
 	shutdown atomic.Bool
 
-	readerWg  sync.WaitGroup
-	workerWg  sync.WaitGroup
-	janitorWg sync.WaitGroup
+	readerWg sync.WaitGroup
 
 	st counters
 }
@@ -121,8 +113,8 @@ type Server struct {
 // ErrShutdown is returned by Serve when the server was shut down.
 var ErrShutdown = errors.New("server: shut down")
 
-// New builds a server for db and starts its worker pool (and idle
-// janitor). Call Serve with one or more listeners, then Shutdown.
+// New builds a server for db; it starts no goroutine. Call Serve with
+// one or more listeners, then Shutdown.
 func New(db *shoremt.DB, opts Options) *Server {
 	opts = opts.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -131,20 +123,11 @@ func New(db *shoremt.DB, opts Options) *Server {
 		opts:      opts,
 		baseCtx:   ctx,
 		cancel:    cancel,
-		tasks:     make(chan *task, opts.QueueDepth),
-		txTokens:  make(chan struct{}, opts.MaxTx),
-		stopped:   make(chan struct{}),
+		slots:     make(chan struct{}, opts.Workers),
+		txTokens:  make(chan struct{}, 4*opts.QueueDepth),
 		sessions:  make(map[uint32]*session),
 		listeners: make(map[net.Listener]struct{}),
 		catalog:   make(map[string]catalogEntry),
-	}
-	for i := 0; i < opts.Workers; i++ {
-		s.workerWg.Add(1)
-		go s.worker()
-	}
-	if opts.IdleTimeout > 0 {
-		s.janitorWg.Add(1)
-		go s.janitor()
 	}
 	return s
 }
@@ -210,12 +193,9 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// idleLocked reports whether every session is quiescent (no open
-// transaction, no request in flight) and the queue is empty.
+// idle reports whether every session is quiescent: no open transaction,
+// no request running or waiting for a slot.
 func (s *Server) idle() bool {
-	if len(s.tasks) > 0 {
-		return false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, sess := range s.sessions {
@@ -230,10 +210,10 @@ func (s *Server) idle() bool {
 // transactions (StatusClosing), lets in-flight sessions finish until
 // every session is quiescent or ctx expires, then cancels outstanding
 // engine waits, closes every connection (rolling back the transactions
-// that didn't finish draining) and waits for readers and workers to
-// exit. It does NOT close the DB — that is the caller's job, exactly
-// once, after Shutdown returns. Shutdown is idempotent; concurrent
-// calls beyond the first return immediately.
+// that didn't finish draining) and waits for the readers to exit. It
+// does NOT close the DB — that is the caller's job, exactly once, after
+// Shutdown returns. Shutdown is idempotent; concurrent calls beyond the
+// first return immediately.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.shutdown.Swap(true) {
 		return nil
@@ -265,16 +245,12 @@ drain:
 	// Force phase: unblock any engine wait, tear down connections (the
 	// per-session cleanup rolls back whatever is still open).
 	s.cancel()
-	close(s.stopped)
 	s.mu.Lock()
 	for _, sess := range s.sessions {
 		sess.conn.Close()
 	}
 	s.mu.Unlock()
 	s.readerWg.Wait()
-	close(s.tasks) // safe: readers are the only senders and have exited
-	s.workerWg.Wait()
-	s.janitorWg.Wait()
 	if !drained {
 		s.logf("server: drain window expired; forced rollback of remaining sessions")
 	}
@@ -286,6 +262,25 @@ func (s *Server) Close() error {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	return s.Shutdown(ctx)
+}
+
+// admit takes an execution slot for an entry request, waiting behind at
+// most QueueDepth others; false means the request is to be shed. The
+// caller gives the slot back with <-s.slots.
+func (s *Server) admit() bool {
+	select {
+	case s.slots <- struct{}{}:
+		return true
+	default:
+	}
+	n := s.waiting.Add(1)
+	defer s.waiting.Add(-1)
+	if n > int64(s.opts.QueueDepth) {
+		return false
+	}
+	maxInt64(&s.st.queueHighWater, n)
+	s.slots <- struct{}{}
+	return true
 }
 
 // acquireTxToken claims an open-transaction slot without blocking.

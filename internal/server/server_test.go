@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -286,30 +287,37 @@ func TestServerResolveAndStats(t *testing.T) {
 	}
 }
 
+// TestServerShedsOnTxLimit: at most 4×QueueDepth explicit transactions
+// are open at once; the Begin past them is shed, and finishing one frees
+// its token.
 func TestServerShedsOnTxLimit(t *testing.T) {
-	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, MaxTx: 1})
+	const queue = 1
+	ts := newTestServer(t, Options{Workers: 1, QueueDepth: queue})
 	ctx := context.Background()
 
-	c1 := ts.dial(t)
-	tx1, err := c1.Begin(ctx)
-	if err != nil {
-		t.Fatal(err)
+	open := make([]*client.Tx, 4*queue)
+	for i := range open {
+		tx, err := ts.dial(t).Begin(ctx)
+		if err != nil {
+			t.Fatalf("Begin %d of %d: %v", i+1, len(open), err)
+		}
+		open[i] = tx
 	}
-	// The only transaction slot is taken: a second Begin is shed.
-	c2 := ts.dial(t)
-	if _, err := c2.Begin(ctx); !errors.Is(err, client.ErrBusy) {
-		t.Fatalf("second Begin: got %v, want ErrBusy", err)
+	// Every token is taken: the next Begin is shed.
+	late := ts.dial(t)
+	if _, err := late.Begin(ctx); !errors.Is(err, client.ErrBusy) {
+		t.Fatalf("Begin past the budget: got %v, want ErrBusy", err)
 	}
 	if st := ts.srv.Stats(); st.Sheds == 0 {
 		t.Fatal("shed not counted")
 	}
-	// Finishing the first transaction frees the slot.
-	if err := tx1.Rollback(ctx); err != nil {
+	// Finishing one transaction frees its token.
+	if err := open[0].Rollback(ctx); err != nil {
 		t.Fatal(err)
 	}
-	tx2, err := c2.Begin(ctx)
+	tx2, err := late.Begin(ctx)
 	if err != nil {
-		t.Fatalf("Begin after slot freed: %v", err)
+		t.Fatalf("Begin after a token was freed: %v", err)
 	}
 	if err := tx2.Rollback(ctx); err != nil {
 		t.Fatal(err)
@@ -317,7 +325,7 @@ func TestServerShedsOnTxLimit(t *testing.T) {
 }
 
 func TestServerShedsOnQueueOverflow(t *testing.T) {
-	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, MaxTx: 16})
+	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	ctx := context.Background()
 
 	setup := ts.dial(t)
@@ -331,8 +339,8 @@ func TestServerShedsOnQueueOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pin the hot key under an explicit transaction: the single worker
-	// will block behind this lock.
+	// Pin the hot key under an explicit transaction: the request holding
+	// the only slot will block behind this lock.
 	holder := ts.dial(t)
 	htx, err := holder.Begin(ctx)
 	if err != nil {
@@ -342,8 +350,8 @@ func TestServerShedsOnQueueOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A managed batch on the hot key occupies the only worker (blocked
-	// in the lock wait), and a second one fills the one-slot queue.
+	// A managed batch on the hot key holds the only slot (blocked in the
+	// lock wait), and a second one waits for it, filling the queue.
 	results := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
@@ -358,7 +366,8 @@ func TestServerShedsOnQueueOverflow(t *testing.T) {
 			})
 		}()
 	}
-	// Wait until worker and queue are both occupied.
+	// QueueHighWater reaches 1 only when a batch waits for the slot the
+	// other holds until the holder commits.
 	deadline := time.Now().Add(10 * time.Second)
 	for ts.srv.Stats().QueueHighWater < 1 {
 		if time.Now().After(deadline) {
@@ -366,7 +375,6 @@ func TestServerShedsOnQueueOverflow(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	time.Sleep(50 * time.Millisecond) // let the first batch reach its lock wait
 
 	// The next entry request must be shed immediately, not absorbed.
 	shedder := ts.dial(t)
@@ -384,8 +392,8 @@ func TestServerShedsOnQueueOverflow(t *testing.T) {
 		t.Fatal("shed not counted")
 	}
 
-	// The lock holder's commit is a continuation: it runs inline even
-	// though the pool is wedged, unblocking the queued batches.
+	// The lock holder's commit is a continuation: it needs no slot, so it
+	// runs though the only one is wedged, unblocking both batches.
 	if err := htx.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -393,10 +401,10 @@ func TestServerShedsOnQueueOverflow(t *testing.T) {
 		select {
 		case err := <-results:
 			if err != nil {
-				t.Fatalf("queued batch: %v", err)
+				t.Fatalf("waiting batch: %v", err)
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatal("queued batches never drained")
+			t.Fatal("waiting batches never drained")
 		}
 	}
 }
@@ -418,7 +426,7 @@ func TestServerIdleReap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Go quiet: the janitor must close the session and roll the
+	// Go quiet: the read deadline must close the session and roll the
 	// transaction back, freeing its locks.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -439,6 +447,102 @@ func TestServerIdleReap(t *testing.T) {
 		b.IndexInsert(store, []byte("k"), []byte("v2"))
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerInFlightOutlivesIdleTimeout: the idle timeout runs only
+// while a reader waits for a frame. A managed update blocked on a lock
+// for several timeouts still commits once the lock is free, and no
+// session is closed; the lock holder keeps its own session alive with
+// pings.
+func TestServerInFlightOutlivesIdleTimeout(t *testing.T) {
+	const idle = 400 * time.Millisecond
+	ts := newTestServer(t, Options{IdleTimeout: idle})
+	ctx := context.Background()
+
+	holder := ts.dial(t)
+	store, err := holder.CreateIndex(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Update(ctx, func(b *client.Batch) {
+		b.IndexInsert(store, []byte("hot"), []byte("v"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	htx, err := holder.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run1(ctx, htx, func(b *client.Batch) { b.IndexGetForUpdate(store, []byte("hot")) }); err != nil {
+		t.Fatal(err)
+	}
+
+	waits := ts.db.Stats().Lock.Waits
+	done := make(chan error, 1)
+	go func() {
+		c, err := client.Dial(ts.addr, client.Options{Timeout: 30 * time.Second})
+		if err != nil {
+			done <- err
+			return
+		}
+		defer c.Close()
+		done <- c.Update(ctx, func(b *client.Batch) {
+			b.IndexUpdate(store, []byte("hot"), []byte("w"))
+		})
+	}()
+
+	// Hold the lock for three idle timeouts from the update's first
+	// wait, pinging at a tenth of the timeout.
+	deadline := time.Now().Add(10 * time.Second)
+	for ts.db.Stats().Lock.Waits == waits {
+		if time.Now().After(deadline) {
+			t.Fatal("the update never waited for the lock")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	release := time.Now().Add(3 * idle)
+	for time.Now().Before(release) {
+		if err := holder.Ping(ctx); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(idle / 10)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("the update finished while the lock was held: %v", err)
+	default:
+	}
+	if err := htx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("update: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the update never finished")
+	}
+	if n := ts.srv.Stats().IdleCloses; n != 0 {
+		t.Fatalf("%d sessions closed as idle, want 0", n)
+	}
+}
+
+// TestServerNewStartsNoGoroutine: a server's only goroutines are its
+// connections' readers.
+func TestServerNewStartsNoGoroutine(t *testing.T) {
+	db, err := shoremt.Open(shoremt.Options{CleanerInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	before := runtime.NumGoroutine()
+	srv := New(db, Options{IdleTimeout: time.Minute})
+	after := runtime.NumGoroutine()
+	srv.Close()
+	if after > before {
+		t.Fatalf("New started %d goroutines, want 0", after-before)
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"net"
-	"sync"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -14,22 +14,19 @@ import (
 
 // session binds one connection to the engine: the wire session id, the
 // explicit transaction (if any), and the write half of the connection.
-// Request execution is serialized per session — the reader does not
-// parse the next frame until the worker finished the current one — so
-// tx and the scratch buffers need no lock of their own.
+// The reader runs one request at a time and parses the next frame only
+// after it replied, so tx, the writer and the scratch buffers need no
+// lock.
 type session struct {
 	id   uint32
 	srv  *Server
 	conn net.Conn
-
-	wmu sync.Mutex
-	bw  *bufio.Writer
+	bw   *bufio.Writer
 
 	tx    *shoremt.Tx // open explicit transaction, nil otherwise
-	hasTx atomic.Bool // mirrors tx != nil for janitor/shutdown peeks
+	hasTx atomic.Bool // mirrors tx != nil for Shutdown's drain
 
-	inflight   atomic.Bool
-	lastActive atomic.Int64 // unix nanos of the last frame
+	inflight atomic.Bool // a request is running or waiting for a slot
 
 	// Scratch buffers, reused across requests (safe: serialized).
 	body wire.Enc // response body under construction
@@ -47,7 +44,6 @@ func (s *Server) startSession(conn net.Conn) {
 		conn: conn,
 		bw:   bufio.NewWriter(conn),
 	}
-	sess.lastActive.Store(time.Now().UnixNano())
 	s.mu.Lock()
 	if s.shutdown.Load() {
 		s.mu.Unlock()
@@ -70,32 +66,36 @@ func (s *Server) startSession(conn net.Conn) {
 // side to discover (the connection is torn either way).
 func (sess *session) reply(status wire.Status, flags uint8, body []byte) {
 	sess.out = wire.AppendResponse(sess.out[:0], status, flags, sess.id, body)
-	sess.wmu.Lock()
-	defer sess.wmu.Unlock()
 	if err := wire.WriteFrame(sess.bw, sess.out); err != nil {
 		return
 	}
 	_ = sess.bw.Flush()
 }
 
-// readLoop parses frames and pushes them through admission until the
-// connection dies or turns protocol-broken.
+// readLoop parses frames and runs them through admission until the
+// connection dies, goes idle or turns protocol-broken.
 func (sess *session) readLoop() {
 	s := sess.srv
 	br := bufio.NewReader(sess.conn)
 	var buf []byte
 	hello := false
 	for {
+		if s.opts.IdleTimeout > 0 {
+			_ = sess.conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+		}
 		payload, err := wire.ReadFrame(br, &buf)
 		if err != nil {
-			if errors.Is(err, wire.ErrTooLarge) {
+			switch {
+			case errors.Is(err, wire.ErrTooLarge):
 				// The stream cannot be resynchronized past an oversized
 				// frame: report and hang up.
 				sess.reply(wire.StatusTooLarge, 0, []byte(err.Error()))
+			case errors.Is(err, os.ErrDeadlineExceeded):
+				s.st.idleCloses.Add(1)
+				s.logf("server: closing idle session %d", sess.id)
 			}
 			return
 		}
-		sess.lastActive.Store(time.Now().UnixNano())
 		req, err := wire.ParseRequest(payload)
 		if err != nil {
 			// In-frame garbage: the framing is still synchronized, so
@@ -120,38 +120,30 @@ func (sess *session) readLoop() {
 		}
 
 		// Admission control. Entry requests — the ones that would start
-		// new work — go through the bounded queue to the worker pool and
-		// are shed immediately when it is full. Continuation requests
+		// new work — run only while they hold an execution slot, and are
+		// shed when too many already wait for one. Continuation requests
 		// (the session already holds an admitted transaction's locks)
-		// run INLINE on this reader goroutine: routing them through the
-		// same pool deadlocks under contention — every worker blocks in
-		// a lock wait while the lock holders' commit frames sit
-		// unserved behind them in the queue. Inline execution
-		// guarantees lock holders always make progress, and the
-		// per-session serialization (one frame at a time) still holds.
-		if entryRequest(req) {
-			if s.draining.Load() {
-				sess.reply(wire.StatusClosing, 0, []byte("server draining"))
-				continue
-			}
-			t := &task{sess: sess, req: req, done: make(chan struct{})}
-			sess.inflight.Store(true)
-			select {
-			case s.tasks <- t:
-			default:
-				sess.inflight.Store(false)
-				s.st.sheds.Add(1)
-				sess.reply(wire.StatusBusy, 0, []byte("admission queue full"))
-				continue
-			}
-			maxInt64(&s.st.queueHighWater, int64(len(s.tasks)))
-			<-t.done // frame buffer and scratch are reusable again
-			sess.inflight.Store(false)
-		} else {
-			sess.inflight.Store(true)
-			s.serve(&task{sess: sess, req: req})
-			sess.inflight.Store(false)
+		// need no slot: were they to wait for one, every slot could be
+		// held by a request blocked in a lock wait while the lock
+		// holders' commit frames wait behind them. inflight is set
+		// before the wait, so a drain sees a waiting session as busy.
+		sess.inflight.Store(true)
+		var status wire.Status
+		var flags uint8
+		switch {
+		case !entryRequest(req):
+			status, flags = s.exec(sess, req)
+		case s.draining.Load():
+			status, flags = sess.refuse(wire.StatusClosing, "server draining")
+		case !s.admit():
+			s.st.sheds.Add(1)
+			status, flags = sess.refuse(wire.StatusBusy, "admission queue full")
+		default:
+			status, flags = s.exec(sess, req)
+			<-s.slots // before the reply: the client's next request finds it free
 		}
+		sess.reply(status, flags, sess.body.B)
+		sess.inflight.Store(false)
 	}
 }
 
@@ -170,9 +162,8 @@ func entryRequest(req wire.Request) bool {
 }
 
 // cleanup runs when the reader exits: roll back whatever the session
-// left open (rollback-on-disconnect) and deregister. No worker can be
-// executing for this session here — the reader never exits between
-// enqueue and done.
+// left open (rollback-on-disconnect) and deregister. No request of the
+// session runs here: the reader runs them itself.
 func (sess *session) cleanup() {
 	s := sess.srv
 	sess.conn.Close()
@@ -185,38 +176,4 @@ func (sess *session) cleanup() {
 	delete(s.sessions, sess.id)
 	s.mu.Unlock()
 	s.st.sessionsOpen.Add(-1)
-}
-
-// janitor reaps idle sessions: a connection with no traffic for
-// IdleTimeout is closed, which funnels it through cleanup and rolls
-// back its open transaction — an abandoned client cannot leak locks.
-func (s *Server) janitor() {
-	defer s.janitorWg.Done()
-	interval := s.opts.IdleTimeout / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stopped:
-			return
-		case <-tick.C:
-		}
-		deadline := time.Now().Add(-s.opts.IdleTimeout).UnixNano()
-		s.mu.Lock()
-		var victims []*session
-		for _, sess := range s.sessions {
-			if !sess.inflight.Load() && sess.lastActive.Load() < deadline {
-				victims = append(victims, sess)
-			}
-		}
-		s.mu.Unlock()
-		for _, sess := range victims {
-			s.st.idleCloses.Add(1)
-			s.logf("server: closing idle session %d", sess.id)
-			sess.conn.Close()
-		}
-	}
 }

@@ -22,7 +22,7 @@ import (
 // session's transaction and then failed — even with an error that would
 // not kill an open transaction, like a duplicate key — must roll it back.
 // BeginBatch returns no handle on failure, so a transaction left open
-// could only be ended by the idle janitor or a disconnect, and until then
+// could only be ended by the idle timeout or a disconnect, and until then
 // every BeginBatch on the connection would fail ErrTxOpen with its locks
 // and its open-transaction token held.
 func TestServerFailedBeginBatchLeavesNothingOpen(t *testing.T) {

@@ -26,7 +26,7 @@ func TestServerDisconnectStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(db, Options{Workers: 4, QueueDepth: 64, MaxTx: 256, IdleTimeout: -1})
+	srv := New(db, Options{Workers: 4, QueueDepth: 64, IdleTimeout: -1})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestServerDisconnectStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// All reader/worker/janitor goroutines must be gone.
+	// All reader goroutines must be gone.
 	deadline = time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()

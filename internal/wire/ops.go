@@ -181,8 +181,8 @@ type ServerStats struct {
 	Batches             uint64 // OpBatch frames among Requests
 	Sheds               uint64 // requests refused with StatusBusy
 	DisconnectRollbacks uint64 // open transactions rolled back on disconnect
-	IdleCloses          uint64 // sessions closed by the idle janitor
-	QueueHighWater      int64  // deepest admission-queue backlog observed
+	IdleCloses          uint64 // sessions closed by their idle read deadline
+	QueueHighWater      int64  // most entry requests seen waiting for a slot at once
 }
 
 // StatsPayload is the OpStats response body.
