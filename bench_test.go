@@ -329,7 +329,7 @@ func benchDoraParallel(b *testing.B, dora bool, run func(db *tpcc.DB, r *tpcc.Ra
 }
 
 // BenchmarkDoraParallel compares the shared lock manager with
-// DORA-style partitioned execution, per transaction type. CI captures it as BENCH_dora.json.
+// DORA-style partitioned execution, per transaction type.
 func BenchmarkDoraParallel(b *testing.B) {
 	payment := func(db *tpcc.DB, r *tpcc.Rand, home uint32) error {
 		return db.PaymentCtx(context.Background(), tpcc.GenPayment(r, db.Scale, home))
@@ -375,6 +375,7 @@ func benchPlpParallel(b *testing.B, plpOn, zipf bool, run func(db *tpcc.DB, r *t
 		b.Fatal(err)
 	}
 	var seq, giveUps atomic.Int64
+	before := e.Stats().Btree
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		id := seq.Add(1)
@@ -400,22 +401,23 @@ func benchPlpParallel(b *testing.B, plpOn, zipf bool, run func(db *tpcc.DB, r *t
 		}
 	})
 	b.StopTimer()
+	after := e.Stats().Btree
 	b.ReportMetric(float64(giveUps.Load())/float64(b.N), "giveups/op")
+	if plpOn {
+		ops := after.OwnerDescents + after.OwnerReads - before.OwnerDescents - before.OwnerReads
+		b.ReportMetric(float64(ops)/float64(b.N), "ownerops/op")
+	}
 	if zipf {
 		b.ReportMetric(benchResidualSkew(b, db, warehouses), "skewratio")
-	}
-	if plpOn {
-		st := e.Stats()
-		b.ReportMetric(float64(st.Btree.OwnerDescents+st.Btree.OwnerReads)/float64(b.N), "ownerops/op")
 	}
 }
 
 // benchResidualSkew measures the routing skew the partition map leaves
 // under the Zipfian load: it drives a short untimed burst of Zipfian
 // Payments after the timed run and returns max/mean of the per-partition
-// routing deltas over that burst. Shared-tree DORA deals warehouses to
-// partitions modulo their count, PLP in contiguous ranges; neither moves
-// a warehouse while it runs.
+// routing deltas over that burst. Shared-tree DORA and PLP deal
+// warehouses to partitions alike, modulo their count (dora.Executor.Route),
+// and neither moves a warehouse while it runs.
 func benchResidualSkew(b *testing.B, db *tpcc.DB, warehouses int) float64 {
 	b.Helper()
 	parts := db.Engine.Stats().Dora.Parts
@@ -456,7 +458,7 @@ func benchResidualSkew(b *testing.B, db *tpcc.DB, warehouses int) float64 {
 
 // BenchmarkPlpParallel compares shared-tree DORA with physiologically
 // partitioned trees, per transaction type, plus Zipfian-skewed variants
-// that report the routing skew. CI captures it as BENCH_plp.json.
+// that report the routing skew.
 func BenchmarkPlpParallel(b *testing.B) {
 	payment := func(db *tpcc.DB, r *tpcc.Rand, home uint32) error {
 		return db.DoraPayment(context.Background(), tpcc.GenPayment(r, db.Scale, home))
@@ -944,10 +946,9 @@ func benchViewWork(b *testing.B, snapshot bool, mode string) {
 	}
 }
 
-// BenchmarkViewScanParallel is the PR's headline comparison: S-locked
-// read-only transactions versus lock-free snapshot reads under a
-// concurrent write mix. Run with -cpu=8; CI captures it as
-// BENCH_view.json.
+// BenchmarkViewScanParallel compares S-locked read-only transactions
+// with lock-free snapshot reads under a concurrent write mix. Run with
+// -cpu=8.
 func BenchmarkViewScanParallel(b *testing.B) {
 	b.Run("scan/slock", func(b *testing.B) { benchViewWork(b, false, "scan") })
 	b.Run("scan/snapshot", func(b *testing.B) { benchViewWork(b, true, "scan") })

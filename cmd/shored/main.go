@@ -45,7 +45,6 @@ func main() {
 	snapshot := flag.Bool("snapshot", false, "multiversion snapshot reads: View batches run lock-free against version chains")
 	warehouses := flag.Int("tpcc", 0, "preload a TPC-C database with this many warehouses and publish its catalog")
 	logSegment := flag.Int64("log-segment", 0, "log segment size in bytes (0 = default segment size)")
-	redoWorkers := flag.Int("redo-workers", 0, "parallel redo workers during restart recovery (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
 	stage, ok := stageByName(*stageName)
@@ -60,7 +59,6 @@ func main() {
 		Snapshot:     *snapshot,
 
 		LogSegmentBytes: *logSegment,
-		RedoWorkers:     *redoWorkers,
 	}
 	if *durability == "relaxed" {
 		opts.Durability = shoremt.DurabilityRelaxed

@@ -220,8 +220,8 @@ func printEngine(out io.Writer, st core.EngineStats) {
 	}
 	if p := st.Plp; p.Partitions > 0 {
 		fmt.Fprintf(out, "  plp:         %d routing keys over %d partitions (%d forests)\n", p.Keys, p.Partitions, p.Tables)
-		fmt.Fprintf(out, "               owner path: %d descents, %d reads, %d writes, %d scans, %d fallbacks\n",
-			bt.OwnerDescents, bt.OwnerReads, bt.OwnerWrites, bt.OwnerScans, bt.OwnerFallbacks)
+		fmt.Fprintf(out, "               segment trees: %d descents, %d leaf reads, %d fallbacks\n",
+			bt.OwnerDescents, bt.OwnerReads, bt.OwnerFallbacks)
 	}
 	fmt.Fprintf(out, "  space:       %d page allocations, %d extent grows\n  tx:          %d begun, %d committed, %d aborted\n",
 		st.Space.Allocs, st.Space.ExtentsGrown, st.Tx.Begins, st.Tx.Commits, st.Tx.Aborts)

@@ -55,28 +55,21 @@ type OptEnv interface {
 	ReleaseOpt(buffer.OptRef)
 }
 
-// OLCStats counts descent outcomes per access policy (see Access). One
-// instance is typically shared by every tree an engine opens, so the
-// counters are engine-wide.
+// OLCStats counts descent outcomes. One instance is typically shared by
+// many trees, so the counters are those trees' together.
 type OLCStats struct {
-	OptDescents  atomic.Uint64 // Optimistic descents to a latched leaf whose inner levels stayed speculative
-	Restarts     atomic.Uint64 // operations restarted from the root (failed validation, unreadable node, root grew), any policy
-	Fallbacks    atomic.Uint64 // Optimistic operations that exhausted their restarts and ran Latched
-	OptLeafReads atomic.Uint64 // Optimistic leaf reads (Search, one per Scan leaf) over speculative inner levels; the leaf is latched only when it could not be read as a validated copy
+	OptDescents  atomic.Uint64 // descents to a latched leaf whose inner levels stayed speculative
+	Restarts     atomic.Uint64 // operations restarted from the root (failed validation, unreadable node, root grew)
+	Fallbacks    atomic.Uint64 // speculative operations that exhausted their restarts and ran latched
+	OptLeafReads atomic.Uint64 // leaf reads (Search, one per Scan leaf) over speculative inner levels; the leaf is latched only when it could not be read as a validated copy
 
-	// LatchedDescents counts classic pinned descents — the latch traffic
-	// OLC and PLP exist to avoid; the Owner* counters are the Optimistic
-	// ones for the partition-owner policy.
-	LatchedDescents atomic.Uint64 // pinned SH descents (fallbacks included)
-	OwnerDescents   atomic.Uint64 // Owner descents to a latched leaf completed without inner latches
-	OwnerReads      atomic.Uint64 // Owner leaf reads (Search, one per Scan leaf), as OptLeafReads
-	OwnerWrites     atomic.Uint64 // Owner mutation descents (insert/update/delete); moves with OwnerDescents
-	OwnerScans      atomic.Uint64 // Owner range scans
-	OwnerFallbacks  atomic.Uint64 // Owner operations that exhausted their restarts and ran Latched
+	// LatchedDescents counts classic pinned descents: every descent of a
+	// tree without an OptEnv, and the fallbacks of one with.
+	LatchedDescents atomic.Uint64
 
-	// Cursor outcomes, any policy. A hit is an operation that reached its
-	// leaf from the transaction's Cursor and so is in none of the descent
-	// counters above; a miss went on to descend and is.
+	// Cursor outcomes. A hit is an operation that reached its leaf from
+	// the transaction's Cursor and so is in none of the descent counters
+	// above; a miss went on to descend and is.
 	CursorHits        atomic.Uint64
 	CursorMisses      atomic.Uint64
 	InsertPointSplits atomic.Uint64 // leaf splits cut at the insertion point instead of the middle
@@ -91,11 +84,6 @@ type OLCSnapshot struct {
 	OptLeafReads uint64
 
 	LatchedDescents uint64
-	OwnerDescents   uint64
-	OwnerReads      uint64
-	OwnerWrites     uint64
-	OwnerScans      uint64
-	OwnerFallbacks  uint64
 
 	CursorHits        uint64
 	CursorMisses      uint64
@@ -112,11 +100,6 @@ func (s *OLCStats) Snapshot() OLCSnapshot {
 		OptLeafReads: s.OptLeafReads.Load(),
 
 		LatchedDescents: s.LatchedDescents.Load(),
-		OwnerDescents:   s.OwnerDescents.Load(),
-		OwnerReads:      s.OwnerReads.Load(),
-		OwnerWrites:     s.OwnerWrites.Load(),
-		OwnerScans:      s.OwnerScans.Load(),
-		OwnerFallbacks:  s.OwnerFallbacks.Load(),
 
 		CursorHits:        s.CursorHits.Load(),
 		CursorMisses:      s.CursorMisses.Load(),
@@ -126,7 +109,7 @@ func (s *OLCStats) Snapshot() OLCSnapshot {
 }
 
 // maxOptRestarts bounds how often an operation restarts from the root
-// after a failed validation before it falls back to the Latched policy.
+// after a failed validation before it falls back to the latched descent.
 const maxOptRestarts = 3
 
 // maxOptHops bounds one speculative walk's node visits (descent plus
@@ -134,14 +117,14 @@ const maxOptRestarts = 3
 // torn images.
 const maxOptHops = 64
 
-// Access is the latch policy of one tree operation. Every operation runs
-// the same descent; the policy decides how nodes are read on the way
-// down and which counters record the outcome.
+// Tree is a B-link tree rooted at a fixed page. Its latch policy is
+// fixed when it is opened: with an OptEnv it speculates, without one it latches. Every operation runs the same
+// descent; the policy decides how nodes are read on the way down and
+// which counters record the outcome.
 //
-//	            inner nodes      leaf, Search/Scan   leaf, mutations   counters
-//	Latched     pinned SH        pinned SH           pinned EX         LatchedDescents
-//	Optimistic  validated copy*  validated copy**    pinned EX         OptDescents, OptLeafReads, Fallbacks
-//	Owner       validated copy*  validated copy**    pinned EX         OwnerDescents+OwnerWrites, OwnerReads, OwnerScans, OwnerFallbacks
+//	             inner nodes      leaf, Search/Scan   leaf, mutations   counters
+//	no OptEnv    pinned SH        pinned SH           pinned EX         LatchedDescents
+//	OptEnv       validated copy*  validated copy**    pinned EX         OptDescents, OptLeafReads, Fallbacks
 //
 // A validated copy is a speculative read of an unpinned, unlatched page
 // image (OptEnv) that counts only if the frame's latch version did not
@@ -151,60 +134,18 @@ const maxOptHops = 64
 // validated copy (not resident, write-latched, or changed under the
 // read) is read under a pinned SH latch instead. A failed validation of
 // an inner node restarts the operation from the root (Restarts); after
-// maxOptRestarts of them it falls back to Latched, which always
-// succeeds.
+// maxOptRestarts of them it falls back to the latched descent, which
+// always succeeds.
 //
-// Optimistic is for trees shared between threads (optimistic latch
-// coupling). Owner is the same mechanism counted separately for PLP
-// segment trees driven by their partition's goroutine, the segment's
-// only writer: its validations cannot fail while that discipline holds,
-// and the single-leaf EX latch a mutation still takes is a write fence
-// for the page cleaner and for other threads' validated copies, not for
-// tree consistency. A tree without an OptEnv runs every policy as
-// Latched.
-type Access uint8
-
-const (
-	Latched Access = iota
-	Optimistic
-	Owner
-)
-
-// descent records a descent that ended in a latched leaf.
-func (s *OLCStats) descent(a Access) {
-	switch a {
-	case Latched:
-		s.LatchedDescents.Add(1)
-	case Optimistic:
-		s.OptDescents.Add(1)
-	case Owner:
-		s.OwnerDescents.Add(1)
-		s.OwnerWrites.Add(1)
-	}
-}
-
-// leafRead records a leaf read over speculative inner levels.
-func (s *OLCStats) leafRead(a Access) {
-	if a == Owner {
-		s.OwnerReads.Add(1)
-	} else {
-		s.OptLeafReads.Add(1)
-	}
-}
-
-// fallback records an operation giving up on speculation.
-func (s *OLCStats) fallback(a Access) {
-	if a == Owner {
-		s.OwnerFallbacks.Add(1)
-	} else {
-		s.Fallbacks.Add(1)
-	}
-}
-
-// Tree is a B-link tree rooted at a fixed page.
+// The mechanism serves trees shared between threads (optimistic latch
+// coupling) and a PLP segment tree driven by its partition's goroutine,
+// the segment's only writer, alike: there its validations cannot fail
+// while that discipline holds, and the single-leaf EX latch a mutation
+// still takes is a write fence for the page cleaner and for other
+// threads' validated copies, not for tree consistency.
 type Tree struct {
 	env   Env
-	opt   OptEnv // nil: every policy runs as Latched
+	opt   OptEnv // nil: every descent latches
 	stats *OLCStats
 	store uint32
 	root  page.ID
@@ -224,9 +165,9 @@ func Create(env Env, opt OptEnv, stats *OLCStats, tx Txn, store uint32) (*Tree, 
 	return t, nil
 }
 
-// Open attaches to an existing tree. opt serves the Optimistic and Owner
-// policies (nil: everything runs Latched); stats must not be nil and is
-// typically shared by every tree an engine opens.
+// Open attaches to an existing tree. With opt the tree speculates, and
+// without it every descent latches; stats must not be nil and is
+// typically shared by many trees.
 func Open(env Env, opt OptEnv, stats *OLCStats, store uint32, root page.ID) *Tree {
 	return &Tree{env: env, opt: opt, stats: stats, store: store, root: root}
 }
@@ -337,26 +278,21 @@ func (t *Tree) moveRight(f *buffer.Frame, hdr nodeHeader, key []byte, mode sync2
 	return f, hdr, hops, nil
 }
 
-// attempt is the one restart-then-fall-back loop: it runs try under a
-// until it reports ok, speculating while a allows it and maxOptRestarts
-// are not used up, then with speculation off. It returns the policy the
-// successful try ran under. Errors from try were observed on validated or
-// latched reads, so they are real and end the loop.
-func (t *Tree) attempt(a Access, try func(speculate bool) (ok bool, err error)) (Access, error) {
-	if t.opt == nil {
-		a = Latched
-	}
+// attempt is the one restart-then-fall-back loop: it runs try until it
+// reports ok, speculating while the tree has an OptEnv and
+// maxOptRestarts are not used up, then with speculation off. It reports
+// whether the successful try speculated. Errors from try were observed on
+// validated or latched reads, so they are real and end the loop.
+func (t *Tree) attempt(try func(speculate bool) (ok bool, err error)) (speculated bool, err error) {
+	speculate := t.opt != nil
 	for restarts := 0; ; restarts++ {
-		if a != Latched && restarts == maxOptRestarts {
-			t.stats.fallback(a)
-			a = Latched
+		if speculate && restarts == maxOptRestarts {
+			t.stats.Fallbacks.Add(1)
+			speculate = false
 		}
-		ok, err := try(a != Latched)
-		if err != nil {
-			return a, err
-		}
-		if ok {
-			return a, nil
+		ok, err := try(speculate)
+		if err != nil || ok {
+			return speculate, err
 		}
 		t.stats.Restarts.Add(1)
 	}
@@ -383,7 +319,7 @@ func (p *nodePath) push(pid page.ID) {
 // otherwise walks from the root, recording the ancestors in *path (nil
 // when the caller never splits; left empty when the cursor hit). c, when
 // not nil, remembers the leaf.
-func (t *Tree) descend(a Access, c *Cursor, key []byte, mode sync2.LatchMode, path *nodePath) (f *buffer.Frame, hdr nodeHeader, slot int, exact bool, err error) {
+func (t *Tree) descend(c *Cursor, key []byte, mode sync2.LatchMode, path *nodePath) (f *buffer.Frame, hdr nodeHeader, slot int, exact bool, err error) {
 	if pid := c.hint(key); pid != 0 {
 		var ok bool
 		if f, hdr, slot, exact, ok, err = t.latchLeaf(pid, key, mode, true); err != nil || ok {
@@ -397,7 +333,7 @@ func (t *Tree) descend(a Access, c *Cursor, key []byte, mode sync2.LatchMode, pa
 	if c.missed() {
 		t.stats.CursorMisses.Add(1)
 	}
-	a, err = t.attempt(a, func(speculate bool) (ok bool, err error) {
+	speculated, err := t.attempt(func(speculate bool) (ok bool, err error) {
 		if path != nil {
 			path.n = 0
 		}
@@ -411,7 +347,11 @@ func (t *Tree) descend(a Access, c *Cursor, key []byte, mode sync2.LatchMode, pa
 	if err != nil {
 		return nil, nodeHeader{}, 0, false, err
 	}
-	t.stats.descent(a)
+	if speculated {
+		t.stats.OptDescents.Add(1)
+	} else {
+		t.stats.LatchedDescents.Add(1)
+	}
 	c.remember(f, hdr, key)
 	return
 }
@@ -450,7 +390,7 @@ func (t *Tree) walk(key []byte, speculate, pin bool, path *nodePath) (page.ID, b
 	return 0, false, nil
 }
 
-// readStep reads node pid the way the policy allows and computes the
+// readStep reads node pid the way speculate allows and computes the
 // descent step for key from it: as a validated copy when speculate is
 // set; under a pinned SH latch, released before returning (B-link
 // move-right repairs any split that slips in before the next node is
@@ -561,65 +501,61 @@ func nodeStep(p *page.Page, key []byte) (step, error) {
 }
 
 // viewLeaf runs read over an image of the leaf responsible for key, with
-// the slot key is (exact) or belongs at: a validated copy under the
-// speculative policies (nothing pinned, nothing latched), the SH-latched
-// page under Latched. c's remembered leaf is tried first, the same way.
-// read may run more than once and on a torn image, so it must only copy
-// values out through the bounds-checked accessors and reset what it
-// collects on entry; its results, error included, count only when
-// viewLeaf returns. h.highKey aliases the page.
-func (t *Tree) viewLeaf(a Access, c *Cursor, key []byte, read leafReader) error {
+// the slot key is (exact) or belongs at: a validated copy when the tree
+// speculates (nothing pinned, nothing latched), the SH-latched page
+// otherwise. c's remembered leaf is tried first, the same way. read may
+// run more than once and on a torn image, so it must only copy values out
+// through the bounds-checked accessors and reset what it collects on
+// entry; its results, error included, count only when viewLeaf returns.
+// h.highKey aliases the page.
+func (t *Tree) viewLeaf(c *Cursor, key []byte, read leafReader) error {
 	if t.opt == nil {
-		a = Latched
+		f, hdr, slot, exact, err := t.descend(c, key, sync2.LatchSH, nil)
+		if err != nil {
+			return err
+		}
+		defer t.env.Unfix(f, sync2.LatchSH)
+		return read(f.Page(), hdr, slot, exact)
 	}
-	hint := c // for descend to try; a speculative policy tries it here
-	if a != Latched {
-		hint = nil
-		if pid := c.hint(key); pid != 0 {
-			if ok, err := t.readLeafOpt(pid, true, c, key, read); ok || err != nil {
-				if ok {
-					t.stats.CursorHits.Add(1)
-					t.stats.leafRead(a)
-				}
-				return err
+	if pid := c.hint(key); pid != 0 {
+		if ok, err := t.readLeafOpt(pid, true, c, key, read); ok || err != nil {
+			if ok {
+				t.stats.CursorHits.Add(1)
+				t.stats.OptLeafReads.Add(1)
 			}
-		}
-		if c.missed() {
-			t.stats.CursorMisses.Add(1)
+			return err
 		}
 	}
-	ran, err := t.attempt(a, func(speculate bool) (bool, error) {
+	if c.missed() {
+		t.stats.CursorMisses.Add(1)
+	}
+	speculated, err := t.attempt(func(speculate bool) (bool, error) {
+		pid, ok, err := t.walk(key, speculate, true, nil)
+		if !ok || err != nil {
+			return false, err
+		}
 		if speculate {
-			pid, ok, err := t.walk(key, true, true, nil)
-			if !ok || err != nil {
-				return false, err
-			}
 			if ok, err := t.readLeafOpt(pid, false, c, key, read); ok || err != nil {
 				return ok, err
 			}
 			// The leaf is cold, write-latched or changed under the read:
 			// read it latched, as a mutation would, rather than walk again
 			// to meet the same leaf.
-			f, hdr, slot, exact, ok, err := t.latchLeaf(pid, key, sync2.LatchSH, false)
-			if !ok || err != nil {
-				return false, err
-			}
-			defer t.env.Unfix(f, sync2.LatchSH)
-			c.remember(f, hdr, key)
-			return true, read(f.Page(), hdr, slot, exact)
 		}
-		f, hdr, slot, exact, err := t.descend(Latched, hint, key, sync2.LatchSH, nil)
-		if err != nil {
+		f, hdr, slot, exact, ok, err := t.latchLeaf(pid, key, sync2.LatchSH, false)
+		if !ok || err != nil {
 			return false, err
 		}
 		defer t.env.Unfix(f, sync2.LatchSH)
-		if hint == nil {
-			c.remember(f, hdr, key) // descend did not
-		}
+		c.remember(f, hdr, key)
 		return true, read(f.Page(), hdr, slot, exact)
 	})
-	if err == nil && ran != Latched {
-		t.stats.leafRead(ran)
+	switch {
+	case err != nil:
+	case speculated:
+		t.stats.OptLeafReads.Add(1)
+	default:
+		t.stats.LatchedDescents.Add(1)
 	}
 	return err
 }
@@ -683,8 +619,8 @@ func (t *Tree) readLeafOpt(pid page.ID, hinted bool, c *Cursor, key []byte, read
 }
 
 // Search returns a copy of the value stored for key. c may be nil.
-func (t *Tree) Search(a Access, c *Cursor, key []byte) (val []byte, found bool, err error) {
-	found, err = t.View(a, c, key, func(v []byte) { val = append(val[:0:0], v...) })
+func (t *Tree) Search(c *Cursor, key []byte) (val []byte, found bool, err error) {
+	found, err = t.View(c, key, func(v []byte) { val = append(val[:0:0], v...) })
 	if !found {
 		val = nil
 	}
@@ -697,11 +633,11 @@ func (t *Tree) Search(a Access, c *Cursor, key []byte) (val []byte, found bool, 
 // than once (the last call is the one that counts) or run and still have
 // View answer not found, whose caller then ignores what it copied. c may
 // be nil.
-func (t *Tree) View(a Access, c *Cursor, key []byte, view func(v []byte)) (found bool, err error) {
+func (t *Tree) View(c *Cursor, key []byte, view func(v []byte)) (found bool, err error) {
 	if err := checkKV(key, nil); err != nil {
 		return false, err
 	}
-	err = t.viewLeaf(a, c, key, func(p *page.Page, _ nodeHeader, slot int, exact bool) error {
+	err = t.viewLeaf(c, key, func(p *page.Page, _ nodeHeader, slot int, exact bool) error {
 		found = false
 		if !exact {
 			return nil
@@ -727,17 +663,17 @@ func (t *Tree) View(a Access, c *Cursor, key []byte, view func(v []byte)) (found
 // Insert adds key→value; ErrDuplicateKey if present. The operation is
 // logged with a logical undo (delete key), so aborting the transaction
 // removes the key even if splits moved it. c may be nil.
-func (t *Tree) Insert(a Access, c *Cursor, tx Txn, key, value []byte) error {
-	return t.insert(a, c, tx, key, value, true)
+func (t *Tree) Insert(c *Cursor, tx Txn, key, value []byte) error {
+	return t.insert(c, tx, key, value, true)
 }
 
 // InsertNoUndo adds key→value with redo-only logging. Recovery's logical
 // undo path uses it (a CLR-covered action must not generate further undo).
-func (t *Tree) InsertNoUndo(a Access, tx Txn, key, value []byte) error {
-	return t.insert(a, nil, tx, key, value, false)
+func (t *Tree) InsertNoUndo(tx Txn, key, value []byte) error {
+	return t.insert(nil, tx, key, value, false)
 }
 
-func (t *Tree) insert(a Access, c *Cursor, tx Txn, key, value []byte, withUndo bool) error {
+func (t *Tree) insert(c *Cursor, tx Txn, key, value []byte, withUndo bool) error {
 	if err := checkKV(key, value); err != nil {
 		return err
 	}
@@ -748,7 +684,7 @@ func (t *Tree) insert(a Access, c *Cursor, tx Txn, key, value []byte, withUndo b
 	*scratch = entry
 	var path nodePath
 	for {
-		f, hdr, slot, exact, err := t.descend(a, c, key, sync2.LatchEX, &path)
+		f, hdr, slot, exact, err := t.descend(c, key, sync2.LatchEX, &path)
 		if err != nil {
 			return err
 		}
@@ -779,24 +715,24 @@ func (t *Tree) insert(a Access, c *Cursor, tx Txn, key, value []byte, withUndo b
 
 // Update replaces the value for key. Logged as a patch of the bytes that
 // differ, with a logical undo that puts the old ones back. c may be nil.
-func (t *Tree) Update(a Access, c *Cursor, tx Txn, key, value []byte) error {
-	return t.update(a, c, tx, key, 0, 0, value, true)
+func (t *Tree) Update(c *Cursor, tx Txn, key, value []byte) error {
+	return t.update(c, tx, key, 0, 0, value, true)
 }
 
 // UpdateNoUndo puts mid between the first off and the last suf bytes of
 // key's value, with redo-only logging: the action of a logical update undo
 // (see pageop.Logical for why it may safely run twice).
-func (t *Tree) UpdateNoUndo(a Access, tx Txn, key []byte, off, suf int, mid []byte) error {
-	return t.update(a, nil, tx, key, off, suf, mid, false)
+func (t *Tree) UpdateNoUndo(tx Txn, key []byte, off, suf int, mid []byte) error {
+	return t.update(nil, tx, key, off, suf, mid, false)
 }
 
-func (t *Tree) update(a Access, c *Cursor, tx Txn, key []byte, off, suf int, mid []byte, withUndo bool) error {
+func (t *Tree) update(c *Cursor, tx Txn, key []byte, off, suf int, mid []byte, withUndo bool) error {
 	if err := checkKV(key, mid); err != nil {
 		return err
 	}
 	var path nodePath
 	for {
-		f, hdr, slot, exact, err := t.descend(a, c, key, sync2.LatchEX, &path)
+		f, hdr, slot, exact, err := t.descend(c, key, sync2.LatchEX, &path)
 		if err != nil {
 			return err
 		}
@@ -844,20 +780,20 @@ func (t *Tree) update(a Access, c *Cursor, tx Txn, key []byte, off, suf int, mid
 // re-inserting the key. Underflowed leaves are left in place (lazy
 // deletion; no merges), which keeps sibling pointers stable — and is what
 // lets a Cursor trust a remembered leaf. c may be nil.
-func (t *Tree) Delete(a Access, c *Cursor, tx Txn, key []byte) ([]byte, error) {
-	return t.delete(a, c, tx, key, true)
+func (t *Tree) Delete(c *Cursor, tx Txn, key []byte) ([]byte, error) {
+	return t.delete(c, tx, key, true)
 }
 
 // DeleteNoUndo is Delete with redo-only logging (for recovery undo).
-func (t *Tree) DeleteNoUndo(a Access, tx Txn, key []byte) ([]byte, error) {
-	return t.delete(a, nil, tx, key, false)
+func (t *Tree) DeleteNoUndo(tx Txn, key []byte) ([]byte, error) {
+	return t.delete(nil, tx, key, false)
 }
 
-func (t *Tree) delete(a Access, c *Cursor, tx Txn, key []byte, withUndo bool) ([]byte, error) {
+func (t *Tree) delete(c *Cursor, tx Txn, key []byte, withUndo bool) ([]byte, error) {
 	if err := checkKV(key, nil); err != nil {
 		return nil, err
 	}
-	f, _, slot, exact, err := t.descend(a, c, key, sync2.LatchEX, nil)
+	f, _, slot, exact, err := t.descend(c, key, sync2.LatchEX, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -901,10 +837,7 @@ func (t *Tree) delete(a Access, c *Cursor, tx Txn, key []byte, withUndo bool) ([
 // benign: the next leaf is found by descending to the previous one's
 // high key, below which everything has been emitted and at or above
 // which nothing has.
-func (t *Tree) Scan(a Access, from, to []byte, fn func(key, value []byte) bool) error {
-	if a == Owner && t.opt != nil {
-		t.stats.OwnerScans.Add(1)
-	}
+func (t *Tree) Scan(from, to []byte, fn func(key, value []byte) bool) error {
 	lo := from
 	if lo == nil {
 		lo = []byte{0}
@@ -912,7 +845,7 @@ func (t *Tree) Scan(a Access, from, to []byte, fn func(key, value []byte) bool) 
 	var pairs [][2][]byte
 	for {
 		var buf, next []byte // next: the leaf's high key; nil once the scan is complete
-		err := t.viewLeaf(a, nil, lo, func(p *page.Page, h nodeHeader, slot int, _ bool) error {
+		err := t.viewLeaf(nil, lo, func(p *page.Page, h nodeHeader, slot int, _ bool) error {
 			pairs, next = pairs[:0], nil
 			// Size the copy first, so that a leaf takes one allocation: a
 			// re-run reuses the buffer of the run before, which fn has not

@@ -21,9 +21,10 @@ import (
 // fakeEnv implements Env over a real buffer pool and space manager, with
 // logging replaced by direct application (LSN = counter).
 type fakeEnv struct {
-	pool *buffer.Pool
-	sm   *space.Manager
-	lsn  atomic.Uint64
+	pool   *buffer.Pool
+	sm     *space.Manager
+	lsn    atomic.Uint64
+	shared OLCStats // the counters of the env's trees that have none of their own
 }
 
 func newFakeEnv(tb testing.TB, frames int) *fakeEnv {
@@ -69,24 +70,41 @@ func (e *fakeEnv) Log(t Txn, f *buffer.Frame, op pageop.Op, undo pageop.Logical)
 	return nil
 }
 
-// newTestTree builds an empty tree over the fake env's real buffer pool,
-// which also serves as its OptEnv, with counters of its own.
-func newTestTree(tb testing.TB, frames int) (*Tree, *fakeEnv) {
+// treeMode is one of the three ways the engine opens a tree: latched
+// (a shared tree below StageFinal: no OptEnv), optimistic (a shared tree
+// from StageFinal on: the buffer pool as its OptEnv) and owner (a PLP
+// segment tree: optimistic, counting into stats of its own instead of the
+// ones the shared trees share).
+type treeMode struct {
+	name     string
+	opt, own bool
+}
+
+var (
+	latched = treeMode{name: "latched"}
+	// modes is the table every mode-parameterised test runs over.
+	modes = []treeMode{latched, {name: "optimistic", opt: true}, {name: "owner", opt: true, own: true}}
+)
+
+// newTestTree builds an empty tree opened the way m says over a fresh
+// fake env's real buffer pool; it counts into env.shared unless m.own.
+func newTestTree(tb testing.TB, frames int, m treeMode) (*Tree, *fakeEnv) {
 	tb.Helper()
 	env := newFakeEnv(tb, frames)
-	store := env.sm.CreateStore(space.KindBTree)
-	tr, err := Create(env, env.pool, new(OLCStats), tx1, store)
+	var opt OptEnv
+	if m.opt {
+		opt = env.pool
+	}
+	stats := &env.shared
+	if m.own {
+		stats = new(OLCStats)
+	}
+	tr, err := Create(env, opt, stats, tx1, env.sm.CreateStore(space.KindBTree))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return tr, env
 }
-
-// policies is the table every policy-parameterised test runs over.
-var policies = []struct {
-	name string
-	a    Access
-}{{"latched", Latched}, {"optimistic", Optimistic}, {"owner", Owner}}
 
 // cursorModes is the other axis: no cursor (every operation walks from
 // the root), or one fresh cursor per goroutine, the way a transaction
@@ -100,13 +118,13 @@ var cursorModes = []struct {
 }
 
 // TestPolicies runs one insert / search / scan / update / delete / split
-// script, and the concurrent stresses, under each access policy with and
-// without a cursor, then checks that the policy's own counters recorded
-// the work and nobody else's moved.
+// script, and the concurrent stresses, on a tree opened each way with and
+// without a cursor, then checks that the tree's own counters recorded the
+// work the way it was opened and nobody else's moved.
 func TestPolicies(t *testing.T) {
 	script := []struct {
 		name string
-		run  func(*testing.T, Access, func() *Cursor) *Tree
+		run  func(*testing.T, treeMode, func() *Cursor) *Tree
 	}{
 		{"InsertSearchSmall", testInsertSearchSmall},
 		{"SplitsManyKeysSequential", testSplitsManyKeysSequential},
@@ -118,12 +136,12 @@ func TestPolicies(t *testing.T) {
 		{"ConcurrentReadersAndWriters", testConcurrentReadersAndWriters},
 		{"EvictionChurn", testEvictionChurn},
 	}
-	for _, p := range policies {
+	for _, mode := range modes {
 		for _, m := range cursorModes {
-			t.Run(p.name+"/"+m.name, func(t *testing.T) {
+			t.Run(mode.name+"/"+m.name, func(t *testing.T) {
 				for _, step := range script {
 					t.Run(step.name, func(t *testing.T) {
-						tr := step.run(t, p.a, m.cur)
+						tr := step.run(t, mode, m.cur)
 						if t.Failed() {
 							return
 						}
@@ -131,9 +149,12 @@ func TestPolicies(t *testing.T) {
 							t.Fatalf("Verify: %v", err)
 						}
 						s := tr.stats.Snapshot()
-						checkPolicyCounters(t, p.a, s)
+						checkPolicyCounters(t, mode, s)
 						if used := m.cur() != nil; used != (s.CursorHits > 0) || !used && s.CursorMisses > 0 {
 							t.Errorf("cursor %v: %d hits, %d misses", used, s.CursorHits, s.CursorMisses)
+						}
+						if shared := tr.env.(*fakeEnv).shared.Snapshot(); mode.own && shared != (OLCSnapshot{}) {
+							t.Errorf("a tree with counters of its own moved the shared ones: %+v", shared)
 						}
 					})
 				}
@@ -142,51 +163,44 @@ func TestPolicies(t *testing.T) {
 	}
 }
 
-// checkPolicyCounters asserts that work done under a landed on a's
-// counters only: the other speculative policy's stay at zero, Latched
-// never speculates (its only restart is a descent that found the root
-// leaf grown into a branch under its feet), and a speculative policy
-// reaches the latched descent only through a counted fallback. Cursor
-// hits are in none of these counters, so none of this depends on whether
-// a cursor was in use.
-func checkPolicyCounters(t *testing.T, a Access, s OLCSnapshot) {
+// checkPolicyCounters asserts that work done on a tree opened as m landed
+// on the counters of its policy only: a latched tree never speculates
+// (its only restart is a descent that found the root leaf grown into a
+// branch under its feet), and an optimistic one reaches the latched
+// descent only through a counted fallback. Cursor hits are in none of
+// these counters, so none of this depends on whether a cursor was in use.
+func checkPolicyCounters(t *testing.T, m treeMode, s OLCSnapshot) {
 	t.Helper()
 	opt := s.OptDescents + s.OptLeafReads + s.Fallbacks
-	owner := s.OwnerDescents + s.OwnerWrites + s.OwnerReads + s.OwnerScans + s.OwnerFallbacks
-	switch a {
-	case Latched:
-		if s.LatchedDescents == 0 || opt+owner != 0 {
+	if !m.opt {
+		if s.LatchedDescents == 0 || opt != 0 {
 			t.Errorf("latched: counters %+v", s)
 		}
-	case Optimistic:
-		if s.OptDescents == 0 || s.OptLeafReads == 0 || owner != 0 {
-			t.Errorf("optimistic: counters %+v", s)
-		}
-	case Owner:
-		if s.OwnerDescents == 0 || s.OwnerReads == 0 || s.OwnerWrites != s.OwnerDescents || opt != 0 {
-			t.Errorf("owner: counters %+v", s)
-		}
+		return
+	}
+	if s.OptDescents == 0 || s.OptLeafReads == 0 {
+		t.Errorf("%s: counters %+v", m.name, s)
 	}
 	// A viewLeaf fallback is one latched descent; a descend fallback is
-	// one too. The root-leaf restart of a Latched descent adds none.
-	if a != Latched && s.LatchedDescents != s.Fallbacks+s.OwnerFallbacks {
-		t.Errorf("%d latched descents, but %d fallbacks", s.LatchedDescents, s.Fallbacks+s.OwnerFallbacks)
+	// one too.
+	if s.LatchedDescents != s.Fallbacks {
+		t.Errorf("%d latched descents, but %d fallbacks", s.LatchedDescents, s.Fallbacks)
 	}
 }
 
 func key(i int) []byte { return []byte(fmt.Sprintf("key%08d", i)) }
 func val(i int) []byte { return []byte(fmt.Sprintf("value-%d", i)) }
 
-func testInsertSearchSmall(t *testing.T, a Access, cur func() *Cursor) *Tree {
+func testInsertSearchSmall(t *testing.T, m treeMode, cur func() *Cursor) *Tree {
 	c := cur()
-	tr, _ := newTestTree(t, 64)
+	tr, _ := newTestTree(t, 64, m)
 	for i := 0; i < 50; i++ {
-		if err := tr.Insert(a, c, tx1, key(i), val(i)); err != nil {
+		if err := tr.Insert(c, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 50; i++ {
-		v, ok, err := tr.Search(a, c, key(i))
+		v, ok, err := tr.Search(c, key(i))
 		if err != nil || !ok {
 			t.Fatalf("Search(%s) = %v, %v", key(i), ok, err)
 		}
@@ -194,59 +208,57 @@ func testInsertSearchSmall(t *testing.T, a Access, cur func() *Cursor) *Tree {
 			t.Fatalf("Search(%s) = %q, want %q", key(i), v, val(i))
 		}
 	}
-	if _, ok, err := tr.Search(a, c, []byte("missing")); err != nil || ok {
+	if _, ok, err := tr.Search(c, []byte("missing")); err != nil || ok {
 		t.Fatalf("missing key found: %v %v", ok, err)
 	}
 	return tr
 }
 
 func TestDuplicateKeyRejected(t *testing.T) {
-	tr, _ := newTestTree(t, 64)
-	const a = Latched
-	if err := tr.Insert(a, nil, tx1, key(1), val(1)); err != nil {
+	tr, _ := newTestTree(t, 64, latched)
+	if err := tr.Insert(nil, tx1, key(1), val(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Insert(a, nil, tx1, key(1), val(2)); !errors.Is(err, ErrDuplicateKey) {
+	if err := tr.Insert(nil, tx1, key(1), val(2)); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("duplicate insert = %v", err)
 	}
 }
 
 func TestKeyValueLimits(t *testing.T) {
-	tr, _ := newTestTree(t, 64)
-	const a = Latched
-	if err := tr.Insert(a, nil, tx1, nil, val(1)); !errors.Is(err, ErrKeyTooLarge) {
+	tr, _ := newTestTree(t, 64, latched)
+	if err := tr.Insert(nil, tx1, nil, val(1)); !errors.Is(err, ErrKeyTooLarge) {
 		t.Errorf("empty key = %v", err)
 	}
-	if err := tr.Insert(a, nil, tx1, make([]byte, MaxKeySize+1), val(1)); !errors.Is(err, ErrKeyTooLarge) {
+	if err := tr.Insert(nil, tx1, make([]byte, MaxKeySize+1), val(1)); !errors.Is(err, ErrKeyTooLarge) {
 		t.Errorf("big key = %v", err)
 	}
-	if err := tr.Insert(a, nil, tx1, key(1), make([]byte, MaxValueSize+1)); !errors.Is(err, ErrValueTooLarge) {
+	if err := tr.Insert(nil, tx1, key(1), make([]byte, MaxValueSize+1)); !errors.Is(err, ErrValueTooLarge) {
 		t.Errorf("big value = %v", err)
 	}
 	// Max-size boundary accepted.
-	if err := tr.Insert(a, nil, tx1, bytes.Repeat([]byte("k"), MaxKeySize), make([]byte, MaxValueSize)); err != nil {
+	if err := tr.Insert(nil, tx1, bytes.Repeat([]byte("k"), MaxKeySize), make([]byte, MaxValueSize)); err != nil {
 		t.Errorf("boundary KV = %v", err)
 	}
 }
 
-func testSplitsManyKeysSequential(t *testing.T, a Access, cur func() *Cursor) *Tree {
+func testSplitsManyKeysSequential(t *testing.T, m treeMode, cur func() *Cursor) *Tree {
 	c := cur()
-	tr, _ := newTestTree(t, 256)
+	tr, _ := newTestTree(t, 256, m)
 	const n = 5000
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(a, c, tx1, key(i), val(i)); err != nil {
+		if err := tr.Insert(c, tx1, key(i), val(i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
 	for i := 0; i < n; i++ {
-		v, ok, err := tr.Search(a, c, key(i))
+		v, ok, err := tr.Search(c, key(i))
 		if err != nil || !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("Search(%d) = %q,%v,%v", i, v, ok, err)
 		}
 	}
 	// Misses below, above and between the keys of a multi-level tree.
 	for _, miss := range []string{"key", "zzz", "key00000007x"} {
-		if _, ok, err := tr.Search(a, c, []byte(miss)); err != nil || ok {
+		if _, ok, err := tr.Search(c, []byte(miss)); err != nil || ok {
 			t.Fatalf("Search(%q) = %v, %v; want miss", miss, ok, err)
 		}
 	}
@@ -266,18 +278,18 @@ func testSplitsManyKeysSequential(t *testing.T, a Access, cur func() *Cursor) *T
 	return tr
 }
 
-func testSplitsRandomOrder(t *testing.T, a Access, cur func() *Cursor) *Tree {
+func testSplitsRandomOrder(t *testing.T, m treeMode, cur func() *Cursor) *Tree {
 	c := cur()
-	tr, _ := newTestTree(t, 256)
+	tr, _ := newTestTree(t, 256, m)
 	rng := rand.New(rand.NewSource(42))
 	perm := rng.Perm(3000)
 	for _, i := range perm {
-		if err := tr.Insert(a, c, tx1, key(i), val(i)); err != nil {
+		if err := tr.Insert(c, tx1, key(i), val(i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
 	for i := 0; i < 3000; i++ {
-		v, ok, err := tr.Search(a, c, key(i))
+		v, ok, err := tr.Search(c, key(i))
 		if err != nil || !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("Search(%d) = %q,%v,%v", i, v, ok, err)
 		}
@@ -285,19 +297,19 @@ func testSplitsRandomOrder(t *testing.T, a Access, cur func() *Cursor) *Tree {
 	return tr
 }
 
-func testScanOrderedAndBounded(t *testing.T, a Access, cur func() *Cursor) *Tree {
+func testScanOrderedAndBounded(t *testing.T, m treeMode, cur func() *Cursor) *Tree {
 	c := cur()
-	tr, _ := newTestTree(t, 256)
+	tr, _ := newTestTree(t, 256, m)
 	rng := rand.New(rand.NewSource(7))
 	for _, i := range rng.Perm(2000) {
-		if err := tr.Insert(a, c, tx1, key(i), val(i)); err != nil {
+		if err := tr.Insert(c, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Full scan: ordered, complete.
 	var prev []byte
 	count := 0
-	err := tr.Scan(a, nil, nil, func(k, v []byte) bool {
+	err := tr.Scan(nil, nil, func(k, v []byte) bool {
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Errorf("scan out of order: %q then %q", prev, k)
 		}
@@ -313,7 +325,7 @@ func testScanOrderedAndBounded(t *testing.T, a Access, cur func() *Cursor) *Tree
 	}
 	// Bounded scan [key100, key200).
 	count = 0
-	err = tr.Scan(a, key(100), key(200), func(k, v []byte) bool {
+	err = tr.Scan(key(100), key(200), func(k, v []byte) bool {
 		count++
 		return true
 	})
@@ -325,7 +337,7 @@ func testScanOrderedAndBounded(t *testing.T, a Access, cur func() *Cursor) *Tree
 	}
 	// Early termination.
 	count = 0
-	if err := tr.Scan(a, nil, nil, func(k, v []byte) bool { count++; return count < 5 }); err != nil {
+	if err := tr.Scan(nil, nil, func(k, v []byte) bool { count++; return count < 5 }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 5 {
@@ -334,29 +346,29 @@ func testScanOrderedAndBounded(t *testing.T, a Access, cur func() *Cursor) *Tree
 	return tr
 }
 
-func testUpdateValues(t *testing.T, a Access, cur func() *Cursor) *Tree {
+func testUpdateValues(t *testing.T, m treeMode, cur func() *Cursor) *Tree {
 	c := cur()
-	tr, _ := newTestTree(t, 64)
-	if err := tr.Insert(a, c, tx1, key(1), val(1)); err != nil {
+	tr, _ := newTestTree(t, 64, m)
+	if err := tr.Insert(c, tx1, key(1), val(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Update(a, c, tx1, key(1), []byte("new-value")); err != nil {
+	if err := tr.Update(c, tx1, key(1), []byte("new-value")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, _ := tr.Search(a, c, key(1))
+	v, ok, _ := tr.Search(c, key(1))
 	if !ok || string(v) != "new-value" {
 		t.Fatalf("after update: %q, %v", v, ok)
 	}
-	if err := tr.Update(a, c, tx1, key(2), val(2)); !errors.Is(err, ErrKeyNotFound) {
+	if err := tr.Update(c, tx1, key(2), val(2)); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("update missing = %v", err)
 	}
 	// Grow the value beyond the original size repeatedly.
 	for size := 10; size <= 1000; size *= 10 {
 		nv := bytes.Repeat([]byte("x"), size)
-		if err := tr.Update(a, c, tx1, key(1), nv); err != nil {
+		if err := tr.Update(c, tx1, key(1), nv); err != nil {
 			t.Fatalf("grow to %d: %v", size, err)
 		}
-		v, _, _ := tr.Search(a, c, key(1))
+		v, _, _ := tr.Search(c, key(1))
 		if !bytes.Equal(v, nv) {
 			t.Fatalf("grow to %d lost data", size)
 		}
@@ -364,17 +376,17 @@ func testUpdateValues(t *testing.T, a Access, cur func() *Cursor) *Tree {
 	return tr
 }
 
-func testDeleteAndReinsert(t *testing.T, a Access, cur func() *Cursor) *Tree {
+func testDeleteAndReinsert(t *testing.T, m treeMode, cur func() *Cursor) *Tree {
 	c := cur()
-	tr, _ := newTestTree(t, 256)
+	tr, _ := newTestTree(t, 256, m)
 	for i := 0; i < 500; i++ {
-		if err := tr.Insert(a, c, tx1, key(i), val(i)); err != nil {
+		if err := tr.Insert(c, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Delete the even keys.
 	for i := 0; i < 500; i += 2 {
-		old, err := tr.Delete(a, c, tx1, key(i))
+		old, err := tr.Delete(c, tx1, key(i))
 		if err != nil {
 			t.Fatalf("delete %d: %v", i, err)
 		}
@@ -382,11 +394,11 @@ func testDeleteAndReinsert(t *testing.T, a Access, cur func() *Cursor) *Tree {
 			t.Fatalf("delete %d returned %q", i, old)
 		}
 	}
-	if _, err := tr.Delete(a, c, tx1, key(0)); !errors.Is(err, ErrKeyNotFound) {
+	if _, err := tr.Delete(c, tx1, key(0)); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("double delete = %v", err)
 	}
 	for i := 0; i < 500; i++ {
-		_, ok, err := tr.Search(a, c, key(i))
+		_, ok, err := tr.Search(c, key(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,12 +408,12 @@ func testDeleteAndReinsert(t *testing.T, a Access, cur func() *Cursor) *Tree {
 	}
 	// Re-insert the deleted keys.
 	for i := 0; i < 500; i += 2 {
-		if err := tr.Insert(a, c, tx1, key(i), val(i+1000)); err != nil {
+		if err := tr.Insert(c, tx1, key(i), val(i+1000)); err != nil {
 			t.Fatalf("reinsert %d: %v", i, err)
 		}
 	}
 	for i := 0; i < 500; i += 2 {
-		v, ok, _ := tr.Search(a, c, key(i))
+		v, ok, _ := tr.Search(c, key(i))
 		if !ok || !bytes.Equal(v, val(i+1000)) {
 			t.Fatalf("reinserted %d = %q,%v", i, v, ok)
 		}
@@ -409,8 +421,8 @@ func testDeleteAndReinsert(t *testing.T, a Access, cur func() *Cursor) *Tree {
 	return tr
 }
 
-func testConcurrentInsertDisjointRanges(t *testing.T, a Access, cur func() *Cursor) *Tree {
-	tr, _ := newTestTree(t, 512)
+func testConcurrentInsertDisjointRanges(t *testing.T, m treeMode, cur func() *Cursor) *Tree {
+	tr, _ := newTestTree(t, 512, m)
 	const g, n = 8, 400
 	var wg sync.WaitGroup
 	for w := 0; w < g; w++ {
@@ -419,7 +431,7 @@ func testConcurrentInsertDisjointRanges(t *testing.T, a Access, cur func() *Curs
 			defer wg.Done()
 			c := cur() // one per goroutine, like one per transaction
 			for i := 0; i < n; i++ {
-				if err := tr.Insert(a, c, tx1, key(w*n+i), val(w*n+i)); err != nil {
+				if err := tr.Insert(c, tx1, key(w*n+i), val(w*n+i)); err != nil {
 					t.Errorf("insert %d: %v", w*n+i, err)
 					return
 				}
@@ -429,7 +441,7 @@ func testConcurrentInsertDisjointRanges(t *testing.T, a Access, cur func() *Curs
 	wg.Wait()
 	count := 0
 	var prev []byte
-	if err := tr.Scan(a, nil, nil, func(k, v []byte) bool {
+	if err := tr.Scan(nil, nil, func(k, v []byte) bool {
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Errorf("out of order after concurrent inserts")
 			return false
@@ -450,12 +462,12 @@ func testConcurrentInsertDisjointRanges(t *testing.T, a Access, cur func() *Curs
 // split leaves and inner nodes: every present key must be found with its
 // exact value (values are immutable once inserted, so a torn read would
 // surface as a mismatch), during the churn and after it.
-func testConcurrentReadersAndWriters(t *testing.T, a Access, cur func() *Cursor) *Tree {
-	tr, _ := newTestTree(t, 512)
+func testConcurrentReadersAndWriters(t *testing.T, m treeMode, cur func() *Cursor) *Tree {
+	tr, _ := newTestTree(t, 512, m)
 	const warm, extra = 1000, 1500
 	c := cur()
 	for i := 0; i < warm; i++ {
-		if err := tr.Insert(a, c, tx1, key(i), val(i)); err != nil {
+		if err := tr.Insert(c, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -469,7 +481,7 @@ func testConcurrentReadersAndWriters(t *testing.T, a Access, cur func() *Cursor)
 		defer close(stop)
 		c := cur()
 		for i := warm; i < warm+extra; i++ {
-			if err := tr.Insert(a, c, tx1, key(i), val(i)); err != nil {
+			if err := tr.Insert(c, tx1, key(i), val(i)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -489,7 +501,7 @@ func testConcurrentReadersAndWriters(t *testing.T, a Access, cur func() *Cursor)
 				default:
 				}
 				i := rng.Intn(warm)
-				v, ok, err := tr.Search(a, c, key(i))
+				v, ok, err := tr.Search(c, key(i))
 				if err != nil || !ok || !bytes.Equal(v, val(i)) {
 					t.Errorf("reader: Search(%d) = %q,%v,%v", i, v, ok, err)
 					return
@@ -499,7 +511,7 @@ func testConcurrentReadersAndWriters(t *testing.T, a Access, cur func() *Cursor)
 	}
 	wg.Wait()
 	for i := 0; i < warm+extra; i++ {
-		v, ok, err := tr.Search(a, c, key(i))
+		v, ok, err := tr.Search(c, key(i))
 		if err != nil || !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("after inserts Search(%d) = %q,%v,%v", i, v, ok, err)
 		}
@@ -511,15 +523,15 @@ func testConcurrentReadersAndWriters(t *testing.T, a Access, cur func() *Cursor)
 // under random operation sequences, each run with and without a cursor.
 func TestQuickTreeMatchesMap(t *testing.T) {
 	run := 0
-	matches := func(a Access, c *Cursor, ops []uint16) bool {
-		tr, _ := newTestTree(t, 256)
+	matches := func(m treeMode, c *Cursor, ops []uint16) bool {
+		tr, _ := newTestTree(t, 256, m)
 		ref := map[string]string{}
 		for _, op := range ops {
 			k := string(key(int(op % 200)))
 			v := string(val(int(op)))
 			switch op % 4 {
 			case 0:
-				err := tr.Insert(a, c, tx1, []byte(k), []byte(v))
+				err := tr.Insert(c, tx1, []byte(k), []byte(v))
 				if _, dup := ref[k]; dup {
 					if !errors.Is(err, ErrDuplicateKey) {
 						return false
@@ -530,7 +542,7 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 					ref[k] = v
 				}
 			case 1:
-				_, err := tr.Delete(a, c, tx1, []byte(k))
+				_, err := tr.Delete(c, tx1, []byte(k))
 				if _, present := ref[k]; present {
 					if err != nil {
 						return false
@@ -540,7 +552,7 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 					return false
 				}
 			case 2:
-				err := tr.Update(a, c, tx1, []byte(k), []byte(v))
+				err := tr.Update(c, tx1, []byte(k), []byte(v))
 				if _, present := ref[k]; present {
 					if err != nil {
 						return false
@@ -550,14 +562,14 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 					return false
 				}
 			case 3:
-				got, ok, err := tr.Search(a, c, []byte(k))
+				got, ok, err := tr.Search(c, []byte(k))
 				if want, present := ref[k]; err != nil || ok != present || string(got) != want {
 					return false
 				}
 			}
 		}
 		for k, v := range ref {
-			got, ok, err := tr.Search(a, c, []byte(k))
+			got, ok, err := tr.Search(c, []byte(k))
 			if err != nil || !ok || string(got) != v {
 				return false
 			}
@@ -566,9 +578,9 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 		return err == nil && n == len(ref)
 	}
 	f := func(ops []uint16) bool {
-		a := policies[run%len(policies)].a // rotate the policy across sequences
+		m := modes[run%len(modes)] // rotate the mode across sequences
 		run++
-		return matches(a, nil, ops) && matches(a, new(Cursor), ops)
+		return matches(m, nil, ops) && matches(m, new(Cursor), ops)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -615,16 +627,16 @@ func (e *undoRecorder) Log(t Txn, f *buffer.Frame, op pageop.Op, undo pageop.Log
 // value from that range whether it meets the new value or the old one.
 func TestUpdateUndoMayRunTwice(t *testing.T) {
 	env := &undoRecorder{fakeEnv: newFakeEnv(t, 64)}
-	tr, err := Create(env, env.pool, new(OLCStats), tx1, env.sm.CreateStore(space.KindBTree))
+	tr, err := Create(env, nil, new(OLCStats), tx1, env.sm.CreateStore(space.KindBTree))
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := []byte("the-key")
-	if err := tr.Insert(Latched, nil, tx1, key, []byte("seed")); err != nil {
+	if err := tr.Insert(nil, tx1, key, []byte("seed")); err != nil {
 		t.Fatal(err)
 	}
 	value := func() []byte {
-		v, _, err := tr.Search(Latched, nil, key)
+		v, _, err := tr.Search(nil, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -649,7 +661,7 @@ func TestUpdateUndoMayRunTwice(t *testing.T) {
 		if len(upd) > 600 {
 			upd = upd[:100]
 		}
-		if err := tr.Update(Latched, nil, tx1, key, upd); err != nil {
+		if err := tr.Update(nil, tx1, key, upd); err != nil {
 			t.Fatal(err)
 		}
 		u := env.last
@@ -663,7 +675,7 @@ func TestUpdateUndoMayRunTwice(t *testing.T) {
 			continue // keep the new value, go on from there
 		}
 		for run := 1; run <= 2; run++ {
-			if err := tr.UpdateNoUndo(Latched, tx1, key, int(u.Off), int(u.Suf), u.Value); err != nil {
+			if err := tr.UpdateNoUndo(tx1, key, int(u.Off), int(u.Suf), u.Value); err != nil {
 				t.Fatal(err)
 			}
 			if got := value(); !bytes.Equal(got, old) {
@@ -671,7 +683,7 @@ func TestUpdateUndoMayRunTwice(t *testing.T) {
 			}
 		}
 	}
-	if err := tr.UpdateNoUndo(Latched, tx1, key, 400, 400, nil); err == nil {
+	if err := tr.UpdateNoUndo(tx1, key, 400, 400, nil); err == nil {
 		t.Error("an undo range larger than the value was accepted")
 	}
 }
@@ -682,7 +694,7 @@ func TestUpdateUndoMayRunTwice(t *testing.T) {
 // heap), and another grows by exactly what the gap and the dead bytes hold
 // together: the update must go in place, the root stay one leaf.
 func TestUpdateFitsWhatThePageTakes(t *testing.T) {
-	tr, _ := newTestTree(t, 64)
+	tr, _ := newTestTree(t, 64, latched)
 	value := func(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
 	freeSpace := func() int {
 		f, err := tr.env.Fix(tr.root, sync2.LatchSH)
@@ -694,22 +706,22 @@ func TestUpdateFitsWhatThePageTakes(t *testing.T) {
 	}
 	n := 0
 	for ; freeSpace() > 200; n++ {
-		if err := tr.Insert(Latched, nil, tx1, key(n), value('v', 100)); err != nil {
+		if err := tr.Insert(nil, tx1, key(n), value('v', 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const dead = 30
-	if err := tr.Update(Latched, nil, tx1, key(0), value('v', 100-dead)); err != nil {
+	if err := tr.Update(nil, tx1, key(0), value('v', 100-dead)); err != nil {
 		t.Fatal(err)
 	}
 	grow := freeSpace() + dead
-	if err := tr.Update(Latched, nil, tx1, key(1), value('v', 100+grow)); err != nil {
+	if err := tr.Update(nil, tx1, key(1), value('v', 100+grow)); err != nil {
 		t.Fatal(err)
 	}
 	if h := headerOf(t, tr, tr.root); !h.isLeaf() {
 		t.Fatalf("an update growing by the %d bytes the leaf has free (%d of them dead) split it", grow, dead)
 	}
-	if got, ok, err := tr.Search(Latched, nil, key(1)); err != nil || !ok || !bytes.Equal(got, value('v', 100+grow)) {
+	if got, ok, err := tr.Search(nil, key(1)); err != nil || !ok || !bytes.Equal(got, value('v', 100+grow)) {
 		t.Fatalf("after the update: %d bytes, %v, %v", len(got), ok, err)
 	}
 	if free := freeSpace(); free != 0 {
@@ -719,7 +731,7 @@ func TestUpdateFitsWhatThePageTakes(t *testing.T) {
 		t.Fatalf("Verify = %d, %v; want %d", got, err, n)
 	}
 	// One byte more than the page takes still splits.
-	if err := tr.Update(Latched, nil, tx1, key(2), value('v', 101)); err != nil {
+	if err := tr.Update(nil, tx1, key(2), value('v', 101)); err != nil {
 		t.Fatal(err)
 	}
 	if h := headerOf(t, tr, tr.root); h.isLeaf() {

@@ -35,16 +35,16 @@ func headerOf(t *testing.T, tr *Tree, pid page.ID) nodeHeader {
 
 // cursorTree builds a tree of n wide keys without a cursor and returns it
 // with a cursor that has just looked up key(at).
-func cursorTree(t *testing.T, a Access, n, at int) (*Tree, *Cursor) {
+func cursorTree(t *testing.T, m treeMode, n, at int) (*Tree, *Cursor) {
 	t.Helper()
-	tr, _ := newTestTree(t, 1024)
+	tr, _ := newTestTree(t, 1024, m)
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(a, nil, tx1, key(i), wideVal(i)); err != nil {
+		if err := tr.Insert(nil, tx1, key(i), wideVal(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c := new(Cursor)
-	if _, ok, err := tr.Search(a, c, key(at)); err != nil || !ok {
+	if _, ok, err := tr.Search(c, key(at)); err != nil || !ok {
 		t.Fatalf("Search(%s) = %v, %v", key(at), ok, err)
 	}
 	if c.at.leaf == 0 {
@@ -55,19 +55,18 @@ func cursorTree(t *testing.T, a Access, n, at int) (*Tree, *Cursor) {
 
 // descents is every counter a walk from the root lands on.
 func descents(s OLCSnapshot) uint64 {
-	return s.LatchedDescents + s.OptDescents + s.OwnerDescents + s.OptLeafReads + s.OwnerReads
+	return s.LatchedDescents + s.OptDescents + s.OptLeafReads
 }
 
 // TestCursorValidity puts a cursor into every kind of staleness and checks,
-// under each policy, that an operation through it answers as one without
+// on a tree opened each way, that an operation through it answers as one without
 // it would, and that it was a hit exactly when the remembered leaf could
 // prove it covers the key. All keys share their first eight bytes, so the
 // cursor's private prefix filter passes everything and the proof under the
 // latch (or on the validated copy) is what is being tested.
 func TestCursorValidity(t *testing.T) {
 	const n = 3000
-	for _, p := range policies {
-		a := p.a
+	for _, m := range modes {
 		// step runs op and reports how the cursor fared.
 		step := func(t *testing.T, tr *Tree, op func()) (hit, miss bool, walked uint64) {
 			t.Helper()
@@ -78,29 +77,29 @@ func TestCursorValidity(t *testing.T) {
 			walked = descents(after) - descents(before)
 			hit, miss = after.CursorHits > before.CursorHits, after.CursorMisses > before.CursorMisses
 			if hit {
-				walked -= (after.OptLeafReads + after.OwnerReads) - (before.OptLeafReads + before.OwnerReads)
+				walked -= after.OptLeafReads - before.OptLeafReads
 			}
 			return hit, miss, walked
 		}
 		mustFind := func(t *testing.T, tr *Tree, c *Cursor, k []byte, want []byte) func() {
 			return func() {
 				t.Helper()
-				v, ok, err := tr.Search(a, c, k)
+				v, ok, err := tr.Search(c, k)
 				if err != nil || !ok || !bytes.Equal(v, want) {
 					t.Fatalf("Search(%s) = %q, %v, %v", k, v, ok, err)
 				}
 			}
 		}
 
-		t.Run(p.name+"/SameLeaf", func(t *testing.T) {
-			tr, c := cursorTree(t, a, n, 300)
+		t.Run(m.name+"/SameLeaf", func(t *testing.T) {
+			tr, c := cursorTree(t, m, n, 300)
 			leaf := c.at.leaf
 			// Read, then write, the neighbouring key: both from the cursor.
 			if hit, _, walked := step(t, tr, mustFind(t, tr, c, key(301), wideVal(301))); !hit || walked != 0 {
 				t.Errorf("neighbour read: hit %v, %d walks", hit, walked)
 			}
 			hit, _, walked := step(t, tr, func() {
-				if err := tr.Update(a, c, tx1, key(301), wideVal(7)); err != nil {
+				if err := tr.Update(c, tx1, key(301), wideVal(7)); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -110,13 +109,13 @@ func TestCursorValidity(t *testing.T) {
 			mustFind(t, tr, nil, key(301), wideVal(7))()
 		})
 
-		t.Run(p.name+"/StaleAfterSplit", func(t *testing.T) {
-			tr, c := cursorTree(t, a, n, 300)
+		t.Run(m.name+"/StaleAfterSplit", func(t *testing.T) {
+			tr, c := cursorTree(t, m, n, 300)
 			leaf := c.at.leaf
 			// Someone else fills the gap below key(300) until its leaf
 			// splits and key(300) is on the new right sibling.
 			for j := 0; !needsMoveRight(headerOf(t, tr, leaf), key(300)); j++ {
-				if err := tr.Insert(a, nil, tx1, between(299, j), wideVal(j)); err != nil {
+				if err := tr.Insert(nil, tx1, between(299, j), wideVal(j)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -127,7 +126,7 @@ func TestCursorValidity(t *testing.T) {
 			// Many more splits: the key is further right than the cursor
 			// will walk. It gives up and descends.
 			for j := 0; j < 400; j++ {
-				if err := tr.Insert(a, nil, tx1, between(298, j), wideVal(j)); err != nil {
+				if err := tr.Insert(nil, tx1, between(298, j), wideVal(j)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -140,8 +139,8 @@ func TestCursorValidity(t *testing.T) {
 			}
 		})
 
-		t.Run(p.name+"/LeftOrRightOfTheKey", func(t *testing.T) {
-			tr, c := cursorTree(t, a, n, 1500)
+		t.Run(m.name+"/LeftOrRightOfTheKey", func(t *testing.T) {
+			tr, c := cursorTree(t, m, n, 1500)
 			// Key far left of the remembered leaf: no entry at or below it
 			// there, so no proof, so a descent.
 			if hit, miss, walked := step(t, tr, mustFind(t, tr, c, key(5), wideVal(5))); hit || !miss || walked == 0 {
@@ -166,7 +165,7 @@ func TestCursorValidity(t *testing.T) {
 			// retry may well hit; what matters is that the first try did
 			// not, and that the key ends up where a descent finds it.)
 			_, miss, walked := step(t, tr, func() {
-				if err := tr.Insert(a, c, tx1, between(first-1, 0), wideVal(0)); err != nil {
+				if err := tr.Insert(c, tx1, between(first-1, 0), wideVal(0)); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -179,35 +178,35 @@ func TestCursorValidity(t *testing.T) {
 			mustFind(t, tr, nil, between(first-1, 0), wideVal(0))()
 		})
 
-		t.Run(p.name+"/EmptiedLeaf", func(t *testing.T) {
-			tr, c := cursorTree(t, a, n, 300)
+		t.Run(m.name+"/EmptiedLeaf", func(t *testing.T) {
+			tr, c := cursorTree(t, m, n, 300)
 			leaf := c.at.leaf
 			// Delete everything on the remembered leaf.
 			var doomed [][]byte
 			hk := headerOf(t, tr, leaf).highKey
-			if err := tr.Scan(a, key(300), hk, func(k, _ []byte) bool { doomed = append(doomed, k); return true }); err != nil {
+			if err := tr.Scan(key(300), hk, func(k, _ []byte) bool { doomed = append(doomed, k); return true }); err != nil {
 				t.Fatal(err)
 			}
 			for i := 300; ; i-- {
-				if _, err := tr.Delete(a, c, tx1, key(i)); err != nil {
+				if _, err := tr.Delete(c, tx1, key(i)); err != nil {
 					t.Fatal(err)
 				}
 				if c.at.leaf != leaf {
 					// key(i) was the left neighbour's; put it back.
-					if err := tr.Insert(a, nil, tx1, key(i), wideVal(i)); err != nil {
+					if err := tr.Insert(nil, tx1, key(i), wideVal(i)); err != nil {
 						t.Fatal(err)
 					}
 					break
 				}
 			}
 			for _, k := range doomed[1:] {
-				if _, err := tr.Delete(a, nil, tx1, k); err != nil {
+				if _, err := tr.Delete(nil, tx1, k); err != nil {
 					t.Fatal(err)
 				}
 			}
 			c.at.leaf = leaf
 			hit, _, _ := step(t, tr, func() {
-				if _, ok, err := tr.Search(a, c, key(300)); err != nil || ok {
+				if _, ok, err := tr.Search(c, key(300)); err != nil || ok {
 					t.Fatalf("deleted key: %v, %v", ok, err)
 				}
 			})
@@ -215,7 +214,7 @@ func TestCursorValidity(t *testing.T) {
 				t.Error("an empty leaf proved that it covers a key")
 			}
 			c.at.leaf = leaf
-			if err := tr.Insert(a, c, tx1, key(300), wideVal(300)); err != nil {
+			if err := tr.Insert(c, tx1, key(300), wideVal(300)); err != nil {
 				t.Fatal(err)
 			}
 			mustFind(t, tr, nil, key(300), wideVal(300))()
@@ -224,13 +223,13 @@ func TestCursorValidity(t *testing.T) {
 			}
 		})
 
-		t.Run(p.name+"/RootGrew", func(t *testing.T) {
-			tr, c := cursorTree(t, a, 10, 3) // one leaf, the root
+		t.Run(m.name+"/RootGrew", func(t *testing.T) {
+			tr, c := cursorTree(t, m, 10, 3) // one leaf, the root
 			if c.at.leaf != tr.Root() {
 				t.Fatal("ten keys are not on the root")
 			}
 			for i := 10; i < 200; i++ {
-				if err := tr.Insert(a, nil, tx1, key(i), wideVal(i)); err != nil {
+				if err := tr.Insert(nil, tx1, key(i), wideVal(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -240,7 +239,7 @@ func TestCursorValidity(t *testing.T) {
 			if hit, miss, _ := step(t, tr, mustFind(t, tr, c, key(3), wideVal(3))); hit || !miss {
 				t.Errorf("remembered leaf is a branch now: hit %v, miss %v", hit, miss)
 			}
-			if err := tr.Update(a, c, tx1, key(150), wideVal(1)); err != nil {
+			if err := tr.Update(c, tx1, key(150), wideVal(1)); err != nil {
 				t.Fatal(err)
 			}
 			mustFind(t, tr, c, key(150), wideVal(1))()
@@ -251,15 +250,15 @@ func TestCursorValidity(t *testing.T) {
 // TestCursorPrefixFilter: a key whose first eight bytes fall outside the
 // remembered leaf's range goes to the root without the leaf being fixed.
 func TestCursorPrefixFilter(t *testing.T) {
-	tr, env := newTestTree(t, 1024)
+	tr, env := newTestTree(t, 1024, latched)
 	k := func(i int) []byte { return []byte(fmt.Sprintf("%08d", i)) } // the prefix is the key
 	for i := 0; i < 3000; i++ {
-		if err := tr.Insert(Latched, nil, tx1, k(i), wideVal(i)); err != nil {
+		if err := tr.Insert(nil, tx1, k(i), wideVal(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c := new(Cursor)
-	if _, ok, _ := tr.Search(Latched, c, k(100)); !ok {
+	if _, ok, _ := tr.Search(c, k(100)); !ok {
 		t.Fatal("lost key")
 	}
 	depth := func(op func()) uint64 {
@@ -268,12 +267,12 @@ func TestCursorPrefixFilter(t *testing.T) {
 		a := env.pool.Stats()
 		return a.Hits + a.HotHits + a.Misses - b.Hits - b.HotHits - b.Misses
 	}
-	full := depth(func() { tr.Search(Latched, nil, k(2000)) })
-	far := depth(func() { tr.Search(Latched, c, k(2000)) })
+	full := depth(func() { tr.Search(nil, k(2000)) })
+	far := depth(func() { tr.Search(c, k(2000)) })
 	if far != full {
 		t.Errorf("far key with a cursor: %d fixes, without: %d; the filter should have skipped the remembered leaf", far, full)
 	}
-	if near := depth(func() { tr.Search(Latched, c, k(2001)) }); near != 1 {
+	if near := depth(func() { tr.Search(c, k(2001)) }); near != 1 {
 		t.Errorf("neighbouring key with a cursor: %d fixes, want 1", near)
 	}
 	s := tr.stats.Snapshot()
@@ -331,12 +330,12 @@ func TestSplitShapeAscendingGroups(t *testing.T) {
 		{"ten keys per transaction, no cursor", 20, 10, cursorModes[0].cur},
 		{"one key per transaction", 10, 1, cursorModes[1].cur},
 	} {
-		tr, _ := newTestTree(t, 4096)
+		tr, _ := newTestTree(t, 4096, latched)
 		for o := 0; o < orders*10/arm.lines; o++ {
 			for g := 0; g < arm.groups; g++ {
 				c := arm.cur() // a transaction
 				for l := 0; l < arm.lines; l++ {
-					if err := tr.Insert(Latched, c, tx1, groupKey(g, o, l), wideVal(o)); err != nil {
+					if err := tr.Insert(c, tx1, groupKey(g, o, l), wideVal(o)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -368,14 +367,14 @@ func TestSplitShapeAscendingGroups(t *testing.T) {
 func TestSplitShapeRandomInserts(t *testing.T) {
 	const n = 30000
 	for _, m := range cursorModes {
-		tr, _ := newTestTree(t, 4096)
+		tr, _ := newTestTree(t, 4096, latched)
 		rng := rand.New(rand.NewSource(3))
 		c := m.cur()
 		for i, k := range rng.Perm(n) {
 			if i%10 == 0 {
 				c = m.cur()
 			}
-			if err := tr.Insert(Latched, c, tx1, key(k), wideVal(k)); err != nil {
+			if err := tr.Insert(c, tx1, key(k), wideVal(k)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -394,23 +393,23 @@ func TestSplitShapeRandomInserts(t *testing.T) {
 // take it in their stride, whether the range starts before, inside or
 // after it.
 func TestEmptyLeafInChain(t *testing.T) {
-	tr, _ := newTestTree(t, 256)
+	tr, _ := newTestTree(t, 256, latched)
 	c := new(Cursor)
 	// Two groups; group 0's inserts split at the end of its last leaf.
 	for i := 0; i < 100; i++ {
-		if err := tr.Insert(Latched, c, tx1, groupKey(1, i, 0), wideVal(i)); err != nil {
+		if err := tr.Insert(c, tx1, groupKey(1, i, 0), wideVal(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	last := 0
 	for before := tr.stats.Snapshot().InsertPointSplits; tr.stats.Snapshot().InsertPointSplits < before+2; last++ {
-		if err := tr.Insert(Latched, c, tx1, groupKey(0, last, 0), wideVal(last)); err != nil {
+		if err := tr.Insert(c, tx1, groupKey(0, last, 0), wideVal(last)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	last--
 	// The last insert went alone into a fresh leaf; take it out again.
-	if _, err := tr.Delete(Latched, c, tx1, groupKey(0, last, 0)); err != nil {
+	if _, err := tr.Delete(c, tx1, groupKey(0, last, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if f, err := tr.env.Fix(c.at.leaf, sync2.LatchSH); err != nil {
@@ -431,7 +430,7 @@ func TestEmptyLeafInChain(t *testing.T) {
 	}
 	for _, from := range [][]byte{groupKey(0, last-3, 0), groupKey(0, last, 0), groupKey(0, last+5, 0)} {
 		var got [][]byte
-		if err := tr.Scan(Latched, from, groupKey(1, 2, 0), func(k, _ []byte) bool { got = append(got, k); return true }); err != nil {
+		if err := tr.Scan(from, groupKey(1, 2, 0), func(k, _ []byte) bool { got = append(got, k); return true }); err != nil {
 			t.Fatal(err)
 		}
 		wantN := 2
@@ -443,7 +442,7 @@ func TestEmptyLeafInChain(t *testing.T) {
 		}
 	}
 	// And the empty leaf takes the next insert of its range.
-	if err := tr.Insert(Latched, new(Cursor), tx1, groupKey(0, last, 0), wideVal(last)); err != nil {
+	if err := tr.Insert(new(Cursor), tx1, groupKey(0, last, 0), wideVal(last)); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := tr.Verify(); err != nil || n != want+1 {

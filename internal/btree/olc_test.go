@@ -16,14 +16,14 @@ import (
 // optimistic references constantly race frame recycling and leaves are
 // often not resident: every failed validation or absent page must be read
 // under its latch, restart or fall back, never return stale data.
-func testEvictionChurn(t *testing.T, a Access, cur func() *Cursor) *Tree {
+func testEvictionChurn(t *testing.T, m treeMode, cur func() *Cursor) *Tree {
 	c := cur()
-	tr, env := newTestTree(t, 32)
+	tr, env := newTestTree(t, 32, m)
 	const n = 3000
 	// 200-byte values: the tree spans a few hundred pages.
 	wide := func(i int) []byte { return append(bytes.Repeat([]byte{'.'}, 200), val(i)...) }
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(a, c, tx1, key(i), wide(i)); err != nil {
+		if err := tr.Insert(c, tx1, key(i), wide(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -31,7 +31,7 @@ func testEvictionChurn(t *testing.T, a Access, cur func() *Cursor) *Tree {
 	misses := env.pool.Stats().Misses
 	for probe := 0; probe < 5000; probe++ {
 		i := r.Intn(n)
-		v, ok, err := tr.Search(a, c, key(i))
+		v, ok, err := tr.Search(c, key(i))
 		if err != nil || !ok {
 			t.Fatalf("Search(%s) = %v, %v", key(i), ok, err)
 		}
@@ -47,45 +47,17 @@ func testEvictionChurn(t *testing.T, a Access, cur func() *Cursor) *Tree {
 	return tr
 }
 
-// TestPoliciesWithoutOptEnv: a tree with no optimistic environment runs
-// every policy as Latched.
-func TestPoliciesWithoutOptEnv(t *testing.T) {
-	env := newFakeEnv(t, 128)
-	stats := new(OLCStats)
-	tr, err := Create(env, nil, stats, tx1, env.sm.CreateStore(space.KindBTree))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range policies {
-		for i := 0; i < 200; i++ {
-			k := seqKey(int(p.a), i)
-			if err := tr.Insert(p.a, nil, tx1, k, val(i)); err != nil {
-				t.Fatal(err)
-			}
-			if v, ok, err := tr.Search(p.a, nil, k); err != nil || !ok || !bytes.Equal(v, val(i)) {
-				t.Fatalf("%s: Search(%s) = %q, %v, %v", p.name, k, v, ok, err)
-			}
-		}
-		n := 0
-		if err := tr.Scan(p.a, seqKey(int(p.a), 0), seqKey(int(p.a), 200), func(k, v []byte) bool { n++; return true }); err != nil || n != 200 {
-			t.Fatalf("%s: Scan saw %d, %v", p.name, n, err)
-		}
-	}
-	checkPolicyCounters(t, Latched, stats.Snapshot())
-}
-
 // TestOLCConcurrentSplitProbe hammers inserts (splitting constantly)
 // against optimistic searches and scans; run with -race this exercises
 // the degraded pinned path, without it the true speculative path.
 func TestOLCConcurrentSplitProbe(t *testing.T) {
-	for _, p := range policies {
-		p := p
-		t.Run(p.name, func(t *testing.T) { concurrentSplitProbe(t, p.a) })
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) { concurrentSplitProbe(t, m) })
 	}
 }
 
-func concurrentSplitProbe(t *testing.T, a Access) {
-	tr, _ := newTestTree(t, 512)
+func concurrentSplitProbe(t *testing.T, m treeMode) {
+	tr, _ := newTestTree(t, 512, m)
 	const (
 		writers = 4
 		readers = 4
@@ -93,7 +65,7 @@ func concurrentSplitProbe(t *testing.T, a Access) {
 	)
 	// Seed enough keys that readers have something to find immediately.
 	for i := 0; i < 100; i++ {
-		if err := tr.Insert(a, nil, tx1, seqKey(99, i), val(i)); err != nil {
+		if err := tr.Insert(nil, tx1, seqKey(99, i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +76,7 @@ func concurrentSplitProbe(t *testing.T, a Access) {
 		go func(w int) {
 			defer writeWG.Done()
 			for i := 0; i < perW; i++ {
-				if err := tr.Insert(a, nil, tx1, seqKey(w, i), val(i)); err != nil {
+				if err := tr.Insert(nil, tx1, seqKey(w, i), val(i)); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -123,13 +95,13 @@ func concurrentSplitProbe(t *testing.T, a Access) {
 				default:
 				}
 				i := rng.Intn(100)
-				v, ok, err := tr.Search(a, nil, seqKey(99, i))
+				v, ok, err := tr.Search(nil, seqKey(99, i))
 				if err != nil || !ok || !bytes.Equal(v, val(i)) {
 					t.Errorf("reader %d: Search(%s) = %q, %v, %v", r, seqKey(99, i), v, ok, err)
 					return
 				}
 				if rng.Intn(64) == 0 {
-					if err := tr.Scan(a, seqKey(99, 0), seqKey(99, 100), func(k, v []byte) bool { return true }); err != nil {
+					if err := tr.Scan(seqKey(99, 0), seqKey(99, 100), func(k, v []byte) bool { return true }); err != nil {
 						t.Errorf("reader %d: Scan: %v", r, err)
 						return
 					}
@@ -144,7 +116,7 @@ func concurrentSplitProbe(t *testing.T, a Access) {
 	// Every inserted key must be findable and the structure sound.
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perW; i++ {
-			if _, ok, err := tr.Search(a, nil, seqKey(w, i)); err != nil || !ok {
+			if _, ok, err := tr.Search(nil, seqKey(w, i)); err != nil || !ok {
 				t.Fatalf("lost key %s: %v %v", seqKey(w, i), ok, err)
 			}
 		}
@@ -154,7 +126,7 @@ func concurrentSplitProbe(t *testing.T, a Access) {
 		t.Fatalf("Verify = %d, %v; want %d", count, err, want)
 	}
 	s := tr.stats.Snapshot()
-	checkPolicyCounters(t, a, s)
+	checkPolicyCounters(t, m, s)
 	t.Logf("concurrent: %+v", s)
 }
 
@@ -198,27 +170,30 @@ func (f *flakyOpt) Validate(r buffer.OptRef) bool {
 }
 
 // TestOLCRestartAndFallback injects validation failures and non-resident
-// pages under each policy and checks that descents (mutations), point
+// pages on a tree opened each way and checks that descents (mutations), point
 // probes and scans restart, fall back and still answer correctly, with
 // the restart loop's counters telling exactly what happened.
 func TestOLCRestartAndFallback(t *testing.T) {
-	for _, p := range policies {
-		p := p
-		t.Run(p.name, func(t *testing.T) { restartAndFallback(t, p.a) })
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) { restartAndFallback(t, m) })
 	}
 }
 
-func restartAndFallback(t *testing.T, a Access) {
+func restartAndFallback(t *testing.T, m treeMode) {
 	env := newFakeEnv(t, 256)
 	flaky := &flakyOpt{OptEnv: env.pool}
+	var opt OptEnv
+	if m.opt {
+		opt = flaky
+	}
 	stats := new(OLCStats)
-	tr, err := Create(env, flaky, stats, tx1, env.sm.CreateStore(space.KindBTree))
+	tr, err := Create(env, opt, stats, tx1, env.sm.CreateStore(space.KindBTree))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(a, nil, tx1, key(i), val(i)); err != nil {
+		if err := tr.Insert(nil, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,19 +206,19 @@ func restartAndFallback(t *testing.T, a Access) {
 	}{
 		{"descent", func() {
 			next++
-			if err := tr.Insert(a, nil, tx1, key(next), val(next)); err != nil {
+			if err := tr.Insert(nil, tx1, key(next), val(next)); err != nil {
 				t.Fatalf("Insert: %v", err)
 			}
-			if err := tr.Update(a, nil, tx1, key(next), val(7)); err != nil {
+			if err := tr.Update(nil, tx1, key(next), val(7)); err != nil {
 				t.Fatalf("Update: %v", err)
 			}
-			if old, err := tr.Delete(a, nil, tx1, key(next)); err != nil || !bytes.Equal(old, val(7)) {
+			if old, err := tr.Delete(nil, tx1, key(next)); err != nil || !bytes.Equal(old, val(7)) {
 				t.Fatalf("Delete = %q, %v", old, err)
 			}
 		}},
 		{"probe", func() {
 			for i := 0; i < 3; i++ {
-				if v, ok, err := tr.Search(a, nil, key(i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
+				if v, ok, err := tr.Search(nil, key(i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
 					t.Fatalf("Search(%s) = %q, %v, %v", key(i), v, ok, err)
 				}
 			}
@@ -252,7 +227,7 @@ func restartAndFallback(t *testing.T, a Access) {
 			// Three single-leaf scans.
 			for i := 0; i < 3; i++ {
 				got := 0
-				err := tr.Scan(a, key(10*i), key(10*i+5), func(k, v []byte) bool {
+				err := tr.Scan(key(10*i), key(10*i+5), func(k, v []byte) bool {
 					if !bytes.Equal(k, key(10*i+got)) || !bytes.Equal(v, val(10*i+got)) {
 						t.Errorf("scan %d: pair %d = %q, %q", i, got, k, v)
 					}
@@ -265,19 +240,7 @@ func restartAndFallback(t *testing.T, a Access) {
 			}
 		}},
 	}
-	// fallbacks and successes read the policy's own counters.
-	fallbacks := func(s OLCSnapshot) uint64 {
-		if a == Owner {
-			return s.OwnerFallbacks
-		}
-		return s.Fallbacks
-	}
-	speculated := func(s OLCSnapshot) uint64 {
-		if a == Owner {
-			return s.OwnerDescents + s.OwnerReads
-		}
-		return s.OptDescents + s.OptLeafReads
-	}
+	speculated := func(s OLCSnapshot) uint64 { return s.OptDescents + s.OptLeafReads }
 
 	for _, op := range ops {
 		// Each op.run is three restartable units (three descents, three
@@ -290,18 +253,19 @@ func restartAndFallback(t *testing.T, a Access) {
 			got := stats.Snapshot()
 			want.Restarts += restarts
 			want.LatchedDescents += fell
-			if a == Latched {
+			if !m.opt {
 				want.LatchedDescents += units
 			}
 			if got.Restarts != want.Restarts || got.LatchedDescents != want.LatchedDescents ||
-				fallbacks(got) != fallbacks(want)+fell || speculated(got) != speculated(want)+spec {
+				got.Fallbacks != want.Fallbacks+fell || speculated(got) != speculated(want)+spec {
 				t.Fatalf("%s, %s: counters %+v, want %d restarts, %d fallbacks, %d speculative successes on top of %+v",
 					op.name, what, got, restarts, fell, spec, want)
 			}
 			want = got
 		}
-		if a == Latched {
-			// Latched never consults the OptEnv, however broken it is.
+		if !m.opt {
+			// A tree opened without the OptEnv never consults it, however
+			// broken it is.
 			flaky.set(1<<30, true)
 			step("broken OptEnv", 0, 0, 0)
 			flaky.set(0, false)
@@ -310,15 +274,15 @@ func restartAndFallback(t *testing.T, a Access) {
 		// Undisturbed: everything completes speculatively.
 		step("undisturbed", 0, 0, units)
 		// Validation always fails: every unit exhausts its restarts, falls
-		// back to Latched, and still answers correctly.
+		// back to the latched descent, and still answers correctly.
 		flaky.set(1<<30, false)
 		step("permanent validation failure", units*maxOptRestarts, units, 0)
 		// One transient failure: one restart, then speculative success.
 		flaky.set(1, false)
 		step("transient validation failure", 1, 0, units)
 		// Nothing is resident: every node, the leaf included, is read
-		// under a pinned SH latch, and the operation completes under its
-		// policy with no restart.
+		// under a pinned SH latch, and the operation completes
+		// speculatively with no restart.
 		flaky.set(0, true)
 		step("non-resident pages", 0, 0, units)
 		flaky.set(0, false)
@@ -326,7 +290,7 @@ func restartAndFallback(t *testing.T, a Access) {
 	if count, err := tr.Verify(); err != nil || count != n {
 		t.Fatalf("Verify = %d, %v; want %d", count, err, n)
 	}
-	checkPolicyCounters(t, a, stats.Snapshot())
+	checkPolicyCounters(t, m, stats.Snapshot())
 }
 
 // BenchmarkIndexProbeParallel measures point probes through the real
@@ -342,14 +306,14 @@ func BenchmarkIndexProbeParallel(b *testing.B) {
 			name = "olc"
 		}
 		b.Run(name, func(b *testing.B) {
-			tr, _ := newTestTree(b, 4096)
-			a := Latched
+			m := latched
 			if olc {
-				a = Optimistic
+				m = modes[1]
 			}
+			tr, _ := newTestTree(b, 4096, m)
 			const n = 20000
 			for i := 0; i < n; i++ {
-				if err := tr.Insert(a, nil, tx1, key(i), val(i)); err != nil {
+				if err := tr.Insert(nil, tx1, key(i), val(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -358,7 +322,7 @@ func BenchmarkIndexProbeParallel(b *testing.B) {
 				rng := rand.New(rand.NewSource(rand.Int63()))
 				for pb.Next() {
 					i := rng.Intn(n)
-					_, ok, err := tr.Search(a, nil, key(i))
+					_, ok, err := tr.Search(nil, key(i))
 					if err != nil || !ok {
 						b.Fatalf("Search(%s) = %v, %v", key(i), ok, err)
 					}

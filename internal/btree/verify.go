@@ -142,7 +142,7 @@ func (t *Tree) verifyNode(pid page.ID, low, high []byte, wantLevel int) (keys in
 // reach twice.
 func (t *Tree) CountViaScan() (int, error) {
 	n := 0
-	err := t.Scan(Latched, nil, nil, func(k, v []byte) bool {
+	err := t.Scan(nil, nil, func(k, v []byte) bool {
 		n++
 		return true
 	})

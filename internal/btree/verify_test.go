@@ -6,11 +6,11 @@ import (
 )
 
 func TestVerifyHealthyTree(t *testing.T) {
-	tr, _ := newTestTree(t, 256)
+	tr, _ := newTestTree(t, 256, latched)
 	rng := rand.New(rand.NewSource(3))
 	const n = 3000
 	for _, i := range rng.Perm(n) {
-		if err := tr.Insert(Latched, nil, tx1, key(i), val(i)); err != nil {
+		if err := tr.Insert(nil, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -31,14 +31,14 @@ func TestVerifyHealthyTree(t *testing.T) {
 }
 
 func TestVerifyAfterDeletes(t *testing.T) {
-	tr, _ := newTestTree(t, 256)
+	tr, _ := newTestTree(t, 256, latched)
 	for i := 0; i < 1000; i++ {
-		if err := tr.Insert(Latched, nil, tx1, key(i), val(i)); err != nil {
+		if err := tr.Insert(nil, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 1000; i += 3 {
-		if _, err := tr.Delete(Latched, nil, tx1, key(i)); err != nil {
+		if _, err := tr.Delete(nil, tx1, key(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,9 +53,9 @@ func TestVerifyAfterDeletes(t *testing.T) {
 }
 
 func TestVerifyDetectsCorruption(t *testing.T) {
-	tr, env := newTestTree(t, 64)
+	tr, env := newTestTree(t, 64, latched)
 	for i := 0; i < 10; i++ {
-		if err := tr.Insert(Latched, nil, tx1, key(i), val(i)); err != nil {
+		if err := tr.Insert(nil, tx1, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

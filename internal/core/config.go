@@ -153,8 +153,7 @@ type Config struct {
 	CheckpointEvery int64
 	// RedoWorkers sets the parallelism of the redo pass of restart
 	// recovery: log records fan out to workers hash-partitioned by page
-	// ID, preserving per-page LSN order. 0 auto-scales to GOMAXPROCS;
-	// 1 forces the serial replay path.
+	// ID, preserving per-page LSN order. 0 auto-scales to GOMAXPROCS.
 	RedoWorkers int
 }
 

@@ -69,9 +69,9 @@ type Engine struct {
 	ckptMu sync.RWMutex
 	closed atomic.Bool
 
-	// olc aggregates the descent outcomes of every tree this engine opens,
-	// per latch policy (Index.access).
-	olc btree.OLCStats
+	// segOLC counts the descent outcomes of the PLP forests' segments,
+	// olc those of every other tree this engine opens (treeEnv).
+	olc, segOLC btree.OLCStats
 
 	// Auto-checkpoint daemon state (Config.CheckpointEvery): lastCkpt is
 	// the begin LSN of the most recent checkpoint, manual or automatic.
@@ -897,11 +897,50 @@ type EngineStats struct {
 	Lock     lock.Stats
 	Space    space.Stats
 	Tx       tx.Stats
-	Btree    btree.OLCSnapshot // which latch policy index descents ran under
-	Dora     dora.Stats        // zero unless DORA is enabled
-	Recovery RecoveryStats     // zero unless Open ran restart recovery
-	Mvcc     mvcc.Stats        // zero unless Snapshot is enabled
-	Plp      PlpStats          // zero unless PLP is enabled
+	Btree    BtreeStats    // how index descents ran
+	Dora     dora.Stats    // zero unless DORA is enabled
+	Recovery RecoveryStats // zero unless Open ran restart recovery
+	Mvcc     mvcc.Stats    // zero unless Snapshot is enabled
+	Plp      PlpStats      // zero unless PLP is enabled
+}
+
+// BtreeStats counts index descents over every tree the engine opened.
+// The speculative outcomes are split by tree: the Owner counters are the
+// PLP forests' segments' (driven by their partition's owner, the
+// segment's only writer), the Opt counters and Fallbacks every other
+// tree's, rollback's handles on a segment included.
+type BtreeStats struct {
+	LatchedDescents uint64 // pinned SH descents, fallbacks included
+	OptDescents     uint64 // other trees: descents to a latched leaf over speculative inner levels
+	OptLeafReads    uint64 // other trees: leaf reads over speculative inner levels
+	Fallbacks       uint64 // other trees: operations that exhausted their restarts and ran latched
+	OwnerDescents   uint64 // forest segments: as OptDescents
+	OwnerReads      uint64 // forest segments: as OptLeafReads
+	OwnerFallbacks  uint64 // forest segments: as Fallbacks
+	Restarts        uint64 // operations restarted from the root
+
+	CursorHits        uint64 // operations that reached their leaf from the transaction's cursor
+	CursorMisses      uint64
+	InsertPointSplits uint64 // leaf splits cut at the insertion point
+	ImageSplits       uint64 // splits that moved entries, and so logged page images
+}
+
+// btreeStats reports the shared counters and the forest segments'.
+func btreeStats(shared, seg btree.OLCSnapshot) BtreeStats {
+	return BtreeStats{
+		LatchedDescents:   shared.LatchedDescents + seg.LatchedDescents,
+		OptDescents:       shared.OptDescents,
+		OptLeafReads:      shared.OptLeafReads,
+		Fallbacks:         shared.Fallbacks,
+		OwnerDescents:     seg.OptDescents,
+		OwnerReads:        seg.OptLeafReads,
+		OwnerFallbacks:    seg.Fallbacks,
+		Restarts:          shared.Restarts + seg.Restarts,
+		CursorHits:        shared.CursorHits + seg.CursorHits,
+		CursorMisses:      shared.CursorMisses + seg.CursorMisses,
+		InsertPointSplits: shared.InsertPointSplits + seg.InsertPointSplits,
+		ImageSplits:       shared.ImageSplits + seg.ImageSplits,
+	}
 }
 
 // Stats snapshots all component counters.
@@ -912,7 +951,7 @@ func (e *Engine) Stats() EngineStats {
 		Lock:   e.locks.Stats(),
 		Space:  e.sm.Stats(),
 		Tx:     e.txns.Stats(),
-		Btree:  e.olc.Snapshot(),
+		Btree:  btreeStats(e.olc.Snapshot(), e.segOLC.Snapshot()),
 	}
 	if e.dora != nil {
 		s.Dora = e.dora.Stats()

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/btree"
+	"repro/internal/buffer"
 	"repro/internal/disk"
 	"repro/internal/lock"
 	"repro/internal/page"
@@ -878,22 +879,23 @@ func TestStageConfigPresets(t *testing.T) {
 // TestStageDecides pins what each stage decides beyond StageConfig's
 // fields: the lock-table probe below StageFinal, the cleaner-tracked
 // checkpoint from StageFinal on, early lock release at StagePipeline
-// only, and optimistic descents on shared trees from StageFinal on (a
-// PLP forest's always).
+// only, and whether a shared tree opens with an OptEnv (from StageFinal
+// on), a PLP forest's segments do (always, counting apart), and a
+// segment opened for rollback does (always, counting with shared trees).
 func TestStageDecides(t *testing.T) {
 	for _, c := range []struct {
 		stage                 Stage
 		probe, cleaner, early bool
-		shared                btree.Access
+		optimistic            bool
 	}{
-		{StageBaseline, true, false, false, btree.Latched},
-		{StageBpool1, true, false, false, btree.Latched},
-		{StageCaching, true, false, false, btree.Latched},
-		{StageLog, true, false, false, btree.Latched},
-		{StageLockMgr, true, false, false, btree.Latched},
-		{StageBpool2, true, false, false, btree.Latched},
-		{StageFinal, false, true, false, btree.Optimistic},
-		{StagePipeline, false, true, true, btree.Optimistic},
+		{StageBaseline, true, false, false, false},
+		{StageBpool1, true, false, false, false},
+		{StageCaching, true, false, false, false},
+		{StageLog, true, false, false, false},
+		{StageLockMgr, true, false, false, false},
+		{StageBpool2, true, false, false, false},
+		{StageFinal, false, true, false, true},
+		{StagePipeline, false, true, true, true},
 	} {
 		t.Run(c.stage.String(), func(t *testing.T) {
 			s := c.stage
@@ -901,12 +903,19 @@ func TestStageDecides(t *testing.T) {
 				t.Errorf("probe %v, cleaner checkpoint %v, early lock release %v; want %v, %v, %v",
 					s.ProbesLockTable(), s.CleanerCheckpoint(), s.EarlyLockRelease(), c.probe, c.cleaner, c.early)
 			}
-			e := &Engine{cfg: StageConfig(s)}
-			if got := e.sharedAccess(false); got != c.shared {
-				t.Errorf("shared-tree descent %v, want %v", got, c.shared)
-			}
-			if got := e.sharedAccess(true); got != btree.Optimistic {
-				t.Errorf("forest descent %v, want %v", got, btree.Optimistic)
+			e := &Engine{cfg: StageConfig(s), pool: new(buffer.Pool)}
+			for _, r := range []struct {
+				role       treeRole
+				optimistic bool
+				stats      *btree.OLCStats
+			}{
+				{sharedTree, c.optimistic, &e.olc},
+				{forestSeg, true, &e.segOLC},
+				{rollbackSeg, true, &e.olc},
+			} {
+				if opt, stats := e.treeEnv(r.role); (opt != nil) != r.optimistic || stats != r.stats {
+					t.Errorf("role %d: OptEnv %v, counters as wanted %v; want %v, true", r.role, opt != nil, stats == r.stats, r.optimistic)
+				}
 			}
 		})
 	}

@@ -40,11 +40,42 @@ func (v btreeEnv) Log(t btree.Txn, f *buffer.Frame, op pageop.Op, undo pageop.Lo
 	return v.e.logPhysical(t.(*tx.Tx), f, op, undo, undo.Kind == pageop.LogicalNone)
 }
 
-// newTree wraps btree.Open. The buffer pool itself is the OptEnv; stats
-// aggregate engine-wide. Which latch policy an operation runs under is
-// decided per call (Index.access), not per tree.
-func (e *Engine) newTree(store uint32, root page.ID) *btree.Tree {
-	return btree.Open(btreeEnv{e}, e.pool, &e.olc, store, root)
+// treeRole is what a tree the engine opens serves; it alone decides how
+// the tree descends and which counters it moves (treeEnv).
+type treeRole uint8
+
+const (
+	sharedTree  treeRole = iota // a store's single tree
+	forestSeg                   // a segment behind a PLP forest's Index, driven by its partition's owner
+	rollbackSeg                 // a segment opened by rollback (openTreeByStore)
+)
+
+// treeEnv is how every tree the engine opens descends, decided once for
+// the five places that build one: optimistically, with the buffer pool as
+// its OptEnv, from StageFinal on and always for a PLP segment; latched
+// otherwise, the descent of the paper's stages before it. A forest's
+// segments count into e.segOLC (EngineStats.Btree's Owner counters);
+// every other tree, a segment opened for rollback included, into e.olc.
+func (e *Engine) treeEnv(r treeRole) (btree.OptEnv, *btree.OLCStats) {
+	switch {
+	case r == forestSeg:
+		return e.pool, &e.segOLC
+	case r == rollbackSeg || e.cfg.Stage >= StageFinal:
+		return e.pool, &e.olc
+	}
+	return nil, &e.olc
+}
+
+// newTree opens store's tree at root in role r.
+func (e *Engine) newTree(store uint32, root page.ID, r treeRole) *btree.Tree {
+	opt, stats := e.treeEnv(r)
+	return btree.Open(btreeEnv{e}, opt, stats, store, root)
+}
+
+// createTree allocates a new tree for store in role r inside t.
+func (e *Engine) createTree(t *tx.Tx, store uint32, r treeRole) (*btree.Tree, error) {
+	opt, stats := e.treeEnv(r)
+	return btree.Create(btreeEnv{e}, opt, stats, t, store)
 }
 
 // Index is a B-tree index handle: a single tree, or — under PLP — a
@@ -53,77 +84,48 @@ type Index struct {
 	tree  *btree.Tree
 	store uint32
 	// segs holds a PLP forest's segment trees indexed by routing key - 1
-	// (nil for an unpartitioned index). Segment identity is fixed at
-	// creation; only partition ownership of routing keys moves.
+	// (nil for an unpartitioned index), fixed at creation.
 	segs []*btree.Tree
-	// shared is the latch policy of callers that are not the segment's
-	// owner: Optimistic from StageFinal on and always for a forest,
-	// otherwise Latched.
-	shared btree.Access
-}
-
-// newIndex builds the handle for store over its tree (segs nil) or its
-// forest.
-func (e *Engine) newIndex(store uint32, tree *btree.Tree, segs []*btree.Tree) *Index {
-	return &Index{tree: tree, store: store, segs: segs, shared: e.sharedAccess(segs != nil)}
-}
-
-// sharedAccess is the latch policy for index callers that do not own the
-// tree they operate on. The stages before StageFinal keep the latched
-// descent as the paper ran it; btree.Optimistic itself falls back to it
-// after bounded restarts.
-func (e *Engine) sharedAccess(forest bool) btree.Access {
-	if e.cfg.Stage >= StageFinal || forest {
-		return btree.Optimistic
-	}
-	return btree.Latched
 }
 
 // Store returns the index's store id.
 func (ix *Index) Store() uint32 { return ix.store }
 
-// plpRouteKey extracts a key's 1-based routing key: its first four bytes
-// big-endian (TPC-C keys lead with the warehouse id). Short keys route
-// to the first segment.
-func plpRouteKey(key []byte) uint32 {
-	if len(key) < 4 {
-		return 1
-	}
-	return binary.BigEndian.Uint32(key[:4])
+// plpRoute is a key's routing key: its first four bytes big-endian
+// (TPC-C keys lead with the warehouse id), zero-padded when it is shorter.
+// A key routed below a scan bound's sorts below the bound, a key routed
+// above it sorts at or above.
+func plpRoute(key []byte) int {
+	var rk [4]byte
+	copy(rk[:], key)
+	return int(binary.BigEndian.Uint32(rk[:]))
 }
 
-// plpSegment returns the 0-based segment, of n, holding key: its routing
-// key, clamped into range.
-func plpSegment(key []byte, n int) int {
-	rk := plpRouteKey(key)
-	if rk < 1 {
-		rk = 1
+// plpSegment returns the 0-based segment, of n, holding key, or an error
+// naming the key and the keyspace when key has no segment: it is shorter
+// than its routing key, or routes outside 1..n.
+func plpSegment(key []byte, n int) (int, error) {
+	rk := plpRoute(key)
+	switch {
+	case len(key) < 4:
+		return 0, fmt.Errorf("core: key % x is shorter than the 4-byte routing key of a PLP index (keyspace 1..%d)", key, n)
+	case rk < 1 || rk > n:
+		return 0, fmt.Errorf("core: key % x has routing key %d, outside the PLP keyspace 1..%d", key, rk, n)
 	}
-	if int(rk) > n {
-		rk = uint32(n)
-	}
-	return int(rk) - 1
+	return rk - 1, nil
 }
 
 // segFor returns the tree responsible for key: its segment of a forest,
 // the single tree otherwise.
-func (ix *Index) segFor(key []byte) *btree.Tree {
+func (ix *Index) segFor(key []byte) (*btree.Tree, error) {
 	if ix.segs == nil {
-		return ix.tree
+		return ix.tree, nil
 	}
-	return ix.segs[plpSegment(key, len(ix.segs))]
-}
-
-// access picks the B-tree latch policy for one operation of t on ix:
-// Owner for a DORA sub-transaction on a PLP forest (the partition's
-// thread-local lock table already serialized conflicting key accesses,
-// and the owner goroutine is the segment's only writer), otherwise the
-// index's shared policy.
-func (ix *Index) access(t *tx.Tx) btree.Access {
-	if ix.segs != nil && t.NoLock() {
-		return btree.Owner
+	i, err := plpSegment(key, len(ix.segs))
+	if err != nil {
+		return nil, err
 	}
-	return ix.shared
+	return ix.segs[i], nil
 }
 
 // Verify checks the index's structural invariants (entry ordering, high
@@ -141,11 +143,10 @@ func (ix *Index) Verify() (int, error) {
 		if err != nil {
 			return total, fmt.Errorf("segment %d: %w", i+1, err)
 		}
-		want := uint32(i + 1)
 		var perr error
-		if err := tr.Scan(btree.Latched, nil, nil, func(k, _ []byte) bool {
-			if plpRouteKey(k) != want {
-				perr = fmt.Errorf("segment %d holds foreign key % x (route key %d)", i+1, k, plpRouteKey(k))
+		if err := tr.Scan(nil, nil, func(k, _ []byte) bool {
+			if seg, err := plpSegment(k, len(ix.segs)); err != nil || seg != i {
+				perr = fmt.Errorf("segment %d holds foreign key % x", i+1, k)
 				return false
 			}
 			return true
@@ -172,14 +173,14 @@ func (e *Engine) CreateIndex(t *tx.Tx) (*Index, error) {
 		return nil, err
 	}
 	store := e.sm.CreateStore(space.KindBTree)
-	tr, err := btree.Create(btreeEnv{e}, e.pool, &e.olc, t, store)
+	tr, err := e.createTree(t, store, sharedTree)
 	if err != nil {
 		return nil, err
 	}
 	if err := e.sm.SetRoot(store, tr.Root()); err != nil {
 		return nil, err
 	}
-	return e.newIndex(store, tr, nil), nil
+	return &Index{tree: tr, store: store}, nil
 }
 
 // OpenIndex attaches to an existing index by store id — as a forest
@@ -197,7 +198,7 @@ func (e *Engine) OpenIndex(store uint32) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.newIndex(store, e.newTree(store, root), nil), nil
+	return &Index{tree: e.newTree(store, root, sharedTree), store: store}, nil
 }
 
 // keyLockName maps an index key to its lock name (key-value locking).
@@ -219,36 +220,39 @@ func (e *Engine) probeLockTable(t *tx.Tx, store uint32, key []byte) {
 }
 
 // lockKey is the prologue of every locked point operation of t on ix: it
-// locks key in mode m, runs the pre-§7.7 lock-table probe, and resolves
-// the tree holding key, the latch policy, and t's cursor for that tree.
-func (e *Engine) lockKey(ctx context.Context, t *tx.Tx, ix *Index, key []byte, m lock.Mode) (*btree.Tree, btree.Access, *btree.Cursor, error) {
+// resolves the tree holding key, locks key in mode m, runs the pre-§7.7
+// lock-table probe, and returns the tree with t's cursor for it.
+func (e *Engine) lockKey(ctx context.Context, t *tx.Tx, ix *Index, key []byte, m lock.Mode) (*btree.Tree, *btree.Cursor, error) {
+	tr, err := ix.segFor(key)
+	if err != nil {
+		return nil, nil, err
+	}
 	if err := e.lockRow(ctx, t, ix.store, keyLockName(ix.store, key), m, false); err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
 	e.probeLockTable(t, ix.store, key)
-	tr := ix.segFor(key)
-	return tr, ix.access(t), t.TreeCursor(tr.Root()), nil
+	return tr, t.TreeCursor(tr.Root()), nil
 }
 
 // writeKey is the prologue of an index write: ErrClosed on a closed
 // engine, ErrSnapshotWrite for a snapshot transaction, then lockKey in X.
-func (e *Engine) writeKey(ctx context.Context, t *tx.Tx, ix *Index, key []byte) (*btree.Tree, btree.Access, *btree.Cursor, error) {
+func (e *Engine) writeKey(ctx context.Context, t *tx.Tx, ix *Index, key []byte) (*btree.Tree, *btree.Cursor, error) {
 	if e.closed.Load() {
-		return nil, 0, nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	if err := snapshotGuard(t); err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
 	return e.lockKey(ctx, t, ix, key, lock.X)
 }
 
 // IndexInsertCtx adds key→value to the index under an X key lock.
 func (e *Engine) IndexInsertCtx(ctx context.Context, t *tx.Tx, ix *Index, key, value []byte) error {
-	tr, a, c, err := e.writeKey(ctx, t, ix, key)
+	tr, c, err := e.writeKey(ctx, t, ix, key)
 	if err != nil {
 		return err
 	}
-	return tr.Insert(a, c, t, key, value)
+	return tr.Insert(c, t, key, value)
 }
 
 // IndexInsert is IndexInsertCtx without a context, kept for perf/ (ROADMAP item 16).
@@ -306,29 +310,29 @@ func (e *Engine) IndexView(ctx context.Context, t *tx.Tx, ix *Index, key []byte,
 		}
 		return found, err
 	}
-	tr, a, c, err := e.lockKey(ctx, t, ix, key, m)
+	tr, c, err := e.lockKey(ctx, t, ix, key, m)
 	if err != nil {
 		return false, err
 	}
-	return tr.View(a, c, key, view)
+	return tr.View(c, key, view)
 }
 
 // IndexUpdateCtx replaces the value for key under an X key lock.
 func (e *Engine) IndexUpdateCtx(ctx context.Context, t *tx.Tx, ix *Index, key, value []byte) error {
-	tr, a, c, err := e.writeKey(ctx, t, ix, key)
+	tr, c, err := e.writeKey(ctx, t, ix, key)
 	if err != nil {
 		return err
 	}
-	return tr.Update(a, c, t, key, value)
+	return tr.Update(c, t, key, value)
 }
 
 // IndexDeleteCtx removes key under an X key lock, returning the old value.
 func (e *Engine) IndexDeleteCtx(ctx context.Context, t *tx.Tx, ix *Index, key []byte) ([]byte, error) {
-	tr, a, c, err := e.writeKey(ctx, t, ix, key)
+	tr, c, err := e.writeKey(ctx, t, ix, key)
 	if err != nil {
 		return nil, err
 	}
-	return tr.Delete(a, c, t, key)
+	return tr.Delete(c, t, key)
 }
 
 // IndexScanCtx iterates keys in [from, to) under a store-level S lock,
@@ -346,7 +350,7 @@ func (e *Engine) IndexScanCtx(ctx context.Context, t *tx.Tx, ix *Index, from, to
 	if err := e.acquire(ctx, t, lock.StoreName(ix.store), lock.S, false); err != nil {
 		return err
 	}
-	return ix.scan(ix.access(t), from, to, fn)
+	return ix.scan(from, to, fn)
 }
 
 // IndexScan is IndexScanCtx without a context, kept for perf/ (ROADMAP item 16).
@@ -354,27 +358,20 @@ func (e *Engine) IndexScan(t *tx.Tx, ix *Index, from, to []byte, fn func(key, va
 	return e.IndexScanCtx(context.Background(), t, ix, from, to, fn)
 }
 
-// scan runs a range scan of the index under latch policy a. A forest is
+// scan runs a range scan of the index. A forest is
 // stitched in key order: routing keys are the keys' leading four bytes,
 // so ascending segments yield globally ascending keys, and only the edge
 // segments need the caller's bounds.
-func (ix *Index) scan(a btree.Access, from, to []byte, fn func(key, value []byte) bool) error {
+func (ix *Index) scan(from, to []byte, fn func(key, value []byte) bool) error {
 	if ix.segs == nil {
-		return ix.tree.Scan(a, from, to, fn)
+		return ix.tree.Scan(from, to, fn)
 	}
 	loRK, hiRK := 1, len(ix.segs)
 	if from != nil {
-		if rk := int(plpRouteKey(from)); rk > loRK {
-			loRK = rk
-		}
+		loRK = max(loRK, plpRoute(from))
 	}
 	if to != nil {
-		if rk := int(plpRouteKey(to)); rk < hiRK {
-			hiRK = rk
-		}
-	}
-	if loRK > len(ix.segs) || hiRK < 1 {
-		return nil
+		hiRK = min(hiRK, plpRoute(to))
 	}
 	stopped := false
 	for rk := loRK; rk <= hiRK && !stopped; rk++ {
@@ -385,7 +382,7 @@ func (ix *Index) scan(a btree.Access, from, to []byte, fn func(key, value []byte
 		if rk < hiRK {
 			segTo = nil
 		}
-		err := ix.segs[rk-1].Scan(a, segFrom, segTo, func(k, v []byte) bool {
+		err := ix.segs[rk-1].Scan(segFrom, segTo, func(k, v []byte) bool {
 			stopped = !fn(k, v)
 			return !stopped
 		})
@@ -396,20 +393,23 @@ func (ix *Index) scan(a btree.Access, from, to []byte, fn func(key, value []byte
 	return nil
 }
 
-// openTreeByStore returns the tree holding key in store during rollback,
-// and the latch policy to run the undo under: the key's segment when the
-// store is a registered PLP forest (segment roots come from the
-// segment catalog — the directory's single root slot is meaningless for a
-// forest), otherwise the store's tree.
-func (e *Engine) openTreeByStore(store uint32, key []byte) (*btree.Tree, btree.Access, error) {
+// openTreeByStore returns the tree holding key in store during rollback:
+// the key's segment when the store is a registered PLP forest (segment
+// roots come from the segment catalog — the directory's single root slot
+// is meaningless for a forest), otherwise the store's tree.
+func (e *Engine) openTreeByStore(store uint32, key []byte) (*btree.Tree, error) {
 	if m := e.plpMap.Load(); m != nil {
 		if roots := m.Roots(store); roots != nil {
-			return e.newTree(store, page.ID(roots[plpSegment(key, len(roots))])), e.sharedAccess(true), nil
+			i, err := plpSegment(key, len(roots))
+			if err != nil {
+				return nil, err
+			}
+			return e.newTree(store, page.ID(roots[i]), rollbackSeg), nil
 		}
 	}
 	root, err := e.sm.Root(store)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return e.newTree(store, root), e.sharedAccess(false), nil
+	return e.newTree(store, root, sharedTree), nil
 }

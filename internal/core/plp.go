@@ -5,8 +5,9 @@ package core
 // of per-routing-key segment trees (one per TPC-C warehouse), and the
 // DORA partition owning a routing key is the only writer that mutates
 // its segments — so owner-path index operations run on validated
-// speculative page images with no latch acquisition (see the Owner
-// access policy in btree/btree.go for the latch-freedom argument).
+// speculative page images with no latch acquisition (see btree.Tree for
+// the latch-freedom argument). Segment trees always speculate and count
+// into counters of their own (Engine.treeEnv).
 //
 // The segment catalog (internal/plp.Map) is the single piece of shared
 // metadata: the routing keyspace size and the segment roots per store.
@@ -159,7 +160,7 @@ func (e *Engine) CreatePartitionedIndex(t *tx.Tx) (*Index, error) {
 	roots := make([]uint64, keys)
 	segs := make([]*btree.Tree, keys)
 	for i := 0; i < keys; i++ {
-		tr, err := btree.Create(btreeEnv{e}, e.pool, &e.olc, t, store)
+		tr, err := e.createTree(t, store, forestSeg)
 		if err != nil {
 			return nil, err
 		}
@@ -183,14 +184,14 @@ func (e *Engine) CreatePartitionedIndex(t *tx.Tx) (*Index, error) {
 	}
 	e.plpRID = rid
 	e.plpMap.Store(next)
-	return e.newIndex(store, segs[0], segs), nil
+	return &Index{tree: segs[0], store: store, segs: segs}, nil
 }
 
 // plpForest builds an Index handle over store's registered segments.
 func (e *Engine) plpForest(store uint32, roots []uint64) *Index {
 	segs := make([]*btree.Tree, len(roots))
 	for i, r := range roots {
-		segs[i] = e.newTree(store, page.ID(r))
+		segs[i] = e.newTree(store, page.ID(r), forestSeg)
 	}
-	return e.newIndex(store, segs[0], segs)
+	return &Index{tree: segs[0], store: store, segs: segs}
 }

@@ -61,6 +61,72 @@ func TestOpenRefusesPlpWithoutKeys(t *testing.T) {
 	}
 }
 
+// TestPlpRefusesKeyWithoutSegment: a forest has one segment per routing
+// key 1..DoraKeys, so a key shorter than its routing key or routed
+// outside the keyspace has no segment. Every operation on such a key is
+// refused with an error naming the key and the keyspace, instead of being
+// filed into an edge segment, where Verify found a foreign key and a
+// range scan by routing key missed what a lookup found. Scans with short
+// bounds still cover exactly the keys between them.
+func TestPlpRefusesKeyWithoutSegment(t *testing.T) {
+	cfg := StageConfig(StageFinal)
+	cfg.Frames = 256
+	cfg.PLP = true
+	cfg.DoraPartitions = 2
+	cfg.DoraKeys = 2
+	e, err := Open(disk.NewMem(0), wal.NewMemSegmentStore(0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ctx := context.Background()
+	tx, err := e.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := e.CreatePartitionedIndex(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rk := uint32(1); rk <= 2; rk++ {
+		if err := e.IndexInsertCtx(ctx, tx, ix, plpKey(rk, 1), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, key := range [][]byte{plpKey(0, 1), plpKey(3, 1), plpKey(5, 1), {0, 0, 1}} {
+		want := fmt.Sprintf("% x", key)
+		err := e.IndexInsertCtx(ctx, tx, ix, key, []byte("v"))
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "1..2") {
+			t.Errorf("insert of % x: %v; want a refusal naming the key and the keyspace 1..2", key, err)
+		}
+		if _, found, err := e.IndexLookupCtx(ctx, tx, ix, key); err == nil || found {
+			t.Errorf("lookup of % x: found %v, %v; want a refusal", key, found, err)
+		}
+	}
+	if n, err := ix.Verify(); err != nil || n != 2 {
+		t.Fatalf("Verify = %d, %v; want 2 keys", n, err)
+	}
+	for _, c := range []struct {
+		from, to []byte
+		want     int
+	}{
+		{nil, nil, 2},
+		{plpKey(5, 0), plpKey(6, 0), 0},
+		{nil, []byte{0, 0, 0, 2}, 1},
+		{[]byte{0, 0, 0, 2}, nil, 1},
+		{[]byte{0, 0}, []byte{0, 0, 1}, 2},
+		{nil, []byte{0, 0, 0}, 0},
+	} {
+		n := 0
+		if err := e.IndexScanCtx(ctx, tx, ix, c.from, c.to, func(_, _ []byte) bool { n++; return true }); err != nil || n != c.want {
+			t.Errorf("scan [% x, % x) = %d keys, %v; want %d", c.from, c.to, n, err, c.want)
+		}
+	}
+	if err := e.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPlpMapCrashRecovery pins the catalog contract: the segment catalog
 // lives in one heap record, so ordinary ARIES redo rebuilds it after a
 // crash. The catalog holds no ownership, so reopening with a different

@@ -249,18 +249,6 @@ func analysisStart(store wal.Store, master wal.LSN) (wal.LSN, error) {
 	}
 }
 
-// redo replays every page update from redoStart, gated by page LSN.
-// With RedoWorkers > 1 the replay fans out hash-partitioned by page ID:
-// every page maps to exactly one worker, so per-page LSN order — the only
-// ordering redo needs — is preserved while distinct pages replay in
-// parallel (the same partitioning argument as the sharded buffer pool).
-func (e *Engine) redo(redoStart wal.LSN) error {
-	if e.cfg.RedoWorkers > 1 {
-		return e.redoParallel(redoStart, e.cfg.RedoWorkers)
-	}
-	return e.redoSerial(redoStart)
-}
-
 // redoApplies reports whether a record carries page redo work.
 func redoApplies(rec *wal.Record) bool {
 	if rec.Page == 0 || len(rec.Redo) == 0 {
@@ -309,42 +297,19 @@ func (e *Engine) applyRedo(rec *wal.Record) (bool, error) {
 	return true, nil
 }
 
-// redoSerial is the single-threaded replay path (RedoWorkers == 1).
-func (e *Engine) redoSerial(redoStart wal.LSN) error {
-	sc := wal.NewScanner(e.logStore, redoStart)
-	for {
-		rec, err := sc.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		e.recovery.RecordsScanned++
-		if !redoApplies(rec) {
-			continue
-		}
-		if err := e.growFor(rec.Page); err != nil {
-			return err
-		}
-		applied, err := e.applyRedo(rec)
-		if err != nil {
-			return err
-		}
-		if applied {
-			e.recovery.RecordsReplayed++
-		}
-	}
-}
-
 // redoHash maps a page to its redo worker.
 func redoHash(pid page.ID, workers int) int {
 	return int((uint64(pid) * 0x9e3779b97f4a7c15 >> 33) % uint64(workers))
 }
 
-// redoParallel replays the log with a serial dispatcher (which also owns
-// volume growth) fanning records out to page-partitioned workers.
-func (e *Engine) redoParallel(redoStart wal.LSN, workers int) error {
+// redo replays every page update from redoStart, gated by page LSN: a
+// serial dispatcher (which also owns volume growth) fans the records out
+// to Config.RedoWorkers workers hash-partitioned by page ID. Every page
+// maps to exactly one worker, so per-page LSN order — the only ordering
+// redo needs — is preserved while distinct pages replay in parallel (the
+// same partitioning argument as the sharded buffer pool).
+func (e *Engine) redo(redoStart wal.LSN) error {
+	workers := e.cfg.RedoWorkers
 	chans := make([]chan *wal.Record, workers)
 	errs := make([]error, workers)
 	var replayed atomic.Uint64

@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkRecoveryReplay measures restart recovery over a crash image
-// with a long redo tail, serial vs. hash-partitioned parallel redo. The
+// with a long redo tail, one redo worker against several. The
 // crash image is built once; every iteration recovers a fresh clone.
 func BenchmarkRecoveryReplay(b *testing.B) {
 	vol := disk.NewMem(0)

@@ -156,10 +156,11 @@ func snapshotVolume(t *testing.T, v *disk.MemVolume) [][]byte {
 	return out
 }
 
-// TestParallelRedoEquivalence recovers the same crash image serially and
-// in parallel, for all three log designs, and demands byte-identical
-// volumes afterwards: partitioned redo and sorted undo must be
-// observationally indistinguishable from the serial pass.
+// TestParallelRedoEquivalence recovers the same crash image with one
+// redo worker, the reference, and with eight, for all three log designs,
+// and demands byte-identical volumes afterwards: partitioned redo and
+// sorted undo must be observationally indistinguishable from one worker
+// replaying the log in order.
 func TestParallelRedoEquivalence(t *testing.T) {
 	for _, d := range []wal.Design{wal.DesignCoupled, wal.DesignDecoupled, wal.DesignConsolidated} {
 		d := d

@@ -130,7 +130,7 @@ func (e *Engine) logicalUndoAction(t *tx.Tx, undo []byte) error {
 	if err != nil {
 		return err
 	}
-	tr, a, err := e.openTreeByStore(l.Store, l.Key)
+	tr, err := e.openTreeByStore(l.Store, l.Key)
 	if err != nil {
 		return err
 	}
@@ -140,15 +140,15 @@ func (e *Engine) logicalUndoAction(t *tx.Tx, undo []byte) error {
 	// an update-undo on a restored value changes nothing (pageop.Logical).
 	switch l.Kind {
 	case pageop.LogicalBTreeDelete:
-		if _, err := tr.DeleteNoUndo(a, t, l.Key); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
+		if _, err := tr.DeleteNoUndo(t, l.Key); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
 			return fmt.Errorf("core: logical undo delete %q: %w", l.Key, err)
 		}
 	case pageop.LogicalBTreeInsert:
-		if err := tr.InsertNoUndo(a, t, l.Key, l.Value); err != nil && !errors.Is(err, btree.ErrDuplicateKey) {
+		if err := tr.InsertNoUndo(t, l.Key, l.Value); err != nil && !errors.Is(err, btree.ErrDuplicateKey) {
 			return fmt.Errorf("core: logical undo insert %q: %w", l.Key, err)
 		}
 	case pageop.LogicalBTreeUpdate:
-		if err := tr.UpdateNoUndo(a, t, l.Key, int(l.Off), int(l.Suf), l.Value); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
+		if err := tr.UpdateNoUndo(t, l.Key, int(l.Off), int(l.Suf), l.Value); err != nil && !errors.Is(err, btree.ErrKeyNotFound) {
 			return fmt.Errorf("core: logical undo update %q: %w", l.Key, err)
 		}
 	default:

@@ -220,11 +220,15 @@ func (e *Engine) heapScanSnapshot(t *tx.Tx, store uint32, fn func(rid page.RID, 
 }
 
 // indexLookupSnapshot probes the index as of t's snapshot: the leaf read
-// the index's shared latch policy gives (pin-free under Optimistic), then
-// chain resolution.
+// the tree's latch policy gives (pin-free when it speculates), then chain
+// resolution.
 func (e *Engine) indexLookupSnapshot(t *tx.Tx, ix *Index, key []byte) ([]byte, bool, error) {
 	e.mvcc.CountRead()
-	cur, found, err := ix.segFor(key).Search(ix.access(t), nil, key)
+	tr, err := ix.segFor(key)
+	if err != nil {
+		return nil, false, err
+	}
+	cur, found, err := tr.Search(nil, key)
 	if err != nil {
 		return nil, false, err
 	}
@@ -295,7 +299,7 @@ func (e *Engine) indexScanSnapshot(t *tx.Tx, ix *Index, from, to []byte, fn func
 	}
 	// A PLP forest scans in global key order (routing keys are the leading
 	// key bytes), so the chunked version merge is oblivious to partitioning.
-	err := ix.scan(ix.access(t), from, to, func(k, v []byte) bool {
+	err := ix.scan(from, to, func(k, v []byte) bool {
 		buf = append(buf, kv{k, v})
 		if len(buf) >= chunkSize {
 			// Just past the last buffered key: the smallest possible

@@ -162,7 +162,7 @@ func crashCycles(t *testing.T, cfg core.Config, seed int64, cycles int) (losers 
 	}
 
 	var tornBytes int64
-	var speculated, fellBack uint64 // optimistic descents and leaf reads; fallbacks to latched
+	var speculated, fellBack uint64 // optimistic descents and leaf reads, segment trees included; fallbacks to latched
 	var order []int
 	for cycle := 0; cycle < cycles; cycle++ {
 		if cycle%4 == 0 {
@@ -270,8 +270,8 @@ func crashCycles(t *testing.T, cfg core.Config, seed int64, cycles int) (losers 
 		// Read before the wait for a transaction in flight, which Stats
 		// would lengthen.
 		bt := e.Stats().Btree
-		speculated += bt.OptDescents + bt.OptLeafReads
-		fellBack += bt.Fallbacks
+		speculated += bt.OptDescents + bt.OptLeafReads + bt.OwnerDescents + bt.OwnerReads
+		fellBack += bt.Fallbacks + bt.OwnerFallbacks
 
 		if f == tornTail {
 			logStore.ArmTornCrash(int64(1 + rng.Intn(3000)))

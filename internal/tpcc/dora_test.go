@@ -112,8 +112,8 @@ func TestDoraCrossPartitionStress(t *testing.T) {
 				t.Errorf("%d cross-partition transactions, %d thread-local lock acquires, %d aborts; want some, some, none",
 					st.Dora.CrossTx, st.Dora.LocalAcquires, st.Dora.Aborts)
 			}
-			if c.name == "plp" && (st.Btree.OwnerWrites == 0 || st.Plp.Tables == 0) {
-				t.Errorf("%d owner-path writes over %d partitioned indexes; want both above zero", st.Btree.OwnerWrites, st.Plp.Tables)
+			if c.name == "plp" && (st.Btree.OwnerDescents == 0 || st.Plp.Tables == 0) {
+				t.Errorf("%d segment-tree descents over %d partitioned indexes; want both above zero", st.Btree.OwnerDescents, st.Plp.Tables)
 			}
 			rd, err := db.Engine.Begin()
 			if err != nil {

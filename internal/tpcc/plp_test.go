@@ -96,15 +96,12 @@ func TestPlpLatchBypass(t *testing.T) {
 	if hits := after.CursorHits - before.CursorHits; hits < 3*payments {
 		t.Errorf("%d cursor hits for %d payments of three read-then-write rows each", hits, payments)
 	}
-	if after.OwnerDescents != before.OwnerDescents || after.OwnerWrites != before.OwnerWrites {
-		t.Errorf("owner write descents moved: %d -> %d (writes %d -> %d); every write follows a read of its row",
-			before.OwnerDescents, after.OwnerDescents, before.OwnerWrites, after.OwnerWrites)
+	if after.OwnerDescents != before.OwnerDescents {
+		t.Errorf("owner descents moved: %d -> %d; every write follows a read of its row",
+			before.OwnerDescents, after.OwnerDescents)
 	}
 	if after.OwnerReads <= before.OwnerReads {
-		t.Error("owner point reads did not climb")
-	}
-	if after.OwnerScans <= before.OwnerScans {
-		t.Error("owner scans did not climb")
+		t.Error("owner point and scan leaf reads did not climb")
 	}
 	if after.OptDescents != before.OptDescents {
 		t.Errorf("shared optimistic descents moved: %d -> %d", before.OptDescents, after.OptDescents)

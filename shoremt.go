@@ -179,10 +179,6 @@ type Options struct {
 	// the size it was created with; see the README's "Recovery & the
 	// log" section.
 	LogSegmentBytes int64
-	// RedoWorkers sets the parallelism of restart recovery's redo pass
-	// (log records fan out to workers hash-partitioned by page ID). 0
-	// auto-scales to GOMAXPROCS; 1 forces serial replay.
-	RedoWorkers int
 	// Retry governs Update/View's automatic deadlock/timeout retry; the
 	// zero value selects the defaults (see RetryPolicy).
 	Retry RetryPolicy
@@ -220,9 +216,6 @@ func (opts Options) config() core.Config {
 	}
 	if opts.CheckpointEvery > 0 {
 		cfg.CheckpointEvery = opts.CheckpointEvery
-	}
-	if opts.RedoWorkers > 0 {
-		cfg.RedoWorkers = opts.RedoWorkers
 	}
 	return cfg
 }
